@@ -199,7 +199,6 @@ class DistributedTrainer:
         iterators = [iter(sampler) for sampler in self.samplers]
         epoch = 0
         for iteration in range(num_iterations):
-            iteration_start = time.perf_counter()
             per_rank_gradients: List[Dict[str, np.ndarray]] = []
             rank_losses: List[float] = []
             rank_compute_times: List[float] = []
@@ -274,7 +273,6 @@ class DistributedTrainer:
                 self.report.validation_iterations.append(iteration + 1)
             if callback is not None:
                 callback(iteration, self.report.train_losses[-1])
-            _ = time.perf_counter() - iteration_start
         self.report.phase_means = self.phase_timer.mean_by_phase()
         return self.report
 

@@ -27,7 +27,7 @@ to the dynamic derivation when the parameters match bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +93,10 @@ class PriorGeometry:
     locs: np.ndarray
     scales: np.ndarray
     bounded: np.ndarray
+
+    #: floor added to every proposal component's scale (one value for every
+    #: geometry, so not a field)
+    min_scale: ClassVar[float] = MIN_PROPOSAL_SCALE
 
     def _cached(self, name: str, build):
         if name not in self.__dict__:

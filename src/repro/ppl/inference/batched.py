@@ -34,6 +34,7 @@ uncontrolled draws cancel exactly against ``log_joint``.
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -233,6 +234,11 @@ class _LockstepCoordinator:
                     for kind, slot, address, prior, previous_value in messages
                     if kind == "request"
                 ]
+                # Slot order, not arrival order: the rows of a same-address
+                # group are stacked in this order, and BLAS rounds a row's
+                # result differently depending on where in the matrix it
+                # sits, so thread timing must not pick the row order.
+                pending.sort(key=operator.itemgetter(0))
                 outstanding = {slot for slot, _, _, _ in pending}
                 if not pending:
                     continue

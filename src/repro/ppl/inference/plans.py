@@ -683,9 +683,9 @@ class PlannedProposalSession(BatchedProposalSession):
                     layer_module._transformed_from_geometry(hidden, geometry)
                 )
                 mscratch = self.scratch.mixture[index]
-                weights = np.exp(log_weights.data, out=mscratch.weights[:size])
+                weights = np.exp(log_weights, out=mscratch.weights[:size])
                 batch = BatchedMixtureOfTruncatedNormals.build_into(
-                    mscratch, means.data, scales.data, weights, lows, highs, bounded
+                    mscratch, means, scales, weights, lows, highs, bounded
                 )
             elif static_ok and step.kind == "categorical":
                 cscratch = self.scratch.categorical[index]

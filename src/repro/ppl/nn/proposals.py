@@ -46,12 +46,7 @@ from repro.distributions import (
     Normal,
     TruncatedNormal,
 )
-from repro.distributions.geometry import (
-    MIN_PROPOSAL_SCALE as _MIN_SCALE,
-    PriorGeometry,
-    prior_bounds,
-    prior_geometry,
-)
+from repro.distributions.geometry import PriorGeometry, prior_bounds, prior_geometry
 from repro.tensor import functional as F
 from repro.tensor.nn import Linear, Module, ReLU, Sequential
 from repro.tensor.tensor import Tensor
@@ -153,13 +148,15 @@ class ProposalNormalMixture(ProposalLayer):
         return self._transformed_from_geometry(hidden, prior_geometry(priors))
 
     def _transformed_from_geometry(self, hidden: Tensor, geometry: PriorGeometry):
-        """The array core of :meth:`_transformed_parameters` (no prior objects)."""
+        """The array core of :meth:`_transformed_parameters` (no prior objects).
+
+        Emission never differentiates, so the parameters come back as plain
+        arrays from the same map the training density scores under.
+        """
         raw_means, raw_scales, logits = self._raw_parameters(hidden)
-        loc_t = Tensor(geometry.locs_column)
-        scale_t = Tensor(geometry.scales_column)
-        means = loc_t + raw_means.tanh() * scale_t            # keep means near the prior region
-        comp_scales = F.softplus(raw_scales) * scale_t + _MIN_SCALE
-        log_weights = F.log_softmax(logits, axis=-1)
+        means, comp_scales, log_weights = F.truncated_normal_mixture_parameters(
+            raw_means.data, raw_scales.data, logits.data, geometry
+        )
         return means, comp_scales, log_weights, geometry.lows, geometry.highs, geometry.bounded
 
     # ----------------------------------------------------------------- training
@@ -179,32 +176,19 @@ class ProposalNormalMixture(ProposalLayer):
         self, hidden: Tensor, values_column: np.ndarray, geometry: PriorGeometry
     ) -> Tensor:
         """Shared differentiable density: the per-object ``log_prob`` and the
-        packed path both evaluate exactly this expression, which is what makes
-        them bit-identical in loss and gradients."""
-        means, scales, log_weights, _, _, _ = self._transformed_from_geometry(hidden, geometry)
-        # Component log-density at the recorded values.
-        log_pdf = F.normal_log_pdf(values_column, means, scales)       # (B, K)
-        if geometry.any_bounded:
-            # Truncation: subtract log(Phi(beta) - Phi(alpha)) per component.
-            alpha = (Tensor(geometry.finite_lows_column) - means) / scales
-            beta = (Tensor(geometry.finite_highs_column) - means) / scales
-            z = F.normal_cdf(beta) - F.normal_cdf(alpha)
-            z = z.clamp(min_value=1e-8)
-            if geometry.all_bounded:
-                # x * 1.0 is bitwise x: skipping the all-ones mask keeps the
-                # value (and gradient) identical while dropping two graph nodes.
-                log_pdf = log_pdf - z.log()
-            else:
-                log_pdf = log_pdf - z.log() * Tensor(geometry.bounded_mask_column)
-        mixture_log_prob = F.logsumexp(log_weights + log_pdf, axis=-1)  # (B,)
-        return mixture_log_prob.sum()
+        packed path both evaluate exactly this expression (one fused autograd
+        node over the raw network outputs), which is what makes them
+        bit-identical in loss and gradients.  The components are the ones
+        :meth:`_transformed_from_geometry` emits proposals from."""
+        raw_means, raw_scales, logits = self._raw_parameters(hidden)
+        return F.truncated_normal_mixture_log_prob(
+            raw_means, raw_scales, logits, values_column, geometry
+        ).sum()
 
     # ---------------------------------------------------------------- inference
     def proposal_distributions(self, hidden: Tensor, priors: Sequence[Distribution]) -> List[Distribution]:
-        means, scales, log_weights, lows, highs, bounded = self._transformed_parameters(hidden, list(priors))
-        means_np = means.data
-        scales_np = scales.data
-        weights_np = np.exp(log_weights.data)
+        means_np, scales_np, log_weights, lows, highs, bounded = self._transformed_parameters(hidden, list(priors))
+        weights_np = np.exp(log_weights)
         num_components = self.num_components
         # All truncated components across the batch are built in one
         # vectorized pass (two ndtr calls total instead of two per object).
@@ -238,9 +222,9 @@ class ProposalNormalMixture(ProposalLayer):
         """
         means, scales, log_weights, lows, highs, bounded = self._transformed_parameters(hidden, list(priors))
         return BatchedMixtureOfTruncatedNormals(
-            means.data,
-            scales.data,
-            np.exp(log_weights.data),
+            means,
+            scales,
+            np.exp(log_weights),
             lows,
             highs,
             bounded=bounded,

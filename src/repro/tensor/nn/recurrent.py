@@ -48,15 +48,9 @@ class LSTMCell(Module):
             c_prev = Tensor.zeros(batch, self.hidden_size)
         else:
             h_prev, c_prev = state
-        gates = F.linear(x, self.weight_ih, self.bias_ih) + F.linear(h_prev, self.weight_hh, self.bias_hh)
-        hs = self.hidden_size
-        i_gate = gates[:, 0 * hs : 1 * hs].sigmoid()
-        f_gate = gates[:, 1 * hs : 2 * hs].sigmoid()
-        g_gate = gates[:, 2 * hs : 3 * hs].tanh()
-        o_gate = gates[:, 3 * hs : 4 * hs].sigmoid()
-        c_new = f_gate * c_prev + i_gate * g_gate
-        h_new = o_gate * c_new.tanh()
-        return h_new, c_new
+        return F.lstm_cell(
+            x, h_prev, c_prev, self.weight_ih, self.weight_hh, self.bias_ih, self.bias_hh
+        )
 
     def initial_state(self, batch: int) -> Tuple[Tensor, Tensor]:
         return Tensor.zeros(batch, self.hidden_size), Tensor.zeros(batch, self.hidden_size)

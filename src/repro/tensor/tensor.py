@@ -21,7 +21,7 @@ code reads like the original.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,11 +33,17 @@ ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 # engines enter no_grad from worker threads, and a process-global flag would
 # race — an unlucky interleaving of two threads' enter/exit could leave
 # autograd disabled for the whole process.
-_grad_mode = threading.local()
+class _GradMode(threading.local):
+    # Class-level default: a thread that never entered ``no_grad`` reads it
+    # with a plain attribute lookup (``_make`` does so once per operation).
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 def _grad_enabled() -> bool:
-    return getattr(_grad_mode, "enabled", True)
+    return _grad_mode.enabled
 
 
 class no_grad:
@@ -162,40 +168,35 @@ class Tensor:
         if grad is None:
             grad_arr = np.ones_like(self.data, dtype=np.float64)
         else:
-            grad_arr = _as_array(grad).astype(np.float64, copy=False)
-            grad_arr = np.broadcast_to(grad_arr, self.data.shape).copy()
+            grad_arr = np.array(np.broadcast_to(_as_array(grad), self.data.shape), dtype=np.float64)
 
-        topo: List[Tensor] = []
-        visited = set()
+        # Linear-time ordering (Kahn): count, for every node reachable from
+        # this one, how many reachable consumers feed gradient into it; a
+        # node's backward runs once that many contributions have arrived.
+        pending: Dict[Tensor, int] = {}
+        stack = [self]
+        while stack:
+            for parent in stack.pop()._parents:
+                if parent.requires_grad:
+                    if parent in pending:
+                        pending[parent] += 1
+                    else:
+                        pending[parent] = 1
+                        stack.append(parent)
 
-        def build(node: "Tensor") -> None:
-            stack = [(node, iter(node._parents))]
-            seen_on_stack = {id(node)}
-            if id(node) in visited:
-                return
-            while stack:
-                current, it = stack[-1]
-                advanced = False
-                for parent in it:
-                    if id(parent) not in visited and parent.requires_grad:
-                        if id(parent) in seen_on_stack:
-                            continue
-                        stack.append((parent, iter(parent._parents)))
-                        seen_on_stack.add(id(parent))
-                        advanced = True
-                        break
-                if not advanced:
-                    visited.add(id(current))
-                    topo.append(current)
-                    stack.pop()
-                    seen_on_stack.discard(id(current))
-
-        build(self)
-
-        _accumulate(self, grad_arr)
-        for node in reversed(topo):
+        _accumulate(self, grad_arr, True)
+        ready = [self]
+        while ready:
+            node = ready.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            for parent in node._parents:
+                if parent.requires_grad:
+                    remaining = pending[parent] - 1
+                    if remaining:
+                        pending[parent] = remaining
+                    else:
+                        ready.append(parent)
 
     # ------------------------------------------------------------- arithmetic
     def __add__(self, other: ArrayLike) -> "Tensor":
@@ -205,9 +206,9 @@ class Tensor:
             a, b = self, other_t
             def _bw(grad):
                 if a.requires_grad:
-                    _accumulate(a, unbroadcast(grad, a.shape))
+                    _accumulate(a, grad)
                 if b.requires_grad:
-                    _accumulate(b, unbroadcast(grad, b.shape))
+                    _accumulate(b, grad)
             out._backward = _bw
         return out
 
@@ -218,7 +219,7 @@ class Tensor:
         if out.requires_grad:
             a = self
             def _bw(grad):
-                _accumulate(a, -grad)
+                _accumulate(a, -grad, True)
             out._backward = _bw
         return out
 
@@ -235,9 +236,9 @@ class Tensor:
             a, b = self, other_t
             def _bw(grad):
                 if a.requires_grad:
-                    _accumulate(a, unbroadcast(grad * b.data, a.shape))
+                    _accumulate(a, grad * b.data, True)
                 if b.requires_grad:
-                    _accumulate(b, unbroadcast(grad * a.data, b.shape))
+                    _accumulate(b, grad * a.data, True)
             out._backward = _bw
         return out
 
@@ -250,9 +251,9 @@ class Tensor:
             a, b = self, other_t
             def _bw(grad):
                 if a.requires_grad:
-                    _accumulate(a, unbroadcast(grad / b.data, a.shape))
+                    _accumulate(a, grad / b.data, True)
                 if b.requires_grad:
-                    _accumulate(b, unbroadcast(-grad * a.data / (b.data ** 2), b.shape))
+                    _accumulate(b, -grad * a.data / (b.data ** 2), True)
             out._backward = _bw
         return out
 
@@ -266,7 +267,7 @@ class Tensor:
         if out.requires_grad:
             a = self
             def _bw(grad):
-                _accumulate(a, grad * exponent * (a.data ** (exponent - 1)))
+                _accumulate(a, grad * exponent * (a.data ** (exponent - 1)), True)
             out._backward = _bw
         return out
 
@@ -281,13 +282,13 @@ class Tensor:
                         ga = np.outer(grad, b.data) if a.data.ndim == 2 else grad * b.data
                     else:
                         ga = grad @ np.swapaxes(b.data, -1, -2)
-                    _accumulate(a, unbroadcast(np.asarray(ga), a.shape))
+                    _accumulate(a, ga, True)
                 if b.requires_grad:
                     if a.data.ndim == 1:
                         gb = np.outer(a.data, grad) if b.data.ndim == 2 else grad * a.data
                     else:
                         gb = np.swapaxes(a.data, -1, -2) @ grad
-                    _accumulate(b, unbroadcast(np.asarray(gb), b.shape))
+                    _accumulate(b, gb, True)
             out._backward = _bw
         return out
 
@@ -311,7 +312,7 @@ class Tensor:
         if out.requires_grad:
             a = self
             def _bw(grad):
-                _accumulate(a, grad * value)
+                _accumulate(a, grad * value, True)
             out._backward = _bw
         return out
 
@@ -320,7 +321,7 @@ class Tensor:
         if out.requires_grad:
             a = self
             def _bw(grad):
-                _accumulate(a, grad / a.data)
+                _accumulate(a, grad / a.data, True)
             out._backward = _bw
         return out
 
@@ -330,7 +331,7 @@ class Tensor:
         if out.requires_grad:
             a = self
             def _bw(grad):
-                _accumulate(a, grad * 0.5 / value)
+                _accumulate(a, grad * 0.5 / value, True)
             out._backward = _bw
         return out
 
@@ -340,7 +341,7 @@ class Tensor:
         if out.requires_grad:
             a = self
             def _bw(grad):
-                _accumulate(a, grad * (1.0 - value ** 2))
+                _accumulate(a, grad * (1.0 - value ** 2), True)
             out._backward = _bw
         return out
 
@@ -350,7 +351,7 @@ class Tensor:
         if out.requires_grad:
             a = self
             def _bw(grad):
-                _accumulate(a, grad * value * (1.0 - value))
+                _accumulate(a, grad * value * (1.0 - value), True)
             out._backward = _bw
         return out
 
@@ -360,7 +361,7 @@ class Tensor:
         if out.requires_grad:
             a = self
             def _bw(grad):
-                _accumulate(a, grad * mask)
+                _accumulate(a, grad * mask, True)
             out._backward = _bw
         return out
 
@@ -370,22 +371,22 @@ class Tensor:
         if out.requires_grad:
             a = self
             def _bw(grad):
-                _accumulate(a, grad * sign)
+                _accumulate(a, grad * sign, True)
             out._backward = _bw
         return out
 
     def clamp(self, min_value: Optional[float] = None, max_value: Optional[float] = None) -> "Tensor":
-        clipped = np.clip(self.data, min_value, max_value)
-        mask = np.ones_like(self.data)
-        if min_value is not None:
-            mask = mask * (self.data >= min_value)
-        if max_value is not None:
-            mask = mask * (self.data <= max_value)
-        out = _make(clipped, (self,))
+        out = _make(np.clip(self.data, min_value, max_value), (self,))
         if out.requires_grad:
             a = self
+            # The pass-through mask is only needed by the backward pass.
+            mask = np.ones(self.data.shape, dtype=bool)
+            if min_value is not None:
+                mask &= self.data >= min_value
+            if max_value is not None:
+                mask &= self.data <= max_value
             def _bw(grad):
-                _accumulate(a, grad * mask)
+                _accumulate(a, grad * mask, True)
             out._backward = _bw
         return out
 
@@ -400,7 +401,7 @@ class Tensor:
                 g = grad
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis=axis)
-                _accumulate(a, np.broadcast_to(g, in_shape).copy())
+                _accumulate(a, np.broadcast_to(g, in_shape))
             out._backward = _bw
         return out
 
@@ -427,7 +428,7 @@ class Tensor:
                     v = np.expand_dims(v, axis=axis)
                 mask = (a.data == v).astype(np.float64)
                 mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-                _accumulate(a, mask * g)
+                _accumulate(a, mask * g, True)
             out._backward = _bw
         return out
 
@@ -494,10 +495,20 @@ class Tensor:
         out = _make(self.data[idx], (self,))
         if out.requires_grad:
             a = self
+            # A basic index (ints/slices/ellipsis/newaxis) selects every
+            # element at most once, so a plain ``+=`` scatters it; only
+            # integer-array indices can repeat an element and need add.at.
+            basic = _is_basic_index(idx)
             def _bw(grad):
-                full = np.zeros_like(a.data, dtype=np.float64)
-                np.add.at(full, idx, grad)
-                _accumulate(a, full)
+                if basic and a.grad is not None:
+                    a.grad[idx] += grad
+                    return
+                full = np.zeros(a.data.shape)
+                if basic:
+                    full[idx] = grad
+                else:
+                    np.add.at(full, idx, grad)
+                _accumulate(a, full, True)
             out._backward = _bw
         return out
 
@@ -561,24 +572,62 @@ class Tensor:
         return Tensor(array, requires_grad=requires_grad)
 
 
+_BASIC_INDEX_TYPES = (int, np.integer, slice, type(Ellipsis), type(None))
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is numpy basic indexing (no element selected twice)."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        isinstance(part, _BASIC_INDEX_TYPES) and not isinstance(part, (bool, np.bool_))
+        for part in parts
+    )
+
+
 def _ensure_tensor(value: ArrayLike) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _make(data: np.ndarray, parents: Tuple[Tensor, ...]) -> Tensor:
-    requires = _grad_enabled() and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=False)
-    out.requires_grad = requires
-    if requires:
-        out._parents = parents
+    """Wrap an operation's result; record ``parents`` if any of them needs grad.
+
+    The per-operation constructor of the tape: ``data`` is already the output
+    of a numpy operation on tensor data, so the dtype normalisation of
+    ``Tensor.__init__`` is skipped.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
+    out._backward = None
+    out.name = None
+    out.requires_grad = False
+    out._parents = ()
+    if _grad_mode.enabled:
+        for parent in parents:
+            if parent.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                break
     return out
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
-    grad = np.asarray(grad, dtype=np.float64)
+def _accumulate(tensor: Tensor, grad: np.ndarray, owned: bool = False) -> None:
+    """Add ``grad`` into ``tensor.grad``.
+
+    The tape owns every ``.grad`` array it stores, so later contributions are
+    added in place.  ``owned=True`` is the caller's promise that ``grad`` is a
+    freshly computed array nothing else references (not the incoming
+    gradient, not a view of it): the first contribution is then adopted
+    instead of copied.
+    """
+    if type(grad) is not np.ndarray or grad.dtype != np.float64:
+        grad = np.array(grad, dtype=np.float64)
+        owned = True
     if grad.shape != tensor.data.shape:
+        # Differing shapes mean unbroadcast sums, i.e. builds a fresh array.
         grad = unbroadcast(grad, tensor.data.shape)
+        owned = True
     if tensor.grad is None:
-        tensor.grad = grad.copy()
+        tensor.grad = grad if owned else grad.copy()
     else:
-        tensor.grad = tensor.grad + grad
+        tensor.grad += grad

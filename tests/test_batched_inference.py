@@ -7,6 +7,8 @@ reference) and any ``batch_size>1`` must produce the same traces up to
 floating-point batching effects.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,41 @@ class TestBatchedSequentialEquivalence:
             network=engine.network, rng=RandomState(3),
         )
         assert even.extract("a").mean == pytest.approx(uneven.extract("a").mean, abs=1e-6)
+
+
+class TestRoundOrderIsSlotOrder:
+    """The session sees each round's requests by slot, whatever order threads post in.
+
+    A same-address group's rows are stacked in request order and BLAS rounds a
+    row's result by its position in the matrix, so an arrival-ordered round
+    makes the last bits of a posterior depend on thread timing (it broke
+    planned-vs-dynamic bit-identity about once in 30-60 cohorts).
+    """
+
+    def test_shuffled_arrival_reaches_the_session_sorted(self):
+        from repro.ppl.inference.batched import _LockstepCoordinator
+
+        class RecordingSession:
+            def __init__(self):
+                self.rounds = []
+
+            def proposals(self, pending):
+                self.rounds.append([slot for slot, _, _, _ in pending])
+                return {slot: None for slot, _, _, _ in pending}
+
+        session = RecordingSession()
+        coordinator = _LockstepCoordinator(session, num_workers=5)
+        # Post from one thread, so the arrival order is exactly this one.
+        for slot in (3, 0, 4, 1, 2):
+            coordinator._post(("request", slot, "addr", None, None))
+        driver = threading.Thread(target=coordinator.serve, daemon=True)
+        driver.start()
+        for slot in (4, 2, 0, 3, 1):
+            coordinator._events[slot].wait(timeout=5.0)
+            coordinator.finished(slot)
+        driver.join(timeout=5.0)
+        assert not driver.is_alive()
+        assert session.rounds == [[0, 1, 2, 3, 4]]
 
 
 class TestFallbackAndPriorModes:
