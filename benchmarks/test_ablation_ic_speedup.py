@@ -30,6 +30,7 @@ from repro.ppl.inference import RandomWalkMetropolis, effective_sample_size
 from benchmarks.conftest import print_table
 
 RMH_SAMPLES = 1500
+RMH_CHAINS = 5
 IC_SAMPLES = 150
 PARALLEL_RANKS = 48          # the paper's IC run used 24 dual-socket HSW nodes
 SHERPA_COST_PER_EXECUTION = 0.1  # seconds per simulated event at Sherpa scale
@@ -40,12 +41,17 @@ def test_ablation_ic_speedup_over_rmh(benchmark, tau_model, tau_observation, tra
     conditioned = {"detector": observation}
 
     # --- RMH: sequential, autocorrelated ---------------------------------------
+    # The autocorrelation-ESS estimate of one 1500-sample chain swings ~4-22
+    # with the chain's seed (70-540 executions per effective sample), so the
+    # comparison uses the median chain of RMH_CHAINS, not one seed's draw.
     start = time.perf_counter()
-    sampler = RandomWalkMetropolis(tau_model, conditioned, burn_in=200)
-    rmh_posterior = sampler.run(RMH_SAMPLES, rng=RandomState(31))
-    rmh_wall_time = time.perf_counter() - start
-    rmh_chain = [t["px"] for t in rmh_posterior.values]
-    rmh_ess = max(effective_sample_size(rmh_chain), 1.0)
+    rmh_ess_per_chain = []
+    for chain in range(RMH_CHAINS):
+        sampler = RandomWalkMetropolis(tau_model, conditioned, burn_in=200)
+        rmh_posterior = sampler.run(RMH_SAMPLES, rng=RandomState(31 + chain))
+        rmh_ess_per_chain.append(effective_sample_size([t["px"] for t in rmh_posterior.values]))
+    rmh_wall_time = (time.perf_counter() - start) / RMH_CHAINS
+    rmh_ess = max(float(np.median(rmh_ess_per_chain)), 1.0)
     rmh_executions = sampler.num_executions
     rmh_exec_per_eff = rmh_executions / rmh_ess
 
@@ -75,7 +81,7 @@ def test_ablation_ic_speedup_over_rmh(benchmark, tau_model, tau_observation, tra
         "Ablation: RMH vs IC inference for the same observation",
         ["engine", "wall time (s)", "simulator executions", "ESS", "executions per effective sample"],
         [
-            ["RMH (sequential)", f"{rmh_wall_time:.1f}", rmh_executions, f"{rmh_ess:.1f}", f"{rmh_exec_per_eff:.1f}"],
+            [f"RMH (median of {RMH_CHAINS} chains)", f"{rmh_wall_time:.1f}", rmh_executions, f"{rmh_ess:.1f}", f"{rmh_exec_per_eff:.1f}"],
             ["IC (1 rank)", f"{ic_wall_time:.1f}", IC_SAMPLES, f"{ic_ess:.1f}", f"{ic_exec_per_eff:.1f}"],
         ],
     )

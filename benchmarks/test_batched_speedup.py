@@ -48,10 +48,8 @@ ROUNDS = 3
 MIN_SPEEDUP = float(os.environ.get("BATCHED_SPEEDUP_MIN", "3.0"))
 # Array-parameterised proposal emission vs the per-object emission it
 # replaced: the isolated proposal step must be measurably faster (the whole
-# point is eliminating the O(B*K) object churn), and the full engine must be
-# no slower within wall-clock noise.
+# point is eliminating the O(B*K) object churn).
 MIN_PROPOSAL_SPEEDUP = float(os.environ.get("BATCHED_PROPOSAL_MIN", "1.3"))
-ENGINE_NOISE_MARGIN = float(os.environ.get("BATCHED_ENGINE_MARGIN", "1.10"))
 
 SPEEDUP_CONFIG = Config(
     observation_shape=(12, 17, 17),
@@ -88,7 +86,7 @@ def test_batched_engine_speedup_and_equivalence():
     engine.train(model, num_traces=160, minibatch_size=16, learning_rate=3e-3)
     observation = {"detector": _deposit(0.7, -0.4, 1.2)}
 
-    def run(batch_size, batched_proposals=True):
+    def run(batch_size):
         start = time.perf_counter()
         posterior = batched_importance_sampling(
             model,
@@ -97,7 +95,6 @@ def test_batched_engine_speedup_and_equivalence():
             batch_size=batch_size,
             network=engine.network,
             rng=RandomState(7),
-            batched_proposals=batched_proposals,
         )
         return time.perf_counter() - start, posterior
 
@@ -110,16 +107,13 @@ def test_batched_engine_speedup_and_equivalence():
 
     # Warm all paths once (numpy/scipy dispatch caches), then best-of-N.
     run(BATCH_SIZE)
-    run(BATCH_SIZE, batched_proposals=False)
     run(1)
     run_sequential_yardstick()
-    batched_times, per_object_times, sequential_times, yardstick_times = [], [], [], []
-    batched_posterior = per_object_posterior = sequential_posterior = None
+    batched_times, sequential_times, yardstick_times = [], [], []
+    batched_posterior = sequential_posterior = None
     for _ in range(ROUNDS):
         elapsed, batched_posterior = run(BATCH_SIZE)
         batched_times.append(elapsed)
-        elapsed, per_object_posterior = run(BATCH_SIZE, batched_proposals=False)
-        per_object_times.append(elapsed)
         elapsed, sequential_posterior = run(1)
         sequential_times.append(elapsed)
         elapsed, _ = run_sequential_yardstick()
@@ -128,7 +122,6 @@ def test_batched_engine_speedup_and_equivalence():
     sequential_best = min(sequential_times)
     yardstick_best = min(yardstick_times)
     batched_best = min(batched_times)
-    per_object_best = min(per_object_times)
     speedup = yardstick_best / batched_best
     stats = batched_posterior.engine_stats
 
@@ -145,13 +138,7 @@ def test_batched_engine_speedup_and_equivalence():
             ],
             ["sequential (B=1)", f"{sequential_best:.3f}", f"{NUM_TRACES / sequential_best:.1f}", "-"],
             [
-                f"lockstep, per-object proposals (B={BATCH_SIZE})",
-                f"{per_object_best:.3f}",
-                f"{NUM_TRACES / per_object_best:.1f}",
-                per_object_posterior.engine_stats["num_batched_steps"],
-            ],
-            [
-                f"lockstep, batched proposals (B={BATCH_SIZE})",
+                f"lockstep (B={BATCH_SIZE})",
                 f"{batched_best:.3f}",
                 f"{NUM_TRACES / batched_best:.1f}",
                 stats["num_batched_steps"],
@@ -163,17 +150,6 @@ def test_batched_engine_speedup_and_equivalence():
         f"(required: >= {MIN_SPEEDUP}x); vs the live sequential engine: "
         f"{sequential_best / batched_best:.2f}x (required: > 1x)"
     )
-    print(
-        f"batched-object vs per-object engine: {per_object_best / batched_best:.2f}x "
-        f"(required: no slower within {ENGINE_NOISE_MARGIN:.2f}x noise margin)"
-    )
-
-    # The array-parameterised path must never lose to the per-object path it
-    # replaced (the isolated proposal-step win is asserted separately below,
-    # where wall-clock noise from threading can't wash it out).
-    assert batched_best <= per_object_best * ENGINE_NOISE_MARGIN
-    # Identical traces: the representation swap must be invisible to results.
-    assert np.array_equal(batched_posterior.log_weights, per_object_posterior.log_weights)
 
     # Identical seeded posterior: same per-trace random streams, so the two
     # engines agree to floating-point batching precision.

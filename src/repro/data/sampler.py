@@ -73,14 +73,13 @@ class DistributedTraceSampler:
     def _build_buckets(self, chunks: List[List[int]]) -> List[List[List[int]]]:
         if self.num_buckets == 1 or self.lengths is None:
             return [chunks]
-        # Bucket chunks by their mean trace length (quantile boundaries).
-        mean_lengths = np.array([np.mean([self.lengths[i] for i in chunk]) for chunk in chunks])
-        quantiles = np.quantile(mean_lengths, np.linspace(0, 1, self.num_buckets + 1))
-        buckets: List[List[List[int]]] = [[] for _ in range(self.num_buckets)]
-        for chunk, mean_length in zip(chunks, mean_lengths):
-            bucket = int(np.searchsorted(quantiles[1:-1], mean_length, side="right"))
-            buckets[bucket].append(chunk)
-        return [b for b in buckets if b]
+        # Bucket chunks by their mean trace length: equal-count groups in length
+        # order, and no more buckets than leave each one a chunk per rank —
+        # a bucket with fewer chunks than ranks starves the higher ranks.
+        num_buckets = max(1, min(self.num_buckets, len(chunks) // self.num_ranks))
+        mean_lengths = [np.mean([self.lengths[i] for i in chunk]) for chunk in chunks]
+        by_length = np.argsort(mean_lengths, kind="stable")
+        return [[chunks[i] for i in group] for group in np.array_split(by_length, num_buckets)]
 
     def _assign_round_robin(self, buckets: List[List[List[int]]]) -> List[List[int]]:
         """Chunks assigned to this rank, preserving bucket grouping."""

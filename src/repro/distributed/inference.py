@@ -3,26 +3,36 @@
 IC inference is embarrassingly parallel (Section 6.4: the paper's 2M-trace
 posterior ran on 24 nodes in 30 minutes): every rank runs an independent
 importance-sampling stream against the same trained network and observation,
-and the per-rank weighted empiricals are concatenated — importance weights
-need no renormalisation across ranks because they share the same target and
-proposal densities.
+and the per-rank traces are concatenated — importance weights need no
+renormalisation across ranks because they share the same target and proposal
+densities.
 
-Each rank here drives the batched lockstep engine
-(:func:`repro.ppl.inference.batched.batched_importance_sampling`), so the
-per-rank hot path is one batched NN step per address per cohort.  Ranks can
-execute sequentially (deterministic, the default) or on threads; results are
-identical either way because every rank derives its own child random stream
-from the master seed.
+The parent derives every rank's stream and every trace's stream, cuts each
+rank into cohort shards of :class:`~repro.ppl.inference.batched.TraceJob`
+lists, and hands the shards to an executor; each shard runs through
+:func:`repro.ppl.inference.batched.execute_trace_jobs` wherever the executor
+puts it (inline, a thread, a worker process).  Results are identical on
+every backend because no stream is derived outside the parent.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import RandomState, get_rng
 from repro.ppl.empirical import Empirical
-from repro.ppl.inference.batched import batched_importance_sampling_seeded, per_trace_rngs
+from repro.ppl.inference.batched import (
+    TraceJob,
+    execute_trace_jobs,
+    form_log_weights,
+    merge_engine_stats,
+    new_engine_stats,
+    per_trace_rngs,
+    resolve_observation_array,
+)
 from repro.ppl.model import RemoteModel
 
 __all__ = ["distributed_importance_sampling", "partition_traces", "shard_jobs"]
@@ -67,6 +77,40 @@ def shard_jobs(jobs: List, num_shards: int, min_shard_size: int = 1) -> List[Lis
     return shards
 
 
+def _run_on_processes(
+    model, network, shards: Sequence[List[TraceJob]], num_workers: int
+) -> List[Tuple[List[Any], Dict[str, int]]]:
+    """Execute every shard on worker processes; one ``(traces, stats)`` per shard."""
+    # Imported lazily: repro.serving imports this module (shard_jobs), so a
+    # top-level import of the pool would be circular.
+    from repro.serving.procpool import ProcessCohortPool
+
+    results: List[Any] = [None] * len(shards)
+    stats: List[Dict[str, int]] = [{} for _ in shards]
+    errors: List[BaseException] = []
+    finished = threading.Semaphore(0)
+
+    # Both callbacks run on the pool's single collector thread, stats first.
+    def on_stats(index: int, shard_stats, _elapsed) -> None:
+        stats[index] = shard_stats
+
+    def on_done(index: int, _entries, traces, error) -> None:
+        if error is not None:
+            errors.append(error)
+        else:
+            results[index] = (traces, stats[index])
+        finished.release()
+
+    with ProcessCohortPool(model, network, num_workers=num_workers) as pool:
+        for index, jobs in enumerate(shards):
+            pool.submit(jobs, partial(on_done, index), stats_callback=partial(on_stats, index))
+        for _ in shards:
+            finished.acquire()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def distributed_importance_sampling(
     model,
     observation: Dict[str, Any],
@@ -76,8 +120,7 @@ def distributed_importance_sampling(
     batch_size: int = 64,
     observe_key: Optional[str] = None,
     rng: Optional[RandomState] = None,
-    parallel: bool = False,
-    backend: Optional[str] = None,
+    backend: str = "sequential",
     num_workers: Optional[int] = None,
 ) -> Empirical:
     """Run batched IS on every rank and merge the per-rank posteriors.
@@ -89,12 +132,11 @@ def distributed_importance_sampling(
         child stream mixed from ``(base, r)`` via
         :func:`repro.ppl.inference.batched.per_trace_rngs`, so the merged
         result is reproducible and independent of the execution backend.
-    parallel:
-        Back-compat alias: ``parallel=True`` selects ``backend="thread"``.
     backend:
-        ``"sequential"`` (default), ``"thread"`` (ranks on threads — useful
-        when the simulator releases the GIL), or ``"process"`` (rank cohorts
-        on persistent worker processes via
+        Where the cohort shards execute: ``"sequential"`` (inline, the
+        default), ``"thread"`` (``num_ranks`` shards at a time on threads —
+        useful when the simulator releases the GIL), or ``"process"``
+        (persistent worker processes via
         :class:`repro.serving.procpool.ProcessCohortPool` — sidesteps the GIL
         entirely for CPU-bound Python simulators, the MPI-sharding shape of
         the source paper).  All three produce the same seeded posterior.
@@ -107,178 +149,46 @@ def distributed_importance_sampling(
         The concatenation of all per-rank weighted posteriors, with
         ``engine_stats`` aggregated across ranks.
     """
-    if backend is None:
-        backend = "thread" if parallel else "sequential"
     if backend not in ("sequential", "thread", "process"):
         raise ValueError(
             f"backend must be 'sequential', 'thread' or 'process', got {backend!r}"
         )
-    # A remote simulator multiplexes one PPX transport; concurrent ranks
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    # A remote simulator multiplexes one PPX transport; concurrent shards
     # would interleave its request/reply protocol (and the transport cannot
-    # cross a process boundary), so serialize them — the per-rank streams
+    # cross a process boundary), so serialize them — the per-trace streams
     # make the result identical either way.
     if isinstance(model, RemoteModel):
         backend = "sequential"
-    rng = rng or get_rng()
-    sizes = partition_traces(num_traces, num_ranks)
-    rank_rngs = per_trace_rngs(rng, num_ranks)
-    if backend == "process":
-        return _process_backend_run(
-            model, observation, sizes, rank_rngs, network, batch_size, observe_key, num_workers
-        )
-    results: List[Optional[Empirical]] = [None] * num_ranks
-    errors: List[Optional[BaseException]] = [None] * num_ranks
-
-    def run_rank(rank: int) -> None:
-        try:
-            if sizes[rank] == 0:
-                return
-            # The seeded core, not the defaulting entry point: a rank body
-            # must consume the stream the parent derived for it, never
-            # default one of its own.
-            results[rank] = batched_importance_sampling_seeded(
-                model,
-                observation,
-                num_traces=sizes[rank],
-                batch_size=batch_size,
-                network=network,
-                observe_key=observe_key,
-                rng=rank_rngs[rank],
-            )
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            errors[rank] = exc
-
-    if backend == "thread" and num_ranks > 1:
-        threads = [
-            threading.Thread(target=run_rank, args=(rank,), name=f"is-rank-{rank}")
-            for rank in range(num_ranks)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    else:
-        for rank in range(num_ranks):
-            run_rank(rank)
-
-    for error in errors:
-        if error is not None:
-            raise error
-    per_rank = [result for result in results if result is not None]
-    merged = Empirical.combine(per_rank, name="distributed_importance_sampling_posterior")
-    merged.engine_stats = {
-        key: sum(result.engine_stats.get(key, 0) for result in per_rank)
-        for key in (per_rank[0].engine_stats if per_rank else {})
-    }
-    merged.per_rank_sizes = [len(result) for result in per_rank]
-    return merged
-
-
-def _process_backend_run(
-    model,
-    observation: Dict[str, Any],
-    sizes: List[int],
-    rank_rngs: List[RandomState],
-    network,
-    batch_size: int,
-    observe_key: Optional[str],
-    num_workers: Optional[int],
-) -> Empirical:
-    """Execute every rank's cohorts on a pool of worker processes.
-
-    The randomness is derived rank-by-rank in the parent exactly as the
-    sequential path's per-rank :func:`batched_importance_sampling` calls
-    derive it (one ``per_trace_rngs`` consumption per rank), so the merged
-    posterior is seed-identical to the sequential and thread backends; only
-    *where* each cohort executes changes.
-    """
-    # Imported lazily: repro.serving imports this module (shard_jobs), so a
-    # top-level import of the pool would be circular.
-    from repro.ppl.inference.batched import (
-        TraceJob,
-        form_log_weights,
-        new_engine_stats,
-        resolve_observation_array,
-    )
-    from repro.serving.procpool import ProcessCohortPool
-
-    num_ranks = len(sizes)
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    sizes = [size for size in partition_traces(num_traces, num_ranks) if size]
+    rank_rngs = per_trace_rngs(rng or get_rng(), num_ranks)
     observation_array = resolve_observation_array(network, observation, observe_key)
-    shards: List[Tuple[int, int, List[TraceJob]]] = []  # (rank, start, jobs)
-    for rank in range(num_ranks):
-        if sizes[rank] == 0:
-            continue
-        jobs = [
-            TraceJob(rank, observation, observation_array, trace_rng)
-            for trace_rng in per_trace_rngs(rank_rngs[rank], sizes[rank])
-        ]
-        for start in range(0, len(jobs), batch_size):
-            shards.append((rank, start, jobs[start : start + batch_size]))
+    # Rank boundaries are cohort boundaries: rank r's traces and counters are
+    # those of a one-request run of sizes[r] traces on rank r's stream.
+    shards: List[List[TraceJob]] = []
+    for rank, size in enumerate(sizes):
+        jobs = TraceJob.for_request(rank, observation, observation_array, size, rank_rngs[rank])
+        shards.extend(jobs[start : start + batch_size] for start in range(0, size, batch_size))
 
-    # Per-rank engine counters, exactly as the sequential/thread backends
-    # attribute them (each rank's batched_importance_sampling owns its stats).
-    rank_stats: List[Dict[str, int]] = [new_engine_stats() for _ in range(num_ranks)]
-    stats_lock = threading.Lock()
-
-    def make_stats_callback(rank: int):
-        def merge_stats(shard_stats, _elapsed) -> None:
-            with stats_lock:
-                for key, value in shard_stats.items():
-                    rank_stats[rank][key] = rank_stats[rank].get(key, 0) + value
-
-        return merge_stats
-
-    rank_traces: Dict[int, Dict[int, List]] = {rank: {} for rank in range(num_ranks)}
-    errors: List[BaseException] = []
-    remaining = threading.Semaphore(0)
-
-    def make_callback(rank: int, start: int):
-        def on_done(_entries, traces, error) -> None:
-            with stats_lock:
-                if error is not None:
-                    errors.append(error)
-                else:
-                    rank_traces[rank][start] = traces
-            remaining.release()
-
-        return on_done
-
-    pool = ProcessCohortPool(
-        model,
-        network,
-        num_workers=num_workers if num_workers is not None else max(1, num_ranks),
-    )
-    pool.start()
-    try:
-        for rank, start, jobs in shards:
-            pool.submit(jobs, make_callback(rank, start), stats_callback=make_stats_callback(rank))
-        for _ in shards:
-            remaining.acquire()
-    finally:
-        pool.stop(drain=True)
-    if errors:
-        raise errors[0]
-
-    per_rank: List[Empirical] = []
-    for rank in range(num_ranks):
-        if sizes[rank] == 0:
-            continue
-        traces = [
-            trace for start in sorted(rank_traces[rank]) for trace in rank_traces[rank][start]
-        ]
-        result = Empirical(
-            traces,
-            form_log_weights(traces, network),
-            name="batched_importance_sampling_posterior",
+    if backend == "process":
+        results = _run_on_processes(
+            model, network, shards, num_workers if num_workers is not None else num_ranks
         )
-        result.engine_stats = rank_stats[rank]
-        per_rank.append(result)
-    merged = Empirical.combine(per_rank, name="distributed_importance_sampling_posterior")
-    merged.engine_stats = {
-        key: sum(result.engine_stats.get(key, 0) for result in per_rank)
-        for key in (per_rank[0].engine_stats if per_rank else {})
-    }
-    merged.per_rank_sizes = [len(result) for result in per_rank]
+    elif backend == "thread":
+        with ThreadPoolExecutor(max_workers=num_ranks, thread_name_prefix="is-rank") as pool:
+            results = list(pool.map(lambda jobs: execute_trace_jobs(model, jobs, network), shards))
+    else:
+        results = [execute_trace_jobs(model, jobs, network) for jobs in shards]
+
+    traces = [trace for shard_traces, _ in results for trace in shard_traces]
+    merged = Empirical(
+        traces,
+        form_log_weights(traces, network),
+        name="distributed_importance_sampling_posterior",
+    )
+    merged.engine_stats = new_engine_stats()
+    for _, shard_stats in results:
+        merge_engine_stats(merged.engine_stats, shard_stats)
+    merged.per_rank_sizes = sizes
     return merged

@@ -20,7 +20,15 @@ of size 1 is plain per-trace stepping), and traces that finish early simply
 drop out of the cohort — so arbitrarily branching models are supported, with
 lockstep models getting the full batching win.
 
-Randomness: every trace gets its own child stream derived from the master
+One path: every posterior entry point — :func:`batched_importance_sampling`
+(one request), :func:`mixed_batched_importance_sampling` (several), the
+distributed driver's rank shards and both serving backends — flattens its
+work into :class:`TraceJob` lists and runs each cohort through
+:func:`run_mixed_cohort`.  A job carries its own observation, so "one shared
+observation" is just a cohort whose jobs happen to carry the same one; the
+session embeds each distinct observation once.
+
+Randomness: every trace gets its own child stream derived from the request
 ``rng`` (:func:`per_trace_rngs`), so results are independent of the cohort
 partitioning — ``batch_size=1`` (the sequential :class:`ProposalSession`
 reference) and ``batch_size=64`` produce the same traces up to floating-point
@@ -48,7 +56,6 @@ from repro.trace.trace import Trace
 
 __all__ = [
     "batched_importance_sampling",
-    "batched_importance_sampling_seeded",
     "mixed_batched_importance_sampling",
     "per_trace_rngs",
     "resolve_observation_array",
@@ -313,25 +320,24 @@ def _worker(model, observation, coordinator, slot, rng, traces, errors) -> None:
         coordinator.finished(slot)
 
 
-def _drive_cohort(model, session, slot_observations, rngs, stats) -> List[Trace]:
-    """Drive ``len(rngs)`` suspended guided executions against ``session``.
+def _drive_cohort(model, session, jobs: Sequence[TraceJob], stats) -> List[Trace]:
+    """Drive ``len(jobs)`` suspended guided executions against ``session``.
 
-    ``slot_observations[slot]`` conditions slot ``slot``'s execution; the
-    shared-observation path passes the same mapping for every slot, the
-    mixed-observation path one mapping per request.
+    Slot ``slot`` executes ``jobs[slot]``: conditioned on that job's
+    observation, drawing from that job's stream.
     """
-    size = len(rngs)
+    size = len(jobs)
     coordinator = _LockstepCoordinator(session, size)
     traces: List[Optional[Trace]] = [None] * size
     errors: List[Optional[BaseException]] = [None] * size
     threads = [
         threading.Thread(
             target=_worker,
-            args=(model, slot_observations[slot], coordinator, slot, rngs[slot], traces, errors),
+            args=(model, job.observation, coordinator, slot, job.rng, traces, errors),
             name=f"batched-is-worker-{slot}",
             daemon=True,
         )
-        for slot in range(size)
+        for slot, job in enumerate(jobs)
     ]
     for thread in threads:
         thread.start()
@@ -351,32 +357,24 @@ def _drive_cohort(model, session, slot_observations, rngs, stats) -> List[Trace]
     return traces  # type: ignore[return-value]
 
 
-def _leased_session(
-    network, rngs, stats, plan_cache, observation=None, observations=None, batched_proposals=True
-):
+def _leased_session(network, jobs: Sequence[TraceJob], stats, plan_cache):
     """The cohort's session: planned when the cache predicts one, else dynamic.
 
-    Returns ``(session, plan, scratch)`` with ``plan``/``scratch`` ``None`` on
-    the dynamic path.  Plans only apply to the batched-proposal emission (the
-    legacy per-object reference path stays dynamic by construction).
+    The one session-construction site: slot ``slot`` is given
+    ``jobs[slot].observation_array``.  Returns ``(session, plan, scratch)``
+    with ``plan``/``scratch`` ``None`` on the dynamic path.
     """
-    if plan_cache is not None and batched_proposals:
-        lease = plan_cache.lease(network, len(rngs))
+    observations = [job.observation_array for job in jobs]
+    if plan_cache is not None:
+        lease = plan_cache.lease(network, len(jobs))
         if lease is not None:
             plan, scratch = lease
             stats["plan_hits"] += 1
             stats["num_planned_cohorts"] += 1
-            session = network.planned_session(
-                plan, scratch, rngs, observation=observation, observations=observations
-            )
-            return session, plan, scratch
+            rngs = [job.rng for job in jobs]
+            return network.planned_session(plan, scratch, rngs, observations), plan, scratch
         stats["plan_misses"] += 1
-    if observations is not None:
-        return network.mixed_batched_session(observations), None, None
-    session = network.batched_session(
-        observation, len(rngs), batched_proposals=batched_proposals
-    )
-    return session, None, None
+    return network.batched_session(observations), None, None
 
 
 def _finish_lease(plan_cache, network, session, plan, scratch, traces, stats) -> None:
@@ -390,35 +388,6 @@ def _finish_lease(plan_cache, network, session, plan, scratch, traces, stats) ->
         ):
             stats["plan_demotions"] += 1
     plan_cache.observe_traces(traces, network)
-
-
-def _run_cohort(
-    model,
-    observation,
-    network,
-    observation_array,
-    rngs,
-    stats,
-    batched_proposals=True,
-    plan_cache=None,
-) -> List[Trace]:
-    """Execute one cohort of ``len(rngs)`` guided executions in lockstep."""
-    session, plan, scratch = _leased_session(
-        network,
-        rngs,
-        stats,
-        plan_cache,
-        observation=observation_array,
-        batched_proposals=batched_proposals,
-    )
-    try:
-        traces = _drive_cohort(model, session, [observation] * len(rngs), rngs, stats)
-    except BaseException:
-        if plan_cache is not None and plan is not None:
-            plan_cache.release(plan, scratch)
-        raise
-    _finish_lease(plan_cache, network, session, plan, scratch, traces, stats)
-    return traces
 
 
 class TraceJob(NamedTuple):
@@ -435,6 +404,22 @@ class TraceJob(NamedTuple):
     observation: Dict[str, Any]
     observation_array: Optional[np.ndarray]
     rng: RandomState
+
+    @classmethod
+    def for_request(
+        cls, index: int, observation: Dict[str, Any], observation_array, num_traces: int, rng: RandomState
+    ) -> List["TraceJob"]:
+        """Flatten one request into trace jobs — the one trace-stream derivation site.
+
+        Consumes one draw of ``rng`` (:func:`per_trace_rngs`); job ``i`` then
+        owns a stream that is a pure function of (request rng, ``i``), so the
+        traces do not depend on how the jobs are later packed into cohorts or
+        where those cohorts execute.
+        """
+        return [
+            cls(index, observation, observation_array, trace_rng)
+            for trace_rng in per_trace_rngs(rng, num_traces)
+        ]
 
 
 #: The one definition of the engine counter key set.  Every stat block is
@@ -522,48 +507,45 @@ def resolve_observation_array(network, observation: Dict[str, Any], observe_key:
     return np.asarray(observation[key], dtype=float)
 
 
+def _run_sequential(model, job: TraceJob, network, stats: Dict[str, int]) -> Trace:
+    """The sequential reference path: one ProposalSession for one trace."""
+    session = network.inference_session(job.observation_array)
+    controller = _TrackingProposalController(session.proposal)
+    trace = model.get_trace(controller, observed_values=job.observation, rng=job.rng)
+    merge_session_stats(stats, session)
+    return trace
+
+
 def run_mixed_cohort(
     model, jobs: Sequence[TraceJob], network, stats: Dict[str, int], plan_cache=None
 ) -> List[Trace]:
-    """Execute one lockstep cohort whose slots may condition on different observations.
+    """Execute one cohort of trace jobs; slots may condition on different observations.
 
-    This is the serving subsystem's inner loop: ``jobs`` typically mixes trace
-    jobs from several concurrent requests.  With a network, the cohort runs
-    through :meth:`InferenceNetwork.mixed_batched_session` (one embedding per
-    distinct observation, one batched LSTM step per address group); without
-    one, every job draws from the prior (likelihood weighting).  With a
+    The one place guided executions are run — direct posteriors, the
+    distributed driver and both serving backends all arrive here with a
+    :class:`TraceJob` list.  Without a network every job draws from the prior
+    (likelihood weighting).  A one-job cohort, or a :class:`RemoteModel`
+    (one multiplexed PPX transport, so its executions cannot be suspended
+    concurrently), runs each job through the sequential
+    :class:`ProposalSession` reference.  Everything else runs in lockstep
+    through :meth:`InferenceNetwork.batched_session` (one embedding per
+    distinct observation, one batched LSTM step per address group); with a
     ``plan_cache``, hot trace types run the compiled planned fast path
     (:mod:`repro.ppl.inference.plans`) with a mid-cohort dynamic fallback.
     """
     stats["num_cohorts"] += 1
     if network is None:
-        traces = []
-        for job in jobs:
-            traces.append(
-                model.get_trace(PriorController(), observed_values=job.observation, rng=job.rng)
-            )
-        return traces
-    rngs = [job.rng for job in jobs]
+        return [
+            model.get_trace(PriorController(), observed_values=job.observation, rng=job.rng)
+            for job in jobs
+        ]
     if len(jobs) == 1 or isinstance(model, RemoteModel):
-        # Same constraint as the one-shot engine: a remote simulator
-        # multiplexes one PPX transport, so run its executions one at a time.
-        traces = []
-        for job in jobs:
-            traces.extend(
-                _run_sequential(model, job.observation, network, job.observation_array, [job.rng], stats)
-            )
-        return traces
-    session, plan, scratch = _leased_session(
-        network,
-        rngs,
-        stats,
-        plan_cache,
-        observations=[job.observation_array for job in jobs],
-    )
+        return [_run_sequential(model, job, network, stats) for job in jobs]
+    session, plan, scratch = _leased_session(network, jobs, stats, plan_cache)
     try:
-        traces = _drive_cohort(model, session, [job.observation for job in jobs], rngs, stats)
+        traces = _drive_cohort(model, session, jobs, stats)
     except BaseException:
-        if plan_cache is not None and plan is not None:
+        if plan is not None:
             plan_cache.release(plan, scratch)
         raise
     _finish_lease(plan_cache, network, session, plan, scratch, traces, stats)
@@ -619,6 +601,28 @@ def form_log_weights(
     return log_weights
 
 
+def _run_requests(
+    model, requests, batch_size, network, observe_key, rng, plan_cache
+) -> Tuple[List[List[Trace]], Dict[str, int]]:
+    """Flatten requests to jobs, run them in cohorts, route traces back per request."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    jobs: List[TraceJob] = []
+    for index, (observation, num_traces, request_rng) in enumerate(requests):
+        if num_traces <= 0:
+            raise ValueError("num_traces must be positive")
+        observation_array = resolve_observation_array(network, observation, observe_key)
+        jobs.extend(TraceJob.for_request(index, observation, observation_array, num_traces, request_rng or rng))
+    stats = new_engine_stats()
+    traces_by_request: List[List[Trace]] = [[] for _ in requests]
+    for start in range(0, len(jobs), batch_size):
+        cohort = jobs[start : start + batch_size]
+        traces = run_mixed_cohort(model, cohort, network, stats, plan_cache=plan_cache)
+        for job, trace in zip(cohort, traces):
+            traces_by_request[job.request_index].append(trace)
+    return traces_by_request, stats
+
+
 def mixed_batched_importance_sampling(
     model,
     requests: Sequence[Tuple[Dict[str, Any], int, Optional[RandomState]]],
@@ -637,39 +641,18 @@ def mixed_batched_importance_sampling(
     amortize the network forwards that a one-request cohort would pay alone.
 
     Because every trace draws from a child stream that is a pure function of
-    (request rng, trace index) — the same derivation
-    :func:`batched_importance_sampling` uses — each returned posterior is
-    identical to a direct one-shot run with that request's rng, regardless of
-    how jobs were packed into cohorts.
+    (request rng, trace index), each returned posterior is identical to a
+    direct :func:`batched_importance_sampling` run with that request's rng,
+    regardless of how jobs were packed into cohorts.
 
     Returns one :class:`Empirical` per request, each carrying the shared
     ``engine_stats`` counter block of the whole run.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    master = rng or get_rng()
-    stats = new_engine_stats()
-
-    jobs: List[TraceJob] = []
-    for index, (observation, num_traces, request_rng) in enumerate(requests):
-        if num_traces <= 0:
-            raise ValueError("num_traces must be positive")
-        observation_array = resolve_observation_array(network, observation, observe_key)
-        request_rng = request_rng or master
-        for trace_rng in per_trace_rngs(request_rng, num_traces):
-            jobs.append(TraceJob(index, observation, observation_array, trace_rng))
-
-    traces_by_request: Dict[int, List[Trace]] = {index: [] for index in range(len(requests))}
-    for start in range(0, len(jobs), batch_size):
-        cohort = jobs[start : start + batch_size]
-        for job, trace in zip(
-            cohort, run_mixed_cohort(model, cohort, network, stats, plan_cache=plan_cache)
-        ):
-            traces_by_request[job.request_index].append(trace)
-
+    traces_by_request, stats = _run_requests(
+        model, requests, batch_size, network, observe_key, rng or get_rng(), plan_cache
+    )
     results: List[Empirical] = []
-    for index in range(len(requests)):
-        traces = traces_by_request[index]
+    for traces in traces_by_request:
         result = Empirical(
             traces,
             form_log_weights(traces, network),
@@ -678,21 +661,6 @@ def mixed_batched_importance_sampling(
         result.engine_stats = stats
         results.append(result)
     return results
-
-
-def _run_sequential(model, observation, network, observation_array, rngs, stats) -> List[Trace]:
-    """The sequential reference path: one ProposalSession per trace."""
-    traces: List[Trace] = []
-    for rng in rngs:
-        session = network.inference_session(observation_array)
-        controller = _TrackingProposalController(
-            lambda address, prior, previous_value, _session=session: _session.proposal(
-                address, prior, previous_value
-            )
-        )
-        traces.append(model.get_trace(controller, observed_values=observation, rng=rng))
-        merge_session_stats(stats, session)
-    return traces
 
 
 def batched_importance_sampling(
@@ -704,10 +672,11 @@ def batched_importance_sampling(
     observe_key: Optional[str] = None,
     rng: Optional[RandomState] = None,
     trace_callback: Optional[Callable[[Trace, float], None]] = None,
-    batched_proposals: bool = True,
     plan_cache=None,
 ) -> Empirical:
     """Run importance sampling with cohorts of lockstep guided executions.
+
+    The one-request case of :func:`mixed_batched_importance_sampling`.
 
     Parameters
     ----------
@@ -731,12 +700,6 @@ def batched_importance_sampling(
     observe_key:
         Which entry of ``observation`` feeds the observation embedding
         (defaults to ``network.observe_key`` or the single entry).
-    batched_proposals:
-        ``True`` (default) answers each lockstep address group with one
-        array-parameterised batched distribution whose row views the workers
-        sample; ``False`` selects the legacy per-object emission (B mixtures
-        plus components per step), kept as the equivalence/benchmark
-        reference.  Both produce bit-identical traces.
 
     Returns
     -------
@@ -745,84 +708,19 @@ def batched_importance_sampling(
         batched steps, divergent rounds, cohorts) are attached as the
         ``engine_stats`` attribute.
     """
-    return batched_importance_sampling_seeded(
+    (traces,), stats = _run_requests(
         model,
-        observation,
-        num_traces=num_traces,
-        batch_size=batch_size,
-        network=network,
-        observe_key=observe_key,
-        rng=rng or get_rng(),
-        trace_callback=trace_callback,
-        batched_proposals=batched_proposals,
-        plan_cache=plan_cache,
+        [(observation, num_traces, None)],
+        batch_size,
+        network,
+        observe_key,
+        rng or get_rng(),
+        plan_cache,
     )
-
-
-def batched_importance_sampling_seeded(
-    model,
-    observation: Dict[str, Any],
-    num_traces: int,
-    batch_size: int,
-    network=None,
-    observe_key: Optional[str] = None,
-    rng: Optional[RandomState] = None,
-    trace_callback: Optional[Callable[[Trace, float], None]] = None,
-    batched_proposals: bool = True,
-    plan_cache=None,
-) -> Empirical:
-    """The seeded core of :func:`batched_importance_sampling`.
-
-    ``rng`` is required: this is the variant job bodies (distributed ranks,
-    pool workers) must call, with a stream the *parent* derived via the spawn
-    tree — a job that defaulted its own generator would draw from a different
-    process's global stream.  Only the top-level entry point
-    :func:`batched_importance_sampling` may default ``rng`` to ``get_rng()``.
-    """
-    if num_traces <= 0:
-        raise ValueError("num_traces must be positive")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if rng is None:
-        raise ValueError(
-            "batched_importance_sampling_seeded requires an explicit rng; "
-            "use batched_importance_sampling for the defaulting entry point"
-        )
-    rngs = per_trace_rngs(rng, num_traces)
-    stats = new_engine_stats()
-    observation_array = resolve_observation_array(network, observation, observe_key)
-
-    # A remote simulator multiplexes one PPX transport, so its guided
-    # executions cannot be suspended concurrently; run those per trace.
-    lockstep_capable = not isinstance(model, RemoteModel)
-    traces: List[Trace] = []
-    for start in range(0, num_traces, batch_size):
-        cohort_rngs = rngs[start : start + batch_size]
-        stats["num_cohorts"] += 1
-        if network is None:
-            for cohort_rng in cohort_rngs:
-                traces.append(
-                    model.get_trace(PriorController(), observed_values=observation, rng=cohort_rng)
-                )
-        elif len(cohort_rngs) == 1 or not lockstep_capable:
-            traces.extend(
-                _run_sequential(model, observation, network, observation_array, cohort_rngs, stats)
-            )
-        else:
-            traces.extend(
-                _run_cohort(
-                    model,
-                    observation,
-                    network,
-                    observation_array,
-                    cohort_rngs,
-                    stats,
-                    batched_proposals=batched_proposals,
-                    plan_cache=plan_cache,
-                )
-            )
-
-    log_weights = form_log_weights(traces, network, trace_callback)
-    result = Empirical(traces, log_weights, name="batched_importance_sampling_posterior")
+    result = Empirical(
+        traces,
+        form_log_weights(traces, network, trace_callback),
+        name="batched_importance_sampling_posterior",
+    )
     result.engine_stats = stats
     return result

@@ -254,8 +254,8 @@ class InferenceCompilation:
 
         ``requests`` holds ``(observation, num_traces, rng)`` triples (``rng``
         may be ``None`` to derive from ``rng``/the engine's stream).  The
-        mixed-observation engine packs the trace jobs of all requests into
-        lockstep cohorts of up to ``batch_size``, which is how the serving
+        engine packs the trace jobs of all requests into lockstep cohorts of
+        up to ``batch_size``, which is how the serving
         subsystem's micro-batching scheduler amortizes concurrent traffic; a
         request's posterior is identical to a direct :meth:`posterior` call
         with the same rng.

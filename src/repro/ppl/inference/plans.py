@@ -568,13 +568,9 @@ class PlannedProposalSession(BatchedProposalSession):
         plan: EnginePlan,
         scratch: PlanScratch,
         rngs: Sequence[Any],
-        observation=None,
-        observations: Optional[Sequence[Any]] = None,
+        observations: Sequence[Any],
     ) -> None:
-        if observations is not None:
-            super().__init__(network, None, len(observations), observations=observations)
-        else:
-            super().__init__(network, observation, len(rngs))
+        super().__init__(network, observations)
         if self.batch_size > plan.bucket_size:
             raise ValueError(
                 f"cohort of {self.batch_size} cannot run on a bucket-{plan.bucket_size} plan"

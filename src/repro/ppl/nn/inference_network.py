@@ -18,10 +18,13 @@ Two entry points matter:
   distribution for every address the simulator requests over PPX.
 * :meth:`InferenceNetwork.batched_session` — the batched counterpart
   (:class:`BatchedProposalSession`): B guided executions advance in lockstep,
-  sharing one observation embedding and one batched LSTM step per address.
-  When control flow diverges (different traces request different addresses at
-  the same step), the cohort is partitioned into per-address sub-batches, so
-  a group of size 1 degrades gracefully to per-trace stepping.
+  one observation array per slot (distinct observations are embedded once
+  each, so a cohort of one request pays one embedding) and one batched LSTM
+  step per address.  When control flow diverges (different traces request
+  different addresses at the same step), the cohort is partitioned into
+  per-address sub-batches, so a group of size 1 degrades gracefully to
+  per-trace stepping.  :meth:`InferenceNetwork.planned_session` is the same
+  session driven by a compiled plan.
 
 Information flow during guided execution deliberately matches training: a
 fallback to the prior at an address the network has never seen resets the
@@ -76,8 +79,7 @@ class InferenceNetwork(Module):
         self.observe_key = observe_key
         self._rng = rng
         #: score training steps through packed array inputs (the default hot
-        #: path); ``False`` retains the per-object reference path, mirroring
-        #: the lockstep engine's ``batched_proposals=False`` precedent.
+        #: path); ``False`` retains the per-object reference path.
         self.vectorized_loss = bool(vectorized_loss)
         if observation_embedding is None:
             observation_embedding = ObservationEmbedding3DCNN(
@@ -352,22 +354,20 @@ class InferenceNetwork(Module):
         """Start a guided-execution session for one observation y."""
         return ProposalSession(self, observation)
 
-    def batched_session(
-        self, observation, batch_size: int, batched_proposals: bool = True
-    ) -> "BatchedProposalSession":
-        """Start a lockstep session advancing ``batch_size`` executions at once.
+    def batched_session(self, observations: Sequence[Any]) -> "BatchedProposalSession":
+        """Start a lockstep session advancing ``len(observations)`` executions at once.
 
-        ``batched_proposals=False`` selects the legacy per-object proposal
-        emission (one ``Mixture`` + components per trace per step) instead of
-        the array-parameterised batched objects; it exists as the equivalence
-        and benchmark reference, not for production use.
+        ``observations[slot]`` is the observation array for slot ``slot``.
+        Duplicate observations (the same array object, or byte-identical
+        arrays) are embedded once and share their embedding row, so a cohort
+        pays one observation-embedding forward per *distinct* observation —
+        one for a single request, and the serving layer's amortization win
+        when a cohort coalesces several.
         """
-        return BatchedProposalSession(
-            self, observation, batch_size, batched_proposals=batched_proposals
-        )
+        return BatchedProposalSession(self, observations)
 
     def planned_session(
-        self, plan, scratch, rngs, observation=None, observations=None
+        self, plan, scratch, rngs, observations: Sequence[Any]
     ) -> "BatchedProposalSession":
         """Start a lockstep session driven by a compiled execution plan.
 
@@ -379,21 +379,7 @@ class InferenceNetwork(Module):
         """
         from repro.ppl.inference.plans import PlannedProposalSession
 
-        return PlannedProposalSession(
-            self, plan, scratch, rngs, observation=observation, observations=observations
-        )
-
-    def mixed_batched_session(self, observations: Sequence[Any]) -> "BatchedProposalSession":
-        """Start a lockstep session whose slots condition on *different* observations.
-
-        ``observations[slot]`` is the observation array for slot ``slot``; the
-        cohort size is ``len(observations)``.  Duplicate observations (byte-
-        identical arrays) are embedded once and share their embedding row, so
-        a cohort coalescing several requests for the same observation pays one
-        observation-embedding forward per *distinct* observation — the serving
-        layer's amortization win.
-        """
-        return BatchedProposalSession(self, None, len(observations), observations=observations)
+        return PlannedProposalSession(self, plan, scratch, rngs, observations)
 
     # ------------------------------------------------------------- persistence
     def save(self, path: str) -> None:
@@ -501,10 +487,14 @@ class BatchedProposalSession:
     The sequential :class:`ProposalSession` pays the observation embedding,
     one LSTM step and one proposal-layer forward *per trace per address* at
     batch size 1.  This session amortizes all three across a cohort of B
-    executions of the same observation:
+    executions:
 
-    * the observation is embedded **once** and its embedding row is shared by
-      every trace in the cohort,
+    * every slot has its own observation (``observations[slot]``), and each
+      *distinct* observation is embedded **once**
+      (:attr:`num_observation_embeddings` counts the forwards actually paid),
+      so a cohort of one request pays one embedding and *independent*
+      requests for different observations can share one cohort — what the
+      serving subsystem's micro-batching scheduler coalesces into,
     * all traces currently requesting the same address advance through **one
       batched LSTM step**, and
     * the proposal layer produces the B per-trace proposal distributions in a
@@ -519,55 +509,24 @@ class BatchedProposalSession:
     identical to :class:`ProposalSession` (zero previous-sample embedding
     after a prior fallback, no LSTM advance at unknown addresses).
 
-    Drive it through :func:`repro.ppl.inference.batched.batched_importance_sampling`,
+    Drive it through :func:`repro.ppl.inference.batched.run_mixed_cohort`,
     which suspends B model executions at their controlled draws and answers
     them through :meth:`proposals`.
 
-    Mixed-observation cohorts (:meth:`InferenceNetwork.mixed_batched_session`)
-    give every slot its own observation embedding row, so *independent*
-    posterior requests for different observations can share one lockstep
-    cohort — the entry point the serving subsystem's micro-batching scheduler
-    coalesces into.  Distinct observations are embedded once each
-    (:attr:`num_observation_embeddings` counts the forwards actually paid).
-
-    Proposal emission defaults to array-parameterised batched distributions
+    Proposals are array-parameterised batched distributions
     (:mod:`repro.distributions.batched`): each address group's step builds
     ONE object holding the group's ``(B, K)`` parameters, and every slot is
     answered with a row view whose ``sample``/``log_prob`` are bit-identical
-    to the per-trace ``Mixture``/``Categorical`` it replaces.  Construct with
-    ``batched_proposals=False`` to get the legacy per-object emission (the
-    benchmark/equivalence reference).
+    to the per-trace ``Mixture``/``Categorical`` the sequential session's
+    ``proposal_distribution`` builds.
     """
 
-    def __init__(
-        self,
-        network: InferenceNetwork,
-        observation,
-        batch_size: int,
-        observations: Optional[Sequence[Any]] = None,
-        batched_proposals: bool = True,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+    def __init__(self, network: InferenceNetwork, observations: Sequence[Any]) -> None:
+        if len(observations) < 1:
+            raise ValueError("a lockstep session needs at least one slot")
         self.network = network
-        self.batch_size = int(batch_size)
-        #: emit one array-parameterised object per address group (the default
-        #: hot path) instead of B per-trace distribution objects (the legacy
-        #: reference path kept for equivalence tests and benchmarks).
-        self.batched_proposals = bool(batched_proposals)
-        if observations is not None:
-            if len(observations) != self.batch_size:
-                raise ValueError("observations must supply one entry per slot")
-            self._obs_rows = self._embed_per_slot(observations)
-        else:
-            observation_arr = np.asarray(observation, dtype=float)
-            with no_grad():
-                embed = network.observation_embedding(Tensor(observation_arr[None, ...]))
-            # Shared observation: every slot reads the same embedding row.
-            self._obs_rows = np.broadcast_to(
-                embed.data[0], (self.batch_size, embed.data.shape[1])
-            )
-            self.num_observation_embeddings = 1
+        self.batch_size = len(observations)
+        self._obs_rows = self._embed_per_slot(observations)
         hidden = network.lstm.hidden_size
         self._h = [np.zeros((self.batch_size, hidden)) for _ in range(network.lstm.num_layers)]
         self._c = [np.zeros((self.batch_size, hidden)) for _ in range(network.lstm.num_layers)]
@@ -580,26 +539,34 @@ class BatchedProposalSession:
         self.num_divergent_rounds = 0
 
     def _embed_per_slot(self, observations: Sequence[Any]) -> np.ndarray:
-        """Embed per-slot observations, deduplicating byte-identical arrays.
+        """Embed per-slot observations, each distinct observation once.
 
-        Each distinct observation is embedded with the same single-row forward
-        the shared-observation path uses, so a mixed cohort produces bitwise
-        the same embedding rows as running each request in its own cohort —
-        the property the serving layer's seeded-equivalence tests rely on.
+        Slots are deduplicated by object identity first (all jobs of one
+        request share one array object, so a one-request cohort never
+        serialises anything) and by bytes second (equal observations from
+        different requests).  Each distinct observation is embedded with the
+        same single-row forward :class:`ProposalSession` uses, so a mixed
+        cohort produces bitwise the same embedding rows as running each
+        request in its own cohort — the property the serving layer's
+        seeded-equivalence tests rely on.
         """
         network = self.network
-        arrays = [np.ascontiguousarray(np.asarray(o, dtype=float)) for o in observations]
-        unique_rows: Dict[Tuple[Any, bytes], np.ndarray] = {}
-        rows = np.empty((len(arrays), network.obs_dim))
-        for slot, array in enumerate(arrays):
-            key = (array.shape, array.tobytes())
-            row = unique_rows.get(key)
+        by_identity: Dict[int, np.ndarray] = {}
+        by_bytes: Dict[Tuple[Any, bytes], np.ndarray] = {}
+        rows = np.empty((len(observations), network.obs_dim))
+        for slot, observation in enumerate(observations):
+            row = by_identity.get(id(observation))
             if row is None:
-                with no_grad():
-                    row = network.observation_embedding(Tensor(array[None, ...])).data[0]
-                unique_rows[key] = row
+                array = np.ascontiguousarray(np.asarray(observation, dtype=float))
+                key = (array.shape, array.tobytes())
+                row = by_bytes.get(key)
+                if row is None:
+                    with no_grad():
+                        row = network.observation_embedding(Tensor(array[None, ...])).data[0]
+                    by_bytes[key] = row
+                by_identity[id(observation)] = row
             rows[slot] = row
-        self.num_observation_embeddings = len(unique_rows)
+        self.num_observation_embeddings = len(by_bytes)
         return rows
 
     def proposals(self, requests: Sequence[Tuple[int, str, Distribution, Any]]) -> Dict[int, Optional[Distribution]]:
@@ -675,18 +642,13 @@ class BatchedProposalSession:
                 self._h[layer][slots] = h.data
                 self._c[layer][slots] = c.data
             priors = [prior for _, prior, _ in members]
-            layer = network.proposal_layers[address]
-            if self.batched_proposals:
-                # One array-parameterised object for the whole group; each
-                # slot receives a cheap row view instead of a freshly built
-                # per-trace Mixture (O(1) objects per step, not O(B*K)).
-                batch = layer.proposal_batch(hidden, priors)
-                distributions: Sequence[Any] = [batch.row(row) for row in range(len(members))]
-            else:
-                distributions = layer.proposal_distributions(hidden, priors)
+            # One array-parameterised object for the whole group; each slot
+            # receives a cheap row view instead of a freshly built per-trace
+            # Mixture (O(1) objects per step, not O(B*K)).
+            batch = network.proposal_layers[address].proposal_batch(hidden, priors)
         out: Dict[int, Any] = {}
-        for (slot, prior, _), distribution in zip(members, distributions):
+        for row, (slot, prior, _) in enumerate(members):
             self._prev_address[slot] = address
             self._prev_prior[slot] = prior
-            out[slot] = distribution
+            out[slot] = batch.row(row)
         return out

@@ -15,6 +15,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from repro.common.rng import get_rng
 from repro.distributions import Distribution
 from repro.ppx.addresses import AddressBuilder
 from repro.ppx.messages import (
@@ -108,20 +109,23 @@ class SimulatorClient:
     def observe(
         self,
         distribution: Distribution,
-        value,
+        value=None,
         name: Optional[str] = None,
         address: Optional[str] = None,
     ) -> None:
-        """Report a conditioning statement (likelihood term) to the PPL."""
+        """Report a conditioning statement (likelihood term) to the PPL.
+
+        The protocol carries a value with every observe, so when the program
+        supplies none the observation is simulated here, on the simulator
+        side, from this process's stream.
+        """
         resolved = address or self.address_builder.build(skip_frames=2)
-        if isinstance(value, np.ndarray):
-            wire_value: Any = value
-        else:
-            wire_value = value
+        if value is None:
+            value = distribution.sample(get_rng())
         request = ObserveRequest(
             address=resolved,
             distribution=distribution.to_dict(),
-            value=wire_value,
+            value=value,
             name=name,
         )
         self.transport.send(request)

@@ -45,7 +45,6 @@ from repro.ppl.inference.batched import (
     form_log_weights,
     merge_engine_stats,
     new_engine_stats,
-    per_trace_rngs,
     resolve_observation_array,
     run_mixed_cohort,
 )
@@ -440,22 +439,15 @@ class PosteriorService:
         # rng is consumed exactly as batched_importance_sampling consumes
         # its rng argument (under the admission lock — shared-stream
         # submits must not interleave).
-        trace_rngs = per_trace_rngs(request_rng, num_traces)
+        jobs = TraceJob.for_request(request_id, observation, observation_array, num_traces, request_rng)
         if self._resilience is not None:
             # Thread-backend cohorts consume these generators in place, so a
             # retried shard needs each stream's admission-time state to rewind
             # to (see ServiceResilience._redispatch).
             request.rng_snapshots = [  # type: ignore[attr-defined]
-                trace_rng.generator.bit_generator.state for trace_rng in trace_rngs
+                job.rng.generator.bit_generator.state for job in jobs
             ]
-        entries = [
-            CohortEntry(
-                TraceJob(request_id, observation, observation_array, trace_rng),
-                request,
-                position,
-            )
-            for position, trace_rng in enumerate(trace_rngs)
-        ]
+        entries = [CohortEntry(job, request, position) for position, job in enumerate(jobs)]
         self._inflight[request_id] = request
         try:
             self.scheduler.submit(entries)

@@ -119,8 +119,3 @@ class Detector3D:
             transverse = self._transverse_profile(dep.impact_x, dep.impact_y)
             grid += dep.energy * self.config.energy_scale * longitudinal[:, None, None] * transverse[None, :, :]
         return grid
-
-    def observe_noisy(self, expected: np.ndarray, rng: Optional[RandomState] = None) -> np.ndarray:
-        """Add per-voxel Gaussian readout noise to an expected image."""
-        rng = rng or get_rng()
-        return expected + rng.normal(0.0, self.config.noise_sigma, size=expected.shape)

@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.rng import RandomState, get_rng
 from repro.distributions import Normal, Uniform
 from repro.ppl.model import Model
 from repro.simulators.handle import LocalHandle, SimulatorHandle
@@ -68,11 +67,9 @@ def _line_template(position: float, dispersion: float, axis: np.ndarray) -> np.n
 def spectroscopy_program(
     handle: SimulatorHandle,
     config: Optional[SpectroscopyConfig] = None,
-    rng: Optional[RandomState] = None,
 ) -> Dict[str, Any]:
     """One simulated spectrum; returns composition, dispersion and the spectrum."""
     config = config or SpectroscopyConfig()
-    rng = rng or get_rng()
     axis = np.linspace(0.0, 1.0, config.num_channels)
 
     # Composition fractions via independent uniform draws, normalised to sum to 1
@@ -92,10 +89,9 @@ def spectroscopy_program(
         for line in ELEMENT_LINES[element]:
             spectrum += fraction * line.intensity * _line_template(line.position, dispersion, axis)
 
-    simulated = spectrum + rng.normal(0.0, config.noise_sigma, size=spectrum.shape)
-    observed = handle.observe(
-        Normal(spectrum, config.noise_sigma), value=simulated, name="spectrum"
-    )
+    # No value supplied: the handle simulates the noise from the execution's
+    # own stream, and draws nothing when the observe is conditioned.
+    observed = handle.observe(Normal(spectrum, config.noise_sigma), name="spectrum")
 
     return {
         "fractions": dict(zip(config.elements, fractions)),

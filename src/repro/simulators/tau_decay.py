@@ -120,11 +120,9 @@ def _energy_fractions(
 def tau_decay_program(
     handle: SimulatorHandle,
     config: Optional[TauDecayConfig] = None,
-    rng: Optional[RandomState] = None,
 ) -> Dict[str, Any]:
     """One simulated tau event: returns derived quantities and the detector image."""
     config = config or TauDecayConfig()
-    rng = rng or get_rng()
     detector = config.detector_simulator()
 
     # --- tau production kinematics -------------------------------------------
@@ -168,9 +166,10 @@ def tau_decay_program(
             invisible_pt += float(energy) * transverse_norm / max(tau_energy, 1e-6)
 
     expected_image = detector.deposit(deposits)
-    simulated_image = detector.observe_noisy(expected_image, rng)
+    # No value supplied: the handle simulates the readout noise from the
+    # execution's own stream, and draws nothing when the observe is conditioned.
     observed_image = handle.observe(
-        Normal(expected_image, detector.config.noise_sigma), value=simulated_image, name="detector"
+        Normal(expected_image, detector.config.noise_sigma), name="detector"
     )
 
     # --- derived quantities (the Figure 8 variables) ----------------------------

@@ -352,10 +352,11 @@ class TestBatchedDistributionObjects:
         assert counts == {"mixtures": 0, "truncated_batches": 0}
 
     def test_single_slot_lockstep_group_bit_identical(self, lockstep_engine):
-        # batch_size=1 cohorts route through _run_sequential, so the engine
-        # never runs a one-slot lockstep session; drive one directly to pin
-        # the degenerate single-member address group (which also arises as a
-        # divergence sub-batch inside larger cohorts).
+        # One-job cohorts route through the sequential ProposalSession, so the
+        # engine never runs a one-slot lockstep session; drive one directly to
+        # pin the degenerate single-member address group (which also arises as
+        # a divergence sub-batch inside larger cohorts) against that
+        # sequential reference.
         from repro.distributions import Uniform
         from repro.ppl.inference.batched import resolve_observation_array
 
@@ -364,35 +365,14 @@ class TestBatchedDistributionObjects:
         observation_array = resolve_observation_array(network, OBSERVATION)
         address = next(iter(network.address_specs))
         prior = Uniform(-2.0, 2.0)
-        batched_session = network.batched_session(observation_array, 1)
-        per_object_session = network.batched_session(
-            observation_array, 1, batched_proposals=False
-        )
-        proposal_b = batched_session.proposals([(0, address, prior, None)])[0]
-        proposal_p = per_object_session.proposals([(0, address, prior, None)])[0]
+        lockstep_session = network.batched_session([observation_array])
+        sequential_session = network.inference_session(observation_array)
+        proposal_b = lockstep_session.proposals([(0, address, prior, None)])[0]
+        proposal_s = sequential_session.proposal(address, prior, None)
         value_b = proposal_b.sample(RandomState(5))
-        value_p = proposal_p.sample(RandomState(5))
-        assert float(value_b) == float(value_p)
-        assert float(proposal_b.log_prob(value_b)) == float(proposal_p.log_prob(value_p))
-
-    def test_batched_objects_bit_identical_to_per_object_engine(self, lockstep_engine):
-        model, engine = lockstep_engine
-        for batch_size in (16, 64):
-            batched_objects = batched_importance_sampling(
-                model, OBSERVATION, num_traces=64, batch_size=batch_size,
-                network=engine.network, rng=RandomState(29),
-            )
-            per_objects = batched_importance_sampling(
-                model, OBSERVATION, num_traces=64, batch_size=batch_size,
-                network=engine.network, rng=RandomState(29),
-                batched_proposals=False,
-            )
-            # Same NN forwards, same rng consumption, only the distribution
-            # representation differs -> the traces must agree bit for bit.
-            assert np.array_equal(batched_objects.log_weights, per_objects.log_weights)
-            for trace_a, trace_b in zip(batched_objects.values, per_objects.values):
-                for latent in ("a", "b", "c"):
-                    assert float(np.asarray(trace_a[latent])) == float(np.asarray(trace_b[latent]))
+        value_s = proposal_s.sample(RandomState(5))
+        assert float(value_b) == float(value_s)
+        assert float(proposal_b.log_prob(value_b)) == float(proposal_s.log_prob(value_s))
 
 
 class TestMixedObservationEngine:
@@ -499,10 +479,10 @@ class TestDistributedDriver:
         model, engine = lockstep_engine
         kwargs = dict(num_traces=12, num_ranks=3, batch_size=4, network=engine.network)
         sequential = distributed_importance_sampling(
-            model, OBSERVATION, rng=RandomState(13), parallel=False, **kwargs
+            model, OBSERVATION, rng=RandomState(13), backend="sequential", **kwargs
         )
         parallel = distributed_importance_sampling(
-            model, OBSERVATION, rng=RandomState(13), parallel=True, **kwargs
+            model, OBSERVATION, rng=RandomState(13), backend="thread", **kwargs
         )
         assert parallel.extract("a").mean == pytest.approx(
             sequential.extract("a").mean, abs=1e-9
@@ -516,7 +496,7 @@ class TestDistributedDriver:
         for seed in range(5):
             distributed_importance_sampling(
                 model, OBSERVATION, num_traces=8, num_ranks=4, batch_size=2,
-                network=engine.network, rng=RandomState(seed), parallel=True,
+                network=engine.network, rng=RandomState(seed), backend="thread",
             )
             assert is_grad_enabled()
 
@@ -534,3 +514,74 @@ class TestDistributedDriver:
         first_values = [t["a"] for t in first.values]
         second_values = [t["a"] for t in second.values]
         assert not np.allclose(first_values, second_values)
+
+
+class TestOneCohortEngine:
+    """Every posterior entry point is a TraceJob list through run_mixed_cohort."""
+
+    def test_every_entry_point_reaches_the_one_cohort_function(self, lockstep_engine, monkeypatch):
+        from repro.ppl.inference import batched
+
+        model, engine = lockstep_engine
+        cohorts = []
+        original = batched.run_mixed_cohort
+
+        def counting(model, jobs, *args, **kwargs):
+            assert all(isinstance(job, batched.TraceJob) for job in jobs)
+            cohorts.append(len(jobs))
+            return original(model, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(batched, "run_mixed_cohort", counting)
+        common = dict(num_traces=8, batch_size=4, network=engine.network)
+        entry_points = {
+            "batched_importance_sampling": lambda: batched_importance_sampling(
+                model, OBSERVATION, rng=RandomState(1), **common
+            ),
+            "posterior": lambda: engine.posterior(
+                model, OBSERVATION, num_traces=8, batch_size=4, rng=RandomState(1)
+            ),
+            "posterior_many": lambda: engine.posterior_many(
+                model, [(OBSERVATION, 8, RandomState(1))], batch_size=4
+            ),
+            "distributed/sequential": lambda: distributed_importance_sampling(
+                model, OBSERVATION, num_ranks=2, rng=RandomState(1), backend="sequential", **common
+            ),
+            "distributed/thread": lambda: distributed_importance_sampling(
+                model, OBSERVATION, num_ranks=2, rng=RandomState(1), backend="thread", **common
+            ),
+        }
+        for name, run in entry_points.items():
+            del cohorts[:]
+            result = run()
+            assert sorted(cohorts) == [4, 4], name
+            stats = (result[0] if isinstance(result, list) else result).engine_stats
+            assert stats["num_cohorts"] == 2, name
+
+    def test_shared_observation_object_is_converted_and_embedded_once(self, lockstep_engine):
+        # All jobs of a request share one observation object: the session
+        # dedupes by identity first (no per-slot conversion/serialisation)
+        # and by bytes second, without changing rows or the embedding count.
+        _, engine = lockstep_engine
+        network = engine.network
+        shared = np.asarray(OBSERVATION["obs"], dtype=float)
+
+        class CountingObservation:
+            conversions = 0
+
+            def __array__(self, dtype=None, copy=None):
+                CountingObservation.conversions += 1
+                return shared.astype(dtype) if dtype is not None else shared
+
+        reference = network.batched_session([shared] * 8)
+        assert reference.num_observation_embeddings == 1
+        counted = network.batched_session([CountingObservation()] * 8)
+        assert CountingObservation.conversions == 1
+        assert np.array_equal(counted._obs_rows, reference._obs_rows)
+        # Equal bytes in distinct objects still share one embedding.
+        copies = network.batched_session([shared.copy() for _ in range(8)])
+        assert copies.num_observation_embeddings == 1
+        assert np.array_equal(copies._obs_rows, reference._obs_rows)
+        mixed = network.batched_session([shared, shared + 1.0, shared])
+        assert mixed.num_observation_embeddings == 2
+        assert np.array_equal(mixed._obs_rows[0], mixed._obs_rows[2])
+        assert not np.array_equal(mixed._obs_rows[0], mixed._obs_rows[1])

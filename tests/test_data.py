@@ -279,6 +279,14 @@ class TestDistributedSampler:
         assert len(sampler) >= 1
         assert sampler.workload_tokens() > 0
 
+    def test_more_buckets_than_chunks_starves_no_rank(self, tiny_tau_dataset):
+        # 60 traces make 7 chunks of 8; 10 one-chunk buckets would hand every
+        # chunk to rank 0.
+        samplers = [self._sampler(tiny_tau_dataset, rank, num_buckets=10) for rank in (0, 1)]
+        assert len(samplers[0]) + len(samplers[1]) == 7
+        assert min(len(s) for s in samplers) >= 3
+        assert all(len(bucket) >= 2 for bucket in samplers[0]._buckets)
+
     def test_sorted_chunks_have_fewer_types_than_unsorted(self, tiny_tau_dataset):
         def mean_types_per_chunk(order):
             lengths = [tiny_tau_dataset.trace_length_of(i) for i in range(len(tiny_tau_dataset))]

@@ -146,6 +146,41 @@ class TestProposalLayers:
         # Prior smoothing keeps all categories possible.
         assert np.all(proposal.probs > 0)
 
+    @pytest.mark.parametrize("batch", [1, 16, 64])
+    @pytest.mark.parametrize("family", ["mixture", "categorical"])
+    def test_batched_rows_bit_identical_to_per_object_emission(self, family, batch):
+        """``proposal_batch(...).row(i)`` is the lockstep engine's emission,
+        ``proposal_distributions(...)[i]`` the per-object reference the
+        sequential session runs on: same draw, same rng consumption, same
+        density, bit for bit, with per-row prior parameters."""
+        data = np.random.default_rng(5)
+        if family == "mixture":
+            layer = ProposalNormalMixture(12, num_components=5, rng=RandomState(1))
+            centres = data.uniform(-1.0, 1.0, size=batch)
+            priors = [
+                Uniform(c - 1.0, c + 2.0) if row % 2 == 0 else Normal(c, 1.5)
+                for row, c in enumerate(centres)
+            ]
+        else:
+            layer = ProposalCategorical(12, num_categories=4, rng=RandomState(1))
+            priors = [Categorical(data.dirichlet(np.ones(4))) for _ in range(batch)]
+        hidden = Tensor(data.standard_normal((batch, 12)))
+        rows = layer.proposal_batch(hidden, priors)
+        objects = layer.proposal_distributions(hidden, priors)
+        assert len(objects) == batch
+        for index, reference in enumerate(objects):
+            rng_row, rng_object = RandomState(100 + index), RandomState(100 + index)
+            row = rows.row(index)
+            value = row.sample(rng_row)
+            expected = reference.sample(rng_object)
+            assert np.array_equal(np.asarray(value), np.asarray(expected))
+            assert (
+                rng_row.generator.bit_generator.state == rng_object.generator.bit_generator.state
+            )
+            assert np.array_equal(
+                np.asarray(row.log_prob(value)), np.asarray(reference.log_prob(expected))
+            )
+
     def test_categorical_proposal_gradients(self):
         layer = ProposalCategorical(4, num_categories=3)
         hidden = Tensor(np.random.default_rng(4).standard_normal((3, 4)), requires_grad=True)

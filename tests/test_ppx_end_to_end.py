@@ -221,7 +221,7 @@ class TestRemoteModel:
         remote, thread = self._remote(gaussian_simulator)
         posterior = distributed_importance_sampling(
             remote, {"obs": 0.5}, num_traces=12, num_ranks=3, batch_size=4,
-            network=None, rng=RandomState(6), parallel=True,
+            network=None, rng=RandomState(6), backend="thread",
         )
         assert len(posterior) == 12
         assert np.all(np.isfinite(posterior.log_weights))

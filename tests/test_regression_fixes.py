@@ -164,34 +164,3 @@ class TestModeAggregatesDuplicates:
         shared = {"a": 2}
         emp = Empirical([{"a": 1}, shared, shared], log_weights=np.log([0.4, 0.35, 0.25]))
         assert emp.mode() is shared
-
-
-class TestJobBodiesUseTheSeededCore:
-    """Regression for the linter-surfaced RNG-ownership finding: a function
-    reachable from a dispatched job body (the distributed rank body) used the
-    ``rng or get_rng()`` entry-point fallback, i.e. a job could in principle
-    default its own generator from a process-global stream.  The fallback now
-    lives only in the top-level entry point; job bodies call the seeded core,
-    which refuses to run without an explicit stream."""
-
-    def test_seeded_core_requires_an_explicit_stream(self):
-        from repro.ppl.inference.batched import batched_importance_sampling_seeded
-
-        model = FunctionModel(uncontrolled_program)
-        with pytest.raises(ValueError, match="explicit rng"):
-            batched_importance_sampling_seeded(
-                model, {"obs": 1.0}, num_traces=4, batch_size=2, rng=None
-            )
-
-    def test_entry_point_delegates_bit_identically(self):
-        from repro.ppl.inference.batched import batched_importance_sampling_seeded
-
-        model = FunctionModel(uncontrolled_program)
-        via_entry = batched_importance_sampling(
-            model, {"obs": 1.0}, num_traces=8, batch_size=4, rng=RandomState(3)
-        )
-        via_core = batched_importance_sampling_seeded(
-            model, {"obs": 1.0}, num_traces=8, batch_size=4, rng=RandomState(3)
-        )
-        np.testing.assert_array_equal(via_entry.log_weights, via_core.log_weights)
-        assert [t["mu"] for t in via_entry.values] == [t["mu"] for t in via_core.values]

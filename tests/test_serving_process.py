@@ -118,6 +118,52 @@ class TestCrossBackendEquivalence:
                     == reference.extract(latent).mean
                 )
 
+    def test_distributed_driver_backends_identical_with_network(self, served_engine, monkeypatch):
+        # One path, three executors: traces, log-weights and merged counters
+        # agree exactly — including a counter only one rank's shards report
+        # (a newer worker), which a merge keyed on the first rank's block drops.
+        from repro.distributed import inference as driver
+        from repro.ppl.inference import batched
+
+        original = batched.execute_trace_jobs
+
+        def with_rank_local_counter(model, jobs, network, plan_cache=None):
+            traces, stats = original(model, jobs, network, plan_cache=plan_cache)
+            if jobs[0].request_index == 1:
+                stats["num_rank_one_only"] = len(jobs)
+            return traces, stats
+
+        # The inline/thread executors call the driver's binding; forked pool
+        # workers import the engine's at start.
+        monkeypatch.setattr(driver, "execute_trace_jobs", with_rank_local_counter)
+        monkeypatch.setattr(batched, "execute_trace_jobs", with_rank_local_counter)
+        model, engine = served_engine
+        posteriors = {
+            backend: distributed_importance_sampling(
+                model,
+                OBSERVATION,
+                num_traces=40,
+                num_ranks=3,
+                batch_size=8,
+                network=engine.network,
+                rng=RandomState(9),
+                backend=backend,
+            )
+            for backend in ("sequential", "thread", "process")
+        }
+        reference = posteriors["sequential"]
+        assert reference.per_rank_sizes == [14, 13, 13]
+        assert reference.engine_stats["num_cohorts"] == 6
+        assert reference.engine_stats["num_rank_one_only"] == 13
+        for backend in ("thread", "process"):
+            posterior = posteriors[backend]
+            assert posterior.engine_stats == reference.engine_stats
+            assert posterior.per_rank_sizes == reference.per_rank_sizes
+            assert np.array_equal(posterior.log_weights, reference.log_weights)
+            for ours, theirs in zip(posterior.values, reference.values):
+                assert ours.addresses == theirs.addresses
+                assert [s.value for s in ours.samples] == [s.value for s in theirs.samples]
+
     def test_trace_jobs_pickle_with_stream_state_intact(self):
         rng = RandomState(17)
         trace_rngs = per_trace_rngs(rng, 4)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common.rng import RandomState
+from repro.common.rng import RandomState, get_rng
 from repro.simulators import (
     DECAY_CHANNELS,
     TAU_MASS,
@@ -83,13 +83,6 @@ class TestDetector:
         em = detector.deposit([Deposit(5.0, 0.0, 0.0, is_electromagnetic=True)])
         had = detector.deposit([Deposit(5.0, 0.0, 0.0, is_electromagnetic=False)])
         assert np.argmax(em.sum(axis=(1, 2))) <= np.argmax(had.sum(axis=(1, 2)))
-
-    def test_observe_noisy_adds_noise(self):
-        detector = Detector3D()
-        expected = detector.deposit([Deposit(5.0, 0.0, 0.0)])
-        noisy = detector.observe_noisy(expected, RandomState(0))
-        assert not np.allclose(noisy, expected)
-        assert np.std(noisy - expected) == pytest.approx(detector.config.noise_sigma, rel=0.1)
 
     def test_impact_smearing_and_log_prob(self):
         detector = Detector3D()
@@ -217,3 +210,45 @@ class TestSpectroscopyModel:
         fe = posterior.extract("abundance_Fe").mean
         si = posterior.extract("abundance_Si").mean
         assert fe > si
+
+
+class TestObservationNoiseComesFromTheExecutionStream:
+    """Regression: the programs drew their observation noise from the
+    process-global generator (``rng or get_rng()`` with no rng passed), so
+    same-seed prior traces had equal latents but different observations, and
+    every conditioned execution drew and discarded a noise image from the
+    unsynchronised global stream."""
+
+    MODELS = [(TauDecayModel, "detector"), (SpectroscopyModel, "spectrum")]
+
+    @pytest.mark.parametrize("model_class,observe_name", MODELS)
+    def test_same_seed_prior_traces_have_bit_equal_observations(self, model_class, observe_name):
+        model = model_class()
+        first = model.prior_traces(1, rng=RandomState(3))[0]
+        get_rng().random()  # the global stream must not matter
+        second = model.prior_traces(1, rng=RandomState(3))[0]
+        assert [s.value for s in first.samples] == [s.value for s in second.samples]
+        assert np.array_equal(first.observation[observe_name], second.observation[observe_name])
+        # Noise was actually simulated, at the configured scale.
+        expected = first.result["expected_image" if observe_name == "detector" else "expected_spectrum"]
+        noise = first.observation[observe_name] - expected
+        assert np.std(noise) == pytest.approx(first.observes[0].distribution.scale, rel=0.25)
+
+    @pytest.mark.parametrize("model_class,observe_name", MODELS)
+    def test_conditioned_execution_leaves_the_global_generator_untouched(
+        self, model_class, observe_name
+    ):
+        model = model_class()
+        observation = model.prior_trace(RandomState(4)).observation[observe_name]
+        before = get_rng().generator.bit_generator.state
+        trace = model.get_trace(observed_values={observe_name: observation}, rng=RandomState(5))
+        assert get_rng().generator.bit_generator.state == before
+        assert np.array_equal(trace.observation[observe_name], observation)
+        # Conditioning draws no noise at all: the stream advances exactly as
+        # far as the latents alone take it.
+        replay = RandomState(5)
+        for sample_record in trace.samples:
+            sample_record.distribution.sample(replay)
+        stream = RandomState(5)
+        model.get_trace(observed_values={observe_name: observation}, rng=stream)
+        assert stream.generator.bit_generator.state == replay.generator.bit_generator.state
