@@ -113,7 +113,7 @@ def graph_nodes(loss) -> int:
 
 
 def rank_step(trainer, traces):
-    """What ``DistributedTrainer._rank_gradients`` does, keeping the loss graph."""
+    """One rank's share of a ``TrainingLoop`` step, keeping the loss graph."""
     trainer.network.zero_grad()
     loss = trainer.network.loss(traces)
     loss.backward()

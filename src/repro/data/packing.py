@@ -22,11 +22,15 @@ stacks the observations, and per LSTM step packs
   ``from_distributions`` constructors),
 * the precomputed previous-sample embedding input.
 
-The vectorised loss (:meth:`InferenceNetwork._sub_minibatch_loss_packed`)
-then runs pure tensor ops per step; the ``vectorized_loss=False`` reference
-path keeps consuming the retained per-trace objects.
+Packs are the one input of the training loss: ``InferenceNetwork.loss`` is
+``loss_packed(pack_minibatch(traces))``, and every batch source of the
+training loop (:mod:`repro.distributed.trainer`) hands it
+``List[PackedSubMinibatch]``.  The vectorised loss
+(:meth:`InferenceNetwork._sub_minibatch_loss_packed`) runs pure tensor ops
+per step; the ``vectorized_loss=False`` reference path scores a pack's
+retained per-trace objects instead.
 
-:class:`PackedEpochPlan` is the offline schedule built on top: the dataset is
+:class:`PackedEpochPlan` is the single-process offline source: the dataset is
 sorted by trace type once (:func:`repro.data.sorting.sorted_indices_by_trace_type`),
 chunked into token-budgeted minibatches
 (:func:`repro.data.batching.dynamic_token_batches` — the Section 7.2
@@ -240,10 +244,7 @@ class PackedEpochPlan:
     * each epoch visits every minibatch once, in an order shuffled from the
       engine rng, and
     * the :class:`PackedSubMinibatch` groups built for a minibatch are cached
-      and reused by every later epoch — ``cache_packs=False`` opts out,
-      rebuilding packs per visit, for datasets whose packed form (stacked
-      observations, one-hot encodings) would not fit in memory alongside the
-      traces themselves.
+      and reused by every later epoch.
     """
 
     def __init__(
@@ -252,7 +253,6 @@ class PackedEpochPlan:
         minibatch_size: int,
         observe_key: Optional[str] = None,
         tokens_per_batch: Optional[int] = None,
-        cache_packs: bool = True,
     ) -> None:
         self.traces = list(traces)
         if len(self.traces) == 0:
@@ -269,7 +269,6 @@ class PackedEpochPlan:
             )
         self.tokens_per_batch = int(tokens_per_batch)
         self.batches = dynamic_token_batches(lengths, self.tokens_per_batch, indices=order)
-        self.cache_packs = bool(cache_packs)
         self._packs: Dict[int, List[PackedSubMinibatch]] = {}
         self._epoch_order: List[int] = []
         self._cursor = 0
@@ -296,11 +295,10 @@ class PackedEpochPlan:
         return [self.traces[i] for i in self.batches[batch_id]]
 
     def packs(self, batch_id: int) -> List[PackedSubMinibatch]:
-        """The packed groups of one minibatch (built once and cached, unless
-        ``cache_packs=False`` traded the reuse for constant memory)."""
+        """The packed groups of one minibatch, built on first visit and cached."""
         cached = self._packs.get(batch_id)
         if cached is None:
-            cached = pack_minibatch(self.minibatch(batch_id), observe_key=self.observe_key)
-            if self.cache_packs:
-                self._packs[batch_id] = cached
+            cached = self._packs[batch_id] = pack_minibatch(
+                self.minibatch(batch_id), observe_key=self.observe_key
+            )
         return cached

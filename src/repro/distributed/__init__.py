@@ -26,7 +26,7 @@ from repro.distributed.performance_model import (
     SingleNodeModel,
     WeakScalingPoint,
 )
-from repro.distributed.trainer import DistributedTrainer, TrainingReport
+from repro.distributed.trainer import DistributedTrainer, TrainingLoop, TrainingReport
 from repro.distributed.load_balance import SchemeEvaluation, compare_schemes, evaluate_scheme
 from repro.distributed.inference import distributed_importance_sampling, partition_traces, shard_jobs
 
@@ -51,6 +51,7 @@ __all__ = [
     "SingleNodeModel",
     "WeakScalingPoint",
     "DistributedTrainer",
+    "TrainingLoop",
     "TrainingReport",
     "SchemeEvaluation",
     "compare_schemes",

@@ -1,11 +1,14 @@
-"""Synchronous data-parallel training of the IC network (Algorithm 2).
+"""The one training loop (Algorithms 1 and 2) and its data-parallel trainer.
 
-This is the reproduction of the paper's distributed trainer: N ranks each draw
-a local minibatch from the (sorted, sharded) offline dataset through the
-distributed sampler, compute the Algorithm 1 loss and its gradients on an
-identical copy of the inference network, allreduce the gradients (sparse +
-fused, Section 4.4.4) and take one optimizer step — Adam or Adam-LARC with an
-optional polynomial learning-rate decay (Section 6.3).
+Every optimizer step in this repository is taken by :class:`TrainingLoop`.  Per
+iteration it asks a *batch source* for each rank's packed minibatch, computes
+the Algorithm 1 loss and its gradients per rank on the one shared network,
+allreduces the gradients (sparse + fused, Section 4.4.4) and takes one
+optimizer step — Adam or Adam-LARC with an optional polynomial learning-rate
+decay (Section 6.3).  Online, offline and N-rank training differ only in the
+source: ``InferenceCompilation.train`` is the one-rank case,
+:class:`DistributedTrainer` the N-rank case drawing each rank's chunk of the
+(sorted, sharded) offline dataset through the distributed sampler.
 
 Because every rank starts from identical parameters and the allreduce is an
 exact average, executing the ranks sequentially inside one process is
@@ -18,21 +21,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.common.rng import RandomState, get_rng
+from repro.common.rng import RandomState
 from repro.common.timing import PhaseTimer
 from repro.data.batching import effective_minibatch_size
+from repro.data.packing import PackedSubMinibatch, pack_minibatch
 from repro.data.sampler import DistributedTraceSampler
 from repro.data.sorting import sorted_indices_by_trace_type
 from repro.distributed.allreduce import CommunicationStats, average_gradients
 from repro.ppl.nn.inference_network import InferenceNetwork
 from repro.ppl.nn.preprocessing import pregenerate_layers
-from repro.tensor import optim
+from repro.tensor import no_grad, optim
 
-__all__ = ["TrainingReport", "DistributedTrainer"]
+__all__ = ["TrainingReport", "TrainingLoop", "DistributedTrainer"]
 
 
 @dataclass
@@ -80,6 +84,145 @@ class TrainingReport:
         return self.train_losses[-1] if self.train_losses else float("nan")
 
 
+_OPTIMIZERS = {"adam": optim.Adam, "sgd": optim.SGD}
+#: lr_schedule name -> polynomial decay power (``None``/``"none"``: constant)
+_LR_DECAY_POWERS = {"poly1": 1.0, "poly2": 2.0}
+
+
+class TrainingLoop:
+    """Algorithm 2's update step, shared by every trainer in the repository.
+
+    Construction validates the optimizer and schedule names before any side
+    effect, then (offline: ``dataset`` given) pre-generates the dataset's
+    address-specific layers and freezes the architecture, then builds the
+    optimizer and learning-rate schedule.  :attr:`phase_timer` gets one record
+    per step: ``batch_read`` and ``forward_backward`` of the slowest rank,
+    ``sync``, ``optimizer``.
+    """
+
+    def __init__(
+        self,
+        network: InferenceNetwork,
+        dataset=None,
+        optimizer: str = "adam",
+        learning_rate: float = 1e-3,
+        larc: bool = False,
+        lr_schedule: Optional[str] = None,
+        end_learning_rate: float = 1e-5,
+        total_steps: int = 1,
+        num_ranks: int = 1,
+        allreduce_strategy: str = "fused_sparse",
+    ) -> None:
+        if optimizer not in _OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {optimizer!r}")
+        if lr_schedule not in (None, "none", *_LR_DECAY_POWERS):
+            raise ValueError(f"unknown lr_schedule {lr_schedule!r}")
+        if dataset is not None:
+            pregenerate_layers(network, dataset, freeze=True)
+        self.network = network
+        self.num_ranks = num_ranks
+        self.allreduce_strategy = allreduce_strategy
+        self.phase_timer = PhaseTimer()
+        # Gradients are exchanged by name, so more than one rank needs the
+        # parameter set fixed here — which the offline freeze guarantees.
+        self._parameters = dict(network.named_parameters())
+        base = _OPTIMIZERS[optimizer](list(self._parameters.items()), lr=learning_rate)
+        self.optimizer = optim.LARC(base) if larc else base
+        if lr_schedule in _LR_DECAY_POWERS:
+            self.scheduler = optim.PolynomialDecayLR(
+                self.optimizer, total_steps, end_learning_rate, _LR_DECAY_POWERS[lr_schedule]
+            )
+        else:
+            self.scheduler = optim.ConstantLR(self.optimizer)
+
+    def run(
+        self,
+        source: Callable[[int], List[PackedSubMinibatch]],
+        num_iterations: int,
+        record: Callable[..., None],
+        callback: Optional[Callable[[int, float], None]] = None,
+    ) -> None:
+        """Take ``num_iterations`` synchronous update steps.
+
+        ``source(rank)`` returns the rank's next packed minibatch.  After each
+        step ``record(loss, rank_packs, seconds, best_seconds, stats)`` runs —
+        the step's wall time with the ranks in parallel, the same under
+        perfect load balance, and the allreduce's ``CommunicationStats`` —
+        then ``callback(iteration, loss)`` last, so the caller's records are
+        complete even if the callback ends the run by raising.  However the
+        run ends, the network's update listeners are notified once if any
+        step was applied.
+        """
+        parameters = self._parameters
+        names = list(parameters)
+        shapes = {name: param.data.shape for name, param in parameters.items()}
+        stepped = False
+        try:
+            for iteration in range(num_iterations):
+                rank_packs: List[List[PackedSubMinibatch]] = []
+                rank_losses: List[float] = []
+                rank_gradients: List[Dict[str, np.ndarray]] = []
+                read_seconds: List[float] = []
+                compute_seconds: List[float] = []
+                for rank in range(self.num_ranks):
+                    start = time.perf_counter()
+                    packs = source(rank)
+                    read_seconds.append(time.perf_counter() - start)
+
+                    start = time.perf_counter()
+                    self.optimizer.zero_grad()
+                    loss = self.network.loss_packed(packs)
+                    loss.backward()
+                    if self.num_ranks > 1:
+                        rank_gradients.append(
+                            {n: p.grad.copy() for n, p in parameters.items() if p.grad is not None}
+                        )
+                    compute_seconds.append(time.perf_counter() - start)
+                    rank_packs.append(packs)
+                    rank_losses.append(loss.item())
+                    # Free the autograd graph now, not when the next loss is
+                    # bound: two live graphs is the peak-memory case.
+                    del loss
+
+                # The reduce point.  One rank: the gradients backward() left
+                # on the parameters are the step's gradients.
+                start = time.perf_counter()
+                stats = CommunicationStats()
+                if self.num_ranks > 1:
+                    averaged = average_gradients(
+                        rank_gradients, names, shapes, self.allreduce_strategy, stats
+                    )
+                    for name, param in parameters.items():
+                        param.grad = averaged.get(name)
+                sync_seconds = time.perf_counter() - start
+
+                start = time.perf_counter()
+                self.optimizer.step()
+                self.scheduler.step()
+                optimizer_seconds = time.perf_counter() - start
+                stepped = True
+
+                self.phase_timer.add("batch_read", max(read_seconds))
+                self.phase_timer.add("forward_backward", max(compute_seconds))
+                self.phase_timer.add("sync", sync_seconds)
+                self.phase_timer.add("optimizer", optimizer_seconds)
+                # Ranks in parallel: the slowest one (the record's phases) plus
+                # the shared work.  Best: perfectly balanced ranks.
+                seconds = self.phase_timer.end_iteration().total()
+                best_seconds = float(
+                    np.mean(read_seconds) + np.mean(compute_seconds) + sync_seconds + optimizer_seconds
+                )
+                mean_loss = float(np.mean(rank_losses))
+                record(mean_loss, rank_packs, seconds, best_seconds, stats)
+                if callback is not None:
+                    callback(iteration, mean_loss)
+        finally:
+            if stepped:
+                # The parameters changed in place: tell anyone caching results
+                # keyed to this network (posterior caches, compiled plans).
+                self.network.notify_updated()
+
+
 class DistributedTrainer:
     """Algorithm 2: synchronous data-parallel SGD over simulated MPI ranks."""
 
@@ -97,37 +240,26 @@ class DistributedTrainer:
         total_iterations_hint: Optional[int] = None,
         allreduce_strategy: str = "fused_sparse",
         num_buckets: int = 1,
-        sort_dataset: bool = True,
         validation_fraction: float = 0.1,
         seed: int = 0,
         rng: Optional[RandomState] = None,
     ) -> None:
+        # ``rng`` is accepted for call-site compatibility and not used: the
+        # sampler schedule is a function of ``seed`` alone.
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
         self.network = network
         self.dataset = dataset
         self.num_ranks = num_ranks
         self.local_minibatch_size = local_minibatch_size
-        self.allreduce_strategy = allreduce_strategy
-        self.rng = rng or get_rng()
         self.seed = seed
 
-        # Offline mode: pre-generate every address-specific layer and freeze.
-        pregenerate_layers(self.network, dataset, freeze=True)
-
-        # Train / validation split over dataset indices (validation from the tail).
+        # Train / validation split over dataset indices (validation from the
+        # tail); training indices in trace-type sorted order (Section 4.4.3).
         total = len(dataset)
-        num_validation = int(total * validation_fraction)
-        all_indices = list(range(total))
-        self.validation_indices = all_indices[total - num_validation :] if num_validation > 0 else []
-        train_indices = all_indices[: total - num_validation]
-
-        if sort_dataset:
-            keys = [(dataset.trace_type_of(i), dataset.trace_length_of(i), i) for i in train_indices]
-            keys.sort()
-            ordered = [k[2] for k in keys]
-        else:
-            ordered = list(train_indices)
+        num_train = total - int(total * validation_fraction)
+        self.validation_indices = list(range(num_train, total))
+        ordered = [i for i in sorted_indices_by_trace_type(dataset) if i < num_train]
         lengths = [dataset.trace_length_of(i) for i in range(total)]
         self.samplers = [
             DistributedTraceSampler(
@@ -142,51 +274,48 @@ class DistributedTrainer:
             )
             for rank in range(num_ranks)
         ]
-
-        # Optimizer over named parameters (names used by the sparse allreduce).
-        named = list(self.network.named_parameters())
-        if optimizer == "adam":
-            base = optim.Adam(named, lr=learning_rate)
-        elif optimizer == "sgd":
-            base = optim.SGD(named, lr=learning_rate)
-        else:
-            raise ValueError(f"unknown optimizer {optimizer!r}")
-        self.optimizer = optim.LARC(base) if larc else base
-        self._parameter_names = [name for name, _ in named]
-        self._parameters = {name: param for name, param in named}
-        self._parameter_shapes = {name: param.data.shape for name, param in named}
-
-        self.scheduler = None
-        if lr_schedule in ("poly1", "poly2"):
-            total_steps = total_iterations_hint or max(1, len(self.samplers[0]))
-            self.scheduler = optim.PolynomialDecayLR(
-                self.optimizer,
-                total_steps=total_steps,
-                end_lr=end_learning_rate,
-                power=1.0 if lr_schedule == "poly1" else 2.0,
-            )
-        elif lr_schedule not in (None, "none"):
-            raise ValueError(f"unknown lr_schedule {lr_schedule!r}")
-
-        self.phase_timer = PhaseTimer()
+        # The schedule cursor lives here, not in train(): consecutive train()
+        # calls continue the epoch instead of replaying its shuffles.
+        self._iterators = [iter(sampler) for sampler in self.samplers]
+        # Offline mode: the loop pre-generates every address-specific layer
+        # and freezes the network before building the optimizer.
+        self._loop = TrainingLoop(
+            network, dataset, optimizer, learning_rate, larc, lr_schedule, end_learning_rate,
+            total_steps=total_iterations_hint or max(1, len(self.samplers[0])),
+            num_ranks=num_ranks,
+            allreduce_strategy=allreduce_strategy,
+        )
+        self.phase_timer = self._loop.phase_timer
         self.report = TrainingReport(
             traces_per_iteration=num_ranks * local_minibatch_size,
             num_parameters=self.network.num_parameters(),
         )
 
     # --------------------------------------------------------------------- run
-    def _rank_gradients(self, traces) -> Dict[str, np.ndarray]:
-        """Compute one rank's loss and return its named (non-null) gradients."""
-        self.network.zero_grad()
-        loss = self.network.loss(traces)
-        loss.backward()
-        gradients = {
-            name: param.grad.copy()
-            for name, param in self._parameters.items()
-            if param.grad is not None
-        }
-        self._last_rank_loss = float(loss.item())
-        return gradients
+    def _rank_packs(self, rank: int) -> List[PackedSubMinibatch]:
+        """The N-rank batch source: the rank's next sampler chunk, read and packed."""
+        try:
+            indices = next(self._iterators[rank])
+        except StopIteration:
+            # The first rank to run dry starts the next epoch for every rank.
+            epoch = self.samplers[0].epoch + 1
+            for sampler in self.samplers:
+                sampler.set_epoch(epoch)
+            self._iterators = [iter(sampler) for sampler in self.samplers]
+            indices = next(self._iterators[rank])
+        return pack_minibatch(self.dataset.get_batch(indices), self.network.observe_key)
+
+    def _record(self, loss, rank_packs, seconds, best_seconds, stats) -> None:
+        self.report.train_losses.append(loss)
+        self.report.learning_rates.append(self._loop.optimizer.lr)
+        self.report.iteration_times.append(seconds)
+        self.report.best_iteration_times.append(best_seconds)
+        self.report.effective_minibatch_sizes.append(
+            effective_minibatch_size(
+                [trace.trace_type for packs in rank_packs for pack in packs for trace in pack.traces]
+            )
+        )
+        self.report.communication.append(stats)
 
     def train(
         self,
@@ -196,83 +325,15 @@ class DistributedTrainer:
         callback=None,
     ) -> TrainingReport:
         """Run ``num_iterations`` synchronous update steps."""
-        iterators = [iter(sampler) for sampler in self.samplers]
-        epoch = 0
-        for iteration in range(num_iterations):
-            per_rank_gradients: List[Dict[str, np.ndarray]] = []
-            rank_losses: List[float] = []
-            rank_compute_times: List[float] = []
-            read_times: List[float] = []
-            minibatch_types: List[str] = []
 
-            for rank in range(self.num_ranks):
-                # --- batch read -------------------------------------------------
-                read_start = time.perf_counter()
-                try:
-                    indices = next(iterators[rank])
-                except StopIteration:
-                    epoch += 1
-                    for sampler in self.samplers:
-                        sampler.set_epoch(epoch)
-                    iterators = [iter(sampler) for sampler in self.samplers]
-                    indices = next(iterators[rank])
-                traces = self.dataset.get_batch(indices)
-                read_times.append(time.perf_counter() - read_start)
-                minibatch_types.extend(t.trace_type for t in traces)
-
-                # --- forward + backward ------------------------------------------
-                compute_start = time.perf_counter()
-                gradients = self._rank_gradients(traces)
-                rank_compute_times.append(time.perf_counter() - compute_start)
-                per_rank_gradients.append(gradients)
-                rank_losses.append(self._last_rank_loss)
-
-            # --- gradient allreduce ----------------------------------------------
-            sync_start = time.perf_counter()
-            stats = CommunicationStats()
-            averaged = average_gradients(
-                per_rank_gradients,
-                self._parameter_names,
-                self._parameter_shapes,
-                strategy=self.allreduce_strategy,
-                stats=stats,
-            )
-            sync_time = time.perf_counter() - sync_start
-
-            # --- optimizer step ----------------------------------------------------
-            optimizer_start = time.perf_counter()
-            for name, param in self._parameters.items():
-                param.grad = averaged.get(name)
-            self.optimizer.step()
-            if self.scheduler is not None:
-                self.scheduler.step()
-            optimizer_time = time.perf_counter() - optimizer_start
-
-            # --- bookkeeping --------------------------------------------------------
-            compute_arr = np.asarray(rank_compute_times)
-            read_arr = np.asarray(read_times)
-            # Actual iteration time: slowest rank (synchronisation barrier) +
-            # shared sync/optimizer work.  Best: perfectly balanced ranks.
-            actual_time = float(compute_arr.max() + read_arr.max() + sync_time + optimizer_time)
-            best_time = float(compute_arr.mean() + read_arr.mean() + sync_time + optimizer_time)
-            self.phase_timer.add("batch_read", float(read_arr.max()))
-            self.phase_timer.add("forward_backward", float(compute_arr.max()))
-            self.phase_timer.add("sync", sync_time)
-            self.phase_timer.add("optimizer", optimizer_time)
-            self.phase_timer.end_iteration()
-
-            self.report.train_losses.append(float(np.mean(rank_losses)))
-            self.report.learning_rates.append(self.optimizer.lr)
-            self.report.iteration_times.append(actual_time)
-            self.report.best_iteration_times.append(best_time)
-            self.report.effective_minibatch_sizes.append(effective_minibatch_size(minibatch_types))
-            self.report.communication.append(stats)
-
+        def after_step(iteration: int, loss: float) -> None:
             if validate_every and (iteration + 1) % validate_every == 0 and self.validation_indices:
                 self.report.validation_losses.append(self.validate(validation_minibatch))
                 self.report.validation_iterations.append(iteration + 1)
             if callback is not None:
-                callback(iteration, self.report.train_losses[-1])
+                callback(iteration, loss)
+
+        self._loop.run(self._rank_packs, num_iterations, self._record, after_step)
         self.report.phase_means = self.phase_timer.mean_by_phase()
         return self.report
 
@@ -283,8 +344,6 @@ class DistributedTrainer:
             raise RuntimeError("trainer was constructed without a validation split")
         indices = self.validation_indices[:max_traces]
         traces = self.dataset.get_batch(indices)
-        from repro.tensor import no_grad
-
         with no_grad():
             loss = self.network.loss(traces)
         return float(loss.item())

@@ -12,8 +12,8 @@ but happens once per model; afterwards inference for any new observation is a
 (embarrassingly parallel) importance-sampling run with NN proposals, which is
 where the paper's 230x speed-up over RMH comes from.
 
-This module provides the single-process engine; multi-rank synchronous
-training of the same loss lives in :mod:`repro.distributed.trainer`.
+This module provides the single-process engine; its ``train`` is the one-rank
+case of the loop in :mod:`repro.distributed.trainer` that also trains N ranks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.common.rng import RandomState, get_rng
 from repro.ppl.empirical import Empirical
 from repro.ppl.inference.batched import batched_importance_sampling, mixed_batched_importance_sampling
 from repro.ppl.nn.inference_network import InferenceNetwork
-from repro.tensor import optim
 from repro.trace.trace import Trace
 
 __all__ = ["InferenceCompilation", "TrainingHistory"]
@@ -88,41 +87,36 @@ class InferenceCompilation:
         end_learning_rate: float = 1e-5,
         callback: Optional[Callable[[int, float], None]] = None,
         offline_schedule: Optional[str] = None,
-        tokens_per_minibatch: Optional[int] = None,
-        cache_packs: bool = True,
     ) -> TrainingHistory:
-        """Train the proposal network.
+        """Train the proposal network: one rank of the shared
+        :class:`~repro.distributed.trainer.TrainingLoop`, three batch sources.
 
-        Online mode (``dataset is None``): traces are sampled from ``model``
+        Online (``dataset is None``): each minibatch is sampled from ``model``
         on the fly and new address-specific layers are created as they are
         encountered, with their parameters registered into the optimizer.
 
-        Offline mode (``dataset`` given): the network's layers are pre-
-        generated from the dataset and frozen, and minibatches are drawn from
-        the dataset (Algorithm 2's Gˆ(x, y) branch).  With
+        Offline (``dataset`` given): the network's layers are pre-generated
+        from the dataset and frozen (Algorithm 2's Gˆ(x, y) branch).  With
         ``offline_schedule="sorted"`` (the default) the dataset is sorted by
         trace type once and chunked into token-budgeted minibatches
         (:class:`repro.data.packing.PackedEpochPlan`): each epoch visits
         every minibatch in a freshly shuffled order, sub-minibatches stay
         large (Section 4.4.3), and the packed array inputs built for a
-        minibatch are cached across epochs (``cache_packs=False`` rebuilds
-        them per visit, trading the reuse for constant memory on datasets
-        whose packed form would not fit).  ``tokens_per_minibatch``
-        overrides the plan's token budget (default: ``minibatch_size`` times
-        the mean trace length, Section 7.2's dynamic batching).
-        ``offline_schedule="random"`` retains the legacy per-iteration
-        uniform draw over the raw dataset as the benchmark reference.
+        minibatch are cached across epochs.  ``offline_schedule="random"``
+        retains the per-iteration uniform draw over the raw dataset as the
+        benchmark's schedule reference.
         """
+        # Imported lazily: the trainer module builds on this package.
+        from repro.data.packing import PackedEpochPlan, pack_minibatch
+        from repro.distributed.trainer import TrainingLoop
+
         if dataset is None and model is None:
             raise ValueError("either a model (online) or a dataset (offline) is required")
         offline = dataset is not None
-        # Validate the schedule knobs — names AND values — before any side
-        # effect: pregenerating layers freezes the network irreversibly, so a
-        # bad argument must not leave the engine half-configured.
+        # Validate before any side effect: the offline loop freezes the network
+        # irreversibly, so a bad argument must not leave it half-configured.
         if minibatch_size < 1:
             raise ValueError("minibatch_size must be >= 1")
-        if tokens_per_minibatch is not None and tokens_per_minibatch <= 0:
-            raise ValueError("tokens_per_minibatch must be positive")
         if offline:
             offline_schedule = offline_schedule or "sorted"
             if offline_schedule not in ("sorted", "random"):
@@ -131,82 +125,43 @@ class InferenceCompilation:
                 )
         elif offline_schedule is not None:
             raise ValueError("offline_schedule only applies to offline training")
-        if tokens_per_minibatch is not None and (not offline or offline_schedule != "sorted"):
-            raise ValueError(
-                "tokens_per_minibatch only applies to the offline 'sorted' schedule"
-            )
-        if not cache_packs and (not offline or offline_schedule != "sorted"):
-            raise ValueError("cache_packs only applies to the offline 'sorted' schedule")
-        if offline:
-            from repro.ppl.nn.preprocessing import pregenerate_layers
-
-            pregenerate_layers(self.network, dataset, freeze=True)
-
-        opt = self._make_optimizer(optimizer, learning_rate, larc)
+        traces = list(dataset) if offline else None
         num_iterations = max(1, num_traces // minibatch_size)
-        scheduler = None
-        if lr_schedule == "poly2":
-            scheduler = optim.PolynomialDecayLR(opt, total_steps=num_iterations, end_lr=end_learning_rate, power=2.0)
-        elif lr_schedule == "poly1":
-            scheduler = optim.PolynomialDecayLR(opt, total_steps=num_iterations, end_lr=end_learning_rate, power=1.0)
+        loop = TrainingLoop(
+            self.network, traces, optimizer, learning_rate, larc, lr_schedule, end_learning_rate,
+            total_steps=num_iterations,
+        )
+        observe_key = self.network.observe_key
 
-        dataset_list = list(dataset) if offline else None
-        plan = None
-        if offline and offline_schedule == "sorted":
-            from repro.data.packing import PackedEpochPlan
+        if not offline:
 
-            plan = PackedEpochPlan(
-                dataset_list,
-                minibatch_size,
-                observe_key=self.network.observe_key,
-                tokens_per_batch=tokens_per_minibatch,
-                cache_packs=cache_packs,
-            )
-        for iteration in range(num_iterations):
-            if plan is not None:
-                batch_id = plan.next_batch_id(self.rng)
-                minibatch = plan.minibatch(batch_id)
-                if self.network.vectorized_loss:
-                    loss = self.network.loss_packed(plan.packs(batch_id))
-                else:
-                    # The reference loss re-derives everything per object:
-                    # building (and caching) packs it would never read is
-                    # pure waste, so score the traces directly.  Group order
-                    # is identical either way — histories do not change.
-                    loss = self.network.loss(minibatch)
-            elif offline:
-                indices = self.rng.generator.choice(len(dataset_list), size=min(minibatch_size, len(dataset_list)), replace=False)
-                minibatch = [dataset_list[i] for i in indices]
-                loss = self.network.loss(minibatch)
-            else:
+            def source(rank):
                 minibatch = model.prior_traces(minibatch_size, rng=self.rng)
                 new_params = self.network.polymorph(minibatch)
                 if new_params:
-                    opt.add_param_group([p for _, p in new_params], [n for n, _ in new_params])
-                loss = self.network.loss(minibatch)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            if scheduler is not None:
-                scheduler.step()
-            self._total_traces += len(minibatch)
-            self.history.append(loss.item(), self._total_traces, self.network.num_parameters(), opt.lr)
-            if callback is not None:
-                callback(iteration, loss.item())
-        # The parameters changed in place: tell anyone caching results keyed
-        # to this network (e.g. a PosteriorService's posterior cache).
-        self.network.notify_updated()
-        return self.history
+                    loop.optimizer.add_param_group([p for _, p in new_params], [n for n, _ in new_params])
+                return pack_minibatch(minibatch, observe_key)
 
-    def _make_optimizer(self, name: str, learning_rate: float, larc: bool):
-        params = list(self.network.named_parameters())
-        if name == "adam":
-            base = optim.Adam(params, lr=learning_rate)
-        elif name == "sgd":
-            base = optim.SGD(params, lr=learning_rate)
+        elif offline_schedule == "sorted":
+            plan = PackedEpochPlan(traces, minibatch_size, observe_key=observe_key)
+
+            def source(rank):
+                return plan.packs(plan.next_batch_id(self.rng))
+
         else:
-            raise ValueError(f"unknown optimizer {name!r}")
-        return optim.LARC(base) if larc else base
+
+            def source(rank):
+                indices = self.rng.generator.choice(
+                    len(traces), size=min(minibatch_size, len(traces)), replace=False
+                )
+                return pack_minibatch([traces[i] for i in indices], observe_key)
+
+        def record(loss, rank_packs, *_timings):
+            self._total_traces += sum(pack.batch_size for pack in rank_packs[0])
+            self.history.append(loss, self._total_traces, self.network.num_parameters(), loop.optimizer.lr)
+
+        loop.run(source, num_iterations, record, callback)
+        return self.history
 
     # ---------------------------------------------------------------- posterior
     def posterior(

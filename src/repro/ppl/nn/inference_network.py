@@ -36,7 +36,6 @@ the same inputs at inference time.
 from __future__ import annotations
 
 import pickle
-from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -216,32 +215,14 @@ class InferenceNetwork(Module):
 
         The minibatch is partitioned into sub-minibatches of identical trace
         type so that each sub-minibatch can be pushed through the LSTM in one
-        batched forward execution.  With :attr:`vectorized_loss` (the
-        default) each group is packed into array form first
-        (:func:`repro.data.packing.pack_sub_minibatch`) and scored through
-        the per-step vectorised path; offline training avoids even the
-        packing cost by feeding cached packs to :meth:`loss_packed`.
+        batched forward execution: this is :meth:`loss_packed` over
+        :func:`repro.data.packing.pack_minibatch` of the traces.  Callers
+        that revisit a minibatch (offline epochs) keep the packs and call
+        :meth:`loss_packed` directly.
         """
-        if len(traces) == 0:
-            raise ValueError("loss needs at least one trace")
-        groups: Dict[str, List[Trace]] = defaultdict(list)
-        for trace in traces:
-            groups[trace.trace_type].append(trace)
-        self._last_sub_minibatches = 0
-        if self.vectorized_loss:
-            from repro.data.packing import pack_sub_minibatch
+        from repro.data.packing import pack_minibatch
 
-            group_losses = [
-                self._sub_minibatch_loss_packed(pack_sub_minibatch(group, self.observe_key))
-                for group in groups.values()
-            ]
-        else:
-            group_losses = [self._sub_minibatch_loss(group) for group in groups.values()]
-        total: Optional[Tensor] = None
-        for group_loss in group_losses:
-            total = group_loss if total is None else total + group_loss
-        assert total is not None
-        return total * (1.0 / len(traces))
+        return self.loss_packed(pack_minibatch(traces, self.observe_key))
 
     def loss_packed(self, packs: Sequence["PackedSubMinibatch"]) -> Tensor:
         """The minibatch loss over pre-built packs (one per trace-type group).

@@ -244,21 +244,72 @@ class TestDistributedTrainer:
         with pytest.raises(RuntimeError):
             trainer.validate()
 
-    def test_multi_rank_matches_single_rank_when_data_identical(self, tau_model, rng):
-        """Averaging gradients over ranks = one big minibatch (synchronous SGD algebra)."""
+    @pytest.mark.parametrize("strategy", ["dense", "fused_sparse"])
+    def test_two_ranks_of_four_equal_one_rank_of_eight(self, tau_model, rng, strategy):
+        """Synchronous SGD algebra: averaging the gradients of 2 ranks x 4
+        traces is the gradient of 1 rank x the same 8 traces."""
         from repro.data import InMemoryTraceDataset
 
-        traces = tau_model.prior_traces(16, rng=rng)
-        # Duplicate the same 8 traces so both ranks see identical data.
-        dataset = InMemoryTraceDataset(traces[:8] + traces[:8])
-        trainer_two, network_two = build_trainer(dataset, num_ranks=2, sort_dataset=False, validation_fraction=0.0, seed=1)
-        dataset_one = InMemoryTraceDataset(traces[:8] + traces[:8])
-        trainer_one, network_one = build_trainer(dataset_one, num_ranks=1, sort_dataset=False, validation_fraction=0.0, seed=1)
-        network_one.load_state_dict(network_two.state_dict())
+        dataset = InMemoryTraceDataset(tau_model.prior_traces(8, rng=rng))
+        trainer_two, network_two = build_trainer(
+            dataset, num_ranks=2, validation_fraction=0.0, allreduce_strategy=strategy
+        )
+        network_one = InferenceNetwork(config=network_two.config, observe_key="detector")
+        trainer_one = DistributedTrainer(
+            network_one, dataset, num_ranks=1, local_minibatch_size=8, learning_rate=2e-3,
+            validation_fraction=0.0,
+        )
+        initial = network_two.state_dict()
+        network_one.load_state_dict(initial)
         report_two = trainer_two.train(1)
         report_one = trainer_one.train(1)
-        # Same data + same initial weights => same loss magnitude scale.
-        assert report_two.train_losses[0] == pytest.approx(report_one.train_losses[0], rel=0.3)
+        assert report_two.train_losses[0] == pytest.approx(report_one.train_losses[0], rel=1e-12)
+        state_two, state_one = network_two.state_dict(), network_one.state_dict()
+        assert any(not np.array_equal(state_one[name], initial[name]) for name in initial)
+        for name in initial:
+            assert np.allclose(state_two[name], state_one[name], rtol=1e-9, atol=1e-12), name
+
+    def test_second_train_call_continues_the_schedule(self, tau_model, rng, monkeypatch):
+        """train(3); train(3) reads what one train(6) reads — across an epoch
+        rollover — instead of replaying the first call's shuffles."""
+        dataset = generate_dataset(tau_model, 20, rng=rng)
+        reads = []
+        read_batch = dataset.get_batch
+
+        def recording_get_batch(indices):
+            reads.append(list(indices))
+            return read_batch(indices)
+
+        monkeypatch.setattr(dataset, "get_batch", recording_get_batch)
+        split, _ = build_trainer(dataset, validation_fraction=0.0, seed=3)
+        split.train(3)
+        split.train(3)
+        split_reads, reads[:] = list(reads), []
+        whole, _ = build_trainer(dataset, validation_fraction=0.0, seed=3)
+        whole.train(6)
+        assert split_reads == reads
+        assert len(split.report.train_losses) == 6
+        assert split_reads[:6] != split_reads[6:]  # 5 chunks: the epoch rolled over
+
+    @pytest.mark.parametrize("callback_raises", [False, True])
+    def test_training_notifies_update_listeners(self, tiny_tau_dataset, callback_raises):
+        """A served network retrained here must drop its cached posteriors
+        and plans, also when the callback ends the run by raising."""
+        trainer, network = build_trainer(tiny_tau_dataset)
+        notifications = []
+        network.add_update_listener(lambda: notifications.append(network.version))
+
+        def stop_after_two(iteration, loss):
+            if callback_raises and iteration == 1:
+                raise KeyboardInterrupt
+
+        if callback_raises:
+            with pytest.raises(KeyboardInterrupt):
+                trainer.train(5, callback=stop_after_two)
+            assert len(trainer.report.train_losses) == len(trainer.phase_timer.records) == 2
+        else:
+            trainer.train(2, callback=stop_after_two)
+        assert notifications == [1]
 
     def test_allreduce_strategies_give_same_training(self, tiny_tau_dataset):
         losses = {}

@@ -70,10 +70,34 @@ class TestTraining:
         with pytest.raises(ValueError):
             engine.train()
 
-    def test_unknown_optimizer_rejected(self, ic_setup):
+    @pytest.mark.parametrize("bad", [{"optimizer": "bogus"}, {"lr_schedule": "bogus"}])
+    def test_unknown_optimizer_or_schedule_rejected(self, ic_setup, rng, bad):
         model, engine = ic_setup
         with pytest.raises(ValueError):
-            engine.train(model, num_traces=20, minibatch_size=10, optimizer="bogus")
+            engine.train(model, num_traces=20, minibatch_size=10, **bad)
+        # Offline, the rejection must come before the irreversible freeze.
+        with pytest.raises(ValueError):
+            engine.train(dataset=model.prior_traces(20, rng=rng), num_traces=20, minibatch_size=10, **bad)
+        assert not engine.network._frozen
+        assert engine.history.losses == []
+
+    @pytest.mark.parametrize("callback_raises", [False, True])
+    def test_training_notifies_update_listeners(self, ic_setup, callback_raises):
+        model, engine = ic_setup
+        notifications = []
+        engine.network.add_update_listener(lambda: notifications.append(engine.network.version))
+
+        def stop_after_two(iteration, loss):
+            if callback_raises and iteration == 1:
+                raise KeyboardInterrupt
+
+        if callback_raises:
+            with pytest.raises(KeyboardInterrupt):
+                engine.train(model, num_traces=100, minibatch_size=20, callback=stop_after_two)
+        else:
+            engine.train(model, num_traces=40, minibatch_size=20, callback=stop_after_two)
+        assert len(engine.history.losses) == 2
+        assert notifications == [1]
 
     def test_callback_invoked(self, ic_setup):
         model, engine = ic_setup

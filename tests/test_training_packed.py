@@ -17,16 +17,19 @@ import pytest
 from repro import ppl
 from repro.common.config import Config
 from repro.common.rng import RandomState
+from repro.data import InMemoryTraceDataset
 from repro.data.packing import (
     PackedEpochPlan,
     pack_minibatch,
     pack_sub_minibatch,
 )
+from repro.distributed import DistributedTrainer, average_gradients
 from repro.distributions import Categorical, Normal, Uniform
 from repro.ppl import FunctionModel, observe, sample
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 from repro.ppl.nn.inference_network import InferenceNetwork
+from repro.tensor import optim
 
 
 def build_network(config, input_dim=4, vectorized_loss=True, seed=0):
@@ -277,28 +280,6 @@ class TestEpochPlan:
         first = plan.packs(0)
         assert plan.packs(0) is first
 
-    def test_cache_packs_false_rebuilds_per_visit(self, rng):
-        """The constant-memory opt-out: nothing retained between visits."""
-        model = FunctionModel(variable_program, name="variable")
-        traces = model.prior_traces(20, rng=rng)
-        plan = PackedEpochPlan(traces, minibatch_size=5, observe_key="obs", cache_packs=False)
-        first = plan.packs(0)
-        assert plan.packs(0) is not first
-        assert plan._packs == {}
-        network = build_network(
-            Config(
-                observation_shape=(4, 5, 5),
-                lstm_hidden=16,
-                lstm_stacks=1,
-                proposal_mixture_components=2,
-                observation_embedding_dim=8,
-                address_embedding_dim=4,
-                sample_embedding_dim=3,
-            )
-        )
-        network.polymorph(traces)
-        assert network.loss_packed(first).item() == network.loss_packed(plan.packs(0)).item()
-
     def test_token_budget_bounds_long_trace_batches(self):
         """Dynamic token batching: long traces get smaller minibatches."""
         model = FunctionModel(variable_program, name="variable")
@@ -331,28 +312,146 @@ class TestEpochPlan:
                 minibatch_size=4,
                 offline_schedule="bogus",
             )
-        # tokens_per_minibatch only shapes the sorted offline plan; silently
-        # ignoring it elsewhere would skew schedule comparisons.
+        # A bad VALUE must also fail before the irreversible freeze.
         with pytest.raises(ValueError):
-            engine.train(
-                dataset=mixed_model.prior_traces(8, rng=rng),
-                num_traces=8,
-                minibatch_size=4,
-                offline_schedule="random",
-                tokens_per_minibatch=64,
+            engine.train(dataset=mixed_model.prior_traces(8, rng=rng), num_traces=8, minibatch_size=0)
+        assert not engine.network._frozen
+
+
+def build_engine(config, vectorized_loss=True):
+    engine = InferenceCompilation(
+        config=config,
+        observation_embedding=ObservationEmbeddingFC(
+            input_dim=4, embedding_dim=config.observation_embedding_dim, rng=RandomState(1)
+        ),
+        observe_key="obs",
+        rng=RandomState(5),
+    )
+    engine.network.vectorized_loss = vectorized_loss
+    return engine
+
+
+@pytest.mark.parametrize("vectorized_loss", [True, False])
+class TestOneTrainingLoop:
+    """Every trainer is a batch source feeding the one ``TrainingLoop`` step:
+    its seeded loss curve equals a hand-rolled ``zero_grad -> loss(traces) ->
+    backward -> step`` loop over the same minibatches, bit for bit."""
+
+    ITERATIONS = 7
+    MINIBATCH = 6
+
+    @staticmethod
+    def reference_losses(network, optimizer, minibatches):
+        losses = []
+        for traces in minibatches:
+            new_parameters = network.polymorph(traces)  # online growth; frozen: none
+            optimizer.add_param_group([p for _, p in new_parameters], [n for n, _ in new_parameters])
+            network.zero_grad()
+            loss = network.loss(traces)
+            loss.backward()
+            optimizer.step()
+            losses.append(loss.item())
+        return losses
+
+    def test_loss_reaches_loss_packed(self, small_config, mixed_model, rng, vectorized_loss, monkeypatch):
+        network = build_network(small_config, vectorized_loss=vectorized_loss)
+        traces = mixed_model.prior_traces(5, rng=rng)
+        network.polymorph(traces)
+        calls = []
+        loss_packed = network.loss_packed
+
+        def spy(packs):
+            calls.append(packs)
+            return loss_packed(packs)
+
+        monkeypatch.setattr(network, "loss_packed", spy)
+        value = network.loss(traces).item()
+        assert len(calls) == 1 and [p.traces for p in calls[0]] == [p.traces for p in pack_minibatch(traces, "obs")]
+        assert value == loss_packed(pack_minibatch(traces, "obs")).item()
+
+    def test_online_history(self, small_config, vectorized_loss):
+        model = FunctionModel(variable_program, name="variable")
+        engine = build_engine(small_config, vectorized_loss)
+        history = engine.train(
+            model, num_traces=self.ITERATIONS * self.MINIBATCH, minibatch_size=self.MINIBATCH
+        )
+        reference = build_engine(small_config, vectorized_loss)
+        minibatches = (
+            model.prior_traces(self.MINIBATCH, rng=reference.rng) for _ in range(self.ITERATIONS)
+        )
+        optimizer = optim.Adam(list(reference.network.named_parameters()), lr=1e-3)
+        expected = self.reference_losses(reference.network, optimizer, minibatches)
+        assert history.losses == expected
+        assert history.traces_seen[-1] == self.ITERATIONS * self.MINIBATCH
+
+    @pytest.mark.parametrize("schedule", ["sorted", "random"])
+    def test_offline_history(self, small_config, vectorized_loss, schedule):
+        model = FunctionModel(variable_program, name="variable")
+        dataset = model.prior_traces(20, rng=RandomState(17))
+        engine = build_engine(small_config, vectorized_loss)
+        history = engine.train(
+            dataset=dataset,
+            num_traces=self.ITERATIONS * self.MINIBATCH,
+            minibatch_size=self.MINIBATCH,
+            offline_schedule=schedule,
+            optimizer="sgd",
+        )
+        reference = build_engine(small_config, vectorized_loss)
+        reference.network.polymorph(dataset)
+        rng = reference.rng
+        if schedule == "sorted":
+            plan = PackedEpochPlan(dataset, self.MINIBATCH, observe_key="obs")
+            assert self.ITERATIONS > plan.num_minibatches  # crosses an epoch reshuffle
+            minibatches = [plan.minibatch(plan.next_batch_id(rng)) for _ in range(self.ITERATIONS)]
+        else:
+            minibatches = [
+                [dataset[i] for i in rng.generator.choice(len(dataset), size=self.MINIBATCH, replace=False)]
+                for _ in range(self.ITERATIONS)
+            ]
+        optimizer = optim.SGD(list(reference.network.named_parameters()), lr=1e-3)
+        assert history.losses == self.reference_losses(reference.network, optimizer, minibatches)
+        assert history.traces_seen[-1] == sum(len(m) for m in minibatches)
+
+    def test_two_rank_history(self, small_config, vectorized_loss, monkeypatch):
+        model = FunctionModel(variable_program, name="variable")
+        dataset = InMemoryTraceDataset(model.prior_traces(40, rng=RandomState(17)))
+        reads = []
+        read_batch = dataset.get_batch
+
+        def recording_get_batch(indices):
+            reads.append(read_batch(indices))
+            return reads[-1]
+
+        monkeypatch.setattr(dataset, "get_batch", recording_get_batch)
+        network = build_network(small_config, vectorized_loss=vectorized_loss)
+        trainer = DistributedTrainer(
+            network, dataset, num_ranks=2, local_minibatch_size=4, validation_fraction=0.0, seed=2
+        )
+        reference = build_network(small_config, vectorized_loss=vectorized_loss)
+        reference.polymorph(dataset)
+        reference.load_state_dict(network.state_dict())
+        report = trainer.train(self.ITERATIONS)
+
+        named = list(reference.named_parameters())
+        optimizer = optim.Adam(named, lr=1e-3)
+        expected = []
+        for rank_traces in zip(reads[0::2], reads[1::2]):
+            gradients, losses = [], []
+            for traces in rank_traces:
+                reference.zero_grad()
+                loss = reference.loss(traces)
+                loss.backward()
+                gradients.append({n: p.grad.copy() for n, p in named if p.grad is not None})
+                losses.append(loss.item())
+            averaged = average_gradients(
+                gradients, [n for n, _ in named], {n: p.data.shape for n, p in named}
             )
-        with pytest.raises(ValueError):
-            engine.train(
-                model=mixed_model, num_traces=8, minibatch_size=4, tokens_per_minibatch=64
-            )
-        with pytest.raises(ValueError):
-            engine.train(model=mixed_model, num_traces=8, minibatch_size=4, cache_packs=False)
-        # Bad knob VALUES must also fail before the irreversible freeze.
-        dataset = mixed_model.prior_traces(8, rng=rng)
-        for kwargs in ({"tokens_per_minibatch": 0}, {"minibatch_size": 0}):
-            with pytest.raises(ValueError):
-                engine.train(dataset=dataset, num_traces=8, **{"minibatch_size": 4, **kwargs})
-            assert not engine.network._frozen
+            for name, parameter in named:
+                parameter.grad = averaged.get(name)
+            optimizer.step()
+            expected.append(float(np.mean(losses)))
+        assert len(reads) == 2 * self.ITERATIONS
+        assert report.train_losses == expected
 
 
 class TestBookkeepingFixes:
