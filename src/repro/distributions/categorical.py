@@ -65,4 +65,4 @@ class Categorical(Distribution):
         return float(np.dot((values - mean) ** 2, self.probs))
 
     def to_dict(self):
-        return {"type": "Categorical", "probs": self.probs.tolist()}
+        return {"type": "Categorical", "probs": self.probs}

@@ -42,6 +42,34 @@ def distribution_from_dict(payload: Dict[str, Any]) -> "Distribution":
     return _REGISTRY[name].from_params(**params)
 
 
+def _payloads_equal(a: Any, b: Any) -> bool:
+    """Equality of two ``to_dict`` payload values (arrays, lists, nested dicts, scalars)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_payloads_equal(a[key], b[key]) for key in a)
+    sequences = (list, tuple, np.ndarray)
+    if isinstance(a, sequences) or isinstance(b, sequences):
+        try:
+            arr_a = np.asarray(a, dtype=float)
+            arr_b = np.asarray(b, dtype=float)
+        except (ValueError, TypeError):
+            # Non-numeric payload (e.g. Mixture's list of component dicts,
+            # themselves holding arrays): compare member by member.
+            return (
+                isinstance(a, sequences)
+                and isinstance(b, sequences)
+                and len(a) == len(b)
+                and all(_payloads_equal(x, y) for x, y in zip(a, b))
+            )
+        # Non-broadcastable parameter shapes (e.g. a scalar-loc Normal vs a
+        # grid-likelihood Normal over a differently shaped grid) mean "not
+        # equal", not "crash": np.allclose raises on them.
+        try:
+            return bool(np.allclose(arr_a, arr_b))
+        except ValueError:
+            return False
+    return bool(a == b)
+
+
 class Distribution:
     """Abstract base class for numpy-backed distributions."""
 
@@ -100,33 +128,7 @@ class Distribution:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
-        a, b = self.to_dict(), other.to_dict()
-        if a.keys() != b.keys():
-            return False
-        for key in a:
-            va, vb = a[key], b[key]
-            if isinstance(va, (list, tuple, np.ndarray)) or isinstance(vb, (list, tuple, np.ndarray)):
-                # Non-broadcastable parameter shapes (e.g. a scalar-loc Normal
-                # vs a grid-likelihood Normal over a differently shaped grid)
-                # mean "not equal", not "crash": np.allclose raises on them.
-                # Non-numeric payloads (e.g. Mixture's list of component
-                # dicts) cannot be compared numerically at all — fall back to
-                # structural equality for those.
-                try:
-                    arr_a = np.asarray(va, dtype=float)
-                    arr_b = np.asarray(vb, dtype=float)
-                except (ValueError, TypeError):
-                    equal = va == vb  # non-numeric payload: structural equality
-                else:
-                    try:
-                        equal = bool(np.allclose(arr_a, arr_b))
-                    except ValueError:
-                        equal = False  # numeric but non-broadcastable shapes
-                if not equal:
-                    return False
-            elif va != vb:
-                return False
-        return True
+        return _payloads_equal(self.to_dict(), other.to_dict())
 
     def __hash__(self) -> int:  # allow use in sets keyed by repr
         return hash(repr(self))

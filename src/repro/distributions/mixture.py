@@ -145,7 +145,7 @@ class Mixture(Distribution):
     def to_dict(self):
         return {
             "type": "Mixture",
-            "weights": self.weights.tolist(),
+            "weights": self.weights,
             "components": [c.to_dict() for c in self.components],
         }
 

@@ -139,4 +139,4 @@ class MultivariateNormal(Distribution):
         return np.diag(self.cov)
 
     def to_dict(self):
-        return {"type": "MultivariateNormal", "loc": self.loc.tolist(), "cov": self.cov.tolist()}
+        return {"type": "MultivariateNormal", "loc": self.loc, "cov": self.cov}

@@ -56,7 +56,7 @@ class Normal(Distribution):
 
     def to_dict(self):
         # loc/scale may be scalars (latent priors) or arrays (e.g. the detector
-        # likelihood over a whole voxel grid); both must serialise.
-        loc = self.loc.tolist() if np.ndim(self.loc) else float(self.loc)
-        scale = self.scale.tolist() if np.ndim(self.scale) else float(self.scale)
+        # likelihood over a whole voxel grid, which PPX ships as one buffer).
+        loc = self.loc if self.loc.ndim else float(self.loc)
+        scale = self.scale if self.scale.ndim else float(self.scale)
         return {"type": "Normal", "loc": loc, "scale": scale}

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from repro.common.rng import get_rng
 from repro.distributions import Distribution
 from repro.ppx.addresses import AddressBuilder
@@ -101,10 +99,7 @@ class SimulatorClient:
         reply = self.transport.receive()
         if not isinstance(reply, SampleResult):
             raise RuntimeError(f"expected SampleResult, got {type(reply).__name__}")
-        value = reply.value
-        if isinstance(value, list):
-            value = np.asarray(value)
-        return value
+        return reply.value
 
     def observe(
         self,
@@ -112,12 +107,13 @@ class SimulatorClient:
         value=None,
         name: Optional[str] = None,
         address: Optional[str] = None,
-    ) -> None:
+    ):
         """Report a conditioning statement (likelihood term) to the PPL.
 
         The protocol carries a value with every observe, so when the program
         supplies none the observation is simulated here, on the simulator
-        side, from this process's stream.
+        side, from this process's stream.  Returns the reported value, as
+        :class:`repro.simulators.handle.LocalHandle` returns the scored one.
         """
         resolved = address or self.address_builder.build(skip_frames=2)
         if value is None:
@@ -132,6 +128,7 @@ class SimulatorClient:
         reply = self.transport.receive()
         if not isinstance(reply, ObserveResult):
             raise RuntimeError(f"expected ObserveResult, got {type(reply).__name__}")
+        return value
 
     # ----------------------------------------------------------------- serving
     def handshake(self) -> None:
@@ -176,17 +173,14 @@ class SimulatorClient:
         """Receive and answer a single PPX message."""
         message = self.transport.receive()
         if isinstance(message, Run):
-            observation = message.observation
-            if isinstance(observation, list):
-                observation = np.asarray(observation)
             try:
-                result = self.simulator(self, observation)
+                result = self.simulator(self, message.observation)
             except ConnectionError:
                 raise  # a dropped socket mid-trace is a transport event, not a model error
             except Exception as exc:  # report simulator failures to the PPL
                 self.transport.send(RunResult(result=None, success=False, error=str(exc)))
             else:
-                self.transport.send(RunResult(result=_to_wire(result), success=True))
+                self.transport.send(RunResult(result=result, success=True))
         elif isinstance(message, Reset):
             self.address_builder.clear_cache()
         elif isinstance(message, ShutdownRequest):
@@ -197,13 +191,3 @@ class SimulatorClient:
 
     def stop(self) -> None:
         self._running = False
-
-
-def _to_wire(value):
-    if isinstance(value, np.ndarray):
-        return value
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value

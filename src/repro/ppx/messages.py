@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Type
 
-import numpy as np
-
 __all__ = [
     "Message",
     "Handshake",
@@ -46,10 +44,10 @@ def _register(cls: Type["Message"]) -> Type["Message"]:
 
 
 def message_from_dict(payload: Dict[str, Any]) -> "Message":
-    kind = payload.get("kind")
+    body = dict(payload)
+    kind = body.pop("kind", None)
     if kind not in _MESSAGE_TYPES:
         raise KeyError(f"unknown PPX message kind {kind!r}")
-    body = {k: v for k, v in payload.items() if k != "kind"}
     return _MESSAGE_TYPES[kind](**body)
 
 
@@ -58,12 +56,8 @@ class Message:
     """Base class for PPX messages."""
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"kind": type(self).__name__}
-        for key, value in self.__dict__.items():
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            out[key] = value
-        return out
+        """``kind`` + the fields as they are: numpy arrays stay arrays on the wire."""
+        return {"kind": type(self).__name__, **self.__dict__}
 
 
 @_register

@@ -98,7 +98,7 @@ class SimulatorController:
         if not self._handshaken:
             self.accept_handshake(timeout=timeout)
         trace = Trace()
-        self.transport.send(Run(observation=_to_wire(observation)))
+        self.transport.send(Run(observation=observation))
         while True:
             message = self._receive(timeout, "the next message of its Run")
             if isinstance(message, SampleRequest):
@@ -116,13 +116,10 @@ class SimulatorController:
                         name=message.name,
                     )
                 )
-                self.transport.send(SampleResult(value=_to_wire(value)))
+                self.transport.send(SampleResult(value=value))
             elif isinstance(message, ObserveRequest):
                 distribution = distribution_from_dict(message.distribution)
-                reported = message.value
-                if isinstance(reported, list):
-                    reported = np.asarray(reported)
-                scored_value = observe_override if observe_override is not None else reported
+                scored_value = observe_override if observe_override is not None else message.value
                 log_prob = float(np.sum(distribution.log_prob(scored_value)))
                 trace.add_sample(
                     Sample(
@@ -139,10 +136,7 @@ class SimulatorController:
             elif isinstance(message, RunResult):
                 if not message.success:
                     raise RuntimeError(f"simulator failed: {message.error}")
-                result = message.result
-                if isinstance(result, list):
-                    result = np.asarray(result)
-                trace.freeze(result=result, observation=observation)
+                trace.freeze(result=message.result, observation=observation)
                 return trace
             else:
                 raise RuntimeError(f"unexpected PPX message {type(message).__name__}")
@@ -160,13 +154,3 @@ class SimulatorController:
                 raise RuntimeError("unexpected reply to shutdown")
         finally:
             self.transport.close()
-
-
-def _to_wire(value):
-    if isinstance(value, np.ndarray):
-        return value
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value

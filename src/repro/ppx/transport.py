@@ -12,8 +12,10 @@ deployment shapes without ZeroMQ:
   domain socket, used when the simulator runs in a *separate process* (the
   Sherpa-like deployment, exercised by ``examples/remote_simulator_ppx.py``).
 
-All transports speak the same framing: a 4-byte big-endian length followed by
-the encoded message body.
+On a socket one frame is a 4-byte big-endian body length followed by the
+encoded message body (:mod:`repro.ppx.serialization`), written with one
+``sendall`` and normally read with one ``recv_into``; the queue pair carries
+one encoded body per queue item.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ import time
 from typing import Optional, Tuple
 
 from repro.ppx.messages import Message
-from repro.ppx.serialization import decode_message, encode_message
+from repro.ppx.serialization import decode_message, encode_message, encode_message_into
 from repro.testing import faults
+
+_HEADER = struct.Struct("!I")  # frame = body length + body
 
 __all__ = ["Transport", "QueueTransport", "SocketTransport", "make_queue_pair", "connect_tcp", "listen_tcp"]
 
@@ -74,52 +78,83 @@ def make_queue_pair() -> Tuple[QueueTransport, QueueTransport]:
 
 
 class SocketTransport(Transport):
-    """Length-prefix framed transport over a connected stream socket."""
+    """Length-prefix framed transport over a connected stream socket.
+
+    Incoming bytes land in one reusable buffer through ``recv_into`` and are
+    decoded in place, so a message that arrives whole costs one system call;
+    a message split across segments, or several in one segment, are both
+    handled by the ``[_start, _end)`` window of bytes received but not yet
+    consumed.
+    """
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
+        self._timeout = sock.gettimeout()
+        self._buffer = bytearray(1 << 16)
+        self._start = 0
+        self._end = 0
         self.bytes_sent = 0
         self.bytes_received = 0
 
     def send(self, message: Message) -> None:
-        data = encode_message(message)
+        frame = bytearray(_HEADER.size)
+        encode_message_into(frame, message)
+        size = len(frame) - _HEADER.size
+        _HEADER.pack_into(frame, 0, size)
         # Chaos hooks: `disconnect` closes the socket mid-stream (the peer
         # sees EOF), `garbage` ships a correctly-framed body of zeros (the
         # peer's decode fails).  Free when no fault plan is installed.
-        action = faults.perform("transport.send", size=len(data))
+        action = faults.perform("transport.send", size=size)
         if action is not None:
             if action.kind == "disconnect":
                 self.close()
                 raise ConnectionError("PPX socket closed (injected disconnect)")
             if action.kind == "garbage":
-                data = b"\x00" * len(data)
-        frame = struct.pack("!I", len(data)) + data
+                frame[_HEADER.size :] = bytes(size)
         self._sock.sendall(frame)
         self.bytes_sent += len(frame)
 
-    def _recv_exact(self, count: int) -> bytes:
-        chunks = []
-        remaining = count
-        while remaining > 0:
-            chunk = self._sock.recv(remaining)
-            if not chunk:
+    def _fill(self, count: int) -> None:
+        """Block until ``count`` unconsumed bytes sit contiguously at ``_start``."""
+        if self._end - self._start >= count:
+            return
+        if self._start + count > len(self._buffer):
+            # Slide the unconsumed bytes to the front (of a larger buffer, for a
+            # frame bigger than any before it) to make room for the rest.
+            pending = self._buffer[self._start : self._end]
+            if count > len(self._buffer):
+                self._buffer = bytearray(max(count, 2 * len(self._buffer)))
+            self._buffer[: len(pending)] = pending
+            self._start, self._end = 0, len(pending)
+        view = memoryview(self._buffer)
+        while self._end - self._start < count:
+            received = self._sock.recv_into(view[self._end :])
+            if not received:
                 raise ConnectionError("PPX socket closed by peer")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            self._end += received
 
     def receive(self, timeout: Optional[float] = None) -> Message:
         action = faults.perform("transport.receive")
         if action is not None and action.kind == "disconnect":
             self.close()
             raise ConnectionError("PPX socket closed (injected disconnect)")
-        if timeout is not None:
+        if timeout != self._timeout:
+            # ``None`` means block: a deadline set for one call must not
+            # outlive it, and an unchanged one costs no system call.
             self._sock.settimeout(timeout)
-        header = self._recv_exact(4)
-        (length,) = struct.unpack("!I", header)
-        body = self._recv_exact(length)
-        self.bytes_received += 4 + length
-        return decode_message(body)
+            self._timeout = timeout
+        self._fill(_HEADER.size)
+        (size,) = _HEADER.unpack_from(self._buffer, self._start)
+        frame_size = _HEADER.size + size
+        self._fill(frame_size)
+        body_start = self._start + _HEADER.size
+        # The frame is consumed before decoding so that a body that fails to
+        # decode is dropped, not read again by the next call.
+        self._start += frame_size
+        if self._start == self._end:
+            self._start = self._end = 0
+        self.bytes_received += frame_size
+        return decode_message(memoryview(self._buffer)[body_start : body_start + size])
 
     def close(self) -> None:
         try:

@@ -464,6 +464,63 @@ class TestRegistry:
         assert mix_a != Mixture([Normal(0.0, 1.0), Normal(1.0, 2.0)], [0.9, 0.1])
         check_roundtrip(mix_a)
 
+    def test_array_parameters_serialise_as_arrays(self):
+        # PPX ships an ndarray as dtype + shape + buffer; a list would go out
+        # one tagged float at a time.  Scalars stay plain floats.
+        grid = np.arange(12.0).reshape(3, 4)
+        payload = Normal(grid, 0.5).to_dict()
+        assert isinstance(payload["loc"], np.ndarray) and payload["loc"].shape == (3, 4)
+        assert type(payload["scale"]) is float
+        assert isinstance(Categorical([0.2, 0.8]).to_dict()["probs"], np.ndarray)
+        assert isinstance(Mixture([Normal(0, 1)], [1.0]).to_dict()["weights"], np.ndarray)
+        mvn = MultivariateNormal([0.0, 1.0], [1.0, 2.0]).to_dict()
+        assert isinstance(mvn["loc"], np.ndarray) and mvn["cov"].shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            ({"type": "Normal", "loc": [[0.0, 1.0], [2.0, 3.0]], "scale": 0.5}, Normal(np.arange(4.0).reshape(2, 2), 0.5)),
+            ({"type": "Categorical", "probs": [0.25, 0.75]}, Categorical([0.25, 0.75])),
+            (
+                {"type": "MultivariateNormal", "loc": [0.0, 1.0], "cov": [[1.0, 0.0], [0.0, 2.0]]},
+                MultivariateNormal([0.0, 1.0], [1.0, 2.0]),
+            ),
+            (
+                {
+                    "type": "Mixture",
+                    "weights": [0.5, 0.5],
+                    "components": [
+                        {"type": "Categorical", "probs": [0.5, 0.5]},
+                        {"type": "Categorical", "probs": [0.1, 0.9]},
+                    ],
+                },
+                Mixture([Categorical([0.5, 0.5]), Categorical([0.1, 0.9])], [0.5, 0.5]),
+            ),
+        ],
+        ids=lambda value: value["type"] if isinstance(value, dict) else "",
+    )
+    def test_list_payloads_are_still_accepted(self, payload, expected):
+        # Saved ``address_specs`` and older PPX peers spell arrays as lists.
+        rebuilt = distribution_from_dict(payload)
+        assert rebuilt == expected
+        assert hash(rebuilt) == hash(expected)
+        assert repr(rebuilt) == repr(expected)
+        check_roundtrip(rebuilt)
+
+    def test_equality_repr_and_hash_with_array_valued_payloads(self):
+        grid = np.linspace(0.0, 1.0, 8 * 11 * 11).reshape(8, 11, 11)
+        a, b = Normal(grid, 0.1), Normal(grid.copy(), 0.1)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Normal(grid + 1e-3, 0.1)
+        assert repr(a).startswith("Normal(loc=[[[")
+        # Arrays nested inside a list of component dicts: dict == dict would
+        # hit numpy's ambiguous truth value.
+        mix_a = Mixture([Categorical([0.5, 0.5]), Categorical([0.1, 0.9])], [0.3, 0.7])
+        mix_b = Mixture([Categorical([0.5, 0.5]), Categorical([0.1, 0.9])], [0.3, 0.7])
+        assert mix_a == mix_b and hash(mix_a) == hash(mix_b)
+        assert mix_a != Mixture([Categorical([0.5, 0.5]), Categorical([0.2, 0.8])], [0.3, 0.7])
+        assert mix_a != Mixture([Categorical([0.5, 0.5])], [1.0])
+
     def test_prob_is_exp_log_prob(self):
         dist = Normal(0.0, 1.0)
         assert dist.prob(0.0) == pytest.approx(np.exp(dist.log_prob(0.0)))

@@ -584,6 +584,34 @@ class TestTransportRetry:
         server.close()
 
 
+    def test_injected_garbage_and_receive_disconnect_on_a_socketpair(self):
+        """`garbage` ships a framed body the peer cannot decode, and only that
+        one frame is lost; `disconnect` on the receive hook closes the socket."""
+        from repro.ppx.messages import ObserveResult, SampleResult
+        from repro.ppx.transport import SocketTransport
+
+        left, right = socket.socketpair()
+        sender, receiver = SocketTransport(left), SocketTransport(right)
+        plan = FaultPlan([FaultRule(site="transport.send", kind="garbage", at=0)], seed=0)
+        with activate(plan):
+            sender.send(SampleResult(value=np.arange(4.0)))  # corrupted in flight
+            sender.send(ObserveResult())
+        assert plan.fired_counts() == {"transport.send/garbage": 1}
+        with pytest.raises(ValueError, match="unknown PPX type tag"):
+            receiver.receive(timeout=5.0)
+        assert isinstance(receiver.receive(timeout=5.0), ObserveResult)
+        assert receiver.bytes_received == sender.bytes_sent
+
+        plan = FaultPlan([FaultRule(site="transport.receive", kind="disconnect", at=0)], seed=0)
+        with activate(plan):
+            with pytest.raises(ConnectionError, match="injected disconnect"):
+                receiver.receive(timeout=5.0)
+        assert plan.fired_counts() == {"transport.receive/disconnect": 1}
+        with pytest.raises(ConnectionError, match="closed by peer"):
+            sender.receive(timeout=5.0)  # the peer sees EOF
+        sender.close()
+
+
 class TestClientReconnect:
     def _ppl_side(self, server, script):
         """Accept connections and run ``script(transport, generation)`` per accept."""

@@ -5,10 +5,13 @@ import threading
 import numpy as np
 import pytest
 
+from repro.common.rng import RandomState
 from repro.distributions import Normal, Uniform
 from repro.ppl import RemoteModel
 from repro.ppl.state import PriorController
 from repro.ppx import SimulatorClient, SimulatorController, make_queue_pair
+from repro.simulators import TauDecayConfig, TauDecayModel
+from repro.simulators.tau_decay import tau_decay_program
 
 
 def gaussian_simulator(client, observation):
@@ -241,6 +244,70 @@ class TestRemoteModel:
             remote.get_trace(PriorController(), observed_values={"a": 1.0, "b": 2.0})
         remote.shutdown()
         thread.join(timeout=5.0)
+
+
+class TestTauHandleContract:
+    """``tau_decay_program`` must not be able to tell which handle it runs on."""
+
+    def remote_and_local(self, seed):
+        remote_results = []
+
+        def simulator(client, observation):
+            remote_results.append(tau_decay_program(client, TauDecayConfig()))
+            return 0
+
+        ppl_side, sim_side = make_queue_pair()
+        _, thread = run_client_in_thread(simulator, sim_side)
+        remote = RemoteModel(ppl_side, name="remote-tau")
+        try:
+            remote_trace = remote.prior_trace(RandomState(seed))
+        finally:
+            remote.shutdown()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        local_trace = TauDecayModel().prior_trace(RandomState(seed))
+        return remote_trace, remote_results[0], local_trace, local_trace.result
+
+    def test_program_result_has_the_same_keys_dtypes_and_shapes_on_both_handles(self):
+        _, remote_result, _, local_result = self.remote_and_local(seed=11)
+        assert list(remote_result) == list(local_result)
+        for key, local_value in local_result.items():
+            remote_value = remote_result[key]
+            assert type(remote_value) is type(local_value), key
+            if isinstance(local_value, np.ndarray):
+                assert remote_value.dtype == local_value.dtype, key
+                assert remote_value.shape == local_value.shape, key
+        assert remote_result["observed_image"].dtype == np.float64
+        assert np.isfinite(remote_result["observed_image"]).all()
+        # The latents come from the PPL's stream on both paths; only the
+        # readout noise is drawn simulator-side.
+        assert remote_result["expected_image"].tobytes() == local_result["expected_image"].tobytes()
+
+    def test_remote_trace_matches_the_local_one_statement_by_statement(self):
+        remote_trace, remote_result, local_trace, _ = self.remote_and_local(seed=5)
+
+        def program_frames(address):
+            # The deployment-specific frames around the program (thread
+            # bootstrap, Model.forward, LocalHandle) differ by construction.
+            return [
+                part
+                for part in address.split("|")
+                if part.startswith("simulators/tau_decay.py:") and "TauDecayModel" not in part
+            ]
+
+        assert remote_trace.length == local_trace.length
+        for remote_sample, local_sample in zip(remote_trace.samples, local_trace.samples):
+            assert program_frames(remote_sample.address) == program_frames(local_sample.address)
+            assert program_frames(remote_sample.address)
+            assert remote_sample.name == local_sample.name
+            assert remote_sample.value == local_sample.value
+            assert remote_sample.distribution == local_sample.distribution
+        observation = remote_trace.observation["detector"]
+        assert isinstance(observation, np.ndarray)
+        assert observation.dtype == np.float64 and observation.shape == (8, 11, 11)
+        assert observation.tobytes() == remote_result["observed_image"].tobytes()
+        likelihood = remote_trace.observes[0].distribution
+        assert likelihood.loc.tobytes() == remote_result["expected_image"].tobytes()
 
 
 class TestExternalProcess:
