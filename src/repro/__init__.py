@@ -9,7 +9,7 @@ Top-level convenience re-exports.  The subpackages are:
 * :mod:`repro.trace` -- execution traces, addresses, trace types.
 * :mod:`repro.ppl` -- the pyprob-like PPL: models, inference engines, IC network.
 * :mod:`repro.data` -- offline trace datasets, sorting, batching, samplers.
-* :mod:`repro.distributed` -- simulated-MPI communicator, trainer, performance model.
+* :mod:`repro.distributed` -- allreduce, data-parallel trainer, per-rank IS driver, performance model.
 * :mod:`repro.serving` -- async micro-batching posterior inference service.
 * :mod:`repro.simulators` -- mini-Sherpa tau decay, 3D detector, spectroscopy.
 """

@@ -12,7 +12,9 @@ __all__ = [
     "flatten_dict",
     "format_bytes",
     "format_seconds",
+    "partition_traces",
     "prod",
+    "shard_jobs",
     "weighted_quantile",
 ]
 
@@ -23,6 +25,45 @@ def prod(values: Iterable[int]) -> int:
     for v in values:
         out *= int(v)
     return out
+
+
+def partition_traces(num_traces: int, num_ranks: int) -> List[int]:
+    """Split ``num_traces`` across ranks as evenly as possible.
+
+    The first ``num_traces % num_ranks`` ranks receive one extra trace, so
+    per-rank sizes may be unequal — :meth:`Empirical.combine` handles that.
+    """
+    if num_traces <= 0:
+        raise ValueError("num_traces must be positive")
+    if num_ranks < 1:
+        raise ValueError("num_ranks must be >= 1")
+    base, extra = divmod(num_traces, num_ranks)
+    return [base + (1 if rank < extra else 0) for rank in range(num_ranks)]
+
+
+def shard_jobs(jobs: List, num_shards: int, min_shard_size: int = 1) -> List[List]:
+    """Split a flat job list into contiguous, evenly sized shards.
+
+    The rank-partitioning rule of :func:`partition_traces` applied to an
+    explicit work list: the serving layer spreads one flushed micro-batch over
+    idle workers with it (each shard becomes its own lockstep cohort, which is
+    safe because every job carries an independent random stream).
+    ``min_shard_size`` caps the shard count so that tiny batches are not
+    splintered below a useful NN batch size.
+    """
+    if min_shard_size < 1:
+        raise ValueError("min_shard_size must be >= 1")
+    if not jobs:
+        return []
+    num_shards = max(1, min(num_shards, len(jobs) // min_shard_size))
+    sizes = partition_traces(len(jobs), num_shards)
+    shards: List[List] = []
+    start = 0
+    for size in sizes:
+        if size:
+            shards.append(jobs[start : start + size])
+        start += size
+    return shards
 
 
 def ensure_list(value) -> List:

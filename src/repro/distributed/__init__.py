@@ -1,12 +1,7 @@
-"""Distributed training and inference: communicators, allreduce, trainer,
-performance model, and the per-rank batched importance-sampling driver."""
+"""Distributed training and inference: allreduce, trainer, performance model,
+and the per-rank batched importance-sampling driver."""
 
-from repro.distributed.backend import (
-    Communicator,
-    SingleProcessCommunicator,
-    ThreadCommunicator,
-    ThreadGroup,
-)
+from repro.common.utils import partition_traces, shard_jobs
 from repro.distributed.allreduce import (
     CommunicationStats,
     average_gradients,
@@ -28,13 +23,9 @@ from repro.distributed.performance_model import (
 )
 from repro.distributed.trainer import DistributedTrainer, TrainingLoop, TrainingReport
 from repro.distributed.load_balance import SchemeEvaluation, compare_schemes, evaluate_scheme
-from repro.distributed.inference import distributed_importance_sampling, partition_traces, shard_jobs
+from repro.distributed.inference import distributed_importance_sampling
 
 __all__ = [
-    "Communicator",
-    "SingleProcessCommunicator",
-    "ThreadCommunicator",
-    "ThreadGroup",
     "CommunicationStats",
     "average_gradients",
     "dense_allreduce",

@@ -7,22 +7,25 @@ and the per-rank traces are concatenated — importance weights need no
 renormalisation across ranks because they share the same target and proposal
 densities.
 
-The parent derives every rank's stream and every trace's stream, cuts each
+The parent derives every rank's stream and every trace's stream and cuts each
 rank into cohort shards of :class:`~repro.ppl.inference.batched.TraceJob`
-lists, and hands the shards to an executor; each shard runs through
-:func:`repro.ppl.inference.batched.execute_trace_jobs` wherever the executor
-puts it (inline, a thread, a worker process).  Results are identical on
+lists.  Where the shards run is one small decision: ``"sequential"`` calls
+:func:`repro.ppl.inference.batched.execute_trace_jobs` inline (the reference,
+and the only choice for a remote simulator); ``"thread"`` and ``"process"``
+hand them to a cohort pool of the one executor contract
+(:mod:`repro.serving.workers`) — ``submit(shard, callback)`` per shard,
+counters summed through the pool's ``on_stats``.  Results are identical on
 every backend because no stream is derived outside the parent.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.rng import RandomState, get_rng
+from repro.common.utils import partition_traces
 from repro.ppl.empirical import Empirical
 from repro.ppl.inference.batched import (
     TraceJob,
@@ -34,81 +37,39 @@ from repro.ppl.inference.batched import (
     resolve_observation_array,
 )
 from repro.ppl.model import RemoteModel
+from repro.serving.procpool import ProcessCohortPool
+from repro.serving.workers import CohortWorkerPool
 
-__all__ = ["distributed_importance_sampling", "partition_traces", "shard_jobs"]
-
-
-def partition_traces(num_traces: int, num_ranks: int) -> List[int]:
-    """Split ``num_traces`` across ranks as evenly as possible.
-
-    The first ``num_traces % num_ranks`` ranks receive one extra trace, so
-    per-rank sizes may be unequal — :meth:`Empirical.combine` handles that.
-    """
-    if num_traces <= 0:
-        raise ValueError("num_traces must be positive")
-    if num_ranks < 1:
-        raise ValueError("num_ranks must be >= 1")
-    base, extra = divmod(num_traces, num_ranks)
-    return [base + (1 if rank < extra else 0) for rank in range(num_ranks)]
+__all__ = ["distributed_importance_sampling"]
 
 
-def shard_jobs(jobs: List, num_shards: int, min_shard_size: int = 1) -> List[List]:
-    """Split a flat job list into contiguous, evenly sized shards.
-
-    The rank-partitioning rule of :func:`partition_traces` applied to an
-    explicit work list: used by the serving layer's worker pool to spread one
-    flushed micro-batch over idle workers (each shard becomes its own lockstep
-    cohort, which is safe because every job carries an independent random
-    stream).  ``min_shard_size`` caps the shard count so that tiny batches are
-    not splintered below a useful NN batch size.
-    """
-    if min_shard_size < 1:
-        raise ValueError("min_shard_size must be >= 1")
-    if not jobs:
-        return []
-    num_shards = max(1, min(num_shards, len(jobs) // min_shard_size))
-    sizes = partition_traces(len(jobs), num_shards)
-    shards: List[List] = []
-    start = 0
-    for size in sizes:
-        if size:
-            shards.append(jobs[start : start + size])
-        start += size
-    return shards
-
-
-def _run_on_processes(
-    model, network, shards: Sequence[List[TraceJob]], num_workers: int
-) -> List[Tuple[List[Any], Dict[str, int]]]:
-    """Execute every shard on worker processes; one ``(traces, stats)`` per shard."""
-    # Imported lazily: repro.serving imports this module (shard_jobs), so a
-    # top-level import of the pool would be circular.
-    from repro.serving.procpool import ProcessCohortPool
-
-    results: List[Any] = [None] * len(shards)
-    stats: List[Dict[str, int]] = [{} for _ in shards]
-    errors: List[BaseException] = []
+def _run_on_pool(
+    pool_class, model, network, shards: List[List[TraceJob]], num_workers: int
+) -> Tuple[List[Any], Dict[str, int]]:
+    """Submit every shard to a cohort pool; traces in shard order + summed counters."""
+    stats = new_engine_stats()
+    outcomes: List[Any] = [None] * len(shards)
+    # Thread workers report concurrently; the process pool's collector alone.
+    stats_lock = threading.Lock()
     finished = threading.Semaphore(0)
 
-    # Both callbacks run on the pool's single collector thread, stats first.
-    def on_stats(index: int, shard_stats, _elapsed) -> None:
-        stats[index] = shard_stats
+    def on_stats(shard_stats: Dict[str, int], _elapsed: float) -> None:
+        with stats_lock:
+            merge_engine_stats(stats, shard_stats)
 
-    def on_done(index: int, _entries, traces, error) -> None:
-        if error is not None:
-            errors.append(error)
-        else:
-            results[index] = (traces, stats[index])
+    def on_done(index: int, _shard, traces, error) -> None:
+        outcomes[index] = (traces, error)
         finished.release()
 
-    with ProcessCohortPool(model, network, num_workers=num_workers) as pool:
-        for index, jobs in enumerate(shards):
-            pool.submit(jobs, partial(on_done, index), stats_callback=partial(on_stats, index))
+    with pool_class(model, network, num_workers=num_workers, on_stats=on_stats) as pool:
+        for index, shard in enumerate(shards):
+            pool.submit(shard, partial(on_done, index))
         for _ in shards:
             finished.acquire()
-    if errors:
-        raise errors[0]
-    return results
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    return [trace for traces, _ in outcomes for trace in traces], stats
 
 
 def distributed_importance_sampling(
@@ -134,14 +95,15 @@ def distributed_importance_sampling(
         result is reproducible and independent of the execution backend.
     backend:
         Where the cohort shards execute: ``"sequential"`` (inline, the
-        default), ``"thread"`` (``num_ranks`` shards at a time on threads —
-        useful when the simulator releases the GIL), or ``"process"``
+        default), ``"thread"`` (:class:`repro.serving.workers.CohortWorkerPool`
+        — useful when the simulator releases the GIL), or ``"process"``
         (persistent worker processes via
         :class:`repro.serving.procpool.ProcessCohortPool` — sidesteps the GIL
         entirely for CPU-bound Python simulators, the MPI-sharding shape of
         the source paper).  All three produce the same seeded posterior.
     num_workers:
-        Process-backend pool width (default ``num_ranks``).
+        Width of the thread or process pool — how many shards run at once
+        (default ``num_ranks``; ignored by ``"sequential"``).
 
     Returns
     -------
@@ -171,24 +133,23 @@ def distributed_importance_sampling(
         jobs = TraceJob.for_request(rank, observation, observation_array, size, rank_rngs[rank])
         shards.extend(jobs[start : start + batch_size] for start in range(0, size, batch_size))
 
-    if backend == "process":
-        results = _run_on_processes(
-            model, network, shards, num_workers if num_workers is not None else num_ranks
-        )
-    elif backend == "thread":
-        with ThreadPoolExecutor(max_workers=num_ranks, thread_name_prefix="is-rank") as pool:
-            results = list(pool.map(lambda jobs: execute_trace_jobs(model, jobs, network), shards))
+    if backend == "sequential":
+        traces, stats = [], new_engine_stats()
+        for shard in shards:
+            shard_traces, shard_stats = execute_trace_jobs(model, shard, network)
+            traces.extend(shard_traces)
+            merge_engine_stats(stats, shard_stats)
     else:
-        results = [execute_trace_jobs(model, jobs, network) for jobs in shards]
+        pool_class = CohortWorkerPool if backend == "thread" else ProcessCohortPool
+        traces, stats = _run_on_pool(
+            pool_class, model, network, shards, num_workers if num_workers is not None else num_ranks
+        )
 
-    traces = [trace for shard_traces, _ in results for trace in shard_traces]
     merged = Empirical(
         traces,
         form_log_weights(traces, network),
         name="distributed_importance_sampling_posterior",
     )
-    merged.engine_stats = new_engine_stats()
-    for _, shard_stats in results:
-        merge_engine_stats(merged.engine_stats, shard_stats)
+    merged.engine_stats = stats
     merged.per_rank_sizes = sizes
     return merged

@@ -14,12 +14,16 @@ for free.  This package turns that observation into a service:
 * :class:`MicroBatchScheduler` — coalesces the trace jobs of in-flight
   requests (possibly conditioning on *different* observations) into lockstep
   cohorts under a max-batch/max-latency flush policy.
-* :class:`CohortWorkerPool` — executes cohorts on a pool of worker threads,
-  sharding flushed batches across idle workers the same way the distributed
-  driver shards traces across ranks.
-* :class:`ProcessCohortPool` — the same contract on persistent worker
-  *processes* (``backend="process"``), which sidesteps the GIL for CPU-bound
-  simulators; crashed workers are respawned and their shards requeued.
+* :class:`CohortWorkerPool` / :class:`ProcessCohortPool` — the one cohort
+  executor, on threads or on persistent worker *processes*
+  (``backend="process"``: sidesteps the GIL for CPU-bound simulators; crashed
+  workers are respawned and their shards requeued).  Either pool is built
+  from ``(model, network, num_workers, use_plans, on_stats)``, runs every
+  submitted shard of trace jobs through ``execute_trace_jobs``, owns the
+  compiled-plan cache, hands engine counters to ``on_stats`` and follows a
+  retraining through ``refresh`` (:mod:`repro.serving.workers` states the
+  contract).  The service and the distributed importance-sampling driver are
+  its two users.
 * :class:`ServingMetrics` — QPS, latency percentiles, cohort occupancy and
   cache hit rate, built on :mod:`repro.common.timing`.
 * :class:`ServiceResilience` — hardened failure semantics: retry with

@@ -1,10 +1,12 @@
 """Process-based cohort execution: persistent workers that sidestep the GIL.
 
-The thread pool in :mod:`repro.serving.workers` shares one interpreter with
-the scheduler, the admission path and every model execution, so once cohort
-batching amortized the NN forwards the per-trace cost floor became GIL
-contention between worker threads (ROADMAP, PR 3).  This module is the
-serving counterpart of the paper's MPI sharding: a fixed set of **worker
+The process side of the cohort-executor contract stated in
+:mod:`repro.serving.workers` (construction, submit/callback, ``on_stats``,
+plan-cache ownership, ``refresh``, shutdown).  The thread pool shares one
+interpreter with the scheduler, the admission path and every model execution,
+so once cohort batching amortized the NN forwards the per-trace cost floor
+became GIL contention between worker threads (ROADMAP, PR 3).  This module is
+the serving counterpart of the paper's MPI sharding: a fixed set of **worker
 processes**, each holding its own copy of the model and trained network,
 executing pickled :class:`repro.ppl.inference.batched.TraceJob` shards and
 returning finished traces plus engine counters to the parent.
@@ -44,6 +46,8 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
+from repro.ppl.inference.batched import execute_trace_jobs
+from repro.ppl.inference.plans import PlanCache
 from repro.serving.request import PoolStopped, ServingError
 from repro.testing import faults
 
@@ -96,17 +100,11 @@ def _worker_main(
     the network generation it compiled against.  Plan hit/miss/demotion
     counters travel back inside each shard's engine stats.
     """
-    from repro.ppl.inference.batched import execute_trace_jobs
-
     # Under `spawn` the parent's module-global fault plan does not exist in
     # the child; install the pickled copy so child-side fault points fire.
     if fault_plan is not None:
         faults.install(fault_plan)
-    plan_cache = None
-    if use_plans and network is not None:
-        from repro.ppl.inference.plans import PlanCache
-
-        plan_cache = PlanCache()
+    plan_cache = PlanCache() if use_plans and network is not None else None
     while True:
         item = task_queue.get()
         if item is None:
@@ -138,31 +136,27 @@ class _Worker:
 class _Shard:
     """One submitted cohort shard awaiting its result."""
 
-    def __init__(
-        self,
-        entries: Sequence[Any],
-        callback: Callable[..., None],
-        stats_callback: Optional[Callable[[Dict[str, int], float], None]] = None,
-    ) -> None:
+    def __init__(self, entries: Sequence[Any], callback: Callable[..., None]) -> None:
         self.entries = entries
         self.callback = callback
-        self.stats_callback = stats_callback
         self.attempts = 1
 
 
 class ProcessCohortPool:
     """Execute cohort shards on ``num_workers`` persistent worker processes.
 
-    Drop-in for :class:`repro.serving.workers.CohortWorkerPool` from the
-    service's point of view: ``submit(entries, callback)`` (blocking on
-    backpressure), ``callback(entries, traces, error)`` on completion, and a
-    ``shutdown(drain=...)`` lifecycle.  Unlike the thread pool, the cohort
-    body runs in the worker process itself (via
-    :func:`repro.ppl.inference.batched.execute_trace_jobs`); engine counters
-    travel back with each shard and are surfaced through ``on_stats``.
+    Same contract as :class:`repro.serving.workers.CohortWorkerPool`:
+    ``submit(entries, callback)`` (blocking on backpressure),
+    ``callback(entries, traces, error)`` on completion, engine counters
+    through ``on_stats`` and a ``stop(drain=...)`` lifecycle.  The shard body
+    (:func:`repro.ppl.inference.batched.execute_trace_jobs`) runs in the
+    worker process; traces and counters travel back pickled and both hooks
+    run on the pool's one collector thread.
     """
 
     backend = "process"
+    #: worker processes own their plan caches; the parent has none to report
+    plan_cache = None
 
     def __init__(
         self,
@@ -367,10 +361,6 @@ class ProcessCohortPool:
                 worker.process.join(timeout=1.0)
         self._started = False
 
-    def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Alias of :meth:`stop` (symmetric with the thread pool and service)."""
-        self.stop(drain=drain, timeout=timeout)
-
     def __enter__(self) -> "ProcessCohortPool":
         if not self._started:
             self.start()
@@ -380,20 +370,13 @@ class ProcessCohortPool:
         self.stop()
 
     # ------------------------------------------------------------------ dispatch
-    def submit(
-        self,
-        entries: Sequence[Any],
-        callback: Callable[..., None],
-        stats_callback: Optional[Callable[[Dict[str, int], float], None]] = None,
-    ) -> None:
+    def submit(self, entries: Sequence[Any], callback: Callable[..., None]) -> None:
         """Ship one cohort shard to a worker (blocks on backpressure).
 
         ``entries`` may be scheduler :class:`CohortEntry` rows or bare
         :class:`TraceJob` objects; only the jobs cross the process boundary —
         request routing state (futures, locks) stays in the parent and is
-        rejoined by shard id when the result returns.  ``stats_callback``
-        overrides the pool-level ``on_stats`` sink for this shard's engine
-        counters (the distributed driver uses it for per-rank attribution).
+        rejoined by shard id when the result returns.
         """
         if not self._started or self._closing:
             raise PoolStopped("process pool is not running")
@@ -406,7 +389,7 @@ class ProcessCohortPool:
         jobs = [getattr(entry, "job", entry) for entry in entries]
         with self._lock:
             shard_id = next(self._shard_ids)
-            self._shards[shard_id] = _Shard(entries, callback, stats_callback)
+            self._shards[shard_id] = _Shard(entries, callback)
             worker = self._pick_worker()
             worker.outstanding.add(shard_id)
         worker.task_queue.put((shard_id, jobs))
@@ -485,10 +468,9 @@ class ProcessCohortPool:
                 self._safe_callback(shard, None, unpickle_error)
             else:
                 self.shards_executed += 1
-                stats_sink = shard.stats_callback or self.on_stats
-                if stats_sink is not None:
+                if self.on_stats is not None:
                     try:
-                        stats_sink(stats, elapsed)
+                        self.on_stats(stats, elapsed)
                     except Exception:
                         pass
                 self._safe_callback(shard, traces, None)

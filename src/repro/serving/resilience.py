@@ -415,10 +415,7 @@ class ServiceResilience:
             or self.breaker.opens < self.demote_after
         ):
             return
-        demote = getattr(service, "_demote_to_thread_backend", None)
-        if demote is None:
-            return
-        if demote():
+        if service._demote_to_thread_backend():
             self._demoted = True
 
     # ------------------------------------------------------------------- helpers

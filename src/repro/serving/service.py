@@ -10,8 +10,10 @@ A request travels:
    at the door, not buffered into unbounded latency).
 3. **micro-batching** — the scheduler coalesces the request's trace jobs with
    every other in-flight request into lockstep cohorts (max-batch/max-latency
-   flush policy) and the worker pool executes them, sharding flushed batches
-   across idle workers.
+   flush policy); each flushed batch is cut into shards and submitted to the
+   cohort pool (threads or processes, one contract — see
+   :mod:`repro.serving.workers`), which owns the model/network handles and
+   the plan cache and reports engine counters back through ``on_stats``.
 4. **completion** — finished traces are reassembled in submission order, the
    importance weights are formed exactly as the one-shot engine forms them,
    the result is frozen into the cache, and the client future resolves.
@@ -37,7 +39,7 @@ from itertools import count
 from typing import Any, Dict, List, Optional, Union
 
 from repro.common.rng import RandomState, get_rng
-from repro.distributed.inference import shard_jobs
+from repro.common.utils import shard_jobs
 from repro.ppl.empirical import Empirical
 from repro.ppl.model import RemoteModel
 from repro.ppl.inference.batched import (
@@ -46,9 +48,7 @@ from repro.ppl.inference.batched import (
     merge_engine_stats,
     new_engine_stats,
     resolve_observation_array,
-    run_mixed_cohort,
 )
-from repro.ppl.inference.plans import PlanCache
 from repro.serving.cache import PosteriorCache, observation_fingerprint
 from repro.serving.capture import RequestCapture, posterior_digest
 from repro.serving.metrics import ServingMetrics
@@ -112,11 +112,11 @@ class PosteriorService:
         Enable compiled trace-type execution plans
         (:class:`repro.ppl.inference.plans.PlanCache`): hot trace types are
         compiled once into pre-allocated cohort plans and re-served from the
-        cache, with dynamic fallback on divergence.  The thread backend shares
-        one cache across workers; the process backend gives each worker
-        process its own (plans hold numpy scratch that must not cross process
-        boundaries).  Planned and dynamic execution are bit-identical, so this
-        only changes speed, never posteriors.
+        cache, with dynamic fallback on divergence.  The pool owns the cache:
+        thread workers share one, each worker process builds its own (plans
+        hold numpy scratch that must not cross process boundaries).  Planned
+        and dynamic execution are bit-identical, so this only changes speed,
+        never posteriors.
     resilience:
         Optional :class:`repro.serving.resilience.ServiceResilience`: retries
         transient cohort failures with jittered backoff (deadline-aware),
@@ -180,23 +180,9 @@ class PosteriorService:
             num_workers = 1
             backend = "thread"
         self.use_plans = bool(use_plans) and network is not None
-        # Thread workers share the parent's network object, so one plan cache
-        # (its own lock makes it thread-safe) serves every worker; process
-        # workers each build their own cache in _worker_main — numpy scratch
-        # buffers cannot be shared across the process boundary.
-        self._plan_cache = PlanCache() if self.use_plans and backend == "thread" else None
-        if backend == "process":
-            self.workers = ProcessCohortPool(
-                model,
-                network,
-                num_workers=num_workers,
-                start_method=mp_start_method,
-                max_requeues=max_requeues,
-                on_stats=self._merge_engine_stats,
-                use_plans=self.use_plans,
-            )
-        else:
-            self.workers = CohortWorkerPool(self._execute_cohort, num_workers=num_workers)
+        self.workers = self._make_pool(
+            backend, num_workers, start_method=mp_start_method, max_requeues=max_requeues
+        )
         self.backend = self.workers.backend
         self.scheduler = MicroBatchScheduler(
             self._dispatch,
@@ -576,18 +562,22 @@ class PosteriorService:
             self.metrics.record_failed()
             self._record_capture_outcome(request, "failed", error=error)
 
-    def _execute_cohort(self, jobs: List[TraceJob]):
-        """Thread-worker hook: run one lockstep cohort through the mixed engine."""
-        stats = new_engine_stats()
-        started = time.perf_counter()
-        traces = run_mixed_cohort(
-            self.model, jobs, self.network, stats, plan_cache=self._plan_cache
+    def _make_pool(self, backend: str, num_workers: int, **process_options):
+        """The one place a backend name becomes a cohort pool.
+
+        Both pools take the model/network handles, own the plan cache and
+        report every shard's engine counters to ``_merge_engine_stats``;
+        ``process_options`` are the process pool's own tuning knobs.
+        """
+        shared = dict(
+            num_workers=num_workers, use_plans=self.use_plans, on_stats=self._merge_engine_stats
         )
-        self._merge_engine_stats(stats, time.perf_counter() - started)
-        return traces
+        if backend == "process":
+            return ProcessCohortPool(self.model, self.network, **shared, **process_options)
+        return CohortWorkerPool(self.model, self.network, **shared)
 
     def _merge_engine_stats(self, stats: Dict[str, int], elapsed: float) -> None:
-        """Fold one cohort's engine counters (local or worker-process) in.
+        """Pool ``on_stats`` hook: fold one shard's engine counters in.
 
         ``merge_engine_stats`` tolerates keys this service generation does not
         know about — a worker process running newer engine code must not
@@ -717,15 +707,10 @@ class PosteriorService:
         place.
         """
         with self._backend_lock:
-            if self.backend != "process" or not self._running:
+            if isinstance(self.workers, CohortWorkerPool) or not self._running:
                 return False
             old = self.workers
-            if self.use_plans and self._plan_cache is None:
-                # The thread backend shares one plan cache across workers; the
-                # process backend kept per-process caches, so build one now.
-                self._plan_cache = PlanCache()
-            replacement = CohortWorkerPool(self._execute_cohort, num_workers=old.num_workers)
-            replacement.start()
+            replacement = self._make_pool("thread", old.num_workers).start()
             self.workers = replacement
             self.backend = replacement.backend
         self.metrics.record_demotion()
@@ -746,17 +731,10 @@ class PosteriorService:
 
     def _on_network_updated(self) -> None:
         self.invalidate_cache()
-        # Compiled plans bake network parameters (address-embedding rows) and
-        # a network version into their buffers: drop them all eagerly rather
-        # than waiting for the next lease's version check.
-        if self._plan_cache is not None:
-            self._plan_cache.invalidate()
-        # Worker processes hold their own network copy; roll the generation
-        # so new cohorts run on the retrained parameters (no-op for threads,
-        # which share the parent's network object).
-        refresh = getattr(self.workers, "refresh", None)
-        if refresh is not None:
-            refresh(self.model, self.network)
+        # Later cohorts must run on the retrained parameters: the pool drops
+        # its compiled plans (threads) or rolls its worker generation
+        # (processes, which hold their own network copy).
+        self.workers.refresh(self.model, self.network)
 
     # ----------------------------------------------------------------- reporting
     def stats(self) -> Dict[str, Any]:
@@ -773,8 +751,9 @@ class PosteriorService:
         snapshot["workers"] = self.workers.stats()
         with self._stats_lock:
             snapshot["engine"] = dict(self._engine_stats)
-        if self._plan_cache is not None:
-            snapshot["plans"] = self._plan_cache.stats()
+        plan_cache = self.workers.plan_cache
+        if plan_cache is not None:
+            snapshot["plans"] = plan_cache.stats()
         if self._resilience is not None:
             snapshot["resilience"] = self._resilience.stats()
         if plan is not None:

@@ -1,30 +1,53 @@
-"""Cohort worker pool: execute flushed cohorts on parallel workers.
+"""Cohort worker pool: the thread side of the one cohort-executor contract.
 
-Cohorts are independent importance-sampling streams (every trace job carries
-its own derived random stream), so they parallelise exactly like the ranks of
-:func:`repro.distributed.inference.distributed_importance_sampling`: no
-synchronisation is needed between cohorts, and results are identical to
-sequential execution no matter which worker ran what.  The pool is the
-serving counterpart of that driver — a fixed set of worker threads pulling
-cohorts from a bounded queue, whose fullness is the backpressure signal that
-stalls the scheduler (and, transitively, admission control).
+A *shard* is a list of :class:`repro.ppl.inference.batched.TraceJob` (or
+scheduler entries carrying one as ``.job``).  Every job owns a random stream
+derived in the parent before sharding, so shards are independent
+importance-sampling streams: wherever one runs, it runs
+:func:`repro.ppl.inference.batched.execute_trace_jobs` and produces the same
+traces.  "Where" is one of two pools with one contract —
+:class:`CohortWorkerPool` (threads, this module) and
+:class:`repro.serving.procpool.ProcessCohortPool` (persistent processes):
 
-Lifecycle: ``stop(drain=True)`` finishes queued cohorts before the workers
-exit; ``stop(drain=False)`` fails every queued cohort's callback with a
-:class:`repro.serving.request.ServingError` instead, so no submitted future
-is ever abandoned at interpreter exit.  The worker threads are daemonic only
-as a last-resort safety net — the supported path is an explicit
-``shutdown()`` (or the context manager), which the service drives from its
-own ``stop``.  The GIL-free counterpart with the same interface is
-:class:`repro.serving.procpool.ProcessCohortPool`.
+* **Construction** — ``Pool(model, network, *, num_workers, use_plans,
+  on_stats)``.  The pool, not its caller, holds the model and network handles
+  its workers execute against.
+* **Submit and collect** — ``submit(entries, callback)`` blocks while the
+  pool is saturated (the backpressure that stalls the scheduler and,
+  transitively, admission control) and raises
+  :class:`~repro.serving.request.PoolStopped` on a pool that is not running.
+  ``callback(entries, traces, error)`` fires exactly once per accepted shard,
+  on a pool thread, with exactly one of ``traces``/``error`` set.
+* **Counters** — a shard's engine counters reach the pool's owner through
+  ``on_stats(stats, elapsed_seconds)``, called before that shard's callback.
+* **Plans** — with ``use_plans`` the pool owns the compiled-plan cache: the
+  thread pool shares one :class:`~repro.ppl.inference.plans.PlanCache` across
+  its workers (``pool.plan_cache``); each worker process builds its own,
+  because plans hold numpy scratch that cannot cross a process boundary
+  (``pool.plan_cache`` is ``None`` there, the hit/miss counters travel in
+  the engine stats).
+* **Retraining** — ``refresh(model, network)`` makes later shards run on the
+  current parameters: the thread pool swaps its handles and drops every
+  compiled plan; the process pool rolls a new worker generation.
+* **Shutdown** — ``stop(drain=True)`` finishes accepted shards first;
+  ``stop(drain=False)`` resolves every shard not yet running with
+  ``PoolStopped``, so no accepted shard is ever abandoned.  A stopped pool
+  can be started again.
+
+The worker threads are daemonic only as a last-resort safety net — the
+supported path is an explicit ``stop()`` (or the context manager), which the
+service drives from its own ``stop``.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
+import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.ppl.inference.batched import execute_trace_jobs
+from repro.ppl.inference.plans import PlanCache
 from repro.serving.request import PoolStopped
 from repro.testing import faults
 
@@ -34,38 +57,42 @@ _SENTINEL = object()
 
 
 class CohortWorkerPool:
-    """Runs ``run_cohort(jobs)`` calls on ``num_workers`` threads.
+    """Execute cohort shards on ``num_workers`` threads of this process.
 
-    ``submit(entries, callback)`` blocks while the dispatch queue is full —
-    that is deliberate: the scheduler thread is the only submitter, and its
-    blocking pauses cohort building until a worker frees up.  ``callback``
-    runs on the worker thread with ``(entries, traces, error)``; exactly one
-    of ``traces``/``error`` is set.
+    The dispatch queue holds ``2 * num_workers`` shards; ``submit`` blocks
+    beyond that.  Workers share the caller's model and network objects, so an
+    in-place retraining is visible to the next shard without a copy.
     """
 
     backend = "thread"
 
     def __init__(
         self,
-        run_cohort: Callable[[Sequence[Any]], List[Any]],
+        model,
+        network=None,
+        *,
         num_workers: int = 2,
-        queue_capacity: Optional[int] = None,
+        use_plans: bool = False,
+        on_stats: Optional[Callable[[Dict[str, int], float], None]] = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        self._run_cohort = run_cohort
+        self.model = model
+        self.network = network
         self.num_workers = int(num_workers)
-        capacity = queue_capacity if queue_capacity is not None else 2 * self.num_workers
-        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=max(1, capacity))
+        self.on_stats = on_stats
+        #: one cache for every worker (its own lock makes it thread-safe)
+        self.plan_cache = PlanCache() if use_plans and network is not None else None
+        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=2 * self.num_workers)
         self._threads: List[threading.Thread] = []
         self._started = False
         # Counters are bumped from every worker thread concurrently; a bare
         # `+= 1` is a read-modify-write that loses updates under the GIL's
         # bytecode-level interleaving.
         self._stats_lock = threading.Lock()
-        self.cohorts_executed = 0
-        self.failed_cohorts = 0
-        self.cancelled_cohorts = 0
+        self.shards_executed = 0
+        self.failed_shards = 0
+        self.cancelled_shards = 0
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> "CohortWorkerPool":
@@ -80,15 +107,32 @@ class CohortWorkerPool:
             thread.start()
         return self
 
-    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop every worker; ``drain`` finishes queued cohorts first.
+    def refresh(self, model=None, network=None) -> None:
+        """Follow a retraining: swap the handles, drop every compiled plan.
 
-        With ``drain=False`` queued (not yet running) cohorts are cancelled:
-        each one's callback receives a :class:`ServingError` so the owning
+        Plans bake network parameters (address-embedding rows) and a network
+        version into their buffers; dropping them eagerly beats waiting for
+        the next lease's version check.  Shards already running finish on
+        whatever they read — the same mid-flight semantics as the process
+        pool's retiring workers.
+        """
+        if model is not None:
+            self.model = model
+        if network is not None:
+            self.network = network
+        if self.plan_cache is not None:
+            self.plan_cache.invalidate()
+
+    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
+        """Stop every worker; ``drain`` finishes queued shards first.
+
+        With ``drain=False`` queued (not yet running) shards are cancelled:
+        each one's callback receives :class:`PoolStopped` so the owning
         requests resolve instead of hanging on futures forever.
         """
         if not self._started:
             return
+        self._started = False  # submit() refuses from here on
         if not drain:
             self._cancel_queued()
         for _ in self._threads:
@@ -99,11 +143,6 @@ class CohortWorkerPool:
         join_timeout = timeout if timeout is not None else (None if drain else 2.0)
         for thread in self._threads:
             thread.join(timeout=join_timeout)
-        self._started = False
-
-    def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Alias of :meth:`stop`, symmetric with the process pool and service."""
-        self.stop(drain=drain, timeout=timeout)
 
     def __enter__(self) -> "CohortWorkerPool":
         if not self._started:
@@ -123,7 +162,7 @@ class CohortWorkerPool:
                 continue
             entries, callback = item
             with self._stats_lock:
-                self.cancelled_cohorts += 1
+                self.cancelled_shards += 1
             try:
                 callback(entries, None, PoolStopped("worker pool stopped"))
             except Exception:
@@ -131,7 +170,13 @@ class CohortWorkerPool:
 
     # ------------------------------------------------------------------ dispatch
     def submit(self, entries: Sequence[Any], callback: Callable[..., None]) -> None:
-        """Enqueue one cohort (blocks while the queue is full — backpressure)."""
+        """Enqueue one shard (blocks while the queue is full — backpressure).
+
+        ``entries`` may be scheduler :class:`CohortEntry` rows or bare
+        :class:`TraceJob` objects; the callback gets them back unchanged.
+        """
+        if not self._started:
+            raise PoolStopped("worker pool is not running")
         self._queue.put((entries, callback))
 
     def _run(self) -> None:
@@ -145,14 +190,20 @@ class CohortWorkerPool:
                 # land inside the try, so an injected error takes the exact
                 # path a real cohort failure takes.  Free when injection is off.
                 faults.perform("workers.cohort", size=len(entries))
-                traces = self._run_cohort([entry.job for entry in entries])
+                jobs = [getattr(entry, "job", entry) for entry in entries]
+                started = time.perf_counter()
+                traces, stats = execute_trace_jobs(
+                    self.model, jobs, self.network, plan_cache=self.plan_cache
+                )
+                if self.on_stats is not None:
+                    self.on_stats(stats, time.perf_counter() - started)
             except BaseException as error:  # noqa: BLE001 - delivered to requests
                 with self._stats_lock:
-                    self.failed_cohorts += 1
+                    self.failed_shards += 1
                 callback(entries, None, error)
             else:
                 with self._stats_lock:
-                    self.cohorts_executed += 1
+                    self.shards_executed += 1
                 callback(entries, traces, None)
 
     # --------------------------------------------------------------------- stats
@@ -161,7 +212,7 @@ class CohortWorkerPool:
             return {
                 "backend": self.backend,
                 "num_workers": self.num_workers,
-                "cohorts_executed": self.cohorts_executed,
-                "failed_cohorts": self.failed_cohorts,
-                "cancelled_cohorts": self.cancelled_cohorts,
+                "shards_executed": self.shards_executed,
+                "failed_shards": self.failed_shards,
+                "cancelled_shards": self.cancelled_shards,
             }

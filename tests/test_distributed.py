@@ -1,4 +1,4 @@
-"""Tests for the distributed subsystem: backend, allreduce, trainer, perf model."""
+"""Tests for the distributed subsystem: allreduce, trainer, perf model."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,6 @@ from repro.distributed import (
     CommunicationStats,
     DistributedTrainer,
     SingleNodeModel,
-    SingleProcessCommunicator,
-    ThreadGroup,
     average_gradients,
     compare_schemes,
     dense_allreduce,
@@ -26,59 +24,6 @@ from repro.distributed import (
 )
 from repro.ppl.nn import InferenceNetwork
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
-
-
-class TestBackend:
-    def test_single_process_communicator(self):
-        comm = SingleProcessCommunicator()
-        assert comm.rank == 0 and comm.size == 1
-        assert np.allclose(comm.allreduce(np.arange(3.0)), np.arange(3.0))
-        assert np.allclose(comm.broadcast(np.ones(2)), 1.0)
-        assert comm.gather(5) == [5]
-        comm.barrier()
-
-    def test_thread_allreduce_sum_and_mean(self):
-        group = ThreadGroup(4)
-        results = group.run(lambda c: c.allreduce(np.full(3, float(c.rank + 1)), op="sum"))
-        assert all(np.allclose(r, 10.0) for r in results)
-        results = group.run(lambda c: c.allreduce(np.full(2, float(c.rank)), op="mean"))
-        assert all(np.allclose(r, 1.5) for r in results)
-        results = group.run(lambda c: c.allreduce(np.array([float(c.rank)]), op="max"))
-        assert all(np.allclose(r, 3.0) for r in results)
-
-    def test_thread_broadcast(self):
-        group = ThreadGroup(3)
-        results = group.run(lambda c: c.broadcast(np.full(2, float(c.rank)), root=1))
-        assert all(np.allclose(r, 1.0) for r in results)
-
-    def test_thread_gather(self):
-        group = ThreadGroup(3)
-        results = group.run(lambda c: c.gather(c.rank, root=0))
-        assert results[0] == [0, 1, 2]
-        assert results[1] is None and results[2] is None
-
-    def test_thread_multiple_collectives_in_sequence(self):
-        group = ThreadGroup(2)
-
-        def work(comm):
-            a = comm.allreduce(np.array([1.0]))
-            b = comm.allreduce(np.array([float(comm.rank)]))
-            comm.barrier()
-            return float(a[0] + b[0])
-
-        assert group.run(work) == [3.0, 3.0]
-
-    def test_thread_invalid_op(self):
-        group = ThreadGroup(2)
-        with pytest.raises(ValueError):
-            group.run(lambda c: c.allreduce(np.ones(1), op="bogus"))
-
-    def test_group_validation(self):
-        with pytest.raises(ValueError):
-            ThreadGroup(0)
-        group = ThreadGroup(2)
-        with pytest.raises(ValueError):
-            group.communicator(5)
 
 
 def _make_per_rank_gradients():

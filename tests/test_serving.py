@@ -28,6 +28,15 @@ from repro.serving import (
     observation_fingerprint,
 )
 from tests.test_batched_inference import OBSERVATION, lockstep_program
+from tests.test_cohort_executor import (  # noqa: F401 - gate is a fixture
+    ENTERED,
+    POOLS,
+    gate,
+    gated_program,
+    raising_program,
+    simple_shards,
+    wait_for,
+)
 
 OBSERVATION_B = {"obs": np.array([0.2, -0.4, 0.8, 0.6])}
 
@@ -382,42 +391,32 @@ class TestFrozenPosterior:
 
 
 class TestLifecycleAndShutdown:
-    def test_thread_pool_context_manager_and_cancel(self):
-        from repro.serving import CohortWorkerPool, ServingError
+    @pytest.mark.parametrize("pool_class", POOLS)
+    def test_pool_context_manager_and_cancel(self, pool_class, gate):
+        from repro.serving import ServingError
 
-        executed = []
-        release = threading.Event()
-
-        def run_cohort(jobs):
-            release.wait(timeout=10)
-            executed.append(len(jobs))
-            return list(jobs)
-
-        class Entry:
-            job = object()
-
+        model = FunctionModel(gated_program, name="gated")
         outcomes = []
-        with CohortWorkerPool(run_cohort, num_workers=1, queue_capacity=4) as pool:
-            # First cohort occupies the worker; the rest sit in the queue.
-            for _ in range(3):
-                pool.submit([Entry()], lambda e, t, err: outcomes.append(err))
-            release.set()
-            pool.shutdown(drain=True)
-        assert outcomes == [None, None, None]
-        assert pool.stats()["cohorts_executed"] == 3
+        with pool_class(model, None, num_workers=1) as pool:
+            # The first shard occupies the worker; the second sits in the queue.
+            for shard in simple_shards(2):
+                pool.submit(shard, lambda e, t, err: outcomes.append(err))
+            gate.value = 1
+            pool.stop(drain=True)
+        assert outcomes == [None, None]
+        assert pool.stats()["shards_executed"] == 2
 
-        # Cancel path: queued cohorts fail with ServingError instead of
-        # running (the worker is parked on the first, un-released cohort).
-        release.clear()
+        # Cancel path: the queued shard fails with ServingError instead of
+        # running (the worker is parked on the first, un-released shard).
+        ENTERED.value = gate.value = 0
         outcomes = []
-        pool = CohortWorkerPool(run_cohort, num_workers=1, queue_capacity=4).start()
-        for _ in range(3):
-            pool.submit([Entry()], lambda e, t, err: outcomes.append(err))
-        time.sleep(0.05)  # let the worker dequeue the first cohort
-        release.set()
-        pool.stop(drain=False)
+        pool = pool_class(model, None, num_workers=1).start()
+        for shard in simple_shards(2):
+            pool.submit(shard, lambda e, t, err: outcomes.append(err))
+        assert wait_for(ENTERED)  # the worker is inside the first shard
+        pool.stop(drain=False, timeout=0.2)
         assert sum(isinstance(err, ServingError) for err in outcomes) >= 1
-        assert pool.stats()["cancelled_cohorts"] >= 1
+        assert pool.stats()["shards_executed"] <= 1
 
     def test_pending_requests_resolve_or_error_on_close(self, served_engine):
         # The shutdown contract: nothing submitted before stop() is ever
@@ -554,24 +553,16 @@ class TestStaleWhileRevalidate:
             assert service.metrics.stale_served == 4
 
 
+@pytest.mark.parametrize("pool_class", POOLS)
 class TestWorkerPoolCounters:
-    """Pool counters are bumped from every worker thread; they must be exact.
+    """Pool counters must be exact however many workers resolve shards.
 
-    A bare ``+= 1`` is a read-modify-write the GIL interleaves at bytecode
-    granularity, so concurrent workers silently lose increments.
+    Thread workers bump them concurrently, and a bare ``+= 1`` is a
+    read-modify-write the GIL interleaves at bytecode granularity, so
+    unlocked counters silently lose increments.
     """
 
-    def test_cohorts_executed_is_exact_under_concurrency(self):
-        from repro.serving import CohortWorkerPool
-
-        total = 400
-
-        def run_cohort(jobs):
-            return list(jobs)
-
-        class Entry:
-            job = object()
-
+    def _run(self, pool_class, program, total):
         done = threading.Event()
         remaining = [total]
         count_lock = threading.Lock()
@@ -582,39 +573,19 @@ class TestWorkerPoolCounters:
                 if remaining[0] == 0:
                     done.set()
 
-        with CohortWorkerPool(run_cohort, num_workers=8, queue_capacity=16) as pool:
-            for _ in range(total):
-                pool.submit([Entry()], on_done)
-            assert done.wait(timeout=30)
-        stats = pool.stats()
-        assert stats["cohorts_executed"] == total
-        assert stats["failed_cohorts"] == 0
+        with pool_class(FunctionModel(program, name="counted"), None, num_workers=8) as pool:
+            for shard in simple_shards(total):
+                pool.submit(shard, on_done)
+            assert done.wait(timeout=60)
+        return pool.stats()
 
-    def test_failed_cohorts_counted_exactly(self):
-        from repro.serving import CohortWorkerPool
+    def test_shards_executed_is_exact_under_concurrency(self, pool_class, gate):
+        gate.value = 1
+        stats = self._run(pool_class, gated_program, 400)
+        assert stats["shards_executed"] == 400
+        assert stats["failed_shards"] == 0
 
-        total = 100
-
-        def run_cohort(jobs):
-            raise RuntimeError("boom")
-
-        class Entry:
-            job = object()
-
-        done = threading.Event()
-        remaining = [total]
-        count_lock = threading.Lock()
-
-        def on_done(entries, traces, error):
-            with count_lock:
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    done.set()
-
-        with CohortWorkerPool(run_cohort, num_workers=8, queue_capacity=16) as pool:
-            for _ in range(total):
-                pool.submit([Entry()], on_done)
-            assert done.wait(timeout=30)
-        stats = pool.stats()
-        assert stats["failed_cohorts"] == total
-        assert stats["cohorts_executed"] == 0
+    def test_failed_shards_counted_exactly(self, pool_class):
+        stats = self._run(pool_class, raising_program, 100)
+        assert stats["failed_shards"] == 100
+        assert stats["shards_executed"] == 0

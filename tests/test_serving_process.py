@@ -124,6 +124,7 @@ class TestCrossBackendEquivalence:
         # (a newer worker), which a merge keyed on the first rank's block drops.
         from repro.distributed import inference as driver
         from repro.ppl.inference import batched
+        from repro.serving import procpool, workers
 
         original = batched.execute_trace_jobs
 
@@ -133,10 +134,10 @@ class TestCrossBackendEquivalence:
                 stats["num_rank_one_only"] = len(jobs)
             return traces, stats
 
-        # The inline/thread executors call the driver's binding; forked pool
-        # workers import the engine's at start.
-        monkeypatch.setattr(driver, "execute_trace_jobs", with_rank_local_counter)
-        monkeypatch.setattr(batched, "execute_trace_jobs", with_rank_local_counter)
+        # The function's three call sites — inline, thread worker, process
+        # worker (forked, so it inherits the patched module).
+        for call_site in (driver, workers, procpool):
+            monkeypatch.setattr(call_site, "execute_trace_jobs", with_rank_local_counter)
         model, engine = served_engine
         posteriors = {
             backend: distributed_importance_sampling(
