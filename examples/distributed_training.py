@@ -6,8 +6,9 @@ Reproduces the paper's training pipeline end to end at laptop scale:
    simulator and store it in sorted, grouped shard files (Section 4.4.3),
 2. pre-generate every address-specific layer of the inference network from the
    dataset and freeze the architecture (Section 4.4),
-3. train with synchronous data-parallel SGD across simulated MPI ranks using
-   sparse + fused gradient allreduce, Adam-LARC and polynomial LR decay
+3. train with synchronous data-parallel SGD across ranks that run side by
+   side in forked rank processes (as many as this machine has usable cores),
+   using sparse + fused gradient allreduce, Adam-LARC and polynomial LR decay
    (Sections 4.4.4 and 6.3),
 4. report throughput, load imbalance and the projected scaling on Cori /
    Edison from the calibrated performance model (Figures 4 and 6).
@@ -70,22 +71,25 @@ def main() -> None:
             allreduce_strategy="fused_sparse",
             validation_fraction=0.15, seed=7,
         )
-        print(f"\ntraining on {num_ranks} simulated ranks "
+        print(f"\ntraining on {num_ranks} ranks in forked rank processes "
               f"(global minibatch {trainer.report.traces_per_iteration}, "
               f"{network.num_parameters():,} parameters) ...")
         report = trainer.train(iterations, validate_every=5)
 
         print(f"  train loss {report.train_losses[0]:.2f} -> {report.train_losses[-1]:.2f}")
         print(f"  validation loss {report.validation_losses[0]:.2f} -> {report.validation_losses[-1]:.2f}")
-        print(f"  measured throughput {report.mean_throughput:.1f} traces/s "
-              f"(best-balanced {report.best_throughput:.1f}, load imbalance {report.load_imbalance_percent:.1f}%)")
+        print(f"  wall-clock throughput {report.mean_throughput:.1f} traces/s "
+              f"(modelled perfectly balanced {report.best_throughput:.1f}, "
+              f"load imbalance {report.load_imbalance_percent:.1f}%)")
+        sync_share = report.phase_means["sync"] / sum(report.phase_means.values())
+        print(f"  measured sync share of a step (wait at the join + averaging): {sync_share:.2f}")
         print(f"  mean effective minibatch size {np.mean(report.effective_minibatch_sizes):.1f} "
               f"of {trainer.report.traces_per_iteration}")
         sync = report.communication[-1]
-        print(f"  last allreduce: {sync.num_calls} collective calls, {sync.bytes / 1e6:.2f} MB")
+        print(f"  last allreduce (counted): {sync.num_calls} collective calls, {sync.bytes / 1e6:.2f} MB")
 
     # ---- 4. projected scaling (Table 2 / Figure 6) -------------------------------------
-    print("\nprojecting to the paper's platforms with the calibrated performance model:")
+    print("\nprojecting to the paper's platforms with the calibrated performance model (modelled):")
     single_socket = report.mean_throughput / 2  # 2 ranks per node in the paper's setup
     node_model = SingleNodeModel(reference_platform="HSW", measured_traces_per_s=single_socket)
     for code in ("IVB", "HSW", "SKL"):

@@ -101,8 +101,10 @@ class TraceDataset:
         return len(self.store)
 
     def __getitem__(self, index: int) -> Trace:
-        pruned = self.store[index]
-        return restore_trace(pruned, address_dictionary=self.address_dictionary)
+        try:
+            return restore_trace(self.store[index], address_dictionary=self.address_dictionary)
+        except ValueError as error:
+            raise ValueError(f"dataset index {index}: {error}") from error
 
     def get_batch(self, indices: Sequence[int]) -> List[Trace]:
         return [self[i] for i in indices]

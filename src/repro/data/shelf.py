@@ -9,12 +9,16 @@ module reproduces in miniature:
 * caching file open/close handles so that repeated metadata operations (and
   concurrent access from different ranks to the same file) are cheap.
 
-Each shard file holds a pickled list of pruned trace records; an index maps a
-global trace id to ``(shard, position)``.
+Each shard file is the concatenation of its records' pickles; an index maps a
+global trace id to ``(shard, offset, length)``, so a read decodes one record,
+not one shard.  Reads are positionless (:func:`os.pread`) on a small LRU of
+open descriptors: a forked rank process inherits the descriptors, and a
+shared file offset would race.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 from collections import OrderedDict
@@ -24,22 +28,25 @@ __all__ = ["ShardStore"]
 
 
 class ShardStore:
-    """Append-oriented store of pickled records split across shard files."""
+    """Append-oriented store of pickled records split across shard files.
+
+    ``cache_size`` bounds the shard descriptors kept open for reading.
+    """
 
     INDEX_FILE = "index.pkl"
 
     def __init__(self, directory: str, records_per_shard: int = 100, cache_size: int = 8) -> None:
+        self._cache: "OrderedDict[int, int]" = OrderedDict()  # shard id -> open descriptor
         if records_per_shard <= 0:
             raise ValueError("records_per_shard must be positive")
         self.directory = directory
         self.records_per_shard = records_per_shard
         self.cache_size = cache_size
         os.makedirs(directory, exist_ok=True)
-        self._index: List[Tuple[int, int]] = []     # global id -> (shard id, position)
+        self._index: List[Tuple[int, int, int]] = []  # global id -> (shard id, offset, length)
         self._metadata: Dict[str, Any] = {}
-        self._pending: List[Any] = []
+        self._pending: List[Any] = []               # the unflushed shard's records
         self._num_shards = 0
-        self._cache: "OrderedDict[int, List[Any]]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
         index_path = os.path.join(directory, self.INDEX_FILE)
@@ -50,10 +57,10 @@ class ShardStore:
     def append(self, record: Any) -> int:
         """Append one record; returns its global id."""
         global_id = len(self._index)
-        shard_id = self._num_shards
-        position = len(self._pending)
+        # Until its shard is flushed a record is addressed by its position in
+        # the pending list; flushing pickles the shard in one burst.
+        self._index.append((self._num_shards, len(self._pending), 0))
         self._pending.append(record)
-        self._index.append((shard_id, position))
         if len(self._pending) >= self.records_per_shard:
             self._flush_shard()
         return global_id
@@ -68,8 +75,16 @@ class ShardStore:
     def _flush_shard(self) -> None:
         if not self._pending:
             return
+        first = len(self._index) - len(self._pending)
+        shard = io.BytesIO()
+        pickler = pickle.Pickler(shard, protocol=pickle.HIGHEST_PROTOCOL)
+        for global_id, record in enumerate(self._pending, start=first):
+            offset = shard.tell()
+            pickler.dump(record)
+            pickler.clear_memo()  # every record is a pickle of its own
+            self._index[global_id] = (self._num_shards, offset, shard.tell() - offset)
         with open(self._shard_path(self._num_shards), "wb") as handle:
-            pickle.dump(self._pending, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(shard.getbuffer())
         self._num_shards += 1
         self._pending = []
 
@@ -116,6 +131,10 @@ class ShardStore:
         with open(os.path.join(self.directory, self.INDEX_FILE), "rb") as handle:
             payload = pickle.load(handle)
         self._index = payload["index"]
+        if self._index and len(self._index[0]) != 3:
+            raise ValueError(
+                f"{self.directory}: whole-shard pickles of an older ShardStore; regenerate the dataset"
+            )
         self._metadata = payload["metadata"]
         self._num_shards = payload["num_shards"]
         self.records_per_shard = payload["records_per_shard"]
@@ -128,26 +147,23 @@ class ShardStore:
     def num_shards(self) -> int:
         return self._num_shards + (1 if self._pending else 0)
 
-    def _load_shard(self, shard_id: int) -> List[Any]:
-        cached = self._cache.get(shard_id)
-        if cached is not None:
+    def _descriptor(self, shard_id: int) -> int:
+        descriptor = self._cache.get(shard_id)
+        if descriptor is not None:
             self.cache_hits += 1
             self._cache.move_to_end(shard_id)
-            return cached
+            return descriptor
         self.cache_misses += 1
-        if shard_id == self._num_shards and self._pending:
-            records = self._pending
-        else:
-            with open(self._shard_path(shard_id), "rb") as handle:
-                records = pickle.load(handle)
-        self._cache[shard_id] = records
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-        return records
+        descriptor = self._cache[shard_id] = os.open(self._shard_path(shard_id), os.O_RDONLY)
+        while len(self._cache) > max(1, self.cache_size):
+            os.close(self._cache.popitem(last=False)[1])
+        return descriptor
 
     def __getitem__(self, global_id: int) -> Any:
-        shard_id, position = self._index[global_id]
-        return self._load_shard(shard_id)[position]
+        shard_id, offset, length = self._index[global_id]
+        if shard_id == self._num_shards:  # the unflushed tail: offset is a list position
+            return self._pending[offset]
+        return pickle.loads(os.pread(self._descriptor(shard_id), length, offset))
 
     def get_many(self, ids: Iterable[int]) -> List[Any]:
         return [self[i] for i in ids]
@@ -156,6 +172,11 @@ class ShardStore:
         return self._index[global_id][0]
 
     def clear_cache(self) -> None:
-        self._cache.clear()
+        """Close every cached descriptor and reset the hit/miss counters."""
+        while self._cache:
+            os.close(self._cache.popitem()[1])
         self.cache_hits = 0
         self.cache_misses = 0
+
+    def __del__(self) -> None:
+        self.clear_cache()

@@ -10,18 +10,37 @@ source: ``InferenceCompilation.train`` is the one-rank case,
 :class:`DistributedTrainer` the N-rank case drawing each rank's chunk of the
 (sorted, sharded) offline dataset through the distributed sampler.
 
-Because every rank starts from identical parameters and the allreduce is an
-exact average, executing the ranks sequentially inside one process is
-numerically identical to running them concurrently under MPI; the wall-clock
-behaviour at scale (load imbalance, sync cost) is captured separately by the
-instrumentation here plus :mod:`repro.distributed.performance_model`.
+With more than one rank the ranks run side by side: :meth:`TrainingLoop.run`
+forks rank processes at its start and joins them on its way out, dealing the
+ranks round-robin over ``min(num_ranks, usable cores)`` processes with the
+calling process as the first of them (one usable core, or a platform without
+``fork``: no child, the same code).  Every process runs the same rank step —
+read and pack the minibatch, ``zero_grad -> loss_packed -> backward`` — and
+little crosses the process boundary: the parent keeps the sampler schedule and
+sends each rank its index list over a pipe, a rank answers with its loss and
+its read and compute seconds, parameters reach the ranks through one flat
+shared float64 buffer rewritten after each ``optimizer.step()``, and gradients
+come back through a flat shared buffer per rank with a per-tensor presence
+mask.  The parent feeds views of those buffers, in rank order, to the single
+``average_gradients`` call.  Each rank's gradients are a function of the
+parameters and its index list only, and the reduction always sees the ranks in
+rank order, so seeded loss curves and parameters are bit-identical for every
+process count — which process ran a rank cannot show in the result.
+
+Timings in :class:`TrainingReport` and ``phase_timer`` are wall-clock
+measurements of this machine; what a 1,024-node machine would do is modelled
+separately by :mod:`repro.distributed.performance_model`.
 """
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
+import os
 import time
+import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +60,19 @@ __all__ = ["TrainingReport", "TrainingLoop", "DistributedTrainer"]
 
 @dataclass
 class TrainingReport:
-    """Everything the scaling and convergence figures need from a training run."""
+    """Everything the scaling and convergence figures need from a training run.
+
+    ``iteration_times`` is measured: the wall clock of each step, from dealing
+    the ranks' work to the end of the optimizer step, with the ranks running
+    side by side in the rank processes.  With more ranks than processes, a
+    process's ranks still run in turn inside it, and the clock shows that.
+    ``best_iteration_times`` is modelled: the same step with the ranks'
+    measured read and compute seconds spread evenly over the processes and no
+    wait at the join — the gap between the two is the load imbalance.
+    ``phase_means`` averages the measured ``phase_timer`` phases;
+    ``communication`` counts the allreduce's calls and elements, and its
+    ``modeled_time`` is an interconnect model, not a measurement.
+    """
 
     train_losses: List[float] = field(default_factory=list)
     validation_losses: List[float] = field(default_factory=list)
@@ -57,7 +88,7 @@ class TrainingReport:
 
     @property
     def mean_throughput(self) -> float:
-        """Average traces/s over the run (actual, including load imbalance)."""
+        """Measured traces/s over the run (wall clock, including load imbalance)."""
         total_time = sum(self.iteration_times)
         if total_time <= 0:
             return 0.0
@@ -65,7 +96,7 @@ class TrainingReport:
 
     @property
     def best_throughput(self) -> float:
-        """Throughput assuming perfect load balance (the Figure 4 'best' columns)."""
+        """Modelled traces/s under perfect load balance (the Figure 4 'best' columns)."""
         total_time = sum(self.best_iteration_times)
         if total_time <= 0:
             return 0.0
@@ -84,6 +115,132 @@ class TrainingReport:
         return self.train_losses[-1] if self.train_losses else float("nan")
 
 
+#: Rank processes are forked, so they see the parent's network, dataset handle
+#: and batch source as they are at the start of the run, with nothing pickled.
+#: A rank process touches only those and its pipe, so a lock some other thread
+#: of the parent held at the fork is never waited for.
+_FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on; 1 where it cannot fork rank processes."""
+    if _FORK is None or multiprocessing.current_process().daemon:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shared(count: int, dtype) -> np.ndarray:
+    """A zeroed array in anonymous shared memory: one copy across forks."""
+    return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype=dtype, count=count)
+
+
+class _RankExchange:
+    """The shared memory the ranks of one run meet in.
+
+    One flat float64 image of the parameters (parent -> ranks, written after
+    each optimizer step) and, per rank, one flat float64 image of its
+    gradients plus a per-tensor presence mask (ranks -> parent): a tensor the
+    rank's minibatch did not touch has no gradient, and the sparse allreduce
+    strategies depend on seeing that.
+    """
+
+    def __init__(self, parameters: Dict[str, Any], num_ranks: int) -> None:
+        #: (name, parameter, its span of the flat images)
+        self._slots = []
+        total = 0
+        for name, param in parameters.items():
+            self._slots.append((name, param, slice(total, total + param.data.size)))
+            total += param.data.size
+        self.parameters = _shared(total, np.float64)
+        self.gradients = _shared(num_ranks * total, np.float64).reshape(num_ranks, total)
+        self.present = _shared(num_ranks * len(self._slots), np.bool_).reshape(num_ranks, -1)
+        self.publish()
+
+    def publish(self) -> None:
+        """Parent: write the current parameters for the rank processes."""
+        np.concatenate([param.data.reshape(-1) for _, param, _ in self._slots], out=self.parameters)
+
+    def load(self) -> None:
+        """Rank process: adopt the published parameters."""
+        for _, param, span in self._slots:
+            param.data[...] = self.parameters[span].reshape(param.data.shape)
+
+    def store(self, rank: int) -> None:
+        """Write the gradients ``backward`` left on the parameters as ``rank``'s."""
+        for index, (_, param, span) in enumerate(self._slots):
+            self.present[rank, index] = param.grad is not None
+            if param.grad is not None:
+                self.gradients[rank, span] = param.grad.reshape(-1)
+
+    def gradients_of(self, rank: int) -> Dict[str, np.ndarray]:
+        """Views of the gradients ``rank`` stored, by parameter name."""
+        return {
+            name: self.gradients[rank, span].reshape(param.data.shape)
+            for index, (name, param, span) in enumerate(self._slots)
+            if self.present[rank, index]
+        }
+
+
+class _RankFailure(NamedTuple):
+    """A rank process's answer when one of its ranks raised."""
+
+    rank: int
+    traceback: str
+
+
+class _RankWorker:
+    """A forked rank process and the parent's end of its pipe."""
+
+    #: seconds a process gets to leave after its pipe closed, before it is killed
+    JOIN_SECONDS = 2.0
+
+    def __init__(self, serve, ranks: Sequence[int], read, exchange: _RankExchange, earlier) -> None:
+        self.ranks = ranks
+        self.connection, remote = _FORK.Pipe()
+        # The child closes the parent ends it inherits, so that a pipe reads
+        # end-of-file as soon as the one process on its other side is gone.
+        parent_ends = [self.connection, *(worker.connection for worker in earlier)]
+        self.process = _FORK.Process(
+            target=serve, args=(remote, parent_ends, read, exchange), daemon=True
+        )
+        self.process.start()
+        remote.close()
+
+    def _lost(self) -> RuntimeError:
+        self.process.join(self.JOIN_SECONDS)
+        return RuntimeError(
+            f"rank {', '.join(map(str, self.ranks))}: process {self.process.pid} died mid-step "
+            f"(exit code {self.process.exitcode})"
+        )
+
+    def send(self, assignments) -> None:
+        try:
+            self.connection.send(assignments)
+        except OSError:
+            raise self._lost() from None
+
+    def collect(self) -> List[tuple]:
+        """The ``(loss, read seconds, compute seconds)`` of each of this process's ranks."""
+        try:
+            reply = self.connection.recv()
+        except (EOFError, OSError):
+            raise self._lost() from None
+        if isinstance(reply, _RankFailure):
+            raise RuntimeError(
+                f"rank {reply.rank} failed in process {self.process.pid}:\n{reply.traceback}"
+            )
+        return reply
+
+    def join(self) -> None:
+        self.connection.close()
+        self.process.join(self.JOIN_SECONDS)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+
+
 _OPTIMIZERS = {"adam": optim.Adam, "sgd": optim.SGD}
 #: lr_schedule name -> polynomial decay power (``None``/``"none"``: constant)
 _LR_DECAY_POWERS = {"poly1": 1.0, "poly2": 2.0}
@@ -96,8 +253,10 @@ class TrainingLoop:
     effect, then (offline: ``dataset`` given) pre-generates the dataset's
     address-specific layers and freezes the architecture, then builds the
     optimizer and learning-rate schedule.  :attr:`phase_timer` gets one record
-    per step: ``batch_read`` and ``forward_backward`` of the slowest rank,
-    ``sync``, ``optimizer``.
+    per step, measured in the calling process so the phases add up to the
+    step's wall clock: ``batch_read`` and ``forward_backward`` of its own
+    ranks, ``sync`` — the wait for the other rank processes at the join plus
+    the gradient averaging — and ``optimizer``.
     """
 
     def __init__(
@@ -137,94 +296,135 @@ class TrainingLoop:
 
     def run(
         self,
-        source: Callable[[int], List[PackedSubMinibatch]],
+        deal: Callable[[int], Any],
+        read: Callable[[Any], List[PackedSubMinibatch]],
         num_iterations: int,
         record: Callable[..., None],
         callback: Optional[Callable[[int, float], None]] = None,
     ) -> None:
         """Take ``num_iterations`` synchronous update steps.
 
-        ``source(rank)`` returns the rank's next packed minibatch.  After each
-        step ``record(loss, rank_packs, seconds, best_seconds, stats)`` runs —
-        the step's wall time with the ranks in parallel, the same under
-        perfect load balance, and the allreduce's ``CommunicationStats`` —
+        ``deal(rank)`` runs here, in rank order, and returns the rank's work
+        for the step; ``read(work)`` turns it into the rank's packed minibatch
+        inside the process that runs the rank, so with more than one rank
+        ``work`` must be small and picklable (an index list).  After each step
+        ``record(loss, rank_work, seconds, best_seconds, stats)`` runs — the
+        step's measured wall clock, the same modelled under perfect balance
+        over the rank processes, and the allreduce's ``CommunicationStats`` —
         then ``callback(iteration, loss)`` last, so the caller's records are
         complete even if the callback ends the run by raising.  However the
-        run ends, the network's update listeners are notified once if any
-        step was applied.
+        run ends, every rank process has been joined and the network's update
+        listeners are notified once if any step was applied.
         """
         parameters = self._parameters
         names = list(parameters)
         shapes = {name: param.data.shape for name, param in parameters.items()}
+        # One rank: the gradients backward() left on the parameters are the
+        # step's gradients — no exchange, no process, no pipe.
+        exchange = _RankExchange(parameters, self.num_ranks) if self.num_ranks > 1 else None
+        num_processes = min(self.num_ranks, _usable_cores())
+        own_ranks = range(0, self.num_ranks, num_processes)
+        workers: List[_RankWorker] = []
         stepped = False
         try:
+            for first_rank in range(1, num_processes):
+                ranks = range(first_rank, self.num_ranks, num_processes)
+                workers.append(_RankWorker(self._serve_ranks, ranks, read, exchange, workers))
             for iteration in range(num_iterations):
-                rank_packs: List[List[PackedSubMinibatch]] = []
-                rank_losses: List[float] = []
-                rank_gradients: List[Dict[str, np.ndarray]] = []
-                read_seconds: List[float] = []
-                compute_seconds: List[float] = []
-                for rank in range(self.num_ranks):
-                    start = time.perf_counter()
-                    packs = source(rank)
-                    read_seconds.append(time.perf_counter() - start)
+                started = time.perf_counter()
+                work = [deal(rank) for rank in range(self.num_ranks)]
+                dealt = time.perf_counter()
+                for worker in workers:
+                    worker.send([(rank, work[rank]) for rank in worker.ranks])
+                outcomes = {rank: self._rank_step(read, rank, work[rank], exchange) for rank in own_ranks}
 
-                    start = time.perf_counter()
-                    self.optimizer.zero_grad()
-                    loss = self.network.loss_packed(packs)
-                    loss.backward()
-                    if self.num_ranks > 1:
-                        rank_gradients.append(
-                            {n: p.grad.copy() for n, p in parameters.items() if p.grad is not None}
-                        )
-                    compute_seconds.append(time.perf_counter() - start)
-                    rank_packs.append(packs)
-                    rank_losses.append(loss.item())
-                    # Free the autograd graph now, not when the next loss is
-                    # bound: two live graphs is the peak-memory case.
-                    del loss
-
-                # The reduce point.  One rank: the gradients backward() left
-                # on the parameters are the step's gradients.
-                start = time.perf_counter()
+                # The join: wait for the other processes' ranks, then reduce.
+                joining = time.perf_counter()
+                for worker in workers:
+                    outcomes.update(zip(worker.ranks, worker.collect()))
+                averaging = time.perf_counter()
                 stats = CommunicationStats()
-                if self.num_ranks > 1:
+                if exchange is not None:
                     averaged = average_gradients(
-                        rank_gradients, names, shapes, self.allreduce_strategy, stats
+                        [exchange.gradients_of(rank) for rank in range(self.num_ranks)],
+                        names, shapes, self.allreduce_strategy, stats,
                     )
                     for name, param in parameters.items():
                         param.grad = averaged.get(name)
-                sync_seconds = time.perf_counter() - start
+                reduced = time.perf_counter()
 
-                start = time.perf_counter()
                 self.optimizer.step()
                 self.scheduler.step()
-                optimizer_seconds = time.perf_counter() - start
+                if exchange is not None:
+                    exchange.publish()
                 stepped = True
+                finished = time.perf_counter()
 
-                self.phase_timer.add("batch_read", max(read_seconds))
-                self.phase_timer.add("forward_backward", max(compute_seconds))
-                self.phase_timer.add("sync", sync_seconds)
-                self.phase_timer.add("optimizer", optimizer_seconds)
-                # Ranks in parallel: the slowest one (the record's phases) plus
-                # the shared work.  Best: perfectly balanced ranks.
-                seconds = self.phase_timer.end_iteration().total()
-                best_seconds = float(
-                    np.mean(read_seconds) + np.mean(compute_seconds) + sync_seconds + optimizer_seconds
+                losses, reads, computes = zip(*(outcomes[rank] for rank in range(self.num_ranks)))
+                # What this process did, so the phases add up to the step.
+                self.phase_timer.add("batch_read", dealt - started + sum(reads[rank] for rank in own_ranks))
+                self.phase_timer.add("forward_backward", sum(computes[rank] for rank in own_ranks))
+                self.phase_timer.add("sync", reduced - joining)
+                self.phase_timer.add("optimizer", finished - reduced)
+                self.phase_timer.end_iteration()
+                # Modelled: every rank's work spread evenly over the processes, no wait.
+                best_seconds = (
+                    dealt - started + (sum(reads) + sum(computes)) / num_processes + finished - averaging
                 )
-                mean_loss = float(np.mean(rank_losses))
-                record(mean_loss, rank_packs, seconds, best_seconds, stats)
+                mean_loss = float(np.mean(losses))
+                record(mean_loss, work, finished - started, best_seconds, stats)
                 if callback is not None:
                     callback(iteration, mean_loss)
         finally:
+            for worker in workers:
+                worker.join()
             if stepped:
                 # The parameters changed in place: tell anyone caching results
                 # keyed to this network (posterior caches, compiled plans).
                 self.network.notify_updated()
 
+    def _rank_step(self, read, rank: int, work, exchange: Optional[_RankExchange]):
+        """One rank's share of a step, in whichever process runs the rank.
+
+        Returns ``(loss, read seconds, compute seconds)``; the gradients go to
+        the rank's exchange buffer (one rank: they stay on the parameters).
+        The loss graph dies with this frame, so two graphs are never alive at
+        once — that would be the peak-memory case.
+        """
+        start = time.perf_counter()
+        packs = read(work)
+        read_seconds = time.perf_counter() - start
+
+        start = time.perf_counter()
+        self.optimizer.zero_grad()
+        loss = self.network.loss_packed(packs)
+        loss.backward()
+        if exchange is not None:
+            exchange.store(rank)
+        return loss.item(), read_seconds, time.perf_counter() - start
+
+    def _serve_ranks(self, connection, parent_ends, read, exchange: _RankExchange) -> None:
+        """A rank process: block on the pipe, run the dealt ranks, answer."""
+        for end in parent_ends:
+            end.close()
+        try:
+            while True:
+                assignments = connection.recv()
+                exchange.load()
+                outcomes = []
+                for rank, work in assignments:
+                    try:
+                        outcomes.append(self._rank_step(read, rank, work, exchange))
+                    except Exception:
+                        connection.send(_RankFailure(rank, traceback.format_exc()))
+                        return
+                connection.send(outcomes)
+        except (EOFError, OSError):
+            pass  # the parent closed the pipe: the run is over
+
 
 class DistributedTrainer:
-    """Algorithm 2: synchronous data-parallel SGD over simulated MPI ranks."""
+    """Algorithm 2: synchronous data-parallel SGD, the ranks in forked processes."""
 
     def __init__(
         self,
@@ -292,27 +492,30 @@ class DistributedTrainer:
         )
 
     # --------------------------------------------------------------------- run
-    def _rank_packs(self, rank: int) -> List[PackedSubMinibatch]:
-        """The N-rank batch source: the rank's next sampler chunk, read and packed."""
+    def _deal(self, rank: int) -> List[int]:
+        """The rank's next sampler chunk.  The schedule lives in the parent only."""
         try:
-            indices = next(self._iterators[rank])
+            return next(self._iterators[rank])
         except StopIteration:
             # The first rank to run dry starts the next epoch for every rank.
             epoch = self.samplers[0].epoch + 1
             for sampler in self.samplers:
                 sampler.set_epoch(epoch)
             self._iterators = [iter(sampler) for sampler in self.samplers]
-            indices = next(self._iterators[rank])
+            return next(self._iterators[rank])
+
+    def _read(self, indices: List[int]) -> List[PackedSubMinibatch]:
+        """Read and pack a dealt chunk, in the process that runs the rank."""
         return pack_minibatch(self.dataset.get_batch(indices), self.network.observe_key)
 
-    def _record(self, loss, rank_packs, seconds, best_seconds, stats) -> None:
+    def _record(self, loss, rank_indices, seconds, best_seconds, stats) -> None:
         self.report.train_losses.append(loss)
         self.report.learning_rates.append(self._loop.optimizer.lr)
         self.report.iteration_times.append(seconds)
         self.report.best_iteration_times.append(best_seconds)
         self.report.effective_minibatch_sizes.append(
             effective_minibatch_size(
-                [trace.trace_type for packs in rank_packs for pack in packs for trace in pack.traces]
+                [self.dataset.trace_type_of(i) for indices in rank_indices for i in indices]
             )
         )
         self.report.communication.append(stats)
@@ -333,7 +536,7 @@ class DistributedTrainer:
             if callback is not None:
                 callback(iteration, loss)
 
-        self._loop.run(self._rank_packs, num_iterations, self._record, after_step)
+        self._loop.run(self._deal, self._read, num_iterations, self._record, after_step)
         self.report.phase_means = self.phase_timer.mean_by_phase()
         return self.report
 

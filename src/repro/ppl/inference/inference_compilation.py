@@ -160,7 +160,8 @@ class InferenceCompilation:
             self._total_traces += sum(pack.batch_size for pack in rank_packs[0])
             self.history.append(loss, self._total_traces, self.network.num_parameters(), loop.optimizer.lr)
 
-        loop.run(source, num_iterations, record, callback)
+        # One rank: the source's packs are the dealt work, and reading it is a no-op.
+        loop.run(source, lambda packs: packs, num_iterations, record, callback)
         return self.history
 
     # ---------------------------------------------------------------- posterior

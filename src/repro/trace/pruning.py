@@ -113,15 +113,18 @@ def restore_trace(
         value = record["value"]
         if isinstance(value, list):
             value = np.asarray(value)
-        distribution = (
-            distribution_from_dict(record["distribution"]) if "distribution" in record else None
-        )
-        log_prob = 0.0
-        if distribution is not None:
+        distribution, log_prob = None, 0.0
+        if "distribution" in record:
+            # A record its own distribution cannot rebuild or score is corrupt:
+            # training on it with a made-up prior term would be silent damage.
             try:
+                distribution = distribution_from_dict(record["distribution"])
                 log_prob = float(np.sum(distribution.log_prob(value)))
-            except Exception:
-                log_prob = 0.0
+            except Exception as error:
+                raise ValueError(
+                    f"sample at address {address!r}: stored value cannot be scored by its "
+                    f"stored distribution ({type(error).__name__}: {error})"
+                ) from error
         trace.add_sample(
             Sample(
                 address=address,

@@ -84,3 +84,24 @@ def tiny_tau_dataset(tau_model, rng):
     from repro.data import generate_dataset
 
     return generate_dataset(tau_model, 60, rng=rng)
+
+
+@pytest.fixture
+def dealt_indices(monkeypatch):
+    """``dealt_indices(trainer)`` -> the list that fills with every index list
+    the trainer deals, in deal order (rank 0, rank 1, ... per step).  A rank's
+    ``dataset.get_batch`` may run in a forked rank process, out of a spy's
+    sight; what the parent deals is what every rank reads."""
+
+    def spy(trainer):
+        dealt = []
+        deal = trainer._deal
+
+        def recording_deal(rank):
+            dealt.append(list(deal(rank)))
+            return dealt[-1]
+
+        monkeypatch.setattr(trainer, "_deal", recording_deal)
+        return dealt
+
+    return spy

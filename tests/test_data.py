@@ -74,6 +74,57 @@ class TestShardStore:
         _ = store[0]  # evicted by now -> miss
         assert store.cache_misses == 6
 
+    def test_a_read_decodes_one_record_not_one_shard(self, tmp_path, monkeypatch):
+        store = ShardStore(str(tmp_path / "shards"), records_per_shard=4)
+        store.extend({"value": i} for i in range(10))  # two shards on disk + an unflushed tail
+        decoded = []
+        loads = pickle.loads
+        monkeypatch.setattr(
+            "repro.data.shelf.pickle.loads", lambda data: decoded.append(loads(data)) or decoded[-1]
+        )
+        assert store[6] == {"value": 6}
+        assert decoded == [{"value": 6}]
+        assert store[9] == {"value": 9}  # from the tail, before any flush
+        store.flush()
+        assert ShardStore(str(tmp_path / "shards"))[9] == {"value": 9}
+
+    def test_reads_are_positionless(self, tmp_path):
+        # A forked rank process shares the parent's descriptors *and* their
+        # file offsets: a read that seeks would race with the other process.
+        store = ShardStore(str(tmp_path / "shards"), records_per_shard=5)
+        store.extend({"value": i} for i in range(10))
+        store.flush()
+        assert [store[i]["value"] for i in (7, 2, 9, 0)] == [7, 2, 9, 0]
+        assert len(store._cache) == 2
+        assert all(os.lseek(descriptor, 0, os.SEEK_CUR) == 0 for descriptor in store._cache.values())
+
+    def test_cache_size_bounds_open_descriptors(self, tmp_path):
+        store = ShardStore(str(tmp_path / "shards"), records_per_shard=1, cache_size=2)
+        store.extend({"value": i} for i in range(5))
+        store.flush()
+        for i in range(5):
+            _ = store[i]
+        assert len(store._cache) == 2
+        evicted_and_open = list(store._cache.values())
+        store.clear_cache()
+        for descriptor in evicted_and_open:
+            with pytest.raises(OSError):
+                os.fstat(descriptor)
+
+    def test_index_of_whole_shard_pickles_is_refused(self, tmp_path):
+        directory = str(tmp_path / "shards")
+        store = ShardStore(directory, records_per_shard=2)
+        store.extend({"value": i} for i in range(4))
+        store.flush()
+        index_path = os.path.join(directory, ShardStore.INDEX_FILE)
+        with open(index_path, "rb") as handle:
+            payload = pickle.load(handle)
+        payload["index"] = [(shard, position) for shard, position, _ in payload["index"]]
+        with open(index_path, "wb") as handle:
+            pickle.dump(payload, handle)
+        with pytest.raises(ValueError, match="regenerate"):
+            ShardStore(directory)
+
     def test_invalid_records_per_shard(self, tmp_path):
         with pytest.raises(ValueError):
             ShardStore(str(tmp_path / "x"), records_per_shard=0)
@@ -154,6 +205,41 @@ class TestTraceDataset:
         trace = dataset[0]
         assert np.isfinite(trace.log_prior)
         assert trace.log_prior != 0.0
+
+
+    def test_unflushed_traces_read_back(self, tau_model, rng, tmp_path):
+        dataset = TraceDataset(str(tmp_path / "d"), records_per_shard=4)
+        traces = tau_model.prior_traces(6, rng=rng)
+        dataset.add_traces(traces)  # one shard on disk, two traces pending
+        for index in (1, 5):
+            assert dataset[index].trace_type == traces[index].trace_type
+            assert np.array_equal(dataset[index].observation["detector"], traces[index].observation["detector"])
+
+    @pytest.mark.parametrize("damage", ["wrong shape", "wrong payload keys"])
+    def test_record_its_distribution_cannot_score_raises(self, tau_model, rng, tmp_path, damage):
+        # Regression: restore_trace swallowed the failure and restored the
+        # sample with log_prob = 0.0, so a corrupt record trained silently
+        # with a wrong prior term.
+        from repro.trace.pruning import prune_trace
+
+        dataset = TraceDataset(str(tmp_path / "d"))
+        traces = tau_model.prior_traces(3, rng=rng)
+        dataset.add_traces(traces[:2])
+        record = prune_trace(traces[2], address_dictionary=dataset.address_dictionary)
+        sample = record["samples"][0]
+        address = traces[2].samples[0].address
+        if damage == "wrong shape":
+            sample["distribution"] = {"type": "Normal", "loc": [0.0, 1.0, 2.0], "scale": [1.0, 1.0, 1.0]}
+            sample["value"] = [0.5, 0.5]
+        else:
+            sample["distribution"] = {"type": sample["distribution"]["type"], "no_such_parameter": 1.0}
+        dataset.store.append(record)
+        dataset.trace_types.append(traces[2].trace_type)
+        dataset.trace_lengths.append(traces[2].length)
+        assert dataset[1].log_prior != 0.0  # its neighbours still read
+        with pytest.raises(ValueError) as raised:
+            dataset[2]
+        assert "dataset index 2" in str(raised.value) and address in str(raised.value)
 
 
 class TestSorting:

@@ -214,23 +214,16 @@ class TestDistributedTrainer:
         for name in initial:
             assert np.allclose(state_two[name], state_one[name], rtol=1e-9, atol=1e-12), name
 
-    def test_second_train_call_continues_the_schedule(self, tau_model, rng, monkeypatch):
+    def test_second_train_call_continues_the_schedule(self, tau_model, rng, dealt_indices):
         """train(3); train(3) reads what one train(6) reads — across an epoch
         rollover — instead of replaying the first call's shuffles."""
         dataset = generate_dataset(tau_model, 20, rng=rng)
-        reads = []
-        read_batch = dataset.get_batch
-
-        def recording_get_batch(indices):
-            reads.append(list(indices))
-            return read_batch(indices)
-
-        monkeypatch.setattr(dataset, "get_batch", recording_get_batch)
         split, _ = build_trainer(dataset, validation_fraction=0.0, seed=3)
+        split_reads = dealt_indices(split)
         split.train(3)
         split.train(3)
-        split_reads, reads[:] = list(reads), []
         whole, _ = build_trainer(dataset, validation_fraction=0.0, seed=3)
+        reads = dealt_indices(whole)
         whole.train(6)
         assert split_reads == reads
         assert len(split.report.train_losses) == 6

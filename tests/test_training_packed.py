@@ -412,25 +412,19 @@ class TestOneTrainingLoop:
         assert history.losses == self.reference_losses(reference.network, optimizer, minibatches)
         assert history.traces_seen[-1] == sum(len(m) for m in minibatches)
 
-    def test_two_rank_history(self, small_config, vectorized_loss, monkeypatch):
+    def test_two_rank_history(self, small_config, vectorized_loss, dealt_indices):
         model = FunctionModel(variable_program, name="variable")
         dataset = InMemoryTraceDataset(model.prior_traces(40, rng=RandomState(17)))
-        reads = []
-        read_batch = dataset.get_batch
-
-        def recording_get_batch(indices):
-            reads.append(read_batch(indices))
-            return reads[-1]
-
-        monkeypatch.setattr(dataset, "get_batch", recording_get_batch)
         network = build_network(small_config, vectorized_loss=vectorized_loss)
         trainer = DistributedTrainer(
             network, dataset, num_ranks=2, local_minibatch_size=4, validation_fraction=0.0, seed=2
         )
+        dealt = dealt_indices(trainer)
         reference = build_network(small_config, vectorized_loss=vectorized_loss)
         reference.polymorph(dataset)
         reference.load_state_dict(network.state_dict())
         report = trainer.train(self.ITERATIONS)
+        reads = [dataset.get_batch(indices) for indices in dealt]
 
         named = list(reference.named_parameters())
         optimizer = optim.Adam(named, lr=1e-3)
