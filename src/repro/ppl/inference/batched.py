@@ -42,8 +42,8 @@ uncontrolled draws cancel exactly against ``log_joint``.
 
 from __future__ import annotations
 
-import operator
 import threading
+import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +69,10 @@ __all__ = [
     "run_mixed_cohort",
     "execute_trace_jobs",
 ]
+
+
+#: seconds ``_drive_cohort`` waits, in total, for a cohort's threads to exit
+_JOIN_DEADLINE_S = 5.0
 
 
 class LockstepStallError(RuntimeError):
@@ -105,20 +109,38 @@ def per_trace_rngs(rng: RandomState, num_traces: int) -> List[RandomState]:
     return [rng.spawn((base, index)) for index in range(num_traces)]
 
 
+def _shut_gate() -> threading.Lock:
+    """A lock created held: ``acquire()`` waits for another thread's ``release()``."""
+    gate = threading.Lock()
+    gate.acquire()
+    return gate
+
+
+#: inbox marker: the slot owes this round a message and has not posted it yet
+_UNPOSTED = object()
+
+
 class _LockstepCoordinator:
     """Suspends worker executions at controlled draws and answers them in batch.
 
     Round protocol: every live worker posts exactly one message per round —
-    either a proposal request (then blocks on its event) or "done".  Once all
-    live workers have been heard from, the pending requests are answered with
-    one :meth:`BatchedProposalSession.proposals` call and the requesting
+    either a proposal request (then blocks until answered) or "done".  Once
+    all live workers have been heard from, the pending requests are answered
+    with one :meth:`BatchedProposalSession.proposals` call and the requesting
     workers are released for the next round.
 
-    The round inbox is a counting barrier, not a message queue: workers append
-    under one lock and the *last* poster of the round wakes the driver, so a
-    round costs one driver wake-up instead of one per message.  At serving
-    cohort sizes (B=64) the per-message ``queue.get`` wake-ups were the single
-    largest cost of the whole engine — coordination, not NN compute.
+    The hand-off is a baton passed on bare locks.  Every lock here except
+    ``_lock`` is created *held* and used as a binary gate: the party that
+    waits calls ``acquire()`` (and so leaves the gate shut behind it), the
+    party that wakes it calls ``release()`` from another thread.  A worker
+    blocks on its own slot's gate; the driver blocks on ``_driver_gate``,
+    which the *last* poster of a round opens — so a round costs the driver
+    one wake-up and each slot one, with no ``Event``/``Condition`` (a
+    ``Condition`` allocates and queues a fresh lock per wait) and nothing
+    allocated per round but the ``pending`` list the session consumes.  The
+    inbox is one cell per slot, so ``pending`` falls out in slot order.  At
+    serving cohort sizes (B=64) this coordination, not NN compute, is the
+    engine's largest cost.
     """
 
     def __init__(
@@ -136,43 +158,45 @@ class _LockstepCoordinator:
         #: message and every laggard thread still alive" may persist)
         self.stall_timeout = float(stall_timeout)
         self.poll_interval = float(poll_interval)
+        #: guards the round counters and the poison flag (an ordinary mutex)
         self._lock = threading.Lock()
-        #: inbox of the current round: (kind, slot, address, prior, prev_value)
-        self._messages: List[Tuple[str, int, Any, Any, Any]] = []
+        #: this round's message per slot: ``_UNPOSTED``, ``None`` (done) or the
+        #: ``(slot, address, prior, previous_value)`` request
+        self._inbox: List[Any] = [_UNPOSTED] * num_workers
+        self._posted = 0
         #: how many messages complete the current round (live outstanding workers)
         self._expected = num_workers
-        self._round_ready = threading.Event()
-        self._events = [threading.Event() for _ in range(num_workers)]
-        self._responses: Dict[int, Any] = {}
+        self._driver_gate = _shut_gate()
+        self._slot_gates = [_shut_gate() for _ in range(num_workers)]
+        self._responses: List[Any] = [None] * num_workers
         #: set after a driver-side failure: workers stop suspending and run
         #: to completion on the prior fallback instead of deadlocking
         self._poisoned = False
 
     # ------------------------------------------------------------ worker side
-    def _post(self, message: Tuple[str, int, Any, Any, Any]) -> bool:
-        """Append to the round inbox; returns False when the cohort is poisoned."""
+    def _post(self, slot: int, message) -> bool:
+        """Fill the slot's inbox cell; returns False when the cohort is poisoned."""
         with self._lock:
             if self._poisoned:
                 return False
-            self._messages.append(message)
-            if len(self._messages) >= self._expected:
-                self._round_ready.set()
+            self._inbox[slot] = message
+            self._posted += 1
+            if self._posted == self._expected:
+                self._driver_gate.release()  # last poster of the round: baton to the driver
             return True
 
     def request(self, slot: int, address: str, prior, previous_value):
         """Called from a worker thread; blocks until the round is answered."""
-        if not self._post(("request", slot, address, prior, previous_value)):
+        if not self._post(slot, (slot, address, prior, previous_value)):
             return None  # poisoned cohort: prior fallback, run to completion
-        event = self._events[slot]
-        event.wait()
-        event.clear()
-        return self._responses.pop(slot)
+        self._slot_gates[slot].acquire()
+        return self._responses[slot]
 
     def finished(self, slot: int) -> None:
-        self._post(("done", slot, None, None, None))
+        self._post(slot, None)
 
     # ------------------------------------------------------------ driver side
-    def _collect_round(self, outstanding: set, threads) -> List[Tuple[str, int, Any, Any, Any]]:
+    def _await_round(self, outstanding: List[int], threads) -> None:
         """Block until every outstanding worker has posted its round message.
 
         ``threads`` enables a liveness check: a worker that died without ever
@@ -187,29 +211,26 @@ class _LockstepCoordinator:
         """
         stalled_for = 0.0
         last_posted = -1
-        while True:
-            if self._round_ready.wait(timeout=self.poll_interval):
-                break
+        while not self._driver_gate.acquire(timeout=self.poll_interval):
             with self._lock:
-                posted = {message[1] for message in self._messages}
+                if self._posted == self._expected:
+                    continue  # the last poster beat the timeout: take its baton
+                missing = [slot for slot in outstanding if self._inbox[slot] is _UNPOSTED]
                 if threads is not None:
-                    dead = {
-                        slot
-                        for slot in outstanding
-                        if slot not in posted and not threads[slot].is_alive()
-                    }
+                    dead = [slot for slot in missing if not threads[slot].is_alive()]
                     if dead:
-                        outstanding -= dead
-                        self._expected = len(outstanding)
-                        if len(self._messages) >= self._expected:
-                            break
-                if len(posted) > last_posted:
-                    last_posted = len(posted)
+                        for slot in dead:
+                            outstanding.remove(slot)
+                            missing.remove(slot)
+                        self._expected -= len(dead)
+                        if self._posted == self._expected:
+                            return  # nobody opened the gate: it stays shut for the next round
+                if self._posted > last_posted:
+                    last_posted = self._posted
                     stalled_for = 0.0
                 else:
                     stalled_for += self.poll_interval
                 if stalled_for >= self.stall_timeout:
-                    missing = sorted(outstanding - posted)
                     status = {
                         slot: (
                             "alive"
@@ -220,43 +241,43 @@ class _LockstepCoordinator:
                     }
                     raise LockstepStallError(
                         f"lockstep round stalled for {stalled_for:.0f}s: "
-                        f"{len(posted)}/{self._expected} messages posted, "
+                        f"{self._posted}/{self._expected} messages posted, "
                         f"waiting on slots {status} "
-                        f"(outstanding={sorted(outstanding)})"
+                        f"(outstanding={outstanding})"
                     )
-        with self._lock:
-            messages = self._messages
-            self._messages = []
-            self._round_ready.clear()
-        return messages
 
     def serve(self, threads: Optional[Sequence[threading.Thread]] = None) -> None:
         """Run rounds until every worker has finished."""
-        outstanding = set(range(self.num_workers))
+        inbox = self._inbox
+        #: slots owed a message this round, ascending
+        outstanding = list(range(self.num_workers))
         try:
             while outstanding:
-                messages = self._collect_round(outstanding, threads)
-                pending = [
-                    (slot, address, prior, previous_value)
-                    for kind, slot, address, prior, previous_value in messages
-                    if kind == "request"
-                ]
+                self._await_round(outstanding, threads)
                 # Slot order, not arrival order: the rows of a same-address
                 # group are stacked in this order, and BLAS rounds a row's
                 # result differently depending on where in the matrix it
-                # sits, so thread timing must not pick the row order.
-                pending.sort(key=operator.itemgetter(0))
-                outstanding = {slot for slot, _, _, _ in pending}
+                # sits, so thread timing must not pick the row order.  (A
+                # slot still ``_UNPOSTED`` here died without posting: done.)
+                pending = [
+                    inbox[slot]
+                    for slot in outstanding
+                    if inbox[slot] is not None and inbox[slot] is not _UNPOSTED
+                ]
+                outstanding = [request[0] for request in pending]
                 if not pending:
                     continue
-                # The next round's barrier size must be armed *before* any
+                # The next round's barrier must be armed *before* any
                 # released worker can post into it.
                 with self._lock:
+                    for slot in outstanding:
+                        inbox[slot] = _UNPOSTED
+                    self._posted = 0
                     self._expected = len(outstanding)
                 responses = self.session.proposals(pending)
                 for request_slot, proposal in responses.items():
                     self._responses[request_slot] = proposal
-                    self._events[request_slot].set()
+                    self._slot_gates[request_slot].release()
         except BaseException:
             # A driver-side failure (e.g. inside the network forward) must not
             # leave workers blocked forever: poison the cohort (so no worker
@@ -265,11 +286,13 @@ class _LockstepCoordinator:
             # their own threads; the cohort's traces are discarded anyway.
             with self._lock:
                 self._poisoned = True
-                blocked = {message[1] for message in self._messages if message[0] == "request"}
-                self._messages = []
-            for request_slot in sorted(outstanding | blocked):
-                self._responses[request_slot] = None
-                self._events[request_slot].set()
+            for slot, gate in enumerate(self._slot_gates):
+                self._responses[slot] = None
+                # Only this thread opens slot gates, so a gate seen shut stays
+                # shut until the release below; one already open (its worker
+                # was answered and has not run yet) must not be opened twice.
+                if gate.locked():
+                    gate.release()
             raise
 
 
@@ -347,9 +370,12 @@ def _drive_cohort(model, session, jobs: Sequence[TraceJob], stats) -> List[Trace
         # Join on *every* exit — the poison path has already released any
         # blocked worker, so a bounded join collects them; a worker that is
         # still wedged (the stall the coordinator just diagnosed) is a daemon
-        # thread and must not also hang the driver here.
+        # thread and must not also hang the driver here.  One deadline for the
+        # whole cohort: a per-thread timeout would hold the error back for
+        # ``size`` timeouts when every simulator is wedged.
+        deadline = time.monotonic() + _JOIN_DEADLINE_S
         for thread in threads:
-            thread.join(timeout=5.0)
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
     for error in errors:
         if error is not None:
             raise error

@@ -59,6 +59,11 @@ class Controller:
         chosen value under the distribution it was actually drawn from."""
         raise NotImplementedError
 
+    #: prior log-density of the latest choice, for a controller that scores it
+    #: anyway: :meth:`ExecutionState.do_sample` then carries the number
+    #: instead of evaluating ``distribution.log_prob(value)`` a second time.
+    last_log_prior: Optional[float] = None
+
 
 class PriorController(Controller):
     """Draw every latent from its prior (forward simulation)."""
@@ -147,14 +152,15 @@ class ProposalController(Controller):
         proposal = self.proposal_provider(address, instance, distribution, self.state)
         if proposal is None:
             value = distribution.sample(rng)
-            log_q = float(np.sum(distribution.log_prob(value)))
+            log_q = log_prior = float(np.sum(distribution.log_prob(value)))
         else:
             value = proposal.sample(rng)
             log_q = float(np.sum(proposal.log_prob(value)))
+            log_prior = float(np.sum(distribution.log_prob(value)))
             self.num_proposed += 1
-        log_prior = float(np.sum(distribution.log_prob(value)))
         self.log_q += log_q
         self.log_prior += log_prior
+        self.last_log_prior = log_prior
         return value, log_q
 
 
@@ -193,10 +199,12 @@ class ExecutionState:
         self._address_counts[resolved] = instance + 1
         if control:
             value, log_q = self.controller.choose(resolved, instance, distribution, name, self.rng)
+            log_prior = self.controller.last_log_prior
+            if log_prior is None:
+                log_prior = float(np.sum(distribution.log_prob(value)))
         else:
             value = distribution.sample(self.rng)
-            log_q = float(np.sum(distribution.log_prob(value)))
-        log_prior = float(np.sum(distribution.log_prob(value)))
+            log_q = log_prior = float(np.sum(distribution.log_prob(value)))
         self.log_q += log_q
         self.log_prior += log_prior
         self.trace.add_sample(

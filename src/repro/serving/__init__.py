@@ -13,7 +13,8 @@ for free.  This package turns that observation into a service:
   one inference run.
 * :class:`MicroBatchScheduler` — coalesces the trace jobs of in-flight
   requests (possibly conditioning on *different* observations) into lockstep
-  cohorts under a max-batch/max-latency flush policy.
+  cohorts, each built at the moment an executor can start it (full batch or
+  spent latency budget while one is idle; free coalescing while none is).
 * :class:`CohortWorkerPool` / :class:`ProcessCohortPool` — the one cohort
   executor, on threads or on persistent worker *processes*
   (``backend="process"``: sidesteps the GIL for CPU-bound simulators; crashed

@@ -30,8 +30,10 @@ Lifecycle and failure semantics:
   ``max_requeues`` attempts, after which the shard fails loudly with
   :class:`WorkerCrashed` — never silently dropped.
 * ``submit`` blocks once ``max_inflight`` shards are outstanding — the same
-  backpressure contract as the thread pool's bounded queue, which stalls the
-  scheduler and, transitively, admission control.
+  backpressure contract as the thread pool
+  (:class:`repro.serving.workers.ExecutorSlots`).  The serving scheduler
+  never uses that look-ahead: it sizes a cohort only when a worker can start
+  it (``wait_for_executor``).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 from repro.ppl.inference.batched import execute_trace_jobs
 from repro.ppl.inference.plans import PlanCache
 from repro.serving.request import PoolStopped, ServingError
+from repro.serving.workers import ExecutorSlots
 from repro.testing import faults
 
 logger = logging.getLogger(__name__)
@@ -147,8 +150,11 @@ class ProcessCohortPool:
 
     Same contract as :class:`repro.serving.workers.CohortWorkerPool`:
     ``submit(entries, callback)`` (blocking on backpressure),
+    ``free_executors()`` / ``wait_for_executor()``,
     ``callback(entries, traces, error)`` on completion, engine counters
-    through ``on_stats`` and a ``stop(drain=...)`` lifecycle.  The shard body
+    through ``on_stats`` and a ``stop(drain=...)`` lifecycle.  Here
+    ``num_workers`` is real parallelism — each worker is its own interpreter
+    — at the price of pickling jobs out and traces back.  The shard body
     (:func:`repro.ppl.inference.batched.execute_trace_jobs`) runs in the
     worker process; traces and counters travel back pickled and both hooks
     run on the pool's one collector thread.
@@ -195,7 +201,7 @@ class ProcessCohortPool:
         self._shard_ids = itertools.count()
         self._result_queue = None
         self._collector: Optional[threading.Thread] = None
-        self._slots = threading.BoundedSemaphore(max(1, self.max_inflight))
+        self._slots = ExecutorSlots(self.num_workers, capacity=self.max_inflight)
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._started = False
@@ -214,7 +220,7 @@ class ProcessCohortPool:
         # (symmetric with the thread pool).
         self._closing = False
         self._stop_collector = threading.Event()
-        self._slots = threading.BoundedSemaphore(max(1, self.max_inflight))
+        self._slots.open()
         self._result_queue = self._ctx.Queue()
         with self._lock:
             # A collector from a previous stop() that outlived its join
@@ -289,6 +295,7 @@ class ProcessCohortPool:
         if not self._started:
             return
         self._closing = True
+        self._slots.close()  # a submit blocked on backpressure refuses now
         if drain:
             deadline = None if timeout is None else time.monotonic() + timeout
             with self._idle:
@@ -305,7 +312,7 @@ class ProcessCohortPool:
                     worker.outstanding.clear()
             for shard in dropped:
                 self._safe_callback(shard, None, PoolStopped("worker pool stopped"))
-                self._release_slot()
+                self._slots.give_back()
         self._stop_collector.set()
         if self._collector is not None:
             self._collector.join(timeout=5.0)
@@ -347,7 +354,7 @@ class ProcessCohortPool:
                 worker.outstanding.clear()
         for shard in leftovers:
             self._safe_callback(shard, None, PoolStopped("worker pool stopped"))
-            self._release_slot()
+            self._slots.give_back()
         for worker in workers:
             try:
                 worker.task_queue.put(None)
@@ -378,13 +385,10 @@ class ProcessCohortPool:
         request routing state (futures, locks) stays in the parent and is
         rejoined by shard id when the result returns.
         """
-        if not self._started or self._closing:
-            raise PoolStopped("process pool is not running")
-        self._slots.acquire()
-        if not self._started or self._closing:
-            # stop() raced the backpressure wait: refuse rather than register
-            # a shard no collector will ever resolve.
-            self._release_slot()
+        # claim() refuses once stop() has closed the slots, so a submit that
+        # was blocked on backpressure never registers a shard no collector
+        # will resolve.
+        if not self._started or self._closing or not self._slots.claim():
             raise PoolStopped("process pool is not running")
         jobs = [getattr(entry, "job", entry) for entry in entries]
         with self._lock:
@@ -403,6 +407,14 @@ class ProcessCohortPool:
                 worker.process.kill()
             except Exception:
                 pass
+
+    def free_executors(self) -> int:
+        """How many shards would start at once (workers with none outstanding)."""
+        return self._slots.free
+
+    def wait_for_executor(self, timeout: Optional[float] = None) -> bool:
+        """Block until an executor is free; ``False`` on timeout."""
+        return self._slots.wait(timeout)
 
     def _pick_worker(self) -> _Worker:
         """Least-loaded live worker (respawning any found dead while idle)."""
@@ -474,7 +486,7 @@ class ProcessCohortPool:
                     except Exception:
                         pass
                 self._safe_callback(shard, traces, None)
-        self._release_slot()
+        self._slots.give_back()
         with self._idle:
             if not self._shards:
                 self._idle.notify_all()
@@ -547,7 +559,7 @@ class ProcessCohortPool:
                     f"{shard_id} and the requeue budget ({self.max_requeues}) is spent"
                 ),
             )
-            self._release_slot()
+            self._slots.give_back()
             with self._idle:
                 if not self._shards:
                     self._idle.notify_all()
@@ -587,12 +599,6 @@ class ProcessCohortPool:
         except Exception:
             pass  # a callback crash must not kill the collector thread
 
-    def _release_slot(self) -> None:
-        try:
-            self._slots.release()
-        except ValueError:
-            pass
-
     # --------------------------------------------------------------------- stats
     def stats(self) -> Dict[str, Any]:
         with self._lock:
@@ -606,4 +612,5 @@ class ProcessCohortPool:
             "requeues": self.requeues,
             "worker_crashes": self.worker_crashes,
             "inflight_shards": inflight,
+            "free_executors": self._slots.free,
         }

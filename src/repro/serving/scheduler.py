@@ -2,19 +2,29 @@
 
 The scheduler owns the pending-job queue and a single flush thread.  Incoming
 requests are already exploded into per-trace jobs (so a 100-trace request and
-ten 10-trace requests exert the same queue pressure), and the flush policy is
-the classic serving trade-off:
+ten 10-trace requests exert the same queue pressure).
 
-* **max-batch** — flush immediately once a full cohort's worth of jobs is
+**Formation rule.**  A cohort is built at the moment an executor can start it,
+never earlier: the flush thread first waits for a free executor, and only
+then sizes the cohort.  Jobs that arrive while every executor is busy
+therefore coalesce for free, up to ``max_batch`` — a cohort sized by a timer
+and parked behind a busy worker would have given that batch size away.  Once
+an executor is free the classic serving trade-off applies:
+
+* **max-batch** — build at once when a full cohort's worth of jobs is
   pending; batching beyond the cohort size buys nothing.
-* **max-latency** — otherwise flush when the *oldest* pending request has
-  waited ``max_latency`` seconds, so a lone request never waits more than the
-  configured bound for co-batchable traffic that may never arrive.
+* **max-latency** — otherwise build when the latency budget is spent, so a
+  lone request never waits more than ``max_latency`` for co-batchable
+  traffic that may never arrive.  The budget buys batch size with *idle*
+  executor time, so it runs from the later of "the oldest job arrived" and
+  "an executor came free": clients answered by one cohort send their next
+  requests within moments of each other, and the first of them must not
+  leave alone just because it beat the executor's release by a millisecond.
 
-Expired requests are shed at flush time (their remaining jobs are dropped and
-the request fails with ``DeadlineExceeded`` via the ``on_shed`` callback), so
-a deadline costs nothing once it has passed — the cohort slots go to requests
-that can still meet theirs.
+Expired requests are shed when a cohort is built (their remaining jobs are
+dropped and the request fails with ``DeadlineExceeded`` via the ``on_shed``
+callback), so a deadline costs nothing once it has passed — the cohort slots
+go to requests that can still meet theirs.
 """
 
 from __future__ import annotations
@@ -40,13 +50,20 @@ class CohortEntry(NamedTuple):
     position: int  # index of this trace within its request (submission order)
 
 
-class MicroBatchScheduler:
-    """Coalesces pending trace jobs into cohorts under a flush policy.
+#: seconds between looks at the stop flag while waiting for an executor
+_EXECUTOR_POLL_S = 0.05
 
-    ``dispatch(entries)`` is invoked on the scheduler thread with each flushed
-    cohort and may block — that blocking is the backpressure path: while the
-    worker pool's queue is full, no further cohorts are built and pending
-    jobs accumulate until admission control starts rejecting.
+
+class MicroBatchScheduler:
+    """Coalesces pending trace jobs into cohorts, one per free executor.
+
+    ``wait_for_executor(timeout)`` blocks until an executor could start a
+    cohort (``False`` when ``timeout`` ran out first); the flush thread calls
+    it before every build.  ``dispatch(entries)`` is then invoked on the
+    flush thread with the built cohort.  While every executor is busy no
+    cohort is built and pending jobs accumulate until admission control
+    starts rejecting — that is the backpressure path.  ``None`` stands for
+    an executor that is always free.
     """
 
     def __init__(
@@ -56,6 +73,7 @@ class MicroBatchScheduler:
         max_latency: float = 0.005,
         on_shed: Optional[Callable[[PosteriorRequest], None]] = None,
         clock=time.monotonic,
+        wait_for_executor: Optional[Callable[[float], bool]] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -64,6 +82,7 @@ class MicroBatchScheduler:
         self.max_batch = int(max_batch)
         self.max_latency = float(max_latency)
         self._dispatch = dispatch
+        self._wait_for_executor = wait_for_executor
         self._on_shed = on_shed
         self._clock = clock
         self._pending: Deque[CohortEntry] = deque()
@@ -72,9 +91,16 @@ class MicroBatchScheduler:
         self._drain = False
         self._thread: Optional[threading.Thread] = None
         self.num_flushes = 0
+        #: why each cohort was built: it was full / the latency budget of an
+        #: idle executor ran out / its jobs had been waiting for an executor
         self.num_full_flushes = 0
         self.num_latency_flushes = 0
+        self.num_executor_flushes = 0
         self.num_shed_requests = 0
+        #: seconds the flush thread spent waiting for an executor with jobs pending
+        self.executor_wait_s = 0.0
+        #: when the flush thread last had to wait for an executor and got one
+        self._executor_free_at = float("-inf")
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -122,6 +148,8 @@ class MicroBatchScheduler:
             "num_flushes": self.num_flushes,
             "num_full_flushes": self.num_full_flushes,
             "num_latency_flushes": self.num_latency_flushes,
+            "num_executor_flushes": self.num_executor_flushes,
+            "executor_wait_s": self.executor_wait_s,
             "num_shed_requests": self.num_shed_requests,
             "pending_jobs": self.pending_jobs,
             "max_batch": self.max_batch,
@@ -136,17 +164,22 @@ class MicroBatchScheduler:
                     self._cond.wait()
                 if self._stop and not (self._drain and self._pending):
                     break
+            # Outside the lock, so admissions continue: whatever arrives while
+            # every executor is busy joins the cohort built when one frees.
+            self._await_executor()
+            with self._cond:
+                if not self._pending or (self._stop and not self._drain):
+                    continue  # cancelled, or stopped without drain, meanwhile
                 now = self._clock()
-                flush_at = self._pending[0].request.enqueued_at + self.max_latency
+                oldest = self._pending[0].request.enqueued_at
+                flush_at = max(oldest, self._executor_free_at) + self.max_latency
                 if len(self._pending) < self.max_batch and now < flush_at and not self._stop:
-                    # Not enough co-batchable work yet: sleep until the oldest
-                    # request's latency budget is spent (or more jobs arrive,
-                    # which re-notifies and re-evaluates).
+                    # Not enough co-batchable work yet: sleep until the
+                    # latency budget is spent (or more jobs arrive, which
+                    # re-notifies and re-evaluates).
                     self._cond.wait(timeout=flush_at - now)
                     continue
                 cohort, shed = self._build_cohort(now)
-            # Dispatch outside the lock so admissions continue while the
-            # worker queue applies backpressure.
             for request in shed:
                 self.num_shed_requests += 1
                 if self._on_shed is not None:
@@ -155,6 +188,8 @@ class MicroBatchScheduler:
                 self.num_flushes += 1
                 if len(cohort) >= self.max_batch:
                     self.num_full_flushes += 1
+                elif self._executor_free_at >= oldest:
+                    self.num_executor_flushes += 1
                 else:
                     self.num_latency_flushes += 1
                 try:
@@ -169,6 +204,17 @@ class MicroBatchScheduler:
                     # cohort's requests and keep serving.
                     for entry in cohort:
                         entry.request.fail(error)
+
+    def _await_executor(self) -> None:
+        """Block until an executor can start a cohort (or a stop without drain)."""
+        wait = self._wait_for_executor
+        if wait is None or wait(0.0):
+            return
+        started = self._clock()
+        while not (self._stop and not self._drain) and not wait(_EXECUTOR_POLL_S):
+            pass
+        self._executor_free_at = self._clock()
+        self.executor_wait_s += self._executor_free_at - started
 
     def _build_cohort(self, now: float):
         """Pop up to ``max_batch`` live jobs; collect newly expired requests."""

@@ -67,6 +67,9 @@ from repro.testing import faults
 
 __all__ = ["PosteriorService"]
 
+#: executors a backend gets when the caller names no ``num_workers``
+_DEFAULT_NUM_WORKERS = {"thread": 1, "process": 2}
+
 
 class PosteriorService:
     """Serve amortized posterior inference over a trained network.
@@ -82,17 +85,24 @@ class PosteriorService:
     max_batch:
         Lockstep cohort capacity — the micro-batching ceiling.
     max_latency:
-        Seconds a lone request waits for co-batchable traffic before its
-        cohort is flushed anyway.
+        Seconds a lone request waits, *with an executor idle*, for
+        co-batchable traffic before its cohort is built anyway.  While every
+        executor is busy nothing is built and pending jobs coalesce for free.
     num_workers / shard_min:
-        Worker-pool width; a flushed batch is split over idle workers into
-        shards of at least ``shard_min`` jobs (cohorts are independent
+        Worker-pool width; a built cohort is split over the *free* executors
+        into shards of at least ``shard_min`` jobs (cohorts are independent
         importance-sampling streams, so sharding never changes results).
+        ``None`` (default) is 1 on ``"thread"`` and 2 on ``"process"``:
+        cohort threads share one GIL, so a second thread runs no more Python
+        per second — it only cuts cohorts in half.  Ask for more threads
+        when the simulator releases the GIL (native code, a remote call).
     backend:
         ``"thread"`` (default) executes cohorts on worker threads in this
         process; ``"process"`` ships them to persistent worker processes
         (:class:`repro.serving.procpool.ProcessCohortPool`), which sidesteps
-        the GIL for CPU-bound simulators.  Seeded posteriors are bit-identical
+        the GIL for CPU-bound simulators — pick it when there are cores to
+        use and a cohort outweighs pickling its jobs and traces.  Seeded
+        posteriors are bit-identical
         across backends because every trace job's random stream is derived in
         the parent before dispatch.  Remote PPX models force the thread
         backend (their one transport cannot be shared with a forked worker).
@@ -141,7 +151,7 @@ class PosteriorService:
         observe_key: Optional[str] = None,
         max_batch: int = 64,
         max_latency: float = 0.005,
-        num_workers: int = 2,
+        num_workers: Optional[int] = None,
         shard_min: int = 16,
         backend: str = "thread",
         queue_capacity: int = 4096,
@@ -180,6 +190,8 @@ class PosteriorService:
             num_workers = 1
             backend = "thread"
         self.use_plans = bool(use_plans) and network is not None
+        #: as requested — ``None`` resolves per backend, also after a demotion
+        self._num_workers = num_workers
         self.workers = self._make_pool(
             backend, num_workers, start_method=mp_start_method, max_requeues=max_requeues
         )
@@ -189,6 +201,7 @@ class PosteriorService:
             max_batch=max_batch,
             max_latency=max_latency,
             on_shed=self._shed,
+            wait_for_executor=self._wait_for_executor,
         )
         self._engine_stats = new_engine_stats()
         self._stats_lock = threading.Lock()
@@ -528,14 +541,21 @@ class PosteriorService:
         return future
 
     # ------------------------------------------------------------------ internals
+    def _wait_for_executor(self, timeout: float) -> bool:
+        """Scheduler hook: block until the (current) pool could start a cohort."""
+        return self.workers.wait_for_executor(timeout)
+
     def _dispatch(self, entries: List[CohortEntry]) -> None:
-        """Scheduler flush hook: shard the batch over workers and enqueue."""
+        """Scheduler flush hook: shard the batch over the free executors and submit."""
         # Occupancy is a property of the flush against the scheduler's cohort
         # capacity; recording per worker shard would cap the observable
         # occupancy at 1/num_workers even at total saturation.
         requests = {entry.request.request_id for entry in entries}
         self.metrics.record_cohort(len(entries), self.scheduler.max_batch, len(requests))
-        shards = shard_jobs(entries, self.workers.num_workers, min_shard_size=self.shard_min)
+        # Over the executors that are free, not over num_workers: a shard
+        # cut for a busy worker would only wait behind it at half the size.
+        free = max(1, self.workers.free_executors())
+        shards = shard_jobs(entries, free, min_shard_size=self.shard_min)
         for shard in shards:
             if self._resilience is not None and not self._resilience.breaker.allow():
                 # allow() is the consuming check: in half-open state exactly
@@ -562,13 +582,16 @@ class PosteriorService:
             self.metrics.record_failed()
             self._record_capture_outcome(request, "failed", error=error)
 
-    def _make_pool(self, backend: str, num_workers: int, **process_options):
+    def _make_pool(self, backend: str, num_workers: Optional[int], **process_options):
         """The one place a backend name becomes a cohort pool.
 
         Both pools take the model/network handles, own the plan cache and
         report every shard's engine counters to ``_merge_engine_stats``;
         ``process_options`` are the process pool's own tuning knobs.
+        ``num_workers=None`` is the backend's default.
         """
+        if num_workers is None:
+            num_workers = _DEFAULT_NUM_WORKERS[backend]
         shared = dict(
             num_workers=num_workers, use_plans=self.use_plans, on_stats=self._merge_engine_stats
         )
@@ -710,7 +733,7 @@ class PosteriorService:
             if isinstance(self.workers, CohortWorkerPool) or not self._running:
                 return False
             old = self.workers
-            replacement = self._make_pool("thread", old.num_workers).start()
+            replacement = self._make_pool("thread", self._num_workers).start()
             self.workers = replacement
             self.backend = replacement.backend
         self.metrics.record_demotion()

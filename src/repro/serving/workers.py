@@ -13,11 +13,17 @@ traces.  "Where" is one of two pools with one contract —
   on_stats)``.  The pool, not its caller, holds the model and network handles
   its workers execute against.
 * **Submit and collect** — ``submit(entries, callback)`` blocks while the
-  pool is saturated (the backpressure that stalls the scheduler and,
-  transitively, admission control) and raises
+  pool is saturated (the backpressure that stalls a direct caller such as
+  the distributed driver) and raises
   :class:`~repro.serving.request.PoolStopped` on a pool that is not running.
   ``callback(entries, traces, error)`` fires exactly once per accepted shard,
   on a pool thread, with exactly one of ``traces``/``error`` set.
+* **Free executors** — ``free_executors()`` says how many shards would start
+  at once rather than queue behind a busy worker, and
+  ``wait_for_executor(timeout)`` blocks until that is at least one.  The
+  serving scheduler waits there *before* it sizes a cohort, so work that
+  arrives while every executor is busy coalesces in the scheduler instead of
+  sitting, already cut to size, in a pool's look-ahead.
 * **Counters** — a shard's engine counters reach the pool's owner through
   ``on_stats(stats, elapsed_seconds)``, called before that shard's callback.
 * **Plans** — with ``use_plans`` the pool owns the compiled-plan cache: the
@@ -56,12 +62,78 @@ __all__ = ["CohortWorkerPool"]
 _SENTINEL = object()
 
 
+class ExecutorSlots:
+    """A pool's shards in flight, against its executors and its capacity.
+
+    The one counter behind both uses.  ``submit`` claims a slot, blocking
+    while ``capacity`` shards are in flight (``capacity - executors`` is the
+    pool's look-ahead: shards a direct caller may park behind busy workers);
+    the pool gives the slot back once the shard's callback has returned.  An
+    executor is *free* while fewer than ``executors`` shards are in flight —
+    the scheduler's flush thread waits here for that before it builds a
+    cohort, so a served cohort never enters the look-ahead.  Shut until
+    :meth:`open`; after :meth:`close` nobody waits — ``claim`` refuses and
+    ``wait`` returns at once, so callers reach the pool's loud
+    ``PoolStopped`` instead of sleeping on a dead pool.
+    """
+
+    def __init__(self, executors: int, capacity: int) -> None:
+        self.executors = executors
+        self.capacity = max(capacity, 1)
+        self._inflight = 0
+        self._open = False
+        self._cond = threading.Condition()
+
+    def open(self) -> None:
+        with self._cond:
+            self._inflight = 0
+            self._open = True
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        with self._cond:
+            self._open = False
+            self._cond.notify_all()
+
+    def claim(self) -> bool:
+        """Take one slot, waiting for it; ``False`` when the pool closed meanwhile."""
+        with self._cond:
+            while self._open and self._inflight >= self.capacity:
+                self._cond.wait()
+            if not self._open:
+                return False
+            self._inflight += 1
+            return True
+
+    def give_back(self) -> None:
+        with self._cond:
+            self._inflight = max(self._inflight - 1, 0)
+            self._cond.notify_all()
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until an executor is free; ``False`` when ``timeout`` ran out first."""
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: self._inflight < self.executors or not self._open, timeout
+            )
+
+    @property
+    def free(self) -> int:
+        with self._cond:
+            return max(self.executors - self._inflight, 0) if self._open else 0
+
+
 class CohortWorkerPool:
     """Execute cohort shards on ``num_workers`` threads of this process.
 
-    The dispatch queue holds ``2 * num_workers`` shards; ``submit`` blocks
-    beyond that.  Workers share the caller's model and network objects, so an
-    in-place retraining is visible to the next shard without a copy.
+    ``submit`` accepts ``2 * num_workers`` shards beyond the ones running and
+    blocks after that.  The threads share one interpreter lock,
+    so ``num_workers`` is how many cohorts *interleave*, not how many run at
+    once — worth more than 1 only when the model releases the GIL (a remote
+    or native simulator); pure-Python models run fastest on one worker with
+    the largest cohorts the scheduler can form.  Workers share the caller's
+    model and network objects, so an in-place retraining is visible to the
+    next shard without a copy.
     """
 
     backend = "thread"
@@ -83,12 +155,15 @@ class CohortWorkerPool:
         self.on_stats = on_stats
         #: one cache for every worker (its own lock makes it thread-safe)
         self.plan_cache = PlanCache() if use_plans and network is not None else None
-        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=2 * self.num_workers)
+        self._queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        self._slots = ExecutorSlots(self.num_workers, capacity=3 * self.num_workers)
         self._threads: List[threading.Thread] = []
         self._started = False
         # Counters are bumped from every worker thread concurrently; a bare
         # `+= 1` is a read-modify-write that loses updates under the GIL's
-        # bytecode-level interleaving.
+        # bytecode-level interleaving.  The same lock orders a submit's
+        # enqueue against stop's flag flip, so no shard lands behind the
+        # stop sentinels.
         self._stats_lock = threading.Lock()
         self.shards_executed = 0
         self.failed_shards = 0
@@ -96,9 +171,11 @@ class CohortWorkerPool:
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> "CohortWorkerPool":
-        if self._started:
-            raise RuntimeError("worker pool already started")
-        self._started = True
+        with self._stats_lock:
+            if self._started:
+                raise RuntimeError("worker pool already started")
+            self._started = True
+        self._slots.open()
         self._threads = [
             threading.Thread(target=self._run, name=f"cohort-worker-{index}", daemon=True)
             for index in range(self.num_workers)
@@ -132,7 +209,9 @@ class CohortWorkerPool:
         """
         if not self._started:
             return
-        self._started = False  # submit() refuses from here on
+        with self._stats_lock:
+            self._started = False  # submit() refuses from here on
+        self._slots.close()
         if not drain:
             self._cancel_queued()
         for _ in self._threads:
@@ -170,14 +249,25 @@ class CohortWorkerPool:
 
     # ------------------------------------------------------------------ dispatch
     def submit(self, entries: Sequence[Any], callback: Callable[..., None]) -> None:
-        """Enqueue one shard (blocks while the queue is full — backpressure).
+        """Enqueue one shard (blocks while the pool is saturated — backpressure).
 
         ``entries`` may be scheduler :class:`CohortEntry` rows or bare
         :class:`TraceJob` objects; the callback gets them back unchanged.
         """
-        if not self._started:
-            raise PoolStopped("worker pool is not running")
-        self._queue.put((entries, callback))
+        if self._slots.claim():  # refuses on a pool that is not running
+            with self._stats_lock:
+                if self._started:
+                    self._queue.put((entries, callback))
+                    return
+        raise PoolStopped("worker pool is not running")
+
+    def free_executors(self) -> int:
+        """How many shards would start at once (idle workers, nothing queued)."""
+        return self._slots.free
+
+    def wait_for_executor(self, timeout: Optional[float] = None) -> bool:
+        """Block until an executor is free; ``False`` on timeout."""
+        return self._slots.wait(timeout)
 
     def _run(self) -> None:
         while True:
@@ -205,13 +295,19 @@ class CohortWorkerPool:
                 with self._stats_lock:
                     self.shards_executed += 1
                 callback(entries, traces, None)
+            finally:
+                # Free only once the callback has returned: it finalizes
+                # requests on this thread, which is not idle until then.
+                self._slots.give_back()
 
     # --------------------------------------------------------------------- stats
     def stats(self) -> Dict[str, Any]:
+        free = self._slots.free
         with self._stats_lock:
             return {
                 "backend": self.backend,
                 "num_workers": self.num_workers,
+                "free_executors": free,
                 "shards_executed": self.shards_executed,
                 "failed_shards": self.failed_shards,
                 "cancelled_shards": self.cancelled_shards,

@@ -189,11 +189,11 @@ class TestRoundOrderIsSlotOrder:
         coordinator = _LockstepCoordinator(session, num_workers=5)
         # Post from one thread, so the arrival order is exactly this one.
         for slot in (3, 0, 4, 1, 2):
-            coordinator._post(("request", slot, "addr", None, None))
+            coordinator._post(slot, (slot, "addr", None, None))
         driver = threading.Thread(target=coordinator.serve, daemon=True)
         driver.start()
         for slot in (4, 2, 0, 3, 1):
-            coordinator._events[slot].wait(timeout=5.0)
+            assert coordinator._slot_gates[slot].acquire(timeout=5.0)
             coordinator.finished(slot)
         driver.join(timeout=5.0)
         assert not driver.is_alive()

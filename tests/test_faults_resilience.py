@@ -495,7 +495,7 @@ class TestLockstepStall:
         )
         # Worker 0 posts, worker 1 never does (and there is no thread record
         # to declare it dead): the round must fail loudly, naming slot 1.
-        coordinator._post(("done", 0, None, None, None))
+        coordinator.finished(0)
         with pytest.raises(LockstepStallError, match=r"waiting on slots \{1:"):
             coordinator.serve(threads=None)
 
