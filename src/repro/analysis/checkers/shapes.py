@@ -2,7 +2,7 @@
 
 ``repro.distributions.batched`` packs B per-trace distributions into shared
 ``(B, ...)`` parameter arrays, and three layers (the lockstep engine, the
-packed-minibatch trainer, the sub-minibatch packer) call the same five
+packed-minibatch trainer, the sub-minibatch packer) call the same four
 methods on them.  The registry below records each method's contract — the
 parameter list and the leading-dim shape law — and checks both sides:
 
@@ -60,14 +60,6 @@ CONTRACTS: Dict[str, MethodContract] = {
             abstract=True,
         ),
         MethodContract(
-            "row", ("index",), 1,
-            "row(index) -> per-slot view of row index",
-        ),
-        MethodContract(
-            "rows", (), 0,
-            "rows() -> list of B per-slot views",
-        ),
-        MethodContract(
             "row_distribution", ("index",), 1,
             "row_distribution(index) -> stand-alone Distribution for row index",
             abstract=True,
@@ -75,7 +67,7 @@ CONTRACTS: Dict[str, MethodContract] = {
         MethodContract(
             "from_distributions", ("distributions", "choice_kernel"), 1,
             "from_distributions(distributions, choice_kernel=None) -> packed "
-            "(B, ...) batch; row(i) equivalent to distributions[i]",
+            "(B, ...) batch; row i equivalent to distributions[i]",
             classmethod_=True,
         ),
     )

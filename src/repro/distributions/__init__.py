@@ -18,7 +18,6 @@ from repro.distributions.batched import (
     BatchedDistributionList,
     BatchedMixtureOfTruncatedNormals,
     BatchedNormal,
-    BatchedRowView,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "Poisson",
     "Bernoulli",
     "BatchedDistribution",
-    "BatchedRowView",
     "BatchedNormal",
     "BatchedCategorical",
     "BatchedMixtureOfTruncatedNormals",

@@ -9,23 +9,22 @@ engine's per-trace cost floor.
 
 The classes here make the same move pyprob and vectorised PPLs (NumPyro et
 al.) make: hold the whole address group's parameters as ``(B, ...)``-shaped
-arrays in **one** object, keep ``sample``/``log_prob`` on array math, and hand
-each worker slot a cheap :class:`BatchedRowView` into its row instead of a
-freshly built per-trace object.
+arrays in **one** object and draw / score all B rows in one array pass
+(:meth:`~BatchedDistribution.sample_rows` /
+:meth:`~BatchedDistribution.log_prob_rows`) instead of building a per-trace
+object per row.
 
-Three contracts matter:
+Two contracts matter:
 
-* **Row equivalence** — ``row(i).sample(rng)`` consumes ``rng`` exactly as
-  the per-object distribution the row replaces would (component choice, then
-  one uniform/normal draw), and ``row(i).log_prob(v)`` evaluates the same
-  floating-point expression, so swapping the lockstep engine onto batched
-  objects leaves seeded posteriors bit-identical to the per-object path.
+* **Row equivalence** — ``sample_rows(rngs)[i]`` consumes ``rngs[i]`` exactly
+  as ``row_distribution(i).sample(rngs[i])`` — the stand-alone per-object
+  distribution the row replaces — would (component choice, then one
+  uniform/normal draw; generators are consumed row by row), and
+  ``log_prob_rows(values)[i]`` evaluates the same floating-point expression
+  as ``row_distribution(i).log_prob(values[i])``, so the lockstep engine's
+  seeded posteriors are bit-identical to the per-object path.
 * **O(1) objects per step** — constructing a batched distribution allocates a
-  fixed number of arrays, never per-row component objects; ``row(i)`` is a
-  two-field view.
-* **Vectorised bulk paths** — :meth:`sample_rows` / :meth:`log_prob_rows`
-  evaluate all B rows in array math (per-row generators are still consumed
-  row by row so the draws match ``row(i).sample(rngs[i])``).
+  fixed number of arrays, never per-row component objects.
 """
 
 from __future__ import annotations
@@ -34,18 +33,17 @@ import math
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from repro.common.rng import RandomState, get_rng
 from repro.distributions.categorical import Categorical
 from repro.distributions.distribution import Distribution
-from repro.distributions.mixture import Mixture
+from repro.distributions.mixture import Mixture, logsumexp
 from repro.distributions.normal import Normal
 from repro.distributions.truncated_normal import TruncatedNormal, stable_truncation_z
 
 __all__ = [
     "BatchedDistribution",
-    "BatchedRowView",
     "BatchedNormal",
     "BatchedCategorical",
     "BatchedMixtureOfTruncatedNormals",
@@ -149,85 +147,25 @@ class MixtureScratch:
         self.norm = np.empty((self.batch_max, 1))
 
 
-class BatchedRowView(Distribution):
-    """A lightweight view of one row of a :class:`BatchedDistribution`.
-
-    Quacks like the per-trace distribution object the row replaces — the
-    execution-state controllers (:class:`repro.ppl.state.ProposalController`)
-    only ever call ``sample(rng)`` and ``log_prob(value)`` on a proposal, and
-    both delegate straight into the parent's row arrays.  Anything heavier
-    (moments, serialisation) goes through :meth:`materialize`, which builds
-    the equivalent stand-alone distribution; that path is for debugging and
-    wire formats, never the inference hot loop.
-    """
-
-    __slots__ = ("parent", "index")
-
-    def __init__(self, parent: "BatchedDistribution", index: int) -> None:
-        self.parent = parent
-        self.index = int(index)
-
-    # ------------------------------------------------------------- hot path
-    def sample(self, rng: Optional[RandomState] = None, size=None):
-        if size is not None:
-            return self.materialize().sample(rng, size=size)
-        return self.parent._sample_row(self.index, self._rng(rng))
-
-    def log_prob(self, value) -> np.ndarray:
-        return self.parent._log_prob_row(self.index, value)
-
-    # ------------------------------------------------------------ cold path
-    def materialize(self) -> Distribution:
-        """The equivalent stand-alone distribution for this row."""
-        return self.parent.row_distribution(self.index)
-
-    @property
-    def discrete(self) -> bool:  # type: ignore[override]
-        return self.parent.discrete
-
-    @property
-    def mean(self):
-        return self.materialize().mean
-
-    @property
-    def variance(self):
-        return self.materialize().variance
-
-    def to_dict(self):
-        return self.materialize().to_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BatchedRowView({type(self.parent).__name__}, index={self.index})"
-
-
 class BatchedDistribution:
     """Common interface of array-parameterised batched distributions.
 
     Not itself a :class:`Distribution`: it represents B independent
     distributions whose parameters live in shared ``(B, ...)`` arrays.  The
-    per-row API (:meth:`row`) serves the lockstep engine's worker slots; the
-    bulk API (:meth:`sample_rows` / :meth:`log_prob_rows`) serves vectorised
-    callers.
+    bulk API (:meth:`sample_rows` / :meth:`log_prob_rows`) is how the lockstep
+    engine draws and scores an address group; :meth:`row_distribution` is
+    the stand-alone reference for one row.
     """
 
     batch_size: int
     discrete: bool = False
-
-    def row(self, index: int) -> BatchedRowView:
-        """A cheap per-slot view of row ``index`` (no parameter copies)."""
-        if not 0 <= index < self.batch_size:
-            raise IndexError(f"row {index} out of range for batch of {self.batch_size}")
-        return BatchedRowView(self, index)
-
-    def rows(self) -> List[BatchedRowView]:
-        return [BatchedRowView(self, index) for index in range(self.batch_size)]
 
     def sample_rows(self, rngs: Union[RandomState, Sequence[RandomState], None] = None) -> np.ndarray:
         """One draw per row: ``out[i]`` is distributed as row ``i``.
 
         ``rngs`` may be one shared :class:`RandomState` or a sequence of B
         per-row states; with per-row states the draws are identical to
-        ``[self.row(i).sample(rngs[i]) for i in range(B)]``.
+        ``[self.row_distribution(i).sample(rngs[i]) for i in range(B)]``.
         """
         raise NotImplementedError
 
@@ -252,12 +190,6 @@ class BatchedDistribution:
             )
         return [rng.generator for rng in rngs]
 
-    def _sample_row(self, index: int, generator: np.random.Generator):
-        raise NotImplementedError
-
-    def _log_prob_row(self, index: int, value) -> np.ndarray:
-        raise NotImplementedError
-
 
 class BatchedNormal(BatchedDistribution):
     """B independent scalar normals held as ``(B,)`` parameter arrays."""
@@ -266,7 +198,7 @@ class BatchedNormal(BatchedDistribution):
     def from_distributions(cls, distributions: Sequence[Normal]) -> "BatchedNormal":
         """Pack B per-trace :class:`Normal` objects into one batched object.
 
-        The inverse of :meth:`row_distribution`: ``row(i)`` of the result is
+        The inverse of :meth:`row_distribution`: row ``i`` of the result is
         sample- and density-equivalent to ``distributions[i]``.  Used by the
         minibatch packing layer to turn a same-address group's per-trace
         priors into ``(B,)`` parameter arrays once, instead of touching B
@@ -289,14 +221,6 @@ class BatchedNormal(BatchedDistribution):
             raise ValueError("scale must be positive")
         self.batch_size = int(self.locs.shape[0])
         self._log_scales = np.log(self.scales)
-
-    def _sample_row(self, index: int, generator: np.random.Generator):
-        return generator.normal(self.locs[index], self.scales[index])
-
-    def _log_prob_row(self, index: int, value) -> np.ndarray:
-        value = np.asarray(value, dtype=float)
-        z = (value - self.locs[index]) / self.scales[index]
-        return -0.5 * z * z - self._log_scales[index] - _LOG_SQRT_2PI
 
     def sample_rows(self, rngs=None) -> np.ndarray:
         generators = self._per_row_generators(rngs)
@@ -331,7 +255,7 @@ class BatchedCategorical(BatchedDistribution):
         """Pack B per-trace :class:`Categorical` objects into a ``(B, K)`` batch.
 
         All inputs must share the same number of categories (the same-address
-        contract of a sub-minibatch group).  ``row(i)`` of the result is
+        contract of a sub-minibatch group).  Row ``i`` of the result is
         equivalent to ``distributions[i]``.
         """
         for d in distributions:
@@ -392,28 +316,12 @@ class BatchedCategorical(BatchedDistribution):
         self._cdfs = np.divide(cdfs, totals, out=cdfs)
         return self
 
-    def _choose(self, index: int, generator: np.random.Generator) -> int:
-        if self._cdfs is not None:
-            return int(np.searchsorted(self._cdfs[index], generator.random(), side="right"))
-        return int(generator.choice(self.num_categories, size=None, p=self.probs[index]))
-
-    def _sample_row(self, index: int, generator: np.random.Generator):
-        return self._choose(index, generator)
-
-    def _log_prob_row(self, index: int, value) -> np.ndarray:
-        idx = np.asarray(value, dtype=np.int64)
-        valid = (idx >= 0) & (idx < self.num_categories)
-        if not np.all(valid):
-            safe = np.where(valid, idx, 0)
-            return np.where(valid, self._log_probs[index][safe], -np.inf)
-        return self._log_probs[index][idx]
-
     def sample_rows(self, rngs=None) -> np.ndarray:
         generators = self._per_row_generators(rngs)
         if self._cdfs is not None:
             # One uniform per row (consumed row-by-row so each stream matches
-            # its row(i).sample), then one vectorised CDF inversion for the
-            # whole batch: (cdf[j] <= u) counts are exactly
+            # row_distribution(i).sample), then one vectorised CDF inversion
+            # for the whole batch: (cdf[j] <= u) counts are exactly
             # searchsorted(cdf, u, side="right").
             uniforms = np.array([generators[i].random() for i in range(self.batch_size)])
             return (self._cdfs <= uniforms[:, None]).sum(axis=1)
@@ -462,7 +370,7 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
         :class:`TruncatedNormal` sharing one truncation interval (bounded
         row), plus bare :class:`Normal` / :class:`TruncatedNormal` objects as
         K=1 mixtures.  Every row must have the same component count.  The
-        inverse of :meth:`row_distribution`: ``row(i)`` samples and scores
+        inverse of :meth:`row_distribution`: row ``i`` samples and scores
         bit-identically to ``distributions[i]``.
         """
         locs, scales, weights, lows, highs, bounded = [], [], [], [], [], []
@@ -636,19 +544,6 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
         return self
 
     # --------------------------------------------------------------- sampling
-    def _sample_component(self, index: int, component: int, generator: np.random.Generator):
-        loc = self.locs[index, component]
-        scale = self.scales[index, component]
-        if not self.bounded[index]:
-            return generator.normal(loc, scale)
-        u = generator.uniform(0.0, 1.0)
-        z = self._zs[index, component]
-        if self._alphas[index, component] >= 0:
-            value = loc - scale * ndtri(np.clip(self._sf_lows[index, component] - u * z, 1e-300, 1.0))
-        else:
-            value = loc + scale * ndtri(np.clip(self._cdf_lows[index, component] + u * z, 1e-300, 1.0))
-        return np.clip(value, self.lows[index], self.highs[index])
-
     def _choose_component(self, index: int, generator: np.random.Generator) -> int:
         if self._weight_cdfs is not None:
             return int(
@@ -656,15 +551,12 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
             )
         return int(generator.choice(self.num_components, p=self.weights[index]))
 
-    def _sample_row(self, index: int, generator: np.random.Generator):
-        component = self._choose_component(index, generator)
-        return self._sample_component(index, component, generator)
-
     def sample_rows(self, rngs=None) -> np.ndarray:
         generators = self._per_row_generators(rngs)
         # The generator draws stay per row (each row owns its stream and must
-        # consume it exactly as row(i).sample would); the inverse-CDF math
-        # over the chosen components is then evaluated in one array pass.
+        # consume it exactly as row_distribution(i).sample would); the
+        # inverse-CDF math over the chosen components is then evaluated in one
+        # array pass.
         components = np.empty(self.batch_size, dtype=np.int64)
         # Scratch may stay uninitialised where unused: the gathers below read
         # uniforms only at bounded rows and normals only at unbounded ones.
@@ -687,7 +579,7 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
         # ndtri call.  Row-gathering (instead of evaluating the whole batch
         # and masking) keeps the expensive inverse-CDF off unbounded rows
         # while evaluating bit-for-bit the same per-row expression as
-        # _sample_component / the per-object TruncatedNormal kernel.
+        # the per-object TruncatedNormal kernel.
         trunc = np.flatnonzero(self.bounded)
         if trunc.size:
             chosen = components[trunc]
@@ -707,15 +599,6 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
         return out
 
     # ---------------------------------------------------------------- density
-    def _log_prob_row(self, index: int, value) -> np.ndarray:
-        value = np.asarray(value, dtype=float)
-        expanded = value[..., None]
-        z = (expanded - self.locs[index]) / self.scales[index]
-        log_pdf = -0.5 * z * z - self._log_scales[index] - _LOG_SQRT_2PI - self._log_zs[index]
-        inside = (expanded >= self.lows[index]) & (expanded <= self.highs[index])
-        log_pdf = np.where(inside, log_pdf, -np.inf)
-        return logsumexp(self._log_weights[index] + log_pdf, axis=-1)
-
     def log_prob_rows(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float).reshape(-1, 1)
         z = (values - self.locs) / self.scales
@@ -745,9 +628,10 @@ class BatchedDistributionList(BatchedDistribution):
     """Adapter presenting a list of per-row distributions as a batch.
 
     The compatibility fallback for custom proposal layers that only implement
-    the per-object ``proposal_distributions``: ``row(i)`` hands back the i-th
-    object itself, so downstream code can rely on the batched interface
-    without every layer implementing an array-parameterised path.
+    the per-object ``proposal_distributions``: row ``i`` *is* the i-th object
+    (sampled on its row's stream, scored on its row's value), so downstream
+    code can rely on the batched interface without every layer implementing
+    an array-parameterised path.
     """
 
     def __init__(self, distributions: Sequence[Distribution]) -> None:
@@ -756,11 +640,6 @@ class BatchedDistributionList(BatchedDistribution):
         self.distributions = list(distributions)
         self.batch_size = len(self.distributions)
         self.discrete = all(d.discrete for d in self.distributions)
-
-    def row(self, index: int):  # type: ignore[override]
-        if not 0 <= index < self.batch_size:
-            raise IndexError(f"row {index} out of range for batch of {self.batch_size}")
-        return self.distributions[index]
 
     def sample_rows(self, rngs=None) -> np.ndarray:
         generators = self._per_row_generators(rngs)

@@ -20,7 +20,6 @@ import math
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.common.rng import RandomState
 from repro.distributions.distribution import (
@@ -31,9 +30,39 @@ from repro.distributions.distribution import (
 from repro.distributions.normal import Normal
 from repro.distributions.truncated_normal import TruncatedNormal
 
-__all__ = ["Mixture"]
+__all__ = ["Mixture", "logsumexp"]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def logsumexp(log_terms: np.ndarray, axis: int = -1):
+    """``log(sum(exp(log_terms)))`` along ``axis`` — the mixture densities' one reduction.
+
+    Evaluates, operation for operation, what ``scipy.special.logsumexp`` of
+    scipy 1.17 evaluates on a real float array (the entries equal to the
+    maximum are counted rather than exponentiated, the rest go through
+    ``log1p``), so the result is bit-identical to that scipy's — which kept
+    seeded posteriors unchanged when it replaced the call — without its
+    array-API dispatch, which costs several times the arithmetic on the
+    ``(B, K)`` arrays a lockstep round scores.  :meth:`Mixture.log_prob` and
+    ``BatchedMixtureOfTruncatedNormals.log_prob_rows`` both reduce through
+    this function, which keeps the sequential and batched engines in step.
+    """
+    peak = np.max(log_terms, axis=axis, keepdims=True)
+    at_peak = log_terms == peak
+    count = np.sum(at_peak, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = np.sum(
+            np.exp(np.where(at_peak, -np.inf, log_terms) - peak), axis=axis, keepdims=True
+        )
+        out = np.log1p(np.where(rest == 0, rest, rest / count)) + np.log(count) + peak
+        finite = np.isfinite(out)
+        if not finite.all():
+            # All-(-inf) rows (a value outside every component's support),
+            # +inf and nan entries: the direct form's answer, as in scipy.
+            direct = np.log(np.sum(np.exp(log_terms), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    return np.squeeze(out, axis=axis)[()]
 
 
 @register_distribution

@@ -10,9 +10,12 @@ across a *cohort* of B simultaneous executions:
    suspend at every controlled draw;
 2. a coordinator collects the suspended draws of one lockstep round, groups
    them by address, and answers each group with **one** batched step of the
-   :class:`repro.ppl.nn.inference_network.BatchedProposalSession`;
-3. each execution resumes, samples from its per-trace proposal using its own
-   deterministic random stream, and runs until its next draw (or finishes).
+   :class:`repro.ppl.nn.inference_network.BatchedProposalSession`, which also
+   draws and scores the group's values in one vectorised pass — on each
+   execution's own deterministic random stream, which is safe to touch
+   because that execution is suspended until the round is answered;
+3. each execution resumes with its value and proposal log-density in hand and
+   runs until its next draw (or finishes).
 
 Divergence-fallback semantics: traces that request *different* addresses in
 the same round are stepped as separate per-address sub-batches (a sub-batch
@@ -307,11 +310,11 @@ class _TrackingProposalController(ProposalController):
     whose guided executions have no local ``ExecutionState`` to read a trace
     from.
 
-    ``request(address, prior, previous_value)`` returns the proposal
-    distribution (or ``None`` for the prior fallback).  Since the lockstep
-    session answers with :class:`repro.distributions.batched.BatchedRowView`
-    objects — cheap views into one array-parameterised batched distribution
-    per address group — the controller treats proposals purely through the
+    ``request(address, prior, previous_value)`` returns the proposal (or
+    ``None`` for the prior fallback).  The lockstep session answers with
+    :class:`repro.ppl.nn.inference_network.DrawnProposal` stubs (value
+    already drawn and scored by the driver), the sequential session with full
+    distributions — the controller treats both purely through the
     ``sample``/``log_prob`` duck type and never assumes a concrete class.
     """
 
@@ -387,20 +390,22 @@ def _leased_session(network, jobs: Sequence[TraceJob], stats, plan_cache):
     """The cohort's session: planned when the cache predicts one, else dynamic.
 
     The one session-construction site: slot ``slot`` is given
-    ``jobs[slot].observation_array``.  Returns ``(session, plan, scratch)``
-    with ``plan``/``scratch`` ``None`` on the dynamic path.
+    ``jobs[slot].observation_array`` and ``jobs[slot].rng`` — the session
+    draws each round's proposal values on the slots' own streams.  Returns
+    ``(session, plan, scratch)`` with ``plan``/``scratch`` ``None`` on the
+    dynamic path.
     """
     observations = [job.observation_array for job in jobs]
+    rngs = [job.rng for job in jobs]
     if plan_cache is not None:
         lease = plan_cache.lease(network, len(jobs))
         if lease is not None:
             plan, scratch = lease
             stats["plan_hits"] += 1
             stats["num_planned_cohorts"] += 1
-            rngs = [job.rng for job in jobs]
             return network.planned_session(plan, scratch, rngs, observations), plan, scratch
         stats["plan_misses"] += 1
-    return network.batched_session(observations), None, None
+    return network.batched_session(observations, rngs), None, None
 
 
 def _finish_lease(plan_cache, network, session, plan, scratch, traces, stats) -> None:

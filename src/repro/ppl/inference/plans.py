@@ -26,10 +26,11 @@ dynamic-shape bucketing, pre-allocated outputs) to guided execution:
   path (a branchy model is not plannable).
 * :class:`PlannedProposalSession` executes a cohort against a plan: while the
   cohort conforms, each round is one slot-ordered batched step with no
-  per-round grouping, gather/scatter, or geometry derivation, and the round's
-  proposal values are drawn driver-side in one ``sample_rows`` pass over the
-  workers' own rng states.  The first non-conforming round falls back to the
-  dynamic grouped path of the parent class mid-cohort.
+  per-round grouping, gather/scatter, or geometry derivation.  The first
+  non-conforming round falls back to the dynamic grouped path of the parent
+  class mid-cohort.  Either way the round's proposal values are drawn and
+  scored driver-side by the parent's one answer tail
+  (``BatchedProposalSession._answer_group``).
 
 **Equivalence gate.** The planned path is bit-identical to the dynamic path —
 samples, log-weights and generator states — because every shortcut reuses the
@@ -38,8 +39,8 @@ exact expression it shortcuts: compiled geometry is
 exactly equal (:func:`~repro.distributions.geometry.prior_signature`), the
 ``build_into`` constructors mirror the batched ``__init__`` op-for-op, the
 LSTM/embedding math is row-independent so slot order and full-batch stepping
-change nothing, and ``sample_rows`` consumes each worker's rng exactly as the
-worker's own ``row(i).sample`` would.
+change nothing, and both paths draw through the same ``sample_rows`` /
+``log_prob_rows`` calls on the same per-slot streams.
 
 ``EnginePlan``/``PlanStep`` are frozen and must never be mutated outside this
 module — enforced by ``repro.analysis``'s plan-mutation checker.
@@ -62,7 +63,11 @@ from repro.distributions.batched import (
 )
 from repro.distributions.geometry import PriorGeometry, prior_geometry, prior_signature
 from repro.ppl.nn.embeddings import SampleEmbedding
-from repro.ppl.nn.inference_network import BatchedProposalSession, InferenceNetwork
+from repro.ppl.nn.inference_network import (
+    BatchedProposalSession,
+    DrawnProposal,
+    InferenceNetwork,
+)
 from repro.ppl.nn.proposals import ProposalCategorical, ProposalNormalMixture
 from repro.tensor import functional as F
 from repro.tensor import no_grad
@@ -85,6 +90,10 @@ __all__ = [
 #: bucket, sizes round up to the next multiple of it.
 DEFAULT_BUCKET_SIZES: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
 
+#: Historical name of the answer stub, from when only planned rounds were
+#: driver-drawn; ``tests/test_plans.py`` imports it from here.
+PlannedProposal = DrawnProposal
+
 
 def bucket_size_for(batch_size: int, buckets: Sequence[int] = DEFAULT_BUCKET_SIZES) -> int:
     """Round a cohort size up to its plan bucket."""
@@ -93,35 +102,6 @@ def bucket_size_for(batch_size: int, buckets: Sequence[int] = DEFAULT_BUCKET_SIZ
             return int(bucket)
     top = int(buckets[-1])
     return ((int(batch_size) + top - 1) // top) * top
-
-
-class PlannedProposal:
-    """One slot's precomputed proposal answer (value + log-density).
-
-    A planned round draws all B values driver-side in one ``sample_rows``
-    pass over the very rng objects the blocked workers own (race-free: every
-    worker is parked on its event while the driver answers the round, and the
-    batched distributions' row-equivalence contract makes the stream
-    consumption bit-identical to per-worker sampling) and scores them with
-    one ``log_prob_rows`` pass.  Workers then consume this stub through the
-    same ``sample(rng)`` / ``log_prob(value)`` duck type as any proposal:
-    ``sample`` returns the stored value without touching the stream (the
-    driver already consumed it), ``log_prob`` the stored density.  The stub
-    itself is never recorded in the trace — ``ExecutionState.do_sample``
-    stores the *prior* — so it carries no pickling or lifetime concerns.
-    """
-
-    __slots__ = ("value", "log_q")
-
-    def __init__(self, value, log_q) -> None:
-        self.value = value
-        self.log_q = log_q
-
-    def sample(self, rng=None, size=None):
-        return self.value
-
-    def log_prob(self, value):
-        return self.log_q
 
 
 @dataclass(frozen=True)
@@ -554,8 +534,8 @@ class PlannedProposalSession(BatchedProposalSession):
     LSTM state (the whole batch steps in place, in slot order), no geometry
     derivation or ``(B, K)`` allocation on static steps (precompiled geometry
     + ``build_into`` scratch constructors), one batched previous-value
-    encoding instead of B, and the round's proposal values/log-densities are
-    precomputed driver-side in one vectorised pass.  The first round that
+    encoding instead of B.  The draw itself is the parent's (driver-side, one
+    vectorised pass — planned and dynamic rounds alike).  The first round that
     does not conform — wrong address, wrong cohort size, more rounds than the
     plan has steps — permanently drops this session onto the dynamic path of
     the parent class (state carries over row-for-row) and records where it
@@ -570,14 +550,13 @@ class PlannedProposalSession(BatchedProposalSession):
         rngs: Sequence[Any],
         observations: Sequence[Any],
     ) -> None:
-        super().__init__(network, observations)
+        super().__init__(network, observations, rngs)
         if self.batch_size > plan.bucket_size:
             raise ValueError(
                 f"cohort of {self.batch_size} cannot run on a bucket-{plan.bucket_size} plan"
             )
         self.plan = plan
         self.scratch = scratch
-        self._rngs = list(rngs)
         self._cursor = 0
         self._on_plan = True
         #: last planned round's priors matched their static signature, so the
@@ -693,22 +672,8 @@ class PlannedProposalSession(BatchedProposalSession):
                 batch = BatchedCategorical.build_into(cscratch, probs)
             else:
                 batch = layer_module.proposal_batch(hidden, priors)
-            # Driver-side precompute: one vectorised draw + one vectorised
-            # score for the round, on the workers' own (parked) rng states.
-            out_values = batch.sample_rows(self._rngs)
-            log_qs = batch.log_prob_rows(out_values)
-        discrete = batch.discrete
-        responses: Dict[int, Any] = {}
-        prev_address = self._prev_address
-        prev_prior = self._prev_prior
-        address = step.address
-        for slot in range(size):
-            value = int(out_values[slot]) if discrete else out_values[slot]
-            responses[slot] = PlannedProposal(value, log_qs[slot])
-            prev_address[slot] = address
-            prev_prior[slot] = priors[slot]
         self._last_static_ok = static_ok
-        return responses
+        return self._answer_group(batch, step.address, range(size), priors)
 
     def _planned_prev_embed(self, step: PlanStep, values) -> np.ndarray:
         """Previous-sample embedding rows for a conforming round."""

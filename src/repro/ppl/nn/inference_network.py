@@ -23,8 +23,10 @@ Two entry points matter:
   step per address.  When control flow diverges (different traces request
   different addresses at the same step), the cohort is partitioned into
   per-address sub-batches, so a group of size 1 degrades gracefully to
-  per-trace stepping.  :meth:`InferenceNetwork.planned_session` is the same
-  session driven by a compiled plan.
+  per-trace stepping.  Every group is drawn and scored by the driver in one
+  vectorised pass over the slots' own random streams and answered with
+  :class:`DrawnProposal` stubs.  :meth:`InferenceNetwork.planned_session`
+  is the same session driven by a compiled plan.
 
 Information flow during guided execution deliberately matches training: a
 fallback to the prior at an address the network has never seen resets the
@@ -58,7 +60,7 @@ from repro.tensor.nn import LSTM, Module, ModuleDict, Parameter
 from repro.tensor.tensor import Tensor
 from repro.trace.trace import Trace
 
-__all__ = ["InferenceNetwork", "ProposalSession", "BatchedProposalSession"]
+__all__ = ["InferenceNetwork", "ProposalSession", "BatchedProposalSession", "DrawnProposal"]
 
 
 class InferenceNetwork(Module):
@@ -335,17 +337,21 @@ class InferenceNetwork(Module):
         """Start a guided-execution session for one observation y."""
         return ProposalSession(self, observation)
 
-    def batched_session(self, observations: Sequence[Any]) -> "BatchedProposalSession":
+    def batched_session(
+        self, observations: Sequence[Any], rngs: Sequence[Any]
+    ) -> "BatchedProposalSession":
         """Start a lockstep session advancing ``len(observations)`` executions at once.
 
-        ``observations[slot]`` is the observation array for slot ``slot``.
+        ``observations[slot]`` is the observation array for slot ``slot`` and
+        ``rngs[slot]`` the random stream that slot's execution draws from: the
+        session draws every round's proposal values on those streams itself.
         Duplicate observations (the same array object, or byte-identical
         arrays) are embedded once and share their embedding row, so a cohort
         pays one observation-embedding forward per *distinct* observation —
         one for a single request, and the serving layer's amortization win
         when a cohort coalesces several.
         """
-        return BatchedProposalSession(self, observations)
+        return BatchedProposalSession(self, observations, rngs)
 
     def planned_session(
         self, plan, scratch, rngs, observations: Sequence[Any]
@@ -462,6 +468,36 @@ class ProposalSession:
         return distribution
 
 
+class DrawnProposal:
+    """One slot's answer to a lockstep round: a value already drawn and scored.
+
+    The session draws a whole address group driver-side — one ``sample_rows``
+    pass over the very rng objects the slots' executions own, one
+    ``log_prob_rows`` pass over the result.  That is race-free because a round
+    is answered only after every outstanding slot has posted its request, so
+    each stream the driver touches belongs to a thread parked at its gate, and
+    ``sample_rows`` consumes a stream exactly as the stand-alone
+    ``row_distribution(i).sample`` would.  Workers consume the stub through
+    the same ``sample(rng)`` / ``log_prob(value)`` duck type as any proposal:
+    ``sample`` returns the stored value without touching the stream (the
+    driver already consumed it), ``log_prob`` the stored density.  The stub
+    itself is never recorded in the trace — ``ExecutionState.do_sample``
+    stores the *prior* — so it carries no pickling or lifetime concerns.
+    """
+
+    __slots__ = ("value", "log_q")
+
+    def __init__(self, value, log_q) -> None:
+        self.value = value
+        self.log_q = log_q
+
+    def sample(self, rng=None, size=None):
+        return self.value
+
+    def log_prob(self, value):
+        return self.log_q
+
+
 class BatchedProposalSession:
     """Advances B guided executions in lockstep through the inference network.
 
@@ -496,17 +532,26 @@ class BatchedProposalSession:
 
     Proposals are array-parameterised batched distributions
     (:mod:`repro.distributions.batched`): each address group's step builds
-    ONE object holding the group's ``(B, K)`` parameters, and every slot is
-    answered with a row view whose ``sample``/``log_prob`` are bit-identical
-    to the per-trace ``Mixture``/``Categorical`` the sequential session's
-    ``proposal_distribution`` builds.
+    ONE object holding the group's ``(B, K)`` parameters, draws the group's
+    values on the slots' own streams (``rngs[slot]``) and scores them, both in
+    one vectorised pass, and answers every slot with a
+    :class:`DrawnProposal`.  Values, densities and stream consumption are
+    bit-identical to sampling the per-trace ``Mixture``/``Categorical`` the
+    sequential session's ``proposal_distribution`` builds.
     """
 
-    def __init__(self, network: InferenceNetwork, observations: Sequence[Any]) -> None:
+    def __init__(
+        self, network: InferenceNetwork, observations: Sequence[Any], rngs: Sequence[Any]
+    ) -> None:
         if len(observations) < 1:
             raise ValueError("a lockstep session needs at least one slot")
+        if len(rngs) != len(observations):
+            raise ValueError(
+                f"a lockstep session needs one rng per slot ({len(observations)}), got {len(rngs)}"
+            )
         self.network = network
         self.batch_size = len(observations)
+        self._rngs = list(rngs)
         self._obs_rows = self._embed_per_slot(observations)
         hidden = network.lstm.hidden_size
         self._h = [np.zeros((self.batch_size, hidden)) for _ in range(network.lstm.num_layers)]
@@ -550,13 +595,18 @@ class BatchedProposalSession:
         self.num_observation_embeddings = len(by_bytes)
         return rows
 
-    def proposals(self, requests: Sequence[Tuple[int, str, Distribution, Any]]) -> Dict[int, Optional[Distribution]]:
+    def proposals(
+        self, requests: Sequence[Tuple[int, str, Distribution, Any]]
+    ) -> Dict[int, Optional[DrawnProposal]]:
         """Answer one lockstep round of proposal requests.
 
         ``requests`` holds ``(slot, address, prior, previous_value)`` tuples,
-        one per execution currently suspended at a controlled draw.  Returns
-        ``slot -> Distribution`` (or ``None`` for the prior fallback at
-        addresses the network has no layers for).
+        one per execution currently suspended at a controlled draw — every
+        requesting slot's execution must stay suspended until this returns,
+        because its stream is drawn from here.  Returns ``slot ->``
+        :class:`DrawnProposal` (or ``None`` for the prior fallback at
+        addresses the network has no layers for: that slot draws its own
+        prior on its own stream).
         """
         self.num_rounds += 1
         self.num_steps += len(requests)
@@ -565,7 +615,7 @@ class BatchedProposalSession:
             groups.setdefault(address, []).append((slot, prior, previous_value))
         if len(groups) > 1:
             self.num_divergent_rounds += 1
-        responses: Dict[int, Optional[Distribution]] = {}
+        responses: Dict[int, Optional[DrawnProposal]] = {}
         for address, members in groups.items():
             if address not in self.network.proposal_layers:
                 # Unseen address: fall back to the prior without advancing the
@@ -582,8 +632,8 @@ class BatchedProposalSession:
 
     def _step_group(
         self, address: str, members: Sequence[Tuple[int, Distribution, Any]]
-    ) -> Dict[int, Distribution]:
-        """One batched LSTM step + proposal forward for a same-address group."""
+    ) -> Dict[int, DrawnProposal]:
+        """One batched LSTM step + proposal forward + draw for a same-address group."""
         self.num_batched_steps += 1
         network = self.network
         size = len(members)
@@ -623,13 +673,27 @@ class BatchedProposalSession:
                 self._h[layer][slots] = h.data
                 self._c[layer][slots] = c.data
             priors = [prior for _, prior, _ in members]
-            # One array-parameterised object for the whole group; each slot
-            # receives a cheap row view instead of a freshly built per-trace
-            # Mixture (O(1) objects per step, not O(B*K)).
             batch = network.proposal_layers[address].proposal_batch(hidden, priors)
-        out: Dict[int, Any] = {}
-        for row, (slot, prior, _) in enumerate(members):
-            self._prev_address[slot] = address
-            self._prev_prior[slot] = prior
-            out[slot] = batch.row(row)
-        return out
+        return self._answer_group(batch, address, slots, priors)
+
+    def _answer_group(
+        self, batch, address: str, slots: Sequence[int], priors: Sequence[Distribution]
+    ) -> Dict[int, DrawnProposal]:
+        """Draw and score one address group driver-side; one stub per slot.
+
+        ``batch`` holds the group's rows in the order of ``slots``;
+        ``priors[row]`` is the prior of ``slots[row]``.  Every slot's stream
+        is consumed exactly once, by the one ``sample_rows`` call.
+        """
+        values = batch.sample_rows([self._rngs[slot] for slot in slots])
+        log_qs = batch.log_prob_rows(values)
+        discrete = batch.discrete
+        prev_address = self._prev_address
+        prev_prior = self._prev_prior
+        responses: Dict[int, DrawnProposal] = {}
+        for row, slot in enumerate(slots):
+            value = int(values[row]) if discrete else values[row]
+            responses[slot] = DrawnProposal(value, log_qs[row])
+            prev_address[slot] = address
+            prev_prior[slot] = priors[row]
+        return responses

@@ -22,8 +22,9 @@ Each proposal layer offers two views of the same parameterisation:
 * :meth:`proposal_batch` — the array-parameterised path the lockstep engine
   (:mod:`repro.ppl.inference.batched`) uses: the same forward pass yields ONE
   :class:`repro.distributions.batched.BatchedDistribution` holding the whole
-  group's ``(B, K)`` parameters, whose cheap row views replace the B
-  per-trace objects (and their B·K components) on the inference hot path.
+  group's ``(B, K)`` parameters, drawn and scored in bulk
+  (``sample_rows`` / ``log_prob_rows``) in place of the B per-trace objects
+  (and their B·K components) on the inference hot path.
 """
 
 from __future__ import annotations
@@ -103,9 +104,10 @@ class ProposalLayer(Module):
 
         The lockstep engine's hot path: instead of materialising B per-trace
         objects (plus their component objects), the built-in layers emit a
-        single batched object whose ``row(i)`` views are handed to the worker
-        slots.  Rows are sample- and density-equivalent (bit-identical) to
-        the objects ``proposal_distributions`` would build.  This base
+        single batched object the session draws and scores in one
+        ``sample_rows`` / ``log_prob_rows`` pass.  Rows are sample- and
+        density-equivalent (bit-identical) to the objects
+        ``proposal_distributions`` would build.  This base
         implementation wraps the per-object list so custom layers that only
         implement ``proposal_distributions`` keep working, just without the
         O(1)-objects win.
@@ -217,8 +219,8 @@ class ProposalNormalMixture(ProposalLayer):
 
         Same transformed parameters as :meth:`proposal_distributions`, but no
         per-trace ``Mixture`` (and no B·K component objects) is ever built:
-        the batched object holds the ``(B, K)`` parameter arrays and its row
-        views sample/score bit-identically to the per-object path.
+        the batched object holds the ``(B, K)`` parameter arrays and samples
+        / scores its rows bit-identically to the per-object path.
         """
         means, scales, log_weights, lows, highs, bounded = self._transformed_parameters(hidden, list(priors))
         return BatchedMixtureOfTruncatedNormals(

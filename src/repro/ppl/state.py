@@ -70,7 +70,7 @@ class PriorController(Controller):
 
     def choose(self, address, instance, distribution, name, rng):
         value = distribution.sample(rng)
-        log_q = float(np.sum(distribution.log_prob(value)))
+        log_q = self.last_log_prior = float(np.sum(distribution.log_prob(value)))
         return value, log_q
 
 
@@ -103,18 +103,18 @@ class ReplayController(Controller):
         key = (address, instance)
         if self.resample_key is not None and key == self.resample_key:
             value = self.resample_value
-            log_q = float(np.sum(distribution.log_prob(value)))
+            log_q = self.last_log_prior = float(np.sum(distribution.log_prob(value)))
             return value, log_q
         if key in self.base_values:
             value = self.base_values[key]
-            log_q = float(np.sum(distribution.log_prob(value)))
+            log_q = self.last_log_prior = float(np.sum(distribution.log_prob(value)))
             # A reused value can become impossible under the new path's prior
             # (e.g. changed support); treat that as a fresh prior draw instead.
             if np.isfinite(log_q):
                 self.reused_keys.append(key)
                 return value, log_q
         value = distribution.sample(rng)
-        log_q = float(np.sum(distribution.log_prob(value)))
+        log_q = self.last_log_prior = float(np.sum(distribution.log_prob(value)))
         self.fresh_log_prob += log_q
         self.fresh_keys.append(key)
         return value, log_q
@@ -131,10 +131,10 @@ class ProposalController(Controller):
 
     The proposal is consumed purely through ``sample(rng)`` and
     ``log_prob(value)``, so providers may return full
-    :class:`Distribution` objects (the sequential engine) or the lightweight
-    :class:`repro.distributions.batched.BatchedRowView` row views the
-    lockstep engine's array-parameterised proposal steps emit — the
-    controller is deliberately agnostic between the two.
+    :class:`Distribution` objects (the sequential engine) or the
+    :class:`repro.ppl.nn.inference_network.DrawnProposal` stubs of the
+    lockstep engine, whose driver has already drawn and scored the value —
+    the controller is deliberately agnostic between the two.
     """
 
     def __init__(

@@ -365,7 +365,7 @@ class TestBatchedDistributionObjects:
         observation_array = resolve_observation_array(network, OBSERVATION)
         address = next(iter(network.address_specs))
         prior = Uniform(-2.0, 2.0)
-        lockstep_session = network.batched_session([observation_array])
+        lockstep_session = network.batched_session([observation_array], [RandomState(5)])
         sequential_session = network.inference_session(observation_array)
         proposal_b = lockstep_session.proposals([(0, address, prior, None)])[0]
         proposal_s = sequential_session.proposal(address, prior, None)
@@ -572,16 +572,17 @@ class TestOneCohortEngine:
                 CountingObservation.conversions += 1
                 return shared.astype(dtype) if dtype is not None else shared
 
-        reference = network.batched_session([shared] * 8)
+        rngs = [RandomState(slot) for slot in range(8)]
+        reference = network.batched_session([shared] * 8, rngs)
         assert reference.num_observation_embeddings == 1
-        counted = network.batched_session([CountingObservation()] * 8)
+        counted = network.batched_session([CountingObservation()] * 8, rngs)
         assert CountingObservation.conversions == 1
         assert np.array_equal(counted._obs_rows, reference._obs_rows)
         # Equal bytes in distinct objects still share one embedding.
-        copies = network.batched_session([shared.copy() for _ in range(8)])
+        copies = network.batched_session([shared.copy() for _ in range(8)], rngs)
         assert copies.num_observation_embeddings == 1
         assert np.array_equal(copies._obs_rows, reference._obs_rows)
-        mixed = network.batched_session([shared, shared + 1.0, shared])
+        mixed = network.batched_session([shared, shared + 1.0, shared], rngs[:3])
         assert mixed.num_observation_embeddings == 2
         assert np.array_equal(mixed._obs_rows[0], mixed._obs_rows[2])
         assert not np.array_equal(mixed._obs_rows[0], mixed._obs_rows[1])

@@ -295,6 +295,36 @@ class TestMixture:
         assert np.allclose(mix.log_prob(x), generic)
         assert np.isscalar(float(mix.log_prob(0.3)))
 
+    def test_mixture_logsumexp_is_scipys(self):
+        # The in-repo reduction mirrors scipy 1.17's algorithm (count the
+        # entries at the maximum, log1p the rest), which is what kept seeded
+        # posteriors bit-equal when it replaced the scipy call.  Bit-equality
+        # is asserted against that scipy line only; any other release may
+        # reduce differently (older ones plainly max-shift) and must merely
+        # agree to rounding, edge cases exactly.
+        import scipy
+
+        from repro.distributions.mixture import logsumexp as mixture_logsumexp
+
+        mirrored = scipy.__version__.startswith("1.17.")
+        data = np.random.default_rng(4)
+        cases = [data.normal(size=shape) * scale for shape in [(7,), (16, 10), (3, 5, 4)]
+                 for scale in (0.1, 1.0, 30.0, 700.0)]
+        cases.append(np.round(data.normal(size=(9, 6))))            # ties at the maximum
+        cases.append(np.full((4, 3), -np.inf))                      # outside every support
+        cases.append(np.where(data.random((8, 5)) < 0.5, -np.inf, data.normal(size=(8, 5))))
+        cases.append(np.array([[0.0, np.inf], [np.nan, 1.0], [-np.inf, 2.0]]))
+        for case in cases:
+            for axis in (-1, 0):
+                with np.errstate(all="ignore"):
+                    expected = logsumexp(case, axis=axis)
+                got = mixture_logsumexp(case, axis=axis)
+                assert np.shape(got) == np.shape(expected)
+                if mirrored:
+                    assert np.array_equal(got, expected, equal_nan=True)
+                else:
+                    assert np.allclose(got, expected, rtol=1e-14, atol=0.0, equal_nan=True)
+
     def test_heterogeneous_mixture_falls_back_to_generic_path(self):
         mix = Mixture([Normal(0.0, 1.0), Uniform(-1.0, 1.0)], [0.5, 0.5])
         assert mix._fast_params is None

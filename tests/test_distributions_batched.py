@@ -1,8 +1,10 @@
 """Tests for the array-parameterised batched distributions.
 
-The load-bearing contract: ``batch.row(i)`` must be *bit-identical* — in rng
-consumption, sampled values and log-densities — to the per-trace distribution
-object it replaces, because the lockstep engine swaps one for the other on
+The load-bearing contract: row ``i`` of ``sample_rows`` / ``log_prob_rows``
+must be *bit-identical* — in rng consumption, sampled values and
+log-densities — to the per-trace distribution object it replaces
+(``row_distribution(i)``, or the per-object emission it stands in for), drawn
+on the same stream, because the lockstep engine swaps one for the other on
 the inference hot path and the seeded-equivalence guarantees of the whole
 serving stack rest on that swap being invisible.
 """
@@ -21,7 +23,14 @@ from repro.distributions import (
     Normal,
     TruncatedNormal,
 )
-from repro.distributions.batched import BatchedRowView
+
+
+def _streams(seeds):
+    return [RandomState(int(seed)) for seed in seeds]
+
+
+def _states(rngs):
+    return [rng.generator.bit_generator.state for rng in rngs]
 
 
 def _mixture_reference(batch, index, raw_weights):
@@ -66,68 +75,57 @@ def mixture_batch(mixture_case):
 
 
 class TestMixtureRowEquivalence:
-    def test_row_samples_bit_identical_to_per_object_mixture(self, mixture_case):
+    def test_bulk_samples_bit_identical_to_per_object_mixture(self, mixture_case):
         mixture_batch, raw_weights = mixture_case
-        for index in range(mixture_batch.batch_size):
-            reference = _mixture_reference(mixture_batch, index, raw_weights)
-            rng_row, rng_ref = RandomState(100 + index), RandomState(100 + index)
-            row = mixture_batch.row(index)
-            for _ in range(40):
-                assert float(row.sample(rng_row)) == float(reference.sample(rng_ref))
+        size = mixture_batch.batch_size
+        references = [_mixture_reference(mixture_batch, i, raw_weights) for i in range(size)]
+        bulk_rngs, ref_rngs = _streams(range(100, 100 + size)), _streams(range(100, 100 + size))
+        for _ in range(40):
+            bulk = mixture_batch.sample_rows(bulk_rngs)
+            expected = [float(references[i].sample(ref_rngs[i])) for i in range(size)]
+            assert bulk.tolist() == expected
+        assert _states(bulk_rngs) == _states(ref_rngs)
 
-    def test_row_log_prob_bit_identical_to_per_object_mixture(self, mixture_case):
+    def test_bulk_log_prob_bit_identical_to_per_object_mixture(self, mixture_case):
         mixture_batch, raw_weights = mixture_case
-        for index in range(mixture_batch.batch_size):
-            reference = _mixture_reference(mixture_batch, index, raw_weights)
-            if mixture_batch.bounded[index]:
-                low, high = mixture_batch.lows[index] - 0.5, mixture_batch.highs[index] + 0.5
-            else:
-                low = mixture_batch.locs[index].min() - 3.0
-                high = mixture_batch.locs[index].max() + 3.0
-            values = np.linspace(low, high, 31)
-            row_lp = np.array([float(mixture_batch.row(index).log_prob(v)) for v in values])
-            ref_lp = np.array([float(reference.log_prob(v)) for v in values])
-            assert np.array_equal(row_lp, ref_lp)
+        size = mixture_batch.batch_size
+        references = [_mixture_reference(mixture_batch, i, raw_weights) for i in range(size)]
+        # Per row: a grid reaching past the support on both sides.
+        bounded = mixture_batch.bounded
+        lows = np.where(bounded, mixture_batch.lows - 0.5, mixture_batch.locs.min(axis=1) - 3.0)
+        highs = np.where(bounded, mixture_batch.highs + 0.5, mixture_batch.locs.max(axis=1) + 3.0)
+        for values in np.linspace(lows, highs, 31):
+            expected = [float(references[i].log_prob(values[i])) for i in range(size)]
+            assert mixture_batch.log_prob_rows(values).tolist() == expected
 
     def test_outside_support_is_minus_inf_on_bounded_rows(self, mixture_batch):
-        index = 0
-        assert mixture_batch.bounded[index]
-        assert float(mixture_batch.row(index).log_prob(mixture_batch.highs[index] + 1.0)) == -np.inf
+        scores = mixture_batch.log_prob_rows(mixture_batch.locs.max(axis=1) + 1.5)
+        assert np.all(scores[mixture_batch.bounded] == -np.inf)
+        assert np.all(np.isfinite(scores[~mixture_batch.bounded]))
 
-    def test_bulk_rows_match_per_row_views(self, mixture_batch):
+    def test_bulk_rows_match_row_distribution_on_the_same_stream(self, mixture_batch):
         size = mixture_batch.batch_size
-        bulk = mixture_batch.sample_rows([RandomState(i) for i in range(size)])
-        per_row = np.array(
-            [mixture_batch.row(i).sample(RandomState(i)) for i in range(size)]
-        )
-        assert np.array_equal(bulk, per_row)
-        assert np.array_equal(
+        bulk_rngs, row_rngs = _streams(range(size)), _streams(range(size))
+        bulk = mixture_batch.sample_rows(bulk_rngs)
+        rows = [mixture_batch.row_distribution(i) for i in range(size)]
+        assert all(isinstance(row, Mixture) for row in rows)
+        assert bulk.tolist() == [float(rows[i].sample(row_rngs[i])) for i in range(size)]
+        assert _states(bulk_rngs) == _states(row_rngs)
+        # row_distribution normalises the already-normalised weight row once
+        # more, which may move a density by an ulp.
+        assert np.allclose(
             mixture_batch.log_prob_rows(bulk),
-            np.array([float(mixture_batch.row(i).log_prob(bulk[i])) for i in range(size)]),
+            [float(rows[i].log_prob(bulk[i])) for i in range(size)],
+            rtol=1e-13,
+            atol=0.0,
         )
 
     def test_samples_stay_inside_bounds(self, mixture_batch):
-        draws = np.array(
-            [
-                [mixture_batch.row(i).sample(RandomState(1000 + i * 50 + d)) for d in range(20)]
-                for i in range(mixture_batch.batch_size)
-            ]
-        )
+        rngs = _streams(range(1000, 1000 + mixture_batch.batch_size))
+        draws = np.stack([mixture_batch.sample_rows(rngs) for _ in range(20)], axis=1)
         bounded = mixture_batch.bounded
         assert np.all(draws[bounded] >= mixture_batch.lows[bounded, None])
         assert np.all(draws[bounded] <= mixture_batch.highs[bounded, None])
-
-    def test_materialized_row_roundtrip(self, mixture_batch):
-        for index in (0, mixture_batch.batch_size - 1):
-            materialized = mixture_batch.row(index).materialize()
-            assert isinstance(materialized, Mixture)
-            if mixture_batch.bounded[index]:
-                value = 0.5 * (mixture_batch.lows[index] + mixture_batch.highs[index])
-            else:
-                value = float(mixture_batch.locs[index, 0])
-            assert float(materialized.log_prob(value)) == float(
-                mixture_batch.row(index).log_prob(value)
-            )
 
 
 class TestDegenerateAndEdgeCases:
@@ -139,11 +137,10 @@ class TestDegenerateAndEdgeCases:
         assert batch.batch_size == 1
         reference = _mixture_reference(batch, 0, raw_weights)
         rng_a, rng_b = RandomState(5), RandomState(5)
-        assert float(batch.row(0).sample(rng_a)) == float(reference.sample(rng_b))
-        assert np.array_equal(
-            batch.sample_rows([RandomState(6)]),
-            np.array([batch.row(0).sample(RandomState(6))]),
-        )
+        value = batch.sample_rows([rng_a])
+        assert value.shape == (1,)
+        assert float(value[0]) == float(reference.sample(rng_b))
+        assert float(batch.log_prob_rows(value)[0]) == float(reference.log_prob(value[0]))
 
     def test_far_tail_rows_have_finite_density(self):
         # Z underflows for the far-tail row; log_prob must stay finite inside
@@ -152,14 +149,7 @@ class TestDegenerateAndEdgeCases:
             [[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]],
             [[0.5, 0.5], [0.5, 0.5]], [40.0, -1.0], [41.0, 1.0]
         )
-        assert np.isfinite(float(batch.row(0).log_prob(40.5)))
-        assert np.isfinite(float(batch.row(1).log_prob(0.0)))
-
-    def test_row_index_validation(self, mixture_batch):
-        with pytest.raises(IndexError):
-            mixture_batch.row(mixture_batch.batch_size)
-        with pytest.raises(IndexError):
-            mixture_batch.row(-1)
+        assert np.all(np.isfinite(batch.log_prob_rows([40.5, 0.0])))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -186,20 +176,17 @@ class TestBatchedNormal:
         locs = rng.normal(size=6)
         scales = np.abs(rng.normal(size=6)) + 0.1
         batch = BatchedNormal(locs, scales)
-        for index in range(6):
-            reference = Normal(locs[index], scales[index])
-            assert float(batch.row(index).sample(RandomState(index))) == float(
-                reference.sample(RandomState(index))
-            )
-            assert np.array_equal(batch.row(index).log_prob(0.3), reference.log_prob(0.3))
-        bulk = batch.sample_rows([RandomState(i) for i in range(6)])
-        assert np.array_equal(
-            bulk, np.array([batch.row(i).sample(RandomState(i)) for i in range(6)])
-        )
-        assert np.allclose(
-            batch.log_prob_rows(bulk),
-            [float(Normal(locs[i], scales[i]).log_prob(bulk[i])) for i in range(6)],
-        )
+        references = [Normal(locs[i], scales[i]) for i in range(6)]
+        bulk_rngs, ref_rngs = _streams(range(6)), _streams(range(6))
+        bulk = batch.sample_rows(bulk_rngs)
+        assert bulk.tolist() == [float(references[i].sample(ref_rngs[i])) for i in range(6)]
+        assert _states(bulk_rngs) == _states(ref_rngs)
+        assert batch.log_prob_rows(np.full(6, 0.3)).tolist() == [
+            float(reference.log_prob(0.3)) for reference in references
+        ]
+        assert batch.log_prob_rows(bulk).tolist() == [
+            float(batch.row_distribution(i).log_prob(bulk[i])) for i in range(6)
+        ]
 
 
 class TestBatchedCategorical:
@@ -207,31 +194,32 @@ class TestBatchedCategorical:
         rng = np.random.default_rng(2)
         probs = np.abs(rng.normal(size=(5, 4))) + 0.01
         batch = BatchedCategorical(probs)
-        for index in range(5):
-            reference = Categorical(probs[index])
-            draws_row = [batch.row(index).sample(RandomState(index * 7 + d)) for d in range(25)]
-            draws_ref = [reference.sample(RandomState(index * 7 + d)) for d in range(25)]
-            assert draws_row == draws_ref
-            for value in (-1, 0, 3, 4):
-                assert np.array_equal(
-                    batch.row(index).log_prob(value), reference.log_prob(value)
-                )
+        references = [Categorical(probs[index]) for index in range(5)]
+        bulk_rngs, ref_rngs = _streams(range(5)), _streams(range(5))
+        for _ in range(25):
+            bulk = batch.sample_rows(bulk_rngs)
+            assert bulk.tolist() == [references[i].sample(ref_rngs[i]) for i in range(5)]
+        assert _states(bulk_rngs) == _states(ref_rngs)
+        for value in (-1, 0, 3, 4):
+            assert batch.log_prob_rows(np.full(5, value)).tolist() == [
+                float(reference.log_prob(value)) for reference in references
+            ]
 
     def test_bulk_log_prob_handles_out_of_range(self):
         batch = BatchedCategorical([[0.5, 0.5], [0.2, 0.8]])
         out = batch.log_prob_rows([1, 5])
         assert np.isfinite(out[0]) and out[1] == -np.inf
 
-    def test_row_is_discrete(self):
+    def test_batch_is_discrete(self):
         batch = BatchedCategorical([[0.5, 0.5]])
-        assert batch.row(0).discrete
+        assert batch.discrete and batch.row_distribution(0).discrete
 
 
 class TestBatchedDistributionList:
     def test_fallback_wraps_per_object_distributions(self):
         distributions = [Normal(0.0, 1.0), Normal(2.0, 0.5)]
         batch = BatchedDistributionList(distributions)
-        assert batch.row(0) is distributions[0]
+        assert batch.row_distribution(0) is distributions[0]
         assert batch.row_distribution(1) is distributions[1]
         bulk = batch.sample_rows([RandomState(0), RandomState(1)])
         assert np.array_equal(
@@ -246,24 +234,19 @@ class TestBatchedDistributionList:
             BatchedDistributionList([])
 
 
-class TestRowViewSurface:
-    def test_row_view_moments_and_serialisation_via_materialize(self, mixture_case):
+class TestRowDistributionSurface:
+    def test_moments_and_serialisation_of_the_stand_alone_row(self, mixture_case):
         mixture_batch, raw_weights = mixture_case
         index = 1
-        view = mixture_batch.row(index)
-        assert isinstance(view, BatchedRowView)
+        row = mixture_batch.row_distribution(index)
         reference = _mixture_reference(mixture_batch, index, raw_weights)
-        assert view.mean == pytest.approx(reference.mean)
-        assert view.variance == pytest.approx(reference.variance)
+        assert row.mean == pytest.approx(reference.mean)
+        assert row.variance == pytest.approx(reference.variance)
         # Serialisation: identical components; weights agree up to Mixture's
         # re-normalisation of the already-normalised row (1 ulp).
-        view_dict, ref_dict = view.to_dict(), reference.to_dict()
-        assert view_dict["components"] == ref_dict["components"]
-        assert view_dict["weights"] == pytest.approx(ref_dict["weights"], rel=1e-12)
-
-    def test_row_view_sized_sampling_delegates(self, mixture_batch):
-        draws = mixture_batch.row(0).sample(RandomState(9), size=8)
-        assert np.asarray(draws).shape == (8,)
+        row_dict, ref_dict = row.to_dict(), reference.to_dict()
+        assert row_dict["components"] == ref_dict["components"]
+        assert row_dict["weights"] == pytest.approx(ref_dict["weights"], rel=1e-12)
 
 
 class TestChoiceKernels:
@@ -283,23 +266,19 @@ class TestChoiceKernels:
             BatchedCategorical(probs, choice_kernel="percall"),
         )
 
-    def test_categorical_row_draws_and_stream_state_identical(self):
-        fast, reference = self._categorical_pair()
-        for index in range(fast.batch_size):
-            for seed in range(10):
-                rng_fast, rng_ref = RandomState(seed), RandomState(seed)
-                assert fast.row(index).sample(rng_fast) == reference.row(index).sample(rng_ref)
-                # Stream compatibility: both kernels consumed exactly one
-                # random() draw, leaving the generators in the same state.
-                state_fast = rng_fast.generator.bit_generator.state
-                state_ref = rng_ref.generator.bit_generator.state
-                assert state_fast == state_ref
+    @staticmethod
+    def _assert_draws_and_stream_states_identical(fast, reference):
+        # Every row on every seed: same index drawn, and both kernels leave
+        # the generator in the same state (one random() draw consumed).
+        for seed in range(10):
+            rngs_fast = _streams([seed] * fast.batch_size)
+            rngs_ref = _streams([seed] * fast.batch_size)
+            for _ in range(3):
+                assert np.array_equal(fast.sample_rows(rngs_fast), reference.sample_rows(rngs_ref))
+            assert _states(rngs_fast) == _states(rngs_ref)
 
-    def test_categorical_bulk_draws_identical(self):
-        fast, reference = self._categorical_pair()
-        rngs_fast = [RandomState(3 * i + 1) for i in range(fast.batch_size)]
-        rngs_ref = [RandomState(3 * i + 1) for i in range(fast.batch_size)]
-        assert np.array_equal(fast.sample_rows(rngs_fast), reference.sample_rows(rngs_ref))
+    def test_categorical_draws_and_stream_state_identical(self):
+        self._assert_draws_and_stream_states_identical(*self._categorical_pair())
 
     def _mixture_pair(self):
         rng = np.random.default_rng(12)
@@ -315,21 +294,8 @@ class TestChoiceKernels:
         )
         return build("inverse_cdf"), build("percall")
 
-    def test_mixture_row_draws_and_stream_state_identical(self):
-        fast, reference = self._mixture_pair()
-        for index in range(fast.batch_size):
-            for seed in range(10):
-                rng_fast, rng_ref = RandomState(seed), RandomState(seed)
-                assert fast.row(index).sample(rng_fast) == reference.row(index).sample(rng_ref)
-                state_fast = rng_fast.generator.bit_generator.state
-                state_ref = rng_ref.generator.bit_generator.state
-                assert state_fast == state_ref
-
-    def test_mixture_bulk_draws_identical(self):
-        fast, reference = self._mixture_pair()
-        rngs_fast = [RandomState(5 * i + 2) for i in range(fast.batch_size)]
-        rngs_ref = [RandomState(5 * i + 2) for i in range(fast.batch_size)]
-        assert np.array_equal(fast.sample_rows(rngs_fast), reference.sample_rows(rngs_ref))
+    def test_mixture_draws_and_stream_state_identical(self):
+        self._assert_draws_and_stream_states_identical(*self._mixture_pair())
 
     def test_inverse_cdf_matches_per_object_distributions(self):
         # Transitivity check straight against the per-object reference the
@@ -338,12 +304,11 @@ class TestChoiceKernels:
         probs = np.abs(rng.normal(size=(4, 6))) + 0.01
         fast = BatchedCategorical(probs)  # default kernel: inverse_cdf
         assert fast.choice_kernel == "inverse_cdf"
-        for index in range(4):
-            reference = Categorical(probs[index])
-            for seed in range(8):
-                assert fast.row(index).sample(RandomState(seed)) == reference.sample(
-                    RandomState(seed)
-                )
+        references = [Categorical(probs[index]) for index in range(4)]
+        for seed in range(8):
+            assert fast.sample_rows(_streams([seed] * 4)).tolist() == [
+                reference.sample(RandomState(seed)) for reference in references
+            ]
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -355,7 +320,7 @@ class TestRowGatheredNdtriSampling:
 
     ``sample_rows`` inverts every bounded row's quantile through one clipped
     ``ndtri`` call over row-gathered arrays (the ROADMAP leftover).  The
-    contract is the per-row kernel's: identical outputs AND identical
+    contract is the per-object mixture's: identical outputs AND identical
     generator states afterwards, for any mix of bounded/unbounded rows.
     """
 
@@ -369,24 +334,24 @@ class TestRowGatheredNdtriSampling:
         lows = locs.min(axis=1) - 0.5
         highs = locs.max(axis=1) + 0.5
         bounded = (np.arange(batch) % 3) != 0  # interleaved bounded/unbounded
-        return BatchedMixtureOfTruncatedNormals(
+        batched = BatchedMixtureOfTruncatedNormals(
             locs, scales, weights, lows, highs, bounded=bounded, choice_kernel=choice_kernel
         )
+        return batched, weights
 
     @pytest.mark.parametrize("choice_kernel", ["inverse_cdf", "percall"])
-    def test_bulk_outputs_and_rng_states_match_per_row_kernel(self, choice_kernel):
-        batch = self._mixed_batch(choice_kernel)
+    def test_bulk_outputs_and_rng_states_match_per_object_mixtures(self, choice_kernel):
+        batch, raw_weights = self._mixed_batch(choice_kernel)
         size = batch.batch_size
-        bulk_rngs = [RandomState(500 + i) for i in range(size)]
-        row_rngs = [RandomState(500 + i) for i in range(size)]
+        references = [_mixture_reference(batch, i, raw_weights) for i in range(size)]
+        bulk_rngs, ref_rngs = _streams(range(500, 500 + size)), _streams(range(500, 500 + size))
         bulk = batch.sample_rows(bulk_rngs)
-        per_row = np.array([batch.row(i).sample(row_rngs[i]) for i in range(size)])
-        assert np.array_equal(bulk, per_row)
+        assert bulk.tolist() == [float(references[i].sample(ref_rngs[i])) for i in range(size)]
         # Generator state must be untouched by the batching: the next draw of
-        # every stream agrees bit for bit with the per-row kernel's.
-        for bulk_rng, row_rng in zip(bulk_rngs, row_rngs):
-            assert bulk_rng.generator.bit_generator.state == row_rng.generator.bit_generator.state
-            assert bulk_rng.random() == row_rng.random()
+        # every stream agrees bit for bit with the per-object mixture's.
+        assert _states(bulk_rngs) == _states(ref_rngs)
+        for bulk_rng, ref_rng in zip(bulk_rngs, ref_rngs):
+            assert bulk_rng.random() == ref_rng.random()
 
     def test_all_bounded_and_all_unbounded_batches(self):
         rng = np.random.default_rng(12)
@@ -397,9 +362,11 @@ class TestRowGatheredNdtriSampling:
             batch = BatchedMixtureOfTruncatedNormals(
                 locs, scales, weights, locs.min(axis=1) - 1, locs.max(axis=1) + 1, bounded=bounded
             )
-            bulk = batch.sample_rows([RandomState(40 + i) for i in range(5)])
-            per_row = np.array([batch.row(i).sample(RandomState(40 + i)) for i in range(5)])
-            assert np.array_equal(bulk, per_row)
+            bulk = batch.sample_rows(_streams(range(40, 45)))
+            references = [_mixture_reference(batch, i, weights) for i in range(5)]
+            assert bulk.tolist() == [
+                float(references[i].sample(RandomState(40 + i))) for i in range(5)
+            ]
 
 
 class TestFromDistributions:
@@ -411,12 +378,14 @@ class TestFromDistributions:
         packed = BatchedMixtureOfTruncatedNormals.from_distributions(rows)
         assert packed.batch_size == mixture_batch.batch_size
         assert np.array_equal(packed.bounded, mixture_batch.bounded)
-        for index in range(packed.batch_size):
-            assert float(packed.row(index).sample(RandomState(index))) == float(
-                rows[index].sample(RandomState(index))
-            )
-            value = float(np.clip(0.3, packed.lows[index], packed.highs[index]))
-            assert np.array_equal(packed.row(index).log_prob(value), rows[index].log_prob(value))
+        size = packed.batch_size
+        assert packed.sample_rows(_streams(range(size))).tolist() == [
+            float(rows[i].sample(RandomState(i))) for i in range(size)
+        ]
+        values = np.clip(0.3, packed.lows, packed.highs)
+        assert packed.log_prob_rows(values).tolist() == [
+            float(rows[i].log_prob(values[i])) for i in range(size)
+        ]
 
     def test_bare_normals_and_truncated_normals_pack_as_k1(self):
         from repro.distributions import TruncatedNormal
@@ -430,10 +399,9 @@ class TestFromDistributions:
     def test_normal_and_categorical_packing(self):
         normals = [Normal(0.1, 1.0), Normal(-2.0, 0.5)]
         packed_normal = BatchedNormal.from_distributions(normals)
-        for i, reference in enumerate(normals):
-            assert float(packed_normal.row(i).sample(RandomState(i))) == float(
-                reference.sample(RandomState(i))
-            )
+        assert packed_normal.sample_rows(_streams(range(2))).tolist() == [
+            float(reference.sample(RandomState(i))) for i, reference in enumerate(normals)
+        ]
         categoricals = [Categorical([0.2, 0.8]), Categorical([0.7, 0.3])]
         packed_cat = BatchedCategorical.from_distributions(categoricals)
         assert np.array_equal(packed_cat.probs, np.stack([c.probs for c in categoricals]))

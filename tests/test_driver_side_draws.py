@@ -1,0 +1,362 @@
+"""The driver draws every round: planned and dynamic alike, bit for bit.
+
+A lockstep round is answered by one ``sample_rows`` + one ``log_prob_rows``
+pass over the requesting slots' own random streams — on the dynamic grouped
+path as on the planned one.  The contract pinned here is that this is
+invisible: against a reference session that hands every slot the stand-alone
+``row_distribution`` and lets the worker thread draw for itself (what the
+engine did before), a cohort's values, addresses, ``log_q``, log-weights and
+each job's post-run generator state are the same — with no plan, with a plan
+that diverges mid-cohort, at any cohort size and under any packing.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro import ppl
+from repro.common.rng import RandomState
+from repro.distributions import Categorical, Distribution, Normal, Uniform
+from repro.distributions.batched import BatchedMixtureOfTruncatedNormals
+from repro.ppl import FunctionModel
+from repro.ppl.inference.batched import (
+    TraceJob,
+    new_engine_stats,
+    per_trace_rngs,
+    resolve_observation_array,
+    run_mixed_cohort,
+)
+from repro.ppl.inference.inference_compilation import InferenceCompilation
+from repro.ppl.inference.plans import PlanCache
+from repro.ppl.nn.embeddings import ObservationEmbeddingFC
+from repro.ppl.nn.inference_network import BatchedProposalSession, DrawnProposal
+from repro.ppl.nn.proposals import ProposalLayer
+
+
+# ------------------------------------------------------------------- programs
+def rejection_program(with_unseen_address):
+    """Three branches, then a rejection loop: variable trace length, and the
+    second round of a cohort holds one address group per branch taken."""
+
+    def program():
+        kind = ppl.sample(Categorical([0.3, 0.3, 0.4]), name="kind", address="kind")
+        if kind == 0:
+            centre = ppl.sample(Uniform(-1.0, 1.0), name="centre", address="branch_a")
+        elif kind == 1:
+            centre = ppl.sample(Normal(0.0, 1.0), name="centre", address="branch_b")
+        else:
+            if with_unseen_address:
+                # No layers for this address: a prior-fallback (None) answer
+                # in the same round as the other branches' stubs.
+                ppl.sample(Normal(0.0, 0.2), name="unseen", address="branch_unseen")
+            centre = ppl.sample(Uniform(0.0, 2.0), name="centre", address="branch_c")
+        tries = 0
+        while True:
+            candidate = ppl.sample(Normal(centre, 1.0), name="candidate", address="loop")
+            tries += 1
+            if abs(candidate) < 1.2 or tries >= 6:
+                break
+        ppl.observe(Normal(np.array([candidate, centre]), 0.4), name="obs")
+        return tries
+
+    return program
+
+
+def interleaved_program():
+    """Uncontrolled draws between controlled ones: the worker consumes its own
+    stream between two driver-side draws on the same stream."""
+    start = ppl.sample(Uniform(-2.0, 2.0), name="start", address="start")
+    total, steps = 0.0, 0
+    while total < 1.0 and steps < 6:
+        jitter = ppl.sample(Normal(0.0, 0.05), name="jitter", address="jitter", control=False)
+        total += ppl.sample(Uniform(0.3, 0.7), name="step", address="step") + jitter
+        steps += 1
+    scale = ppl.sample(Uniform(0.9, 1.1), name="scale", address="scale", control=False)
+    ppl.observe(Normal(np.array([start, total * scale]), 0.3), name="obs")
+    return steps
+
+
+def _train(program, seed):
+    engine = InferenceCompilation(
+        observation_embedding=ObservationEmbeddingFC(input_dim=2, embedding_dim=16),
+        observe_key="obs",
+        rng=RandomState(seed),
+    )
+    engine.train(
+        FunctionModel(program, name="training"), num_traces=300, minibatch_size=20,
+        learning_rate=3e-3,
+    )
+    return engine.network
+
+
+@pytest.fixture(scope="module")
+def rejection_case():
+    network = _train(rejection_program(with_unseen_address=False), seed=3)
+    model = FunctionModel(rejection_program(with_unseen_address=True), name="rejection")
+    return model, network, {"obs": np.array([0.4, 0.7])}
+
+
+@pytest.fixture(scope="module")
+def interleaved_case():
+    network = _train(interleaved_program, seed=4)
+    return FunctionModel(interleaved_program, name="interleaved"), network, {
+        "obs": np.array([0.5, 1.1])
+    }
+
+
+# ------------------------------------------------------------------ harnesses
+class _WorkerDrawSession(BatchedProposalSession):
+    """The reference: each slot gets its stand-alone row and draws for itself."""
+
+    def _answer_group(self, batch, address, slots, priors):
+        responses = {}
+        for row, slot in enumerate(slots):
+            responses[slot] = batch.row_distribution(row)
+            self._prev_address[slot] = address
+            self._prev_prior[slot] = priors[row]
+        return responses
+
+
+class _SessionSwap:
+    """The trained network, with its dynamic lockstep session replaced/observed."""
+
+    def __init__(self, network, session_class=BatchedProposalSession, answers=None):
+        self._network = network
+        self._session_class = session_class
+        self._answers = answers
+
+    def __getattr__(self, name):
+        return getattr(self._network, name)
+
+    def batched_session(self, observations, rngs):
+        session = self._session_class(self._network, observations, rngs)
+        if self._answers is not None:
+            answer = session.proposals
+
+            def proposals(requests):
+                responses = answer(requests)
+                self._answers.extend(responses.values())
+                return responses
+
+            session.proposals = proposals
+        return session
+
+
+def seeded_jobs(network, observation, seed, count):
+    rngs = per_trace_rngs(RandomState(seed), count)
+    array = resolve_observation_array(network, observation, "obs")
+    return [TraceJob(index, observation, array, rng) for index, rng in enumerate(rngs)]
+
+
+def run_jobs(model, network, jobs, packing, plan_cache=None):
+    """Run ``jobs`` in cohorts of the given sizes: ``(traces, rngs, stats)``."""
+    stats = new_engine_stats()
+    traces, start = [], 0
+    for size in packing:
+        traces.extend(
+            run_mixed_cohort(model, jobs[start : start + size], network, stats, plan_cache=plan_cache)
+        )
+        start += size
+    return traces, [job.rng for job in jobs], stats
+
+
+def run_packing(model, network, observation, seed, packing, plan_cache=None):
+    """Run ``sum(packing)`` seeded jobs in cohorts of the given sizes."""
+    jobs = seeded_jobs(network, observation, seed, sum(packing))
+    return run_jobs(model, network, jobs, packing, plan_cache=plan_cache)
+
+
+def draws(trace):
+    return [(s.address, s.controlled, s.value) for s in trace.samples if not s.observed]
+
+
+def generator_states(rngs):
+    return [rng.generator.bit_generator.state for rng in rngs]
+
+
+def assert_same_run(run, reference, log_q_rtol=0.0):
+    traces, rngs, _ = run
+    reference_traces, reference_rngs, _ = reference
+    assert [draws(t) for t in traces] == [draws(t) for t in reference_traces]
+    assert generator_states(rngs) == generator_states(reference_rngs)
+    for name in ("log_q", "log_joint"):
+        assert np.allclose(
+            [getattr(t, name) for t in traces],
+            [getattr(t, name) for t in reference_traces],
+            rtol=log_q_rtol,
+            atol=0.0,
+        )
+
+
+def diverging_plan_cache(model, network, observation, packing):
+    """A warm cache that never demotes: every cohort leases the hottest type's plan."""
+    cache = PlanCache(demote_after=10**9)
+    for seed in (901, 902):
+        run_packing(model, network, observation, seed, packing, plan_cache=cache)
+    return cache
+
+
+PACKINGS = {
+    "cohorts of 2": [2] * 32,
+    "cohorts of 5": [5] * 12 + [4],
+    "cohorts of 16": [16] * 4,
+    "one cohort of 64": [64],
+    "packing 7/20/37": [7, 20, 37],
+    "packing 37/20/7": [37, 20, 7],
+}
+
+
+# ---------------------------------------------------------------------- tests
+@pytest.mark.parametrize("case", ["rejection_case", "interleaved_case"])
+class TestDriverDrawsAreInvisible:
+    @pytest.mark.parametrize("packing", PACKINGS.values(), ids=PACKINGS.keys())
+    def test_worker_draws_driver_draws_and_diverging_plans_agree(self, case, packing, request):
+        model, network, observation = request.getfixturevalue(case)
+        reference = run_packing(
+            model, _SessionSwap(network, _WorkerDrawSession), observation, 17, packing
+        )
+        dynamic = run_packing(model, network, observation, 17, packing)
+        cache = diverging_plan_cache(model, network, observation, packing)
+        planned = run_packing(model, network, observation, 17, packing, plan_cache=cache)
+        # Planned-then-diverged against purely dynamic: everything, exactly.
+        assert_same_run(planned, dynamic)
+        assert planned[2]["num_planned_rounds"] > 0
+        # Driver draws against worker draws: values, addresses and streams
+        # exactly; the stand-alone row normalises its (normalised) mixture
+        # weights once more, which may move a density by an ulp.
+        assert_same_run(dynamic, reference, log_q_rtol=1e-13)
+        assert any(len(trace.samples) != len(dynamic[0][0].samples) for trace in dynamic[0])
+
+    def test_plans_really_diverge_mid_cohort(self, case, request):
+        model, network, observation = request.getfixturevalue(case)
+        cache = diverging_plan_cache(model, network, observation, [16] * 4)
+        _, _, stats = run_packing(model, network, observation, 17, [16] * 4, plan_cache=cache)
+        assert stats["plan_hits"] == 4
+        assert stats["num_plan_divergences"] > 0
+        assert cache.stats()["demotions"] == 0
+
+    def test_packings_agree_up_to_blas_row_position(self, case, request):
+        # BLAS rounds a row by its position in the matrix, so across packings
+        # the contract is addresses exact, numbers to a stated tolerance.
+        model, network, observation = request.getfixturevalue(case)
+        first, _, _ = run_packing(model, network, observation, 17, PACKINGS["packing 7/20/37"])
+        second, _, _ = run_packing(model, network, observation, 17, PACKINGS["packing 37/20/7"])
+        for trace, other in zip(first, second):
+            assert [d[:2] for d in draws(trace)] == [d[:2] for d in draws(other)]
+            assert np.allclose(
+                [d[2] for d in draws(trace)], [d[2] for d in draws(other)], rtol=0.0, atol=1e-9
+            )
+            assert trace.log_q == pytest.approx(other.log_q, abs=1e-9)
+
+
+class TestAnswers:
+    def test_every_dynamic_answer_is_a_stub_or_a_prior_fallback(self, rejection_case):
+        model, network, observation = rejection_case
+        answers = []
+        _, _, stats = run_packing(
+            model, _SessionSwap(network, answers=answers), observation, 23, [16, 16]
+        )
+        assert stats["num_planned_rounds"] == 0
+        assert stats["num_divergent_rounds"] > 0
+        stubs = [answer for answer in answers if answer is not None]
+        assert stats["num_fallbacks"] == len(answers) - len(stubs) > 0
+        assert stubs and all(type(answer) is DrawnProposal for answer in stubs)
+        # Discrete groups answer with plain ints, continuous ones with floats.
+        assert {type(stub.value) for stub in stubs} == {int, np.float64}
+
+    def test_three_address_groups_in_one_round(self, rejection_case):
+        model, network, observation = rejection_case
+        traces, _, _ = run_packing(model, network, observation, 23, [16])
+        assert len({trace.samples[1].address for trace in traces}) >= 3
+
+
+class TestDriverSideFailure:
+    @pytest.mark.parametrize("planned", [False, True], ids=["dynamic", "planned"])
+    def test_failing_sample_rows_poisons_the_cohort_and_frees_every_worker(
+        self, rejection_case, monkeypatch, planned
+    ):
+        model, network, observation = rejection_case
+        cache = diverging_plan_cache(model, network, observation, [16]) if planned else None
+        draw, calls = BatchedMixtureOfTruncatedNormals.sample_rows, []
+
+        def exploding_sample_rows(self, rngs=None):
+            calls.append(len(rngs))
+            if len(calls) == 3:
+                raise RuntimeError("driver-side draw exploded")
+            return draw(self, rngs)
+
+        monkeypatch.setattr(BatchedMixtureOfTruncatedNormals, "sample_rows", exploding_sample_rows)
+        jobs, outcome = seeded_jobs(network, observation, 29, 16), []
+
+        def cohort():
+            try:
+                run_jobs(model, network, jobs, [16], plan_cache=cache)
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                outcome.append(error)
+
+        runner = threading.Thread(target=cohort, daemon=True)
+        runner.start()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive(), "the cohort hung after a driver-side draw failed"
+        assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
+        assert "driver-side draw exploded" in str(outcome[0])
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("batched-is-worker-")
+        ]
+        if planned:
+            # The failed cohort gave its scratch back: the next lease reuses it.
+            monkeypatch.undo()
+            _, _, stats = run_packing(model, network, observation, 29, [16], plan_cache=cache)
+            assert stats["plan_hits"] == 1
+
+
+class _CountingDistribution(Distribution):
+    """A per-object proposal that counts how often each stream is drawn from."""
+
+    def __init__(self, inner, draws_by_stream):
+        self.inner = inner
+        self.discrete = inner.discrete
+        self._draws = draws_by_stream
+
+    def sample(self, rng=None, size=None):
+        self._draws[id(rng)] = self._draws.get(id(rng), 0) + 1
+        return self.inner.sample(rng, size=size)
+
+    def log_prob(self, value):
+        return self.inner.log_prob(value)
+
+
+class _PerObjectOnlyLayer(ProposalLayer):
+    """A custom family: only the per-object emission, served through the
+    base-class ``proposal_batch`` (a ``BatchedDistributionList``)."""
+
+    def __init__(self, inner, draws_by_stream):
+        super().__init__()
+        self.inner = inner
+        self._draws = draws_by_stream
+
+    def proposal_distributions(self, hidden, priors):
+        return [
+            _CountingDistribution(distribution, self._draws)
+            for distribution in self.inner.proposal_distributions(hidden, priors)
+        ]
+
+
+class TestCustomLayer:
+    def test_list_served_layer_draws_each_stream_once_per_draw(self, interleaved_case):
+        model, network, observation = interleaved_case
+        builtin = run_packing(model, network, observation, 31, [5, 11])
+        draws_by_stream = {}
+        trained = network.proposal_layers["step"]
+        network.proposal_layers["step"] = _PerObjectOnlyLayer(trained, draws_by_stream)
+        try:
+            custom = run_packing(model, network, observation, 31, [5, 11])
+        finally:
+            network.proposal_layers["step"] = trained
+        traces, rngs, _ = custom
+        assert [draws_by_stream[id(rng)] for rng in rngs] == [
+            sum(1 for s in trace.samples if s.address == "step") for trace in traces
+        ]
+        # Per-object emission == batched emission, so nothing else moved.
+        assert_same_run(custom, builtin)

@@ -75,8 +75,8 @@ class FlakyNetwork:
     def __getattr__(self, name):
         return getattr(self._network, name)
 
-    def batched_session(self, observations):
-        session = self._network.batched_session(observations)
+    def batched_session(self, observations, rngs):
+        session = self._network.batched_session(observations, rngs)
         answer, rounds = session.proposals, iter(range(10**6))
 
         def proposals(pending):

@@ -149,10 +149,11 @@ class TestProposalLayers:
     @pytest.mark.parametrize("batch", [1, 16, 64])
     @pytest.mark.parametrize("family", ["mixture", "categorical"])
     def test_batched_rows_bit_identical_to_per_object_emission(self, family, batch):
-        """``proposal_batch(...).row(i)`` is the lockstep engine's emission,
-        ``proposal_distributions(...)[i]`` the per-object reference the
-        sequential session runs on: same draw, same rng consumption, same
-        density, bit for bit, with per-row prior parameters."""
+        """``proposal_batch(...)`` drawn and scored in bulk is the lockstep
+        engine's emission, ``proposal_distributions(...)[i]`` the per-object
+        reference the sequential session runs on: same draw, same rng
+        consumption, same density, bit for bit, with per-row prior
+        parameters."""
         data = np.random.default_rng(5)
         if family == "mixture":
             layer = ProposalNormalMixture(12, num_components=5, rng=RandomState(1))
@@ -168,17 +169,19 @@ class TestProposalLayers:
         rows = layer.proposal_batch(hidden, priors)
         objects = layer.proposal_distributions(hidden, priors)
         assert len(objects) == batch
+        row_rngs = [RandomState(100 + index) for index in range(batch)]
+        object_rngs = [RandomState(100 + index) for index in range(batch)]
+        values = rows.sample_rows(row_rngs)
+        log_qs = rows.log_prob_rows(values)
         for index, reference in enumerate(objects):
-            rng_row, rng_object = RandomState(100 + index), RandomState(100 + index)
-            row = rows.row(index)
-            value = row.sample(rng_row)
-            expected = reference.sample(rng_object)
-            assert np.array_equal(np.asarray(value), np.asarray(expected))
+            expected = reference.sample(object_rngs[index])
+            assert np.array_equal(np.asarray(values[index]), np.asarray(expected))
             assert (
-                rng_row.generator.bit_generator.state == rng_object.generator.bit_generator.state
+                row_rngs[index].generator.bit_generator.state
+                == object_rngs[index].generator.bit_generator.state
             )
             assert np.array_equal(
-                np.asarray(row.log_prob(value)), np.asarray(reference.log_prob(expected))
+                np.asarray(log_qs[index]), np.asarray(reference.log_prob(expected))
             )
 
     def test_categorical_proposal_gradients(self):

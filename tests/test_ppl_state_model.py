@@ -96,6 +96,58 @@ class TestReplayController:
         assert controller.fresh_log_prob == pytest.approx(trace.log_prior)
 
 
+class TestPriorIsScoredOncePerDraw:
+    """A controller that scores the prior hands the number to ``do_sample``
+    (``last_log_prior``) instead of letting it be evaluated a second time."""
+
+    @staticmethod
+    def _counting_model():
+        scored = []
+
+        class CountedNormal(Normal):
+            def log_prob(self, value):
+                scored.append(value)
+                return super().log_prob(value)
+
+        def program():
+            mu = ppl.sample(CountedNormal(0.0, 1.0), name="mu")
+            nu = ppl.sample(CountedNormal(mu, 1.0), name="nu")
+            ppl.observe(Normal(nu, 0.5), name="obs")
+
+        return ppl.FunctionModel(program, name="counted"), scored
+
+    def test_prior_controller(self, rng):
+        model, scored = self._counting_model()
+        trace = model.get_trace(PriorController(), rng=rng)
+        assert len(scored) == trace.length == 2
+        assert trace.log_q == pytest.approx(trace.log_prior)
+
+    def test_replay_controller_resampled_reused_and_fresh_sites(self, rng):
+        model, scored = self._counting_model()
+        base = model.prior_trace(rng)
+        mu = base.samples[0]
+        del scored[:]
+        # mu is the resample site, nu is reused from the base trace.
+        replayed = model.get_trace(
+            ReplayController(
+                {(s.address, s.instance): s.value for s in base.samples},
+                resample_key=(mu.address, 0),
+                resample_value=0.25,
+            ),
+            rng=rng,
+        )
+        assert len(scored) == 2
+        assert replayed.log_prior == pytest.approx(
+            float(Normal(0.0, 1.0).log_prob(0.25) + Normal(0.25, 1.0).log_prob(base["nu"]))
+        )
+        del scored[:]
+        # Nothing to reuse: both sites are drawn fresh from the prior.
+        controller = ReplayController(base_values={})
+        fresh = model.get_trace(controller, rng=rng)
+        assert len(scored) == 2
+        assert controller.fresh_log_prob == pytest.approx(fresh.log_prior)
+
+
 class TestProposalController:
     def test_proposals_are_used_and_logged(self, gaussian_model, rng):
         proposal = Normal(2.0, 0.1)
