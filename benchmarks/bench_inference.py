@@ -9,7 +9,7 @@ compiled-plan cache, and writes one flat JSON document::
       "workload": {...},                  # model/batch shape, trace counts
       "engine":  {"dynamic": {...}, "planned": {...}},   # traces/s, emission rate
       "serving": {"dynamic": {...}, "planned": {...}},   # traces/s, p50/p99 latency
-      "plan_cache": {...},                # hit rate + raw PlanCache counters
+      "plan_cache": {...},                # hit rate + plan counters (engine + PlanCache)
       "speedup": {"engine": ..., "serving": ...}
     }
 
@@ -145,7 +145,16 @@ def main(argv=None) -> int:
     serving_dynamic, _ = bench_serving(model, network, use_plans=False)
     serving_planned, planned_stats = bench_serving(model, network, use_plans=True)
 
-    plans = planned_stats["plans"]
+    engine_counters = planned_stats["engine"]
+    # Lease outcomes, divergences and demotions are counted by the engine;
+    # the PlanCache reports only what it alone knows (compiles, contents).
+    plans = dict(
+        planned_stats["plans"],
+        hits=engine_counters["plan_hits"],
+        misses=engine_counters["plan_misses"],
+        demotions=engine_counters["plan_demotions"],
+        divergences=engine_counters["num_plan_divergences"],
+    )
     lookups = plans["hits"] + plans["misses"]
     report = {
         "workload": {

@@ -146,8 +146,8 @@ def measure():
     return {
         "planned": planned_latencies,
         "dynamic": dynamic_latencies,
-        "hits": planned_stats["plans"]["hits"],
-        "misses": planned_stats["plans"]["misses"],
+        "hits": planned_stats["engine"]["plan_hits"],
+        "misses": planned_stats["engine"]["plan_misses"],
         "divergences": planned_stats["engine"]["num_plan_divergences"],
     }
 

@@ -98,18 +98,6 @@ class PhaseTimer:
         """Directly add a measured (or modelled) duration to a phase."""
         self._current[name] += seconds
 
-    def record_event(self, name: str, seconds: float) -> TimingRecord:
-        """Record a single measured duration as its own one-phase iteration.
-
-        For event-shaped instrumentation (one timed unit per record — e.g.
-        the serving layer's per-cohort execution times) rather than the
-        trainer's phase-per-iteration shape.  Unlike :meth:`phase`/:meth:`add`
-        it does not touch the accumulating current iteration.
-        """
-        record = TimingRecord({name: float(seconds)})
-        self.records.append(record)
-        return record
-
     def end_iteration(self) -> TimingRecord:
         record = TimingRecord(dict(self._current))
         self.records.append(record)

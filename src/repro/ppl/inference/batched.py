@@ -454,9 +454,10 @@ class TraceJob(NamedTuple):
 
 
 #: The one definition of the engine counter key set.  Every stat block is
-#: created from it and every merge iterates actual dict items, so adding a
-#: key here is the whole change — no hand-maintained lists at harvest or
-#: shard-merge sites to drift out of sync (the key-parity test pins this).
+#: created from it, sessions name their counters by it and every merge
+#: iterates actual dict items, so adding a key here is the whole change — no
+#: hand-maintained lists at harvest or shard-merge sites to drift out of sync
+#: (the key-parity test pins this).
 ENGINE_STAT_KEYS: Tuple[str, ...] = (
     "num_cohorts",
     "num_proposal_steps",
@@ -474,20 +475,6 @@ ENGINE_STAT_KEYS: Tuple[str, ...] = (
     "num_plan_geometry_misses",
 )
 
-#: stat key -> session attribute harvested by :func:`merge_session_stats`
-_SESSION_STAT_ATTRS: Tuple[Tuple[str, str], ...] = (
-    ("num_proposal_steps", "num_steps"),
-    ("num_fallbacks", "num_fallbacks"),
-    ("num_rounds", "num_rounds"),
-    ("num_batched_steps", "num_batched_steps"),
-    ("num_divergent_rounds", "num_divergent_rounds"),
-    ("num_observation_embeddings", "num_observation_embeddings"),
-    ("num_planned_rounds", "num_planned_rounds"),
-    ("num_plan_divergences", "num_plan_divergences"),
-    ("num_plan_geometry_misses", "num_plan_geometry_misses"),
-)
-
-
 def new_engine_stats() -> Dict[str, int]:
     """A fresh counter block as attached to results via ``engine_stats``."""
     return {key: 0 for key in ENGINE_STAT_KEYS}
@@ -496,12 +483,13 @@ def new_engine_stats() -> Dict[str, int]:
 def merge_session_stats(stats: Dict[str, int], session) -> None:
     """Harvest a finished session's counters into an engine stat block.
 
-    Counters a session kind lacks read as 0 (the sequential
-    ``ProposalSession`` has no round counters; the dynamic batched session
-    has no plan counters).
+    A session attribute is named by its stat key.  Counters a session kind
+    lacks read as 0 (the sequential ``ProposalSession`` has no round
+    counters, the dynamic batched session no plan counters, and no session
+    counts cohorts or plan leases — :func:`run_mixed_cohort` does).
     """
-    for key, attr in _SESSION_STAT_ATTRS:
-        stats[key] += getattr(session, attr, 0)
+    for key in ENGINE_STAT_KEYS:
+        stats[key] += getattr(session, key, 0)
 
 
 def merge_engine_stats(into: Dict[str, int], stats: Dict[str, int]) -> Dict[str, int]:

@@ -63,11 +63,7 @@ from repro.distributions.batched import (
 )
 from repro.distributions.geometry import PriorGeometry, prior_geometry, prior_signature
 from repro.ppl.nn.embeddings import SampleEmbedding
-from repro.ppl.nn.inference_network import (
-    BatchedProposalSession,
-    DrawnProposal,
-    InferenceNetwork,
-)
+from repro.ppl.nn.inference_network import BatchedProposalSession, InferenceNetwork
 from repro.ppl.nn.proposals import ProposalCategorical, ProposalNormalMixture
 from repro.tensor import functional as F
 from repro.tensor import no_grad
@@ -79,7 +75,6 @@ __all__ = [
     "PlanCache",
     "PlanScratch",
     "PlanStep",
-    "PlannedProposal",
     "PlannedProposalSession",
     "bucket_size_for",
     "compile_plan",
@@ -89,10 +84,6 @@ __all__ = [
 #: smallest bucket >= B and uses its buffers' first B rows.  Above the top
 #: bucket, sizes round up to the next multiple of it.
 DEFAULT_BUCKET_SIZES: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
-
-#: Historical name of the answer stub, from when only planned rounds were
-#: driver-drawn; ``tests/test_plans.py`` imports it from here.
-PlannedProposal = DrawnProposal
 
 
 def bucket_size_for(batch_size: int, buckets: Sequence[int] = DEFAULT_BUCKET_SIZES) -> int:
@@ -360,11 +351,7 @@ class PlanCache:
         self.max_pool = int(max_pool)
         self._version_seen: Optional[int] = None
         self._clock = 0
-        self.hits = 0
-        self.misses = 0
         self.compiles = 0
-        self.demotions = 0
-        self.divergences = 0
         self.invalidations = 0
 
     # ------------------------------------------------------------ invalidation
@@ -450,7 +437,6 @@ class PlanCache:
             self._sync_version(network)
             record = self._predict_record()
             if record is None:
-                self.misses += 1
                 return None
             bucket = bucket_size_for(batch_size, self.bucket_sizes)
             plan = record.plans.get(bucket)
@@ -460,14 +446,12 @@ class PlanCache:
                 )
                 if plan is None:
                     record.compilable = False
-                    self.misses += 1
                     return None
                 record.compilable = True
                 record.plans[bucket] = plan
                 self.compiles += 1
             pool = self._pools.get((record.trace_type, bucket))
             scratch = pool.pop() if pool else PlanScratch(plan)
-            self.hits += 1
             return plan, scratch
 
     def _predict_record(self) -> Optional[_TraceTypeRecord]:
@@ -499,27 +483,27 @@ class PlanCache:
         evidence the type is branchy, so it never counts toward demotion.
         """
         with self._lock:
-            self.divergences += 1
             record = self._records.get(plan.trace_type)
             if record is None or at_step <= 0:
                 return False
             record.divergences += 1
             if not record.demoted and record.divergences >= self.demote_after:
                 record.demoted = True
-                self.demotions += 1
                 return True
             return False
 
     # ------------------------------------------------------------------- stats
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot for the metrics surface."""
+        """What only the cache knows: compiles, invalidations, what it holds.
+
+        Lease hits and misses, divergences and demotions are counted once, by
+        the engine that acts on them (``plan_hits``, ``plan_misses``,
+        ``num_plan_divergences``, ``plan_demotions`` in its stat block) — the
+        copy that also survives a worker-process boundary.
+        """
         with self._lock:
             return {
-                "hits": self.hits,
-                "misses": self.misses,
                 "compiles": self.compiles,
-                "demotions": self.demotions,
-                "divergences": self.divergences,
                 "invalidations": self.invalidations,
                 "trace_types": len(self._records),
                 "plans": sum(len(r.plans) for r in self._records.values()),
@@ -600,7 +584,7 @@ class PlannedProposalSession(BatchedProposalSession):
                 return None
         self._cursor = cursor + 1
         self.num_rounds += 1
-        self.num_steps += len(requests)
+        self.num_proposal_steps += len(requests)
         self.num_planned_rounds += 1
         if not step.known:
             # Prior-fallback step: same semantics as the dynamic path — no

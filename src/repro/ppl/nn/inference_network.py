@@ -426,10 +426,11 @@ class ProposalSession:
         self._state = None
         self._prev_address: Optional[str] = None
         self._prev_prior: Optional[Distribution] = None
-        self.num_steps = 0
+        #: counters are named by their ``ENGINE_STAT_KEYS`` key, which is how
+        #: ``merge_session_stats`` harvests them
+        self.num_proposal_steps = 0
         self.num_fallbacks = 0
         #: a sequential session always pays exactly one embedding forward
-        #: (harvested by merge_session_stats like the batched sessions')
         self.num_observation_embeddings = 1
 
     def _previous_embedding(self, previous_value) -> Tensor:
@@ -449,7 +450,7 @@ class ProposalSession:
         previous_value=None,
     ) -> Optional[Distribution]:
         """Proposal distribution for the next latent draw (or None for prior fallback)."""
-        self.num_steps += 1
+        self.num_proposal_steps += 1
         if address not in self.network.proposal_layers:
             # Address unseen during training: fall back to the prior without
             # advancing the LSTM (the network has no representation for it).
@@ -558,7 +559,7 @@ class BatchedProposalSession:
         self._c = [np.zeros((self.batch_size, hidden)) for _ in range(network.lstm.num_layers)]
         self._prev_address: List[Optional[str]] = [None] * self.batch_size
         self._prev_prior: List[Optional[Distribution]] = [None] * self.batch_size
-        self.num_steps = 0
+        self.num_proposal_steps = 0
         self.num_fallbacks = 0
         self.num_rounds = 0
         self.num_batched_steps = 0
@@ -609,7 +610,7 @@ class BatchedProposalSession:
         prior on its own stream).
         """
         self.num_rounds += 1
-        self.num_steps += len(requests)
+        self.num_proposal_steps += len(requests)
         groups: Dict[str, List[Tuple[int, Distribution, Any]]] = {}
         for slot, address, prior, previous_value in requests:
             groups.setdefault(address, []).append((slot, prior, previous_value))

@@ -25,8 +25,10 @@ for free.  This package turns that observation into a service:
   retraining through ``refresh`` (:mod:`repro.serving.workers` states the
   contract).  The service and the distributed importance-sampling driver are
   its two users.
-* :class:`ServingMetrics` — QPS, latency percentiles, cohort occupancy and
-  cache hit rate, built on :mod:`repro.common.timing`.
+* :class:`ServingMetrics` — the events only the service sees: QPS, latency
+  percentiles, cohort occupancy, sheds and phase totals.
+  ``PosteriorService.stats()`` adds every other counter by reading the
+  component that owns it (cache, resilience, pool, engine).
 * :class:`ServiceResilience` — hardened failure semantics: retry with
   jittered exponential backoff under request deadlines, a circuit breaker
   with health probes, stale-cache serving under degradation, and graceful

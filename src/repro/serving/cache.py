@@ -122,8 +122,9 @@ class PosteriorCache:
         ``record_miss=False`` defers the miss accounting to the caller — the
         service uses this because a lookup miss may still be answered by
         single-flight coalescing, which it then folds back in via
-        :meth:`record_hit`/:meth:`record_miss` so the cache's own hit rate
-        agrees with the serving metrics.
+        :meth:`record_hit`/:meth:`record_miss`.  These counters are the
+        service's ``cache_hits`` / ``cache_misses`` / ``stale_served``: no
+        other component counts cache outcomes.
 
         ``allow_stale=True`` selects stale-while-revalidate semantics: a
         TTL-expired entry is *kept* and returned instead of deleted, counting

@@ -1,12 +1,20 @@
-"""Serving-side observability: QPS, latency percentiles, cohort occupancy.
+"""Serving-side observability: the events only the service itself sees.
 
 The batching trade-off the scheduler makes (wait a little, batch a lot) is
 only tunable if the service exposes what it actually did: how full cohorts
-were, how often a cohort mixed several requests, how long clients waited, and
-how often the cache answered for free.  :class:`ServingMetrics` aggregates
-those counters, and reuses :class:`repro.common.timing.PhaseTimer` to break
-scheduler wall time into the same phase-record form the training stack uses
-(Figure 4's instrumentation), so one reporting path serves both.
+were, how often a cohort mixed several requests, how long clients waited.
+:class:`ServingMetrics` counts the events the service performs and nothing
+else — admissions, rejections, sheds, completions, failures, background
+revalidations and degraded stale serves, the shape of every flushed cohort,
+and the running seconds of each scheduler phase.
+
+Every other number :meth:`PosteriorService.stats` reports is read from the
+component that performs the event (cache outcomes from
+:class:`~repro.serving.cache.PosteriorCache`, retries and the breaker from
+:class:`~repro.serving.resilience.ServiceResilience`, engine counters from the
+shards' ``on_stats`` blocks), so each event is counted in exactly one place.
+Memory is bounded: latencies and cohort shapes are windowed reservoirs, phase
+time is one running total per phase.
 """
 
 from __future__ import annotations
@@ -18,8 +26,6 @@ from typing import Any, Deque, Dict, Tuple
 
 import numpy as np
 
-from repro.common.timing import PhaseTimer
-
 __all__ = ["ServingMetrics"]
 
 
@@ -28,7 +34,8 @@ class ServingMetrics:
 
     Latency samples are kept in a bounded deque (most recent ``window``
     completions), so percentiles track current behaviour rather than the
-    whole process lifetime; throughput counters are cumulative.
+    whole process lifetime; throughput counters and phase totals are
+    cumulative.
     """
 
     def __init__(self, window: int = 4096, clock=time.monotonic) -> None:
@@ -40,28 +47,16 @@ class ServingMetrics:
         self.failed = 0
         self.shed_deadline = 0
         self.rejected_overload = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.stale_served = 0
         self.revalidations = 0
+        self.degraded_stale_served = 0
         self.traces_executed = 0
         self.cohorts_executed = 0
-        # Resilience surface: retry/breaker/demotion activity and the fault
-        # harness's injection count (synced from the active FaultPlan by the
-        # service's stats()), so a chaos run can assert every fault it asked
-        # for is observable here.
-        self.retries = 0
-        self.breaker_state = "closed"
-        self.breaker_opens = 0
-        self.demotions = 0
-        self.degraded_stale_served = 0
-        self.faults_injected = 0
         self._latencies: Deque[float] = deque(maxlen=window)
         #: per-flush (jobs, cohort capacity, distinct requests) records — one
         #: per scheduler flush, before any sharding across workers
         self._cohorts: Deque[Tuple[int, int, int]] = deque(maxlen=window)
-        #: scheduler phase breakdown (flush build vs cohort execution)
-        self.phases = PhaseTimer()
+        #: phase name -> seconds accumulated over the service's lifetime
+        self._phase_totals: Dict[str, float] = {}
 
     # ----------------------------------------------------------------- recording
     def record_submitted(self) -> None:
@@ -80,49 +75,15 @@ class ServingMetrics:
         with self._lock:
             self.failed += 1
 
-    def record_cache(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-
-    def record_stale_served(self) -> None:
-        """A TTL-expired cache entry was served while a refresh runs behind it."""
-        with self._lock:
-            self.stale_served += 1
-
     def record_revalidation(self) -> None:
         """A background refresh of a stale cache entry was started."""
         with self._lock:
             self.revalidations += 1
 
-    def record_retry(self, count: int = 1) -> None:
-        """A failed cohort shard was redispatched after backoff."""
-        with self._lock:
-            self.retries += count
-
-    def record_breaker(self, state: str) -> None:
-        """The circuit breaker transitioned; ``open`` transitions are counted."""
-        with self._lock:
-            self.breaker_state = state
-            if state == "open":
-                self.breaker_opens += 1
-
-    def record_demotion(self) -> None:
-        """The service demoted its execution backend (process -> thread)."""
-        with self._lock:
-            self.demotions += 1
-
     def record_degraded_stale(self) -> None:
         """A stale cache entry was served *without* revalidation (breaker open)."""
         with self._lock:
             self.degraded_stale_served += 1
-
-    def set_faults_injected(self, total: int) -> None:
-        """Sync the fault harness's cumulative injection count (monotone)."""
-        with self._lock:
-            self.faults_injected = max(self.faults_injected, int(total))
 
     def record_completed(self, latency: float, num_traces: int, cached: bool) -> None:
         with self._lock:
@@ -137,18 +98,17 @@ class ServingMetrics:
             self._cohorts.append((num_jobs, capacity, num_requests))
 
     def record_phase(self, name: str, seconds: float) -> None:
-        """Thread-safe wrapper around the PhaseTimer (one record per event)."""
+        """Add ``seconds`` to the running total of phase ``name``."""
         with self._lock:
-            self.phases.record_event(name, seconds)
+            self._phase_totals[name] = self._phase_totals.get(name, 0.0) + float(seconds)
 
     # ------------------------------------------------------------------ reading
     def snapshot(self) -> Dict[str, Any]:
-        """A point-in-time view of every serving signal, as plain floats."""
+        """A point-in-time view of the service's own signals, as plain floats."""
         with self._lock:
             uptime = max(self._clock() - self.started_at, 1e-9)
             latencies = np.asarray(self._latencies, dtype=float)
             cohorts = list(self._cohorts)
-            cache_total = self.cache_hits + self.cache_misses
             snapshot: Dict[str, Any] = {
                 "uptime_s": uptime,
                 "submitted": self.submitted,
@@ -160,35 +120,26 @@ class ServingMetrics:
                 "traces_executed": self.traces_executed,
                 "traces_per_s": self.traces_executed / uptime,
                 "cohorts_executed": self.cohorts_executed,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "cache_hit_rate": self.cache_hits / cache_total if cache_total else 0.0,
-                "stale_served": self.stale_served,
                 "revalidations": self.revalidations,
-                "retries": self.retries,
-                "breaker_state": self.breaker_state,
-                "breaker_opens": self.breaker_opens,
-                "demotions": self.demotions,
                 "degraded_stale_served": self.degraded_stale_served,
-                "faults_injected": self.faults_injected,
+                "scheduler_phase_totals_s": dict(self._phase_totals),
             }
-            if latencies.size:
-                snapshot["latency_p50_s"] = float(np.percentile(latencies, 50))
-                snapshot["latency_p99_s"] = float(np.percentile(latencies, 99))
-                snapshot["latency_mean_s"] = float(latencies.mean())
-            else:
-                snapshot["latency_p50_s"] = snapshot["latency_p99_s"] = 0.0
-                snapshot["latency_mean_s"] = 0.0
-            if cohorts:
-                occupancy = [jobs / capacity for jobs, capacity, _ in cohorts]
-                snapshot["mean_cohort_occupancy"] = float(np.mean(occupancy))
-                snapshot["mean_cohort_size"] = float(np.mean([j for j, _, _ in cohorts]))
-                snapshot["mixed_cohort_fraction"] = float(
-                    np.mean([requests > 1 for _, _, requests in cohorts])
-                )
-            else:
-                snapshot["mean_cohort_occupancy"] = 0.0
-                snapshot["mean_cohort_size"] = 0.0
-                snapshot["mixed_cohort_fraction"] = 0.0
-            snapshot["scheduler_phase_totals_s"] = self.phases.total_by_phase()
+        if latencies.size:
+            snapshot["latency_p50_s"] = float(np.percentile(latencies, 50))
+            snapshot["latency_p99_s"] = float(np.percentile(latencies, 99))
+            snapshot["latency_mean_s"] = float(latencies.mean())
+        else:
+            snapshot["latency_p50_s"] = snapshot["latency_p99_s"] = 0.0
+            snapshot["latency_mean_s"] = 0.0
+        if cohorts:
+            occupancy = [jobs / capacity for jobs, capacity, _ in cohorts]
+            snapshot["mean_cohort_occupancy"] = float(np.mean(occupancy))
+            snapshot["mean_cohort_size"] = float(np.mean([j for j, _, _ in cohorts]))
+            snapshot["mixed_cohort_fraction"] = float(
+                np.mean([requests > 1 for _, _, requests in cohorts])
+            )
+        else:
+            snapshot["mean_cohort_occupancy"] = 0.0
+            snapshot["mean_cohort_size"] = 0.0
+            snapshot["mixed_cohort_fraction"] = 0.0
         return snapshot

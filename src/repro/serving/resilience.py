@@ -30,8 +30,9 @@ possible.  :class:`ServiceResilience` layers that on, opt-in:
   with the transient :class:`~repro.serving.request.PoolStopped` and are
   retried onto the replacement, so the swap itself sheds nothing.
 
-Everything is surfaced through ``ServingMetrics`` (retries, breaker state and
-openings, demotions, degraded stale serves) and ``service.stats()``.
+``service.stats()`` reads ``retries`` from ``retries_dispatched`` here and
+``breaker_state`` / ``breaker_opens`` from the :class:`CircuitBreaker`
+itself; nothing keeps a second copy.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import heapq
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.serving.request import ServingError
 
@@ -126,7 +127,6 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         recovery_time: float = 1.0,
         clock=time.monotonic,
-        on_transition: Optional[Callable[[str, str], None]] = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
@@ -135,7 +135,6 @@ class CircuitBreaker:
         self.failure_threshold = int(failure_threshold)
         self.recovery_time = float(recovery_time)
         self._clock = clock
-        self.on_transition = on_transition
         self._lock = threading.Lock()
         self._state = "closed"
         self._failures = 0
@@ -148,15 +147,10 @@ class CircuitBreaker:
             return self._state
 
     def _transition(self, new: str) -> None:
-        old, self._state = self._state, new
+        self._state = new
         if new == "open":
             self.opens += 1
             self._opened_at = self._clock()
-        if self.on_transition is not None and old != new:
-            try:
-                self.on_transition(old, new)
-            except Exception:
-                pass  # observability must never take the dispatch path down
 
     def allow(self) -> bool:
         """May a cohort be dispatched now?  Claims the half-open probe slot."""
@@ -235,7 +229,6 @@ class ServiceResilience:
         self._attempts: Dict[int, int] = {}
         self._thread: Optional[threading.Thread] = None
         self._stopped = True
-        self._demoted = False
         self.retries_dispatched = 0
         self.retries_abandoned = 0
         self.last_probe: Dict[str, Any] = {}
@@ -245,10 +238,6 @@ class ServiceResilience:
         if self._service is not None and self._service is not service:
             raise RuntimeError("a ServiceResilience instance serves one service")
         self._service = service
-        if self.breaker.on_transition is None:
-            self.breaker.on_transition = (
-                lambda _old, new: service.metrics.record_breaker(new)
-            )
 
     def start(self) -> None:
         if self._service is None:
@@ -392,7 +381,6 @@ class ServiceResilience:
             return
         with self._cond:
             self.retries_dispatched += 1
-        service.metrics.record_retry()
 
     def _probe(self) -> None:
         service = self._service
@@ -410,13 +398,12 @@ class ServiceResilience:
         service = self._service
         if (
             service is None
-            or self._demoted
+            or service.demotions
             or self.demote_after is None
             or self.breaker.opens < self.demote_after
         ):
             return
-        if service._demote_to_thread_backend():
-            self._demoted = True
+        service._demote_to_thread_backend()
 
     # ------------------------------------------------------------------- helpers
     def _fail_entries(self, entries: Sequence[Any], error: BaseException) -> None:
@@ -437,7 +424,7 @@ class ServiceResilience:
             "retries_dispatched": dispatched,
             "retries_pending": pending,
             "retries_abandoned": self.retries_abandoned,
-            "demoted": self._demoted,
+            "demoted": self._service is not None and self._service.demotions > 0,
             "demote_after": self.demote_after,
             "last_probe": dict(self.last_probe),
         }

@@ -217,6 +217,8 @@ class PosteriorService:
         #: with respect to concurrent demotion attempts (dispatch itself only
         #: reads the attribute, which is atomic).
         self._backend_lock = threading.RLock()
+        #: process -> thread swaps performed (at most one: the swap is one-way)
+        self.demotions = 0
         self._resilience = resilience
         if self._resilience is not None:
             self._resilience.bind(self)
@@ -271,14 +273,6 @@ class PosteriorService:
         if self._capture is not None:
             self._capture.close()
 
-    def shutdown(self, drain: bool = True) -> None:
-        """Alias of :meth:`stop` (the common serving-framework spelling)."""
-        self.stop(drain=drain)
-
-    def close(self) -> None:
-        """Alias of :meth:`stop` with drain, for ``contextlib.closing`` users."""
-        self.stop()
-
     def __enter__(self) -> "PosteriorService":
         return self.start()
 
@@ -321,15 +315,13 @@ class PosteriorService:
         key = observation_fingerprint(observation, self._model_id, num_traces)
         if use_cache:
             # The miss is not recorded yet: it may still be resolved by
-            # single-flight coalescing below, in which case both the cache's
-            # stats and the serving metrics count it as a hit.  A TTL-expired
-            # entry is served *stale* while one background refresh recomputes
-            # it — repeated queries never stack up behind a cold recompute.
+            # single-flight coalescing below, in which case the cache counts
+            # it as a hit.  A TTL-expired entry is served *stale* while one
+            # background refresh recomputes it — repeated queries never stack
+            # up behind a cold recompute.
             found = self.cache.lookup(key, record_miss=False, allow_stale=True)
             if found.value is not None:
-                self.metrics.record_cache(True)
                 if found.stale:
-                    self.metrics.record_stale_served()
                     if self._resilience is not None and self._resilience.degraded():
                         # Degraded mode: keep answering from the stale entry
                         # but skip the refresh — revalidation traffic against
@@ -364,7 +356,6 @@ class PosteriorService:
                 if primary is not None:
                     return self._attach_to_inflight(primary, num_traces)
                 self.cache.record_miss()
-                self.metrics.record_cache(False)
             if self._resilience is not None and self._resilience.degraded():
                 # Fail fast instead of queueing fresh inference behind a pool
                 # the breaker has declared dead; cached (and stale) entries
@@ -518,7 +509,6 @@ class PosteriorService:
         request_id = next(self._request_ids)
         started = time.monotonic()
         self.cache.record_hit()
-        self.metrics.record_cache(True)
 
         def _resolve(done) -> None:
             error = done.exception()
@@ -714,7 +704,7 @@ class PosteriorService:
             self._record_capture_outcome(request, "shed")
 
     # ----------------------------------------------------------------- demotion
-    def _demote_to_thread_backend(self) -> bool:
+    def _demote_to_thread_backend(self) -> None:
         """Swap the process pool for a thread pool in place (crash-storm exit).
 
         Called by the resilience maintenance thread after ``demote_after``
@@ -731,16 +721,15 @@ class PosteriorService:
         """
         with self._backend_lock:
             if isinstance(self.workers, CohortWorkerPool) or not self._running:
-                return False
+                return
             old = self.workers
             replacement = self._make_pool("thread", self._num_workers).start()
             self.workers = replacement
             self.backend = replacement.backend
-        self.metrics.record_demotion()
+            self.demotions += 1
         # Must NOT run on the procpool collector thread (stop joins it); the
         # resilience maintenance thread is the sanctioned caller.
         old.stop(drain=False, timeout=2.0)
-        return True
 
     # -------------------------------------------------------------- invalidation
     def invalidate_cache(self) -> int:
@@ -761,24 +750,43 @@ class PosteriorService:
 
     # ----------------------------------------------------------------- reporting
     def stats(self) -> Dict[str, Any]:
-        """Merged metrics/cache/scheduler/worker/engine snapshot."""
-        plan = faults.active()
-        if plan is not None:
-            # Sync before snapshotting so every parent-side injected fault is
-            # observable in the metrics surface the moment stats() is read.
-            self.metrics.set_faults_injected(plan.total_fired())
+        """One snapshot, every number read from the component that counts it.
+
+        ``self.metrics`` holds only what the service itself does; cache
+        outcomes come from the cache, ``retries`` and the breaker from the
+        resilience layer (``0`` / ``"closed"`` without one), ``demotions``
+        from the backend swap, ``faults_injected`` from the active fault
+        plan and ``engine`` from the shards' ``on_stats`` blocks.
+        """
         snapshot = self.metrics.snapshot()
-        snapshot["backend"] = self.backend
-        snapshot["cache"] = self.cache.stats()
-        snapshot["scheduler"] = self.scheduler.stats()
-        snapshot["workers"] = self.workers.stats()
+        cache = self.cache.stats()
+        snapshot.update(
+            cache_hits=cache["hits"],
+            cache_misses=cache["misses"],
+            cache_hit_rate=cache["hit_rate"],
+            stale_served=cache["stale_hits"],
+            retries=0,
+            breaker_state="closed",
+            breaker_opens=0,
+            demotions=self.demotions,
+            faults_injected=0,
+            backend=self.backend,
+            cache=cache,
+            scheduler=self.scheduler.stats(),
+            workers=self.workers.stats(),
+        )
         with self._stats_lock:
             snapshot["engine"] = dict(self._engine_stats)
         plan_cache = self.workers.plan_cache
         if plan_cache is not None:
             snapshot["plans"] = plan_cache.stats()
         if self._resilience is not None:
-            snapshot["resilience"] = self._resilience.stats()
+            resilience = snapshot["resilience"] = self._resilience.stats()
+            snapshot["retries"] = resilience["retries_dispatched"]
+            snapshot["breaker_state"] = resilience["breaker"]["state"]
+            snapshot["breaker_opens"] = resilience["breaker"]["opens"]
+        plan = faults.active()
         if plan is not None:
+            snapshot["faults_injected"] = plan.total_fired()
             snapshot["faults"] = plan.fired_counts()
         return snapshot

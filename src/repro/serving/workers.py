@@ -30,8 +30,8 @@ traces.  "Where" is one of two pools with one contract —
   thread pool shares one :class:`~repro.ppl.inference.plans.PlanCache` across
   its workers (``pool.plan_cache``); each worker process builds its own,
   because plans hold numpy scratch that cannot cross a process boundary
-  (``pool.plan_cache`` is ``None`` there, the hit/miss counters travel in
-  the engine stats).
+  (``pool.plan_cache`` is ``None`` there).  On both, plan hits, misses,
+  divergences and demotions are counted only in the engine stats.
 * **Retraining** — ``refresh(model, network)`` makes later shards run on the
   current parameters: the thread pool swaps its handles and drops every
   compiled plan; the process pool rolls a new worker generation.

@@ -16,7 +16,7 @@ The harness is built around three ideas:
   the Nth call at a given site always gets the same verdict.
 
 * **Observable firings.**  Every fault the plan fires is recorded on the
-  plan (and surfaced through ``ServingMetrics`` by the serving tier), so a
+  plan (and read from it by ``PosteriorService.stats()``), so a
   chaos test can assert that the fault it asked for actually happened.
 
 Plans are picklable (minus ``match`` callables) so the process-backend

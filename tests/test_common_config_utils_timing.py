@@ -119,19 +119,6 @@ class TestTiming:
         assert record["forward"] > 0
         assert record.total() > 0.5
 
-    def test_phase_timer_record_event_is_independent_of_current_iteration(self):
-        timer = PhaseTimer()
-        timer.add("forward", 0.25)  # accumulating iteration in progress
-        event = timer.record_event("cohort_execution", 0.125)
-        assert event["cohort_execution"] == pytest.approx(0.125)
-        # The in-progress iteration is untouched by the event record.
-        record = timer.end_iteration()
-        assert record.phases == {"forward": pytest.approx(0.25)}
-        assert timer.total_by_phase() == {
-            "cohort_execution": pytest.approx(0.125),
-            "forward": pytest.approx(0.25),
-        }
-
     def test_phase_timer_mean_by_phase(self):
         timer = PhaseTimer()
         for value in (1.0, 3.0):

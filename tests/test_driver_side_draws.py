@@ -234,7 +234,7 @@ class TestDriverDrawsAreInvisible:
         _, _, stats = run_packing(model, network, observation, 17, [16] * 4, plan_cache=cache)
         assert stats["plan_hits"] == 4
         assert stats["num_plan_divergences"] > 0
-        assert cache.stats()["demotions"] == 0
+        assert stats["plan_demotions"] == 0
 
     def test_packings_agree_up_to_blas_row_position(self, case, request):
         # BLAS rounds a row by its position in the matrix, so across packings

@@ -190,12 +190,18 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert breaker.state == "closed" and breaker.opens == 2
 
-    def test_transition_callback_feeds_metrics(self):
-        seen = []
-        breaker = CircuitBreaker(failure_threshold=1, on_transition=lambda old, new: seen.append(new))
+    def test_service_stats_read_the_breaker(self):
+        breaker = CircuitBreaker(failure_threshold=1)
+        resilience = ServiceResilience(breaker=breaker)
+        service = make_service(FunctionModel(lockstep_program, name="lockstep"), None,
+                               resilience=resilience)
         breaker.record_failure()
+        stats = service.stats()
+        assert (stats["breaker_state"], stats["breaker_opens"]) == ("open", 1)
         breaker.record_success()
-        assert seen == ["open", "closed"]
+        stats = service.stats()
+        assert (stats["breaker_state"], stats["breaker_opens"]) == ("closed", 1)
+        assert stats["resilience"]["breaker"]["opens"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +227,8 @@ class TestServiceRetries:
                                            use_cache=False, timeout=60)
                 stats = service.stats()
         assert stats["retries"] >= 1
+        # Two injected failures of the one shard, two redispatches.
+        assert stats["retries"] == resilience.retries_dispatched == 2
         assert stats["faults_injected"] == plan.total_fired() >= 1
         assert stats["faults"]["workers.cohort/error"] >= 1
         direct = batched_importance_sampling(
@@ -311,6 +319,8 @@ class TestBreaker:
                 stats = service.stats()
                 assert stats["breaker_state"] == "open"
                 assert stats["breaker_opens"] >= 1
+                # One failed shard opened it; the refused submit was not dispatched.
+                assert stats["breaker_opens"] == resilience.breaker.opens == 1
 
     def test_open_breaker_keeps_serving_cached_entries(self, served_engine):
         model, engine = served_engine
@@ -452,7 +462,7 @@ class TestProcessChaos:
         # shard must either complete during the drain or fail loudly — the
         # future is resolved either way, never abandoned.
         os.kill(victim.process.pid, signal.SIGKILL)
-        service.shutdown(drain=True)
+        service.stop(drain=True)
         assert future.done()
         try:
             served = future.result(timeout=0)

@@ -28,11 +28,11 @@ from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.inference.plans import (
     DEFAULT_BUCKET_SIZES,
     PlanCache,
-    PlannedProposal,
     bucket_size_for,
     compile_plan,
 )
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
+from repro.ppl.nn.inference_network import DrawnProposal
 from repro.serving import PosteriorService
 from tests.test_batched_inference import (
     OBSERVATION,
@@ -72,7 +72,7 @@ class TestPlanPrimitives:
         assert bucket_size_for(top + 1) == 2 * top
 
     def test_planned_proposal_replays_stored_draw(self):
-        stub = PlannedProposal(1.25, -0.5)
+        stub = DrawnProposal(1.25, -0.5)
         assert stub.sample(RandomState(0)) == 1.25
         assert stub.log_prob(1.25) == -0.5
 
@@ -171,6 +171,16 @@ class TestDivergenceFallback:
         and repeated mid-plan divergence demotes the trace type."""
         model, engine = loopy_engine
         cache = PlanCache()
+        # Watch the demotion decisions where the cache makes them: the
+        # engine's plan_demotions must move by exactly that many.
+        demoted = []
+        record_divergence = cache.record_divergence
+
+        def counted_divergence(plan, at_step):
+            demoted.append(record_divergence(plan, at_step))
+            return demoted[-1]
+
+        cache.record_divergence = counted_divergence
         observation = {"obs": 1.2}
         results = []
         for offset in range(6):
@@ -184,9 +194,9 @@ class TestDivergenceFallback:
         merged = new_engine_stats()
         for result in results:
             merge_engine_stats(merged, result.engine_stats)
-        stats = cache.stats()
         assert merged["num_plan_divergences"] > 0
-        assert stats["demotions"] >= 1
+        assert merged["num_plan_divergences"] == len(demoted)
+        assert merged["plan_demotions"] == sum(demoted) >= 1
         for offset, planned in enumerate(results):
             dynamic = batched_importance_sampling(
                 model, observation, num_traces=16, batch_size=16,
@@ -288,7 +298,7 @@ class TestServingPlans:
         assert planned_stats["engine"]["plan_hits"] > 0
         assert dynamic_stats["engine"]["plan_hits"] == 0
         if backend == "thread":
-            assert planned_stats["plans"]["hits"] > 0
+            assert planned_stats["plans"]["compiles"] > 0
         else:
             assert "plans" not in planned_stats  # per-process caches, no local one
 

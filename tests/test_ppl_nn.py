@@ -269,7 +269,7 @@ class TestInferenceNetwork:
         k_sample = traces[0].samples[1]
         proposal_k = session.proposal(k_sample.address, k_sample.distribution, previous_value=draw)
         assert proposal_k is not None
-        assert session.num_steps == 2 and session.num_fallbacks == 0
+        assert session.num_proposal_steps == 2 and session.num_fallbacks == 0
 
     def test_inference_session_falls_back_for_unknown_address(self, small_config, mixed_model, rng):
         network = build_network(small_config)

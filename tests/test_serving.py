@@ -308,19 +308,19 @@ class TestFailurePaths:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
-            metrics = service.metrics
+            stats = service.stats()
             cache_stats = service.cache.stats()
         assert all(result is not None for result in results)
         # Exactly one cache outcome per request: hits + misses == submitted,
         # with the coalesced/caught requests as hits and the one primary as
         # the only miss.
-        assert metrics.cache_hits + metrics.cache_misses == num_clients
-        assert metrics.cache_misses == 1
-        assert metrics.cache_hits == num_clients - 1
-        # The cache's own stats agree with the serving metrics (coalesced
-        # requests count as hits in both places).
-        assert cache_stats["hits"] == metrics.cache_hits
-        assert cache_stats["misses"] == metrics.cache_misses
+        assert stats["cache_hits"] + stats["cache_misses"] == num_clients
+        assert stats["cache_misses"] == 1
+        assert stats["cache_hits"] == num_clients - 1
+        # The service reports the cache's own counters (coalesced requests
+        # are counted as hits by the cache, once).
+        assert cache_stats["hits"] == stats["cache_hits"]
+        assert cache_stats["misses"] == stats["cache_misses"]
 
     def test_remote_models_serialize_to_one_worker(self):
         from repro.ppl.model import RemoteModel
@@ -438,12 +438,12 @@ class TestLifecycleAndShutdown:
             assert result.num_traces == 4  # or resolved with a real posterior
         assert all(future.done() for future in futures)
 
-    def test_service_shutdown_alias_and_close(self, served_engine):
+    def test_second_stop_is_a_no_op(self, served_engine):
         model, engine = served_engine
         service = make_service(model, engine).start()
-        service.shutdown()
+        service.stop()
         assert not service._running
-        service.close()  # idempotent
+        service.stop()  # idempotent
 
 
 class TestCacheInvalidation:
@@ -526,7 +526,7 @@ class TestStaleWhileRevalidate:
             stale = service.posterior(OBSERVATION, num_traces=8, timeout=60)
             # Served immediately from the expired entry...
             assert stale.cached
-            assert service.metrics.stale_served == 1
+            assert service.stats()["stale_served"] == 1
             assert service.metrics.revalidations == 1
             # ...while exactly one background refresh recomputes it.  The
             # refresh is internal: it never counts toward client completions.
@@ -537,7 +537,7 @@ class TestStaleWhileRevalidate:
             assert service.metrics.completed == 2  # first + stale serve only
             fresh = service.posterior(OBSERVATION, num_traces=8, timeout=60)
             assert fresh.cached
-            assert service.metrics.stale_served == 1  # refreshed entry is fresh again
+            assert service.stats()["stale_served"] == 1  # refreshed entry is fresh again
 
     def test_refresh_is_single_flight(self, served_engine):
         model, engine = served_engine
@@ -550,7 +550,7 @@ class TestStaleWhileRevalidate:
             assert all(result.cached for result in results)
             # All four stale serves triggered at most one refresh.
             assert service.metrics.revalidations == 1
-            assert service.metrics.stale_served == 4
+            assert service.stats()["stale_served"] == 4
 
 
 @pytest.mark.parametrize("pool_class", POOLS)

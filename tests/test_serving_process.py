@@ -306,7 +306,7 @@ class TestProcessLifecycle:
         model, engine = served_engine
         service = make_service(model, engine, backend="process", max_latency=0.2).start()
         future = service.submit(OBSERVATION, num_traces=8, seed=2, use_cache=False)
-        service.shutdown(drain=True)
+        service.stop(drain=True)
         assert future.result(timeout=10).num_traces == 8
 
     def test_remote_models_force_thread_backend(self):
