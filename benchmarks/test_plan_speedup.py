@@ -1,12 +1,13 @@
 """Benchmark: compiled execution plans vs the dynamic lockstep path.
 
-The plan cache's claim (ROADMAP: compiled execution plans + buffer reuse):
-once a trace type is hot, serving its cohorts from a compiled
-:class:`repro.ppl.inference.plans.EnginePlan` — fixed address schedule,
-precompiled prior geometry, pre-gathered address-embedding rows, one batched
-previous-sample encode, ``build_into`` distribution construction into leased
-scratch — removes the per-round bookkeeping the dynamic session re-derives
-every cohort, without changing a single sampled bit.
+A compiled :class:`repro.ppl.inference.plans.EnginePlan` serves a hot trace
+type from a fixed address schedule, precompiled prior geometry and
+pre-gathered address-embedding rows.  Dynamic rounds take the shortcuts that
+matter without a plan — driver-side draws in one vectorised pass, geometry
+memoised per prior signature, ``build_into`` construction into the session's
+scratch, one batched previous-sample encode — so a plan hit no longer buys
+speed, and the decision recorded in ROADMAP is to delete plans.  Until that
+lands this file guards what plans must still promise.
 
 The workload is the hot-trace-type serving shape the cache is built for: one
 fixed-control-flow model with ``NUM_STEPS`` latent draws, every request
@@ -18,27 +19,24 @@ seeds distinct so every request is genuine inference.  Required:
   gate, not a tolerance);
 * the planned service records plan-cache hits on every post-warm-up request
   (the workload really ran on the fast path); and
-* a planned request is at least ``PLAN_SPEEDUP_MIN`` (default 1.1) times as
-  fast as a dynamic one.  Dynamic rounds are drawn and scored driver-side in
-  one vectorised pass, exactly as planned rounds are, so what a plan hit
-  still saves is the per-group constants listed above: 1.19–1.32x over ten
-  runs of this test on a 2-vCPU host (median 1.23x; 1.19–1.24x with both
-  cores kept busy by other processes), where the worker-side scalar draws of
-  the old dynamic path had made it ~3x under the same measurement.  The
-  floor sits below the slowest of those runs and fails once the planned path
-  loses about a tenth of its speed.
+* planned serving is **not slower**: dynamic over planned lower-quartile
+  latency at least ``MIN_RATIO`` = 0.9.  Ten runs of this test on a 2-vCPU
+  host read 1.03, 1.02, 1.02, 1.03, 1.04, 1.02, 1.04, 1.03, 1.03, 1.02x
+  (they read 1.19–1.32x, median 1.23x, while dynamic rounds still built a
+  fresh mixture, derived geometry per group and encoded previous values row
+  by row).  The guard trips when the planned path costs a tenth more than
+  the dynamic one.
 
 **Measurement.** The two services are timed request by request over
 ``ROUNDS`` alternating rounds in an interpreter of their own that pins itself
 to one core before numpy loads, and the gate compares the lower quartiles of
 the two latency samples.  Unpinned, the cohort's threads float over the cores
-and the same request costs 1–3x as much from one call to the next (ROADMAP
-open item), which buries a 1.2x effect: best-of-three totals read anywhere
-from 0.9x to 1.85x on this host.  Pinning the pytest process instead would
-leak: a thread first started inside the pinned region keeps the one-core mask
-for good (OpenBLAS re-creates its workers lazily after any earlier test forks,
-and they then spin on the core being measured — 144 ms a request instead of
-22, ratio 1.0x).
+and the same request costs 1–3x as much from one call to the next, which
+buries a ratio near 1: best-of-three totals read anywhere from 0.9x to 1.85x
+on this host.  Pinning the pytest process instead would leak: a thread first
+started inside the pinned region keeps the one-core mask for good (OpenBLAS
+re-creates its workers lazily after any earlier test forks, and they then
+spin on the core being measured — 144 ms a request instead of 22).
 """
 
 import json
@@ -63,7 +61,7 @@ MAX_BATCH = 32
 NUM_REQUESTS = 12
 WARMUP_REQUESTS = 2
 ROUNDS = 5
-MIN_SPEEDUP = float(os.environ.get("PLAN_SPEEDUP_MIN", "1.1"))
+MIN_RATIO = 0.9
 
 OBSERVATION = {"obs": np.array([0.3, 0.15, -0.3, 1.0])}
 
@@ -152,7 +150,7 @@ def measure():
     }
 
 
-def test_planned_serving_beats_dynamic_with_bit_identical_posteriors():
+def test_planned_serving_is_bit_identical_and_not_slower():
     child = subprocess.run(
         [sys.executable, "-c", _PINNED_CHILD],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))},
@@ -165,19 +163,19 @@ def test_planned_serving_beats_dynamic_with_bit_identical_posteriors():
     hit_rate = hits / max(1, hits + measured["misses"])
     planned_time = _lower_quartile(measured["planned"])
     dynamic_time = _lower_quartile(measured["dynamic"])
-    speedup = dynamic_time / planned_time
+    ratio = dynamic_time / planned_time
     print_table(
-        f"Compiled-plan serving speedup (B={MAX_BATCH}, {NUM_STEPS}-step hot trace type)",
+        f"Compiled-plan vs dynamic serving (B={MAX_BATCH}, {NUM_STEPS}-step hot trace type)",
         ["path", "request (ms)", "traces/s", "plan hit rate"],
         [
             ["dynamic", f"{1e3 * dynamic_time:.1f}", f"{MAX_BATCH / dynamic_time:.0f}", "-"],
             ["planned", f"{1e3 * planned_time:.1f}", f"{MAX_BATCH / planned_time:.0f}",
              f"{hit_rate:.2f}"],
-            ["speedup", f"{speedup:.2f}x", "", f"(require >= {MIN_SPEEDUP}x)"],
+            ["dynamic / planned", f"{ratio:.2f}x", "", f"(require >= {MIN_RATIO}x)"],
         ],
     )
     assert hits >= NUM_REQUESTS, "hot workload must be served from the plan cache"
     assert measured["divergences"] == 0
-    assert speedup >= MIN_SPEEDUP, (
-        f"planned serving speedup {speedup:.2f}x below the {MIN_SPEEDUP}x floor"
+    assert ratio >= MIN_RATIO, (
+        f"planned serving is {1 / ratio:.2f}x the dynamic latency (guard: {1 / MIN_RATIO:.2f}x)"
     )

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+import os
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -15,6 +16,7 @@ __all__ = [
     "partition_traces",
     "prod",
     "shard_jobs",
+    "usable_cores",
     "weighted_quantile",
 ]
 
@@ -64,6 +66,23 @@ def shard_jobs(jobs: List, num_shards: int, min_shard_size: int = 1) -> List[Lis
             shards.append(jobs[start : start + size])
         start += size
     return shards
+
+
+def usable_cores(pin: Optional[int] = None) -> List[int]:
+    """The cores this process may run on: its affinity mask, in core order.
+
+    With ``pin`` the calling process then confines itself to
+    ``cores[pin % len(cores)]`` of that mask, so processes pinned with
+    distinct indices from one parent get distinct cores until the mask runs
+    out.  Where the platform has no affinity calls every core is usable and
+    pinning does nothing.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return list(range(os.cpu_count() or 1))
+    cores = sorted(os.sched_getaffinity(0))
+    if pin is not None and hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {cores[pin % len(cores)]})
+    return cores
 
 
 def ensure_list(value) -> List:

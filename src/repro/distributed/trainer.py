@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import mmap
 import multiprocessing
-import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -46,6 +45,7 @@ import numpy as np
 
 from repro.common.rng import RandomState
 from repro.common.timing import PhaseTimer
+from repro.common.utils import usable_cores
 from repro.data.batching import effective_minibatch_size
 from repro.data.packing import PackedSubMinibatch, pack_minibatch
 from repro.data.sampler import DistributedTraceSampler
@@ -126,9 +126,7 @@ def _usable_cores() -> int:
     """Cores this process may run on; 1 where it cannot fork rank processes."""
     if _FORK is None or multiprocessing.current_process().daemon:
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(usable_cores())
 
 
 def _shared(count: int, dtype) -> np.ndarray:

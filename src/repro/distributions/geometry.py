@@ -6,7 +6,9 @@ the location/scale used to rescale the NN's normalised outputs, and the
 bounded flags.  Deriving it is the only per-prior Python loop on both the
 training and inference hot paths, which is why three layers precompute it:
 
-* ``ppl/nn/proposals.py`` derives it per proposal step at emission time,
+* ``ppl/nn/proposals.py`` derives it per proposal step at emission time, and
+  the lockstep session's dynamic rounds once per (prior signature, group
+  size) in a cohort,
 * ``data/packing.py`` derives it once per (dataset, step) at pack-build time,
 * ``ppl/inference/plans.py`` compiles it once per (trace type, bucket) and
   reuses it for every planned cohort.
@@ -18,10 +20,12 @@ single definition.
 :func:`prior_signature` is the exact-match companion: a cheap hashable
 fingerprint of a prior's family and parameters used by the plan layer to
 validate at run time that a request's prior still matches the one the plan
-was compiled against.  It is deliberately *exact* (``==`` on floats,
-``array_equal`` on arrays) — unlike :meth:`Distribution.__eq__`, which is
-tolerance-based — because a plan's precompiled geometry is only bit-identical
-to the dynamic derivation when the parameters match bit-for-bit.
+was compiled against, and by dynamic rounds to key their memoised geometry
+and to batch previous-value encodes.  It is deliberately *exact* (``==`` on
+floats, ``array_equal`` on arrays) — unlike :meth:`Distribution.__eq__`,
+which is tolerance-based — because a shared geometry or encoding is only
+bit-identical to the per-prior derivation when the parameters match
+bit-for-bit.
 """
 
 from __future__ import annotations

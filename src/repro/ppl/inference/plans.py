@@ -1,13 +1,13 @@
 """Compiled trace-type execution plans: the lockstep engine's plan cache.
 
 The paper's premise is that inference compilation amortises work across many
-executions of the same simulator — yet the dynamic lockstep path re-discovers
-each cohort's address schedule round by round, re-derives
-:class:`~repro.distributions.geometry.PriorGeometry` per proposal step, and
-re-allocates every ``(B, K)`` parameter array per request, even though
-``Trace.trace_type`` is cached and serving traffic concentrates on a few hot
-trace types.  This module applies the TensorRT-runtime playbook (plan cache,
-dynamic-shape bucketing, pre-allocated outputs) to guided execution:
+executions of the same simulator, and serving traffic concentrates on a few
+hot trace types.  This module applies the TensorRT-runtime playbook (plan
+cache, dynamic-shape bucketing, pre-allocated outputs) to guided execution.
+Dynamic rounds have since taken the per-group shortcuts without a plan
+(:meth:`repro.ppl.nn.inference_network.BatchedProposalSession._step_group`):
+a plan hit now reads ≈ 1.03x a dynamic round on a hot trace type, and plans
+are slated for deletion.  What a plan is:
 
 * :func:`compile_plan` turns one observed trace type into an immutable
   :class:`EnginePlan` — the address order, per-step precompiled geometry /
@@ -55,14 +55,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distributions import Categorical
-from repro.distributions.batched import (
-    BatchedCategorical,
-    BatchedMixtureOfTruncatedNormals,
-    CategoricalScratch,
-    MixtureScratch,
-)
+from repro.distributions.batched import BatchedCategorical, CategoricalScratch, MixtureScratch
 from repro.distributions.geometry import PriorGeometry, prior_geometry, prior_signature
-from repro.ppl.nn.embeddings import SampleEmbedding
 from repro.ppl.nn.inference_network import BatchedProposalSession, InferenceNetwork
 from repro.ppl.nn.proposals import ProposalCategorical, ProposalNormalMixture
 from repro.tensor import functional as F
@@ -111,8 +105,6 @@ class PlanStep:
     #: exact prior fingerprint when every observed trace agreed (static step);
     #: None = dynamic priors, re-derive geometry per round
     signature: Optional[Tuple]
-    #: exemplar prior object (static steps only; drives batched value encoding)
-    prior: Optional[Any]
     #: precompiled (bucket,) geometry rows (static mixture steps only)
     geometry: Optional[PriorGeometry]
     #: precomputed ``0.01 * prior.probs`` (static categorical steps only)
@@ -124,9 +116,6 @@ class PlanStep:
     #: the previous step advanced the LSTM and owns a sample embedding
     prev_known: bool
     prev_address: Optional[str]
-    #: exemplar prior of the previous step (set when it was static)
-    prev_prior: Optional[Any]
-    prev_static: bool
 
 
 @dataclass(frozen=True)
@@ -203,8 +192,6 @@ def compile_plan(
     steps: List[PlanStep] = []
     prev_known = False
     prev_address: Optional[str] = None
-    prev_prior: Optional[Any] = None
-    prev_static = False
     with no_grad():
         for index, (address, prior) in enumerate(exemplar):
             known = address in network.proposal_layers
@@ -245,15 +232,12 @@ def compile_plan(
                     known=known,
                     kind=kind,
                     signature=signature,
-                    prior=prior if signature is not None else None,
                     geometry=geometry,
                     smooth_probs=smooth_probs,
                     addr_rows=addr_rows,
                     num_components=num_components,
                     prev_known=prev_known,
                     prev_address=prev_address,
-                    prev_prior=prev_prior if prev_static else None,
-                    prev_static=prev_static,
                 )
             )
             if known:
@@ -261,13 +245,9 @@ def compile_plan(
                 # as the previous step; a fallback resets the tracking.
                 prev_known = address in network.sample_embeddings
                 prev_address = address
-                prev_prior = prior
-                prev_static = bool(static_flags[index])
             else:
                 prev_known = False
                 prev_address = None
-                prev_prior = None
-                prev_static = False
     return EnginePlan(
         trace_type=trace_type,
         bucket_size=int(bucket),
@@ -515,11 +495,11 @@ class PlannedProposalSession(BatchedProposalSession):
 
     While the cohort conforms to the plan, each round skips the dynamic
     path's per-round work: no address grouping, no per-slot gather/scatter of
-    LSTM state (the whole batch steps in place, in slot order), no geometry
-    derivation or ``(B, K)`` allocation on static steps (precompiled geometry
-    + ``build_into`` scratch constructors), one batched previous-value
-    encoding instead of B.  The draw itself is the parent's (driver-side, one
-    vectorised pass — planned and dynamic rounds alike).  The first round that
+    LSTM state (the whole batch steps in place, in slot order), precompiled
+    geometry, ``build_into`` constructors into the plan's scratch on static
+    steps.  Previous values are encoded and rounds drawn by the parent's code
+    (one batched encode where the previous priors share a signature; one
+    driver-side vectorised draw per round).  The first round that
     does not conform — wrong address, wrong cohort size, more rounds than the
     plan has steps — permanently drops this session onto the dynamic path of
     the parent class (state carries over row-for-row) and records where it
@@ -543,9 +523,6 @@ class PlannedProposalSession(BatchedProposalSession):
         self.scratch = scratch
         self._cursor = 0
         self._on_plan = True
-        #: last planned round's priors matched their static signature, so the
-        #: next round's batched previous-value encoding may use the exemplar
-        self._last_static_ok = True
         self._geometries: List[Optional[PriorGeometry]] = [
             step.geometry.prefix(self.batch_size) if step.geometry is not None else None
             for step in plan.steps
@@ -596,7 +573,6 @@ class PlannedProposalSession(BatchedProposalSession):
                 responses[slot] = None
                 self._prev_address[slot] = None
                 self._prev_prior[slot] = None
-            self._last_static_ok = True
             return responses
         return self._planned_step(cursor, step, requests)
 
@@ -637,14 +613,8 @@ class PlannedProposalSession(BatchedProposalSession):
                 self._c[layer] = c.data
             layer_module = network.proposal_layers[step.address]
             if static_ok and step.kind == "mixture":
-                geometry = self._geometries[index]
-                means, scales, log_weights, lows, highs, bounded = (
-                    layer_module._transformed_from_geometry(hidden, geometry)
-                )
-                mscratch = self.scratch.mixture[index]
-                weights = np.exp(log_weights, out=mscratch.weights[:size])
-                batch = BatchedMixtureOfTruncatedNormals.build_into(
-                    mscratch, means, scales, weights, lows, highs, bounded
+                batch = layer_module.proposal_batch_into(
+                    hidden, self._geometries[index], self.scratch.mixture[index]
                 )
             elif static_ok and step.kind == "categorical":
                 cscratch = self.scratch.categorical[index]
@@ -656,26 +626,11 @@ class PlannedProposalSession(BatchedProposalSession):
                 batch = BatchedCategorical.build_into(cscratch, probs)
             else:
                 batch = layer_module.proposal_batch(hidden, priors)
-        self._last_static_ok = static_ok
         return self._answer_group(batch, step.address, range(size), priors)
 
     def _planned_prev_embed(self, step: PlanStep, values) -> np.ndarray:
         """Previous-sample embedding rows for a conforming round."""
         if not step.prev_known:
             return self.scratch.zero_prev[: self.batch_size]
-        network = self.network
-        if step.prev_static and self._last_static_ok:
-            # All B previous priors were validated exactly equal to the
-            # exemplar last round, so one batched encode over the B values is
-            # bitwise the B per-row encodes the dynamic path concatenates.
-            encoded = SampleEmbedding.encode_values(step.prev_prior, np.asarray(values))
-        else:
-            prev_prior = self._prev_prior
-            encoded = np.concatenate(
-                [
-                    SampleEmbedding.encode_values(prev_prior[slot], np.asarray([values[slot]]))
-                    for slot in range(self.batch_size)
-                ],
-                axis=0,
-            )
-        return network.sample_embeddings[step.prev_address](Tensor(encoded)).data
+        encoded = self._encode_previous(range(self.batch_size), values)
+        return self.network.sample_embeddings[step.prev_address](Tensor(encoded)).data

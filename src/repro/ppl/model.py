@@ -128,6 +128,38 @@ class FunctionModel(Model):
         return self.fn(*self.args, **self.kwargs)
 
 
+class _RemoteSamplePolicy:
+    """Answers the sample requests of one remote trace through a controller.
+
+    Every draw advances the per-address instance counter (the trace records
+    all of them), but uncontrolled (``control=False``) draws never reach the
+    controller — mirror the local :class:`ExecutionState`: draw from the prior
+    and accumulate its density into ``log_q`` so the matching prior term in
+    ``log_joint`` cancels out of importance weights.  Either way the prior is
+    scored once: ``last_log_prior`` hands the number to
+    :meth:`SimulatorController.run_trace` for the trace record.
+    """
+
+    def __init__(self, controller: Controller, rng: RandomState) -> None:
+        self.controller = controller
+        self.rng = rng
+        self.counts: Dict[str, int] = {}
+        self.log_q = 0.0
+        self.last_log_prior: Optional[float] = None
+
+    def __call__(self, address, distribution, request):
+        instance = self.counts.get(address, 0)
+        self.counts[address] = instance + 1
+        if getattr(request, "control", True):
+            value, log_q = self.controller.choose(address, instance, distribution, request.name, self.rng)
+            self.last_log_prior = self.controller.last_log_prior
+        else:
+            value = distribution.sample(self.rng)
+            log_q = self.last_log_prior = float(np.sum(distribution.log_prob(value)))
+        self.log_q += log_q
+        return value
+
+
 class RemoteModel(Model):
     """A model implemented by an external simulator controlled over PPX.
 
@@ -163,29 +195,8 @@ class RemoteModel(Model):
         observed_values: Optional[Dict[str, Any]] = None,
         rng: Optional[RandomState] = None,
     ) -> Trace:
-        controller = controller or PriorController()
-        rng = rng or get_rng()
         observed_values = observed_values or {}
-        # Track per-address occurrence counts so the policy sees instances.
-        counts: Dict[str, int] = {}
-        log_q_total = {"value": 0.0}
-
-        def sample_policy(address, distribution, request):
-            # Every draw advances the per-address instance counter (the trace
-            # records all of them), but uncontrolled (control=False) draws
-            # never reach the controller — mirror the local ExecutionState:
-            # draw from the prior and accumulate its density so the matching
-            # prior term in log_joint cancels out of importance weights.
-            instance = counts.get(address, 0)
-            counts[address] = instance + 1
-            if not getattr(request, "control", True):
-                value = distribution.sample(rng)
-                log_q_total["value"] += float(np.sum(distribution.log_prob(value)))
-                return value
-            value, log_q = controller.choose(address, instance, distribution, request.name, rng)
-            log_q_total["value"] += log_q
-            return value
-
+        sample_policy = _RemoteSamplePolicy(controller or PriorController(), rng or get_rng())
         # Figure out the likelihood override: a single observed value applies
         # to the simulator's (single) observe statement; a dict is keyed by name.
         observe_override = None
@@ -208,7 +219,7 @@ class RemoteModel(Model):
             key = sample_record.name if sample_record.name is not None else sample_record.address
             observation[key] = sample_record.value
         trace.observation = observation
-        trace.log_q = log_q_total["value"]  # type: ignore[attr-defined]
+        trace.log_q = sample_policy.log_q  # type: ignore[attr-defined]
         return trace
 
     def shutdown(self) -> None:

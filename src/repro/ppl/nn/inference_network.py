@@ -48,13 +48,15 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy (cycle guard)
 from repro.common.config import Config, get_config
 from repro.data.dataset import observation_array
 from repro.distributions import Categorical, Distribution, distribution_from_dict
+from repro.distributions.batched import MixtureScratch
+from repro.distributions.geometry import PriorGeometry, prior_geometry, prior_signature
 from repro.ppl.nn.embeddings import (
     AddressEmbedding,
     ObservationEmbedding3DCNN,
     ObservationEmbeddingFC,
     SampleEmbedding,
 )
-from repro.ppl.nn.proposals import make_proposal_layer
+from repro.ppl.nn.proposals import ProposalNormalMixture, make_proposal_layer
 from repro.tensor import no_grad
 from repro.tensor.nn import LSTM, Module, ModuleDict, Parameter
 from repro.tensor.tensor import Tensor
@@ -559,6 +561,12 @@ class BatchedProposalSession:
         self._c = [np.zeros((self.batch_size, hidden)) for _ in range(network.lstm.num_layers)]
         self._prev_address: List[Optional[str]] = [None] * self.batch_size
         self._prev_prior: List[Optional[Distribution]] = [None] * self.batch_size
+        #: per-cohort constants a plan would precompile, derived on first use:
+        #: geometry per (prior signature, group size), and one mixture scratch
+        #: per component count sized to the cohort (a group is drawn before
+        #: the next is built, so groups share it)
+        self._group_geometries: Dict[Tuple, PriorGeometry] = {}
+        self._mixture_scratch: Dict[int, MixtureScratch] = {}
         self.num_proposal_steps = 0
         self.num_fallbacks = 0
         self.num_rounds = 0
@@ -634,10 +642,20 @@ class BatchedProposalSession:
     def _step_group(
         self, address: str, members: Sequence[Tuple[int, Distribution, Any]]
     ) -> Dict[int, DrawnProposal]:
-        """One batched LSTM step + proposal forward + draw for a same-address group."""
+        """One batched LSTM step + proposal forward + draw for a same-address group.
+
+        Takes the three shortcuts a compiled plan takes, without one: a
+        continuous group is built into the session's mixture scratch from a
+        geometry derived once per (prior signature, group size), and a
+        previous-address sub-batch whose priors share one exact signature is
+        encoded by one call.  Priors that do not match exactly take the
+        per-row derivations, so every value is bitwise what those produce.
+        """
         self.num_batched_steps += 1
         network = self.network
         size = len(members)
+        slots = [slot for slot, _, _ in members]
+        priors = [prior for _, prior, _ in members]
         with no_grad():
             # Previous-sample embeddings: zeros after a fallback / at the first
             # step, otherwise the (address-specific) embedding of the value
@@ -651,18 +669,9 @@ class BatchedProposalSession:
                     continue
                 by_prev.setdefault(prev_addr, []).append(row)
             for prev_addr, rows in by_prev.items():
-                encoded = np.concatenate(
-                    [
-                        SampleEmbedding.encode_values(
-                            self._prev_prior[members[row][0]], np.asarray([members[row][2]])
-                        )
-                        for row in rows
-                    ],
-                    axis=0,
-                )
+                encoded = self._encode_previous([slots[row] for row in rows], [members[row][2] for row in rows])
                 prev_embed[rows] = network.sample_embeddings[prev_addr](Tensor(encoded)).data
             addr_embed = network.address_embeddings[address](size).data
-            slots = [slot for slot, _, _ in members]
             obs_embed = self._obs_rows[slots]
             lstm_input = Tensor(np.concatenate([obs_embed, addr_embed, prev_embed], axis=1))
             state = [
@@ -673,9 +682,55 @@ class BatchedProposalSession:
             for layer, (h, c) in enumerate(new_state):
                 self._h[layer][slots] = h.data
                 self._c[layer][slots] = c.data
-            priors = [prior for _, prior, _ in members]
-            batch = network.proposal_layers[address].proposal_batch(hidden, priors)
+            layer_module = network.proposal_layers[address]
+            if isinstance(layer_module, ProposalNormalMixture):
+                batch = layer_module.proposal_batch_into(
+                    hidden, self._group_geometry(priors), self._scratch_for(layer_module.num_components)
+                )
+            else:
+                batch = layer_module.proposal_batch(hidden, priors)
         return self._answer_group(batch, address, slots, priors)
+
+    def _group_geometry(self, priors: Sequence[Distribution]) -> PriorGeometry:
+        """The group's prior geometry, derived once per (signature, group size).
+
+        Exactly equal signatures give bitwise equal ``prior_geometry`` rows
+        (the rule a plan's precompiled geometry rests on), so the memoised
+        geometry is the one these priors would derive.
+        """
+        signature = prior_signature(priors[0])
+        if signature is None or any(prior_signature(prior) != signature for prior in priors[1:]):
+            return prior_geometry(priors)
+        key = (signature, len(priors))
+        geometry = self._group_geometries.get(key)
+        if geometry is None:
+            geometry = self._group_geometries[key] = prior_geometry(priors)
+        return geometry
+
+    def _scratch_for(self, num_components: int) -> MixtureScratch:
+        scratch = self._mixture_scratch.get(num_components)
+        if scratch is None:
+            scratch = self._mixture_scratch[num_components] = MixtureScratch(self.batch_size, num_components)
+        return scratch
+
+    def _encode_previous(self, slots: Sequence[int], values: Sequence[Any]) -> np.ndarray:
+        """Encoded previous values of ``slots``, whose previous draws share an address.
+
+        One ``encode_values`` call over all of them when their previous priors
+        share one exact signature (the encoding reads only the prior's family
+        and moments, which the signature fixes), else one call per row.
+        """
+        priors = [self._prev_prior[slot] for slot in slots]
+        signature = prior_signature(priors[0])
+        if signature is not None and all(prior_signature(prior) == signature for prior in priors[1:]):
+            return SampleEmbedding.encode_values(priors[0], np.asarray(values))
+        return np.concatenate(
+            [
+                SampleEmbedding.encode_values(prior, np.asarray([value]))
+                for prior, value in zip(priors, values)
+            ],
+            axis=0,
+        )
 
     def _answer_group(
         self, batch, address: str, slots: Sequence[int], priors: Sequence[Distribution]

@@ -47,6 +47,7 @@ from repro.distributions import (
     Normal,
     TruncatedNormal,
 )
+from repro.distributions.batched import MixtureScratch
 from repro.distributions.geometry import PriorGeometry, prior_bounds, prior_geometry
 from repro.tensor import functional as F
 from repro.tensor.nn import Linear, Module, ReLU, Sequential
@@ -230,6 +231,24 @@ class ProposalNormalMixture(ProposalLayer):
             lows,
             highs,
             bounded=bounded,
+        )
+
+    def proposal_batch_into(
+        self, hidden: Tensor, geometry: PriorGeometry, scratch: MixtureScratch
+    ) -> BatchedMixtureOfTruncatedNormals:
+        """:meth:`proposal_batch` from the group's prior geometry, built into ``scratch``.
+
+        The lockstep engine's constructor: ``BatchedMixtureOfTruncatedNormals.build_into``
+        evaluates ``__init__``'s expressions into the scratch's ``(B_max, K)``
+        buffers, so rows sample and score bit-identically to
+        :meth:`proposal_batch` on priors of this geometry, with no fresh
+        ``(B, K)`` array and no validation pass.  The result aliases the
+        scratch: at most one per scratch may be live.
+        """
+        means, scales, log_weights, lows, highs, bounded = self._transformed_from_geometry(hidden, geometry)
+        weights = np.exp(log_weights, out=scratch.weights[: means.shape[0]])
+        return BatchedMixtureOfTruncatedNormals.build_into(
+            scratch, means, scales, weights, lows, highs, bounded
         )
 
 

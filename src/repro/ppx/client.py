@@ -174,6 +174,9 @@ class SimulatorClient:
         message = self.transport.receive()
         if isinstance(message, Run):
             try:
+                # Addresses start at the simulator, whatever launched this
+                # client (a script, ``python -m``, a thread).
+                __ppl_model_entry__ = True  # noqa: F841 - stack marker for address building
                 result = self.simulator(self, message.observation)
             except ConnectionError:
                 raise  # a dropped socket mid-trace is a transport event, not a model error

@@ -35,7 +35,10 @@ from repro.trace.trace import Trace
 
 __all__ = ["SimulatorController"]
 
-#: signature of the sample-policy callback: (address, distribution, request) -> value
+#: signature of the sample-policy callback: (address, distribution, request) -> value.
+#: A policy that scores the prior anyway exposes the number as a
+#: ``last_log_prior`` attribute, set on every call (as a PPL ``Controller``
+#: does), and the trace records it instead of scoring the draw a second time.
 SamplePolicy = Callable[[str, Any, SampleRequest], Any]
 
 
@@ -104,7 +107,9 @@ class SimulatorController:
             if isinstance(message, SampleRequest):
                 distribution = distribution_from_dict(message.distribution)
                 value = sample_policy(message.address, distribution, message)
-                log_prob = float(np.sum(distribution.log_prob(value)))
+                log_prob = getattr(sample_policy, "last_log_prior", None)
+                if log_prob is None:
+                    log_prob = float(np.sum(distribution.log_prob(value)))
                 trace.add_sample(
                     Sample(
                         address=message.address,

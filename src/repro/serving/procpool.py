@@ -24,6 +24,12 @@ Lifecycle and failure semantics:
   inherited for free; closures and lambdas work).  Under ``spawn`` the model
   and network handles are pickled into each worker once at start-up — the
   one-time serialization cost the persistent-worker design exists to amortize.
+* Worker ``i`` pins itself to core ``i % len(cores)`` of the affinity mask it
+  inherited, before it runs anything: a cohort's driver and slot threads
+  hand control back and forth, and floating over every core costs them a
+  cross-core wake-up per hand-off.  A respawned or refreshed worker keeps its
+  index and so its core; a one-core mask puts every worker on that core; a
+  platform without ``os.sched_setaffinity`` does not pin.
 * A worker that dies mid-shard (OOM kill, segfaulting simulator) is detected
   by the collector's liveness sweep; its in-flight shards are **requeued** to
   surviving workers (the dead worker is respawned to restore capacity) up to
@@ -48,6 +54,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
+from repro.common.utils import usable_cores
 from repro.ppl.inference.batched import execute_trace_jobs
 from repro.ppl.inference.plans import PlanCache
 from repro.serving.request import PoolStopped, ServingError
@@ -89,6 +96,10 @@ def _worker_main(
 ) -> None:
     """Loop of one persistent worker process.
 
+    The worker first pins itself to core ``worker_index % len(cores)`` of the
+    affinity mask it inherited (:func:`repro.common.utils.usable_cores`; the
+    module docstring says why).
+
     Messages in: ``(shard_id, [TraceJob, ...])`` or ``None`` (shutdown).
     Messages out: ``(shard_id, worker_index, payload, elapsed, error)`` where
     ``payload`` is the pre-pickled ``(traces, stats)`` pair.  Pre-pickling
@@ -103,6 +114,7 @@ def _worker_main(
     the network generation it compiled against.  Plan hit/miss/demotion
     counters travel back inside each shard's engine stats.
     """
+    usable_cores(pin=worker_index)
     # Under `spawn` the parent's module-global fault plan does not exist in
     # the child; install the pickled copy so child-side fault points fire.
     if fault_plan is not None:

@@ -19,6 +19,7 @@ from repro import ppl
 from repro.common.rng import RandomState
 from repro.distributions import Categorical, Distribution, Normal, Uniform
 from repro.distributions.batched import BatchedMixtureOfTruncatedNormals
+from repro.distributions.geometry import prior_signature
 from repro.ppl import FunctionModel
 from repro.ppl.inference.batched import (
     TraceJob,
@@ -29,9 +30,9 @@ from repro.ppl.inference.batched import (
 )
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.inference.plans import PlanCache
-from repro.ppl.nn.embeddings import ObservationEmbeddingFC
+from repro.ppl.nn.embeddings import ObservationEmbeddingFC, SampleEmbedding
 from repro.ppl.nn.inference_network import BatchedProposalSession, DrawnProposal
-from repro.ppl.nn.proposals import ProposalLayer
+from repro.ppl.nn.proposals import ProposalLayer, ProposalNormalMixture
 
 
 # ------------------------------------------------------------------- programs
@@ -77,6 +78,31 @@ def interleaved_program():
     return steps
 
 
+def signatures_program():
+    """Groups whose priors share one exact signature, mix two, or drift.
+
+    The first ``width`` group shares one signature and the second, the same
+    size at the same address, mixes two; the next round splits the cohort
+    into two continuous groups of unequal size (``left``, ``right``), built
+    one after the other into the session's one scratch, and ``right``'s prior
+    follows ``width`` row by row; each ``drift`` round's prior is one
+    ulp-scale step off the last, so a geometry kept from the previous round
+    would be wrong for this one.
+    """
+    kind = ppl.sample(Categorical([0.3, 0.7]), name="kind", address="kind")
+    for step in range(2):
+        width = ppl.sample(Uniform(-1.0, 1.0 + 0.5 * kind * step), name="width", address="width")
+    if kind == 0:
+        offset = ppl.sample(Uniform(0.0, 2.0), name="offset", address="left")
+    else:
+        offset = ppl.sample(Normal(width, 1.0), name="offset", address="right")
+    total = width + offset
+    for step in range(3):
+        total += ppl.sample(Uniform(0.0, 1.0 + step * 2.0**-40), name="drift", address="drift")
+    ppl.observe(Normal(np.array([total, width]), 0.4), name="obs")
+    return total
+
+
 def _train(program, seed):
     engine = InferenceCompilation(
         observation_embedding=ObservationEmbeddingFC(input_dim=2, embedding_dim=16),
@@ -102,6 +128,14 @@ def interleaved_case():
     network = _train(interleaved_program, seed=4)
     return FunctionModel(interleaved_program, name="interleaved"), network, {
         "obs": np.array([0.5, 1.1])
+    }
+
+
+@pytest.fixture(scope="module")
+def signatures_case():
+    network = _train(signatures_program, seed=5)
+    return FunctionModel(signatures_program, name="signatures"), network, {
+        "obs": np.array([2.4, 0.2])
     }
 
 
@@ -360,3 +394,96 @@ class TestCustomLayer:
         ]
         # Per-object emission == batched emission, so nothing else moved.
         assert_same_run(custom, builtin)
+
+
+class _FreshBatchLayer(ProposalLayer):
+    """A continuous layer the session cannot build into scratch: every group
+    derives its geometry and constructs a fresh batch (``proposal_batch``)."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+
+    def proposal_batch(self, hidden, priors):
+        return self.inner.proposal_batch(hidden, priors)
+
+
+class _FreshBatchNetwork:
+    """The trained network, its continuous layers served through ``_FreshBatchLayer``."""
+
+    def __init__(self, network):
+        self._network = network
+        self.proposal_layers = {
+            address: _FreshBatchLayer(layer) if isinstance(layer, ProposalNormalMixture) else layer
+            for address, layer in network.proposal_layers.items()
+        }
+
+    def __getattr__(self, name):
+        return getattr(self._network, name)
+
+
+class _PerGroupSession(_WorkerDrawSession):
+    """The reference for the dynamic round's shortcuts too: with
+    ``_FreshBatchNetwork`` every group derives its own geometry and batch, and
+    previous values are encoded row by row; the worker draws."""
+
+    def _encode_previous(self, slots, values):
+        return np.concatenate(
+            [
+                SampleEmbedding.encode_values(self._prev_prior[slot], np.asarray([value]))
+                for slot, value in zip(slots, values)
+            ],
+            axis=0,
+        )
+
+
+class _RecordingSession(BatchedProposalSession):
+    """The dynamic session, keeping every instance and what each group held."""
+
+    sessions = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.groups = []
+        _RecordingSession.sessions.append(self)
+
+    def _step_group(self, address, members):
+        signatures = {prior_signature(prior) for _, prior, _ in members}
+        self.groups.append((self.num_rounds, address, len(members), signatures))
+        return super()._step_group(address, members)
+
+
+class TestDynamicShortcutsAreInvisible:
+    """Geometry kept per (signature, size), groups built into the session's
+    scratch and one-call previous-value encodes change no bit against a
+    reference that derives, builds and encodes every group afresh."""
+
+    @pytest.mark.parametrize("packing", [[16] * 4, [64], [7, 20, 37]], ids=["16x4", "64", "7/20/37"])
+    def test_mixed_shared_and_drifting_signatures_match_the_reference(self, signatures_case, packing):
+        model, network, observation = signatures_case
+        reference = run_packing(
+            model, _SessionSwap(_FreshBatchNetwork(network), _PerGroupSession), observation, 19, packing
+        )
+        dynamic = run_packing(model, network, observation, 19, packing)
+        assert_same_run(dynamic, reference, log_q_rtol=1e-13)
+
+    def test_the_cohort_holds_each_kind_of_group(self, signatures_case):
+        model, network, observation = signatures_case
+        _RecordingSession.sessions = []
+        run_packing(model, _SessionSwap(network, _RecordingSession), observation, 19, [16])
+        (session,) = _RecordingSession.sessions
+        by_address = {}
+        for round_index, address, size, signatures in session.groups:
+            by_address.setdefault(address, []).append((round_index, size, signatures))
+        # One signature, then the same address and size with two: per-row
+        # geometry and, next round, per-row encodes.
+        assert [len(signatures) for _, _, signatures in by_address["width"]] == [1, 2]
+        # Two continuous groups of unequal size in one round, one scratch between them.
+        ((left_round, left_size, _),) = by_address["left"]
+        ((right_round, right_size, _),) = by_address["right"]
+        assert left_round == right_round and left_size != right_size
+        assert len(session._mixture_scratch) == 1
+        # The drift rounds share one signature within and a different one across.
+        drift = [signatures for _, _, signatures in by_address["drift"]]
+        assert all(len(signatures) == 1 for signatures in drift)
+        assert len(set.union(*drift)) == 3

@@ -231,6 +231,38 @@ class TestRemoteModel:
         remote.shutdown()
         thread.join(timeout=5.0)
 
+    def test_each_remote_draw_scores_its_prior_once(self, monkeypatch):
+        # The policy scores the prior (through the controller, or itself for a
+        # control=False draw) and the trace records that number: Normal's
+        # log_prob runs once per draw plus once for the observe, never twice
+        # for one draw.  Proposals here are Uniform, so only priors count.
+        from repro.ppl.inference import run_importance_sampling
+
+        scored = []
+        log_prob = Normal.log_prob
+
+        def counting_log_prob(distribution, value):
+            scored.append(value)
+            return log_prob(distribution, value)
+
+        monkeypatch.setattr(Normal, "log_prob", counting_log_prob)
+        remote, thread = self._remote(uncontrolled_simulator)
+        try:
+            prior = remote.prior_trace(RandomState(3))
+            assert len(scored) == 3
+            del scored[:]
+            posterior = run_importance_sampling(
+                remote, {"obs": 0.6}, num_traces=4, rng=RandomState(4),
+                proposal_provider=lambda address, instance, prior, state: Uniform(-3.0, 3.0),
+            )
+            assert len(scored) == 3 * 4
+        finally:
+            remote.shutdown()
+            thread.join(timeout=5.0)
+        for trace in [prior] + list(posterior.values):
+            for draw in trace.samples:
+                assert draw.log_prob == float(log_prob(draw.distribution, draw.value))
+
     def test_remote_model_forward_raises(self):
         remote, thread = self._remote(gaussian_simulator)
         with pytest.raises(RuntimeError):
@@ -287,8 +319,9 @@ class TestTauHandleContract:
         remote_trace, remote_result, local_trace, _ = self.remote_and_local(seed=5)
 
         def program_frames(address):
-            # The deployment-specific frames around the program (thread
-            # bootstrap, Model.forward, LocalHandle) differ by construction.
+            # The deployment-specific frames around the program (the
+            # simulator wrapper, Model.forward, LocalHandle) differ by
+            # construction.
             return [
                 part
                 for part in address.split("|")
@@ -327,3 +360,29 @@ class TestExternalProcess:
             remote.shutdown()
             process.wait(timeout=10)
         assert process.returncode == 0
+
+    def test_addresses_start_at_the_simulator_however_it_was_launched(self):
+        # A network trained on one deployment must recognise the other's
+        # addresses: neither the subprocess's launcher (runpy, main,
+        # run_client) nor a serving thread's bootstrap may appear in them.
+        from repro.simulators.external import SIMULATOR_REGISTRY, start_remote_model
+
+        remote, process = start_remote_model("tau_decay")
+        try:
+            over_tcp = remote.prior_trace(RandomState(7))
+        finally:
+            remote.shutdown()
+            process.wait(timeout=10)
+        ppl_side, sim_side = make_queue_pair()
+        _, thread = run_client_in_thread(SIMULATOR_REGISTRY["tau_decay"], sim_side)
+        threaded = RemoteModel(ppl_side, name="remote-tau")
+        try:
+            in_thread = threaded.prior_trace(RandomState(7))
+        finally:
+            threaded.shutdown()
+            thread.join(timeout=5.0)
+        addresses = [sample.address for sample in over_tcp.samples]
+        assert addresses == [sample.address for sample in in_thread.samples]
+        assert all(
+            address.startswith("simulators/external.py:_tau_decay_simulator:") for address in addresses
+        )

@@ -34,6 +34,18 @@ from repro.ppx import (
 from repro.ppx.transport import SocketTransport, connect_tcp, listen_tcp
 
 
+def hot_program():
+    """The serving benchmark's fixed-structure program: explicit sample
+    addresses, an observe addressed from the stack."""
+    from repro.ppl import observe, sample
+
+    total = 0.0
+    for i in range(8):
+        total += sample(Uniform(-1.0, 1.0), name=f"x{i}", address=f"addr_{i}")
+    observe(Normal(np.array([total, total * 0.5, -total, 1.0]), 0.4), name="obs")
+    return total
+
+
 def wire_equal(a, b) -> bool:
     """Structural equality where arrays must match in dtype, shape and every bit."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
@@ -392,6 +404,46 @@ class TestAddressBuilder:
         call_site()
         builder.clear_cache()
         assert builder.cache_hits == 0 and builder.cache_misses == 0
+
+    @pytest.mark.parametrize("deployment", ["local tau", "remote tau", "hot model"])
+    def test_cached_walk_gives_the_reference_addresses_on_seeded_traces(self, deployment, monkeypatch):
+        # use_cache=False re-derives every frame and reads the marker from the
+        # frame's live locals: the reference the per-code-object table must
+        # reproduce byte for byte, on first sight of a frame and on reuse.
+        import repro.ppl.state as state_module
+        import repro.ppx.client as client_module
+        from repro.common.rng import RandomState
+        from repro.ppl import FunctionModel, RemoteModel
+        from repro.ppx import SimulatorClient
+        from repro.simulators import TauDecayModel
+        from repro.simulators.external import SIMULATOR_REGISTRY
+
+        def addresses(use_cache):
+            def builder():
+                return AddressBuilder(use_cache=use_cache)
+
+            monkeypatch.setattr(state_module, "AddressBuilder", builder)
+            monkeypatch.setattr(client_module, "AddressBuilder", builder)
+            AddressBuilder().clear_cache()
+            if deployment == "remote tau":
+                ppl_side, sim_side = make_queue_pair()
+                client = SimulatorClient(sim_side, SIMULATOR_REGISTRY["tau_decay"])
+                thread = threading.Thread(target=client.serve_forever, daemon=True)
+                thread.start()
+                model = RemoteModel(ppl_side)
+            else:
+                model = TauDecayModel() if deployment == "local tau" else FunctionModel(hot_program)
+            try:
+                traces = model.prior_traces(12, rng=RandomState(5))
+            finally:
+                if deployment == "remote tau":
+                    model.shutdown()
+                    thread.join(timeout=5.0)
+            return [s.address for trace in traces for s in trace.samples + trace.observes]
+
+        reference = addresses(use_cache=False)
+        assert addresses(use_cache=True) == reference
+        assert len(set(reference)) > 1
 
 
 class TestTransports:
