@@ -6,8 +6,10 @@ network at batch size 1: one observation embedding, one LSTM step and one
 proposal forward **per trace per address**.  This module batches all of that
 across a *cohort* of B simultaneous executions:
 
-1. the cohort's B model executions each run in their own worker thread and
-   suspend at every controlled draw;
+1. the cohort's B model executions each run on a slot thread borrowed from
+   the process's pool of parked threads (started only when too few are
+   idle, returned when the cohort ends) and suspend at every controlled
+   draw;
 2. a coordinator collects the suspended draws of one lockstep round, groups
    them by address, and answers each group with **one** batched step of the
    :class:`repro.ppl.nn.inference_network.BatchedProposalSession`, which also
@@ -45,6 +47,8 @@ uncontrolled draws cancel exactly against ``log_joint``.
 
 from __future__ import annotations
 
+import functools
+import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -74,7 +78,7 @@ __all__ = [
 ]
 
 
-#: seconds ``_drive_cohort`` waits, in total, for a cohort's threads to exit
+#: seconds ``_drive_cohort`` waits, in total, for a cohort's slots to finish
 _JOIN_DEADLINE_S = 5.0
 
 
@@ -346,39 +350,134 @@ def _worker(model, observation, coordinator, slot, rng, traces, errors) -> None:
         coordinator.finished(slot)
 
 
+class _SlotThread:
+    """A parked daemon thread that runs one cohort slot's task at a time.
+
+    It waits on its own gate (created held, like the coordinator's); a
+    cohort lends it a task by storing the call and opening the gate, and
+    takes it back by acquiring ``done``, which the thread opens after every
+    task.  Between tasks it holds nothing of its last cohort — not the task,
+    the coordinator, the traces or the session.  ``retired`` (written under
+    ``_slot_lock``) marks a slot that is never lent again: one the driver
+    stopped waiting for (a wedged simulator), whose thread exits when its
+    task finally returns, or one whose task escaped and killed the thread.
+    """
+
+    def __init__(self) -> None:
+        self._gate = _shut_gate()
+        self.done = _shut_gate()
+        self._task: Optional[Callable[[], None]] = None
+        self.retired = False
+        self.thread = threading.Thread(target=self._run, name="batched-is-slot", daemon=True)
+        self.thread.start()
+
+    def lend(self, task: Callable[[], None]) -> None:
+        self._task = task
+        self._gate.release()
+
+    def _run(self) -> None:
+        retired = False
+        while not retired:
+            self._gate.acquire()
+            task, self._task = self._task, None
+            escaped = True
+            try:
+                task()
+                escaped = False
+            finally:
+                task = None  # park without the cohort: the next wait keeps nothing alive
+                with _slot_lock:
+                    self.retired = retired = self.retired or escaped
+                    self.done.release()
+
+
+#: the process's parked slot threads, and the lock that guards the list and
+#: every ``_SlotThread.retired``; a forked child starts with neither
+_slot_lock = threading.Lock()
+_idle_slots: List[_SlotThread] = []
+
+
+def _empty_slot_pool() -> None:
+    """A forked child has none of its parent's threads: give it an empty pool."""
+    global _slot_lock, _idle_slots
+    _slot_lock = threading.Lock()
+    _idle_slots = []
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_empty_slot_pool)
+
+
+def _borrow_slots(count: int) -> Tuple[List[_SlotThread], int]:
+    """Take ``count`` idle slots, starting threads only for the shortfall.
+
+    Every slot is in hand before any task is lent, so a thread that fails to
+    start strands no half-started cohort: the slots already taken go back to
+    the idle list and the error propagates.  Returns the slots and how many
+    threads were started for them.
+    """
+    with _slot_lock:
+        split = max(0, len(_idle_slots) - count)
+        slots = _idle_slots[split:]
+        del _idle_slots[split:]
+    reused = len(slots)
+    try:
+        while len(slots) < count:
+            slots.append(_SlotThread())
+    except BaseException:
+        with _slot_lock:
+            _idle_slots.extend(slots)
+        raise
+    return slots, count - reused
+
+
+def _return_slots(slots: Sequence[_SlotThread]) -> None:
+    """Wait for every lent slot's task to end, then park the slots again.
+
+    One deadline for the whole cohort: a per-slot timeout would hold a
+    stall error back for ``len(slots)`` timeouts when every simulator is
+    wedged.  A slot still running at the deadline is retired, not awaited.
+    """
+    deadline = time.monotonic() + _JOIN_DEADLINE_S
+    finished = [
+        slot.done.acquire(timeout=max(0.0, deadline - time.monotonic())) for slot in slots
+    ]
+    with _slot_lock:
+        for slot, done in zip(slots, finished):
+            # Under the lock a slot either has not yet read ``retired`` (and
+            # will exit once its task returns) or has already opened ``done``.
+            if not done and not slot.done.acquire(blocking=False):
+                slot.retired = True
+            elif not slot.retired:
+                _idle_slots.append(slot)
+
+
 def _drive_cohort(model, session, jobs: Sequence[TraceJob], stats) -> List[Trace]:
     """Drive ``len(jobs)`` suspended guided executions against ``session``.
 
-    Slot ``slot`` executes ``jobs[slot]``: conditioned on that job's
-    observation, drawing from that job's stream.
+    Slot ``slot`` executes ``jobs[slot]`` on a borrowed slot thread:
+    conditioned on that job's observation, drawing from that job's stream.
     """
     size = len(jobs)
+    slot_threads, started = _borrow_slots(size)
+    stats["num_slot_threads_started"] += started
     coordinator = _LockstepCoordinator(session, size)
     traces: List[Optional[Trace]] = [None] * size
     errors: List[Optional[BaseException]] = [None] * size
-    threads = [
-        threading.Thread(
-            target=_worker,
-            args=(model, job.observation, coordinator, slot, job.rng, traces, errors),
-            name=f"batched-is-worker-{slot}",
-            daemon=True,
+    for slot, (slot_thread, job) in enumerate(zip(slot_threads, jobs)):
+        slot_thread.lend(
+            functools.partial(
+                _worker, model, job.observation, coordinator, slot, job.rng, traces, errors
+            )
         )
-        for slot, job in enumerate(jobs)
-    ]
-    for thread in threads:
-        thread.start()
     try:
-        coordinator.serve(threads)
+        coordinator.serve([slot_thread.thread for slot_thread in slot_threads])
     finally:
-        # Join on *every* exit — the poison path has already released any
-        # blocked worker, so a bounded join collects them; a worker that is
-        # still wedged (the stall the coordinator just diagnosed) is a daemon
-        # thread and must not also hang the driver here.  One deadline for the
-        # whole cohort: a per-thread timeout would hold the error back for
-        # ``size`` timeouts when every simulator is wedged.
-        deadline = time.monotonic() + _JOIN_DEADLINE_S
-        for thread in threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        # Take the slots back on *every* exit — the poison path has already
+        # released any blocked worker, so the bounded wait collects them; a
+        # slot still wedged (the stall the coordinator just diagnosed) is
+        # retired and must not also hang the driver here.
+        _return_slots(slot_threads)
     for error in errors:
         if error is not None:
             raise error
@@ -473,6 +572,7 @@ ENGINE_STAT_KEYS: Tuple[str, ...] = (
     "num_planned_rounds",
     "num_plan_divergences",
     "num_plan_geometry_misses",
+    "num_slot_threads_started",
 )
 
 def new_engine_stats() -> Dict[str, int]:
@@ -486,7 +586,8 @@ def merge_session_stats(stats: Dict[str, int], session) -> None:
     A session attribute is named by its stat key.  Counters a session kind
     lacks read as 0 (the sequential ``ProposalSession`` has no round
     counters, the dynamic batched session no plan counters, and no session
-    counts cohorts or plan leases — :func:`run_mixed_cohort` does).
+    counts cohorts, plan leases or slot-thread starts — :func:`run_mixed_cohort`
+    and :func:`_drive_cohort` do).
     """
     for key in ENGINE_STAT_KEYS:
         stats[key] += getattr(session, key, 0)
@@ -709,7 +810,7 @@ def batched_importance_sampling(
         Cohort size B.  Traces are partitioned into ``ceil(num_traces / B)``
         cohorts; ``batch_size=1`` selects the sequential per-trace engine
         (useful as the equivalence/throughput reference).  Cohort executions
-        run on B worker threads, so ``model.forward`` must not mutate shared
+        run on B slot threads, so ``model.forward`` must not mutate shared
         state; pass ``batch_size=1`` for non-thread-compatible models
         (:class:`RemoteModel` is detected and serialized automatically).
     network:

@@ -4,7 +4,8 @@ A shard of :class:`TraceJob` runs through ``execute_trace_jobs`` in one of
 three places — inline, a :class:`CohortWorkerPool` thread, a
 :class:`ProcessCohortPool` worker process.  The contract
 (:mod:`repro.serving.workers`): same seeded shards ⇒ same traces and the same
-summed engine counters; one error per failed shard; ``stop(drain=False)``
+summed engine counters (bar ``num_slot_threads_started``, which says how warm
+the executing process's slot pool was); one error per failed shard; ``stop(drain=False)``
 resolves what is queued with ``PoolStopped``; ``submit`` on a pool that is not
 running raises ``PoolStopped``; ``refresh`` follows a retraining.
 """
@@ -31,6 +32,7 @@ from repro.ppl.inference.batched import (
 from repro.ppl.inference.plans import PlanCache
 from repro.serving import CohortWorkerPool, PoolStopped, ProcessCohortPool
 from tests.test_batched_inference import OBSERVATION, lockstep_engine, lockstep_program  # noqa: F401
+from tests.test_slot_pool import work_counters
 
 POOLS = [CohortWorkerPool, ProcessCohortPool]
 EXECUTORS = ["inline"] + POOLS
@@ -151,7 +153,7 @@ class TestSameShardsSameResults:
         assert reference.stats["num_cohorts"] == 6
         assert reference.stats["plan_hits"] > 0  # the planned path really ran
         for pool in POOLS:
-            assert logs[pool].stats == reference.stats
+            assert work_counters(logs[pool].stats) == work_counters(reference.stats)
             for index in range(6):
                 for ours, theirs in zip(logs[pool].traces(index), reference.traces(index)):
                     assert ours.addresses == theirs.addresses

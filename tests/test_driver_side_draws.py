@@ -33,6 +33,7 @@ from repro.ppl.inference.plans import PlanCache
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC, SampleEmbedding
 from repro.ppl.nn.inference_network import BatchedProposalSession, DrawnProposal
 from repro.ppl.nn.proposals import ProposalLayer, ProposalNormalMixture
+from tests.test_slot_pool import busy_slots, lent_slots  # noqa: F401 - fixture
 
 
 # ------------------------------------------------------------------- programs
@@ -308,7 +309,7 @@ class TestAnswers:
 class TestDriverSideFailure:
     @pytest.mark.parametrize("planned", [False, True], ids=["dynamic", "planned"])
     def test_failing_sample_rows_poisons_the_cohort_and_frees_every_worker(
-        self, rejection_case, monkeypatch, planned
+        self, rejection_case, monkeypatch, lent_slots, planned
     ):
         model, network, observation = rejection_case
         cache = diverging_plan_cache(model, network, observation, [16]) if planned else None
@@ -335,9 +336,9 @@ class TestDriverSideFailure:
         assert not runner.is_alive(), "the cohort hung after a driver-side draw failed"
         assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
         assert "driver-side draw exploded" in str(outcome[0])
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith("batched-is-worker-")
-        ]
+        # Every slot thread the cohort borrowed is parked again or retired.
+        taken = lent_slots[-1]
+        assert len(taken) == 16 and busy_slots(taken) == []
         if planned:
             # The failed cohort gave its scratch back: the next lease reuses it.
             monkeypatch.undo()

@@ -3,12 +3,12 @@
 ``_LockstepCoordinator`` passes control between the driver and the cohort's
 threads on bare locks.  The properties checked here are the ones a hand-off
 can lose: every wake-up arrives (the run finishes, on every path), nobody is
-left behind (no live cohort thread afterwards), and the traces are those of
-``batch_size=1`` however the rounds interleave.
+left behind (every slot thread a cohort borrowed is parked again or retired,
+none still lent out), and the traces are those of ``batch_size=1`` however the
+rounds interleave.
 """
 
 import functools
-import sys
 import threading
 import time
 
@@ -30,6 +30,7 @@ from repro.ppl.inference.batched import (
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 from tests.test_batched_inference import OBSERVATION, lockstep_engine  # noqa: F401
+from tests.test_slot_pool import busy_slots, eager_thread_switches, lent_slots  # noqa: F401 - fixtures
 
 RAISE_AT_ONCE, RAISE_LATER = 60.0, 30.0
 
@@ -96,29 +97,15 @@ def cohort_jobs(seed, size, flags):
     return jobs
 
 
-def cohort_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("batched-is-worker-")]
-
-
-@pytest.fixture
-def eager_thread_switches():
-    """Hand the GIL over far more often than the default 5 ms: more interleavings per run."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
 class TestHandOffStress:
     def test_200_cohorts_of_finishers_raisers_and_failing_forwards(
-        self, ragged_engine, eager_thread_switches
+        self, ragged_engine, eager_thread_switches, lent_slots
     ):
         model, network = ragged_engine
         plan = np.random.default_rng(19)
         outcomes = {"ok": 0, "slot raised": 0, "forward raised": 0}
         for seed in range(200):
+            borrowed_before = len(lent_slots)
             size = int(plan.integers(2, 13))
             kind = plan.choice(["ok", "ok", "slot raised", "forward raised"])
             flags, served = {}, network
@@ -142,8 +129,12 @@ class TestHandOffStress:
                 with pytest.raises(RuntimeError, match="exploded"):
                     run_mixed_cohort(model, jobs, served, new_engine_stats())
             outcomes[kind] += 1
-            # Every path joins its cohort before it returns or raises.
-            assert cohort_threads() == [], f"cohort {seed} ({kind}) left threads behind"
+            # Every path takes its slots back before it returns or raises: the
+            # cohort borrowed one slot thread per job, and each is parked
+            # again (on a live thread) or retired — none is still lent out.
+            (taken,) = lent_slots[borrowed_before:]
+            assert len(taken) == size
+            assert busy_slots(taken) == [], f"cohort {seed} ({kind}) left slots lent out"
         assert min(outcomes.values()) >= 20  # every path was really exercised
 
 
@@ -163,9 +154,9 @@ def short_stall_budget(monkeypatch):
 
 class TestWedgedCohort:
     def test_stall_error_of_a_fully_wedged_cohort_waits_one_join_deadline(
-        self, lockstep_engine, short_stall_budget  # noqa: F811 - fixture
+        self, lockstep_engine, short_stall_budget, lent_slots  # noqa: F811 - fixture
     ):
-        _, engine = lockstep_engine
+        lockstep_model, engine = lockstep_engine
         release = threading.Event()
         size = 12
 
@@ -180,6 +171,15 @@ class TestWedgedCohort:
             with pytest.raises(LockstepStallError) as raised:
                 run_mixed_cohort(model, jobs, engine.network, new_engine_stats())
             elapsed = time.monotonic() - started
+            (wedged,) = lent_slots
+            # The driver gave up on every wedged slot: retired, never lent
+            # again — the next cohort runs on other threads while they hang.
+            assert all(slot.retired and slot.thread.is_alive() for slot in wedged)
+            jobs = TraceJob.for_request(0, OBSERVATION, array, size, RandomState(2))
+            assert len(run_mixed_cohort(lockstep_model, jobs, engine.network, new_engine_stats())) == size
+            _, after = lent_slots
+            assert not {id(slot) for slot in wedged} & {id(slot) for slot in after}
+            assert busy_slots(after) == []
         finally:
             release.set()
         # Every wedged slot is named ...
@@ -188,6 +188,8 @@ class TestWedgedCohort:
         # ... and the error arrives after the stall budget plus ONE join
         # deadline, not one per thread (12 x 0.5 s on top of the stall).
         assert elapsed < short_stall_budget + 3.0
-        for thread in cohort_threads():
-            thread.join(10)
-        assert cohort_threads() == []
+        # Released, each retired slot's thread exits once its task returns.
+        for slot in wedged:
+            slot.thread.join(10)
+        assert not [slot for slot in wedged if slot.thread.is_alive()]
+        assert busy_slots(wedged) == []
