@@ -1,7 +1,7 @@
 """Fork/pickle safety: nothing unpicklable may flow into a process boundary.
 
-The process cohort backend (PR 4) ships work to spawned workers through
-multiprocessing queues; everything placed on such a queue is pickled.  A
+The process cohort backend and the N-rank trainer ship work to child
+processes over multiprocessing pipes; everything sent on one is pickled.  A
 lambda reward hook, a generator of jobs, a function defined inside the
 dispatching method, an open file handle, or an object dragging a
 ``threading.Lock`` along all pickle either not at all or — worse — into a
@@ -12,9 +12,10 @@ them to lint time.
 Dispatch points (the pickle boundaries):
 
 * ``pickle.dumps`` / ``pickle.dump`` calls anywhere,
-* ``<queue>.put(...)`` / ``put_nowait(...)`` in modules that import
-  ``multiprocessing`` (a thread-pool ``queue.Queue`` is not a pickle
-  boundary, so modules without multiprocessing are exempt),
+* ``<queue>.put(...)`` / ``put_nowait(...)`` and ``<connection>.send(...)``
+  / ``<pipe>.send(...)`` in modules that import ``multiprocessing`` (a
+  thread-pool ``queue.Queue`` is not a pickle boundary, nor is a socket's
+  ``send``, so modules without multiprocessing are exempt),
 * ``multiprocessing.Process(target=..., args=...)`` construction.
 
 Each argument expression flowing into a dispatch point is walked for
@@ -173,12 +174,11 @@ class PickleSafetyChecker(Checker):
         dotted = resolver.dotted_name(node.func)
         if dotted in _PICKLE_CALLS:
             return list(node.args[:1])
-        if isinstance(node.func, ast.Attribute):
-            if (
-                uses_multiprocessing
-                and node.func.attr in ("put", "put_nowait")
-                and "queue" in _receiver_text(node.func.value).lower()
-            ):
+        if isinstance(node.func, ast.Attribute) and uses_multiprocessing:
+            receiver = _receiver_text(node.func.value).lower()
+            if node.func.attr in ("put", "put_nowait") and "queue" in receiver:
+                return list(node.args)
+            if node.func.attr == "send" and ("conn" in receiver or "pipe" in receiver):
                 return list(node.args)
         if dotted is not None and (
             dotted == "multiprocessing.Process" or dotted.endswith(".Process")

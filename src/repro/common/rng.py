@@ -61,10 +61,18 @@ class RandomState:
         yield unrelated streams, which is what
         :func:`repro.ppl.inference.batched.per_trace_rngs` relies on to keep
         concurrent requests' trace streams collision-free.
+
+        An unseeded parent has no seed identity to derive from, so its
+        children take their base from fresh entropy: two unseeded parents
+        never hand out the same child stream.  The child records that base,
+        so its own snapshot still restores its lineage.
         """
-        base = self._seed if isinstance(self._seed, int) else hash(self._seed) & 0xFFFFFFFF
-        if base is None:
-            base = 0
+        if self._seed is None:
+            base = int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
+        elif isinstance(self._seed, int):
+            base = self._seed
+        else:
+            base = hash(self._seed) & 0xFFFFFFFF
         keys: Tuple[int, ...] = key if isinstance(key, tuple) else (key,)
         entropy = [int(base) & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in keys]
         seq = np.random.SeedSequence(entropy=entropy)

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.common.rng import RandomState
 from repro.common.timing import PhaseTimer
-from repro.common.utils import usable_cores
+from repro.common.utils import start_piped_child, usable_cores
 from repro.data.batching import effective_minibatch_size
 from repro.data.packing import PackedSubMinibatch, pack_minibatch
 from repro.data.sampler import DistributedTraceSampler
@@ -196,15 +196,9 @@ class _RankWorker:
 
     def __init__(self, serve, ranks: Sequence[int], read, exchange: _RankExchange, earlier) -> None:
         self.ranks = ranks
-        self.connection, remote = _FORK.Pipe()
-        # The child closes the parent ends it inherits, so that a pipe reads
-        # end-of-file as soon as the one process on its other side is gone.
-        parent_ends = [self.connection, *(worker.connection for worker in earlier)]
-        self.process = _FORK.Process(
-            target=serve, args=(remote, parent_ends, read, exchange), daemon=True
+        self.process, self.connection = start_piped_child(
+            _FORK, serve, (read, exchange), [worker.connection for worker in earlier]
         )
-        self.process.start()
-        remote.close()
 
     def _lost(self) -> RuntimeError:
         self.process.join(self.JOIN_SECONDS)

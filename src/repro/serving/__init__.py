@@ -30,9 +30,9 @@ for free.  This package turns that observation into a service:
   ``PosteriorService.stats()`` adds every other counter by reading the
   component that owns it (cache, resilience, pool, engine).
 * :class:`ServiceResilience` — hardened failure semantics: retry with
-  jittered exponential backoff under request deadlines, a circuit breaker
-  with health probes, stale-cache serving under degradation, and graceful
-  process→thread backend demotion after crash storms.
+  jittered exponential backoff under request deadlines, a circuit breaker,
+  stale-cache serving under degradation, and graceful process→thread backend
+  demotion after crash storms.
 * :class:`RequestCapture` / :func:`replay_capture` — record every admitted
   request (observation, seeds, admission order, model version) and replay a
   capture deterministically: replayed posteriors are bit-identical, so any

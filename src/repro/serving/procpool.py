@@ -30,13 +30,26 @@ Lifecycle and failure semantics:
   cross-core wake-up per hand-off.  A respawned or refreshed worker keeps its
   index and so its core; a one-core mask puts every worker on that core; a
   platform without ``os.sched_setaffinity`` does not pin.
-* A worker that dies mid-shard (OOM kill, segfaulting simulator) is detected
-  by the collector's liveness sweep; its in-flight shards are **requeued** to
-  surviving workers (the dead worker is respawned to restore capacity) up to
-  ``max_requeues`` attempts, after which the shard fails loudly with
-  :class:`WorkerCrashed` — never silently dropped.
-* ``submit`` blocks once ``max_inflight`` shards are outstanding — the same
-  backpressure contract as the thread pool
+* **One pipe per worker, one shard per worker.**  Each worker is a daemon
+  child on one duplex pipe (:func:`repro.common.utils.start_piped_child`): a
+  shard goes out on it as ``(shard_id, jobs)`` and its answer comes back on
+  it.  A worker holds at most one shard; shards beyond the idle workers wait
+  in one parent-side queue and go to the lowest-index idle worker.  One
+  collector thread owns every pipe end: it blocks in
+  :func:`multiprocessing.connection.wait` on the workers' ends plus a wake-up
+  pipe, reads every reply, and sends a shard only to an idle worker — one
+  that has answered and is reading — so a send can never deadlock against a
+  full result pipe.
+* **A death is end-of-file.**  A worker that dies (OOM kill, segfaulting
+  simulator) takes its end of the pipe with it: the collector reads whatever
+  it answered first, then end-of-file — the only death signal, seen the
+  moment it happens, busy or idle, under any traffic.  The worker is
+  respawned under its index, and its shard goes back to the front of the
+  queue up to ``max_requeues`` times, after which it fails loudly with
+  :class:`WorkerCrashed` — never silently dropped.  A worker dismissed by
+  ``refresh`` or ``stop`` did not crash.
+* ``submit`` blocks once ``2 * num_workers`` shards are outstanding — the
+  same backpressure contract as the thread pool
   (:class:`repro.serving.workers.ExecutorSlots`).  The serving scheduler
   never uses that look-ahead: it sizes a cohort only when a worker can start
   it (``wait_for_executor``).
@@ -44,17 +57,18 @@ Lifecycle and failure semantics:
 
 from __future__ import annotations
 
+import collections
 import itertools
 import logging
 import multiprocessing
 import os
 import pickle
-import queue
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from multiprocessing.connection import wait
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.common.utils import usable_cores
+from repro.common.utils import start_piped_child, usable_cores
 from repro.ppl.inference.batched import execute_trace_jobs
 from repro.ppl.inference.plans import PlanCache
 from repro.serving.request import PoolStopped, ServingError
@@ -86,9 +100,9 @@ def _picklable_error(error: BaseException) -> BaseException:
 
 
 def _worker_main(
+    connection,
+    parent_ends,
     worker_index: int,
-    task_queue,
-    result_queue,
     model,
     network,
     use_plans: bool = False,
@@ -96,16 +110,14 @@ def _worker_main(
 ) -> None:
     """Loop of one persistent worker process.
 
-    The worker first pins itself to core ``worker_index % len(cores)`` of the
-    affinity mask it inherited (:func:`repro.common.utils.usable_cores`; the
-    module docstring says why).
+    The worker closes the parent's pipe ends it inherited, then pins itself
+    to core ``worker_index % len(cores)`` of the affinity mask it inherited
+    (:func:`repro.common.utils.usable_cores`; the module docstring says why).
 
-    Messages in: ``(shard_id, [TraceJob, ...])`` or ``None`` (shutdown).
-    Messages out: ``(shard_id, worker_index, payload, elapsed, error)`` where
-    ``payload`` is the pre-pickled ``(traces, stats)`` pair.  Pre-pickling
-    matters: ``multiprocessing.Queue`` serialises in a feeder thread, so an
-    unpicklable trace would otherwise vanish asynchronously and strand the
-    shard; serialising here surfaces the failure as an explicit error reply.
+    Messages in: ``(shard_id, [TraceJob, ...])``; ``None`` or end-of-file
+    dismisses the worker.  Message out, one per shard: ``(traces, stats,
+    elapsed, error)``.  ``send`` pickles the whole reply before it writes a
+    byte, so traces that do not pickle go back as an error reply instead.
 
     With ``use_plans`` each worker process holds its own
     :class:`repro.ppl.inference.plans.PlanCache`: plans carry numpy scratch
@@ -114,6 +126,8 @@ def _worker_main(
     the network generation it compiled against.  Plan hit/miss/demotion
     counters travel back inside each shard's engine stats.
     """
+    for end in parent_ends:
+        end.close()
     usable_cores(pin=worker_index)
     # Under `spawn` the parent's module-global fault plan does not exist in
     # the child; install the pickled copy so child-side fault points fire.
@@ -121,7 +135,10 @@ def _worker_main(
         faults.install(fault_plan)
     plan_cache = PlanCache() if use_plans and network is not None else None
     while True:
-        item = task_queue.get()
+        try:
+            item = connection.recv()
+        except (EOFError, OSError):
+            return
         if item is None:
             return
         shard_id, jobs = item
@@ -131,21 +148,25 @@ def _worker_main(
             if action is not None and action.kind == "crash":
                 os._exit(1)  # simulate an OOM kill / segfaulting simulator
             traces, stats = execute_trace_jobs(model, jobs, network, plan_cache=plan_cache)
-            payload = pickle.dumps((traces, stats))
+            reply = (traces, stats, time.perf_counter() - started, None)
         except BaseException as error:  # noqa: BLE001 - shipped to the parent
-            result_queue.put((shard_id, worker_index, None, 0.0, _picklable_error(error)))
-        else:
-            result_queue.put((shard_id, worker_index, payload, time.perf_counter() - started, None))
+            reply = (None, None, 0.0, _picklable_error(error))
+        try:
+            connection.send(reply)
+        except OSError:
+            return  # the pool let go of this worker
+        except Exception as error:  # the traces do not pickle
+            connection.send((None, None, 0.0, _picklable_error(error)))
 
 
 class _Worker:
-    """Parent-side record of one worker process and its in-flight shards."""
+    """Parent-side record of one worker process: its pipe end and its shard."""
 
-    def __init__(self, index: int, process, task_queue) -> None:
+    def __init__(self, index: int, process, connection) -> None:
         self.index = index
         self.process = process
-        self.task_queue = task_queue
-        self.outstanding: Set[int] = set()
+        self.connection = connection
+        self.shard: Optional[int] = None
 
 
 class _Shard:
@@ -153,6 +174,9 @@ class _Shard:
 
     def __init__(self, entries: Sequence[Any], callback: Callable[..., None]) -> None:
         self.entries = entries
+        # Only the jobs cross the process boundary: request routing state
+        # (futures, locks) stays here and is rejoined by shard id.
+        self.jobs = [getattr(entry, "job", entry) for entry in entries]
         self.callback = callback
         self.attempts = 1
 
@@ -184,8 +208,6 @@ class ProcessCohortPool:
         num_workers: int = 2,
         start_method: Optional[str] = None,
         max_requeues: int = 1,
-        max_inflight: Optional[int] = None,
-        health_interval: float = 0.05,
         on_stats: Optional[Callable[[Dict[str, int], float], None]] = None,
         use_plans: bool = False,
     ) -> None:
@@ -197,8 +219,6 @@ class ProcessCohortPool:
         self.network = network
         self.num_workers = int(num_workers)
         self.max_requeues = int(max_requeues)
-        self.max_inflight = int(max_inflight) if max_inflight is not None else 2 * self.num_workers
-        self.health_interval = float(health_interval)
         self.on_stats = on_stats
         self.use_plans = bool(use_plans)
         if start_method is None:
@@ -206,19 +226,22 @@ class ProcessCohortPool:
             start_method = "fork" if "fork" in available else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = start_method
+        #: the current generation, by worker index
         self._workers: List[_Worker] = []
         #: previous-generation workers (after refresh()) finishing their shards
         self._retiring: List[_Worker] = []
         self._shards: Dict[int, _Shard] = {}
+        #: shards waiting for an idle worker, oldest (or requeued) first
+        self._backlog: Deque[int] = collections.deque()
         self._shard_ids = itertools.count()
-        self._result_queue = None
+        self._wake_reader = self._wake_writer = None
         self._collector: Optional[threading.Thread] = None
-        self._slots = ExecutorSlots(self.num_workers, capacity=self.max_inflight)
+        self._slots = ExecutorSlots(self.num_workers, capacity=2 * self.num_workers)
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._started = False
         self._closing = False
-        self._stop_collector = threading.Event()
+        self._stopping = False
         self.shards_executed = 0
         self.failed_shards = 0
         self.requeues = 0
@@ -228,18 +251,13 @@ class ProcessCohortPool:
     def start(self) -> "ProcessCohortPool":
         if self._started:
             raise RuntimeError("process pool already started")
-        # Reset the stop-time state so a stopped pool can be restarted
-        # (symmetric with the thread pool).
-        self._closing = False
-        self._stop_collector = threading.Event()
         self._slots.open()
-        self._result_queue = self._ctx.Queue()
+        self._wake_reader, self._wake_writer = self._ctx.Pipe(duplex=False)
         with self._lock:
-            # A collector from a previous stop() that outlived its join
-            # timeout may still touch _workers/_retiring; swap them under
-            # the same lock every other writer uses.
-            self._retiring = []
-            self._workers = [self._spawn_worker(index) for index in range(self.num_workers)]
+            self._closing = self._stopping = False
+            self._workers = []
+            for index in range(self.num_workers):
+                self._workers.append(self._spawn_worker(index))
         self._collector = threading.Thread(
             target=self._collect, name="procpool-collector", daemon=True
         )
@@ -253,10 +271,10 @@ class ProcessCohortPool:
         Worker processes hold their own copy of the model and network, so an
         in-place retraining in the parent would otherwise keep being served
         from the *old* parameters.  ``refresh`` spawns a fresh worker for
-        every slot (the new processes copy the current state); old workers
-        with shards still in flight finish them on the old parameters — the
-        same mid-flight semantics as the thread backend — and exit once
-        drained, while idle old workers exit immediately.
+        every index (the new processes copy the current state); old workers
+        with a shard in flight finish it on the old parameters — the same
+        mid-flight semantics as the thread backend — and are dismissed once
+        it is answered, idle old workers at once.
         """
         with self._lock:
             if model is not None:
@@ -265,119 +283,86 @@ class ProcessCohortPool:
                 self.network = network
             if not self._started or self._closing:
                 return
-            for slot, worker in enumerate(self._workers):
-                self._workers[slot] = self._spawn_worker(worker.index)
-                if worker.outstanding:
-                    self._retiring.append(worker)
-                else:
-                    self._dismiss_worker(worker)
-
-    def _dismiss_worker(self, worker: _Worker) -> None:
-        try:
-            worker.task_queue.put(None)
-        except Exception:
-            worker.process.terminate()
+            self._retiring.extend(self._workers)
+            self._workers = []
+            for index in range(self.num_workers):
+                self._workers.append(self._spawn_worker(index))
+            self._wake()
 
     def _spawn_worker(self, index: int) -> _Worker:
-        task_queue = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                index,
-                task_queue,
-                self._result_queue,
-                self.model,
-                self.network,
-                self.use_plans,
-                faults.active(),
-            ),
+        """Start worker ``index`` (lock held); it closes every parent end it inherits."""
+        process, connection = start_piped_child(
+            self._ctx,
+            _worker_main,
+            (index, self.model, self.network, self.use_plans, faults.active()),
+            [
+                self._wake_reader,
+                self._wake_writer,
+                *(w.connection for w in self._workers + self._retiring if not w.connection.closed),
+            ],
             name=f"cohort-proc-{index}",
-            daemon=True,
         )
-        process.start()
-        return _Worker(index, process, task_queue)
+        return _Worker(index, process, connection)
+
+    @staticmethod
+    def _dismiss(worker: _Worker) -> None:
+        """Let ``worker`` go: ``None`` tells it to leave, closing our end confirms it."""
+        try:
+            worker.connection.send(None)
+        except OSError:
+            pass  # already gone
+        worker.connection.close()
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop the pool; ``drain`` waits for in-flight shards to finish first.
 
         With ``drain=False`` every outstanding shard's callback receives a
-        :class:`ServingError` immediately and the worker processes are
+        :class:`PoolStopped` immediately and the worker processes are
         terminated — nothing is left hanging on a future.
         """
         if not self._started:
             return
-        self._closing = True
-        self._slots.close()  # a submit blocked on backpressure refuses now
+        with self._lock:
+            self._closing = True  # submit refuses from here on
+        self._slots.close()  # and so does a submit blocked on backpressure
         if drain:
-            deadline = None if timeout is None else time.monotonic() + timeout
             with self._idle:
-                while self._shards:
-                    remaining = None if deadline is None else max(deadline - time.monotonic(), 0.01)
-                    if not self._idle.wait(timeout=remaining if remaining is not None else 1.0):
-                        if deadline is not None and time.monotonic() >= deadline:
-                            break
-        else:
-            with self._lock:
-                dropped = list(self._shards.values())
-                self._shards.clear()
-                for worker in self._workers:
-                    worker.outstanding.clear()
-            for shard in dropped:
-                self._safe_callback(shard, None, PoolStopped("worker pool stopped"))
-                self._slots.give_back()
-        self._stop_collector.set()
-        if self._collector is not None:
-            self._collector.join(timeout=5.0)
-            if self._collector.is_alive():
-                # Escalate loudly rather than return with a live collector: a
-                # worker wedged mid-result (or a hung queue feeder) is the only
-                # thing that can hold the collector past its drain check, so
-                # terminate every worker process to break the blockage, log
-                # the stuck state for the postmortem, and give the collector
-                # one more chance to observe the carnage and exit.
-                with self._lock:
-                    stuck_shards = sorted(self._shards)
-                    workers = list(self._workers) + list(self._retiring)
-                logger.error(
-                    "procpool collector failed its 5s join at stop "
-                    "(outstanding shards: %s; workers alive: %s); "
-                    "terminating worker processes",
-                    stuck_shards or "none",
-                    [w.index for w in workers if w.process.is_alive()] or "none",
-                )
-                for worker in workers:
-                    if worker.process.is_alive():
-                        worker.process.terminate()
-                self._collector.join(timeout=1.0)
-                if self._collector.is_alive():
-                    logger.error(
-                        "procpool collector is still alive after worker "
-                        "termination; abandoning it (daemon thread)"
-                    )
-        # A submit that was blocked on backpressure may have registered a
-        # shard after the cancel sweep above; fail it rather than leave its
-        # callback unfired (the no-abandoned-futures guarantee).
+                self._idle.wait_for(lambda: not self._shards, timeout)
+        with self._lock:
+            self._stopping = True
+            self._wake()
+        self._collector.join(timeout=5.0)
+        with self._lock:
+            workers = self._workers + self._retiring
+        if self._collector.is_alive():
+            # Only a callback or a send that never returns can hold the
+            # collector: say so, and break any send by ending the workers.
+            logger.error(
+                "procpool collector failed its 5s join at stop (outstanding shards: %s); "
+                "terminating worker processes",
+                sorted(self._shards) or "none",
+            )
+            for worker in workers:
+                worker.process.terminate()
+            self._collector.join(timeout=1.0)
+        # Whatever drain did not finish (or drain=False) fails here: the
+        # no-abandoned-futures guarantee.
         with self._lock:
             leftovers = list(self._shards.values())
             self._shards.clear()
-            workers = list(self._workers) + list(self._retiring)
+            self._backlog.clear()
             self._retiring = []
-            for worker in workers:
-                worker.outstanding.clear()
         for shard in leftovers:
-            self._safe_callback(shard, None, PoolStopped("worker pool stopped"))
-            self._slots.give_back()
+            self._resolve(shard, None, PoolStopped("worker pool stopped"))
         for worker in workers:
-            try:
-                worker.task_queue.put(None)
-            except Exception:
-                pass
-        join_timeout = 2.0 if drain else 0.2
+            self._dismiss(worker)
         for worker in workers:
-            worker.process.join(timeout=join_timeout)
+            worker.process.join(timeout=2.0 if drain else 0.2)
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
+        self._wake_reader.close()
+        self._wake_writer.close()
         self._started = False
 
     def __enter__(self) -> "ProcessCohortPool":
@@ -390,35 +375,21 @@ class ProcessCohortPool:
 
     # ------------------------------------------------------------------ dispatch
     def submit(self, entries: Sequence[Any], callback: Callable[..., None]) -> None:
-        """Ship one cohort shard to a worker (blocks on backpressure).
+        """Queue one cohort shard for the next idle worker (blocks on backpressure).
 
         ``entries`` may be scheduler :class:`CohortEntry` rows or bare
-        :class:`TraceJob` objects; only the jobs cross the process boundary —
-        request routing state (futures, locks) stays in the parent and is
-        rejoined by shard id when the result returns.
+        :class:`TraceJob` objects; only the jobs cross the process boundary.
         """
-        # claim() refuses once stop() has closed the slots, so a submit that
-        # was blocked on backpressure never registers a shard no collector
-        # will resolve.
-        if not self._started or self._closing or not self._slots.claim():
-            raise PoolStopped("process pool is not running")
-        jobs = [getattr(entry, "job", entry) for entry in entries]
-        with self._lock:
-            shard_id = next(self._shard_ids)
-            self._shards[shard_id] = _Shard(entries, callback)
-            worker = self._pick_worker()
-            worker.outstanding.add(shard_id)
-        worker.task_queue.put((shard_id, jobs))
-        # Chaos hook: "worker crash at shard N" — SIGKILL the worker this
-        # shard was just dispatched to.  The collector's liveness sweep then
-        # requeues (or fails) its outstanding shards exactly as a real OOM
-        # kill would.  Zero-cost when no fault plan is installed.
-        action = faults.fault_point("procpool.dispatch", shard=shard_id, worker=worker.index)
-        if action is not None and action.kind == "crash":
-            try:
-                worker.process.kill()
-            except Exception:
-                pass
+        if self._started and self._slots.claim():
+            with self._lock:
+                if not self._closing:
+                    shard_id = next(self._shard_ids)
+                    self._shards[shard_id] = _Shard(entries, callback)
+                    self._backlog.append(shard_id)
+                    self._wake()
+                    return
+            self._slots.give_back()
+        raise PoolStopped("process pool is not running")
 
     def free_executors(self) -> int:
         """How many shards would start at once (workers with none outstanding)."""
@@ -428,188 +399,117 @@ class ProcessCohortPool:
         """Block until an executor is free; ``False`` on timeout."""
         return self._slots.wait(timeout)
 
-    def _pick_worker(self) -> _Worker:
-        """Least-loaded live worker (respawning any found dead while idle)."""
-        for slot, worker in enumerate(self._workers):
-            if not worker.process.is_alive() and not worker.outstanding:
-                self.worker_crashes += 1
-                self._workers[slot] = self._spawn_worker(worker.index)
-        return min(self._workers, key=lambda worker: len(worker.outstanding))
+    def _wake(self) -> None:
+        """Make the collector look again (lock held)."""
+        self._wake_writer.send_bytes(b"")
 
     # ----------------------------------------------------------------- collector
     def _collect(self) -> None:
-        """Parent-side loop: join results to shards; sweep for dead workers.
-
-        The collector is the pool's only joiner, so it must survive anything
-        the result queue throws at it: a worker SIGKILLed mid-write can
-        surface as EOFError/OSError/UnpicklingError rather than Empty, and a
-        dead collector would strand every outstanding shard.  Any such error
-        is treated like an empty poll — the liveness sweep then requeues the
-        affected worker's shards.
-        """
+        """The pool's one pipe owner: send queued shards, read replies and deaths."""
         while True:
-            try:
-                message = self._result_queue.get(timeout=self.health_interval)
-            except queue.Empty:
-                message = None
-            except Exception:
-                message = None
-            if message is None:
-                if self._stop_collector.is_set():
-                    with self._lock:
-                        done = not self._shards
-                    if done:
-                        return
-                self._check_workers()
-                continue
-            try:
-                self._handle_result(message)
-            except Exception:
-                pass  # a malformed message must not kill the collector
-
-    def _handle_result(self, message) -> None:
-        shard_id, worker_index, payload, elapsed, error = message
-        with self._lock:
-            shard = self._shards.pop(shard_id, None)
-            for worker in self._workers:
-                worker.outstanding.discard(shard_id)
-            for worker in list(self._retiring):
-                worker.outstanding.discard(shard_id)
-                if not worker.outstanding:
-                    # A refresh()-retired worker has drained: let it exit.
+            with self._lock:
+                if self._stopping:
+                    return
+                for worker in [worker for worker in self._retiring if worker.shard is None]:
                     self._retiring.remove(worker)
-                    self._dismiss_worker(worker)
-            if shard is None:
-                return  # stale duplicate of a requeued shard: first result won
+                    self._dismiss(worker)
+                sends = []
+                for worker in self._workers:
+                    if self._backlog and worker.shard is None:
+                        worker.shard = self._backlog.popleft()
+                        sends.append(worker)
+                ends = {worker.connection: worker for worker in self._workers + self._retiring}
+            for worker in sends:
+                self._send(worker)
+            for end in wait([self._wake_reader, *ends]):
+                if end is self._wake_reader:
+                    while end.poll():
+                        end.recv_bytes()
+                    continue
+                try:
+                    reply = end.recv()
+                except (EOFError, OSError):
+                    self._lost(ends[end])
+                    continue
+                except Exception as error:  # noqa: BLE001 - a reply that does not unpickle
+                    reply = (None, None, 0.0, error)
+                self._answered(ends[end], *reply)
+
+    def _send(self, worker: _Worker) -> None:
+        """Ship ``worker`` the shard it was just given."""
+        shard_id = worker.shard
+        try:
+            worker.connection.send((shard_id, self._shards[shard_id].jobs))
+        except OSError:
+            return  # it died: its end-of-file requeues the shard
+        except Exception as error:  # noqa: BLE001 - jobs that do not pickle
+            self._answered(worker, None, None, 0.0, error)
+            return
+        # Chaos hook: "worker crash at shard N" — SIGKILL the worker this
+        # shard was just sent to; its end-of-file then requeues (or fails)
+        # the shard exactly as a real OOM kill would.  Zero-cost when no
+        # fault plan is installed.
+        action = faults.fault_point("procpool.dispatch", shard=shard_id, worker=worker.index)
+        if action is not None and action.kind == "crash":
+            worker.process.kill()
+
+    def _answered(self, worker: _Worker, traces, stats, elapsed: float, error) -> None:
+        """``worker`` answered its shard: it is idle again, the shard resolves."""
+        with self._lock:
+            shard = self._shards.pop(worker.shard, None)
+            worker.shard = None
+        if shard is None:
+            return  # stop(drain=False) already failed it
         if error is not None:
             self.failed_shards += 1
-            self._safe_callback(shard, None, error)
         else:
-            try:
-                traces, stats = pickle.loads(payload)
-            except BaseException as unpickle_error:  # noqa: BLE001 - to the callback
-                self.failed_shards += 1
-                self._safe_callback(shard, None, unpickle_error)
-            else:
-                self.shards_executed += 1
-                if self.on_stats is not None:
-                    try:
-                        self.on_stats(stats, elapsed)
-                    except Exception:
-                        pass
-                self._safe_callback(shard, traces, None)
-        self._slots.give_back()
-        with self._idle:
-            if not self._shards:
-                self._idle.notify_all()
+            self.shards_executed += 1
+            if self.on_stats is not None:
+                try:
+                    self.on_stats(stats, elapsed)
+                except Exception:
+                    pass
+        self._resolve(shard, traces, error)
 
-    def _check_workers(self) -> None:
-        """Requeue (or fail) the shards of any worker process found dead."""
+    def _lost(self, worker: _Worker) -> None:
+        """End-of-file on ``worker``'s pipe: respawn it; requeue or fail its shard."""
+        worker.connection.close()
+        worker.process.join(timeout=1.0)
+        failed = None
         with self._lock:
-            crashed = [
-                (slot, worker)
-                for slot, worker in enumerate(self._workers)
-                if worker.outstanding and not worker.process.is_alive()
-            ] + [
-                (None, worker)
-                for worker in self._retiring
-                if not worker.process.is_alive()
-            ]
-        if not crashed:
-            return
-        # Drain already-delivered results first so a shard the dead worker
-        # finished before dying is completed, not re-run.
-        while True:
-            try:
-                self._handle_result(self._result_queue.get_nowait())
-            except queue.Empty:
-                break
-            except Exception:
-                break  # torn write from the dying worker: fall through to requeue
-        for slot, worker in crashed:
-            with self._lock:
-                if slot is not None:
-                    if self._workers[slot] is not worker:
-                        continue
-                    self._workers[slot] = self._spawn_worker(worker.index)
-                elif worker in self._retiring:
-                    self._retiring.remove(worker)
-                else:
-                    continue
-                orphaned = sorted(worker.outstanding)
-                worker.outstanding.clear()
-                if not orphaned:
-                    continue
-                self.worker_crashes += 1
-                exitcode = worker.process.exitcode
-            for shard_id in orphaned:
-                self._redispatch(shard_id, exitcode)
-
-    def _redispatch(self, shard_id: int, exitcode) -> None:
-        with self._lock:
-            shard = self._shards.get(shard_id)
-            if shard is None:
-                return
-            if shard.attempts > self.max_requeues:
-                del self._shards[shard_id]
-                failed = shard
+            self.worker_crashes += 1
+            if worker in self._retiring:
+                self._retiring.remove(worker)
             else:
+                self._workers[worker.index] = self._spawn_worker(worker.index)
+            shard = self._shards.get(worker.shard)
+            if shard is not None and shard.attempts > self.max_requeues:
+                failed = self._shards.pop(worker.shard)
+            elif shard is not None:
                 shard.attempts += 1
                 self.requeues += 1
-                # _pick_worker respawns any idle-dead worker first, so a
-                # requeued shard never lands on a queue nobody reads.
-                worker = self._pick_worker()
-                worker.outstanding.add(shard_id)
-                failed = None
+                self._backlog.appendleft(worker.shard)
         if failed is not None:
             self.failed_shards += 1
-            self._safe_callback(
+            self._resolve(
                 failed,
                 None,
                 WorkerCrashed(
-                    f"worker process died (exitcode {exitcode}) executing shard "
-                    f"{shard_id} and the requeue budget ({self.max_requeues}) is spent"
+                    f"worker process died (exitcode {worker.process.exitcode}) executing shard "
+                    f"{worker.shard} and the requeue budget ({self.max_requeues}) is spent"
                 ),
             )
-            self._slots.give_back()
-            with self._idle:
-                if not self._shards:
-                    self._idle.notify_all()
-        else:
-            jobs = [getattr(entry, "job", entry) for entry in shard.entries]
-            worker.task_queue.put((shard_id, jobs))
 
-    # -------------------------------------------------------------- health probe
-    def probe(self) -> Dict[str, int]:
-        """Liveness sweep for the resilience maintenance thread.
-
-        Counts live/dead workers and respawns any worker found dead while
-        *idle* (the collector's own sweep only watches workers with shards
-        outstanding, so an idle crash would otherwise go unnoticed until the
-        next dispatch picks the corpse).  Busy dead workers are left to the
-        collector, which owns the requeue path.
-        """
-        live = dead = respawned = 0
-        with self._lock:
-            if not self._started or self._closing:
-                return {"live": 0, "dead": 0, "respawned": 0}
-            for slot, worker in enumerate(self._workers):
-                if worker.process.is_alive():
-                    live += 1
-                    continue
-                dead += 1
-                if not worker.outstanding:
-                    self.worker_crashes += 1
-                    self._workers[slot] = self._spawn_worker(worker.index)
-                    respawned += 1
-        return {"live": live, "dead": dead, "respawned": respawned}
-
-    # ------------------------------------------------------------------- helpers
-    def _safe_callback(self, shard: _Shard, traces, error) -> None:
+    def _resolve(self, shard: _Shard, traces, error) -> None:
+        """Fire ``shard``'s one callback, then free its executor slot."""
         try:
             shard.callback(shard.entries, traces, error)
         except Exception:
             pass  # a callback crash must not kill the collector thread
+        self._slots.give_back()
+        with self._idle:
+            if not self._shards:
+                self._idle.notify_all()
 
     # --------------------------------------------------------------------- stats
     def stats(self) -> Dict[str, Any]:

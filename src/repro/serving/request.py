@@ -111,6 +111,17 @@ class PosteriorRequest:
         self.deadline = deadline  # absolute, on the service clock; None = no deadline
         self.enqueued_at = clock()
         self.future: "Future[ServedPosterior]" = Future()
+        # Set by the service at admission:
+        #: the cache key its result is stored under
+        self.cache_key: Optional[str] = None
+        #: a service-originated refresh, left out of the client metrics
+        self.internal = False
+        #: the network generation it was admitted under
+        self.network_version = 0
+        #: its admission record in the capture file, if one is kept
+        self.capture_order: Optional[int] = None
+        #: per-trace generator states at admission, for a retry to rewind to
+        self.rng_snapshots: Optional[List[Dict[str, Any]]] = None
         self._traces: List[Optional[Trace]] = [None] * self.num_traces
         self._remaining = self.num_traces
         self._failed = False

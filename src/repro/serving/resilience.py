@@ -15,20 +15,21 @@ possible.  :class:`ServiceResilience` layers that on, opt-in:
   trace job's generator state from its admission-time snapshot, so a retried
   request still honours the seeded-equivalence contract bit-for-bit.
 
-* **Circuit breaker + health probes.**  Repeated cohort failures open the
-  breaker: new uncached submissions fail fast with :class:`BreakerOpen`
-  instead of queueing behind a dying pool, cached entries keep being served —
-  including *stale* ones, without triggering revalidation traffic — and a
-  half-open probe admits one cohort after ``recovery_time`` to test the
-  water.  A maintenance thread probes the process pool's worker liveness
-  between retries (respawning idle dead workers).
+* **Circuit breaker.**  Repeated cohort failures open the breaker: new
+  uncached submissions fail fast with :class:`BreakerOpen` instead of
+  queueing behind a dying pool, cached entries keep being served — including
+  *stale* ones, without triggering revalidation traffic — and a half-open
+  probe cohort is admitted after ``recovery_time`` to test the water.
 
-* **Graceful backend demotion.**  After ``demote_after`` breaker openings a
-  process-backed service swaps to the thread backend in place (crash storms
-  usually mean the *environment* is hostile to subprocesses — fd limits,
-  OOM killers, container teardown).  Outstanding shards on the old pool fail
+* **Graceful backend demotion.**  The failure that brings the breaker's
+  openings to ``demote_after`` asks the maintenance thread to swap a
+  process-backed service to the thread backend in place (crash storms
+  usually mean the *environment* is hostile to subprocesses — fd limits, OOM
+  killers, container teardown).  Outstanding shards on the old pool fail
   with the transient :class:`~repro.serving.request.PoolStopped` and are
-  retried onto the replacement, so the swap itself sheds nothing.
+  retried onto the replacement, so the swap itself sheds nothing.  Nothing
+  here polls the pool: the process pool sees a dead worker itself, at the
+  end-of-file on its pipe.
 
 ``service.stats()`` reads ``retries`` from ``retries_dispatched`` here and
 ``breaker_state`` / ``breaker_opens`` from the :class:`CircuitBreaker`
@@ -202,9 +203,10 @@ class ServiceResilience:
 
     Construct it, hand it to ``PosteriorService(resilience=...)``, and the
     service wires it into its dispatch and completion paths.  One maintenance
-    thread owns every delayed action (backoff redispatch, pool health probes,
-    backend demotion), so recovery work never runs on the procpool collector
-    thread — demotion *joins* that collector, which would deadlock.
+    thread owns every delayed action (backoff redispatch, backend demotion)
+    and wakes only when a retry is due or a demotion was asked for, so
+    recovery work never runs on the procpool collector thread — demotion
+    *joins* that collector, which would deadlock.
     """
 
     def __init__(
@@ -213,25 +215,23 @@ class ServiceResilience:
         breaker: Optional[CircuitBreaker] = None,
         *,
         demote_after: Optional[int] = None,
-        probe_interval: float = 0.25,
     ) -> None:
         if demote_after is not None and demote_after < 1:
             raise ValueError("demote_after must be >= 1 (or None to disable)")
         self.retry = retry or RetryPolicy()
         self.breaker = breaker or CircuitBreaker()
         self.demote_after = demote_after
-        self.probe_interval = float(probe_interval)
         self._service = None
         self._cond = threading.Condition()
         #: (due time, tiebreak, entries, original error) — heapified by due time
         self._pending: List[Any] = []
         self._tiebreak = itertools.count()
         self._attempts: Dict[int, int] = {}
+        self._demotion_requested = False
         self._thread: Optional[threading.Thread] = None
         self._stopped = True
         self.retries_dispatched = 0
         self.retries_abandoned = 0
-        self.last_probe: Dict[str, Any] = {}
 
     # ----------------------------------------------------------------- lifecycle
     def bind(self, service) -> None:
@@ -284,7 +284,9 @@ class ServiceResilience:
         (deadline permitting) scheduled for backoff redispatch.  Everything
         else — non-transient errors, exhausted budgets, requests whose
         deadline the backoff would overrun, failures after stop — is returned
-        for the caller to fail through the normal path.
+        for the caller to fail through the normal path.  A failure that brings
+        the breaker's openings to ``demote_after`` also asks the maintenance
+        thread for the backend demotion.
         """
         entries = list(entries)
         if not is_transient(error):
@@ -302,6 +304,8 @@ class ServiceResilience:
         with self._cond:
             if self._stopped:
                 return entries
+            if self.demote_after is not None and self.breaker.opens >= self.demote_after:
+                self._demotion_requested = True
             for request_id, group in by_request.items():
                 request = group[0].request
                 attempt = self._attempts.get(request_id, 0) + 1
@@ -331,26 +335,26 @@ class ServiceResilience:
 
     # --------------------------------------------------------------- maintenance
     def _loop(self) -> None:
-        next_probe = time.monotonic() + self.probe_interval
         while True:
-            due: List[Any] = []
             with self._cond:
+                now = time.monotonic()
+                while not (
+                    self._stopped
+                    or self._demotion_requested
+                    or (self._pending and self._pending[0][0] <= now)
+                ):
+                    self._cond.wait(self._pending[0][0] - now if self._pending else None)
+                    now = time.monotonic()
                 if self._stopped:
                     return
-                now = time.monotonic()
+                due = []
                 while self._pending and self._pending[0][0] <= now:
                     due.append(heapq.heappop(self._pending))
-                if not due:
-                    head = self._pending[0][0] if self._pending else now + self.probe_interval
-                    self._cond.wait(timeout=max(min(head, next_probe) - now, 0.001))
-                    if self._stopped:
-                        return
+                demote, self._demotion_requested = self._demotion_requested, False
             for _due_at, _tb, group, error in due:
                 self._redispatch(group, error)
-            if time.monotonic() >= next_probe:
-                self._probe()
-                self._maybe_demote()
-                next_probe = time.monotonic() + self.probe_interval
+            if demote:
+                self._service._demote_to_thread_backend()
 
     def _redispatch(self, group: List[Any], original: BaseException) -> None:
         service = self._service
@@ -369,10 +373,9 @@ class ServiceResilience:
         # — otherwise the retry would draw from mid-consumed streams and break
         # the seeded-equivalence contract.  (Process shards are pickled copies;
         # rewinding is a no-op for them but costs nothing.)
-        snapshots = getattr(request, "rng_snapshots", None)
-        if snapshots is not None:
+        if request.rng_snapshots is not None:
             for entry in group:
-                entry.job.rng.generator.bit_generator.state = snapshots[entry.position]
+                entry.job.rng.generator.bit_generator.state = request.rng_snapshots[entry.position]
         try:
             service.workers.submit(group, service._on_cohort_done)
         except BaseException as error:  # noqa: BLE001 - rescheduled or failed
@@ -381,29 +384,6 @@ class ServiceResilience:
             return
         with self._cond:
             self.retries_dispatched += 1
-
-    def _probe(self) -> None:
-        service = self._service
-        if service is None:
-            return
-        probe = getattr(service.workers, "probe", None)
-        if probe is None:
-            return
-        try:
-            self.last_probe = probe()
-        except Exception:
-            pass  # a probe failure must never take the maintenance thread down
-
-    def _maybe_demote(self) -> None:
-        service = self._service
-        if (
-            service is None
-            or service.demotions
-            or self.demote_after is None
-            or self.breaker.opens < self.demote_after
-        ):
-            return
-        service._demote_to_thread_backend()
 
     # ------------------------------------------------------------------- helpers
     def _fail_entries(self, entries: Sequence[Any], error: BaseException) -> None:
@@ -426,5 +406,4 @@ class ServiceResilience:
             "retries_abandoned": self.retries_abandoned,
             "demoted": self._service is not None and self._service.demotions > 0,
             "demote_after": self.demote_after,
-            "last_probe": dict(self.last_probe),
         }

@@ -132,9 +132,9 @@ class PosteriorService:
         transient cohort failures with jittered backoff (deadline-aware),
         circuit-breaks repeated failures (new uncached submissions then fail
         fast with :class:`~repro.serving.resilience.BreakerOpen` while cached
-        — including stale — entries keep being served), health-probes the
-        process pool, and optionally demotes process → thread after crash
-        storms.  ``None`` (the default) keeps the loud fail-fast semantics.
+        — including stale — entries keep being served), and optionally
+        demotes process → thread after crash storms.  ``None`` (the default)
+        keeps the loud fail-fast semantics.
     capture:
         Optional :class:`repro.serving.capture.RequestCapture` (or a path
         string): every non-internal admitted request is recorded
@@ -404,21 +404,21 @@ class PosteriorService:
             num_traces,
             deadline=None if deadline is None else time.monotonic() + deadline,
         )
-        request.cache_key = key  # type: ignore[attr-defined]
-        request.internal = internal  # type: ignore[attr-defined]
+        request.cache_key = key
+        request.internal = internal
         # Snapshot the network generation at admission: if a retrain lands
         # while this request is in flight, its posterior (old/mid-training
         # parameters) must not be written into the freshly invalidated cache.
-        request.network_version = getattr(self.network, "version", 0)  # type: ignore[attr-defined]
+        request.network_version = getattr(self.network, "version", 0)
         # Capture before per_trace_rngs consumes the request stream: the
         # recorded snapshot must be the pre-derivation state replay restores.
         if self._capture is not None and not internal:
-            request.capture_order = self._capture.record_admission(  # type: ignore[attr-defined]
+            request.capture_order = self._capture.record_admission(
                 request_id,
                 observation,
                 num_traces,
                 request_rng.snapshot(),
-                request.network_version,  # type: ignore[attr-defined]
+                request.network_version,
             )
         self._inflight_keys[key] = request
         # Cleanup rides on the future itself, so *every* resolution path
@@ -434,9 +434,7 @@ class PosteriorService:
             # Thread-backend cohorts consume these generators in place, so a
             # retried shard needs each stream's admission-time state to rewind
             # to (see ServiceResilience._redispatch).
-            request.rng_snapshots = [  # type: ignore[attr-defined]
-                job.rng.generator.bit_generator.state for job in jobs
-            ]
+            request.rng_snapshots = [job.rng.generator.bit_generator.state for job in jobs]
         entries = [CohortEntry(job, request, position) for position, job in enumerate(jobs)]
         self._inflight[request_id] = request
         try:
@@ -568,7 +566,7 @@ class PosteriorService:
 
     def _fail_request(self, request: PosteriorRequest, error: BaseException) -> None:
         """Fail a request; internal (refresh) requests skip the client metric."""
-        if request.fail(error) and not getattr(request, "internal", False):
+        if request.fail(error) and not request.internal:
             self.metrics.record_failed()
             self._record_capture_outcome(request, "failed", error=error)
 
@@ -637,10 +635,8 @@ class PosteriorService:
         # an older network generation computed its posterior from parameters
         # that no longer exist.  The client still gets the result (it asked
         # while that network was live); only the cache write is skipped.
-        if getattr(request, "network_version", 0) == getattr(self.network, "version", 0):
-            self.cache.put(
-                request.cache_key, posterior.freeze(), model_id=self._model_id  # type: ignore[attr-defined]
-            )
+        if request.network_version == getattr(self.network, "version", 0):
+            self.cache.put(request.cache_key, posterior.freeze(), model_id=self._model_id)
         latency = time.monotonic() - request.enqueued_at
         result = ServedPosterior(
             request_id=request.request_id,
@@ -649,7 +645,7 @@ class PosteriorService:
             latency=latency,
             num_traces=request.num_traces,
         )
-        if request.complete(result) and not getattr(request, "internal", False):
+        if request.complete(result) and not request.internal:
             self.metrics.record_completed(latency, request.num_traces, cached=False)
             if self._capture is not None:
                 self._record_capture_outcome(
@@ -665,11 +661,10 @@ class PosteriorService:
     ) -> None:
         if self._capture is None:
             return
-        order = getattr(request, "capture_order", None)
-        if order is None:
+        if request.capture_order is None:
             return
         self._capture.record_outcome(
-            order,
+            request.capture_order,
             status,
             digest=digest,
             error=None if error is None else f"{type(error).__name__}: {error}",
@@ -683,7 +678,7 @@ class PosteriorService:
         failure path can leave a stale ``_inflight_keys`` entry that would
         feed its old error to every later coalesced query.
         """
-        key = getattr(request, "cache_key", None)
+        key = request.cache_key
         with self._admission_lock:
             # _inflight is written under the admission lock on admit; popping
             # outside it here raced a concurrent admit's dict resize.

@@ -463,6 +463,32 @@ class TestPickleSafety:
         )
         assert rules_of(findings) == set()
 
+    def test_lambda_sent_on_a_pipe_flagged(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            "repro/serving/mod.py",
+            """
+            import multiprocessing
+            def dispatch(worker, items):
+                worker.connection.send((0, lambda: items))
+            """,
+        )
+        assert "pickle-lambda" in rules_of(findings)
+
+    def test_send_without_multiprocessing_is_not_a_pickle_boundary(self, tmp_path):
+        # A socket-like connection's send in a module that never touches
+        # multiprocessing moves bytes, not pickles.
+        findings = lint(
+            tmp_path,
+            "repro/serving/mod.py",
+            """
+            import socket
+            def dispatch(connection, items):
+                connection.send(lambda: items)
+            """,
+        )
+        assert rules_of(findings) == set()
+
     def test_local_function_payload_flagged(self, tmp_path):
         findings = lint(
             tmp_path,

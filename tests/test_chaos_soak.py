@@ -161,7 +161,6 @@ class TestProcessSoak:
                 max_requeues=2, resilience=resilience,
             ).start()
             try:
-                service.workers.health_interval = 0.02
                 for request_seed in range(6):
                     try:
                         submitted[request_seed] = service.submit(

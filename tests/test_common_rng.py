@@ -54,6 +54,26 @@ class TestRandomState:
         # A tuple key is not the same stream as the flat sum of its parts.
         assert not np.allclose(parent.spawn((5, 1)).normal(size=6), parent.spawn(6).normal(size=6))
 
+    def test_unseeded_parents_hand_out_independent_children(self):
+        # Keying an unseeded parent's children by hash(None) gave every
+        # unseeded parent the same child stream for the same key.
+        first = RandomState().spawn(5).random()
+        second = RandomState().spawn(5).random()
+        assert first != second
+        assert RandomState().spawn((5, 1)).random() != RandomState().spawn((5, 1)).random()
+
+    def test_seeded_children_are_unchanged(self):
+        # Frozen draws: the unseeded fix must not move any seeded derivation.
+        assert RandomState(11).spawn(0).random() == np.random.default_rng(
+            np.random.SeedSequence(entropy=[11, 0])
+        ).random()
+        child = RandomState(11).spawn((5, 1))
+        assert child.seed == (11, 5, 1)
+        grandchild = child.spawn(2)
+        assert grandchild.random() == np.random.default_rng(
+            np.random.SeedSequence(entropy=[hash((11, 5, 1)) & 0xFFFFFFFF, 2])
+        ).random()
+
     def test_integers_bounds(self):
         state = RandomState(0)
         draws = state.integers(0, 5, size=200)

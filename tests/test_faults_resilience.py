@@ -372,7 +372,7 @@ class TestAdmissionBursts:
 
 
 # ---------------------------------------------------------------------------
-# Process backend: crash injection, demotion, shutdown races, probes
+# Process backend: crash injection, demotion, shutdown races
 # ---------------------------------------------------------------------------
 
 
@@ -398,7 +398,6 @@ class TestProcessChaos:
         with activate(plan):
             with make_service(model, engine, backend="process", num_workers=2,
                               max_requeues=2) as service:
-                service.workers.health_interval = 0.02
                 result = service.posterior(OBSERVATION, num_traces=8, seed=5,
                                            use_cache=False, timeout=120)
                 stats = service.stats()
@@ -421,12 +420,10 @@ class TestProcessChaos:
             RetryPolicy(max_attempts=10, base_delay=0.02, jitter=0.0),
             CircuitBreaker(failure_threshold=1, recovery_time=0.05),
             demote_after=1,
-            probe_interval=0.02,
         )
         with activate(plan):
             with make_service(model, engine, backend="process", num_workers=1,
                               max_requeues=0, resilience=resilience) as service:
-                service.workers.health_interval = 0.02
                 result = service.posterior(OBSERVATION, num_traces=8, seed=9,
                                            use_cache=False, timeout=120)
                 stats = service.stats()
@@ -448,13 +445,12 @@ class TestProcessChaos:
             model, None, num_workers=1, backend="process", max_requeues=1,
             max_latency=0.001,
         ).start()
-        service.workers.health_interval = 0.02
         future = service.submit(SLOW_OBSERVATION, num_traces=2, seed=3, use_cache=False)
         deadline = time.monotonic() + 5.0
         victim = None
         while time.monotonic() < deadline and victim is None:
             for worker in service.workers._workers:
-                if worker.outstanding and worker.process.is_alive():
+                if worker.shard is not None and worker.process.is_alive():
                     victim = worker
             time.sleep(0.01)
         assert victim is not None
@@ -477,20 +473,6 @@ class TestProcessChaos:
             pool.submit([], lambda *args: None)
         assert is_transient(excinfo.value)
         assert isinstance(excinfo.value, ServingError)
-
-    def test_probe_respawns_idle_dead_workers(self):
-        model = FunctionModel(lockstep_program, name="lockstep")
-        pool = ProcessCohortPool(model, None, num_workers=2)
-        pool.start()
-        try:
-            victim = pool._workers[0]
-            os.kill(victim.process.pid, signal.SIGKILL)
-            victim.process.join(timeout=5.0)
-            report = pool.probe()
-            assert report["respawned"] == 1
-            assert all(worker.process.is_alive() for worker in pool._workers)
-        finally:
-            pool.stop(drain=False)
 
 
 # ---------------------------------------------------------------------------

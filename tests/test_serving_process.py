@@ -8,9 +8,11 @@ never drops it silently; and the pool/service shut down cleanly with every
 submitted future resolved.
 """
 
+import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import time
 
 import numpy as np
@@ -31,6 +33,7 @@ from repro.serving import (
 )
 from repro.serving.procpool import _picklable_error
 from tests.test_batched_inference import OBSERVATION, lockstep_program
+from tests.test_cohort_executor import wait_for
 from tests.test_slot_pool import work_counters
 
 
@@ -202,7 +205,7 @@ class TestWorkerCrash:
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             for worker in pool._workers:
-                if worker.outstanding and worker.process.is_alive():
+                if worker.shard is not None and worker.process.is_alive():
                     return worker
             time.sleep(0.01)
         raise AssertionError("no worker picked up the shard")
@@ -215,9 +218,7 @@ class TestWorkerCrash:
 
     def test_killed_worker_shard_is_requeued(self):
         model = FunctionModel(slow_program, name="slow")
-        pool = ProcessCohortPool(
-            model, None, num_workers=2, max_requeues=2, health_interval=0.02
-        )
+        pool = ProcessCohortPool(model, None, num_workers=2, max_requeues=2)
         pool.start()
         try:
             outcome = self._submit_slow_shard(pool)
@@ -235,9 +236,7 @@ class TestWorkerCrash:
 
     def test_requeue_budget_exhaustion_fails_loudly(self):
         model = FunctionModel(slow_program, name="slow")
-        pool = ProcessCohortPool(
-            model, None, num_workers=1, max_requeues=0, health_interval=0.02
-        )
+        pool = ProcessCohortPool(model, None, num_workers=1, max_requeues=0)
         pool.start()
         try:
             outcome = self._submit_slow_shard(pool)
@@ -256,13 +255,12 @@ class TestWorkerCrash:
             max_latency=0.001,
         ).start()
         try:
-            service.workers.health_interval = 0.02
             future = service.submit(SLOW_OBSERVATION, num_traces=2, seed=3, use_cache=False)
             deadline = time.monotonic() + 5.0
             victim = None
             while time.monotonic() < deadline and victim is None:
                 for worker in service.workers._workers:
-                    if worker.outstanding and worker.process.is_alive():
+                    if worker.shard is not None and worker.process.is_alive():
                         victim = worker
                 time.sleep(0.01)
             assert victim is not None
@@ -423,3 +421,106 @@ class TestWorkerRefresh:
             assert len(traces) == 2
         finally:
             pool.stop(drain=True)
+
+
+#: Shared memory, so forked workers see the test flip them (see
+#: ``tests/test_cohort_executor.py`` for why not an ``Event``).
+HOLD = multiprocessing.RawValue("b", 0)
+HELD = multiprocessing.RawValue("b", 0)
+HELD_OBSERVATION = {"obs": np.array(9.0)}
+
+
+def held_program():
+    """A trace observed above 5 parks while ``HOLD`` is set: the shard a test kills."""
+    import repro.ppl as ppl
+    from repro.distributions import Normal, Uniform
+
+    a = ppl.sample(Uniform(-1.0, 1.0), name="a", address="held_a")
+    if float(ppl.observe(Normal(a, 0.5), name="obs")) > 5.0:
+        HELD.value = 1
+        while HOLD.value:
+            time.sleep(0.005)
+    return a
+
+
+def steady_traffic(pool, rng, stop, answered):
+    """One small shard at a time, the next 20 ms after the last was answered."""
+    while not stop.is_set():
+        done = threading.Event()
+        pool.submit(TraceJob.for_request(0, SLOW_OBSERVATION, None, 1, rng), lambda *_: done.set())
+        if done.wait(5.0):
+            answered.append(len(answered))
+        time.sleep(0.02)
+
+
+class TestDeathIsEndOfFile:
+    @pytest.mark.parametrize("max_requeues", [1, 0])
+    def test_crashed_shard_resolves_under_steady_traffic(self, max_requeues):
+        # Worker 0 dies mid-shard while worker 1 answers a shard every 20 ms:
+        # a death seen only after a quiet spell on the result channel is never
+        # seen, and the orphaned shard's request hangs.
+        pool = ProcessCohortPool(
+            FunctionModel(held_program, name="held"), None, num_workers=2,
+            max_requeues=max_requeues,
+        ).start()
+        HOLD.value, HELD.value = 1, 0
+        stop, answered, orphan = threading.Event(), [], {}
+        resolved = threading.Event()
+
+        def on_orphan(_entries, traces, error):
+            orphan.update(traces=traces, error=error)
+            resolved.set()
+
+        traffic = threading.Thread(
+            target=steady_traffic, args=(pool, RandomState(100), stop, answered), daemon=True
+        )
+        try:
+            pool.submit(TraceJob.for_request(0, HELD_OBSERVATION, None, 1, RandomState(1)), on_orphan)
+            assert wait_for(HELD, timeout=10.0), "worker 0 never started the shard"
+            traffic.start()
+            deadline = time.monotonic() + 10.0
+            while len(answered) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(answered) >= 3, "traffic is not flowing"
+            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            HOLD.value = 0  # a requeued copy runs straight through
+            assert resolved.wait(10.0), "the crashed worker's shard never resolved"
+            assert not stop.is_set() and traffic.is_alive()  # resolved under traffic
+            stats = pool.stats()
+            assert stats["worker_crashes"] == 1
+            if max_requeues:
+                assert orphan["error"] is None and len(orphan["traces"]) == 1
+                assert stats["requeues"] == 1
+            else:
+                assert isinstance(orphan["error"], WorkerCrashed)
+                assert stats["failed_shards"] == 1 and stats["requeues"] == 0
+        finally:
+            stop.set()
+            HOLD.value = 0
+            if traffic.is_alive():
+                traffic.join(timeout=10.0)
+            pool.stop(drain=False)
+
+    def test_idle_worker_killed_is_replaced_without_a_dispatch(self):
+        with ProcessCohortPool(FunctionModel(gen1_program, name="gen"), None, num_workers=2) as pool:
+            victim = pool._workers[0]
+            os.kill(victim.process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while pool._workers[0] is victim and time.monotonic() < deadline:
+                time.sleep(0.01)
+            replacement = pool._workers[0]
+            assert replacement is not victim and replacement.process.is_alive()
+            stats = pool.stats()
+            assert (stats["worker_crashes"], stats["requeues"], stats["shards_executed"]) == (1, 0, 0)
+
+    def test_refresh_then_stop_is_not_a_crash(self):
+        pool = ProcessCohortPool(FunctionModel(gen1_program, name="gen"), None, num_workers=2).start()
+        first = [worker.process for worker in pool._workers]
+        pool.refresh(model=FunctionModel(gen2_program, name="gen"))
+        second = [worker.process for worker in pool._workers]
+        pool.stop()
+        assert pool.stats()["worker_crashes"] == 0
+        # Dismissed, not killed: every worker of both generations left by itself.
+        for process in first + second:
+            process.join(timeout=5.0)
+            assert process.exitcode == 0

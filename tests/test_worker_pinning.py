@@ -91,7 +91,7 @@ def test_respawned_and_refreshed_workers_keep_their_core():
         os.kill(victim.process.pid, signal.SIGKILL)
         victim.process.join(timeout=5.0)
         assert not victim.process.is_alive()
-        # The next dispatch respawns the idle dead worker under its index.
+        # Its pipe read end-of-file: the pool respawns it under its index.
         assert reported_cores(pool) == expected
         assert pool._workers[1].process.pid != victim.process.pid
         pool.refresh(MODEL)
