@@ -32,6 +32,19 @@ class RandomState:
         self._seed = seed
         self._gen = np.random.default_rng(seed)
 
+    @classmethod
+    def _around(cls, generator: np.random.Generator, seed, name: str) -> "RandomState":
+        """A state holding ``generator`` under the seed identity ``seed``.
+
+        Skips ``__init__``, whose ``default_rng(None)`` would read OS entropy
+        for a generator that is replaced at once.
+        """
+        state = cls.__new__(cls)
+        state.name = name
+        state._seed = seed
+        state._gen = generator
+        return state
+
     @property
     def seed(self) -> Optional[int]:
         """The last seed this state was (re-)initialised with."""
@@ -77,10 +90,7 @@ class RandomState:
         entropy = [int(base) & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in keys]
         seq = np.random.SeedSequence(entropy=entropy)
         label = "/".join(str(k) for k in keys)
-        child = RandomState(seed=None, name=f"{self.name}/{label}")
-        child._seed = (base,) + keys
-        child._gen = np.random.default_rng(seq)
-        return child
+        return RandomState._around(np.random.default_rng(seq), (base,) + keys, f"{self.name}/{label}")
 
     def snapshot(self) -> dict:
         """Portable snapshot of this stream: the seed identity plus generator state.
@@ -106,10 +116,10 @@ class RandomState:
         seed = snapshot["seed"]
         if isinstance(seed, list):
             seed = tuple(seed)
-        state = cls(seed=None, name=name)
-        state._seed = seed
-        state._gen.bit_generator.state = snapshot["state"]
-        return state
+        # Any fixed seed will do: the snapshot's state overwrites it.
+        generator = np.random.default_rng(0)
+        generator.bit_generator.state = snapshot["state"]
+        return cls._around(generator, seed, name)
 
     # Convenience passthroughs --------------------------------------------------
     def uniform(self, low=0.0, high=1.0, size=None):

@@ -3,6 +3,7 @@
 from repro.distributions.distribution import (
     Distribution,
     distribution_from_dict,
+    log_prob_total,
     register_distribution,
 )
 from repro.distributions.normal import Normal
@@ -23,6 +24,7 @@ from repro.distributions.batched import (
 __all__ = [
     "Distribution",
     "distribution_from_dict",
+    "log_prob_total",
     "register_distribution",
     "Normal",
     "Uniform",

@@ -19,10 +19,13 @@ Two contracts matter:
 * **Row equivalence** — ``sample_rows(rngs)[i]`` consumes ``rngs[i]`` exactly
   as ``row_distribution(i).sample(rngs[i])`` — the stand-alone per-object
   distribution the row replaces — would (component choice, then one
-  uniform/normal draw; generators are consumed row by row), and
-  ``log_prob_rows(values)[i]`` evaluates the same floating-point expression
-  as ``row_distribution(i).log_prob(values[i])``, so the lockstep engine's
-  seeded posteriors are bit-identical to the per-object path.
+  uniform/normal draw; generators are consumed row by row, and only those
+  calls run per row), and ``log_prob_rows(values)[i]`` evaluates the same
+  floating-point expression as ``row_distribution(i).log_prob(values[i])``,
+  so the lockstep engine's seeded posteriors are bit-identical to the
+  per-object path.  A row depends on its own parameters and stream only, so
+  rows of different addresses may share one batch: the engine draws all of
+  a round's mixture groups as one.
 * **O(1) objects per step** — constructing a batched distribution allocates a
   fixed number of arrays, never per-row component objects.
 """
@@ -37,7 +40,7 @@ from scipy.special import ndtr, ndtri
 
 from repro.common.rng import RandomState, get_rng
 from repro.distributions.categorical import Categorical
-from repro.distributions.distribution import Distribution
+from repro.distributions.distribution import Distribution, log_prob_total
 from repro.distributions.mixture import Mixture, logsumexp
 from repro.distributions.normal import Normal
 from repro.distributions.truncated_normal import TruncatedNormal, stable_truncation_z
@@ -223,10 +226,11 @@ class BatchedNormal(BatchedDistribution):
         self._log_scales = np.log(self.scales)
 
     def sample_rows(self, rngs=None) -> np.ndarray:
+        # numpy's normal(loc, scale) is loc + scale * standard_normal(): only
+        # the stream call runs per row, the affine map in one array pass.
         generators = self._per_row_generators(rngs)
-        return np.array(
-            [generators[i].normal(self.locs[i], self.scales[i]) for i in range(self.batch_size)]
-        )
+        normals = np.array([generator.standard_normal() for generator in generators])
+        return self.locs + self.scales * normals
 
     def log_prob_rows(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float).reshape(-1)
@@ -544,26 +548,41 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
         return self
 
     # --------------------------------------------------------------- sampling
-    def _choose_component(self, index: int, generator: np.random.Generator) -> int:
-        if self._weight_cdfs is not None:
-            return int(
-                np.searchsorted(self._weight_cdfs[index], generator.random(), side="right")
-            )
-        return int(generator.choice(self.num_components, p=self.weights[index]))
-
     def sample_rows(self, rngs=None) -> np.ndarray:
         generators = self._per_row_generators(rngs)
-        # The generator draws stay per row (each row owns its stream and must
-        # consume it exactly as row_distribution(i).sample would); the
-        # inverse-CDF math over the chosen components is then evaluated in one
-        # array pass.
+        if self._weight_cdfs is None:
+            return self._sample_rows_percall(generators)
+        # Only the stream calls run per row, exactly the ones
+        # row_distribution(i).sample makes and in its order: the component
+        # uniform, then a bounded row's inverse-CDF uniform (random() returns
+        # the double uniform(0, 1) does) or an unbounded row's standard normal
+        # (numpy's normal(loc, scale) is loc + scale * standard_normal()).
+        draws = np.empty((self.batch_size, 2))
+        for row, (generator, bounded) in enumerate(zip(generators, self.bounded.tolist())):
+            if bounded:
+                generator.random(out=draws[row])
+            else:
+                draws[row, 0] = generator.random()
+                draws[row, 1] = generator.standard_normal()
+        # (cdf <= u) counts are exactly searchsorted(cdf, u, side="right").
+        components = (self._weight_cdfs <= draws[:, :1]).sum(axis=1)
+        out = np.empty(self.batch_size)
+        free = np.flatnonzero(~self.bounded)
+        if free.size:
+            chosen = components[free]
+            out[free] = self.locs[free, chosen] + self.scales[free, chosen] * draws[free, 1]
+        self._invert_truncated(out, components, draws[:, 1])
+        return out
+
+    def _sample_rows_percall(self, generators: List[np.random.Generator]) -> np.ndarray:
+        """The reference loop: each row draws through ``choice``/``uniform``/``normal``."""
         components = np.empty(self.batch_size, dtype=np.int64)
         # Scratch may stay uninitialised where unused: the gathers below read
         # uniforms only at bounded rows and normals only at unbounded ones.
         uniforms = np.empty(self.batch_size)
         normals = np.empty(self.batch_size)
         for i in range(self.batch_size):
-            components[i] = self._choose_component(i, generators[i])
+            components[i] = generators[i].choice(self.num_components, p=self.weights[i])
             if self.bounded[i]:
                 uniforms[i] = generators[i].uniform(0.0, 1.0)
             else:
@@ -574,6 +593,11 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
         free = ~self.bounded
         if np.any(free):
             out[free] = normals[free]
+        self._invert_truncated(out, components, uniforms)
+        return out
+
+    def _invert_truncated(self, out: np.ndarray, components: np.ndarray, uniforms: np.ndarray) -> None:
+        """Fill ``out`` at the bounded rows from their chosen component and uniform."""
         # Truncated rows: gather the chosen component's parameters for the
         # bounded rows only, then invert all of them through ONE clipped
         # ndtri call.  Row-gathering (instead of evaluating the whole batch
@@ -596,7 +620,6 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
                 self.lows[trunc],
                 self.highs[trunc],
             )
-        return out
 
     # ---------------------------------------------------------------- density
     def log_prob_rows(self, values) -> np.ndarray:
@@ -658,7 +681,7 @@ class BatchedDistributionList(BatchedDistribution):
                 f"log_prob_rows needs one value per row ({self.batch_size}), got {len(values)}"
             )
         return np.array(
-            [float(np.sum(d.log_prob(v))) for d, v in zip(self.distributions, values)]
+            [log_prob_total(d, v) for d, v in zip(self.distributions, values)]
         )
 
     def row_distribution(self, index: int) -> Distribution:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.common.rng import RandomState, get_rng
 
-__all__ = ["Distribution", "register_distribution", "distribution_from_dict"]
+__all__ = ["Distribution", "register_distribution", "distribution_from_dict", "log_prob_total"]
 
 _REGISTRY: Dict[str, Type["Distribution"]] = {}
 
@@ -40,6 +40,20 @@ def distribution_from_dict(payload: Dict[str, Any]) -> "Distribution":
         raise KeyError(f"unknown distribution type {name!r}")
     params = {k: v for k, v in payload.items() if k != "type"}
     return _REGISTRY[name].from_params(**params)
+
+
+def log_prob_total(distribution, value) -> float:
+    """``float(np.sum(distribution.log_prob(value)))``, the total log-density of ``value``.
+
+    Scalar latents score to a 0-d value, and the sum of one element is that
+    element, so those skip the reduction; array results (a voxel-grid
+    likelihood) are summed as before.  Every caller that turns a
+    ``log_prob`` into one number goes through here.
+    """
+    result = distribution.log_prob(value)
+    if getattr(result, "ndim", 0) == 0:
+        return float(result)
+    return float(np.sum(result))
 
 
 def _payloads_equal(a: Any, b: Any) -> bool:

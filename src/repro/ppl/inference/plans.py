@@ -5,7 +5,7 @@ executions of the same simulator, and serving traffic concentrates on a few
 hot trace types.  This module applies the TensorRT-runtime playbook (plan
 cache, dynamic-shape bucketing, pre-allocated outputs) to guided execution.
 Dynamic rounds have since taken the per-group shortcuts without a plan
-(:meth:`repro.ppl.nn.inference_network.BatchedProposalSession._step_group`):
+(:meth:`repro.ppl.nn.inference_network.BatchedProposalSession.proposals`):
 a plan hit now reads ≈ 1.03x a dynamic round on a hot trace type, and plans
 are slated for deletion.  What a plan is:
 
@@ -30,7 +30,7 @@ are slated for deletion.  What a plan is:
   non-conforming round falls back to the dynamic grouped path of the parent
   class mid-cohort.  Either way the round's proposal values are drawn and
   scored driver-side by the parent's one answer tail
-  (``BatchedProposalSession._answer_group``).
+  (``BatchedProposalSession._answer_rows``).
 
 **Equivalence gate.** The planned path is bit-identical to the dynamic path —
 samples, log-weights and generator states — because every shortcut reuses the
@@ -626,7 +626,7 @@ class PlannedProposalSession(BatchedProposalSession):
                 batch = BatchedCategorical.build_into(cscratch, probs)
             else:
                 batch = layer_module.proposal_batch(hidden, priors)
-        return self._answer_group(batch, step.address, range(size), priors)
+        return self._answer_rows(batch, [step.address] * size, range(size), priors)
 
     def _planned_prev_embed(self, step: PlanStep, values) -> np.ndarray:
         """Previous-sample embedding rows for a conforming round."""

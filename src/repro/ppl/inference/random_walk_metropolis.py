@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.rng import RandomState, get_rng
-from repro.distributions import Categorical, Distribution, Normal, TruncatedNormal, Uniform
+from repro.distributions import Categorical, Distribution, Normal, TruncatedNormal, Uniform, log_prob_total
 from repro.ppl.empirical import Empirical
 from repro.ppl.state import PriorController, ReplayController
 from repro.trace.trace import Trace
@@ -72,8 +72,8 @@ class RandomWalkMetropolis:
         """
         if self.kernel == "prior" or distribution.discrete:
             new_value = distribution.sample(self._rng)
-            log_forward = float(np.sum(distribution.log_prob(new_value)))
-            log_reverse = float(np.sum(distribution.log_prob(current_value)))
+            log_forward = log_prob_total(distribution, new_value)
+            log_reverse = log_prob_total(distribution, current_value)
             return new_value, log_forward, log_reverse
 
         # Random-walk kernel for continuous sites, scaled to the prior spread.

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-import numpy as np
-
 from repro.common.rng import RandomState, get_rng
-from repro.distributions import distribution_from_dict
+from repro.distributions import distribution_from_dict, log_prob_total
 from repro.ppl.state import (
     Controller,
     ExecutionState,
@@ -155,7 +153,7 @@ class _RemoteSamplePolicy:
             self.last_log_prior = self.controller.last_log_prior
         else:
             value = distribution.sample(self.rng)
-            log_q = self.last_log_prior = float(np.sum(distribution.log_prob(value)))
+            log_q = self.last_log_prior = log_prob_total(distribution, value)
         self.log_q += log_q
         return value
 

@@ -23,9 +23,9 @@ Two entry points matter:
   step per address.  When control flow diverges (different traces request
   different addresses at the same step), the cohort is partitioned into
   per-address sub-batches, so a group of size 1 degrades gracefully to
-  per-trace stepping.  Every group is drawn and scored by the driver in one
-  vectorised pass over the slots' own random streams and answered with
-  :class:`DrawnProposal` stubs.  :meth:`InferenceNetwork.planned_session`
+  per-trace stepping.  Every round is drawn and scored by the driver over
+  the slots' own random streams — all its mixture groups in one vectorised
+  pass — and answered with :class:`DrawnProposal` stubs.  :meth:`InferenceNetwork.planned_session`
   is the same session driven by a compiled plan.
 
 Information flow during guided execution deliberately matches training: a
@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy (cycle guard)
 from repro.common.config import Config, get_config
 from repro.data.dataset import observation_array
 from repro.distributions import Categorical, Distribution, distribution_from_dict
-from repro.distributions.batched import MixtureScratch
+from repro.distributions.batched import BatchedMixtureOfTruncatedNormals, MixtureScratch
 from repro.distributions.geometry import PriorGeometry, prior_geometry, prior_signature
 from repro.ppl.nn.embeddings import (
     AddressEmbedding,
@@ -474,8 +474,8 @@ class ProposalSession:
 class DrawnProposal:
     """One slot's answer to a lockstep round: a value already drawn and scored.
 
-    The session draws a whole address group driver-side — one ``sample_rows``
-    pass over the very rng objects the slots' executions own, one
+    The session draws a whole round driver-side — one ``sample_rows`` pass
+    per batch over the very rng objects the slots' executions own, one
     ``log_prob_rows`` pass over the result.  That is race-free because a round
     is answered only after every outstanding slot has posted its request, so
     each stream the driver touches belongs to a thread parked at its gate, and
@@ -534,13 +534,14 @@ class BatchedProposalSession:
     them through :meth:`proposals`.
 
     Proposals are array-parameterised batched distributions
-    (:mod:`repro.distributions.batched`): each address group's step builds
-    ONE object holding the group's ``(B, K)`` parameters, draws the group's
-    values on the slots' own streams (``rngs[slot]``) and scores them, both in
-    one vectorised pass, and answers every slot with a
-    :class:`DrawnProposal`.  Values, densities and stream consumption are
-    bit-identical to sampling the per-trace ``Mixture``/``Categorical`` the
-    sequential session's ``proposal_distribution`` builds.
+    (:mod:`repro.distributions.batched`): the mixture groups of a round are
+    stacked into ONE object holding their ``(B, K)`` parameters (a
+    categorical or custom group gets its own), whose values are drawn on the
+    slots' own streams (``rngs[slot]``) and scored, each in one vectorised
+    pass, and every slot is answered with a :class:`DrawnProposal`.  Values,
+    densities and stream consumption are bit-identical to sampling the
+    per-trace ``Mixture``/``Categorical`` the sequential session's
+    ``proposal_distribution`` builds.
     """
 
     def __init__(
@@ -563,8 +564,8 @@ class BatchedProposalSession:
         self._prev_prior: List[Optional[Distribution]] = [None] * self.batch_size
         #: per-cohort constants a plan would precompile, derived on first use:
         #: geometry per (prior signature, group size), and one mixture scratch
-        #: per component count sized to the cohort (a group is drawn before
-        #: the next is built, so groups share it)
+        #: per component count sized to the cohort (a round's mixture groups
+        #: are stacked into it and drawn as one batch)
         self._group_geometries: Dict[Tuple, PriorGeometry] = {}
         self._mixture_scratch: Dict[int, MixtureScratch] = {}
         self.num_proposal_steps = 0
@@ -616,6 +617,13 @@ class BatchedProposalSession:
         :class:`DrawnProposal` (or ``None`` for the prior fallback at
         addresses the network has no layers for: that slot draws its own
         prior on its own stream).
+
+        Each address group takes its own LSTM step and proposal-head
+        forward.  The mixture groups' rows are then drawn together, as one
+        batch built into the session's scratch from a geometry derived once
+        per (prior signature, group size) — a plan's shortcuts, without a
+        plan; priors that do not match a signature exactly derive their
+        geometry per row, so every value is bitwise what that produces.
         """
         self.num_rounds += 1
         self.num_proposal_steps += len(requests)
@@ -624,9 +632,12 @@ class BatchedProposalSession:
             groups.setdefault(address, []).append((slot, prior, previous_value))
         if len(groups) > 1:
             self.num_divergent_rounds += 1
+        layers = self.network.proposal_layers
         responses: Dict[int, Optional[DrawnProposal]] = {}
+        # component count -> (address, slots, priors, parameters) per mixture group
+        mixtures: Dict[int, List[Tuple[str, List[int], List[Distribution], Tuple]]] = {}
         for address, members in groups.items():
-            if address not in self.network.proposal_layers:
+            if address not in layers:
                 # Unseen address: fall back to the prior without advancing the
                 # LSTM, and reset the previous-sample tracking (same semantics
                 # as ProposalSession.proposal).
@@ -636,26 +647,52 @@ class BatchedProposalSession:
                     self._prev_address[slot] = None
                     self._prev_prior[slot] = None
                 continue
-            responses.update(self._step_group(address, members))
+            slots = [slot for slot, _, _ in members]
+            priors = [prior for _, prior, _ in members]
+            hidden = self._step_group(address, members)
+            layer = layers[address]
+            with no_grad():
+                if isinstance(layer, ProposalNormalMixture):
+                    parameters = layer._transformed_from_geometry(hidden, self._group_geometry(priors))
+                    mixtures.setdefault(layer.num_components, []).append((address, slots, priors, parameters))
+                    continue
+                batch = layer.proposal_batch(hidden, priors)
+            responses.update(self._answer_rows(batch, [address] * len(slots), slots, priors))
+        for num_components, parts in mixtures.items():
+            responses.update(self._answer_mixtures(num_components, parts))
         return responses
 
-    def _step_group(
-        self, address: str, members: Sequence[Tuple[int, Distribution, Any]]
-    ) -> Dict[int, DrawnProposal]:
-        """One batched LSTM step + proposal forward + draw for a same-address group.
+    def _answer_mixtures(self, num_components: int, parts) -> Dict[int, DrawnProposal]:
+        """Draw and score a round's mixture groups as ONE batch in the session's scratch.
 
-        Takes the three shortcuts a compiled plan takes, without one: a
-        continuous group is built into the session's mixture scratch from a
-        geometry derived once per (prior signature, group size), and a
-        previous-address sub-batch whose priors share one exact signature is
-        encoded by one call.  Priors that do not match exactly take the
-        per-row derivations, so every value is bitwise what those produce.
+        Each group's rows keep their own parameters; a batched mixture's rows
+        are independent, so stacking groups changes no row's draw or density.
+        """
+        scratch = self._scratch_for(num_components)
+        locs, scales, log_weights, lows, highs, bounded = (
+            np.concatenate(column) for column in zip(*(part[3] for part in parts))
+        )
+        weights = np.exp(log_weights, out=scratch.weights[: locs.shape[0]])
+        batch = BatchedMixtureOfTruncatedNormals.build_into(
+            scratch, locs, scales, weights, lows, highs, bounded
+        )
+        addresses = [address for address, slots, _, _ in parts for _ in slots]
+        slots = [slot for _, slots, _, _ in parts for slot in slots]
+        priors = [prior for _, _, priors, _ in parts for prior in priors]
+        return self._answer_rows(batch, addresses, slots, priors)
+
+    def _step_group(self, address: str, members: Sequence[Tuple[int, Distribution, Any]]) -> Tensor:
+        """One batched LSTM step for a same-address group; returns its hidden rows.
+
+        A previous-address sub-batch whose priors share one exact signature is
+        encoded by one call (a plan's shortcut, without a plan); priors that
+        do not match exactly are encoded row by row, so every value is bitwise
+        what that produces.
         """
         self.num_batched_steps += 1
         network = self.network
         size = len(members)
         slots = [slot for slot, _, _ in members]
-        priors = [prior for _, prior, _ in members]
         with no_grad():
             # Previous-sample embeddings: zeros after a fallback / at the first
             # step, otherwise the (address-specific) embedding of the value
@@ -682,14 +719,7 @@ class BatchedProposalSession:
             for layer, (h, c) in enumerate(new_state):
                 self._h[layer][slots] = h.data
                 self._c[layer][slots] = c.data
-            layer_module = network.proposal_layers[address]
-            if isinstance(layer_module, ProposalNormalMixture):
-                batch = layer_module.proposal_batch_into(
-                    hidden, self._group_geometry(priors), self._scratch_for(layer_module.num_components)
-                )
-            else:
-                batch = layer_module.proposal_batch(hidden, priors)
-        return self._answer_group(batch, address, slots, priors)
+        return hidden
 
     def _group_geometry(self, priors: Sequence[Distribution]) -> PriorGeometry:
         """The group's prior geometry, derived once per (signature, group size).
@@ -732,14 +762,15 @@ class BatchedProposalSession:
             axis=0,
         )
 
-    def _answer_group(
-        self, batch, address: str, slots: Sequence[int], priors: Sequence[Distribution]
+    def _answer_rows(
+        self, batch, addresses: Sequence[str], slots: Sequence[int], priors: Sequence[Distribution]
     ) -> Dict[int, DrawnProposal]:
-        """Draw and score one address group driver-side; one stub per slot.
+        """Draw and score ``batch`` driver-side; one stub per slot.
 
-        ``batch`` holds the group's rows in the order of ``slots``;
-        ``priors[row]`` is the prior of ``slots[row]``.  Every slot's stream
-        is consumed exactly once, by the one ``sample_rows`` call.
+        Row ``row`` of ``batch`` is the proposal of ``slots[row]``, requested
+        at ``addresses[row]`` under ``priors[row]``; rows may belong to
+        different addresses.  Every slot's stream is consumed exactly once,
+        by the one ``sample_rows`` call.
         """
         values = batch.sample_rows([self._rngs[slot] for slot in slots])
         log_qs = batch.log_prob_rows(values)
@@ -750,6 +781,6 @@ class BatchedProposalSession:
         for row, slot in enumerate(slots):
             value = int(values[row]) if discrete else values[row]
             responses[slot] = DrawnProposal(value, log_qs[row])
-            prev_address[slot] = address
+            prev_address[slot] = addresses[row]
             prev_prior[slot] = priors[row]
         return responses

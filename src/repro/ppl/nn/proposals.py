@@ -238,7 +238,7 @@ class ProposalNormalMixture(ProposalLayer):
     ) -> BatchedMixtureOfTruncatedNormals:
         """:meth:`proposal_batch` from the group's prior geometry, built into ``scratch``.
 
-        The lockstep engine's constructor: ``BatchedMixtureOfTruncatedNormals.build_into``
+        A planned step's constructor: ``BatchedMixtureOfTruncatedNormals.build_into``
         evaluates ``__init__``'s expressions into the scratch's ``(B_max, K)``
         buffers, so rows sample and score bit-identically to
         :meth:`proposal_batch` on priors of this geometry, with no fresh

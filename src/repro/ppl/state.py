@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.rng import RandomState, get_rng
-from repro.distributions import Distribution
+from repro.distributions import Distribution, log_prob_total
 from repro.ppx.addresses import AddressBuilder
 from repro.trace.sample import Sample
 from repro.trace.trace import Trace
@@ -70,7 +70,7 @@ class PriorController(Controller):
 
     def choose(self, address, instance, distribution, name, rng):
         value = distribution.sample(rng)
-        log_q = self.last_log_prior = float(np.sum(distribution.log_prob(value)))
+        log_q = self.last_log_prior = log_prob_total(distribution, value)
         return value, log_q
 
 
@@ -103,18 +103,18 @@ class ReplayController(Controller):
         key = (address, instance)
         if self.resample_key is not None and key == self.resample_key:
             value = self.resample_value
-            log_q = self.last_log_prior = float(np.sum(distribution.log_prob(value)))
+            log_q = self.last_log_prior = log_prob_total(distribution, value)
             return value, log_q
         if key in self.base_values:
             value = self.base_values[key]
-            log_q = self.last_log_prior = float(np.sum(distribution.log_prob(value)))
+            log_q = self.last_log_prior = log_prob_total(distribution, value)
             # A reused value can become impossible under the new path's prior
             # (e.g. changed support); treat that as a fresh prior draw instead.
             if np.isfinite(log_q):
                 self.reused_keys.append(key)
                 return value, log_q
         value = distribution.sample(rng)
-        log_q = self.last_log_prior = float(np.sum(distribution.log_prob(value)))
+        log_q = self.last_log_prior = log_prob_total(distribution, value)
         self.fresh_log_prob += log_q
         self.fresh_keys.append(key)
         return value, log_q
@@ -152,11 +152,11 @@ class ProposalController(Controller):
         proposal = self.proposal_provider(address, instance, distribution, self.state)
         if proposal is None:
             value = distribution.sample(rng)
-            log_q = log_prior = float(np.sum(distribution.log_prob(value)))
+            log_q = log_prior = log_prob_total(distribution, value)
         else:
             value = proposal.sample(rng)
-            log_q = float(np.sum(proposal.log_prob(value)))
-            log_prior = float(np.sum(distribution.log_prob(value)))
+            log_q = log_prob_total(proposal, value)
+            log_prior = log_prob_total(distribution, value)
             self.num_proposed += 1
         self.log_q += log_q
         self.log_prior += log_prior
@@ -201,10 +201,10 @@ class ExecutionState:
             value, log_q = self.controller.choose(resolved, instance, distribution, name, self.rng)
             log_prior = self.controller.last_log_prior
             if log_prior is None:
-                log_prior = float(np.sum(distribution.log_prob(value)))
+                log_prior = log_prob_total(distribution, value)
         else:
             value = distribution.sample(self.rng)
-            log_q = log_prior = float(np.sum(distribution.log_prob(value)))
+            log_q = log_prior = log_prob_total(distribution, value)
         self.log_q += log_q
         self.log_prior += log_prior
         self.trace.add_sample(
@@ -234,7 +234,7 @@ class ExecutionState:
             scored_value = self.observed_values[key]
         else:
             scored_value = value if value is not None else distribution.sample(self.rng)
-        log_prob = float(np.sum(distribution.log_prob(scored_value)))
+        log_prob = log_prob_total(distribution, scored_value)
         self.trace.add_sample(
             Sample(
                 address=resolved,

@@ -14,9 +14,7 @@ import queue
 import socket
 from typing import Any, Callable, Optional
 
-import numpy as np
-
-from repro.distributions import distribution_from_dict
+from repro.distributions import distribution_from_dict, log_prob_total
 from repro.ppx.messages import (
     Handshake,
     HandshakeResult,
@@ -109,7 +107,7 @@ class SimulatorController:
                 value = sample_policy(message.address, distribution, message)
                 log_prob = getattr(sample_policy, "last_log_prior", None)
                 if log_prob is None:
-                    log_prob = float(np.sum(distribution.log_prob(value)))
+                    log_prob = log_prob_total(distribution, value)
                 trace.add_sample(
                     Sample(
                         address=message.address,
@@ -125,7 +123,7 @@ class SimulatorController:
             elif isinstance(message, ObserveRequest):
                 distribution = distribution_from_dict(message.distribution)
                 scored_value = observe_override if observe_override is not None else message.value
-                log_prob = float(np.sum(distribution.log_prob(scored_value)))
+                log_prob = log_prob_total(distribution, scored_value)
                 trace.add_sample(
                     Sample(
                         address=message.address,

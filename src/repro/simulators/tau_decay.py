@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.rng import RandomState, get_rng
-from repro.distributions import Categorical, Normal, Uniform
+from repro.distributions import Categorical, Normal, Uniform, log_prob_total
 from repro.ppl.model import Model
 from repro.simulators.channels import DECAY_CHANNELS, TAU_MASS, branching_ratios
 from repro.simulators.detector import Deposit, Detector3D, DetectorConfig
@@ -234,7 +234,7 @@ def ground_truth_event(
                     value = overrides[name]
                 else:
                     value = distribution.sample(inner_rng)
-                log_q = float(np.sum(distribution.log_prob(value)))
+                log_q = log_prob_total(distribution, value)
                 return value, log_q
 
         trace = model.get_trace(_OverrideController(), rng=rng)

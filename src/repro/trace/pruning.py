@@ -100,7 +100,7 @@ def restore_trace(
     pruned: Dict[str, Any], address_dictionary: Optional[AddressDictionary] = None
 ) -> Trace:
     """Rebuild a :class:`Trace` from its pruned record (inverse of :func:`prune_trace`)."""
-    from repro.distributions import distribution_from_dict
+    from repro.distributions import distribution_from_dict, log_prob_total
 
     trace = Trace()
     for record in pruned["samples"]:
@@ -119,7 +119,7 @@ def restore_trace(
             # training on it with a made-up prior term would be silent damage.
             try:
                 distribution = distribution_from_dict(record["distribution"])
-                log_prob = float(np.sum(distribution.log_prob(value)))
+                log_prob = log_prob_total(distribution, value)
             except Exception as error:
                 raise ValueError(
                     f"sample at address {address!r}: stored value cannot be scored by its "

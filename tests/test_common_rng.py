@@ -74,6 +74,25 @@ class TestRandomState:
             np.random.SeedSequence(entropy=[hash((11, 5, 1)) & 0xFFFFFFFF, 2])
         ).random()
 
+    def test_spawn_and_restore_read_no_os_entropy(self, monkeypatch):
+        # numpy reads OS entropy exactly when a generator is built unseeded
+        # (default_rng(None)); a seeded parent's spawn and a restore must
+        # each build one generator, from an explicit seed.
+        seeds = []
+        build = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or build(seed))
+        RandomState()
+        assert seeds == [None]  # the probe sees an unseeded build
+
+        parent = RandomState(11)
+        seeds.clear()
+        child = parent.spawn((5, 1))
+        assert len(seeds) == 1 and seeds[0] is not None
+        child.random()
+        restored = RandomState.restore(child.snapshot())
+        assert len(seeds) == 2 and seeds[1] is not None
+        assert restored.seed == child.seed and restored.random() == child.random()
+
     def test_integers_bounds(self):
         state = RandomState(0)
         draws = state.integers(0, 5, size=200)

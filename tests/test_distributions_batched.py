@@ -22,6 +22,7 @@ from repro.distributions import (
     Mixture,
     Normal,
     TruncatedNormal,
+    log_prob_total,
 )
 
 
@@ -439,3 +440,86 @@ class TestFromDistributions:
                     )
                 ]
             )
+
+
+class TestStreamOnlyLoop:
+    """``sample_rows`` loops only over generator calls and does the rest in
+    array passes; each row still makes exactly the calls its stand-alone
+    distribution makes, in the same order, so values and post-draw generator
+    states match ``row_distribution(i).sample`` on the same stream."""
+
+    @staticmethod
+    def _mixture(bounded, components=4, right_tail=False):
+        rng = np.random.default_rng(21)
+        batch = bounded.shape[0]
+        locs = rng.normal(size=(batch, components))
+        scales = np.abs(rng.normal(size=(batch, components))) + 0.1
+        weights = np.abs(rng.normal(size=(batch, components))) + 0.05
+        if right_tail:
+            # The interval sits right of every component mean: alpha >= 0.
+            lows = locs.max(axis=1) + 0.3
+            highs = lows + 2.0
+        else:
+            lows = locs.min(axis=1) - 0.5
+            highs = locs.max(axis=1) + 0.5
+        return BatchedMixtureOfTruncatedNormals(locs, scales, weights, lows, highs, bounded=bounded)
+
+    @staticmethod
+    def _assert_rows_match_row_distributions(batch, draws=25):
+        size = batch.batch_size
+        rows = [batch.row_distribution(i) for i in range(size)]
+        bulk_rngs, row_rngs = _streams(range(300, 300 + size)), _streams(range(300, 300 + size))
+        for _ in range(draws):
+            bulk = batch.sample_rows(bulk_rngs)
+            assert bulk.tolist() == [float(rows[i].sample(row_rngs[i])) for i in range(size)]
+            assert _states(bulk_rngs) == _states(row_rngs)
+
+    @pytest.mark.parametrize("components", [1, 4], ids=["K=1", "K=4"])
+    @pytest.mark.parametrize("layout", ["all_bounded", "all_unbounded", "mixed"])
+    def test_mixture_rows_match_row_distribution(self, layout, components):
+        bounded = {
+            "all_bounded": np.ones(10, dtype=bool),
+            "all_unbounded": np.zeros(10, dtype=bool),
+            "mixed": np.arange(10) % 3 != 0,
+        }[layout]
+        self._assert_rows_match_row_distributions(self._mixture(bounded, components))
+
+    def test_right_tail_rows_match_row_distribution(self):
+        batch = self._mixture(np.ones(10, dtype=bool), right_tail=True)
+        assert np.all(batch._alphas >= 0)
+        self._assert_rows_match_row_distributions(batch)
+
+    def test_one_shared_stream_is_consumed_row_by_row(self):
+        batch = self._mixture(np.arange(10) % 2 == 0)
+        shared, reference = RandomState(8), RandomState(8)
+        bulk = batch.sample_rows(shared)
+        rows = [batch.row_distribution(i) for i in range(batch.batch_size)]
+        assert bulk.tolist() == [float(row.sample(reference)) for row in rows]
+        assert _states([shared]) == _states([reference])
+
+    def test_batched_normal_rows_match_row_distribution(self):
+        rng = np.random.default_rng(22)
+        batch = BatchedNormal(rng.normal(size=7) * 4.0, np.abs(rng.normal(size=7)) + 0.1)
+        self._assert_rows_match_row_distributions(batch)
+
+
+class TestLogProbTotal:
+    @pytest.mark.parametrize(
+        "distribution, value",
+        [
+            (Normal(0.3, 1.2), 0.7),
+            (TruncatedNormal(0.0, 1.0, -1.0, 1.0), 2.0),
+            (Categorical([0.2, 0.8]), 1),
+            (Mixture([Normal(0.0, 1.0), Normal(1.0, 0.5)], [0.4, 0.6]), 0.2),
+            (Normal(np.array([0.3]), 1.2), np.array([0.7])),
+            (
+                Normal(np.random.default_rng(4).normal(size=(8, 11, 11)), 0.4),
+                np.random.default_rng(5).normal(size=(8, 11, 11)),
+            ),
+        ],
+        ids=["0-d", "0-d -inf", "categorical", "mixture", "one element", "voxel grid"],
+    )
+    def test_bit_equal_to_summed_log_prob(self, distribution, value):
+        total = log_prob_total(distribution, value)
+        assert type(total) is float
+        assert total.hex() == float(np.sum(distribution.log_prob(value))).hex()

@@ -2,12 +2,14 @@
 
 A lockstep round is answered by one ``sample_rows`` + one ``log_prob_rows``
 pass over the requesting slots' own random streams — on the dynamic grouped
-path as on the planned one.  The contract pinned here is that this is
-invisible: against a reference session that hands every slot the stand-alone
-``row_distribution`` and lets the worker thread draw for itself (what the
-engine did before), a cohort's values, addresses, ``log_q``, log-weights and
-each job's post-run generator state are the same — with no plan, with a plan
-that diverges mid-cohort, at any cohort size and under any packing.
+path as on the planned one, and on the dynamic path one pass holds every
+mixture group of the round.  The contract pinned here is that this is
+invisible: against a reference session that builds each group its own batch,
+hands every slot the stand-alone ``row_distribution`` and lets the worker
+thread draw for itself (what the engine did before), a cohort's values,
+addresses, ``log_q``, log-weights and each job's post-run generator state are
+the same — with no plan, with a plan that diverges mid-cohort, at any cohort
+size and under any packing.
 """
 
 import threading
@@ -38,15 +40,18 @@ from tests.test_slot_pool import busy_slots, lent_slots  # noqa: F401 - fixture
 
 # ------------------------------------------------------------------- programs
 def rejection_program(with_unseen_address):
-    """Three branches, then a rejection loop: variable trace length, and the
-    second round of a cohort holds one address group per branch taken."""
+    """Four branches, then a rejection loop: variable trace length, and the
+    second round of a cohort holds one address group per branch taken — two
+    mixture groups, a categorical one and, at inference, a prior fallback."""
 
     def program():
-        kind = ppl.sample(Categorical([0.3, 0.3, 0.4]), name="kind", address="kind")
+        kind = ppl.sample(Categorical([0.3, 0.3, 0.25, 0.15]), name="kind", address="kind")
         if kind == 0:
             centre = ppl.sample(Uniform(-1.0, 1.0), name="centre", address="branch_a")
         elif kind == 1:
             centre = ppl.sample(Normal(0.0, 1.0), name="centre", address="branch_b")
+        elif kind == 3:
+            centre = ppl.sample(Categorical([0.5, 0.5]), name="centre", address="branch_d") - 0.5
         else:
             if with_unseen_address:
                 # No layers for this address: a prior-fallback (None) answer
@@ -142,13 +147,24 @@ def signatures_case():
 
 # ------------------------------------------------------------------ harnesses
 class _WorkerDrawSession(BatchedProposalSession):
-    """The reference: each slot gets its stand-alone row and draws for itself."""
+    """The reference: each mixture group builds its own batch (what
+    ``proposal_batch`` builds), and each slot gets its stand-alone row and
+    draws for itself."""
 
-    def _answer_group(self, batch, address, slots, priors):
+    def _answer_mixtures(self, num_components, parts):
+        responses = {}
+        for address, slots, priors, (locs, scales, log_weights, lows, highs, bounded) in parts:
+            batch = BatchedMixtureOfTruncatedNormals(
+                locs, scales, np.exp(log_weights), lows, highs, bounded=bounded
+            )
+            responses.update(self._answer_rows(batch, [address] * len(slots), slots, priors))
+        return responses
+
+    def _answer_rows(self, batch, addresses, slots, priors):
         responses = {}
         for row, slot in enumerate(slots):
             responses[slot] = batch.row_distribution(row)
-            self._prev_address[slot] = address
+            self._prev_address[slot] = addresses[row]
             self._prev_prior[slot] = priors[row]
         return responses
 
@@ -304,6 +320,45 @@ class TestAnswers:
         model, network, observation = rejection_case
         traces, _, _ = run_packing(model, network, observation, 23, [16])
         assert len({trace.samples[1].address for trace in traces}) >= 3
+
+
+MIXTURE_ADDRESSES = {"branch_a", "branch_b", "branch_c", "loop"}
+
+
+class TestOneMixtureDrawPerRound:
+    @pytest.mark.parametrize("packing", PACKINGS.values(), ids=PACKINGS.keys())
+    def test_a_round_draws_all_its_mixture_groups_at_once(self, rejection_case, packing, monkeypatch):
+        model, network, observation = rejection_case
+        reference = run_packing(
+            model, _SessionSwap(network, _WorkerDrawSession), observation, 17, packing
+        )
+        draw, draws = BatchedMixtureOfTruncatedNormals.sample_rows, []
+
+        def counted_sample_rows(self, rngs=None):
+            draws.append(self.batch_size)
+            return draw(self, rngs)
+
+        monkeypatch.setattr(BatchedMixtureOfTruncatedNormals, "sample_rows", counted_sample_rows)
+        rounds = []
+
+        class CountingSession(BatchedProposalSession):
+            def proposals(self, requests):
+                before = len(draws)
+                responses = super().proposals(requests)
+                rounds.append(([address for _, address, _, _ in requests], draws[before:]))
+                return responses
+
+        dynamic = run_packing(model, _SessionSwap(network, CountingSession), observation, 17, packing)
+        assert_same_run(dynamic, reference, log_q_rtol=1e-13)
+        for addresses, round_draws in rounds:
+            mixture_rows = sum(address in MIXTURE_ADDRESSES for address in addresses)
+            assert round_draws == ([mixture_rows] if mixture_rows else [])
+        # Two mixture groups, a categorical group and a prior fallback in one round.
+        full = [
+            addresses for addresses, _ in rounds
+            if {"branch_a", "branch_b", "branch_d", "branch_unseen"} <= set(addresses)
+        ]
+        assert bool(full) == (max(packing) >= 4)
 
 
 class TestDriverSideFailure:
