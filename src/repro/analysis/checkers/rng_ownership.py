@@ -1,14 +1,17 @@
 """RNG stream ownership: job bodies consume streams, parents derive them.
 
-The reproduction's cross-backend identity rests on PR 4's contract:
-randomness used by a dispatched job (a ``pool.submit`` callable, a
-``Thread``/``Process`` target, a done-callback) must be *derived in the
-parent* via the ``repro.common.rng`` spawn tree — ``base.spawn((seed,
-index))`` per job — and passed in.  A job that builds its own generator
-either re-seeds ad hoc (collision-prone, engine-dependent) or, worse, calls
-``get_rng()`` and silently draws from a *different process's* global stream.
-And one generator reaching two concurrent consumers makes draw order depend
-on scheduling.
+The reproduction's cross-backend identity rests on one contract: randomness
+used by a dispatched job (a ``pool.submit`` callable, a ``Thread``/``Process``
+target, a done-callback) must be *derived in the parent* and passed in —
+either as a generator from the ``repro.common.rng`` spawn tree
+(``base.spawn((seed, index))`` per job) or, as trace jobs do, as a stream
+key the job turns into its generator with ``RandomState.from_key(key)``,
+which is a pure function of the key and so not a construction here.  A job
+that builds its own generator otherwise either re-seeds ad hoc
+(collision-prone, engine-dependent) or, worse, calls ``get_rng()`` and
+silently draws from a *different process's* global stream.  And one
+generator reaching two concurrent consumers makes draw order depend on
+scheduling.
 
 Both rules run on the whole-program engine: dispatch sites and the functions
 reachable from their job bodies come from the call-graph fixpoint, so the
@@ -76,8 +79,9 @@ class RngOwnershipChecker(Checker):
                         "error",
                         f"`{creation.dotted}` constructed in "
                         f"{display_name(project, qual)}, which runs inside a "
-                        f"dispatched job body ({witness}); derive the stream in the "
-                        "parent via rng.spawn((base, index)) and pass it in",
+                        f"dispatched job body ({witness}); derive a stream key in the "
+                        "parent (rng.child_key((base, index))) and build the job's "
+                        "generator with RandomState.from_key(key)",
                     )
                 )
 

@@ -22,7 +22,8 @@ function boundaries:
 * **dispatch reachability** — functions handed to ``Thread(target=...)``,
   ``pool.submit(...)``, ``apply_async`` and friends are *job bodies*; the set
   of functions reachable from them is where RNG construction is forbidden
-  (streams must be spawned in the parent and passed in).
+  (a job gets a stream key from its parent and builds its generator with
+  ``RandomState.from_key``).
 
 Everything here is a fixpoint over the summaries — no AST is re-walked.
 """

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["RandomState", "get_rng", "seed_all", "temporary_seed"]
+__all__ = ["RandomState", "StreamKey", "get_rng", "seed_all", "temporary_seed"]
+
+#: a stream key: one ``SeedSequence`` entropy word per element
+StreamKey = Tuple[int, ...]
 
 
 class RandomState:
@@ -33,21 +36,31 @@ class RandomState:
         self._gen = np.random.default_rng(seed)
 
     @classmethod
-    def _around(cls, generator: np.random.Generator, seed, name: str) -> "RandomState":
-        """A state holding ``generator`` under the seed identity ``seed``.
+    def from_key(cls, key: Sequence[int], name: str = "default") -> "RandomState":
+        """The stream of a stream key: a pure function of ``key`` and nothing else.
 
-        Skips ``__init__``, whose ``default_rng(None)`` would read OS entropy
-        for a generator that is replaced at once.
+        Each element of ``key`` is one ``SeedSequence`` entropy word (taken
+        modulo 2**32), so the words are *mixed*: ``(b, i)`` and
+        ``(b + 1, i - 1)`` are unrelated streams.  A key is plain ints, so it
+        pickles and JSON-serialises as it is, and every build from one key
+        starts at the same first draw — a trace job ships its key instead of
+        a generator, and a retry or a replay simply builds the stream again.
+        ``key`` becomes the stream's seed identity, which its own
+        :meth:`spawn` children derive from.  Builds exactly one generator and
+        reads no OS entropy.
         """
+        key = tuple(key)
         state = cls.__new__(cls)
         state.name = name
-        state._seed = seed
-        state._gen = generator
+        state._seed = key
+        state._gen = np.random.default_rng(
+            np.random.SeedSequence(entropy=[word & 0xFFFFFFFF for word in key])
+        )
         return state
 
     @property
-    def seed(self) -> Optional[int]:
-        """The last seed this state was (re-)initialised with."""
+    def seed(self) -> Union[None, int, StreamKey]:
+        """The seed identity: the last int seed, or the key of a keyed stream."""
         return self._seed
 
     @property
@@ -60,25 +73,15 @@ class RandomState:
         self._seed = seed
         self._gen = np.random.default_rng(seed)
 
-    def spawn(self, key: Union[int, Tuple[int, ...]]) -> "RandomState":
-        """Derive an independent child stream keyed by ``key``.
+    def child_key(self, key: Union[int, StreamKey]) -> StreamKey:
+        """The stream key of this stream's child ``key``: its identity word, then ``key``.
 
-        Used to give every simulated MPI rank / every worker its own stream
-        that is a pure function of (parent seed, key).  The derivation uses a
-        :class:`numpy.random.SeedSequence` so that different keys give
-        statistically independent streams.
-
-        ``key`` may also be a tuple of ints: each element becomes its own
-        SeedSequence entropy word, so composite keys such as ``(base, index)``
-        are *mixed* rather than summed — ``(b, i)`` and ``(b + 1, i - 1)``
-        yield unrelated streams, which is what
-        :func:`repro.ppl.inference.batched.per_trace_rngs` relies on to keep
-        concurrent requests' trace streams collision-free.
-
-        An unseeded parent has no seed identity to derive from, so its
-        children take their base from fresh entropy: two unseeded parents
-        never hand out the same child stream.  The child records that base,
-        so its own snapshot still restores its lineage.
+        The identity word is the int seed, or a keyed stream's key hashed to
+        32 bits (a tuple of ints hashes the same in every process).  An
+        unseeded stream has no identity, so each call takes the word from
+        fresh entropy: two unseeded parents never hand out the same child.
+        The key records the word either way, so the child it names can be
+        rebuilt with :meth:`from_key`.
         """
         if self._seed is None:
             base = int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
@@ -86,40 +89,20 @@ class RandomState:
             base = self._seed
         else:
             base = hash(self._seed) & 0xFFFFFFFF
-        keys: Tuple[int, ...] = key if isinstance(key, tuple) else (key,)
-        entropy = [int(base) & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in keys]
-        seq = np.random.SeedSequence(entropy=entropy)
-        label = "/".join(str(k) for k in keys)
-        return RandomState._around(np.random.default_rng(seq), (base,) + keys, f"{self.name}/{label}")
+        keys = key if isinstance(key, tuple) else (key,)
+        return (base,) + tuple(int(k) for k in keys)
 
-    def snapshot(self) -> dict:
-        """Portable snapshot of this stream: the seed identity plus generator state.
+    def spawn(self, key: Union[int, StreamKey]) -> "RandomState":
+        """Derive an independent child stream keyed by ``key``.
 
-        Both halves matter for exact restoration: the bit-generator state
-        replays the draw sequence, and ``seed`` is the entropy base
-        :meth:`spawn` mixes into child streams — restoring state alone would
-        reproduce draws but derive different children.  The snapshot is plain
-        ints/strings/tuples, so it JSON-serialises (the capture/replay file
-        format relies on this).
+        Used to give every simulated MPI rank / every epoch its own stream
+        that is a pure function of (parent seed, key): the stream of
+        :meth:`child_key`.  ``key`` may be an int or a tuple of ints; each
+        element is its own entropy word, so composite keys such as
+        ``(base, index)`` are *mixed* rather than summed.
         """
-        return {"seed": self._seed, "state": self._gen.bit_generator.state}
-
-    @classmethod
-    def restore(cls, snapshot: dict, name: str = "restored") -> "RandomState":
-        """Rebuild a stream from a :meth:`snapshot` (bit-identical draws).
-
-        The one sanctioned way to resurrect a serialized stream — callers
-        (capture replay, retry rewind) must not construct generators
-        themselves.  Tolerates JSON round-trips: a list-form seed is a tuple
-        seed that went through JSON.
-        """
-        seed = snapshot["seed"]
-        if isinstance(seed, list):
-            seed = tuple(seed)
-        # Any fixed seed will do: the snapshot's state overwrites it.
-        generator = np.random.default_rng(0)
-        generator.bit_generator.state = snapshot["state"]
-        return cls._around(generator, seed, name)
+        key = self.child_key(key)
+        return RandomState.from_key(key, name="/".join([self.name, *map(str, key[1:])]))
 
     # Convenience passthroughs --------------------------------------------------
     def uniform(self, low=0.0, high=1.0, size=None):

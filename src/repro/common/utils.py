@@ -52,7 +52,7 @@ def shard_jobs(jobs: List, num_shards: int, min_shard_size: int = 1) -> List[Lis
     The rank-partitioning rule of :func:`partition_traces` applied to an
     explicit work list: the serving layer spreads one flushed micro-batch over
     idle workers with it (each shard becomes its own lockstep cohort, which is
-    safe because every job carries an independent random stream).
+    safe because every job carries an independent stream key).
     ``min_shard_size`` caps the shard count so that tiny batches are not
     splintered below a useful NN batch size.
     """

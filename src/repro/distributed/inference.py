@@ -7,15 +7,17 @@ and the per-rank traces are concatenated — importance weights need no
 renormalisation across ranks because they share the same target and proposal
 densities.
 
-The parent derives every rank's stream and every trace's stream and cuts each
-rank into cohort shards of :class:`~repro.ppl.inference.batched.TraceJob`
-lists.  Where the shards run is one small decision: ``"sequential"`` calls
+The parent derives every rank's stream key and every trace's stream key and
+cuts each rank into cohort shards of
+:class:`~repro.ppl.inference.batched.TraceJob` lists.  Where the shards run
+is one small decision: ``"sequential"`` calls
 :func:`repro.ppl.inference.batched.execute_trace_jobs` inline (the reference,
 and the only choice for a remote simulator); ``"thread"`` and ``"process"``
 hand them to a cohort pool of the one executor contract
 (:mod:`repro.serving.workers`) — ``submit(shard, callback)`` per shard,
 counters summed through the pool's ``on_stats``.  Results are identical on
-every backend because no stream is derived outside the parent.
+every backend because no key is derived outside the parent, and a job's
+generator is a pure function of its key.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from repro.ppl.inference.batched import (
     form_log_weights,
     merge_engine_stats,
     new_engine_stats,
-    per_trace_rngs,
+    per_trace_keys,
+    request_key,
     resolve_observation_array,
 )
 from repro.ppl.model import RemoteModel
@@ -90,8 +93,8 @@ def distributed_importance_sampling(
     ----------
     num_ranks:
         Number of independent IS streams; rank r draws its randomness from a
-        child stream mixed from ``(base, r)`` via
-        :func:`repro.ppl.inference.batched.per_trace_rngs`, so the merged
+        child stream keyed ``(seed, base, r)`` via
+        :func:`repro.ppl.inference.batched.per_trace_keys`, so the merged
         result is reproducible and independent of the execution backend.
     backend:
         Where the cohort shards execute: ``"sequential"`` (inline, the
@@ -124,13 +127,14 @@ def distributed_importance_sampling(
     if isinstance(model, RemoteModel):
         backend = "sequential"
     sizes = [size for size in partition_traces(num_traces, num_ranks) if size]
-    rank_rngs = per_trace_rngs(rng or get_rng(), num_ranks)
+    rank_keys = per_trace_keys(rng or get_rng(), num_ranks)
     observation_array = resolve_observation_array(network, observation, observe_key)
     # Rank boundaries are cohort boundaries: rank r's traces and counters are
     # those of a one-request run of sizes[r] traces on rank r's stream.
     shards: List[List[TraceJob]] = []
     for rank, size in enumerate(sizes):
-        jobs = TraceJob.for_request(rank, observation, observation_array, size, rank_rngs[rank])
+        rank_rng = RandomState.from_key(rank_keys[rank])
+        jobs = TraceJob.for_request(rank, observation, observation_array, size, request_key(rank_rng))
         shards.extend(jobs[start : start + batch_size] for start in range(0, size, batch_size))
 
     if backend == "sequential":

@@ -6,7 +6,8 @@ from repro.ppl.inference.batched import (
     TraceJob,
     batched_importance_sampling,
     mixed_batched_importance_sampling,
-    per_trace_rngs,
+    per_trace_keys,
+    request_key,
 )
 from repro.ppl.inference.plans import PlanCache
 from repro.ppl.inference.importance_sampling import importance_sampling as run_importance_sampling
@@ -25,7 +26,8 @@ __all__ = [
     "mixed_batched_importance_sampling",
     "TraceJob",
     "PlanCache",
-    "per_trace_rngs",
+    "per_trace_keys",
+    "request_key",
     "diagnostics",
     "importance_sampling",
     "random_walk_metropolis",

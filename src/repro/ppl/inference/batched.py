@@ -33,11 +33,13 @@ work into :class:`TraceJob` lists and runs each cohort through
 observation" is just a cohort whose jobs happen to carry the same one; the
 session embeds each distinct observation once.
 
-Randomness: every trace gets its own child stream derived from the request
-``rng`` (:func:`per_trace_rngs`), so results are independent of the cohort
-partitioning — ``batch_size=1`` (the sequential :class:`ProposalSession`
-reference) and ``batch_size=64`` produce the same traces up to floating-point
-batching effects, which is what the equivalence tests assert.
+Randomness: every trace job carries its own stream *key*, derived from the
+request ``rng`` (:func:`request_key`), and each execution builds the job's
+generator from that key (:meth:`TraceJob.stream`), so results are
+independent of the cohort partitioning — ``batch_size=1`` (the sequential
+:class:`ProposalSession` reference) and ``batch_size=64`` produce the same
+traces up to floating-point batching effects, which is what the equivalence
+tests assert — and of how often a job runs: a re-run starts from the key.
 
 Importance weights use the ``ExecutionState``-level accounting
 ``log w = log p(x, y) - log q(x)`` with ``log q`` accumulated over *all*
@@ -55,7 +57,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 import numpy as np
 
-from repro.common.rng import RandomState, get_rng
+from repro.common.rng import RandomState, StreamKey, get_rng
 from repro.ppl.empirical import Empirical
 from repro.ppl.model import RemoteModel
 from repro.ppl.state import PriorController, ProposalController
@@ -64,7 +66,9 @@ from repro.trace.trace import Trace
 __all__ = [
     "batched_importance_sampling",
     "mixed_batched_importance_sampling",
+    "per_trace_keys",
     "per_trace_rngs",
+    "request_key",
     "resolve_observation_array",
     "TraceJob",
     "LockstepStallError",
@@ -94,26 +98,35 @@ class LockstepStallError(RuntimeError):
     """
 
 
-def per_trace_rngs(rng: RandomState, num_traces: int) -> List[RandomState]:
-    """Derive one independent child random stream per trace (or per rank).
+def request_key(rng: RandomState) -> StreamKey:
+    """The stream key of one request on ``rng``; its trace ``i`` is keyed ``key + (i,)``.
 
-    One draw is consumed from ``rng`` so repeated calls yield fresh streams;
-    beyond that the child streams are a pure function of (master seed, base,
-    trace index), which makes inference results independent of how traces are
-    partitioned into cohorts.  The distributed driver uses the same scheme to
-    derive per-rank streams.
+    One draw (the 31-bit ``base``) is consumed from ``rng``, so repeated calls
+    key fresh requests; the key is ``rng.child_key((base,))``, so the traces'
+    streams are a pure function of (master seed, base, trace index) and
+    inference results do not depend on how traces are partitioned into
+    cohorts, or on where and how often a cohort runs.
 
-    The child key mixes ``(base, index)`` as separate SeedSequence entropy
-    words rather than summing them: with the old ``base + index`` keying, two
-    requests whose random 31-bit bases landed within ``num_traces`` of each
-    other shared *identical* trace streams for the overlapping indices — a
-    birthday collision that serving traffic (thousands of requests, each
-    drawing a fresh base) makes probable.  Mixing removes the overlap
-    entirely; the cost is that fixed-seed draw sequences differ from
-    pre-fix releases (posterior *statistics* are unaffected).
+    ``(base, index)`` are separate SeedSequence entropy words rather than one
+    sum: with the old ``base + index`` keying, two requests whose random
+    bases landed within ``num_traces`` of each other shared *identical* trace
+    streams for the overlapping indices — a birthday collision that serving
+    traffic (thousands of requests, each drawing a fresh base) makes
+    probable.  Mixing removes the overlap entirely; the cost is that
+    fixed-seed draw sequences differ from pre-fix releases (posterior
+    *statistics* are unaffected).
     """
-    base = int(rng.generator.integers(0, 2**31 - 1))
-    return [rng.spawn((base, index)) for index in range(num_traces)]
+    return rng.child_key((int(rng.generator.integers(0, 2**31 - 1)),))
+
+
+def per_trace_keys(rng: RandomState, num_traces: int) -> List[StreamKey]:
+    """One stream key per trace (or per rank) of one request on ``rng``."""
+    key = request_key(rng)
+    return [key + (index,) for index in range(num_traces)]
+
+
+#: :func:`per_trace_keys` under the name ``benchmarks/e2e/layers.py`` imports
+per_trace_rngs = per_trace_keys
 
 
 def _shut_gate() -> threading.Lock:
@@ -452,11 +465,12 @@ def _return_slots(slots: Sequence[_SlotThread]) -> None:
                 _idle_slots.append(slot)
 
 
-def _drive_cohort(model, session, jobs: Sequence[TraceJob], stats) -> List[Trace]:
+def _drive_cohort(model, session, jobs: Sequence[TraceJob], rngs, stats) -> List[Trace]:
     """Drive ``len(jobs)`` suspended guided executions against ``session``.
 
     Slot ``slot`` executes ``jobs[slot]`` on a borrowed slot thread:
-    conditioned on that job's observation, drawing from that job's stream.
+    conditioned on that job's observation, drawing from ``rngs[slot]``, the
+    stream ``session`` draws that slot's proposals on.
     """
     size = len(jobs)
     slot_threads, started = _borrow_slots(size)
@@ -464,10 +478,10 @@ def _drive_cohort(model, session, jobs: Sequence[TraceJob], stats) -> List[Trace
     coordinator = _LockstepCoordinator(session, size)
     traces: List[Optional[Trace]] = [None] * size
     errors: List[Optional[BaseException]] = [None] * size
-    for slot, (slot_thread, job) in enumerate(zip(slot_threads, jobs)):
+    for slot, (slot_thread, job, rng) in enumerate(zip(slot_threads, jobs, rngs)):
         slot_thread.lend(
             functools.partial(
-                _worker, model, job.observation, coordinator, slot, job.rng, traces, errors
+                _worker, model, job.observation, coordinator, slot, rng, traces, errors
             )
         )
     try:
@@ -485,17 +499,16 @@ def _drive_cohort(model, session, jobs: Sequence[TraceJob], stats) -> List[Trace
     return traces  # type: ignore[return-value]
 
 
-def _leased_session(network, jobs: Sequence[TraceJob], stats, plan_cache):
+def _leased_session(network, jobs: Sequence[TraceJob], rngs, stats, plan_cache):
     """The cohort's session: planned when the cache predicts one, else dynamic.
 
     The one session-construction site: slot ``slot`` is given
-    ``jobs[slot].observation_array`` and ``jobs[slot].rng`` — the session
-    draws each round's proposal values on the slots' own streams.  Returns
+    ``jobs[slot].observation_array`` and ``rngs[slot]`` — the session draws
+    each round's proposal values on the slots' own streams.  Returns
     ``(session, plan, scratch)`` with ``plan``/``scratch`` ``None`` on the
     dynamic path.
     """
     observations = [job.observation_array for job in jobs]
-    rngs = [job.rng for job in jobs]
     if plan_cache is not None:
         lease = plan_cache.lease(network, len(jobs))
         if lease is not None:
@@ -524,32 +537,38 @@ class TraceJob(NamedTuple):
     """One guided execution owed to a posterior request.
 
     The serving scheduler flattens every admitted request into ``num_traces``
-    trace jobs (each carrying the request's observation and its own derived
-    random stream) and packs jobs from *different* requests into shared
-    lockstep cohorts.  ``request_index`` routes the finished trace back to the
-    request that owns it.
+    trace jobs (each carrying the request's observation and its own stream
+    key) and packs jobs from *different* requests into shared lockstep
+    cohorts.  ``request_index`` routes the finished trace back to the request
+    that owns it.  A job holds no generator: every execution builds one from
+    ``key`` (:meth:`stream`), so a job is plain data — a shard pickles as
+    observations and a few ints — and running it again, on any backend,
+    repeats it draw for draw.
     """
 
     request_index: int
     observation: Dict[str, Any]
     observation_array: Optional[np.ndarray]
-    rng: RandomState
+    key: StreamKey
 
     @classmethod
     def for_request(
-        cls, index: int, observation: Dict[str, Any], observation_array, num_traces: int, rng: RandomState
+        cls, index: int, observation: Dict[str, Any], observation_array, num_traces: int, key: StreamKey
     ) -> List["TraceJob"]:
-        """Flatten one request into trace jobs — the one trace-stream derivation site.
+        """Flatten one request into trace jobs — the one trace-key derivation site.
 
-        Consumes one draw of ``rng`` (:func:`per_trace_rngs`); job ``i`` then
-        owns a stream that is a pure function of (request rng, ``i``), so the
-        traces do not depend on how the jobs are later packed into cohorts or
-        where those cohorts execute.
+        ``key`` is the request's stream key (:func:`request_key`); job ``i``
+        is keyed ``key + (i,)``, so the traces do not depend on how the jobs
+        are later packed into cohorts, where those cohorts execute, or how
+        many times.
         """
         return [
-            cls(index, observation, observation_array, trace_rng)
-            for trace_rng in per_trace_rngs(rng, num_traces)
+            cls(index, observation, observation_array, key + (trace,)) for trace in range(num_traces)
         ]
+
+    def stream(self) -> RandomState:
+        """A new generator at the start of this job's stream — built once per execution."""
+        return RandomState.from_key(self.key)
 
 
 #: The one definition of the engine counter key set.  Every stat block is
@@ -627,11 +646,11 @@ def resolve_observation_array(network, observation: Dict[str, Any], observe_key:
     return np.asarray(observation[key], dtype=float)
 
 
-def _run_sequential(model, job: TraceJob, network, stats: Dict[str, int]) -> Trace:
+def _run_sequential(model, job: TraceJob, rng: RandomState, network, stats: Dict[str, int]) -> Trace:
     """The sequential reference path: one ProposalSession for one trace."""
     session = network.inference_session(job.observation_array)
     controller = _TrackingProposalController(session.proposal)
-    trace = model.get_trace(controller, observed_values=job.observation, rng=job.rng)
+    trace = model.get_trace(controller, observed_values=job.observation, rng=rng)
     merge_session_stats(stats, session)
     return trace
 
@@ -652,18 +671,21 @@ def run_mixed_cohort(
     distinct observation, one batched LSTM step per address group); with a
     ``plan_cache``, hot trace types run the compiled planned fast path
     (:mod:`repro.ppl.inference.plans`) with a mid-cohort dynamic fallback.
+    Every job draws from a generator built here from its key, so running
+    the same jobs again gives the same traces.
     """
     stats["num_cohorts"] += 1
+    rngs = [job.stream() for job in jobs]
     if network is None:
         return [
-            model.get_trace(PriorController(), observed_values=job.observation, rng=job.rng)
-            for job in jobs
+            model.get_trace(PriorController(), observed_values=job.observation, rng=rng)
+            for job, rng in zip(jobs, rngs)
         ]
     if len(jobs) == 1 or isinstance(model, RemoteModel):
-        return [_run_sequential(model, job, network, stats) for job in jobs]
-    session, plan, scratch = _leased_session(network, jobs, stats, plan_cache)
+        return [_run_sequential(model, job, rng, network, stats) for job, rng in zip(jobs, rngs)]
+    session, plan, scratch = _leased_session(network, jobs, rngs, stats, plan_cache)
     try:
-        traces = _drive_cohort(model, session, jobs, stats)
+        traces = _drive_cohort(model, session, jobs, rngs, stats)
     except BaseException:
         if plan is not None:
             plan_cache.release(plan, scratch)
@@ -679,13 +701,12 @@ def execute_trace_jobs(
 
     This is the engine entry point of an out-of-process cohort worker: jobs
     arrive pickled (a :class:`TraceJob` carries only the observation, its
-    resolved array and a :class:`repro.common.rng.RandomState`, all of which
-    round-trip through pickle with the generator state intact), the lockstep
-    rounds run locally, and the finished traces plus the engine counter block
-    travel back.  Because each job's random stream was derived in the parent
-    with :func:`per_trace_rngs` *before* sharding, the traces are bit-identical
-    wherever the shard executes — same process, worker thread, or worker
-    process.
+    resolved array and its stream key), the lockstep rounds run locally on
+    generators built from the keys, and the finished traces plus the engine
+    counter block travel back.  Because each job's key was derived in the
+    parent (:func:`request_key`) *before* sharding, the traces are
+    bit-identical wherever the shard executes — same process, worker thread,
+    or worker process — and however often it is re-run.
     """
     stats = new_engine_stats()
     traces = run_mixed_cohort(model, jobs, network, stats, plan_cache=plan_cache)
@@ -732,7 +753,11 @@ def _run_requests(
         if num_traces <= 0:
             raise ValueError("num_traces must be positive")
         observation_array = resolve_observation_array(network, observation, observe_key)
-        jobs.extend(TraceJob.for_request(index, observation, observation_array, num_traces, request_rng or rng))
+        jobs.extend(
+            TraceJob.for_request(
+                index, observation, observation_array, num_traces, request_key(request_rng or rng)
+            )
+        )
     stats = new_engine_stats()
     traces_by_request: List[List[Trace]] = [[] for _ in requests]
     for start in range(0, len(jobs), batch_size):

@@ -34,12 +34,12 @@ for free.  This package turns that observation into a service:
   stale-cache serving under degradation, and graceful process→thread backend
   demotion after crash storms.
 * :class:`RequestCapture` / :func:`replay_capture` — record every admitted
-  request (observation, seeds, admission order, model version) and replay a
-  capture deterministically: replayed posteriors are bit-identical, so any
-  failing chaos seed becomes a reproducible regression case.
+  request (observation, stream key, admission order, model version) and
+  replay a capture deterministically: replayed posteriors are bit-identical,
+  so any failing chaos seed becomes a reproducible regression case.
 
-Because every trace job carries a child random stream that is a pure function
-of (request rng, trace index) — the same derivation the one-shot engine uses —
+Because every trace job carries a stream key that is a pure function of
+(request rng, trace index) — the same derivation the one-shot engine uses —
 a served posterior is identical to a direct
 :meth:`repro.ppl.inference.inference_compilation.InferenceCompilation.posterior`
 call with the same seed, no matter how requests were packed into cohorts.

@@ -1,7 +1,7 @@
 """Request capture and deterministic replay for the posterior service.
 
 A production debugging loop needs two halves: *capture* (record exactly what
-the service admitted — observations, stream snapshots, admission order,
+the service admitted — observations, stream keys, admission order,
 model/network identity) and *replay* (drive the same requests through a
 service again and verify the posteriors are bit-identical).  Failing chaos
 seeds become regression cases: capture the run, commit the file, replay it in
@@ -11,11 +11,11 @@ The capture file is JSON Lines — one header record, then one ``admission``
 record per non-internal admitted request (in admission order) and one
 ``outcome`` record per resolution.  Observations are stored as
 base64(raw bytes) + dtype + shape, and the request's random stream is stored
-via :meth:`repro.common.rng.RandomState.snapshot` (seed identity *and*
-generator state), which is what makes replay exact: the service derives every
-per-trace stream from that snapshot the same way the original run did,
-regardless of cohort packing, backend, or how the original run interleaved
-requests.
+as its stream key (:func:`repro.ppl.inference.batched.request_key`, a few
+ints), which is what makes replay exact: every trace job's generator is a
+pure function of that key plus the trace index, regardless of cohort packing,
+backend, how the original run interleaved requests, or whether the request
+was seeded at all.
 
 Bit-identity is checked through :func:`posterior_digest`: a sha256 over every
 trace's controlled draws (addresses + raw value bytes) and the posterior's
@@ -34,7 +34,7 @@ from typing import Any, Dict, IO, List, Optional
 
 import numpy as np
 
-from repro.common.rng import RandomState
+from repro.common.rng import StreamKey
 
 __all__ = [
     "RequestCapture",
@@ -115,7 +115,7 @@ class RequestCapture:
             self._write(
                 {
                     "kind": "header",
-                    "version": 1,
+                    "version": 2,
                     "model_id": model_id,
                     "network_version": int(network_version),
                 }
@@ -126,25 +126,16 @@ class RequestCapture:
         request_id: int,
         observation: Dict[str, Any],
         num_traces: int,
-        rng_snapshot: Dict[str, Any],
+        stream_key: StreamKey,
         network_version: int,
     ) -> int:
-        """Record one admission; returns its capture order index.
-
-        Must be called *before* the service consumes the request stream
-        (``per_trace_rngs``), so the snapshot is the pre-derivation state
-        replay needs.
-        """
-        seed = rng_snapshot["seed"]
+        """Record one admission and its stream key; returns its capture order index."""
         record = {
             "kind": "admission",
             "request_id": int(request_id),
             "num_traces": int(num_traces),
             "network_version": int(network_version),
-            "rng": {
-                "seed": list(seed) if isinstance(seed, tuple) else seed,
-                "state": rng_snapshot["state"],
-            },
+            "key": [int(word) for word in stream_key],
             "observation": {
                 name: _encode_array(np.asarray(value))
                 for name, value in observation.items()
@@ -240,7 +231,7 @@ class ReplayReport:
 def replay_capture(path: str, service, *, verify: bool = True, timeout: float = 60.0) -> ReplayReport:
     """Drive a capture file's requests through ``service`` in admission order.
 
-    Each admission is resubmitted with its recorded stream restored
+    Each admission is resubmitted under its recorded stream key
     (``use_cache=False`` so every replay runs real inference) and, for
     admissions whose original outcome completed, the replayed posterior's
     digest is compared to the recorded one.  With ``verify=True`` the first
@@ -248,10 +239,10 @@ def replay_capture(path: str, service, *, verify: bool = True, timeout: float = 
     divergences are collected into the returned :class:`ReplayReport`.
 
     Requests are replayed sequentially.  That is *allowed* to differ from the
-    original interleaving: per-request streams are derived from each
-    request's own snapshot under the admission lock, so cohort packing and
-    admission concurrency never change a request's posterior — the same
-    contract that makes seeded serving match the one-shot engine.
+    original interleaving: every trace's stream is a pure function of its
+    request's key, so cohort packing and admission concurrency never change a
+    request's posterior — the same contract that makes seeded serving match
+    the one-shot engine.
     """
     capture = load_capture(path)
     report = ReplayReport(total=len(capture["admissions"]))
@@ -262,13 +253,12 @@ def replay_capture(path: str, service, *, verify: bool = True, timeout: float = 
             name: _decode_array(payload)
             for name, payload in admission["observation"].items()
         }
-        replay_rng = RandomState.restore(admission["rng"], name=f"replay/{order}")
         try:
             future = service.submit(
                 observation,
                 admission["num_traces"],
-                rng=replay_rng,
                 use_cache=False,
+                stream_key=tuple(admission["key"]),
             )
             served = future.result(timeout=timeout)
         except BaseException as error:  # noqa: BLE001 - collected per record

@@ -11,12 +11,12 @@ processes**, each holding its own copy of the model and trained network,
 executing pickled :class:`repro.ppl.inference.batched.TraceJob` shards and
 returning finished traces plus engine counters to the parent.
 
-Determinism is inherited, not re-derived: every trace job's random stream is
-spawned in the parent (:func:`repro.ppl.inference.batched.per_trace_rngs`)
-*before* sharding, and :class:`repro.common.rng.RandomState` round-trips
-through pickle with its generator state intact — so a shard produces
-bit-identical traces whether it runs on the parent, a worker thread, or a
-worker process, and seeded posteriors match the thread backend exactly.
+Determinism is shipped, not re-derived: every trace job carries its stream
+key, derived in the parent (:func:`repro.ppl.inference.batched.request_key`)
+*before* sharding, and the worker builds each generator from its key — so a
+shard is observations plus a few ints on the wire, produces bit-identical
+traces whether it runs on the parent, a worker thread, or a worker process,
+and a requeued shard simply runs again from the same keys.
 
 Lifecycle and failure semantics:
 

@@ -3,7 +3,7 @@
 A :class:`PosteriorRequest` is the unit of admission: one observation, a trace
 budget, an optional deadline, and a future the client blocks on.  Internally
 the scheduler explodes it into per-trace jobs (each with its own derived
-random stream) so that jobs from different requests can share lockstep
+stream key) so that jobs from different requests can share lockstep
 cohorts; this module owns the bookkeeping that reassembles finished traces
 into per-request posteriors in submission order, however cohorts complete.
 """
@@ -120,8 +120,6 @@ class PosteriorRequest:
         self.network_version = 0
         #: its admission record in the capture file, if one is kept
         self.capture_order: Optional[int] = None
-        #: per-trace generator states at admission, for a retry to rewind to
-        self.rng_snapshots: Optional[List[Dict[str, Any]]] = None
         self._traces: List[Optional[Trace]] = [None] * self.num_traces
         self._remaining = self.num_traces
         self._failed = False

@@ -11,9 +11,10 @@ possible.  :class:`ServiceResilience` layers that on, opt-in:
   crashes, pool teardown during a backend swap, injected chaos faults) are
   redispatched after a deterministic-jitter backoff, bounded by a per-request
   attempt budget and by the request's own deadline (a retry that cannot land
-  before the deadline is not attempted).  Thread-backend retries restore each
-  trace job's generator state from its admission-time snapshot, so a retried
-  request still honours the seeded-equivalence contract bit-for-bit.
+  before the deadline is not attempted).  A retry re-submits the same trace
+  jobs, and a job carries its stream key, not a generator: the re-run builds
+  every generator afresh from its key, so a retried request honours the
+  seeded-equivalence contract bit-for-bit with nothing to rewind.
 
 * **Circuit breaker.**  Repeated cohort failures open the breaker: new
   uncached submissions fail fast with :class:`BreakerOpen` instead of
@@ -368,14 +369,6 @@ class ServiceResilience:
             leftovers = self.handle_failure(group, refused)
             self._fail_entries(leftovers, refused)
             return
-        # Thread-backend cohorts consume the TraceJob generators in place, so
-        # a retried shard must rewind each stream to its admission-time state
-        # — otherwise the retry would draw from mid-consumed streams and break
-        # the seeded-equivalence contract.  (Process shards are pickled copies;
-        # rewinding is a no-op for them but costs nothing.)
-        if request.rng_snapshots is not None:
-            for entry in group:
-                entry.job.rng.generator.bit_generator.state = request.rng_snapshots[entry.position]
         try:
             service.workers.submit(group, service._on_cohort_done)
         except BaseException as error:  # noqa: BLE001 - rescheduled or failed

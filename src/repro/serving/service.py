@@ -20,14 +20,17 @@ A request travels:
 
 Seeded equivalence: a request submitted with ``seed=s`` returns the same
 posterior as ``engine.posterior(model, observation, num_traces, rng=
-RandomState(s))``, because both derive per-trace streams with
-:func:`repro.ppl.inference.batched.per_trace_rngs` — cohort packing only
-changes which NN forwards were shared, never the samples drawn.  That
-derivation mixes ``(base, trace index)`` into each child seed, so two
-concurrent requests can never share trace streams — the old ``base + index``
-keying collided whenever two requests' random bases landed within
-``num_traces`` of each other, which sustained serving traffic turns into a
-birthday near-certainty over the 2^31 base space.
+RandomState(s))``, because both key the request with
+:func:`repro.ppl.inference.batched.request_key` and each trace job with that
+key plus its index — cohort packing only changes which NN forwards were
+shared, never the samples drawn.  The key mixes ``(base, trace index)`` as
+separate entropy words, so two concurrent requests can never share trace
+streams — the old ``base + index`` keying collided whenever two requests'
+random bases landed within ``num_traces`` of each other, which sustained
+serving traffic turns into a birthday near-certainty over the 2^31 base
+space.  A job carries its key, not a generator: a retried shard builds its
+generators again from the keys, and a captured request replays from its
+recorded key.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from concurrent.futures import Future
 from itertools import count
 from typing import Any, Dict, List, Optional, Union
 
-from repro.common.rng import RandomState, get_rng
+from repro.common.rng import RandomState, StreamKey, get_rng
 from repro.common.utils import shard_jobs
 from repro.ppl.empirical import Empirical
 from repro.ppl.model import RemoteModel
@@ -47,6 +50,7 @@ from repro.ppl.inference.batched import (
     form_log_weights,
     merge_engine_stats,
     new_engine_stats,
+    request_key,
     resolve_observation_array,
 )
 from repro.serving.cache import PosteriorCache, observation_fingerprint
@@ -103,7 +107,7 @@ class PosteriorService:
         the GIL for CPU-bound simulators — pick it when there are cores to
         use and a cohort outweighs pickling its jobs and traces.  Seeded
         posteriors are bit-identical
-        across backends because every trace job's random stream is derived in
+        across backends because every trace job's stream key is derived in
         the parent before dispatch.  Remote PPX models force the thread
         backend (their one transport cannot be shared with a forked worker).
     queue_capacity:
@@ -138,7 +142,7 @@ class PosteriorService:
     capture:
         Optional :class:`repro.serving.capture.RequestCapture` (or a path
         string): every non-internal admitted request is recorded
-        (observation, stream snapshot, admission order, network version)
+        (observation, stream key, admission order, network version)
         together with its outcome digest, for deterministic replay via
         :func:`repro.serving.capture.replay_capture`.
     """
@@ -289,13 +293,17 @@ class PosteriorService:
         rng: Optional[RandomState] = None,
         deadline: Optional[float] = None,
         use_cache: bool = True,
+        stream_key: Optional[StreamKey] = None,
     ) -> "Future[ServedPosterior]":
         """Admit one posterior request; returns a future of :class:`ServedPosterior`.
 
         ``seed``/``rng`` pin the request's random stream (for reproducibility
         and the seeded-equivalence guarantee); by default a fresh stream is
-        derived from the service rng.  ``deadline`` is seconds from now —
-        a request that cannot start in time is shed with ``DeadlineExceeded``.
+        derived from the service rng.  ``stream_key`` instead names the
+        request's stream key outright (a capture file's record of it, see
+        :func:`repro.serving.capture.replay_capture`) and takes precedence.
+        ``deadline`` is seconds from now — a request that cannot start in
+        time is shed with ``DeadlineExceeded``.
         With ``use_cache=True`` an identical query may be answered by the
         cache or by coalescing onto an identical in-flight request (both
         ignore ``seed``); ``use_cache=False`` forces a fresh seeded inference
@@ -365,7 +373,8 @@ class PosteriorService:
                 )
             request_rng = rng or (RandomState(seed) if seed is not None else self._rng)
             request = self._admit_locked(
-                observation, observation_array, num_traces, key, deadline, request_rng
+                observation, observation_array, num_traces, key, deadline, request_rng,
+                stream_key=stream_key,
             )
         return request.future
 
@@ -377,9 +386,14 @@ class PosteriorService:
         key: str,
         deadline: Optional[float],
         request_rng: RandomState,
+        stream_key: Optional[StreamKey] = None,
         internal: bool = False,
     ) -> PosteriorRequest:
         """Admit one request (admission lock held): register, derive, enqueue.
+
+        The request's stream key is ``stream_key`` when given, else drawn
+        from ``request_rng`` here, after the overload checks, so a rejected
+        request consumes nothing of a shared stream.
 
         ``internal`` marks service-originated requests (background cache
         refreshes): they are excluded from the client-facing completion,
@@ -410,31 +424,22 @@ class PosteriorService:
         # while this request is in flight, its posterior (old/mid-training
         # parameters) must not be written into the freshly invalidated cache.
         request.network_version = getattr(self.network, "version", 0)
-        # Capture before per_trace_rngs consumes the request stream: the
-        # recorded snapshot must be the pre-derivation state replay restores.
+        # Identical stream derivation to the one-shot engine: the request
+        # rng is consumed exactly as batched_importance_sampling consumes
+        # its rng argument (under the admission lock — shared-stream
+        # submits must not interleave).
+        if stream_key is None:
+            stream_key = request_key(request_rng)
         if self._capture is not None and not internal:
             request.capture_order = self._capture.record_admission(
-                request_id,
-                observation,
-                num_traces,
-                request_rng.snapshot(),
-                request.network_version,
+                request_id, observation, num_traces, stream_key, request.network_version
             )
         self._inflight_keys[key] = request
         # Cleanup rides on the future itself, so *every* resolution path
         # (completion, worker failure, shedding, scheduler-side failure,
         # stop) clears the single-flight registry and in-flight table.
         request.future.add_done_callback(lambda _done, _request=request: self._finish(_request))
-        # Identical stream derivation to the one-shot engine: the request
-        # rng is consumed exactly as batched_importance_sampling consumes
-        # its rng argument (under the admission lock — shared-stream
-        # submits must not interleave).
-        jobs = TraceJob.for_request(request_id, observation, observation_array, num_traces, request_rng)
-        if self._resilience is not None:
-            # Thread-backend cohorts consume these generators in place, so a
-            # retried shard needs each stream's admission-time state to rewind
-            # to (see ServiceResilience._redispatch).
-            request.rng_snapshots = [job.rng.generator.bit_generator.state for job in jobs]
+        jobs = TraceJob.for_request(request_id, observation, observation_array, num_traces, stream_key)
         entries = [CohortEntry(job, request, position) for position, job in enumerate(jobs)]
         self._inflight[request_id] = request
         try:
@@ -710,9 +715,9 @@ class PosteriorService:
         on the old pool fail with the transient
         :class:`~repro.serving.request.PoolStopped` and are retried onto the
         replacement, so the swap itself sheds nothing.  Results stay
-        bit-identical across the swap: every trace stream is derived in the
-        parent at admission, the same reason backends agree in the first
-        place.
+        bit-identical across the swap: every trace's stream key is derived
+        in the parent at admission, the same reason backends agree in the
+        first place.
         """
         with self._backend_lock:
             if isinstance(self.workers, CohortWorkerPool) or not self._running:

@@ -1,9 +1,9 @@
 """Cohort worker pool: the thread side of the one cohort-executor contract.
 
 A *shard* is a list of :class:`repro.ppl.inference.batched.TraceJob` (or
-scheduler entries carrying one as ``.job``).  Every job owns a random stream
+scheduler entries carrying one as ``.job``).  Every job carries a stream key
 derived in the parent before sharding, so shards are independent
-importance-sampling streams: wherever one runs, it runs
+importance-sampling streams: wherever and however often one runs, it runs
 :func:`repro.ppl.inference.batched.execute_trace_jobs` and produces the same
 traces.  "Where" is one of two pools with one contract —
 :class:`CohortWorkerPool` (threads, this module) and

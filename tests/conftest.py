@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
 from repro.common.config import Config
 from repro.common.rng import RandomState, seed_all
 from repro.distributions import Categorical, Normal, Uniform
+from repro.ppl.inference.batched import TraceJob
 from repro import ppl
 
 
@@ -105,3 +109,36 @@ def dealt_indices(monkeypatch):
         return dealt
 
     return spy
+
+
+#: the dicts of every open ``built_streams`` block, in any thread
+_stream_recorders: list = []
+_stream_recorders_lock = threading.Lock()
+_build_stream = TraceJob.stream
+
+
+def _recording_stream(job):
+    rng = _build_stream(job)
+    for streams in list(_stream_recorders):
+        streams[job.key] = rng
+    return rng
+
+
+@contextlib.contextmanager
+def built_streams():
+    """Yield a dict that fills with ``job.key -> generator`` for every stream
+    an in-process execution builds from a trace job's key while the block is
+    open (the last build of a key wins; blocks may be open in several threads
+    at once).  A job carries no generator, so this is how a test reads a
+    job's post-run generator state."""
+    streams = {}
+    with _stream_recorders_lock:
+        _stream_recorders.append(streams)
+        TraceJob.stream = _recording_stream
+    try:
+        yield streams
+    finally:
+        with _stream_recorders_lock:
+            _stream_recorders.remove(streams)
+            if not _stream_recorders:
+                TraceJob.stream = _build_stream

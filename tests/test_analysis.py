@@ -973,6 +973,32 @@ class TestRngOwnership:
         assert "rng-job-construction" not in rules_of(findings)
         assert "rng-shared-stream" not in rules_of(findings)
 
+    def test_a_job_building_its_stream_from_a_shipped_key_passes(self, tmp_path):
+        # What trace jobs do: the parent derives a key per job, the job body
+        # builds its generator from it — a pure function of the key, not a
+        # construction the rule forbids.
+        findings = lint_files(
+            tmp_path,
+            {
+                "repro/serving/pooluser.py": """
+                from repro.serving.jobs import job_body
+
+                def launch(pool, base):
+                    for index in range(4):
+                        key = base.child_key((7, index))
+                        pool.submit(job_body, key)
+                """,
+                "repro/serving/jobs.py": """
+                from repro.common.rng import RandomState
+
+                def job_body(key):
+                    return RandomState.from_key(key).generator.normal()
+                """,
+            },
+        )
+        assert "rng-job-construction" not in rules_of(findings)
+        assert "rng-shared-stream" not in rules_of(findings)
+
     def test_one_stream_dispatched_from_a_loop_flagged(self, tmp_path):
         findings = lint_files(
             tmp_path,

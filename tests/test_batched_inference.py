@@ -19,7 +19,7 @@ from repro.ppl import FunctionModel
 from repro.ppl.inference import (
     batched_importance_sampling,
     mixed_batched_importance_sampling,
-    per_trace_rngs,
+    per_trace_keys,
 )
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
@@ -294,15 +294,14 @@ class TestFallbackAndPriorModes:
             )
             assert np.all(np.isfinite(posterior.log_weights))
 
-    def test_per_trace_rngs_are_reproducible_and_distinct(self):
-        streams_a = per_trace_rngs(RandomState(11), 4)
-        streams_b = per_trace_rngs(RandomState(11), 4)
-        draws_a = [s.random() for s in streams_a]
-        draws_b = [s.random() for s in streams_b]
-        assert draws_a == draws_b
-        assert len(set(draws_a)) == 4
+    def test_per_trace_keys_are_reproducible_and_distinct(self):
+        keys_a = per_trace_keys(RandomState(11), 4)
+        keys_b = per_trace_keys(RandomState(11), 4)
+        assert keys_a == keys_b
+        draws = [RandomState.from_key(key).random() for key in keys_a]
+        assert len(set(draws)) == 4
 
-    def test_per_trace_rngs_adjacent_bases_do_not_collide(self):
+    def test_per_trace_keys_adjacent_bases_do_not_collide(self):
         # Regression: child seeds used to be base + index, so two requests
         # whose random bases landed within num_traces of each other shared
         # identical trace streams for the overlapping indices (request A,
@@ -315,9 +314,8 @@ class TestFallbackAndPriorModes:
         master._gen = types.SimpleNamespace(
             integers=lambda low, high=None, size=None: next(bases)
         )
-        streams_a = per_trace_rngs(master, 6)
-        streams_b = per_trace_rngs(master, 6)
-        draws = [tuple(stream.random(size=4)) for stream in streams_a + streams_b]
+        keys = per_trace_keys(master, 6) + per_trace_keys(master, 6)
+        draws = [tuple(RandomState.from_key(key).random(size=4)) for key in keys]
         assert len(set(draws)) == len(draws)
 
 

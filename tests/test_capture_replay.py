@@ -1,7 +1,7 @@
 """Tests of request capture and deterministic replay.
 
 The acceptance contract: a capture file records enough (observations, stream
-snapshots, admission order, model/network version) that replaying it through
+keys, admission order, model/network version) that replaying it through
 a fresh service reproduces every completed posterior *bit-identically* —
 equal sample values, equal log-weights, equal generator trajectories — across
 backends and regardless of how the original run interleaved requests.
@@ -12,6 +12,7 @@ import pytest
 
 from repro.common.rng import RandomState
 from repro.ppl import FunctionModel
+from repro.ppl.inference.batched import request_key
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 from repro.serving import (
@@ -45,29 +46,6 @@ def make_service(model, engine, **kwargs):
     return PosteriorService(model, engine.network, **defaults)
 
 
-class TestRandomStateSnapshot:
-    def test_snapshot_restores_draws_and_spawn_lineage(self):
-        original = RandomState(seed=123, name="request")
-        snapshot = original.snapshot()
-        draws = [original.generator.random() for _ in range(4)]
-        child = original.spawn((5, 0))
-        restored = RandomState.restore(snapshot)
-        assert [restored.generator.random() for _ in range(4)] == draws
-        # spawn derives children from the *seed identity*, not the generator
-        # state — restore must preserve both halves of the contract.
-        restored_child = restored.spawn((5, 0))
-        assert restored_child.generator.integers(0, 2**31) == child.generator.integers(0, 2**31)
-
-    def test_snapshot_roundtrips_tuple_seeds(self):
-        parent = RandomState(seed=7, name="parent")
-        child = parent.spawn((3, 1))
-        snapshot = child.snapshot()
-        # Tuple seeds survive the JSON round trip as lists; restore re-tuples.
-        snapshot["seed"] = list(snapshot["seed"])
-        restored = RandomState.restore(snapshot)
-        assert restored.generator.random() == child.generator.random()
-
-
 class TestPosteriorDigest:
     def test_digest_is_deterministic_and_sensitive(self, served_engine):
         model, engine = served_engine
@@ -99,6 +77,10 @@ class TestCaptureFile:
         assert capture["header"]["model_id"] == service._model_id
         assert [a["order"] for a in capture["admissions"]] == [0, 1]
         assert [a["num_traces"] for a in capture["admissions"]] == [6, 4]
+        # The request's stream is recorded as its key: a few ints, no state.
+        assert [a["key"] for a in capture["admissions"]] == [
+            list(request_key(RandomState(11))), list(request_key(RandomState(12)))
+        ]
         for order in (0, 1):
             assert capture["outcomes"][order]["status"] == "completed"
             assert len(capture["outcomes"][order]["digest"]) == 64
@@ -168,6 +150,23 @@ class TestReplay:
         assert report.ok
         assert report.matched == 2
 
+    def test_an_unseeded_capture_replays(self, served_engine, tmp_path):
+        # Neither the service's stream nor a request's own has a seed: the
+        # key recorded at admission is the derivation itself, so replay
+        # needs nothing the capture did not write down.
+        model, engine = served_engine
+        path = str(tmp_path / "capture.jsonl")
+        with make_service(model, engine, capture=path, rng=RandomState()) as service:
+            futures = [
+                service.submit(OBSERVATION, num_traces=8, use_cache=False),
+                service.submit(OBSERVATION_B, num_traces=8, rng=RandomState(), use_cache=False),
+            ]
+            for future in futures:
+                future.result(timeout=60)
+        with make_service(model, engine, backend="process") as replay_service:
+            report = replay_capture(path, replay_service)
+        assert report.ok and report.matched == 2
+
     def test_replay_detects_divergence(self, served_engine, tmp_path):
         model, engine = served_engine
         path = str(tmp_path / "capture.jsonl")
@@ -195,9 +194,7 @@ class TestReplay:
         path = str(tmp_path / "capture.jsonl")
         capture = RequestCapture(path)
         capture.write_header("m", 0)
-        order = capture.record_admission(
-            0, OBSERVATION, 4, RandomState(5).snapshot(), 0
-        )
+        order = capture.record_admission(0, OBSERVATION, 4, request_key(RandomState(5)), 0)
         capture.record_outcome(order, "failed", error="WorkerCrashed: boom")
         capture.close()
         with make_service(model, engine) as replay_service:

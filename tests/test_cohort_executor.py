@@ -27,6 +27,7 @@ from repro.ppl.inference.batched import (
     execute_trace_jobs,
     merge_engine_stats,
     new_engine_stats,
+    request_key,
     resolve_observation_array,
 )
 from repro.ppl.inference.plans import PlanCache
@@ -74,7 +75,8 @@ def gate():
 
 
 def simple_shards(num_shards, shard_size=1, seed=3):
-    jobs = TraceJob.for_request(0, GATED_OBSERVATION, None, num_shards * shard_size, RandomState(seed))
+    key = request_key(RandomState(seed))
+    jobs = TraceJob.for_request(0, GATED_OBSERVATION, None, num_shards * shard_size, key)
     return [jobs[start : start + shard_size] for start in range(0, len(jobs), shard_size)]
 
 
@@ -142,7 +144,7 @@ class TestSameShardsSameResults:
         array = resolve_observation_array(network, OBSERVATION, "obs")
 
         def seeded_shards():
-            jobs = TraceJob.for_request(0, OBSERVATION, array, 48, RandomState(23))
+            jobs = TraceJob.for_request(0, OBSERVATION, array, 48, request_key(RandomState(23)))
             return [jobs[start : start + 8] for start in range(0, 48, 8)]
 
         logs = {
@@ -214,7 +216,8 @@ class TestRefresh:
     def _one_shard(self, pool, network, seed):
         array = resolve_observation_array(network, OBSERVATION, "obs")
         log = ShardLog(1)
-        pool.submit(TraceJob.for_request(0, OBSERVATION, array, 8, RandomState(seed)), log.callback(0))
+        jobs = TraceJob.for_request(0, OBSERVATION, array, 8, request_key(RandomState(seed)))
+        pool.submit(jobs, log.callback(0))
         log.wait(1)
         return log.traces(0)
 

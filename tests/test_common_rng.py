@@ -1,5 +1,7 @@
 """Tests for repro.common.rng."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -74,10 +76,10 @@ class TestRandomState:
             np.random.SeedSequence(entropy=[hash((11, 5, 1)) & 0xFFFFFFFF, 2])
         ).random()
 
-    def test_spawn_and_restore_read_no_os_entropy(self, monkeypatch):
+    def test_spawn_and_from_key_read_no_os_entropy(self, monkeypatch):
         # numpy reads OS entropy exactly when a generator is built unseeded
-        # (default_rng(None)); a seeded parent's spawn and a restore must
-        # each build one generator, from an explicit seed.
+        # (default_rng(None)); a seeded parent's spawn and a keyed build must
+        # each build one generator, from an explicit seed sequence.
         seeds = []
         build = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or build(seed))
@@ -88,10 +90,9 @@ class TestRandomState:
         seeds.clear()
         child = parent.spawn((5, 1))
         assert len(seeds) == 1 and seeds[0] is not None
-        child.random()
-        restored = RandomState.restore(child.snapshot())
+        rebuilt = RandomState.from_key(child.seed)
         assert len(seeds) == 2 and seeds[1] is not None
-        assert restored.seed == child.seed and restored.random() == child.random()
+        assert rebuilt.seed == child.seed and rebuilt.random() == child.random()
 
     def test_integers_bounds(self):
         state = RandomState(0)
@@ -111,6 +112,39 @@ class TestRandomState:
         assert state.exponential(1.0, size=10).shape == (10,)
         assert state.standard_normal(4).shape == (4,)
         assert len(state.permutation(np.arange(5))) == 5
+
+
+class TestStreamKeys:
+    def test_spawn_is_the_stream_of_its_child_key(self):
+        parent = RandomState(11)
+        assert parent.child_key((5, 1)) == (11, 5, 1)
+        assert parent.child_key(3) == (11, 3)
+        assert RandomState.from_key((11, 5, 1)).random() == parent.spawn((5, 1)).random()
+
+    def test_a_key_rebuilds_its_stream_from_the_start(self):
+        # Every build from one key starts at the same first draw, whatever
+        # an earlier build of it consumed: a re-run needs nothing rewound.
+        key = RandomState(4).child_key((9, 2))
+        used = RandomState.from_key(key)
+        first = used.normal(size=5)
+        assert np.array_equal(RandomState.from_key(key).normal(size=5), first)
+
+    def test_a_key_survives_json(self):
+        # A capture file stores a key as a JSON list of ints.
+        key = RandomState(4).child_key((2**31 - 2, 7))
+        again = json.loads(json.dumps(list(key)))
+        assert RandomState.from_key(again).random() == RandomState.from_key(key).random()
+        assert RandomState.from_key(again).seed == key
+
+    def test_words_are_taken_modulo_two_to_the_32(self):
+        # Keys keep the identity word as given (a large seed, a hash), and
+        # seed the generator from its low 32 bits, as spawn always has.
+        big = RandomState(2**40 + 11)
+        key = big.child_key(3)
+        assert key == (2**40 + 11, 3)
+        assert RandomState.from_key(key).random() == np.random.default_rng(
+            np.random.SeedSequence(entropy=[11, 3])
+        ).random()
 
 
 class TestGlobalState:

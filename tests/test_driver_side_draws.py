@@ -26,7 +26,7 @@ from repro.ppl import FunctionModel
 from repro.ppl.inference.batched import (
     TraceJob,
     new_engine_stats,
-    per_trace_rngs,
+    per_trace_keys,
     resolve_observation_array,
     run_mixed_cohort,
 )
@@ -35,6 +35,7 @@ from repro.ppl.inference.plans import PlanCache
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC, SampleEmbedding
 from repro.ppl.nn.inference_network import BatchedProposalSession, DrawnProposal
 from repro.ppl.nn.proposals import ProposalLayer, ProposalNormalMixture
+from tests.conftest import built_streams
 from tests.test_slot_pool import busy_slots, lent_slots  # noqa: F401 - fixture
 
 
@@ -195,21 +196,23 @@ class _SessionSwap:
 
 
 def seeded_jobs(network, observation, seed, count):
-    rngs = per_trace_rngs(RandomState(seed), count)
+    keys = per_trace_keys(RandomState(seed), count)
     array = resolve_observation_array(network, observation, "obs")
-    return [TraceJob(index, observation, array, rng) for index, rng in enumerate(rngs)]
+    return [TraceJob(index, observation, array, key) for index, key in enumerate(keys)]
 
 
 def run_jobs(model, network, jobs, packing, plan_cache=None):
-    """Run ``jobs`` in cohorts of the given sizes: ``(traces, rngs, stats)``."""
+    """Run ``jobs`` in cohorts of the given sizes: ``(traces, rngs, stats)``,
+    ``rngs`` being each job's generator after its run."""
     stats = new_engine_stats()
     traces, start = [], 0
-    for size in packing:
-        traces.extend(
-            run_mixed_cohort(model, jobs[start : start + size], network, stats, plan_cache=plan_cache)
-        )
-        start += size
-    return traces, [job.rng for job in jobs], stats
+    with built_streams() as streams:
+        for size in packing:
+            traces.extend(
+                run_mixed_cohort(model, jobs[start : start + size], network, stats, plan_cache=plan_cache)
+            )
+            start += size
+    return traces, [streams[job.key] for job in jobs], stats
 
 
 def run_packing(model, network, observation, seed, packing, plan_cache=None):

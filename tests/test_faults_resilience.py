@@ -2,14 +2,15 @@
 
 Covers the robustness acceptance contract: fault plans are reproducible from
 their seed alone (and picklable into worker processes); the hooks are inert
-without an installed plan; transient cohort failures are retried with the
-request's admission-time streams rewound (so seeded equivalence survives a
+without an installed plan; transient cohort failures are retried by running
+the same jobs again from their stream keys (so seeded equivalence survives a
 retry bit-for-bit); the circuit breaker fails fresh submissions fast with a
 ``ServingError`` while cached entries keep being served; crash storms demote
 the process backend to threads without shedding; and shutdown racing a worker
 crash never leaves a future unresolved.
 """
 
+import itertools
 import os
 import pickle
 import signal
@@ -20,14 +21,15 @@ import time
 import numpy as np
 import pytest
 
+from repro import ppl
 from repro.common.rng import RandomState
+from repro.distributions import Normal, Uniform
 from repro.ppl import FunctionModel
 from repro.ppl.inference.batched import (
     LockstepStallError,
     TraceJob,
     _LockstepCoordinator,
     batched_importance_sampling,
-    per_trace_rngs,
 )
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
@@ -41,6 +43,7 @@ from repro.serving import (
     ServiceResilience,
     ServingError,
     is_transient,
+    posterior_digest,
 )
 from repro.serving.procpool import WorkerCrashed
 from repro.testing import FaultPlan, FaultRule, InjectedFault, activate, fault_point, faults
@@ -213,8 +216,8 @@ class TestServiceRetries:
     def test_transient_cohort_failures_are_retried_to_the_same_posterior(self, served_engine):
         model, engine = served_engine
         # The first two cohort executions fail with an injected transient
-        # fault; the retry rewinds each trace stream to its admission-time
-        # snapshot, so the final posterior is bit-identical to a clean run.
+        # fault; the retry runs the same jobs from their stream keys, so the
+        # final posterior is bit-identical to a clean run.
         plan = FaultPlan([FaultRule(site="workers.cohort", kind="error", at=0, limit=1),
                           FaultRule(site="workers.cohort", kind="error", at=1, limit=1)], seed=0)
         resilience = ServiceResilience(
@@ -240,6 +243,42 @@ class TestServiceRetries:
                 direct.extract(latent).mean, abs=1e-12
             )
         assert result.posterior.log_evidence == pytest.approx(direct.log_evidence, abs=1e-12)
+
+    def test_a_cohort_that_fails_mid_draw_is_re_run_from_its_keys(self, served_engine):
+        # Every execution of the first attempt fails *after* drawing from
+        # its stream.  A job carries its key, not a generator, so the retry
+        # builds every stream afresh: nothing was rewound, and the posterior
+        # is still the clean run's, bit for bit.
+        model, engine = served_engine
+        executions, lock = itertools.count(), threading.Lock()
+
+        class FlakySimulatorError(RuntimeError):
+            transient = True
+
+        def flaky_program():
+            a = ppl.sample(Uniform(-2.0, 2.0), name="a", address="addr_a")
+            b = ppl.sample(Normal(a, 1.0), name="b", address="addr_b")
+            with lock:
+                execution = next(executions)
+            if execution < 12:
+                raise FlakySimulatorError("simulator lost its licence server")
+            c = ppl.sample(Uniform(b - 1.0, b + 1.0), name="c", address="addr_c")
+            ppl.observe(Normal(np.array([a, b, c, a + b + c]), 0.4), name="obs")
+            return a
+
+        resilience = ServiceResilience(
+            RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0),
+            CircuitBreaker(failure_threshold=50),
+        )
+        flaky = FunctionModel(flaky_program, name="lockstep")
+        with make_service(flaky, engine, num_workers=1, resilience=resilience) as service:
+            result = service.posterior(OBSERVATION, num_traces=12, seed=21, use_cache=False, timeout=60)
+        assert resilience.retries_dispatched == 1
+        direct = batched_importance_sampling(
+            model, OBSERVATION, num_traces=12, batch_size=64,
+            network=engine.network, rng=RandomState(21),
+        )
+        assert posterior_digest(result.posterior) == posterior_digest(direct)
 
     def test_exhausted_retry_budget_fails_the_future(self, served_engine):
         model, engine = served_engine

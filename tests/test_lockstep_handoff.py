@@ -24,7 +24,8 @@ from repro.ppl.inference.batched import (
     LockstepStallError,
     TraceJob,
     new_engine_stats,
-    per_trace_rngs,
+    per_trace_keys,
+    request_key,
     run_mixed_cohort,
 )
 from repro.ppl.inference.inference_compilation import InferenceCompilation
@@ -91,9 +92,9 @@ class FlakyNetwork:
 
 def cohort_jobs(seed, size, flags):
     jobs = []
-    for slot, rng in enumerate(per_trace_rngs(RandomState(seed), size)):
+    for slot, key in enumerate(per_trace_keys(RandomState(seed), size)):
         observation = {"obs": np.array([0.1 * (seed % 7) - 0.3]), "flag": flags.get(slot, 0.0)}
-        jobs.append(TraceJob(slot, observation, observation["obs"], rng))
+        jobs.append(TraceJob(slot, observation, observation["obs"], key))
     return jobs
 
 
@@ -165,7 +166,7 @@ class TestWedgedCohort:
 
         model = FunctionModel(wedged_program, name="wedged")
         array = np.asarray(OBSERVATION["obs"], dtype=float)
-        jobs = TraceJob.for_request(0, OBSERVATION, array, size, RandomState(1))
+        jobs = TraceJob.for_request(0, OBSERVATION, array, size, request_key(RandomState(1)))
         started = time.monotonic()
         try:
             with pytest.raises(LockstepStallError) as raised:
@@ -175,7 +176,7 @@ class TestWedgedCohort:
             # The driver gave up on every wedged slot: retired, never lent
             # again — the next cohort runs on other threads while they hang.
             assert all(slot.retired and slot.thread.is_alive() for slot in wedged)
-            jobs = TraceJob.for_request(0, OBSERVATION, array, size, RandomState(2))
+            jobs = TraceJob.for_request(0, OBSERVATION, array, size, request_key(RandomState(2)))
             assert len(run_mixed_cohort(lockstep_model, jobs, engine.network, new_engine_stats())) == size
             _, after = lent_slots
             assert not {id(slot) for slot in wedged} & {id(slot) for slot in after}

@@ -21,7 +21,7 @@ from repro.ppl.inference.batched import (
     execute_trace_jobs,
     merge_engine_stats,
     new_engine_stats,
-    per_trace_rngs,
+    per_trace_keys,
     resolve_observation_array,
 )
 from repro.ppl.inference.inference_compilation import InferenceCompilation
@@ -34,6 +34,7 @@ from repro.ppl.inference.plans import (
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 from repro.ppl.nn.inference_network import DrawnProposal
 from repro.serving import PosteriorService
+from tests.conftest import built_streams
 from tests.test_batched_inference import (
     OBSERVATION,
     lockstep_engine,  # noqa: F401 - module fixture
@@ -46,9 +47,9 @@ def controlled_values(trace):
     return [(s.address, s.value) for s in trace.samples if s.controlled]
 
 
-def make_jobs(network, observation, rngs, observe_key="obs"):
+def make_jobs(network, observation, keys, observe_key="obs"):
     array = resolve_observation_array(network, observation, observe_key)
-    return [TraceJob(i, observation, array, rng) for i, rng in enumerate(rngs)]
+    return [TraceJob(i, observation, array, key) for i, key in enumerate(keys)]
 
 
 def warm_cache(model, network, observation, cache, batch_size, seed=99, runs=2):
@@ -121,22 +122,20 @@ class TestPlannedDynamicBitIdentity:
         cache = PlanCache()
         warm_cache(model, engine.network, OBSERVATION, cache, batch_size=8)
 
-        planned_rngs = per_trace_rngs(RandomState(5), 8)
-        dynamic_rngs = per_trace_rngs(RandomState(5), 8)
-        planned_traces, planned_stats = execute_trace_jobs(
-            model, make_jobs(engine.network, OBSERVATION, planned_rngs),
-            engine.network, plan_cache=cache,
-        )
-        dynamic_traces, _ = execute_trace_jobs(
-            model, make_jobs(engine.network, OBSERVATION, dynamic_rngs), engine.network
-        )
+        jobs = make_jobs(engine.network, OBSERVATION, per_trace_keys(RandomState(5), 8))
+        with built_streams() as planned_rngs:
+            planned_traces, planned_stats = execute_trace_jobs(
+                model, jobs, engine.network, plan_cache=cache
+            )
+        with built_streams() as dynamic_rngs:
+            dynamic_traces, _ = execute_trace_jobs(model, jobs, engine.network)
         assert planned_stats["plan_hits"] == 1
         for planned_trace, dynamic_trace in zip(planned_traces, dynamic_traces):
             assert controlled_values(planned_trace) == controlled_values(dynamic_trace)
-        for planned_rng, dynamic_rng in zip(planned_rngs, dynamic_rngs):
+        for job in jobs:
             assert (
-                planned_rng.generator.bit_generator.state
-                == dynamic_rng.generator.bit_generator.state
+                planned_rngs[job.key].generator.bit_generator.state
+                == dynamic_rngs[job.key].generator.bit_generator.state
             )
 
     def test_smaller_cohort_reuses_bigger_bucket(self, lockstep_engine):

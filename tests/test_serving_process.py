@@ -21,7 +21,7 @@ import pytest
 from repro.common.rng import RandomState
 from repro.distributed.inference import distributed_importance_sampling
 from repro.ppl import FunctionModel
-from repro.ppl.inference.batched import TraceJob, per_trace_rngs
+from repro.ppl.inference.batched import TraceJob, request_key
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 from repro.serving import (
@@ -169,29 +169,25 @@ class TestCrossBackendEquivalence:
                 assert ours.addresses == theirs.addresses
                 assert [s.value for s in ours.samples] == [s.value for s in theirs.samples]
 
-    def test_trace_jobs_pickle_with_stream_state_intact(self):
-        rng = RandomState(17)
-        trace_rngs = per_trace_rngs(rng, 4)
-        jobs = [
-            TraceJob(0, OBSERVATION, np.asarray(OBSERVATION["obs"], dtype=float), trace_rng)
-            for trace_rng in trace_rngs
-        ]
-        clones = pickle.loads(pickle.dumps(jobs))
+    def test_trace_jobs_ship_keys_not_generators(self):
+        array = np.asarray(OBSERVATION["obs"], dtype=float)
+        jobs = TraceJob.for_request(0, OBSERVATION, array, 4, request_key(RandomState(17)))
+        payload = pickle.dumps(jobs)
+        # Nothing of a generator crosses the boundary: a job is its
+        # observation and a tuple of ints.
+        assert b"PCG64" not in payload and b"bit_generator" not in payload
+        clones = pickle.loads(payload)
         for job, clone in zip(jobs, clones):
             assert np.array_equal(job.observation["obs"], clone.observation["obs"])
-            # The pickled stream must continue exactly where the original
-            # would: same next draws.
-            assert clone.rng.generator.random() == job.rng.generator.random()
-            assert clone.rng.generator.normal() == job.rng.generator.normal()
+            assert clone.key == job.key and all(type(word) is int for word in clone.key)
+            # The stream built on the far side is the one built here.
+            ours, theirs = job.stream(), clone.stream()
+            assert theirs.random() == ours.random() and theirs.normal() == ours.normal()
 
 
 class TestWorkerCrash:
     def _submit_slow_shard(self, pool, num_jobs=2):
-        model_rng = RandomState(1)
-        jobs = [
-            TraceJob(0, SLOW_OBSERVATION, None, trace_rng)
-            for trace_rng in per_trace_rngs(model_rng, num_jobs)
-        ]
+        jobs = TraceJob.for_request(0, SLOW_OBSERVATION, None, num_jobs, request_key(RandomState(1)))
         outcome = {}
 
         def on_done(_entries, traces, error):
@@ -275,13 +271,13 @@ class TestProcessLifecycle:
     def test_pool_context_manager_and_double_stop(self):
         model = FunctionModel(lockstep_program, name="lockstep")
         with ProcessCohortPool(model, None, num_workers=1) as pool:
-            rngs = per_trace_rngs(RandomState(2), 3)
+            jobs = TraceJob.for_request(0, OBSERVATION, None, 3, request_key(RandomState(2)))
             outcome = {}
 
             def on_done(_entries, traces, error):
                 outcome["traces"], outcome["error"] = traces, error
 
-            pool.submit([TraceJob(0, OBSERVATION, None, rng) for rng in rngs], on_done)
+            pool.submit(jobs, on_done)
             pool.stop(drain=True)  # idempotent with the context exit
             assert outcome["error"] is None
             assert len(outcome["traces"]) == 3
@@ -368,10 +364,7 @@ def gen2_program():
 
 class TestWorkerRefresh:
     def _run_one_shard(self, pool, num_jobs=2):
-        jobs = [
-            TraceJob(0, SLOW_OBSERVATION, None, trace_rng)
-            for trace_rng in per_trace_rngs(RandomState(4), num_jobs)
-        ]
+        jobs = TraceJob.for_request(0, SLOW_OBSERVATION, None, num_jobs, request_key(RandomState(4)))
         outcome = {}
 
         def on_done(_entries, traces, error):
@@ -447,7 +440,9 @@ def steady_traffic(pool, rng, stop, answered):
     """One small shard at a time, the next 20 ms after the last was answered."""
     while not stop.is_set():
         done = threading.Event()
-        pool.submit(TraceJob.for_request(0, SLOW_OBSERVATION, None, 1, rng), lambda *_: done.set())
+        pool.submit(
+            TraceJob.for_request(0, SLOW_OBSERVATION, None, 1, request_key(rng)), lambda *_: done.set()
+        )
         if done.wait(5.0):
             answered.append(len(answered))
         time.sleep(0.02)
@@ -475,7 +470,9 @@ class TestDeathIsEndOfFile:
             target=steady_traffic, args=(pool, RandomState(100), stop, answered), daemon=True
         )
         try:
-            pool.submit(TraceJob.for_request(0, HELD_OBSERVATION, None, 1, RandomState(1)), on_orphan)
+            pool.submit(
+                TraceJob.for_request(0, HELD_OBSERVATION, None, 1, request_key(RandomState(1))), on_orphan
+            )
             assert wait_for(HELD, timeout=10.0), "worker 0 never started the shard"
             traffic.start()
             deadline = time.monotonic() + 10.0

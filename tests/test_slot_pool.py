@@ -24,8 +24,9 @@ from repro.distributions import Normal, Uniform
 from repro.ppl import FunctionModel
 from repro.ppl import state as ppl_state
 from repro.ppl.inference import batched as engine_module
-from repro.ppl.inference.batched import TraceJob, new_engine_stats, run_mixed_cohort
+from repro.ppl.inference.batched import TraceJob, new_engine_stats, request_key, run_mixed_cohort
 from repro.serving import PosteriorService
+from tests.conftest import built_streams
 from tests.test_batched_inference import (  # noqa: F401 - fixture
     OBSERVATION,
     lockstep_engine,
@@ -68,10 +69,10 @@ def work_counters(stats):
 
 
 def jobs_for(seed, size):
-    return TraceJob.for_request(0, OBSERVATION, ARRAY, size, RandomState(seed))
+    return TraceJob.for_request(0, OBSERVATION, ARRAY, size, request_key(RandomState(seed)))
 
 
-def fingerprint(traces, jobs):
+def fingerprint(traces, jobs, streams):
     """What a seeded cohort must reproduce bit for bit: addresses, values,
     densities and each job's post-run generator state."""
     return [
@@ -80,7 +81,7 @@ def fingerprint(traces, jobs):
             [float(sample.value) for sample in trace.samples],
             float(trace.log_q),
             float(trace.log_joint),
-            job.rng.generator.bit_generator.state,
+            streams[job.key].generator.bit_generator.state,
         )
         for trace, job in zip(traces, jobs)
     ]
@@ -91,7 +92,9 @@ def run_fingerprint(model, network, seed, size):
 
 
 def cohort_fingerprint(model, network, jobs, stats):
-    return fingerprint(run_mixed_cohort(model, jobs, network, stats), jobs)
+    with built_streams() as streams:
+        traces = run_mixed_cohort(model, jobs, network, stats)
+    return fingerprint(traces, jobs, streams)
 
 
 def ident_program(idents):
@@ -138,11 +141,12 @@ class TestNothingKeptAlive:
     def test_a_parked_slot_holds_no_trace_session_or_job(self, lockstep_engine, lent_slots):
         model, engine = lockstep_engine
         network, jobs = _SessionWatch(engine.network), jobs_for(3, 10)
-        traces = run_mixed_cohort(model, jobs, network, new_engine_stats())
-        held = [weakref.ref(traces[0]), weakref.ref(traces[-1]), weakref.ref(jobs[0].rng)]
+        with built_streams() as streams:
+            traces = run_mixed_cohort(model, jobs, network, new_engine_stats())
+        held = [weakref.ref(traces[0]), weakref.ref(traces[-1]), weakref.ref(streams[jobs[0].key])]
         held += network.sessions
         assert len(network.sessions) == 1 and busy_slots(lent_slots[0]) == []
-        del traces, jobs
+        del traces, jobs, streams
         gc.collect()
         assert [ref() for ref in held] == [None] * len(held)
 
