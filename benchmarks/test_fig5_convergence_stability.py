@@ -6,6 +6,10 @@ the run five times with different seeds and plotting mean +/- std of the loss.
 This bench repeats that protocol at reproduction scale: five seeds, the same
 optimizer configuration, a scaled-down global minibatch, and asserts that the
 mean loss decreases while the run-to-run spread stays bounded.
+
+A step's training loss is the loss of the group of chunks it was dealt, and
+that varies with the group's trace types by about as much as twelve steps of
+training move it: the run is long enough for the trend to clear that noise.
 """
 
 import numpy as np
@@ -17,7 +21,7 @@ from repro.ppl.nn import InferenceNetwork
 from benchmarks.conftest import BENCH_CONFIG, print_series
 
 NUM_SEEDS = 5
-ITERATIONS = 12
+ITERATIONS = 36
 
 
 def _one_run(seed, dataset):
@@ -54,7 +58,8 @@ def test_fig5_convergence_stability(benchmark, tau_dataset):
         {"mean_loss": mean.tolist(), "std_loss": std.tolist()},
     )
     # Convergence: the mean of the last quarter of iterations is below the first.
-    assert mean[-3:].mean() < mean[:3].mean()
+    quarter = ITERATIONS // 4
+    assert mean[-quarter:].mean() < mean[:quarter].mean()
     # Stability: run-to-run spread stays bounded relative to the loss scale,
     # and no run diverges (all losses finite).
     assert np.all(np.isfinite(losses))

@@ -131,7 +131,7 @@ def test_rank_step_graph_is_at_most_half_the_composed_graph(tau_dataset, monkeyp
         network, tau_dataset, num_ranks=2, local_minibatch_size=8,
         validation_fraction=0.0, seed=3, rng=RandomState(3),
     )
-    traces = tau_dataset.get_batch(next(iter(trainer.samplers[0])))
+    traces = tau_dataset.get_batch(next(iter(trainer.sampler))[0])
 
     fused_nodes, fused_loss, fused_gradients = rank_step(trainer, traces)
     assert rank_step(trainer, traces)[0] == fused_nodes, "the node count must repeat exactly"

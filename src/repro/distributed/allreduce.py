@@ -13,16 +13,23 @@ this module implements and quantifies, is:
    is issued per bucket instead of one per tensor, eliminating per-call
    latency and making the communication bandwidth-bound.
 
-All three strategies return numerically identical averaged gradients; they
-differ in the :class:`CommunicationStats` they produce (number of collective
-calls, bytes moved, and modelled wall-clock time under a latency/bandwidth
-model), which is what the ablation benchmark compares.
+The ranks' gradients arrive as one flat image per rank: the rows of a
+``(ranks, elements)`` array in which tensor ``i`` owns the ``sizes[i]``
+elements after those of tensors ``0 .. i-1``, plus a ``(ranks, tensors)``
+presence mask.  A tensor a rank has no gradient for holds zeros in that rank's
+row.  Every strategy averages the rows in one pass and returns the averaged
+image with the mask of tensors that come out with a gradient: every tensor for
+``dense`` (absent ones as zeros), the union of present tensors for ``sparse``
+and ``fused_sparse``.  The values are identical; the strategies differ only in
+the :class:`CommunicationStats` they produce (number of collective calls,
+elements moved, and modelled wall-clock time under a latency/bandwidth model),
+which is what the ablation benchmark compares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,33 +62,21 @@ class CommunicationStats:
         self.elements += int(elements)
 
 
-def _union_of_names(per_rank_gradients: Sequence[Dict[str, np.ndarray]]) -> List[str]:
-    names: List[str] = []
-    seen = set()
-    for gradients in per_rank_gradients:
-        for name in gradients:
-            if name not in seen:
-                seen.add(name)
-                names.append(name)
-    return sorted(names)
-
-
-def _shapes(per_rank_gradients: Sequence[Dict[str, np.ndarray]], names: Sequence[str]) -> Dict[str, tuple]:
-    shapes: Dict[str, tuple] = {}
-    for name in names:
-        for gradients in per_rank_gradients:
-            if name in gradients:
-                shapes[name] = np.asarray(gradients[name]).shape
-                break
-    return shapes
+def _mean_of_rows(gradients: np.ndarray) -> np.ndarray:
+    """The ranks' images summed in rank order from zeros, then divided by the rank count."""
+    total = np.zeros(gradients.shape[1])
+    for row in gradients:
+        total += row
+    total /= len(gradients)
+    return total
 
 
 def dense_allreduce(
-    per_rank_gradients: Sequence[Dict[str, np.ndarray]],
-    all_parameter_names: Sequence[str],
-    parameter_shapes: Dict[str, tuple],
+    gradients: np.ndarray,
+    present: np.ndarray,
+    sizes: Sequence[int],
     stats: Optional[CommunicationStats] = None,
-) -> Dict[str, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Baseline: one allreduce per parameter over the *full* parameter set.
 
     Every rank contributes every tensor (zeros where it has no gradient), and
@@ -89,26 +84,17 @@ def dense_allreduce(
     ``all_reduce`` pattern the paper starts from.
     """
     stats = stats if stats is not None else CommunicationStats()
-    num_ranks = len(per_rank_gradients)
-    averaged: Dict[str, np.ndarray] = {}
-    for name in all_parameter_names:
-        shape = parameter_shapes[name]
-        total = np.zeros(shape, dtype=float)
-        for gradients in per_rank_gradients:
-            grad = gradients.get(name)
-            if grad is not None:
-                total += grad
-        stats.add_call(int(np.prod(shape)))
-        averaged[name] = total / num_ranks
-    return averaged
+    for size in sizes:
+        stats.add_call(size)
+    return _mean_of_rows(gradients), np.ones(len(sizes), dtype=bool)
 
 
 def sparse_allreduce(
-    per_rank_gradients: Sequence[Dict[str, np.ndarray]],
-    all_parameter_names: Sequence[str],
-    parameter_shapes: Dict[str, tuple],
+    gradients: np.ndarray,
+    present: np.ndarray,
+    sizes: Sequence[int],
     stats: Optional[CommunicationStats] = None,
-) -> Dict[str, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Reduce only the union of non-null gradients (the paper's 4x improvement).
 
     A presence-map allreduce (one element per parameter) establishes the union
@@ -116,92 +102,56 @@ def sparse_allreduce(
     tensor.
     """
     stats = stats if stats is not None else CommunicationStats()
-    num_ranks = len(per_rank_gradients)
-    # Presence map: one flag per parameter, reduced across ranks.
-    stats.add_call(len(all_parameter_names))
-    present = _union_of_names(per_rank_gradients)
-    averaged: Dict[str, np.ndarray] = {}
-    for name in present:
-        shape = parameter_shapes.get(name, np.asarray(next(g[name] for g in per_rank_gradients if name in g)).shape)
-        total = np.zeros(shape, dtype=float)
-        for gradients in per_rank_gradients:
-            grad = gradients.get(name)
-            if grad is not None:
-                total += grad
-        stats.add_call(int(np.prod(shape)))
-        averaged[name] = total / num_ranks
-    return averaged
+    stats.add_call(len(sizes))  # presence map
+    union = present.any(axis=0)
+    for size, reduced in zip(sizes, union):
+        if reduced:
+            stats.add_call(size)
+    return _mean_of_rows(gradients), union
 
 
 def fused_sparse_allreduce(
-    per_rank_gradients: Sequence[Dict[str, np.ndarray]],
-    all_parameter_names: Sequence[str],
-    parameter_shapes: Dict[str, tuple],
+    gradients: np.ndarray,
+    present: np.ndarray,
+    sizes: Sequence[int],
     bucket_elements: int = 1_000_000,
     stats: Optional[CommunicationStats] = None,
-) -> Dict[str, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Sparse reduction with tensor fusion: concatenate small tensors into buffers.
 
-    Tensors in the union are packed into contiguous buckets of at most
-    ``bucket_elements`` elements; one collective call is issued per bucket and
-    the reduced buffer is scattered back into the named gradients.
+    Tensors in the union are packed, in image order, into contiguous buckets of
+    at most ``bucket_elements`` elements; one collective call is issued per
+    bucket.
     """
     stats = stats if stats is not None else CommunicationStats()
-    num_ranks = len(per_rank_gradients)
-    stats.add_call(len(all_parameter_names))  # presence map
-    present = _union_of_names(per_rank_gradients)
-    shapes = {name: parameter_shapes.get(name) for name in present}
-    for name in present:
-        if shapes[name] is None:
-            shapes[name] = np.asarray(next(g[name] for g in per_rank_gradients if name in g)).shape
-
-    # Build buckets of names.
-    buckets: List[List[str]] = []
-    current: List[str] = []
-    current_elements = 0
-    for name in present:
-        elements = int(np.prod(shapes[name]))
-        if current and current_elements + elements > bucket_elements:
-            buckets.append(current)
-            current = []
-            current_elements = 0
-        current.append(name)
-        current_elements += elements
-    if current:
-        buckets.append(current)
-
-    averaged: Dict[str, np.ndarray] = {}
-    for bucket in buckets:
-        sizes = [int(np.prod(shapes[name])) for name in bucket]
-        buffer_total = np.zeros(sum(sizes), dtype=float)
-        for gradients in per_rank_gradients:
-            offset = 0
-            for name, size in zip(bucket, sizes):
-                grad = gradients.get(name)
-                if grad is not None:
-                    buffer_total[offset : offset + size] += np.asarray(grad, dtype=float).reshape(-1)
-                offset += size
-        stats.add_call(sum(sizes))
-        buffer_total /= num_ranks
-        offset = 0
-        for name, size in zip(bucket, sizes):
-            averaged[name] = buffer_total[offset : offset + size].reshape(shapes[name]).copy()
-            offset += size
-    return averaged
+    stats.add_call(len(sizes))  # presence map
+    union = present.any(axis=0)
+    bucket, members = 0, 0
+    for size, reduced in zip(sizes, union):
+        if not reduced:
+            continue
+        if members and bucket + size > bucket_elements:
+            stats.add_call(bucket)
+            bucket, members = 0, 0
+        bucket += size
+        members += 1
+    if members:
+        stats.add_call(bucket)
+    return _mean_of_rows(gradients), union
 
 
 def average_gradients(
-    per_rank_gradients: Sequence[Dict[str, np.ndarray]],
-    all_parameter_names: Sequence[str],
-    parameter_shapes: Dict[str, tuple],
+    gradients: np.ndarray,
+    present: np.ndarray,
+    sizes: Sequence[int],
     strategy: str = "fused_sparse",
     stats: Optional[CommunicationStats] = None,
-) -> Dict[str, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Dispatch to the requested allreduce strategy."""
     if strategy == "dense":
-        return dense_allreduce(per_rank_gradients, all_parameter_names, parameter_shapes, stats)
+        return dense_allreduce(gradients, present, sizes, stats)
     if strategy == "sparse":
-        return sparse_allreduce(per_rank_gradients, all_parameter_names, parameter_shapes, stats)
+        return sparse_allreduce(gradients, present, sizes, stats)
     if strategy == "fused_sparse":
-        return fused_sparse_allreduce(per_rank_gradients, all_parameter_names, parameter_shapes, stats=stats)
+        return fused_sparse_allreduce(gradients, present, sizes, stats=stats)
     raise ValueError(f"unknown allreduce strategy {strategy!r}")

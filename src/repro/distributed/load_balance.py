@@ -17,8 +17,11 @@ sorted-chunk sampler:
   same-type chunking only.
 
 :func:`evaluate_scheme` quantifies a scheme on a dataset without running the
-NN: it reports the per-rank token imbalance and the effective minibatch size,
-the two quantities that translate into throughput.
+NN: it reports the per-rank imbalance and the effective minibatch size, the
+two quantities that translate into throughput.  Imbalance is measured in the
+trainer's own cost model — :func:`repro.data.sampler.chunk_cost`'s LSTM steps,
+the quantity a rank's measured compute follows — over the schedule the
+trainer deals, so there is no second cost model to keep in step.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.data.batching import dynamic_token_batches, effective_minibatch_size
-from repro.data.sampler import DistributedTraceSampler
+from repro.data.sampler import DistributedTraceSampler, chunk_cost
 from repro.data.sorting import sorted_indices_by_trace_type
 
 __all__ = ["SchemeEvaluation", "evaluate_scheme", "compare_schemes"]
@@ -56,8 +59,8 @@ class SchemeEvaluation:
         return self.mean_effective_minibatch / (1.0 + self.mean_imbalance_percent / 100.0)
 
 
-def _imbalance_percent(per_rank_tokens: Sequence[float]) -> float:
-    arr = np.asarray(per_rank_tokens, dtype=float)
+def _imbalance_percent(per_rank_costs: Sequence[float]) -> float:
+    arr = np.asarray(per_rank_costs, dtype=float)
     if arr.size == 0 or arr.mean() == 0:
         return 0.0
     return 100.0 * (arr.max() - arr.mean()) / arr.mean()
@@ -94,32 +97,22 @@ def evaluate_scheme(
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    samplers = [
-        DistributedTraceSampler(
-            order,
-            minibatch_size=local_minibatch_size,
-            num_ranks=num_ranks,
-            rank=rank,
-            num_buckets=buckets,
-            lengths=lengths,
-            shuffle=True,
-            seed=seed,
-        )
-        for rank in range(num_ranks)
-    ]
-    iterators = [iter(s) for s in samplers]
+    sampler = DistributedTraceSampler(
+        order,
+        minibatch_size=local_minibatch_size,
+        num_ranks=num_ranks,
+        num_buckets=buckets,
+        lengths=lengths,
+        trace_types=types,
+        shuffle=True,
+        seed=seed,
+    )
     effective_sizes: List[float] = []
     imbalances: List[float] = []
-    iterations = min(max_iterations, min(len(s) for s in samplers))
-    for _ in range(iterations):
-        per_rank_tokens = []
-        iteration_types: List[str] = []
-        for rank in range(num_ranks):
-            indices = next(iterators[rank])
-            per_rank_tokens.append(sum(lengths[i] for i in indices))
-            iteration_types.extend(types[i] for i in indices)
-        effective_sizes.append(effective_minibatch_size(iteration_types))
-        imbalances.append(_imbalance_percent(per_rank_tokens))
+    iterations = min(max_iterations, len(sampler))
+    for _, group in zip(range(iterations), sampler):
+        imbalances.append(_imbalance_percent([chunk_cost(chunk, lengths, types)[0] for chunk in group]))
+        effective_sizes.append(effective_minibatch_size([types[i] for chunk in group for i in chunk]))
     return SchemeEvaluation(
         scheme=scheme,
         mean_effective_minibatch=float(np.mean(effective_sizes)) if effective_sizes else 0.0,
@@ -149,10 +142,8 @@ def _evaluate_dynamic(
         if iterations >= max_iterations:
             break
         group = batches[start : start + num_ranks]
-        per_rank_tokens = [sum(lengths[i] for i in batch) for batch in group]
-        iteration_types = [types[i] for batch in group for i in batch]
-        effective_sizes.append(effective_minibatch_size(iteration_types))
-        imbalances.append(_imbalance_percent(per_rank_tokens))
+        imbalances.append(_imbalance_percent([chunk_cost(batch, lengths, types)[0] for batch in group]))
+        effective_sizes.append(effective_minibatch_size([types[i] for batch in group for i in batch]))
         iterations += 1
     return SchemeEvaluation(
         scheme="dynamic",

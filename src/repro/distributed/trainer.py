@@ -7,8 +7,10 @@ allreduces the gradients (sparse + fused, Section 4.4.4) and takes one
 optimizer step — Adam or Adam-LARC with an optional polynomial learning-rate
 decay (Section 6.3).  Online, offline and N-rank training differ only in the
 source: ``InferenceCompilation.train`` is the one-rank case,
-:class:`DistributedTrainer` the N-rank case drawing each rank's chunk of the
-(sorted, sharded) offline dataset through the distributed sampler.
+:class:`DistributedTrainer` the N-rank case dealing, per step, one
+cost-matched group of chunks of the sorted offline dataset from the
+distributed sampler — chunk ``r`` to rank ``r``, so the ranks of a step do
+similar work and the join waits little.
 
 With more than one rank the ranks run side by side: :meth:`TrainingLoop.run`
 forks rank processes at its start and joins them on its way out, dealing the
@@ -20,12 +22,14 @@ little crosses the process boundary: the parent keeps the sampler schedule and
 sends each rank its index list over a pipe, a rank answers with its loss and
 its read and compute seconds, parameters reach the ranks through one flat
 shared float64 buffer rewritten after each ``optimizer.step()``, and gradients
-come back through a flat shared buffer per rank with a per-tensor presence
-mask.  The parent feeds views of those buffers, in rank order, to the single
-``average_gradients`` call.  Each rank's gradients are a function of the
-parameters and its index list only, and the reduction always sees the ranks in
-rank order, so seeded loss curves and parameters are bit-identical for every
-process count — which process ran a rank cannot show in the result.
+come back as one row per rank of a flat shared ``(ranks, elements)`` image with
+a per-tensor presence mask.  The serial tail the other ranks wait for is two
+passes over flat images: ``average_gradients`` sums the rows in rank order
+once, and the optimizer steps once over the parameters' flat image.  Each
+rank's gradients are a function of the parameters and its index list only,
+and the reduction always sees the ranks in rank order, so seeded loss curves
+and parameters are bit-identical for every process count — which process ran
+a rank cannot show in the result.
 
 Timings in :class:`TrainingReport` and ``phase_timer`` are wall-clock
 measurements of this machine; what a 1,024-node machine would do is modelled
@@ -140,17 +144,18 @@ class _RankExchange:
     One flat float64 image of the parameters (parent -> ranks, written after
     each optimizer step) and, per rank, one flat float64 image of its
     gradients plus a per-tensor presence mask (ranks -> parent): a tensor the
-    rank's minibatch did not touch has no gradient, and the sparse allreduce
-    strategies depend on seeing that.
+    rank's minibatch did not touch has no gradient — zeros in the image, unset
+    in the mask — and the sparse allreduce strategies depend on seeing that.
     """
 
     def __init__(self, parameters: Dict[str, Any], num_ranks: int) -> None:
-        #: (name, parameter, its span of the flat images)
+        #: (parameter, its span of the flat images)
         self._slots = []
         total = 0
-        for name, param in parameters.items():
-            self._slots.append((name, param, slice(total, total + param.data.size)))
+        for param in parameters.values():
+            self._slots.append((param, slice(total, total + param.data.size)))
             total += param.data.size
+        self.sizes = [param.data.size for param in parameters.values()]
         self.parameters = _shared(total, np.float64)
         self.gradients = _shared(num_ranks * total, np.float64).reshape(num_ranks, total)
         self.present = _shared(num_ranks * len(self._slots), np.bool_).reshape(num_ranks, -1)
@@ -158,27 +163,27 @@ class _RankExchange:
 
     def publish(self) -> None:
         """Parent: write the current parameters for the rank processes."""
-        np.concatenate([param.data.reshape(-1) for _, param, _ in self._slots], out=self.parameters)
+        np.concatenate([param.data.reshape(-1) for param, _ in self._slots], out=self.parameters)
 
     def load(self) -> None:
         """Rank process: adopt the published parameters."""
-        for _, param, span in self._slots:
+        for param, span in self._slots:
             param.data[...] = self.parameters[span].reshape(param.data.shape)
 
     def store(self, rank: int) -> None:
         """Write the gradients ``backward`` left on the parameters as ``rank``'s."""
-        for index, (_, param, span) in enumerate(self._slots):
+        row = self.gradients[rank]
+        for index, (param, span) in enumerate(self._slots):
             self.present[rank, index] = param.grad is not None
-            if param.grad is not None:
-                self.gradients[rank, span] = param.grad.reshape(-1)
+            row[span] = 0.0 if param.grad is None else param.grad.reshape(-1)
 
-    def gradients_of(self, rank: int) -> Dict[str, np.ndarray]:
-        """Views of the gradients ``rank`` stored, by parameter name."""
-        return {
-            name: self.gradients[rank, span].reshape(param.data.shape)
-            for index, (name, param, span) in enumerate(self._slots)
-            if self.present[rank, index]
-        }
+    def average(self, strategy: str, stats: CommunicationStats) -> None:
+        """Parent: average the ranks' images in one pass and hand each
+        parameter its span of the result (``None`` where the strategy leaves it
+        without a gradient)."""
+        averaged, has_gradient = average_gradients(self.gradients, self.present, self.sizes, strategy, stats)
+        for (param, span), present in zip(self._slots, has_gradient):
+            param.grad = averaged[span].reshape(param.data.shape) if present else None
 
 
 class _RankFailure(NamedTuple):
@@ -309,8 +314,6 @@ class TrainingLoop:
         listeners are notified once if any step was applied.
         """
         parameters = self._parameters
-        names = list(parameters)
-        shapes = {name: param.data.shape for name, param in parameters.items()}
         # One rank: the gradients backward() left on the parameters are the
         # step's gradients — no exchange, no process, no pipe.
         exchange = _RankExchange(parameters, self.num_ranks) if self.num_ranks > 1 else None
@@ -337,12 +340,7 @@ class TrainingLoop:
                 averaging = time.perf_counter()
                 stats = CommunicationStats()
                 if exchange is not None:
-                    averaged = average_gradients(
-                        [exchange.gradients_of(rank) for rank in range(self.num_ranks)],
-                        names, shapes, self.allreduce_strategy, stats,
-                    )
-                    for name, param in parameters.items():
-                        param.grad = averaged.get(name)
+                    exchange.average(self.allreduce_strategy, stats)
                 reduced = time.perf_counter()
 
                 self.optimizer.step()
@@ -452,28 +450,25 @@ class DistributedTrainer:
         num_train = total - int(total * validation_fraction)
         self.validation_indices = list(range(num_train, total))
         ordered = [i for i in sorted_indices_by_trace_type(dataset) if i < num_train]
-        lengths = [dataset.trace_length_of(i) for i in range(total)]
-        self.samplers = [
-            DistributedTraceSampler(
-                ordered,
-                minibatch_size=local_minibatch_size,
-                num_ranks=num_ranks,
-                rank=rank,
-                num_buckets=num_buckets,
-                lengths=lengths,
-                shuffle=True,
-                seed=seed,
-            )
-            for rank in range(num_ranks)
-        ]
+        self.sampler = DistributedTraceSampler(
+            ordered,
+            minibatch_size=local_minibatch_size,
+            num_ranks=num_ranks,
+            num_buckets=num_buckets,
+            lengths=[dataset.trace_length_of(i) for i in range(total)],
+            trace_types=[dataset.trace_type_of(i) for i in range(total)],
+            shuffle=True,
+            seed=seed,
+        )
         # The schedule cursor lives here, not in train(): consecutive train()
         # calls continue the epoch instead of replaying its shuffles.
-        self._iterators = [iter(sampler) for sampler in self.samplers]
+        self._schedule = iter(self.sampler)
+        self._group: List[List[int]] = []
         # Offline mode: the loop pre-generates every address-specific layer
         # and freezes the network before building the optimizer.
         self._loop = TrainingLoop(
             network, dataset, optimizer, learning_rate, larc, lr_schedule, end_learning_rate,
-            total_steps=total_iterations_hint or max(1, len(self.samplers[0])),
+            total_steps=total_iterations_hint or max(1, len(self.sampler)),
             num_ranks=num_ranks,
             allreduce_strategy=allreduce_strategy,
         )
@@ -485,16 +480,19 @@ class DistributedTrainer:
 
     # --------------------------------------------------------------------- run
     def _deal(self, rank: int) -> List[int]:
-        """The rank's next sampler chunk.  The schedule lives in the parent only."""
-        try:
-            return next(self._iterators[rank])
-        except StopIteration:
-            # The first rank to run dry starts the next epoch for every rank.
-            epoch = self.samplers[0].epoch + 1
-            for sampler in self.samplers:
-                sampler.set_epoch(epoch)
-            self._iterators = [iter(sampler) for sampler in self.samplers]
-            return next(self._iterators[rank])
+        """The rank's chunk of the step's group.  The schedule lives in the parent only.
+
+        Rank 0 takes the next cost-matched group off the schedule, starting the
+        next epoch when this one is spent; every rank gets its chunk of it.
+        """
+        if rank == 0:
+            group = next(self._schedule, None)
+            if group is None:
+                self.sampler.set_epoch(self.sampler.epoch + 1)
+                self._schedule = iter(self.sampler)
+                group = next(self._schedule)
+            self._group = group
+        return self._group[rank]
 
     def _read(self, indices: List[int]) -> List[PackedSubMinibatch]:
         """Read and pack a dealt chunk, in the process that runs the rank."""

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.tensor.optim.optimizer import Optimizer
+from repro.tensor.optim.optimizer import FlatImage, Optimizer
 
 __all__ = ["Adam"]
 
 
 class Adam(Optimizer):
-    """Adam with bias correction and optional decoupled weight decay."""
+    """Adam with bias correction and optional decoupled weight decay.
+
+    A step runs once over the flat image of the parameters that have a
+    gradient: the moments of every registered parameter live in two flat
+    images, each parameter keeps its own step count ``t``, and a parameter
+    without a gradient is skipped — its moments and ``t`` stay as they are.
+    """
 
     def __init__(
         self,
@@ -28,34 +32,41 @@ class Adam(Optimizer):
             raise ValueError("betas must be in [0, 1)")
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
+        #: per registered parameter: element count and step count
+        self._sizes = np.zeros(0, dtype=np.int64)
+        self._t = np.zeros(0, dtype=np.int64)
+        #: first and second moments of every registered parameter, end to end
+        self._m = np.zeros(0)
+        self._v = np.zeros(0)
 
-    def compute_update(self, param) -> np.ndarray:
-        """Return the (learning-rate-free) Adam direction for one parameter.
+    def _grow(self) -> None:
+        """Give parameters registered since the last step zero moments and ``t = 0``."""
+        new = self.params[len(self._t) :]
+        if new:
+            sizes = [param.data.size for param in new]
+            self._sizes = np.concatenate([self._sizes, sizes])
+            self._t = np.concatenate([self._t, np.zeros(len(new), dtype=np.int64)])
+            self._m = np.concatenate([self._m, np.zeros(sum(sizes))])
+            self._v = np.concatenate([self._v, np.zeros(sum(sizes))])
 
-        Exposed separately so that :class:`repro.tensor.optim.larc.LARC` can
-        rescale it per layer before application.
-        """
-        grad = param.grad
+    def direction(self, image: FlatImage) -> np.ndarray:
+        """The bias-corrected Adam direction over ``image``, advancing the moments."""
+        self._grow()
+        grad = image.grad
         if self.weight_decay:
-            grad = grad + self.weight_decay * param.data
-        state = self.state.setdefault(id(param), {})
-        m = state.get("m")
-        v = state.get("v")
-        t = state.get("t", 0) + 1
-        if m is None:
-            m = np.zeros_like(param.data)
-            v = np.zeros_like(param.data)
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * (grad * grad)
-        state["m"], state["v"], state["t"] = m, v, t
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
+            grad = grad + self.weight_decay * image.data
+        mask = np.repeat(image.present, self._sizes)
+        m = self.beta1 * self._m[mask] + (1.0 - self.beta1) * grad
+        v = self.beta2 * self._v[mask] + (1.0 - self.beta2) * (grad * grad)
+        self._m[mask], self._v[mask] = m, v
+        self._t[image.present] += 1
+        steps = self._t[image.present].tolist()
+        m_hat = m / np.repeat([1.0 - self.beta1**t for t in steps], image.sizes)
+        v_hat = v / np.repeat([1.0 - self.beta2**t for t in steps], image.sizes)
         return m_hat / (np.sqrt(v_hat) + self.eps)
 
     def step(self) -> None:
         self._step_count += 1
-        for param in self.params:
-            if param.grad is None:
-                continue
-            update = self.compute_update(param)
-            param.data = param.data - self.lr * update
+        image = self.flat_image()
+        if image is not None:
+            image.write(image.data - self.lr * self.direction(image))

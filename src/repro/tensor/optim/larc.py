@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.optim.adam import Adam
 from repro.tensor.optim.optimizer import Optimizer
-from repro.tensor.optim.sgd import SGD
 
 __all__ = ["LARC"]
 
@@ -24,7 +22,8 @@ class LARC(Optimizer):
     Parameters
     ----------
     base:
-        The wrapped optimizer; its per-parameter update direction is reused.
+        The wrapped optimizer; its update direction is reused, and the trust
+        ratio is computed per tensor over views of the flat images.
     trust_coefficient:
         The eta coefficient in ``lr_local = eta * ||w|| / ||update||``.
     clip:
@@ -63,33 +62,27 @@ class LARC(Optimizer):
         self.params = self.base.params
         self._names = self.base._names
 
-    def _direction(self, param) -> np.ndarray:
-        if isinstance(self.base, Adam):
-            return self.base.compute_update(param)
-        if isinstance(self.base, SGD):
-            grad = param.grad
-            if self.base.weight_decay:
-                grad = grad + self.base.weight_decay * param.data
-            return grad
-        # Generic fallback: raw gradient.
-        return param.grad
-
     def step(self) -> None:
         self._step_count += 1
         self.base._step_count += 1
+        image = self.base.flat_image()
+        if image is None:
+            return
+        update = self.base.direction(image)
         global_lr = self.base.lr
-        for param in self.params:
-            if param.grad is None:
-                continue
-            update = self._direction(param)
-            param_norm = float(np.linalg.norm(param.data))
-            update_norm = float(np.linalg.norm(update))
+        rates = []
+        offset = 0
+        for size in image.sizes:
+            span = slice(offset, offset + size)
+            offset += size
+            param_norm = float(np.linalg.norm(image.data[span]))
+            update_norm = float(np.linalg.norm(update[span]))
             if param_norm > 0 and update_norm > self.eps:
                 local_lr = self.trust_coefficient * param_norm / (update_norm + self.eps)
                 if self.clip:
-                    effective_lr = min(local_lr, global_lr)
+                    rates.append(min(local_lr, global_lr))
                 else:
-                    effective_lr = local_lr * global_lr
+                    rates.append(local_lr * global_lr)
             else:
-                effective_lr = global_lr
-            param.data = param.data - effective_lr * update
+                rates.append(global_lr)
+        image.write(image.data - np.repeat(rates, image.sizes) * update)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.optim.optimizer import Optimizer
+from repro.tensor.optim.optimizer import FlatImage, Optimizer
 
 __all__ = ["SGD"]
 
@@ -16,6 +16,12 @@ class SGD(Optimizer):
         super().__init__(params, lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
+
+    def direction(self, image: FlatImage) -> np.ndarray:
+        """The weight-decayed gradient (momentum is not applied under LARC)."""
+        if self.weight_decay:
+            return image.grad + self.weight_decay * image.data
+        return image.grad
 
     def step(self) -> None:
         self._step_count += 1

@@ -6,15 +6,21 @@ map, LSTM cell and truncated-normal-mixture density composed from elementary
 autograd operations.  They are slow and build many graph nodes; they live
 here only so that ``tests/test_tensor_kernels.py`` and
 ``benchmarks/test_tensor_kernels.py`` can require value-and-gradient agreement
-with (and a speed-up over) them.  Nothing under ``src/`` imports this module.
+with (and a speed-up over) them.  The per-tensor Adam and LARC steps and the
+per-name dict allreduce strategies are the references for the flat optimizer
+step and the flat gradient average; ``tests/test_tensor_optim.py`` and
+``tests/test_distributed.py`` require bit-equality with them.  Nothing under
+``src/`` imports this module.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.distributed import CommunicationStats
 from repro.tensor import Tensor, functional as F
 from repro.tensor.tensor import _accumulate, _make
 
@@ -124,3 +130,115 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride=1, p
                 _accumulate(x, grad_x_pad[:, :, pd : pd + d, ph : ph + h, pw : pw + w])
         out._backward = _bw
     return out
+
+
+# ------------------------------------------------------------------ optimizers
+class PerTensorAdam:
+    """Adam stepped one tensor at a time: about eight temporaries per tensor."""
+
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        self.params = list(params)
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.state: Dict[int, dict] = {}
+
+    def add_param_group(self, params):
+        self.params.extend(params)
+
+    def compute_update(self, param) -> np.ndarray:
+        grad = param.grad
+        if self.weight_decay:
+            grad = grad + self.weight_decay * param.data
+        state = self.state.setdefault(id(param), {})
+        m = state.get("m")
+        v = state.get("v")
+        t = state.get("t", 0) + 1
+        if m is None:
+            m = np.zeros_like(param.data)
+            v = np.zeros_like(param.data)
+        m = self.beta1 * m + (1.0 - self.beta1) * grad
+        v = self.beta2 * v + (1.0 - self.beta2) * (grad * grad)
+        state["m"], state["v"], state["t"] = m, v, t
+        m_hat = m / (1.0 - self.beta1**t)
+        v_hat = v / (1.0 - self.beta2**t)
+        return m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def step(self) -> None:
+        for param in self.params:
+            if param.grad is not None:
+                param.data = param.data - self.lr * self.compute_update(param)
+
+
+class PerTensorLARC:
+    """LARC(Adam) stepped one tensor at a time."""
+
+    def __init__(self, base: PerTensorAdam, trust_coefficient=0.02, clip=True, eps=1e-8):
+        self.base = base
+        self.trust_coefficient = trust_coefficient
+        self.clip = clip
+        self.eps = eps
+
+    def add_param_group(self, params):
+        self.base.add_param_group(params)
+
+    def step(self) -> None:
+        global_lr = self.base.lr
+        for param in self.base.params:
+            if param.grad is None:
+                continue
+            update = self.base.compute_update(param)
+            param_norm = float(np.linalg.norm(param.data))
+            update_norm = float(np.linalg.norm(update))
+            if param_norm > 0 and update_norm > self.eps:
+                local_lr = self.trust_coefficient * param_norm / (update_norm + self.eps)
+                effective_lr = min(local_lr, global_lr) if self.clip else local_lr * global_lr
+            else:
+                effective_lr = global_lr
+            param.data = param.data - effective_lr * update
+
+
+# ------------------------------------------------------------------- allreduce
+def _reduce(per_rank: Sequence[Dict[str, np.ndarray]], name: str, shape) -> np.ndarray:
+    total = np.zeros(shape, dtype=float)
+    for gradients in per_rank:
+        if name in gradients:
+            total += gradients[name]
+    return total / len(per_rank)
+
+
+def dict_allreduce(
+    strategy: str,
+    per_rank: Sequence[Dict[str, np.ndarray]],
+    shapes: Dict[str, tuple],
+    stats: CommunicationStats,
+    bucket_elements: int = 1_000_000,
+) -> Dict[str, np.ndarray]:
+    """The per-name dict reductions: ``dense`` over every name, one call each;
+    ``sparse`` over the sorted union of present names, one call each after the
+    presence map; ``fused_sparse`` the same union fused into buckets."""
+    names = sorted(shapes)
+    if strategy == "dense":
+        for name in names:
+            stats.add_call(math.prod(shapes[name]))
+        return {name: _reduce(per_rank, name, shapes[name]) for name in names}
+    stats.add_call(len(names))  # presence map
+    union = sorted({name for gradients in per_rank for name in gradients})
+    if strategy == "sparse":
+        for name in union:
+            stats.add_call(math.prod(shapes[name]))
+    else:
+        buckets: List[List[str]] = [[]]
+        filled = 0
+        for name in union:
+            size = math.prod(shapes[name])
+            if buckets[-1] and filled + size > bucket_elements:
+                buckets.append([])
+                filled = 0
+            buckets[-1].append(name)
+            filled += size
+        for bucket in buckets:
+            if bucket:
+                stats.add_call(sum(math.prod(shapes[name]) for name in bucket))
+    return {name: _reduce(per_rank, name, shapes[name]) for name in union}

@@ -181,11 +181,9 @@ class TestSamplerEpochStreams:
     def _order(self, seed, epoch):
         from repro.data.sampler import DistributedTraceSampler
 
-        sampler = DistributedTraceSampler(
-            list(range(320)), minibatch_size=8, num_ranks=1, rank=0, seed=seed
-        )
+        sampler = DistributedTraceSampler(list(range(320)), minibatch_size=8, num_ranks=1, seed=seed)
         sampler.set_epoch(epoch)
-        return [chunk[0] for chunk in sampler]
+        return [group[0][0] for group in sampler]
 
     def test_adjacent_seed_epoch_pairs_do_not_collide(self):
         assert self._order(4, 1) != self._order(5, 0)

@@ -23,6 +23,7 @@ from repro.data import (
     split_into_sub_minibatches,
     sub_minibatch_count,
 )
+from repro.data.sampler import chunk_cost
 
 
 class TestShardStore:
@@ -327,58 +328,85 @@ class TestBatching:
 
 
 class TestDistributedSampler:
-    def _sampler(self, dataset, rank, num_ranks=2, **kwargs):
+    def _sampler(self, dataset, num_ranks=2, **kwargs):
         order = sorted_indices_by_trace_type(dataset)
         lengths = [dataset.trace_length_of(i) for i in range(len(dataset))]
+        types = [dataset.trace_type_of(i) for i in range(len(dataset))]
         return DistributedTraceSampler(
-            order, minibatch_size=8, num_ranks=num_ranks, rank=rank, lengths=lengths, **kwargs
+            order, minibatch_size=8, num_ranks=num_ranks, lengths=lengths, trace_types=types, **kwargs
         )
 
-    def test_ranks_partition_chunks(self, tiny_tau_dataset):
-        samplers = [self._sampler(tiny_tau_dataset, rank) for rank in range(2)]
-        seen = [set(i for chunk in s._rank_chunks for i in chunk) for s in samplers]
-        assert seen[0].isdisjoint(seen[1])
-        total_chunks = len(samplers[0]) + len(samplers[1])
-        assert total_chunks == len(tiny_tau_dataset) // 8
+    def test_chunk_cost_is_lstm_steps_then_sub_minibatches(self):
+        lengths = [5, 5, 9, 9, 2]
+        types = ["a", "a", "b", "b", "c"]
+        assert chunk_cost([0, 1], lengths, types) == (5, 1)  # one type: one LSTM pass
+        assert chunk_cost([0, 2, 3], lengths, types) == (14, 2)
+        assert chunk_cost([0, 2, 4], lengths, types) == (16, 3)
+
+    def test_every_chunk_is_dealt_once_per_epoch(self, tiny_tau_dataset):
+        # 60 traces make 7 chunks of 8: four groups of two, the last group's
+        # first place filled by repeating the bucket's next-costliest chunk.
+        sampler = self._sampler(tiny_tau_dataset)
+        groups = list(sampler)
+        assert len(groups) == len(sampler) == 4
+        dealt = [tuple(chunk) for group in groups for chunk in group]
+        assert len(set(dealt)) == len(tiny_tau_dataset) // 8 and len(dealt) == 8
+
+    @pytest.mark.parametrize("num_ranks", [2, 3])
+    def test_groups_are_cost_matched(self, tiny_tau_dataset, num_ranks):
+        """A group is a run of neighbours in cost order: no other chunk costs
+        strictly between its cheapest and its costliest chunk."""
+        lengths = [tiny_tau_dataset.trace_length_of(i) for i in range(len(tiny_tau_dataset))]
+        types = [tiny_tau_dataset.trace_type_of(i) for i in range(len(tiny_tau_dataset))]
+        groups = list(self._sampler(tiny_tau_dataset, num_ranks=num_ranks))
+        cost = {tuple(chunk): chunk_cost(chunk, lengths, types) for group in groups for chunk in group}
+        for group in groups:
+            assert len(group) == num_ranks
+            members = {tuple(chunk) for chunk in group}
+            low, high = min(cost[c] for c in members), max(cost[c] for c in members)
+            assert not any(low < cost[c] < high for c in cost if c not in members)
 
     def test_minibatch_sizes_fixed(self, tiny_tau_dataset):
-        sampler = self._sampler(tiny_tau_dataset, 0)
-        for minibatch in sampler:
-            assert len(minibatch) == 8
+        for group in self._sampler(tiny_tau_dataset):
+            assert len(group) == 2 and all(len(chunk) == 8 for chunk in group)
 
     def test_epoch_shuffling_changes_order_but_not_content(self, tiny_tau_dataset):
-        sampler = self._sampler(tiny_tau_dataset, 0)
+        sampler = self._sampler(tiny_tau_dataset)
         first = list(sampler)
         sampler.set_epoch(1)
         second = list(sampler)
-        assert sorted(map(tuple, first)) == sorted(map(tuple, second))
-        if len(first) > 1:
-            assert first != second or len(first) == 1
+        assert sorted(first) == sorted(second)
+        assert first != second
 
     def test_same_seed_same_order(self, tiny_tau_dataset):
-        a = list(self._sampler(tiny_tau_dataset, 0, seed=3))
-        b = list(self._sampler(tiny_tau_dataset, 0, seed=3))
+        a = list(self._sampler(tiny_tau_dataset, seed=3))
+        b = list(self._sampler(tiny_tau_dataset, seed=3))
         assert a == b
 
-    def test_bucketing_groups_by_length(self, tiny_tau_dataset):
-        sampler = self._sampler(tiny_tau_dataset, 0, num_buckets=3)
-        assert len(sampler) >= 1
-        assert sampler.workload_tokens() > 0
+    def test_bucketing_keeps_every_group_in_one_bucket(self, tiny_tau_dataset):
+        sampler = self._sampler(tiny_tau_dataset, num_buckets=3)
+        bucket_of = {tuple(chunk): b for b, bucket in enumerate(sampler._buckets) for chunk in bucket}
+        assert len(set(bucket_of.values())) == 3
+        for group in sampler:
+            assert len({bucket_of[tuple(chunk)] for chunk in group}) == 1
 
     def test_more_buckets_than_chunks_starves_no_rank(self, tiny_tau_dataset):
-        # 60 traces make 7 chunks of 8; 10 one-chunk buckets would hand every
-        # chunk to rank 0.
-        samplers = [self._sampler(tiny_tau_dataset, rank, num_buckets=10) for rank in (0, 1)]
-        assert len(samplers[0]) + len(samplers[1]) == 7
-        assert min(len(s) for s in samplers) >= 3
-        assert all(len(bucket) >= 2 for bucket in samplers[0]._buckets)
+        # 60 traces make 7 chunks of 8; 10 one-chunk buckets would leave the
+        # second rank nothing to pair with — the bucket count is capped at 3.
+        sampler = self._sampler(tiny_tau_dataset, num_buckets=10)
+        assert all(len(bucket) >= 2 for bucket in sampler._buckets)
+        dealt = {tuple(chunk) for group in sampler for chunk in group}
+        assert len(dealt) == 7
+
+    def test_fewer_chunks_than_ranks_repeats_them(self):
+        groups = list(DistributedTraceSampler(list(range(16)), minibatch_size=8, num_ranks=3, shuffle=False))
+        assert groups == [[list(range(8)), list(range(8)), list(range(8, 16))]]
 
     def test_sorted_chunks_have_fewer_types_than_unsorted(self, tiny_tau_dataset):
         def mean_types_per_chunk(order):
-            lengths = [tiny_tau_dataset.trace_length_of(i) for i in range(len(tiny_tau_dataset))]
-            sampler = DistributedTraceSampler(order, minibatch_size=8, num_ranks=1, rank=0, lengths=lengths, shuffle=False)
+            sampler = DistributedTraceSampler(order, minibatch_size=8, shuffle=False)
             counts = [
-                len({tiny_tau_dataset.trace_type_of(i) for i in minibatch}) for minibatch in sampler
+                len({tiny_tau_dataset.trace_type_of(i) for i in chunk}) for (chunk,) in sampler
             ]
             return float(np.mean(counts))
 
@@ -391,10 +419,6 @@ class TestDistributedSampler:
         with pytest.raises(ValueError):
             DistributedTraceSampler(order, minibatch_size=0)
         with pytest.raises(ValueError):
-            DistributedTraceSampler(order, minibatch_size=4, num_ranks=2, rank=5)
+            DistributedTraceSampler(order, minibatch_size=4, num_ranks=0)
         with pytest.raises(ValueError):
             DistributedTraceSampler(order, minibatch_size=4, num_buckets=0)
-
-    def test_iterations_per_epoch(self, tiny_tau_dataset):
-        sampler = self._sampler(tiny_tau_dataset, 0)
-        assert sampler.iterations_per_epoch() == len(sampler)

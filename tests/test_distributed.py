@@ -1,11 +1,14 @@
 """Tests for the distributed subsystem: allreduce, trainer, perf model."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.common.config import Config
 from repro.common.rng import RandomState
-from repro.data import generate_dataset
+from repro.data import InMemoryTraceDataset, generate_dataset, sorted_indices_by_trace_type
+from repro.data.sampler import DistributedTraceSampler, chunk_cost
 from repro.distributed import (
     CORI,
     EDISON,
@@ -25,53 +28,116 @@ from repro.distributed import (
 from repro.ppl.nn import InferenceNetwork
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 
+import reference_kernels as ref
+
 
 def _make_per_rank_gradients():
     """Two ranks with overlapping but different non-null gradient sets."""
     shapes = {"shared": (4,), "only_a": (2, 2), "only_b": (3,), "never": (5,)}
     rank_a = {"shared": np.ones(4), "only_a": np.full((2, 2), 2.0)}
     rank_b = {"shared": np.full(4, 3.0), "only_b": np.full(3, 4.0)}
+    return [rank_a, rank_b], shapes
+
+
+def flat_images(per_rank, shapes):
+    """The ranks' gradient dicts as the exchange holds them: one row per rank,
+    the tensors end to end in name order, absent ones zero and unflagged."""
     names = sorted(shapes)
-    return [rank_a, rank_b], names, shapes
+    sizes = [int(np.prod(shapes[name])) for name in names]
+    gradients = np.zeros((len(per_rank), sum(sizes)))
+    present = np.zeros((len(per_rank), len(names)), dtype=bool)
+    for row, rank_gradients in enumerate(per_rank):
+        offset = 0
+        for index, (name, size) in enumerate(zip(names, sizes)):
+            if name in rank_gradients:
+                gradients[row, offset : offset + size] = rank_gradients[name].reshape(-1)
+                present[row, index] = True
+            offset += size
+    return gradients, present, sizes
+
+
+def by_name(averaged, has_gradient, shapes):
+    """The flat result as a dict of the tensors that come out with a gradient."""
+    out, offset = {}, 0
+    for name, present in zip(sorted(shapes), has_gradient):
+        size = int(np.prod(shapes[name]))
+        if present:
+            out[name] = averaged[offset : offset + size].reshape(shapes[name])
+        offset += size
+    return out
+
+
+STRATEGIES = {
+    "dense": dense_allreduce,
+    "sparse": sparse_allreduce,
+    "fused_sparse": fused_sparse_allreduce,
+}
 
 
 class TestAllreduce:
+    def run(self, strategy, per_rank, shapes, **kwargs):
+        stats = CommunicationStats()
+        averaged, has_gradient = STRATEGIES[strategy](*flat_images(per_rank, shapes), stats=stats, **kwargs)
+        return by_name(averaged, has_gradient, shapes), stats
+
     def test_all_strategies_agree_numerically(self):
-        grads, names, shapes = _make_per_rank_gradients()
-        dense = dense_allreduce(grads, names, shapes)
-        sparse = sparse_allreduce(grads, names, shapes)
-        fused = fused_sparse_allreduce(grads, names, shapes, bucket_elements=5)
+        grads, shapes = _make_per_rank_gradients()
+        dense, _ = self.run("dense", grads, shapes)
+        sparse, _ = self.run("sparse", grads, shapes)
+        fused, _ = self.run("fused_sparse", grads, shapes, bucket_elements=5)
         for name in ("shared", "only_a", "only_b"):
-            assert np.allclose(dense[name], sparse[name])
-            assert np.allclose(dense[name], fused[name])
+            assert np.array_equal(dense[name], sparse[name])
+            assert np.array_equal(dense[name], fused[name])
         assert np.allclose(dense["shared"], 2.0)       # (1 + 3) / 2
         assert np.allclose(dense["only_a"], 1.0)        # (2 + 0) / 2
         assert np.allclose(dense["never"], 0.0)
         assert "never" not in sparse and "never" not in fused
 
+    @pytest.mark.parametrize("strategy, bucket_elements", [
+        ("dense", None), ("sparse", None), ("fused_sparse", None), ("fused_sparse", 5), ("fused_sparse", 40),
+    ])
+    @pytest.mark.parametrize("num_ranks", [1, 2, 3])
+    def test_flat_average_equals_the_per_name_dict_reduction(self, strategy, bucket_elements, num_ranks):
+        """One pass over the flat images gives the per-name dict reduction's result
+        bit for bit, with the same collective calls and elements."""
+        rng = np.random.default_rng(num_ranks)
+        shapes = {f"t{index:02d}": tuple(rng.integers(1, 5, size=rng.integers(1, 3))) for index in range(12)}
+        per_rank = [
+            {name: rng.standard_normal(shape) for name, shape in shapes.items() if rng.random() < 0.6}
+            for _ in range(num_ranks)
+        ]
+        per_rank[0]["t00"] = -np.zeros(shapes["t00"])  # signed zeros average as before
+        kwargs = {} if bucket_elements is None else {"bucket_elements": bucket_elements}
+        flat, flat_stats = self.run(strategy, per_rank, shapes, **kwargs)
+        expected_stats = CommunicationStats()
+        expected = ref.dict_allreduce(strategy, per_rank, shapes, expected_stats, **kwargs)
+        assert flat.keys() == expected.keys()
+        for name in expected:
+            assert flat[name].tobytes() == expected[name].tobytes(), name
+        assert (flat_stats.num_calls, flat_stats.elements) == (expected_stats.num_calls, expected_stats.elements)
+
     def test_sparse_moves_fewer_elements_than_dense(self):
-        grads, names, shapes = _make_per_rank_gradients()
-        dense_stats, sparse_stats = CommunicationStats(), CommunicationStats()
-        dense_allreduce(grads, names, shapes, dense_stats)
-        sparse_allreduce(grads, names, shapes, sparse_stats)
+        grads, shapes = _make_per_rank_gradients()
+        _, dense_stats = self.run("dense", grads, shapes)
+        _, sparse_stats = self.run("sparse", grads, shapes)
         assert sparse_stats.elements < dense_stats.elements
         assert sparse_stats.modeled_time < dense_stats.modeled_time
 
     def test_fusion_reduces_number_of_calls(self):
-        grads, names, shapes = _make_per_rank_gradients()
-        sparse_stats, fused_stats = CommunicationStats(), CommunicationStats()
-        sparse_allreduce(grads, names, shapes, sparse_stats)
-        fused_sparse_allreduce(grads, names, shapes, bucket_elements=10_000, stats=fused_stats)
+        grads, shapes = _make_per_rank_gradients()
+        _, sparse_stats = self.run("sparse", grads, shapes)
+        _, fused_stats = self.run("fused_sparse", grads, shapes, bucket_elements=10_000)
         assert fused_stats.num_calls < sparse_stats.num_calls
         assert fused_stats.modeled_time <= sparse_stats.modeled_time
 
     def test_average_gradients_dispatch(self):
-        grads, names, shapes = _make_per_rank_gradients()
-        for strategy in ("dense", "sparse", "fused_sparse"):
-            out = average_gradients(grads, names, shapes, strategy=strategy)
-            assert np.allclose(out["shared"], 2.0)
+        grads, shapes = _make_per_rank_gradients()
+        images = flat_images(grads, shapes)
+        for strategy in STRATEGIES:
+            averaged, has_gradient = average_gradients(*images, strategy=strategy)
+            assert np.allclose(by_name(averaged, has_gradient, shapes)["shared"], 2.0)
         with pytest.raises(ValueError):
-            average_gradients(grads, names, shapes, strategy="bogus")
+            average_gradients(*images, strategy="bogus")
 
     def test_communication_stats_accounting(self):
         stats = CommunicationStats(latency_s=1e-3, bandwidth_bytes_per_s=1e6)
@@ -80,9 +146,10 @@ class TestAllreduce:
         assert stats.modeled_time == pytest.approx(1e-3 + 4000 / 1e6)
 
     def test_single_rank_average_is_identity(self):
-        grads = [{"w": np.arange(4.0)}]
-        out = average_gradients(grads, ["w"], {"w": (4,)}, strategy="sparse")
-        assert np.allclose(out["w"], np.arange(4.0))
+        averaged, has_gradient = average_gradients(
+            np.arange(4.0).reshape(1, 4), np.ones((1, 1), dtype=bool), [4], strategy="sparse"
+        )
+        assert np.array_equal(averaged, np.arange(4.0)) and has_gradient.tolist() == [True]
 
 
 class TestPerformanceModel:
@@ -250,16 +317,24 @@ class TestDistributedTrainer:
         assert notifications == [1]
 
     def test_allreduce_strategies_give_same_training(self, tiny_tau_dataset):
-        losses = {}
+        """Dense hands a tensor no rank touched a zero gradient, the sparse
+        strategies none.  Plain SGD leaves a parameter with a zero gradient where
+        it is, so the two train identically.  (Adam would not: a zero gradient
+        still moves a parameter whose first moment is nonzero.)"""
+        losses, states = {}, {}
         for strategy in ("dense", "fused_sparse"):
-            trainer, network = build_trainer(tiny_tau_dataset, allreduce_strategy=strategy, seed=7)
+            trainer, network = build_trainer(
+                tiny_tau_dataset, allreduce_strategy=strategy, seed=7, optimizer="sgd"
+            )
             if strategy == "dense":
                 reference_state = network.state_dict()
             else:
                 network.load_state_dict(reference_state)
-            report = trainer.train(3)
-            losses[strategy] = report.train_losses
-        assert np.allclose(losses["dense"], losses["fused_sparse"], rtol=1e-6)
+            losses[strategy] = trainer.train(6).train_losses
+            states[strategy] = network.state_dict()
+        assert losses["dense"] == losses["fused_sparse"]
+        for name in reference_state:
+            assert np.array_equal(states["dense"][name], states["fused_sparse"][name]), name
 
     def test_report_throughput_and_phases(self, tiny_tau_dataset):
         trainer, _ = build_trainer(tiny_tau_dataset)
@@ -295,22 +370,106 @@ class TestDistributedTrainer:
         assert len(report.train_losses) == 8
 
 
+@pytest.fixture(scope="module")
+def tau_200():
+    from repro.simulators import TauDecayModel
+
+    return InMemoryTraceDataset(list(generate_dataset(TauDecayModel(), 200, rng=RandomState(2024))))
+
+
+def length_buckets(dataset, minibatch_size, num_ranks, num_buckets):
+    """Chunk -> bucket as Section 7.2 defines them: chunks are consecutive
+    minibatch-size slices of the trace-type-sorted order, buckets equal-count
+    groups of chunks in mean-length order (at most one per rank's chunk)."""
+    order = sorted_indices_by_trace_type(dataset)
+    chunks = [tuple(order[s : s + minibatch_size]) for s in range(0, len(order) - minibatch_size + 1, minibatch_size)]
+    count = max(1, min(num_buckets, len(chunks) // num_ranks))
+    mean_lengths = [np.mean([dataset.trace_length_of(i) for i in chunk]) for chunk in chunks]
+    split = np.array_split(np.argsort(mean_lengths, kind="stable"), count)
+    return {chunks[i]: bucket for bucket, members in enumerate(split) for i in members}
+
+
+class TestDeal:
+    """The trainer deals one schedule: every chunk once per epoch, no step mixing buckets."""
+
+    MINIBATCH = 8  # 200 traces: 25 chunks
+
+    def deal(self, dataset, num_ranks, num_buckets, iterations):
+        network = InferenceNetwork(
+            config=Config(observation_shape=(8, 11, 11), lstm_hidden=8, observation_embedding_dim=4,
+                          address_embedding_dim=2, sample_embedding_dim=2, proposal_mixture_components=1),
+            observe_key="detector",
+        )
+        trainer = DistributedTrainer(
+            network, dataset, num_ranks=num_ranks, local_minibatch_size=self.MINIBATCH,
+            num_buckets=num_buckets, validation_fraction=0.0, seed=11,
+        )
+        return [[tuple(trainer._deal(rank)) for rank in range(num_ranks)] for _ in range(iterations)]
+
+    @pytest.mark.parametrize("num_ranks, num_buckets", [(2, 3), (3, 2), (4, 4)])
+    def test_every_chunk_is_dealt_once_per_epoch(self, tau_200, num_ranks, num_buckets):
+        """A bucket of n chunks is dealt in ceil(n / R) groups; only the fill
+        of its last group repeats chunks, none is dropped, and no rank's
+        epoch ends the others' early."""
+        buckets = length_buckets(tau_200, self.MINIBATCH, num_ranks, num_buckets)
+        sizes = Counter(buckets.values())
+        per_epoch = sum(-(-n // num_ranks) for n in sizes.values())
+        dealt = self.deal(tau_200, num_ranks, num_buckets, 3 * per_epoch)
+        for epoch in range(3):
+            counts = Counter(chunk for group in dealt[epoch * per_epoch : (epoch + 1) * per_epoch] for chunk in group)
+            assert counts.keys() == buckets.keys()
+            for bucket, n in sizes.items():
+                repeats = sum(counts[chunk] - 1 for chunk in buckets if buckets[chunk] == bucket)
+                assert repeats == -n % num_ranks
+
+    @pytest.mark.parametrize("num_ranks, num_buckets", [(2, 3), (3, 2), (4, 4)])
+    def test_no_step_mixes_buckets(self, tau_200, num_ranks, num_buckets):
+        buckets = length_buckets(tau_200, self.MINIBATCH, num_ranks, num_buckets)
+        for group in self.deal(tau_200, num_ranks, num_buckets, 40):
+            assert len({buckets[chunk] for chunk in group}) == 1
+
+
 class TestLoadBalance:
     def test_sorting_improves_effective_minibatch(self, tiny_tau_dataset):
         unsorted = evaluate_scheme(tiny_tau_dataset, scheme="unsorted", num_ranks=2, local_minibatch_size=8)
         sorted_eval = evaluate_scheme(tiny_tau_dataset, scheme="sorted", num_ranks=2, local_minibatch_size=8)
         assert sorted_eval.mean_effective_minibatch >= unsorted.mean_effective_minibatch
 
-    def test_bucketing_reduces_imbalance(self, tau_model, rng):
-        dataset = generate_dataset(tau_model, 200, rng=rng)
-        sorted_eval = evaluate_scheme(dataset, scheme="sorted", num_ranks=4, local_minibatch_size=8)
-        bucketed = evaluate_scheme(dataset, scheme="bucketing", num_ranks=4, local_minibatch_size=8, num_buckets=5)
-        assert bucketed.mean_imbalance_percent <= sorted_eval.mean_imbalance_percent + 1e-9
+    @pytest.mark.parametrize("scheme", ["sorted", "bucketing"])
+    def test_imbalance_is_the_deal_cost_over_the_trainer_schedule(self, tau_200, scheme):
+        """One cost model: the scheme is scored on the groups the trainer's
+        sampler deals, each rank's chunk costing its ``chunk_cost`` LSTM steps."""
+        evaluation = evaluate_scheme(
+            tau_200, scheme=scheme, num_ranks=4, local_minibatch_size=8, num_buckets=4, seed=5
+        )
+        lengths = [tau_200.trace_length_of(i) for i in range(len(tau_200))]
+        types = [tau_200.trace_type_of(i) for i in range(len(tau_200))]
+        sampler = DistributedTraceSampler(
+            sorted_indices_by_trace_type(tau_200), minibatch_size=8, num_ranks=4,
+            num_buckets=4 if scheme == "bucketing" else 1, lengths=lengths, trace_types=types, seed=5,
+        )
+        imbalances = []
+        for group in sampler:
+            steps = np.array([chunk_cost(chunk, lengths, types)[0] for chunk in group], dtype=float)
+            imbalances.append(100.0 * (steps.max() - steps.mean()) / steps.mean())
+        assert evaluation.iterations == len(sampler)
+        assert evaluation.mean_imbalance_percent == pytest.approx(np.mean(imbalances))
 
-    def test_dynamic_batching_balances_tokens(self, tiny_tau_dataset):
-        dynamic = evaluate_scheme(tiny_tau_dataset, scheme="dynamic", num_ranks=2, local_minibatch_size=8)
+    def test_cost_matched_deal_needs_no_length_buckets(self, tau_200):
+        """The deal already pairs chunks of like cost; cutting the chunks into
+        length buckets first only narrows whom a chunk can be paired with."""
+        sorted_eval = evaluate_scheme(tau_200, scheme="sorted", num_ranks=4, local_minibatch_size=8)
+        bucketed = evaluate_scheme(tau_200, scheme="bucketing", num_ranks=4, local_minibatch_size=8, num_buckets=5)
+        assert sorted_eval.mean_imbalance_percent <= bucketed.mean_imbalance_percent
+
+    def test_token_batches_balance_tokens_not_lstm_steps(self, tau_200):
+        """Dynamic batching equalises tokens, but a token-budget batch spans
+        several trace types, each one more LSTM pass: in the deal's cost it
+        is less balanced than the cost-matched sorted deal."""
+        dynamic = evaluate_scheme(tau_200, scheme="dynamic", num_ranks=4, local_minibatch_size=8)
+        sorted_eval = evaluate_scheme(tau_200, scheme="sorted", num_ranks=4, local_minibatch_size=8)
         assert dynamic.iterations > 0
-        assert dynamic.mean_imbalance_percent < 50.0
+        assert sorted_eval.mean_imbalance_percent < dynamic.mean_imbalance_percent
 
     def test_compare_schemes_returns_all(self, tiny_tau_dataset):
         results = compare_schemes(tiny_tau_dataset, num_ranks=2, local_minibatch_size=8)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor, functional as F, nn, optim
+from repro.tensor.nn.module import Parameter
+
+import reference_kernels as ref
 
 
 def make_regression(seed=0, n=64):
@@ -83,6 +86,79 @@ class TestAdam:
         opt.step()
         opt.step()
         assert opt.step_count == 2
+
+
+def twin_parameters(rng, shapes):
+    """Two lists of parameters with equal values: one per optimizer under test."""
+    values = [rng.standard_normal(shape) for shape in shapes]
+    return [Parameter(value.copy()) for value in values], [Parameter(value.copy()) for value in values]
+
+
+def assert_bit_equal(params, reference):
+    for param, expected in zip(params, reference):
+        assert param.data.shape == expected.data.shape
+        assert param.data.tobytes() == expected.data.tobytes()
+
+
+class TestFlatStepMatchesPerTensorReference:
+    """Adam steps once over a flat image; every value must be the per-tensor step's, bit for bit."""
+
+    SHAPES = [(3, 4), (5,), (2, 3, 2), (1,), (7,)]
+
+    def run(self, make_flat, make_reference, steps=12, seed=0, grow_at=5):
+        rng = np.random.default_rng(seed)
+        flat_params, ref_params = twin_parameters(rng, self.SHAPES)
+        flat, reference = make_flat(flat_params), make_reference(ref_params)
+        for step in range(steps):
+            if step == grow_at:  # add_param_group mid-run: fresh moments, t = 0
+                new_flat, new_ref = twin_parameters(rng, [(4, 2), (3,)])
+                flat.add_param_group(new_flat)
+                reference.add_param_group(new_ref)
+                flat_params += new_flat
+                ref_params += new_ref
+            # Some tensors have no gradient on some steps; each keeps its own t.
+            present = rng.random(len(flat_params)) < 0.7
+            for param, twin, has in zip(flat_params, ref_params, present):
+                grad = rng.standard_normal(param.data.shape) if has else None
+                param.grad, twin.grad = grad, None if grad is None else grad.copy()
+            before = [param.data for param in flat_params]
+            snapshot = [data.copy() for data in before]
+            flat.step()
+            reference.step()
+            assert_bit_equal(flat_params, ref_params)
+            for data, copy in zip(before, snapshot):
+                assert np.array_equal(data, copy)  # rebound, never written in place
+            # Each parameter owns its array: one left out of later steps keeps
+            # only its own values alive, not the whole image of this step.
+            for param, has in zip(flat_params, present):
+                assert not has or param.data.base is None
+        return flat
+
+    def test_adam(self):
+        flat = self.run(lambda p: optim.Adam(p, lr=0.05), lambda p: ref.PerTensorAdam(p, lr=0.05))
+        assert flat.step_count == 12
+
+    def test_adam_weight_decay(self):
+        self.run(
+            lambda p: optim.Adam(p, lr=0.01, betas=(0.8, 0.99), weight_decay=0.3),
+            lambda p: ref.PerTensorAdam(p, lr=0.01, betas=(0.8, 0.99), weight_decay=0.3),
+            seed=1,
+        )
+
+    @pytest.mark.parametrize("clip", [True, False])
+    def test_larc_adam(self, clip):
+        self.run(
+            lambda p: optim.LARC(optim.Adam(p, lr=0.5), trust_coefficient=0.05, clip=clip),
+            lambda p: ref.PerTensorLARC(ref.PerTensorAdam(p, lr=0.5), trust_coefficient=0.05, clip=clip),
+            seed=2,
+        )
+
+    def test_a_step_without_gradients_moves_nothing(self):
+        layer = nn.Linear(2, 2)
+        opt = optim.Adam(layer.parameters(), lr=0.1)
+        before = layer.weight.data
+        opt.step()
+        assert layer.weight.data is before and opt.step_count == 1
 
 
 class TestLARC:

@@ -428,20 +428,23 @@ class TestOneTrainingLoop:
 
         named = list(reference.named_parameters())
         optimizer = optim.Adam(named, lr=1e-3)
+        sizes = [p.data.size for _, p in named]
         expected = []
         for rank_traces in zip(reads[0::2], reads[1::2]):
-            gradients, losses = [], []
+            gradients, present, losses = [], [], []
             for traces in rank_traces:
                 reference.zero_grad()
                 loss = reference.loss(traces)
                 loss.backward()
-                gradients.append({n: p.grad.copy() for n, p in named if p.grad is not None})
+                gradients.append(np.concatenate([
+                    np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1) for _, p in named
+                ]))
+                present.append([p.grad is not None for _, p in named])
                 losses.append(loss.item())
-            averaged = average_gradients(
-                gradients, [n for n, _ in named], {n: p.data.shape for n, p in named}
-            )
-            for name, parameter in named:
-                parameter.grad = averaged.get(name)
+            averaged, has_gradient = average_gradients(np.array(gradients), np.array(present), sizes)
+            offsets = np.cumsum([0] + sizes)
+            for (_, parameter), start, end, has in zip(named, offsets, offsets[1:], has_gradient):
+                parameter.grad = averaged[start:end].reshape(parameter.data.shape) if has else None
             optimizer.step()
             expected.append(float(np.mean(losses)))
         assert len(reads) == 2 * self.ITERATIONS
