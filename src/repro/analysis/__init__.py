@@ -6,13 +6,12 @@ seed-collision class), lock discipline in the serving tier, the batched
 ``(B, ...)`` shape contracts, and fork/pickle safety of the process backend.
 
 Findings carry a stable five-key schema (file, line, rule, severity,
-message); ``analysis_baseline.json`` at the repo root records accepted debt,
-and ``# repro-lint: disable=<rule>`` comments suppress individual lines.
+message).  The gate has one way to pass: no finding at or above the gating
+severity; a true finding is fixed, not accepted.
 """
 
 from repro.analysis.findings import Finding, SCHEMA_KEYS, SEVERITIES
 from repro.analysis.core import Checker, FileContext, ImportResolver, run_analysis
-from repro.analysis.baseline import diff_against_baseline, load_baseline, save_baseline
 from repro.analysis.checkers import all_checkers
 
 __all__ = [
@@ -24,7 +23,4 @@ __all__ = [
     "ImportResolver",
     "run_analysis",
     "all_checkers",
-    "load_baseline",
-    "save_baseline",
-    "diff_against_baseline",
 ]

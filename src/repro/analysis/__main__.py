@@ -1,32 +1,22 @@
 """CLI: ``python -m repro.analysis [paths] [--format text|json|github] ...``.
 
-Exit status is the CI contract: 0 when every gating finding is covered by the
-baseline (or there are none), 1 when new findings at or above ``--severity``
-exist, 2 on usage errors.  The analysis itself is always whole-program — the
-call-graph fixpoint needs every module — but ``--changed-only`` scopes the
-*reporting* (and the gate) to files touched since ``--changed-base``, so a
-PR job only fails on findings the PR could have introduced.
-``--format github`` emits ``::error``/``::warning`` workflow annotations;
-``--format json`` emits the stable schema for artifact upload.  Stale
-baseline entries are reported on stderr either way so the baseline file
-shrinks as debt is paid down, but they never fail the gate on their own.
+Exit status is the CI contract: 0 when no finding is at or above
+``--severity``, 1 when one is, 2 on usage errors.  The analysis is always
+whole-program — the call-graph fixpoint needs every module.  ``--format
+github`` emits ``::error``/``::warning`` workflow annotations; ``--format
+json`` emits the stable schema for artifact upload.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import diff_against_baseline, load_baseline, save_baseline
 from repro.analysis.checkers import all_checkers
 from repro.analysis.core import run_analysis
 from repro.analysis.findings import SEVERITIES, Finding
-
-DEFAULT_BASELINE = "analysis_baseline.json"
 
 
 def _list_rules() -> str:
@@ -36,24 +26,6 @@ def _list_rules() -> str:
         for rule, description in sorted(checker.rules.items()):
             lines.append(f"  {rule:28s} {description}")
     return "\n".join(lines)
-
-
-def _changed_files(base: str) -> Optional[Set[str]]:
-    """Paths changed relative to ``base``, plus untracked files (repo-relative)."""
-    changed: Set[str] = set()
-    for argv in (
-        ["git", "diff", "--name-only", base, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, check=True, timeout=30
-            )
-        except (OSError, subprocess.SubprocessError) as error:
-            print(f"error: --changed-only needs git: {error}", file=sys.stderr)
-            return None
-        changed.update(line.strip() for line in proc.stdout.splitlines() if line.strip())
-    return {path.replace(os.sep, "/") for path in changed}
 
 
 def _github_line(finding: Finding) -> str:
@@ -75,55 +47,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("paths", nargs="*", default=["src"], help="files or directories (default: src)")
     parser.add_argument(
         "--format",
-        dest="format",
         choices=("text", "json", "github"),
-        default=None,
+        default="text",
         help="output format (github = workflow annotations)",
-    )
-    parser.add_argument(
-        "--output",
-        choices=("text", "json"),
-        default=None,
-        help="alias of --format, kept for compatibility",
     )
     parser.add_argument(
         "--severity",
         choices=SEVERITIES,
         default="error",
-        help="gate threshold: exit nonzero only for new findings at or above "
+        help="gate threshold: exit nonzero only for findings at or above "
         "this severity (default: error; warnings are always reported but "
         "never fail the run unless --severity warning)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="report (and gate on) only findings in files changed since "
-        "--changed-base; the analysis itself stays whole-program",
-    )
-    parser.add_argument(
-        "--changed-base",
-        default="HEAD",
-        help="git ref --changed-only diffs against (default: HEAD)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE} when it exists)",
-    )
-    parser.add_argument("--no-baseline", action="store_true", help="ignore any baseline file")
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current findings as the new baseline and exit 0",
     )
     parser.add_argument("--report", default=None, help="also write the JSON report to this path")
     parser.add_argument("--list-rules", action="store_true", help="list every rule and exit")
     args = parser.parse_args(argv)
-
-    if args.format is not None and args.output is not None and args.format != args.output:
-        print("error: --format and --output disagree; pass one of them", file=sys.stderr)
-        return 2
-    out_format = args.format or args.output or "text"
 
     if args.list_rules:
         print(_list_rules())
@@ -135,71 +73,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    if args.changed_only:
-        changed = _changed_files(args.changed_base)
-        if changed is None:
-            return 2
-        findings = [
-            finding
-            for finding in findings
-            if finding.file.replace(os.sep, "/") in changed
-        ]
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    if args.write_baseline:
-        save_baseline(baseline_path, findings)
-        print(f"wrote {len(findings)} finding(s) to {baseline_path}", file=sys.stderr)
-        return 0
-
-    baseline = None
-    if not args.no_baseline and (args.baseline is not None or os.path.exists(baseline_path)):
-        try:
-            baseline = load_baseline(baseline_path)
-        except (OSError, ValueError, KeyError, TypeError) as error:
-            print(f"error: cannot read baseline {baseline_path}: {error}", file=sys.stderr)
-            return 2
-
-    if baseline is not None:
-        new, stale = diff_against_baseline(findings, baseline)
-    else:
-        new, stale = list(findings), []
-
     threshold = SEVERITIES.index(args.severity)
-    gating = [f for f in new if SEVERITIES.index(f.severity) >= threshold]
+    gating = [f for f in findings if SEVERITIES.index(f.severity) >= threshold]
 
     report = {
         "findings": [finding.to_dict() for finding in findings],
-        "new": [finding.to_dict() for finding in new],
-        "baseline": baseline_path if baseline is not None else None,
         "severity_gate": args.severity,
         "gating": [finding.to_dict() for finding in gating],
-        "stale_baseline_entries": [
-            {"file": file, "rule": rule, "message": message} for file, rule, message in stale
-        ],
     }
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
             handle.write("\n")
 
-    if out_format == "json":
+    if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
-        for finding in new:
-            if out_format == "github":
-                print(_github_line(finding))
-            else:
-                print(finding.render())
-        covered = len(findings) - len(new)
-        summary = (
-            f"{len(new)} new finding(s) ({len(gating)} at/above --severity "
-            f"{args.severity}), {covered} covered by baseline"
-        )
-        print(summary, file=sys.stderr)
-
-    for file, rule, message in stale:
+        for finding in findings:
+            print(_github_line(finding) if args.format == "github" else finding.render())
         print(
-            f"stale baseline entry (no longer found): {file}: {rule}: {message}",
+            f"{len(findings)} finding(s), {len(gating)} at/above --severity {args.severity}",
             file=sys.stderr,
         )
 

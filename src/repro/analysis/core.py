@@ -29,7 +29,6 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.suppressions import is_suppressed, parse_suppressions
 
 __all__ = [
     "Checker",
@@ -84,7 +83,6 @@ class FileContext:
         self.path = path
         self.source = source
         self.tree = tree
-        self.suppressions = parse_suppressions(source)
         #: normalised path with forward slashes, for portable scope matching
         self.norm_path = path.replace(os.sep, "/")
         self.is_package = os.path.basename(path) == "__init__.py"
@@ -284,28 +282,20 @@ def run_analysis(paths: Sequence[str], checkers: Iterable[Checker]) -> List[Find
     Files are parsed once and the resulting ASTs (plus the whole-program
     :class:`~repro.analysis.project.Project` built from them) are shared by
     every checker — the fixpoint engine must not multiply parse cost.
-    Suppression comments are applied here for per-file *and* cross-file
-    findings, so individual checkers never need to think about them.
     """
     from repro.analysis.project import Project  # local: core must stay import-light
 
     checkers = list(checkers)
     contexts, findings = parse_contexts(paths)
     project = Project(contexts)
-    suppressions_by_path = {context.path: context.suppressions for context in contexts}
     for checker in checkers:
         checker.begin_project(project)
     for context in contexts:
         for checker in checkers:
             if not checker.relevant(context.path):
                 continue
-            for finding in checker.check(context):
-                if not is_suppressed(context.suppressions, finding.line, finding.rule):
-                    findings.append(finding)
+            findings.extend(checker.check(context))
     for checker in checkers:
-        for finding in checker.finalize():
-            suppressions = suppressions_by_path.get(finding.file, {})
-            if not is_suppressed(suppressions, finding.line, finding.rule):
-                findings.append(finding)
+        findings.extend(checker.finalize())
     findings.sort(key=lambda f: (f.file, f.line, f.rule, f.message))
     return findings

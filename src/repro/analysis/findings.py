@@ -6,17 +6,12 @@ A :class:`Finding` is one detected invariant violation.  Its JSON form is a
 artifact, future ``BENCH_*.json``-style trend tracking) can diff findings
 across PRs without parsing free-form lint output.  Add new information as new
 *rules*, not new keys.
-
-Baseline identity deliberately excludes the line number: a finding is "the
-same finding" across PRs if its ``(file, rule, message)`` triple matches, so
-unrelated edits that shift code downward do not invalidate the committed
-baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 __all__ = ["Finding", "SEVERITIES", "SCHEMA_KEYS"]
 
@@ -60,11 +55,6 @@ class Finding:
             severity=str(payload["severity"]),
             message=str(payload["message"]),
         )
-
-    @property
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.file, self.rule, self.message)
 
     def render(self) -> str:
         return f"{self.file}:{self.line}: [{self.severity}] {self.rule}: {self.message}"

@@ -429,7 +429,6 @@ class DistributedTrainer:
         end_learning_rate: float = 1e-5,
         total_iterations_hint: Optional[int] = None,
         allreduce_strategy: str = "fused_sparse",
-        num_buckets: int = 1,
         validation_fraction: float = 0.1,
         seed: int = 0,
         rng: Optional[RandomState] = None,
@@ -454,7 +453,6 @@ class DistributedTrainer:
             ordered,
             minibatch_size=local_minibatch_size,
             num_ranks=num_ranks,
-            num_buckets=num_buckets,
             lengths=[dataset.trace_length_of(i) for i in range(total)],
             trace_types=[dataset.trace_type_of(i) for i in range(total)],
             shuffle=True,

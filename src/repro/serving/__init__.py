@@ -30,9 +30,9 @@ for free.  This package turns that observation into a service:
   ``PosteriorService.stats()`` adds every other counter by reading the
   component that owns it (cache, resilience, pool, engine).
 * :class:`ServiceResilience` — hardened failure semantics: retry with
-  jittered exponential backoff under request deadlines, a circuit breaker,
-  stale-cache serving under degradation, and graceful process→thread backend
-  demotion after crash storms.
+  jittered exponential backoff under request deadlines, a circuit breaker
+  (cached posteriors keep being served while it is open), and graceful
+  process→thread backend demotion after crash storms.
 * :class:`RequestCapture` / :func:`replay_capture` — record every admitted
   request (observation, stream key, admission order, model version) and
   replay a capture deterministically: replayed posteriors are bit-identical,
@@ -45,7 +45,7 @@ a served posterior is identical to a direct
 call with the same seed, no matter how requests were packed into cohorts.
 """
 
-from repro.serving.cache import CacheLookup, PosteriorCache, observation_fingerprint
+from repro.serving.cache import PosteriorCache, observation_fingerprint
 from repro.serving.capture import (
     ReplayMismatch,
     ReplayReport,
@@ -77,7 +77,6 @@ from repro.serving.workers import CohortWorkerPool
 
 __all__ = [
     "BreakerOpen",
-    "CacheLookup",
     "CircuitBreaker",
     "CohortWorkerPool",
     "DeadlineExceeded",

@@ -8,7 +8,7 @@ seeds become regression cases: capture the run, commit the file, replay it in
 CI.
 
 The capture file is JSON Lines — one header record, then one ``admission``
-record per non-internal admitted request (in admission order) and one
+record per admitted request (in admission order) and one
 ``outcome`` record per resolution.  Observations are stored as
 base64(raw bytes) + dtype + shape, and the request's random stream is stored
 as its stream key (:func:`repro.ppl.inference.batched.request_key`, a few

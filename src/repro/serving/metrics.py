@@ -4,9 +4,8 @@ The batching trade-off the scheduler makes (wait a little, batch a lot) is
 only tunable if the service exposes what it actually did: how full cohorts
 were, how often a cohort mixed several requests, how long clients waited.
 :class:`ServingMetrics` counts the events the service performs and nothing
-else — admissions, rejections, sheds, completions, failures, background
-revalidations and degraded stale serves, the shape of every flushed cohort,
-and the running seconds of each scheduler phase.
+else — admissions, rejections, sheds, completions, failures, the shape of
+every flushed cohort, and the running seconds of each scheduler phase.
 
 Every other number :meth:`PosteriorService.stats` reports is read from the
 component that performs the event (cache outcomes from
@@ -47,8 +46,6 @@ class ServingMetrics:
         self.failed = 0
         self.shed_deadline = 0
         self.rejected_overload = 0
-        self.revalidations = 0
-        self.degraded_stale_served = 0
         self.traces_executed = 0
         self.cohorts_executed = 0
         self._latencies: Deque[float] = deque(maxlen=window)
@@ -74,16 +71,6 @@ class ServingMetrics:
     def record_failed(self) -> None:
         with self._lock:
             self.failed += 1
-
-    def record_revalidation(self) -> None:
-        """A background refresh of a stale cache entry was started."""
-        with self._lock:
-            self.revalidations += 1
-
-    def record_degraded_stale(self) -> None:
-        """A stale cache entry was served *without* revalidation (breaker open)."""
-        with self._lock:
-            self.degraded_stale_served += 1
 
     def record_completed(self, latency: float, num_traces: int, cached: bool) -> None:
         with self._lock:
@@ -120,8 +107,6 @@ class ServingMetrics:
                 "traces_executed": self.traces_executed,
                 "traces_per_s": self.traces_executed / uptime,
                 "cohorts_executed": self.cohorts_executed,
-                "revalidations": self.revalidations,
-                "degraded_stale_served": self.degraded_stale_served,
                 "scheduler_phase_totals_s": dict(self._phase_totals),
             }
         if latencies.size:

@@ -20,10 +20,11 @@ and a requeued shard simply runs again from the same keys.
 
 Lifecycle and failure semantics:
 
-* ``start_method`` defaults to ``fork`` where available (model/network are
-  inherited for free; closures and lambdas work).  Under ``spawn`` the model
-  and network handles are pickled into each worker once at start-up — the
-  one-time serialization cost the persistent-worker design exists to amortize.
+* Workers start with ``fork`` where the platform has it (model/network are
+  inherited for free; closures and lambdas work), else with ``spawn``, which
+  pickles the model and network handles into each worker once at start-up —
+  the one-time serialization cost the persistent-worker design exists to
+  amortize.  ``stats()["start_method"]`` says which.
 * Worker ``i`` pins itself to core ``i % len(cores)`` of the affinity mask it
   inherited, before it runs anything: a cohort's driver and slot threads
   hand control back and forth, and floating over every core costs them a
@@ -206,7 +207,6 @@ class ProcessCohortPool:
         network=None,
         *,
         num_workers: int = 2,
-        start_method: Optional[str] = None,
         max_requeues: int = 1,
         on_stats: Optional[Callable[[Dict[str, int], float], None]] = None,
         use_plans: bool = False,
@@ -221,11 +221,8 @@ class ProcessCohortPool:
         self.max_requeues = int(max_requeues)
         self.on_stats = on_stats
         self.use_plans = bool(use_plans)
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        self.start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        self._ctx = multiprocessing.get_context(self.start_method)
         #: the current generation, by worker index
         self._workers: List[_Worker] = []
         #: previous-generation workers (after refresh()) finishing their shards

@@ -114,8 +114,6 @@ class PosteriorRequest:
         # Set by the service at admission:
         #: the cache key its result is stored under
         self.cache_key: Optional[str] = None
-        #: a service-originated refresh, left out of the client metrics
-        self.internal = False
         #: the network generation it was admitted under
         self.network_version = 0
         #: its admission record in the capture file, if one is kept

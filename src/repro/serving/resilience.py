@@ -18,9 +18,9 @@ possible.  :class:`ServiceResilience` layers that on, opt-in:
 
 * **Circuit breaker.**  Repeated cohort failures open the breaker: new
   uncached submissions fail fast with :class:`BreakerOpen` instead of
-  queueing behind a dying pool, cached entries keep being served — including
-  *stale* ones, without triggering revalidation traffic — and a half-open
-  probe cohort is admitted after ``recovery_time`` to test the water.
+  queueing behind a dying pool, cached entries keep being served, and a
+  half-open probe cohort is admitted after ``recovery_time`` to test the
+  water.
 
 * **Graceful backend demotion.**  The failure that brings the breaker's
   openings to ``demote_after`` asks the maintenance thread to swap a

@@ -73,6 +73,8 @@ __all__ = ["PosteriorService"]
 
 #: executors a backend gets when the caller names no ``num_workers``
 _DEFAULT_NUM_WORKERS = {"thread": 1, "process": 2}
+#: trace budget of a request that names no ``num_traces``
+_DEFAULT_NUM_TRACES = 100
 
 
 class PosteriorService:
@@ -112,16 +114,14 @@ class PosteriorService:
         backend (their one transport cannot be shared with a forked worker).
     queue_capacity:
         Bound on pending trace jobs; admission control rejects beyond it.
-    cache_capacity / cache_ttl:
-        Observation-keyed posterior cache size and staleness bound.  With a
-        TTL set, expired entries are served stale while a single-flight
-        background refresh recomputes them (stale-while-revalidate); entries
-        are dropped outright when the network is retrained in place (the
-        service listens for the network's update notifications).
-    mp_start_method / max_requeues:
-        Process-backend tuning: the multiprocessing start method (default
-        ``fork`` where available, so models/networks need not pickle) and how
-        many times a crashed worker's shard is requeued before failing loudly.
+    cache_capacity:
+        Observation-keyed posterior cache size.  For a fixed network a cached
+        posterior never goes out of date: entries live until they are evicted
+        or the network is retrained in place (the service listens for the
+        network's update notifications and drops them).
+    max_requeues:
+        Process backend: how many times a crashed worker's shard is requeued
+        before failing loudly.
     use_plans:
         Enable compiled trace-type execution plans
         (:class:`repro.ppl.inference.plans.PlanCache`): hot trace types are
@@ -136,12 +136,12 @@ class PosteriorService:
         transient cohort failures with jittered backoff (deadline-aware),
         circuit-breaks repeated failures (new uncached submissions then fail
         fast with :class:`~repro.serving.resilience.BreakerOpen` while cached
-        — including stale — entries keep being served), and optionally
+        entries keep being served), and optionally
         demotes process → thread after crash storms.  ``None`` (the default)
         keeps the loud fail-fast semantics.
     capture:
         Optional :class:`repro.serving.capture.RequestCapture` (or a path
-        string): every non-internal admitted request is recorded
+        string): every admitted request is recorded
         (observation, stream key, admission order, network version)
         together with its outcome digest, for deterministic replay via
         :func:`repro.serving.capture.replay_capture`.
@@ -160,10 +160,7 @@ class PosteriorService:
         backend: str = "thread",
         queue_capacity: int = 4096,
         cache_capacity: int = 256,
-        cache_ttl: Optional[float] = None,
-        default_num_traces: int = 100,
         rng: Optional[RandomState] = None,
-        mp_start_method: Optional[str] = None,
         max_requeues: int = 1,
         use_plans: bool = True,
         resilience: Optional[ServiceResilience] = None,
@@ -172,20 +169,17 @@ class PosteriorService:
     ) -> None:
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if default_num_traces < 1:
-            raise ValueError("default_num_traces must be >= 1")
         if backend not in ("thread", "process"):
             raise ValueError(f"backend must be 'thread' or 'process', got {backend!r}")
         self.model = model
         self.network = network
         self.observe_key = observe_key
         self.name = name
-        self.default_num_traces = int(default_num_traces)
         self.queue_capacity = int(queue_capacity)
         self.shard_min = max(1, int(shard_min))
         self._rng = rng or get_rng()
         self.metrics = ServingMetrics()
-        self.cache = PosteriorCache(capacity=cache_capacity, ttl=cache_ttl)
+        self.cache = PosteriorCache(capacity=cache_capacity)
         # A remote simulator multiplexes one unsynchronized PPX transport, so
         # its executions must never run on two workers at once — the same
         # constraint the engine applies within a cohort — and the transport
@@ -196,9 +190,7 @@ class PosteriorService:
         self.use_plans = bool(use_plans) and network is not None
         #: as requested — ``None`` resolves per backend, also after a demotion
         self._num_workers = num_workers
-        self.workers = self._make_pool(
-            backend, num_workers, start_method=mp_start_method, max_requeues=max_requeues
-        )
+        self.workers = self._make_pool(backend, num_workers, max_requeues=max_requeues)
         self.backend = self.workers.backend
         self.scheduler = MicroBatchScheduler(
             self._dispatch,
@@ -311,7 +303,7 @@ class PosteriorService:
         """
         if not self._running:
             raise ServiceOverloaded("service is not running")
-        num_traces = self.default_num_traces if num_traces is None else int(num_traces)
+        num_traces = _DEFAULT_NUM_TRACES if num_traces is None else int(num_traces)
         if num_traces < 1:
             raise ValueError("num_traces must be >= 1")
         if deadline is not None and deadline <= 0:
@@ -324,25 +316,13 @@ class PosteriorService:
         if use_cache:
             # The miss is not recorded yet: it may still be resolved by
             # single-flight coalescing below, in which case the cache counts
-            # it as a hit.  A TTL-expired entry is served *stale* while one
-            # background refresh recomputes it — repeated queries never stack
-            # up behind a cold recompute.
-            found = self.cache.lookup(key, record_miss=False, allow_stale=True)
-            if found.value is not None:
-                if found.stale:
-                    if self._resilience is not None and self._resilience.degraded():
-                        # Degraded mode: keep answering from the stale entry
-                        # but skip the refresh — revalidation traffic against
-                        # an open breaker would only feed the failure storm.
-                        self.metrics.record_degraded_stale()
-                    else:
-                        self._schedule_revalidation(
-                            observation, observation_array, num_traces, key
-                        )
+            # it as a hit.
+            cached = self.cache.lookup(key, record_miss=False)
+            if cached is not None:
                 future: "Future[ServedPosterior]" = Future()
                 result = ServedPosterior(
                     request_id=next(self._request_ids),
-                    posterior=found.value,
+                    posterior=cached,
                     cached=True,
                     latency=0.0,
                     num_traces=num_traces,
@@ -366,8 +346,8 @@ class PosteriorService:
                 self.cache.record_miss()
             if self._resilience is not None and self._resilience.degraded():
                 # Fail fast instead of queueing fresh inference behind a pool
-                # the breaker has declared dead; cached (and stale) entries
-                # were already served above.
+                # the breaker has declared dead; cached entries were already
+                # served above.
                 raise BreakerOpen(
                     "circuit breaker open: no cached posterior for this observation"
                 )
@@ -387,17 +367,12 @@ class PosteriorService:
         deadline: Optional[float],
         request_rng: RandomState,
         stream_key: Optional[StreamKey] = None,
-        internal: bool = False,
     ) -> PosteriorRequest:
         """Admit one request (admission lock held): register, derive, enqueue.
 
         The request's stream key is ``stream_key`` when given, else drawn
         from ``request_rng`` here, after the overload checks, so a rejected
         request consumes nothing of a shared stream.
-
-        ``internal`` marks service-originated requests (background cache
-        refreshes): they are excluded from the client-facing completion,
-        latency and failure metrics — `revalidations` tracks them instead.
         """
         if self.scheduler.pending_jobs + num_traces > self.queue_capacity:
             self.metrics.record_rejected()
@@ -419,7 +394,6 @@ class PosteriorService:
             deadline=None if deadline is None else time.monotonic() + deadline,
         )
         request.cache_key = key
-        request.internal = internal
         # Snapshot the network generation at admission: if a retrain lands
         # while this request is in flight, its posterior (old/mid-training
         # parameters) must not be written into the freshly invalidated cache.
@@ -430,7 +404,7 @@ class PosteriorService:
         # submits must not interleave).
         if stream_key is None:
             stream_key = request_key(request_rng)
-        if self._capture is not None and not internal:
+        if self._capture is not None:
             request.capture_order = self._capture.record_admission(
                 request_id, observation, num_traces, stream_key, request.network_version
             )
@@ -450,36 +424,6 @@ class PosteriorService:
             request.fail(error)
             raise
         return request
-
-    def _schedule_revalidation(
-        self, observation: Dict[str, Any], observation_array, num_traces: int, key: str
-    ) -> None:
-        """Start one background refresh of a stale cache entry (single-flight).
-
-        Best-effort by design: if an identical request is already in flight it
-        will refresh the entry itself, and if the queue is full the refresh is
-        simply skipped — the client was already answered from the stale entry,
-        so a refresh failure must never surface to it.
-        """
-        with self._admission_lock:
-            if key in self._inflight_keys:
-                return
-            if self.scheduler.pending_jobs + num_traces > self.queue_capacity:
-                return  # shed the refresh, not the client (it has its answer)
-            try:
-                request = self._admit_locked(
-                    observation, observation_array, num_traces, key, None, self._rng,
-                    internal=True,
-                )
-            except BaseException:  # noqa: BLE001 - the client has its answer
-                # e.g. stop() raced this submit and the scheduler is gone; a
-                # refresh failure must never surface to the stale-served
-                # client (_admit_locked already cleaned up after itself).
-                return
-        self.metrics.record_revalidation()
-        # The refresh's own outcome is uninteresting (its _finalize already
-        # re-put the cache entry); swallow errors so nothing logs as unraised.
-        request.future.add_done_callback(lambda done: done.exception())
 
     def posterior(
         self,
@@ -504,9 +448,9 @@ class PosteriorService:
         """Resolve this request from an identical in-flight request's result.
 
         The attached request shares the primary's outcome — its posterior on
-        success, its error if the primary is shed or fails.  Like a cache
-        hit, this ignores the submitter's seed; pass ``use_cache=False`` to
-        pin seed semantics.
+        success, its error if the primary is shed or fails — and is counted
+        as its own completion or failure.  Like a cache hit, this ignores the
+        submitter's seed; pass ``use_cache=False`` to pin seed semantics.
         """
         future: "Future[ServedPosterior]" = Future()
         request_id = next(self._request_ids)
@@ -516,6 +460,7 @@ class PosteriorService:
         def _resolve(done) -> None:
             error = done.exception()
             if error is not None:
+                self.metrics.record_failed()
                 future.set_exception(error)
                 return
             latency = time.monotonic() - started
@@ -570,8 +515,8 @@ class PosteriorService:
             self._fail_request(entry.request, error)
 
     def _fail_request(self, request: PosteriorRequest, error: BaseException) -> None:
-        """Fail a request; internal (refresh) requests skip the client metric."""
-        if request.fail(error) and not request.internal:
+        """Fail a request and count it (once, however many paths fail it)."""
+        if request.fail(error):
             self.metrics.record_failed()
             self._record_capture_outcome(request, "failed", error=error)
 
@@ -650,7 +595,7 @@ class PosteriorService:
             latency=latency,
             num_traces=request.num_traces,
         )
-        if request.complete(result) and not request.internal:
+        if request.complete(result):
             self.metrics.record_completed(latency, request.num_traces, cached=False)
             if self._capture is not None:
                 self._record_capture_outcome(
@@ -764,7 +709,6 @@ class PosteriorService:
             cache_hits=cache["hits"],
             cache_misses=cache["misses"],
             cache_hit_rate=cache["hit_rate"],
-            stale_served=cache["stale_hits"],
             retries=0,
             breaker_state="closed",
             breaker_opens=0,

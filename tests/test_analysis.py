@@ -1,9 +1,7 @@
 """Tests for repro.analysis: one positive and one negative case per rule,
-suppressions, the baseline round-trip, the stable JSON schema, and the CLI
-gate over the real tree."""
+the stable JSON schema, and the CLI gate over the real tree."""
 
 import json
-import shutil
 import subprocess
 import sys
 import textwrap
@@ -11,16 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Finding,
-    SCHEMA_KEYS,
-    all_checkers,
-    diff_against_baseline,
-    load_baseline,
-    run_analysis,
-    save_baseline,
-)
-from repro.analysis.suppressions import is_suppressed, parse_suppressions
+from repro.analysis import Finding, SCHEMA_KEYS, all_checkers, run_analysis
+from repro.analysis.__main__ import _github_line, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -546,117 +536,6 @@ class TestPickleSafety:
         assert "pickle-lock" in rules_of(findings)
 
 
-# ----------------------------------------------------------------- suppressions
-class TestSuppressions:
-    def test_same_line_disable(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/ppl/mod.py",
-            """
-            import numpy as np
-            x = np.random.rand(3)  # repro-lint: disable=rng-module-call
-            """,
-        )
-        assert "rng-module-call" not in rules_of(findings)
-
-    def test_line_above_disable(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/ppl/mod.py",
-            """
-            import numpy as np
-            # repro-lint: disable=rng-module-call
-            x = np.random.rand(3)
-            """,
-        )
-        assert "rng-module-call" not in rules_of(findings)
-
-    def test_disable_all(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/ppl/mod.py",
-            """
-            import numpy as np
-            x = np.random.rand(3)  # repro-lint: disable=all
-            """,
-        )
-        assert rules_of(findings) == set()
-
-    def test_unrelated_rule_stays(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/ppl/mod.py",
-            """
-            import numpy as np
-            x = np.random.rand(3)  # repro-lint: disable=rng-stdlib-random
-            """,
-        )
-        assert "rng-module-call" in rules_of(findings)
-
-    def test_comment_inside_string_is_inert(self):
-        suppressions = parse_suppressions(
-            'text = "# repro-lint: disable=rng-module-call"\n'
-        )
-        assert suppressions == {}
-
-    def test_is_suppressed_window(self):
-        suppressions = {10: {"rng-module-call"}}
-        assert is_suppressed(suppressions, 10, "rng-module-call")
-        assert is_suppressed(suppressions, 11, "rng-module-call")
-        assert not is_suppressed(suppressions, 12, "rng-module-call")
-
-
-# --------------------------------------------------------------------- baseline
-class TestBaseline:
-    def _findings(self):
-        return [
-            Finding("src/a.py", 3, "rng-module-call", "error", "msg one"),
-            Finding("src/a.py", 9, "rng-module-call", "error", "msg one"),
-            Finding("src/b.py", 5, "lock-unlocked-write", "error", "msg two"),
-        ]
-
-    def test_round_trip_is_clean(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        findings = self._findings()
-        save_baseline(str(path), findings)
-        new, stale = diff_against_baseline(findings, load_baseline(str(path)))
-        assert new == []
-        assert stale == []
-
-    def test_line_shift_stays_covered(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(str(path), self._findings())
-        shifted = [
-            Finding(f.file, f.line + 40, f.rule, f.severity, f.message)
-            for f in self._findings()
-        ]
-        new, stale = diff_against_baseline(shifted, load_baseline(str(path)))
-        assert new == []
-        assert stale == []
-
-    def test_new_finding_reported(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(str(path), self._findings())
-        extra = Finding("src/c.py", 1, "pickle-lambda", "error", "fresh")
-        new, _ = diff_against_baseline(self._findings() + [extra], load_baseline(str(path)))
-        assert new == [extra]
-
-    def test_multiplicity_counts(self, tmp_path):
-        # Two identical findings need two baseline entries; dropping one
-        # baseline entry exposes the extra occurrence as new.
-        path = tmp_path / "baseline.json"
-        save_baseline(str(path), self._findings()[:1])
-        new, _ = diff_against_baseline(self._findings()[:2], load_baseline(str(path)))
-        assert len(new) == 1
-
-    def test_fixed_finding_reported_stale(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(str(path), self._findings())
-        new, stale = diff_against_baseline(self._findings()[:2], load_baseline(str(path)))
-        assert new == []
-        assert stale == [("src/b.py", "lock-unlocked-write", "msg two")]
-
-
 # ----------------------------------------------------------------- JSON schema
 class TestSchema:
     def test_to_dict_is_exactly_the_stable_schema(self):
@@ -687,7 +566,7 @@ class TestCommandLine:
             env=env,
         )
 
-    def test_repo_tree_is_clean_against_committed_baseline(self):
+    def test_repo_tree_is_clean(self):
         result = self._run("src")
         assert result.returncode == 0, result.stdout + result.stderr
 
@@ -695,7 +574,7 @@ class TestCommandLine:
         bad = tmp_path / "repro" / "ppl" / "mod.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("import numpy as np\nx = np.random.rand(3)\n")
-        result = self._run(str(tmp_path), "--no-baseline")
+        result = self._run(str(tmp_path))
         assert result.returncode == 1
         assert "rng-module-call" in result.stdout
 
@@ -703,11 +582,11 @@ class TestCommandLine:
         bad = tmp_path / "repro" / "ppl" / "mod.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("import numpy as np\nx = np.random.rand(3)\n")
-        result = self._run(str(tmp_path), "--no-baseline", "--output", "json")
+        result = self._run(str(tmp_path), "--format", "json")
         assert result.returncode == 1
         report = json.loads(result.stdout)
-        assert report["new"], report
-        assert tuple(report["new"][0].keys()) == ("file", "line", "rule", "severity", "message")
+        assert report["findings"], report
+        assert tuple(report["findings"][0].keys()) == ("file", "line", "rule", "severity", "message")
 
     def test_list_rules_covers_every_checker(self):
         result = self._run("--list-rules")
@@ -720,9 +599,121 @@ class TestCommandLine:
     def test_syntax_error_fails_the_gate(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def broken(:\n")
-        result = self._run(str(tmp_path), "--no-baseline")
+        result = self._run(str(tmp_path))
         assert result.returncode == 1
         assert "syntax-error" in result.stdout
+
+
+# ------------------------------------------------------------ the gate itself
+class TestGate:
+    """The gate has one way to pass: no finding at or above ``--severity``.
+
+    There is no baseline file, no suppression comment and no changed-files
+    scope; these run :func:`main` in-process.
+    """
+
+    ERROR_TREE = {"repro/ppl/mod.py": "import numpy as np\nx = np.random.rand(3)\n"}
+    WARNING_TREE = {
+        "repro/serving/mod.py": """
+        import threading
+        import time
+
+        class Pool:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def slow(self):
+                with self._lock:
+                    time.sleep(1.0)
+        """
+    }
+
+    def _tree(self, tmp_path, files):
+        for rel_path, source in files.items():
+            path = tmp_path / rel_path
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source))
+        return str(tmp_path)
+
+    @pytest.mark.parametrize(
+        "comment_lines",
+        [
+            ["x = np.random.rand(3)  # repro-lint: disable=rng-module-call"],
+            ["# repro-lint: disable=rng-module-call", "x = np.random.rand(3)"],
+            ["x = np.random.rand(3)  # repro-lint: disable=all"],
+        ],
+        ids=["same-line", "line-above", "disable-all"],
+    )
+    def test_a_repro_lint_comment_hides_nothing(self, tmp_path, capsys, comment_lines):
+        source = "\n".join(["import numpy as np", *comment_lines]) + "\n"
+        root = self._tree(tmp_path, {"repro/ppl/mod.py": source})
+        assert main([root]) == 1
+        assert "rng-module-call" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--baseline", "analysis_baseline.json"],
+            ["--no-baseline"],
+            ["--write-baseline"],
+            ["--output", "json"],
+            ["--changed-only"],
+            ["--changed-base", "main"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_a_removed_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        root = self._tree(tmp_path, {"repro/ppl/clean.py": "x = 1\n"})
+        with pytest.raises(SystemExit) as exit_info:
+            main([root, *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_a_clean_tree_passes_with_an_empty_report(self, tmp_path, capsys):
+        root = self._tree(tmp_path, {"repro/ppl/clean.py": "x = 1\n"})
+        report_path = tmp_path / "report.json"
+        assert main([root, "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report == {"findings": [], "severity_gate": "error", "gating": []}
+        assert "0 finding(s), 0 at/above --severity error" in capsys.readouterr().err
+
+    def test_report_separates_findings_from_the_gating_ones(self, tmp_path, capsys):
+        root = self._tree(tmp_path, {**self.ERROR_TREE, **self.WARNING_TREE})
+        report_path = tmp_path / "report.json"
+        assert main([root, "--report", str(report_path)]) == 1
+        report = json.loads(report_path.read_text())
+        assert rules_of(Finding(**f) for f in report["findings"]) == {
+            "rng-module-call",
+            "lock-blocking-call",
+        }
+        assert [f["rule"] for f in report["gating"]] == ["rng-module-call"]
+        assert "2 finding(s), 1 at/above --severity error" in capsys.readouterr().err
+
+    def test_json_format_prints_the_report_file_verbatim(self, tmp_path, capsys):
+        root = self._tree(tmp_path, self.WARNING_TREE)
+        report_path = tmp_path / "report.json"
+        assert main([root, "--format", "json", "--severity", "warning", "--report", str(report_path)]) == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(report_path.read_text())
+        assert printed["severity_gate"] == "warning"
+        assert printed["gating"] == printed["findings"] != []
+
+    def test_github_format_marks_warnings_as_warnings(self, tmp_path, capsys):
+        root = self._tree(tmp_path, self.WARNING_TREE)
+        assert main([root, "--format", "github"]) == 0
+        annotations = capsys.readouterr().out.splitlines()
+        assert annotations and all(line.startswith("::warning ") for line in annotations)
+        assert all("title=lock-blocking-call::" in line for line in annotations)
+
+    def test_github_annotation_escapes_its_message(self):
+        finding = Finding("a.py", 3, "rng-module-call", "error", "100% wrong\nsecond\rline")
+        assert _github_line(finding) == (
+            "::error file=a.py,line=3,title=rng-module-call::100%25 wrong%0Asecond%0Dline"
+        )
+
+    def test_a_missing_path_is_a_usage_error(self, tmp_path, capsys):
+        assert main([str(tmp_path / "no-such-dir")]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 # ------------------------------------------------- interprocedural lock rules
@@ -1359,13 +1350,13 @@ class TestCliSatellites:
 
     def test_warnings_are_reported_but_do_not_fail_the_default_gate(self, tmp_path):
         self._write(tmp_path, "repro/serving/mod.py", self.WARNING_ONLY_TREE)
-        result = self._run(str(tmp_path), "--no-baseline")
+        result = self._run(str(tmp_path))
         assert result.returncode == 0, result.stdout + result.stderr
         assert "lock-blocking-call" in result.stdout  # reported anyway
 
     def test_severity_warning_gates_on_warnings(self, tmp_path):
         self._write(tmp_path, "repro/serving/mod.py", self.WARNING_ONLY_TREE)
-        result = self._run(str(tmp_path), "--no-baseline", "--severity", "warning")
+        result = self._run(str(tmp_path), "--severity", "warning")
         assert result.returncode == 1, result.stdout + result.stderr
 
     def test_errors_fail_the_default_gate(self, tmp_path):
@@ -1374,7 +1365,7 @@ class TestCliSatellites:
             "repro/ppl/mod.py",
             "import numpy as np\nx = np.random.rand(3)\n",
         )
-        result = self._run(str(tmp_path), "--no-baseline")
+        result = self._run(str(tmp_path))
         assert result.returncode == 1
 
     def test_github_format_emits_workflow_annotations(self, tmp_path):
@@ -1383,54 +1374,7 @@ class TestCliSatellites:
             "repro/ppl/mod.py",
             "import numpy as np\nx = np.random.rand(3)\n",
         )
-        result = self._run(str(tmp_path), "--no-baseline", "--format", "github")
+        result = self._run(str(tmp_path), "--format", "github")
         assert result.returncode == 1
         line = [l for l in result.stdout.splitlines() if l.startswith("::error ")][0]
         assert "file=" in line and ",line=" in line and "rng-module-call" in line
-
-    def test_format_and_output_must_agree(self, tmp_path):
-        result = self._run("--format", "github", "--output", "json")
-        assert result.returncode == 2
-
-    def _git(self, cwd, *args):
-        return subprocess.run(
-            [
-                "git", "-c", "user.email=ci@example.com", "-c", "user.name=ci",
-                *args,
-            ],
-            capture_output=True,
-            text=True,
-            cwd=str(cwd),
-            check=True,
-        )
-
-    def test_changed_only_reports_findings_in_new_files(self, tmp_path):
-        if shutil.which("git") is None:
-            pytest.skip("git not available")
-        self._git(tmp_path, "init", "-q")
-        self._write(tmp_path, "repro/ppl/clean.py", "x = 1\n")
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-qm", "clean tree")
-        self._write(
-            tmp_path, "repro/ppl/mod.py", "import numpy as np\nx = np.random.rand(3)\n"
-        )
-        result = self._run("repro", "--no-baseline", "--changed-only", cwd=tmp_path)
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "rng-module-call" in result.stdout
-
-    def test_changed_only_filters_out_preexisting_findings(self, tmp_path):
-        if shutil.which("git") is None:
-            pytest.skip("git not available")
-        self._git(tmp_path, "init", "-q")
-        self._write(
-            tmp_path, "repro/ppl/mod.py", "import numpy as np\nx = np.random.rand(3)\n"
-        )
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-qm", "tree with pre-existing debt")
-        self._write(tmp_path, "repro/ppl/unrelated.py", "y = 2\n")
-        # The whole-program run still sees the old finding...
-        full = self._run("repro", "--no-baseline", cwd=tmp_path)
-        assert full.returncode == 1
-        # ...but the changed-only gate only charges the files this change touched.
-        scoped = self._run("repro", "--no-baseline", "--changed-only", cwd=tmp_path)
-        assert scoped.returncode == 0, scoped.stdout + scoped.stderr

@@ -362,6 +362,11 @@ class TestDistributedTrainer:
         with pytest.raises(ValueError):
             build_trainer(tiny_tau_dataset, lr_schedule="bogus")
 
+    def test_trainer_has_no_bucket_option(self, tiny_tau_dataset):
+        # The cost-matched deal balances ranks; length buckets live on the sampler only.
+        with pytest.raises(TypeError):
+            build_trainer(tiny_tau_dataset, num_buckets=3)
+
     def test_epoch_rollover(self, tau_model, rng):
         dataset = generate_dataset(tau_model, 20, rng=rng)
         trainer, _ = build_trainer(dataset, validation_fraction=0.0)
@@ -390,11 +395,26 @@ def length_buckets(dataset, minibatch_size, num_ranks, num_buckets):
 
 
 class TestDeal:
-    """The trainer deals one schedule: every chunk once per epoch, no step mixing buckets."""
+    """One schedule: every chunk once per epoch, no step mixing buckets."""
 
     MINIBATCH = 8  # 200 traces: 25 chunks
+    SEED = 11
 
-    def deal(self, dataset, num_ranks, num_buckets, iterations):
+    def sampler_deal(self, dataset, num_ranks, num_buckets, epochs):
+        """``epochs`` epochs of the sampler's groups, each begun with ``set_epoch``."""
+        total = len(dataset)
+        sampler = DistributedTraceSampler(
+            sorted_indices_by_trace_type(dataset), minibatch_size=self.MINIBATCH, num_ranks=num_ranks,
+            num_buckets=num_buckets, lengths=[dataset.trace_length_of(i) for i in range(total)],
+            trace_types=[dataset.trace_type_of(i) for i in range(total)], seed=self.SEED,
+        )
+        dealt = []
+        for epoch in range(epochs):
+            sampler.set_epoch(epoch)
+            dealt.extend([tuple(chunk) for chunk in group] for group in sampler)
+        return dealt
+
+    def trainer_deal(self, dataset, num_ranks, iterations):
         network = InferenceNetwork(
             config=Config(observation_shape=(8, 11, 11), lstm_hidden=8, observation_embedding_dim=4,
                           address_embedding_dim=2, sample_embedding_dim=2, proposal_mixture_components=1),
@@ -402,31 +422,46 @@ class TestDeal:
         )
         trainer = DistributedTrainer(
             network, dataset, num_ranks=num_ranks, local_minibatch_size=self.MINIBATCH,
-            num_buckets=num_buckets, validation_fraction=0.0, seed=11,
+            validation_fraction=0.0, seed=self.SEED,
         )
         return [[tuple(trainer._deal(rank)) for rank in range(num_ranks)] for _ in range(iterations)]
 
-    @pytest.mark.parametrize("num_ranks, num_buckets", [(2, 3), (3, 2), (4, 4)])
-    def test_every_chunk_is_dealt_once_per_epoch(self, tau_200, num_ranks, num_buckets):
+    @staticmethod
+    def assert_every_chunk_dealt_once_per_epoch(dealt, buckets, num_ranks, epochs):
         """A bucket of n chunks is dealt in ceil(n / R) groups; only the fill
         of its last group repeats chunks, none is dropped, and no rank's
         epoch ends the others' early."""
-        buckets = length_buckets(tau_200, self.MINIBATCH, num_ranks, num_buckets)
         sizes = Counter(buckets.values())
         per_epoch = sum(-(-n // num_ranks) for n in sizes.values())
-        dealt = self.deal(tau_200, num_ranks, num_buckets, 3 * per_epoch)
-        for epoch in range(3):
+        assert len(dealt) == epochs * per_epoch
+        for epoch in range(epochs):
             counts = Counter(chunk for group in dealt[epoch * per_epoch : (epoch + 1) * per_epoch] for chunk in group)
             assert counts.keys() == buckets.keys()
             for bucket, n in sizes.items():
                 repeats = sum(counts[chunk] - 1 for chunk in buckets if buckets[chunk] == bucket)
                 assert repeats == -n % num_ranks
+        assert dealt[:per_epoch] != dealt[per_epoch : 2 * per_epoch]  # set_epoch reshuffles
+
+    @pytest.mark.parametrize("num_ranks, num_buckets", [(2, 3), (3, 2), (4, 4)])
+    def test_every_chunk_is_dealt_once_per_epoch(self, tau_200, num_ranks, num_buckets):
+        buckets = length_buckets(tau_200, self.MINIBATCH, num_ranks, num_buckets)
+        dealt = self.sampler_deal(tau_200, num_ranks, num_buckets, 3)
+        self.assert_every_chunk_dealt_once_per_epoch(dealt, buckets, num_ranks, 3)
 
     @pytest.mark.parametrize("num_ranks, num_buckets", [(2, 3), (3, 2), (4, 4)])
     def test_no_step_mixes_buckets(self, tau_200, num_ranks, num_buckets):
         buckets = length_buckets(tau_200, self.MINIBATCH, num_ranks, num_buckets)
-        for group in self.deal(tau_200, num_ranks, num_buckets, 40):
+        for group in self.sampler_deal(tau_200, num_ranks, num_buckets, 3):
             assert len({buckets[chunk] for chunk in group}) == 1
+
+    def test_trainer_deals_the_sampler_schedule_across_epochs(self, tau_200):
+        """The trainer's cursor rolls the epoch over as ``set_epoch`` does."""
+        num_ranks = 3
+        buckets = length_buckets(tau_200, self.MINIBATCH, num_ranks, 1)
+        per_epoch = -(-len(buckets) // num_ranks)
+        dealt = self.trainer_deal(tau_200, num_ranks, 3 * per_epoch)
+        assert dealt == self.sampler_deal(tau_200, num_ranks, 1, 3)
+        self.assert_every_chunk_dealt_once_per_epoch(dealt, buckets, num_ranks, 3)
 
 
 class TestLoadBalance:

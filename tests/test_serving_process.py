@@ -319,6 +319,14 @@ class TestProcessLifecycle:
             PosteriorService(model, None, backend="mpi")
 
 
+    def test_start_method_follows_the_platform(self):
+        model = FunctionModel(lockstep_program, name="lockstep")
+        expected = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        assert ProcessCohortPool(model, None, num_workers=1).stats()["start_method"] == expected
+        with pytest.raises(TypeError):
+            ProcessCohortPool(model, None, num_workers=1, start_method="spawn")
+
+
 class TestErrorTransport:
     def test_unpicklable_errors_are_wrapped(self):
         class Unpicklable(Exception):
