@@ -40,9 +40,9 @@ def _github_line(finding: Finding) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Whole-program invariant linter: RNG discipline and stream "
-        "ownership, interprocedural lock discipline, future resolution, "
-        "deterministic iteration, batched shape contracts, pickle safety.",
+        description="Whole-program invariant linter: RNG discipline, "
+        "interprocedural lock discipline, deterministic iteration, batched "
+        "contract signatures, pickle safety, plan immutability.",
     )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or directories (default: src)")
     parser.add_argument(

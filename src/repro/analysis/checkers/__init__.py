@@ -9,8 +9,6 @@ from repro.analysis.checkers.rng import RngDisciplineChecker
 from repro.analysis.checkers.locks import LockDisciplineChecker
 from repro.analysis.checkers.shapes import ShapeContractChecker
 from repro.analysis.checkers.pickle_safety import PickleSafetyChecker
-from repro.analysis.checkers.rng_ownership import RngOwnershipChecker
-from repro.analysis.checkers.futures import FutureResolutionChecker
 from repro.analysis.checkers.determinism import DeterministicIterationChecker
 from repro.analysis.checkers.plans_immutability import PlanImmutabilityChecker
 
@@ -20,8 +18,6 @@ __all__ = [
     "LockDisciplineChecker",
     "ShapeContractChecker",
     "PickleSafetyChecker",
-    "RngOwnershipChecker",
-    "FutureResolutionChecker",
     "DeterministicIterationChecker",
     "PlanImmutabilityChecker",
 ]
@@ -34,8 +30,6 @@ def all_checkers() -> List[Checker]:
         LockDisciplineChecker(),
         ShapeContractChecker(),
         PickleSafetyChecker(),
-        RngOwnershipChecker(),
-        FutureResolutionChecker(),
         DeterministicIterationChecker(),
         PlanImmutabilityChecker(),
     ]

@@ -27,9 +27,17 @@ from typing import List, Optional, Set
 
 from repro.analysis.core import Checker, FileContext
 from repro.analysis.findings import Finding
-from repro.analysis.checkers.rng import HOT_PATH_FRAGMENTS
 
 __all__ = ["DeterministicIterationChecker"]
+
+#: directories whose modules are hot paths: draws and dispatch happen there
+_HOT_PATH_FRAGMENTS = (
+    "repro/ppl/",
+    "repro/serving/",
+    "repro/distributed/",
+    "repro/data/",
+    "repro/tensor/",
+)
 
 #: builtin conversions that freeze set order into a sequence
 _ORDERING_CONVERSIONS = {"list", "tuple", "enumerate"}
@@ -239,6 +247,6 @@ class DeterministicIterationChecker(Checker):
     }
 
     def check(self, context: FileContext) -> List[Finding]:
-        if not context.in_scope(*HOT_PATH_FRAGMENTS):
+        if not context.in_scope(*_HOT_PATH_FRAGMENTS):
             return []
         return _FileVisitor(self, context).run()

@@ -3,11 +3,11 @@
 The process cohort backend and the N-rank trainer ship work to child
 processes over multiprocessing pipes; everything sent on one is pickled.  A
 lambda reward hook, a generator of jobs, a function defined inside the
-dispatching method, an open file handle, or an object dragging a
-``threading.Lock`` along all pickle either not at all or — worse — into a
-*copy* that silently stops synchronising with the parent.  These failures
-surface deep in a worker's traceback (or not at all); this checker moves
-them to lint time.
+dispatching method or an open file handle does not pickle.  Sent on a pipe,
+it fails at the first send.  Handed to ``Process(target=..., args=...)``, it
+does not fail at all under ``fork``, which copies the arguments instead of
+pickling them, and breaks only once a child is started with ``spawn``.  This
+checker moves both to lint time.
 
 Dispatch points (the pickle boundaries):
 
@@ -19,28 +19,19 @@ Dispatch points (the pickle boundaries):
 * ``multiprocessing.Process(target=..., args=...)`` construction.
 
 Each argument expression flowing into a dispatch point is walked for
-lambdas, generator expressions, names bound to nested ``def``s, names bound
-to ``open(...)``, and ``self.<attr>``/names bound to threading primitives.
+lambdas, generator expressions, names bound to nested ``def``s and names
+bound to ``open(...)``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.analysis.core import Checker, FileContext, ImportResolver
 from repro.analysis.findings import Finding
 
 __all__ = ["PickleSafetyChecker"]
-
-_LOCK_TYPES = {
-    "threading.Lock",
-    "threading.RLock",
-    "threading.Condition",
-    "threading.Event",
-    "threading.Semaphore",
-    "threading.BoundedSemaphore",
-}
 
 _PICKLE_CALLS = {"pickle.dumps", "pickle.dump"}
 
@@ -87,31 +78,7 @@ class _FunctionBindings:
             dotted = resolver.dotted_name(value.func)
             if dotted == "open":
                 return "pickle-open-handle"
-            if dotted in _LOCK_TYPES:
-                return "pickle-lock"
         return None
-
-
-class _ClassLocks(ast.NodeVisitor):
-    """``self.<attr>`` names bound to threading primitives, per class."""
-
-    def __init__(self, tree: ast.Module, resolver: ImportResolver) -> None:
-        self.lock_attrs: Set[str] = set()
-        self._resolver = resolver
-        self.visit(tree)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if isinstance(node.value, ast.Call):
-            dotted = self._resolver.dotted_name(node.value.func)
-            if dotted in _LOCK_TYPES:
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        self.lock_attrs.add(target.attr)
-        self.generic_visit(node)
 
 
 _KIND_MESSAGES = {
@@ -124,10 +91,6 @@ _KIND_MESSAGES = {
     "pickle-open-handle": (
         "an open file handle cannot be pickled; pass the path and reopen in the worker"
     ),
-    "pickle-lock": (
-        "a threading primitive pickles into a detached copy (or not at all); "
-        "share state through queues, not captured locks"
-    ),
 }
 
 
@@ -138,7 +101,6 @@ class PickleSafetyChecker(Checker):
         "pickle-generator": "generator expression flows into a process-boundary dispatch",
         "pickle-local-function": "nested function flows into a process-boundary dispatch",
         "pickle-open-handle": "open file handle flows into a process-boundary dispatch",
-        "pickle-lock": "threading primitive flows into a process-boundary dispatch",
     }
 
     def check(self, context: FileContext) -> List[Finding]:
@@ -147,7 +109,6 @@ class PickleSafetyChecker(Checker):
             dotted == "multiprocessing" or dotted.startswith("multiprocessing.")
             for dotted in resolver.aliases.values()
         )
-        lock_attrs = _ClassLocks(context.tree, resolver).lock_attrs
         findings: List[Finding] = []
 
         for scope in ast.walk(context.tree):
@@ -162,7 +123,7 @@ class PickleSafetyChecker(Checker):
                     continue
                 for payload in payloads:
                     findings.extend(
-                        self._scan_payload(context, payload, bindings, lock_attrs)
+                        self._scan_payload(context, payload, bindings)
                     )
         return findings
 
@@ -195,7 +156,6 @@ class PickleSafetyChecker(Checker):
         context: FileContext,
         payload: ast.AST,
         bindings: _FunctionBindings,
-        lock_attrs: Set[str],
     ) -> List[Finding]:
         findings: List[Finding] = []
 
@@ -217,11 +177,4 @@ class PickleSafetyChecker(Checker):
                 emit(node, "pickle-generator")
             elif isinstance(node, ast.Name) and node.id in bindings.kinds:
                 emit(node, bindings.kinds[node.id])
-            elif (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and node.attr in lock_attrs
-            ):
-                emit(node, "pickle-lock")
         return findings

@@ -2,20 +2,15 @@
 
 The reproduction's end-to-end determinism (seeded posteriors bit-identical
 across engines, backends and cohort packings) rests on one rule: randomness
-is derived from :class:`repro.common.rng.RandomState` streams, and child
-streams are *mixed* (``spawn`` with tuple entropy keys), never constructed
-ad hoc.  PR 3's seed-collision bug — ``base + index`` keying silently giving
-concurrent requests identical trace streams — is the class of failure these
-rules catch at lint time:
+is derived from :class:`repro.common.rng.RandomState` streams, whose
+children are *mixed* (``spawn`` with tuple entropy keys), never drawn from a
+hidden global stream or seeded ad hoc:
 
 * ``rng-module-call`` — ``np.random.rand()`` et al. mutate numpy's hidden
   process-global stream, invisible to ``seed_all``/``temporary_seed``.
 * ``rng-direct-construction`` — ``np.random.default_rng(...)`` /
   ``SeedSequence(...)`` outside ``repro/common/rng.py`` bypasses the one
   sanctioned derivation point (and is where additive-seed collisions breed).
-* ``rng-construction-in-loop`` — a ``RandomState(...)`` built per loop
-  iteration in engine/serving/training code is almost always a hand-rolled
-  stream derivation; use ``spawn`` with a mixed key instead.
 * ``rng-stdlib-random`` — stdlib ``random`` is a second hidden global stream.
 * ``rng-time-entropy`` — wall-clock-seeded streams are unreproducible by
   construction.
@@ -46,10 +41,6 @@ _CONSTRUCTORS = {
     "numpy.random.SFC64",
 }
 
-#: the repo's own stream type (loop-construction rule only — building one at
-#: module/function scope from an explicit seed is the sanctioned pattern)
-_REPRO_RANDOM_STATE = "repro.common.rng.RandomState"
-
 #: wall-clock sources that must never feed a seed
 _TIME_SOURCES = {
     "time.time",
@@ -71,26 +62,13 @@ _SEEDING_TARGETS = {
     "numpy.random.seed",
 }
 
-#: directories whose modules are hot paths for the in-loop construction rule
-HOT_PATH_FRAGMENTS = (
-    "repro/ppl/",
-    "repro/serving/",
-    "repro/distributed/",
-    "repro/data/",
-    "repro/tensor/",
-)
-
-_LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-
 
 class _RngVisitor(ast.NodeVisitor):
     def __init__(self, context: FileContext, resolver: ImportResolver) -> None:
         self.context = context
         self.resolver = resolver
         self.findings: List[Finding] = []
-        self._loop_depth = 0
         self._in_sanctioned_file = context.in_scope(ALLOWED_FILE)
-        self._hot_path = context.in_scope(*HOT_PATH_FRAGMENTS)
         self._in_test_scope = context.in_test_scope()
 
     def _emit(self, node: ast.AST, rule: str, message: str, severity: str = "error") -> None:
@@ -119,15 +97,6 @@ class _RngVisitor(ast.NodeVisitor):
                 "seed_all/temporary_seed; draw through repro.common.rng instead",
             )
         self.generic_visit(node)
-
-    # ------------------------------------------------------------------ loops
-    def generic_visit(self, node: ast.AST) -> None:
-        if isinstance(node, _LOOP_NODES):
-            self._loop_depth += 1
-            super().generic_visit(node)
-            self._loop_depth -= 1
-        else:
-            super().generic_visit(node)
 
     # ------------------------------------------------------------------ calls
     def visit_Call(self, node: ast.Call) -> None:
@@ -160,27 +129,12 @@ class _RngVisitor(ast.NodeVisitor):
                 "they stay reproducible and collision-free",
             )
             return
-        if dotted.startswith("numpy.random."):
-            member = dotted[len("numpy.random."):]
-            if "." not in member:
-                self._emit(
-                    node,
-                    "rng-module-call",
-                    f"`{dotted}` draws from numpy's hidden process-global stream; "
-                    "use a repro.common.rng.RandomState stream instead",
-                )
-                return
-        if (
-            self._hot_path
-            and self._loop_depth > 0
-            and dotted == _REPRO_RANDOM_STATE
-        ):
+        if dotted.startswith("numpy.random.") and "." not in dotted[len("numpy.random."):]:
             self._emit(
                 node,
-                "rng-construction-in-loop",
-                "RandomState constructed inside a loop in a hot-path module; "
-                "derive per-iteration streams with rng.spawn((base, index)) "
-                "so keys are mixed, not re-seeded ad hoc",
+                "rng-module-call",
+                f"`{dotted}` draws from numpy's hidden process-global stream; "
+                "use a repro.common.rng.RandomState stream instead",
             )
 
     def _check_time_entropy(self, node: ast.Call, dotted: str) -> None:
@@ -203,7 +157,6 @@ class RngDisciplineChecker(Checker):
     rules = {
         "rng-module-call": "np.random.* stateful module-level call outside repro/common/rng.py",
         "rng-direct-construction": "generator/seed constructed outside repro/common/rng.py",
-        "rng-construction-in-loop": "RandomState constructed inside a loop in a hot-path module",
         "rng-stdlib-random": "stdlib `random` imported (second hidden global stream)",
         "rng-time-entropy": "wall-clock time used as seed entropy",
     }

@@ -7,8 +7,8 @@ exactly once, builds one :class:`repro.analysis.project.Project` (module
 graph, re-export resolution, class hierarchy, per-function summaries and the
 call-graph fixpoint), and hands it to each checker via
 :meth:`Checker.begin_project`; checkers that reason across module boundaries
-(held locks, RNG stream ownership, future resolution) read everything they
-need from that shared model instead of re-walking ASTs.  Cross-file findings
+(held locks, lock order, blocking under a lock) read everything they need
+from that shared model instead of re-walking ASTs.  Cross-file findings
 are emitted from :meth:`Checker.finalize`, which runs once after every file
 has been visited.
 

@@ -19,18 +19,16 @@ function boundaries:
   with a human-readable witness chain.
 * **transitive acquisitions** — every lock a call into a function may take,
   for cross-module lock-order edges.
-* **dispatch reachability** — functions handed to ``Thread(target=...)``,
-  ``pool.submit(...)``, ``apply_async`` and friends are *job bodies*; the set
-  of functions reachable from them is where RNG construction is forbidden
-  (a job gets a stream key from its parent and builds its generator with
-  ``RandomState.from_key``).
+
+Functions handed to ``Thread(target=...)``, ``pool.submit(...)``,
+``apply_async`` and friends are *job bodies*: they run on another thread, so
+they hold no lock on entry whatever their name says.
 
 Everything here is a fixpoint over the summaries — no AST is re-walked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.project import Project
@@ -41,7 +39,7 @@ from repro.analysis.summaries import (
     short_lock,
 )
 
-__all__ = ["CallGraph", "DispatchSite", "DISPATCH_METHODS"]
+__all__ = ["CallGraph", "DISPATCH_METHODS"]
 
 #: receiver methods that enqueue a callable for later, concurrent execution
 DISPATCH_METHODS = {"submit", "apply_async", "map_async", "starmap_async", "add_done_callback"}
@@ -50,16 +48,6 @@ DISPATCH_METHODS = {"submit", "apply_async", "map_async", "starmap_async", "add_
 _THREAD_CLASS_BASENAMES = {"Thread", "Process"}
 
 _MAX_ROUNDS = 30
-
-
-@dataclass
-class DispatchSite:
-    """One point where a callable is handed off for concurrent execution."""
-
-    caller: str               # qualname of the dispatching function
-    site: CallSite
-    roots: List[str]          # resolved job-body qualnames
-    path: str
 
 
 class CallGraph:
@@ -73,11 +61,10 @@ class CallGraph:
         self._attr_callables: Dict[Tuple[str, str], Set[str]] = {}
         self._param_callables: Dict[Tuple[str, str], Set[str]] = {}
         self._resolve_all()
-        self.dispatches: List[DispatchSite] = self._find_dispatches()
+        self.dispatch_roots: Set[str] = self._find_dispatch_roots()
         self.entry_held: Dict[str, FrozenSet[str]] = self._fix_entry_held()
         self.may_block: Dict[str, str] = self._fix_may_block()
         self.trans_acquires: Dict[str, Dict[str, str]] = self._fix_acquires()
-        self.job_reachable: Dict[str, str] = self._reach_from_dispatches()
 
     # ------------------------------------------------------------- resolution
     def _resolve_all(self) -> None:
@@ -205,19 +192,18 @@ class CallGraph:
                             self._param_callables.setdefault((target, name), set()).update(resolved)
 
     # -------------------------------------------------------------- dispatches
-    def _find_dispatches(self) -> List[DispatchSite]:
-        dispatches: List[DispatchSite] = []
+    def _find_dispatch_roots(self) -> Set[str]:
+        """Every function handed off as a job body at some dispatch site."""
+        roots: Set[str] = set()
         for caller, summary in self.summaries.items():
             for site in summary.calls:
                 slot = self._dispatch_callable_slot(site)
                 if slot is None:
                     continue
-                roots: List[str] = []
                 for ref_slot, ref in site.arg_refs:
                     if ref_slot == slot:
-                        roots.extend(self._resolve_ref(caller, ref))
-                dispatches.append(DispatchSite(caller, site, sorted(set(roots)), summary.path))
-        return dispatches
+                        roots.update(self._resolve_ref(caller, ref))
+        return roots
 
     @staticmethod
     def _dispatch_callable_slot(site: CallSite) -> Optional[object]:
@@ -247,20 +233,20 @@ class CallGraph:
                 if targets:
                     yield caller, site, targets
 
-    def _is_private(self, qual: str) -> bool:
+    def _inherits_locks(self, qual: str) -> bool:
+        """A private function no dispatch hands off: only its call sites enter it."""
         decl = self.project.functions.get(qual)
-        if decl is None or "<locals>" in qual:
+        if decl is None or "<locals>" in qual or qual in self.dispatch_roots:
             return False
         return decl.name.startswith("_") and not decl.name.startswith("__")
 
     def _fix_entry_held(self) -> Dict[str, FrozenSet[str]]:
-        dispatch_roots = {root for dispatch in self.dispatches for root in dispatch.roots}
         empty: FrozenSet[str] = frozenset()
         # TOP is modelled as None: optimistic "called from everywhere locked",
         # narrowed by intersection over actual call sites.
         entry: Dict[str, Optional[FrozenSet[str]]] = {}
         for qual in self.summaries:
-            if self._is_private(qual) and qual not in dispatch_roots:
+            if self._inherits_locks(qual):
                 entry[qual] = None
             else:
                 entry[qual] = empty
@@ -281,7 +267,7 @@ class CallGraph:
                         incoming[target] = contribution
             changed = False
             for target, combined in incoming.items():
-                if entry.get(target) != combined and self._is_private(target) and target not in dispatch_roots:
+                if entry.get(target) != combined and self._inherits_locks(target):
                     entry[target] = combined
                     changed = True
             if not changed:
@@ -336,28 +322,3 @@ class CallGraph:
             if not changed:
                 break
         return acquires
-
-    def _reach_from_dispatches(self) -> Dict[str, str]:
-        reachable: Dict[str, str] = {}
-        queue: List[str] = []
-        for dispatch in self.dispatches:
-            for root in dispatch.roots:
-                if root not in reachable:
-                    reachable[root] = (
-                        f"dispatched as a job body at {dispatch.path}:{dispatch.site.line}"
-                    )
-                    queue.append(root)
-        while queue:
-            current = queue.pop()
-            summary = self.summaries.get(current)
-            if summary is None:
-                continue
-            for site, targets in zip(summary.calls, self.targets[current]):
-                for target in targets:
-                    if target not in reachable:
-                        reachable[target] = (
-                            f"called from {display_name(self.project, current)}, "
-                            f"{reachable[current]}"
-                        )
-                        queue.append(target)
-        return reachable

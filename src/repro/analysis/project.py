@@ -17,8 +17,8 @@ ask constantly:
 
 The model is deliberately flow-insensitive and alias-light: this repo's
 style (attributes assigned in ``__init__``, classes named at construction
-sites) makes that approximation precise enough for the lock/RNG/future
-checkers, and keeps a whole-repo build well inside the CI runtime budget.
+sites) makes that approximation precise enough for the lock checker, and
+keeps a whole-repo build well inside the CI runtime budget.
 """
 
 from __future__ import annotations

@@ -13,9 +13,6 @@ gets one :class:`FunctionSummary` extracted in a single AST walk:
   bare-name/attribute argument references that feed the callable-argument
   flows (``pool.submit(self._run_cohort, ...)``, ``Thread(target=...)``,
   ``MicroBatchScheduler(dispatch=self._dispatch_cohort)``).
-* **rng** — generator constructions and local names bound to RNG values
-  (constructed, ``get_rng()``, or derived via ``.spawn``), with loop depth,
-  for the stream-ownership pass.
 
 Lock identity is *qualified*: ``self._lock`` inside a method of
 ``repro.serving.workers.CohortWorkerPool`` becomes
@@ -43,27 +40,10 @@ __all__ = [
     "BlockingOp",
     "CallSite",
     "FunctionSummary",
-    "RNG_CONSTRUCTORS",
-    "RngCreation",
-    "RngLocal",
     "build_summaries",
     "display_name",
     "short_lock",
 ]
-
-#: generator/stream constructors (both numpy's and the repo's own)
-RNG_CONSTRUCTORS = {
-    "numpy.random.default_rng",
-    "numpy.random.Generator",
-    "numpy.random.SeedSequence",
-    "numpy.random.RandomState",
-    "numpy.random.PCG64",
-    "numpy.random.MT19937",
-    "numpy.random.Philox",
-    "numpy.random.SFC64",
-    "repro.common.rng.RandomState",
-    "repro.common.rng.get_rng",
-}
 
 #: container methods that mutate their receiver
 _MUTATORS = {
@@ -71,11 +51,6 @@ _MUTATORS = {
     "setdefault", "add", "discard", "appendleft", "extendleft", "popleft",
     "move_to_end", "set",
 }
-
-_LOOP_NODES = (
-    ast.For, ast.AsyncFor, ast.While,
-    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
-)
 
 
 @dataclass
@@ -110,25 +85,8 @@ class CallSite:
     line: int
     held: FrozenSet[str]
     deferred: bool            # lexically inside a lambda: runs later
-    in_loop: bool
-    node: ast.Call
     #: bare callable-ish argument references: (slot, ('self'|'name'|'dotted', payload))
     arg_refs: List[Tuple[object, Tuple[str, str]]] = field(default_factory=list)
-
-
-@dataclass
-class RngCreation:
-    dotted: str
-    line: int
-    in_loop: bool
-
-
-@dataclass
-class RngLocal:
-    name: str
-    via: str                  # 'construct' | 'get_rng' | 'spawn'
-    line: int
-    in_loop: bool
 
 
 @dataclass
@@ -139,8 +97,6 @@ class FunctionSummary:
     writes: List[AttrWrite] = field(default_factory=list)
     blocking: List[BlockingOp] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
-    rng_creations: List[RngCreation] = field(default_factory=list)
-    rng_locals: Dict[str, RngLocal] = field(default_factory=dict)
 
 
 def display_name(project: Project, qualname: str) -> str:
@@ -249,23 +205,22 @@ class _FunctionWalker:
         self.summary = summary
         self.resolver = project.modules[decl.module].context.resolver
         self.env = _LockEnv(project, decl)
-        self.params = set(decl.params)
 
     def run(self) -> None:
         for stmt in self.decl.node.body:
-            self._walk(stmt, frozenset(), deferred=False, in_loop=False)
+            self._walk(stmt, frozenset(), deferred=False)
 
     # --------------------------------------------------------------- the walk
-    def _walk(self, node: ast.AST, held: FrozenSet[str], deferred: bool, in_loop: bool) -> None:
+    def _walk(self, node: ast.AST, held: FrozenSet[str], deferred: bool) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return  # indexed as its own function; runs later on an unknown thread
         if isinstance(node, ast.Lambda):
-            self._walk(node.body, frozenset(), deferred=True, in_loop=in_loop)
+            self._walk(node.body, frozenset(), deferred=True)
             return
         if isinstance(node, (ast.With, ast.AsyncWith)):
             acquired = list(held)
             for item in node.items:
-                self._walk(item.context_expr, held, deferred, in_loop)
+                self._walk(item.context_expr, held, deferred)
                 lock = self.env.lock_id(item.context_expr)
                 if lock is not None and lock not in acquired:
                     self.summary.acquires.append(
@@ -274,32 +229,23 @@ class _FunctionWalker:
                     acquired.append(lock)
             inner = frozenset(acquired)
             for child in node.body:
-                self._walk(child, inner, deferred, in_loop)
-            return
-        if isinstance(node, _LOOP_NODES):
-            for child in ast.iter_child_nodes(node):
-                self._walk(child, held, deferred, in_loop=True)
+                self._walk(child, inner, deferred)
             return
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 self._record_write(target, held, deferred)
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                self._record_rng_binding(node, in_loop)
             if node.value is not None:
-                self._walk(node.value, held, deferred, in_loop)
+                self._walk(node.value, held, deferred)
             return
         if isinstance(node, ast.Delete):
             for target in node.targets:
                 self._record_write(target, held, deferred)
             return
         if isinstance(node, ast.Call):
-            self._record_call(node, held, deferred, in_loop)
-            for child in ast.iter_child_nodes(node):
-                self._walk(child, held, deferred, in_loop)
-            return
+            self._record_call(node, held, deferred)
         for child in ast.iter_child_nodes(node):
-            self._walk(child, held, deferred, in_loop)
+            self._walk(child, held, deferred)
 
     # ------------------------------------------------------------------ facts
     def _record_write(self, target: ast.AST, held: FrozenSet[str], deferred: bool) -> None:
@@ -315,27 +261,9 @@ class _FunctionWalker:
             return
         self.summary.writes.append(AttrWrite(attr, target.lineno, held, deferred))
 
-    def _record_rng_binding(self, node: ast.Assign, in_loop: bool) -> None:
-        call = node.value
-        assert isinstance(call, ast.Call)
-        dotted = self.resolver.dotted_name(call.func)
-        via: Optional[str] = None
-        if dotted in RNG_CONSTRUCTORS:
-            via = "get_rng" if dotted.endswith(".get_rng") else "construct"
-        elif isinstance(call.func, ast.Attribute) and call.func.attr == "spawn":
-            via = "spawn"
-        if via is None:
-            return
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                self.summary.rng_locals[target.id] = RngLocal(target.id, via, node.lineno, in_loop)
-
-    def _record_call(self, node: ast.Call, held: FrozenSet[str], deferred: bool, in_loop: bool) -> None:
+    def _record_call(self, node: ast.Call, held: FrozenSet[str], deferred: bool) -> None:
         func = node.func
         dotted = self.resolver.dotted_name(func)
-        if dotted in RNG_CONSTRUCTORS:
-            self.summary.rng_creations.append(RngCreation(dotted, node.lineno, in_loop))
-
         kind = "opaque"
         target: object = None
         if (
@@ -355,7 +283,7 @@ class _FunctionWalker:
         elif isinstance(func, ast.Name):
             kind, target = "dotted", dotted if dotted is not None else func.id
 
-        site = CallSite(kind, target, node.lineno, held, deferred, in_loop, node)
+        site = CallSite(kind, target, node.lineno, held, deferred)
         slots: List[Tuple[object, ast.expr]] = list(enumerate(node.args))
         slots += [(kw.arg, kw.value) for kw in node.keywords if kw.arg is not None]
         for slot, value in slots:

@@ -9,7 +9,7 @@ generic helpers (:mod:`repro.common.utils`).
 
 from repro.common.rng import RandomState, get_rng, seed_all, temporary_seed
 from repro.common.config import Config, get_config, set_config
-from repro.common.timing import Timer, PhaseTimer, TimingRecord
+from repro.common.timing import PhaseTimer, TimingRecord
 from repro.common.utils import (
     ensure_list,
     flatten_dict,
@@ -27,7 +27,6 @@ __all__ = [
     "Config",
     "get_config",
     "set_config",
-    "Timer",
     "PhaseTimer",
     "TimingRecord",
     "ensure_list",

@@ -14,44 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
 
-__all__ = ["Timer", "PhaseTimer", "TimingRecord"]
-
-
-class Timer:
-    """A simple cumulative wall-clock timer usable as a context manager."""
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.count = 0
-        self._start = None
-
-    def start(self) -> None:
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("Timer.stop() called before start()")
-        elapsed = time.perf_counter() - self._start
-        self.total += elapsed
-        self.count += 1
-        self._start = None
-        return elapsed
-
-    def __enter__(self) -> "Timer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.total = 0.0
-        self.count = 0
-        self._start = None
+__all__ = ["PhaseTimer", "TimingRecord"]
 
 
 @dataclass

@@ -114,10 +114,6 @@ class TrainingReport:
             return 0.0
         return 100.0 * (actual - best) / best
 
-    @property
-    def final_train_loss(self) -> float:
-        return self.train_losses[-1] if self.train_losses else float("nan")
-
 
 #: Rank processes are forked, so they see the parent's network, dataset handle
 #: and batch source as they are at the start of the run, with nothing pickled.

@@ -257,11 +257,6 @@ class ExecutionState:
         self.trace.freeze(result=result, observation=observation)
         return self.trace
 
-    @property
-    def log_importance_weight(self) -> float:
-        """log p(x, y) - log q(x) for the recorded execution."""
-        return self.trace.log_joint - self.log_q
-
 
 # ----------------------------------------------------------------------- globals
 _state_stack: "threading.local" = threading.local()

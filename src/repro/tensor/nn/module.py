@@ -42,10 +42,6 @@ class Module:
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, parameter: Parameter) -> None:
-        self._parameters[name] = parameter
-        object.__setattr__(self, name, parameter)
-
     def register_module(self, name: str, module: "Module") -> None:
         self._modules[name] = module
         object.__setattr__(self, name, module)

@@ -87,30 +87,6 @@ class TestRngDiscipline:
         )
         assert rules_of(findings) == set()
 
-    def test_construction_in_loop_flagged_in_hot_path(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/serving/mod.py",
-            """
-            from repro.common.rng import RandomState
-            def per_item(n):
-                return [RandomState(i) for i in range(n)]
-            """,
-        )
-        assert "rng-construction-in-loop" in rules_of(findings)
-
-    def test_construction_in_loop_ignored_off_hot_path(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/utils/mod.py",
-            """
-            from repro.common.rng import RandomState
-            def per_item(n):
-                return [RandomState(i) for i in range(n)]
-            """,
-        )
-        assert "rng-construction-in-loop" not in rules_of(findings)
-
     def test_stdlib_random_flagged(self, tmp_path):
         findings = lint(tmp_path, "repro/ppl/mod.py", "import random\n")
         assert "rng-stdlib-random" in rules_of(findings)
@@ -334,72 +310,6 @@ class TestShapeContracts:
         )
         assert "shape-impl-signature" not in rules_of(findings)
 
-    def test_missing_abstract_method_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/distributions/mod.py",
-            """
-            class BatchedDistribution:
-                pass
-            class BatchedHalf(BatchedDistribution):
-                def sample_rows(self, rngs=None):
-                    return None
-            """,
-        )
-        assert "shape-impl-missing" in rules_of(findings)
-
-    def test_complete_subclass_passes(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/distributions/mod.py",
-            """
-            class BatchedDistribution:
-                pass
-            class BatchedFull(BatchedDistribution):
-                def sample_rows(self, rngs=None):
-                    return None
-                def log_prob_rows(self, values):
-                    return None
-                def row_distribution(self, index):
-                    return None
-            """,
-        )
-        assert "shape-impl-missing" not in rules_of(findings)
-
-    def test_callsite_missing_required_arg_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/ppl/mod.py",
-            """
-            def score(batched):
-                return batched.log_prob_rows()
-            """,
-        )
-        assert "shape-callsite-arity" in rules_of(findings)
-
-    def test_callsite_matching_contract_passes(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/ppl/mod.py",
-            """
-            def score(batched, values, rngs):
-                batched.sample_rows(rngs)
-                return batched.log_prob_rows(values)
-            """,
-        )
-        assert "shape-callsite-arity" not in rules_of(findings)
-
-    def test_callsite_unknown_keyword_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/ppl/mod.py",
-            """
-            def draw(batched):
-                return batched.sample_rows(generator=None)
-            """,
-        )
-        assert "shape-callsite-arity" in rules_of(findings)
-
 
 # ----------------------------------------------------------------------- pickle
 class TestPickleSafety:
@@ -518,22 +428,6 @@ class TestPickleSafety:
             """,
         )
         assert "pickle-open-handle" not in rules_of(findings)
-
-    def test_captured_lock_attribute_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/serving/mod.py",
-            """
-            import pickle
-            import threading
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                def dispatch(self):
-                    return pickle.dumps(self._lock)
-            """,
-        )
-        assert "pickle-lock" in rules_of(findings)
 
 
 # ----------------------------------------------------------------- JSON schema
@@ -907,268 +801,6 @@ class TestInterproceduralLocks:
         assert "lock-order-inversion" not in rules_of(findings)
 
 
-# ------------------------------------------------------- rng stream ownership
-class TestRngOwnership:
-    def test_construction_below_a_dispatched_job_body_flagged(self, tmp_path):
-        # The construction hides one call below the dispatched callable, in
-        # another module: only the call-graph fixpoint can see it.
-        findings = lint_files(
-            tmp_path,
-            {
-                "repro/serving/pooluser.py": """
-                from repro.serving.jobs import job_body
-
-                def launch(pool):
-                    for index in range(4):
-                        pool.submit(job_body, index)
-                """,
-                "repro/serving/jobs.py": """
-                from repro.ppl.draws import draw_some
-
-                def job_body(index):
-                    return draw_some(index)
-                """,
-                "repro/ppl/draws.py": """
-                from repro.common.rng import RandomState
-
-                def draw_some(index):
-                    rng = RandomState(index)
-                    return rng
-                """,
-            },
-        )
-        constructions = [f for f in findings if f.rule == "rng-job-construction"]
-        assert constructions, rules_of(findings)
-        assert any("draws.py" in f.file for f in constructions)
-        assert "dispatched" in constructions[0].message
-
-    def test_parent_derived_spawn_per_job_passes(self, tmp_path):
-        findings = lint_files(
-            tmp_path,
-            {
-                "repro/serving/pooluser.py": """
-                from repro.common.rng import get_rng
-                from repro.serving.jobs import job_body
-
-                def launch(pool, base):
-                    for index in range(4):
-                        child = base.spawn((7, index))
-                        pool.submit(job_body, child)
-                """,
-                "repro/serving/jobs.py": """
-                def job_body(rng):
-                    return rng.generator.normal()
-                """,
-            },
-        )
-        assert "rng-job-construction" not in rules_of(findings)
-        assert "rng-shared-stream" not in rules_of(findings)
-
-    def test_a_job_building_its_stream_from_a_shipped_key_passes(self, tmp_path):
-        # What trace jobs do: the parent derives a key per job, the job body
-        # builds its generator from it — a pure function of the key, not a
-        # construction the rule forbids.
-        findings = lint_files(
-            tmp_path,
-            {
-                "repro/serving/pooluser.py": """
-                from repro.serving.jobs import job_body
-
-                def launch(pool, base):
-                    for index in range(4):
-                        key = base.child_key((7, index))
-                        pool.submit(job_body, key)
-                """,
-                "repro/serving/jobs.py": """
-                from repro.common.rng import RandomState
-
-                def job_body(key):
-                    return RandomState.from_key(key).generator.normal()
-                """,
-            },
-        )
-        assert "rng-job-construction" not in rules_of(findings)
-        assert "rng-shared-stream" not in rules_of(findings)
-
-    def test_one_stream_dispatched_from_a_loop_flagged(self, tmp_path):
-        findings = lint_files(
-            tmp_path,
-            {
-                "repro/serving/pooluser.py": """
-                from repro.common.rng import get_rng
-                from repro.serving.jobs import job_body
-
-                def launch(pool):
-                    rng = get_rng()
-                    for index in range(4):
-                        pool.submit(job_body, rng)
-                """,
-                "repro/serving/jobs.py": """
-                def job_body(rng):
-                    return rng.generator.normal()
-                """,
-            },
-        )
-        shared = [f for f in findings if f.rule == "rng-shared-stream"]
-        assert shared, rules_of(findings)
-        assert "loop" in shared[0].message
-
-    def test_one_stream_reaching_two_dispatch_sites_flagged(self, tmp_path):
-        findings = lint_files(
-            tmp_path,
-            {
-                "repro/serving/pooluser.py": """
-                from repro.common.rng import get_rng
-                from repro.serving.jobs import job_body, other_body
-
-                def launch(pool):
-                    rng = get_rng()
-                    pool.submit(job_body, rng)
-                    pool.submit(other_body, rng)
-                """,
-                "repro/serving/jobs.py": """
-                def job_body(rng):
-                    return rng.generator.normal()
-
-                def other_body(rng):
-                    return rng.generator.normal()
-                """,
-            },
-        )
-        shared = [f for f in findings if f.rule == "rng-shared-stream"]
-        assert shared, rules_of(findings)
-        assert "concurrent consumers" in shared[0].message
-
-
-# ---------------------------------------------------------- future resolution
-class TestFutureResolution:
-    def test_branch_that_skips_resolution_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/serving/svc.py",
-            """
-            from concurrent.futures import Future
-
-            def handle(ready):
-                fut = Future()
-                if ready:
-                    fut.set_result(1)
-                return None
-            """,
-        )
-        leaks = [f for f in findings if f.rule == "future-unresolved"]
-        assert leaks, rules_of(findings)
-        assert "some paths" in leaks[0].message
-
-    def test_resolution_on_every_branch_passes(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/serving/svc.py",
-            """
-            from concurrent.futures import Future
-
-            def handle(ready):
-                fut = Future()
-                if ready:
-                    fut.set_result(1)
-                else:
-                    fut.set_exception(ValueError("not ready"))
-                return None
-            """,
-        )
-        assert "future-unresolved" not in rules_of(findings)
-
-    def test_try_except_resolution_passes(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/serving/svc.py",
-            """
-            from concurrent.futures import Future
-
-            def handle(work):
-                fut = Future()
-                try:
-                    value = work()
-                except Exception as error:
-                    fut.set_exception(error)
-                else:
-                    fut.set_result(value)
-                return None
-            """,
-        )
-        assert "future-unresolved" not in rules_of(findings)
-
-    def test_returned_future_is_a_handoff_not_a_leak(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/serving/svc.py",
-            """
-            from concurrent.futures import Future
-
-            def admit():
-                fut = Future()
-                return fut
-            """,
-        )
-        assert "future-unresolved" not in rules_of(findings)
-
-    def test_stored_future_is_a_handoff_not_a_leak(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            "repro/serving/svc.py",
-            """
-            from concurrent.futures import Future
-
-            class Service:
-                def admit(self, key):
-                    fut = Future()
-                    self._inflight[key] = fut
-            """,
-        )
-        assert "future-unresolved" not in rules_of(findings)
-
-    def test_helper_in_another_module_that_resolves_counts(self, tmp_path):
-        findings = lint_files(
-            tmp_path,
-            {
-                "repro/serving/svc.py": """
-                from concurrent.futures import Future
-                from repro.serving.helper import finish
-
-                def handle(value):
-                    fut = Future()
-                    finish(fut, value)
-                """,
-                "repro/serving/helper.py": """
-                def finish(future, value):
-                    future.set_result(value)
-                """,
-            },
-        )
-        assert "future-unresolved" not in rules_of(findings)
-
-    def test_helper_that_resolves_on_some_paths_only_flagged(self, tmp_path):
-        findings = lint_files(
-            tmp_path,
-            {
-                "repro/serving/svc.py": """
-                from concurrent.futures import Future
-                from repro.serving.helper import finish
-
-                def handle(value):
-                    fut = Future()
-                    finish(fut, value)
-                """,
-                "repro/serving/helper.py": """
-                def finish(future, value):
-                    if value is not None:
-                        future.set_result(value)
-                """,
-            },
-        )
-        assert "future-unresolved" in rules_of(findings)
-
-
 # ----------------------------------------------------- deterministic iteration
 class TestDeterministicIteration:
     def test_for_loop_over_a_set_on_a_hot_path_flagged(self, tmp_path):
@@ -1378,3 +1010,160 @@ class TestCliSatellites:
         assert result.returncode == 1
         line = [l for l in result.stdout.splitlines() if l.startswith("::error ")][0]
         assert "file=" in line and ",line=" in line and "rng-module-call" in line
+
+
+# ------------------------------------------------------------ real-site score
+SRC_ROOT = REPO_ROOT / "src"
+
+#: The routine send of a shard to a process-pool worker, a pickle boundary.
+_SHARD_SEND = "worker.connection.send((shard_id, self._shards[shard_id].jobs))"
+#: The top of ``start_piped_child``, where a local or a handle can be added.
+_PIPE_START = "    with _PIPE_START_LOCK:\n        connection, remote = context.Pipe()\n"
+#: ``start_piped_child``'s child payload.
+_CHILD_ARGS = "args=(remote, [connection, *parent_ends], *args)"
+#: ``MicroBatchScheduler._run`` calls the shed hook after releasing ``_cond``.
+_SHED_OUTSIDE_COND = (
+    "                cohort, shed = self._build_cohort(now)\n"
+    "            for request in shed:\n"
+    "                self.num_shed_requests += 1\n"
+    "                if self._on_shed is not None:\n"
+    "                    self._on_shed(request)"
+)
+#: ``PosteriorService._shed``'s first line.
+_SHED_DOC = "        \"\"\"Scheduler shed hook: the request's deadline passed while queued.\"\"\"\n"
+
+
+def _indented(text, spaces=4):
+    """``text`` with every line after the first indented ``spaces`` deeper."""
+    first, *rest = text.split("\n")
+    return "\n".join([first] + [" " * spaces + line for line in rest])
+
+
+#: One real site per kind each kept rule covers, seeded with the construct the
+#: rule names: ``(rule, ((path under src/, old text, new text), ...))``.  A
+#: rule earns its place only while it flags such a mutation, so each row must
+#: keep drawing a finding of its rule and the unmutated files none.
+REAL_SITE_MUTATIONS = {
+    "rng-module-call:Normal.sample": ("rng-module-call", (
+        ("repro/distributions/normal.py",
+         "return self._rng(rng).normal(self.loc, self.scale, size=size)",
+         "return np.random.normal(self.loc, self.scale, size=size)"),)),
+    "rng-module-call:epoch-shuffle": ("rng-module-call", (
+        ("repro/data/sampler.py", "rng.generator.shuffle(order)", "np.random.shuffle(order)"),)),
+    "rng-module-call:packed-epoch-order": ("rng-module-call", (
+        ("repro/data/packing.py", "rng.generator.permutation(len(self.batches))",
+         "np.random.permutation(len(self.batches))"),)),
+    "rng-module-call:rmh-accept": ("rng-module-call", (
+        ("repro/ppl/inference/random_walk_metropolis.py",
+         "math.log(self._rng.uniform(0.0, 1.0) + 1e-300)",
+         "math.log(np.random.uniform(0.0, 1.0) + 1e-300)"),)),
+    "rng-module-call:request_key": ("rng-module-call", (
+        ("repro/ppl/inference/batched.py",
+         "rng.child_key((int(rng.generator.integers(0, 2**31 - 1)),))",
+         "rng.child_key((int(np.random.randint(0, 2**31 - 1)),))"),)),
+    "rng-direct-construction:epoch-shuffle": ("rng-direct-construction", (
+        ("repro/data/sampler.py",
+         "rng = RandomState(self.seed).spawn(self.epoch)\n            rng.generator.shuffle(order)",
+         "np.random.default_rng([self.seed, self.epoch]).shuffle(order)"),)),
+    "rng-direct-construction:Distribution._rng": ("rng-direct-construction", (
+        ("repro/distributions/distribution.py", "return (rng or get_rng()).generator",
+         "return rng.generator if rng is not None else np.random.default_rng()"),)),
+    "rng-stdlib-random:epoch-shuffle": ("rng-stdlib-random", (
+        ("repro/data/sampler.py", "import numpy as np\n", "import random\n\nimport numpy as np\n"),
+        ("repro/data/sampler.py", "rng.generator.shuffle(order)", "random.shuffle(order)"))),
+    "rng-stdlib-random:rmh-accept": ("rng-stdlib-random", (
+        ("repro/ppl/inference/random_walk_metropolis.py", "import math\n", "import math\nimport random\n"),
+        ("repro/ppl/inference/random_walk_metropolis.py",
+         "math.log(self._rng.uniform(0.0, 1.0) + 1e-300)", "math.log(random.random() + 1e-300)"))),
+    "rng-stdlib-random:packed-epoch-order": ("rng-stdlib-random", (
+        ("repro/data/packing.py", "from dataclasses import dataclass, field\n",
+         "import random\nfrom dataclasses import dataclass, field\n"),
+        ("repro/data/packing.py", "rng.generator.permutation(len(self.batches))",
+         "random.sample(range(len(self.batches)), len(self.batches))"))),
+    "rng-time-entropy:PosteriorService": ("rng-time-entropy", (
+        ("repro/serving/service.py", "self._rng = rng or get_rng()",
+         "self._rng = rng or RandomState(time.time_ns())"),)),
+    "lock-unlocked-write:ProcessCohortPool.stop": ("lock-unlocked-write", (
+        ("repro/serving/procpool.py",
+         "        with self._lock:\n            self._closing = True  # submit refuses from here on",
+         "        self._closing = True  # submit refuses from here on"),)),
+    "lock-order-inversion:shed-hook": ("lock-order-inversion", (
+        ("repro/serving/scheduler.py", _SHED_OUTSIDE_COND, _indented(_SHED_OUTSIDE_COND)),
+        ("repro/serving/service.py", _SHED_DOC,
+         _SHED_DOC + "        with self._admission_lock:\n"
+         "            self._inflight.pop(request.request_id, None)\n"))),
+    "lock-blocking-call:ProcessCohortPool._lost": ("lock-blocking-call", (
+        ("repro/serving/procpool.py",
+         "        worker.process.join(timeout=1.0)\n        failed = None\n        with self._lock:\n",
+         "        failed = None\n        with self._lock:\n            worker.process.join(timeout=1.0)\n"),)),
+    "shape-impl-signature:BatchedNormal.log_prob_rows": ("shape-impl-signature", (
+        ("repro/distributions/batched.py",
+         "    def log_prob_rows(self, values) -> np.ndarray:\n"
+         "        values = np.asarray(values, dtype=float).reshape(-1)\n"
+         "        z = (values - self.locs) / self.scales",
+         "    def log_prob_rows(self, value) -> np.ndarray:\n"
+         "        values = np.asarray(value, dtype=float).reshape(-1)\n"
+         "        z = (values - self.locs) / self.scales"),)),
+    "pickle-lambda:shard-send": ("pickle-lambda", (
+        ("repro/serving/procpool.py", _SHARD_SEND,
+         "worker.connection.send((shard_id, self._shards[shard_id].jobs, lambda: None))"),)),
+    "pickle-lambda:rank-send": ("pickle-lambda", (
+        ("repro/distributed/trainer.py", "self.connection.send(assignments)",
+         "self.connection.send((assignments, lambda: None))"),)),
+    "pickle-lambda:process-target": ("pickle-lambda", (
+        ("repro/common/utils.py", "target=target, args=", "target=lambda *call: target(*call), args="),)),
+    "pickle-generator:shard-send": ("pickle-generator", (
+        ("repro/serving/procpool.py", _SHARD_SEND,
+         "worker.connection.send((shard_id, (job for job in self._shards[shard_id].jobs)))"),)),
+    "pickle-generator:process-args": ("pickle-generator", (
+        ("repro/common/utils.py", _CHILD_ARGS,
+         "args=(remote, (end for end in (connection, *parent_ends)), *args)"),)),
+    "pickle-local-function:shard-send": ("pickle-local-function", (
+        ("repro/serving/procpool.py", "        shard_id = worker.shard\n        try:\n",
+         "        shard_id = worker.shard\n\n        def on_reply(reply):\n"
+         "            return reply\n\n        try:\n"),
+        ("repro/serving/procpool.py", _SHARD_SEND,
+         "worker.connection.send((shard_id, self._shards[shard_id].jobs, on_reply))"))),
+    "pickle-local-function:process-target": ("pickle-local-function", (
+        ("repro/common/utils.py", _PIPE_START,
+         "    def child(*call):\n        return target(*call)\n\n" + _PIPE_START),
+        ("repro/common/utils.py", "target=target, args=", "target=child, args="))),
+    "pickle-open-handle:shard-send": ("pickle-open-handle", (
+        ("repro/serving/procpool.py", "        shard_id = worker.shard\n        try:\n",
+         "        shard_id = worker.shard\n        log = open(os.devnull, \"w\")\n        try:\n"),
+        ("repro/serving/procpool.py", _SHARD_SEND,
+         "worker.connection.send((shard_id, self._shards[shard_id].jobs, log))"))),
+    "pickle-open-handle:process-args": ("pickle-open-handle", (
+        ("repro/common/utils.py", _PIPE_START, "    log = open(os.devnull, \"w\")\n" + _PIPE_START),
+        ("repro/common/utils.py", _CHILD_ARGS, "args=(remote, [connection, *parent_ends, log], *args)"))),
+    "det-set-iteration:BatchedProposalSession.proposals": ("det-set-iteration", (
+        ("repro/ppl/nn/inference_network.py",
+         "        for address, members in groups.items():\n            if address not in layers:",
+         "        for address in set(groups):\n            members = groups[address]\n"
+         "            if address not in layers:"),)),
+}
+
+
+class TestKeptRulesSeeTheirRealSites:
+    """Each kept rule still flags a violation seeded at a real site of ``src/``.
+
+    Only the files a row edits are copied and linted, under their paths in
+    the package, so path-scoped rules (hot paths, sanctioned files) apply.
+    """
+
+    @pytest.mark.parametrize("row", sorted(REAL_SITE_MUTATIONS))
+    def test_seeded_violation_is_flagged_and_the_real_file_is_not(self, tmp_path, row):
+        rule, edits = REAL_SITE_MUTATIONS[row]
+        sources = {path: (SRC_ROOT / path).read_text() for path, _, _ in edits}
+        for path, text in sources.items():
+            (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / path).write_text(text)
+        assert rule not in rules_of(run_analysis([str(tmp_path)], all_checkers()))
+
+        mutated = dict(sources)
+        for path, old, new in edits:
+            assert mutated[path].count(old) == 1, f"{row}: the scored site in {path} moved"
+            mutated[path] = mutated[path].replace(old, new)
+        for path, text in mutated.items():
+            (tmp_path / path).write_text(text)
+        assert rule in rules_of(run_analysis([str(tmp_path)], all_checkers()))

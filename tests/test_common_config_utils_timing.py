@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common.config import Config, get_config, set_config
-from repro.common.timing import PhaseTimer, Timer
+from repro.common.timing import PhaseTimer
 from repro.common.utils import (
     ensure_list,
     flatten_dict,
@@ -93,22 +93,6 @@ class TestUtils:
 
 
 class TestTiming:
-    def test_timer_accumulates(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.01)
-        with timer:
-            time.sleep(0.01)
-        assert timer.count == 2
-        assert timer.total >= 0.02
-        assert timer.mean > 0
-        timer.reset()
-        assert timer.count == 0
-
-    def test_timer_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
     def test_phase_timer_records_phases(self):
         timer = PhaseTimer()
         with timer.phase("forward"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common.rng import RandomState, get_rng, seed_all, temporary_seed
+from repro.ppl.inference.batched import TraceJob
 
 
 class TestRandomState:
@@ -145,6 +146,16 @@ class TestStreamKeys:
         assert RandomState.from_key(key).random() == np.random.default_rng(
             np.random.SeedSequence(entropy=[11, 3])
         ).random()
+
+    def test_trace_jobs_whose_keys_sum_alike_draw_apart(self):
+        # Job 1 of base 10 and job 0 of base 11: (7, 10, 1) and (7, 11, 0)
+        # sum to the same number, so a stream seeded from the key's sum
+        # would hand both requests one stream.  Mixed entropy words do not.
+        job_1_of_base_10 = TraceJob.for_request(0, {}, None, 2, (7, 10))[1]
+        job_0_of_base_11 = TraceJob.for_request(1, {}, None, 1, (7, 11))[0]
+        assert job_1_of_base_10.key == (7, 10, 1)
+        assert job_0_of_base_11.key == (7, 11, 0)
+        assert job_1_of_base_10.stream().random() != job_0_of_base_11.stream().random()
 
 
 class TestGlobalState:

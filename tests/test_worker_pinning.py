@@ -9,6 +9,7 @@ on worker ``i`` — and the model returns the cores its process may run on.
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -89,9 +90,15 @@ def test_respawned_and_refreshed_workers_keep_their_core():
     with ProcessCohortPool(MODEL, None, num_workers=2) as pool:
         victim = pool._workers[1]
         os.kill(victim.process.pid, signal.SIGKILL)
+        # Its pipe reads end-of-file: the pool reaps it and respawns it under
+        # its index.  Wait for that rather than joining the victim here, where
+        # the test would race the pool's own ``join`` for the exit status.
+        deadline = time.monotonic() + 10.0
+        while pool._workers[1] is victim and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._workers[1] is not victim
         victim.process.join(timeout=5.0)
         assert not victim.process.is_alive()
-        # Its pipe read end-of-file: the pool respawns it under its index.
         assert reported_cores(pool) == expected
         assert pool._workers[1].process.pid != victim.process.pid
         pool.refresh(MODEL)
