@@ -18,8 +18,9 @@ not the GIL):
   ``PROCESS_SPEEDUP_MIN`` (default 1.15x) faster in wall-clock time.
 
 The vectorised-choice-kernel micro-bench rides along: the inverse-CDF kernel
-must not be slower than per-draw ``generator.choice(p=...)`` it replaces
-(bit-identity is asserted in ``tests/test_distributions_batched.py``).
+must not be slower than the per-draw ``generator.choice(p=...)`` reference it
+replaced, ``tests/reference_kernels.sample_rows_percall`` (bit-identity is
+asserted in ``tests/test_distributions_batched.py``).
 """
 
 import os
@@ -35,6 +36,7 @@ from repro.serving import PosteriorService
 from repro.distributions import Normal, Uniform
 
 from benchmarks.conftest import print_table
+from tests import reference_kernels as ref
 
 NUM_REQUESTS = 6
 TRACES_PER_REQUEST = 8
@@ -129,14 +131,17 @@ def test_inverse_cdf_choice_kernel_not_slower_than_percall():
     lows = locs.min(axis=1) - 1.0
     highs = locs.max(axis=1) + 1.0
 
+    batched = BatchedMixtureOfTruncatedNormals(locs, scales, weights, lows, highs)
+
     def run(kernel: str) -> float:
-        batched = BatchedMixtureOfTruncatedNormals(
-            locs, scales, weights, lows, highs, choice_kernel=kernel
-        )
         rngs = [RandomState(row) for row in range(batch)]
+        generators = [rng.generator for rng in rngs]
         started = time.perf_counter()
         for _ in range(rounds):
-            batched.sample_rows(rngs)
+            if kernel == "percall":
+                ref.sample_rows_percall(batched, generators)
+            else:
+                batched.sample_rows(rngs)
         return time.perf_counter() - started
 
     run("percall")  # warm-up: first-touch allocations out of the timing

@@ -13,7 +13,8 @@ The gate: at minibatch 64 on a multi-trace-type model, the packed pipeline
 must deliver at least ``TRAINING_SPEEDUP_MIN``x (2x on dedicated hardware,
 relaxed on noisy CI runners) the offline training throughput (traces/s) of
 the retained reference — ``vectorized_loss=False`` plus the legacy
-per-iteration random schedule.  Correctness is owned by
+per-iteration random schedule, which this file builds on the one
+``TrainingLoop`` (:func:`train_random_schedule`).  Correctness is owned by
 ``tests/test_training_packed.py``: under the *same* schedule the two loss
 paths are bit-identical, so everything measured here is schedule + caching +
 vectorisation, not different math.
@@ -27,6 +28,7 @@ import numpy as np
 from repro.common.config import Config
 from repro.common.rng import RandomState
 from repro.data.packing import pack_minibatch
+from repro.distributed.trainer import TrainingLoop
 from repro.ppl import FunctionModel, observe, sample
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
@@ -88,6 +90,38 @@ def build_engine(vectorized_loss):
     return engine
 
 
+def train_random_schedule(engine, dataset) -> int:
+    """Offline training on a uniform draw over the raw dataset each iteration.
+
+    The schedule the packed pipeline replaced: ``TrainingLoop`` fed by
+    ``rng.generator.choice(..., replace=False)`` minibatches, each packed
+    afresh.  Returns the number of traces trained on.
+    """
+    traces = list(dataset)
+    num_iterations = max(1, NUM_TRACES // MINIBATCH)
+    loop = TrainingLoop(engine.network, traces, learning_rate=1e-3, total_steps=num_iterations)
+    seen = []
+
+    def source(rank):
+        indices = engine.rng.generator.choice(
+            len(traces), size=min(MINIBATCH, len(traces)), replace=False
+        )
+        return pack_minibatch([traces[i] for i in indices], "obs")
+
+    def record(loss, rank_packs, *_timings):
+        seen.append(sum(pack.batch_size for pack in rank_packs[0]))
+
+    loop.run(source, lambda packs: packs, num_iterations, record)
+    return sum(seen)
+
+
+def train_packed(engine, dataset) -> int:
+    history = engine.train(
+        dataset=dataset, num_traces=NUM_TRACES, minibatch_size=MINIBATCH, learning_rate=1e-3
+    )
+    return history.traces_seen[-1]
+
+
 def test_packed_training_pipeline_speedup():
     model = FunctionModel(training_program, name="training_bench")
     dataset = model.prior_traces(DATASET_SIZE, rng=RandomState(17))
@@ -102,36 +136,28 @@ def test_packed_training_pipeline_speedup():
     pregenerate_layers(probe.network, dataset, freeze=True)
     untrained_eval = probe.network.loss_packed(eval_packs).item()
 
-    def run(vectorized_loss, schedule):
+    def run(vectorized_loss, train):
         engine = build_engine(vectorized_loss)
         start = time.perf_counter()
-        history = engine.train(
-            dataset=dataset,
-            num_traces=NUM_TRACES,
-            minibatch_size=MINIBATCH,
-            learning_rate=1e-3,
-            offline_schedule=schedule,
-        )
+        traces_seen = train(engine, dataset)
         elapsed = time.perf_counter() - start
         evaluation = engine.network.loss_packed(eval_packs).item()
-        return elapsed, history, evaluation
+        return elapsed, traces_seen, evaluation
 
     # Warm numpy/scipy dispatch caches, then best-of-N.
-    run(True, "sorted")
-    run(False, "random")
+    run(True, train_packed)
+    run(False, train_random_schedule)
     packed_times, reference_times = [], []
-    packed_history = reference_history = None
+    packed_traces = reference_traces = None
     packed_eval = reference_eval = None
     for _ in range(ROUNDS):
-        elapsed, packed_history, packed_eval = run(True, "sorted")
+        elapsed, packed_traces, packed_eval = run(True, train_packed)
         packed_times.append(elapsed)
-        elapsed, reference_history, reference_eval = run(False, "random")
+        elapsed, reference_traces, reference_eval = run(False, train_random_schedule)
         reference_times.append(elapsed)
 
     packed_best = min(packed_times)
     reference_best = min(reference_times)
-    packed_traces = packed_history.traces_seen[-1]
-    reference_traces = reference_history.traces_seen[-1]
     speedup = (packed_traces / packed_best) / (reference_traces / reference_best)
 
     print_table(

@@ -54,9 +54,9 @@ CONTRACTS: Dict[str, MethodContract] = {
             "row_distribution(index) -> stand-alone Distribution for row index",
         ),
         MethodContract(
-            "from_distributions", ("distributions", "choice_kernel"), 1,
-            "from_distributions(distributions, choice_kernel=None) -> packed "
-            "(B, ...) batch; row i equivalent to distributions[i]",
+            "from_distributions", ("distributions",), 1,
+            "from_distributions(distributions) -> packed (B, ...) batch; row i "
+            "equivalent to distributions[i]",
         ),
     )
 }

@@ -1,23 +1,16 @@
 """Common utilities shared across the Etalumis reproduction.
 
 This package hosts infrastructure that every other subsystem relies on:
-deterministic random-number management (:mod:`repro.common.rng`), global
-configuration (:mod:`repro.common.config`), lightweight structured timing used
-by the training-phase instrumentation (:mod:`repro.common.timing`), and small
-generic helpers (:mod:`repro.common.utils`).
+deterministic random-number management (:mod:`repro.common.rng`), the
+configuration dataclass (:mod:`repro.common.config`), lightweight structured
+timing used by the training-phase instrumentation (:mod:`repro.common.timing`),
+and small generic helpers (:mod:`repro.common.utils`).
 """
 
 from repro.common.rng import RandomState, get_rng, seed_all, temporary_seed
-from repro.common.config import Config, get_config, set_config
+from repro.common.config import Config
 from repro.common.timing import PhaseTimer, TimingRecord
-from repro.common.utils import (
-    ensure_list,
-    flatten_dict,
-    format_bytes,
-    format_seconds,
-    prod,
-    weighted_quantile,
-)
+from repro.common.utils import prod, weighted_quantile
 
 __all__ = [
     "RandomState",
@@ -25,14 +18,8 @@ __all__ = [
     "seed_all",
     "temporary_seed",
     "Config",
-    "get_config",
-    "set_config",
     "PhaseTimer",
     "TimingRecord",
-    "ensure_list",
-    "flatten_dict",
-    "format_bytes",
-    "format_seconds",
     "prod",
     "weighted_quantile",
 ]

@@ -1,4 +1,4 @@
-"""Global configuration for the Etalumis reproduction.
+"""Configuration for the Etalumis reproduction.
 
 The original system exposes a number of knobs (observation voxel shape, NN
 hyperparameters, dataset locations, distributed-training parameters).  This
@@ -9,9 +9,9 @@ benchmarks can be scaled down or up consistently.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Tuple
 
-__all__ = ["Config", "get_config", "set_config"]
+__all__ = ["Config"]
 
 
 @dataclasses.dataclass
@@ -69,20 +69,3 @@ class Config:
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **kwargs)
 
-
-_config = Config()
-
-
-def get_config() -> Config:
-    """Return the process-global configuration."""
-    return _config
-
-
-def set_config(config: Optional[Config] = None, **kwargs) -> Config:
-    """Replace (or update fields of) the process-global configuration."""
-    global _config
-    if config is not None:
-        _config = config
-    if kwargs:
-        _config = dataclasses.replace(_config, **kwargs)
-    return _config

@@ -6,15 +6,11 @@ import ctypes
 import math
 import os
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "ensure_list",
-    "flatten_dict",
-    "format_bytes",
-    "format_seconds",
     "partition_traces",
     "prod",
     "shard_jobs",
@@ -35,8 +31,7 @@ def prod(values: Iterable[int]) -> int:
 def partition_traces(num_traces: int, num_ranks: int) -> List[int]:
     """Split ``num_traces`` across ranks as evenly as possible.
 
-    The first ``num_traces % num_ranks`` ranks receive one extra trace, so
-    per-rank sizes may be unequal — :meth:`Empirical.combine` handles that.
+    The first ``num_traces % num_ranks`` ranks receive one extra trace.
     """
     if num_traces <= 0:
         raise ValueError("num_traces must be positive")
@@ -124,48 +119,6 @@ def start_piped_child(context, target, args: Sequence, parent_ends: Sequence = (
         process.start()
         remote.close()
     return process, connection
-
-
-def ensure_list(value) -> List:
-    """Wrap scalars in a list, pass lists/tuples through as a list."""
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
-
-
-def flatten_dict(d: Dict, prefix: str = "", sep: str = ".") -> Dict[str, object]:
-    """Flatten a nested dict into dotted keys (used for config/metric logging)."""
-    out: Dict[str, object] = {}
-    for key, value in d.items():
-        full = f"{prefix}{sep}{key}" if prefix else str(key)
-        if isinstance(value, dict):
-            out.update(flatten_dict(value, prefix=full, sep=sep))
-        else:
-            out[full] = value
-    return out
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Human-readable byte count (e.g. ``1.7 TB`` for the paper's dataset)."""
-    num = float(num_bytes)
-    for unit in ("B", "KB", "MB", "GB", "TB", "PB"):
-        if abs(num) < 1024.0 or unit == "PB":
-            return f"{num:.1f} {unit}"
-        num /= 1024.0
-    return f"{num:.1f} PB"
-
-
-def format_seconds(seconds: float) -> str:
-    """Human-readable duration."""
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.1f} ms"
-    if seconds < 60:
-        return f"{seconds:.2f} s"
-    if seconds < 3600:
-        return f"{seconds / 60:.1f} min"
-    return f"{seconds / 3600:.2f} h"
 
 
 def weighted_quantile(values: Sequence[float], quantiles, weights=None) -> np.ndarray:

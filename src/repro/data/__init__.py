@@ -2,12 +2,7 @@
 
 from repro.data.shelf import ShardStore
 from repro.data.dataset import InMemoryTraceDataset, TraceDataset, generate_dataset
-from repro.data.sorting import (
-    parallel_sort_indices,
-    regroup_dataset,
-    sorted_indices_by_trace_type,
-    sortedness_fraction,
-)
+from repro.data.sorting import regroup_dataset, sorted_indices_by_trace_type
 from repro.data.batching import (
     dynamic_token_batches,
     effective_minibatch_size,
@@ -43,9 +38,7 @@ __all__ = [
     "InMemoryTraceDataset",
     "generate_dataset",
     "sorted_indices_by_trace_type",
-    "parallel_sort_indices",
     "regroup_dataset",
-    "sortedness_fraction",
     "split_into_sub_minibatches",
     "sub_minibatch_count",
     "effective_minibatch_size",

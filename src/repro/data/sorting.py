@@ -2,10 +2,11 @@
 
 The paper's I/O optimisation has two parts:
 
-* a **parallel trace sorting** pass that pre-sorts the 15M traces by trace
-  type, so that minibatch-sized chunks of the sorted order contain (almost
-  always) a single trace type, enabling single-forward-pass sub-minibatches
-  and sequential file access, and
+* a **trace sorting** pass that pre-sorts the 15M traces by trace type (the
+  paper distributes it over ranks; here it is one sort), so that
+  minibatch-sized chunks of the sorted order contain (almost always) a single
+  trace type, enabling single-forward-pass sub-minibatches and sequential
+  file access, and
 * **re-grouping** small trace files into larger ones (750 files of 20k traces
   -> 150 files of 100k traces).
 
@@ -16,11 +17,9 @@ implement both passes for the shard-store datasets of this reproduction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-import numpy as np
-
-__all__ = ["sorted_indices_by_trace_type", "parallel_sort_indices", "regroup_dataset", "sortedness_fraction"]
+__all__ = ["sorted_indices_by_trace_type", "regroup_dataset"]
 
 
 def sorted_indices_by_trace_type(dataset) -> List[int]:
@@ -35,37 +34,6 @@ def sorted_indices_by_trace_type(dataset) -> List[int]:
     ]
     keys.sort()
     return [k[2] for k in keys]
-
-
-def parallel_sort_indices(dataset, num_workers: int = 4) -> List[int]:
-    """Chunked sort + k-way merge, mirroring the paper's parallel sorting pass.
-
-    Each "worker" sorts a contiguous slice of the dataset independently; the
-    sorted runs are then merged.  The result is identical to
-    :func:`sorted_indices_by_trace_type` (the tests assert this), but the
-    structure mirrors how the sort is distributed across ranks.
-    """
-    import heapq
-
-    if num_workers <= 0:
-        raise ValueError("num_workers must be positive")
-    total = len(dataset)
-    if total == 0:
-        return []
-    chunk = (total + num_workers - 1) // num_workers
-    runs: List[List[Tuple[str, int, int]]] = []
-    for worker in range(num_workers):
-        start = worker * chunk
-        stop = min(start + chunk, total)
-        if start >= stop:
-            continue
-        keys = [
-            (dataset.trace_type_of(i), dataset.trace_length_of(i), i) for i in range(start, stop)
-        ]
-        keys.sort()
-        runs.append(keys)
-    merged = list(heapq.merge(*runs))
-    return [k[2] for k in merged]
 
 
 def regroup_dataset(dataset, directory: str, records_per_shard: int = 100, order: Optional[Sequence[int]] = None):
@@ -84,23 +52,3 @@ def regroup_dataset(dataset, directory: str, records_per_shard: int = 100, order
     regrouped.flush()
     return regrouped
 
-
-def sortedness_fraction(trace_types: Sequence[str], chunk_size: int) -> float:
-    """Fraction of ``chunk_size`` chunks that contain a single trace type.
-
-    This is the quantity the sorting pass maximises: the higher it is, the
-    fewer sub-minibatches a minibatch splits into and the larger the effective
-    minibatch size (Section 4.4.1).
-    """
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    total_chunks = 0
-    single_type = 0
-    for start in range(0, len(trace_types), chunk_size):
-        chunk = trace_types[start : start + chunk_size]
-        if not chunk:
-            continue
-        total_chunks += 1
-        if len(set(chunk)) == 1:
-            single_type += 1
-    return single_type / total_chunks if total_chunks else 0.0

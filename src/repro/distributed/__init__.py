@@ -1,7 +1,6 @@
-"""Distributed training and inference: allreduce, trainer, performance model,
-and the per-rank batched importance-sampling driver."""
+"""Distributed training: allreduce, trainer, load balance and performance model."""
 
-from repro.common.utils import partition_traces, shard_jobs
+from repro.common.utils import shard_jobs
 from repro.distributed.allreduce import (
     CommunicationStats,
     average_gradients,
@@ -23,7 +22,6 @@ from repro.distributed.performance_model import (
 )
 from repro.distributed.trainer import DistributedTrainer, TrainingLoop, TrainingReport
 from repro.distributed.load_balance import SchemeEvaluation, compare_schemes, evaluate_scheme
-from repro.distributed.inference import distributed_importance_sampling
 
 __all__ = [
     "CommunicationStats",
@@ -47,7 +45,5 @@ __all__ = [
     "SchemeEvaluation",
     "compare_schemes",
     "evaluate_scheme",
-    "distributed_importance_sampling",
-    "partition_traces",
     "shard_jobs",
 ]

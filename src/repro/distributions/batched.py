@@ -33,7 +33,7 @@ Two contracts matter:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -53,37 +53,20 @@ __all__ = [
     "BatchedDistributionList",
     "CategoricalScratch",
     "MixtureScratch",
-    "DEFAULT_CHOICE_KERNEL",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-#: Default component/category selection kernel: ``"inverse_cdf"`` draws one
-#: uniform per row and inverts a precomputed CDF; ``"percall"`` calls
-#: ``generator.choice(p=...)`` per draw (the reference path).  The two are
-#: **bit-identical** — ``Generator.choice`` with probabilities is itself
-#: inverse-CDF sampling on one ``random()`` draw, so both kernels consume the
-#: stream identically and pick the same index — but ``choice`` re-validates
-#: and re-accumulates the probability vector on every call, which profiling
-#: showed dominates the distribution side of a lockstep round (ROADMAP).
-DEFAULT_CHOICE_KERNEL = "inverse_cdf"
-
-
-def _validated_choice_kernel(choice_kernel: Optional[str]) -> str:
-    kernel = DEFAULT_CHOICE_KERNEL if choice_kernel is None else choice_kernel
-    if kernel not in ("inverse_cdf", "percall"):
-        raise ValueError(
-            f"choice_kernel must be 'inverse_cdf' or 'percall', got {choice_kernel!r}"
-        )
-    return kernel
-
-
 def _choice_cdfs(probs: np.ndarray) -> np.ndarray:
     """Per-row CDFs built exactly as ``Generator.choice`` builds them.
 
-    Same operation order (row cumsum, then division by the final column) so
-    the inverse-CDF kernel's comparisons see bit-for-bit the values numpy's
-    own sampler would compute from the same probability rows.
+    A category or component is drawn by one ``random()`` per row inverted
+    through these CDFs.  ``Generator.choice(p=...)`` is itself inverse-CDF
+    sampling on one ``random()`` draw, so this picks the same index and leaves
+    the stream in the same state, without ``choice``'s per-call validation
+    and accumulation.  Same operation order (row cumsum, then division by the
+    final column) so the comparisons see bit-for-bit the values numpy's own
+    sampler would compute from the same probability rows.
     """
     cdfs = np.cumsum(probs, axis=-1)
     return cdfs / cdfs[:, -1:]
@@ -244,18 +227,14 @@ class BatchedNormal(BatchedDistribution):
 class BatchedCategorical(BatchedDistribution):
     """B independent categoricals over ``0..K-1`` held as a ``(B, K)`` array.
 
-    ``choice_kernel`` selects how a category index is drawn (see
-    :data:`DEFAULT_CHOICE_KERNEL`); both kernels are bit-identical in output
-    and stream consumption, the inverse-CDF one just skips ``choice``'s
-    per-call validation/accumulation overhead.
+    A row's index is one ``random()`` inverted through its CDF: the value and
+    the stream state ``Categorical.sample`` (``Generator.choice``) would give.
     """
 
     discrete = True
 
     @classmethod
-    def from_distributions(
-        cls, distributions: Sequence[Categorical], choice_kernel: Optional[str] = None
-    ) -> "BatchedCategorical":
+    def from_distributions(cls, distributions: Sequence[Categorical]) -> "BatchedCategorical":
         """Pack B per-trace :class:`Categorical` objects into a ``(B, K)`` batch.
 
         All inputs must share the same number of categories (the same-address
@@ -270,9 +249,9 @@ class BatchedCategorical(BatchedDistribution):
             raise ValueError(
                 f"categoricals in one batch must share a category count, got {sorted(categories)}"
             )
-        return cls(np.stack([d.probs for d in distributions], axis=0), choice_kernel=choice_kernel)
+        return cls(np.stack([d.probs for d in distributions], axis=0))
 
-    def __init__(self, probs, choice_kernel: Optional[str] = None) -> None:
+    def __init__(self, probs) -> None:
         probs_arr = np.asarray(probs, dtype=float)
         if probs_arr.ndim != 2:
             raise ValueError("probs must be a (batch, categories) matrix")
@@ -285,8 +264,7 @@ class BatchedCategorical(BatchedDistribution):
         self.batch_size = int(self.probs.shape[0])
         self.num_categories = int(self.probs.shape[1])
         self._log_probs = np.log(np.clip(self.probs, 1e-300, None))
-        self.choice_kernel = _validated_choice_kernel(choice_kernel)
-        self._cdfs = _choice_cdfs(self.probs) if self.choice_kernel == "inverse_cdf" else None
+        self._cdfs = _choice_cdfs(self.probs)
 
     @classmethod
     def build_into(cls, scratch: CategoricalScratch, probs: np.ndarray) -> "BatchedCategorical":
@@ -311,7 +289,6 @@ class BatchedCategorical(BatchedDistribution):
         log_probs = scratch.log_probs[:batch]
         np.clip(self.probs, 1e-300, None, out=log_probs)
         self._log_probs = np.log(log_probs, out=log_probs)
-        self.choice_kernel = DEFAULT_CHOICE_KERNEL
         cdfs = scratch.cdfs[:batch]
         # Same operation order as _choice_cdfs: row cumsum, then division by
         # the final column (copied out first — the quotient overwrites it).
@@ -321,20 +298,12 @@ class BatchedCategorical(BatchedDistribution):
         return self
 
     def sample_rows(self, rngs=None) -> np.ndarray:
-        generators = self._per_row_generators(rngs)
-        if self._cdfs is not None:
-            # One uniform per row (consumed row-by-row so each stream matches
-            # row_distribution(i).sample), then one vectorised CDF inversion
-            # for the whole batch: (cdf[j] <= u) counts are exactly
-            # searchsorted(cdf, u, side="right").
-            uniforms = np.array([generators[i].random() for i in range(self.batch_size)])
-            return (self._cdfs <= uniforms[:, None]).sum(axis=1)
-        return np.array(
-            [
-                int(generators[i].choice(self.num_categories, size=None, p=self.probs[i]))
-                for i in range(self.batch_size)
-            ]
-        )
+        # One uniform per row (consumed row-by-row so each stream matches
+        # row_distribution(i).sample), then one vectorised CDF inversion for
+        # the whole batch: (cdf[j] <= u) counts are exactly
+        # searchsorted(cdf, u, side="right").
+        uniforms = np.array([generator.random() for generator in self._per_row_generators(rngs)])
+        return (self._cdfs <= uniforms[:, None]).sum(axis=1)
 
     def log_prob_rows(self, values) -> np.ndarray:
         idx = np.asarray(values, dtype=np.int64).reshape(-1)
@@ -365,7 +334,7 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
 
     @classmethod
     def from_distributions(
-        cls, distributions: Sequence[Distribution], choice_kernel: Optional[str] = None
+        cls, distributions: Sequence[Distribution]
     ) -> "BatchedMixtureOfTruncatedNormals":
         """Pack B per-trace mixtures into ``(B, K)`` parameter arrays.
 
@@ -419,13 +388,9 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
             np.asarray(lows, dtype=float),
             np.asarray(highs, dtype=float),
             bounded=np.asarray(bounded, dtype=bool),
-            choice_kernel=choice_kernel,
         )
 
-    def __init__(
-        self, locs, scales, weights, lows=None, highs=None, bounded=None,
-        choice_kernel: Optional[str] = None,
-    ) -> None:
+    def __init__(self, locs, scales, weights, lows=None, highs=None, bounded=None) -> None:
         self.locs = np.asarray(locs, dtype=float)
         if self.locs.ndim != 2:
             raise ValueError("locs must be a (batch, components) matrix")
@@ -444,10 +409,7 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
         self._log_weights = np.log(np.clip(self.weights, 1e-300, None))
         self.batch_size = int(batch)
         self.num_components = int(components)
-        self.choice_kernel = _validated_choice_kernel(choice_kernel)
-        self._weight_cdfs = (
-            _choice_cdfs(self.weights) if self.choice_kernel == "inverse_cdf" else None
-        )
+        self._weight_cdfs = _choice_cdfs(self.weights)
 
         lows_arr = np.full(batch, -np.inf) if lows is None else np.asarray(lows, dtype=float).reshape(-1)
         highs_arr = np.full(batch, np.inf) if highs is None else np.asarray(highs, dtype=float).reshape(-1)
@@ -519,7 +481,6 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
         self._log_weights = np.log(log_weights, out=log_weights)
         self.batch_size = int(batch)
         self.num_components = int(locs.shape[1])
-        self.choice_kernel = DEFAULT_CHOICE_KERNEL
         cdfs = scratch.weight_cdfs[:batch]
         # _choice_cdfs' operation order with the final column copied out
         # before the in-place division overwrites it.
@@ -550,8 +511,6 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
     # --------------------------------------------------------------- sampling
     def sample_rows(self, rngs=None) -> np.ndarray:
         generators = self._per_row_generators(rngs)
-        if self._weight_cdfs is None:
-            return self._sample_rows_percall(generators)
         # Only the stream calls run per row, exactly the ones
         # row_distribution(i).sample makes and in its order: the component
         # uniform, then a bounded row's inverse-CDF uniform (random() returns
@@ -572,28 +531,6 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
             chosen = components[free]
             out[free] = self.locs[free, chosen] + self.scales[free, chosen] * draws[free, 1]
         self._invert_truncated(out, components, draws[:, 1])
-        return out
-
-    def _sample_rows_percall(self, generators: List[np.random.Generator]) -> np.ndarray:
-        """The reference loop: each row draws through ``choice``/``uniform``/``normal``."""
-        components = np.empty(self.batch_size, dtype=np.int64)
-        # Scratch may stay uninitialised where unused: the gathers below read
-        # uniforms only at bounded rows and normals only at unbounded ones.
-        uniforms = np.empty(self.batch_size)
-        normals = np.empty(self.batch_size)
-        for i in range(self.batch_size):
-            components[i] = generators[i].choice(self.num_components, p=self.weights[i])
-            if self.bounded[i]:
-                uniforms[i] = generators[i].uniform(0.0, 1.0)
-            else:
-                normals[i] = generators[i].normal(
-                    self.locs[i, components[i]], self.scales[i, components[i]]
-                )
-        out = np.empty(self.batch_size)
-        free = ~self.bounded
-        if np.any(free):
-            out[free] = normals[free]
-        self._invert_truncated(out, components, uniforms)
         return out
 
     def _invert_truncated(self, out: np.ndarray, components: np.ndarray, uniforms: np.ndarray) -> None:

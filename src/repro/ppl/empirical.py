@@ -246,19 +246,6 @@ class Empirical:
             engine_stats=dict(getattr(self, "engine_stats", {}) or {}),
         )
 
-    # ----------------------------------------------------------------- algebra
-    @staticmethod
-    def combine(empiricals: Sequence["Empirical"], name: str = "combined") -> "Empirical":
-        """Concatenate several empirical distributions (e.g. per-rank IC results)."""
-        if not empiricals:
-            raise ValueError("need at least one Empirical to combine")
-        values: List[Any] = []
-        log_weights: List[float] = []
-        for emp in empiricals:
-            values.extend(emp.values)
-            log_weights.extend(emp.log_weights.tolist())
-        return Empirical(values, log_weights, name=name)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Empirical(name={self.name!r}, size={len(self)}, ess={self.effective_sample_size():.1f})"
 

@@ -26,8 +26,8 @@ drop out of the cohort — so arbitrarily branching models are supported, with
 lockstep models getting the full batching win.
 
 One path: every posterior entry point — :func:`batched_importance_sampling`
-(one request), :func:`mixed_batched_importance_sampling` (several), the
-distributed driver's rank shards and both serving backends — flattens its
+(one request), :func:`mixed_batched_importance_sampling` (several) and
+both serving backends — flattens its
 work into :class:`TraceJob` lists and runs each cohort through
 :func:`run_mixed_cohort`.  A job carries its own observation, so "one shared
 observation" is just a cohort whose jobs happen to carry the same one; the
@@ -615,7 +615,7 @@ def merge_session_stats(stats: Dict[str, int], session) -> None:
 def merge_engine_stats(into: Dict[str, int], stats: Dict[str, int]) -> Dict[str, int]:
     """Accumulate one stat block into another without dropping unknown keys.
 
-    Shard merges (serving sinks, pool results, distributed gathers) must use
+    Shard merges (serving sinks, pool results) must use
     this rather than iterating a hand-copied key list: a key added to
     :data:`ENGINE_STAT_KEYS` — or reported by a newer worker — merges through
     unchanged instead of being silently dropped.
@@ -660,8 +660,8 @@ def run_mixed_cohort(
 ) -> List[Trace]:
     """Execute one cohort of trace jobs; slots may condition on different observations.
 
-    The one place guided executions are run — direct posteriors, the
-    distributed driver and both serving backends all arrive here with a
+    The one place guided executions are run — direct posteriors and both
+    serving backends all arrive here with a
     :class:`TraceJob` list.  Without a network every job draws from the prior
     (likelihood weighting).  A one-job cohort, or a :class:`RemoteModel`
     (one multiplexed PPX transport, so its executions cannot be suspended

@@ -21,9 +21,10 @@ accounting both the proposal and prior branches below share via
 
 IS/IC inference is embarrassingly parallel; the batched lockstep engine in
 :mod:`repro.ppl.inference.batched` runs cohorts of guided executions through
-the inference network in single batched NN steps, and the distributed driver
-(:mod:`repro.distributed.inference`) simply merges per-rank
-:class:`repro.ppl.empirical.Empirical` results.
+the inference network in single batched NN steps, and
+:class:`repro.serving.PosteriorService` spreads those cohorts over worker
+threads or processes (:func:`repro.ppl.inference.batched.execute_trace_jobs`
+is the one call every executor makes).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def importance_sampling(
         proposals (likelihood weighting).
     trace_callback:
         Optional hook called with ``(trace, log_weight)`` after every
-        execution — used by tests and by the distributed inference driver.
+        execution.
     """
     if num_traces <= 0:
         raise ValueError("num_traces must be positive")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.common.config import Config, get_config
+from repro.common.config import Config
 from repro.common.rng import RandomState, get_rng
 from repro.ppl.empirical import Empirical
 from repro.ppl.inference.batched import batched_importance_sampling, mixed_batched_importance_sampling
@@ -62,7 +62,7 @@ class InferenceCompilation:
         observation_embedding=None,
         rng: Optional[RandomState] = None,
     ) -> None:
-        self.config = config or get_config()
+        self.config = config or Config()
         self.rng = rng or get_rng()
         self.network = network or InferenceNetwork(
             observation_embedding=observation_embedding,
@@ -86,25 +86,21 @@ class InferenceCompilation:
         lr_schedule: Optional[str] = None,
         end_learning_rate: float = 1e-5,
         callback: Optional[Callable[[int, float], None]] = None,
-        offline_schedule: Optional[str] = None,
     ) -> TrainingHistory:
         """Train the proposal network: one rank of the shared
-        :class:`~repro.distributed.trainer.TrainingLoop`, three batch sources.
+        :class:`~repro.distributed.trainer.TrainingLoop`, two batch sources.
 
         Online (``dataset is None``): each minibatch is sampled from ``model``
         on the fly and new address-specific layers are created as they are
         encountered, with their parameters registered into the optimizer.
 
         Offline (``dataset`` given): the network's layers are pre-generated
-        from the dataset and frozen (Algorithm 2's Gˆ(x, y) branch).  With
-        ``offline_schedule="sorted"`` (the default) the dataset is sorted by
-        trace type once and chunked into token-budgeted minibatches
-        (:class:`repro.data.packing.PackedEpochPlan`): each epoch visits
-        every minibatch in a freshly shuffled order, sub-minibatches stay
-        large (Section 4.4.3), and the packed array inputs built for a
-        minibatch are cached across epochs.  ``offline_schedule="random"``
-        retains the per-iteration uniform draw over the raw dataset as the
-        benchmark's schedule reference.
+        from the dataset and frozen (Algorithm 2's Gˆ(x, y) branch).  The
+        dataset is sorted by trace type once and chunked into token-budgeted
+        minibatches (:class:`repro.data.packing.PackedEpochPlan`): each epoch
+        visits every minibatch in a freshly shuffled order, sub-minibatches
+        stay large (Section 4.4.3), and the packed array inputs built for a
+        minibatch are cached across epochs.
         """
         # Imported lazily: the trainer module builds on this package.
         from repro.data.packing import PackedEpochPlan, pack_minibatch
@@ -117,14 +113,6 @@ class InferenceCompilation:
         # irreversibly, so a bad argument must not leave it half-configured.
         if minibatch_size < 1:
             raise ValueError("minibatch_size must be >= 1")
-        if offline:
-            offline_schedule = offline_schedule or "sorted"
-            if offline_schedule not in ("sorted", "random"):
-                raise ValueError(
-                    f"offline_schedule must be 'sorted' or 'random', got {offline_schedule!r}"
-                )
-        elif offline_schedule is not None:
-            raise ValueError("offline_schedule only applies to offline training")
         traces = list(dataset) if offline else None
         num_iterations = max(1, num_traces // minibatch_size)
         loop = TrainingLoop(
@@ -142,19 +130,11 @@ class InferenceCompilation:
                     loop.optimizer.add_param_group([p for _, p in new_params], [n for n, _ in new_params])
                 return pack_minibatch(minibatch, observe_key)
 
-        elif offline_schedule == "sorted":
+        else:
             plan = PackedEpochPlan(traces, minibatch_size, observe_key=observe_key)
 
             def source(rank):
                 return plan.packs(plan.next_batch_id(self.rng))
-
-        else:
-
-            def source(rank):
-                indices = self.rng.generator.choice(
-                    len(traces), size=min(minibatch_size, len(traces)), replace=False
-                )
-                return pack_minibatch([traces[i] for i in indices], observe_key)
 
         def record(loss, rank_packs, *_timings):
             self._total_traces += sum(pack.batch_size for pack in rank_packs[0])

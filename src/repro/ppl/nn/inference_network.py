@@ -45,7 +45,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy (cycle guard)
     from repro.data.packing import PackedSubMinibatch
 
-from repro.common.config import Config, get_config
+from repro.common.config import Config
 from repro.data.dataset import observation_array
 from repro.distributions import Categorical, Distribution, distribution_from_dict
 from repro.distributions.batched import BatchedMixtureOfTruncatedNormals, MixtureScratch
@@ -77,7 +77,7 @@ class InferenceNetwork(Module):
         vectorized_loss: bool = True,
     ) -> None:
         super().__init__()
-        cfg = config or get_config()
+        cfg = config or Config()
         self.config = cfg
         self.observe_key = observe_key
         self._rng = rng

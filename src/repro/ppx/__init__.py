@@ -10,7 +10,7 @@ Subpackages:
 * :mod:`repro.ppx.server` — the PPL-side controller.
 """
 
-from repro.ppx.addresses import AddressBuilder, extract_address
+from repro.ppx.addresses import AddressBuilder
 from repro.ppx.client import SimulatorClient
 from repro.ppx.messages import (
     Handshake,
@@ -40,7 +40,6 @@ from repro.ppx.transport import (
 
 __all__ = [
     "AddressBuilder",
-    "extract_address",
     "SimulatorClient",
     "SimulatorController",
     "Message",

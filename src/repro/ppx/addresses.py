@@ -24,7 +24,7 @@ import os
 import sys
 from typing import Any, Dict, Optional
 
-__all__ = ["AddressBuilder", "extract_address"]
+__all__ = ["AddressBuilder"]
 
 #: roles of a frame that contributes no segment (any other role is its base)
 _STOP = object()
@@ -132,10 +132,3 @@ class AddressBuilder:
         self.cache_hits = 0
         self.cache_misses = 0
 
-
-_default_builder = AddressBuilder()
-
-
-def extract_address(skip_frames: int = 2, explicit: Optional[str] = None) -> str:
-    """Build an address using the process-default :class:`AddressBuilder`."""
-    return _default_builder.build(skip_frames=skip_frames + 1, explicit=explicit)

@@ -13,8 +13,7 @@ traces.  "Where" is one of two pools with one contract —
   on_stats)``.  The pool, not its caller, holds the model and network handles
   its workers execute against.
 * **Submit and collect** — ``submit(entries, callback)`` blocks while the
-  pool is saturated (the backpressure that stalls a direct caller such as
-  the distributed driver) and raises
+  pool is saturated (the backpressure that stalls a direct caller) and raises
   :class:`~repro.serving.request.PoolStopped` on a pool that is not running.
   ``callback(entries, traces, error)`` fires exactly once per accepted shard,
   on a pool thread, with exactly one of ``traces``/``error`` set.

@@ -3,9 +3,8 @@
 This module provides the operations that the Etalumis inference-compilation
 network needs beyond elementary arithmetic: numerically stable softmax /
 log-softmax / logsumexp, the 3D convolution and 3D max-pooling used by the
-observation-embedding CNN (Section 4.3), embedding lookups, dropout, the
-negative-log-likelihood helpers, and the fused kernels of the training hot
-path.
+observation-embedding CNN (Section 4.3), embedding lookups and gathers, and
+the fused kernels of the training hot path.
 
 What reaches BLAS and what does not: ``matmul`` on float64 operands is a
 BLAS ``dgemm``; ``np.einsum`` without ``optimize`` is numpy's own C loop and
@@ -51,14 +50,10 @@ __all__ = [
     "lstm_cell",
     "truncated_normal_mixture_parameters",
     "truncated_normal_mixture_log_prob",
-    "dropout",
     "embedding",
-    "one_hot",
     "gather",
     "conv3d",
     "max_pool3d",
-    "nll_loss",
-    "mse_loss",
     "erf",
     "normal_cdf",
     "normal_log_pdf",
@@ -255,32 +250,6 @@ def lstm_cell(
     return h_new, c_new
 
 
-def dropout(x: Tensor, p: float = 0.5, training: bool = True, rng=None) -> Tensor:
-    """Inverted dropout; identity when not training or ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    if p >= 1.0:
-        raise ValueError("dropout probability must be < 1")
-    from repro.common.rng import get_rng
-
-    generator = (rng or get_rng()).generator
-    mask = (generator.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    out = _make(x.data * mask, (x,))
-    if out.requires_grad:
-        def _bw(grad):
-            _accumulate(x, grad * mask, True)
-        out._backward = _bw
-    return out
-
-
-def one_hot(indices: Union[np.ndarray, Sequence[int]], num_classes: int) -> Tensor:
-    """One-hot encode integer indices into a float tensor."""
-    idx = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(idx.shape + (num_classes,), dtype=np.float64)
-    np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
-    return Tensor(out)
-
-
 def embedding(weight: Tensor, indices: Union[np.ndarray, Sequence[int]]) -> Tensor:
     """Row lookup into an embedding matrix with sparse-style gradient."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -308,33 +277,6 @@ def gather(x: Tensor, indices: Union[np.ndarray, Sequence[int]], axis: int = -1)
             _accumulate(x, full, True)
         out._backward = _bw
     return out
-
-
-def nll_loss(log_probs: Tensor, targets: Union[np.ndarray, Sequence[int]], reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood loss over categorical log-probabilities."""
-    picked = gather(log_probs, targets, axis=-1)
-    loss = -picked
-    if reduction == "mean":
-        return loss.mean()
-    if reduction == "sum":
-        return loss.sum()
-    if reduction == "none":
-        return loss
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def mse_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
-    """Mean-squared-error loss."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target_t.detach()
-    sq = diff * diff
-    if reduction == "mean":
-        return sq.mean()
-    if reduction == "sum":
-        return sq.sum()
-    if reduction == "none":
-        return sq
-    raise ValueError(f"unknown reduction {reduction!r}")
 
 
 _SQRT_2 = float(np.sqrt(2.0))

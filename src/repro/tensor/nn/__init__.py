@@ -1,7 +1,7 @@
 """Neural-network modules built on the autograd tensor library."""
 
 from repro.tensor.nn.module import Module, Parameter
-from repro.tensor.nn.linear import Linear, ReLU, Tanh, Sigmoid, Flatten, Dropout, Embedding
+from repro.tensor.nn.linear import Linear, ReLU, Flatten, Embedding
 from repro.tensor.nn.container import Sequential, ModuleList, ModuleDict
 from repro.tensor.nn.conv import Conv3d, MaxPool3d
 from repro.tensor.nn.recurrent import LSTM, LSTMCell
@@ -12,10 +12,7 @@ __all__ = [
     "Parameter",
     "Linear",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
     "Flatten",
-    "Dropout",
     "Embedding",
     "Sequential",
     "ModuleList",

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.common.rng import RandomState, get_rng
 
-__all__ = ["xavier_uniform", "kaiming_uniform", "uniform", "zeros", "orthogonal"]
+__all__ = ["kaiming_uniform", "uniform", "zeros"]
 
 
 def _rng(rng: RandomState = None) -> np.random.Generator:
@@ -24,18 +24,6 @@ def uniform(shape: Tuple[int, ...], low: float, high: float, rng: RandomState = 
     return _rng(rng).uniform(low, high, size=shape)
 
 
-def xavier_uniform(shape: Tuple[int, ...], gain: float = 1.0, rng: RandomState = None) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation for ``(fan_out, fan_in, ...)`` weights."""
-    if len(shape) < 2:
-        fan_in = fan_out = shape[0]
-    else:
-        receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
-        fan_out = shape[0] * receptive
-        fan_in = shape[1] * receptive
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return _rng(rng).uniform(-bound, bound, size=shape)
-
-
 def kaiming_uniform(shape: Tuple[int, ...], a: float = math.sqrt(5), rng: RandomState = None) -> np.ndarray:
     """He/Kaiming uniform initialisation (PyTorch's default for Linear/Conv)."""
     if len(shape) < 2:
@@ -47,13 +35,3 @@ def kaiming_uniform(shape: Tuple[int, ...], a: float = math.sqrt(5), rng: Random
     bound = gain * math.sqrt(3.0 / fan_in)
     return _rng(rng).uniform(-bound, bound, size=shape)
 
-
-def orthogonal(shape: Tuple[int, int], gain: float = 1.0, rng: RandomState = None) -> np.ndarray:
-    """Orthogonal initialisation (useful for recurrent weight matrices)."""
-    rows, cols = shape
-    flat = _rng(rng).standard_normal((max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(flat)
-    q = q * np.sign(np.diag(r))
-    if rows < cols:
-        q = q.T
-    return gain * q[:rows, :cols]

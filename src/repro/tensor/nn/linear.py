@@ -12,7 +12,7 @@ from repro.tensor.nn import init
 from repro.tensor.nn.module import Module, Parameter
 from repro.tensor.tensor import Tensor
 
-__all__ = ["Linear", "ReLU", "Tanh", "Sigmoid", "Flatten", "Dropout", "Embedding"]
+__all__ = ["Linear", "ReLU", "Flatten", "Embedding"]
 
 
 class Linear(Module):
@@ -43,30 +43,11 @@ class ReLU(Module):
         return x.relu()
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
 class Flatten(Module):
     """Flatten all dimensions after the batch dimension."""
 
     def forward(self, x: Tensor) -> Tensor:
         return x.reshape(x.shape[0], -1)
-
-
-class Dropout(Module):
-    def __init__(self, p: float = 0.5) -> None:
-        super().__init__()
-        self.p = p
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, p=self.p, training=self.training)
 
 
 class Embedding(Module):

@@ -32,7 +32,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self.training: bool = True
 
     # ------------------------------------------------------------ registration
     def __setattr__(self, name: str, value) -> None:
@@ -45,8 +44,6 @@ class Module:
     def register_module(self, name: str, module: "Module") -> None:
         self._modules[name] = module
         object.__setattr__(self, name, module)
-
-    add_module = register_module
 
     # -------------------------------------------------------------- traversal
     def parameters(self) -> List[Parameter]:
@@ -70,16 +67,6 @@ class Module:
     def num_parameters(self) -> int:
         """Total number of trainable scalars (the paper reports 156M / 171M)."""
         return int(sum(p.size for p in self.parameters()))
-
-    # ------------------------------------------------------------------ modes
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def zero_grad(self) -> None:
         for param in self.parameters():

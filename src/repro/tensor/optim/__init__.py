@@ -4,13 +4,7 @@ from repro.tensor.optim.optimizer import Optimizer
 from repro.tensor.optim.sgd import SGD
 from repro.tensor.optim.adam import Adam
 from repro.tensor.optim.larc import LARC
-from repro.tensor.optim.lr_scheduler import (
-    ConstantLR,
-    LRScheduler,
-    MultiStepLR,
-    PolynomialDecayLR,
-    scale_learning_rate,
-)
+from repro.tensor.optim.lr_scheduler import ConstantLR, LRScheduler, PolynomialDecayLR
 
 __all__ = [
     "Optimizer",
@@ -19,7 +13,5 @@ __all__ = [
     "LARC",
     "LRScheduler",
     "ConstantLR",
-    "MultiStepLR",
     "PolynomialDecayLR",
-    "scale_learning_rate",
 ]

@@ -3,46 +3,18 @@
 The paper compares: no decay, multi-step (per-epoch) decay, and polynomial
 decay of order 1 or 2 computed per iteration, finding order-2 polynomial decay
 most effective, decaying from 5.7e-4 to 2e-5 over 12 epochs for the 128k-run.
-It also discusses learning-rate scaling with node count, where sub-sqrt
-scaling worked better than linear for Adam.
+The trainers offer no decay and polynomial decay.
 """
 
 from __future__ import annotations
-
-import math
-from typing import List, Optional, Sequence
 
 from repro.tensor.optim.optimizer import Optimizer
 
 __all__ = [
     "LRScheduler",
     "ConstantLR",
-    "MultiStepLR",
     "PolynomialDecayLR",
-    "scale_learning_rate",
 ]
-
-
-def scale_learning_rate(base_lr: float, num_ranks: int, mode: str = "sqrt") -> float:
-    """Scale a single-rank learning rate to ``num_ranks`` data-parallel ranks.
-
-    ``mode``:
-      * ``"linear"`` — Goyal et al. linear scaling,
-      * ``"sqrt"`` — square-root scaling,
-      * ``"subsqrt"`` — the paper's sub-sqrt choice for Adam (exponent 0.4),
-      * ``"none"`` — no scaling.
-    """
-    if num_ranks < 1:
-        raise ValueError("num_ranks must be >= 1")
-    if mode == "linear":
-        return base_lr * num_ranks
-    if mode == "sqrt":
-        return base_lr * math.sqrt(num_ranks)
-    if mode == "subsqrt":
-        return base_lr * num_ranks**0.4
-    if mode == "none":
-        return base_lr
-    raise ValueError(f"unknown learning-rate scaling mode {mode!r}")
 
 
 class LRScheduler:
@@ -72,19 +44,6 @@ class ConstantLR(LRScheduler):
 
     def get_lr(self, step: int) -> float:
         return self.base_lr
-
-
-class MultiStepLR(LRScheduler):
-    """Decay the LR by ``gamma`` at each milestone step (per-epoch decay)."""
-
-    def __init__(self, optimizer: Optimizer, milestones: Sequence[int], gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        self.milestones = sorted(int(m) for m in milestones)
-        self.gamma = float(gamma)
-
-    def get_lr(self, step: int) -> float:
-        passed = sum(1 for m in self.milestones if step >= m)
-        return self.base_lr * (self.gamma**passed)
 
 
 class PolynomialDecayLR(LRScheduler):

@@ -29,8 +29,8 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-# Grad mode is thread-local (as in torch): the batched/distributed inference
-# engines enter no_grad from worker threads, and a process-global flag would
+# Grad mode is thread-local (as in torch): the batched inference engine enters
+# no_grad from cohort worker threads, and a process-global flag would
 # race — an unlucky interleaving of two threads' enter/exit could leave
 # autograd disabled for the whole process.
 class _GradMode(threading.local):

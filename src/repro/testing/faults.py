@@ -208,10 +208,6 @@ class FaultPlan:
         with self._lock:
             return len(self._fired)
 
-    def site_calls(self, site: str) -> int:
-        with self._lock:
-            return self._site_calls.get(site, 0)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultPlan(seed={self.seed}, rules={len(self.rules)})"
 

@@ -5,16 +5,15 @@ unique sequence of addresses, Section 4.4.1); some types occur thousands of
 times in a dataset while others are seen only once.  Training efficiency
 depends on grouping traces of the same type into sub-minibatches, and the I/O
 pipeline pre-sorts the offline dataset by trace type.  This module provides
-the hashing and a registry assigning small integer ids.
+the hashing.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Sequence
 
-__all__ = ["trace_type_id", "TraceTypeRegistry"]
+__all__ = ["trace_type_id"]
 
 
 def trace_type_id(addresses: Sequence[str]) -> str:
@@ -25,41 +24,3 @@ def trace_type_id(addresses: Sequence[str]) -> str:
         hasher.update(b"\x00")
     return hasher.hexdigest()[:16]
 
-
-class TraceTypeRegistry:
-    """Assigns compact integer ids to trace types and tracks their frequency."""
-
-    def __init__(self) -> None:
-        self._ids: Dict[str, int] = {}
-        self._addresses: Dict[str, Tuple[str, ...]] = {}
-        self.counts: Counter = Counter()
-
-    def register(self, addresses: Sequence[str]) -> int:
-        """Register (or look up) a trace type; returns its integer id."""
-        key = trace_type_id(addresses)
-        if key not in self._ids:
-            self._ids[key] = len(self._ids)
-            self._addresses[key] = tuple(addresses)
-        self.counts[key] += 1
-        return self._ids[key]
-
-    def id_of(self, addresses: Sequence[str]) -> int:
-        key = trace_type_id(addresses)
-        return self._ids[key]
-
-    def addresses_of(self, key: str) -> Tuple[str, ...]:
-        return self._addresses[key]
-
-    @property
-    def num_types(self) -> int:
-        return len(self._ids)
-
-    def frequencies(self) -> List[Tuple[str, int]]:
-        """Trace types sorted by decreasing frequency."""
-        return self.counts.most_common()
-
-    def __contains__(self, addresses: Sequence[str]) -> bool:
-        return trace_type_id(addresses) in self._ids
-
-    def __len__(self) -> int:
-        return self.num_types

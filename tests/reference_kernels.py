@@ -9,18 +9,23 @@ here only so that ``tests/test_tensor_kernels.py`` and
 with (and a speed-up over) them.  The per-tensor Adam and LARC steps and the
 per-name dict allreduce strategies are the references for the flat optimizer
 step and the flat gradient average; ``tests/test_tensor_optim.py`` and
-``tests/test_distributed.py`` require bit-equality with them.  Nothing under
-``src/`` imports this module.
+``tests/test_distributed.py`` require bit-equality with them.  The per-call
+``choice``/``uniform``/``normal`` row loop is the reference for the batched
+distributions' inverse-CDF draws: ``tests/test_distributions_batched.py``
+requires the same values and post-draw generator states, and
+``benchmarks/test_process_backend.py`` times the batched kernel against it.
+Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.distributed import CommunicationStats
+from repro.distributions.batched import BatchedCategorical, BatchedMixtureOfTruncatedNormals
 from repro.tensor import Tensor, functional as F
 from repro.tensor.tensor import _accumulate, _make
 
@@ -129,6 +134,43 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride=1, p
                     )
                 _accumulate(x, grad_x_pad[:, :, pd : pd + d, ph : ph + h, pw : pw + w])
         out._backward = _bw
+    return out
+
+
+# ------------------------------------------------------- batched distributions
+def sample_rows_percall(
+    batch: Union[BatchedCategorical, BatchedMixtureOfTruncatedNormals],
+    generators: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """``batch.sample_rows`` with each row drawn by ``choice``/``uniform``/``normal``.
+
+    Row ``i`` makes exactly the calls ``batch.row_distribution(i).sample``
+    makes on ``generators[i]``: the category or component through
+    ``choice(p=...)``, then a bounded row's ``uniform(0, 1)`` (inverted by
+    the batch's own truncated-normal tail) or an unbounded row's ``normal``.
+    """
+    size = batch.batch_size
+    if isinstance(batch, BatchedCategorical):
+        return np.array(
+            [int(generators[i].choice(batch.num_categories, p=batch.probs[i])) for i in range(size)]
+        )
+    components = np.empty(size, dtype=np.int64)
+    # Scratch may stay uninitialised where unused: the gathers below read
+    # uniforms only at bounded rows and normals only at unbounded ones.
+    uniforms = np.empty(size)
+    normals = np.empty(size)
+    for i in range(size):
+        components[i] = generators[i].choice(batch.num_components, p=batch.weights[i])
+        if batch.bounded[i]:
+            uniforms[i] = generators[i].uniform(0.0, 1.0)
+        else:
+            chosen = components[i]
+            normals[i] = generators[i].normal(batch.locs[i, chosen], batch.scales[i, chosen])
+    out = np.empty(size)
+    free = ~batch.bounded
+    if np.any(free):
+        out[free] = normals[free]
+    batch._invert_truncated(out, components, uniforms)
     return out
 
 

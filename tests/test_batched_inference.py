@@ -1,4 +1,4 @@
-"""Tests of the batched lockstep inference engine and the distributed driver.
+"""Tests of the batched lockstep inference engine.
 
 The load-bearing property: because every trace owns a child random stream
 derived from (master seed, trace index), the posterior is independent of the
@@ -23,7 +23,6 @@ from repro.ppl.inference import (
 )
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
-from repro.distributed.inference import distributed_importance_sampling, partition_traces
 from tests.conftest import gaussian_posterior
 
 
@@ -454,60 +453,15 @@ class TestInferenceCompilationWiring:
         )
 
 
-class TestDistributedDriver:
-    def test_partition_traces_unequal(self):
-        assert partition_traces(10, 3) == [4, 3, 3]
-        assert partition_traces(2, 4) == [1, 1, 0, 0]
-        with pytest.raises(ValueError):
-            partition_traces(0, 3)
-        with pytest.raises(ValueError):
-            partition_traces(10, 0)
-
-    def test_merged_posterior_has_all_ranks(self, lockstep_engine):
-        model, engine = lockstep_engine
-        merged = distributed_importance_sampling(
-            model, OBSERVATION, num_traces=10, num_ranks=3, batch_size=4,
-            network=engine.network, rng=RandomState(12),
-        )
-        assert len(merged) == 10
-        assert merged.per_rank_sizes == [4, 3, 3]
-        assert merged.engine_stats["num_batched_steps"] > 0
-
-    def test_parallel_matches_sequential_ranks(self, lockstep_engine):
-        model, engine = lockstep_engine
-        kwargs = dict(num_traces=12, num_ranks=3, batch_size=4, network=engine.network)
-        sequential = distributed_importance_sampling(
-            model, OBSERVATION, rng=RandomState(13), backend="sequential", **kwargs
-        )
-        parallel = distributed_importance_sampling(
-            model, OBSERVATION, rng=RandomState(13), backend="thread", **kwargs
-        )
-        assert parallel.extract("a").mean == pytest.approx(
-            sequential.extract("a").mean, abs=1e-9
-        )
-        assert sequential.effective_sample_size() > 0
-
-    def test_parallel_inference_leaves_grad_mode_enabled(self, lockstep_engine):
-        from repro.tensor import is_grad_enabled
-
-        model, engine = lockstep_engine
-        for seed in range(5):
-            distributed_importance_sampling(
-                model, OBSERVATION, num_traces=8, num_ranks=4, batch_size=2,
-                network=engine.network, rng=RandomState(seed), backend="thread",
-            )
-            assert is_grad_enabled()
-
+class TestRequestStreams:
     def test_repeated_calls_with_shared_rng_draw_fresh_streams(self, lockstep_engine):
         model, engine = lockstep_engine
         shared = RandomState(14)
-        first = distributed_importance_sampling(
-            model, OBSERVATION, num_traces=6, num_ranks=2, batch_size=3,
-            network=engine.network, rng=shared,
-        )
-        second = distributed_importance_sampling(
-            model, OBSERVATION, num_traces=6, num_ranks=2, batch_size=3,
-            network=engine.network, rng=shared,
+        first, second = (
+            batched_importance_sampling(
+                model, OBSERVATION, num_traces=6, batch_size=3, network=engine.network, rng=shared
+            )
+            for _ in range(2)
         )
         first_values = [t["a"] for t in first.values]
         second_values = [t["a"] for t in second.values]
@@ -540,12 +494,6 @@ class TestOneCohortEngine:
             ),
             "posterior_many": lambda: engine.posterior_many(
                 model, [(OBSERVATION, 8, RandomState(1))], batch_size=4
-            ),
-            "distributed/sequential": lambda: distributed_importance_sampling(
-                model, OBSERVATION, num_ranks=2, rng=RandomState(1), backend="sequential", **common
-            ),
-            "distributed/thread": lambda: distributed_importance_sampling(
-                model, OBSERVATION, num_ranks=2, rng=RandomState(1), backend="thread", **common
             ),
         }
         for name, run in entry_points.items():

@@ -19,7 +19,6 @@ import pytest
 
 from repro import ppl
 from repro.common.rng import RandomState
-from repro.distributed.inference import distributed_importance_sampling
 from repro.distributions import Normal, Uniform
 from repro.ppl import FunctionModel
 from repro.ppl.inference.batched import (
@@ -242,11 +241,10 @@ class TestRefresh:
             assert len(self._one_shard(pool, network, 3)) == 8
 
 
-class TestDriverPoolWidth:
+class TestPoolWidth:
     def test_num_workers_sets_the_thread_pool_width(self, monkeypatch):
         # Three shards that must be inside execute_trace_jobs at the same time
-        # to pass the barrier: only a pool of num_workers (not num_ranks)
-        # threads gets them there.
+        # to pass the barrier: only a pool of three threads gets them there.
         from repro.serving import workers
 
         barrier = threading.Barrier(3, timeout=30)
@@ -259,9 +257,12 @@ class TestDriverPoolWidth:
 
         monkeypatch.setattr(workers, "execute_trace_jobs", rendezvous)
         model = FunctionModel(lockstep_program, name="lockstep")
-        posterior = distributed_importance_sampling(
-            model, OBSERVATION, num_traces=12, num_ranks=1, batch_size=4,
-            rng=RandomState(5), backend="thread", num_workers=3,
-        )
-        assert len(posterior.values) == 12
+        jobs = TraceJob.for_request(0, OBSERVATION, None, 12, request_key(RandomState(5)))
+        shards = [jobs[start : start + 4] for start in range(0, 12, 4)]
+        log = ShardLog(len(shards))
+        with CohortWorkerPool(model, None, num_workers=3) as pool:
+            for index, shard in enumerate(shards):
+                pool.submit(shard, log.callback(index))
+            log.wait(len(shards))
+        assert sum(len(log.traces(index)) for index in range(len(shards))) == 12
         assert len(threads) == 3

@@ -5,16 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.common.config import Config, get_config, set_config
+from repro.common.config import Config
 from repro.common.timing import PhaseTimer
-from repro.common.utils import (
-    ensure_list,
-    flatten_dict,
-    format_bytes,
-    format_seconds,
-    prod,
-    weighted_quantile,
-)
+from repro.common.utils import partition_traces, prod, weighted_quantile
 
 
 class TestConfig:
@@ -38,39 +31,19 @@ class TestConfig:
         assert other.lstm_hidden == 99
         assert cfg.lstm_hidden != 99
 
-    def test_set_config_updates_global(self):
-        original = get_config()
-        try:
-            set_config(lstm_hidden=123)
-            assert get_config().lstm_hidden == 123
-        finally:
-            set_config(original)
-
 
 class TestUtils:
     def test_prod(self):
         assert prod([2, 3, 4]) == 24
         assert prod([]) == 1
 
-    def test_ensure_list(self):
-        assert ensure_list(3) == [3]
-        assert ensure_list([1, 2]) == [1, 2]
-        assert ensure_list((1, 2)) == [1, 2]
-
-    def test_flatten_dict(self):
-        nested = {"a": {"b": 1, "c": {"d": 2}}, "e": 3}
-        assert flatten_dict(nested) == {"a.b": 1, "a.c.d": 2, "e": 3}
-
-    def test_format_bytes(self):
-        assert format_bytes(1.7 * 1024**4).endswith("TB")
-        assert format_bytes(10) == "10.0 B"
-
-    def test_format_seconds_ranges(self):
-        assert format_seconds(2e-6).endswith("us")
-        assert format_seconds(0.02).endswith("ms")
-        assert format_seconds(5).endswith("s")
-        assert format_seconds(120).endswith("min")
-        assert format_seconds(7200).endswith("h")
+    def test_partition_traces_unequal(self):
+        assert partition_traces(10, 3) == [4, 3, 3]
+        assert partition_traces(2, 4) == [1, 1, 0, 0]
+        with pytest.raises(ValueError):
+            partition_traces(0, 3)
+        with pytest.raises(ValueError):
+            partition_traces(10, 0)
 
     def test_weighted_quantile_unweighted_median(self):
         values = np.arange(1, 101, dtype=float)

@@ -16,10 +16,8 @@ from repro.data import (
     dynamic_token_batches,
     effective_minibatch_size,
     generate_dataset,
-    parallel_sort_indices,
     regroup_dataset,
     sorted_indices_by_trace_type,
-    sortedness_fraction,
     split_into_sub_minibatches,
     sub_minibatch_count,
 )
@@ -251,29 +249,6 @@ class TestSorting:
         # sorted order => identical types are contiguous
         changes = sum(1 for a, b in zip(types_in_order, types_in_order[1:]) if a != b)
         assert changes == tiny_tau_dataset.num_trace_types() - 1
-
-    def test_parallel_sort_matches_serial(self, tiny_tau_dataset):
-        serial = sorted_indices_by_trace_type(tiny_tau_dataset)
-        for workers in (1, 3, 8):
-            assert parallel_sort_indices(tiny_tau_dataset, num_workers=workers) == serial
-
-    def test_parallel_sort_validation(self, tiny_tau_dataset):
-        with pytest.raises(ValueError):
-            parallel_sort_indices(tiny_tau_dataset, num_workers=0)
-        assert parallel_sort_indices(InMemoryTraceDataset([])) == []
-
-    def test_sortedness_fraction_improves_after_sorting(self, tiny_tau_dataset):
-        chunk = 8
-        unsorted_types = [tiny_tau_dataset.trace_type_of(i) for i in range(len(tiny_tau_dataset))]
-        sorted_types = [
-            tiny_tau_dataset.trace_type_of(i) for i in sorted_indices_by_trace_type(tiny_tau_dataset)
-        ]
-        assert sortedness_fraction(sorted_types, chunk) >= sortedness_fraction(unsorted_types, chunk)
-
-    def test_sortedness_fraction_validation(self):
-        with pytest.raises(ValueError):
-            sortedness_fraction(["a"], 0)
-        assert sortedness_fraction([], 4) == 0.0
 
     def test_regroup_dataset_writes_sorted_copy(self, tau_model, rng, tmp_path):
         source = generate_dataset(tau_model, 12, rng=rng)

@@ -9,6 +9,8 @@ the inference hot path and the seeded-equivalence guarantees of the whole
 serving stack rest on that swap being invisible.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.distributions import (
     TruncatedNormal,
     log_prob_total,
 )
+from tests.reference_kernels import sample_rows_percall
 
 
 def _streams(seeds):
@@ -250,38 +253,39 @@ class TestRowDistributionSurface:
         assert row_dict["weights"] == pytest.approx(ref_dict["weights"], rel=1e-12)
 
 
+def _sample_percall(batch, rngs):
+    return sample_rows_percall(batch, [rng.generator for rng in rngs])
+
+
 class TestChoiceKernels:
-    """The inverse-CDF choice kernel must be a bit-exact drop-in for percall.
+    """Inverse-CDF draws must be a bit-exact drop-in for per-call ``choice``.
 
     ``Generator.choice(p=...)`` is itself inverse-CDF sampling on a single
     ``random()`` draw, so the vectorised kernel can (and must) reproduce both
-    the drawn index and the post-draw generator state exactly — which is what
-    lets it default on without perturbing any seeded posterior.
+    the drawn index and the post-draw generator state of the per-call
+    reference (``tests/reference_kernels.sample_rows_percall``) exactly —
+    which is what keeps every seeded posterior unperturbed.
     """
 
-    def _categorical_pair(self):
+    def _categorical_batch(self):
         rng = np.random.default_rng(11)
-        probs = np.abs(rng.normal(size=(7, 5))) + 0.01
-        return (
-            BatchedCategorical(probs, choice_kernel="inverse_cdf"),
-            BatchedCategorical(probs, choice_kernel="percall"),
-        )
+        return BatchedCategorical(np.abs(rng.normal(size=(7, 5))) + 0.01)
 
     @staticmethod
-    def _assert_draws_and_stream_states_identical(fast, reference):
+    def _assert_draws_and_stream_states_identical(batch):
         # Every row on every seed: same index drawn, and both kernels leave
         # the generator in the same state (one random() draw consumed).
         for seed in range(10):
-            rngs_fast = _streams([seed] * fast.batch_size)
-            rngs_ref = _streams([seed] * fast.batch_size)
+            rngs_fast = _streams([seed] * batch.batch_size)
+            rngs_ref = _streams([seed] * batch.batch_size)
             for _ in range(3):
-                assert np.array_equal(fast.sample_rows(rngs_fast), reference.sample_rows(rngs_ref))
+                assert np.array_equal(batch.sample_rows(rngs_fast), _sample_percall(batch, rngs_ref))
             assert _states(rngs_fast) == _states(rngs_ref)
 
     def test_categorical_draws_and_stream_state_identical(self):
-        self._assert_draws_and_stream_states_identical(*self._categorical_pair())
+        self._assert_draws_and_stream_states_identical(self._categorical_batch())
 
-    def _mixture_pair(self):
+    def _mixture_batch(self):
         rng = np.random.default_rng(12)
         batch, components = 8, 4
         locs = rng.normal(size=(batch, components))
@@ -290,30 +294,22 @@ class TestChoiceKernels:
         lows = locs.min(axis=1) - 0.5
         highs = locs.max(axis=1) + 0.5
         bounded = np.array([True] * 5 + [False] * 3)
-        build = lambda kernel: BatchedMixtureOfTruncatedNormals(
-            locs, scales, weights, lows, highs, bounded=bounded, choice_kernel=kernel
-        )
-        return build("inverse_cdf"), build("percall")
+        return BatchedMixtureOfTruncatedNormals(locs, scales, weights, lows, highs, bounded=bounded)
 
     def test_mixture_draws_and_stream_state_identical(self):
-        self._assert_draws_and_stream_states_identical(*self._mixture_pair())
+        self._assert_draws_and_stream_states_identical(self._mixture_batch())
 
     def test_inverse_cdf_matches_per_object_distributions(self):
         # Transitivity check straight against the per-object reference the
         # engine equivalence rests on: Categorical and Mixture objects.
         rng = np.random.default_rng(13)
         probs = np.abs(rng.normal(size=(4, 6))) + 0.01
-        fast = BatchedCategorical(probs)  # default kernel: inverse_cdf
-        assert fast.choice_kernel == "inverse_cdf"
+        fast = BatchedCategorical(probs)
         references = [Categorical(probs[index]) for index in range(4)]
         for seed in range(8):
             assert fast.sample_rows(_streams([seed] * 4)).tolist() == [
                 reference.sample(RandomState(seed)) for reference in references
             ]
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            BatchedCategorical([[0.5, 0.5]], choice_kernel="magic")
 
 
 class TestRowGatheredNdtriSampling:
@@ -326,7 +322,7 @@ class TestRowGatheredNdtriSampling:
     """
 
     @staticmethod
-    def _mixed_batch(choice_kernel=None):
+    def _mixed_batch():
         rng = np.random.default_rng(11)
         batch, components = 12, 4
         locs = rng.normal(size=(batch, components))
@@ -335,18 +331,17 @@ class TestRowGatheredNdtriSampling:
         lows = locs.min(axis=1) - 0.5
         highs = locs.max(axis=1) + 0.5
         bounded = (np.arange(batch) % 3) != 0  # interleaved bounded/unbounded
-        batched = BatchedMixtureOfTruncatedNormals(
-            locs, scales, weights, lows, highs, bounded=bounded, choice_kernel=choice_kernel
-        )
+        batched = BatchedMixtureOfTruncatedNormals(locs, scales, weights, lows, highs, bounded=bounded)
         return batched, weights
 
     @pytest.mark.parametrize("choice_kernel", ["inverse_cdf", "percall"])
     def test_bulk_outputs_and_rng_states_match_per_object_mixtures(self, choice_kernel):
-        batch, raw_weights = self._mixed_batch(choice_kernel)
+        batch, raw_weights = self._mixed_batch()
+        sample = batch.sample_rows if choice_kernel == "inverse_cdf" else partial(_sample_percall, batch)
         size = batch.batch_size
         references = [_mixture_reference(batch, i, raw_weights) for i in range(size)]
         bulk_rngs, ref_rngs = _streams(range(500, 500 + size)), _streams(range(500, 500 + size))
-        bulk = batch.sample_rows(bulk_rngs)
+        bulk = sample(bulk_rngs)
         assert bulk.tolist() == [float(references[i].sample(ref_rngs[i])) for i in range(size)]
         # Generator state must be untouched by the batching: the next draw of
         # every stream agrees bit for bit with the per-object mixture's.

@@ -7,6 +7,12 @@ import pytest
 
 from repro.common.config import Config
 from repro.common.rng import RandomState
+from repro.distributions import (
+    BatchedCategorical,
+    BatchedMixtureOfTruncatedNormals,
+    Categorical,
+    Normal,
+)
 from repro.ppl import FunctionModel
 from repro.ppl.inference import RandomWalkMetropolis, run_importance_sampling
 from repro.ppl.inference.inference_compilation import InferenceCompilation
@@ -162,3 +168,110 @@ class TestPersistence:
         observation = {"obs": observation_for(0.0, 0)}
         posterior = loaded.posterior(model, observation, num_traces=20, rng=RandomState(3))
         assert len(posterior) == 20
+
+
+class TestRemovedOptions:
+    """The choice-kernel and offline-schedule options are gone (passing one is
+    a ``TypeError``), and so is ``distributed_importance_sampling``."""
+
+    PROBS = np.array([[0.3, 0.7]])
+    MIXTURE = dict(locs=[[0.0, 1.0]], scales=[[1.0, 1.0]], weights=[[0.5, 0.5]])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "BatchedCategorical",
+            "BatchedCategorical.from_distributions",
+            "BatchedMixtureOfTruncatedNormals",
+            "BatchedMixtureOfTruncatedNormals.from_distributions",
+            "InferenceCompilation.train",
+        ],
+    )
+    def test_removed_option_is_rejected(self, ic_setup, rng, call):
+        model, engine = ic_setup
+        calls = {
+            "BatchedCategorical": lambda: BatchedCategorical(self.PROBS, choice_kernel="percall"),
+            "BatchedCategorical.from_distributions": lambda: BatchedCategorical.from_distributions(
+                [Categorical(self.PROBS[0])], choice_kernel="percall"
+            ),
+            "BatchedMixtureOfTruncatedNormals": lambda: BatchedMixtureOfTruncatedNormals(
+                **self.MIXTURE, choice_kernel="percall"
+            ),
+            "BatchedMixtureOfTruncatedNormals.from_distributions": lambda: (
+                BatchedMixtureOfTruncatedNormals.from_distributions(
+                    [Normal(0.0, 1.0)], choice_kernel="percall"
+                )
+            ),
+            "InferenceCompilation.train": lambda: engine.train(
+                dataset=model.prior_traces(4, rng=rng), num_traces=4, minibatch_size=2,
+                offline_schedule="random",
+            ),
+        }
+        with pytest.raises(TypeError):
+            calls[call]()
+        assert not engine.network._frozen
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "repro:set_config",
+            "repro:get_config",
+            "repro.common:set_config",
+            "repro.common:get_config",
+            "repro.common.config:get_config",
+            "repro.distributed:distributed_importance_sampling",
+            "repro.distributed:inference",
+            "repro.distributions.batched:DEFAULT_CHOICE_KERNEL",
+            "repro.trace:TraceTypeRegistry",
+            "repro.common.utils:ensure_list",
+            "repro.common.utils:flatten_dict",
+            "repro.common.utils:format_bytes",
+            "repro.common.utils:format_seconds",
+            "repro.data.sorting:parallel_sort_indices",
+            "repro.data.sorting:sortedness_fraction",
+            "repro.tensor.optim:scale_learning_rate",
+            "repro.tensor.optim:MultiStepLR",
+            "repro.tensor.nn.init:xavier_uniform",
+            "repro.tensor.nn.init:orthogonal",
+            "repro.tensor.nn:Tanh",
+            "repro.tensor.nn:Sigmoid",
+            "repro.tensor.nn:Dropout",
+            "repro.tensor.nn:Module.train",
+            "repro.tensor.nn:Module.add_module",
+            "repro.tensor.functional:one_hot",
+            "repro.tensor.functional:nll_loss",
+            "repro.tensor.functional:mse_loss",
+            "repro.tensor.functional:dropout",
+            "repro.ppl.empirical:Empirical.combine",
+            "repro.ppx:extract_address",
+            "repro.ppx.addresses:extract_address",
+            "repro.testing.faults:FaultPlan.site_calls",
+        ],
+    )
+    def test_removed_entry_points_are_gone(self, path):
+        # Each name had only test callers (or was a second way to reach one
+        # implementation); none may come back as a public attribute.
+        import importlib
+
+        module_name, _, attribute = path.partition(":")
+        owner = importlib.import_module(module_name)
+        *parents, name = attribute.split(".")
+        for parent in parents:
+            owner = getattr(owner, parent)
+        assert not hasattr(owner, name)
+
+    def test_default_configured_engines_do_not_share_a_config(self):
+        # With no process-global config, each default-configured engine owns
+        # its Config: tuning one cannot reach another.
+        first, second = (
+            InferenceCompilation(
+                observation_embedding=ObservationEmbeddingFC(input_dim=4, embedding_dim=8),
+                observe_key="obs",
+                rng=RandomState(0),
+            )
+            for _ in range(2)
+        )
+        assert first.config is not second.config
+        assert first.network.config is first.config
+        first.config.lstm_hidden += 1
+        assert second.config.lstm_hidden == Config().lstm_hidden

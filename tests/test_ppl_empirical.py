@@ -117,49 +117,13 @@ class TestTraceProjection:
         assert doubled.mean == pytest.approx(0.4)
 
 
-class TestResamplingAndCombine:
+class TestResamplingAndCaches:
     def test_resample_has_uniform_weights(self):
         emp = Empirical([0.0, 1.0], log_weights=[np.log(0.01), np.log(0.99)])
         resampled = emp.resample(500, rng=RandomState(3))
         assert len(resampled) == 500
         assert np.allclose(resampled.log_weights, 0.0)
         assert resampled.mean > 0.9
-
-    def test_combine(self):
-        a = Empirical([0.0], log_weights=[0.0])
-        b = Empirical([1.0, 2.0], log_weights=[0.0, 0.0])
-        combined = Empirical.combine([a, b])
-        assert len(combined) == 3
-
-    def test_combine_empty_raises(self):
-        with pytest.raises(ValueError):
-            Empirical.combine([])
-
-    def test_combine_unequal_rank_sizes_preserves_weights_and_ess(self):
-        # Per-rank posteriors of sizes 5/3/2 (the unequal split the
-        # distributed IS driver produces); merging must behave exactly like a
-        # single run that produced all ten weighted samples.
-        rng = np.random.default_rng(8)
-        sizes = [5, 3, 2]
-        log_weights = [rng.normal(size=s) for s in sizes]
-        ranks = [
-            Empirical(list(rng.normal(size=s)), lw) for s, lw in zip(sizes, log_weights)
-        ]
-        combined = Empirical.combine(ranks)
-        assert len(combined) == 10
-        flat = np.concatenate(log_weights)
-        reference = Empirical(list(np.zeros(10)), flat)
-        assert np.allclose(combined.log_weights, flat)
-        assert combined.effective_sample_size() == pytest.approx(
-            reference.effective_sample_size()
-        )
-        # Kish ESS bounds: between 1 and the total size.
-        assert 1.0 <= combined.effective_sample_size() <= 10.0
-
-    def test_combine_uniform_weights_gives_full_ess(self):
-        ranks = [Empirical([float(i)] * s) for i, s in enumerate([4, 1, 7])]
-        combined = Empirical.combine(ranks)
-        assert combined.effective_sample_size() == pytest.approx(12.0)
 
     def test_summary_caches_are_stable(self):
         emp = Empirical([1.0, 2.0, 3.0], log_weights=[0.0, 0.5, 1.0])

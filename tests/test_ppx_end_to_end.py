@@ -144,6 +144,33 @@ class TestRemoteModel:
         remote.shutdown()
         thread.join(timeout=5.0)
 
+    def test_distributed_parallel_ranks_are_serialized_for_remote_models(self):
+        # Concurrent cohorts would interleave the single PPX transport's
+        # request/reply protocol; the service must run them one at a time
+        # over the live link, whatever width and sharding it was asked for.
+        from repro.ppl.inference.batched import batched_importance_sampling
+        from repro.serving import PosteriorService
+
+        remote, thread = self._remote(gaussian_simulator)
+        with PosteriorService(
+            remote, None, num_workers=3, shard_min=1, max_latency=0.05
+        ) as service:
+            assert service.workers.num_workers == 1
+            futures = {
+                seed: service.submit({"obs": 0.5}, num_traces=12, seed=seed, use_cache=False)
+                for seed in (6, 7)
+            }
+            served = {seed: future.result(timeout=60).posterior for seed, future in futures.items()}
+        for seed, posterior in served.items():
+            assert len(posterior) == 12
+            assert np.all(np.isfinite(posterior.log_weights))
+            direct = batched_importance_sampling(
+                remote, {"obs": 0.5}, num_traces=12, network=None, rng=RandomState(seed)
+            )
+            assert posterior.extract("mu").mean == pytest.approx(direct.extract("mu").mean, abs=1e-12)
+        remote.shutdown()
+        thread.join(timeout=5.0)
+
     def test_uncontrolled_remote_draws_bypass_the_controller(self):
         from repro.common.rng import RandomState
         from repro.ppl.inference import run_importance_sampling
@@ -212,22 +239,6 @@ class TestRemoteModel:
         assert np.all(np.isfinite(posterior.log_weights))
         # Remote executions run per trace, never through the lockstep cohort.
         assert posterior.engine_stats["num_batched_steps"] == 0
-        remote.shutdown()
-        thread.join(timeout=5.0)
-
-    def test_distributed_parallel_ranks_are_serialized_for_remote_models(self):
-        # Concurrent ranks would interleave the single PPX transport's
-        # request/reply protocol; the driver must serialize them.
-        from repro.common.rng import RandomState
-        from repro.distributed.inference import distributed_importance_sampling
-
-        remote, thread = self._remote(gaussian_simulator)
-        posterior = distributed_importance_sampling(
-            remote, {"obs": 0.5}, num_traces=12, num_ranks=3, batch_size=4,
-            network=None, rng=RandomState(6), backend="thread",
-        )
-        assert len(posterior) == 12
-        assert np.all(np.isfinite(posterior.log_weights))
         remote.shutdown()
         thread.join(timeout=5.0)
 

@@ -79,6 +79,33 @@ class TestSeededEquivalence:
                 )
             assert result.posterior.log_evidence == pytest.approx(direct.log_evidence, abs=1e-9)
 
+    @pytest.mark.parametrize("num_workers", [1, 2, 3])
+    def test_posterior_does_not_depend_on_sharding(self, served_engine, num_workers):
+        # One 10-trace request dealt over 1, 2 or 3 workers (shards of
+        # [10], [5, 5] or [4, 3, 3]) merges back into the direct posterior:
+        # every trace, with its own weight, in request order.
+        model, engine = served_engine
+        with make_service(
+            model, engine, num_workers=num_workers, shard_min=1, max_latency=0.05
+        ) as service:
+            result = service.posterior(OBSERVATION, num_traces=10, seed=12, use_cache=False, timeout=60)
+            stats = service.stats()
+        direct = batched_importance_sampling(
+            model, OBSERVATION, num_traces=10, batch_size=64,
+            network=engine.network, rng=RandomState(12),
+        )
+        served = result.posterior
+        assert stats["workers"]["shards_executed"] == num_workers
+        assert len(served) == 10
+        assert stats["engine"]["num_batched_steps"] > 0
+        np.testing.assert_allclose(served.log_weights, direct.log_weights, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            [t["a"] for t in served.values], [t["a"] for t in direct.values], rtol=0, atol=1e-9
+        )
+        assert served.effective_sample_size() == pytest.approx(
+            direct.effective_sample_size(), rel=1e-9
+        )
+
     def test_equivalence_survives_mixed_observation_cohorts(self, served_engine):
         model, engine = served_engine
         # Two different observations submitted back-to-back land in the same
@@ -278,6 +305,15 @@ class TestConcurrentServing:
         assert stats["completed"] == num_clients
         assert stats["cache_hit_rate"] > 0
         assert stats["failed"] == 0
+
+    def test_threaded_inference_leaves_grad_mode_enabled(self, served_engine):
+        from repro.tensor import is_grad_enabled
+
+        model, engine = served_engine
+        with make_service(model, engine, num_workers=4, shard_min=2) as service:
+            for seed in range(5):
+                service.posterior(OBSERVATION, num_traces=8, seed=seed, use_cache=False, timeout=60)
+                assert is_grad_enabled()
 
     def test_drain_on_stop_completes_inflight_requests(self, served_engine):
         model, engine = served_engine

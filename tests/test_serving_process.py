@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.common.rng import RandomState
-from repro.distributed.inference import distributed_importance_sampling
 from repro.ppl import FunctionModel
 from repro.ppl.inference.batched import TraceJob, request_key
 from repro.ppl.inference.inference_compilation import InferenceCompilation
@@ -34,7 +33,6 @@ from repro.serving import (
 from repro.serving.procpool import _picklable_error
 from tests.test_batched_inference import OBSERVATION, lockstep_program
 from tests.test_cohort_executor import wait_for
-from tests.test_slot_pool import work_counters
 
 
 def slow_program():
@@ -99,75 +97,33 @@ class TestCrossBackendEquivalence:
                     direct.log_evidence, abs=1e-12
                 )
 
-    def test_distributed_driver_backends_identical(self):
-        model = FunctionModel(lockstep_program, name="lockstep")
-        posteriors = {
-            backend: distributed_importance_sampling(
-                model,
-                OBSERVATION,
-                num_traces=48,
-                num_ranks=3,
-                rng=RandomState(5),
-                backend=backend,
-                num_workers=2 if backend == "process" else None,
-            )
-            for backend in ("sequential", "thread", "process")
-        }
-        reference = posteriors["sequential"]
-        for backend in ("thread", "process"):
-            assert posteriors[backend].log_evidence == reference.log_evidence
-            for latent in ("a", "b", "c"):
-                assert (
-                    posteriors[backend].extract(latent).mean
-                    == reference.extract(latent).mean
-                )
-
-    def test_distributed_driver_backends_identical_with_network(self, served_engine, monkeypatch):
-        # One path, three executors: traces, log-weights and merged counters
-        # agree exactly — including a counter only one rank's shards report
-        # (a newer worker), which a merge keyed on the first rank's block drops.
-        from repro.distributed import inference as driver
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_counter_only_one_shard_reports_reaches_stats(self, served_engine, monkeypatch, backend):
+        # A counter that only the second request's shards report (a newer
+        # worker) must reach service.stats(): a merge keyed on the first
+        # block it saw would drop it.
         from repro.ppl.inference import batched
         from repro.serving import procpool, workers
 
         original = batched.execute_trace_jobs
 
-        def with_rank_local_counter(model, jobs, network, plan_cache=None):
+        def with_shard_local_counter(model, jobs, network, plan_cache=None):
             traces, stats = original(model, jobs, network, plan_cache=plan_cache)
-            if jobs[0].request_index == 1:
-                stats["num_rank_one_only"] = len(jobs)
+            if jobs[0].key[0] == 9:  # the request seed heads every job key
+                stats["num_seed_nine_only"] = len(jobs)
             return traces, stats
 
-        # The function's three call sites — inline, thread worker, process
-        # worker (forked, so it inherits the patched module).
-        for call_site in (driver, workers, procpool):
-            monkeypatch.setattr(call_site, "execute_trace_jobs", with_rank_local_counter)
+        # The thread worker's call site and the process worker's (forked, so
+        # it inherits the patched module).
+        for call_site in (workers, procpool):
+            monkeypatch.setattr(call_site, "execute_trace_jobs", with_shard_local_counter)
         model, engine = served_engine
-        posteriors = {
-            backend: distributed_importance_sampling(
-                model,
-                OBSERVATION,
-                num_traces=40,
-                num_ranks=3,
-                batch_size=8,
-                network=engine.network,
-                rng=RandomState(9),
-                backend=backend,
-            )
-            for backend in ("sequential", "thread", "process")
-        }
-        reference = posteriors["sequential"]
-        assert reference.per_rank_sizes == [14, 13, 13]
-        assert reference.engine_stats["num_cohorts"] == 6
-        assert reference.engine_stats["num_rank_one_only"] == 13
-        for backend in ("thread", "process"):
-            posterior = posteriors[backend]
-            assert work_counters(posterior.engine_stats) == work_counters(reference.engine_stats)
-            assert posterior.per_rank_sizes == reference.per_rank_sizes
-            assert np.array_equal(posterior.log_weights, reference.log_weights)
-            for ours, theirs in zip(posterior.values, reference.values):
-                assert ours.addresses == theirs.addresses
-                assert [s.value for s in ours.samples] == [s.value for s in theirs.samples]
+        with make_service(model, engine, backend=backend) as service:
+            for seed in (7, 9):
+                service.posterior(OBSERVATION, num_traces=16, seed=seed, use_cache=False, timeout=120)
+            engine_stats = service.stats()["engine"]
+        assert engine_stats["num_seed_nine_only"] == 16
+        assert engine_stats["num_cohorts"] >= 2
 
     def test_trace_jobs_ship_keys_not_generators(self):
         array = np.asarray(OBSERVATION["obs"], dtype=float)

@@ -19,13 +19,6 @@ class TestModuleSystem:
         names = [name for name, _ in net.named_parameters()]
         assert "0.weight" in names and "2.bias" in names
 
-    def test_train_eval_propagates(self):
-        net = nn.Sequential(nn.Linear(2, 2), nn.Dropout(0.5))
-        net.eval()
-        assert all(not module.training for module in net.modules())
-        net.train()
-        assert all(module.training for module in net.modules())
-
     def test_zero_grad(self):
         layer = nn.Linear(2, 2)
         out = layer(Tensor(np.ones((1, 2))))
@@ -69,20 +62,10 @@ class TestLayers:
     def test_activation_modules(self):
         x = Tensor(np.array([[-1.0, 2.0]]))
         assert np.allclose(nn.ReLU()(x).data, [[0.0, 2.0]])
-        assert np.allclose(nn.Tanh()(x).data, np.tanh([[-1.0, 2.0]]))
-        assert np.allclose(nn.Sigmoid()(x).data, 1 / (1 + np.exp([[1.0, -2.0]])))
 
     def test_flatten(self):
         x = Tensor(np.zeros((2, 3, 4)))
         assert nn.Flatten()(x).shape == (2, 12)
-
-    def test_dropout_module_respects_training_flag(self):
-        layer = nn.Dropout(0.5)
-        x = Tensor(np.ones((50, 50)))
-        layer.eval()
-        assert np.allclose(layer(x).data, 1.0)
-        layer.train()
-        assert not np.allclose(layer(x).data, 1.0)
 
     def test_embedding_lookup_and_gradient(self):
         emb = nn.Embedding(5, 3)
@@ -201,17 +184,8 @@ class TestLSTM:
 
 
 class TestInit:
-    def test_xavier_uniform_bounds(self):
-        w = nn.init.xavier_uniform((100, 50))
-        bound = np.sqrt(6.0 / 150)
-        assert np.max(np.abs(w)) <= bound + 1e-12
-
     def test_kaiming_uniform_shape(self):
         assert nn.init.kaiming_uniform((8, 4, 3, 3, 3)).shape == (8, 4, 3, 3, 3)
-
-    def test_orthogonal_is_orthogonal(self):
-        w = nn.init.orthogonal((6, 6))
-        assert np.allclose(w @ w.T, np.eye(6), atol=1e-8)
 
     def test_zeros_and_uniform(self):
         assert np.allclose(nn.init.zeros((3, 3)), 0.0)

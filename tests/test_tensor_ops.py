@@ -112,39 +112,10 @@ class TestFunctionalValues:
         assert np.allclose(F.erf(Tensor(x)).data, scipy_erf(x))
         assert np.allclose(F.normal_cdf(Tensor(x)).data, ndtr(x), atol=1e-12)
 
-    def test_one_hot(self):
-        encoded = F.one_hot([0, 2, 1], 3)
-        assert np.allclose(encoded.data, np.eye(3)[[0, 2, 1]])
-
     def test_gather_picks_indices(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))
         out = F.gather(x, [0, 1, 3], axis=-1)
         assert np.allclose(out.data, [0.0, 5.0, 11.0])
-
-    def test_nll_loss_reductions(self):
-        log_probs = F.log_softmax(Tensor(np.zeros((2, 3))), axis=-1)
-        targets = [0, 1]
-        assert F.nll_loss(log_probs, targets, reduction="mean").item() == pytest.approx(np.log(3.0))
-        assert F.nll_loss(log_probs, targets, reduction="sum").item() == pytest.approx(2 * np.log(3.0))
-        assert F.nll_loss(log_probs, targets, reduction="none").shape == (2,)
-        with pytest.raises(ValueError):
-            F.nll_loss(log_probs, targets, reduction="bogus")
-
-    def test_mse_loss(self):
-        pred = Tensor(np.array([1.0, 2.0]))
-        target = np.array([0.0, 0.0])
-        assert F.mse_loss(pred, Tensor(target)).item() == pytest.approx(2.5)
-        with pytest.raises(ValueError):
-            F.mse_loss(pred, Tensor(target), reduction="bogus")
-
-    def test_dropout_train_and_eval(self):
-        x = Tensor(np.ones((100, 10)))
-        dropped = F.dropout(x, p=0.5, training=True)
-        assert not np.allclose(dropped.data, x.data)
-        assert F.dropout(x, p=0.5, training=False) is x
-        assert F.dropout(x, p=0.0, training=True) is x
-        with pytest.raises(ValueError):
-            F.dropout(x, p=1.0)
 
     def test_linear_matches_manual(self):
         x = np.random.default_rng(0).standard_normal((4, 3))

@@ -8,7 +8,6 @@ from repro.trace import (
     AddressDictionary,
     Sample,
     Trace,
-    TraceTypeRegistry,
     prune_trace,
     pruned_size_bytes,
     restore_trace,
@@ -99,22 +98,7 @@ class TestTrace:
         assert rebuilt.log_likelihood == pytest.approx(trace.log_likelihood)
 
 
-class TestTraceTypeRegistry:
-    def test_ids_and_counts(self):
-        registry = TraceTypeRegistry()
-        first = registry.register(["a", "b"])
-        second = registry.register(["a", "b"])
-        third = registry.register(["a", "c"])
-        assert first == second == 0
-        assert third == 1
-        assert registry.num_types == 2
-        assert len(registry) == 2
-        assert ["a", "b"] in registry
-        assert registry.id_of(["a", "c"]) == 1
-        top_type, count = registry.frequencies()[0]
-        assert count == 2
-        assert registry.addresses_of(top_type) == ("a", "b")
-
+class TestTraceTypeId:
     def test_trace_type_id_is_stable(self):
         assert trace_type_id(["x", "y"]) == trace_type_id(["x", "y"])
         assert trace_type_id(["x", "y"]) != trace_type_id(["y", "x"])

@@ -299,20 +299,13 @@ class TestEpochPlan:
         with pytest.raises(ValueError):
             PackedEpochPlan(mixed_model.prior_traces(3, rng=rng), minibatch_size=0)
 
-    def test_train_rejects_unknown_offline_schedule(self, mixed_model, rng):
+    def test_train_rejects_bad_minibatch_before_freezing(self, mixed_model, rng):
         engine = InferenceCompilation(
             observation_embedding=ObservationEmbeddingFC(input_dim=4, embedding_dim=8),
             observe_key="obs",
             rng=RandomState(0),
         )
-        with pytest.raises(ValueError):
-            engine.train(
-                dataset=mixed_model.prior_traces(8, rng=rng),
-                num_traces=8,
-                minibatch_size=4,
-                offline_schedule="bogus",
-            )
-        # A bad VALUE must also fail before the irreversible freeze.
+        # A bad value must fail before the irreversible freeze.
         with pytest.raises(ValueError):
             engine.train(dataset=mixed_model.prior_traces(8, rng=rng), num_traces=8, minibatch_size=0)
         assert not engine.network._frozen
@@ -384,8 +377,7 @@ class TestOneTrainingLoop:
         assert history.losses == expected
         assert history.traces_seen[-1] == self.ITERATIONS * self.MINIBATCH
 
-    @pytest.mark.parametrize("schedule", ["sorted", "random"])
-    def test_offline_history(self, small_config, vectorized_loss, schedule):
+    def test_offline_history(self, small_config, vectorized_loss):
         model = FunctionModel(variable_program, name="variable")
         dataset = model.prior_traces(20, rng=RandomState(17))
         engine = build_engine(small_config, vectorized_loss)
@@ -393,21 +385,13 @@ class TestOneTrainingLoop:
             dataset=dataset,
             num_traces=self.ITERATIONS * self.MINIBATCH,
             minibatch_size=self.MINIBATCH,
-            offline_schedule=schedule,
             optimizer="sgd",
         )
         reference = build_engine(small_config, vectorized_loss)
         reference.network.polymorph(dataset)
-        rng = reference.rng
-        if schedule == "sorted":
-            plan = PackedEpochPlan(dataset, self.MINIBATCH, observe_key="obs")
-            assert self.ITERATIONS > plan.num_minibatches  # crosses an epoch reshuffle
-            minibatches = [plan.minibatch(plan.next_batch_id(rng)) for _ in range(self.ITERATIONS)]
-        else:
-            minibatches = [
-                [dataset[i] for i in rng.generator.choice(len(dataset), size=self.MINIBATCH, replace=False)]
-                for _ in range(self.ITERATIONS)
-            ]
+        plan = PackedEpochPlan(dataset, self.MINIBATCH, observe_key="obs")
+        assert self.ITERATIONS > plan.num_minibatches  # crosses an epoch reshuffle
+        minibatches = [plan.minibatch(plan.next_batch_id(reference.rng)) for _ in range(self.ITERATIONS)]
         optimizer = optim.SGD(list(reference.network.named_parameters()), lr=1e-3)
         assert history.losses == self.reference_losses(reference.network, optimizer, minibatches)
         assert history.traces_seen[-1] == sum(len(m) for m in minibatches)
