@@ -1,26 +1,29 @@
-"""Benchmark: batched lockstep IC inference vs the sequential engine.
+"""Benchmark: batched lockstep IC inference vs sequential guided execution.
 
-The sequential guided-execution engine pays one observation-embedding
-forward, one LSTM step and one proposal forward per trace per address at
-batch size 1.  The batched engine amortizes the observation embedding across
-the whole cohort and advances all traces through single batched NN steps, so
-on the paper's workload shape — a 3D voxel observation feeding a 3DCNN, an
-LSTM core, and mixture-of-truncated-normal proposal heads — it must deliver
-at least a 3x throughput gain at cohort size 64 while producing the *same*
-posterior: per-trace random streams are derived from (master seed, trace
-index), so the two engines draw identical latents up to floating-point
+Guided execution one trace at a time (``batch_size=1``: every trace on its
+own one-slot lockstep session, on the calling thread) pays one
+observation-embedding forward, one LSTM step and one proposal forward per
+trace per address.  The batched engine amortizes the observation embedding
+across the whole cohort and advances all traces through single batched NN
+steps, so on the paper's workload shape — a 3D voxel observation feeding a
+3DCNN, an LSTM core, and mixture-of-truncated-normal proposal heads — it
+must deliver at least a 3x throughput gain at cohort size 64 while producing
+the *same* posterior: per-trace random streams are derived from (master
+seed, trace index), so the two draw identical latents up to floating-point
 batching effects.
 
-The 3x is a bound on the lockstep engine's wall time, stated in units of the
-sequential engine's.  That unit is pinned to the tensor kernels the target was
-set against: the sequential yardstick runs on ``tests/reference_kernels.py``
-(einsum conv3d, composed linear and LSTM cell).  The fused kernels made the
-sequential engine itself 1.6x faster — it embeds the observation once per
-trace — while the lockstep engine at B=64 spends its time in the 64 simulator
-threads, so against the live sequential engine the ratio fell from 4.0x to
-2.2-3.1x without the lockstep engine getting any slower.  Measured against
-the yardstick it is 3.6-4.8x.  The live ratio is printed and must stay above
-1; it is not where the engine's regressions show.
+The 3x is a bound on the lockstep engine's wall time, stated in units of
+sequential execution's.  That unit is pinned to the tensor kernels the
+target was set against: the sequential yardstick is B=1 on
+``tests/reference_kernels.py`` (einsum conv3d, composed linear and LSTM
+cell).  The fused kernels made B=1 itself 1.6x faster — it embeds the
+observation once per trace — while the lockstep engine at B=64 spends its
+time in the 64 simulator threads, so against live B=1 the ratio fell from
+4.0x to 2.2-3.1x without the lockstep engine getting any slower.  Measured
+against the yardstick it is 3.6-4.8x.  (B=1 used to run a separate
+per-trace session on per-object proposals; the one-slot session that
+replaced it costs about the same per trace.)  The live ratio is printed and
+must stay above 1; it is not where the engine's regressions show.
 """
 
 import os
@@ -200,7 +203,7 @@ def test_batched_proposal_emission_beats_per_object_emission():
         def run_per_object():
             start = time.perf_counter()
             for _ in range(rounds):
-                group = layer.proposal_distributions(hidden, priors)
+                group = reference_kernels.proposal_distributions(layer, hidden, priors)
                 for slot in range(batch):
                     group[slot].log_prob(group[slot].sample(rngs[slot]))
             return time.perf_counter() - start

@@ -14,7 +14,12 @@ across the call graph, including through callback registrations like
   a lock scope somewhere and *outside* any lock scope somewhere else is a
   lost-update / torn-state candidate.  "Inside" includes locks held on entry:
   a private helper called only with the lock held counts as locked, whichever
-  module the call comes from.
+  module the call comes from.  An attribute no locked scope writes but one
+  reads (a counter bumped at one site and read by a locked ``stats()``)
+  names its guard by that read: its unlocked read-modify-writes
+  (``self.x += 1``) are flagged too.  Plain assignments are not — a
+  lifecycle flag set by ``start``/``stop`` and read under the lock is one
+  writer's store, not a lost update.
 * ``lock-order-inversion`` — two locks acquired in opposite orders on two
   paths deadlock under contention.  Edges come from lexical nesting *and*
   from call sites: holding lock A while calling (transitively) into anything
@@ -83,8 +88,9 @@ class LockDisciplineChecker(Checker):
 
     # -------------------------------------------------------- unlocked writes
     def _check_writes(self, project, summaries, graph) -> List[Finding]:
-        # (class qual, attr) -> [(write, effective held, function qual)]
+        # (class qual, attr) -> [(access, effective held, function qual)]
         by_attr: Dict[Tuple[str, str], List[Tuple[object, frozenset, str]]] = {}
+        locked_reads: Dict[Tuple[str, str], List[Tuple[object, frozenset, str]]] = {}
         for qual, summary in summaries.items():
             decl = summary.decl
             if decl.cls is None or decl.name in _INIT_LIKE:
@@ -95,16 +101,26 @@ class LockDisciplineChecker(Checker):
             for write in summary.writes:
                 effective = write.held if write.deferred else write.held | entry
                 by_attr.setdefault((decl.cls, write.attr), []).append((write, effective, qual))
+            for read in summary.reads:
+                effective = read.held if read.deferred else read.held | entry
+                if effective:
+                    locked_reads.setdefault((decl.cls, read.attr), []).append((read, effective, qual))
         findings: List[Finding] = []
         for (cls, attr), writes in by_attr.items():
             locked = [entry for entry in writes if entry[1]]
             unlocked = [entry for entry in writes if not entry[1]]
-            if not locked or not unlocked:
+            if not locked:
+                # No locked write: a locked read still says which lock guards
+                # it, and an unlocked read-modify-write can lose updates.
+                unlocked = [entry for entry in unlocked if entry[0].augmented]
+            evidence = locked or locked_reads.get((cls, attr), [])
+            if not evidence or not unlocked:
                 continue
-            guard = sorted({short_lock(lock) for _, held, _ in locked for lock in held})
-            witness_write, _, witness_qual = locked[0]
+            guard = sorted({short_lock(lock) for _, held, _ in evidence for lock in held})
+            witness, _, witness_qual = evidence[0]
             class_name = cls.rsplit(".", 1)[-1]
             witness_name = summaries[witness_qual].decl.name
+            verb = "written" if locked else "read"
             for write, _, qual in unlocked:
                 findings.append(
                     Finding(
@@ -112,8 +128,8 @@ class LockDisciplineChecker(Checker):
                         write.line,
                         "lock-unlocked-write",
                         "error",
-                        f"{class_name}.{attr} is written under {guard} (e.g. "
-                        f"{witness_name}:{witness_write.line}) but without a lock in "
+                        f"{class_name}.{attr} is {verb} under {guard} (e.g. "
+                        f"{witness_name}:{witness.line}) but written without a lock in "
                         f"{summaries[qual].decl.name}; concurrent writers can lose updates",
                     )
                 )

@@ -4,8 +4,8 @@ Each function/method indexed by the :class:`~repro.analysis.project.Project`
 gets one :class:`FunctionSummary` extracted in a single AST walk:
 
 * **locks** — ``with self.<lock>:`` / ``with <module lock>:`` acquisitions
-  (with the lock set already held at that point), writes to ``self.<attr>``
-  state with the held set at the write, and blocking operations
+  (with the lock set already held at that point), writes to and reads of
+  ``self.<attr>`` state with the held set at the access, and blocking operations
   (``time.sleep``, ``Future.result``, ``join``, ``Queue.get``, foreign
   ``wait``) with the held set at the call.
 * **calls** — every call site with enough structure to resolve it later:
@@ -66,6 +66,7 @@ class AttrWrite:
     line: int
     held: FrozenSet[str]
     deferred: bool = False    # inside a lambda: entry-held locks do not apply
+    augmented: bool = False   # read-modify-write (``self.x += 1``)
 
 
 @dataclass
@@ -95,6 +96,8 @@ class FunctionSummary:
     path: str
     acquires: List[Acquire] = field(default_factory=list)
     writes: List[AttrWrite] = field(default_factory=list)
+    #: ``self.<attr>`` loads, recorded in the same shape as writes
+    reads: List[AttrWrite] = field(default_factory=list)
     blocking: List[BlockingOp] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
 
@@ -234,7 +237,7 @@ class _FunctionWalker:
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                self._record_write(target, held, deferred)
+                self._record_write(target, held, deferred, isinstance(node, ast.AugAssign))
             if node.value is not None:
                 self._walk(node.value, held, deferred)
             return
@@ -244,11 +247,17 @@ class _FunctionWalker:
             return
         if isinstance(node, ast.Call):
             self._record_call(node, held, deferred)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attr = _self_attr(node)
+            if attr is not None and not self.env.is_lock_attr(attr):
+                self.summary.reads.append(AttrWrite(attr, node.lineno, held, deferred))
         for child in ast.iter_child_nodes(node):
             self._walk(child, held, deferred)
 
     # ------------------------------------------------------------------ facts
-    def _record_write(self, target: ast.AST, held: FrozenSet[str], deferred: bool) -> None:
+    def _record_write(
+        self, target: ast.AST, held: FrozenSet[str], deferred: bool, augmented: bool = False
+    ) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._record_write(element, held, deferred)
@@ -259,7 +268,7 @@ class _FunctionWalker:
         attr = _self_attr(target)
         if attr is None or self.env.is_lock_attr(attr):
             return
-        self.summary.writes.append(AttrWrite(attr, target.lineno, held, deferred))
+        self.summary.writes.append(AttrWrite(attr, target.lineno, held, deferred, augmented))
 
     def _record_call(self, node: ast.Call, held: FrozenSet[str], deferred: bool) -> None:
         func = node.func

@@ -76,13 +76,6 @@ class PhaseTimer:
                 out[name] += value
         return {name: value / len(self.records) for name, value in out.items()}
 
-    def total_by_phase(self) -> Dict[str, float]:
-        out: Dict[str, float] = defaultdict(float)
-        for record in self.records:
-            for name, value in record.phases.items():
-                out[name] += value
-        return dict(out)
-
     def reset(self) -> None:
         self._current = defaultdict(float)
         self.records = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -71,10 +71,6 @@ class TraceDataset:
         self.trace_types.append(trace.trace_type)
         self.trace_lengths.append(trace.length)
         return index
-
-    def add_traces(self, traces: Iterable[Trace]) -> None:
-        for trace in traces:
-            self.add_trace(trace)
 
     def flush(self) -> None:
         self.store.flush()
@@ -136,10 +132,6 @@ class InMemoryTraceDataset:
         self.trace_types.append(trace.trace_type)
         self.trace_lengths.append(trace.length)
         return len(self.traces) - 1
-
-    def add_traces(self, traces: Iterable[Trace]) -> None:
-        for trace in traces:
-            self.add_trace(trace)
 
     def flush(self) -> None:  # interface parity with TraceDataset
         pass

@@ -22,7 +22,7 @@ import io
 import os
 import pickle
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 __all__ = ["ShardStore"]
 
@@ -44,7 +44,6 @@ class ShardStore:
         self.cache_size = cache_size
         os.makedirs(directory, exist_ok=True)
         self._index: List[Tuple[int, int, int]] = []  # global id -> (shard id, offset, length)
-        self._metadata: Dict[str, Any] = {}
         self._pending: List[Any] = []               # the unflushed shard's records
         self._num_shards = 0
         self.cache_hits = 0
@@ -88,14 +87,8 @@ class ShardStore:
         self._num_shards += 1
         self._pending = []
 
-    def set_metadata(self, key: str, value: Any) -> None:
-        self._metadata[key] = value
-
-    def get_metadata(self, key: str, default: Any = None) -> Any:
-        return self._metadata.get(key, default)
-
     def flush(self) -> None:
-        """Flush pending records and persist the index + metadata.
+        """Flush pending records and persist the index.
 
         The index is the store's single point of failure: shard files are
         append-only and self-contained, but a torn ``index.pkl`` orphans all
@@ -111,7 +104,6 @@ class ShardStore:
                 pickle.dump(
                     {
                         "index": self._index,
-                        "metadata": self._metadata,
                         "num_shards": self._num_shards,
                         "records_per_shard": self.records_per_shard,
                     },
@@ -135,7 +127,6 @@ class ShardStore:
             raise ValueError(
                 f"{self.directory}: whole-shard pickles of an older ShardStore; regenerate the dataset"
             )
-        self._metadata = payload["metadata"]
         self._num_shards = payload["num_shards"]
         self.records_per_shard = payload["records_per_shard"]
 
@@ -164,12 +155,6 @@ class ShardStore:
         if shard_id == self._num_shards:  # the unflushed tail: offset is a list position
             return self._pending[offset]
         return pickle.loads(os.pread(self._descriptor(shard_id), length, offset))
-
-    def get_many(self, ids: Iterable[int]) -> List[Any]:
-        return [self[i] for i in ids]
-
-    def shard_of(self, global_id: int) -> int:
-        return self._index[global_id][0]
 
     def clear_cache(self) -> None:
         """Close every cached descriptor and reset the hit/miss counters."""

@@ -16,7 +16,6 @@ from repro.distributions.scalars import Bernoulli, Beta, Exponential, Gamma, Poi
 from repro.distributions.batched import (
     BatchedCategorical,
     BatchedDistribution,
-    BatchedDistributionList,
     BatchedMixtureOfTruncatedNormals,
     BatchedNormal,
 )
@@ -41,5 +40,4 @@ __all__ = [
     "BatchedNormal",
     "BatchedCategorical",
     "BatchedMixtureOfTruncatedNormals",
-    "BatchedDistributionList",
 ]

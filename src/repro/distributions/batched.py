@@ -40,7 +40,7 @@ from scipy.special import ndtr, ndtri
 
 from repro.common.rng import RandomState, get_rng
 from repro.distributions.categorical import Categorical
-from repro.distributions.distribution import Distribution, log_prob_total
+from repro.distributions.distribution import Distribution
 from repro.distributions.mixture import Mixture, logsumexp
 from repro.distributions.normal import Normal
 from repro.distributions.truncated_normal import TruncatedNormal, stable_truncation_z
@@ -50,7 +50,6 @@ __all__ = [
     "BatchedNormal",
     "BatchedCategorical",
     "BatchedMixtureOfTruncatedNormals",
-    "BatchedDistributionList",
     "CategoricalScratch",
     "MixtureScratch",
 ]
@@ -582,44 +581,3 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
                 for k in range(self.num_components)
             ]
         return Mixture(components, self.weights[index])
-
-
-class BatchedDistributionList(BatchedDistribution):
-    """Adapter presenting a list of per-row distributions as a batch.
-
-    The compatibility fallback for custom proposal layers that only implement
-    the per-object ``proposal_distributions``: row ``i`` *is* the i-th object
-    (sampled on its row's stream, scored on its row's value), so downstream
-    code can rely on the batched interface without every layer implementing
-    an array-parameterised path.
-    """
-
-    def __init__(self, distributions: Sequence[Distribution]) -> None:
-        if len(distributions) == 0:
-            raise ValueError("need at least one distribution")
-        self.distributions = list(distributions)
-        self.batch_size = len(self.distributions)
-        self.discrete = all(d.discrete for d in self.distributions)
-
-    def sample_rows(self, rngs=None) -> np.ndarray:
-        generators = self._per_row_generators(rngs)
-        del generators  # validation only; per-object sampling consumes RandomStates
-        if rngs is None or isinstance(rngs, RandomState):
-            rngs = [rngs] * self.batch_size
-        return np.array(
-            [np.asarray(d.sample(rng)) for d, rng in zip(self.distributions, rngs)]
-        )
-
-    def log_prob_rows(self, values) -> np.ndarray:
-        # No flattening: wrapped distributions may be vector-valued, so
-        # values[i] is row i's (possibly non-scalar) value as given.
-        if len(values) != self.batch_size:
-            raise ValueError(
-                f"log_prob_rows needs one value per row ({self.batch_size}), got {len(values)}"
-            )
-        return np.array(
-            [log_prob_total(d, v) for d, v in zip(self.distributions, values)]
-        )
-
-    def row_distribution(self, index: int) -> Distribution:
-        return self.distributions[index]

@@ -46,7 +46,8 @@ def logsumexp(log_terms: np.ndarray, axis: int = -1):
     array-API dispatch, which costs several times the arithmetic on the
     ``(B, K)`` arrays a lockstep round scores.  :meth:`Mixture.log_prob` and
     ``BatchedMixtureOfTruncatedNormals.log_prob_rows`` both reduce through
-    this function, which keeps the sequential and batched engines in step.
+    this function, which keeps a batch's rows in step with their stand-alone
+    ``row_distribution`` objects.
     """
     peak = np.max(log_terms, axis=axis, keepdims=True)
     at_peak = log_terms == peak

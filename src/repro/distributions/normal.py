@@ -41,11 +41,6 @@ class Normal(Distribution):
 
         return ndtr((value - self.loc) / self.scale)
 
-    def icdf(self, quantile) -> np.ndarray:
-        from scipy.special import ndtri
-
-        return self.loc + self.scale * ndtri(np.asarray(quantile, dtype=float))
-
     @property
     def mean(self):
         return self.loc

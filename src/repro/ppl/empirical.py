@@ -205,9 +205,6 @@ class Empirical:
         indices = rng.generator.choice(len(self.values), size=count, p=self.normalized_weights)
         return Empirical([self.values[i] for i in indices], None, name=self.name)
 
-    def unweighted_values(self) -> List[Any]:
-        return list(self.values)
-
     # ----------------------------------------------------------------- freezing
     def freeze(self, latents: Optional[Sequence[str]] = None) -> "FrozenPosterior":
         """A trace-free, cache-safe summary of this posterior.
@@ -276,10 +273,6 @@ class FrozenPosterior:
         self.name = name
         self.engine_stats = dict(engine_stats or {})
         self.frozen = True
-
-    @property
-    def latent_names(self) -> List[str]:
-        return list(self._marginals)
 
     def extract(self, name: str) -> "Empirical":
         """The weighted marginal over the named latent."""

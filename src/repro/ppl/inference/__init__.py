@@ -1,5 +1,5 @@
-"""Inference engines: importance sampling (sequential and batched lockstep),
-RMH/LMH MCMC, IC, and diagnostics."""
+"""Inference engines: importance sampling (prior proposals, and the batched
+lockstep IC engine), RMH/LMH MCMC, IC, and diagnostics."""
 
 from repro.ppl.inference import batched, diagnostics, importance_sampling, random_walk_metropolis
 from repro.ppl.inference.batched import (

@@ -1,10 +1,10 @@
 """Batched guided-execution importance sampling (the lockstep IC engine).
 
 Amortized inference turns posterior sampling into an embarrassingly parallel
-importance-sampling run, but the sequential engine still steps the inference
-network at batch size 1: one observation embedding, one LSTM step and one
-proposal forward **per trace per address**.  This module batches all of that
-across a *cohort* of B simultaneous executions:
+importance-sampling run, but stepping the inference network one trace at a
+time pays one observation embedding, one LSTM step and one proposal forward
+**per trace per address**.  This module batches all of that across a
+*cohort* of B simultaneous executions:
 
 1. the cohort's B model executions each run on a slot thread borrowed from
    the process's pool of parked threads (started only when too few are
@@ -33,13 +33,19 @@ work into :class:`TraceJob` lists and runs each cohort through
 observation" is just a cohort whose jobs happen to carry the same one; the
 session embeds each distinct observation once.
 
+A one-job cohort, and every job of a :class:`RemoteModel` (one multiplexed
+PPX transport, so its executions cannot be suspended concurrently), runs on
+a one-slot session on the calling thread: each controlled draw is one round,
+answered synchronously, with no slot thread and no coordinator.  Guided
+proposals therefore have one source, :class:`BatchedProposalSession`.
+
 Randomness: every trace job carries its own stream *key*, derived from the
 request ``rng`` (:func:`request_key`), and each execution builds the job's
 generator from that key (:meth:`TraceJob.stream`), so results are
-independent of the cohort partitioning — ``batch_size=1`` (the sequential
-:class:`ProposalSession` reference) and ``batch_size=64`` produce the same
-traces up to floating-point batching effects, which is what the equivalence
-tests assert — and of how often a job runs: a re-run starts from the key.
+independent of the cohort partitioning — ``batch_size=1`` (one-slot
+sessions) and ``batch_size=64`` produce the same traces up to
+floating-point batching effects, which is what the equivalence tests
+assert — and of how often a job runs: a re-run starts from the key.
 
 Importance weights use the ``ExecutionState``-level accounting
 ``log w = log p(x, y) - log q(x)`` with ``log q`` accumulated over *all*
@@ -327,12 +333,11 @@ class _TrackingProposalController(ProposalController):
     whose guided executions have no local ``ExecutionState`` to read a trace
     from.
 
-    ``request(address, prior, previous_value)`` returns the proposal (or
-    ``None`` for the prior fallback).  The lockstep session answers with
-    :class:`repro.ppl.nn.inference_network.DrawnProposal` stubs (value
-    already drawn and scored by the driver), the sequential session with full
-    distributions — the controller treats both purely through the
-    ``sample``/``log_prob`` duck type and never assumes a concrete class.
+    ``request(address, prior, previous_value)`` returns the session's answer:
+    a :class:`repro.ppl.nn.inference_network.DrawnProposal` stub (value
+    already drawn on this execution's stream and scored by the session), or
+    ``None`` for the prior fallback.  A lockstep slot's request blocks until
+    the coordinator answers the round; a one-slot session answers at once.
     """
 
     def __init__(self, request: Callable) -> None:
@@ -603,8 +608,7 @@ def merge_session_stats(stats: Dict[str, int], session) -> None:
     """Harvest a finished session's counters into an engine stat block.
 
     A session attribute is named by its stat key.  Counters a session kind
-    lacks read as 0 (the sequential ``ProposalSession`` has no round
-    counters, the dynamic batched session no plan counters, and no session
+    lacks read as 0 (the dynamic session has no plan counters, and no session
     counts cohorts, plan leases or slot-thread starts — :func:`run_mixed_cohort`
     and :func:`_drive_cohort` do).
     """
@@ -646,10 +650,14 @@ def resolve_observation_array(network, observation: Dict[str, Any], observe_key:
     return np.asarray(observation[key], dtype=float)
 
 
-def _run_sequential(model, job: TraceJob, rng: RandomState, network, stats: Dict[str, int]) -> Trace:
-    """The sequential reference path: one ProposalSession for one trace."""
-    session = network.inference_session(job.observation_array)
-    controller = _TrackingProposalController(session.proposal)
+def _run_one_slot(model, job: TraceJob, rng: RandomState, network, stats: Dict[str, int]) -> Trace:
+    """One job on a one-slot lockstep session, every round answered on this thread."""
+    session = network.batched_session([job.observation_array], [rng])
+    controller = _TrackingProposalController(
+        lambda address, prior, previous_value: session.proposals(
+            [(0, address, prior, previous_value)]
+        )[0]
+    )
     trace = model.get_trace(controller, observed_values=job.observation, rng=rng)
     merge_session_stats(stats, session)
     return trace
@@ -663,13 +671,14 @@ def run_mixed_cohort(
     The one place guided executions are run — direct posteriors and both
     serving backends all arrive here with a
     :class:`TraceJob` list.  Without a network every job draws from the prior
-    (likelihood weighting).  A one-job cohort, or a :class:`RemoteModel`
-    (one multiplexed PPX transport, so its executions cannot be suspended
-    concurrently), runs each job through the sequential
-    :class:`ProposalSession` reference.  Everything else runs in lockstep
-    through :meth:`InferenceNetwork.batched_session` (one embedding per
-    distinct observation, one batched LSTM step per address group); with a
-    ``plan_cache``, hot trace types run the compiled planned fast path
+    (likelihood weighting).  Guided jobs all run through
+    :meth:`InferenceNetwork.batched_session` (one embedding per distinct
+    observation, one batched LSTM step per address group per round).  A
+    one-job cohort, or a :class:`RemoteModel` (one multiplexed PPX
+    transport, so its executions cannot be suspended concurrently), runs
+    each job on its own one-slot session on this thread, without plans;
+    larger cohorts run in lockstep on slot threads, and with a
+    ``plan_cache`` hot trace types run the compiled planned fast path
     (:mod:`repro.ppl.inference.plans`) with a mid-cohort dynamic fallback.
     Every job draws from a generator built here from its key, so running
     the same jobs again gives the same traces.
@@ -682,7 +691,7 @@ def run_mixed_cohort(
             for job, rng in zip(jobs, rngs)
         ]
     if len(jobs) == 1 or isinstance(model, RemoteModel):
-        return [_run_sequential(model, job, rng, network, stats) for job, rng in zip(jobs, rngs)]
+        return [_run_one_slot(model, job, rng, network, stats) for job, rng in zip(jobs, rngs)]
     session, plan, scratch = _leased_session(network, jobs, rngs, stats, plan_cache)
     try:
         traces = _drive_cohort(model, session, jobs, rngs, stats)
@@ -713,11 +722,7 @@ def execute_trace_jobs(
     return traces, stats
 
 
-def form_log_weights(
-    traces: Sequence[Trace],
-    network,
-    trace_callback: Optional[Callable[[Trace, float], None]] = None,
-) -> List[float]:
+def form_log_weights(traces: Sequence[Trace], network) -> List[float]:
     """ExecutionState-level importance weights ``log w = log p(x, y) - log q(x)``.
 
     ``trace.log_q`` covers *every* latent draw (uncontrolled draws contribute
@@ -735,10 +740,7 @@ def form_log_weights(
                     "importance weights cannot be formed without it"
                 )
             log_q = trace.log_prior
-        log_weight = trace.log_joint - log_q
-        log_weights.append(log_weight)
-        if trace_callback is not None:
-            trace_callback(trace, log_weight)
+        log_weights.append(trace.log_joint - log_q)
     return log_weights
 
 
@@ -816,7 +818,6 @@ def batched_importance_sampling(
     network=None,
     observe_key: Optional[str] = None,
     rng: Optional[RandomState] = None,
-    trace_callback: Optional[Callable[[Trace, float], None]] = None,
     plan_cache=None,
 ) -> Empirical:
     """Run importance sampling with cohorts of lockstep guided executions.
@@ -833,11 +834,11 @@ def batched_importance_sampling(
         Total number of simulator executions.
     batch_size:
         Cohort size B.  Traces are partitioned into ``ceil(num_traces / B)``
-        cohorts; ``batch_size=1`` selects the sequential per-trace engine
-        (useful as the equivalence/throughput reference).  Cohort executions
-        run on B slot threads, so ``model.forward`` must not mutate shared
-        state; pass ``batch_size=1`` for non-thread-compatible models
-        (:class:`RemoteModel` is detected and serialized automatically).
+        cohorts.  Cohort executions run on B slot threads, so
+        ``model.forward`` must not mutate shared state; ``batch_size=1``
+        runs every trace on a one-slot session on the calling thread, for
+        non-thread-compatible models (:class:`RemoteModel` is detected and
+        serialized automatically).
     network:
         A trained :class:`repro.ppl.nn.inference_network.InferenceNetwork`
         supplying proposals.  ``None`` falls back to prior proposals
@@ -864,7 +865,7 @@ def batched_importance_sampling(
     )
     result = Empirical(
         traces,
-        form_log_weights(traces, network, trace_callback),
+        form_log_weights(traces, network),
         name="batched_importance_sampling_posterior",
     )
     result.engine_stats = stats

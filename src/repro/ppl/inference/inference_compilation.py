@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.common.config import Config
 from repro.common.rng import RandomState, get_rng
 from repro.ppl.empirical import Empirical
-from repro.ppl.inference.batched import batched_importance_sampling, mixed_batched_importance_sampling
+from repro.ppl.inference.batched import batched_importance_sampling
 from repro.ppl.nn.inference_network import InferenceNetwork
 from repro.trace.trace import Trace
 
@@ -164,8 +164,8 @@ class InferenceCompilation:
         cohorts of ``batch_size`` guided executions share one observation
         embedding and advance through batched LSTM/proposal steps.  Cohort
         executions run on worker threads, so ``model.forward`` must not
-        mutate shared state; pass ``batch_size=1`` to run strictly
-        sequentially (remote models are serialized automatically).
+        mutate shared state; pass ``batch_size=1`` to run every trace on the
+        calling thread (remote models are serialized automatically).
         """
         rng = rng or self.rng
         return batched_importance_sampling(
@@ -176,33 +176,6 @@ class InferenceCompilation:
             network=self.network,
             observe_key=observe_key,
             rng=rng,
-        )
-
-    def posterior_many(
-        self,
-        model,
-        requests: Sequence[Any],
-        batch_size: int = 64,
-        observe_key: Optional[str] = None,
-        rng: Optional[RandomState] = None,
-    ) -> List[Empirical]:
-        """Amortized inference for several observations through shared cohorts.
-
-        ``requests`` holds ``(observation, num_traces, rng)`` triples (``rng``
-        may be ``None`` to derive from ``rng``/the engine's stream).  The
-        engine packs the trace jobs of all requests into lockstep cohorts of
-        up to ``batch_size``, which is how the serving
-        subsystem's micro-batching scheduler amortizes concurrent traffic; a
-        request's posterior is identical to a direct :meth:`posterior` call
-        with the same rng.
-        """
-        return mixed_batched_importance_sampling(
-            model,
-            requests,
-            batch_size=batch_size,
-            network=self.network,
-            observe_key=observe_key,
-            rng=rng or self.rng,
         )
 
     # -------------------------------------------------------------- persistence

@@ -99,7 +99,6 @@ class RandomWalkMetropolis:
         num_traces: int,
         rng: Optional[RandomState] = None,
         initial_trace: Optional[Trace] = None,
-        trace_callback=None,
     ) -> Empirical:
         """Run the chain for ``burn_in + num_traces * thin`` iterations."""
         if num_traces <= 0:
@@ -115,8 +114,6 @@ class RandomWalkMetropolis:
             current = self._step(current)
             if iteration >= self.burn_in and (iteration - self.burn_in) % self.thin == 0:
                 kept.append(current)
-                if trace_callback is not None:
-                    trace_callback(current)
         kept = kept[:num_traces]
         return Empirical(kept, None, name="rmh_posterior")
 

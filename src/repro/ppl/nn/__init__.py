@@ -12,7 +12,7 @@ from repro.ppl.nn.proposals import (
     ProposalNormalMixture,
     make_proposal_layer,
 )
-from repro.ppl.nn.inference_network import InferenceNetwork, ProposalSession
+from repro.ppl.nn.inference_network import InferenceNetwork
 from repro.ppl.nn.preprocessing import collect_address_statistics, pregenerate_layers
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ProposalNormalMixture",
     "make_proposal_layer",
     "InferenceNetwork",
-    "ProposalSession",
     "collect_address_statistics",
     "pregenerate_layers",
 ]

@@ -13,24 +13,23 @@ Two entry points matter:
 * :meth:`InferenceNetwork.loss` — Algorithm 1: split a minibatch into
   sub-minibatches of equal trace type, run each through the LSTM in a single
   batched forward pass, and accumulate ``-log q_phi(x|y)``.
-* :meth:`InferenceNetwork.inference_session` — a stateful helper that walks
-  the LSTM step by step during guided execution, producing a proposal
-  distribution for every address the simulator requests over PPX.
-* :meth:`InferenceNetwork.batched_session` — the batched counterpart
-  (:class:`BatchedProposalSession`): B guided executions advance in lockstep,
-  one observation array per slot (distinct observations are embedded once
+* :meth:`InferenceNetwork.batched_session` — guided execution
+  (:class:`BatchedProposalSession`): B executions advance in lockstep, one
+  observation array per slot (distinct observations are embedded once
   each, so a cohort of one request pays one embedding) and one batched LSTM
   step per address.  When control flow diverges (different traces request
   different addresses at the same step), the cohort is partitioned into
   per-address sub-batches, so a group of size 1 degrades gracefully to
-  per-trace stepping.  Every round is drawn and scored by the driver over
-  the slots' own random streams — all its mixture groups in one vectorised
-  pass — and answered with :class:`DrawnProposal` stubs.  :meth:`InferenceNetwork.planned_session`
-  is the same session driven by a compiled plan.
+  per-trace stepping, and a one-slot session is one execution walked step
+  by step.  Every round is drawn and scored by the driver over the slots'
+  own random streams — all its mixture groups in one vectorised pass — and
+  answered with :class:`DrawnProposal` stubs.
+  :meth:`InferenceNetwork.planned_session` is the same session driven by a
+  compiled plan.
 
 Information flow during guided execution deliberately matches training: a
 fallback to the prior at an address the network has never seen resets the
-previous-sample embedding to zeros (in both the sessions here and the skipped
+previous-sample embedding to zeros (in the sessions here and in the skipped
 step of :meth:`InferenceNetwork._sub_minibatch_loss`), so trained weights see
 the same inputs at inference time.
 """
@@ -47,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy (cycle guard)
 
 from repro.common.config import Config
 from repro.data.dataset import observation_array
-from repro.distributions import Categorical, Distribution, distribution_from_dict
+from repro.distributions import Distribution, distribution_from_dict
 from repro.distributions.batched import BatchedMixtureOfTruncatedNormals, MixtureScratch
 from repro.distributions.geometry import PriorGeometry, prior_geometry, prior_signature
 from repro.ppl.nn.embeddings import (
@@ -62,7 +61,7 @@ from repro.tensor.nn import LSTM, Module, ModuleDict, Parameter
 from repro.tensor.tensor import Tensor
 from repro.trace.trace import Trace
 
-__all__ = ["InferenceNetwork", "ProposalSession", "BatchedProposalSession", "DrawnProposal"]
+__all__ = ["InferenceNetwork", "BatchedProposalSession", "DrawnProposal"]
 
 
 class InferenceNetwork(Module):
@@ -335,10 +334,6 @@ class InferenceNetwork(Module):
         return neg_log_q
 
     # --------------------------------------------------------------- inference
-    def inference_session(self, observation) -> "ProposalSession":
-        """Start a guided-execution session for one observation y."""
-        return ProposalSession(self, observation)
-
     def batched_session(
         self, observations: Sequence[Any], rngs: Sequence[Any]
     ) -> "BatchedProposalSession":
@@ -411,66 +406,6 @@ class InferenceNetwork(Module):
         return network
 
 
-class ProposalSession:
-    """Stateful walker that produces proposals during one guided execution.
-
-    The execution controller calls :meth:`proposal` once per latent draw, in
-    simulator order.  The session advances the LSTM using the value drawn at
-    the *previous* step (read from the execution state's partial trace), which
-    is exactly the information flow of Figure 3.
-    """
-
-    def __init__(self, network: InferenceNetwork, observation) -> None:
-        self.network = network
-        observation_arr = np.asarray(observation, dtype=float)
-        with no_grad():
-            self._obs_embed = network.observation_embedding(Tensor(observation_arr[None, ...]))
-        self._state = None
-        self._prev_address: Optional[str] = None
-        self._prev_prior: Optional[Distribution] = None
-        #: counters are named by their ``ENGINE_STAT_KEYS`` key, which is how
-        #: ``merge_session_stats`` harvests them
-        self.num_proposal_steps = 0
-        self.num_fallbacks = 0
-        #: a sequential session always pays exactly one embedding forward
-        self.num_observation_embeddings = 1
-
-    def _previous_embedding(self, previous_value) -> Tensor:
-        if (
-            previous_value is None
-            or self._prev_address is None
-            or self._prev_address not in self.network.sample_embeddings
-        ):
-            return Tensor(np.zeros((1, self.network.sample_dim)))
-        encoded = SampleEmbedding.encode_values(self._prev_prior, np.asarray([previous_value]))
-        return self.network.sample_embeddings[self._prev_address](Tensor(encoded))
-
-    def proposal(
-        self,
-        address: str,
-        prior: Distribution,
-        previous_value=None,
-    ) -> Optional[Distribution]:
-        """Proposal distribution for the next latent draw (or None for prior fallback)."""
-        self.num_proposal_steps += 1
-        if address not in self.network.proposal_layers:
-            # Address unseen during training: fall back to the prior without
-            # advancing the LSTM (the network has no representation for it).
-            self.num_fallbacks += 1
-            self._prev_address = None
-            self._prev_prior = None
-            return None
-        with no_grad():
-            prev_embed = self._previous_embedding(previous_value)
-            addr_embed = self.network.address_embeddings[address](1)
-            lstm_input = Tensor.cat([self._obs_embed, addr_embed, prev_embed], axis=1)
-            hidden, self._state = self.network.lstm.step(lstm_input, self._state)
-            distribution = self.network.proposal_layers[address].proposal_distribution(hidden, prior)
-        self._prev_address = address
-        self._prev_prior = prior
-        return distribution
-
-
 class DrawnProposal:
     """One slot's answer to a lockstep round: a value already drawn and scored.
 
@@ -504,10 +439,9 @@ class DrawnProposal:
 class BatchedProposalSession:
     """Advances B guided executions in lockstep through the inference network.
 
-    The sequential :class:`ProposalSession` pays the observation embedding,
-    one LSTM step and one proposal-layer forward *per trace per address* at
-    batch size 1.  This session amortizes all three across a cohort of B
-    executions:
+    Stepping one execution at a time pays the observation embedding, one
+    LSTM step and one proposal-layer forward *per trace per address*.  This
+    session amortizes all three across a cohort of B executions:
 
     * every slot has its own observation (``observations[slot]``), and each
       *distinct* observation is embedded **once**
@@ -525,13 +459,14 @@ class BatchedProposalSession:
     step) the cohort is partitioned into per-address groups whose state rows
     are gathered, stepped and scattered back independently — a group of size
     1 is exactly per-trace stepping, which is the graceful fallback the
-    divergent case degrades to.  The numerical information flow per trace is
-    identical to :class:`ProposalSession` (zero previous-sample embedding
-    after a prior fallback, no LSTM advance at unknown addresses).
+    divergent case degrades to.  Per trace, the information flow is that of
+    training: a zero previous-sample embedding after a prior fallback, and
+    no LSTM advance at unknown addresses.
 
     Drive it through :func:`repro.ppl.inference.batched.run_mixed_cohort`,
     which suspends B model executions at their controlled draws and answers
-    them through :meth:`proposals`.
+    them through :meth:`proposals` (a one-slot session is answered
+    synchronously, on the execution's own thread).
 
     Proposals are array-parameterised batched distributions
     (:mod:`repro.distributions.batched`): the mixture groups of a round are
@@ -539,9 +474,9 @@ class BatchedProposalSession:
     categorical or custom group gets its own), whose values are drawn on the
     slots' own streams (``rngs[slot]``) and scored, each in one vectorised
     pass, and every slot is answered with a :class:`DrawnProposal`.  Values,
-    densities and stream consumption are bit-identical to sampling the
-    per-trace ``Mixture``/``Categorical`` the sequential session's
-    ``proposal_distribution`` builds.
+    densities and stream consumption are bit-identical to sampling each
+    row's stand-alone ``Mixture``/``Categorical``
+    (``row_distribution``).
     """
 
     def __init__(
@@ -580,11 +515,10 @@ class BatchedProposalSession:
         Slots are deduplicated by object identity first (all jobs of one
         request share one array object, so a one-request cohort never
         serialises anything) and by bytes second (equal observations from
-        different requests).  Each distinct observation is embedded with the
-        same single-row forward :class:`ProposalSession` uses, so a mixed
-        cohort produces bitwise the same embedding rows as running each
-        request in its own cohort — the property the serving layer's
-        seeded-equivalence tests rely on.
+        different requests).  Each distinct observation is embedded by its
+        own single-row forward, so a mixed cohort produces bitwise the same
+        embedding rows as running each request in its own cohort — the
+        property the serving layer's seeded-equivalence tests rely on.
         """
         network = self.network
         by_identity: Dict[int, np.ndarray] = {}
@@ -639,8 +573,8 @@ class BatchedProposalSession:
         for address, members in groups.items():
             if address not in layers:
                 # Unseen address: fall back to the prior without advancing the
-                # LSTM, and reset the previous-sample tracking (same semantics
-                # as ProposalSession.proposal).
+                # LSTM, and reset the previous-sample tracking (the skipped
+                # step of the training loss does the same).
                 self.num_fallbacks += len(members)
                 for slot, _, _ in members:
                     responses[slot] = None

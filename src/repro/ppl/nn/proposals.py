@@ -13,23 +13,17 @@ Each proposal layer offers two views of the same parameterisation:
 * :meth:`log_prob` — a differentiable (autograd) log-density of recorded
   values given the LSTM hidden state, used in the training loss
   ``-E[log q_phi(x|y)]`` of Algorithm 1, and
-* :meth:`proposal_distribution` — a plain numpy distribution object used at
-  inference time by the importance-sampling controller, and
-* :meth:`proposal_distributions` — the per-object batched counterpart: one
-  forward pass over a ``(B, hidden)`` batch of LSTM outputs yields the B
-  per-trace proposal distribution objects at the same address (retained as
-  the sequential engine's reference path), and
-* :meth:`proposal_batch` — the array-parameterised path the lockstep engine
-  (:mod:`repro.ppl.inference.batched`) uses: the same forward pass yields ONE
+* :meth:`proposal_batch` — what guided execution draws from
+  (:class:`repro.ppl.nn.inference_network.BatchedProposalSession`): one
+  forward pass over a ``(B, hidden)`` batch of LSTM outputs yields ONE
   :class:`repro.distributions.batched.BatchedDistribution` holding the whole
-  group's ``(B, K)`` parameters, drawn and scored in bulk
-  (``sample_rows`` / ``log_prob_rows``) in place of the B per-trace objects
-  (and their B·K components) on the inference hot path.
+  address group's ``(B, K)`` parameters, drawn and scored in bulk
+  (``sample_rows`` / ``log_prob_rows``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -39,13 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (packing imports us)
 from repro.distributions import (
     BatchedCategorical,
     BatchedDistribution,
-    BatchedDistributionList,
     BatchedMixtureOfTruncatedNormals,
     Categorical,
     Distribution,
-    Mixture,
-    Normal,
-    TruncatedNormal,
 )
 from repro.distributions.batched import MixtureScratch
 from repro.distributions.geometry import PriorGeometry, prior_bounds, prior_geometry
@@ -88,32 +78,15 @@ class ProposalLayer(Module):
         """
         return self.log_prob(hidden, step.values, step.priors)
 
-    def proposal_distribution(self, hidden: Tensor, prior: Distribution) -> Distribution:
-        """A concrete (numpy) proposal distribution for one execution."""
-        return self.proposal_distributions(hidden, [prior])[0]
+    def proposal_batch(self, hidden: Tensor, priors: Sequence[Distribution]) -> BatchedDistribution:
+        """The group's proposals as one array-parameterised batched distribution.
 
-    def proposal_distributions(self, hidden: Tensor, priors: Sequence[Distribution]) -> List[Distribution]:
-        """Per-trace proposal distributions for a batch of guided executions.
-
-        ``hidden`` is ``(B, hidden_dim)`` and ``priors`` holds the B priors at
-        the shared address (their parameters may differ per trace).
+        ``hidden`` is ``(B, hidden_dim)`` and ``priors`` holds the B priors
+        at the shared address (their parameters may differ per trace); row
+        ``i`` is trace ``i``'s proposal, drawn and scored in one
+        ``sample_rows`` / ``log_prob_rows`` pass.
         """
         raise NotImplementedError
-
-    def proposal_batch(self, hidden: Tensor, priors: Sequence[Distribution]) -> BatchedDistribution:
-        """One array-parameterised batched distribution for the whole group.
-
-        The lockstep engine's hot path: instead of materialising B per-trace
-        objects (plus their component objects), the built-in layers emit a
-        single batched object the session draws and scores in one
-        ``sample_rows`` / ``log_prob_rows`` pass.  Rows are sample- and
-        density-equivalent (bit-identical) to the objects
-        ``proposal_distributions`` would build.  This base
-        implementation wraps the per-object list so custom layers that only
-        implement ``proposal_distributions`` keep working, just without the
-        O(1)-objects win.
-        """
-        return BatchedDistributionList(self.proposal_distributions(hidden, priors))
 
 
 class ProposalNormalMixture(ProposalLayer):
@@ -189,39 +162,13 @@ class ProposalNormalMixture(ProposalLayer):
         ).sum()
 
     # ---------------------------------------------------------------- inference
-    def proposal_distributions(self, hidden: Tensor, priors: Sequence[Distribution]) -> List[Distribution]:
-        means_np, scales_np, log_weights, lows, highs, bounded = self._transformed_parameters(hidden, list(priors))
-        weights_np = np.exp(log_weights)
-        num_components = self.num_components
-        # All truncated components across the batch are built in one
-        # vectorized pass (two ndtr calls total instead of two per object).
-        bounded_rows = np.flatnonzero(bounded)
-        truncated_per_row = {}
-        if bounded_rows.size:
-            built = TruncatedNormal.batch_build(
-                means_np[bounded_rows].reshape(-1),
-                scales_np[bounded_rows].reshape(-1),
-                np.repeat(lows[bounded_rows], num_components),
-                np.repeat(highs[bounded_rows], num_components),
-            )
-            for j, row in enumerate(bounded_rows):
-                truncated_per_row[int(row)] = built[j * num_components : (j + 1) * num_components]
-        distributions: List[Distribution] = []
-        for i in range(len(priors)):
-            if i in truncated_per_row:
-                components: List[Distribution] = truncated_per_row[i]
-            else:
-                components = [Normal(means_np[i, k], scales_np[i, k]) for k in range(num_components)]
-            distributions.append(Mixture(components, weights_np[i]))
-        return distributions
-
     def proposal_batch(self, hidden: Tensor, priors: Sequence[Distribution]) -> BatchedDistribution:
         """The whole group's proposals as ONE array-parameterised mixture.
 
-        Same transformed parameters as :meth:`proposal_distributions`, but no
-        per-trace ``Mixture`` (and no B·K component objects) is ever built:
-        the batched object holds the ``(B, K)`` parameter arrays and samples
-        / scores its rows bit-identically to the per-object path.
+        No per-trace ``Mixture`` (and no B·K component objects) is ever
+        built: the batched object holds the ``(B, K)`` parameter arrays and
+        samples / scores row ``i`` bit-identically to its stand-alone
+        ``row_distribution(i)``.
         """
         means, scales, log_weights, lows, highs, bounded = self._transformed_parameters(hidden, list(priors))
         return BatchedMixtureOfTruncatedNormals(
@@ -277,26 +224,13 @@ class ProposalCategorical(ProposalLayer):
         picked = F.gather(log_probs, indices, axis=-1)
         return picked.sum()
 
-    def proposal_distributions(self, hidden: Tensor, priors: Sequence[Distribution]) -> List[Distribution]:
-        logits = self.network(hidden)
-        probs = F.softmax(logits, axis=-1).data
-        distributions: List[Distribution] = []
-        for i, prior in enumerate(priors):
-            row = probs[i]
-            # Guard against zero-probability categories that the prior allows:
-            # mix a small amount of the prior so importance weights stay finite.
-            if isinstance(prior, Categorical):
-                row = 0.99 * row + 0.01 * prior.probs
-            distributions.append(Categorical(row))
-        return distributions
-
     def proposal_batch(self, hidden: Tensor, priors: Sequence[Distribution]) -> BatchedDistribution:
         """The whole group's categorical proposals as one ``(B, K)`` batch."""
         logits = self.network(hidden)
         probs = np.array(F.softmax(logits, axis=-1).data)
         for i, prior in enumerate(priors):
-            # Same prior smoothing as the per-object path (keeps importance
-            # weights finite at categories the NN zeroes out).
+            # Guard against zero-probability categories that the prior allows:
+            # mix a small amount of the prior so importance weights stay finite.
             if isinstance(prior, Categorical):
                 probs[i] = 0.99 * probs[i] + 0.01 * prior.probs
         return BatchedCategorical(probs)

@@ -11,8 +11,8 @@ controllers:
   training-data generation),
 * :class:`ReplayController` — reuse the values of an existing trace except at
   a chosen resample site (the single-site RMH/LMH kernel),
-* :class:`ProposalController` — draw from per-address proposal distributions
-  (importance sampling, and IC where the proposals come from the trained NN).
+* :class:`ProposalController` — draw from per-address proposals q(x|y)
+  (IC, where the proposals come from the trained NN).
 
 Every controller also reports the log-density of its choice under the
 distribution it actually sampled from, so that importance weights and MH
@@ -121,35 +121,34 @@ class ReplayController(Controller):
 
 
 class ProposalController(Controller):
-    """Draw from per-address proposal distributions q(x|y).
+    """Draw from per-address proposals q(x|y).
 
-    ``proposal_provider(address, instance, prior, context)`` returns either a
-    proposal to sample from or ``None`` to fall back to the prior.  The
-    accumulated ``log_q`` (proposal) and ``log_prior`` terms give the
-    importance weight ``log p(x,y) - log q(x|y)`` when combined with the
-    trace's likelihood.
+    ``provider(address, instance, prior, state)`` returns either a proposal
+    or ``None`` to fall back to the prior.  The accumulated ``log_q``
+    (proposal) and ``log_prior`` terms give the importance weight
+    ``log p(x,y) - log q(x|y)`` when combined with the trace's likelihood.
 
     The proposal is consumed purely through ``sample(rng)`` and
-    ``log_prob(value)``, so providers may return full
-    :class:`Distribution` objects (the sequential engine) or the
-    :class:`repro.ppl.nn.inference_network.DrawnProposal` stubs of the
-    lockstep engine, whose driver has already drawn and scored the value —
-    the controller is deliberately agnostic between the two.
+    ``log_prob(value)``.  In the engine every proposal comes from a
+    :class:`repro.ppl.nn.inference_network.BatchedProposalSession` as a
+    :class:`repro.ppl.nn.inference_network.DrawnProposal` stub: the session
+    has already drawn the value on this execution's stream and scored it,
+    so ``sample`` returns it without touching the stream.
     """
 
     def __init__(
         self,
-        proposal_provider: Callable[[str, int, Distribution, "ExecutionState"], Optional[Distribution]],
+        provider: Callable[[str, int, Distribution, "ExecutionState"], Any],
         state: Optional["ExecutionState"] = None,
     ) -> None:
-        self.proposal_provider = proposal_provider
+        self.provider = provider
         self.state = state
         self.log_q = 0.0
         self.log_prior = 0.0
         self.num_proposed = 0
 
     def choose(self, address, instance, distribution, name, rng):
-        proposal = self.proposal_provider(address, instance, distribution, self.state)
+        proposal = self.provider(address, instance, distribution, self.state)
         if proposal is None:
             value = distribution.sample(rng)
             log_q = log_prior = log_prob_total(distribution, value)

@@ -62,14 +62,6 @@ class DecayChannel:
     products: Tuple[Particle, ...]
 
     @property
-    def visible_products(self) -> Tuple[Particle, ...]:
-        return tuple(p for p in self.products if p.visible)
-
-    @property
-    def invisible_products(self) -> Tuple[Particle, ...]:
-        return tuple(p for p in self.products if not p.visible)
-
-    @property
     def num_products(self) -> int:
         return len(self.products)
 

@@ -8,9 +8,9 @@ implementation for a 13x speed-up.  This module reproduces that component:
 * every visible final-state particle produces an energy deposit: a
   longitudinal shower profile along the depth axis and a transverse Gaussian
   spread around its impact point,
-* the per-particle smearing of the impact point uses
-  :class:`repro.distributions.MultivariateNormal` — both the general and the
-  scalar-3D code paths are available and compared in the ablation bench,
+* the scalar-3D multivariate-normal density is
+  :meth:`repro.distributions.MultivariateNormal.log_prob_3d_scalar`, timed
+  against the general one in ``benchmarks/test_ablation_mvn_pdf.py``,
 * the summed deposition grid is the mean of the observation model; per-voxel
   Gaussian noise gives the likelihood used by ``observe``.
 """
@@ -21,9 +21,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.common.rng import RandomState, get_rng
-from repro.distributions import MultivariateNormal
 
 __all__ = ["DetectorConfig", "Deposit", "Detector3D"]
 
@@ -38,7 +35,6 @@ class DetectorConfig:
     noise_sigma: float = 0.2                       # per-voxel Gaussian noise (GeV)
     shower_depth_scale: float = 0.35               # fraction of depth per unit log-energy
     transverse_spread: float = 0.9                 # Gaussian blob width in voxel units
-    impact_smearing: float = 0.05                  # MVN smearing of the impact point
 
     @classmethod
     def paper_size(cls) -> "DetectorConfig":
@@ -57,36 +53,16 @@ class Deposit:
 
 
 class Detector3D:
-    """Deterministic deposition + stochastic smearing of particle energies."""
+    """Deterministic deposition of particle energies onto the voxel grid."""
 
-    def __init__(self, config: Optional[DetectorConfig] = None, use_scalar_mvn: bool = True) -> None:
+    def __init__(self, config: Optional[DetectorConfig] = None) -> None:
         self.config = config or DetectorConfig()
-        self.use_scalar_mvn = use_scalar_mvn
         depth, height, width = self.config.shape
         self._depth_axis = np.arange(depth, dtype=float)
         self._x_axis = np.linspace(-self.config.transverse_size, self.config.transverse_size, height)
         self._y_axis = np.linspace(-self.config.transverse_size, self.config.transverse_size, width)
 
     # ------------------------------------------------------------------ response
-    def smear_impact(self, impact: Sequence[float], rng: Optional[RandomState] = None) -> np.ndarray:
-        """Smear a 3D impact vector (x, y, energy-fluctuation) with an MVN.
-
-        This is the call site of the multivariate-normal PDF that the paper
-        optimised; the distribution object exposes both the general and the
-        scalar-3D log-density for the ablation benchmark.
-        """
-        sigma = self.config.impact_smearing
-        mvn = MultivariateNormal(list(impact), [sigma**2, sigma**2, (sigma * 0.5) ** 2])
-        return np.asarray(mvn.sample(rng or get_rng()), dtype=float)
-
-    def impact_log_prob(self, impact: Sequence[float], smeared: Sequence[float]) -> float:
-        """Log density of a smeared impact (scalar-3D path if enabled)."""
-        sigma = self.config.impact_smearing
-        mvn = MultivariateNormal(list(impact), [sigma**2, sigma**2, (sigma * 0.5) ** 2])
-        if self.use_scalar_mvn:
-            return float(mvn.log_prob_3d_scalar(np.asarray(smeared, dtype=float)))
-        return float(mvn.log_prob(np.asarray(smeared, dtype=float)))
-
     def _longitudinal_profile(self, energy: float, electromagnetic: bool) -> np.ndarray:
         """Energy fraction deposited per depth layer (simplified shower profile)."""
         depth = self.config.shape[0]

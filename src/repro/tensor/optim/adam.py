@@ -66,7 +66,6 @@ class Adam(Optimizer):
         return m_hat / (np.sqrt(v_hat) + self.eps)
 
     def step(self) -> None:
-        self._step_count += 1
         image = self.flat_image()
         if image is not None:
             image.write(image.data - self.lr * self.direction(image))

@@ -43,7 +43,6 @@ class LARC(Optimizer):
         self.trust_coefficient = float(trust_coefficient)
         self.clip = bool(clip)
         self.eps = float(eps)
-        self._step_count = 0
         self.state = base.state
 
     @property
@@ -63,8 +62,6 @@ class LARC(Optimizer):
         self._names = self.base._names
 
     def step(self) -> None:
-        self._step_count += 1
-        self.base._step_count += 1
         image = self.base.flat_image()
         if image is None:
             return

@@ -34,10 +34,6 @@ class LRScheduler:
         self.optimizer.lr = lr
         return lr
 
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr
-
 
 class ConstantLR(LRScheduler):
     """No decay."""

@@ -53,7 +53,6 @@ class Optimizer:
             raise ValueError("learning rate must be non-negative")
         self.lr = float(lr)
         self.state: Dict[int, Dict[str, np.ndarray]] = {}
-        self._step_count = 0
 
     def add_param_group(self, params: Sequence[Parameter], names: Sequence[str] = None) -> None:
         """Register newly created parameters (dynamic layer growth in online mode)."""
@@ -87,7 +86,3 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    @property
-    def step_count(self) -> int:
-        return self._step_count

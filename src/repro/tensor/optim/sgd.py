@@ -24,7 +24,6 @@ class SGD(Optimizer):
         return image.grad
 
     def step(self) -> None:
-        self._step_count += 1
         for param in self.params:
             if param.grad is None:
                 continue

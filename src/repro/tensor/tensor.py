@@ -448,11 +448,6 @@ class Tensor:
     def view(self, *shape) -> "Tensor":
         return self.reshape(*shape)
 
-    def flatten(self, start_dim: int = 0) -> "Tensor":
-        shape = self.shape
-        new_shape = shape[:start_dim] + (-1,)
-        return self.reshape(*new_shape)
-
     def transpose(self, *axes) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
@@ -470,15 +465,6 @@ class Tensor:
     @property
     def T(self) -> "Tensor":
         return self.transpose()
-
-    def unsqueeze(self, axis: int) -> "Tensor":
-        out = _make(np.expand_dims(self.data, axis), (self,))
-        if out.requires_grad:
-            a = self
-            def _bw(grad):
-                _accumulate(a, np.squeeze(grad, axis=axis))
-            out._backward = _bw
-        return out
 
     def squeeze(self, axis: Optional[int] = None) -> "Tensor":
         out = _make(np.squeeze(self.data, axis=axis), (self,))
@@ -557,19 +543,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape, requires_grad: bool = False, rng=None) -> "Tensor":
-        from repro.common.rng import get_rng
-
-        generator = rng.generator if rng is not None else get_rng().generator
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return Tensor(generator.standard_normal(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def from_numpy(array: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        return Tensor(array, requires_grad=requires_grad)
 
 
 _BASIC_INDEX_TYPES = (int, np.integer, slice, type(Ellipsis), type(None))

@@ -54,16 +54,6 @@ class Sample:
     name: Optional[str] = None
     instance: int = 0
 
-    @property
-    def address_with_instance(self) -> str:
-        """Fully-qualified address including the occurrence counter."""
-        return f"{self.address}#{self.instance}"
-
-    def scalar_value(self) -> float:
-        """Return the value as a float (for 1-element values)."""
-        arr = np.asarray(self.value, dtype=float)
-        return float(arr.reshape(-1)[0])
-
     def to_dict(self, include_distribution: bool = True) -> Dict[str, Any]:
         """Serialise for PPX transfer / on-disk storage."""
         value = self.value

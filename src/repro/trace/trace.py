@@ -56,10 +56,6 @@ class Trace:
         return tuple(s.address for s in self.samples)
 
     @property
-    def addresses_with_instances(self) -> Tuple[str, ...]:
-        return tuple(s.address_with_instance for s in self.samples)
-
-    @property
     def trace_type(self) -> str:
         """A stable identifier of the address sequence (the 'trace type').
 
@@ -115,9 +111,6 @@ class Trace:
             return self[name]
         except KeyError:
             return default
-
-    def samples_at(self, address: str) -> List[Sample]:
-        return [s for s in self.samples if s.address == address]
 
     # ----------------------------------------------------------- serialisation
     def to_dict(self, include_distributions: bool = True) -> Dict[str, Any]:

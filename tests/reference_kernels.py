@@ -14,6 +14,19 @@ step and the flat gradient average; ``tests/test_tensor_optim.py`` and
 distributions' inverse-CDF draws: ``tests/test_distributions_batched.py``
 requires the same values and post-draw generator states, and
 ``benchmarks/test_process_backend.py`` times the batched kernel against it.
+
+Guided execution has one source of proposals in ``src/``, the lockstep
+``BatchedProposalSession``.  What it replaced lives here as its reference:
+the per-trace ``Mixture``/``Categorical`` objects a proposal layer's
+``proposal_batch`` rows stand for (:func:`proposal_distributions`), a
+session that walks one execution step by step on them
+(:class:`SequentialSession`, run by :func:`sequential_trace`), and
+importance sampling under an arbitrary per-draw proposal provider
+(:func:`provider_importance_sampling`).  ``tests/test_ppl_nn.py``,
+``tests/test_batched_inference.py`` and ``tests/test_ppx_end_to_end.py``
+require the engine to match them bit for bit;
+``benchmarks/test_batched_speedup.py`` times proposal emission against the
+per-object path.
 Nothing under ``src/`` imports this module.
 """
 
@@ -25,8 +38,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.distributed import CommunicationStats
+from repro.distributions import Categorical, Distribution, Mixture, Normal, TruncatedNormal
 from repro.distributions.batched import BatchedCategorical, BatchedMixtureOfTruncatedNormals
-from repro.tensor import Tensor, functional as F
+from repro.ppl.empirical import Empirical
+from repro.ppl.inference.batched import TraceJob, _TrackingProposalController, form_log_weights
+from repro.ppl.nn.embeddings import SampleEmbedding
+from repro.ppl.nn.proposals import ProposalCategorical, ProposalLayer
+from repro.ppl.state import ProposalController
+from repro.tensor import Tensor, functional as F, no_grad
 from repro.tensor.tensor import _accumulate, _make
 
 
@@ -172,6 +191,121 @@ def sample_rows_percall(
         out[free] = normals[free]
     batch._invert_truncated(out, components, uniforms)
     return out
+
+
+# ---------------------------------------------------------- guided execution
+def proposal_distributions(
+    layer: ProposalLayer, hidden: Tensor, priors: Sequence[Distribution]
+) -> List[Distribution]:
+    """The per-trace proposal objects ``layer.proposal_batch(hidden, priors)`` stands for.
+
+    Row ``i`` of the batch must sample (value and stream consumption) and
+    score exactly as object ``i``: a ``Mixture`` of ``Normal``, or of
+    ``TruncatedNormal`` built in one ``batch_build`` pass for bounded
+    priors, or a ``Categorical`` with 1 % of a categorical prior mixed in.
+    """
+    if isinstance(layer, ProposalCategorical):
+        probs = F.softmax(layer.network(hidden), axis=-1).data
+        objects: List[Distribution] = []
+        for i, prior in enumerate(priors):
+            row = probs[i]
+            if isinstance(prior, Categorical):
+                row = 0.99 * row + 0.01 * prior.probs
+            objects.append(Categorical(row))
+        return objects
+    means, scales, log_weights, lows, highs, bounded = layer._transformed_parameters(hidden, list(priors))
+    weights = np.exp(log_weights)
+    count = layer.num_components
+    bounded_rows = np.flatnonzero(bounded)
+    truncated = {}
+    if bounded_rows.size:
+        built = TruncatedNormal.batch_build(
+            means[bounded_rows].reshape(-1),
+            scales[bounded_rows].reshape(-1),
+            np.repeat(lows[bounded_rows], count),
+            np.repeat(highs[bounded_rows], count),
+        )
+        for j, row in enumerate(bounded_rows):
+            truncated[int(row)] = built[j * count : (j + 1) * count]
+    return [
+        Mixture(
+            truncated.get(i) or [Normal(means[i, k], scales[i, k]) for k in range(count)],
+            weights[i],
+        )
+        for i in range(len(priors))
+    ]
+
+
+class SequentialSession:
+    """One guided execution walked step by step on per-object proposals.
+
+    :meth:`proposal` is called once per controlled draw, in simulator order:
+    it advances the LSTM at batch size 1 on the value drawn at the previous
+    step and returns the :func:`proposal_distributions` object (``None``,
+    without an LSTM advance, at an address the network has no layers for;
+    the next step then sees a zero previous-sample embedding).
+    """
+
+    def __init__(self, network, observation) -> None:
+        self.network = network
+        with no_grad():
+            self._obs_embed = network.observation_embedding(
+                Tensor(np.asarray(observation, dtype=float)[None, ...])
+            )
+        self._state = None
+        self._prev_address: Optional[str] = None
+        self._prev_prior: Optional[Distribution] = None
+        self.num_proposal_steps = 0
+        self.num_fallbacks = 0
+
+    def proposal(self, address: str, prior: Distribution, previous_value=None) -> Optional[Distribution]:
+        network = self.network
+        self.num_proposal_steps += 1
+        if address not in network.proposal_layers:
+            self.num_fallbacks += 1
+            self._prev_address = self._prev_prior = None
+            return None
+        with no_grad():
+            if previous_value is None or self._prev_address not in network.sample_embeddings:
+                prev_embed = Tensor(np.zeros((1, network.sample_dim)))
+            else:
+                encoded = SampleEmbedding.encode_values(self._prev_prior, np.asarray([previous_value]))
+                prev_embed = network.sample_embeddings[self._prev_address](Tensor(encoded))
+            lstm_input = Tensor.cat(
+                [self._obs_embed, network.address_embeddings[address](1), prev_embed], axis=1
+            )
+            hidden, self._state = network.lstm.step(lstm_input, self._state)
+            (distribution,) = proposal_distributions(network.proposal_layers[address], hidden, [prior])
+        self._prev_address = address
+        self._prev_prior = prior
+        return distribution
+
+
+def sequential_trace(model, job: TraceJob, network):
+    """Run ``job`` on a :class:`SequentialSession`; returns ``(trace, session)``.
+
+    The execution draws every value itself, on the job's own stream: the
+    proposal objects are sampled by the controller, not by the session.
+    """
+    session = SequentialSession(network, job.observation_array)
+    controller = _TrackingProposalController(session.proposal)
+    trace = model.get_trace(controller, observed_values=job.observation, rng=job.stream())
+    return trace, session
+
+
+def provider_importance_sampling(model, observation, num_traces, provider, rng) -> Empirical:
+    """Importance sampling with ``provider(address, instance, prior, state)`` proposals.
+
+    Each trace runs under its own ``ProposalController``, all on ``rng`` in
+    turn, and is weighted by ``form_log_weights`` — the engine's weight
+    formation — so a provider returning the prior reduces to likelihood
+    weighting.
+    """
+    traces = [
+        model.get_trace(ProposalController(provider), observed_values=observation, rng=rng)
+        for _ in range(num_traces)
+    ]
+    return Empirical(traces, form_log_weights(traces, None))
 
 
 # ------------------------------------------------------------------ optimizers

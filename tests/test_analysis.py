@@ -182,6 +182,47 @@ class TestLockDiscipline:
         )
         assert rules_of(findings) == set()
 
+    def test_counter_read_under_lock_is_guarded_by_it(self, tmp_path):
+        # No locked write at all: the locked read in stats() names the guard,
+        # so the one unlocked bump is a lost-update candidate.
+        findings = lint(
+            tmp_path,
+            "repro/serving/mod.py",
+            """
+            import threading
+            class Pool:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.count = 0
+                def run(self):
+                    self.count += 1
+                def stats(self):
+                    with self._lock:
+                        return {"count": self.count}
+            """,
+        )
+        assert "lock-unlocked-write" in rules_of(findings)
+
+    def test_flag_assigned_outside_lock_and_read_under_it_passes(self, tmp_path):
+        # A plain store is one writer's store, not a read-modify-write.
+        findings = lint(
+            tmp_path,
+            "repro/serving/mod.py",
+            """
+            import threading
+            class Pool:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.running = False
+                def start(self):
+                    self.running = True
+                def submit(self):
+                    with self._lock:
+                        return self.running
+            """,
+        )
+        assert rules_of(findings) == set()
+
     def test_mutating_container_call_counts_as_write(self, tmp_path):
         findings = lint(
             tmp_path,
@@ -1087,6 +1128,10 @@ REAL_SITE_MUTATIONS = {
         ("repro/serving/procpool.py",
          "        with self._lock:\n            self._closing = True  # submit refuses from here on",
          "        self._closing = True  # submit refuses from here on"),)),
+    "lock-unlocked-write:CohortWorkerPool.shards_executed": ("lock-unlocked-write", (
+        ("repro/serving/workers.py",
+         "                with self._stats_lock:\n                    self.shards_executed += 1\n",
+         "                self.shards_executed += 1\n"),)),
     "lock-order-inversion:shed-hook": ("lock-order-inversion", (
         ("repro/serving/scheduler.py", _SHED_OUTSIDE_COND, _indented(_SHED_OUTSIDE_COND)),
         ("repro/serving/service.py", _SHED_DOC,

@@ -2,9 +2,10 @@
 
 The load-bearing property: because every trace owns a child random stream
 derived from (master seed, trace index), the posterior is independent of the
-cohort partitioning — ``batch_size=1`` (the sequential ProposalSession
-reference) and any ``batch_size>1`` must produce the same traces up to
-floating-point batching effects.
+cohort partitioning — ``batch_size=1`` (every trace on a one-slot session)
+and any ``batch_size>1`` must produce the same traces up to floating-point
+batching effects.  A one-slot session is in turn bit-identical to the
+step-by-step per-object reference of ``tests/reference_kernels.py``.
 """
 
 import threading
@@ -21,8 +22,16 @@ from repro.ppl.inference import (
     mixed_batched_importance_sampling,
     per_trace_keys,
 )
+from repro.ppl.inference.batched import (
+    TraceJob,
+    new_engine_stats,
+    request_key,
+    resolve_observation_array,
+    run_mixed_cohort,
+)
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
+from tests import reference_kernels as ref
 from tests.conftest import gaussian_posterior
 
 
@@ -227,13 +236,7 @@ class TestFallbackAndPriorModes:
         assert mu.mean == pytest.approx(true_mean, abs=0.08)
         assert mu.stddev == pytest.approx(true_std, abs=0.08)
 
-    def test_trace_callback_and_validation(self, gaussian_model):
-        seen = []
-        batched_importance_sampling(
-            gaussian_model, {"obs": 0.0}, num_traces=7, batch_size=4, network=None,
-            rng=RandomState(6), trace_callback=lambda t, w: seen.append(w),
-        )
-        assert len(seen) == 7
+    def test_validation(self, gaussian_model):
         with pytest.raises(ValueError):
             batched_importance_sampling(gaussian_model, {"obs": 0.0}, num_traces=0)
         with pytest.raises(ValueError):
@@ -349,13 +352,10 @@ class TestBatchedDistributionObjects:
         assert counts == {"mixtures": 0, "truncated_batches": 0}
 
     def test_single_slot_lockstep_group_bit_identical(self, lockstep_engine):
-        # One-job cohorts route through the sequential ProposalSession, so the
-        # engine never runs a one-slot lockstep session; drive one directly to
-        # pin the degenerate single-member address group (which also arises as
-        # a divergence sub-batch inside larger cohorts) against that
-        # sequential reference.
+        # The degenerate single-member address group (a one-job cohort's
+        # every round, and a divergence sub-batch inside larger cohorts)
+        # against the step-by-step per-object reference.
         from repro.distributions import Uniform
-        from repro.ppl.inference.batched import resolve_observation_array
 
         _, engine = lockstep_engine
         network = engine.network
@@ -363,13 +363,56 @@ class TestBatchedDistributionObjects:
         address = next(iter(network.address_specs))
         prior = Uniform(-2.0, 2.0)
         lockstep_session = network.batched_session([observation_array], [RandomState(5)])
-        sequential_session = network.inference_session(observation_array)
+        sequential_session = ref.SequentialSession(network, observation_array)
         proposal_b = lockstep_session.proposals([(0, address, prior, None)])[0]
         proposal_s = sequential_session.proposal(address, prior, None)
-        value_b = proposal_b.sample(RandomState(5))
         value_s = proposal_s.sample(RandomState(5))
-        assert float(value_b) == float(value_s)
-        assert float(proposal_b.log_prob(value_b)) == float(proposal_s.log_prob(value_s))
+        assert float(proposal_b.value) == float(value_s)
+        assert float(proposal_b.log_q) == float(proposal_s.log_prob(value_s))
+
+
+class TestOneSlotCohorts:
+    """One-job cohorts run on a one-slot lockstep session, on the calling
+    thread: one round per controlled draw, and traces bit-identical to the
+    step-by-step per-object reference."""
+
+    @pytest.mark.parametrize("case", ["lockstep", "loopy"])
+    def test_one_job_cohorts_count_rounds_and_match_the_reference(
+        self, lockstep_engine, loopy_engine, case
+    ):
+        model, engine = {"lockstep": lockstep_engine, "loopy": loopy_engine}[case]
+        observation = OBSERVATION if case == "lockstep" else {"obs": 1.2}
+        network = engine.network
+        jobs = TraceJob.for_request(
+            0, observation, resolve_observation_array(network, observation), 6,
+            request_key(RandomState(17)),
+        )
+        for job in jobs:
+            stats = new_engine_stats()
+            (trace,) = run_mixed_cohort(model, [job], network, stats)
+            reference, session = ref.sequential_trace(model, job, network)
+            assert stats["num_rounds"] == stats["num_batched_steps"] == trace.length
+            assert stats["num_proposal_steps"] == session.num_proposal_steps == trace.length
+            assert stats["num_slot_threads_started"] == 0
+            assert stats["num_observation_embeddings"] == 1
+            assert trace.addresses == reference.addresses
+            assert [s.value for s in trace.samples] == [s.value for s in reference.samples]
+            assert trace.log_q == reference.log_q
+            assert trace.log_joint == reference.log_joint
+
+    def test_batch_size_one_posterior_is_the_reference_posterior(self, loopy_engine):
+        model, engine = loopy_engine
+        network = engine.network
+        posterior = batched_importance_sampling(
+            model, {"obs": 1.2}, num_traces=8, batch_size=1, network=network, rng=RandomState(9)
+        )
+        jobs = TraceJob.for_request(
+            0, {"obs": 1.2}, resolve_observation_array(network, {"obs": 1.2}), 8,
+            request_key(RandomState(9)),
+        )
+        references = [ref.sequential_trace(model, job, network)[0] for job in jobs]
+        assert posterior.log_weights.tolist() == [t.log_joint - t.log_q for t in references]
+        assert posterior.engine_stats["num_rounds"] == sum(t.length for t in references)
 
 
 class TestMixedObservationEngine:
@@ -429,16 +472,6 @@ class TestMixedObservationEngine:
                 gaussian_model, [({"obs": 0.0}, 4, None)], batch_size=0
             )
 
-    def test_posterior_many_wiring(self, lockstep_engine):
-        model, engine = lockstep_engine
-        many = engine.posterior_many(
-            model,
-            [(OBSERVATION, 8, RandomState(51)), (self.OBSERVATION_B, 8, RandomState(52))],
-            batch_size=16,
-        )
-        direct = engine.posterior(model, OBSERVATION, num_traces=8, rng=RandomState(51))
-        assert many[0].extract("a").mean == pytest.approx(direct.extract("a").mean, abs=1e-9)
-
 
 class TestInferenceCompilationWiring:
     def test_posterior_runs_through_batched_engine(self, lockstep_engine):
@@ -492,8 +525,8 @@ class TestOneCohortEngine:
             "posterior": lambda: engine.posterior(
                 model, OBSERVATION, num_traces=8, batch_size=4, rng=RandomState(1)
             ),
-            "posterior_many": lambda: engine.posterior_many(
-                model, [(OBSERVATION, 8, RandomState(1))], batch_size=4
+            "mixed_batched_importance_sampling": lambda: mixed_batched_importance_sampling(
+                model, [(OBSERVATION, 8, RandomState(1))], batch_size=4, network=engine.network
             ),
         }
         for name, run in entry_points.items():

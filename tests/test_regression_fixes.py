@@ -3,9 +3,10 @@ information-flow alignment, and Empirical.mode aggregation.
 
 Each test here fails against the pre-fix code:
 
-1. the proposal branch of ``importance_sampling`` used the controller's
+1. the proposal branch of importance sampling used the controller's
    controlled-draws-only ``log_q`` while ``log_joint`` includes uncontrolled
-   draws' prior terms, so the terms failed to cancel;
+   draws' prior terms, so the terms failed to cancel (pinned now on the
+   guided lockstep engine);
 2. ``InferenceNetwork._sub_minibatch_loss`` carried a stale previous-sample
    embedding across a skipped (frozen/discarded) address, while the inference
    sessions reset it to zeros after a prior fallback;
@@ -22,8 +23,10 @@ from repro.distributions import Normal
 from repro.ppl import FunctionModel
 from repro.ppl.empirical import Empirical
 from repro.ppl.inference import batched_importance_sampling, run_importance_sampling
+from repro.ppl.inference.batched import resolve_observation_array
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 from repro.ppl.nn.inference_network import InferenceNetwork
+from tests import reference_kernels as ref
 
 
 def uncontrolled_program():
@@ -35,22 +38,34 @@ def uncontrolled_program():
 
 
 class TestUncontrolledDrawWeightAccounting:
-    """Fix 1: both IS branches use ExecutionState-level log_q accounting."""
+    """Fix 1: guided and prior IS use ExecutionState-level log_q accounting."""
 
-    def test_proposal_branch_cancels_uncontrolled_prior_terms(self):
+    def test_guided_branch_cancels_uncontrolled_prior_terms(self, small_config):
         model = FunctionModel(uncontrolled_program, name="uncontrolled")
-
-        def prior_as_proposal(address, instance, prior, state):
-            return prior
-
-        posterior = run_importance_sampling(
-            model, {"obs": 0.3}, num_traces=40, proposal_provider=prior_as_proposal, rng=RandomState(0)
+        network = InferenceNetwork(
+            observation_embedding=ObservationEmbeddingFC(
+                input_dim=1, embedding_dim=small_config.observation_embedding_dim
+            ),
+            config=small_config,
+            observe_key="obs",
+            rng=RandomState(0),
         )
-        # Sampling from the prior through the *proposal* branch must reduce to
-        # likelihood weighting: every prior term — including the uncontrolled
-        # noise draw's — cancels.
+        network.polymorph(model.prior_traces(2, rng=RandomState(1)))
+        observation = {"obs": 0.3}
+        posterior = batched_importance_sampling(
+            model, observation, num_traces=16, batch_size=8, network=network, rng=RandomState(0)
+        )
+        observation_array = resolve_observation_array(network, observation)
         for trace, log_weight in zip(posterior.values, posterior.log_weights):
-            assert log_weight == pytest.approx(trace.log_likelihood, abs=1e-10)
+            # The weight keeps mu's prior and proposal terms and the
+            # likelihood; the uncontrolled noise draw's prior term cancels.
+            mu = trace.samples[0]
+            proposal = ref.SequentialSession(network, observation_array).proposal(
+                mu.address, mu.distribution
+            )
+            expected = trace.log_likelihood + mu.log_prob - float(proposal.log_prob(mu.value))
+            assert trace.samples[1].name == "noise" and not trace.samples[1].controlled
+            assert log_weight == pytest.approx(expected, abs=1e-10)
 
     def test_prior_branch_matches_likelihood_weighting(self):
         model = FunctionModel(uncontrolled_program, name="uncontrolled")
@@ -66,9 +81,11 @@ class TestUncontrolledDrawWeightAccounting:
         for trace, log_weight in zip(posterior.values, posterior.log_weights):
             assert log_weight == pytest.approx(trace.log_likelihood, abs=1e-10)
 
-    def test_model_without_log_q_is_reconstructed_not_silently_wrong(self):
-        # A Model subclass that forgets to record trace.log_q must not fall
-        # back to prior-only accounting under a proposal provider.
+    def test_prior_engine_weights_a_model_without_log_q_by_its_likelihood(self):
+        # A Model subclass that forgets to record trace.log_q: prior draws
+        # have log_q == log_prior, so the prior engine's weight stays exact
+        # (a guided run refuses such a model instead; see
+        # test_batched_inference.py::test_guided_run_requires_trace_log_q).
         class NoLogQModel(FunctionModel):
             def get_trace(self, controller=None, observed_values=None, rng=None):
                 trace = super().get_trace(controller, observed_values=observed_values, rng=rng)
@@ -76,28 +93,16 @@ class TestUncontrolledDrawWeightAccounting:
                 return trace
 
         model = NoLogQModel(uncontrolled_program, name="no_log_q")
-
-        def off_prior_proposal(address, instance, prior, state):
-            return Normal(0.5, 1.3)
-
-        posterior = run_importance_sampling(
-            model, {"obs": 0.3}, num_traces=10,
-            proposal_provider=off_prior_proposal, rng=RandomState(6),
-        )
+        posterior = run_importance_sampling(model, {"obs": 0.3}, num_traces=10, rng=RandomState(6))
         for trace, log_weight in zip(posterior.values, posterior.log_weights):
-            mu = trace["mu"]
-            expected = (
-                trace.log_joint
-                - float(Normal(0.5, 1.3).log_prob(mu))
-                - float(Normal(0.0, 0.7).log_prob(trace["noise"]))
-            )
-            assert log_weight == pytest.approx(expected, abs=1e-10)
+            assert not hasattr(trace, "log_q")
+            assert log_weight == pytest.approx(trace.log_likelihood, abs=1e-10)
 
 
 class TestDiscardedAddressEmbeddingAlignment:
     """Fix 2: the training loss resets prev_embed across skipped addresses."""
 
-    def test_loss_matches_inference_session_across_discarded_address(self, small_config):
+    def test_loss_matches_the_reference_session_across_discarded_address(self, small_config):
         network = InferenceNetwork(
             observation_embedding=ObservationEmbeddingFC(
                 input_dim=2, embedding_dim=small_config.observation_embedding_dim
@@ -124,10 +129,10 @@ class TestDiscardedAddressEmbeddingAlignment:
         trace = model.get_trace(rng=RandomState(1))
         loss = network.loss([trace])
 
-        # Reference: replay the same values through the inference-time session,
+        # Reference: replay the same values through the step-by-step session,
         # whose fallback at addr_2 resets the previous-sample embedding.
         values = [s.value for s in trace.samples]
-        session = network.inference_session(np.asarray(trace.observation["obs"], dtype=float))
+        session = ref.SequentialSession(network, np.asarray(trace.observation["obs"], dtype=float))
         d1 = session.proposal("addr_1", trace.samples[0].distribution, None)
         assert session.proposal("addr_2", trace.samples[1].distribution, values[0]) is None
         d3 = session.proposal("addr_3", trace.samples[2].distribution, values[1])

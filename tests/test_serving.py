@@ -417,7 +417,7 @@ class TestFrozenPosterior:
             network=engine.network, rng=RandomState(21),
         )
         frozen = posterior.freeze()
-        assert sorted(frozen.latent_names) == ["a", "b", "c"]
+        assert sorted(frozen._marginals) == ["a", "b", "c"]
         for latent in ("a", "b", "c"):
             assert frozen.extract(latent).mean == pytest.approx(posterior.extract(latent).mean)
             assert frozen.extract(latent).stddev == pytest.approx(
@@ -440,12 +440,12 @@ class TestFrozenPosterior:
         frozen = posterior.freeze(latents=["a"])
         clone = pickle.loads(pickle.dumps(frozen))
         assert clone.extract("a").mean == pytest.approx(frozen.extract("a").mean)
-        assert clone.latent_names == ["a"]
+        assert list(clone._marginals) == ["a"]
 
     def test_freeze_non_trace_empirical(self):
         emp = Empirical([1.0, 2.0, 3.0], [0.0, -1.0, -2.0], name="scalars")
         frozen = emp.freeze()
-        assert frozen.latent_names == ["value"]
+        assert list(frozen._marginals) == ["value"]
         assert frozen.extract("value").mean == pytest.approx(emp.mean)
 
 

@@ -36,10 +36,6 @@ class TestChannels:
         for channel in DECAY_CHANNELS:
             assert any(not p.visible for p in channel.products)
 
-    def test_visible_and_invisible_partition(self):
-        for channel in DECAY_CHANNELS:
-            assert len(channel.visible_products) + len(channel.invisible_products) == channel.num_products
-
     def test_channel_names_and_mass(self):
         assert len(channel_names()) == len(DECAY_CHANNELS)
         assert TAU_MASS == pytest.approx(1.777, abs=1e-3)
@@ -83,15 +79,6 @@ class TestDetector:
         em = detector.deposit([Deposit(5.0, 0.0, 0.0, is_electromagnetic=True)])
         had = detector.deposit([Deposit(5.0, 0.0, 0.0, is_electromagnetic=False)])
         assert np.argmax(em.sum(axis=(1, 2))) <= np.argmax(had.sum(axis=(1, 2)))
-
-    def test_impact_smearing_and_log_prob(self):
-        detector = Detector3D()
-        impact = [0.5, -0.5, 1.0]
-        smeared = detector.smear_impact(impact, RandomState(1))
-        assert smeared.shape == (3,)
-        scalar = detector.impact_log_prob(impact, smeared)
-        general = Detector3D(use_scalar_mvn=False).impact_log_prob(impact, smeared)
-        assert scalar == pytest.approx(general, rel=1e-10)
 
     def test_paper_size_configuration(self):
         assert DetectorConfig.paper_size().shape == (20, 35, 35)

@@ -228,7 +228,7 @@ class TestFusedMixtureLogProb:
             fused = F.truncated_normal_mixture_log_prob(
                 *raw, values.reshape(-1, 1), prior_geometry(priors)
             )
-            emitted = layer.proposal_distributions(hidden, priors)
+            emitted = ref.proposal_distributions(layer, hidden, priors)
         assert fused.shape == (4,)
         expected = [float(d.log_prob(v)) for d, v in zip(emitted, values)]
         np.testing.assert_allclose(fused.data, expected, rtol=1e-9)

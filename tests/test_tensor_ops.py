@@ -31,8 +31,6 @@ class TestTensorBasics:
     def test_factories(self):
         assert Tensor.zeros(2, 3).shape == (2, 3)
         assert Tensor.ones((4,)).data.sum() == 4
-        assert Tensor.randn(5, 2).shape == (5, 2)
-        assert Tensor.from_numpy(np.eye(2)).shape == (2, 2)
 
     def test_comparisons_return_boolean_tensors(self):
         t = Tensor([1.0, 2.0, 3.0])
@@ -53,9 +51,8 @@ class TestTensorBasics:
         with pytest.raises(TypeError):
             Tensor([1.0]) ** Tensor([2.0])
 
-    def test_flatten_and_view(self):
+    def test_reshape_and_view(self):
         t = Tensor(np.arange(12.0).reshape(3, 4))
-        assert t.flatten(1).shape == (3, 4)
         assert t.reshape(2, 6).shape == (2, 6)
         assert t.view(12).shape == (12,)
         assert t.T.shape == (4, 3)

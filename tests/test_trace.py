@@ -28,13 +28,6 @@ def build_trace(values=(0.3, 1), observation=None):
 
 
 class TestSample:
-    def test_address_with_instance(self):
-        sample = Sample("a", Normal(0, 1), 0.5, instance=3)
-        assert sample.address_with_instance == "a#3"
-
-    def test_scalar_value(self):
-        assert Sample("a", None, np.array([2.5])).scalar_value() == pytest.approx(2.5)
-
     def test_dict_roundtrip_with_distribution(self):
         sample = Sample("a", Normal(1.0, 2.0), 0.5, log_prob=-1.2, name="x")
         rebuilt = Sample.from_dict(sample.to_dict())
@@ -76,10 +69,8 @@ class TestTrace:
         for value in (0.1, 0.2, 0.3):
             trace.add_sample(Sample("loop", Uniform(0, 1), value, name="f"))
         assert [s.instance for s in trace.samples] == [0, 1, 2]
-        assert trace.addresses_with_instances == ("loop#0", "loop#1", "loop#2")
         # Named access returns the last (accepted) value.
         assert trace["f"] == pytest.approx(0.3)
-        assert len(trace.samples_at("loop")) == 3
 
     def test_trace_type_depends_only_on_addresses(self):
         a = build_trace(values=(0.3, 1))
