@@ -31,7 +31,6 @@ def _one_run(seed, dataset):
         dataset,
         num_ranks=2,
         local_minibatch_size=8,
-        optimizer="adam",
         larc=True,
         lr_schedule="poly2",
         total_iterations_hint=ITERATIONS,

@@ -28,7 +28,6 @@ def test_fig7_training_and_validation_loss(benchmark, tau_dataset):
         tau_dataset,
         num_ranks=2,
         local_minibatch_size=8,
-        optimizer="adam",
         larc=True,
         lr_schedule="poly2",
         total_iterations_hint=ITERATIONS,

@@ -65,10 +65,9 @@ def main() -> None:
         trainer = DistributedTrainer(
             network, dataset,
             num_ranks=num_ranks, local_minibatch_size=8,
-            optimizer="adam", larc=True,
+            larc=True,
             lr_schedule="poly2", total_iterations_hint=iterations,
             learning_rate=3e-3, end_learning_rate=1e-4,
-            allreduce_strategy="fused_sparse",
             validation_fraction=0.15, seed=7,
         )
         print(f"\ntraining on {num_ranks} ranks in forked rank processes "

@@ -3,7 +3,6 @@
 from repro.common.utils import shard_jobs
 from repro.distributed.allreduce import (
     CommunicationStats,
-    average_gradients,
     dense_allreduce,
     fused_sparse_allreduce,
     sparse_allreduce,
@@ -25,7 +24,6 @@ from repro.distributed.load_balance import SchemeEvaluation, compare_schemes, ev
 
 __all__ = [
     "CommunicationStats",
-    "average_gradients",
     "dense_allreduce",
     "sparse_allreduce",
     "fused_sparse_allreduce",

@@ -23,7 +23,8 @@ image with the mask of tensors that come out with a gradient: every tensor for
 and ``fused_sparse``.  The values are identical; the strategies differ only in
 the :class:`CommunicationStats` they produce (number of collective calls,
 elements moved, and modelled wall-clock time under a latency/bandwidth model),
-which is what the ablation benchmark compares.
+which is what the ablation benchmark compares.  Training uses
+``fused_sparse``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CommunicationStats", "dense_allreduce", "sparse_allreduce", "fused_sparse_allreduce", "average_gradients"]
+__all__ = ["CommunicationStats", "dense_allreduce", "sparse_allreduce", "fused_sparse_allreduce"]
 
 #: bytes per element (single precision on the wire, as in the paper's training)
 _BYTES_PER_ELEMENT = 4
@@ -139,19 +140,3 @@ def fused_sparse_allreduce(
         stats.add_call(bucket)
     return _mean_of_rows(gradients), union
 
-
-def average_gradients(
-    gradients: np.ndarray,
-    present: np.ndarray,
-    sizes: Sequence[int],
-    strategy: str = "fused_sparse",
-    stats: Optional[CommunicationStats] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dispatch to the requested allreduce strategy."""
-    if strategy == "dense":
-        return dense_allreduce(gradients, present, sizes, stats)
-    if strategy == "sparse":
-        return sparse_allreduce(gradients, present, sizes, stats)
-    if strategy == "fused_sparse":
-        return fused_sparse_allreduce(gradients, present, sizes, stats=stats)
-    raise ValueError(f"unknown allreduce strategy {strategy!r}")

@@ -24,7 +24,7 @@ its read and compute seconds, parameters reach the ranks through one flat
 shared float64 buffer rewritten after each ``optimizer.step()``, and gradients
 come back as one row per rank of a flat shared ``(ranks, elements)`` image with
 a per-tensor presence mask.  The serial tail the other ranks wait for is two
-passes over flat images: ``average_gradients`` sums the rows in rank order
+passes over flat images: ``fused_sparse_allreduce`` sums the rows in rank order
 once, and the optimizer steps once over the parameters' flat image.  Each
 rank's gradients are a function of the parameters and its index list only,
 and the reduction always sees the ranks in rank order, so seeded loss curves
@@ -54,7 +54,7 @@ from repro.data.batching import effective_minibatch_size
 from repro.data.packing import PackedSubMinibatch, pack_minibatch
 from repro.data.sampler import DistributedTraceSampler
 from repro.data.sorting import sorted_indices_by_trace_type
-from repro.distributed.allreduce import CommunicationStats, average_gradients
+from repro.distributed.allreduce import CommunicationStats, fused_sparse_allreduce
 from repro.ppl.nn.inference_network import InferenceNetwork
 from repro.ppl.nn.preprocessing import pregenerate_layers
 from repro.tensor import no_grad, optim
@@ -173,11 +173,11 @@ class _RankExchange:
             self.present[rank, index] = param.grad is not None
             row[span] = 0.0 if param.grad is None else param.grad.reshape(-1)
 
-    def average(self, strategy: str, stats: CommunicationStats) -> None:
+    def average(self, stats: CommunicationStats) -> None:
         """Parent: average the ranks' images in one pass and hand each
-        parameter its span of the result (``None`` where the strategy leaves it
-        without a gradient)."""
-        averaged, has_gradient = average_gradients(self.gradients, self.present, self.sizes, strategy, stats)
+        parameter its span of the result (``None`` where no rank has a
+        gradient for it)."""
+        averaged, has_gradient = fused_sparse_allreduce(self.gradients, self.present, self.sizes, stats=stats)
         for (param, span), present in zip(self._slots, has_gradient):
             param.grad = averaged[span].reshape(param.data.shape) if present else None
 
@@ -234,18 +234,17 @@ class _RankWorker:
             self.process.join()
 
 
-_OPTIMIZERS = {"adam": optim.Adam, "sgd": optim.SGD}
-#: lr_schedule name -> polynomial decay power (``None``/``"none"``: constant)
+#: lr_schedule name -> polynomial decay power (``None``: constant)
 _LR_DECAY_POWERS = {"poly1": 1.0, "poly2": 2.0}
 
 
 class TrainingLoop:
     """Algorithm 2's update step, shared by every trainer in the repository.
 
-    Construction validates the optimizer and schedule names before any side
-    effect, then (offline: ``dataset`` given) pre-generates the dataset's
-    address-specific layers and freezes the architecture, then builds the
-    optimizer and learning-rate schedule.  :attr:`phase_timer` gets one record
+    Construction validates the schedule name before any side effect, then
+    (offline: ``dataset`` given) pre-generates the dataset's address-specific
+    layers and freezes the architecture, then builds the optimizer (Adam,
+    LARC-wrapped with ``larc=True``) and learning-rate schedule.  :attr:`phase_timer` gets one record
     per step, measured in the calling process so the phases add up to the
     step's wall clock: ``batch_read`` and ``forward_backward`` of its own
     ranks, ``sync`` — the wait for the other rank processes at the join plus
@@ -256,31 +255,26 @@ class TrainingLoop:
         self,
         network: InferenceNetwork,
         dataset=None,
-        optimizer: str = "adam",
         learning_rate: float = 1e-3,
         larc: bool = False,
         lr_schedule: Optional[str] = None,
         end_learning_rate: float = 1e-5,
         total_steps: int = 1,
         num_ranks: int = 1,
-        allreduce_strategy: str = "fused_sparse",
     ) -> None:
-        if optimizer not in _OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {optimizer!r}")
-        if lr_schedule not in (None, "none", *_LR_DECAY_POWERS):
+        if lr_schedule is not None and lr_schedule not in _LR_DECAY_POWERS:
             raise ValueError(f"unknown lr_schedule {lr_schedule!r}")
         if dataset is not None:
             pregenerate_layers(network, dataset, freeze=True)
         self.network = network
         self.num_ranks = num_ranks
-        self.allreduce_strategy = allreduce_strategy
         self.phase_timer = PhaseTimer()
         # Gradients are exchanged by name, so more than one rank needs the
         # parameter set fixed here — which the offline freeze guarantees.
         self._parameters = dict(network.named_parameters())
-        base = _OPTIMIZERS[optimizer](list(self._parameters.items()), lr=learning_rate)
+        base = optim.Adam(list(self._parameters.items()), lr=learning_rate)
         self.optimizer = optim.LARC(base) if larc else base
-        if lr_schedule in _LR_DECAY_POWERS:
+        if lr_schedule is not None:
             self.scheduler = optim.PolynomialDecayLR(
                 self.optimizer, total_steps, end_learning_rate, _LR_DECAY_POWERS[lr_schedule]
             )
@@ -336,7 +330,7 @@ class TrainingLoop:
                 averaging = time.perf_counter()
                 stats = CommunicationStats()
                 if exchange is not None:
-                    exchange.average(self.allreduce_strategy, stats)
+                    exchange.average(stats)
                 reduced = time.perf_counter()
 
                 self.optimizer.step()
@@ -418,13 +412,11 @@ class DistributedTrainer:
         dataset,
         num_ranks: int = 2,
         local_minibatch_size: int = 8,
-        optimizer: str = "adam",
         learning_rate: float = 1e-3,
         larc: bool = False,
         lr_schedule: Optional[str] = None,
         end_learning_rate: float = 1e-5,
         total_iterations_hint: Optional[int] = None,
-        allreduce_strategy: str = "fused_sparse",
         validation_fraction: float = 0.1,
         seed: int = 0,
         rng: Optional[RandomState] = None,
@@ -461,10 +453,9 @@ class DistributedTrainer:
         # Offline mode: the loop pre-generates every address-specific layer
         # and freezes the network before building the optimizer.
         self._loop = TrainingLoop(
-            network, dataset, optimizer, learning_rate, larc, lr_schedule, end_learning_rate,
+            network, dataset, learning_rate, larc, lr_schedule, end_learning_rate,
             total_steps=total_iterations_hint or max(1, len(self.sampler)),
             num_ranks=num_ranks,
-            allreduce_strategy=allreduce_strategy,
         )
         self.phase_timer = self._loop.phase_timer
         self.report = TrainingReport(

@@ -328,10 +328,9 @@ class _TrackingProposalController(ProposalController):
     The previous-sample embedding must be fed the value of the most recent
     controlled draw — training steps the LSTM over controlled draws only, so
     an uncontrolled (``control=False``) value would be encoded under the
-    wrong prior.  Recording it here (every controlled draw passes through
-    :meth:`choose`) works for local models *and* for :class:`RemoteModel`,
-    whose guided executions have no local ``ExecutionState`` to read a trace
-    from.
+    wrong prior.  Every controlled draw, and no other, passes through
+    :meth:`choose`, so the controller keeps that one value itself instead of
+    searching the execution's trace, which records uncontrolled draws too.
 
     ``request(address, prior, previous_value)`` returns the session's answer:
     a :class:`repro.ppl.nn.inference_network.DrawnProposal` stub (value
@@ -345,7 +344,7 @@ class _TrackingProposalController(ProposalController):
         self._request = request
         self.previous_controlled_value: Any = None
 
-    def _provide(self, address, instance, prior, state):
+    def _provide(self, address, instance, prior):
         return self._request(address, prior, self.previous_controlled_value)
 
     def choose(self, address, instance, distribution, name, rng):

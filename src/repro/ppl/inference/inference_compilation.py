@@ -80,7 +80,6 @@ class InferenceCompilation:
         num_traces: int = 1000,
         minibatch_size: int = 16,
         dataset: Optional[Sequence[Trace]] = None,
-        optimizer: str = "adam",
         learning_rate: float = 1e-3,
         larc: bool = False,
         lr_schedule: Optional[str] = None,
@@ -116,7 +115,7 @@ class InferenceCompilation:
         traces = list(dataset) if offline else None
         num_iterations = max(1, num_traces // minibatch_size)
         loop = TrainingLoop(
-            self.network, traces, optimizer, learning_rate, larc, lr_schedule, end_learning_rate,
+            self.network, traces, learning_rate, larc, lr_schedule, end_learning_rate,
             total_steps=num_iterations,
         )
         observe_key = self.network.observe_key

@@ -9,16 +9,17 @@ deployment shapes are supported, exactly as in the paper:
   process (our stand-in for Sherpa), controlled over the PPX protocol; the
   PPL never imports or modifies the simulator.
 
-Both produce :class:`repro.trace.Trace` objects through the same controller
-interface, so every inference engine works with either.
+Both run under one :class:`repro.ppl.state.ExecutionState` per execution, so a
+simulator's ``sample`` and ``observe`` calls become the PPL's own statements:
+the same controllers decide the draws, observe statements are conditioned by
+name, and :meth:`Model.get_trace` returns the same trace for either.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.common.rng import RandomState, get_rng
-from repro.distributions import distribution_from_dict, log_prob_total
 from repro.ppl.state import (
     Controller,
     ExecutionState,
@@ -61,15 +62,18 @@ class Model:
             rng=rng or get_rng(),
             observed_values=observed_values,
         )
+        trace = state.finalize(result=self._execute(state))
+        trace.log_q = state.log_q  # type: ignore[attr-defined]
+        return trace
+
+    def _execute(self, state: ExecutionState) -> Any:
+        """Run the program once, recording into ``state``; returns its result."""
         push_state(state)
         try:
             __ppl_model_entry__ = True  # noqa: F841 - stack marker for address building
-            result = self.forward()
+            return self.forward()
         finally:
             pop_state()
-        trace = state.finalize(result=result)
-        trace.log_q = state.log_q  # type: ignore[attr-defined]
-        return trace
 
     def prior_trace(self, rng: Optional[RandomState] = None) -> Trace:
         """One forward execution with all latents drawn from the prior."""
@@ -126,51 +130,16 @@ class FunctionModel(Model):
         return self.fn(*self.args, **self.kwargs)
 
 
-class _RemoteSamplePolicy:
-    """Answers the sample requests of one remote trace through a controller.
-
-    Every draw advances the per-address instance counter (the trace records
-    all of them), but uncontrolled (``control=False``) draws never reach the
-    controller — mirror the local :class:`ExecutionState`: draw from the prior
-    and accumulate its density into ``log_q`` so the matching prior term in
-    ``log_joint`` cancels out of importance weights.  Either way the prior is
-    scored once: ``last_log_prior`` hands the number to
-    :meth:`SimulatorController.run_trace` for the trace record.
-    """
-
-    def __init__(self, controller: Controller, rng: RandomState) -> None:
-        self.controller = controller
-        self.rng = rng
-        self.counts: Dict[str, int] = {}
-        self.log_q = 0.0
-        self.last_log_prior: Optional[float] = None
-
-    def __call__(self, address, distribution, request):
-        instance = self.counts.get(address, 0)
-        self.counts[address] = instance + 1
-        if getattr(request, "control", True):
-            value, log_q = self.controller.choose(address, instance, distribution, request.name, self.rng)
-            self.last_log_prior = self.controller.last_log_prior
-        else:
-            value = distribution.sample(self.rng)
-            log_q = self.last_log_prior = log_prob_total(distribution, value)
-        self.log_q += log_q
-        return value
-
-
 class RemoteModel(Model):
     """A model implemented by an external simulator controlled over PPX.
 
     The remote simulator calls ``client.sample`` / ``client.observe`` on its
-    side of the protocol; this class translates the controller interface used
-    by the inference engines into PPX message exchanges.
-
-    Notes
-    -----
-    The observation override works differently from local models: remote
-    simulators report the value they generated at each observe statement, and
-    the controller swaps in the conditioned value (keyed by observe ``name``)
-    when scoring the likelihood.
+    side of the protocol.  Each execution runs under an
+    :class:`~repro.ppl.state.ExecutionState`, exactly as a local program does:
+    the controller decides every controlled draw, and an observe statement is
+    conditioned on ``observed_values[name]`` (its address when unnamed) — any
+    number of them — while an unconditioned one is scored at the value the
+    simulator reported.
     """
 
     def __init__(
@@ -187,38 +156,8 @@ class RemoteModel(Model):
     def forward(self) -> Any:  # pragma: no cover - remote models never run locally
         raise RuntimeError("RemoteModel executes in the simulator process, not locally")
 
-    def get_trace(
-        self,
-        controller: Optional[Controller] = None,
-        observed_values: Optional[Dict[str, Any]] = None,
-        rng: Optional[RandomState] = None,
-    ) -> Trace:
-        observed_values = observed_values or {}
-        sample_policy = _RemoteSamplePolicy(controller or PriorController(), rng or get_rng())
-        # Figure out the likelihood override: a single observed value applies
-        # to the simulator's (single) observe statement; a dict is keyed by name.
-        observe_override = None
-        if observed_values:
-            if len(observed_values) == 1:
-                observe_override = next(iter(observed_values.values()))
-            else:
-                raise NotImplementedError(
-                    "RemoteModel currently supports conditioning on a single observe statement"
-                )
-        trace = self.controller.run_trace(
-            sample_policy=sample_policy,
-            observation=None,
-            observe_override=observe_override,
-            timeout=self.run_timeout,
-        )
-        # Normalise trace.observation to the same dict form local models use.
-        observation: Dict[str, Any] = {}
-        for sample_record in trace.observes:
-            key = sample_record.name if sample_record.name is not None else sample_record.address
-            observation[key] = sample_record.value
-        trace.observation = observation
-        trace.log_q = sample_policy.log_q  # type: ignore[attr-defined]
-        return trace
+    def _execute(self, state: ExecutionState) -> Any:
+        return self.controller.run_trace(state, timeout=self.run_timeout)
 
     def shutdown(self) -> None:
         """Terminate the remote simulator."""

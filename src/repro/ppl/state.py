@@ -1,11 +1,17 @@
 """Execution state: the machinery behind ``sample`` and ``observe``.
 
-A probabilistic program (a Python generative function, or a remote simulator
-speaking PPX) calls :func:`sample` at every random-number draw and
-:func:`observe` at every conditioning point.  While a model executes under
-:class:`ExecutionState`, those calls are routed to a *controller* that decides
-the value of each draw.  Different inference engines plug in different
-controllers:
+:class:`ExecutionState` is the one record of an execution.  A local program (a
+Python generative function) reaches it through :func:`sample` at every
+random-number draw and :func:`observe` at every conditioning point; a remote
+simulator speaking PPX reaches it through
+:meth:`repro.ppx.server.SimulatorController.run_trace`, which answers each
+``SampleRequest`` with :meth:`ExecutionState.do_sample` and records each
+``ObserveRequest`` with :meth:`ExecutionState.do_observe`.  Either way the
+state names each draw's address and instance, conditions observe statements
+by name, sums the proposal and prior log-densities, and freezes the trace.
+
+The value of each controlled draw is decided by a *controller*; different
+inference engines plug in different controllers:
 
 * :class:`PriorController` — draw from the prior (forward simulation /
   training-data generation),
@@ -16,7 +22,7 @@ controllers:
 
 Every controller also reports the log-density of its choice under the
 distribution it actually sampled from, so that importance weights and MH
-acceptance ratios can be formed exactly.
+acceptance ratios can be formed exactly.  The state keeps the only tallies.
 """
 
 from __future__ import annotations
@@ -93,11 +99,6 @@ class ReplayController(Controller):
         self.base_values = base_values
         self.resample_key = resample_key
         self.resample_value = resample_value
-        #: log prior density of values drawn fresh (not reused, not the resample site)
-        self.fresh_log_prob = 0.0
-        #: keys of the base trace that were reused in this execution
-        self.reused_keys: List[Tuple[str, int]] = []
-        self.fresh_keys: List[Tuple[str, int]] = []
 
     def choose(self, address, instance, distribution, name, rng):
         key = (address, instance)
@@ -111,22 +112,19 @@ class ReplayController(Controller):
             # A reused value can become impossible under the new path's prior
             # (e.g. changed support); treat that as a fresh prior draw instead.
             if np.isfinite(log_q):
-                self.reused_keys.append(key)
                 return value, log_q
         value = distribution.sample(rng)
         log_q = self.last_log_prior = log_prob_total(distribution, value)
-        self.fresh_log_prob += log_q
-        self.fresh_keys.append(key)
         return value, log_q
 
 
 class ProposalController(Controller):
     """Draw from per-address proposals q(x|y).
 
-    ``provider(address, instance, prior, state)`` returns either a proposal
-    or ``None`` to fall back to the prior.  The accumulated ``log_q``
-    (proposal) and ``log_prior`` terms give the importance weight
-    ``log p(x,y) - log q(x|y)`` when combined with the trace's likelihood.
+    ``provider(address, instance, prior)`` returns either a proposal or
+    ``None`` to fall back to the prior.  The execution state sums the
+    ``log_q`` this controller reports and the prior it scores, which give the
+    importance weight ``log p(x,y) - log q(x|y)`` with the trace's likelihood.
 
     The proposal is consumed purely through ``sample(rng)`` and
     ``log_prob(value)``.  In the engine every proposal comes from a
@@ -136,35 +134,28 @@ class ProposalController(Controller):
     so ``sample`` returns it without touching the stream.
     """
 
-    def __init__(
-        self,
-        provider: Callable[[str, int, Distribution, "ExecutionState"], Any],
-        state: Optional["ExecutionState"] = None,
-    ) -> None:
+    def __init__(self, provider: Callable[[str, int, Distribution], Any]) -> None:
         self.provider = provider
-        self.state = state
-        self.log_q = 0.0
-        self.log_prior = 0.0
-        self.num_proposed = 0
 
     def choose(self, address, instance, distribution, name, rng):
-        proposal = self.provider(address, instance, distribution, self.state)
+        proposal = self.provider(address, instance, distribution)
         if proposal is None:
             value = distribution.sample(rng)
-            log_q = log_prior = log_prob_total(distribution, value)
-        else:
-            value = proposal.sample(rng)
-            log_q = log_prob_total(proposal, value)
-            log_prior = log_prob_total(distribution, value)
-            self.num_proposed += 1
-        self.log_q += log_q
-        self.log_prior += log_prior
-        self.last_log_prior = log_prior
+            log_q = self.last_log_prior = log_prob_total(distribution, value)
+            return value, log_q
+        value = proposal.sample(rng)
+        log_q = log_prob_total(proposal, value)
+        self.last_log_prior = log_prob_total(distribution, value)
         return value, log_q
 
 
 class ExecutionState:
-    """Tracks one execution of a probabilistic program."""
+    """The record of one execution of a probabilistic program, local or remote.
+
+    ``do_sample`` and ``do_observe`` take the statement's address when the
+    caller has one (a PPX message carries the simulator's); otherwise the
+    address is built from the calling program's stack.
+    """
 
     def __init__(
         self,
@@ -181,9 +172,6 @@ class ExecutionState:
         self.log_q = 0.0           # total proposal log-density of latent draws
         self.log_prior = 0.0       # total prior log-density of latent draws
         self._address_counts: Dict[str, int] = {}
-        # Tell the proposal controller (if any) which state it serves.
-        if isinstance(controller, ProposalController) and controller.state is None:
-            controller.state = self
 
     # ------------------------------------------------------------------ sample
     def do_sample(
@@ -193,7 +181,7 @@ class ExecutionState:
         address: Optional[str] = None,
         control: bool = True,
     ):
-        resolved = address or self.address_builder.build(skip_frames=3)
+        resolved = address if address is not None else self.address_builder.build(skip_frames=3)
         instance = self._address_counts.get(resolved, 0)
         self._address_counts[resolved] = instance + 1
         if control:
@@ -227,7 +215,7 @@ class ExecutionState:
         name: Optional[str] = None,
         address: Optional[str] = None,
     ) -> Any:
-        resolved = address or self.address_builder.build(skip_frames=3)
+        resolved = address if address is not None else self.address_builder.build(skip_frames=3)
         key = name if name is not None else resolved
         if key in self.observed_values:
             scored_value = self.observed_values[key]

@@ -1,20 +1,23 @@
 """PPX PPL-side controller.
 
 The PPL side of the protocol (Figure 1, right-hand column): it accepts the
-simulator's handshake, issues ``Run`` requests, and answers every
-``SampleRequest`` / ``ObserveRequest`` the simulator emits during a run.  The
-*policy* for answering sample requests (draw from the prior, replay a stored
-value, draw from an IC proposal, ...) is supplied by the inference engine as a
-callback, so the same controller serves prior sampling, RMH and IC inference.
+simulator's handshake, issues ``Run`` requests, and turns every
+``SampleRequest`` / ``ObserveRequest`` the simulator emits during a run into
+the PPL's own statement on an execution state
+(:class:`repro.ppl.state.ExecutionState`, taken duck-typed: ``do_sample`` and
+``do_observe``).  The state's controller decides each draw (prior, replay, IC
+proposal, ...) and the state records the trace, so the same controller serves
+prior sampling, RMH and IC inference, and a remote trace is built exactly as
+a local one.
 """
 
 from __future__ import annotations
 
 import queue
 import socket
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.distributions import distribution_from_dict, log_prob_total
+from repro.distributions import distribution_from_dict
 from repro.ppx.messages import (
     Handshake,
     HandshakeResult,
@@ -28,20 +31,12 @@ from repro.ppx.messages import (
     ShutdownResult,
 )
 from repro.ppx.transport import Transport
-from repro.trace.sample import Sample
-from repro.trace.trace import Trace
 
 __all__ = ["SimulatorController"]
 
-#: signature of the sample-policy callback: (address, distribution, request) -> value.
-#: A policy that scores the prior anyway exposes the number as a
-#: ``last_log_prior`` attribute, set on every call (as a PPL ``Controller``
-#: does), and the trace records it instead of scoring the draw a second time.
-SamplePolicy = Callable[[str, Any, SampleRequest], Any]
-
 
 class SimulatorController:
-    """Controls a remote simulator over PPX and records execution traces."""
+    """Controls a remote simulator over PPX, one run per execution state."""
 
     def __init__(self, transport: Transport) -> None:
         self.transport = transport
@@ -78,69 +73,42 @@ class SimulatorController:
         self._handshaken = True
 
     # ------------------------------------------------------------------- run
-    def run_trace(
-        self,
-        sample_policy: SamplePolicy,
-        observation: Any = None,
-        observe_override: Optional[Any] = None,
-        timeout: Optional[float] = None,
-    ) -> Trace:
-        """Execute the simulator once and return the recorded trace.
+    def run_trace(self, state, timeout: Optional[float] = None) -> Any:
+        """Execute the simulator once under ``state`` and return its result.
 
-        ``sample_policy`` decides the value for every latent draw.
-        ``observe_override`` (if given) replaces the simulator-reported value
-        at observe statements when scoring the likelihood — this is how an
-        actual detector observation is conditioned on while the simulator
-        still produces its own synthetic output.
-        ``timeout`` bounds every wait on the simulator (the handshake and each
-        protocol message of the run); a simulator that stops responding raises
-        :class:`TimeoutError` instead of blocking the controller forever.
+        Each ``SampleRequest`` is answered with ``state.do_sample`` and each
+        ``ObserveRequest`` recorded with ``state.do_observe``, at the address,
+        name and control flag the simulator sent; the caller freezes the
+        state's trace.  ``timeout`` bounds every wait on the simulator (the
+        handshake and each protocol message of the run); a simulator that
+        stops responding raises :class:`TimeoutError` instead of blocking the
+        controller forever.
         """
         if not self._handshaken:
             self.accept_handshake(timeout=timeout)
-        trace = Trace()
-        self.transport.send(Run(observation=observation))
+        self.transport.send(Run())
         while True:
             message = self._receive(timeout, "the next message of its Run")
             if isinstance(message, SampleRequest):
-                distribution = distribution_from_dict(message.distribution)
-                value = sample_policy(message.address, distribution, message)
-                log_prob = getattr(sample_policy, "last_log_prior", None)
-                if log_prob is None:
-                    log_prob = log_prob_total(distribution, value)
-                trace.add_sample(
-                    Sample(
-                        address=message.address,
-                        distribution=distribution,
-                        value=value,
-                        observed=False,
-                        log_prob=log_prob,
-                        controlled=message.control,
-                        name=message.name,
-                    )
+                value = state.do_sample(
+                    distribution_from_dict(message.distribution),
+                    name=message.name,
+                    address=message.address,
+                    control=message.control,
                 )
                 self.transport.send(SampleResult(value=value))
             elif isinstance(message, ObserveRequest):
-                distribution = distribution_from_dict(message.distribution)
-                scored_value = observe_override if observe_override is not None else message.value
-                log_prob = log_prob_total(distribution, scored_value)
-                trace.add_sample(
-                    Sample(
-                        address=message.address,
-                        distribution=distribution,
-                        value=scored_value,
-                        observed=True,
-                        log_prob=log_prob,
-                        controlled=False,
-                        name=message.name,
-                    )
+                state.do_observe(
+                    distribution_from_dict(message.distribution),
+                    value=message.value,
+                    name=message.name,
+                    address=message.address,
                 )
                 self.transport.send(ObserveResult())
             elif isinstance(message, RunResult):
                 if not message.success:
                     raise RuntimeError(f"simulator failed: {message.error}")
-                trace.freeze(result=message.result, observation=observation)
-                return trace
+                return message.result
             else:
                 raise RuntimeError(f"unexpected PPX message {type(message).__name__}")
 

@@ -7,7 +7,7 @@ this reproduction the equivalent capability is provided by:
   graph,
 * :mod:`repro.tensor.functional` — softmax/conv3d/max-pool/… operations,
 * :mod:`repro.tensor.nn` — Module/Linear/Conv3d/LSTM/… layers,
-* :mod:`repro.tensor.optim` — SGD/Adam/LARC and learning-rate schedules.
+* :mod:`repro.tensor.optim` — Adam/LARC and learning-rate schedules.
 """
 
 from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled

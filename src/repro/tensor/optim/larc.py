@@ -17,7 +17,7 @@ __all__ = ["LARC"]
 
 
 class LARC(Optimizer):
-    """Wrap a base optimizer (Adam or SGD) with layer-wise adaptive rate control.
+    """Wrap a base optimizer (Adam) with layer-wise adaptive rate control.
 
     Parameters
     ----------

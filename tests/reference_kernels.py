@@ -9,11 +9,13 @@ here only so that ``tests/test_tensor_kernels.py`` and
 with (and a speed-up over) them.  The per-tensor Adam and LARC steps and the
 per-name dict allreduce strategies are the references for the flat optimizer
 step and the flat gradient average; ``tests/test_tensor_optim.py`` and
-``tests/test_distributed.py`` require bit-equality with them.  The per-call
-``choice``/``uniform``/``normal`` row loop is the reference for the batched
-distributions' inverse-CDF draws: ``tests/test_distributions_batched.py``
-requires the same values and post-draw generator states, and
-``benchmarks/test_process_backend.py`` times the batched kernel against it.
+``tests/test_distributed.py`` require bit-equality with them.  Plain SGD is
+the second base optimizer of the LARC and learning-rate schedule tests;
+training steps Adam.  The per-call ``choice``/``uniform``/``normal`` row loop
+is the reference for the batched distributions' inverse-CDF draws:
+``tests/test_distributions_batched.py`` requires the same values and post-draw
+generator states, and ``benchmarks/test_process_backend.py`` times the batched
+kernel against it.
 
 Guided execution has one source of proposals in ``src/``, the lockstep
 ``BatchedProposalSession``.  What it replaced lives here as its reference:
@@ -46,6 +48,7 @@ from repro.ppl.nn.embeddings import SampleEmbedding
 from repro.ppl.nn.proposals import ProposalCategorical, ProposalLayer
 from repro.ppl.state import ProposalController
 from repro.tensor import Tensor, functional as F, no_grad
+from repro.tensor.optim.optimizer import FlatImage, Optimizer
 from repro.tensor.tensor import _accumulate, _make
 
 
@@ -294,7 +297,7 @@ def sequential_trace(model, job: TraceJob, network):
 
 
 def provider_importance_sampling(model, observation, num_traces, provider, rng) -> Empirical:
-    """Importance sampling with ``provider(address, instance, prior, state)`` proposals.
+    """Importance sampling with ``provider(address, instance, prior)`` proposals.
 
     Each trace runs under its own ``ProposalController``, all on ``rng`` in
     turn, and is weighted by ``form_log_weights`` — the engine's weight
@@ -309,6 +312,40 @@ def provider_importance_sampling(model, observation, num_traces, provider, rng) 
 
 
 # ------------------------------------------------------------------ optimizers
+class SGD(Optimizer):
+    """Plain / momentum SGD with optional weight decay (Algorithm 2's generic update)."""
+
+    def __init__(self, params, lr: float = 1e-3, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
+        super().__init__(params, lr)
+        self.momentum = float(momentum)
+        self.weight_decay = float(weight_decay)
+
+    def direction(self, image: FlatImage) -> np.ndarray:
+        """The weight-decayed gradient (momentum is not applied under LARC)."""
+        if self.weight_decay:
+            return image.grad + self.weight_decay * image.data
+        return image.grad
+
+    def step(self) -> None:
+        for param in self.params:
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            if self.momentum:
+                state = self.state.setdefault(id(param), {})
+                buf = state.get("momentum_buffer")
+                if buf is None:
+                    buf = np.zeros_like(param.data)
+                buf = self.momentum * buf + grad
+                state["momentum_buffer"] = buf
+                update = buf
+            else:
+                update = grad
+            param.data = param.data - self.lr * update
+
+
 class PerTensorAdam:
     """Adam stepped one tensor at a time: about eight temporaries per tensor."""
 

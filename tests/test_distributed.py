@@ -18,7 +18,6 @@ from repro.distributed import (
     CommunicationStats,
     DistributedTrainer,
     SingleNodeModel,
-    average_gradients,
     compare_schemes,
     dense_allreduce,
     evaluate_scheme,
@@ -130,15 +129,6 @@ class TestAllreduce:
         assert fused_stats.num_calls < sparse_stats.num_calls
         assert fused_stats.modeled_time <= sparse_stats.modeled_time
 
-    def test_average_gradients_dispatch(self):
-        grads, shapes = _make_per_rank_gradients()
-        images = flat_images(grads, shapes)
-        for strategy in STRATEGIES:
-            averaged, has_gradient = average_gradients(*images, strategy=strategy)
-            assert np.allclose(by_name(averaged, has_gradient, shapes)["shared"], 2.0)
-        with pytest.raises(ValueError):
-            average_gradients(*images, strategy="bogus")
-
     def test_communication_stats_accounting(self):
         stats = CommunicationStats(latency_s=1e-3, bandwidth_bytes_per_s=1e6)
         stats.add_call(1000)
@@ -146,8 +136,8 @@ class TestAllreduce:
         assert stats.modeled_time == pytest.approx(1e-3 + 4000 / 1e6)
 
     def test_single_rank_average_is_identity(self):
-        averaged, has_gradient = average_gradients(
-            np.arange(4.0).reshape(1, 4), np.ones((1, 1), dtype=bool), [4], strategy="sparse"
+        averaged, has_gradient = sparse_allreduce(
+            np.arange(4.0).reshape(1, 4), np.ones((1, 1), dtype=bool), [4]
         )
         assert np.array_equal(averaged, np.arange(4.0)) and has_gradient.tolist() == [True]
 
@@ -256,16 +246,13 @@ class TestDistributedTrainer:
         with pytest.raises(RuntimeError):
             trainer.validate()
 
-    @pytest.mark.parametrize("strategy", ["dense", "fused_sparse"])
-    def test_two_ranks_of_four_equal_one_rank_of_eight(self, tau_model, rng, strategy):
+    def test_two_ranks_of_four_equal_one_rank_of_eight(self, tau_model, rng):
         """Synchronous SGD algebra: averaging the gradients of 2 ranks x 4
         traces is the gradient of 1 rank x the same 8 traces."""
         from repro.data import InMemoryTraceDataset
 
         dataset = InMemoryTraceDataset(tau_model.prior_traces(8, rng=rng))
-        trainer_two, network_two = build_trainer(
-            dataset, num_ranks=2, validation_fraction=0.0, allreduce_strategy=strategy
-        )
+        trainer_two, network_two = build_trainer(dataset, num_ranks=2, validation_fraction=0.0)
         network_one = InferenceNetwork(config=network_two.config, observe_key="detector")
         trainer_one = DistributedTrainer(
             network_one, dataset, num_ranks=1, local_minibatch_size=8, learning_rate=2e-3,
@@ -316,26 +303,6 @@ class TestDistributedTrainer:
             trainer.train(2, callback=stop_after_two)
         assert notifications == [1]
 
-    def test_allreduce_strategies_give_same_training(self, tiny_tau_dataset):
-        """Dense hands a tensor no rank touched a zero gradient, the sparse
-        strategies none.  Plain SGD leaves a parameter with a zero gradient where
-        it is, so the two train identically.  (Adam would not: a zero gradient
-        still moves a parameter whose first moment is nonzero.)"""
-        losses, states = {}, {}
-        for strategy in ("dense", "fused_sparse"):
-            trainer, network = build_trainer(
-                tiny_tau_dataset, allreduce_strategy=strategy, seed=7, optimizer="sgd"
-            )
-            if strategy == "dense":
-                reference_state = network.state_dict()
-            else:
-                network.load_state_dict(reference_state)
-            losses[strategy] = trainer.train(6).train_losses
-            states[strategy] = network.state_dict()
-        assert losses["dense"] == losses["fused_sparse"]
-        for name in reference_state:
-            assert np.array_equal(states["dense"][name], states["fused_sparse"][name]), name
-
     def test_report_throughput_and_phases(self, tiny_tau_dataset):
         trainer, _ = build_trainer(tiny_tau_dataset)
         report = trainer.train(3)
@@ -357,8 +324,6 @@ class TestDistributedTrainer:
     def test_invalid_configuration(self, tiny_tau_dataset):
         with pytest.raises(ValueError):
             build_trainer(tiny_tau_dataset, num_ranks=0)
-        with pytest.raises(ValueError):
-            build_trainer(tiny_tau_dataset, optimizer="bogus")
         with pytest.raises(ValueError):
             build_trainer(tiny_tau_dataset, lr_schedule="bogus")
 

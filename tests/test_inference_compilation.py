@@ -76,8 +76,9 @@ class TestTraining:
         with pytest.raises(ValueError):
             engine.train()
 
-    @pytest.mark.parametrize("bad", [{"optimizer": "bogus"}, {"lr_schedule": "bogus"}])
-    def test_unknown_optimizer_or_schedule_rejected(self, ic_setup, rng, bad):
+    @pytest.mark.parametrize("bad", [{"lr_schedule": "bogus"}, {"lr_schedule": "none"}])
+    def test_unknown_schedule_rejected(self, ic_setup, rng, bad):
+        # ``None`` is the constant schedule; the ``"none"`` alias is gone.
         model, engine = ic_setup
         with pytest.raises(ValueError):
             engine.train(model, num_traces=20, minibatch_size=10, **bad)
@@ -185,10 +186,18 @@ class TestRemovedOptions:
             "BatchedMixtureOfTruncatedNormals",
             "BatchedMixtureOfTruncatedNormals.from_distributions",
             "InferenceCompilation.train",
+            "InferenceCompilation.train(optimizer=)",
+            "TrainingLoop(optimizer=)",
+            "TrainingLoop(allreduce_strategy=)",
+            "DistributedTrainer(optimizer=)",
+            "DistributedTrainer(allreduce_strategy=)",
         ],
     )
     def test_removed_option_is_rejected(self, ic_setup, rng, call):
+        from repro.distributed import DistributedTrainer, TrainingLoop
+
         model, engine = ic_setup
+        traces = model.prior_traces(4, rng=rng)
         calls = {
             "BatchedCategorical": lambda: BatchedCategorical(self.PROBS, choice_kernel="percall"),
             "BatchedCategorical.from_distributions": lambda: BatchedCategorical.from_distributions(
@@ -203,8 +212,22 @@ class TestRemovedOptions:
                 )
             ),
             "InferenceCompilation.train": lambda: engine.train(
-                dataset=model.prior_traces(4, rng=rng), num_traces=4, minibatch_size=2,
-                offline_schedule="random",
+                dataset=traces, num_traces=4, minibatch_size=2, offline_schedule="random",
+            ),
+            # Training steps Adam and averages gradients with the fused sparse
+            # allreduce; no caller outside tests chose anything else.
+            "InferenceCompilation.train(optimizer=)": lambda: engine.train(
+                dataset=traces, num_traces=4, minibatch_size=2, optimizer="adam",
+            ),
+            "TrainingLoop(optimizer=)": lambda: TrainingLoop(engine.network, traces, optimizer="adam"),
+            "TrainingLoop(allreduce_strategy=)": lambda: TrainingLoop(
+                engine.network, traces, allreduce_strategy="fused_sparse"
+            ),
+            "DistributedTrainer(optimizer=)": lambda: DistributedTrainer(
+                engine.network, traces, optimizer="adam"
+            ),
+            "DistributedTrainer(allreduce_strategy=)": lambda: DistributedTrainer(
+                engine.network, traces, allreduce_strategy="fused_sparse"
             ),
         }
         with pytest.raises(TypeError):
@@ -282,6 +305,12 @@ class TestRemovedOptions:
             "repro.tensor.optim.optimizer:Optimizer.step_count",
             "repro.simulators.channels:DecayChannel.visible_products",
             "repro.simulators.channels:DecayChannel.invisible_products",
+            "repro.distributed:average_gradients",
+            "repro.distributed.allreduce:average_gradients",
+            "repro.distributed.trainer:_OPTIMIZERS",
+            "repro.tensor.optim:SGD",
+            "repro.ppl.model:_RemoteSamplePolicy",
+            "repro.ppx.server:SamplePolicy",
         ],
     )
     def test_removed_entry_points_are_gone(self, path):
@@ -305,6 +334,8 @@ class TestRemovedOptions:
             "form_log_weights(trace_callback)",
             "RandomWalkMetropolis.run(trace_callback=)",
             "Detector3D(use_scalar_mvn=)",
+            "SimulatorController.run_trace(sample_policy=)",
+            "SimulatorController.run_trace(observe_override=)",
         ],
     )
     def test_removed_keyword_is_rejected(self, gaussian_model, call):
@@ -312,6 +343,7 @@ class TestRemovedOptions:
         # lockstep session, never from a caller-supplied provider.
         from repro.ppl.inference import batched_importance_sampling
         from repro.ppl.inference.batched import form_log_weights
+        from repro.ppx import SimulatorController, make_queue_pair
         from repro.simulators.detector import Detector3D
 
         observation = {"obs": 0.5}
@@ -333,9 +365,33 @@ class TestRemovedOptions:
                 gaussian_model, observation
             ).run(2, rng=RandomState(0), trace_callback=print),
             "Detector3D(use_scalar_mvn=)": lambda: Detector3D(use_scalar_mvn=False),
+            # A remote run is recorded by an ExecutionState, as a local one
+            # is.  No simulator answers: an accepted keyword times out.
+            "SimulatorController.run_trace(sample_policy=)": lambda: SimulatorController(
+                make_queue_pair()[0]
+            ).run_trace(sample_policy=lambda address, distribution, request: 0.0, timeout=0.01),
+            "SimulatorController.run_trace(observe_override=)": lambda: SimulatorController(
+                make_queue_pair()[0]
+            ).run_trace(None, observe_override=1.0, timeout=0.01),
         }
         with pytest.raises(TypeError):
             calls[call]()
+
+    def test_one_execution_record(self, gaussian_model):
+        # The execution state keeps the only tallies, and a remote model runs
+        # under it through the same get_trace as a local one.
+        from repro.ppl import Model, RemoteModel
+        from repro.ppl.state import ProposalController, ReplayController
+
+        replay = ReplayController({})
+        proposal = ProposalController(lambda address, instance, prior: None)
+        for controller in (replay, proposal):
+            gaussian_model.get_trace(controller, rng=RandomState(0))
+        for name in ("fresh_log_prob", "reused_keys", "fresh_keys"):
+            assert not hasattr(replay, name)
+        for name in ("log_q", "log_prior", "num_proposed", "state"):
+            assert not hasattr(proposal, name)
+        assert RemoteModel.get_trace is Model.get_trace
 
     def test_default_configured_engines_do_not_share_a_config(self):
         # With no process-global config, each default-configured engine owns

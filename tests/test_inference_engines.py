@@ -43,7 +43,7 @@ class TestImportanceSampling:
         y = 1.0
         true_mean, _ = gaussian_posterior(y)
 
-        def provider(address, instance, prior, state):
+        def provider(address, instance, prior):
             return Normal(true_mean, 0.6)
 
         posterior = ref.provider_importance_sampling(

@@ -68,15 +68,25 @@ class TestObservationConditioning:
         assert np.isfinite(trace.observation["obs"])
 
 
+class TestGivenAddresses:
+    def test_a_given_address_is_used_as_given(self, rng):
+        # A PPX message carries the simulator's address; even an empty one
+        # must not be replaced by an address built from the PPL's own stack.
+        state = ExecutionState(PriorController(), rng)
+        state.do_sample(Normal(0.0, 1.0), address="")
+        state.do_observe(Normal(0.0, 1.0), value=0.5, address="")
+        trace = state.finalize()
+        assert [s.address for s in trace.samples + trace.observes] == ["", ""]
+
+
 class TestReplayController:
     def test_replay_reuses_values(self, mixed_model, rng):
         base = mixed_model.prior_trace(rng)
         base_values = {(s.address, s.instance): s.value for s in base.samples}
         controller = ReplayController(base_values)
         replayed = mixed_model.get_trace(controller, rng=rng)
-        assert replayed["mu"] == pytest.approx(base["mu"])
-        assert replayed["k"] == base["k"]
-        assert len(controller.fresh_keys) == 0
+        assert [s.value for s in replayed.samples] == [s.value for s in base.samples]
+        assert replayed.log_q == replayed.log_prior == base.log_prior
 
     def test_replay_with_resample_site_changes_one_value(self, mixed_model, rng):
         base = mixed_model.prior_trace(rng)
@@ -89,11 +99,12 @@ class TestReplayController:
         assert replayed["mu"] == pytest.approx(1.234)
         assert replayed["k"] == base["k"]
 
-    def test_replay_draws_fresh_for_unknown_addresses(self, mixed_model, rng):
-        controller = ReplayController(base_values={})
-        trace = mixed_model.get_trace(controller, rng=rng)
-        assert len(controller.fresh_keys) == trace.length
-        assert controller.fresh_log_prob == pytest.approx(trace.log_prior)
+    def test_replay_draws_fresh_for_unknown_addresses(self, mixed_model):
+        # Nothing to reuse: every draw is the prior's, on the same stream.
+        trace = mixed_model.get_trace(ReplayController(base_values={}), rng=RandomState(3))
+        prior = mixed_model.prior_trace(RandomState(3))
+        assert [s.value for s in trace.samples] == [s.value for s in prior.samples]
+        assert trace.log_q == trace.log_prior == prior.log_prior
 
 
 class TestPriorIsScoredOncePerDraw:
@@ -142,42 +153,39 @@ class TestPriorIsScoredOncePerDraw:
         )
         del scored[:]
         # Nothing to reuse: both sites are drawn fresh from the prior.
-        controller = ReplayController(base_values={})
-        fresh = model.get_trace(controller, rng=rng)
+        fresh = model.get_trace(ReplayController(base_values={}), rng=rng)
         assert len(scored) == 2
-        assert controller.fresh_log_prob == pytest.approx(fresh.log_prior)
+        assert fresh.log_q == fresh.log_prior
 
 
 class TestProposalController:
     def test_proposals_are_used_and_logged(self, gaussian_model, rng):
         proposal = Normal(2.0, 0.1)
 
-        def provider(address, instance, prior, state):
+        def provider(address, instance, prior):
             return proposal
 
-        controller = ProposalController(provider)
-        trace = gaussian_model.get_trace(controller, observed_values={"obs": 2.0}, rng=rng)
+        trace = gaussian_model.get_trace(ProposalController(provider), observed_values={"obs": 2.0}, rng=rng)
         assert abs(trace["mu"] - 2.0) < 1.0  # drawn from the narrow proposal
-        assert controller.num_proposed == 1
-        assert controller.log_q == pytest.approx(float(proposal.log_prob(trace["mu"])))
-        assert controller.log_prior == pytest.approx(trace.log_prior)
+        assert trace.log_q == float(proposal.log_prob(trace["mu"]))
+        assert trace.log_prior == float(Normal(0.0, 1.0).log_prob(trace["mu"]))
 
-    def test_none_proposal_falls_back_to_prior(self, gaussian_model, rng):
-        controller = ProposalController(lambda *args: None)
-        trace = gaussian_model.get_trace(controller, rng=rng)
-        assert controller.num_proposed == 0
-        assert controller.log_q == pytest.approx(trace.log_prior)
+    def test_none_proposal_falls_back_to_prior(self, gaussian_model):
+        trace = gaussian_model.get_trace(ProposalController(lambda *args: None), rng=RandomState(3))
+        prior = gaussian_model.prior_trace(RandomState(3))
+        assert trace["mu"] == prior["mu"]
+        assert trace.log_q == trace.log_prior == prior.log_prior
 
-    def test_controller_receives_execution_state(self, gaussian_model, rng):
-        seen_states = []
+    def test_provider_is_asked_once_per_controlled_draw(self, gaussian_model, rng):
+        asked = []
 
-        def provider(address, instance, prior, state):
-            seen_states.append(state)
+        def provider(address, instance, prior):
+            asked.append((address, instance, prior))
             return None
 
-        gaussian_model.get_trace(ProposalController(provider), rng=rng)
-        assert len(seen_states) == 1
-        assert isinstance(seen_states[0], ExecutionState)
+        trace = gaussian_model.get_trace(ProposalController(provider), rng=rng)
+        draw = trace.samples[0]
+        assert asked == [(draw.address, 0, draw.distribution)]
 
 
 class TestModelAPI:

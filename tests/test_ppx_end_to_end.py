@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.common.rng import RandomState
-from repro.distributions import Normal, Uniform
-from repro.ppl import RemoteModel
-from repro.ppl.state import PriorController
+from repro.distributions import Normal, Uniform, log_prob_total
+from repro.ppl import FunctionModel, RemoteModel
+from repro.ppl.state import Controller, ExecutionState, PriorController
 from repro.ppx import SimulatorClient, SimulatorController, make_queue_pair
-from repro.simulators import TauDecayConfig, TauDecayModel
+from repro.simulators import LocalHandle, TauDecayConfig, TauDecayModel
 from repro.simulators.tau_decay import tau_decay_program
 from tests import reference_kernels as ref
 
@@ -51,6 +51,18 @@ def looping_simulator(client, observation):
     return total
 
 
+def two_point_gaussian(handle):
+    """mu ~ N(0,1); y1, y2 ~ N(mu, 0.5): two named observes, on either handle.
+
+    Explicit addresses make the local and the remote trace name every
+    statement alike, so one network guides both.
+    """
+    mu = float(np.asarray(handle.sample(Normal(0.0, 1.0), name="mu", address="mu")))
+    handle.observe(Normal(mu, 0.5), value=mu + 0.1, name="y1", address="y1")
+    handle.observe(Normal(mu, 0.5), value=mu - 0.1, name="y2", address="y2")
+    return mu
+
+
 def run_client_in_thread(simulator, transport):
     client = SimulatorClient(transport, simulator, system_name="test-sim", model_name="test")
     thread = threading.Thread(target=client.serve_forever, daemon=True)
@@ -58,16 +70,28 @@ def run_client_in_thread(simulator, transport):
     return client, thread
 
 
+class FixedController(Controller):
+    """Every controlled draw takes ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def choose(self, address, instance, distribution, name, rng):
+        return self.value, log_prob_total(distribution, self.value)
+
+
+def record(controller, decider=None, observed_values=None, seed=0):
+    """One run of the simulator behind ``controller``, recorded by an execution state."""
+    state = ExecutionState(decider or PriorController(), RandomState(seed), observed_values)
+    return state.finalize(controller.run_trace(state))
+
+
 class TestSimulatorController:
     def test_handshake_and_prior_trace(self):
         ppl_side, sim_side = make_queue_pair()
         _, thread = run_client_in_thread(gaussian_simulator, sim_side)
         controller = SimulatorController(ppl_side)
-
-        def prior_policy(address, distribution, request):
-            return distribution.sample()
-
-        trace = controller.run_trace(prior_policy)
+        trace = record(controller)
         assert trace.length == 1
         assert len(trace.observes) == 1
         assert trace.samples[0].name == "mu"
@@ -76,17 +100,15 @@ class TestSimulatorController:
         controller.shutdown()
         thread.join(timeout=5.0)
 
-    def test_observe_override_changes_likelihood(self):
+    def test_observed_value_changes_likelihood(self):
         ppl_side, sim_side = make_queue_pair()
         _, thread = run_client_in_thread(gaussian_simulator, sim_side)
         controller = SimulatorController(ppl_side)
-
-        def fixed_policy(address, distribution, request):
-            return 0.0  # force mu = 0
-
-        trace_default = controller.run_trace(fixed_policy)
-        trace_conditioned = controller.run_trace(fixed_policy, observe_override=5.0)
+        trace_default = record(controller, FixedController(0.0))  # force mu = 0
+        trace_conditioned = record(controller, FixedController(0.0), {"obs": 5.0})
         # Conditioning on y=5 with mu=0 must be much less likely than y=0.1.
+        assert trace_default.observation == {"obs": 0.1}
+        assert trace_conditioned.observation == {"obs": 5.0}
         assert trace_conditioned.log_likelihood < trace_default.log_likelihood
         controller.shutdown()
         thread.join(timeout=5.0)
@@ -95,11 +117,7 @@ class TestSimulatorController:
         ppl_side, sim_side = make_queue_pair()
         _, thread = run_client_in_thread(looping_simulator, sim_side)
         controller = SimulatorController(ppl_side)
-
-        def prior_policy(address, distribution, request):
-            return distribution.sample()
-
-        lengths = {controller.run_trace(prior_policy).length for _ in range(20)}
+        lengths = {record(controller, seed=seed).length for seed in range(20)}
         assert len(lengths) > 1  # rejection loop produces varying trace lengths
         controller.shutdown()
         thread.join(timeout=5.0)
@@ -112,7 +130,7 @@ class TestSimulatorController:
         _, thread = run_client_in_thread(failing_simulator, sim_side)
         controller = SimulatorController(ppl_side)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            controller.run_trace(lambda a, d, r: d.sample())
+            controller.run_trace(ExecutionState(PriorController()))
         controller.shutdown()
         thread.join(timeout=5.0)
 
@@ -176,7 +194,7 @@ class TestRemoteModel:
         remote, thread = self._remote(uncontrolled_simulator)
         provider_calls = []
 
-        def prior_as_proposal(address, instance, prior, state):
+        def prior_as_proposal(address, instance, prior):
             provider_calls.append(address)
             return prior
 
@@ -198,7 +216,7 @@ class TestRemoteModel:
         remote, thread = self._remote(repeated_address_simulator)
         instances = []
 
-        def provider(address, instance, prior, state):
+        def provider(address, instance, prior):
             instances.append(instance)
             return None
 
@@ -211,9 +229,8 @@ class TestRemoteModel:
 
     def test_guided_batched_inference_over_remote_model(self):
         # The batched engine must serve RemoteModel guided executions one at
-        # a time (one shared PPX transport cannot be suspended concurrently)
-        # — including the previous-sample value, which remote executions
-        # have no local ExecutionState to read from.
+        # a time (one shared PPX transport cannot be suspended concurrently),
+        # feeding each step the previous controlled value as for local ones.
         from repro.ppl.inference.inference_compilation import InferenceCompilation
         from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 
@@ -303,7 +320,7 @@ class TestRemoteModel:
             del scored[:]
             posterior = ref.provider_importance_sampling(
                 remote, {"obs": 0.6}, 4,
-                lambda address, instance, prior, state: Uniform(-3.0, 3.0), RandomState(4),
+                lambda address, instance, prior: Uniform(-3.0, 3.0), RandomState(4),
             )
             assert len(scored) == 3 * 4
         finally:
@@ -320,12 +337,63 @@ class TestRemoteModel:
         remote.shutdown()
         thread.join(timeout=5.0)
 
-    def test_multiple_observes_not_supported(self):
-        remote, thread = self._remote(gaussian_simulator)
-        with pytest.raises(NotImplementedError):
-            remote.get_trace(PriorController(), observed_values={"a": 1.0, "b": 2.0})
-        remote.shutdown()
-        thread.join(timeout=5.0)
+    def test_observes_are_conditioned_by_name(self):
+        remote, thread = self._remote(lambda client, observation: two_point_gaussian(client))
+        try:
+            both = remote.get_trace(observed_values={"y1": 0.4, "y2": 0.9}, rng=RandomState(7))
+            only_y2 = remote.get_trace(observed_values={"y2": 0.9}, rng=RandomState(7))
+        finally:
+            remote.shutdown()
+            thread.join(timeout=5.0)
+        mu = both["mu"]
+        assert both.observation == {"y1": 0.4, "y2": 0.9}
+        assert both.log_likelihood == pytest.approx(
+            float(Normal(mu, 0.5).log_prob(0.4) + Normal(mu, 0.5).log_prob(0.9))
+        )
+        # An unconditioned observe keeps the value the simulator reported.
+        assert only_y2["mu"] == mu
+        assert only_y2.observation == {"y1": mu + 0.1, "y2": 0.9}
+
+    def test_remote_and_local_programs_give_bit_equal_traces_and_weights(self):
+        from repro.ppl.inference.importance_sampling import importance_sampling
+        from repro.ppl.inference.inference_compilation import InferenceCompilation
+        from repro.ppl.nn.embeddings import ObservationEmbeddingFC
+
+        local = FunctionModel(two_point_gaussian, name="two-point", args=(LocalHandle(),))
+        remote, thread = self._remote(lambda client, observation: two_point_gaussian(client))
+        observation = {"y1": 0.4, "y2": 0.9}
+        engine = InferenceCompilation(
+            observation_embedding=ObservationEmbeddingFC(input_dim=1, embedding_dim=8),
+            observe_key="y1",
+            rng=RandomState(1),
+        )
+        engine.train(dataset=local.prior_traces(20, rng=RandomState(0)), num_traces=40, minibatch_size=10)
+        posteriors = {}
+        try:
+            for name, model in (("local", local), ("remote", remote)):
+                posteriors[name] = (
+                    importance_sampling(model, observation, num_traces=8, rng=RandomState(3)),
+                    ref.provider_importance_sampling(
+                        model, observation, 8, lambda address, instance, prior: Uniform(-3.0, 3.0),
+                        RandomState(4),
+                    ),
+                    engine.posterior(model, observation, num_traces=8, rng=RandomState(5), batch_size=1),
+                )
+        finally:
+            remote.shutdown()
+            thread.join(timeout=5.0)
+        for prior_is, proposal_is, guided in posteriors.values():
+            # The network guides both deployments: same addresses, no fallback.
+            stats = guided.engine_stats
+            assert (stats["num_proposal_steps"], stats["num_fallbacks"]) == (8, 0)
+        for local_posterior, remote_posterior in zip(posteriors["local"], posteriors["remote"]):
+            assert remote_posterior.log_weights.tobytes() == local_posterior.log_weights.tobytes()
+            for remote_trace, local_trace in zip(remote_posterior.values, local_posterior.values):
+                assert remote_trace.addresses == local_trace.addresses
+                assert [s.value for s in remote_trace.samples] == [s.value for s in local_trace.samples]
+                assert remote_trace.log_q == local_trace.log_q
+                assert remote_trace.log_joint == local_trace.log_joint
+                assert remote_trace.observation == local_trace.observation
 
 
 class TestTauHandleContract:

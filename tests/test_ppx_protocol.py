@@ -669,6 +669,7 @@ class TestControllerTimeouts:
             controller.accept_handshake(timeout=0.05)
 
     def test_run_timeout_when_simulator_goes_silent_mid_run(self):
+        from repro.ppl.state import ExecutionState, PriorController
         from repro.ppx.server import SimulatorController
 
         ppl_side, sim_side = make_queue_pair()
@@ -682,10 +683,7 @@ class TestControllerTimeouts:
         thread.start()
         controller = SimulatorController(ppl_side)
         with pytest.raises(TimeoutError, match="waiting for the next message of its Run"):
-            controller.run_trace(
-                sample_policy=lambda address, dist, request: dist.sample(),
-                timeout=0.2,
-            )
+            controller.run_trace(ExecutionState(PriorController()), timeout=0.2)
         thread.join(timeout=5.0)
         assert not thread.is_alive()
 

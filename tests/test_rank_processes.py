@@ -71,34 +71,29 @@ def build_trainer(dataset, num_ranks=2, **kwargs):
 
 
 # ---------------------------------------------------------------- determinism
-#: (strategy, ranks, trainer options, first/last loss frozen when the deal
-#: became one schedule of cost-matched groups, the three-rank case when the
-#: trainer lost its length buckets — or None)
+#: (ranks, trainer options, first/last loss frozen when the deal became one
+#: schedule of cost-matched groups, the three-rank case when the trainer lost
+#: its length buckets)
 CASES = [
-    ("dense", 2, {}, (7.238305535781313, 7.297686755584904)),
-    ("sparse", 2, {}, None),
-    ("fused_sparse", 2, {}, (7.238305535781313, 7.296717226181701)),
-    ("fused_sparse", 3, {"larc": True}, (7.258153999512861, 7.13314796607703)),
+    (2, {}, (7.238305535781313, 7.296717226181701)),
+    (3, {"larc": True}, (7.258153999512861, 7.13314796607703)),
 ]
 
 
 class TestProcessCountDoesNotShow:
     ITERATIONS = 13  # 54 training traces: more than one epoch for 2 x 4 and for 3 x 4
 
-    def train(self, traces, strategy, num_ranks, options):
-        trainer, network = build_trainer(
-            InMemoryTraceDataset(traces), num_ranks, allreduce_strategy=strategy,
-            lr_schedule="poly2", **options,
-        )
+    def train(self, traces, num_ranks, options):
+        trainer, network = build_trainer(InMemoryTraceDataset(traces), num_ranks, lr_schedule="poly2", **options)
         assert self.ITERATIONS > len(trainer.sampler)  # crosses an epoch rollover
         report = trainer.train(self.ITERATIONS)
         return report, network.state_dict()
 
-    @pytest.mark.parametrize("strategy, num_ranks, options, frozen", CASES)
-    def test_one_process_equals_default(self, tau_traces, strategy, num_ranks, options, frozen):
+    @pytest.mark.parametrize("num_ranks, options, frozen", CASES)
+    def test_one_process_equals_default(self, tau_traces, num_ranks, options, frozen):
         with one_usable_core():
-            serial_report, serial_state = self.train(tau_traces, strategy, num_ranks, options)
-        report, state = self.train(tau_traces, strategy, num_ranks, options)
+            serial_report, serial_state = self.train(tau_traces, num_ranks, options)
+        report, state = self.train(tau_traces, num_ranks, options)
         assert report.train_losses == serial_report.train_losses
         assert report.learning_rates == serial_report.learning_rates
         assert report.effective_minibatch_sizes == serial_report.effective_minibatch_sizes
@@ -109,8 +104,7 @@ class TestProcessCountDoesNotShow:
         assert state.keys() == serial_state.keys()
         for name in state:
             assert np.array_equal(state[name], serial_state[name]), name
-        if frozen is not None:
-            assert (report.train_losses[0], report.train_losses[-1]) == frozen
+        assert (report.train_losses[0], report.train_losses[-1]) == frozen
 
     @needs_two_cores
     def test_two_ranks_run_in_two_processes(self, tau_traces, tmp_path):

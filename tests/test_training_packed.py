@@ -23,7 +23,7 @@ from repro.data.packing import (
     pack_minibatch,
     pack_sub_minibatch,
 )
-from repro.distributed import DistributedTrainer, average_gradients
+from repro.distributed import DistributedTrainer, fused_sparse_allreduce
 from repro.distributions import Categorical, Normal, Uniform
 from repro.ppl import FunctionModel, observe, sample
 from repro.ppl.inference.inference_compilation import InferenceCompilation
@@ -385,14 +385,13 @@ class TestOneTrainingLoop:
             dataset=dataset,
             num_traces=self.ITERATIONS * self.MINIBATCH,
             minibatch_size=self.MINIBATCH,
-            optimizer="sgd",
         )
         reference = build_engine(small_config, vectorized_loss)
         reference.network.polymorph(dataset)
         plan = PackedEpochPlan(dataset, self.MINIBATCH, observe_key="obs")
         assert self.ITERATIONS > plan.num_minibatches  # crosses an epoch reshuffle
         minibatches = [plan.minibatch(plan.next_batch_id(reference.rng)) for _ in range(self.ITERATIONS)]
-        optimizer = optim.SGD(list(reference.network.named_parameters()), lr=1e-3)
+        optimizer = optim.Adam(list(reference.network.named_parameters()), lr=1e-3)
         assert history.losses == self.reference_losses(reference.network, optimizer, minibatches)
         assert history.traces_seen[-1] == sum(len(m) for m in minibatches)
 
@@ -425,7 +424,7 @@ class TestOneTrainingLoop:
                 ]))
                 present.append([p.grad is not None for _, p in named])
                 losses.append(loss.item())
-            averaged, has_gradient = average_gradients(np.array(gradients), np.array(present), sizes)
+            averaged, has_gradient = fused_sparse_allreduce(np.array(gradients), np.array(present), sizes)
             offsets = np.cumsum([0] + sizes)
             for (_, parameter), start, end, has in zip(named, offsets, offsets[1:], has_gradient):
                 parameter.grad = averaged[start:end].reshape(parameter.data.shape) if has else None
