@@ -16,8 +16,9 @@ the retained reference — ``vectorized_loss=False`` plus the legacy
 per-iteration random schedule, which this file builds on the one
 ``TrainingLoop`` (:func:`train_random_schedule`).  Correctness is owned by
 ``tests/test_training_packed.py``: under the *same* schedule the two loss
-paths are bit-identical, so everything measured here is schedule + caching +
-vectorisation, not different math.
+paths agree to rtol 1e-12 (the same terms summed in another order), so
+everything measured here is schedule + caching + vectorisation, not
+different math.
 """
 
 import os

@@ -16,19 +16,20 @@ stacks the observations, and per LSTM step packs
   the continuous density consumes and the ``(B,)`` int64 indices the
   categorical one gathers with),
 * the per-trace prior parameters as arrays — :class:`PriorGeometry` rows for
-  continuous priors, ``(B,)`` category indices for categorical ones (the PR 3
-  ``(B, K)`` batched-distribution form stays one lazy
-  :meth:`PackedStep.packed_priors` call away, via the new
-  ``from_distributions`` constructors),
+  continuous priors, ``(B,)`` category indices for categorical ones,
 * the precomputed previous-sample embedding input.
 
 Packs are the one input of the training loss: ``InferenceNetwork.loss`` is
 ``loss_packed(pack_minibatch(traces))``, and every batch source of the
 training loop (:mod:`repro.distributed.trainer`) hands it
 ``List[PackedSubMinibatch]``.  The vectorised loss
-(:meth:`InferenceNetwork._sub_minibatch_loss_packed`) runs pure tensor ops
-per step; the ``vectorized_loss=False`` reference path scores a pack's
-retained per-trace objects instead.
+(:meth:`InferenceNetwork._packed_loss`) scores all packs of a minibatch
+together: the LSTM runs per step of each pack, and each address's proposal
+head scores that address's steps of every pack at once, as one step joined
+by :func:`concat_steps`.  It sums the same terms as the
+``vectorized_loss=False`` reference path (which scores a pack's retained
+per-trace objects step by step) in a different order, so the two agree
+within floating-point tolerance (the loss to rtol 1e-12), not bit for bit.
 
 :class:`PackedEpochPlan` is the single-process offline source: the dataset is
 sorted by trace type once (:func:`repro.data.sorting.sorted_indices_by_trace_type`),
@@ -41,7 +42,7 @@ once per iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -49,17 +50,7 @@ import numpy as np
 from repro.data.batching import dynamic_token_batches, split_into_sub_minibatches
 from repro.data.dataset import InMemoryTraceDataset, observation_array
 from repro.data.sorting import sorted_indices_by_trace_type
-from repro.distributions import (
-    BatchedCategorical,
-    BatchedDistribution,
-    BatchedMixtureOfTruncatedNormals,
-    BatchedNormal,
-    Categorical,
-    Distribution,
-    Mixture,
-    Normal,
-    TruncatedNormal,
-)
+from repro.distributions import Categorical, Distribution
 from repro.ppl.nn.embeddings import SampleEmbedding
 from repro.distributions.geometry import PriorGeometry, prior_geometry
 from repro.trace.trace import Trace
@@ -68,14 +59,11 @@ __all__ = [
     "PackedStep",
     "PackedSubMinibatch",
     "PackedEpochPlan",
+    "concat_steps",
     "observation_array",
     "pack_sub_minibatch",
     "pack_minibatch",
 ]
-
-
-#: sentinel distinguishing "not built yet" from "family has no array form"
-_UNBUILT = object()
 
 
 @dataclass(eq=False)
@@ -94,54 +82,46 @@ class PackedStep:
     values_column: Optional[np.ndarray] = None   #: (B, 1) float values (continuous)
     geometry: Optional[PriorGeometry] = None     #: (B,) prior geometry (continuous)
     indices: Optional[np.ndarray] = None         #: (B,) int64 categories (categorical)
-    _packed_priors_cache: Any = field(default=_UNBUILT, repr=False)
 
     @property
     def batch_size(self) -> int:
         return len(self.priors)
 
-    def packed_priors(self) -> Optional[BatchedDistribution]:
-        """The step's B priors as ONE array-parameterised batched object.
 
-        ``BatchedCategorical`` (``(B, K)`` probabilities) for categorical
-        priors, ``BatchedNormal`` for scalar normal ones,
-        ``BatchedMixtureOfTruncatedNormals`` for truncated-normal / mixture
-        priors, ``None`` for families without an array form (e.g. Uniform —
-        its support lives in :attr:`geometry`) or heterogeneous groups.
-        Built lazily and cached: the training loss itself never reads prior
-        parameters (geometry and indices cover it), so this costs nothing
-        unless a vectorised consumer — prior smoothing, diagnostics, tests —
-        actually asks for it.
-        """
-        if self._packed_priors_cache is _UNBUILT:
-            self._packed_priors_cache = _pack_priors(self.priors)
-        return self._packed_priors_cache
+def concat_steps(steps: Sequence[PackedStep]) -> PackedStep:
+    """The rows of several packed steps at one address, as one step.
 
-    def __getstate__(self):
-        # The sentinel is identity-compared, which pickling would break (the
-        # copy is a different object()): ship the state without it and let
-        # __setstate__ restore "not built yet".  A built cache rides along.
-        state = dict(self.__dict__)
-        if state.get("_packed_priors_cache") is _UNBUILT:
-            del state["_packed_priors_cache"]
-        return state
+    Every array is joined along its rows in the order given, so row blocks
+    follow ``steps``.  An array form missing from any step (a prior family
+    that did not match at pack time) is missing from the result, which the
+    proposal layers then score through their per-object fallback.  One step
+    comes back as it is.
+    """
+    if len(steps) == 1:
+        return steps[0]
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_packed_priors_cache", _UNBUILT)
+    def joined(parts):
+        return None if any(part is None for part in parts) else np.concatenate(parts)
 
-
-def _pack_priors(priors: Sequence[Distribution]) -> Optional[BatchedDistribution]:
-    try:
-        if isinstance(priors[0], Categorical):
-            return BatchedCategorical.from_distributions(priors)
-        if isinstance(priors[0], Normal):
-            return BatchedNormal.from_distributions(priors)
-        if isinstance(priors[0], (TruncatedNormal, Mixture)):
-            return BatchedMixtureOfTruncatedNormals.from_distributions(priors)
-    except ValueError:
-        return None
-    return None
+    geometries = [step.geometry for step in steps]
+    geometry = None
+    if all(g is not None for g in geometries):
+        geometry = PriorGeometry(
+            lows=np.concatenate([g.lows for g in geometries]),
+            highs=np.concatenate([g.highs for g in geometries]),
+            locs=np.concatenate([g.locs for g in geometries]),
+            scales=np.concatenate([g.scales for g in geometries]),
+            bounded=np.concatenate([g.bounded for g in geometries]),
+        )
+    return PackedStep(
+        address=steps[0].address,
+        values=np.concatenate([step.values for step in steps]),
+        priors=[prior for step in steps for prior in step.priors],
+        encoded_values=np.concatenate([step.encoded_values for step in steps]),
+        values_column=joined([step.values_column for step in steps]),
+        geometry=geometry,
+        indices=joined([step.indices for step in steps]),
+    )
 
 
 @dataclass(eq=False)

@@ -49,17 +49,21 @@ class ObservationEmbedding3DCNN(Module):
         layers = []
         in_channels = 1
         spatial = self.observation_shape
-        for index, out_channels in enumerate(channels):
+        for out_channels in channels:
             conv = Conv3d(in_channels, out_channels, kernel_size=kernel_size, padding=1, rng=rng)
-            layers.extend([conv, ReLU()])
+            layers.append(conv)
             spatial = conv.output_shape(spatial)
-            # Pool only while the grid is still large enough to halve.
-            if all(s >= 2 for s in spatial) and index < len(channels):
+            # Pool only while the grid is still large enough to halve.  The
+            # pool runs before the ReLU: max commutes with a monotone map, so
+            # this is conv -> ReLU -> pool exactly, with the ReLU on the
+            # pooled (8x smaller) volume.
+            if all(s >= 2 for s in spatial):
                 pool = MaxPool3d(2)
                 pooled = pool.output_shape(spatial)
                 if all(s >= 1 for s in pooled):
                     layers.append(pool)
                     spatial = pooled
+            layers.append(ReLU())
             in_channels = out_channels
         layers.append(Flatten())
         flat_dim = in_channels * int(np.prod(spatial))

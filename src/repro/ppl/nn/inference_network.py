@@ -12,7 +12,9 @@ Two entry points matter:
 
 * :meth:`InferenceNetwork.loss` — Algorithm 1: split a minibatch into
   sub-minibatches of equal trace type, run each through the LSTM in a single
-  batched forward pass, and accumulate ``-log q_phi(x|y)``.
+  batched forward pass, and accumulate ``-log q_phi(x|y)``.  Training is
+  teacher-forced, so only the LSTM runs per step: the embeddings and the
+  proposal heads each run once per address over all of its rows.
 * :meth:`InferenceNetwork.batched_session` — guided execution
   (:class:`BatchedProposalSession`): B executions advance in lockstep, one
   observation array per slot (distinct observations are embedded once
@@ -30,7 +32,7 @@ Two entry points matter:
 Information flow during guided execution deliberately matches training: a
 fallback to the prior at an address the network has never seen resets the
 previous-sample embedding to zeros (in the sessions here and in the skipped
-step of :meth:`InferenceNetwork._sub_minibatch_loss`), so trained weights see
+step of both training losses), so trained weights see
 the same inputs at inference time.
 """
 
@@ -42,7 +44,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence,
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy (cycle guard)
-    from repro.data.packing import PackedSubMinibatch
+    from repro.data.packing import PackedStep, PackedSubMinibatch
 
 from repro.common.config import Config
 from repro.data.dataset import observation_array
@@ -230,60 +232,93 @@ class InferenceNetwork(Module):
     def loss_packed(self, packs: Sequence["PackedSubMinibatch"]) -> Tensor:
         """The minibatch loss over pre-built packs (one per trace-type group).
 
-        Numerically identical to ``loss(sum of packed traces)`` — the packs
-        carry precomputed array inputs, not different math — and it honours
-        :attr:`vectorized_loss`: with the flag off, each pack's retained
-        traces are scored through the per-object reference path, so the two
-        paths stay comparable under the same minibatch schedule.
+        The packs carry precomputed array inputs, and the default path
+        (:meth:`_packed_loss`) scores all of them together.  With
+        :attr:`vectorized_loss` off, each pack's retained traces are scored
+        through the per-object reference path instead, under the same
+        minibatch schedule.  The two agree within floating-point tolerance
+        (they sum the same terms in a different order), not bit for bit.
         """
         packs = list(packs)
         if len(packs) == 0:
             raise ValueError("loss_packed needs at least one pack")
-        self._last_sub_minibatches = 0
-        num_traces = 0
-        total: Optional[Tensor] = None
-        for pack in packs:
-            num_traces += pack.batch_size
-            if self.vectorized_loss:
-                group_loss = self._sub_minibatch_loss_packed(pack)
-            else:
-                group_loss = self._sub_minibatch_loss(pack.traces)
-            total = group_loss if total is None else total + group_loss
-        assert total is not None
-        return total * (1.0 / num_traces)
+        self._last_sub_minibatches = len(packs)
+        if self.vectorized_loss:
+            total = self._packed_loss(packs)
+        else:
+            total = self._sub_minibatch_loss(packs[0].traces)
+            for pack in packs[1:]:
+                total = total + self._sub_minibatch_loss(pack.traces)
+        return total * (1.0 / sum(pack.batch_size for pack in packs))
 
     @property
     def last_num_sub_minibatches(self) -> int:
         return self._last_sub_minibatches
 
-    def _sub_minibatch_loss_packed(self, pack: "PackedSubMinibatch") -> Tensor:
-        """Negative log q over one packed group, in per-step array ops.
+    def _packed_loss(self, packs: Sequence["PackedSubMinibatch"]) -> Tensor:
+        """Negative log q summed over every pack of a minibatch, each piece of work once.
 
-        Step for step the same computation graph as
-        :meth:`_sub_minibatch_loss` — observation embedding, address
-        embedding, LSTM step, proposal log-density, previous-sample embedding
-        — but every numpy input (stacked observations, value columns, prior
-        geometry, sample encodings) comes precomputed from the pack instead
-        of being re-derived from per-trace objects.  Discarded addresses
-        (frozen network) skip the step and zero the previous-sample
-        embedding, exactly as the reference and the inference sessions do.
+        Training is teacher-forced: a step's previous-sample input embeds the
+        value *recorded* one step earlier, never a draw from the head, so
+        only the LSTM recurrence has to run step by step.  Everything else
+        runs once over stacked rows:
+
+        * one observation-embedding forward over the observations of every pack,
+        * per address, one sample-embedding forward over every row that feeds
+          a next step, before the LSTM runs,
+        * per step, the ``cat`` of the LSTM input and the LSTM step,
+        * per address, after the LSTM, one proposal-head log-density over
+          all of its ``(trace, step)`` rows
+          (:func:`repro.data.packing.concat_steps` joins their arrays).
+
+        The terms are those of :meth:`_sub_minibatch_loss`, summed in another
+        order.  Discarded addresses (frozen network) skip their step and zero
+        the next previous-sample embedding, exactly as the reference and the
+        inference sessions do.
         """
-        self._last_sub_minibatches += 1
-        batch = pack.batch_size
-        obs_embed = self.observation_embedding(Tensor(pack.observations))
-        state = self.lstm.initial_state(batch)
-        prev_embed = Tensor(np.zeros((batch, self.sample_dim)))
+        from repro.data.packing import concat_steps
+
+        layers = self.proposal_layers
+        feeding: Dict[str, List[Tuple[int, int]]] = {}
+        for p, pack in enumerate(packs):
+            for t, (step, following) in enumerate(zip(pack.steps, pack.steps[1:])):
+                if step.address in layers and following.address in layers:
+                    feeding.setdefault(step.address, []).append((p, t))
+        previous: Dict[Tuple[int, int], Tensor] = {}
+        for address, positions in feeding.items():
+            encoded = [packs[p].steps[t].encoded_values for p, t in positions]
+            embedded = self.sample_embeddings[address](Tensor(np.concatenate(encoded)))
+            previous.update(zip(positions, _row_blocks(embedded, [len(rows) for rows in encoded])))
+
+        sizes = [pack.batch_size for pack in packs]
+        observations = np.concatenate([pack.observations for pack in packs])
+        obs_embeds = _row_blocks(self.observation_embedding(Tensor(observations)), sizes)
+        address_rows: Dict[Tuple[str, int], Tensor] = {}
+        scored: Dict[str, Tuple[List[Tensor], List["PackedStep"]]] = {}
+        for p, (pack, obs_embed) in enumerate(zip(packs, obs_embeds)):
+            batch = pack.batch_size
+            zeros = Tensor(np.zeros((batch, self.sample_dim)))
+            state = self.lstm.initial_state(batch)
+            prev_embed = zeros
+            for t, step in enumerate(pack.steps):
+                if step.address not in layers:
+                    prev_embed = zeros
+                    continue
+                key = (step.address, batch)
+                if key not in address_rows:
+                    address_rows[key] = self.address_embeddings[step.address](batch)
+                lstm_input = Tensor.cat([obs_embed, address_rows[key], prev_embed], axis=1)
+                hidden, state = self.lstm.step(lstm_input, state)
+                hiddens, steps = scored.setdefault(step.address, ([], []))
+                hiddens.append(hidden)
+                steps.append(step)
+                prev_embed = previous.get((p, t), zeros)
+
         neg_log_q: Optional[Tensor] = None
-        for step in pack.steps:
-            if step.address not in self.proposal_layers:
-                prev_embed = Tensor(np.zeros((batch, self.sample_dim)))
-                continue
-            addr_embed = self.address_embeddings[step.address](batch)
-            lstm_input = Tensor.cat([obs_embed, addr_embed, prev_embed], axis=1)
-            hidden, state = self.lstm.step(lstm_input, state)
-            log_q = self.proposal_layers[step.address].log_prob_packed(hidden, step)
+        for address, (hiddens, steps) in scored.items():
+            rows = hiddens[0] if len(hiddens) == 1 else Tensor.cat(hiddens, axis=0)
+            log_q = layers[address].log_prob_packed(rows, concat_steps(steps))
             neg_log_q = (-log_q) if neg_log_q is None else neg_log_q - log_q
-            prev_embed = self.sample_embeddings[step.address](Tensor(step.encoded_values))
         if neg_log_q is None:
             neg_log_q = Tensor(np.zeros(()))
         return neg_log_q
@@ -291,12 +326,12 @@ class InferenceNetwork(Module):
     def _sub_minibatch_loss(self, traces: Sequence[Trace]) -> Tensor:
         """Negative log q summed over a group of same-trace-type traces.
 
-        The per-object reference path (``vectorized_loss=False``): scores
-        values against per-trace prior objects and re-derives every array per
-        call.  Kept as the bit-identity and benchmark reference for
-        :meth:`_sub_minibatch_loss_packed`.
+        The per-object reference path (``vectorized_loss=False``): one LSTM
+        step, one proposal-head log-density and one sample embedding per step,
+        scoring values against per-trace prior objects and re-deriving every
+        array per call.  Kept as the tolerance and benchmark reference for
+        :meth:`_packed_loss`.
         """
-        self._last_sub_minibatches += 1
         batch = len(traces)
         observations = np.stack([self._observation_array(t) for t in traces], axis=0)
         obs_embed = self.observation_embedding(Tensor(observations))
@@ -404,6 +439,17 @@ class InferenceNetwork(Module):
             network._create_layers(address, prior)
         network.load_state_dict(payload["state_dict"])
         return network
+
+
+def _row_blocks(tensor: Tensor, sizes: Sequence[int]) -> List[Tensor]:
+    """``tensor`` split into consecutive row blocks of ``sizes`` rows (itself when one block)."""
+    if len(sizes) == 1:
+        return [tensor]
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(tensor[start : start + size])
+        start += size
+    return blocks
 
 
 class DrawnProposal:

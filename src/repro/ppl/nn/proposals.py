@@ -64,17 +64,24 @@ class ProposalLayer(Module):
         raise NotImplementedError
 
     def log_prob_packed(self, hidden: Tensor, step: "PackedStep") -> Tensor:
-        """Differentiable log q for one packed training step.
+        """Differentiable log q over an address's packed training rows.
 
-        The vectorised training loss hands the layer a
-        :class:`repro.data.packing.PackedStep` whose value/prior arrays were
-        precomputed at pack-build time.  The built-in layers override this to
-        skip every per-trace Python loop; this base implementation falls back
-        to :meth:`log_prob` on the step's retained per-trace objects, so
-        custom layers keep working (and so do packs whose prior family does
-        not match the layer).  Overrides must evaluate the same floating-point
-        expression as :meth:`log_prob` — the ``vectorized_loss=False``
-        reference path and its equivalence tests rely on it.
+        The vectorised training loss runs the LSTM over every step first and
+        then calls each address's layer once: ``hidden`` is ``(N, hidden_dim)``
+        with one row per ``(trace, step)`` at this address, across every
+        step and pack of the minibatch, and ``step`` is those rows'
+        :class:`repro.data.packing.PackedStep` arrays joined by
+        :func:`repro.data.packing.concat_steps` (values column,
+        :class:`PriorGeometry`, or category indices, precomputed at
+        pack-build time).  The built-in layers override this to skip every
+        per-trace Python loop; this base implementation falls back to
+        :meth:`log_prob` on the joined per-trace objects, so custom layers
+        keep working (and so do packs whose prior family does not match the
+        layer).  Overrides must evaluate the expression :meth:`log_prob`
+        evaluates on the same rows.  The ``vectorized_loss=False`` reference
+        path calls :meth:`log_prob` once per step instead, so the two losses
+        agree within floating-point tolerance (a sum in another order), not
+        bit for bit.
         """
         return self.log_prob(hidden, step.values, step.priors)
 
@@ -153,8 +160,8 @@ class ProposalNormalMixture(ProposalLayer):
     ) -> Tensor:
         """Shared differentiable density: the per-object ``log_prob`` and the
         packed path both evaluate exactly this expression (one fused autograd
-        node over the raw network outputs), which is what makes them
-        bit-identical in loss and gradients.  The components are the ones
+        node over the raw network outputs), so on the same rows they agree
+        bit for bit.  The components are the ones
         :meth:`_transformed_from_geometry` emits proposals from."""
         raw_means, raw_scales, logits = self._raw_parameters(hidden)
         return F.truncated_normal_mixture_log_prob(

@@ -42,7 +42,7 @@ class SimulatorClient:
     transport:
         A connected :class:`repro.ppx.transport.Transport`.
     simulator:
-        A callable ``simulator(client, observation) -> result`` that expresses
+        A callable ``simulator(client) -> result`` that expresses
         the stochastic program by calling :meth:`sample` and :meth:`observe`
         on the ``client`` it receives.
     system_name / model_name:
@@ -61,7 +61,7 @@ class SimulatorClient:
     def __init__(
         self,
         transport: Transport,
-        simulator: Callable[["SimulatorClient", Any], Any],
+        simulator: Callable[["SimulatorClient"], Any],
         system_name: str = "repro-simulator",
         model_name: str = "model",
         connect: Optional[Callable[[], Transport]] = None,
@@ -177,7 +177,7 @@ class SimulatorClient:
                 # Addresses start at the simulator, whatever launched this
                 # client (a script, ``python -m``, a thread).
                 __ppl_model_entry__ = True  # noqa: F841 - stack marker for address building
-                result = self.simulator(self, message.observation)
+                result = self.simulator(self)
             except ConnectionError:
                 raise  # a dropped socket mid-trace is a transport event, not a model error
             except Exception as exc:  # report simulator failures to the PPL

@@ -82,9 +82,7 @@ class HandshakeResult(Message):
 @_register
 @dataclass
 class Run(Message):
-    """Ask the simulator to execute once, optionally with an observation embedded."""
-
-    observation: Optional[Any] = None
+    """Ask the simulator to execute its program once."""
 
 
 @_register

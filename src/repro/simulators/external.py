@@ -29,13 +29,13 @@ from repro.ppx.transport import SocketTransport, connect_tcp, listen_tcp
 __all__ = ["SIMULATOR_REGISTRY", "start_remote_model", "run_client", "main"]
 
 
-def _tau_decay_simulator(client, observation):
+def _tau_decay_simulator(client):
     from repro.simulators.tau_decay import TauDecayConfig, tau_decay_program
 
     return None if tau_decay_program(client, TauDecayConfig()) is None else 0
 
 
-def _gaussian_simulator(client, observation):
+def _gaussian_simulator(client):
     """A tiny two-latent Gaussian model used by tests (fast to run remotely)."""
     import numpy as np
 
@@ -46,7 +46,7 @@ def _gaussian_simulator(client, observation):
     return float(np.asarray(mu))
 
 
-def _spectroscopy_simulator(client, observation):
+def _spectroscopy_simulator(client):
     from repro.simulators.spectroscopy import SpectroscopyConfig, spectroscopy_program
 
     spectroscopy_program(client, SpectroscopyConfig())

@@ -563,10 +563,13 @@ def max_pool3d(
     """3D max pooling over a ``(N, C, D, H, W)`` input.
 
     ``stride`` defaults to ``kernel_size`` (non-overlapping windows), matching
-    the ``MaxPool3D(2)`` layers in the paper's observation embedding.  That
-    case is a reshape: each window becomes one row of a ``(..., kD*kH*kW)``
-    array, reduced with ``argmax`` (ties go to the first offset in raster
-    order, as in the general path) and scattered back through the same index.
+    the ``MaxPool3D(2)`` layers in the paper's observation embedding.  Every
+    window offset ``(i, j, k)`` picks one strided view of the input — that
+    offset's element of every window — and the forward pass is a running
+    ``np.maximum`` over the ``kD*kH*kW`` views, so no window is copied out.
+    The backward pass resolves which element each maximum came from: walking
+    the offsets in raster order, an output's gradient goes to the first offset
+    whose element equals the maximum (ties go to the first offset).
     """
     kernel = _triple(kernel_size)
     stride_t = _triple(stride) if stride is not None else kernel
@@ -579,68 +582,32 @@ def max_pool3d(
     if d_out <= 0 or h_out <= 0 or w_out <= 0:
         raise ValueError(f"max_pool3d output would be empty for input {(d, h, w)}")
 
-    if stride_t == kernel:
-        # Windows tile the (cropped) volume: split every axis into (out, k).
-        covered = (slice(None), slice(None), slice(0, d_out * kd), slice(0, h_out * kh), slice(0, w_out * kw))
-        split_shape = (n, c, d_out, kd, h_out, kh, w_out, kw)
-        window_rows = (
-            x.data[covered]
-            .reshape(split_shape)
-            .transpose(0, 1, 2, 4, 6, 3, 5, 7)
-            .reshape(n, c, d_out, h_out, w_out, kd * kh * kw)
+    views = [
+        (
+            slice(None),
+            slice(None),
+            slice(i, i + sd * d_out, sd),
+            slice(j, j + sh * h_out, sh),
+            slice(k, k + sw * w_out, sw),
         )
-        rows_shape = window_rows.shape
-        best_offset = np.argmax(window_rows, axis=-1)[..., None]
-        out = _make(np.take_along_axis(window_rows, best_offset, axis=-1)[..., 0], (x,))
-        if out.requires_grad:
-            def _bw(grad):
-                grad_rows = np.zeros(rows_shape)
-                np.put_along_axis(grad_rows, best_offset, grad[..., None], axis=-1)
-                grad_x = np.zeros(x.data.shape)
-                grad_x[covered] = (
-                    grad_rows.reshape(n, c, d_out, h_out, w_out, kd, kh, kw)
-                    .transpose(0, 1, 2, 5, 3, 6, 4, 7)
-                    .reshape(n, c, d_out * kd, h_out * kh, w_out * kw)
-                )
-                _accumulate(x, grad_x, True)
-            out._backward = _bw
-        return out
-
-    best = np.full((n, c, d_out, h_out, w_out), -np.inf)
-    best_offset = np.zeros((n, c, d_out, h_out, w_out), dtype=np.int64)
-    offset = 0
-    for i in range(kd):
-        for j in range(kh):
-            for k in range(kw):
-                patch = x.data[
-                    :,
-                    :,
-                    i : i + sd * d_out : sd,
-                    j : j + sh * h_out : sh,
-                    k : k + sw * w_out : sw,
-                ]
-                better = patch > best
-                best = np.where(better, patch, best)
-                best_offset = np.where(better, offset, best_offset)
-                offset += 1
+        for i in range(kd)
+        for j in range(kh)
+        for k in range(kw)
+    ]
+    best = x.data[views[0]].copy()
+    for view in views[1:]:
+        np.maximum(best, x.data[view], out=best)
 
     out = _make(best, (x,))
     if out.requires_grad:
         def _bw(grad):
-            grad_x = np.zeros_like(x.data)
-            offset_idx = 0
-            for i in range(kd):
-                for j in range(kh):
-                    for k in range(kw):
-                        mask = best_offset == offset_idx
-                        grad_x[
-                            :,
-                            :,
-                            i : i + sd * d_out : sd,
-                            j : j + sh * h_out : sh,
-                            k : k + sw * w_out : sw,
-                        ] += grad * mask
-                        offset_idx += 1
+            grad_x = np.zeros(x.data.shape)
+            unclaimed = np.ones(best.shape, dtype=bool)
+            for view in views:
+                first = np.equal(x.data[view], best)
+                first &= unclaimed
+                unclaimed ^= first
+                grad_x[view] += grad * first
             _accumulate(x, grad_x, True)
         out._backward = _bw
     return out

@@ -1,9 +1,9 @@
 """Reference implementations the fused tensor kernels are checked against.
 
 These are the expressions ``src/repro/tensor`` used before its hot kernels
-were fused: the kernel-offset-unrolled ``einsum`` convolution, and the linear
+were fused: the kernel-offset-unrolled ``einsum`` convolution, the linear
 map, LSTM cell and truncated-normal-mixture density composed from elementary
-autograd operations.  They are slow and build many graph nodes; they live
+autograd operations, and the observation CNN with each ReLU before its pool.  They are slow and build many graph nodes; they live
 here only so that ``tests/test_tensor_kernels.py`` and
 ``benchmarks/test_tensor_kernels.py`` can require value-and-gradient agreement
 with (and a speed-up over) them.  The per-tensor Adam and LARC steps and the
@@ -157,6 +157,29 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride=1, p
                 _accumulate(x, grad_x_pad[:, :, pd : pd + d, ph : ph + h, pw : pw + w])
         out._backward = _bw
     return out
+
+
+def observation_embedding_conv_relu_pool(embedding, observations: Tensor) -> Tensor:
+    """``ObservationEmbedding3DCNN`` composed in the paper's order, each conv's ReLU before its pool.
+
+    The module pools before its ReLU (max commutes with a monotone map, and
+    the ReLU then runs on the pooled volume); this walks the same layers with
+    every ``pool, ReLU`` pair applied as ``ReLU, pool``.
+    """
+    from repro.tensor.nn import MaxPool3d, ReLU
+
+    x = observations.reshape(observations.shape[0], 1, *observations.shape[1:])
+    modules = list(embedding.network)
+    index = 0
+    while index < len(modules):
+        module = modules[index]
+        if isinstance(module, MaxPool3d) and isinstance(modules[index + 1], ReLU):
+            x = module(modules[index + 1](x))
+            index += 2
+        else:
+            x = module(x)
+            index += 1
+    return x
 
 
 # ------------------------------------------------------- batched distributions

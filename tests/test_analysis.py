@@ -1117,8 +1117,8 @@ REAL_SITE_MUTATIONS = {
         ("repro/ppl/inference/random_walk_metropolis.py",
          "math.log(self._rng.uniform(0.0, 1.0) + 1e-300)", "math.log(random.random() + 1e-300)"))),
     "rng-stdlib-random:packed-epoch-order": ("rng-stdlib-random", (
-        ("repro/data/packing.py", "from dataclasses import dataclass, field\n",
-         "import random\nfrom dataclasses import dataclass, field\n"),
+        ("repro/data/packing.py", "from dataclasses import dataclass\n",
+         "import random\nfrom dataclasses import dataclass\n"),
         ("repro/data/packing.py", "rng.generator.permutation(len(self.batches))",
          "random.sample(range(len(self.batches)), len(self.batches))"))),
     "rng-time-entropy:PosteriorService": ("rng-time-entropy", (

@@ -672,7 +672,7 @@ class TestClientReconnect:
             handshakes.append(generation)
             transport.send(HandshakeResult(accepted=True))
             if generation == 0:
-                transport.send(Run(observation=None))
+                transport.send(Run())
                 reply = transport.receive()
                 assert isinstance(reply, RunResult)
                 transport.close()  # drop the connection mid-session
@@ -686,7 +686,7 @@ class TestClientReconnect:
 
         from repro.ppx.client import SimulatorClient
 
-        def simulator(client, observation):
+        def simulator(client):
             return 1.0
 
         client = SimulatorClient(
@@ -715,7 +715,7 @@ class TestClientReconnect:
 
         script.generations = 1
         ppl_thread = self._ppl_side(server, script)
-        client = SimulatorClient(connect_tcp("127.0.0.1", port), lambda c, o: 0.0)
+        client = SimulatorClient(connect_tcp("127.0.0.1", port), lambda c: 0.0)
         with pytest.raises((ConnectionError, OSError)):
             client.serve_forever()
         ppl_thread.join(timeout=10.0)

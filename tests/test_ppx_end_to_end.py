@@ -15,14 +15,14 @@ from repro.simulators.tau_decay import tau_decay_program
 from tests import reference_kernels as ref
 
 
-def gaussian_simulator(client, observation):
+def gaussian_simulator(client):
     """mu ~ N(0,1); y ~ N(mu, 0.5) with a reported simulated value."""
     mu = float(np.asarray(client.sample(Normal(0.0, 1.0), name="mu")))
     client.observe(Normal(mu, 0.5), value=mu + 0.1, name="obs")
     return mu
 
 
-def uncontrolled_simulator(client, observation):
+def uncontrolled_simulator(client):
     """mu is controlled; a nuisance jitter draw is flagged control=False."""
     mu = float(np.asarray(client.sample(Normal(0.0, 1.0), name="mu")))
     jitter = float(np.asarray(client.sample(Normal(0.0, 0.3), name="jitter", control=False)))
@@ -30,7 +30,7 @@ def uncontrolled_simulator(client, observation):
     return mu
 
 
-def repeated_address_simulator(client, observation):
+def repeated_address_simulator(client):
     """An uncontrolled and a controlled draw at the *same* address."""
     values = []
     for controlled in (False, True):
@@ -39,7 +39,7 @@ def repeated_address_simulator(client, observation):
     return values
 
 
-def looping_simulator(client, observation):
+def looping_simulator(client):
     """A simulator with a rejection loop (variable trace length)."""
     total = 0.0
     for _ in range(10):
@@ -123,7 +123,7 @@ class TestSimulatorController:
         thread.join(timeout=5.0)
 
     def test_simulator_error_is_propagated(self):
-        def failing_simulator(client, observation):
+        def failing_simulator(client):
             raise RuntimeError("simulated crash")
 
         ppl_side, sim_side = make_queue_pair()
@@ -338,7 +338,7 @@ class TestRemoteModel:
         thread.join(timeout=5.0)
 
     def test_observes_are_conditioned_by_name(self):
-        remote, thread = self._remote(lambda client, observation: two_point_gaussian(client))
+        remote, thread = self._remote(two_point_gaussian)
         try:
             both = remote.get_trace(observed_values={"y1": 0.4, "y2": 0.9}, rng=RandomState(7))
             only_y2 = remote.get_trace(observed_values={"y2": 0.9}, rng=RandomState(7))
@@ -360,7 +360,7 @@ class TestRemoteModel:
         from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 
         local = FunctionModel(two_point_gaussian, name="two-point", args=(LocalHandle(),))
-        remote, thread = self._remote(lambda client, observation: two_point_gaussian(client))
+        remote, thread = self._remote(two_point_gaussian)
         observation = {"y1": 0.4, "y2": 0.9}
         engine = InferenceCompilation(
             observation_embedding=ObservationEmbeddingFC(input_dim=1, embedding_dim=8),
@@ -402,7 +402,7 @@ class TestTauHandleContract:
     def remote_and_local(self, seed):
         remote_results = []
 
-        def simulator(client, observation):
+        def simulator(client):
             remote_results.append(tau_decay_program(client, TauDecayConfig()))
             return 0
 

@@ -217,7 +217,9 @@ class TestSerialization:
 
 #: ``encode_message`` output of the parent commit (before arrays travelled as
 #: arrays), one instance per message kind, none holding an array: the format
-#: of everything that is not an array is frozen.
+#: of everything that is not an array is frozen.  ``Run`` was re-frozen once,
+#: when its never-read ``observation`` field was deleted: it is now the bare
+#: ``kind`` map.
 GOLDEN_MESSAGES = [
     (
         Handshake(system_name="sherpa", model_name="tau-decay", language="c++"),
@@ -227,7 +229,7 @@ GOLDEN_MESSAGES = [
         HandshakeResult(system_name="repro-ppl", accepted=True),
         "4400000003000000046b696e64530000000f48616e647368616b65526573756c740000000b73797374656d5f6e616d655300000009726570726f2d70706c0000000861636365707465644201",
     ),
-    (Run(observation=None), "4400000002000000046b696e64530000000352756e0000000b6f62736572766174696f6e4e"),
+    (Run(), "4400000001000000046b696e64530000000352756e"),
     (
         RunResult(
             result={"px": 1.5, "channel": 3, "name": "τ→πν", "flags": [True, None, b"\x00\xff"]},
@@ -318,7 +320,7 @@ class TestMessages:
         messages = [
             Handshake(system_name="sherpa", model_name="tau"),
             HandshakeResult(accepted=True),
-            Run(observation=[1.0, 2.0]),
+            Run(),
             RunResult(result=3.0, success=True),
             SampleRequest(address="a", distribution=Normal(0, 1).to_dict()),
             SampleResult(value=0.5),
@@ -332,11 +334,6 @@ class TestMessages:
     def test_unknown_kind_raises(self):
         with pytest.raises(KeyError):
             message_from_dict({"kind": "NotAMessage"})
-
-    def test_array_observation_roundtrip(self):
-        message = Run(observation=np.ones((2, 3)))
-        decoded = decode_message(encode_message(message))
-        assert np.allclose(np.asarray(decoded.observation), 1.0)
 
 
 class TestAddressBuilder:
@@ -449,7 +446,7 @@ class TestAddressBuilder:
 class TestTransports:
     def test_queue_pair_exchanges_messages(self):
         ppl_side, sim_side = make_queue_pair()
-        ppl_side.send(Run(observation=1.0))
+        ppl_side.send(Run())
         received = sim_side.receive(timeout=1.0)
         assert isinstance(received, Run)
         sim_side.send(RunResult(result=2.0))
@@ -572,7 +569,7 @@ class TestSocketFraming:
         self.assert_messages(received, self.MESSAGES[:2])
 
     def test_frames_larger_than_and_straddling_the_receive_buffer(self):
-        big = Run(observation=np.arange(20_000.0))  # 160 kB: outgrows the initial buffer
+        big = SampleResult(value=np.arange(20_000.0))  # 160 kB: outgrows the initial buffer
         small = [SampleResult(value=float(i)) for i in range(3000)]  # ~150 kB: wraps it several times
         expected = [self.MESSAGES[0], big, *small, big, self.MESSAGES[2]]
         received, _, _ = self.receive_all([b"".join(frame(m) for m in expected)], len(expected))

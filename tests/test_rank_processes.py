@@ -73,10 +73,11 @@ def build_trainer(dataset, num_ranks=2, **kwargs):
 # ---------------------------------------------------------------- determinism
 #: (ranks, trainer options, first/last loss frozen when the deal became one
 #: schedule of cost-matched groups, the three-rank case when the trainer lost
-#: its length buckets)
+#: its length buckets; both re-frozen when the packed loss began scoring each
+#: address's rows of all packs at once, which moved them in the last digit)
 CASES = [
-    (2, {}, (7.238305535781313, 7.296717226181701)),
-    (3, {"larc": True}, (7.258153999512861, 7.13314796607703)),
+    (2, {}, (7.238305535781313, 7.2967172261817)),
+    (3, {"larc": True}, (7.25815399951286, 7.13314796607703)),
 ]
 
 

@@ -377,22 +377,70 @@ class TestGemmConv3d:
 
 
 class TestMaxPool3d:
+    """One path for every window layout: a running maximum over the strided
+    window-offset views, ties resolved to the first offset in the backward.
+    Values are bit-equal to the per-window ``max``; gradients too, except that
+    an element shared by overlapping windows sums their parts in offset order."""
+
     @staticmethod
-    def naive(x, kernel):
-        kd, kh, kw = kernel
-        n, c, d, h, w = x.shape
-        out = np.empty((n, c, d // kd, h // kh, w // kw))
-        for i, j, k in itertools.product(*(range(s) for s in out.shape[2:])):
-            window = x[:, :, i * kd : (i + 1) * kd, j * kh : (j + 1) * kh, k * kw : (k + 1) * kw]
-            out[:, :, i, j, k] = window.reshape(n, c, -1).max(axis=-1)
+    def windows(shape, kernel, stride):
+        """Every output position's window as index slices, in raster order."""
+        out = [(s - k) // st + 1 for s, k, st in zip(shape[2:], kernel, stride)]
+        for i, j, k in itertools.product(*(range(o) for o in out)):
+            yield (i, j, k), tuple(
+                slice(p * st, p * st + kk) for p, st, kk in zip((i, j, k), stride, kernel)
+            )
+
+    @classmethod
+    def naive(cls, x, kernel, stride=None):
+        stride = kernel if stride is None else stride
+        n, c = x.shape[:2]
+        out_shape = [(s - k) // st + 1 for s, k, st in zip(x.shape[2:], kernel, stride)]
+        out = np.empty((n, c, *out_shape))
+        for (i, j, k), window in cls.windows(x.shape, kernel, stride):
+            out[:, :, i, j, k] = x[(slice(None), slice(None), *window)].reshape(n, c, -1).max(axis=-1)
         return out
 
-    @pytest.mark.parametrize("shape,kernel", [((2, 3, 4, 4, 4), 2), ((1, 2, 5, 7, 4), 2), ((2, 1, 4, 6, 6), (1, 2, 3))])
-    def test_tiled_windows_match_naive_and_gradcheck(self, shape, kernel):
-        x = RNG.standard_normal(shape)
+    @classmethod
+    def naive_grad(cls, x, grad, kernel, stride):
+        """Each output's gradient to its window's first maximal element (raster order)."""
+        grad_x = np.zeros_like(x)
+        n, c = x.shape[:2]
+        for (i, j, k), window in cls.windows(x.shape, kernel, stride):
+            rows = x[(slice(None), slice(None), *window)].reshape(n, c, -1)
+            first = np.argmax(rows, axis=-1)
+            for b, ch in itertools.product(range(n), range(c)):
+                offset = np.unravel_index(first[b, ch], kernel)
+                target = tuple(w.start + o for w, o in zip(window, offset))
+                grad_x[(b, ch, *target)] += grad[b, ch, i, j, k]
+        return grad_x
+
+    @pytest.mark.parametrize(
+        "shape,kernel,stride",
+        [
+            ((2, 3, 4, 4, 4), 2, None),          # tiled
+            ((1, 2, 5, 7, 4), 2, None),          # cropped: the last row/column of windows is partial
+            ((2, 1, 4, 6, 6), (1, 2, 3), None),  # tiled, anisotropic
+            ((1, 2, 4, 5, 4), 2, 1),             # overlapping
+            ((2, 2, 5, 6, 7), (3, 2, 2), (2, 1, 2)),  # overlapping on one axis, cropped
+        ],
+    )
+    def test_value_and_gradient_are_bit_equal_to_naive(self, shape, kernel, stride):
         kernel_t = (kernel,) * 3 if isinstance(kernel, int) else kernel
-        assert np.array_equal(F.max_pool3d(Tensor(x), kernel).data, self.naive(x, kernel_t))
-        gradcheck(lambda t: F.max_pool3d(t, kernel), [x])
+        stride_t = kernel_t if stride is None else ((stride,) * 3 if isinstance(stride, int) else stride)
+        x = RNG.standard_normal(shape)
+        x[..., ::3] = np.round(x[..., ::3])  # plenty of tied maxima
+        tensor = Tensor(x, requires_grad=True)
+        out = F.max_pool3d(tensor, kernel, stride=stride)
+        assert np.array_equal(out.data, self.naive(x, kernel_t, stride_t))
+        grad = RNG.standard_normal(out.shape)
+        out.backward(grad)
+        expected = self.naive_grad(x, grad, kernel_t, stride_t)
+        if all(st >= k for st, k in zip(stride_t, kernel_t)):
+            assert np.array_equal(tensor.grad, expected)
+        else:  # an element in several windows sums their gradients in another order
+            np.testing.assert_allclose(tensor.grad, expected, rtol=1e-14, atol=0.0)
+        gradcheck(lambda t: F.max_pool3d(t, kernel, stride=stride), [RNG.standard_normal(shape)])
 
     def test_ties_send_the_gradient_to_the_first_offset(self):
         x = Tensor(np.ones((1, 1, 2, 2, 2)), requires_grad=True)
@@ -400,13 +448,39 @@ class TestMaxPool3d:
         expected = np.zeros((1, 1, 2, 2, 2))
         expected[0, 0, 0, 0, 0] = 1.0
         assert np.array_equal(x.grad, expected)
-        # the overlapping (general) path breaks ties the same way
+        # overlapping windows break ties the same way: each window's first offset
         y = Tensor(np.ones((1, 1, 3, 3, 3)), requires_grad=True)
         F.max_pool3d(y, 2, stride=1).sum().backward()
-        assert y.grad[0, 0, 0, 0, 0] == 1.0 and y.grad.sum() == 8.0
+        expected = np.zeros((1, 1, 3, 3, 3))
+        expected[0, 0, :2, :2, :2] = 1.0
+        assert np.array_equal(y.grad, expected)
 
-    def test_overlapping_windows_gradcheck(self):
-        gradcheck(lambda t: F.max_pool3d(t, 2, stride=1), [RNG.standard_normal((1, 2, 4, 4, 4))])
+    def test_cnn_embedding_equals_conv_relu_pool(self):
+        """Pool-then-ReLU in the module is the paper's conv -> ReLU -> pool,
+        bit for bit, in the embedding and in every gradient."""
+        from repro.ppl.nn.embeddings import ObservationEmbedding3DCNN
+
+        embedding = ObservationEmbedding3DCNN((8, 11, 11), embedding_dim=16, rng=RandomState(3))
+        assert [type(m).__name__ for m in embedding.network][:3] == ["Conv3d", "MaxPool3d", "ReLU"]
+        observations = RNG.standard_normal((5, 8, 11, 11))
+
+        def run(forward):
+            embedding.zero_grad()
+            inputs = Tensor(observations, requires_grad=True)
+            out = forward(inputs)
+            out.backward(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))
+            grads = {name: p.grad.copy() for name, p in embedding.named_parameters()}
+            return out.data, inputs.grad, grads
+
+        out, input_grad, grads = run(embedding)
+        ref_out, ref_input_grad, ref_grads = run(
+            lambda t: ref.observation_embedding_conv_relu_pool(embedding, t)
+        )
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(input_grad, ref_input_grad)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 # --------------------------------------------------------------------- tape

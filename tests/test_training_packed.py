@@ -1,15 +1,20 @@
 """Tests for the packed-minibatch vectorised training pipeline.
 
 The load-bearing contract mirrors PR 3's batched-proposal contract, on the
-training side: scoring a sub-minibatch through packed array inputs
-(``vectorized_loss=True``, the default) must be **bit-identical** — in loss
-value and in every parameter gradient — to the retained per-object reference
-path (``vectorized_loss=False``), because the packed path is a
-representation swap, not different math.  On top of that sit the offline
+training side: the packed loss (``vectorized_loss=True``, the default) scores
+all packs of a minibatch together — the LSTM per step, every embedding and
+proposal head once per address over all of its rows — while the retained
+per-object reference path (``vectorized_loss=False``) scores step by step.
+Both sum the same terms in a different order, so they agree within a stated
+tolerance, not bitwise: the loss to rtol 1e-12 and every parameter gradient
+to within 1e-10 of that gradient's largest magnitude.  The packed loss itself
+is bitwise deterministic from run to run.  On top of that sit the offline
 epoch schedule (sorted + token-budgeted minibatches, cached packs) and the
 bookkeeping fixes that rode along (sub-minibatch counter, polymorph
 fast-path).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,16 +25,27 @@ from repro.common.rng import RandomState
 from repro.data import InMemoryTraceDataset
 from repro.data.packing import (
     PackedEpochPlan,
+    concat_steps,
     pack_minibatch,
     pack_sub_minibatch,
 )
 from repro.distributed import DistributedTrainer, fused_sparse_allreduce
-from repro.distributions import Categorical, Normal, Uniform
+from repro.distributions import Categorical, Normal, TruncatedNormal, Uniform
 from repro.ppl import FunctionModel, observe, sample
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 from repro.ppl.nn.inference_network import InferenceNetwork
+from repro.ppl.nn.proposals import ProposalLayer
 from repro.tensor import optim
+from repro.tensor.nn import Linear
+
+#: packed loss vs the per-object reference: relative tolerance on the loss ...
+LOSS_RTOL = 1e-12
+#: ... and on each gradient tensor, as a fraction of its largest magnitude
+GRAD_TOL = 1e-10
+#: the two paths' offline loss curves over 20 Adam steps, where a gradient
+#: difference can compound (measured on x86-64 with OpenBLAS: 3e-16)
+HISTORY_RTOL = 1e-10
 
 
 def build_network(config, input_dim=4, vectorized_loss=True, seed=0):
@@ -55,6 +71,20 @@ def variable_program():
     return total
 
 
+def families_program():
+    """Every prior family, per-trace prior parameters, and one address drawn
+    at several steps of a trace: Categorical, unbounded Normal, bounded
+    Uniform and TruncatedNormal."""
+    n = sample(Categorical([0.3, 0.4, 0.3]), name="n", address="n")
+    total = 0.0
+    for _ in range(int(n) + 1):
+        total += sample(Normal(total, 1.0), name="walk", address="walk")
+    width = sample(Uniform(0.5, 1.5), name="width", address="width")
+    tail = sample(TruncatedNormal(total, width, total - 1.0, total + 2.0), name="tail", address="tail")
+    observe(Normal(np.array([total, width, tail, float(n)]), 0.3), name="obs")
+    return total
+
+
 def loss_and_grads(network, traces):
     for p in network.parameters():
         p.grad = None
@@ -66,8 +96,9 @@ def loss_and_grads(network, traces):
     return loss.item(), grads
 
 
-def assert_paths_bit_identical(network, traces):
-    """Both loss paths on one network: same loss, same gradients, bitwise."""
+def assert_paths_agree(network, traces):
+    """Both loss paths on one network: the loss to ``LOSS_RTOL``, every
+    gradient to ``GRAD_TOL`` of its largest magnitude."""
     previous = network.vectorized_loss
     try:
         network.vectorized_loss = True
@@ -76,10 +107,27 @@ def assert_paths_bit_identical(network, traces):
         reference_loss, reference_grads = loss_and_grads(network, traces)
     finally:
         network.vectorized_loss = previous
-    assert packed_loss == reference_loss
+    assert packed_loss == pytest.approx(reference_loss, rel=LOSS_RTOL, abs=0.0)
     assert packed_grads.keys() == reference_grads.keys()
-    for name in reference_grads:
-        assert np.array_equal(packed_grads[name], reference_grads[name]), name
+    for name, reference in reference_grads.items():
+        error = np.max(np.abs(packed_grads[name] - reference))
+        assert error <= GRAD_TOL * np.max(np.abs(reference)), name
+
+
+class GaussianHeadOnlyLogProb(ProposalLayer):
+    """A custom proposal layer implementing only ``log_prob``: the packed loss
+    reaches it through the base-class ``log_prob_packed`` fallback."""
+
+    def __init__(self, input_dim, rng=None):
+        super().__init__()
+        self.head = Linear(input_dim, 1, rng=rng)
+        self.rows_per_call = []
+
+    def log_prob(self, hidden, values, priors):
+        self.rows_per_call.append(hidden.shape[0])
+        assert len(priors) == hidden.shape[0]
+        residual = self.head(hidden) - np.asarray(values, dtype=float).reshape(-1, 1)
+        return (residual * residual * -0.5).sum()
 
 
 class TestLossEquivalence:
@@ -90,14 +138,35 @@ class TestLossEquivalence:
         traces = model.prior_traces(24, rng=rng)
         assert len({t.trace_type for t in traces}) > 1
         network.polymorph(traces)
-        assert_paths_bit_identical(network, traces)
+        assert_paths_agree(network, traces)
+
+    def test_categorical_bounded_and_unbounded_priors(self, small_config, rng):
+        """All families in one call, one address repeated within a trace."""
+        model = FunctionModel(families_program, name="families")
+        network = build_network(small_config)
+        traces = model.prior_traces(20, rng=rng)
+        assert len({t.trace_type for t in traces}) == 3
+        network.polymorph(traces)
+        assert set(network.proposal_layers.keys()) == {"n", "walk", "width", "tail"}
+        assert_paths_agree(network, traces)
 
     def test_single_trace_degenerate_group(self, small_config, mixed_model, rng):
-        """B=1 groups must survive packing (shape edge of every array path)."""
+        """B=1 packs must survive packing (shape edge of every array path),
+        alone and several in one call."""
         network = build_network(small_config)
         traces = mixed_model.prior_traces(3, rng=rng)
         network.polymorph(traces)
-        assert_paths_bit_identical(network, traces[:1])
+        assert_paths_agree(network, traces[:1])
+        model = FunctionModel(variable_program, name="variable")
+        one_per_type = {}
+        for trace in model.prior_traces(30, rng=rng):
+            one_per_type.setdefault(trace.trace_type, trace)
+        singles = list(one_per_type.values())
+        assert len(singles) > 1
+        network = build_network(small_config)
+        network.polymorph(singles)
+        assert [p.batch_size for p in pack_minibatch(singles, "obs")] == [1] * len(singles)
+        assert_paths_agree(network, singles)
 
     def test_discarded_address_resets_prev_embedding(self, small_config):
         """Frozen-network skip steps zero the previous-sample embedding in
@@ -112,12 +181,81 @@ class TestLossEquivalence:
             x1 = ppl.sample(Normal(0.0, 1.0), name="x1", address="addr_1")
             x2 = ppl.sample(Normal(0.0, 1.0), name="x2", address="addr_2")
             x3 = ppl.sample(Normal(0.0, 1.0), name="x3", address="addr_3")
+            if x3 > 0:
+                ppl.sample(Normal(0.0, 1.0), name="x4", address="addr_1")
             ppl.observe(Normal(np.array([x1 + x3, x2]), 0.5), name="obs")
             return x1
 
         model = FunctionModel(program, name="three_address")
-        traces = [model.get_trace(rng=RandomState(100 + i)) for i in range(5)]
-        assert_paths_bit_identical(network, traces)
+        traces = [model.get_trace(rng=RandomState(100 + i)) for i in range(8)]
+        assert len({t.trace_type for t in traces}) == 2
+        assert_paths_agree(network, traces)
+
+    def test_custom_layer_with_only_log_prob(self, small_config, rng):
+        """A layer without ``log_prob_packed`` sees every row of its address
+        in one call on the packed path, one step per call on the reference."""
+        model = FunctionModel(families_program, name="families")
+        traces = model.prior_traces(16, rng=rng)
+        network = build_network(small_config)
+        network.polymorph(traces)
+        custom = GaussianHeadOnlyLogProb(small_config.lstm_hidden, rng=RandomState(3))
+        network.proposal_layers["walk"] = custom
+        assert_paths_agree(network, traces)
+        walk_rows = sum(1 for t in traces for s in t.samples if s.address == "walk")
+        packed_calls, reference_calls = custom.rows_per_call[:1], custom.rows_per_call[1:]
+        assert packed_calls == [walk_rows]
+        assert sum(reference_calls) == walk_rows and len(reference_calls) > 1
+
+    def test_each_piece_of_work_runs_once(self, small_config, rng, monkeypatch):
+        """Per call: one observation embedding, one sample embedding and one
+        head per address; per non-discarded step, one LSTM step."""
+        model = FunctionModel(families_program, name="families")
+        traces = model.prior_traces(20, rng=rng)
+        network = build_network(small_config)
+        network.polymorph(traces)
+        packs = pack_minibatch(traces, "obs")
+        assert len(packs) == 3
+        calls = []
+
+        def counting(name, method):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return wrapper
+
+        def count(owner, method, name):
+            monkeypatch.setattr(owner, method, counting(name, getattr(owner, method)))
+
+        count(network.observation_embedding, "forward", "obs")
+        count(network.lstm, "step", "lstm")
+        for address in network.proposal_layers.keys():
+            count(network.proposal_layers[address], "log_prob_packed", f"head:{address}")
+            count(network.sample_embeddings[address], "forward", f"embed:{address}")
+        network.loss_packed(packs)
+        assert calls.count("obs") == 1
+        assert calls.count("lstm") == sum(pack.num_steps for pack in packs)
+        for address in network.proposal_layers.keys():
+            assert calls.count(f"head:{address}") == 1
+        # the last step of a trace feeds no next step: "tail" embeds nothing
+        assert calls.count("embed:tail") == 0
+        for address in ("n", "walk", "width"):
+            assert calls.count(f"embed:{address}") == 1
+
+    def test_packed_loss_is_deterministic(self, small_config, rng):
+        """Run to run, and on a copy of the network: bitwise."""
+        model = FunctionModel(families_program, name="families")
+        traces = model.prior_traces(20, rng=rng)
+        first, second = build_network(small_config), build_network(small_config)
+        first.polymorph(traces)
+        second.polymorph(traces)
+        second.load_state_dict(first.state_dict())
+        results = [loss_and_grads(network, traces) for network in (first, first, second)]
+        first_loss, first_grads = results[0]
+        for loss, grads in results[1:]:
+            assert loss == first_loss
+            assert grads.keys() == first_grads.keys()
+            for name in grads:
+                assert np.array_equal(grads[name], first_grads[name]), name
 
     def test_loss_packed_matches_loss(self, small_config, mixed_model, rng):
         """Pre-built packs score identically to packing inside loss()."""
@@ -133,9 +271,9 @@ class TestLossEquivalence:
         with pytest.raises(ValueError):
             network.loss_packed([])
 
-    def test_offline_training_histories_identical(self, rng):
+    def test_offline_training_histories_agree(self, rng):
         """End-to-end: packed and reference engines under the same sorted
-        schedule and seeds produce the same loss curve."""
+        schedule and seeds produce the same loss curve, within tolerance."""
         config = Config(
             observation_shape=(4, 5, 5),
             lstm_hidden=16,
@@ -164,7 +302,8 @@ class TestLossEquivalence:
 
         packed_history = run(True)
         reference_history = run(False)
-        assert packed_history.losses == reference_history.losses
+        assert len(packed_history.losses) == len(reference_history.losses) == 20
+        np.testing.assert_allclose(packed_history.losses, reference_history.losses, rtol=HISTORY_RTOL, atol=0.0)
 
 
 class TestPacking:
@@ -187,58 +326,43 @@ class TestPacking:
         pack = pack_sub_minibatch(traces, observe_key="obs")
         assert pack.batch_size == 6
         assert pack.observations.shape == (6, 4)
-        # mu step: bounded-Uniform geometry; k step: categorical indices + (B, K) prior probs
+        # mu step: bounded-Uniform geometry; k step: categorical indices
         mu_step, k_step = pack.steps
         assert mu_step.geometry is not None
         assert np.all(mu_step.geometry.bounded)
         assert np.array_equal(mu_step.geometry.lows, np.full(6, -2.0))
         assert mu_step.values_column.shape == (6, 1)
+        assert k_step.geometry is None and k_step.values_column is None
         assert k_step.indices is not None
         assert k_step.indices.dtype == np.int64
-        packed_priors = k_step.packed_priors()
-        assert packed_priors is not None
-        assert packed_priors.probs.shape == (6, 3)
-        assert k_step.packed_priors() is packed_priors  # built once, cached
+        assert k_step.encoded_values.shape == (6, 3)
         assert np.array_equal(
             k_step.indices, np.array([t["k"] for t in traces], dtype=np.int64)
         )
 
-    def test_packed_priors_cover_the_array_families(self, rng):
-        from repro.distributions import (
-            BatchedMixtureOfTruncatedNormals,
-            BatchedNormal,
-            TruncatedNormal,
-        )
-
-        def program():
-            a = sample(Normal(0.0, 1.0), name="a", address="a")
-            b = sample(TruncatedNormal(0.0, 1.0, -1.0, 1.0), name="b", address="b")
-            c = sample(Uniform(0.0, 1.0), name="c", address="c")
-            observe(Normal(np.array([a + b, c]), 1.0), name="obs")
-
-        traces = FunctionModel(program, name="families").prior_traces(3, rng=rng)
-        pack = pack_sub_minibatch(traces, observe_key="obs")
-        a_step, b_step, c_step = pack.steps
-        assert isinstance(a_step.packed_priors(), BatchedNormal)
-        assert isinstance(b_step.packed_priors(), BatchedMixtureOfTruncatedNormals)
-        assert b_step.packed_priors().num_components == 1
-        # Uniform has no batched-distribution form; its support is geometry.
-        assert c_step.packed_priors() is None
-        assert c_step.geometry is not None and c_step.geometry.all_bounded
-
-    def test_packed_priors_survive_pickling(self, mixed_model, rng):
-        """The lazy-build sentinel must not leak through pickling: an
-        unpickled pack builds (or re-uses) real packed priors, never the
-        copied sentinel object."""
-        import pickle
-
-        pack = pack_sub_minibatch(mixed_model.prior_traces(4, rng=rng), observe_key="obs")
-        unbuilt = pickle.loads(pickle.dumps(pack))
-        packed = unbuilt.steps[1].packed_priors()
-        assert packed is not None and packed.probs.shape == (4, 3)
-        pack.steps[1].packed_priors()  # build, then pickle the built cache
-        rebuilt = pickle.loads(pickle.dumps(pack))
-        assert rebuilt.steps[1].packed_priors().probs.shape == (4, 3)
+    def test_concat_steps_joins_rows_in_order(self, rng):
+        """The rows an address's head scores at once: every array joined in
+        step order, a family's missing array form stays missing."""
+        model = FunctionModel(families_program, name="families")
+        packs = pack_minibatch(model.prior_traces(12, rng=rng), observe_key="obs")
+        walks = [step for pack in packs for step in pack.steps if step.address == "walk"]
+        assert len(walks) > len(packs)  # several steps per pack at this address
+        joined = concat_steps(walks)
+        assert joined.batch_size == sum(step.batch_size for step in walks)
+        assert joined.priors == [prior for step in walks for prior in step.priors]
+        assert np.array_equal(joined.values_column, np.concatenate([s.values_column for s in walks]))
+        assert np.array_equal(joined.encoded_values, np.concatenate([s.encoded_values for s in walks]))
+        for field in ("lows", "highs", "locs", "scales", "bounded"):
+            expected = np.concatenate([getattr(s.geometry, field) for s in walks])
+            assert np.array_equal(getattr(joined.geometry, field), expected), field
+        assert not joined.geometry.any_bounded and joined.indices is None
+        tails = [step for pack in packs for step in pack.steps if step.address == "tail"]
+        assert concat_steps(tails).geometry.all_bounded
+        categorical = [step for pack in packs for step in pack.steps if step.address == "n"]
+        assert np.array_equal(concat_steps(categorical).indices, np.concatenate([s.indices for s in categorical]))
+        assert concat_steps(walks[:1]) is walks[0]
+        unmatched = concat_steps([walks[0], dataclasses.replace(walks[1], geometry=None)])
+        assert unmatched.geometry is None and unmatched.values_column is not None
 
     def test_pack_minibatch_groups_by_type(self, rng):
         model = FunctionModel(variable_program, name="variable")
