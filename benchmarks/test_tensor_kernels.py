@@ -14,8 +14,9 @@ references in ``tests/reference_kernels.py``:
   ``F._gemm_block`` and must beat the reference too.
 * **graph size** — the autograd nodes in the loss graph of one
   ``DistributedTrainer`` rank step, an exact and repeatable count, must be at
-  most half of what the same step builds with the composed linear / LSTM-cell
-  / mixture-density references patched in.  Both graphs must also agree in
+  most half of what the same step builds with the composed linear /
+  LSTM-sequence (a per-step loop of composed cells) / mixture-density
+  references patched in.  Both graphs must also agree in
   loss and in every parameter gradient, so the count compares two ways of
   computing the same thing.
 
@@ -137,7 +138,7 @@ def test_rank_step_graph_is_at_most_half_the_composed_graph(tau_dataset, monkeyp
     assert rank_step(trainer, traces)[0] == fused_nodes, "the node count must repeat exactly"
 
     monkeypatch.setattr(F, "linear", ref.linear)
-    monkeypatch.setattr(F, "lstm_cell", ref.lstm_cell)
+    monkeypatch.setattr(F, "lstm_sequence", ref.lstm_sequence)  # a loop of composed cells
     monkeypatch.setattr(F, "truncated_normal_mixture_log_prob", ref.truncated_normal_mixture_log_prob)
     composed_nodes, composed_loss, composed_gradients = rank_step(trainer, traces)
 

@@ -31,13 +31,16 @@ from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.simulators import TauDecayModel, branching_ratios, channel_names, ground_truth_event
 
 
-def summarize(label, posterior, ground_truth):
+def summarize(label, posterior, ground_truth, weighted=True):
+    """One line per posterior; a weighted (importance-sampled) one also shows
+    the Kish effective sample size of its weights out of its trace count."""
     px = posterior.extract("px")
     py = posterior.extract("py")
     channel_probs = posterior.extract("channel").categorical_probabilities()
     true_channel = int(ground_truth["channel"])
+    ess = f"  ESS={posterior.effective_sample_size():.1f}/{len(posterior)}" if weighted else ""
     print(f"  {label:22s} px={px.mean:+.2f}+/-{px.stddev:.2f}  py={py.mean:+.2f}+/-{py.stddev:.2f}  "
-          f"P(true channel)={channel_probs.get(true_channel, 0.0):.2f}")
+          f"P(true channel)={channel_probs.get(true_channel, 0.0):.2f}{ess}")
 
 
 def main() -> None:
@@ -102,11 +105,11 @@ def main() -> None:
     print("\nposterior comparison (truth: px=%+.2f, py=%+.2f, channel=%d):" %
           (ground_truth["px"], ground_truth["py"], true_channel))
     summarize("prior IS", prior_is, ground_truth)
-    summarize("RMH reference", rmh_posterior, ground_truth)
+    summarize("RMH reference", rmh_posterior, ground_truth, weighted=False)
     summarize("IC (amortized)", ic_posterior, ground_truth)
     print(f"\nprior P(channel={true_channel}) = {branching_ratios()[true_channel]:.2f}")
-    print("the RMH and IC posteriors should agree with each other and concentrate "
-          "around the ground truth relative to the prior.")
+    print("ESS is the Kish effective sample size of the importance weights: near 1, one "
+          "trace carries the weight and the +/- spreads above mean nothing.")
 
 
 if __name__ == "__main__":

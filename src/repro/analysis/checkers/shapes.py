@@ -1,10 +1,10 @@
 """Batched shape contracts: the ``(B, ...)`` leading-dim API must stay rigid.
 
 ``repro.distributions.batched`` packs B per-trace distributions into shared
-``(B, ...)`` parameter arrays, and three layers (the lockstep engine, the
-packed-minibatch trainer, the sub-minibatch packer) call the same four
-methods on them.  The registry below records each method's contract — the
-parameter list and the leading-dim shape law — and every concrete
+``(B, ...)`` parameter arrays, and the lockstep engine calls the same
+methods on them in dynamic and planned rounds.  The registry below records
+each method's contract — the parameter list and the leading-dim shape law —
+and every concrete
 ``Batched*`` implementation must expose exactly the contract signature (same
 names, same order, optional params defaulted) so callers can pass keywords
 interchangeably across engines.  A renamed parameter breaks no positional
@@ -52,11 +52,6 @@ CONTRACTS: Dict[str, MethodContract] = {
         MethodContract(
             "row_distribution", ("index",), 1,
             "row_distribution(index) -> stand-alone Distribution for row index",
-        ),
-        MethodContract(
-            "from_distributions", ("distributions",), 1,
-            "from_distributions(distributions) -> packed (B, ...) batch; row i "
-            "equivalent to distributions[i]",
         ),
     )
 }

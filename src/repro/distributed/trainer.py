@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.common.rng import RandomState
 from repro.common.timing import PhaseTimer
-from repro.common.utils import start_piped_child, usable_cores
+from repro.common.utils import release_freed_heap, retain_freed_heap, start_piped_child, usable_cores
 from repro.data.batching import effective_minibatch_size
 from repro.data.packing import PackedSubMinibatch, pack_minibatch
 from repro.data.sampler import DistributedTraceSampler
@@ -303,6 +303,8 @@ class TrainingLoop:
         run ends, every rank process has been joined and the network's update
         listeners are notified once if any step was applied.
         """
+        # A step's freed graph serves the next step; the run gives it back at the end.
+        retain_freed_heap()
         parameters = self._parameters
         # One rank: the gradients backward() left on the parameters are the
         # step's gradients — no exchange, no process, no pipe.
@@ -358,6 +360,7 @@ class TrainingLoop:
         finally:
             for worker in workers:
                 worker.join()
+            release_freed_heap()
             if stepped:
                 # The parameters changed in place: tell anyone caching results
                 # keyed to this network (posterior caches, compiled plans).

@@ -17,7 +17,6 @@ from repro.distributions.batched import (
     BatchedCategorical,
     BatchedDistribution,
     BatchedMixtureOfTruncatedNormals,
-    BatchedNormal,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "Poisson",
     "Bernoulli",
     "BatchedDistribution",
-    "BatchedNormal",
     "BatchedCategorical",
     "BatchedMixtureOfTruncatedNormals",
 ]

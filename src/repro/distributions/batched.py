@@ -47,7 +47,6 @@ from repro.distributions.truncated_normal import TruncatedNormal, stable_truncat
 
 __all__ = [
     "BatchedDistribution",
-    "BatchedNormal",
     "BatchedCategorical",
     "BatchedMixtureOfTruncatedNormals",
     "CategoricalScratch",
@@ -176,53 +175,6 @@ class BatchedDistribution:
         return [rng.generator for rng in rngs]
 
 
-class BatchedNormal(BatchedDistribution):
-    """B independent scalar normals held as ``(B,)`` parameter arrays."""
-
-    @classmethod
-    def from_distributions(cls, distributions: Sequence[Normal]) -> "BatchedNormal":
-        """Pack B per-trace :class:`Normal` objects into one batched object.
-
-        The inverse of :meth:`row_distribution`: row ``i`` of the result is
-        sample- and density-equivalent to ``distributions[i]``.  Used by the
-        minibatch packing layer to turn a same-address group's per-trace
-        priors into ``(B,)`` parameter arrays once, instead of touching B
-        objects per training iteration.
-        """
-        for d in distributions:
-            if not isinstance(d, Normal) or np.ndim(d.loc) != 0 or np.ndim(d.scale) != 0:
-                raise ValueError("from_distributions needs scalar Normal objects")
-        return cls(
-            np.array([float(d.loc) for d in distributions]),
-            np.array([float(d.scale) for d in distributions]),
-        )
-
-    def __init__(self, locs, scales) -> None:
-        self.locs = np.asarray(locs, dtype=float).reshape(-1)
-        self.scales = np.broadcast_to(
-            np.asarray(scales, dtype=float), self.locs.shape
-        ).astype(float)
-        if np.any(self.scales <= 0):
-            raise ValueError("scale must be positive")
-        self.batch_size = int(self.locs.shape[0])
-        self._log_scales = np.log(self.scales)
-
-    def sample_rows(self, rngs=None) -> np.ndarray:
-        # numpy's normal(loc, scale) is loc + scale * standard_normal(): only
-        # the stream call runs per row, the affine map in one array pass.
-        generators = self._per_row_generators(rngs)
-        normals = np.array([generator.standard_normal() for generator in generators])
-        return self.locs + self.scales * normals
-
-    def log_prob_rows(self, values) -> np.ndarray:
-        values = np.asarray(values, dtype=float).reshape(-1)
-        z = (values - self.locs) / self.scales
-        return -0.5 * z * z - self._log_scales - _LOG_SQRT_2PI
-
-    def row_distribution(self, index: int) -> Normal:
-        return Normal(self.locs[index], self.scales[index])
-
-
 class BatchedCategorical(BatchedDistribution):
     """B independent categoricals over ``0..K-1`` held as a ``(B, K)`` array.
 
@@ -231,24 +183,6 @@ class BatchedCategorical(BatchedDistribution):
     """
 
     discrete = True
-
-    @classmethod
-    def from_distributions(cls, distributions: Sequence[Categorical]) -> "BatchedCategorical":
-        """Pack B per-trace :class:`Categorical` objects into a ``(B, K)`` batch.
-
-        All inputs must share the same number of categories (the same-address
-        contract of a sub-minibatch group).  Row ``i`` of the result is
-        equivalent to ``distributions[i]``.
-        """
-        for d in distributions:
-            if not isinstance(d, Categorical):
-                raise ValueError("from_distributions needs Categorical objects")
-        categories = {d.num_categories for d in distributions}
-        if len(categories) > 1:
-            raise ValueError(
-                f"categoricals in one batch must share a category count, got {sorted(categories)}"
-            )
-        return cls(np.stack([d.probs for d in distributions], axis=0))
 
     def __init__(self, probs) -> None:
         probs_arr = np.asarray(probs, dtype=float)
@@ -330,64 +264,6 @@ class BatchedMixtureOfTruncatedNormals(BatchedDistribution):
     two ``ndtr`` calls for the whole batch instead of two per component
     object — and no per-component objects are ever allocated.
     """
-
-    @classmethod
-    def from_distributions(
-        cls, distributions: Sequence[Distribution]
-    ) -> "BatchedMixtureOfTruncatedNormals":
-        """Pack B per-trace mixtures into ``(B, K)`` parameter arrays.
-
-        Accepts the shapes the proposal layers emit: :class:`Mixture` objects
-        whose components are all scalar :class:`Normal` (unbounded row) or all
-        :class:`TruncatedNormal` sharing one truncation interval (bounded
-        row), plus bare :class:`Normal` / :class:`TruncatedNormal` objects as
-        K=1 mixtures.  Every row must have the same component count.  The
-        inverse of :meth:`row_distribution`: row ``i`` samples and scores
-        bit-identically to ``distributions[i]``.
-        """
-        locs, scales, weights, lows, highs, bounded = [], [], [], [], [], []
-        for d in distributions:
-            if isinstance(d, Mixture):
-                components, row_weights = d.components, d.weights
-            elif isinstance(d, (Normal, TruncatedNormal)):
-                components, row_weights = [d], np.ones(1)
-            else:
-                raise ValueError(
-                    f"cannot pack {type(d).__name__} into a batched truncated-normal mixture"
-                )
-            kinds = {type(c) for c in components}
-            if kinds == {TruncatedNormal}:
-                row_lows = {c.low for c in components}
-                row_highs = {c.high for c in components}
-                if len(row_lows) > 1 or len(row_highs) > 1:
-                    raise ValueError("truncated components of one row must share their interval")
-                lows.append(row_lows.pop())
-                highs.append(row_highs.pop())
-                bounded.append(True)
-            elif kinds == {Normal}:
-                if any(np.ndim(c.loc) != 0 or np.ndim(c.scale) != 0 for c in components):
-                    raise ValueError("from_distributions needs scalar components")
-                lows.append(-np.inf)
-                highs.append(np.inf)
-                bounded.append(False)
-            else:
-                raise ValueError("mixture components must be all Normal or all TruncatedNormal")
-            locs.append([float(c.loc) for c in components])
-            scales.append([float(c.scale) for c in components])
-            weights.append(row_weights)
-        component_counts = {len(row) for row in locs}
-        if len(component_counts) > 1:
-            raise ValueError(
-                f"mixtures in one batch must share a component count, got {sorted(component_counts)}"
-            )
-        return cls(
-            np.asarray(locs, dtype=float),
-            np.asarray(scales, dtype=float),
-            np.stack([np.asarray(w, dtype=float) for w in weights], axis=0),
-            np.asarray(lows, dtype=float),
-            np.asarray(highs, dtype=float),
-            bounded=np.asarray(bounded, dtype=bool),
-        )
 
     def __init__(self, locs, scales, weights, lows=None, highs=None, bounded=None) -> None:
         self.locs = np.asarray(locs, dtype=float)

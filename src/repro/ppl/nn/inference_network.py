@@ -13,8 +13,9 @@ Two entry points matter:
 * :meth:`InferenceNetwork.loss` — Algorithm 1: split a minibatch into
   sub-minibatches of equal trace type, run each through the LSTM in a single
   batched forward pass, and accumulate ``-log q_phi(x|y)``.  Training is
-  teacher-forced, so only the LSTM runs per step: the embeddings and the
-  proposal heads each run once per address over all of its rows.
+  teacher-forced, so every pack's steps run as one ragged LSTM sequence and
+  the embeddings and the proposal heads each run once per address over all
+  of its rows.
 * :meth:`InferenceNetwork.batched_session` — guided execution
   (:class:`BatchedProposalSession`): B executions advance in lockstep, one
   observation array per slot (distinct observations are embedded once
@@ -260,15 +261,24 @@ class InferenceNetwork(Module):
 
         Training is teacher-forced: a step's previous-sample input embeds the
         value *recorded* one step earlier, never a draw from the head, so
-        only the LSTM recurrence has to run step by step.  Everything else
-        runs once over stacked rows:
+        every LSTM input is known before the recurrence starts.  The packs'
+        steps are therefore laid out as one ragged time-major sequence
+        (PyTorch's ``PackedSequence``): packs sorted by their number of
+        active (not discarded) steps, longest first, so that the rows of
+        active step ``s`` are a prefix of the rows of step ``s - 1`` and
+        packs of different trace types share every step.  Then:
 
         * one observation-embedding forward over the observations of every pack,
         * per address, one sample-embedding forward over every row that feeds
-          a next step, before the LSTM runs,
-        * per step, the ``cat`` of the LSTM input and the LSTM step,
-        * per address, after the LSTM, one proposal-head log-density over
-          all of its ``(trace, step)`` rows
+          a next step,
+        * the LSTM input matrix, built by one row gather each from the
+          observation embeddings, the stacked address vectors and the
+          previous-sample embeddings (whose row 0 is the zero input of a
+          first step or of a step after a discarded address),
+        * one :meth:`LSTM.forward <repro.tensor.nn.LSTM.forward>` over all
+          rows (one sequence node per stacked layer),
+        * per address, one row gather of the LSTM output and one
+          proposal-head log-density over all of its ``(trace, step)`` rows
           (:func:`repro.data.packing.concat_steps` joins their arrays).
 
         The terms are those of :meth:`_sub_minibatch_loss`, summed in another
@@ -279,48 +289,73 @@ class InferenceNetwork(Module):
         from repro.data.packing import concat_steps
 
         layers = self.proposal_layers
+        active = [[t for t, step in enumerate(pack.steps) if step.address in layers] for pack in packs]
+        order = sorted(range(len(packs)), key=lambda p: -len(active[p]))
+        length = len(active[order[0]])
+        if length == 0:
+            return Tensor(np.zeros(()))
+
+        # Previous-sample rows: row 0 is zeros, then each address's embedded
+        # rows of the steps that feed an active next step.
         feeding: Dict[str, List[Tuple[int, int]]] = {}
         for p, pack in enumerate(packs):
-            for t, (step, following) in enumerate(zip(pack.steps, pack.steps[1:])):
-                if step.address in layers and following.address in layers:
-                    feeding.setdefault(step.address, []).append((p, t))
-        previous: Dict[Tuple[int, int], Tensor] = {}
+            for t in active[p]:
+                if t + 1 < pack.num_steps and pack.steps[t + 1].address in layers:
+                    feeding.setdefault(pack.steps[t].address, []).append((p, t))
+        previous_start: Dict[Tuple[int, int], int] = {}
+        previous_parts = [Tensor(np.zeros((1, self.sample_dim)))]
+        next_row = 1
         for address, positions in feeding.items():
-            encoded = [packs[p].steps[t].encoded_values for p, t in positions]
-            embedded = self.sample_embeddings[address](Tensor(np.concatenate(encoded)))
-            previous.update(zip(positions, _row_blocks(embedded, [len(rows) for rows in encoded])))
+            encoded = []
+            for p, t in positions:
+                previous_start[(p, t)] = next_row
+                encoded.append(packs[p].steps[t].encoded_values)
+                next_row += packs[p].batch_size
+            previous_parts.append(self.sample_embeddings[address](Tensor(np.concatenate(encoded))))
 
-        sizes = [pack.batch_size for pack in packs]
-        observations = np.concatenate([pack.observations for pack in packs])
-        obs_embeds = _row_blocks(self.observation_embedding(Tensor(observations)), sizes)
-        address_rows: Dict[Tuple[str, int], Tensor] = {}
-        scored: Dict[str, Tuple[List[Tensor], List["PackedStep"]]] = {}
-        for p, (pack, obs_embed) in enumerate(zip(packs, obs_embeds)):
-            batch = pack.batch_size
-            zeros = Tensor(np.zeros((batch, self.sample_dim)))
-            state = self.lstm.initial_state(batch)
-            prev_embed = zeros
-            for t, step in enumerate(pack.steps):
-                if step.address not in layers:
-                    prev_embed = zeros
-                    continue
-                key = (step.address, batch)
-                if key not in address_rows:
-                    address_rows[key] = self.address_embeddings[step.address](batch)
-                lstm_input = Tensor.cat([obs_embed, address_rows[key], prev_embed], axis=1)
-                hidden, state = self.lstm.step(lstm_input, state)
-                hiddens, steps = scored.setdefault(step.address, ([], []))
-                hiddens.append(hidden)
+        # Row indices of the time-major layout, and each address's rows.
+        trace_start = np.cumsum([0] + [pack.batch_size for pack in packs])
+        address_ids: Dict[str, int] = {}
+        obs_index, address_index, previous_index, batch_sizes = [], [], [], []
+        scored: Dict[str, Tuple[List[np.ndarray], List["PackedStep"]]] = {}
+        row = 0
+        for s in range(length):
+            batch = 0
+            for p in order:
+                if len(active[p]) <= s:
+                    break
+                t, size = active[p][s], packs[p].batch_size
+                step = packs[p].steps[t]
+                offsets = np.arange(size)
+                obs_index.append(trace_start[p] + offsets)
+                address_index.append(np.full(size, address_ids.setdefault(step.address, len(address_ids))))
+                start = previous_start.get((p, t - 1), 0)
+                previous_index.append(start + offsets if start else np.zeros(size, dtype=np.int64))
+                rows, steps = scored.setdefault(step.address, ([], []))
+                rows.append(row + offsets)
                 steps.append(step)
-                prev_embed = previous.get((p, t), zeros)
+                row += size
+                batch += size
+            batch_sizes.append(batch)
+
+        observations = np.concatenate([pack.observations for pack in packs])
+        obs_embeds = self.observation_embedding(Tensor(observations))
+        address_vectors = Tensor.stack([self.address_embeddings[a].vector for a in address_ids])
+        previous = previous_parts[0] if len(previous_parts) == 1 else Tensor.cat(previous_parts, axis=0)
+        lstm_input = Tensor.cat(
+            [
+                obs_embeds[np.concatenate(obs_index)],
+                address_vectors[np.concatenate(address_index)],
+                previous[np.concatenate(previous_index)],
+            ],
+            axis=1,
+        )
+        hidden = self.lstm(lstm_input, batch_sizes)
 
         neg_log_q: Optional[Tensor] = None
-        for address, (hiddens, steps) in scored.items():
-            rows = hiddens[0] if len(hiddens) == 1 else Tensor.cat(hiddens, axis=0)
-            log_q = layers[address].log_prob_packed(rows, concat_steps(steps))
+        for address, (rows, steps) in scored.items():
+            log_q = layers[address].log_prob_packed(hidden[np.concatenate(rows)], concat_steps(steps))
             neg_log_q = (-log_q) if neg_log_q is None else neg_log_q - log_q
-        if neg_log_q is None:
-            neg_log_q = Tensor(np.zeros(()))
         return neg_log_q
 
     def _sub_minibatch_loss(self, traces: Sequence[Trace]) -> Tensor:
@@ -439,17 +474,6 @@ class InferenceNetwork(Module):
             network._create_layers(address, prior)
         network.load_state_dict(payload["state_dict"])
         return network
-
-
-def _row_blocks(tensor: Tensor, sizes: Sequence[int]) -> List[Tensor]:
-    """``tensor`` split into consecutive row blocks of ``sizes`` rows (itself when one block)."""
-    if len(sizes) == 1:
-        return [tensor]
-    blocks, start = [], 0
-    for size in sizes:
-        blocks.append(tensor[start : start + size])
-        start += size
-    return blocks
 
 
 class DrawnProposal:

@@ -20,6 +20,12 @@ with hand-written backward passes, each a single autograd node:
   LSTM step (one gates buffer, one backward producing all seven gradients)
   and :func:`truncated_normal_mixture_log_prob` is the proposal layers'
   mixture density, each in place of a few dozen elementwise nodes.
+* :func:`lstm_sequence` is a whole teacher-forced LSTM layer over ragged,
+  time-major sequences (PyTorch's ``PackedSequence`` layout) as one node:
+  one input GEMM over every row, per step only the recurrent product and
+  the gates, and a hand-written BPTT whose input and weight gradients are
+  one GEMM each over all ``(t, b)`` rows.  Training runs it; guided
+  execution, where each draw feeds the next step, runs :func:`lstm_cell`.
 
 The conv3d GEMMs are issued in blocks (see :func:`_gemm_block`): a product
 large enough to wake the BLAS thread pool costs every process that runs it
@@ -30,7 +36,7 @@ blocks of useful width hands its (large) products to BLAS whole.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,6 +54,7 @@ __all__ = [
     "softplus",
     "linear",
     "lstm_cell",
+    "lstm_sequence",
     "truncated_normal_mixture_parameters",
     "truncated_normal_mixture_log_prob",
     "embedding",
@@ -250,6 +257,126 @@ def lstm_cell(
     return h_new, c_new
 
 
+def lstm_sequence(
+    x: Tensor,
+    batch_sizes: Sequence[int],
+    weight_ih: Tensor,
+    weight_hh: Tensor,
+    bias_ih: Tensor,
+    bias_hh: Tensor,
+) -> Tensor:
+    """A whole ragged LSTM sequence from a zero state, as one node; returns every ``h``.
+
+    The layout is PyTorch's ``PackedSequence``: ``x`` is ``(N, input)`` with
+    the rows of step ``t`` consecutive, ``batch_sizes[t]`` of them, and the
+    sequences sorted longest first, so the rows of step ``t`` continue the
+    first ``batch_sizes[t]`` rows of step ``t - 1`` (``batch_sizes`` never
+    grows).  The output is the ``(N, hidden)`` hidden state of every row, in
+    the same layout.  Weights and gate order are those of :func:`lstm_cell`,
+    and each step is that cell's arithmetic on its rows, except that both
+    biases join the input projection before the recurrent product is added.
+
+    The input projection of every row is one GEMM before the recurrence;
+    per step only ``h @ W_hh.T`` and the gates run, into buffers kept for
+    the backward.  The backward is a hand-written BPTT: a reverse pass over
+    the steps carries ``dL/dh`` and ``dL/dc`` and fills one gate-gradient
+    buffer, after which ``dx``, ``dW_ih`` and ``dW_hh`` are one GEMM each
+    over all ``(t, b)`` rows and the bias gradients one column sum.
+    """
+    sizes = [int(size) for size in batch_sizes]
+    rows, hidden = x.data.shape[0], weight_hh.data.shape[1]
+    if not sizes or any(size <= 0 for size in sizes) or any(b > a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"batch_sizes must be positive and non-increasing, got {sizes}")
+    if sum(sizes) != rows:
+        raise ValueError(f"batch_sizes sum to {sum(sizes)}, but x has {rows} rows")
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    # The all-row products are issued in blocks, as conv3d's are (_gemm_block).
+    input_blocks = _row_blocks(rows, weight_ih.data.size)
+    gates = _matmul_rows(x.data, weight_ih.data.T, input_blocks)
+    gates += bias_ih.data
+    gates += bias_hh.data
+    cells = np.empty((rows, hidden))
+    tanh_cells = np.empty((rows, hidden))
+    h_data = np.empty((rows, hidden))
+    weight_hh_t = weight_hh.data.T
+    for t, size in enumerate(sizes):
+        now = slice(starts[t], starts[t] + size)
+        step = gates[now]
+        if t:
+            before = slice(starts[t - 1], starts[t - 1] + size)
+            step += np.matmul(h_data[before], weight_hh_t)
+        _sigmoid_(step[:, : 2 * hidden])
+        np.tanh(step[:, 2 * hidden : 3 * hidden], out=step[:, 2 * hidden : 3 * hidden])
+        _sigmoid_(step[:, 3 * hidden :])
+        c_now = cells[now]
+        np.multiply(step[:, :hidden], step[:, 2 * hidden : 3 * hidden], out=c_now)
+        if t:
+            c_now += step[:, hidden : 2 * hidden] * cells[before]
+        np.tanh(c_now, out=tanh_cells[now])
+        np.multiply(step[:, 3 * hidden :], tanh_cells[now], out=h_data[now])
+
+    out = _make(h_data, (x, weight_ih, weight_hh, bias_ih, bias_hh))
+    if not out.requires_grad:
+        return out
+
+    def _bw(grad_h):
+        # Local derivatives of every row at once: d gate / d pre-activation,
+        # times what multiplies the gate in c (or h, for the output gate).
+        i_gate, f_gate = gates[:, :hidden], gates[:, hidden : 2 * hidden]
+        g_gate, o_gate = gates[:, 2 * hidden : 3 * hidden], gates[:, 3 * hidden :]
+        previous_rows = np.concatenate(
+            [np.arange(starts[t - 1], starts[t - 1] + size) for t, size in enumerate(sizes) if t]
+            or [np.zeros(0, dtype=np.int64)]
+        )
+        local = np.empty_like(gates)
+        np.multiply(i_gate * (1.0 - i_gate), g_gate, out=local[:, :hidden])
+        local[: sizes[0], hidden : 2 * hidden] = 0.0          # c_prev = 0 at t = 0
+        np.multiply(
+            f_gate[sizes[0] :] * (1.0 - f_gate[sizes[0] :]),
+            cells[previous_rows],
+            out=local[sizes[0] :, hidden : 2 * hidden],
+        )
+        np.multiply(1.0 - g_gate * g_gate, i_gate, out=local[:, 2 * hidden : 3 * hidden])
+        np.multiply(o_gate * (1.0 - o_gate), tanh_cells, out=local[:, 3 * hidden :])
+        h_to_c = o_gate * (1.0 - tanh_cells * tanh_cells)
+        local_cell = local.reshape(rows, 4, hidden)[:, :3]
+
+        grad_gates = np.empty_like(gates)
+        grad_cell = grad_gates.reshape(rows, 4, hidden)[:, :3]
+        weight_hh_data = weight_hh.data
+        carry_c = None
+        for t in range(len(sizes) - 1, -1, -1):
+            size = sizes[t]
+            now = slice(starts[t], starts[t] + size)
+            grad_h_now = grad_h[now]
+            if carry_c is not None:
+                later = slice(starts[t + 1], starts[t + 1] + sizes[t + 1])
+                grad_h_now = grad_h_now.copy()
+                grad_h_now[: sizes[t + 1]] += np.matmul(grad_gates[later], weight_hh_data)
+            grad_c = grad_h_now * h_to_c[now]
+            if carry_c is not None:
+                grad_c[: sizes[t + 1]] += carry_c
+            np.multiply(local_cell[now], grad_c[:, None, :], out=grad_cell[now])
+            np.multiply(local[now, 3 * hidden :], grad_h_now, out=grad_gates[now, 3 * hidden :])
+            if t:
+                carry_c = grad_c * f_gate[now]
+        if x.requires_grad:
+            _accumulate(x, _matmul_rows(grad_gates, weight_ih.data, input_blocks), True)
+        if weight_ih.requires_grad:
+            _accumulate(weight_ih, _matmul_t_rows(grad_gates, x.data, input_blocks), True)
+        if weight_hh.requires_grad:
+            recurrent_blocks = _row_blocks(len(previous_rows), weight_hh.data.size)
+            grad_w = _matmul_t_rows(grad_gates[sizes[0] :], h_data[previous_rows], recurrent_blocks)
+            _accumulate(weight_hh, grad_w, True)
+        grad_bias = grad_gates.sum(axis=0)
+        for bias in (bias_ih, bias_hh):
+            if bias.requires_grad:
+                _accumulate(bias, grad_bias)
+
+    out._backward = _bw
+    return out
+
+
 def embedding(weight: Tensor, indices: Union[np.ndarray, Sequence[int]]) -> Tensor:
     """Row lookup into an embedding matrix with sparse-style gradient."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -447,6 +574,32 @@ def _gemm_block(length: int, macs_per_column: int) -> int:
     if block < _GEMM_MIN_BLOCK:
         return length
     return min(length, block)
+
+
+def _row_blocks(rows: int, macs_per_row: int) -> List[slice]:
+    """A GEMM's ``rows``-long axis cut into the blocks :func:`_gemm_block` allows."""
+    if rows == 0:
+        return [slice(0, 0)]
+    block = _gemm_block(rows, macs_per_row)
+    return [slice(start, start + block) for start in range(0, rows, block)]
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray, blocks: List[slice]) -> np.ndarray:
+    """``a @ b``, issued one row block of ``a`` per ``matmul`` call."""
+    if len(blocks) == 1:
+        return np.matmul(a, b)
+    out = np.empty((a.shape[0], b.shape[1]))
+    for rows in blocks:
+        np.matmul(a[rows], b, out=out[rows])
+    return out
+
+
+def _matmul_t_rows(a: np.ndarray, b: np.ndarray, blocks: List[slice]) -> np.ndarray:
+    """``a.T @ b``, a sum over row blocks of ``a`` and ``b`` (one ``matmul`` each)."""
+    out = np.matmul(a[blocks[0]].T, b[blocks[0]])
+    for rows in blocks[1:]:
+        out += np.matmul(a[rows].T, b[rows])
+    return out
 
 
 def conv3d(

@@ -59,10 +59,13 @@ class LSTMCell(Module):
 class LSTM(Module):
     """A stack of LSTM cells applied over a sequence.
 
-    The sequence can be provided either as a single ``(T, batch, input)``
-    tensor via :meth:`forward`, or step by step via :meth:`step` - the latter
-    is how the inference network drives it, because in a Turing-complete model
-    the trace length (and hence T) is not known up-front.
+    Two ways to drive it.  :meth:`step` advances every layer one time step
+    from a given state: guided execution does this, because each drawn value
+    feeds the next step's input and, in a Turing-complete model, the trace
+    length is not known up-front.  :meth:`forward` runs whole ragged
+    sequences whose every input is known in advance (teacher-forced
+    training), one :func:`repro.tensor.functional.lstm_sequence` node per
+    layer.
     """
 
     def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1, rng=None) -> None:
@@ -97,20 +100,17 @@ class LSTM(Module):
             layer_input = h
         return layer_input, new_state
 
-    def forward(
-        self, sequence: Sequence[Tensor], state: Optional[List[Tuple[Tensor, Tensor]]] = None
-    ) -> Tuple[List[Tensor], List[Tuple[Tensor, Tensor]]]:
-        """Run over a whole sequence of per-step inputs ``(batch, input_size)``.
+    def forward(self, x: Tensor, batch_sizes: Sequence[int]) -> Tensor:
+        """Run ragged sequences from a zero state; returns the top layer's ``h`` of every row.
 
-        Returns the list of top-layer hidden states (one per step) and the
-        final state.
+        ``x`` is ``(N, input_size)`` in the time-major packed layout of
+        :func:`repro.tensor.functional.lstm_sequence` (``batch_sizes[t]``
+        rows per step, sequences sorted longest first); the result is
+        ``(N, hidden_size)`` in the same layout.  Each row equals what
+        :meth:`step` computes for it.
         """
-        outputs: List[Tensor] = []
-        if isinstance(sequence, Tensor):
-            steps = [sequence[t] for t in range(sequence.shape[0])]
-        else:
-            steps = list(sequence)
-        for x in steps:
-            out, state = self.step(x, state)
-            outputs.append(out)
-        return outputs, state
+        for cell in self.cells:
+            x = F.lstm_sequence(
+                x, batch_sizes, cell.weight_ih, cell.weight_hh, cell.bias_ih, cell.bias_hh
+            )
+        return x

@@ -3,7 +3,8 @@
 These are the expressions ``src/repro/tensor`` used before its hot kernels
 were fused: the kernel-offset-unrolled ``einsum`` convolution, the linear
 map, LSTM cell and truncated-normal-mixture density composed from elementary
-autograd operations, and the observation CNN with each ReLU before its pool.  They are slow and build many graph nodes; they live
+autograd operations, the ragged LSTM sequence as a per-step loop of cells,
+and the observation CNN with each ReLU before its pool.  They are slow and build many graph nodes; they live
 here only so that ``tests/test_tensor_kernels.py`` and
 ``benchmarks/test_tensor_kernels.py`` can require value-and-gradient agreement
 with (and a speed-up over) them.  The per-tensor Adam and LARC steps and the
@@ -79,6 +80,32 @@ def lstm_cell(
     c_new = f_gate * c_prev + i_gate * g_gate
     h_new = o_gate * c_new.tanh()
     return h_new, c_new
+
+
+def lstm_sequence(
+    x: Tensor,
+    batch_sizes: Sequence[int],
+    weight_ih: Tensor,
+    weight_hh: Tensor,
+    bias_ih: Tensor,
+    bias_hh: Tensor,
+    cell=lstm_cell,
+) -> Tensor:
+    """The ragged sequence as a per-step loop of ``cell`` from a zero state.
+
+    ``x`` holds the rows of step ``t`` after those of step ``t - 1`` (the
+    time-major layout of ``F.lstm_sequence``), and step ``t`` continues the
+    first ``batch_sizes[t]`` rows of the step before it.
+    """
+    hidden = weight_hh.shape[1]
+    h = Tensor(np.zeros((batch_sizes[0], hidden)))
+    c = Tensor(np.zeros((batch_sizes[0], hidden)))
+    outputs, start = [], 0
+    for size in batch_sizes:
+        h, c = cell(x[start : start + size], h[:size], c[:size], weight_ih, weight_hh, bias_ih, bias_hh)
+        outputs.append(h)
+        start += size
+    return Tensor.cat(outputs, axis=0)
 
 
 def truncated_normal_mixture_log_prob(

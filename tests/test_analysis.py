@@ -1141,14 +1141,12 @@ REAL_SITE_MUTATIONS = {
         ("repro/serving/procpool.py",
          "        worker.process.join(timeout=1.0)\n        failed = None\n        with self._lock:\n",
          "        failed = None\n        with self._lock:\n            worker.process.join(timeout=1.0)\n"),)),
-    "shape-impl-signature:BatchedNormal.log_prob_rows": ("shape-impl-signature", (
+    "shape-impl-signature:BatchedCategorical.log_prob_rows": ("shape-impl-signature", (
         ("repro/distributions/batched.py",
          "    def log_prob_rows(self, values) -> np.ndarray:\n"
-         "        values = np.asarray(values, dtype=float).reshape(-1)\n"
-         "        z = (values - self.locs) / self.scales",
+         "        idx = np.asarray(values, dtype=np.int64).reshape(-1)",
          "    def log_prob_rows(self, value) -> np.ndarray:\n"
-         "        values = np.asarray(value, dtype=float).reshape(-1)\n"
-         "        z = (values - self.locs) / self.scales"),)),
+         "        idx = np.asarray(value, dtype=np.int64).reshape(-1)"),)),
     "pickle-lambda:shard-send": ("pickle-lambda", (
         ("repro/serving/procpool.py", _SHARD_SEND,
          "worker.connection.send((shard_id, self._shards[shard_id].jobs, lambda: None))"),)),

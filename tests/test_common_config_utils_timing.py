@@ -1,5 +1,9 @@
 """Tests for repro.common config, utils and timing."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 
 from repro.common.config import Config
 from repro.common.timing import PhaseTimer
+from repro.common import utils
 from repro.common.utils import partition_traces, prod, weighted_quantile
 
 
@@ -63,6 +68,49 @@ class TestUtils:
             weighted_quantile([], 0.5)
         with pytest.raises(ValueError):
             weighted_quantile([1.0, 2.0], 0.5, [1.0])
+
+
+#: a training step's heap traffic in miniature: one 2 MiB block (it sets
+#: glibc's dynamic thresholds: mapped below 2 MiB, trimmed above 4 MiB of free
+#: top) and 8 MiB of smaller blocks, all freed together, 20 times over
+_HEAP_STEPS = textwrap.dedent(
+    """
+    import resource, sys
+    import numpy as np
+    from repro.common.utils import retain_freed_heap
+    if sys.argv[1] == "retain":
+        retain_freed_heap()
+    def step():
+        big = np.ones(1 << 18)
+        graph = [np.ones(1 << 16) for _ in range(16)]
+        del big, graph
+    for _ in range(5):
+        step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        step()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+)
+
+
+@pytest.mark.skipif(utils._mallopt is None, reason="glibc's mallopt is not available")
+class TestRetainFreedHeap:
+    @staticmethod
+    def page_faults(mode):
+        """Minor page faults of the 20 steps, in a fresh interpreter (a clean heap)."""
+        src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(utils.__file__))))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _HEAP_STEPS, mode], env=env, capture_output=True, text=True, check=True
+        )
+        return int(out.stdout.split()[-1])
+
+    def test_freed_steps_are_reused_not_faulted_back_in(self):
+        # Without it glibc returns each step's 10 MiB and faults it back in:
+        # about 2 500 faults a step.
+        assert self.page_faults("default") > 20 * 1000
+        assert self.page_faults("retain") < 20 * 50
 
 
 class TestTiming:

@@ -18,7 +18,6 @@ from repro.common.rng import RandomState
 from repro.distributions import (
     BatchedCategorical,
     BatchedMixtureOfTruncatedNormals,
-    BatchedNormal,
     Categorical,
     Mixture,
     Normal,
@@ -162,8 +161,6 @@ class TestDegenerateAndEdgeCases:
         with pytest.raises(ValueError):
             BatchedMixtureOfTruncatedNormals([[0.0]], [[1.0]], [[1.0]], [1.0], [-1.0])
         with pytest.raises(ValueError):
-            BatchedNormal([0.0, 1.0], [1.0, -1.0])
-        with pytest.raises(ValueError):
             BatchedCategorical([[0.5, -0.5]])
         with pytest.raises(ValueError):
             BatchedCategorical([0.5, 0.5])  # not a matrix
@@ -171,25 +168,6 @@ class TestDegenerateAndEdgeCases:
     def test_sample_rows_wrong_rng_count(self, mixture_batch):
         with pytest.raises(ValueError):
             mixture_batch.sample_rows([RandomState(0)] * (mixture_batch.batch_size + 1))
-
-
-class TestBatchedNormal:
-    def test_rows_match_per_object_normals(self):
-        rng = np.random.default_rng(1)
-        locs = rng.normal(size=6)
-        scales = np.abs(rng.normal(size=6)) + 0.1
-        batch = BatchedNormal(locs, scales)
-        references = [Normal(locs[i], scales[i]) for i in range(6)]
-        bulk_rngs, ref_rngs = _streams(range(6)), _streams(range(6))
-        bulk = batch.sample_rows(bulk_rngs)
-        assert bulk.tolist() == [float(references[i].sample(ref_rngs[i])) for i in range(6)]
-        assert _states(bulk_rngs) == _states(ref_rngs)
-        assert batch.log_prob_rows(np.full(6, 0.3)).tolist() == [
-            float(reference.log_prob(0.3)) for reference in references
-        ]
-        assert batch.log_prob_rows(bulk).tolist() == [
-            float(batch.row_distribution(i).log_prob(bulk[i])) for i in range(6)
-        ]
 
 
 class TestBatchedCategorical:
@@ -345,78 +323,6 @@ class TestRowGatheredNdtriSampling:
             ]
 
 
-class TestFromDistributions:
-    """`from_distributions` packs per-trace objects into (B, K) arrays."""
-
-    def test_mixture_roundtrip_is_bit_identical(self, mixture_case):
-        mixture_batch, _ = mixture_case
-        rows = [mixture_batch.row_distribution(i) for i in range(mixture_batch.batch_size)]
-        packed = BatchedMixtureOfTruncatedNormals.from_distributions(rows)
-        assert packed.batch_size == mixture_batch.batch_size
-        assert np.array_equal(packed.bounded, mixture_batch.bounded)
-        size = packed.batch_size
-        assert packed.sample_rows(_streams(range(size))).tolist() == [
-            float(rows[i].sample(RandomState(i))) for i in range(size)
-        ]
-        values = np.clip(0.3, packed.lows, packed.highs)
-        assert packed.log_prob_rows(values).tolist() == [
-            float(rows[i].log_prob(values[i])) for i in range(size)
-        ]
-
-    def test_bare_normals_and_truncated_normals_pack_as_k1(self):
-        from repro.distributions import TruncatedNormal
-
-        packed = BatchedMixtureOfTruncatedNormals.from_distributions(
-            [Normal(0.0, 1.0), TruncatedNormal(0.5, 2.0, -1.0, 1.0)]
-        )
-        assert packed.num_components == 1
-        assert list(packed.bounded) == [False, True]
-
-    def test_normal_and_categorical_packing(self):
-        normals = [Normal(0.1, 1.0), Normal(-2.0, 0.5)]
-        packed_normal = BatchedNormal.from_distributions(normals)
-        assert packed_normal.sample_rows(_streams(range(2))).tolist() == [
-            float(reference.sample(RandomState(i))) for i, reference in enumerate(normals)
-        ]
-        categoricals = [Categorical([0.2, 0.8]), Categorical([0.7, 0.3])]
-        packed_cat = BatchedCategorical.from_distributions(categoricals)
-        assert np.array_equal(packed_cat.probs, np.stack([c.probs for c in categoricals]))
-
-    def test_invalid_inputs_rejected(self):
-        from repro.distributions import TruncatedNormal
-
-        with pytest.raises(ValueError):
-            BatchedCategorical.from_distributions([Categorical([0.5, 0.5]), Categorical([1, 1, 1])])
-        with pytest.raises(ValueError):
-            BatchedCategorical.from_distributions([Normal(0, 1)])
-        with pytest.raises(ValueError):
-            BatchedNormal.from_distributions([Categorical([0.5, 0.5])])
-        with pytest.raises(ValueError):
-            # vector parameters must fail loudly as ValueError, not TypeError
-            BatchedNormal.from_distributions([Normal(0.0, np.array([1.0, 2.0]))])
-        with pytest.raises(ValueError):
-            BatchedMixtureOfTruncatedNormals.from_distributions(
-                [Normal(np.array([0.0, 1.0]), np.array([1.0, 2.0]))]
-            )
-        with pytest.raises(ValueError):
-            BatchedMixtureOfTruncatedNormals.from_distributions([Categorical([0.5, 0.5])])
-        with pytest.raises(ValueError):
-            # rows must share a component count
-            BatchedMixtureOfTruncatedNormals.from_distributions(
-                [Normal(0.0, 1.0), Mixture([Normal(0, 1), Normal(1, 1)], [0.5, 0.5])]
-            )
-        with pytest.raises(ValueError):
-            # truncated components of one row must share their interval
-            BatchedMixtureOfTruncatedNormals.from_distributions(
-                [
-                    Mixture(
-                        [TruncatedNormal(0, 1, -1, 1), TruncatedNormal(0, 1, -2, 2)],
-                        [0.5, 0.5],
-                    )
-                ]
-            )
-
-
 class TestStreamOnlyLoop:
     """``sample_rows`` loops only over generator calls and does the rest in
     array passes; each row still makes exactly the calls its stand-alone
@@ -471,11 +377,6 @@ class TestStreamOnlyLoop:
         rows = [batch.row_distribution(i) for i in range(batch.batch_size)]
         assert bulk.tolist() == [float(row.sample(reference)) for row in rows]
         assert _states([shared]) == _states([reference])
-
-    def test_batched_normal_rows_match_row_distribution(self):
-        rng = np.random.default_rng(22)
-        batch = BatchedNormal(rng.normal(size=7) * 4.0, np.abs(rng.normal(size=7)) + 0.1)
-        self._assert_rows_match_row_distributions(batch)
 
 
 class TestLogProbTotal:

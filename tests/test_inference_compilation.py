@@ -7,12 +7,7 @@ import pytest
 
 from repro.common.config import Config
 from repro.common.rng import RandomState
-from repro.distributions import (
-    BatchedCategorical,
-    BatchedMixtureOfTruncatedNormals,
-    Categorical,
-    Normal,
-)
+from repro.distributions import BatchedCategorical, BatchedMixtureOfTruncatedNormals
 from repro.ppl import FunctionModel
 from repro.ppl.inference import RandomWalkMetropolis, run_importance_sampling
 from repro.ppl.inference.inference_compilation import InferenceCompilation
@@ -182,9 +177,7 @@ class TestRemovedOptions:
         "call",
         [
             "BatchedCategorical",
-            "BatchedCategorical.from_distributions",
             "BatchedMixtureOfTruncatedNormals",
-            "BatchedMixtureOfTruncatedNormals.from_distributions",
             "InferenceCompilation.train",
             "InferenceCompilation.train(optimizer=)",
             "TrainingLoop(optimizer=)",
@@ -200,16 +193,8 @@ class TestRemovedOptions:
         traces = model.prior_traces(4, rng=rng)
         calls = {
             "BatchedCategorical": lambda: BatchedCategorical(self.PROBS, choice_kernel="percall"),
-            "BatchedCategorical.from_distributions": lambda: BatchedCategorical.from_distributions(
-                [Categorical(self.PROBS[0])], choice_kernel="percall"
-            ),
             "BatchedMixtureOfTruncatedNormals": lambda: BatchedMixtureOfTruncatedNormals(
                 **self.MIXTURE, choice_kernel="percall"
-            ),
-            "BatchedMixtureOfTruncatedNormals.from_distributions": lambda: (
-                BatchedMixtureOfTruncatedNormals.from_distributions(
-                    [Normal(0.0, 1.0)], choice_kernel="percall"
-                )
             ),
             "InferenceCompilation.train": lambda: engine.train(
                 dataset=traces, num_traces=4, minibatch_size=2, offline_schedule="random",
@@ -245,6 +230,10 @@ class TestRemovedOptions:
             "repro.distributed:distributed_importance_sampling",
             "repro.distributed:inference",
             "repro.distributions.batched:DEFAULT_CHOICE_KERNEL",
+            "repro.distributions:BatchedNormal",
+            "repro.distributions.batched:BatchedNormal",
+            "repro.distributions.batched:BatchedCategorical.from_distributions",
+            "repro.distributions.batched:BatchedMixtureOfTruncatedNormals.from_distributions",
             "repro.trace:TraceTypeRegistry",
             "repro.common.utils:ensure_list",
             "repro.common.utils:flatten_dict",

@@ -1,8 +1,9 @@
 """The fused tensor kernels: gradients, agreement with the references, lifetime.
 
-``F.conv3d`` (im2col + GEMM), ``F.linear``, ``F.lstm_cell`` and
-``F.truncated_normal_mixture_log_prob`` each replace a subgraph of elementary
-autograd nodes with one node and a hand-written backward.  Every one is checked
+``F.conv3d`` (im2col + GEMM), ``F.linear``, ``F.lstm_cell``,
+``F.lstm_sequence`` and ``F.truncated_normal_mixture_log_prob`` each replace
+a subgraph of elementary autograd nodes with one node and a hand-written
+backward.  Every one is checked
 here against central finite differences and, to rtol 1e-10 in value and in
 every gradient, against the composed / einsum implementation it replaced
 (``tests/reference_kernels.py``).  The tape's own contracts ride along: basic
@@ -173,6 +174,69 @@ class TestFusedLSTMCell:
             h, c = F.lstm_cell(*[Tensor(a, requires_grad=True) for a in lstm_arrays()])
         assert not h.requires_grad and not c.requires_grad
         assert h._parents == () and c._backward is None
+
+
+#: ragged, shrinking step widths: full, equal, shrinking by several, a step of one
+SEQUENCE_SIZES = [4, 4, 2, 2, 1]
+
+
+def sequence_arrays(sizes=SEQUENCE_SIZES, inputs=4, hidden=5):
+    """``x`` and the four weights; drawn from their own generator, so that
+    these tests leave the module's ``RNG`` stream to the tests after them."""
+    generator = np.random.default_rng(len(sizes))
+    return [
+        generator.standard_normal((sum(sizes), inputs)),
+        generator.standard_normal((4 * hidden, inputs)) * 0.5,
+        generator.standard_normal((4 * hidden, hidden)) * 0.5,
+        generator.standard_normal((4 * hidden,)) * 0.5,
+        generator.standard_normal((4 * hidden,)) * 0.5,
+    ]
+
+
+def weighted_sequence(kernel, sizes=SEQUENCE_SIZES):
+    """``kernel``'s hidden states under fixed random output weights (the same
+    for every kernel at one layout), so that every row's ``dL/dh`` differs."""
+    weights = np.random.default_rng(sum(sizes)).standard_normal((sum(sizes), 5))
+    return lambda *inputs: kernel(inputs[0], sizes, *inputs[1:]) * Tensor(weights)
+
+
+class TestLSTMSequence:
+    def test_gradcheck_every_input(self):
+        gradcheck(weighted_sequence(F.lstm_sequence), sequence_arrays())
+
+    @pytest.mark.parametrize("sizes", [SEQUENCE_SIZES, [3], [1, 1, 1], [5, 3, 3, 3]])
+    def test_agrees_with_a_loop_of_cells(self, sizes):
+        arrays = sequence_arrays(sizes)
+        # against the fused cell and against the composed one
+        assert_agrees(
+            weighted_sequence(F.lstm_sequence, sizes),
+            weighted_sequence(lambda *a: ref.lstm_sequence(*a, cell=F.lstm_cell), sizes),
+            arrays,
+        )
+        assert_agrees(
+            weighted_sequence(F.lstm_sequence, sizes),
+            weighted_sequence(ref.lstm_sequence, sizes),
+            arrays,
+        )
+
+    def test_is_one_node(self):
+        tensors = [Tensor(a, requires_grad=True) for a in sequence_arrays()]
+        out = F.lstm_sequence(tensors[0], SEQUENCE_SIZES, *tensors[1:])
+        assert out.shape == (sum(SEQUENCE_SIZES), 5)
+        assert out._parents == tuple(tensors)
+
+    def test_frozen_input_gets_no_gradient(self):
+        arrays = sequence_arrays()
+        tensors = [Tensor(a, requires_grad=i > 0) for i, a in enumerate(arrays)]
+        F.lstm_sequence(tensors[0], SEQUENCE_SIZES, *tensors[1:]).sum().backward()
+        assert tensors[0].grad is None
+        assert all(t.grad is not None for t in tensors[1:])
+
+    @pytest.mark.parametrize("sizes", [[], [2, 3], [2, 0], [3, 2]])
+    def test_rejects_a_bad_layout(self, sizes):
+        # empty, growing, a zero-width step, rows that do not add up to x
+        with pytest.raises(ValueError):
+            F.lstm_sequence(Tensor(np.zeros((4, 4))), sizes, *map(Tensor, sequence_arrays()[1:]))
 
 
 # ------------------------------------------------------------------ mixture

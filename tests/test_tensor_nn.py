@@ -138,43 +138,63 @@ class TestContainers:
         assert len(d) == 2
 
 
+#: ragged step widths of a packed sequence: sequence lengths 5, 4, 2, 2, 1
+RAGGED_SIZES = [5, 4, 4, 2, 1]
+
+
+def stepped(lstm, x, batch_sizes):
+    """``LSTM.step`` over the packed layout: each step continues the first
+    ``batch_sizes[t]`` rows of the state; the outputs are stacked in rows."""
+    state = lstm.initial_state(batch_sizes[0])
+    outputs, start = [], 0
+    for size in batch_sizes:
+        state = [(h[:size], c[:size]) for h, c in state]
+        out, state = lstm.step(x[start : start + size], state)
+        outputs.append(out)
+        start += size
+    return Tensor.cat(outputs, axis=0)
+
+
 class TestLSTM:
     def test_lstm_cell_step_shapes(self):
         cell = nn.LSTMCell(4, 6)
         h, c = cell(Tensor(np.zeros((3, 4))))
         assert h.shape == (3, 6) and c.shape == (3, 6)
 
-    def test_lstm_stacked_forward(self):
-        lstm = nn.LSTM(4, 6, num_layers=2)
-        seq = [Tensor(np.random.default_rng(i).standard_normal((2, 4))) for i in range(5)]
-        outputs, state = lstm(seq)
-        assert len(outputs) == 5
-        assert outputs[0].shape == (2, 6)
-        assert len(state) == 2
-        assert state[0][0].shape == (2, 6)
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_forward_equals_step_on_ragged_shrinking_batches(self, num_layers):
+        lstm = nn.LSTM(3, 5, num_layers=num_layers)
+        x = Tensor(np.random.default_rng(0).standard_normal((sum(RAGGED_SIZES), 3)))
+        out = lstm(x, RAGGED_SIZES)
+        assert out.shape == (sum(RAGGED_SIZES), 5)
+        np.testing.assert_allclose(out.data, stepped(lstm, x, RAGGED_SIZES).data, rtol=1e-12, atol=1e-14)
 
-    def test_lstm_step_equals_forward(self):
-        lstm = nn.LSTM(3, 5)
-        seq = [Tensor(np.random.default_rng(i).standard_normal((1, 3))) for i in range(4)]
-        outputs, _ = lstm(seq)
-        state = None
-        for i, x in enumerate(seq):
-            out, state = lstm.step(x, state)
-            assert np.allclose(out.data, outputs[i].data)
+    def test_forward_is_one_node_per_layer(self):
+        lstm = nn.LSTM(3, 4, num_layers=2)
+        x = Tensor(np.ones((sum(RAGGED_SIZES), 3)), requires_grad=True)
+        out = lstm(x, RAGGED_SIZES)
+        bottom, top = lstm.cells
+        hidden_1 = out._parents[0]
+        assert out._parents[1:] == (top.weight_ih, top.weight_hh, top.bias_ih, top.bias_hh)
+        assert hidden_1._parents == (x, bottom.weight_ih, bottom.weight_hh, bottom.bias_ih, bottom.bias_hh)
 
     def test_lstm_requires_positive_layers(self):
         with pytest.raises(ValueError):
             nn.LSTM(3, 5, num_layers=0)
 
-    def test_lstm_gradients_flow_to_all_cells(self):
+    def test_forward_gradients_reach_every_cell_and_equal_step(self):
+        weights = np.random.default_rng(1).standard_normal((sum(RAGGED_SIZES), 4))
+        x_data = np.random.default_rng(2).standard_normal((sum(RAGGED_SIZES), 3))
         lstm = nn.LSTM(3, 4, num_layers=2)
-        seq = [Tensor(np.random.default_rng(i).standard_normal((2, 3))) for i in range(3)]
-        outputs, _ = lstm(seq)
-        total = outputs[0].sum()
-        for out in outputs[1:]:
-            total = total + (out * out).sum()
-        total.backward()
-        assert all(p.grad is not None for p in lstm.parameters())
+        grads = []
+        for run in (lambda x: lstm(x, RAGGED_SIZES), lambda x: stepped(lstm, x, RAGGED_SIZES)):
+            lstm.zero_grad()
+            x = Tensor(x_data, requires_grad=True)
+            (run(x) * Tensor(weights)).sum().backward()
+            grads.append([x.grad] + [p.grad for p in lstm.parameters()])
+        assert all(g is not None for g in grads[0])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_lstm_forgets_with_zero_input(self):
         lstm = nn.LSTM(2, 3)

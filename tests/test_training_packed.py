@@ -2,8 +2,9 @@
 
 The load-bearing contract mirrors PR 3's batched-proposal contract, on the
 training side: the packed loss (``vectorized_loss=True``, the default) scores
-all packs of a minibatch together — the LSTM per step, every embedding and
-proposal head once per address over all of its rows — while the retained
+all packs of a minibatch together — the LSTM as one ragged sequence over
+every pack's steps, every embedding and proposal head once per address over
+all of its rows — while the retained
 per-object reference path (``vectorized_loss=False``) scores step by step.
 Both sum the same terms in a different order, so they agree within a stated
 tolerance, not bitwise: the loss to rtol 1e-12 and every parameter gradient
@@ -36,7 +37,7 @@ from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 from repro.ppl.nn.inference_network import InferenceNetwork
 from repro.ppl.nn.proposals import ProposalLayer
-from repro.tensor import optim
+from repro.tensor import functional as F, optim
 from repro.tensor.nn import Linear
 
 #: packed loss vs the per-object reference: relative tolerance on the loss ...
@@ -191,6 +192,53 @@ class TestLossEquivalence:
         assert len({t.trace_type for t in traces}) == 2
         assert_paths_agree(network, traces)
 
+    def test_two_stacked_lstm_layers(self, small_config, rng):
+        """The sequence kernel runs once per stacked layer, the reference a
+        cell per layer per step."""
+        model = FunctionModel(families_program, name="families")
+        network = build_network(dataclasses.replace(small_config, lstm_stacks=2))
+        traces = model.prior_traces(20, rng=rng)
+        network.polymorph(traces)
+        assert_paths_agree(network, traces)
+
+    def test_packs_of_different_lengths_share_steps(self, small_config, rng, monkeypatch):
+        """Packs of 3, 4 and 5 steps in one minibatch: one ragged sequence,
+        longest pack first, whose step widths shrink as the packs end."""
+        model = FunctionModel(families_program, name="families")
+        network = build_network(small_config)
+        traces = model.prior_traces(20, rng=rng)
+        network.polymorph(traces)
+        packs = pack_minibatch(traces, "obs")
+        lengths = sorted((pack.num_steps, pack.batch_size) for pack in packs)
+        assert len({length for length, _ in lengths}) == 3
+        layouts = []
+        kernel = F.lstm_sequence
+
+        def spy(x, batch_sizes, *weights):
+            layouts.append(list(batch_sizes))
+            return kernel(x, batch_sizes, *weights)
+
+        monkeypatch.setattr(F, "lstm_sequence", spy)
+        assert_paths_agree(network, traces)
+        expected = [
+            sum(size for length, size in lengths if length > step) for step in range(lengths[-1][0])
+        ]
+        assert layouts == [expected]
+
+    def test_frozen_network_discards_mid_trace(self, small_config, rng):
+        """Layers only for the one-draw trace type: the longer types' extra
+        draws ``x1``, ``x2`` are discarded between ``x0`` and ``scale``, so
+        packs of different types have different active lengths."""
+        model = FunctionModel(variable_program, name="variable")
+        traces = model.prior_traces(30, rng=rng)
+        network = build_network(small_config)
+        network.polymorph([t for t in traces if len(t.samples) == 3])
+        network.freeze_architecture()
+        network.polymorph(traces)
+        assert set(network.last_discarded) == {"x1", "x2"}
+        assert len({len(t.samples) for t in traces}) == 3
+        assert_paths_agree(network, traces)
+
     def test_custom_layer_with_only_log_prob(self, small_config, rng):
         """A layer without ``log_prob_packed`` sees every row of its address
         in one call on the packed path, one step per call on the reference."""
@@ -208,7 +256,8 @@ class TestLossEquivalence:
 
     def test_each_piece_of_work_runs_once(self, small_config, rng, monkeypatch):
         """Per call: one observation embedding, one sample embedding and one
-        head per address; per non-discarded step, one LSTM step."""
+        head per address, and one LSTM sequence over every step of every
+        pack; never a per-step ``LSTM.step``."""
         model = FunctionModel(families_program, name="families")
         traces = model.prior_traces(20, rng=rng)
         network = build_network(small_config)
@@ -227,13 +276,15 @@ class TestLossEquivalence:
             monkeypatch.setattr(owner, method, counting(name, getattr(owner, method)))
 
         count(network.observation_embedding, "forward", "obs")
-        count(network.lstm, "step", "lstm")
+        count(network.lstm, "step", "lstm.step")
+        count(network.lstm, "forward", "lstm.forward")
         for address in network.proposal_layers.keys():
             count(network.proposal_layers[address], "log_prob_packed", f"head:{address}")
             count(network.sample_embeddings[address], "forward", f"embed:{address}")
         network.loss_packed(packs)
         assert calls.count("obs") == 1
-        assert calls.count("lstm") == sum(pack.num_steps for pack in packs)
+        assert calls.count("lstm.forward") == 1
+        assert calls.count("lstm.step") == 0
         for address in network.proposal_layers.keys():
             assert calls.count(f"head:{address}") == 1
         # the last step of a trace feeds no next step: "tail" embeds nothing
