@@ -107,14 +107,14 @@ def retain_freed_heap() -> None:
     glibc gives the free memory at the top of its heap back to the OS once
     it exceeds the trim threshold, which its dynamic policy holds at twice
     the largest block it has seen mapped.  A training step frees its whole
-    autograd graph at once, several times its largest array (the im2col
-    matrix), so in many processes — depending on which allocation last
-    landed at the top of the heap — every step returned its memory and
-    faulted it back in on the next: up to 1 000 page faults per rank step.
-    This fixes the policy at its ceiling at once: blocks under 32 MiB come
-    from the heap and up to 64 MiB of free heap stays.  The setting is
-    process-wide and lasts for the life of the process (glibc cannot go
-    back to its dynamic policy); what it kept is given back by
+    autograd graph at once, so in many processes — depending on which
+    allocation last landed at the top of the heap — every step returned its
+    memory and faulted it back in on the next: up to 1 000 page faults per
+    rank step.  This fixes the policy at its ceiling: blocks under 32 MiB
+    come from the heap and up to 64 MiB of free heap stays.  The setting is
+    process-wide, lasts for the life of the process (glibc cannot go back to
+    its dynamic policy) and is inherited by every child forked after it, so
+    only a process that trains should call it; what it kept is given back by
     :func:`release_freed_heap`.
     """
     if _mallopt is not None:

@@ -303,13 +303,17 @@ class TrainingLoop:
         run ends, every rank process has been joined and the network's update
         listeners are notified once if any step was applied.
         """
-        # A step's freed graph serves the next step; the run gives it back at the end.
-        retain_freed_heap()
         parameters = self._parameters
         # One rank: the gradients backward() left on the parameters are the
         # step's gradients — no exchange, no process, no pipe.
         exchange = _RankExchange(parameters, self.num_ranks) if self.num_ranks > 1 else None
         num_processes = min(self.num_ranks, _usable_cores())
+        if num_processes > 1:
+            # A run of rank processes is a training job: each of its processes
+            # (the rank processes inherit it) keeps a step's freed graph for
+            # the next step.  A one-process run, such as the short training a
+            # server does before serving, leaves glibc's policy alone.
+            retain_freed_heap()
         own_ranks = range(0, self.num_ranks, num_processes)
         workers: List[_RankWorker] = []
         stepped = False
@@ -360,7 +364,8 @@ class TrainingLoop:
         finally:
             for worker in workers:
                 worker.join()
-            release_freed_heap()
+            if num_processes > 1:
+                release_freed_heap()
             if stepped:
                 # The parameters changed in place: tell anyone caching results
                 # keyed to this network (posterior caches, compiled plans).

@@ -27,11 +27,13 @@ with hand-written backward passes, each a single autograd node:
   one GEMM each over all ``(t, b)`` rows.  Training runs it; guided
   execution, where each draw feeds the next step, runs :func:`lstm_cell`.
 
-The conv3d GEMMs are issued in blocks (see :func:`_gemm_block`): a product
-large enough to wake the BLAS thread pool costs every process that runs it
-per-thread buffers and, on a host with few cores, milliseconds of thread
-wake-ups for microseconds of arithmetic.  Only a layer too wide to split into
-blocks of useful width hands its (large) products to BLAS whole.
+The conv3d and lstm_sequence GEMMs are issued in blocks (see
+:func:`_gemm_block`): a product large enough to wake the BLAS thread pool
+costs every process that runs it per-thread buffers and, on a host with few
+cores, milliseconds of thread wake-ups for microseconds of arithmetic (a tau
+rank step's fwd+bwd, two ranks at once on two cores: 7.5 ms with the
+sequence kernel's products whole, 3.9 ms blocked).  Only a layer too wide to
+split into blocks of useful width hands its (large) products to BLAS whole.
 """
 
 from __future__ import annotations
@@ -291,7 +293,7 @@ def lstm_sequence(
         raise ValueError(f"batch_sizes sum to {sum(sizes)}, but x has {rows} rows")
     starts = np.concatenate(([0], np.cumsum(sizes)))
     # The all-row products are issued in blocks, as conv3d's are (_gemm_block).
-    input_blocks = _row_blocks(rows, weight_ih.data.size)
+    input_blocks = _gemm_blocks(rows, weight_ih.data.size)
     gates = _matmul_rows(x.data, weight_ih.data.T, input_blocks)
     gates += bias_ih.data
     gates += bias_hh.data
@@ -365,7 +367,7 @@ def lstm_sequence(
         if weight_ih.requires_grad:
             _accumulate(weight_ih, _matmul_t_rows(grad_gates, x.data, input_blocks), True)
         if weight_hh.requires_grad:
-            recurrent_blocks = _row_blocks(len(previous_rows), weight_hh.data.size)
+            recurrent_blocks = _gemm_blocks(len(previous_rows), weight_hh.data.size)
             grad_w = _matmul_t_rows(grad_gates[sizes[0] :], h_data[previous_rows], recurrent_blocks)
             _accumulate(weight_hh, grad_w, True)
         grad_bias = grad_gates.sum(axis=0)
@@ -576,12 +578,12 @@ def _gemm_block(length: int, macs_per_column: int) -> int:
     return min(length, block)
 
 
-def _row_blocks(rows: int, macs_per_row: int) -> List[slice]:
-    """A GEMM's ``rows``-long axis cut into the blocks :func:`_gemm_block` allows."""
-    if rows == 0:
+def _gemm_blocks(length: int, macs_per_slice: int) -> List[slice]:
+    """A GEMM's ``length``-long axis cut into the blocks :func:`_gemm_block` allows."""
+    if length == 0:
         return [slice(0, 0)]
-    block = _gemm_block(rows, macs_per_row)
-    return [slice(start, start + block) for start in range(0, rows, block)]
+    block = _gemm_block(length, macs_per_slice)
+    return [slice(start, start + block) for start in range(0, length, block)]
 
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray, blocks: List[slice]) -> np.ndarray:
@@ -654,8 +656,7 @@ def conv3d(
     cols[...] = windows.transpose(0, 1, 5, 6, 7, 2, 3, 4)
     cols = cols.reshape(n, k_size, length)
     weight_matrix = weight.data.reshape(c_out, k_size)
-    block = _gemm_block(length, c_out * k_size)
-    blocks = [slice(start, start + block) for start in range(0, length, block)]
+    blocks = _gemm_blocks(length, c_out * k_size)
 
     out_data = np.empty((n, c_out, length))
     for sample in range(n):

@@ -100,7 +100,14 @@ class TestRetainFreedHeap:
     def page_faults(mode):
         """Minor page faults of the 20 steps, in a fresh interpreter (a clean heap)."""
         src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(utils.__file__))))
-        env = dict(os.environ, PYTHONPATH=src)
+        # The control must run under glibc's default policy, whatever this
+        # environment tunes.
+        env = {
+            name: value
+            for name, value in os.environ.items()
+            if not name.startswith("MALLOC_") and name != "GLIBC_TUNABLES"
+        }
+        env["PYTHONPATH"] = src
         out = subprocess.run(
             [sys.executable, "-c", _HEAP_STEPS, mode], env=env, capture_output=True, text=True, check=True
         )

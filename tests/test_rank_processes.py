@@ -129,6 +129,21 @@ class TestProcessCountDoesNotShow:
             trainer.train(2)
         assert {int(line) for line in log.read_text().split()} == {os.getpid()}
 
+    @needs_two_cores
+    def test_only_a_run_of_rank_processes_retains_freed_heap(self, tau_traces, monkeypatch):
+        """glibc's heap policy is fixed once per multi-process run, before its
+        rank processes fork (they inherit it); a one-process run leaves it alone."""
+        children_at_call = []
+        monkeypatch.setattr(
+            trainer_module, "retain_freed_heap", lambda: children_at_call.append(len(multiprocessing.active_children()))
+        )
+        trainer, _ = build_trainer(InMemoryTraceDataset(tau_traces), validation_fraction=0.0)
+        with one_usable_core():
+            trainer.train(1)
+        assert children_at_call == []
+        trainer.train(2)
+        assert children_at_call == [0]
+
 
 # ------------------------------------------------------------ failure semantics
 class FaultyInRankProcess(InMemoryTraceDataset):
