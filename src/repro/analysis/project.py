@@ -52,10 +52,6 @@ class FunctionDecl:
         names = [a.arg for a in args.posonlyargs] + [a.arg for a in args.args]
         return names
 
-    @property
-    def is_private(self) -> bool:
-        return self.name.startswith("_") and not self.name.startswith("__")
-
 
 @dataclass
 class ClassModel:
@@ -73,9 +69,6 @@ class ClassModel:
     attr_types: Dict[str, Set[str]] = field(default_factory=dict)  # attr -> class qualnames
     #: attrs assigned from a __init__ parameter: attr -> parameter name
     attr_from_param: Dict[str, str] = field(default_factory=dict)
-
-    def canonical_lock(self, attr: str) -> str:
-        return self.cond_aliases.get(attr, attr)
 
 
 @dataclass
@@ -256,9 +249,6 @@ class Project:
                 return prefix, parts[cut:]
         return None
 
-    def lookup_function(self, qualname: str) -> Optional[FunctionDecl]:
-        return self.functions.get(qualname)
-
     def resolve_method(self, class_qual: str, method: str) -> Optional[str]:
         """Find ``method`` on ``class_qual`` or its (known) base chain."""
         seen: Set[str] = set()
@@ -275,9 +265,6 @@ class Project:
                 return model.method_quals[method]
             queue.extend(model.base_names)
         return None
-
-    def class_of(self, qualname: str) -> Optional[ClassModel]:
-        return self.classes.get(qualname)
 
     def mro_lock_attrs(self, class_qual: str) -> Set[str]:
         """Lock attributes visible on a class through its base chain."""

@@ -54,9 +54,9 @@ class TraceDataset:
 
     META_FILE = "dataset_meta.pkl"
 
-    def __init__(self, directory: str, records_per_shard: int = 100, cache_size: int = 8) -> None:
+    def __init__(self, directory: str, records_per_shard: int = 100) -> None:
         self.directory = directory
-        self.store = ShardStore(directory, records_per_shard=records_per_shard, cache_size=cache_size)
+        self.store = ShardStore(directory, records_per_shard=records_per_shard)
         self.address_dictionary = AddressDictionary()
         self.trace_types: List[str] = []
         self.trace_lengths: List[int] = []

@@ -232,7 +232,6 @@ class PackedEpochPlan:
         traces: Sequence[Trace],
         minibatch_size: int,
         observe_key: Optional[str] = None,
-        tokens_per_batch: Optional[int] = None,
     ) -> None:
         self.traces = list(traces)
         if len(self.traces) == 0:
@@ -242,12 +241,8 @@ class PackedEpochPlan:
         self.observe_key = observe_key
         lengths = [trace.length for trace in self.traces]
         order = sorted_indices_by_trace_type(InMemoryTraceDataset(self.traces))
-        if tokens_per_batch is None:
-            mean_length = max(1.0, sum(lengths) / len(lengths))
-            tokens_per_batch = max(
-                1, int(round(min(minibatch_size, len(self.traces)) * mean_length))
-            )
-        self.tokens_per_batch = int(tokens_per_batch)
+        mean_length = max(1.0, sum(lengths) / len(lengths))
+        self.tokens_per_batch = max(1, int(round(min(minibatch_size, len(self.traces)) * mean_length)))
         self.batches = dynamic_token_batches(lengths, self.tokens_per_batch, indices=order)
         self._packs: Dict[int, List[PackedSubMinibatch]] = {}
         self._epoch_order: List[int] = []

@@ -2,8 +2,9 @@
 
 The paper's distributed sampler, re-implemented as one schedule for all ranks:
 
-1. split the (trace-type-sorted) trace indices into minibatch-sized **chunks**,
-   so that all traces within a chunk are highly likely to share a trace type;
+1. split the (trace-type-sorted) trace indices into minibatch-sized **chunks**
+   (a short remainder is dropped), so that all traces within a chunk are
+   highly likely to share a trace type;
 2. optionally group the chunks into several **buckets** by trace length
    (Section 7.2's multi-bucketing scheme);
 3. within each bucket, sort the chunks by :func:`chunk_cost` and cut them into
@@ -29,12 +30,14 @@ __all__ = ["DistributedTraceSampler", "chunk_cost"]
 
 
 def chunk_cost(chunk: Sequence[int], lengths: Sequence[int], trace_types: Sequence[Hashable]) -> Tuple[int, int]:
-    """``(LSTM steps, sub-minibatches)`` of training on the traces ``chunk``.
+    """``(summed type lengths, trace types)`` of the traces ``chunk``.
 
-    A packed minibatch runs one sub-minibatch per trace type in it, and the
-    LSTM steps through each as many times as that type's traces are long: a
-    rank's compute follows the sum of its distinct types' lengths, and the
-    number of sub-minibatches breaks ties.
+    A packed minibatch holds one pack per trace type in it.  The cost sums
+    each distinct type's length once and breaks ties by the number of types.
+    The LSTM runs one time-major sequence over every pack — as many steps
+    as the longest pack, as many rows per step as the packs still running —
+    so the sum only approximates a rank's work; the deal has not been
+    measured against the sequence kernel.
     """
     steps = {trace_types[i]: lengths[i] for i in chunk}
     return sum(steps.values()), len(steps)
@@ -57,7 +60,6 @@ class DistributedTraceSampler:
         trace_types: Optional[Sequence[Hashable]] = None,
         shuffle: bool = True,
         seed: int = 0,
-        drop_last: bool = True,
     ) -> None:
         if minibatch_size <= 0:
             raise ValueError("minibatch_size must be positive")
@@ -73,7 +75,6 @@ class DistributedTraceSampler:
         self.trace_types = list(trace_types) if trace_types is not None else None
         self.shuffle = shuffle
         self.seed = seed
-        self.drop_last = drop_last
         self.epoch = 0
         self._chunks = self._build_chunks()
         self._buckets = self._build_buckets(self._chunks)
@@ -85,9 +86,8 @@ class DistributedTraceSampler:
         indices = self.sorted_indices
         for start in range(0, len(indices), self.minibatch_size):
             chunk = indices[start : start + self.minibatch_size]
-            if len(chunk) < self.minibatch_size and self.drop_last:
-                continue
-            chunks.append(chunk)
+            if len(chunk) == self.minibatch_size:
+                chunks.append(chunk)
         return chunks
 
     def _build_buckets(self, chunks: List[List[int]]) -> List[List[List[int]]]:

@@ -66,7 +66,7 @@ import numpy as np
 from repro.common.rng import RandomState, StreamKey, get_rng
 from repro.ppl.empirical import Empirical
 from repro.ppl.model import RemoteModel
-from repro.ppl.state import PriorController, ProposalController
+from repro.ppl.state import PriorController, ProposalController, check_observed_keys
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -721,14 +721,20 @@ def execute_trace_jobs(
     return traces, stats
 
 
-def form_log_weights(traces: Sequence[Trace], network) -> List[float]:
+def form_log_weights(
+    traces: Sequence[Trace], network, *, observation: Optional[Dict[str, Any]]
+) -> List[float]:
     """ExecutionState-level importance weights ``log w = log p(x, y) - log q(x)``.
 
     ``trace.log_q`` covers *every* latent draw (uncontrolled draws contribute
     their prior density, cancelling the matching term inside ``log_joint``).
+    ``traces`` are one request's executions, conditioned on ``observation``;
+    a key of it that an execution did not observe is refused
+    (:func:`repro.ppl.state.check_observed_keys`).
     """
     log_weights: List[float] = []
     for trace in traces:
+        check_observed_keys(observation, trace)
         log_q = getattr(trace, "log_q", None)
         if log_q is None:
             if network is not None:
@@ -798,10 +804,10 @@ def mixed_batched_importance_sampling(
         model, requests, batch_size, network, observe_key, rng or get_rng(), plan_cache
     )
     results: List[Empirical] = []
-    for traces in traces_by_request:
+    for traces, (observation, _, _) in zip(traces_by_request, requests):
         result = Empirical(
             traces,
-            form_log_weights(traces, network),
+            form_log_weights(traces, network, observation=observation),
             name="mixed_batched_importance_sampling_posterior",
         )
         result.engine_stats = stats
@@ -864,7 +870,7 @@ def batched_importance_sampling(
     )
     result = Empirical(
         traces,
-        form_log_weights(traces, network),
+        form_log_weights(traces, network, observation=observation),
         name="batched_importance_sampling_posterior",
     )
     result.engine_stats = stats

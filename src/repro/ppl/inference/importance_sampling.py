@@ -60,4 +60,5 @@ def importance_sampling(
         model.get_trace(PriorController(), observed_values=observation, rng=rng)
         for _ in range(num_traces)
     ]
-    return Empirical(traces, form_log_weights(traces, None), name="importance_sampling_posterior")
+    log_weights = form_log_weights(traces, None, observation=observation)
+    return Empirical(traces, log_weights, name="importance_sampling_posterior")

@@ -30,7 +30,7 @@ import numpy as np
 from repro.common.rng import RandomState, get_rng
 from repro.distributions import Categorical, Distribution, Normal, TruncatedNormal, Uniform, log_prob_total
 from repro.ppl.empirical import Empirical
-from repro.ppl.state import PriorController, ReplayController
+from repro.ppl.state import PriorController, ReplayController, check_observed_keys
 from repro.trace.trace import Trace
 
 __all__ = ["RandomWalkMetropolis"]
@@ -108,6 +108,7 @@ class RandomWalkMetropolis:
             PriorController(), observed_values=self.observation, rng=self._rng
         )
         self.num_executions += 0 if initial_trace is not None else 1
+        check_observed_keys(self.observation, current)
         kept: List[Trace] = []
         total_iterations = self.burn_in + num_traces * self.thin
         for iteration in range(total_iterations):
@@ -136,6 +137,7 @@ class RandomWalkMetropolis:
             resample_value=new_value,
         )
         proposed = self.model.get_trace(controller, observed_values=self.observation, rng=self._rng)
+        check_observed_keys(self.observation, proposed)
         self.num_executions += 1
         self.num_proposed += 1
 

@@ -47,6 +47,7 @@ __all__ = [
     "sample",
     "observe",
     "current_state",
+    "check_observed_keys",
 ]
 
 
@@ -243,6 +244,24 @@ class ExecutionState:
             observation[key] = sample_record.value
         self.trace.freeze(result=result, observation=observation)
         return self.trace
+
+
+def check_observed_keys(observed_values: Optional[Dict[str, Any]], trace: Trace) -> None:
+    """Refuse an ``observed_values`` key that no observe statement of ``trace`` consumed.
+
+    An observe statement is conditioned on ``observed_values[name]`` (its
+    address when unnamed) and any other is scored at its own value, so a
+    misspelt key would give prior-predictive weights without a word.  The
+    engines check each execution where they use its trace (weights, an MH
+    step), not inside it: a raise in one slot of a lockstep cohort would fail
+    every request sharing the cohort.
+    """
+    unused = [key for key in observed_values or () if key not in trace.observation]
+    if unused:
+        raise ValueError(
+            f"observed_values key(s) {unused} match no observe statement; "
+            f"the execution observed {sorted(trace.observation)}"
+        )
 
 
 # ----------------------------------------------------------------------- globals

@@ -17,22 +17,22 @@ for free.  This package turns that observation into a service:
   spent latency budget while one is idle; free coalescing while none is).
 * :class:`CohortWorkerPool` / :class:`ProcessCohortPool` — the one cohort
   executor, on threads or on persistent worker *processes*
-  (``backend="process"``: sidesteps the GIL for CPU-bound simulators; crashed
-  workers are respawned and their shards requeued).  Either pool is built
+  (``backend="process"``: sidesteps the GIL for CPU-bound simulators; a
+  crashed worker is respawned and its shard fails once with
+  :class:`WorkerCrashed`, as any failed shard does on threads).  Either pool is built
   from ``(model, network, num_workers, use_plans, on_stats)``, runs every
   submitted shard of trace jobs through ``execute_trace_jobs``, owns the
   compiled-plan cache, hands engine counters to ``on_stats`` and follows a
   retraining through ``refresh`` (:mod:`repro.serving.workers` states the
-  contract).  The service and the distributed importance-sampling driver are
-  its two users.
+  contract).  The service is its one user.
 * :class:`ServingMetrics` — the events only the service sees: QPS, latency
   percentiles, cohort occupancy, sheds and phase totals.
   ``PosteriorService.stats()`` adds every other counter by reading the
   component that owns it (cache, resilience, pool, engine).
 * :class:`ServiceResilience` — hardened failure semantics: retry with
-  jittered exponential backoff under request deadlines, a circuit breaker
-  (cached posteriors keep being served while it is open), and graceful
-  process→thread backend demotion after crash storms.
+  jittered exponential backoff under request deadlines (the one place a
+  failed shard runs again) and a circuit breaker (cached posteriors keep
+  being served while it is open).
 * :class:`RequestCapture` / :func:`replay_capture` — record every admitted
   request (observation, stream key, admission order, model version) and
   replay a capture deterministically: replayed posteriors are bit-identical,

@@ -27,19 +27,21 @@ import numpy as np
 
 __all__ = ["ServingMetrics"]
 
+#: completions (and flushed cohorts) the reservoirs keep
+_WINDOW = 4096
+
 
 class ServingMetrics:
     """Thread-safe counters and reservoirs for one service instance.
 
-    Latency samples are kept in a bounded deque (most recent ``window``
+    Latency samples are kept in a bounded deque (most recent ``_WINDOW``
     completions), so percentiles track current behaviour rather than the
     whole process lifetime; throughput counters and phase totals are
     cumulative.
     """
 
-    def __init__(self, window: int = 4096, clock=time.monotonic) -> None:
-        self._clock = clock
-        self.started_at = clock()
+    def __init__(self) -> None:
+        self.started_at = time.monotonic()
         self._lock = threading.Lock()
         self.submitted = 0
         self.completed = 0
@@ -48,10 +50,10 @@ class ServingMetrics:
         self.rejected_overload = 0
         self.traces_executed = 0
         self.cohorts_executed = 0
-        self._latencies: Deque[float] = deque(maxlen=window)
+        self._latencies: Deque[float] = deque(maxlen=_WINDOW)
         #: per-flush (jobs, cohort capacity, distinct requests) records — one
         #: per scheduler flush, before any sharding across workers
-        self._cohorts: Deque[Tuple[int, int, int]] = deque(maxlen=window)
+        self._cohorts: Deque[Tuple[int, int, int]] = deque(maxlen=_WINDOW)
         #: phase name -> seconds accumulated over the service's lifetime
         self._phase_totals: Dict[str, float] = {}
 
@@ -93,7 +95,7 @@ class ServingMetrics:
     def snapshot(self) -> Dict[str, Any]:
         """A point-in-time view of the service's own signals, as plain floats."""
         with self._lock:
-            uptime = max(self._clock() - self.started_at, 1e-9)
+            uptime = max(time.monotonic() - self.started_at, 1e-9)
             latencies = np.asarray(self._latencies, dtype=float)
             cohorts = list(self._cohorts)
             snapshot: Dict[str, Any] = {

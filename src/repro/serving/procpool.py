@@ -16,7 +16,7 @@ key, derived in the parent (:func:`repro.ppl.inference.batched.request_key`)
 *before* sharding, and the worker builds each generator from its key — so a
 shard is observations plus a few ints on the wire, produces bit-identical
 traces whether it runs on the parent, a worker thread, or a worker process,
-and a requeued shard simply runs again from the same keys.
+and a retried shard simply runs again from the same keys.
 
 Lifecycle and failure semantics:
 
@@ -45,10 +45,12 @@ Lifecycle and failure semantics:
   simulator) takes its end of the pipe with it: the collector reads whatever
   it answered first, then end-of-file — the only death signal, seen the
   moment it happens, busy or idle, under any traffic.  The worker is
-  respawned under its index, and its shard goes back to the front of the
-  queue up to ``max_requeues`` times, after which it fails loudly with
-  :class:`WorkerCrashed` — never silently dropped.  A worker dismissed by
-  ``refresh`` or ``stop`` did not crash.
+  respawned under its index, and its shard fails once, at once, with the
+  transient :class:`WorkerCrashed` — the thread pool's contract for a failed
+  shard.  The pool never re-runs a shard: retries belong to the service's
+  resilience layer (:class:`repro.serving.resilience.ServiceResilience`),
+  per request, with backoff and within the request's deadline.  A worker
+  dismissed by ``refresh`` or ``stop`` did not crash.
 * ``submit`` blocks once ``2 * num_workers`` shards are outstanding — the
   same backpressure contract as the thread pool
   (:class:`repro.serving.workers.ExecutorSlots`).  The serving scheduler
@@ -82,10 +84,11 @@ __all__ = ["ProcessCohortPool", "WorkerCrashed"]
 
 
 class WorkerCrashed(ServingError):
-    """A worker process died executing a shard and the requeue budget ran out.
+    """A worker process died executing a shard.
 
-    Transient: the resilience layer (when enabled) retries the shard with
-    backoff — a crash storm that outlives the retry budget still surfaces.
+    Transient: the resilience layer (when enabled) retries the shard's
+    requests with backoff — a crash storm that outlives the retry budget
+    still surfaces.
     """
 
     transient = True
@@ -179,7 +182,6 @@ class _Shard:
         # (futures, locks) stays here and is rejoined by shard id.
         self.jobs = [getattr(entry, "job", entry) for entry in entries]
         self.callback = callback
-        self.attempts = 1
 
 
 class ProcessCohortPool:
@@ -207,18 +209,14 @@ class ProcessCohortPool:
         network=None,
         *,
         num_workers: int = 2,
-        max_requeues: int = 1,
         on_stats: Optional[Callable[[Dict[str, int], float], None]] = None,
         use_plans: bool = False,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if max_requeues < 0:
-            raise ValueError("max_requeues must be >= 0")
         self.model = model
         self.network = network
         self.num_workers = int(num_workers)
-        self.max_requeues = int(max_requeues)
         self.on_stats = on_stats
         self.use_plans = bool(use_plans)
         self.start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
@@ -228,7 +226,7 @@ class ProcessCohortPool:
         #: previous-generation workers (after refresh()) finishing their shards
         self._retiring: List[_Worker] = []
         self._shards: Dict[int, _Shard] = {}
-        #: shards waiting for an idle worker, oldest (or requeued) first
+        #: shards waiting for an idle worker, oldest first
         self._backlog: Deque[int] = collections.deque()
         self._shard_ids = itertools.count()
         self._wake_reader = self._wake_writer = None
@@ -241,7 +239,6 @@ class ProcessCohortPool:
         self._stopping = False
         self.shards_executed = 0
         self.failed_shards = 0
-        self.requeues = 0
         self.worker_crashes = 0
 
     # ----------------------------------------------------------------- lifecycle
@@ -438,14 +435,14 @@ class ProcessCohortPool:
         try:
             worker.connection.send((shard_id, self._shards[shard_id].jobs))
         except OSError:
-            return  # it died: its end-of-file requeues the shard
+            return  # it died: its end-of-file fails the shard
         except Exception as error:  # noqa: BLE001 - jobs that do not pickle
             self._answered(worker, None, None, 0.0, error)
             return
         # Chaos hook: "worker crash at shard N" — SIGKILL the worker this
-        # shard was just sent to; its end-of-file then requeues (or fails)
-        # the shard exactly as a real OOM kill would.  Zero-cost when no
-        # fault plan is installed.
+        # shard was just sent to; its end-of-file then fails the shard
+        # exactly as a real OOM kill would.  Zero-cost when no fault plan is
+        # installed.
         action = faults.fault_point("procpool.dispatch", shard=shard_id, worker=worker.index)
         if action is not None and action.kind == "crash":
             worker.process.kill()
@@ -469,31 +466,24 @@ class ProcessCohortPool:
         self._resolve(shard, traces, error)
 
     def _lost(self, worker: _Worker) -> None:
-        """End-of-file on ``worker``'s pipe: respawn it; requeue or fail its shard."""
+        """End-of-file on ``worker``'s pipe: respawn it; fail its shard."""
         worker.connection.close()
         worker.process.join(timeout=1.0)
-        failed = None
         with self._lock:
             self.worker_crashes += 1
             if worker in self._retiring:
                 self._retiring.remove(worker)
             else:
                 self._workers[worker.index] = self._spawn_worker(worker.index)
-            shard = self._shards.get(worker.shard)
-            if shard is not None and shard.attempts > self.max_requeues:
-                failed = self._shards.pop(worker.shard)
-            elif shard is not None:
-                shard.attempts += 1
-                self.requeues += 1
-                self._backlog.appendleft(worker.shard)
-        if failed is not None:
+            shard = self._shards.pop(worker.shard, None)
+        if shard is not None:
             self.failed_shards += 1
             self._resolve(
-                failed,
+                shard,
                 None,
                 WorkerCrashed(
-                    f"worker process died (exitcode {worker.process.exitcode}) executing shard "
-                    f"{worker.shard} and the requeue budget ({self.max_requeues}) is spent"
+                    f"worker process died (exitcode {worker.process.exitcode}) "
+                    f"executing shard {worker.shard}"
                 ),
             )
 
@@ -518,7 +508,6 @@ class ProcessCohortPool:
             "start_method": self.start_method,
             "shards_executed": self.shards_executed,
             "failed_shards": self.failed_shards,
-            "requeues": self.requeues,
             "worker_crashes": self.worker_crashes,
             "inflight_shards": inflight,
             "free_executors": self._slots.free,

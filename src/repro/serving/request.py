@@ -48,11 +48,9 @@ class ServiceOverloaded(ServingError):
 class PoolStopped(ServingError):
     """A worker pool was stopped while this cohort was queued or in flight.
 
-    Transient: during a backend demotion the old pool's outstanding shards
-    fail with this error and are retried onto the replacement pool.  During a
-    real service stop the resilience layer is already down, so the error
-    passes through to the future exactly like the plain ``ServingError`` it
-    used to be.
+    Transient, like any failure a retry may outrun; but a service stops its
+    resilience layer before its pool, so during a service stop the error
+    passes straight through to the future.
     """
 
     transient = True

@@ -1,20 +1,21 @@
-"""Failure recovery for the posterior service: retries, breaker, demotion.
+"""Failure recovery for the posterior service: retries and a circuit breaker.
 
-The serving tier's baseline failure semantics are *loud*: a worker crash past
-the requeue budget, a stopped pool, or an injected fault fails the affected
-requests' futures immediately.  That is the right default for tests and for
+The serving tier's baseline failure semantics are *loud*: a crashed worker
+process, a stopped pool, or an injected fault fails the affected requests'
+futures immediately — either pool resolves a failed shard once, with its
+error, and never re-runs it.  That is the right default for tests and for
 batch callers, but a production front end wants the paper's deployment
 reality — worker death and slow simulators are steady state — absorbed where
 possible.  :class:`ServiceResilience` layers that on, opt-in:
 
 * **Retry with jittered exponential backoff.**  Transient failures (worker
-  crashes, pool teardown during a backend swap, injected chaos faults) are
-  redispatched after a deterministic-jitter backoff, bounded by a per-request
-  attempt budget and by the request's own deadline (a retry that cannot land
-  before the deadline is not attempted).  A retry re-submits the same trace
-  jobs, and a job carries its stream key, not a generator: the re-run builds
-  every generator afresh from its key, so a retried request honours the
-  seeded-equivalence contract bit-for-bit with nothing to rewind.
+  crashes, injected chaos faults) are redispatched after a deterministic-jitter
+  backoff, bounded by a per-request attempt budget and by the request's own
+  deadline (a retry that cannot land before the deadline is not attempted).
+  This is the one place a failed shard runs again.  A retry re-submits the
+  same trace jobs, and a job carries its stream key, not a generator: the
+  re-run builds every generator afresh from its key, so a retried request
+  honours the seeded-equivalence contract bit-for-bit with nothing to rewind.
 
 * **Circuit breaker.**  Repeated cohort failures open the breaker: new
   uncached submissions fail fast with :class:`BreakerOpen` instead of
@@ -22,15 +23,10 @@ possible.  :class:`ServiceResilience` layers that on, opt-in:
   half-open probe cohort is admitted after ``recovery_time`` to test the
   water.
 
-* **Graceful backend demotion.**  The failure that brings the breaker's
-  openings to ``demote_after`` asks the maintenance thread to swap a
-  process-backed service to the thread backend in place (crash storms
-  usually mean the *environment* is hostile to subprocesses — fd limits, OOM
-  killers, container teardown).  Outstanding shards on the old pool fail
-  with the transient :class:`~repro.serving.request.PoolStopped` and are
-  retried onto the replacement, so the swap itself sheds nothing.  Nothing
-  here polls the pool: the process pool sees a dead worker itself, at the
-  end-of-file on its pipe.
+Nothing here polls the pool: the process pool sees a dead worker itself, at
+the end-of-file on its pipe, and fails its shard with the transient
+:class:`~repro.serving.procpool.WorkerCrashed`.  The service keeps the pool it
+was built with; a retry goes to that same pool.
 
 ``service.stats()`` reads ``retries`` from ``retries_dispatched`` here and
 ``breaker_state`` / ``breaker_opens`` from the :class:`CircuitBreaker`
@@ -200,35 +196,27 @@ class CircuitBreaker:
 
 
 class ServiceResilience:
-    """Retry/breaker/demotion runtime bound to one :class:`PosteriorService`.
+    """Retry/breaker runtime bound to one :class:`PosteriorService`.
 
     Construct it, hand it to ``PosteriorService(resilience=...)``, and the
     service wires it into its dispatch and completion paths.  One maintenance
-    thread owns every delayed action (backoff redispatch, backend demotion)
-    and wakes only when a retry is due or a demotion was asked for, so
-    recovery work never runs on the procpool collector thread — demotion
-    *joins* that collector, which would deadlock.
+    thread owns every delayed redispatch and wakes only when a retry is due,
+    so no backoff ever sleeps on a pool's collector thread.
     """
 
     def __init__(
         self,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        *,
-        demote_after: Optional[int] = None,
     ) -> None:
-        if demote_after is not None and demote_after < 1:
-            raise ValueError("demote_after must be >= 1 (or None to disable)")
         self.retry = retry or RetryPolicy()
         self.breaker = breaker or CircuitBreaker()
-        self.demote_after = demote_after
         self._service = None
         self._cond = threading.Condition()
         #: (due time, tiebreak, entries, original error) — heapified by due time
         self._pending: List[Any] = []
         self._tiebreak = itertools.count()
         self._attempts: Dict[int, int] = {}
-        self._demotion_requested = False
         self._thread: Optional[threading.Thread] = None
         self._stopped = True
         self.retries_dispatched = 0
@@ -285,9 +273,7 @@ class ServiceResilience:
         (deadline permitting) scheduled for backoff redispatch.  Everything
         else — non-transient errors, exhausted budgets, requests whose
         deadline the backoff would overrun, failures after stop — is returned
-        for the caller to fail through the normal path.  A failure that brings
-        the breaker's openings to ``demote_after`` also asks the maintenance
-        thread for the backend demotion.
+        for the caller to fail through the normal path.
         """
         entries = list(entries)
         if not is_transient(error):
@@ -305,8 +291,6 @@ class ServiceResilience:
         with self._cond:
             if self._stopped:
                 return entries
-            if self.demote_after is not None and self.breaker.opens >= self.demote_after:
-                self._demotion_requested = True
             for request_id, group in by_request.items():
                 request = group[0].request
                 attempt = self._attempts.get(request_id, 0) + 1
@@ -339,11 +323,7 @@ class ServiceResilience:
         while True:
             with self._cond:
                 now = time.monotonic()
-                while not (
-                    self._stopped
-                    or self._demotion_requested
-                    or (self._pending and self._pending[0][0] <= now)
-                ):
+                while not (self._stopped or (self._pending and self._pending[0][0] <= now)):
                     self._cond.wait(self._pending[0][0] - now if self._pending else None)
                     now = time.monotonic()
                 if self._stopped:
@@ -351,11 +331,8 @@ class ServiceResilience:
                 due = []
                 while self._pending and self._pending[0][0] <= now:
                     due.append(heapq.heappop(self._pending))
-                demote, self._demotion_requested = self._demotion_requested, False
             for _due_at, _tb, group, error in due:
                 self._redispatch(group, error)
-            if demote:
-                self._service._demote_to_thread_backend()
 
     def _redispatch(self, group: List[Any], original: BaseException) -> None:
         service = self._service
@@ -397,6 +374,4 @@ class ServiceResilience:
             "retries_dispatched": dispatched,
             "retries_pending": pending,
             "retries_abandoned": self.retries_abandoned,
-            "demoted": self._service is not None and self._service.demotions > 0,
-            "demote_after": self.demote_after,
         }

@@ -119,9 +119,6 @@ class PosteriorService:
         posterior never goes out of date: entries live until they are evicted
         or the network is retrained in place (the service listens for the
         network's update notifications and drops them).
-    max_requeues:
-        Process backend: how many times a crashed worker's shard is requeued
-        before failing loudly.
     use_plans:
         Enable compiled trace-type execution plans
         (:class:`repro.ppl.inference.plans.PlanCache`): hot trace types are
@@ -136,9 +133,9 @@ class PosteriorService:
         transient cohort failures with jittered backoff (deadline-aware),
         circuit-breaks repeated failures (new uncached submissions then fail
         fast with :class:`~repro.serving.resilience.BreakerOpen` while cached
-        entries keep being served), and optionally
-        demotes process → thread after crash storms.  ``None`` (the default)
-        keeps the loud fail-fast semantics.
+        entries keep being served).  ``None`` (the default) keeps the loud
+        fail-fast semantics: a failed shard — a crashed worker process
+        included — fails each of its requests once, with its error.
     capture:
         Optional :class:`repro.serving.capture.RequestCapture` (or a path
         string): every admitted request is recorded
@@ -161,7 +158,6 @@ class PosteriorService:
         queue_capacity: int = 4096,
         cache_capacity: int = 256,
         rng: Optional[RandomState] = None,
-        max_requeues: int = 1,
         use_plans: bool = True,
         resilience: Optional[ServiceResilience] = None,
         capture: Optional[Union[str, RequestCapture]] = None,
@@ -188,9 +184,17 @@ class PosteriorService:
             num_workers = 1
             backend = "thread"
         self.use_plans = bool(use_plans) and network is not None
-        #: as requested — ``None`` resolves per backend, also after a demotion
-        self._num_workers = num_workers
-        self.workers = self._make_pool(backend, num_workers, max_requeues=max_requeues)
+        # Both pools own the plan cache and report every shard's engine
+        # counters to _merge_engine_stats; the service keeps this pool for
+        # its lifetime.
+        pool = ProcessCohortPool if backend == "process" else CohortWorkerPool
+        self.workers = pool(
+            model,
+            network,
+            num_workers=_DEFAULT_NUM_WORKERS[backend] if num_workers is None else num_workers,
+            use_plans=self.use_plans,
+            on_stats=self._merge_engine_stats,
+        )
         self.backend = self.workers.backend
         self.scheduler = MicroBatchScheduler(
             self._dispatch,
@@ -209,12 +213,6 @@ class PosteriorService:
         self._running = False
         model_name = getattr(model, "name", type(model).__name__)
         self._model_id = f"{model_name}/{observe_key or ''}/{id(network)}"
-        #: guards backend demotion: the workers/backend swap must be atomic
-        #: with respect to concurrent demotion attempts (dispatch itself only
-        #: reads the attribute, which is atomic).
-        self._backend_lock = threading.RLock()
-        #: process -> thread swaps performed (at most one: the swap is one-way)
-        self.demotions = 0
         self._resilience = resilience
         if self._resilience is not None:
             self._resilience.bind(self)
@@ -480,7 +478,7 @@ class PosteriorService:
 
     # ------------------------------------------------------------------ internals
     def _wait_for_executor(self, timeout: float) -> bool:
-        """Scheduler hook: block until the (current) pool could start a cohort."""
+        """Scheduler hook: block until the pool could start a cohort."""
         return self.workers.wait_for_executor(timeout)
 
     def _dispatch(self, entries: List[CohortEntry]) -> None:
@@ -520,23 +518,6 @@ class PosteriorService:
             self.metrics.record_failed()
             self._record_capture_outcome(request, "failed", error=error)
 
-    def _make_pool(self, backend: str, num_workers: Optional[int], **process_options):
-        """The one place a backend name becomes a cohort pool.
-
-        Both pools take the model/network handles, own the plan cache and
-        report every shard's engine counters to ``_merge_engine_stats``;
-        ``process_options`` are the process pool's own tuning knobs.
-        ``num_workers=None`` is the backend's default.
-        """
-        if num_workers is None:
-            num_workers = _DEFAULT_NUM_WORKERS[backend]
-        shared = dict(
-            num_workers=num_workers, use_plans=self.use_plans, on_stats=self._merge_engine_stats
-        )
-        if backend == "process":
-            return ProcessCohortPool(self.model, self.network, **shared, **process_options)
-        return CohortWorkerPool(self.model, self.network, **shared)
-
     def _merge_engine_stats(self, stats: Dict[str, int], elapsed: float) -> None:
         """Pool ``on_stats`` hook: fold one shard's engine counters in.
 
@@ -575,7 +556,7 @@ class PosteriorService:
         per-request attribution) — see :class:`ServedPosterior`.
         """
         traces = request.traces()
-        log_weights = form_log_weights(traces, self.network)
+        log_weights = form_log_weights(traces, self.network, observation=request.observation)
         posterior = Empirical(
             traces, log_weights, name=f"{self.name}/request-{request.request_id}"
         )
@@ -648,34 +629,6 @@ class PosteriorService:
             self.metrics.record_shed()
             self._record_capture_outcome(request, "shed")
 
-    # ----------------------------------------------------------------- demotion
-    def _demote_to_thread_backend(self) -> None:
-        """Swap the process pool for a thread pool in place (crash-storm exit).
-
-        Called by the resilience maintenance thread after ``demote_after``
-        breaker openings: repeated worker-process death usually means the
-        environment is hostile to subprocesses (fd limits, OOM killer,
-        container teardown), and threads — slower under the GIL but sharing
-        the parent's fate — keep the service answering.  Outstanding shards
-        on the old pool fail with the transient
-        :class:`~repro.serving.request.PoolStopped` and are retried onto the
-        replacement, so the swap itself sheds nothing.  Results stay
-        bit-identical across the swap: every trace's stream key is derived
-        in the parent at admission, the same reason backends agree in the
-        first place.
-        """
-        with self._backend_lock:
-            if isinstance(self.workers, CohortWorkerPool) or not self._running:
-                return
-            old = self.workers
-            replacement = self._make_pool("thread", self._num_workers).start()
-            self.workers = replacement
-            self.backend = replacement.backend
-            self.demotions += 1
-        # Must NOT run on the procpool collector thread (stop joins it); the
-        # resilience maintenance thread is the sanctioned caller.
-        old.stop(drain=False, timeout=2.0)
-
     # -------------------------------------------------------------- invalidation
     def invalidate_cache(self) -> int:
         """Drop this service's cached posteriors (returns how many were dropped).
@@ -699,9 +652,9 @@ class PosteriorService:
 
         ``self.metrics`` holds only what the service itself does; cache
         outcomes come from the cache, ``retries`` and the breaker from the
-        resilience layer (``0`` / ``"closed"`` without one), ``demotions``
-        from the backend swap, ``faults_injected`` from the active fault
-        plan and ``engine`` from the shards' ``on_stats`` blocks.
+        resilience layer (``0`` / ``"closed"`` without one),
+        ``faults_injected`` from the active fault plan and ``engine`` from
+        the shards' ``on_stats`` blocks.
         """
         snapshot = self.metrics.snapshot()
         cache = self.cache.stats()
@@ -712,7 +665,6 @@ class PosteriorService:
             retries=0,
             breaker_state="closed",
             breaker_opens=0,
-            demotions=self.demotions,
             faults_injected=0,
             backend=self.backend,
             cache=cache,

@@ -16,7 +16,10 @@ traces.  "Where" is one of two pools with one contract —
   pool is saturated (the backpressure that stalls a direct caller) and raises
   :class:`~repro.serving.request.PoolStopped` on a pool that is not running.
   ``callback(entries, traces, error)`` fires exactly once per accepted shard,
-  on a pool thread, with exactly one of ``traces``/``error`` set.
+  on a pool thread, with exactly one of ``traces``/``error`` set.  A failed
+  shard (a raising model, a crashed worker process) resolves with its error
+  and is never re-run by the pool; retrying is the service's resilience
+  layer's job.
 * **Free executors** — ``free_executors()`` says how many shards would start
   at once rather than queue behind a busy worker, and
   ``wait_for_executor(timeout)`` blocks until that is at least one.  The

@@ -24,14 +24,17 @@ def uniform(shape: Tuple[int, ...], low: float, high: float, rng: RandomState = 
     return _rng(rng).uniform(low, high, size=shape)
 
 
-def kaiming_uniform(shape: Tuple[int, ...], a: float = math.sqrt(5), rng: RandomState = None) -> np.ndarray:
+#: the gain of PyTorch's Linear/Conv default, negative slope ``a = sqrt(5)``
+_KAIMING_GAIN = math.sqrt(2.0 / (1.0 + math.sqrt(5) ** 2))
+
+
+def kaiming_uniform(shape: Tuple[int, ...], rng: RandomState = None) -> np.ndarray:
     """He/Kaiming uniform initialisation (PyTorch's default for Linear/Conv)."""
     if len(shape) < 2:
         fan_in = shape[0]
     else:
         receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
         fan_in = shape[1] * receptive
-    gain = math.sqrt(2.0 / (1.0 + a**2))
-    bound = gain * math.sqrt(3.0 / fan_in)
+    bound = _KAIMING_GAIN * math.sqrt(3.0 / fan_in)
     return _rng(rng).uniform(-bound, bound, size=shape)
 

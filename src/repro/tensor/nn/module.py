@@ -76,20 +76,19 @@ class Module:
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
-    def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         own = dict(self.named_parameters())
         missing = [k for k in own if k not in state]
         unexpected = [k for k in state if k not in own]
-        if strict and (missing or unexpected):
+        if missing or unexpected:
             raise KeyError(f"state_dict mismatch: missing={missing}, unexpected={unexpected}")
         for name, value in state.items():
-            if name in own:
-                if own[name].data.shape != np.asarray(value).shape:
-                    raise ValueError(
-                        f"shape mismatch for {name}: "
-                        f"{own[name].data.shape} vs {np.asarray(value).shape}"
-                    )
-                own[name].data = np.asarray(value, dtype=np.float64).copy()
+            if own[name].data.shape != np.asarray(value).shape:
+                raise ValueError(
+                    f"shape mismatch for {name}: "
+                    f"{own[name].data.shape} vs {np.asarray(value).shape}"
+                )
+            own[name].data = np.asarray(value, dtype=np.float64).copy()
 
     # ------------------------------------------------------------------- call
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract

@@ -358,7 +358,7 @@ def provider_importance_sampling(model, observation, num_traces, provider, rng) 
         model.get_trace(ProposalController(provider), observed_values=observation, rng=rng)
         for _ in range(num_traces)
     ]
-    return Empirical(traces, form_log_weights(traces, None))
+    return Empirical(traces, form_log_weights(traces, None, observation=observation))
 
 
 # ------------------------------------------------------------------ optimizers

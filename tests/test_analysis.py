@@ -1139,8 +1139,8 @@ REAL_SITE_MUTATIONS = {
          "            self._inflight.pop(request.request_id, None)\n"))),
     "lock-blocking-call:ProcessCohortPool._lost": ("lock-blocking-call", (
         ("repro/serving/procpool.py",
-         "        worker.process.join(timeout=1.0)\n        failed = None\n        with self._lock:\n",
-         "        failed = None\n        with self._lock:\n            worker.process.join(timeout=1.0)\n"),)),
+         "        worker.process.join(timeout=1.0)\n        with self._lock:\n",
+         "        with self._lock:\n            worker.process.join(timeout=1.0)\n"),)),
     "shape-impl-signature:BatchedCategorical.log_prob_rows": ("shape-impl-signature", (
         ("repro/distributions/batched.py",
          "    def log_prob_rows(self, values) -> np.ndarray:\n"

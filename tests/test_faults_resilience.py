@@ -5,9 +5,9 @@ their seed alone (and picklable into worker processes); the hooks are inert
 without an installed plan; transient cohort failures are retried by running
 the same jobs again from their stream keys (so seeded equivalence survives a
 retry bit-for-bit); the circuit breaker fails fresh submissions fast with a
-``ServingError`` while cached entries keep being served; crash storms demote
-the process backend to threads without shedding; and shutdown racing a worker
-crash never leaves a future unresolved.
+``ServingError`` while cached entries keep being served; a crashed worker
+process's shard runs again only through the retry policy; and shutdown racing
+a worker crash never leaves a future unresolved.
 """
 
 import itertools
@@ -404,7 +404,7 @@ class TestAdmissionBursts:
 
 
 # ---------------------------------------------------------------------------
-# Process backend: crash injection, demotion, shutdown races
+# Process backend: crash injection, shutdown races
 # ---------------------------------------------------------------------------
 
 
@@ -422,60 +422,37 @@ SLOW_OBSERVATION = {"obs": np.array(0.3)}
 
 
 class TestProcessChaos:
-    def test_injected_dispatch_crash_is_requeued_by_the_pool(self, served_engine):
+    def test_injected_dispatch_crash_is_retried_through_the_retry_policy(self, served_engine):
         model, engine = served_engine
         plan = FaultPlan(
             [FaultRule(site="procpool.dispatch", kind="crash", at=0, limit=1)], seed=0
         )
+        resilience = ServiceResilience(RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0))
         with activate(plan):
             with make_service(model, engine, backend="process", num_workers=2,
-                              max_requeues=2) as service:
+                              resilience=resilience) as service:
+                workers = service.workers
                 result = service.posterior(OBSERVATION, num_traces=8, seed=5,
                                            use_cache=False, timeout=120)
                 stats = service.stats()
-        assert stats["workers"]["worker_crashes"] >= 1
         assert stats["faults"]["procpool.dispatch/crash"] == 1
+        # The pool failed the shard once; the one re-run is the policy's retry.
+        assert stats["workers"]["worker_crashes"] == 1
+        assert stats["workers"]["failed_shards"] == 1
+        assert stats["workers"]["shards_executed"] == 1
+        assert stats["retries"] == 1
+        assert (stats["completed"], stats["failed"]) == (1, 0)
+        assert service.workers is workers and stats["backend"] == "process"
         direct = batched_importance_sampling(
             model, OBSERVATION, num_traces=8, batch_size=64,
             network=engine.network, rng=RandomState(5),
         )
-        assert result.posterior.extract("a").mean == pytest.approx(
-            direct.extract("a").mean, abs=1e-12
-        )
-
-    def test_crash_storm_demotes_to_thread_backend_without_shedding(self, served_engine):
-        model, engine = served_engine
-        # Every dispatch to the process pool kills its worker: the only way
-        # this request completes is the breaker-triggered demotion to threads.
-        plan = FaultPlan([FaultRule(site="procpool.dispatch", kind="crash", every=1)], seed=0)
-        resilience = ServiceResilience(
-            RetryPolicy(max_attempts=10, base_delay=0.02, jitter=0.0),
-            CircuitBreaker(failure_threshold=1, recovery_time=0.05),
-            demote_after=1,
-        )
-        with activate(plan):
-            with make_service(model, engine, backend="process", num_workers=1,
-                              max_requeues=0, resilience=resilience) as service:
-                result = service.posterior(OBSERVATION, num_traces=8, seed=9,
-                                           use_cache=False, timeout=120)
-                stats = service.stats()
-                assert service.backend == "thread"
-        assert stats["demotions"] == 1
-        assert stats["resilience"]["demoted"] is True
-        direct = batched_importance_sampling(
-            model, OBSERVATION, num_traces=8, batch_size=64,
-            network=engine.network, rng=RandomState(9),
-        )
-        for latent in ("a", "b", "c"):
-            assert result.posterior.extract(latent).mean == pytest.approx(
-                direct.extract(latent).mean, abs=1e-12
-            )
+        assert posterior_digest(result.posterior) == posterior_digest(direct)
 
     def test_shutdown_drain_racing_worker_crash_resolves_every_future(self):
         model = FunctionModel(slow_program, name="slow")
         service = PosteriorService(
-            model, None, num_workers=1, backend="process", max_requeues=1,
-            max_latency=0.001,
+            model, None, num_workers=1, backend="process", max_latency=0.001,
         ).start()
         future = service.submit(SLOW_OBSERVATION, num_traces=2, seed=3, use_cache=False)
         deadline = time.monotonic() + 5.0
@@ -486,17 +463,14 @@ class TestProcessChaos:
                     victim = worker
             time.sleep(0.01)
         assert victim is not None
-        # Kill the busy worker and immediately drain-shutdown: the requeued
-        # shard must either complete during the drain or fail loudly — the
-        # future is resolved either way, never abandoned.
+        # Kill the busy worker and immediately drain-shutdown: the drain
+        # waits for the crashed shard, which fails loudly — the future is
+        # resolved, never abandoned.
         os.kill(victim.process.pid, signal.SIGKILL)
         service.stop(drain=True)
         assert future.done()
-        try:
-            served = future.result(timeout=0)
-            assert served.num_traces == 2
-        except (WorkerCrashed, ServingError):
-            pass  # loud failure is an acceptable outcome; hanging is not
+        with pytest.raises(WorkerCrashed):
+            future.result(timeout=0)
 
     def test_pool_stopped_submit_error_is_transient(self):
         model = FunctionModel(lockstep_program, name="lockstep")

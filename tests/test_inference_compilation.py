@@ -152,6 +152,17 @@ class TestAmortizedInference:
             engine.network.observe_key = None
             engine.posterior(model, {"a": 0.0, "b": 1.0}, num_traces=5)
 
+    def test_a_key_no_observe_consumes_is_refused(self, ic_setup):
+        # The network reads "obs"; "obz" conditions nothing and would leave
+        # the posterior weighted as if it were not there.
+        model, engine = ic_setup
+        engine.train(model, num_traces=60, minibatch_size=20)
+        observation = {"obs": observation_for(0.5, 1), "obz": 1.0}
+        for batch_size in (1, 4):  # a one-slot session and a lockstep cohort
+            with pytest.raises(ValueError, match=r"\['obz'\].*\['obs'\]"):
+                engine.posterior(model, observation, num_traces=4, batch_size=batch_size)
+        assert len(engine.posterior(model, {"obs": observation["obs"]}, num_traces=4)) == 4
+
 
 class TestPersistence:
     def test_save_and_load_engine(self, ic_setup, tmp_path):
@@ -184,13 +195,21 @@ class TestRemovedOptions:
             "TrainingLoop(allreduce_strategy=)",
             "DistributedTrainer(optimizer=)",
             "DistributedTrainer(allreduce_strategy=)",
+            "TraceDataset(cache_size=)",
+            "PackedEpochPlan(tokens_per_batch=)",
+            "DistributedTraceSampler(drop_last=)",
+            "Module.load_state_dict(strict=)",
+            "init.kaiming_uniform(a=)",
         ],
     )
-    def test_removed_option_is_rejected(self, ic_setup, rng, call):
+    def test_removed_option_is_rejected(self, ic_setup, rng, tmp_path, call):
+        from repro.data import DistributedTraceSampler, PackedEpochPlan, TraceDataset
         from repro.distributed import DistributedTrainer, TrainingLoop
+        from repro.tensor import nn
 
         model, engine = ic_setup
         traces = model.prior_traces(4, rng=rng)
+        layer = nn.Linear(2, 2, rng=RandomState(0))
         calls = {
             "BatchedCategorical": lambda: BatchedCategorical(self.PROBS, choice_kernel="percall"),
             "BatchedMixtureOfTruncatedNormals": lambda: BatchedMixtureOfTruncatedNormals(
@@ -214,6 +233,18 @@ class TestRemovedOptions:
             "DistributedTrainer(allreduce_strategy=)": lambda: DistributedTrainer(
                 engine.network, traces, allreduce_strategy="fused_sparse"
             ),
+            # Nothing set these, not even a test: each is a constant now.
+            "TraceDataset(cache_size=)": lambda: TraceDataset(str(tmp_path), cache_size=2),
+            "PackedEpochPlan(tokens_per_batch=)": lambda: PackedEpochPlan(
+                traces, minibatch_size=2, observe_key="obs", tokens_per_batch=8
+            ),
+            "DistributedTraceSampler(drop_last=)": lambda: DistributedTraceSampler(
+                range(8), minibatch_size=4, drop_last=False
+            ),
+            "Module.load_state_dict(strict=)": lambda: layer.load_state_dict(
+                layer.state_dict(), strict=False
+            ),
+            "init.kaiming_uniform(a=)": lambda: nn.init.kaiming_uniform((2, 2), a=1.0),
         }
         with pytest.raises(TypeError):
             calls[call]()

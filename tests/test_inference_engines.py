@@ -237,3 +237,49 @@ class TestDiagnostics:
             posterior = sampler.run(1500, rng=RandomState(seed))
             chains.append([t["mu"] for t in posterior.values])
         assert gelman_rubin(chains) < 1.2
+
+
+class TestConditioningKeys:
+    """A request is conditioned on exactly the keys it names: a key that no
+    observe statement of an execution consumes is refused, naming the key
+    and the observes the execution did see, instead of weighting traces as
+    if it were absent (prior-predictive weights)."""
+
+    MISSPELT = {"ob": 3.0}
+    MESSAGE = r"\['ob'\].*\['obs'\]"
+
+    def test_direct_importance_sampling(self, gaussian_model):
+        from repro.ppl.inference.importance_sampling import importance_sampling
+
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            importance_sampling(gaussian_model, self.MISSPELT, num_traces=4, rng=RandomState(0))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            gaussian_model.posterior(self.MISSPELT, num_traces=4)
+
+    def test_batched_importance_sampling(self, gaussian_model):
+        from repro.ppl.inference.batched import (
+            batched_importance_sampling,
+            mixed_batched_importance_sampling,
+        )
+
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            batched_importance_sampling(gaussian_model, self.MISSPELT, num_traces=4, rng=RandomState(0))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            mixed_batched_importance_sampling(
+                gaussian_model, [({"obs": 3.0}, 2, RandomState(0)), (self.MISSPELT, 2, RandomState(1))]
+            )
+
+    def test_random_walk_metropolis(self, gaussian_model):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            RandomWalkMetropolis(gaussian_model, self.MISSPELT).run(4, rng=RandomState(0))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            gaussian_model.posterior(self.MISSPELT, num_traces=4, engine="rmh")
+
+    def test_an_extra_key_beside_a_consumed_one_is_refused(self, gaussian_model):
+        from repro.ppl.inference.importance_sampling import importance_sampling
+
+        with pytest.raises(ValueError, match=r"\['extra'\]"):
+            importance_sampling(gaussian_model, {"obs": 3.0, "extra": 1.0}, num_traces=2)
+        # Naming only what the program observes conditions it, as before.
+        posterior = importance_sampling(gaussian_model, {"obs": 3.0}, num_traces=2)
+        assert all(trace.observation == {"obs": 3.0} for trace in posterior.values)

@@ -40,8 +40,16 @@ TOP_LEVEL_KEYS = {
     "mean_cohort_occupancy", "mean_cohort_size", "mixed_cohort_fraction",
     "scheduler_phase_totals_s",
     "cache_hits", "cache_misses", "cache_hit_rate",
-    "retries", "breaker_state", "breaker_opens", "demotions", "faults_injected",
+    "retries", "breaker_state", "breaker_opens", "faults_injected",
     "backend", "cache", "scheduler", "workers", "engine",
+}
+
+#: the ``workers`` section: what either pool counts, then the process pool's own
+WORKERS_KEYS = {"backend", "num_workers", "free_executors", "shards_executed", "failed_shards"}
+PROCESS_WORKERS_KEYS = WORKERS_KEYS | {"start_method", "worker_crashes", "inflight_shards"}
+#: the ``resilience`` section
+RESILIENCE_KEYS = {
+    "breaker", "retry_max_attempts", "retries_dispatched", "retries_pending", "retries_abandoned",
 }
 
 #: top-level keys ``benchmarks/e2e`` reads across its timed window
@@ -89,8 +97,10 @@ def test_stats_key_sets_match_across_backends(served_engine, with_resilience):
     assert set(thread) == expected | {"plans"}
     for section in ("engine", "scheduler_phase_totals_s", "cache", "scheduler"):
         assert set(thread[section]) == set(process[section]), section
+    assert set(thread["workers"]) == WORKERS_KEYS | {"cancelled_shards"}
+    assert set(process["workers"]) == PROCESS_WORKERS_KEYS
     if with_resilience:
-        assert set(thread["resilience"]) == set(process["resilience"])
+        assert set(thread["resilience"]) == set(process["resilience"]) == RESILIENCE_KEYS
 
     for stats in (thread, process):
         assert set(stats["engine"]) == set(ENGINE_STAT_KEYS)

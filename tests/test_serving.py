@@ -9,6 +9,7 @@ seed, no matter how the scheduler packed it into cohorts.
 
 import pickle
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from repro.serving import (
     PosteriorCache,
     PosteriorService,
     ServiceOverloaded,
+    ServiceResilience,
+    ServingMetrics,
     observation_fingerprint,
 )
 from tests.test_batched_inference import OBSERVATION, lockstep_program
@@ -204,10 +207,25 @@ class TestCacheSemantics:
 
 
 class TestServiceOptions:
-    @pytest.mark.parametrize("option", ["cache_ttl", "mp_start_method", "default_num_traces"])
+    @pytest.mark.parametrize(
+        "option", ["cache_ttl", "mp_start_method", "default_num_traces", "max_requeues"]
+    )
     def test_removed_option_is_rejected(self, option):
         with pytest.raises(TypeError):
             PosteriorService(None, None, **{option: 1})
+
+    @pytest.mark.parametrize(
+        "call",
+        ["ServiceResilience(demote_after=)", "ServingMetrics(window=)", "ServingMetrics(clock=)"],
+    )
+    def test_removed_serving_option_is_rejected(self, call):
+        calls = {
+            "ServiceResilience(demote_after=)": lambda: ServiceResilience(demote_after=1),
+            "ServingMetrics(window=)": lambda: ServingMetrics(window=16),
+            "ServingMetrics(clock=)": lambda: ServingMetrics(clock=time.monotonic),
+        }
+        with pytest.raises(TypeError):
+            calls[call]()
 
     def test_default_trace_budget_is_one_hundred(self, served_engine):
         model, engine = served_engine

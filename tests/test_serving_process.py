@@ -3,9 +3,9 @@
 The acceptance contract of ``backend="process"``: seeded posteriors are
 bit-identical to the thread backend and to a direct engine call (randomness
 is derived in the parent, so *where* a shard runs can never change what it
-draws); a worker-process crash requeues the shard (or fails it loudly) —
-never drops it silently; and the pool/service shut down cleanly with every
-submitted future resolved.
+draws); a worker-process crash fails its shard once, at once, with
+``WorkerCrashed`` — never re-runs it, never drops it silently; and the
+pool/service shut down cleanly with every submitted future resolved.
 """
 
 import multiprocessing
@@ -29,6 +29,8 @@ from repro.serving import (
     ServiceOverloaded,
     ServingError,
     WorkerCrashed,
+    observation_fingerprint,
+    posterior_digest,
 )
 from repro.serving.procpool import _picklable_error
 from tests.test_batched_inference import OBSERVATION, lockstep_program
@@ -141,6 +143,31 @@ class TestCrossBackendEquivalence:
             assert theirs.random() == ours.random() and theirs.normal() == ours.normal()
 
 
+class TestConditioningKeys:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_bad_key_fails_only_its_own_request(self, served_engine, backend):
+        # "obz" conditions nothing.  The request naming it shares a cohort
+        # with a good one: it fails alone, at weight formation, and caches
+        # nothing; its cohort-mate completes, seed-identical to a direct run.
+        model, engine = served_engine
+        bad_observation = dict(OBSERVATION, obz=1.0)
+        with make_service(model, engine, backend=backend, num_workers=1, max_latency=0.2) as service:
+            good = service.submit(OBSERVATION, num_traces=8, seed=4)
+            bad = service.submit(bad_observation, num_traces=8, seed=5)
+            with pytest.raises(ValueError, match=r"\['obz'\].*\['obs'\]"):
+                bad.result(timeout=120)
+            served = good.result(timeout=120)
+            stats = service.stats()
+            assert service.cache.lookup(
+                observation_fingerprint(bad_observation, service._model_id, 8)
+            ) is None
+        assert stats["cohorts_executed"] == 1 and stats["engine"]["num_cohorts"] == 1
+        assert (stats["completed"], stats["failed"]) == (1, 1)
+        assert stats["cache"]["size"] == 1  # the good request's posterior only
+        direct = engine.posterior(model, OBSERVATION, num_traces=8, rng=RandomState(4))
+        assert posterior_digest(served.posterior) == posterior_digest(direct)
+
+
 class TestWorkerCrash:
     def _submit_slow_shard(self, pool, num_jobs=2):
         jobs = TraceJob.for_request(0, SLOW_OBSERVATION, None, num_jobs, request_key(RandomState(1)))
@@ -168,57 +195,48 @@ class TestWorkerCrash:
             time.sleep(0.02)
         assert outcome, "shard neither completed nor failed"
 
-    def test_killed_worker_shard_is_requeued(self):
-        model = FunctionModel(slow_program, name="slow")
-        pool = ProcessCohortPool(model, None, num_workers=2, max_requeues=2)
-        pool.start()
-        try:
-            outcome = self._submit_slow_shard(pool)
-            worker = self._busy_worker(pool)
-            os.kill(worker.process.pid, signal.SIGKILL)
-            self._wait_for_outcome(outcome)
-            assert outcome["error"] is None
-            assert len(outcome["traces"]) == 2
-            stats = pool.stats()
-            assert stats["requeues"] >= 1
-            assert stats["worker_crashes"] >= 1
-            assert stats["shards_executed"] == 1
-        finally:
-            pool.stop(drain=False)
+    @staticmethod
+    def _assert_respawned(pool, victim):
+        replacement = pool._workers[victim.index]
+        assert replacement is not victim
+        assert replacement.process.pid != victim.process.pid
+        assert replacement.process.is_alive()
 
-    def test_requeue_budget_exhaustion_fails_loudly(self):
+    def test_killed_busy_worker_fails_its_shard_at_once(self):
         model = FunctionModel(slow_program, name="slow")
-        pool = ProcessCohortPool(model, None, num_workers=1, max_requeues=0)
+        pool = ProcessCohortPool(model, None, num_workers=2)
         pool.start()
         try:
             outcome = self._submit_slow_shard(pool)
-            worker = self._busy_worker(pool)
-            os.kill(worker.process.pid, signal.SIGKILL)
+            victim = self._busy_worker(pool)
+            os.kill(victim.process.pid, signal.SIGKILL)
             self._wait_for_outcome(outcome)
             assert isinstance(outcome["error"], WorkerCrashed)
-            assert pool.stats()["failed_shards"] == 1
+            assert outcome["traces"] is None
+            stats = pool.stats()
+            assert (stats["worker_crashes"], stats["failed_shards"], stats["shards_executed"]) == (1, 1, 0)
+            assert stats["inflight_shards"] == 0  # resolved, not waiting in the queue
+            self._assert_respawned(pool, victim)
         finally:
             pool.stop(drain=False)
 
-    def test_service_surfaces_worker_crash_after_budget(self):
+    def test_service_without_resilience_fails_a_crashed_shard_at_once(self):
         model = FunctionModel(slow_program, name="slow")
         service = PosteriorService(
-            model, None, num_workers=1, backend="process", max_requeues=0,
-            max_latency=0.001,
+            model, None, num_workers=1, backend="process", max_latency=0.001,
         ).start()
         try:
-            future = service.submit(SLOW_OBSERVATION, num_traces=2, seed=3, use_cache=False)
-            deadline = time.monotonic() + 5.0
-            victim = None
-            while time.monotonic() < deadline and victim is None:
-                for worker in service.workers._workers:
-                    if worker.shard is not None and worker.process.is_alive():
-                        victim = worker
-                time.sleep(0.01)
-            assert victim is not None
+            future = service.submit(SLOW_OBSERVATION, num_traces=2, seed=3)
+            victim = self._busy_worker(service.workers)
             os.kill(victim.process.pid, signal.SIGKILL)
             with pytest.raises(WorkerCrashed):
                 future.result(timeout=30)
+            stats = service.stats()
+            assert stats["workers"]["worker_crashes"] == 1
+            assert stats["workers"]["failed_shards"] == 1
+            assert (stats["completed"], stats["failed"], stats["retries"]) == (0, 1, 0)
+            assert stats["cache"]["size"] == 0  # nothing cached
+            self._assert_respawned(service.workers, victim)
         finally:
             service.stop(drain=False)
 
@@ -279,8 +297,12 @@ class TestProcessLifecycle:
         model = FunctionModel(lockstep_program, name="lockstep")
         expected = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         assert ProcessCohortPool(model, None, num_workers=1).stats()["start_method"] == expected
+
+    @pytest.mark.parametrize("option", ["start_method", "max_requeues"])
+    def test_removed_pool_option_is_rejected(self, option):
+        model = FunctionModel(lockstep_program, name="lockstep")
         with pytest.raises(TypeError):
-            ProcessCohortPool(model, None, num_workers=1, start_method="spawn")
+            ProcessCohortPool(model, None, num_workers=1, **{option: 1})
 
 
 class TestErrorTransport:
@@ -295,17 +317,26 @@ class TestErrorTransport:
         passthrough = _picklable_error(ValueError("fine"))
         assert isinstance(passthrough, ValueError)
 
-    def test_model_exception_reaches_the_client(self):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_model_exception_reaches_the_client(self, backend):
+        # Without resilience a failed shard fails each of its requests once,
+        # on either pool, and nothing is cached or run again.
         def broken_program():
             raise RuntimeError("simulator exploded")
 
         model = FunctionModel(broken_program, name="broken")
         with PosteriorService(
-            model, None, num_workers=1, backend="process", max_latency=0.001
+            model, None, num_workers=1, backend=backend, max_latency=0.2
         ) as service:
-            future = service.submit({"obs": 1.0}, num_traces=2, use_cache=False)
-            with pytest.raises(RuntimeError, match="simulator exploded"):
-                future.result(timeout=30)
+            futures = [service.submit({"obs": value}, num_traces=2) for value in (1.0, 2.0)]
+            for future in futures:
+                with pytest.raises(RuntimeError, match="simulator exploded"):
+                    future.result(timeout=30)
+            stats = service.stats()
+        assert stats["cohorts_executed"] == 1  # both requests in one shard
+        assert (stats["workers"]["failed_shards"], stats["workers"]["shards_executed"]) == (1, 0)
+        assert (stats["completed"], stats["failed"]) == (0, 2)
+        assert stats["cache"]["size"] == 0
 
 
 def gen1_program():
@@ -413,14 +444,12 @@ def steady_traffic(pool, rng, stop, answered):
 
 
 class TestDeathIsEndOfFile:
-    @pytest.mark.parametrize("max_requeues", [1, 0])
-    def test_crashed_shard_resolves_under_steady_traffic(self, max_requeues):
+    def test_crashed_shard_resolves_under_steady_traffic(self):
         # Worker 0 dies mid-shard while worker 1 answers a shard every 20 ms:
         # a death seen only after a quiet spell on the result channel is never
         # seen, and the orphaned shard's request hangs.
         pool = ProcessCohortPool(
-            FunctionModel(held_program, name="held"), None, num_workers=2,
-            max_requeues=max_requeues,
+            FunctionModel(held_program, name="held"), None, num_workers=2
         ).start()
         HOLD.value, HELD.value = 1, 0
         stop, answered, orphan = threading.Event(), [], {}
@@ -444,17 +473,12 @@ class TestDeathIsEndOfFile:
                 time.sleep(0.01)
             assert len(answered) >= 3, "traffic is not flowing"
             os.kill(pool._workers[0].process.pid, signal.SIGKILL)
-            HOLD.value = 0  # a requeued copy runs straight through
             assert resolved.wait(10.0), "the crashed worker's shard never resolved"
             assert not stop.is_set() and traffic.is_alive()  # resolved under traffic
             stats = pool.stats()
             assert stats["worker_crashes"] == 1
-            if max_requeues:
-                assert orphan["error"] is None and len(orphan["traces"]) == 1
-                assert stats["requeues"] == 1
-            else:
-                assert isinstance(orphan["error"], WorkerCrashed)
-                assert stats["failed_shards"] == 1 and stats["requeues"] == 0
+            assert isinstance(orphan["error"], WorkerCrashed)
+            assert stats["failed_shards"] == 1
         finally:
             stop.set()
             HOLD.value = 0
@@ -472,7 +496,7 @@ class TestDeathIsEndOfFile:
             replacement = pool._workers[0]
             assert replacement is not victim and replacement.process.is_alive()
             stats = pool.stats()
-            assert (stats["worker_crashes"], stats["requeues"], stats["shards_executed"]) == (1, 0, 0)
+            assert (stats["worker_crashes"], stats["failed_shards"], stats["shards_executed"]) == (1, 0, 0)
 
     def test_refresh_then_stop_is_not_a_crash(self):
         pool = ProcessCohortPool(FunctionModel(gen1_program, name="gen"), None, num_workers=2).start()
