@@ -4,13 +4,14 @@ At training time each minibatch is divided into *sub-minibatches* by trace
 type, because only traces sharing the same address sequence can be pushed
 through the dynamic NN in a single forward execution (Algorithm 1).  The
 *effective* minibatch size is therefore the average sub-minibatch size, and
-the throughput optimisations in the paper (sorting, same-type batching,
-multi-bucketing) all aim to increase it.
+sorting by trace type (Section 4.4.3) is what raises it.
 
-This module also implements the *dynamic batching* variant discussed in
-Section 7.2: instead of a fixed number of traces per rank, each rank receives
-a target number of "tokens" (random draws), so ranks with long traces get
-fewer of them — the NMT-style load-balancing idea that the paper evaluated.
+:func:`dynamic_token_batches` is the *dynamic batching* of Section 7.2: a
+batch holds a budget of "tokens" (random draws) rather than a fixed number of
+traces, so a batch of long traces holds fewer of them.  The single-process
+offline schedule (:class:`repro.data.packing.PackedEpochPlan`) cuts its
+minibatches with it; the distributed trainer deals fixed-size chunks
+(:class:`repro.data.sampler.DistributedTraceSampler`).
 """
 
 from __future__ import annotations

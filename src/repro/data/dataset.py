@@ -4,8 +4,8 @@ A :class:`TraceDataset` stores pruned execution traces on disk (via
 :class:`repro.data.shelf.ShardStore`) together with the light-weight metadata
 needed by the training pipeline without loading trace contents:
 
-* the trace type and the trace length of every entry (for sorting, bucketing
-  and sub-minibatch construction),
+* the trace type and the trace length of every entry (for sorting, the
+  sampler's chunk costs and sub-minibatch construction),
 * the shared :class:`repro.trace.AddressDictionary` (shorthand address ids).
 
 An in-memory variant (:class:`InMemoryTraceDataset`) backs small tests and the

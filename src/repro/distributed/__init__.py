@@ -1,4 +1,4 @@
-"""Distributed training: allreduce, trainer, load balance and performance model."""
+"""Distributed training: allreduce, trainer and performance model."""
 
 from repro.common.utils import shard_jobs
 from repro.distributed.allreduce import (
@@ -20,7 +20,6 @@ from repro.distributed.performance_model import (
     WeakScalingPoint,
 )
 from repro.distributed.trainer import DistributedTrainer, TrainingLoop, TrainingReport
-from repro.distributed.load_balance import SchemeEvaluation, compare_schemes, evaluate_scheme
 
 __all__ = [
     "CommunicationStats",
@@ -40,8 +39,5 @@ __all__ = [
     "DistributedTrainer",
     "TrainingLoop",
     "TrainingReport",
-    "SchemeEvaluation",
-    "compare_schemes",
-    "evaluate_scheme",
     "shard_jobs",
 ]

@@ -431,8 +431,6 @@ class DistributedTrainer:
     ) -> None:
         # ``rng`` is accepted for call-site compatibility and not used: the
         # sampler schedule is a function of ``seed`` alone.
-        if num_ranks < 1:
-            raise ValueError("num_ranks must be >= 1")
         self.network = network
         self.dataset = dataset
         self.num_ranks = num_ranks
@@ -451,7 +449,6 @@ class DistributedTrainer:
             num_ranks=num_ranks,
             lengths=[dataset.trace_length_of(i) for i in range(total)],
             trace_types=[dataset.trace_type_of(i) for i in range(total)],
-            shuffle=True,
             seed=seed,
         )
         # The schedule cursor lives here, not in train(): consecutive train()

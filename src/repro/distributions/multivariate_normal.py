@@ -10,8 +10,10 @@ both code paths:
 * :meth:`MultivariateNormal.log_prob` — the general Cholesky-based path.
 * :meth:`MultivariateNormal.log_prob_3d_scalar` — a hand-unrolled scalar
   implementation valid only for 3-dimensional events (diagonal or full
-  covariance), used by the detector likelihood and by the
-  ``benchmarks/test_ablation_mvn_pdf.py`` ablation.
+  covariance), timed against the general path by the
+  ``benchmarks/test_ablation_mvn_pdf.py`` ablation.  The detector likelihood
+  here is a per-voxel :class:`~repro.distributions.Normal`
+  (:mod:`repro.simulators.tau_decay`), so no simulator calls either path.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Additional scalar distributions: Beta, Gamma, Exponential, Poisson, Bernoulli.
 
-The mini-Sherpa simulator and the spectroscopy example use these for energy
-fractions, particle multiplicities and detector noise.  They complete the set
-of "common probability distributions" that the PPX protocol defines
-language-agnostic descriptions for (Section 4.1).
+No simulator in this repo samples them.  They complete the set of "common
+probability distributions" that the PPX protocol defines language-agnostic
+descriptions for (Section 4.1): each is registered, so a remote simulator may
+send one in a sample or observe request and the server rebuilds it.
 """
 
 from __future__ import annotations

@@ -48,12 +48,10 @@ class ServiceOverloaded(ServingError):
 class PoolStopped(ServingError):
     """A worker pool was stopped while this cohort was queued or in flight.
 
-    Transient, like any failure a retry may outrun; but a service stops its
-    resilience layer before its pool, so during a service stop the error
-    passes straight through to the future.
+    Not transient: a service stops its resilience layer before its pool and
+    never stops a running service's pool otherwise, so no retry could outrun
+    it — the error passes straight through to the future.
     """
-
-    transient = True
 
 
 class DeadlineExceeded(ServingError):

@@ -187,14 +187,15 @@ class PosteriorService:
         # Both pools own the plan cache and report every shard's engine
         # counters to _merge_engine_stats; the service keeps this pool for
         # its lifetime.
-        pool = ProcessCohortPool if backend == "process" else CohortWorkerPool
-        self.workers = pool(
-            model,
-            network,
-            num_workers=_DEFAULT_NUM_WORKERS[backend] if num_workers is None else num_workers,
-            use_plans=self.use_plans,
-            on_stats=self._merge_engine_stats,
-        )
+        num_workers = _DEFAULT_NUM_WORKERS[backend] if num_workers is None else num_workers
+        if backend == "process":
+            self.workers = ProcessCohortPool(
+                model, network, num_workers=num_workers, use_plans=self.use_plans, on_stats=self._merge_engine_stats
+            )
+        else:
+            self.workers = CohortWorkerPool(
+                model, network, num_workers=num_workers, use_plans=self.use_plans, on_stats=self._merge_engine_stats
+            )
         self.backend = self.workers.backend
         self.scheduler = MicroBatchScheduler(
             self._dispatch,

@@ -8,11 +8,12 @@ implementation for a 13x speed-up.  This module reproduces that component:
 * every visible final-state particle produces an energy deposit: a
   longitudinal shower profile along the depth axis and a transverse Gaussian
   spread around its impact point,
-* the scalar-3D multivariate-normal density is
-  :meth:`repro.distributions.MultivariateNormal.log_prob_3d_scalar`, timed
-  against the general one in ``benchmarks/test_ablation_mvn_pdf.py``,
 * the summed deposition grid is the mean of the observation model; per-voxel
-  Gaussian noise gives the likelihood used by ``observe``.
+  Gaussian noise gives the likelihood used by ``observe`` — the tau simulator
+  observes a :class:`~repro.distributions.Normal` over the whole grid, so no
+  multivariate-normal density is evaluated.  The paper's scalar 3D PDF is
+  :meth:`repro.distributions.MultivariateNormal.log_prob_3d_scalar`, which
+  only its ablation (``benchmarks/test_ablation_mvn_pdf.py``) and tests call.
 """
 
 from __future__ import annotations

@@ -841,6 +841,20 @@ class TestInterproceduralLocks:
         )
         assert "lock-order-inversion" not in rules_of(findings)
 
+    def test_the_services_pool_attribute_has_both_pool_types(self):
+        # The lock checker follows ``self.workers.submit/refresh/stop`` into
+        # whichever pool the service built, so the attribute must carry both.
+        from repro.analysis.core import parse_contexts
+        from repro.analysis.project import Project
+
+        contexts, errors = parse_contexts([str(SRC_ROOT)])
+        assert not errors
+        service = Project(contexts).classes["repro.serving.service.PosteriorService"]
+        assert service.attr_types["workers"] == {
+            "repro.serving.workers.CohortWorkerPool",
+            "repro.serving.procpool.ProcessCohortPool",
+        }
+
 
 # ----------------------------------------------------- deterministic iteration
 class TestDeterministicIteration:
@@ -1104,7 +1118,7 @@ REAL_SITE_MUTATIONS = {
          "rng.child_key((int(np.random.randint(0, 2**31 - 1)),))"),)),
     "rng-direct-construction:epoch-shuffle": ("rng-direct-construction", (
         ("repro/data/sampler.py",
-         "rng = RandomState(self.seed).spawn(self.epoch)\n            rng.generator.shuffle(order)",
+         "rng = RandomState(self.seed).spawn(self.epoch)\n        rng.generator.shuffle(order)",
          "np.random.default_rng([self.seed, self.epoch]).shuffle(order)"),)),
     "rng-direct-construction:Distribution._rng": ("rng-direct-construction", (
         ("repro/distributions/distribution.py", "return (rng or get_rng()).generator",

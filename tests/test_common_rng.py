@@ -192,7 +192,9 @@ class TestSamplerEpochStreams:
     def _order(self, seed, epoch):
         from repro.data.sampler import DistributedTraceSampler
 
-        sampler = DistributedTraceSampler(list(range(320)), minibatch_size=8, num_ranks=1, seed=seed)
+        sampler = DistributedTraceSampler(
+            list(range(320)), minibatch_size=8, num_ranks=1, lengths=[1] * 320, trace_types=["a"] * 320, seed=seed
+        )
         sampler.set_epoch(epoch)
         return [group[0][0] for group in sampler]
 

@@ -301,12 +301,12 @@ class TestBatching:
 
 
 class TestDistributedSampler:
-    def _sampler(self, dataset, num_ranks=2, **kwargs):
-        order = sorted_indices_by_trace_type(dataset)
+    def _sampler(self, dataset, num_ranks=2, minibatch_size=8, sorted_indices=None, seed=0):
+        order = sorted_indices_by_trace_type(dataset) if sorted_indices is None else sorted_indices
         lengths = [dataset.trace_length_of(i) for i in range(len(dataset))]
         types = [dataset.trace_type_of(i) for i in range(len(dataset))]
         return DistributedTraceSampler(
-            order, minibatch_size=8, num_ranks=num_ranks, lengths=lengths, trace_types=types, **kwargs
+            order, minibatch_size=minibatch_size, num_ranks=num_ranks, lengths=lengths, trace_types=types, seed=seed
         )
 
     def test_chunk_cost_is_lstm_steps_then_sub_minibatches(self):
@@ -318,7 +318,7 @@ class TestDistributedSampler:
 
     def test_every_chunk_is_dealt_once_per_epoch(self, tiny_tau_dataset):
         # 60 traces make 7 chunks of 8: four groups of two, the last group's
-        # first place filled by repeating the bucket's next-costliest chunk.
+        # first place filled by repeating the next-costliest chunk.
         sampler = self._sampler(tiny_tau_dataset)
         groups = list(sampler)
         assert len(groups) == len(sampler) == 4
@@ -356,28 +356,23 @@ class TestDistributedSampler:
         b = list(self._sampler(tiny_tau_dataset, seed=3))
         assert a == b
 
-    def test_bucketing_keeps_every_group_in_one_bucket(self, tiny_tau_dataset):
-        sampler = self._sampler(tiny_tau_dataset, num_buckets=3)
-        bucket_of = {tuple(chunk): b for b, bucket in enumerate(sampler._buckets) for chunk in bucket}
-        assert len(set(bucket_of.values())) == 3
-        for group in sampler:
-            assert len({bucket_of[tuple(chunk)] for chunk in group}) == 1
-
-    def test_more_buckets_than_chunks_starves_no_rank(self, tiny_tau_dataset):
-        # 60 traces make 7 chunks of 8; 10 one-chunk buckets would leave the
-        # second rank nothing to pair with — the bucket count is capped at 3.
-        sampler = self._sampler(tiny_tau_dataset, num_buckets=10)
-        assert all(len(bucket) >= 2 for bucket in sampler._buckets)
-        dealt = {tuple(chunk) for group in sampler for chunk in group}
-        assert len(dealt) == 7
-
     def test_fewer_chunks_than_ranks_repeats_them(self):
-        groups = list(DistributedTraceSampler(list(range(16)), minibatch_size=8, num_ranks=3, shuffle=False))
+        groups = list(DistributedTraceSampler(
+            list(range(16)), minibatch_size=8, num_ranks=3, lengths=[1] * 16, trace_types=["a"] * 16,
+        ))
         assert groups == [[list(range(8)), list(range(8)), list(range(8, 16))]]
+
+    def test_more_ranks_than_chunks_starves_no_rank(self, tiny_tau_dataset):
+        # 60 traces make 7 chunks of 8; ten ranks share one group in which
+        # every chunk is dealt and each rank gets a full chunk.
+        groups = list(self._sampler(tiny_tau_dataset, num_ranks=10))
+        assert len(groups) == 1 and len(groups[0]) == 10
+        assert all(len(chunk) == 8 for chunk in groups[0])
+        assert len({tuple(chunk) for chunk in groups[0]}) == 7
 
     def test_sorted_chunks_have_fewer_types_than_unsorted(self, tiny_tau_dataset):
         def mean_types_per_chunk(order):
-            sampler = DistributedTraceSampler(order, minibatch_size=8, shuffle=False)
+            sampler = self._sampler(tiny_tau_dataset, num_ranks=1, sorted_indices=order)
             counts = [
                 len({tiny_tau_dataset.trace_type_of(i) for i in chunk}) for (chunk,) in sampler
             ]
@@ -390,8 +385,8 @@ class TestDistributedSampler:
     def test_validation(self, tiny_tau_dataset):
         order = list(range(len(tiny_tau_dataset)))
         with pytest.raises(ValueError):
-            DistributedTraceSampler(order, minibatch_size=0)
+            self._sampler(tiny_tau_dataset, minibatch_size=0)
         with pytest.raises(ValueError):
-            DistributedTraceSampler(order, minibatch_size=4, num_ranks=0)
-        with pytest.raises(ValueError):
-            DistributedTraceSampler(order, minibatch_size=4, num_buckets=0)
+            self._sampler(tiny_tau_dataset, num_ranks=0)
+        with pytest.raises(ValueError, match="7 traces fill no minibatch of 8"):
+            self._sampler(tiny_tau_dataset, sorted_indices=order[:7])

@@ -18,9 +18,7 @@ from repro.distributed import (
     CommunicationStats,
     DistributedTrainer,
     SingleNodeModel,
-    compare_schemes,
     dense_allreduce,
-    evaluate_scheme,
     fused_sparse_allreduce,
     sparse_allreduce,
 )
@@ -328,9 +326,16 @@ class TestDistributedTrainer:
             build_trainer(tiny_tau_dataset, lr_schedule="bogus")
 
     def test_trainer_has_no_bucket_option(self, tiny_tau_dataset):
-        # The cost-matched deal balances ranks; length buckets live on the sampler only.
+        # The cost-matched deal balances ranks without length buckets.
         with pytest.raises(TypeError):
             build_trainer(tiny_tau_dataset, num_buckets=3)
+
+    def test_a_training_split_smaller_than_one_minibatch_is_refused(self, tau_model, rng):
+        # Three traces fill no chunk of 4: the schedule would be empty and
+        # the first step would find nothing to deal.
+        dataset = generate_dataset(tau_model, 3, rng=rng)
+        with pytest.raises(ValueError, match="3 traces fill no minibatch of 4"):
+            build_trainer(dataset)
 
     def test_epoch_rollover(self, tau_model, rng):
         dataset = generate_dataset(tau_model, 20, rng=rng)
@@ -347,31 +352,31 @@ def tau_200():
     return InMemoryTraceDataset(list(generate_dataset(TauDecayModel(), 200, rng=RandomState(2024))))
 
 
-def length_buckets(dataset, minibatch_size, num_ranks, num_buckets):
-    """Chunk -> bucket as Section 7.2 defines them: chunks are consecutive
-    minibatch-size slices of the trace-type-sorted order, buckets equal-count
-    groups of chunks in mean-length order (at most one per rank's chunk)."""
+def sorted_chunks(dataset, minibatch_size):
+    """The chunks of Section 4.4.3: consecutive minibatch-size slices of the
+    trace-type-sorted order, a short remainder dropped."""
     order = sorted_indices_by_trace_type(dataset)
-    chunks = [tuple(order[s : s + minibatch_size]) for s in range(0, len(order) - minibatch_size + 1, minibatch_size)]
-    count = max(1, min(num_buckets, len(chunks) // num_ranks))
-    mean_lengths = [np.mean([dataset.trace_length_of(i) for i in chunk]) for chunk in chunks]
-    split = np.array_split(np.argsort(mean_lengths, kind="stable"), count)
-    return {chunks[i]: bucket for bucket, members in enumerate(split) for i in members}
+    return [tuple(order[s : s + minibatch_size]) for s in range(0, len(order) - minibatch_size + 1, minibatch_size)]
 
 
 class TestDeal:
-    """One schedule: every chunk once per epoch, no step mixing buckets."""
+    """One schedule: every chunk once per epoch, the trainer dealing the sampler's groups."""
 
     MINIBATCH = 8  # 200 traces: 25 chunks
     SEED = 11
 
-    def sampler_deal(self, dataset, num_ranks, num_buckets, epochs):
-        """``epochs`` epochs of the sampler's groups, each begun with ``set_epoch``."""
+    @staticmethod
+    def costing(dataset):
+        """Per-trace ``(lengths, trace_types)`` for :func:`chunk_cost`."""
         total = len(dataset)
+        return [dataset.trace_length_of(i) for i in range(total)], [dataset.trace_type_of(i) for i in range(total)]
+
+    def sampler_deal(self, dataset, num_ranks, epochs):
+        """``epochs`` epochs of the sampler's groups, each begun with ``set_epoch``."""
+        lengths, types = self.costing(dataset)
         sampler = DistributedTraceSampler(
             sorted_indices_by_trace_type(dataset), minibatch_size=self.MINIBATCH, num_ranks=num_ranks,
-            num_buckets=num_buckets, lengths=[dataset.trace_length_of(i) for i in range(total)],
-            trace_types=[dataset.trace_type_of(i) for i in range(total)], seed=self.SEED,
+            lengths=lengths, trace_types=types, seed=self.SEED,
         )
         dealt = []
         for epoch in range(epochs):
@@ -392,94 +397,60 @@ class TestDeal:
         return [[tuple(trainer._deal(rank)) for rank in range(num_ranks)] for _ in range(iterations)]
 
     @staticmethod
-    def assert_every_chunk_dealt_once_per_epoch(dealt, buckets, num_ranks, epochs):
-        """A bucket of n chunks is dealt in ceil(n / R) groups; only the fill
-        of its last group repeats chunks, none is dropped, and no rank's
-        epoch ends the others' early."""
-        sizes = Counter(buckets.values())
-        per_epoch = sum(-(-n // num_ranks) for n in sizes.values())
+    def assert_every_chunk_dealt_once_per_epoch(dealt, chunks, num_ranks, epochs):
+        """n chunks are dealt in ceil(n / R) groups; only the fill of the last
+        group repeats chunks, none is dropped, and no rank's epoch ends the
+        others' early."""
+        per_epoch = -(-len(chunks) // num_ranks)
         assert len(dealt) == epochs * per_epoch
         for epoch in range(epochs):
             counts = Counter(chunk for group in dealt[epoch * per_epoch : (epoch + 1) * per_epoch] for chunk in group)
-            assert counts.keys() == buckets.keys()
-            for bucket, n in sizes.items():
-                repeats = sum(counts[chunk] - 1 for chunk in buckets if buckets[chunk] == bucket)
-                assert repeats == -n % num_ranks
+            assert counts.keys() == set(chunks)
+            assert sum(count - 1 for count in counts.values()) == -len(chunks) % num_ranks
         assert dealt[:per_epoch] != dealt[per_epoch : 2 * per_epoch]  # set_epoch reshuffles
 
-    @pytest.mark.parametrize("num_ranks, num_buckets", [(2, 3), (3, 2), (4, 4)])
-    def test_every_chunk_is_dealt_once_per_epoch(self, tau_200, num_ranks, num_buckets):
-        buckets = length_buckets(tau_200, self.MINIBATCH, num_ranks, num_buckets)
-        dealt = self.sampler_deal(tau_200, num_ranks, num_buckets, 3)
-        self.assert_every_chunk_dealt_once_per_epoch(dealt, buckets, num_ranks, 3)
+    @pytest.mark.parametrize("num_ranks", [2, 3, 4])
+    def test_every_chunk_is_dealt_once_per_epoch(self, tau_200, num_ranks):
+        dealt = self.sampler_deal(tau_200, num_ranks, 3)
+        self.assert_every_chunk_dealt_once_per_epoch(dealt, sorted_chunks(tau_200, self.MINIBATCH), num_ranks, 3)
 
-    @pytest.mark.parametrize("num_ranks, num_buckets", [(2, 3), (3, 2), (4, 4)])
-    def test_no_step_mixes_buckets(self, tau_200, num_ranks, num_buckets):
-        buckets = length_buckets(tau_200, self.MINIBATCH, num_ranks, num_buckets)
-        for group in self.sampler_deal(tau_200, num_ranks, num_buckets, 3):
-            assert len({buckets[chunk] for chunk in group}) == 1
+    @pytest.mark.parametrize("num_ranks", [2, 3, 4])
+    def test_no_step_pairs_chunks_apart_in_cost(self, tau_200, num_ranks):
+        """Every step of three epochs deals a run of neighbours in cost order:
+        no chunk left out of a group costs strictly between its members."""
+        lengths, types = self.costing(tau_200)
+        cost = {chunk: chunk_cost(chunk, lengths, types) for chunk in sorted_chunks(tau_200, self.MINIBATCH)}
+        for group in self.sampler_deal(tau_200, num_ranks, 3):
+            low, high = min(cost[c] for c in group), max(cost[c] for c in group)
+            assert not any(low < cost[c] < high for c in cost if c not in group)
+
+    @pytest.mark.parametrize("num_ranks", [2, 3, 4])
+    def test_cost_matched_groups_balance_ranks_better_than_random_groups(self, tau_200, num_ranks):
+        """A step's imbalance is its costliest rank's LSTM steps over the
+        ranks' mean; the deal beats every one of ten random groupings of the
+        same chunks."""
+        lengths, types = self.costing(tau_200)
+
+        def mean_imbalance(groups):
+            steps = [np.array([chunk_cost(chunk, lengths, types)[0] for chunk in group], dtype=float) for group in groups]
+            return float(np.mean([(s.max() - s.mean()) / s.mean() for s in steps]))
+
+        dealt = mean_imbalance(self.sampler_deal(tau_200, num_ranks, 1))
+        chunks = sorted_chunks(tau_200, self.MINIBATCH)
+        generator = RandomState(self.SEED).generator
+        for _ in range(10):
+            shuffled = [chunks[i] for i in generator.permutation(len(chunks))]
+            random_groups = [shuffled[s : s + num_ranks] for s in range(0, len(chunks) - num_ranks + 1, num_ranks)]
+            assert dealt < mean_imbalance(random_groups)
 
     def test_trainer_deals_the_sampler_schedule_across_epochs(self, tau_200):
         """The trainer's cursor rolls the epoch over as ``set_epoch`` does."""
         num_ranks = 3
-        buckets = length_buckets(tau_200, self.MINIBATCH, num_ranks, 1)
-        per_epoch = -(-len(buckets) // num_ranks)
+        chunks = sorted_chunks(tau_200, self.MINIBATCH)
+        per_epoch = -(-len(chunks) // num_ranks)
         dealt = self.trainer_deal(tau_200, num_ranks, 3 * per_epoch)
-        assert dealt == self.sampler_deal(tau_200, num_ranks, 1, 3)
-        self.assert_every_chunk_dealt_once_per_epoch(dealt, buckets, num_ranks, 3)
-
-
-class TestLoadBalance:
-    def test_sorting_improves_effective_minibatch(self, tiny_tau_dataset):
-        unsorted = evaluate_scheme(tiny_tau_dataset, scheme="unsorted", num_ranks=2, local_minibatch_size=8)
-        sorted_eval = evaluate_scheme(tiny_tau_dataset, scheme="sorted", num_ranks=2, local_minibatch_size=8)
-        assert sorted_eval.mean_effective_minibatch >= unsorted.mean_effective_minibatch
-
-    @pytest.mark.parametrize("scheme", ["sorted", "bucketing"])
-    def test_imbalance_is_the_deal_cost_over_the_trainer_schedule(self, tau_200, scheme):
-        """One cost model: the scheme is scored on the groups the trainer's
-        sampler deals, each rank's chunk costing its ``chunk_cost`` LSTM steps."""
-        evaluation = evaluate_scheme(
-            tau_200, scheme=scheme, num_ranks=4, local_minibatch_size=8, num_buckets=4, seed=5
-        )
-        lengths = [tau_200.trace_length_of(i) for i in range(len(tau_200))]
-        types = [tau_200.trace_type_of(i) for i in range(len(tau_200))]
-        sampler = DistributedTraceSampler(
-            sorted_indices_by_trace_type(tau_200), minibatch_size=8, num_ranks=4,
-            num_buckets=4 if scheme == "bucketing" else 1, lengths=lengths, trace_types=types, seed=5,
-        )
-        imbalances = []
-        for group in sampler:
-            steps = np.array([chunk_cost(chunk, lengths, types)[0] for chunk in group], dtype=float)
-            imbalances.append(100.0 * (steps.max() - steps.mean()) / steps.mean())
-        assert evaluation.iterations == len(sampler)
-        assert evaluation.mean_imbalance_percent == pytest.approx(np.mean(imbalances))
-
-    def test_cost_matched_deal_needs_no_length_buckets(self, tau_200):
-        """The deal already pairs chunks of like cost; cutting the chunks into
-        length buckets first only narrows whom a chunk can be paired with."""
-        sorted_eval = evaluate_scheme(tau_200, scheme="sorted", num_ranks=4, local_minibatch_size=8)
-        bucketed = evaluate_scheme(tau_200, scheme="bucketing", num_ranks=4, local_minibatch_size=8, num_buckets=5)
-        assert sorted_eval.mean_imbalance_percent <= bucketed.mean_imbalance_percent
-
-    def test_token_batches_balance_tokens_not_lstm_steps(self, tau_200):
-        """Dynamic batching equalises tokens, but a token-budget batch spans
-        several trace types, each one more LSTM pass: in the deal's cost it
-        is less balanced than the cost-matched sorted deal."""
-        dynamic = evaluate_scheme(tau_200, scheme="dynamic", num_ranks=4, local_minibatch_size=8)
-        sorted_eval = evaluate_scheme(tau_200, scheme="sorted", num_ranks=4, local_minibatch_size=8)
-        assert dynamic.iterations > 0
-        assert sorted_eval.mean_imbalance_percent < dynamic.mean_imbalance_percent
-
-    def test_compare_schemes_returns_all(self, tiny_tau_dataset):
-        results = compare_schemes(tiny_tau_dataset, num_ranks=2, local_minibatch_size=8)
-        assert set(results) == {"unsorted", "sorted", "bucketing", "dynamic"}
-        for evaluation in results.values():
-            assert evaluation.throughput_proxy > 0
-
-    def test_unknown_scheme_rejected(self, tiny_tau_dataset):
-        with pytest.raises(ValueError):
-            evaluate_scheme(tiny_tau_dataset, scheme="bogus")
+        assert dealt == self.sampler_deal(tau_200, num_ranks, 3)
+        self.assert_every_chunk_dealt_once_per_epoch(dealt, chunks, num_ranks, 3)
 
 
 class TestShardJobs:

@@ -472,13 +472,14 @@ class TestProcessChaos:
         with pytest.raises(WorkerCrashed):
             future.result(timeout=0)
 
-    def test_pool_stopped_submit_error_is_transient(self):
+    def test_submit_to_an_unstarted_pool_is_not_retried(self):
+        # No retry can outrun a stopped pool: the error reaches the caller.
         model = FunctionModel(lockstep_program, name="lockstep")
         pool = ProcessCohortPool(model, None, num_workers=1)
-        with pytest.raises(PoolStopped) as excinfo:
+        with pytest.raises(ServingError) as excinfo:
             pool.submit([], lambda *args: None)
-        assert is_transient(excinfo.value)
-        assert isinstance(excinfo.value, ServingError)
+        assert isinstance(excinfo.value, PoolStopped)
+        assert not is_transient(excinfo.value)
 
 
 # ---------------------------------------------------------------------------

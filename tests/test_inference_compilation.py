@@ -183,6 +183,8 @@ class TestRemovedOptions:
 
     PROBS = np.array([[0.3, 0.7]])
     MIXTURE = dict(locs=[[0.0, 1.0]], scales=[[1.0, 1.0]], weights=[[0.5, 0.5]])
+    #: everything a sampler over eight one-type traces needs
+    SAMPLER = dict(minibatch_size=4, num_ranks=1, lengths=[1] * 8, trace_types=["a"] * 8)
 
     @pytest.mark.parametrize(
         "call",
@@ -198,6 +200,10 @@ class TestRemovedOptions:
             "TraceDataset(cache_size=)",
             "PackedEpochPlan(tokens_per_batch=)",
             "DistributedTraceSampler(drop_last=)",
+            "DistributedTraceSampler(num_buckets=)",
+            "DistributedTraceSampler(shuffle=)",
+            "DistributedTraceSampler without lengths",
+            "DistributedTraceSampler without trace_types",
             "Module.load_state_dict(strict=)",
             "init.kaiming_uniform(a=)",
         ],
@@ -239,7 +245,21 @@ class TestRemovedOptions:
                 traces, minibatch_size=2, observe_key="obs", tokens_per_batch=8
             ),
             "DistributedTraceSampler(drop_last=)": lambda: DistributedTraceSampler(
-                range(8), minibatch_size=4, drop_last=False
+                range(8), **self.SAMPLER, drop_last=False
+            ),
+            # The trainer always costs its chunks and shuffles its groups, in
+            # one bucket: the sampler deals that schedule and no other.
+            "DistributedTraceSampler(num_buckets=)": lambda: DistributedTraceSampler(
+                range(8), **self.SAMPLER, num_buckets=2
+            ),
+            "DistributedTraceSampler(shuffle=)": lambda: DistributedTraceSampler(
+                range(8), **self.SAMPLER, shuffle=False
+            ),
+            "DistributedTraceSampler without lengths": lambda: DistributedTraceSampler(
+                range(8), minibatch_size=4, num_ranks=1, trace_types=["a"] * 8
+            ),
+            "DistributedTraceSampler without trace_types": lambda: DistributedTraceSampler(
+                range(8), minibatch_size=4, num_ranks=1, lengths=[1] * 8
             ),
             "Module.load_state_dict(strict=)": lambda: layer.load_state_dict(
                 layer.state_dict(), strict=False
@@ -249,6 +269,11 @@ class TestRemovedOptions:
         with pytest.raises(TypeError):
             calls[call]()
         assert not engine.network._frozen
+
+    def test_the_sampler_calls_differ_from_a_valid_one_only_in_the_option(self):
+        from repro.data import DistributedTraceSampler
+
+        assert len(DistributedTraceSampler(range(8), **self.SAMPLER)) == 2
 
     @pytest.mark.parametrize(
         "path",

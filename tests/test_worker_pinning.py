@@ -3,10 +3,12 @@
 Worker ``i`` confines itself to ``cores[i % len(cores)]`` of the affinity mask
 it inherited, before it runs anything (``usable_cores(pin=i)`` in
 ``_worker_main``).  Each test runs one gated shard per worker at the same
-time — both shards are dispatched before the gate opens, so shard ``i`` runs
-on worker ``i`` — and the model returns the cores its process may run on.
+time — the gate opens only once every worker has entered its shard, so shard
+``i`` runs on worker ``i`` — and the model returns the cores its process may
+run on.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -25,7 +27,13 @@ pytestmark = pytest.mark.skipif(
 )
 
 
+#: workers that have entered ``core_reporting_program`` (shared with forked workers)
+ENTERED = multiprocessing.Value("i", 0)
+
+
 def core_reporting_program():
+    with ENTERED.get_lock():
+        ENTERED.value += 1
     wait_for(GATE)
     a = ppl.sample(Uniform(-1.0, 1.0), name="a", address="pinned_a")
     ppl.observe(Normal(a, 0.5), name="obs")
@@ -37,11 +45,16 @@ MODEL = FunctionModel(core_reporting_program, name="core-reporting")
 
 def reported_cores(pool):
     """The cores each worker's process may run on, by worker index."""
-    GATE.value = 0
+    GATE.value = ENTERED.value = 0
     log = ShardLog(pool.num_workers)
     try:
         for index, shard in enumerate(simple_shards(pool.num_workers)):
             pool.submit(shard, log.callback(index))
+        # A worker that finished its shard before the next one was dispatched
+        # would take that one too: hold the gate until every worker holds one.
+        deadline = time.monotonic() + 30.0
+        while ENTERED.value < pool.num_workers and time.monotonic() < deadline:
+            time.sleep(0.005)
     finally:
         GATE.value = 1
     log.wait(pool.num_workers)
