@@ -28,15 +28,14 @@ from repro.trace.trace import Trace
 __all__ = ["TraceDataset", "InMemoryTraceDataset", "generate_dataset", "observation_array"]
 
 
-def observation_array(trace: Trace, observe_key: Optional[str] = None) -> np.ndarray:
-    """The observation of ``trace`` as a float array ready for batching.
+def observation_array(observation, observe_key: Optional[str] = None) -> np.ndarray:
+    """A trace's observation as a float array ready for batching.
 
-    The one trace-to-array rule shared by the inference network and the
-    minibatch packing layer: dict observations are resolved through
+    The one observation-to-array rule of the minibatch packing layer, for
+    traces and stored records alike: dict observations are resolved through
     ``observe_key`` (or the single entry), and scalars become length-1
     vectors so stacking over traces always yields a ``(batch, ...)`` array.
     """
-    observation = trace.observation
     if isinstance(observation, dict):
         if observe_key is not None:
             observation = observation[observe_key]

@@ -22,14 +22,22 @@ stacks the observations, and per LSTM step packs
 Packs are the one input of the training loss: ``InferenceNetwork.loss`` is
 ``loss_packed(pack_minibatch(traces))``, and every batch source of the
 training loop (:mod:`repro.distributed.trainer`) hands it
-``List[PackedSubMinibatch]``.  The vectorised loss
+``List[PackedSubMinibatch]``.  One step packer builds them all:
+:func:`pack_sub_minibatch` feeds it each trace's controlled draws as
+``(address, value, prior)`` columns, and so does the record decode of
+:func:`read_packs`, which turns a dealt chunk of a :class:`TraceDataset`
+into packs straight from its stored records, with no ``Trace`` in between:
+records grouped by the dataset's stored trace types, one prior object per
+bit-identical payload of the read, and ``restore_trace``'s check kept as one
+``log_prob`` per distinct prior per step.  The vectorised loss
 (:meth:`InferenceNetwork._packed_loss`) scores all packs of a minibatch
-together: the LSTM runs per step of each pack, and each address's proposal
-head scores that address's steps of every pack at once, as one step joined
-by :func:`concat_steps`.  It sums the same terms as the
-``vectorized_loss=False`` reference path (which scores a pack's retained
-per-trace objects step by step) in a different order, so the two agree
-within floating-point tolerance (the loss to rtol 1e-12), not bit for bit.
+together: the LSTM runs once over every pack's steps, as one ragged
+time-major sequence, and each address's proposal head scores that address's
+steps of every pack at once, as one step joined by :func:`concat_steps`.  It
+sums the same terms as the ``vectorized_loss=False`` reference path (which
+scores a pack's steps one by one against their per-trace prior objects) in a
+different order, so the two agree within floating-point tolerance (the loss
+to rtol 1e-12), not bit for bit.
 
 :class:`PackedEpochPlan` is the single-process offline source: the dataset is
 sorted by trace type once (:func:`repro.data.sorting.sorted_indices_by_trace_type`),
@@ -42,17 +50,19 @@ once per iteration.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.batching import dynamic_token_batches, split_into_sub_minibatches
-from repro.data.dataset import InMemoryTraceDataset, observation_array
+from repro.data.dataset import InMemoryTraceDataset, TraceDataset, observation_array
 from repro.data.sorting import sorted_indices_by_trace_type
-from repro.distributions import Categorical, Distribution
+from repro.distributions import Categorical, Distribution, distribution_from_dict
 from repro.ppl.nn.embeddings import SampleEmbedding
 from repro.distributions.geometry import PriorGeometry, prior_geometry
+from repro.trace.pruning import stored_observation, stored_sample
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -63,6 +73,7 @@ __all__ = [
     "observation_array",
     "pack_sub_minibatch",
     "pack_minibatch",
+    "read_packs",
 ]
 
 
@@ -126,27 +137,23 @@ def concat_steps(steps: Sequence[PackedStep]) -> PackedStep:
 
 @dataclass(eq=False)
 class PackedSubMinibatch:
-    """One same-trace-type group, fully packed for the vectorised loss."""
+    """One same-trace-type group, fully packed for the loss."""
 
     trace_type: str
-    traces: List[Trace]          #: the packed traces (reference-path input)
     observations: np.ndarray     #: (B, ...) stacked observation arrays
     steps: List[PackedStep]      #: one entry per controlled latent draw
 
     @property
     def batch_size(self) -> int:
-        return len(self.traces)
+        return int(self.observations.shape[0])
 
     @property
     def num_steps(self) -> int:
         return len(self.steps)
 
 
-def _pack_step(samples_t: Sequence[Any]) -> PackedStep:
-    """Pack the B samples at one step (same address across the group)."""
-    address = samples_t[0].address
-    values_list = [s.value for s in samples_t]
-    priors = [s.distribution for s in samples_t]
+def _pack_step(address: str, values_list: List[Any], priors: List[Distribution]) -> PackedStep:
+    """Pack the B draws at one step (same address across the group)."""
     values = np.asarray(values_list)
     # Same call the reference loss makes per iteration, now made once: the
     # encoding standardises against priors[0], matching the reference exactly.
@@ -169,6 +176,27 @@ def _pack_step(samples_t: Sequence[Any]) -> PackedStep:
     )
 
 
+def _pack_group(
+    trace_type: str, draws: Sequence[Sequence[Tuple[str, Any, Distribution]]], observations: np.ndarray
+) -> PackedSubMinibatch:
+    """The one step packer: ``draws[i]`` is trace ``i``'s controlled draws, in
+    order, as ``(address, value, prior)``.
+
+    Traces and stored records both reach the loss through here, so a pack
+    is the same whichever one it was built from.
+    """
+    num_steps = len(draws[0])
+    if any(len(row) != num_steps for row in draws):
+        raise ValueError("pack_sub_minibatch needs traces of one trace type")
+    steps: List[PackedStep] = []
+    for t in range(num_steps):
+        addresses, values, priors = zip(*(row[t] for row in draws))
+        if any(address != addresses[0] for address in addresses[1:]):
+            raise ValueError(f"step {t} mixes addresses within one trace type")
+        steps.append(_pack_step(addresses[0], list(values), list(priors)))
+    return PackedSubMinibatch(trace_type=trace_type, observations=observations, steps=steps)
+
+
 def pack_sub_minibatch(traces: Sequence[Trace], observe_key: Optional[str] = None) -> PackedSubMinibatch:
     """Pack one group of same-trace-type traces.
 
@@ -179,27 +207,14 @@ def pack_sub_minibatch(traces: Sequence[Trace], observe_key: Optional[str] = Non
     if len(traces) == 0:
         raise ValueError("pack_sub_minibatch needs at least one trace")
     trace_type = traces[0].trace_type
-    controlled = [
-        [s for s in trace.samples if s.controlled and s.distribution is not None]
+    if any(trace.trace_type != trace_type for trace in traces):
+        raise ValueError("pack_sub_minibatch needs traces of one trace type")
+    draws = [
+        [(s.address, s.value, s.distribution) for s in trace.samples if s.controlled and s.distribution is not None]
         for trace in traces
     ]
-    num_steps = len(controlled[0])
-    for trace, steps in zip(traces, controlled):
-        if trace.trace_type != trace_type or len(steps) != num_steps:
-            raise ValueError("pack_sub_minibatch needs traces of one trace type")
-    packed_steps: List[PackedStep] = []
-    for t in range(num_steps):
-        samples_t = [controlled[i][t] for i in range(len(traces))]
-        address = samples_t[0].address
-        if any(s.address != address for s in samples_t[1:]):
-            raise ValueError(f"step {t} mixes addresses within one trace type")
-        packed_steps.append(_pack_step(samples_t))
-    observations = np.stack(
-        [observation_array(trace, observe_key) for trace in traces], axis=0
-    )
-    return PackedSubMinibatch(
-        trace_type=trace_type, traces=traces, observations=observations, steps=packed_steps
-    )
+    observations = np.stack([observation_array(trace.observation, observe_key) for trace in traces], axis=0)
+    return _pack_group(trace_type, draws, observations)
 
 
 def pack_minibatch(traces: Sequence[Trace], observe_key: Optional[str] = None) -> List[PackedSubMinibatch]:
@@ -208,6 +223,92 @@ def pack_minibatch(traces: Sequence[Trace], observe_key: Optional[str] = None) -
         pack_sub_minibatch(group, observe_key=observe_key)
         for group in split_into_sub_minibatches(traces)
     ]
+
+
+def read_packs(dataset, indices: Sequence[int], observe_key: Optional[str] = None) -> List[PackedSubMinibatch]:
+    """The packs of ``dataset``'s traces at ``indices``: ``pack_minibatch(dataset.get_batch(indices))``.
+
+    A :class:`TraceDataset` decodes its stored records straight into packs,
+    array for array the same, without building a trace; any other dataset
+    packs its traces.
+    """
+    if not isinstance(dataset, TraceDataset):
+        return pack_minibatch(dataset.get_batch(indices), observe_key)
+    groups: Dict[str, List[int]] = {}
+    for index in indices:
+        groups.setdefault(dataset.trace_types[index], []).append(index)
+    priors: Dict[bytes, Distribution] = {}  # this read's one prior object per bit-identical payload
+    return [
+        _decode_group(dataset, trace_type, members, observe_key, priors)
+        for trace_type, members in groups.items()
+    ]
+
+
+def _decode_group(
+    dataset: TraceDataset, trace_type: str, members: List[int], observe_key, priors: Dict[bytes, Distribution]
+) -> PackedSubMinibatch:
+    """One same-trace-type group of stored records, packed.
+
+    Each sample with a stored distribution becomes ``(address, value,
+    prior, controlled)``; a record that :func:`restore_trace` would refuse is
+    re-read through it, which raises the dataset's ``ValueError``.
+    """
+    records = [dataset.store[index] for index in members]
+    scored: List[List[Tuple[str, Any, Distribution, bool]]] = []
+    for index, record in zip(members, records):
+        row = []
+        for sample in record["samples"]:
+            if "distribution" in sample:
+                address, value = stored_sample(sample, dataset.address_dictionary)
+                prior = _prior(dataset, index, sample["distribution"], priors)
+                row.append((address, value, prior, bool(sample.get("controlled", True))))
+        scored.append(row)
+    _check_scores(dataset, members, scored)
+    draws = [[(address, value, prior) for address, value, prior, controlled in row if controlled] for row in scored]
+    observations = np.stack(
+        [observation_array(stored_observation(record), observe_key) for record in records], axis=0
+    )
+    return _pack_group(trace_type, draws, observations)
+
+
+def _prior(dataset: TraceDataset, index: int, payload, priors: Dict[bytes, Distribution]) -> Distribution:
+    """The prior of a stored payload, built once per bit-identical payload of a read."""
+    key = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    prior = priors.get(key)
+    if prior is None:
+        try:
+            prior = priors[key] = distribution_from_dict(payload)
+        except Exception:
+            _reread(dataset, [index])
+            raise
+    return prior
+
+
+def _check_scores(dataset: TraceDataset, members: List[int], scored) -> None:
+    """:func:`restore_trace`'s check over a group: every stored value is
+    scored by its own stored distribution, one ``log_prob`` per distinct prior
+    per step over that prior's rows.  Rows whose call fails, or whose result
+    has not one leading entry per row, are re-read through ``restore_trace``."""
+    for t in range(max(len(row) for row in scored)):
+        rows_of: Dict[int, List[int]] = {}
+        for r, row in enumerate(scored):
+            if t < len(row):
+                rows_of.setdefault(id(row[t][2]), []).append(r)
+        for rows in rows_of.values():
+            prior = scored[rows[0]][t][2]
+            try:
+                result = np.shape(prior.log_prob(np.asarray([scored[r][t][1] for r in rows])))
+            except Exception:
+                result = ()
+            if result[:1] != (len(rows),):
+                _reread(dataset, [members[r] for r in rows])
+
+
+def _reread(dataset: TraceDataset, indices: Sequence[int]) -> None:
+    """Restore the records at ``indices``; raises the dataset's ``ValueError``
+    naming the index and address of the first one that cannot be scored."""
+    for index in indices:
+        dataset[index]
 
 
 class PackedEpochPlan:

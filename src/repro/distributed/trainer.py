@@ -51,7 +51,7 @@ from repro.common.rng import RandomState
 from repro.common.timing import PhaseTimer
 from repro.common.utils import release_freed_heap, retain_freed_heap, start_piped_child, usable_cores
 from repro.data.batching import effective_minibatch_size
-from repro.data.packing import PackedSubMinibatch, pack_minibatch
+from repro.data.packing import PackedSubMinibatch, read_packs
 from repro.data.sampler import DistributedTraceSampler
 from repro.data.sorting import sorted_indices_by_trace_type
 from repro.distributed.allreduce import CommunicationStats, fused_sparse_allreduce
@@ -485,8 +485,8 @@ class DistributedTrainer:
         return self._group[rank]
 
     def _read(self, indices: List[int]) -> List[PackedSubMinibatch]:
-        """Read and pack a dealt chunk, in the process that runs the rank."""
-        return pack_minibatch(self.dataset.get_batch(indices), self.network.observe_key)
+        """Read a dealt chunk as packs, in the process that runs the rank."""
+        return read_packs(self.dataset, indices, self.network.observe_key)
 
     def _record(self, loss, rank_indices, seconds, best_seconds, stats) -> None:
         self.report.train_losses.append(loss)
@@ -525,8 +525,6 @@ class DistributedTrainer:
         """Mean Algorithm-1 loss over (a subset of) the held-out validation split."""
         if not self.validation_indices:
             raise RuntimeError("trainer was constructed without a validation split")
-        indices = self.validation_indices[:max_traces]
-        traces = self.dataset.get_batch(indices)
         with no_grad():
-            loss = self.network.loss(traces)
+            loss = self.network.loss_packed(self._read(self.validation_indices[:max_traces]))
         return float(loss.item())

@@ -50,19 +50,23 @@ class ObservationEmbedding3DCNN(Module):
         in_channels = 1
         spatial = self.observation_shape
         for out_channels in channels:
-            conv = Conv3d(in_channels, out_channels, kernel_size=kernel_size, padding=1, rng=rng)
+            # Pool only while the grid is still large enough to halve.  The
+            # floor-mode pool reads an even prefix of each dimension, so the
+            # conv before it pads one voxel less after an odd dimension and
+            # computes only the voxels the pool reads.  The pool runs before
+            # the ReLU: max commutes with a monotone map, so this is
+            # conv -> ReLU -> pool exactly, with the ReLU on the pooled (8x
+            # smaller) volume.
+            same = tuple(s + 3 - kernel_size for s in spatial)   # the conv's output at padding 1
+            pooled = all(s >= 2 for s in same)
+            padding = tuple((1, 1 - s % 2) for s in same) if pooled else 1
+            conv = Conv3d(in_channels, out_channels, kernel_size=kernel_size, padding=padding, rng=rng)
             layers.append(conv)
             spatial = conv.output_shape(spatial)
-            # Pool only while the grid is still large enough to halve.  The
-            # pool runs before the ReLU: max commutes with a monotone map, so
-            # this is conv -> ReLU -> pool exactly, with the ReLU on the
-            # pooled (8x smaller) volume.
-            if all(s >= 2 for s in spatial):
+            if pooled:
                 pool = MaxPool3d(2)
-                pooled = pool.output_shape(spatial)
-                if all(s >= 1 for s in pooled):
-                    layers.append(pool)
-                    spatial = pooled
+                layers.append(pool)
+                spatial = pool.output_shape(spatial)
             layers.append(ReLU())
             in_channels = out_channels
         layers.append(Flatten())

@@ -48,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy (cycle guard)
     from repro.data.packing import PackedStep, PackedSubMinibatch
 
 from repro.common.config import Config
-from repro.data.dataset import observation_array
 from repro.distributions import Distribution, distribution_from_dict
 from repro.distributions.batched import BatchedMixtureOfTruncatedNormals, MixtureScratch
 from repro.distributions.geometry import PriorGeometry, prior_geometry, prior_signature
@@ -211,10 +210,6 @@ class InferenceNetwork(Module):
     def num_addresses(self) -> int:
         return len(self.proposal_layers)
 
-    # ------------------------------------------------------------- observations
-    def _observation_array(self, trace: Trace) -> np.ndarray:
-        return observation_array(trace, self.observe_key)
-
     # ------------------------------------------------------------------- loss
     def loss(self, traces: Sequence[Trace]) -> Tensor:
         """Algorithm 1: minibatch loss -1/B sum log q_phi(x|y).
@@ -235,7 +230,7 @@ class InferenceNetwork(Module):
 
         The packs carry precomputed array inputs, and the default path
         (:meth:`_packed_loss`) scores all of them together.  With
-        :attr:`vectorized_loss` off, each pack's retained traces are scored
+        :attr:`vectorized_loss` off, each pack's steps are scored one by one
         through the per-object reference path instead, under the same
         minibatch schedule.  The two agree within floating-point tolerance
         (they sum the same terms in a different order), not bit for bit.
@@ -247,9 +242,9 @@ class InferenceNetwork(Module):
         if self.vectorized_loss:
             total = self._packed_loss(packs)
         else:
-            total = self._sub_minibatch_loss(packs[0].traces)
+            total = self._sub_minibatch_loss(packs[0])
             for pack in packs[1:]:
-                total = total + self._sub_minibatch_loss(pack.traces)
+                total = total + self._sub_minibatch_loss(pack)
         return total * (1.0 / sum(pack.batch_size for pack in packs))
 
     @property
@@ -358,29 +353,23 @@ class InferenceNetwork(Module):
             neg_log_q = (-log_q) if neg_log_q is None else neg_log_q - log_q
         return neg_log_q
 
-    def _sub_minibatch_loss(self, traces: Sequence[Trace]) -> Tensor:
-        """Negative log q summed over a group of same-trace-type traces.
+    def _sub_minibatch_loss(self, pack: "PackedSubMinibatch") -> Tensor:
+        """Negative log q summed over one pack's traces.
 
         The per-object reference path (``vectorized_loss=False``): one LSTM
         step, one proposal-head log-density and one sample embedding per step,
-        scoring values against per-trace prior objects and re-deriving every
-        array per call.  Kept as the tolerance and benchmark reference for
-        :meth:`_packed_loss`.
+        scoring each step's recorded values against its per-trace prior
+        objects and re-encoding them per call; it reads none of the pack's
+        precomputed encodings, geometry or index columns.  Kept as the
+        tolerance and benchmark reference for :meth:`_packed_loss`.
         """
-        batch = len(traces)
-        observations = np.stack([self._observation_array(t) for t in traces], axis=0)
-        obs_embed = self.observation_embedding(Tensor(observations))
-        steps = [
-            [s for s in trace.samples if s.controlled and s.distribution is not None]
-            for trace in traces
-        ]
-        num_steps = len(steps[0])
+        batch = pack.batch_size
+        obs_embed = self.observation_embedding(Tensor(pack.observations))
         state = self.lstm.initial_state(batch)
         prev_embed = Tensor(np.zeros((batch, self.sample_dim)))
         neg_log_q: Optional[Tensor] = None
-        for t in range(num_steps):
-            samples_t = [steps[i][t] for i in range(batch)]
-            address = samples_t[0].address
+        for step in pack.steps:
+            address = step.address
             if address not in self.proposal_layers:
                 # Discarded address (frozen network): skip the step AND reset
                 # the previous-sample embedding, mirroring the inference-time
@@ -393,8 +382,7 @@ class InferenceNetwork(Module):
             addr_embed = self.address_embeddings[address](batch)
             lstm_input = Tensor.cat([obs_embed, addr_embed, prev_embed], axis=1)
             hidden, state = self.lstm.step(lstm_input, state)
-            values = [s.value for s in samples_t]
-            priors = [s.distribution for s in samples_t]
+            values, priors = step.values, step.priors
             log_q = self.proposal_layers[address].log_prob(hidden, values, priors)
             neg_log_q = (-log_q) if neg_log_q is None else neg_log_q - log_q
             encoded = SampleEmbedding.encode_values(priors[0], np.asarray(values))

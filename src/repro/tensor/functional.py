@@ -62,6 +62,7 @@ __all__ = [
     "embedding",
     "gather",
     "conv3d",
+    "conv_padding",
     "max_pool3d",
     "erf",
     "normal_cdf",
@@ -555,6 +556,16 @@ def _triple(value: Union[int, Tuple[int, int, int]]) -> Tuple[int, int, int]:
     return value  # type: ignore[return-value]
 
 
+#: a conv's zero padding: one width for every side, one per dimension, or a
+#: ``(before, after)`` pair per dimension
+Padding = Union[int, Tuple[int, int, int], Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]]]
+
+
+def conv_padding(padding: Padding) -> Tuple[Tuple[int, int], ...]:
+    """``padding`` as a ``(before, after)`` pair for each of the three dimensions."""
+    return tuple((side, side) if isinstance(side, int) else tuple(side) for side in _triple(padding))
+
+
 #: Largest product (multiply-adds) :func:`conv3d` issues as one ``matmul``
 #: when it splits a product.  OpenBLAS hands a GEMM to its thread pool above
 #: 262 144 multiply-adds; a block of this size is still tens of microseconds
@@ -609,7 +620,7 @@ def conv3d(
     weight: Tensor,
     bias: Optional[Tensor] = None,
     stride: Union[int, Tuple[int, int, int]] = 1,
-    padding: Union[int, Tuple[int, int, int]] = 0,
+    padding: Padding = 0,
 ) -> Tensor:
     """3D convolution over a ``(N, C_in, D, H, W)`` input.
 
@@ -624,20 +635,23 @@ def conv3d(
     sample) folds ``dcols`` back onto the input.  Every product is issued in
     blocks along ``L`` of at most ``_GEMM_BLOCK_MACS`` multiply-adds, unless
     the layer is too wide to split usefully (see ``_GEMM_MIN_BLOCK``).
+
+    ``padding`` may differ between the two sides of a dimension (see
+    :func:`conv_padding`): a conv feeding a floor-mode pool pads one voxel
+    less after an odd dimension, so it computes only the voxels the pool reads.
     """
     stride = _triple(stride)
-    padding = _triple(padding)
+    (pd, pd_after), (ph, ph_after), (pw, pw_after) = conv_padding(padding)
     n, c_in, d, h, w = x.shape
     c_out, c_in_w, kd, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"input channels {c_in} do not match weight channels {c_in_w}")
 
-    pd, ph, pw = padding
     sd, sh, sw = stride
-    padded_shape = (n, c_in, d + 2 * pd, h + 2 * ph, w + 2 * pw)
+    padded_shape = (n, c_in, d + pd + pd_after, h + ph + ph_after, w + pw + pw_after)
     interior = (slice(None), slice(None), slice(pd, pd + d), slice(ph, ph + h), slice(pw, pw + w))
     x_pad = x.data
-    if pd or ph or pw:
+    if padded_shape != x.shape:
         x_pad = np.zeros(padded_shape)
         x_pad[interior] = x.data
     d_out = (padded_shape[2] - kd) // sd + 1

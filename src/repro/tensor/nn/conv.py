@@ -23,7 +23,11 @@ __all__ = ["Conv3d", "MaxPool3d"]
 
 
 class Conv3d(Module):
-    """3D convolution layer over ``(N, C_in, D, H, W)`` inputs."""
+    """3D convolution layer over ``(N, C_in, D, H, W)`` inputs.
+
+    ``padding`` is one width for every side, one per dimension, or a
+    ``(before, after)`` pair per dimension (:func:`F.conv_padding`).
+    """
 
     def __init__(
         self,
@@ -31,7 +35,7 @@ class Conv3d(Module):
         out_channels: int,
         kernel_size: Union[int, Tuple[int, int, int]] = 3,
         stride: Union[int, Tuple[int, int, int]] = 1,
-        padding: Union[int, Tuple[int, int, int]] = 0,
+        padding: F.Padding = 0,
         bias: bool = True,
         rng=None,
     ) -> None:
@@ -63,9 +67,9 @@ class Conv3d(Module):
             return (v, v, v) if isinstance(v, int) else tuple(v)
 
         stride = _t(self.stride)
-        padding = _t(self.padding)
+        padding = F.conv_padding(self.padding)
         return tuple(
-            (input_shape[i] + 2 * padding[i] - self.kernel_size[i]) // stride[i] + 1
+            (input_shape[i] + sum(padding[i]) - self.kernel_size[i]) // stride[i] + 1
             for i in range(3)
         )
 

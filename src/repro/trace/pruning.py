@@ -21,7 +21,14 @@ import numpy as np
 from repro.trace.sample import Sample
 from repro.trace.trace import Trace
 
-__all__ = ["AddressDictionary", "prune_trace", "restore_trace", "pruned_size_bytes"]
+__all__ = [
+    "AddressDictionary",
+    "prune_trace",
+    "restore_trace",
+    "stored_observation",
+    "stored_sample",
+    "pruned_size_bytes",
+]
 
 
 class AddressDictionary:
@@ -96,6 +103,33 @@ def prune_trace(
     return pruned
 
 
+def stored_sample(record: Dict[str, Any], address_dictionary: Optional[AddressDictionary] = None):
+    """The ``(address, value)`` of one pruned sample record.
+
+    The one reading of a stored sample, shared by :func:`restore_trace` and
+    the record decode of :mod:`repro.data.packing`: shorthand address ids are
+    resolved through ``address_dictionary`` and list values become arrays.
+    """
+    if "address_id" in record:
+        if address_dictionary is None:
+            raise ValueError("pruned record uses an address dictionary; pass it to restore_trace")
+        address = address_dictionary.address_for(record["address_id"])
+    else:
+        address = record["address"]
+    value = record["value"]
+    if isinstance(value, list):
+        value = np.asarray(value)
+    return address, value
+
+
+def stored_observation(pruned: Dict[str, Any]) -> Any:
+    """The observation of a pruned record (``None`` if it was not kept), list values as an array."""
+    observation = pruned.get("observation")
+    if isinstance(observation, list):
+        observation = np.asarray(observation)
+    return observation
+
+
 def restore_trace(
     pruned: Dict[str, Any], address_dictionary: Optional[AddressDictionary] = None
 ) -> Trace:
@@ -104,15 +138,7 @@ def restore_trace(
 
     trace = Trace()
     for record in pruned["samples"]:
-        if "address_id" in record:
-            if address_dictionary is None:
-                raise ValueError("pruned record uses an address dictionary; pass it to restore_trace")
-            address = address_dictionary.address_for(record["address_id"])
-        else:
-            address = record["address"]
-        value = record["value"]
-        if isinstance(value, list):
-            value = np.asarray(value)
+        address, value = stored_sample(record, address_dictionary)
         distribution, log_prob = None, 0.0
         if "distribution" in record:
             # A record its own distribution cannot rebuild or score is corrupt:
@@ -136,10 +162,7 @@ def restore_trace(
                 name=record.get("name"),
             )
         )
-    observation = pruned.get("observation")
-    if isinstance(observation, list):
-        observation = np.asarray(observation)
-    trace.observation = observation
+    trace.observation = stored_observation(pruned)
     return trace
 
 

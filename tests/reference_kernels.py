@@ -138,12 +138,16 @@ def _triple(value) -> Tuple[int, int, int]:
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride=1, padding=0) -> Tensor:
-    """3D convolution as one ``einsum`` per kernel offset (27 for a 3x3x3 kernel)."""
+    """3D convolution as one ``einsum`` per kernel offset (27 for a 3x3x3 kernel).
+
+    ``padding`` per dimension is one width for both sides or a ``(before, after)`` pair.
+    """
     sd, sh, sw = _triple(stride)
-    pd, ph, pw = _triple(padding)
+    pads = [(side, side) if isinstance(side, int) else tuple(side) for side in _triple(padding)]
+    (pd, _), (ph, _), (pw, _) = pads
     n, c_in, d, h, w = x.shape
     c_out, _, kd, kh, kw = weight.shape
-    x_pad = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)), mode="constant")
+    x_pad = np.pad(x.data, [(0, 0), (0, 0)] + pads, mode="constant")
     d_out = (x_pad.shape[2] - kd) // sd + 1
     h_out = (x_pad.shape[3] - kh) // sh + 1
     w_out = (x_pad.shape[4] - kw) // sw + 1
@@ -206,6 +210,27 @@ def observation_embedding_conv_relu_pool(embedding, observations: Tensor) -> Ten
         else:
             x = module(x)
             index += 1
+    return x
+
+
+def observation_embedding_uncropped(embedding, observations: Tensor) -> Tensor:
+    """``ObservationEmbedding3DCNN`` with every conv padded alike on both sides.
+
+    The module's convs that feed a floor-mode pool pad one voxel less after
+    an odd dimension, so they compute only the voxels the pool reads.  This
+    walks the same layers with each conv's leading padding on both sides, as
+    before that crop: the conv computes its whole output and the pool after
+    it floors the odd trailing voxel away.
+    """
+    from repro.tensor.nn import Conv3d
+
+    x = observations.reshape(observations.shape[0], 1, *observations.shape[1:])
+    for module in embedding.network:
+        if isinstance(module, Conv3d):
+            leading = tuple(before for before, _ in F.conv_padding(module.padding))
+            x = F.conv3d(x, module.weight, module.bias, stride=module.stride, padding=leading)
+        else:
+            x = module(x)
     return x
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.config import Config
 from repro.common.rng import RandomState
 from repro.data import (
     DistributedTraceSampler,
@@ -21,7 +22,13 @@ from repro.data import (
     split_into_sub_minibatches,
     sub_minibatch_count,
 )
+from repro.data import packing
+from repro.data.packing import pack_minibatch, read_packs
 from repro.data.sampler import chunk_cost
+from repro.distributed import DistributedTrainer
+from repro.ppl.nn.inference_network import InferenceNetwork
+from repro.simulators import TauDecayModel
+from tests.test_training_packed import assert_packs_equal
 
 
 class TestShardStore:
@@ -216,27 +223,33 @@ class TestTraceDataset:
         # Regression: restore_trace swallowed the failure and restored the
         # sample with log_prob = 0.0, so a corrupt record trained silently
         # with a wrong prior term.
-        from repro.trace.pruning import prune_trace
-
         dataset = TraceDataset(str(tmp_path / "d"))
         traces = tau_model.prior_traces(3, rng=rng)
         for trace in traces[:2]:
             dataset.add_trace(trace)
-        record = prune_trace(traces[2], address_dictionary=dataset.address_dictionary)
-        sample = record["samples"][0]
-        address = traces[2].samples[0].address
-        if damage == "wrong shape":
-            sample["distribution"] = {"type": "Normal", "loc": [0.0, 1.0, 2.0], "scale": [1.0, 1.0, 1.0]}
-            sample["value"] = [0.5, 0.5]
-        else:
-            sample["distribution"] = {"type": sample["distribution"]["type"], "no_such_parameter": 1.0}
-        dataset.store.append(record)
-        dataset.trace_types.append(traces[2].trace_type)
-        dataset.trace_lengths.append(traces[2].length)
+        address = append_damaged_record(dataset, traces[2], damage)
         assert dataset[1].log_prior != 0.0  # its neighbours still read
         with pytest.raises(ValueError) as raised:
             dataset[2]
         assert "dataset index 2" in str(raised.value) and address in str(raised.value)
+
+
+def append_damaged_record(dataset, trace, damage) -> str:
+    """Store ``trace`` with its first sample's distribution unable to score
+    its value; returns that sample's address."""
+    from repro.trace.pruning import prune_trace
+
+    record = prune_trace(trace, address_dictionary=dataset.address_dictionary)
+    sample = record["samples"][0]
+    if damage == "wrong shape":
+        sample["distribution"] = {"type": "Normal", "loc": [0.0, 1.0, 2.0], "scale": [1.0, 1.0, 1.0]}
+        sample["value"] = [0.5, 0.5]
+    else:
+        sample["distribution"] = {"type": sample["distribution"]["type"], "no_such_parameter": 1.0}
+    dataset.store.append(record)
+    dataset.trace_types.append(trace.trace_type)
+    dataset.trace_lengths.append(trace.length)
+    return trace.samples[0].address
 
 
 class TestSorting:
@@ -390,3 +403,137 @@ class TestDistributedSampler:
             self._sampler(tiny_tau_dataset, num_ranks=0)
         with pytest.raises(ValueError, match="7 traces fill no minibatch of 8"):
             self._sampler(tiny_tau_dataset, sorted_indices=order[:7])
+
+
+# ------------------------------------------------------------- record decode
+def tau_trainer(dataset, **options):
+    config = Config(
+        observation_shape=(8, 11, 11),
+        lstm_hidden=16,
+        observation_embedding_dim=8,
+        address_embedding_dim=4,
+        sample_embedding_dim=3,
+        proposal_mixture_components=2,
+    )
+    network = InferenceNetwork(config=config, observe_key="detector", rng=RandomState(9))
+    options = {"num_ranks": 2, "local_minibatch_size": 4, "learning_rate": 2e-3, "seed": 7, **options}
+    return DistributedTrainer(network, dataset, **options)
+
+
+@pytest.fixture(scope="module")
+def tau_disk_dataset(tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("tau") / "dataset")
+    generate_dataset(TauDecayModel(), 60, directory=directory, records_per_shard=16, rng=RandomState(2024))
+    return TraceDataset(directory)  # reopened: every read comes from the shard files
+
+
+def packed_traces(dataset, indices):
+    """What a rank read before records decoded straight into packs."""
+    return pack_minibatch(dataset.get_batch(indices), "detector")
+
+
+class TestRecordDecode:
+    """A dealt chunk of a ``TraceDataset`` decodes from its stored records
+    straight into the packs of its traces — no ``Trace`` in between, the same
+    packs array for array, so the losses are bit-identical — and keeps
+    ``restore_trace``'s check that every stored value scores under its own
+    stored distribution."""
+
+    @pytest.mark.parametrize("num_ranks", [2, 3])
+    def test_dealt_chunks_decode_to_the_packs_of_their_traces(self, tau_disk_dataset, num_ranks):
+        trainer = tau_trainer(tau_disk_dataset, num_ranks=num_ranks, validation_fraction=0.0)
+        groups = []
+        for _ in range(2 * len(trainer.sampler)):  # two epochs
+            for rank in range(num_ranks):
+                chunk = trainer._deal(rank)
+                packs = trainer._read(chunk)
+                assert_packs_equal(packs, packed_traces(tau_disk_dataset, chunk))
+                groups.append(len(packs))
+        assert max(groups) > 1  # chunks of several trace types were dealt
+
+    def test_seeded_losses_are_bit_identical_with_only_the_read_changed(self, tau_disk_dataset, monkeypatch):
+        decoded = tau_trainer(tau_disk_dataset)
+        decoded_report = decoded.train(12, validate_every=6)
+        restored = tau_trainer(tau_disk_dataset)
+        monkeypatch.setattr(restored, "_read", lambda indices: packed_traces(tau_disk_dataset, indices))
+        restored_report = restored.train(12, validate_every=6)
+        assert decoded_report.train_losses == restored_report.train_losses
+        assert decoded_report.validation_losses == restored_report.validation_losses
+        for (name, ours), (_, theirs) in zip(
+            decoded.network.state_dict().items(), restored.network.state_dict().items()
+        ):
+            assert np.array_equal(ours, theirs), name
+
+    def test_equal_payloads_share_one_prior_within_a_read_only(self, tau_disk_dataset):
+        def priors(packs):
+            return {id(p): p for pack in packs for step in pack.steps for p in step.priors}
+
+        first = read_packs(tau_disk_dataset, range(24), "detector")
+        shared = priors(first)
+        payloads = [pickle.dumps(prior.to_dict()) for prior in shared.values()]
+        assert len(payloads) == len(set(payloads)) < sum(p.batch_size * p.num_steps for p in first)
+        again = read_packs(tau_disk_dataset, range(24), "detector")
+        assert not shared.keys() & priors(again).keys()  # no cache outlives a read
+
+    def test_one_log_prob_per_distinct_prior_per_step(self, tau_disk_dataset, monkeypatch):
+        calls = []
+        build = packing.distribution_from_dict
+
+        def counting(payload):
+            prior = build(payload)
+            log_prob = prior.log_prob
+
+            def counted(value):
+                calls.append((id(prior), np.shape(value)))
+                return log_prob(value)
+
+            prior.log_prob = counted
+            return prior
+
+        monkeypatch.setattr(packing, "distribution_from_dict", counting)
+        packs = read_packs(tau_disk_dataset, range(24), "detector")
+        expected = []
+        for pack in packs:
+            for step in pack.steps:
+                rows = {}
+                for prior in step.priors:
+                    rows[id(prior)] = rows.get(id(prior), 0) + 1
+                expected += [(key, (count,)) for key, count in rows.items()]
+        assert sorted(calls) == sorted(expected)
+
+    @pytest.mark.parametrize("damage", ["wrong shape", "wrong payload keys"])
+    def test_a_record_its_distribution_cannot_score_raises_in_the_trainers_read(
+        self, tau_model, rng, tmp_path, damage
+    ):
+        dataset = TraceDataset(str(tmp_path / "d"))
+        traces = tau_model.prior_traces(3, rng=rng)
+        for trace in traces[:2]:
+            dataset.add_trace(trace)
+        trainer = tau_trainer(dataset, local_minibatch_size=1, validation_fraction=0.0)
+        address = append_damaged_record(dataset, traces[2], damage)
+        assert_packs_equal(trainer._read([0, 1]), packed_traces(dataset, [0, 1]))
+        with pytest.raises(ValueError) as raised:
+            trainer._read([0, 1, 2])
+        assert "dataset index 2" in str(raised.value) and address in str(raised.value)
+
+    def test_a_prior_the_stacked_call_cannot_score_falls_back_to_restore_trace(self, tau_model, rng, tmp_path):
+        """Each record's scalar scores against three locations, so restore_trace
+        accepts it; stacked, two values do not broadcast against three — the
+        decode re-reads the records, which pass, and packs them."""
+        from repro.trace.pruning import prune_trace
+
+        dataset = TraceDataset(str(tmp_path / "d"))
+        trace = tau_model.prior_traces(1, rng=rng)[0]
+        for _ in range(2):
+            record = prune_trace(trace, address_dictionary=dataset.address_dictionary)
+            record["samples"][0]["distribution"] = {
+                "type": "Normal", "loc": [0.0, 1.0, 2.0], "scale": [1.0, 1.0, 1.0]
+            }
+            dataset.store.append(record)
+            dataset.trace_types.append(trace.trace_type)
+            dataset.trace_lengths.append(trace.length)
+        assert_packs_equal(read_packs(dataset, [0, 1], "detector"), packed_traces(dataset, [0, 1]))
+
+    def test_an_in_memory_dataset_packs_its_traces(self, tiny_tau_dataset):
+        packs = read_packs(tiny_tau_dataset, range(10), "detector")
+        assert_packs_equal(packs, packed_traces(tiny_tau_dataset, range(10)))

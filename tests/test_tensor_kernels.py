@@ -22,7 +22,9 @@ from repro.distributions import Categorical, Normal, Uniform
 from repro.distributions.geometry import prior_geometry
 from repro.ppl import FunctionModel, observe, sample
 from repro.ppl.nn import InferenceNetwork
+from repro.ppl.nn.embeddings import ObservationEmbedding3DCNN
 from repro.tensor import Tensor, functional as F, no_grad
+from repro.tensor.nn import Conv3d, MaxPool3d
 
 from tests import reference_kernels as ref
 
@@ -439,6 +441,46 @@ class TestGemmConv3d:
         assert issued == [48, 32 * 27, 48]
 
 
+#: convs padded differently on the two sides of a dimension (their own generator:
+#: drawing from ``RNG`` would move the data of every later test)
+PER_SIDE_CASES = [
+    ((2, 2, 4, 5, 6), (3, 2, 3, 3, 3), 1, ((1, 0), (1, 1), (0, 1))),
+    ((1, 1, 4, 5, 5), (2, 1, 3, 3, 3), 1, ((1, 1), (1, 0), (1, 0))),   # the tau CNN's first conv
+    ((2, 2, 5, 5, 6), (3, 2, 3, 3, 3), 2, ((0, 1), 1, (2, 0))),        # pairs and ints, strided
+]
+
+
+class TestPerSidePadding:
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", PER_SIDE_CASES)
+    def test_gradcheck_and_einsum_reference(self, x_shape, w_shape, stride, padding):
+        generator = np.random.default_rng(11)
+        arrays = [
+            generator.standard_normal(x_shape),
+            generator.standard_normal(w_shape),
+            generator.standard_normal((w_shape[0],)),
+        ]
+        gradcheck(conv_fn(F.conv3d, stride, padding), arrays)
+        assert_agrees(conv_fn(F.conv3d, stride, padding), conv_fn(ref.conv3d, stride, padding), arrays)
+
+    def test_padding_forms(self):
+        assert F.conv_padding(1) == ((1, 1), (1, 1), (1, 1))
+        assert F.conv_padding((0, 1, 2)) == ((0, 0), (1, 1), (2, 2))
+        assert F.conv_padding(((1, 0), 2, (0, 1))) == ((1, 0), (2, 2), (0, 1))
+        generator = np.random.default_rng(12)
+        x, w = Tensor(generator.standard_normal((2, 2, 4, 5, 5))), Tensor(generator.standard_normal((3, 2, 3, 3, 3)))
+        same = F.conv3d(x, w, padding=1).data
+        assert np.array_equal(F.conv3d(x, w, padding=((1, 1), (1, 1), (1, 1))).data, same)
+        cropped = F.conv3d(x, w, padding=((1, 1), (1, 0), (1, 0))).data
+        np.testing.assert_allclose(cropped, same[:, :, :, :-1, :-1], rtol=1e-12, atol=1e-14)
+
+    def test_module_output_shape(self):
+        conv = Conv3d(2, 3, kernel_size=3, padding=((1, 0), (1, 1), (0, 1)), rng=RandomState(0))
+        assert conv.output_shape((5, 6, 7)) == (4, 6, 6)
+        assert conv(Tensor(np.zeros((1, 2, 5, 6, 7)))).shape == (1, 3, 4, 6, 6)
+        strided = Conv3d(1, 1, kernel_size=3, stride=2, padding=((0, 1), 1, (2, 0)), rng=RandomState(0))
+        assert strided.output_shape((5, 5, 6)) == strided(Tensor(np.zeros((1, 1, 5, 5, 6)))).shape[2:]
+
+
 class TestMaxPool3d:
     """One path for every window layout: a running maximum over the strided
     window-offset views, ties resolved to the first offset in the backward.
@@ -548,6 +590,51 @@ class TestMaxPool3d:
         assert grads.keys() == ref_grads.keys()
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+    #: the crop's tolerance: the cropped CNN and its uncropped reference agree
+    #: to this fraction of each array's largest magnitude (measured: 5e-17 abs
+    #: on outputs of magnitude 0.3, gradients to 2e-15 relative) — BLAS sees
+    #: other GEMM widths, so the sums round differently
+    CROP_TOL = 1e-12
+
+    @pytest.mark.parametrize("shape", [(8, 11, 11), (20, 35, 35), (8, 12, 12)])
+    def test_cnn_crop_agrees_with_the_uncropped_cnn(self, shape):
+        """A conv that feeds a floor-mode pool computes only the voxels the
+        pool reads: its output is even in every dimension, and the embedding
+        and its gradients agree with the symmetric-padding CNN whose pools
+        floor the odd voxel away — bit for bit where nothing is cropped."""
+        if shape == (20, 35, 35):
+            embedding = ObservationEmbedding3DCNN.paper_architecture(rng=RandomState(3))
+        else:
+            embedding = ObservationEmbedding3DCNN(shape, embedding_dim=16, rng=RandomState(3))
+        modules = list(embedding.network)
+        spatial = embedding.observation_shape
+        for module, following in zip(modules, modules[1:]):
+            if isinstance(module, (Conv3d, MaxPool3d)):
+                spatial = module.output_shape(spatial)
+            if isinstance(module, Conv3d) and isinstance(following, MaxPool3d):
+                assert all(s % 2 == 0 for s in spatial), module.padding
+        observations = np.random.default_rng(13).standard_normal((2,) + embedding.observation_shape)
+
+        def run(forward):
+            embedding.zero_grad()
+            inputs = Tensor(observations, requires_grad=True)
+            out = forward(inputs)
+            out.backward(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))
+            grads = {name: p.grad.copy() for name, p in embedding.named_parameters()}
+            return out.data, inputs.grad, grads
+
+        out, input_grad, grads = run(embedding)
+        ref_out, ref_input_grad, ref_grads = run(lambda t: ref.observation_embedding_uncropped(embedding, t))
+        pairs = [(out, ref_out), (input_grad, ref_input_grad)] + [(grads[n], ref_grads[n]) for n in grads]
+        cropped = any(F.conv_padding(m.padding) != F.conv_padding(1) for m in modules if isinstance(m, Conv3d))
+        assert cropped == (embedding.observation_shape != (8, 12, 12))
+        for ours, theirs in pairs:
+            if cropped:
+                assert np.max(np.abs(ours - theirs)) <= self.CROP_TOL * np.max(np.abs(theirs))
+            else:
+                assert np.array_equal(ours, theirs)
 
 
 # --------------------------------------------------------------------- tape

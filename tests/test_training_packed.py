@@ -16,6 +16,7 @@ fast-path).
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -113,6 +114,33 @@ def assert_paths_agree(network, traces):
     for name, reference in reference_grads.items():
         error = np.max(np.abs(packed_grads[name] - reference))
         assert error <= GRAD_TOL * np.max(np.abs(reference)), name
+
+
+def _same_array(ours, theirs) -> bool:
+    if ours is None or theirs is None:
+        return ours is None and theirs is None
+    return ours.dtype == theirs.dtype and ours.shape == theirs.shape and np.array_equal(ours, theirs)
+
+
+def assert_packs_equal(ours, theirs):
+    """Two pack lists are the same input to the loss, array for array: pack
+    order, observations, step order and every per-step column and prior."""
+    assert [pack.trace_type for pack in ours] == [pack.trace_type for pack in theirs]
+    for pack, other in zip(ours, theirs):
+        assert _same_array(pack.observations, other.observations)
+        assert [step.address for step in pack.steps] == [step.address for step in other.steps]
+        for step, expected in zip(pack.steps, other.steps):
+            for column in ("values", "encoded_values", "values_column", "indices"):
+                assert _same_array(getattr(step, column), getattr(expected, column)), (step.address, column)
+            assert (step.geometry is None) == (expected.geometry is None), step.address
+            if step.geometry is not None:
+                for field in dataclasses.fields(step.geometry):
+                    assert _same_array(
+                        getattr(step.geometry, field.name), getattr(expected.geometry, field.name)
+                    ), (step.address, field.name)
+            assert [pickle.dumps(p.to_dict()) for p in step.priors] == [
+                pickle.dumps(p.to_dict()) for p in expected.priors
+            ], step.address
 
 
 class GaussianHeadOnlyLogProb(ProposalLayer):
@@ -534,7 +562,8 @@ class TestOneTrainingLoop:
 
         monkeypatch.setattr(network, "loss_packed", spy)
         value = network.loss(traces).item()
-        assert len(calls) == 1 and [p.traces for p in calls[0]] == [p.traces for p in pack_minibatch(traces, "obs")]
+        assert len(calls) == 1
+        assert_packs_equal(calls[0], pack_minibatch(traces, "obs"))
         assert value == loss_packed(pack_minibatch(traces, "obs")).item()
 
     def test_online_history(self, small_config, vectorized_loss):
