@@ -26,7 +26,7 @@ import numpy as np
 from repro import seed_all
 from repro.common.config import Config
 from repro.common.rng import RandomState
-from repro.ppl.inference import RandomWalkMetropolis, run_importance_sampling
+from repro.ppl.inference import RandomWalkMetropolis, batched_importance_sampling
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.simulators import TauDecayModel, branching_ratios, channel_names, ground_truth_event
 
@@ -71,7 +71,7 @@ def main() -> None:
 
     # ---- baseline: prior importance sampling --------------------------------------
     print("\nrunning prior importance sampling (baseline) ...")
-    prior_is = run_importance_sampling(model, conditioned, num_traces=ic_samples * 4, rng=rng)
+    prior_is = batched_importance_sampling(model, conditioned, num_traces=ic_samples * 4, rng=rng)
 
     # ---- reference: RMH MCMC -------------------------------------------------------
     print(f"running RMH for {rmh_samples} samples (the reference posterior) ...")

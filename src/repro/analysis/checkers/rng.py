@@ -7,7 +7,7 @@ children are *mixed* (``spawn`` with tuple entropy keys), never drawn from a
 hidden global stream or seeded ad hoc:
 
 * ``rng-module-call`` — ``np.random.rand()`` et al. mutate numpy's hidden
-  process-global stream, invisible to ``seed_all``/``temporary_seed``.
+  process-global stream, invisible to ``seed_all``.
 * ``rng-direct-construction`` — ``np.random.default_rng(...)`` /
   ``SeedSequence(...)`` outside ``repro/common/rng.py`` bypasses the one
   sanctioned derivation point (and is where additive-seed collisions breed).
@@ -55,7 +55,6 @@ _TIME_SOURCES = {
 _SEEDING_TARGETS = {
     "repro.common.rng.RandomState",
     "repro.common.rng.seed_all",
-    "repro.common.rng.temporary_seed",
     "numpy.random.default_rng",
     "numpy.random.SeedSequence",
     "numpy.random.RandomState",
@@ -84,7 +83,7 @@ class _RngVisitor(ast.NodeVisitor):
                     node,
                     "rng-stdlib-random",
                     "stdlib `random` is a hidden process-global stream invisible to "
-                    "seed_all/temporary_seed; draw through repro.common.rng instead",
+                    "seed_all; draw through repro.common.rng instead",
                 )
         self.generic_visit(node)
 
@@ -94,7 +93,7 @@ class _RngVisitor(ast.NodeVisitor):
                 node,
                 "rng-stdlib-random",
                 "stdlib `random` is a hidden process-global stream invisible to "
-                "seed_all/temporary_seed; draw through repro.common.rng instead",
+                "seed_all; draw through repro.common.rng instead",
             )
         self.generic_visit(node)
 

@@ -7,19 +7,17 @@ timing used by the training-phase instrumentation (:mod:`repro.common.timing`),
 and small generic helpers (:mod:`repro.common.utils`).
 """
 
-from repro.common.rng import RandomState, get_rng, seed_all, temporary_seed
+from repro.common.rng import RandomState, get_rng, seed_all
 from repro.common.config import Config
 from repro.common.timing import PhaseTimer, TimingRecord
-from repro.common.utils import prod, weighted_quantile
+from repro.common.utils import weighted_quantile
 
 __all__ = [
     "RandomState",
     "get_rng",
     "seed_all",
-    "temporary_seed",
     "Config",
     "PhaseTimer",
     "TimingRecord",
-    "prod",
     "weighted_quantile",
 ]

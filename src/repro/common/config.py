@@ -37,8 +37,6 @@ class Config:
         Learned per-address embedding size (paper: 64).
     sample_embedding_dim:
         Previous-sample embedding size (paper: 4).
-    default_dtype:
-        Floating-point dtype used by the tensor library.
     """
 
     observation_shape: Tuple[int, int, int] = (8, 11, 11)
@@ -48,9 +46,6 @@ class Config:
     observation_embedding_dim: int = 32
     address_embedding_dim: int = 16
     sample_embedding_dim: int = 4
-    default_dtype: str = "float64"
-    seed: int = 0
-    verbose: bool = False
 
     def scaled_to_paper(self) -> "Config":
         """Return a copy using the paper's full-size hyperparameters."""
@@ -68,4 +63,3 @@ class Config:
     def replace(self, **kwargs) -> "Config":
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **kwargs)
-

@@ -10,13 +10,12 @@ we mirror that discipline here.
 
 from __future__ import annotations
 
-import contextlib
 import threading
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["RandomState", "StreamKey", "get_rng", "seed_all", "temporary_seed"]
+__all__ = ["RandomState", "StreamKey", "get_rng", "seed_all"]
 
 #: a stream key: one ``SeedSequence`` entropy word per element
 StreamKey = Tuple[int, ...]
@@ -156,22 +155,3 @@ def seed_all(seed: int) -> None:
     with _lock:
         _global_state.reseed(seed)
         np.random.seed(seed % (2**32))
-
-
-@contextlib.contextmanager
-def temporary_seed(seed: int) -> Iterator[RandomState]:
-    """Context manager that runs a block under a temporary global seed.
-
-    The previous generator is restored on exit, so test isolation is
-    preserved even when library code uses :func:`get_rng` internally.
-    """
-    with _lock:
-        prev_gen = _global_state._gen
-        prev_seed = _global_state._seed
-        _global_state.reseed(seed)
-    try:
-        yield _global_state
-    finally:
-        with _lock:
-            _global_state._gen = prev_gen
-            _global_state._seed = prev_seed

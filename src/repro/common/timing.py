@@ -8,11 +8,9 @@ breakdown of Figure 4.  :class:`PhaseTimer` reproduces that instrumentation.
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 __all__ = ["PhaseTimer", "TimingRecord"]
 
@@ -23,12 +21,6 @@ class TimingRecord:
 
     phases: Dict[str, float] = field(default_factory=dict)
 
-    def total(self) -> float:
-        return float(sum(self.phases.values()))
-
-    def __getitem__(self, key: str) -> float:
-        return self.phases[key]
-
 
 class PhaseTimer:
     """Record named phases across iterations.
@@ -36,8 +28,7 @@ class PhaseTimer:
     Usage::
 
         timer = PhaseTimer()
-        with timer.phase("forward"):
-            ...
+        timer.add("forward", seconds)
         timer.end_iteration()
 
     After N iterations, :meth:`records` holds N :class:`TimingRecord` objects
@@ -48,14 +39,6 @@ class PhaseTimer:
     def __init__(self) -> None:
         self._current: Dict[str, float] = defaultdict(float)
         self.records: List[TimingRecord] = []
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self._current[name] += time.perf_counter() - start
 
     def add(self, name: str, seconds: float) -> None:
         """Directly add a measured (or modelled) duration to a phase."""
@@ -75,7 +58,3 @@ class PhaseTimer:
             for name, value in record.phases.items():
                 out[name] += value
         return {name: value / len(self.records) for name, value in out.items()}
-
-    def reset(self) -> None:
-        self._current = defaultdict(float)
-        self.records = []

@@ -6,13 +6,12 @@ import ctypes
 import math
 import os
 import threading
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "partition_traces",
-    "prod",
     "release_freed_heap",
     "retain_freed_heap",
     "shard_jobs",
@@ -20,14 +19,6 @@ __all__ = [
     "usable_cores",
     "weighted_quantile",
 ]
-
-
-def prod(values: Iterable[int]) -> int:
-    """Integer product of an iterable (empty product is 1)."""
-    out = 1
-    for v in values:
-        out *= int(v)
-    return out
 
 
 def partition_traces(num_traces: int, num_ranks: int) -> List[int]:

@@ -29,22 +29,27 @@ __all__ = ["TraceDataset", "InMemoryTraceDataset", "generate_dataset", "observat
 
 
 def observation_array(observation, observe_key: Optional[str] = None) -> np.ndarray:
-    """A trace's observation as a float array ready for batching.
+    """The observation entry the network embeds, as a float array.
 
-    The one observation-to-array rule of the minibatch packing layer, for
-    traces and stored records alike: dict observations are resolved through
-    ``observe_key`` (or the single entry), and scalars become length-1
-    vectors so stacking over traces always yields a ``(batch, ...)`` array.
+    The one observation-to-array rule, for packed traces, stored records and
+    served requests alike: dict observations are resolved through
+    ``observe_key`` (or the single entry) and a missing or ambiguous key is a
+    ``ValueError`` naming the entries; scalars become length-1 vectors so
+    stacking over traces always yields a ``(batch, ...)`` array.
     """
     if isinstance(observation, dict):
-        if observe_key is not None:
-            observation = observation[observe_key]
-        elif len(observation) == 1:
-            observation = next(iter(observation.values()))
-        else:
+        if observe_key is None:
+            if len(observation) != 1:
+                raise ValueError(
+                    "pass observe_key when conditioning on multiple observes "
+                    f"(available: {sorted(observation)})"
+                )
+            observe_key = next(iter(observation))
+        if observe_key not in observation:
             raise ValueError(
-                "trace has multiple observes; construct the InferenceNetwork with observe_key"
+                f"observe_key {observe_key!r} not found in observation (available: {sorted(observation)})"
             )
+        observation = observation[observe_key]
     return np.atleast_1d(np.asarray(observation, dtype=float))
 
 
@@ -110,9 +115,6 @@ class TraceDataset:
     def trace_length_of(self, index: int) -> int:
         return self.trace_lengths[index]
 
-    def num_trace_types(self) -> int:
-        return len(set(self.trace_types))
-
     def __iter__(self):
         for i in range(len(self)):
             yield self[i]
@@ -149,9 +151,6 @@ class InMemoryTraceDataset:
 
     def trace_length_of(self, index: int) -> int:
         return self.trace_lengths[index]
-
-    def num_trace_types(self) -> int:
-        return len(set(self.trace_types))
 
     def __iter__(self):
         return iter(self.traces)

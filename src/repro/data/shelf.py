@@ -22,7 +22,7 @@ import io
 import os
 import pickle
 from collections import OrderedDict
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 __all__ = ["ShardStore"]
 
@@ -63,10 +63,6 @@ class ShardStore:
         if len(self._pending) >= self.records_per_shard:
             self._flush_shard()
         return global_id
-
-    def extend(self, records: Iterable[Any]) -> None:
-        for record in records:
-            self.append(record)
 
     def _shard_path(self, shard_id: int) -> str:
         return os.path.join(self.directory, f"shard_{shard_id:05d}.pkl")

@@ -84,6 +84,9 @@ PAPER_TABLE2 = {
     "CSL": {"1socket": 51.1, "2socket": 93.1, "gflops": 720.0},
 }
 
+#: two-socket scaling efficiency within a node (memory-bandwidth effects)
+TWO_SOCKET_EFFICIENCY = 0.88
+
 
 @dataclass(frozen=True)
 class Interconnect:
@@ -102,9 +105,6 @@ class ClusterSpec:
     platform: CpuPlatform
     interconnect: Interconnect
     max_nodes: int
-    sockets_per_node: int = 2
-    #: multi-socket scaling efficiency within a node (memory-bandwidth effects)
-    two_socket_efficiency: float = 0.88
 
 
 ARIES = Interconnect("Cray Aries (dragonfly)", latency_s=1.3e-6, bandwidth_bytes_per_s=10e9)
@@ -141,13 +141,13 @@ class SingleNodeModel:
             else reference.achievable_gflops * 1e9 / self.measured_traces_per_s
         )
 
-    def throughput(self, platform_code: str, sockets: int = 1, two_socket_efficiency: float = 0.88) -> float:
+    def throughput(self, platform_code: str, sockets: int = 1) -> float:
         """Predicted traces/s on ``sockets`` sockets of a platform."""
         platform = PLATFORMS[platform_code]
         single = platform.achievable_gflops * 1e9 / self.flops_per_trace
         if sockets == 1:
             return single
-        return single * sockets * two_socket_efficiency
+        return single * sockets * TWO_SOCKET_EFFICIENCY
 
     def flop_rate(self, platform_code: str) -> float:
         """Predicted sustained Gflop/s on a single socket."""

@@ -35,12 +35,6 @@ class Normal(Distribution):
         z = (value - self.loc) / self.scale
         return -0.5 * z * z - self._log_scale - _LOG_SQRT_2PI
 
-    def cdf(self, value) -> np.ndarray:
-        value = np.asarray(value, dtype=float)
-        from scipy.special import ndtr
-
-        return ndtr((value - self.loc) / self.scale)
-
     @property
     def mean(self):
         return self.loc

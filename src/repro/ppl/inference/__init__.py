@@ -1,7 +1,7 @@
-"""Inference engines: importance sampling (prior proposals, and the batched
-lockstep IC engine), RMH/LMH MCMC, IC, and diagnostics."""
+"""Inference engines: importance sampling (the batched lockstep engine, with
+prior or network proposals), RMH/LMH MCMC, IC, and diagnostics."""
 
-from repro.ppl.inference import batched, diagnostics, importance_sampling, random_walk_metropolis
+from repro.ppl.inference import batched, diagnostics, random_walk_metropolis
 from repro.ppl.inference.batched import (
     TraceJob,
     batched_importance_sampling,
@@ -10,7 +10,6 @@ from repro.ppl.inference.batched import (
     request_key,
 )
 from repro.ppl.inference.plans import PlanCache
-from repro.ppl.inference.importance_sampling import importance_sampling as run_importance_sampling
 from repro.ppl.inference.random_walk_metropolis import RandomWalkMetropolis
 from repro.ppl.inference.inference_compilation import InferenceCompilation, TrainingHistory
 from repro.ppl.inference.diagnostics import (
@@ -29,9 +28,7 @@ __all__ = [
     "per_trace_keys",
     "request_key",
     "diagnostics",
-    "importance_sampling",
     "random_walk_metropolis",
-    "run_importance_sampling",
     "RandomWalkMetropolis",
     "InferenceCompilation",
     "TrainingHistory",

@@ -64,6 +64,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 import numpy as np
 
 from repro.common.rng import RandomState, StreamKey, get_rng
+from repro.data.dataset import observation_array
 from repro.ppl.empirical import Empirical
 from repro.ppl.model import RemoteModel
 from repro.ppl.state import PriorController, ProposalController, check_observed_keys
@@ -631,22 +632,14 @@ def merge_engine_stats(into: Dict[str, int], stats: Dict[str, int]) -> Dict[str,
 def resolve_observation_array(network, observation: Dict[str, Any], observe_key: Optional[str] = None):
     """The observation entry feeding the network's observation embedding.
 
-    Returns ``None`` when no network is supplied (prior/likelihood-weighting
-    mode needs no embedding).  Raises on an ambiguous or missing key, exactly
-    as the one-shot engine does.
+    ``None`` when no network is supplied (prior proposals need no embedding);
+    otherwise :func:`repro.data.dataset.observation_array` under
+    ``observe_key`` or the network's — the rule packing uses, so a served
+    request and a packed trace embed the same array.
     """
     if network is None:
         return None
-    key = observe_key or network.observe_key
-    if key is None:
-        if len(observation) != 1:
-            raise ValueError("pass observe_key when conditioning on multiple observes")
-        key = next(iter(observation))
-    if key not in observation:
-        raise ValueError(
-            f"observe_key {key!r} not found in observation (available: {sorted(observation)})"
-        )
-    return np.asarray(observation[key], dtype=float)
+    return observation_array(observation, observe_key or network.observe_key)
 
 
 def _run_one_slot(model, job: TraceJob, rng: RandomState, network, stats: Dict[str, int]) -> Trace:

@@ -135,10 +135,6 @@ class EnginePlan:
     sample_dim: int
     steps: Tuple[PlanStep, ...]
 
-    @property
-    def num_steps(self) -> int:
-        return len(self.steps)
-
 
 class PlanScratch:
     """Pre-allocated per-cohort buffers of one plan (leased, never shared).

@@ -95,20 +95,22 @@ class Model:
     ):
         """Convenience dispatcher to the inference engines.
 
-        ``engine`` is one of ``"importance_sampling"``, ``"random_walk_metropolis"``
-        (aliases ``"rmh"``, ``"lightweight_metropolis_hastings"``, ``"lmh"``), or an
+        ``engine`` is one of ``"importance_sampling"`` (prior proposals through
+        :func:`repro.ppl.inference.batched.batched_importance_sampling`),
+        ``"random_walk_metropolis"`` (aliases ``"rmh"``,
+        ``"lightweight_metropolis_hastings"``, ``"lmh"``), or an
         :class:`repro.ppl.inference.inference_compilation.InferenceCompilation`
         instance for amortized IC inference.
         """
-        from repro.ppl.inference import importance_sampling, random_walk_metropolis
+        from repro.ppl.inference import batched, random_walk_metropolis
         from repro.ppl.inference.inference_compilation import InferenceCompilation
 
         if isinstance(engine, InferenceCompilation):
             return engine.posterior(self, observation, num_traces=num_traces, rng=rng, **engine_kwargs)
         if engine == "importance_sampling":
-            return importance_sampling.importance_sampling(
-                self, observation, num_traces=num_traces, rng=rng, **engine_kwargs
-            )
+            if engine_kwargs:
+                raise TypeError(f"prior importance sampling takes no options, got {sorted(engine_kwargs)}")
+            return batched.batched_importance_sampling(self, observation, num_traces=num_traces, rng=rng)
         if engine in ("random_walk_metropolis", "rmh", "lightweight_metropolis_hastings", "lmh"):
             kernel = "prior" if engine in ("lightweight_metropolis_hastings", "lmh") else "random_walk"
             engine_kwargs.setdefault("kernel", kernel)

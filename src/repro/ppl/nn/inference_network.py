@@ -445,7 +445,9 @@ class InferenceNetwork(Module):
     def load(cls, path: str) -> "InferenceNetwork":
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        config = Config(**payload["config"])
+        # A network saved before ``seed``/``verbose``/``default_dtype`` left
+        # ``Config`` still carries them; they never shaped the network.
+        config = Config(**{k: v for k, v in payload["config"].items() if k in Config.__dataclass_fields__})
         meta = payload["observation_embedding_meta"]
         if payload["observation_embedding_kind"] == "ObservationEmbeddingFC":
             observation_embedding: Module = ObservationEmbeddingFC(

@@ -38,21 +38,16 @@ from repro.distributions import (
     Distribution,
 )
 from repro.distributions.batched import MixtureScratch
-from repro.distributions.geometry import PriorGeometry, prior_bounds, prior_geometry
+from repro.distributions.geometry import PriorGeometry, prior_geometry
 from repro.tensor import functional as F
 from repro.tensor.nn import Linear, Module, ReLU, Sequential
 from repro.tensor.tensor import Tensor
 
-# PriorGeometry/prior_geometry moved to repro.distributions.geometry (one
-# definition shared with data/packing.py and ppl/inference/plans.py); they
-# stay re-exported here because this module was their historical home.
 __all__ = [
-    "PriorGeometry",
     "ProposalLayer",
     "ProposalNormalMixture",
     "ProposalCategorical",
     "make_proposal_layer",
-    "prior_geometry",
 ]
 
 
@@ -121,10 +116,6 @@ class ProposalNormalMixture(ProposalLayer):
         raw_scales = self.head_scales(features)    # (B, K)
         logits = self.head_logits(features)        # (B, K)
         return raw_means, raw_scales, logits
-
-    # Kept as a delegating alias: the geometry derivation lives in
-    # repro.distributions.geometry so packing and plan compilation share it.
-    _prior_bounds = staticmethod(prior_bounds)
 
     def _transformed_parameters(self, hidden: Tensor, priors: Sequence[Distribution]):
         """Map raw NN outputs to per-batch-element (means, scales, log_weights)."""

@@ -20,8 +20,8 @@ modality (1D spectra instead of 3D voxels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -111,7 +111,3 @@ class SpectroscopyModel(Model):
 
     def forward(self) -> Dict[str, Any]:
         return spectroscopy_program(LocalHandle(), self.config)
-
-    @property
-    def num_channels(self) -> int:
-        return self.config.num_channels

@@ -10,9 +10,9 @@ this reproduction the equivalent capability is provided by:
 * :mod:`repro.tensor.optim` — Adam/LARC and learning-rate schedules.
 """
 
-from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled
+from repro.tensor.tensor import Tensor, no_grad
 from repro.tensor import functional
 from repro.tensor import nn
 from repro.tensor import optim
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "functional", "nn", "optim"]
+__all__ = ["Tensor", "no_grad", "functional", "nn", "optim"]

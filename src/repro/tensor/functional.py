@@ -3,8 +3,8 @@
 This module provides the operations that the Etalumis inference-compilation
 network needs beyond elementary arithmetic: numerically stable softmax /
 log-softmax / logsumexp, the 3D convolution and 3D max-pooling used by the
-observation-embedding CNN (Section 4.3), embedding lookups and gathers, and
-the fused kernels of the training hot path.
+observation-embedding CNN (Section 4.3), gathers, and the fused kernels of
+the training hot path.
 
 What reaches BLAS and what does not: ``matmul`` on float64 operands is a
 BLAS ``dgemm``; ``np.einsum`` without ``optimize`` is numpy's own C loop and
@@ -47,9 +47,6 @@ from scipy.special import erf as _erf
 from repro.tensor.tensor import Tensor, _accumulate, _make
 
 __all__ = [
-    "relu",
-    "sigmoid",
-    "tanh",
     "softmax",
     "log_softmax",
     "logsumexp",
@@ -59,7 +56,6 @@ __all__ = [
     "lstm_sequence",
     "truncated_normal_mixture_parameters",
     "truncated_normal_mixture_log_prob",
-    "embedding",
     "gather",
     "conv3d",
     "conv_padding",
@@ -68,18 +64,6 @@ __all__ = [
     "normal_cdf",
     "normal_log_pdf",
 ]
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -377,19 +361,6 @@ def lstm_sequence(
                 _accumulate(bias, grad_bias)
 
     out._backward = _bw
-    return out
-
-
-def embedding(weight: Tensor, indices: Union[np.ndarray, Sequence[int]]) -> Tensor:
-    """Row lookup into an embedding matrix with sparse-style gradient."""
-    idx = np.asarray(indices, dtype=np.int64)
-    out = _make(weight.data[idx], (weight,))
-    if out.requires_grad:
-        def _bw(grad):
-            full = np.zeros_like(weight.data)
-            np.add.at(full, idx, grad)
-            _accumulate(weight, full, True)
-        out._backward = _bw
     return out
 
 

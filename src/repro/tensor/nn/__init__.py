@@ -1,7 +1,7 @@
 """Neural-network modules built on the autograd tensor library."""
 
 from repro.tensor.nn.module import Module, Parameter
-from repro.tensor.nn.linear import Linear, ReLU, Flatten, Embedding
+from repro.tensor.nn.linear import Linear, ReLU, Flatten
 from repro.tensor.nn.container import Sequential, ModuleList, ModuleDict
 from repro.tensor.nn.conv import Conv3d, MaxPool3d
 from repro.tensor.nn.recurrent import LSTM, LSTMCell
@@ -13,7 +13,6 @@ __all__ = [
     "Linear",
     "ReLU",
     "Flatten",
-    "Embedding",
     "Sequential",
     "ModuleList",
     "ModuleDict",

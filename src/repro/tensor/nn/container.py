@@ -33,12 +33,6 @@ class Sequential(Module):
     def __iter__(self) -> Iterator[Module]:
         return iter(self._modules.values())
 
-    def __len__(self) -> int:
-        return len(self._modules)
-
-    def __getitem__(self, index: int) -> Module:
-        return list(self._modules.values())[index]
-
 
 class ModuleList(Module):
     """A list of sub-modules registered for parameter traversal."""
@@ -56,14 +50,8 @@ class ModuleList(Module):
         self._order.append(name)
         return self
 
-    def __len__(self) -> int:
-        return len(self._order)
-
     def __iter__(self) -> Iterator[Module]:
         return (self._modules[name] for name in self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]
 
 
 class ModuleDict(Module):
@@ -105,17 +93,3 @@ class ModuleDict(Module):
 
     def __len__(self) -> int:
         return len(self._key_map)
-
-    def keys(self):
-        return self._key_map.keys()
-
-    def values(self):
-        return (self._modules[safe] for safe in self._key_map.values())
-
-    def items(self):
-        return ((key, self._modules[safe]) for key, safe in self._key_map.items())
-
-    def get(self, key: str, default=None):
-        if key in self:
-            return self[key]
-        return default

@@ -9,15 +9,11 @@ import numpy as np
 
 from repro.common.rng import RandomState, get_rng
 
-__all__ = ["kaiming_uniform", "uniform", "zeros"]
+__all__ = ["kaiming_uniform", "uniform"]
 
 
 def _rng(rng: RandomState = None) -> np.random.Generator:
     return (rng or get_rng()).generator
-
-
-def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float64)
 
 
 def uniform(shape: Tuple[int, ...], low: float, high: float, rng: RandomState = None) -> np.ndarray:
@@ -37,4 +33,3 @@ def kaiming_uniform(shape: Tuple[int, ...], rng: RandomState = None) -> np.ndarr
         fan_in = shape[1] * receptive
     bound = _KAIMING_GAIN * math.sqrt(3.0 / fan_in)
     return _rng(rng).uniform(-bound, bound, size=shape)
-

@@ -5,14 +5,12 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from repro.tensor import functional as F
 from repro.tensor.nn import init
 from repro.tensor.nn.module import Module, Parameter
 from repro.tensor.tensor import Tensor
 
-__all__ = ["Linear", "ReLU", "Flatten", "Embedding"]
+__all__ = ["Linear", "ReLU", "Flatten"]
 
 
 class Linear(Module):
@@ -48,18 +46,3 @@ class Flatten(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.reshape(x.shape[0], -1)
-
-
-class Embedding(Module):
-    """Learned lookup table, used for simulator-address embeddings."""
-
-    def __init__(self, num_embeddings: int, embedding_dim: int, rng=None) -> None:
-        super().__init__()
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        scale = 1.0 / math.sqrt(embedding_dim)
-        self.weight = Parameter(init.uniform((num_embeddings, embedding_dim), -scale, scale, rng=rng))
-
-    def forward(self, indices) -> Tensor:
-        idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
-        return F.embedding(self.weight, idx.astype(np.int64))

@@ -55,15 +55,6 @@ class Module:
         for mod_name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{mod_name}.")
 
-    def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
-        yield prefix.rstrip("."), self
-        for mod_name, module in self._modules.items():
-            yield from module.named_modules(prefix=f"{prefix}{mod_name}.")
-
-    def modules(self) -> Iterator["Module"]:
-        for _, module in self.named_modules():
-            yield module
-
     def num_parameters(self) -> int:
         """Total number of trainable scalars (the paper reports 156M / 171M)."""
         return int(sum(p.size for p in self.parameters()))

@@ -12,10 +12,13 @@ the same capability from scratch on top of numpy:
 * Broadcasting is handled by summing gradients back over broadcast dimensions
   (:func:`unbroadcast`).
 
-The design intentionally mirrors the subset of the PyTorch tensor API that the
-Etalumis training stack uses (elementwise arithmetic, matmul, reductions,
-indexing, concatenation, exp/log/tanh/sigmoid, clamping), so the rest of the
-code reads like the original.
+The design mirrors the subset of the PyTorch tensor API that the Etalumis
+training stack uses (elementwise arithmetic, sums, reshapes, indexing,
+concatenation, ReLU), so the rest of the code reads like the original.  The
+network's hot operations are the fused kernels of
+:mod:`repro.tensor.functional`; the composed operations kept here beside them
+(``@``, ``transpose``, ``log``, ``tanh``, ``sigmoid``, ``clamp``) are what
+those kernels are checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast"]
+__all__ = ["Tensor", "no_grad", "unbroadcast"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -57,11 +60,6 @@ class no_grad:
     def __exit__(self, *exc):
         _grad_mode.enabled = self._prev
         return False
-
-
-def is_grad_enabled() -> bool:
-    """Whether new operations record autograd graph nodes (per thread)."""
-    return _grad_enabled()
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -127,27 +125,12 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
     def detach(self) -> "Tensor":
         """Return a tensor sharing data but detached from the graph."""
         return Tensor(self.data, requires_grad=False)
-
-    def clone(self) -> "Tensor":
-        out = _make(self.data.copy(), (self,))
-        if out.requires_grad:
-            def _bw(grad):
-                _accumulate(self, grad)
-            out._backward = _bw
-        return out
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __len__(self) -> int:
         return len(self.data)
@@ -226,9 +209,6 @@ class Tensor:
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-_ensure_tensor(other))
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return _ensure_tensor(other) + (-self)
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other_t = _ensure_tensor(other)
         out = _make(self.data * other_t.data, (self, other_t))
@@ -257,20 +237,6 @@ class Tensor:
             out._backward = _bw
         return out
 
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return _ensure_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            raise TypeError("tensor exponents are not supported; use exp/log composition")
-        out = _make(self.data ** exponent, (self,))
-        if out.requires_grad:
-            a = self
-            def _bw(grad):
-                _accumulate(a, grad * exponent * (a.data ** (exponent - 1)), True)
-            out._backward = _bw
-        return out
-
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other_t = _ensure_tensor(other)
         out = _make(self.data @ other_t.data, (self, other_t))
@@ -292,46 +258,13 @@ class Tensor:
             out._backward = _bw
         return out
 
-    # ------------------------------------------------------------- comparisons
-    def __gt__(self, other: ArrayLike):
-        return Tensor(self.data > _ensure_tensor(other).data)
-
-    def __lt__(self, other: ArrayLike):
-        return Tensor(self.data < _ensure_tensor(other).data)
-
-    def __ge__(self, other: ArrayLike):
-        return Tensor(self.data >= _ensure_tensor(other).data)
-
-    def __le__(self, other: ArrayLike):
-        return Tensor(self.data <= _ensure_tensor(other).data)
-
     # ------------------------------------------------------------- unary math
-    def exp(self) -> "Tensor":
-        value = np.exp(self.data)
-        out = _make(value, (self,))
-        if out.requires_grad:
-            a = self
-            def _bw(grad):
-                _accumulate(a, grad * value, True)
-            out._backward = _bw
-        return out
-
     def log(self) -> "Tensor":
         out = _make(np.log(self.data), (self,))
         if out.requires_grad:
             a = self
             def _bw(grad):
                 _accumulate(a, grad / a.data, True)
-            out._backward = _bw
-        return out
-
-    def sqrt(self) -> "Tensor":
-        value = np.sqrt(self.data)
-        out = _make(value, (self,))
-        if out.requires_grad:
-            a = self
-            def _bw(grad):
-                _accumulate(a, grad * 0.5 / value, True)
             out._backward = _bw
         return out
 
@@ -365,16 +298,6 @@ class Tensor:
             out._backward = _bw
         return out
 
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out = _make(np.abs(self.data), (self,))
-        if out.requires_grad:
-            a = self
-            def _bw(grad):
-                _accumulate(a, grad * sign, True)
-            out._backward = _bw
-        return out
-
     def clamp(self, min_value: Optional[float] = None, max_value: Optional[float] = None) -> "Tensor":
         out = _make(np.clip(self.data, min_value, max_value), (self,))
         if out.requires_grad:
@@ -405,33 +328,6 @@ class Tensor:
             out._backward = _bw
         return out
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = 1
-            for ax in axes:
-                count *= self.data.shape[ax]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        value = self.data.max(axis=axis, keepdims=keepdims)
-        out = _make(value, (self,))
-        if out.requires_grad:
-            a = self
-            def _bw(grad):
-                g = grad
-                v = value
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis=axis)
-                    v = np.expand_dims(v, axis=axis)
-                mask = (a.data == v).astype(np.float64)
-                mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-                _accumulate(a, mask * g, True)
-            out._backward = _bw
-        return out
-
     # ---------------------------------------------------------------- reshape
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -444,9 +340,6 @@ class Tensor:
                 _accumulate(a, grad.reshape(original))
             out._backward = _bw
         return out
-
-    def view(self, *shape) -> "Tensor":
-        return self.reshape(*shape)
 
     def transpose(self, *axes) -> "Tensor":
         if not axes:
@@ -465,16 +358,6 @@ class Tensor:
     @property
     def T(self) -> "Tensor":
         return self.transpose()
-
-    def squeeze(self, axis: Optional[int] = None) -> "Tensor":
-        out = _make(np.squeeze(self.data, axis=axis), (self,))
-        if out.requires_grad:
-            a = self
-            original = a.shape
-            def _bw(grad):
-                _accumulate(a, grad.reshape(original))
-            out._backward = _bw
-        return out
 
     def __getitem__(self, index) -> "Tensor":
         idx = index.data if isinstance(index, Tensor) else index
@@ -537,12 +420,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape, requires_grad: bool = False) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
 _BASIC_INDEX_TYPES = (int, np.integer, slice, type(Ellipsis), type(None))

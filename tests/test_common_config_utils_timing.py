@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ import pytest
 from repro.common.config import Config
 from repro.common.timing import PhaseTimer
 from repro.common import utils
-from repro.common.utils import partition_traces, prod, weighted_quantile
+from repro.common.utils import partition_traces, weighted_quantile
 
 
 class TestConfig:
@@ -38,10 +37,6 @@ class TestConfig:
 
 
 class TestUtils:
-    def test_prod(self):
-        assert prod([2, 3, 4]) == 24
-        assert prod([]) == 1
-
     def test_partition_traces_unequal(self):
         assert partition_traces(10, 3) == [4, 3, 3]
         assert partition_traces(2, 4) == [1, 1, 0, 0]
@@ -123,13 +118,10 @@ class TestRetainFreedHeap:
 class TestTiming:
     def test_phase_timer_records_phases(self):
         timer = PhaseTimer()
-        with timer.phase("forward"):
-            time.sleep(0.005)
         timer.add("sync", 0.5)
         record = timer.end_iteration()
-        assert record["sync"] == pytest.approx(0.5)
-        assert record["forward"] > 0
-        assert record.total() > 0.5
+        assert record.phases["sync"] == pytest.approx(0.5)
+        assert timer.records == [record]
 
     def test_phase_timer_mean_by_phase(self):
         timer = PhaseTimer()
@@ -137,5 +129,3 @@ class TestTiming:
             timer.add("backward", value)
             timer.end_iteration()
         assert timer.mean_by_phase()["backward"] == pytest.approx(2.0)
-        timer.reset()
-        assert timer.records == []

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.common.rng import RandomState, get_rng, seed_all, temporary_seed
+from repro.common.rng import RandomState, get_rng, seed_all
 from repro.ppl.inference.batched import TraceJob
 
 
@@ -165,20 +165,6 @@ class TestGlobalState:
         seed_all(99)
         b = get_rng().normal(size=5)
         assert np.allclose(a, b)
-
-    def test_temporary_seed_restores_previous_stream(self):
-        seed_all(5)
-        _ = get_rng().normal(size=3)
-        expected_next = np.random.default_rng(5).normal(size=6)[3:]
-        with temporary_seed(123):
-            inner = get_rng().normal(size=3)
-            assert np.allclose(inner, np.random.default_rng(123).normal(size=3))
-        after = get_rng().normal(size=3)
-        assert np.allclose(after, expected_next)
-
-    def test_temporary_seed_yields_global_state(self):
-        with temporary_seed(42) as state:
-            assert state is get_rng()
 
 
 class TestSamplerEpochStreams:

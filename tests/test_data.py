@@ -31,6 +31,11 @@ from repro.simulators import TauDecayModel
 from tests.test_training_packed import assert_packs_equal
 
 
+def append_values(store, values):
+    for i in values:
+        store.append({"value": i})
+
+
 class TestShardStore:
     def test_append_and_read_back(self, tmp_path):
         store = ShardStore(str(tmp_path / "shards"), records_per_shard=3)
@@ -41,7 +46,7 @@ class TestShardStore:
 
     def test_sharding_layout(self, tmp_path):
         store = ShardStore(str(tmp_path / "shards"), records_per_shard=4)
-        store.extend({"value": i} for i in range(10))
+        append_values(store, range(10))
         store.flush()
         files = [f for f in os.listdir(tmp_path / "shards") if f.startswith("shard_")]
         assert len(files) == 3  # 4 + 4 + 2
@@ -50,7 +55,7 @@ class TestShardStore:
     def test_persistence_roundtrip(self, tmp_path):
         directory = str(tmp_path / "shards")
         store = ShardStore(directory, records_per_shard=5)
-        store.extend({"value": i} for i in range(12))
+        append_values(store, range(12))
         store.flush()
         reopened = ShardStore(directory)
         assert len(reopened) == 12
@@ -58,7 +63,7 @@ class TestShardStore:
 
     def test_handle_cache_hits(self, tmp_path):
         store = ShardStore(str(tmp_path / "shards"), records_per_shard=2, cache_size=2)
-        store.extend({"value": i} for i in range(8))
+        append_values(store, range(8))
         store.flush()
         store.clear_cache()
         for i in range(8):          # sequential access: one miss per shard, rest hits
@@ -68,7 +73,7 @@ class TestShardStore:
 
     def test_cache_eviction(self, tmp_path):
         store = ShardStore(str(tmp_path / "shards"), records_per_shard=1, cache_size=2)
-        store.extend({"value": i} for i in range(5))
+        append_values(store, range(5))
         store.flush()
         store.clear_cache()
         for i in range(5):
@@ -78,7 +83,7 @@ class TestShardStore:
 
     def test_a_read_decodes_one_record_not_one_shard(self, tmp_path, monkeypatch):
         store = ShardStore(str(tmp_path / "shards"), records_per_shard=4)
-        store.extend({"value": i} for i in range(10))  # two shards on disk + an unflushed tail
+        append_values(store, range(10))  # two shards on disk + an unflushed tail
         decoded = []
         loads = pickle.loads
         monkeypatch.setattr(
@@ -94,7 +99,7 @@ class TestShardStore:
         # A forked rank process shares the parent's descriptors *and* their
         # file offsets: a read that seeks would race with the other process.
         store = ShardStore(str(tmp_path / "shards"), records_per_shard=5)
-        store.extend({"value": i} for i in range(10))
+        append_values(store, range(10))
         store.flush()
         assert [store[i]["value"] for i in (7, 2, 9, 0)] == [7, 2, 9, 0]
         assert len(store._cache) == 2
@@ -102,7 +107,7 @@ class TestShardStore:
 
     def test_cache_size_bounds_open_descriptors(self, tmp_path):
         store = ShardStore(str(tmp_path / "shards"), records_per_shard=1, cache_size=2)
-        store.extend({"value": i} for i in range(5))
+        append_values(store, range(5))
         store.flush()
         for i in range(5):
             _ = store[i]
@@ -116,7 +121,7 @@ class TestShardStore:
     def test_index_of_whole_shard_pickles_is_refused(self, tmp_path):
         directory = str(tmp_path / "shards")
         store = ShardStore(directory, records_per_shard=2)
-        store.extend({"value": i} for i in range(4))
+        append_values(store, range(4))
         store.flush()
         index_path = os.path.join(directory, ShardStore.INDEX_FILE)
         with open(index_path, "rb") as handle:
@@ -138,10 +143,10 @@ class TestShardStore:
         # index fully readable (and no torn .tmp file behind).
         directory = str(tmp_path / "shards")
         store = ShardStore(directory, records_per_shard=5)
-        store.extend({"value": i} for i in range(7))
+        append_values(store, range(7))
         store.flush()
 
-        store.extend({"value": i} for i in range(7, 12))
+        append_values(store, range(7, 12))
 
         real_dump = pickle.dump
 
@@ -166,9 +171,9 @@ class TestShardStore:
         # publication point, so the index is either the old or the new one.
         directory = str(tmp_path / "shards")
         store = ShardStore(directory, records_per_shard=4)
-        store.extend({"value": i} for i in range(9))
+        append_values(store, range(9))
         store.flush()
-        store.extend({"value": i} for i in range(9, 14))
+        append_values(store, range(9, 14))
         store.flush()
         reopened = ShardStore(directory)
         assert len(reopened) == 14
@@ -192,7 +197,7 @@ class TestTraceDataset:
         dataset = generate_dataset(tau_model, 15, rng=rng)
         assert isinstance(dataset, InMemoryTraceDataset)
         assert len(dataset) == 15
-        assert dataset.num_trace_types() >= 1
+        assert len(set(dataset.trace_types)) >= 1
         assert dataset.get_batch([0, 1])[0] is dataset[0]
         assert len(list(iter(dataset))) == 15
 
@@ -259,7 +264,7 @@ class TestSorting:
         types_in_order = [tiny_tau_dataset.trace_type_of(i) for i in order]
         # sorted order => identical types are contiguous
         changes = sum(1 for a, b in zip(types_in_order, types_in_order[1:]) if a != b)
-        assert changes == tiny_tau_dataset.num_trace_types() - 1
+        assert changes == len(set(tiny_tau_dataset.trace_types)) - 1
 
     def test_regroup_dataset_writes_sorted_copy(self, tau_model, rng, tmp_path):
         source = generate_dataset(tau_model, 12, rng=rng)
@@ -311,6 +316,36 @@ class TestBatching:
         assert flat == list(range(len(lengths)))
         for batch in batches:
             assert len(batch) >= 1
+
+
+class TestObservationRule:
+    """Packing, the engine and the service read the embedded observation
+    entry by one rule: a missing or ambiguous key is one ``ValueError``
+    naming the key and the entries, and a scalar is a length-1 vector."""
+
+    def test_a_trace_missing_the_observe_key_fails_packing_naming_the_entries(self, gaussian_model, rng):
+        traces = gaussian_model.prior_traces(3, rng=rng)
+        with pytest.raises(ValueError, match=r"'detector'.*\['obs'\]"):
+            pack_minibatch(traces, observe_key="detector")
+
+    def test_the_engine_resolves_the_array_packing_stacks(self, gaussian_model, rng):
+        from repro.ppl.inference.batched import resolve_observation_array
+        from repro.ppl.nn.embeddings import ObservationEmbeddingFC
+
+        network = InferenceNetwork(
+            observation_embedding=ObservationEmbeddingFC(input_dim=1, embedding_dim=4), observe_key="obs"
+        )
+        trace = gaussian_model.prior_trace(rng)
+        served = resolve_observation_array(network, trace.observation)
+        assert served.shape == (1,)
+        (pack,) = pack_minibatch([trace], observe_key="obs")
+        assert np.array_equal(pack.observations[0], served)
+        assert resolve_observation_array(None, trace.observation) is None
+        with pytest.raises(ValueError, match=r"'obs'.*\['x'\]"):
+            resolve_observation_array(network, {"x": 1.0})
+        unkeyed = InferenceNetwork(observation_embedding=ObservationEmbeddingFC(input_dim=1, embedding_dim=4))
+        with pytest.raises(ValueError, match=r"\['obs', 'x'\]"):
+            resolve_observation_array(unkeyed, {"obs": 1.0, "x": 2.0})
 
 
 class TestDistributedSampler:

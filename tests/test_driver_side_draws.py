@@ -421,9 +421,10 @@ class _FreshBatchNetwork:
 
     def __init__(self, network):
         self._network = network
+        layers = {address: network.proposal_layers[address] for address in network.address_specs}
         self.proposal_layers = {
             address: _FreshBatchLayer(layer) if isinstance(layer, ProposalNormalMixture) else layer
-            for address, layer in network.proposal_layers.items()
+            for address, layer in layers.items()
         }
 
     def __getattr__(self, name):

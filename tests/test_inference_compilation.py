@@ -9,7 +9,7 @@ from repro.common.config import Config
 from repro.common.rng import RandomState
 from repro.distributions import BatchedCategorical, BatchedMixtureOfTruncatedNormals
 from repro.ppl import FunctionModel
-from repro.ppl.inference import RandomWalkMetropolis, run_importance_sampling
+from repro.ppl.inference import RandomWalkMetropolis, batched_importance_sampling
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 from tests.conftest import mixed_program
@@ -127,7 +127,7 @@ class TestAmortizedInference:
         engine.train(model, num_traces=2500, minibatch_size=32, learning_rate=3e-3)
         observation = {"obs": observation_for(-0.5, 2)}
         ic_posterior = engine.posterior(model, observation, num_traces=200)
-        prior_posterior = run_importance_sampling(model, observation, num_traces=200, rng=RandomState(1))
+        prior_posterior = batched_importance_sampling(model, observation, num_traces=200, rng=RandomState(1))
         ic_ess = ic_posterior.effective_sample_size() / len(ic_posterior)
         prior_ess = prior_posterior.effective_sample_size() / len(prior_posterior)
         assert ic_ess > prior_ess
@@ -206,11 +206,14 @@ class TestRemovedOptions:
             "DistributedTraceSampler without trace_types",
             "Module.load_state_dict(strict=)",
             "init.kaiming_uniform(a=)",
+            "SingleNodeModel.throughput(two_socket_efficiency=)",
+            "Model.posterior(engine='importance_sampling', network=)",
         ],
     )
     def test_removed_option_is_rejected(self, ic_setup, rng, tmp_path, call):
         from repro.data import DistributedTraceSampler, PackedEpochPlan, TraceDataset
         from repro.distributed import DistributedTrainer, TrainingLoop
+        from repro.distributed.performance_model import SingleNodeModel
         from repro.tensor import nn
 
         model, engine = ic_setup
@@ -265,6 +268,14 @@ class TestRemovedOptions:
                 layer.state_dict(), strict=False
             ),
             "init.kaiming_uniform(a=)": lambda: nn.init.kaiming_uniform((2, 2), a=1.0),
+            "SingleNodeModel.throughput(two_socket_efficiency=)": lambda: SingleNodeModel().throughput(
+                "HSW", 2, two_socket_efficiency=0.9
+            ),
+            # Prior IS takes no proposal network: guided IS is
+            # ``engine=InferenceCompilation``.
+            "Model.posterior(engine='importance_sampling', network=)": lambda: model.posterior(
+                {"obs": observation_for(0.0, 0)}, num_traces=4, engine="importance_sampling", network=engine.network
+            ),
         }
         with pytest.raises(TypeError):
             calls[call]()
@@ -356,6 +367,66 @@ class TestRemovedOptions:
             "repro.tensor.optim:SGD",
             "repro.ppl.model:_RemoteSamplePolicy",
             "repro.ppx.server:SamplePolicy",
+            # Prior importance sampling is batched_importance_sampling
+            # without a network, through the one cohort engine.
+            "repro.ppl.inference:run_importance_sampling",
+            "repro.ppl.inference:importance_sampling",
+            # Never run by the benchmark, the examples or the paper benches,
+            # and unreachable from src/, benchmarks/ and examples/.
+            "repro.tensor:is_grad_enabled",
+            "repro.tensor.tensor:is_grad_enabled",
+            "repro.tensor:Tensor.clone",
+            "repro.tensor:Tensor.numpy",
+            "repro.tensor:Tensor.zero_grad",
+            "repro.tensor:Tensor.exp",
+            "repro.tensor:Tensor.sqrt",
+            "repro.tensor:Tensor.abs",
+            "repro.tensor:Tensor.mean",
+            "repro.tensor:Tensor.max",
+            "repro.tensor:Tensor.view",
+            "repro.tensor:Tensor.squeeze",
+            "repro.tensor:Tensor.ones",
+            "repro.tensor:Tensor.__pow__",
+            "repro.tensor:Tensor.__rsub__",
+            "repro.tensor:Tensor.__rtruediv__",
+            "repro.tensor.functional:relu",
+            "repro.tensor.functional:sigmoid",
+            "repro.tensor.functional:tanh",
+            "repro.tensor.functional:embedding",
+            "repro.tensor.nn:Embedding",
+            "repro.tensor.nn.linear:Embedding",
+            "repro.tensor.nn:Module.named_modules",
+            "repro.tensor.nn:Module.modules",
+            "repro.tensor.nn:Sequential.__len__",
+            "repro.tensor.nn:Sequential.__getitem__",
+            "repro.tensor.nn:ModuleList.__len__",
+            "repro.tensor.nn:ModuleList.__getitem__",
+            "repro.tensor.nn:ModuleDict.keys",
+            "repro.tensor.nn:ModuleDict.values",
+            "repro.tensor.nn:ModuleDict.items",
+            "repro.tensor.nn:ModuleDict.get",
+            "repro.tensor.nn.init:zeros",
+            "repro.common:temporary_seed",
+            "repro.common.rng:temporary_seed",
+            "repro.common:prod",
+            "repro.common.utils:prod",
+            "repro.common.timing:PhaseTimer.phase",
+            "repro.common.timing:PhaseTimer.reset",
+            "repro.common.timing:TimingRecord.total",
+            "repro.common.timing:TimingRecord.__getitem__",
+            "repro.data:TraceDataset.num_trace_types",
+            "repro.data:InMemoryTraceDataset.num_trace_types",
+            "repro.data.shelf:ShardStore.extend",
+            "repro.simulators.spectroscopy:SpectroscopyModel.num_channels",
+            "repro.distributions:Normal.cdf",
+            "repro.ppl.inference.plans:EnginePlan.num_steps",
+            "repro.ppl.nn.proposals:ProposalNormalMixture._prior_bounds",
+            # Settings nothing read; the two-socket efficiency is one constant.
+            "repro.common.config:Config.seed",
+            "repro.common.config:Config.verbose",
+            "repro.common.config:Config.default_dtype",
+            "repro.distributed.performance_model:ClusterSpec.sockets_per_node",
+            "repro.distributed.performance_model:ClusterSpec.two_socket_efficiency",
         ],
     )
     def test_removed_entry_points_are_gone(self, path):
@@ -370,11 +441,20 @@ class TestRemovedOptions:
             owner = getattr(owner, parent)
         assert not hasattr(owner, name)
 
+    def test_tensor_comparisons_are_gone(self):
+        # Tensor inherits object's comparison slots, so the name check above
+        # cannot see them: comparing a tensor is a TypeError.
+        import operator
+
+        from repro.tensor import Tensor
+
+        for compare in (operator.gt, operator.lt, operator.ge, operator.le):
+            with pytest.raises(TypeError):
+                compare(Tensor([1.0]), 0.5)
+
     @pytest.mark.parametrize(
         "call",
         [
-            "run_importance_sampling(proposal_provider=)",
-            "run_importance_sampling(trace_callback=)",
             "batched_importance_sampling(trace_callback=)",
             "form_log_weights(trace_callback)",
             "RandomWalkMetropolis.run(trace_callback=)",
@@ -386,20 +466,12 @@ class TestRemovedOptions:
     def test_removed_keyword_is_rejected(self, gaussian_model, call):
         # Only tests passed these; guided proposals come from the network's
         # lockstep session, never from a caller-supplied provider.
-        from repro.ppl.inference import batched_importance_sampling
         from repro.ppl.inference.batched import form_log_weights
         from repro.ppx import SimulatorController, make_queue_pair
         from repro.simulators.detector import Detector3D
 
         observation = {"obs": 0.5}
         calls = {
-            "run_importance_sampling(proposal_provider=)": lambda: run_importance_sampling(
-                gaussian_model, observation, num_traces=2,
-                proposal_provider=lambda address, instance, prior, state: None,
-            ),
-            "run_importance_sampling(trace_callback=)": lambda: run_importance_sampling(
-                gaussian_model, observation, num_traces=2, trace_callback=print
-            ),
             "batched_importance_sampling(trace_callback=)": lambda: batched_importance_sampling(
                 gaussian_model, observation, num_traces=2, trace_callback=print
             ),

@@ -11,8 +11,8 @@ from repro.ppl.inference import (
     autocorrelation,
     effective_sample_size,
     gelman_rubin,
+    batched_importance_sampling,
     integrated_autocorrelation_time,
-    run_importance_sampling,
 )
 from tests import reference_kernels as ref
 from tests.conftest import gaussian_posterior
@@ -21,7 +21,7 @@ from tests.conftest import gaussian_posterior
 class TestImportanceSampling:
     def test_recovers_conjugate_posterior(self, gaussian_model):
         y = 1.2
-        posterior = run_importance_sampling(gaussian_model, {"obs": y}, num_traces=4000, rng=RandomState(0))
+        posterior = batched_importance_sampling(gaussian_model, {"obs": y}, num_traces=4000, rng=RandomState(0))
         mu = posterior.extract("mu")
         true_mean, true_std = gaussian_posterior(y)
         assert mu.mean == pytest.approx(true_mean, abs=0.08)
@@ -30,12 +30,12 @@ class TestImportanceSampling:
     def test_log_evidence_matches_analytic_marginal(self, gaussian_model):
         # p(y) = N(y; 0, sqrt(prior_var + lik_var))
         y = 0.7
-        posterior = run_importance_sampling(gaussian_model, {"obs": y}, num_traces=8000, rng=RandomState(1))
+        posterior = batched_importance_sampling(gaussian_model, {"obs": y}, num_traces=8000, rng=RandomState(1))
         expected = float(Normal(0.0, np.sqrt(1.25)).log_prob(y))
         assert posterior.log_evidence == pytest.approx(expected, abs=0.05)
 
     def test_prior_proposals_weight_by_likelihood(self, gaussian_model):
-        posterior = run_importance_sampling(gaussian_model, {"obs": 0.0}, num_traces=50, rng=RandomState(2))
+        posterior = batched_importance_sampling(gaussian_model, {"obs": 0.0}, num_traces=50, rng=RandomState(2))
         for trace, log_w in zip(posterior.values, posterior.log_weights):
             assert log_w == pytest.approx(trace.log_likelihood)
 
@@ -51,12 +51,12 @@ class TestImportanceSampling:
         )
         assert posterior.extract("mu").mean == pytest.approx(true_mean, abs=0.08)
         # With good proposals the ESS per sample should beat prior-IS.
-        prior_posterior = run_importance_sampling(gaussian_model, {"obs": y}, num_traces=3000, rng=RandomState(4))
+        prior_posterior = batched_importance_sampling(gaussian_model, {"obs": y}, num_traces=3000, rng=RandomState(4))
         assert posterior.effective_sample_size() > prior_posterior.effective_sample_size()
 
     def test_invalid_num_traces(self, gaussian_model):
         with pytest.raises(ValueError):
-            run_importance_sampling(gaussian_model, {"obs": 0.0}, num_traces=0)
+            batched_importance_sampling(gaussian_model, {"obs": 0.0}, num_traces=0)
 
 
 class TestRandomWalkMetropolis:
@@ -126,7 +126,7 @@ class TestRandomWalkMetropolis:
     def test_rmh_matches_importance_sampling(self, gaussian_model):
         """The two engines must agree on the posterior (Figure 8's validation logic)."""
         y = 0.9
-        is_post = run_importance_sampling(gaussian_model, {"obs": y}, num_traces=4000, rng=RandomState(5))
+        is_post = batched_importance_sampling(gaussian_model, {"obs": y}, num_traces=4000, rng=RandomState(5))
         rmh_post = RandomWalkMetropolis(gaussian_model, {"obs": y}, burn_in=300).run(3000, rng=RandomState(6))
         assert is_post.extract("mu").mean == pytest.approx(rmh_post.extract("mu").mean, abs=0.1)
         assert is_post.extract("mu").stddev == pytest.approx(rmh_post.extract("mu").stddev, abs=0.1)
@@ -249,10 +249,6 @@ class TestConditioningKeys:
     MESSAGE = r"\['ob'\].*\['obs'\]"
 
     def test_direct_importance_sampling(self, gaussian_model):
-        from repro.ppl.inference.importance_sampling import importance_sampling
-
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            importance_sampling(gaussian_model, self.MISSPELT, num_traces=4, rng=RandomState(0))
         with pytest.raises(ValueError, match=self.MESSAGE):
             gaussian_model.posterior(self.MISSPELT, num_traces=4)
 
@@ -276,10 +272,8 @@ class TestConditioningKeys:
             gaussian_model.posterior(self.MISSPELT, num_traces=4, engine="rmh")
 
     def test_an_extra_key_beside_a_consumed_one_is_refused(self, gaussian_model):
-        from repro.ppl.inference.importance_sampling import importance_sampling
-
         with pytest.raises(ValueError, match=r"\['extra'\]"):
-            importance_sampling(gaussian_model, {"obs": 3.0, "extra": 1.0}, num_traces=2)
+            batched_importance_sampling(gaussian_model, {"obs": 3.0, "extra": 1.0}, num_traces=2)
         # Naming only what the program observes conditions it, as before.
-        posterior = importance_sampling(gaussian_model, {"obs": 3.0}, num_traces=2)
+        posterior = batched_importance_sampling(gaussian_model, {"obs": 3.0}, num_traces=2)
         assert all(trace.observation == {"obs": 3.0} for trace in posterior.values)

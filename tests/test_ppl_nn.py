@@ -1,6 +1,7 @@
 """Tests for the IC neural components: embeddings, proposals, inference network."""
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ class TestObservationEmbeddings:
         # five conv layers, as in Section 4.3
         from repro.tensor.nn import Conv3d
 
-        convs = [m for m in embedding.modules() if isinstance(m, Conv3d)]
+        convs = [m for m in embedding.network if isinstance(m, Conv3d)]
         assert len(convs) == 5
         assert convs[0].out_channels == 64 and convs[-1].out_channels == 128
 
@@ -290,6 +291,22 @@ class TestInferenceNetwork:
         assert loaded.num_addresses == network.num_addresses
         assert loaded.num_parameters() == network.num_parameters()
         assert loaded.loss(traces).item() == pytest.approx(loss_before, rel=1e-10)
+
+    def test_load_drops_config_keys_config_no_longer_declares(self, small_config, mixed_model, rng, tmp_path):
+        network = build_network(small_config)
+        traces = mixed_model.prior_traces(5, rng=rng)
+        network.polymorph(traces)
+        path = os.path.join(tmp_path, "network.pkl")
+        network.save(path)
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        # a network saved while Config still had these fields
+        payload["config"].update(seed=0, verbose=False, default_dtype="float64")
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+        loaded = InferenceNetwork.load(path)
+        assert loaded.config == small_config
+        assert loaded.loss(traces).item() == pytest.approx(network.loss(traces).item(), rel=1e-10)
 
     def test_multiple_observes_require_observe_key(self, small_config, rng):
         def two_observes():

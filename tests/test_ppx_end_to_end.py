@@ -356,22 +356,21 @@ class TestRemoteModel:
 
     def test_a_key_no_remote_observe_consumes_is_refused(self):
         from repro.ppl.inference.batched import batched_importance_sampling
-        from repro.ppl.inference.importance_sampling import importance_sampling
 
         remote, thread = self._remote(two_point_gaussian)
         try:
             with pytest.raises(ValueError, match=r"\['y3'\].*\['y1', 'y2'\]"):
-                importance_sampling(remote, {"y1": 0.4, "y3": 0.9}, num_traces=2, rng=RandomState(7))
+                batched_importance_sampling(remote, {"y1": 0.4, "y3": 0.9}, num_traces=2, rng=RandomState(7))
             with pytest.raises(ValueError, match="'y3'"):
                 batched_importance_sampling(remote, {"y3": 0.9}, num_traces=2, rng=RandomState(7))
             # The simulator is still in step: a well-named request runs.
-            assert len(importance_sampling(remote, {"y2": 0.9}, num_traces=2)) == 2
+            assert len(batched_importance_sampling(remote, {"y2": 0.9}, num_traces=2)) == 2
         finally:
             remote.shutdown()
             thread.join(timeout=5.0)
 
     def test_remote_and_local_programs_give_bit_equal_traces_and_weights(self):
-        from repro.ppl.inference.importance_sampling import importance_sampling
+        from repro.ppl.inference.batched import batched_importance_sampling
         from repro.ppl.inference.inference_compilation import InferenceCompilation
         from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 
@@ -388,7 +387,7 @@ class TestRemoteModel:
         try:
             for name, model in (("local", local), ("remote", remote)):
                 posteriors[name] = (
-                    importance_sampling(model, observation, num_traces=8, rng=RandomState(3)),
+                    batched_importance_sampling(model, observation, num_traces=8, rng=RandomState(3)),
                     ref.provider_importance_sampling(
                         model, observation, 8, lambda address, instance, prior: Uniform(-3.0, 3.0),
                         RandomState(4),

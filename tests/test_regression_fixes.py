@@ -22,7 +22,7 @@ from repro.common.rng import RandomState
 from repro.distributions import Normal
 from repro.ppl import FunctionModel
 from repro.ppl.empirical import Empirical
-from repro.ppl.inference import batched_importance_sampling, run_importance_sampling
+from repro.ppl.inference import batched_importance_sampling
 from repro.ppl.inference.batched import resolve_observation_array
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC
 from repro.ppl.nn.inference_network import InferenceNetwork
@@ -69,7 +69,7 @@ class TestUncontrolledDrawWeightAccounting:
 
     def test_prior_branch_matches_likelihood_weighting(self):
         model = FunctionModel(uncontrolled_program, name="uncontrolled")
-        posterior = run_importance_sampling(model, {"obs": 0.3}, num_traces=40, rng=RandomState(1))
+        posterior = batched_importance_sampling(model, {"obs": 0.3}, num_traces=40, rng=RandomState(1))
         for trace, log_weight in zip(posterior.values, posterior.log_weights):
             assert log_weight == pytest.approx(trace.log_likelihood, abs=1e-10)
 
@@ -93,7 +93,7 @@ class TestUncontrolledDrawWeightAccounting:
                 return trace
 
         model = NoLogQModel(uncontrolled_program, name="no_log_q")
-        posterior = run_importance_sampling(model, {"obs": 0.3}, num_traces=10, rng=RandomState(6))
+        posterior = batched_importance_sampling(model, {"obs": 0.3}, num_traces=10, rng=RandomState(6))
         for trace, log_weight in zip(posterior.values, posterior.log_weights):
             assert not hasattr(trace, "log_q")
             assert log_weight == pytest.approx(trace.log_likelihood, abs=1e-10)

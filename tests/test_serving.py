@@ -325,13 +325,13 @@ class TestConcurrentServing:
         assert stats["failed"] == 0
 
     def test_threaded_inference_leaves_grad_mode_enabled(self, served_engine):
-        from repro.tensor import is_grad_enabled
+        from repro.tensor import Tensor
 
         model, engine = served_engine
         with make_service(model, engine, num_workers=4, shard_min=2) as service:
             for seed in range(5):
                 service.posterior(OBSERVATION, num_traces=8, seed=seed, use_cache=False, timeout=60)
-                assert is_grad_enabled()
+                assert Tensor(np.ones(1), requires_grad=True).requires_grad
 
     def test_drain_on_stop_completes_inflight_requests(self, served_engine):
         model, engine = served_engine

@@ -17,13 +17,18 @@ def make_regression(seed=0, n=64):
     return x, y
 
 
+def mean_squared_error(prediction, target):
+    diff = prediction - Tensor(target)
+    return (diff * diff).sum() * (1.0 / diff.size)
+
+
 def fit(optimizer_factory, iterations=300, seed=0):
     x, y = make_regression(seed)
     layer = nn.Linear(3, 1)
     opt = optimizer_factory(layer)
     for _ in range(iterations):
         opt.zero_grad()
-        loss = ((layer(Tensor(x)) - Tensor(y)) ** 2).mean()
+        loss = mean_squared_error(layer(Tensor(x)), y)
         loss.backward()
         opt.step()
     return float(loss.item()), layer
@@ -167,7 +172,7 @@ class TestLARC:
         layer = nn.Linear(4, 4)
         opt = optim.LARC(ref.SGD(layer.parameters(), lr=0.01), trust_coefficient=100.0, clip=True)
         before = layer.weight.data.copy()
-        loss = ((layer(Tensor(np.ones((2, 4)))) - Tensor(np.zeros((2, 4)))) ** 2).mean()
+        loss = mean_squared_error(layer(Tensor(np.ones((2, 4)))), np.zeros((2, 4)))
         loss.backward()
         grad_norm = np.linalg.norm(layer.weight.grad)
         opt.step()
@@ -225,4 +230,3 @@ class TestSchedulers:
         sched = optim.ConstantLR(opt)
         assert sched.step() == pytest.approx(0.3)
         assert opt.lr == pytest.approx(0.3)
-

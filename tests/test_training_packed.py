@@ -176,7 +176,8 @@ class TestLossEquivalence:
         traces = model.prior_traces(20, rng=rng)
         assert len({t.trace_type for t in traces}) == 3
         network.polymorph(traces)
-        assert set(network.proposal_layers.keys()) == {"n", "walk", "width", "tail"}
+        assert len(network.proposal_layers) == 4
+        assert all(address in network.proposal_layers for address in ("n", "walk", "width", "tail"))
         assert_paths_agree(network, traces)
 
     def test_single_trace_degenerate_group(self, small_config, mixed_model, rng):
@@ -306,14 +307,14 @@ class TestLossEquivalence:
         count(network.observation_embedding, "forward", "obs")
         count(network.lstm, "step", "lstm.step")
         count(network.lstm, "forward", "lstm.forward")
-        for address in network.proposal_layers.keys():
+        for address in network.address_specs:
             count(network.proposal_layers[address], "log_prob_packed", f"head:{address}")
             count(network.sample_embeddings[address], "forward", f"embed:{address}")
         network.loss_packed(packs)
         assert calls.count("obs") == 1
         assert calls.count("lstm.forward") == 1
         assert calls.count("lstm.step") == 0
-        for address in network.proposal_layers.keys():
+        for address in network.address_specs:
             assert calls.count(f"head:{address}") == 1
         # the last step of a trace feeds no next step: "tail" embeds nothing
         assert calls.count("embed:tail") == 0
