@@ -52,7 +52,9 @@ import numpy as np
 
 from repro.ppx.messages import _MESSAGE_TYPES, Message, message_from_dict
 
-__all__ = ["encode_value", "decode_value", "encode_message", "encode_message_into", "decode_message"]
+__all__ = [
+    "encode_value", "decode_value", "encode_message", "encode_message_into", "message_head", "decode_message",
+]
 
 _U8 = struct.Struct("!B").pack
 _U32 = struct.Struct("!I").pack
@@ -158,6 +160,11 @@ def _message_layout(cls: Type[Message]) -> Tuple[bytes, Tuple[Tuple[str, bytes],
 
 
 _MESSAGE_LAYOUTS = {cls: _message_layout(cls) for cls in _MESSAGE_TYPES.values()}
+
+
+def message_head(cls: Type[Message]) -> bytes:
+    """The bytes every encoding of a ``cls`` message starts with: dict header and ``kind`` entry."""
+    return _MESSAGE_LAYOUTS[cls][0]
 
 
 def encode_message_into(out: bytearray, message: Message) -> None:

@@ -15,7 +15,9 @@ deployment shapes without ZeroMQ:
 On a socket one frame is a 4-byte big-endian body length followed by the
 encoded message body (:mod:`repro.ppx.serialization`), written with one
 ``sendall`` and normally read with one ``recv_into``; the queue pair carries
-one encoded body per queue item.
+one encoded body per queue item.  ``receive_frame`` hands out that body
+undecoded (the controller keys its request cache on it); ``receive`` decodes
+it.
 """
 
 from __future__ import annotations
@@ -41,8 +43,12 @@ class Transport:
     def send(self, message: Message) -> None:
         raise NotImplementedError
 
-    def receive(self, timeout: Optional[float] = None) -> Message:
+    def receive_frame(self, timeout: Optional[float] = None):
+        """The next message body, undecoded: bytes-like, valid until the next receive."""
         raise NotImplementedError
+
+    def receive(self, timeout: Optional[float] = None) -> Message:
+        return decode_message(self.receive_frame(timeout))
 
     def close(self) -> None:  # pragma: no cover - default no-op
         pass
@@ -62,10 +68,10 @@ class QueueTransport(Transport):
         self.bytes_sent += len(data)
         self._outgoing.put(data)
 
-    def receive(self, timeout: Optional[float] = None) -> Message:
+    def receive_frame(self, timeout: Optional[float] = None) -> bytes:
         data = self._incoming.get(timeout=timeout)
         self.bytes_received += len(data)
-        return decode_message(data)
+        return data
 
 
 def make_queue_pair() -> Tuple[QueueTransport, QueueTransport]:
@@ -133,7 +139,7 @@ class SocketTransport(Transport):
                 raise ConnectionError("PPX socket closed by peer")
             self._end += received
 
-    def receive(self, timeout: Optional[float] = None) -> Message:
+    def receive_frame(self, timeout: Optional[float] = None) -> memoryview:
         action = faults.perform("transport.receive")
         if action is not None and action.kind == "disconnect":
             self.close()
@@ -154,7 +160,7 @@ class SocketTransport(Transport):
         if self._start == self._end:
             self._start = self._end = 0
         self.bytes_received += frame_size
-        return decode_message(memoryview(self._buffer)[body_start : body_start + size])
+        return memoryview(self._buffer)[body_start : body_start + size]
 
     def close(self) -> None:
         try:

@@ -191,10 +191,6 @@ class FaultPlan:
         return None
 
     # -- observability -----------------------------------------------------
-    def fired(self) -> List[Tuple[str, str, int]]:
-        with self._lock:
-            return list(self._fired)
-
     def fired_counts(self) -> Dict[str, int]:
         """``{"site/kind": count}`` for everything this plan has injected."""
         counts: Dict[str, int] = {}

@@ -325,6 +325,7 @@ class TestRemovedOptions:
             "repro.ppx:extract_address",
             "repro.ppx.addresses:extract_address",
             "repro.testing.faults:FaultPlan.site_calls",
+            "repro.testing.faults:FaultPlan.fired",
             "repro.ppl.nn:ProposalSession",
             "repro.ppl.nn.inference_network:ProposalSession",
             "repro.ppl.nn.inference_network:InferenceNetwork.inference_session",
