@@ -24,6 +24,10 @@ against the yardstick it is 3.6-4.8x.  (B=1 used to run a separate
 per-trace session on per-object proposals; the one-slot session that
 replaced it costs about the same per trace.)  The live ratio is printed and
 must stay above 1; it is not where the engine's regressions show.
+
+The equivalence half (the two posteriors agree, no fallback, no divergent
+round) runs each path once in the default run; the wall-clock gates are
+marked ``timing`` and run only under ``-m timing``.
 """
 
 import os
@@ -85,7 +89,9 @@ def lockstep_program():
     return px
 
 
-def test_batched_engine_speedup_and_equivalence():
+@pytest.fixture(scope="module")
+def run_guided():
+    """Guided IS on the lockstep model with an engine trained once: ``run_guided(batch_size)``."""
     model = FunctionModel(lockstep_program, name="lockstep")
     engine = InferenceCompilation(config=SPEEDUP_CONFIG, observe_key="detector", rng=RandomState(0))
     engine.train(model, num_traces=160, minibatch_size=16, learning_rate=3e-3)
@@ -103,23 +109,44 @@ def test_batched_engine_speedup_and_equivalence():
         )
         return time.perf_counter() - start, posterior
 
+    return run
+
+
+def test_batched_engine_equivalence(run_guided):
+    # Identical seeded posterior: same per-trace random streams, so the two
+    # engines agree to floating-point batching precision.
+    _, batched_posterior = run_guided(BATCH_SIZE)
+    _, sequential_posterior = run_guided(1)
+    for latent in ("px", "py", "pz"):
+        batched_mean = batched_posterior.extract(latent).mean
+        sequential_mean = sequential_posterior.extract(latent).mean
+        assert abs(batched_mean - sequential_mean) < 1e-6, latent
+    assert abs(batched_posterior.log_evidence - sequential_posterior.log_evidence) < 1e-6
+
+    stats = batched_posterior.engine_stats
+    assert stats["num_fallbacks"] == 0
+    assert stats["num_divergent_rounds"] == 0
+
+
+@pytest.mark.timing
+def test_batched_engine_speedup(run_guided):
     def run_sequential_yardstick():
         """The sequential engine on the kernels the 3x target was set against."""
         with pytest.MonkeyPatch.context() as patch:
             for kernel in ("conv3d", "linear", "lstm_cell"):
                 patch.setattr(F, kernel, getattr(reference_kernels, kernel))
-            return run(1)
+            return run_guided(1)
 
     # Warm all paths once (numpy/scipy dispatch caches), then best-of-N.
-    run(BATCH_SIZE)
-    run(1)
+    run_guided(BATCH_SIZE)
+    run_guided(1)
     run_sequential_yardstick()
     batched_times, sequential_times, yardstick_times = [], [], []
-    batched_posterior = sequential_posterior = None
+    batched_posterior = None
     for _ in range(ROUNDS):
-        elapsed, batched_posterior = run(BATCH_SIZE)
+        elapsed, batched_posterior = run_guided(BATCH_SIZE)
         batched_times.append(elapsed)
-        elapsed, sequential_posterior = run(1)
+        elapsed, _ = run_guided(1)
         sequential_times.append(elapsed)
         elapsed, _ = run_sequential_yardstick()
         yardstick_times.append(elapsed)
@@ -155,21 +182,11 @@ def test_batched_engine_speedup_and_equivalence():
         f"(required: >= {MIN_SPEEDUP}x); vs the live sequential engine: "
         f"{sequential_best / batched_best:.2f}x (required: > 1x)"
     )
-
-    # Identical seeded posterior: same per-trace random streams, so the two
-    # engines agree to floating-point batching precision.
-    for latent in ("px", "py", "pz"):
-        batched_mean = batched_posterior.extract(latent).mean
-        sequential_mean = sequential_posterior.extract(latent).mean
-        assert abs(batched_mean - sequential_mean) < 1e-6, latent
-    assert abs(batched_posterior.log_evidence - sequential_posterior.log_evidence) < 1e-6
-
-    assert stats["num_fallbacks"] == 0
-    assert stats["num_divergent_rounds"] == 0
     assert speedup >= MIN_SPEEDUP
     assert batched_best < sequential_best
 
 
+@pytest.mark.timing
 def test_batched_proposal_emission_beats_per_object_emission():
     """The churn the batched-distribution subsystem removes, in isolation.
 

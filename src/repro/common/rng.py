@@ -58,11 +58,6 @@ class RandomState:
         return state
 
     @property
-    def seed(self) -> Union[None, int, StreamKey]:
-        """The seed identity: the last int seed, or the key of a keyed stream."""
-        return self._seed
-
-    @property
     def generator(self) -> np.random.Generator:
         """The underlying numpy generator."""
         return self._gen
@@ -107,20 +102,11 @@ class RandomState:
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
 
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)
 
-    def choice(self, a, size=None, replace=True, p=None):
-        return self._gen.choice(a, size=size, replace=replace, p=p)
-
     def permutation(self, x):
         return self._gen.permutation(x)
-
-    def random(self, size=None):
-        return self._gen.random(size)
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)

@@ -94,10 +94,6 @@ class PackedStep:
     geometry: Optional[PriorGeometry] = None     #: (B,) prior geometry (continuous)
     indices: Optional[np.ndarray] = None         #: (B,) int64 categories (categorical)
 
-    @property
-    def batch_size(self) -> int:
-        return len(self.priors)
-
 
 def concat_steps(steps: Sequence[PackedStep]) -> PackedStep:
     """The rows of several packed steps at one address, as one step.

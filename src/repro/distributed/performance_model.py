@@ -87,6 +87,19 @@ PAPER_TABLE2 = {
 #: two-socket scaling efficiency within a node (memory-bandwidth effects)
 TWO_SOCKET_EFFICIENCY = 0.88
 
+#: gradient elements one allreduce moves: the paper's 171,732,688-parameter network
+GRADIENT_ELEMENTS = 171_732_688
+#: batch reading's share of a rank's compute time in the weak-scaling model
+IO_FRACTION = 0.05
+#: the single-socket compute time split by phase: the measured single-socket
+#: BDW breakdown of Figure 4
+PHASE_FRACTIONS = {
+    "batch_read": 0.13,
+    "forward": 0.28,
+    "backward": 0.47,
+    "optimizer": 0.12,
+}
+
 
 @dataclass(frozen=True)
 class Interconnect:
@@ -122,7 +135,6 @@ class SingleNodeModel:
         self,
         reference_platform: str = "HSW",
         measured_traces_per_s: Optional[float] = None,
-        flops_per_trace: Optional[float] = None,
     ) -> None:
         if reference_platform not in PLATFORMS:
             raise KeyError(f"unknown platform {reference_platform!r}")
@@ -135,11 +147,7 @@ class SingleNodeModel:
         )
         reference = PLATFORMS[reference_platform]
         # Work per trace implied by the calibration point (flop / trace).
-        self.flops_per_trace = (
-            flops_per_trace
-            if flops_per_trace is not None
-            else reference.achievable_gflops * 1e9 / self.measured_traces_per_s
-        )
+        self.flops_per_trace = reference.achievable_gflops * 1e9 / self.measured_traces_per_s
 
     def throughput(self, platform_code: str, sockets: int = 1) -> float:
         """Predicted traces/s on ``sockets`` sockets of a platform."""
@@ -207,8 +215,6 @@ class ClusterPerformanceModel:
         trace_length_distribution: Optional[Sequence[int]] = None,
         local_minibatch_size: int = 64,
         ranks_per_node: int = 2,
-        gradient_elements: float = 171_732_688,
-        io_fraction: float = 0.05,
         rng: Optional[RandomState] = None,
     ) -> None:
         self.cluster = cluster
@@ -219,8 +225,6 @@ class ClusterPerformanceModel:
         )
         self.local_minibatch_size = local_minibatch_size
         self.ranks_per_node = ranks_per_node
-        self.gradient_elements = float(gradient_elements)
-        self.io_fraction = io_fraction
         self.rng = rng or get_rng()
         if trace_length_distribution is None:
             # Default: a heavy-tailed mixture of short and long traces similar
@@ -255,7 +259,7 @@ class ClusterPerformanceModel:
         if num_ranks <= 1:
             return 0.0
         interconnect = self.cluster.interconnect
-        bytes_moved = self.gradient_elements * 4 * 2 * (num_ranks - 1) / num_ranks
+        bytes_moved = GRADIENT_ELEMENTS * 4 * 2 * (num_ranks - 1) / num_ranks
         return float(
             bytes_moved / interconnect.bandwidth_bytes_per_s
             + np.log2(num_ranks) * interconnect.latency_s * 200.0
@@ -274,7 +278,7 @@ class ClusterPerformanceModel:
             for _ in range(iterations):
                 lengths = self._sample_rank_lengths(ranks)
                 compute_times = np.array([self._rank_compute_time(l) for l in lengths])
-                io_time = compute_times.mean() * self.io_fraction
+                io_time = compute_times.mean() * IO_FRACTION
                 sync = self._allreduce_time(ranks)
                 iteration_time = compute_times.max() + io_time + sync
                 traces_done = ranks * self.local_minibatch_size
@@ -298,21 +302,14 @@ class ClusterPerformanceModel:
     def phase_breakdown(
         self,
         socket_counts: Sequence[int] = (1, 2, 64),
-        phase_fractions: Optional[Dict[str, float]] = None,
         iterations: int = 50,
     ) -> List[PhaseBreakdown]:
         """Figure 4: actual vs best (no-imbalance) time per trace, split by phase.
 
-        ``phase_fractions`` splits the single-socket compute time into the
-        forward/backward/optimizer/batch_read phases; the defaults follow the
-        measured single-socket BDW breakdown in Figure 4.
+        :data:`PHASE_FRACTIONS` splits the single-socket compute time into the
+        forward/backward/optimizer/batch_read phases.
         """
-        fractions = phase_fractions or {
-            "batch_read": 0.13,
-            "forward": 0.28,
-            "backward": 0.47,
-            "optimizer": 0.12,
-        }
+        fractions = PHASE_FRACTIONS
         per_trace_s = 1.0 / self.socket_traces_per_s()
         results: List[PhaseBreakdown] = []
         generator = self.rng.generator

@@ -5,7 +5,7 @@ distributions so that the simulator side and the PPL side agree on priors and
 likelihoods (Section 4.1).  Every distribution here therefore supports:
 
 * ``sample(rng, size)`` and ``log_prob(value)`` with numpy semantics,
-* ``to_dict()`` / ``Distribution.from_dict()`` for the PPX wire format,
+* ``to_dict()`` / :func:`distribution_from_dict` for the PPX wire format,
 * simple moments (``mean``, ``variance``) used by posterior summaries.
 
 Differentiable *proposal* distributions (whose parameters are autograd
@@ -105,9 +105,6 @@ class Distribution:
         """Elementwise log density / log mass at ``value``."""
         raise NotImplementedError
 
-    def prob(self, value) -> np.ndarray:
-        return np.exp(self.log_prob(value))
-
     @property
     def mean(self):
         raise NotImplementedError
@@ -115,10 +112,6 @@ class Distribution:
     @property
     def variance(self):
         raise NotImplementedError
-
-    @property
-    def stddev(self):
-        return np.sqrt(self.variance)
 
     # ------------------------------------------------------------ PPX format
     def to_dict(self) -> Dict[str, Any]:

@@ -126,7 +126,7 @@ class InferenceCompilation:
                 minibatch = model.prior_traces(minibatch_size, rng=self.rng)
                 new_params = self.network.polymorph(minibatch)
                 if new_params:
-                    loop.optimizer.add_param_group([p for _, p in new_params], [n for n, _ in new_params])
+                    loop.optimizer.add_param_group([p for _, p in new_params])
                 return pack_minibatch(minibatch, observe_key)
 
         else:
@@ -182,7 +182,6 @@ class InferenceCompilation:
         self.network.save(path)
 
     @classmethod
-    def load(cls, path: str, config: Optional[Config] = None) -> "InferenceCompilation":
+    def load(cls, path: str) -> "InferenceCompilation":
         network = InferenceNetwork.load(path)
-        engine = cls(network=network, config=config or network.config)
-        return engine
+        return cls(network=network, config=network.config)

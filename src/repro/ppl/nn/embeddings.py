@@ -31,6 +31,12 @@ from repro.tensor.tensor import Tensor
 
 __all__ = ["ObservationEmbedding3DCNN", "ObservationEmbeddingFC", "AddressEmbedding", "SampleEmbedding"]
 
+#: every conv of the observation CNN is 3x3x3 at stride 1: padded by one voxel
+#: on each side, it keeps the grid's size
+KERNEL_SIZE = 3
+#: width of the fully-connected embedding's hidden layer
+FC_HIDDEN_DIM = 32
+
 
 class ObservationEmbedding3DCNN(Module):
     """3D-CNN feature extractor mapping a voxel grid to an embedding vector."""
@@ -40,7 +46,6 @@ class ObservationEmbedding3DCNN(Module):
         observation_shape: Tuple[int, int, int],
         embedding_dim: int = 32,
         channels: Sequence[int] = (8, 16),
-        kernel_size: int = 3,
         rng=None,
     ) -> None:
         super().__init__()
@@ -57,10 +62,9 @@ class ObservationEmbedding3DCNN(Module):
             # the ReLU: max commutes with a monotone map, so this is
             # conv -> ReLU -> pool exactly, with the ReLU on the pooled (8x
             # smaller) volume.
-            same = tuple(s + 3 - kernel_size for s in spatial)   # the conv's output at padding 1
-            pooled = all(s >= 2 for s in same)
-            padding = tuple((1, 1 - s % 2) for s in same) if pooled else 1
-            conv = Conv3d(in_channels, out_channels, kernel_size=kernel_size, padding=padding, rng=rng)
+            pooled = all(s >= 2 for s in spatial)
+            padding = tuple((1, 1 - s % 2) for s in spatial) if pooled else 1
+            conv = Conv3d(in_channels, out_channels, kernel_size=KERNEL_SIZE, padding=padding, rng=rng)
             layers.append(conv)
             spatial = conv.output_shape(spatial)
             if pooled:
@@ -77,11 +81,11 @@ class ObservationEmbedding3DCNN(Module):
         self._flat_dim = flat_dim
 
     @classmethod
-    def paper_architecture(cls, embedding_dim: int = 256, rng=None) -> "ObservationEmbedding3DCNN":
-        """The full-size architecture from Section 4.3 (20x35x35 voxels)."""
+    def paper_architecture(cls, rng=None) -> "ObservationEmbedding3DCNN":
+        """The full-size architecture from Section 4.3 (20x35x35 voxels, a 256-wide embedding)."""
         return cls(
             observation_shape=(20, 35, 35),
-            embedding_dim=embedding_dim,
+            embedding_dim=256,
             channels=(64, 64, 128, 128, 128),
             rng=rng,
         )
@@ -106,12 +110,15 @@ class ObservationEmbedding3DCNN(Module):
 class ObservationEmbeddingFC(Module):
     """A cheap fully-connected observation embedding (for tests and tiny models)."""
 
-    def __init__(self, input_dim: int, embedding_dim: int = 16, hidden_dim: int = 32, rng=None) -> None:
+    def __init__(self, input_dim: int, embedding_dim: int = 16, rng=None) -> None:
         super().__init__()
         self.input_dim = input_dim
         self.embedding_dim = embedding_dim
         self.network = Sequential(
-            Linear(input_dim, hidden_dim, rng=rng), ReLU(), Linear(hidden_dim, embedding_dim, rng=rng), ReLU()
+            Linear(input_dim, FC_HIDDEN_DIM, rng=rng),
+            ReLU(),
+            Linear(FC_HIDDEN_DIM, embedding_dim, rng=rng),
+            ReLU(),
         )
 
     def forward(self, observation: Tensor) -> Tensor:

@@ -50,6 +50,9 @@ __all__ = [
     "make_proposal_layer",
 ]
 
+#: width of every proposal layer's hidden layer
+HIDDEN_DIM = 32
+
 
 class ProposalLayer(Module):
     """Common interface of address-specific proposal layers."""
@@ -101,13 +104,13 @@ class ProposalNormalMixture(ProposalLayer):
     little between traces at the same address.
     """
 
-    def __init__(self, input_dim: int, num_components: int = 5, hidden_dim: int = 32, rng=None) -> None:
+    def __init__(self, input_dim: int, num_components: int = 5, rng=None) -> None:
         super().__init__()
         self.num_components = num_components
-        self.body = Sequential(Linear(input_dim, hidden_dim, rng=rng), ReLU())
-        self.head_means = Linear(hidden_dim, num_components, rng=rng)
-        self.head_scales = Linear(hidden_dim, num_components, rng=rng)
-        self.head_logits = Linear(hidden_dim, num_components, rng=rng)
+        self.body = Sequential(Linear(input_dim, HIDDEN_DIM, rng=rng), ReLU())
+        self.head_means = Linear(HIDDEN_DIM, num_components, rng=rng)
+        self.head_scales = Linear(HIDDEN_DIM, num_components, rng=rng)
+        self.head_logits = Linear(HIDDEN_DIM, num_components, rng=rng)
 
     # ------------------------------------------------------------- parameters
     def _raw_parameters(self, hidden: Tensor):
@@ -200,11 +203,11 @@ class ProposalNormalMixture(ProposalLayer):
 class ProposalCategorical(ProposalLayer):
     """Categorical proposal for discrete latents (e.g. the decay channel)."""
 
-    def __init__(self, input_dim: int, num_categories: int, hidden_dim: int = 32, rng=None) -> None:
+    def __init__(self, input_dim: int, num_categories: int, rng=None) -> None:
         super().__init__()
         self.num_categories = num_categories
         self.network = Sequential(
-            Linear(input_dim, hidden_dim, rng=rng), ReLU(), Linear(hidden_dim, num_categories, rng=rng)
+            Linear(input_dim, HIDDEN_DIM, rng=rng), ReLU(), Linear(HIDDEN_DIM, num_categories, rng=rng)
         )
 
     def log_prob(self, hidden: Tensor, values, priors: Sequence[Distribution]) -> Tensor:
@@ -238,14 +241,13 @@ def make_proposal_layer(
     prior: Distribution,
     input_dim: int,
     num_components: int = 5,
-    hidden_dim: int = 32,
     rng=None,
 ) -> ProposalLayer:
     """Factory choosing the proposal family appropriate for a prior."""
     if isinstance(prior, Categorical):
-        return ProposalCategorical(input_dim, prior.num_categories, hidden_dim=hidden_dim, rng=rng)
+        return ProposalCategorical(input_dim, prior.num_categories, rng=rng)
     if prior.discrete:
         raise NotImplementedError(
             f"no proposal layer family implemented for discrete prior {prior.name}"
         )
-    return ProposalNormalMixture(input_dim, num_components=num_components, hidden_dim=hidden_dim, rng=rng)
+    return ProposalNormalMixture(input_dim, num_components=num_components, rng=rng)

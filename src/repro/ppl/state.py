@@ -163,12 +163,11 @@ class ExecutionState:
         controller: Controller,
         rng: Optional[RandomState] = None,
         observed_values: Optional[Dict[str, Any]] = None,
-        address_builder: Optional[AddressBuilder] = None,
     ) -> None:
         self.controller = controller
         self.rng = rng or get_rng()
         self.observed_values = observed_values or {}
-        self.address_builder = address_builder or AddressBuilder()
+        self.address_builder = AddressBuilder()
         self.trace = Trace()
         self.log_q = 0.0           # total proposal log-density of latent draws
         self.log_prior = 0.0       # total prior log-density of latent draws

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = ["AddressBuilder"]
 
@@ -32,10 +32,14 @@ _SKIP = object()
 
 _MACHINERY = (f"{os.sep}repro{os.sep}ppl{os.sep}", f"{os.sep}repro{os.sep}ppx{os.sep}")
 
-#: stop marker -> {code object: _STOP, _SKIP or the frame's ``file:function``
-#: base}.  A pure function of its keys, so one table serves every builder and
-#: thread of the process; a lost race only classifies a code object twice.
-_ROLES: Dict[str, Dict[Any, Any]] = {}
+#: the local variable (or function name) that marks a model's entry point,
+#: where the walk stops
+STOP_MARKER = "__ppl_model_entry__"
+
+#: {code object: _STOP, _SKIP or the frame's ``file:function`` base}.  A pure
+#: function of its keys, so one table serves every builder and thread of the
+#: process; a lost race only classifies a code object twice.
+_ROLES: Dict[Any, Any] = {}
 
 
 def _symbolise(code) -> str:
@@ -55,11 +59,9 @@ def _is_machinery(code) -> bool:
 class AddressBuilder:
     """Builds unique address strings from the current call stack."""
 
-    def __init__(self, use_cache: bool = True, max_depth: int = 16, stop_marker: str = "__ppl_model_entry__") -> None:
+    def __init__(self, use_cache: bool = True, max_depth: int = 16) -> None:
         self.use_cache = use_cache
         self.max_depth = max_depth
-        self.stop_marker = stop_marker
-        self._roles = _ROLES.setdefault(stop_marker, {})
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -72,22 +74,21 @@ class AddressBuilder:
         frame's locals hold exactly those once the marker is assigned.
         """
         self.cache_misses += 1
-        marker = self.stop_marker
         names = (code.co_varnames, code.co_cellvars, code.co_freevars)
-        if code.co_name == marker or any(marker in group for group in names):
+        if code.co_name == STOP_MARKER or any(STOP_MARKER in group for group in names):
             role = _STOP
         elif _is_machinery(code):
             role = _SKIP
         else:
             role = _symbolise(code)
-        self._roles[code] = role
+        _ROLES[code] = role
         return role
 
     def _reference_role(self, frame):
         """The uncached walk: every frame re-derived, the marker looked up in
         the frame's live locals."""
         code = frame.f_code
-        if self.stop_marker in frame.f_locals or code.co_name == self.stop_marker:
+        if STOP_MARKER in frame.f_locals or code.co_name == STOP_MARKER:
             return _STOP
         if _is_machinery(code):
             return _SKIP
@@ -95,17 +96,15 @@ class AddressBuilder:
         return _symbolise(code)
 
     # ------------------------------------------------------------------ public
-    def build(self, skip_frames: int = 2, explicit: Optional[str] = None) -> str:
+    def build(self, skip_frames: int = 2) -> str:
         """Build the address for the current sample/observe call site.
 
-        ``explicit`` short-circuits stack inspection when the caller provides
-        an address (as PPX clients in other languages do), while ``skip_frames``
-        drops the PPL-internal frames between the user call and this builder.
+        ``skip_frames`` drops the PPL-internal frames between the user call
+        and this builder.  A caller that has an address (a PPX message carries
+        the simulator's) does not build one.
         """
-        if explicit is not None:
-            return explicit
         frame = sys._getframe(skip_frames)
-        roles = self._roles if self.use_cache else None
+        roles = _ROLES if self.use_cache else None
         segments = []
         hits = 0
         while frame is not None and len(segments) < self.max_depth:
@@ -128,7 +127,7 @@ class AddressBuilder:
         return "|".join(reversed(segments))
 
     def clear_cache(self) -> None:
-        self._roles.clear()
+        _ROLES.clear()
         self.cache_hits = 0
         self.cache_misses = 0
 

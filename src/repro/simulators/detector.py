@@ -37,11 +37,6 @@ class DetectorConfig:
     shower_depth_scale: float = 0.35               # fraction of depth per unit log-energy
     transverse_spread: float = 0.9                 # Gaussian blob width in voxel units
 
-    @classmethod
-    def paper_size(cls) -> "DetectorConfig":
-        """The paper's 20x35x35 voxel configuration."""
-        return cls(shape=(20, 35, 35))
-
 
 @dataclass
 class Deposit:

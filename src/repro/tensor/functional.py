@@ -38,7 +38,7 @@ split into blocks of useful width hands its (large) products to BLAS whole.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -78,21 +78,18 @@ def softplus(x: Tensor) -> Tensor:
     return out
 
 
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp along ``axis``."""
+def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable log-sum-exp along ``axis`` (which is reduced away)."""
     max_val = np.max(x.data, axis=axis, keepdims=True)
     max_val = np.where(np.isfinite(max_val), max_val, 0.0)
     shifted = x.data - max_val
     sum_exp = np.sum(np.exp(shifted), axis=axis, keepdims=True)
-    value = np.log(sum_exp) + max_val
-    if not keepdims:
-        value = np.squeeze(value, axis=axis)
+    value = np.squeeze(np.log(sum_exp) + max_val, axis=axis)
     out = _make(value, (x,))
     if out.requires_grad:
         softmax_val = np.exp(shifted) / sum_exp
         def _bw(grad):
-            g = grad if keepdims else np.expand_dims(grad, axis=axis)
-            _accumulate(x, g * softmax_val, True)
+            _accumulate(x, np.expand_dims(grad, axis=axis) * softmax_val, True)
         out._backward = _bw
     return out
 
@@ -126,16 +123,14 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``x @ weight.T + bias`` with PyTorch weight layout ``(out, in)``.
 
     One autograd node; ``x`` is ``(..., in)`` (a 1-D ``x`` is a single row).
     """
     value = np.matmul(x.data, weight.data.T)
-    if bias is not None:
-        value += bias.data
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _make(value, parents)
+    value += bias.data
+    out = _make(value, (x, weight, bias))
     if out.requires_grad:
         def _bw(grad):
             if x.requires_grad:
@@ -144,7 +139,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             if weight.requires_grad:
                 x_rows = x.data.reshape(-1, weight.data.shape[1])
                 _accumulate(weight, np.matmul(grad_rows.T, x_rows), True)
-            if bias is not None and bias.requires_grad:
+            if bias.requires_grad:
                 _accumulate(bias, grad_rows.sum(axis=0), True)
         out._backward = _bw
     return out
@@ -586,14 +581,8 @@ def _matmul_t_rows(a: np.ndarray, b: np.ndarray, blocks: List[slice]) -> np.ndar
     return out
 
 
-def conv3d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    stride: Union[int, Tuple[int, int, int]] = 1,
-    padding: Padding = 0,
-) -> Tensor:
-    """3D convolution over a ``(N, C_in, D, H, W)`` input.
+def conv3d(x: Tensor, weight: Tensor, bias: Tensor, padding: Padding = 0) -> Tensor:
+    """3D convolution over a ``(N, C_in, D, H, W)`` input, stride 1.
 
     ``weight`` has shape ``(C_out, C_in, kD, kH, kW)`` and ``bias`` shape
     ``(C_out,)``.  Lowered to GEMM: the sliding windows of the padded input
@@ -611,23 +600,21 @@ def conv3d(
     :func:`conv_padding`): a conv feeding a floor-mode pool pads one voxel
     less after an odd dimension, so it computes only the voxels the pool reads.
     """
-    stride = _triple(stride)
     (pd, pd_after), (ph, ph_after), (pw, pw_after) = conv_padding(padding)
     n, c_in, d, h, w = x.shape
     c_out, c_in_w, kd, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"input channels {c_in} do not match weight channels {c_in_w}")
 
-    sd, sh, sw = stride
     padded_shape = (n, c_in, d + pd + pd_after, h + ph + ph_after, w + pw + pw_after)
     interior = (slice(None), slice(None), slice(pd, pd + d), slice(ph, ph + h), slice(pw, pw + w))
     x_pad = x.data
     if padded_shape != x.shape:
         x_pad = np.zeros(padded_shape)
         x_pad[interior] = x.data
-    d_out = (padded_shape[2] - kd) // sd + 1
-    h_out = (padded_shape[3] - kh) // sh + 1
-    w_out = (padded_shape[4] - kw) // sw + 1
+    d_out = padded_shape[2] - kd + 1
+    h_out = padded_shape[3] - kh + 1
+    w_out = padded_shape[4] - kw + 1
     if d_out <= 0 or h_out <= 0 or w_out <= 0:
         raise ValueError(
             f"conv3d output would be empty for input {(d, h, w)} with kernel {(kd, kh, kw)}"
@@ -636,7 +623,7 @@ def conv3d(
     k_size = c_in * kd * kh * kw
     length = d_out * h_out * w_out
     # (N, C, D_out, H_out, W_out, kD, kH, kW) window view -> (N, K, L) copy
-    windows = sliding_window_view(x_pad, (kd, kh, kw), axis=(2, 3, 4))[:, :, ::sd, ::sh, ::sw]
+    windows = sliding_window_view(x_pad, (kd, kh, kw), axis=(2, 3, 4))
     cols = np.empty((n, c_in, kd, kh, kw, d_out, h_out, w_out))
     cols[...] = windows.transpose(0, 1, 5, 6, 7, 2, 3, 4)
     cols = cols.reshape(n, k_size, length)
@@ -647,15 +634,13 @@ def conv3d(
     for sample in range(n):
         for columns in blocks:
             np.matmul(weight_matrix, cols[sample, :, columns], out=out_data[sample, :, columns])
-    if bias is not None:
-        out_data += bias.data.reshape(1, c_out, 1)
+    out_data += bias.data.reshape(1, c_out, 1)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _make(out_data.reshape(n, c_out, d_out, h_out, w_out), parents)
+    out = _make(out_data.reshape(n, c_out, d_out, h_out, w_out), (x, weight, bias))
     if out.requires_grad:
         def _bw(grad):
             grad = grad.reshape(n, c_out, length)
-            if bias is not None and bias.requires_grad:
+            if bias.requires_grad:
                 _accumulate(bias, grad.sum(axis=(0, 2)), True)
             if weight.requires_grad:
                 grad_w = np.zeros((c_out, k_size))
@@ -674,8 +659,8 @@ def conv3d(
                 ]
                 _, _, d_pad, h_pad, w_pad = padded_shape
                 target = (
-                    ((channel * d_pad + out_d * sd + i) * h_pad + out_h * sh + j) * w_pad
-                    + out_w * sw
+                    ((channel * d_pad + out_d + i) * h_pad + out_h + j) * w_pad
+                    + out_w
                     + k
                 ).ravel()
                 volume = c_in * d_pad * h_pad * w_pad
@@ -694,15 +679,11 @@ def conv3d(
     return out
 
 
-def max_pool3d(
-    x: Tensor,
-    kernel_size: Union[int, Tuple[int, int, int]] = 2,
-    stride: Optional[Union[int, Tuple[int, int, int]]] = None,
-) -> Tensor:
+def max_pool3d(x: Tensor, kernel_size: Union[int, Tuple[int, int, int]] = 2) -> Tensor:
     """3D max pooling over a ``(N, C, D, H, W)`` input.
 
-    ``stride`` defaults to ``kernel_size`` (non-overlapping windows), matching
-    the ``MaxPool3D(2)`` layers in the paper's observation embedding.  Every
+    The stride is the kernel (non-overlapping windows), as in the
+    ``MaxPool3D(2)`` layers of the paper's observation embedding.  Every
     window offset ``(i, j, k)`` picks one strided view of the input — that
     offset's element of every window — and the forward pass is a running
     ``np.maximum`` over the ``kD*kH*kW`` views, so no window is copied out.
@@ -710,14 +691,9 @@ def max_pool3d(
     the offsets in raster order, an output's gradient goes to the first offset
     whose element equals the maximum (ties go to the first offset).
     """
-    kernel = _triple(kernel_size)
-    stride_t = _triple(stride) if stride is not None else kernel
-    kd, kh, kw = kernel
-    sd, sh, sw = stride_t
+    kd, kh, kw = _triple(kernel_size)
     n, c, d, h, w = x.shape
-    d_out = (d - kd) // sd + 1
-    h_out = (h - kh) // sh + 1
-    w_out = (w - kw) // sw + 1
+    d_out, h_out, w_out = d // kd, h // kh, w // kw
     if d_out <= 0 or h_out <= 0 or w_out <= 0:
         raise ValueError(f"max_pool3d output would be empty for input {(d, h, w)}")
 
@@ -725,9 +701,9 @@ def max_pool3d(
         (
             slice(None),
             slice(None),
-            slice(i, i + sd * d_out, sd),
-            slice(j, j + sh * h_out, sh),
-            slice(k, k + sw * w_out, sw),
+            slice(i, i + kd * d_out, kd),
+            slice(j, j + kh * h_out, kh),
+            slice(k, k + kw * w_out, kw),
         )
         for i in range(kd)
         for j in range(kh)

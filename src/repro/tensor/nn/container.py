@@ -10,7 +10,7 @@ address is encountered (Section 4.3) or pre-generated from an offline dataset
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from repro.tensor.nn.module import Module
 
@@ -62,12 +62,9 @@ class ModuleDict(Module):
     by :meth:`Module.named_parameters`.
     """
 
-    def __init__(self, modules: Optional[Dict[str, Module]] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._key_map: "OrderedDict[str, str]" = OrderedDict()
-        if modules:
-            for key, module in modules.items():
-                self[key] = module
 
     @staticmethod
     def _sanitize(key: str) -> str:

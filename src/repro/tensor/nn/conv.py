@@ -12,7 +12,7 @@ These modules provide the building blocks; the full stack is assembled in
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from repro.tensor import functional as F
 from repro.tensor.nn import init
@@ -23,7 +23,7 @@ __all__ = ["Conv3d", "MaxPool3d"]
 
 
 class Conv3d(Module):
-    """3D convolution layer over ``(N, C_in, D, H, W)`` inputs.
+    """3D convolution layer over ``(N, C_in, D, H, W)`` inputs, stride 1, with a bias.
 
     ``padding`` is one width for every side, one per dimension, or a
     ``(before, after)`` pair per dimension (:func:`F.conv_padding`).
@@ -34,9 +34,7 @@ class Conv3d(Module):
         in_channels: int,
         out_channels: int,
         kernel_size: Union[int, Tuple[int, int, int]] = 3,
-        stride: Union[int, Tuple[int, int, int]] = 1,
         padding: F.Padding = 0,
-        bias: bool = True,
         rng=None,
     ) -> None:
         super().__init__()
@@ -45,63 +43,45 @@ class Conv3d(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = tuple(kernel_size)
-        self.stride = stride
         self.padding = padding
         weight_shape = (out_channels, in_channels) + self.kernel_size
         self.weight = Parameter(init.kaiming_uniform(weight_shape, rng=rng))
-        if bias:
-            fan_in = in_channels * int(math.prod(self.kernel_size))
-            bound = 1.0 / math.sqrt(fan_in) if fan_in > 0 else 0.0
-            self.bias: Optional[Parameter] = Parameter(
-                init.uniform((out_channels,), -bound, bound, rng=rng)
-            )
-        else:
-            self.bias = None
+        fan_in = in_channels * int(math.prod(self.kernel_size))
+        bound = 1.0 / math.sqrt(fan_in) if fan_in > 0 else 0.0
+        self.bias = Parameter(init.uniform((out_channels,), -bound, bound, rng=rng))
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv3d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return F.conv3d(x, self.weight, self.bias, padding=self.padding)
 
     def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
         """Spatial output shape for a given spatial input shape."""
-        def _t(v):
-            return (v, v, v) if isinstance(v, int) else tuple(v)
-
-        stride = _t(self.stride)
         padding = F.conv_padding(self.padding)
         return tuple(
-            (input_shape[i] + sum(padding[i]) - self.kernel_size[i]) // stride[i] + 1
-            for i in range(3)
+            input_shape[i] + sum(padding[i]) - self.kernel_size[i] + 1 for i in range(3)
         )
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"Conv3d({self.in_channels}, {self.out_channels}, "
-            f"kernel={self.kernel_size}, stride={self.stride}, padding={self.padding})"
+            f"kernel={self.kernel_size}, padding={self.padding})"
         )
 
 
 class MaxPool3d(Module):
-    """3D max-pooling layer over ``(N, C, D, H, W)`` inputs."""
+    """3D max-pooling layer over ``(N, C, D, H, W)`` inputs, in non-overlapping windows."""
 
-    def __init__(
-        self,
-        kernel_size: Union[int, Tuple[int, int, int]] = 2,
-        stride: Optional[Union[int, Tuple[int, int, int]]] = None,
-    ) -> None:
+    def __init__(self, kernel_size: Union[int, Tuple[int, int, int]] = 2) -> None:
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool3d(x, kernel_size=self.kernel_size, stride=self.stride)
+        return F.max_pool3d(x, kernel_size=self.kernel_size)
 
     def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        def _t(v):
-            return (v, v, v) if isinstance(v, int) else tuple(v)
-
-        kernel = _t(self.kernel_size)
-        stride = _t(self.stride)
-        return tuple((input_shape[i] - kernel[i]) // stride[i] + 1 for i in range(3))
+        kernel = self.kernel_size
+        if isinstance(kernel, int):
+            kernel = (kernel, kernel, kernel)
+        return tuple(input_shape[i] // kernel[i] for i in range(3))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"MaxPool3d(kernel={self.kernel_size}, stride={self.stride})"
+        return f"MaxPool3d(kernel={self.kernel_size})"

@@ -10,7 +10,7 @@ address-specific embedding and proposal layers at runtime).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -22,8 +22,8 @@ __all__ = ["Parameter", "Module"]
 class Parameter(Tensor):
     """A trainable tensor (always ``requires_grad=True`` when created)."""
 
-    def __init__(self, data, name: Optional[str] = None) -> None:
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data) -> None:
+        super().__init__(data, requires_grad=True)
 
 
 class Module:

@@ -9,8 +9,14 @@ from repro.tensor.optim.optimizer import FlatImage, Optimizer
 __all__ = ["Adam"]
 
 
+#: the moments' decay rates and the denominator's floor (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam(Optimizer):
-    """Adam with bias correction and optional decoupled weight decay.
+    """Adam with bias correction.
 
     A step runs once over the flat image of the parameters that have a
     gradient: the moments of every registered parameter live in two flat
@@ -18,20 +24,8 @@ class Adam(Optimizer):
     without a gradient is skipped — its moments and ``t`` stay as they are.
     """
 
-    def __init__(
-        self,
-        params,
-        lr: float = 1e-3,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, params, lr: float = 1e-3) -> None:
         super().__init__(params, lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must be in [0, 1)")
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         #: per registered parameter: element count and step count
         self._sizes = np.zeros(0, dtype=np.int64)
         self._t = np.zeros(0, dtype=np.int64)
@@ -53,17 +47,15 @@ class Adam(Optimizer):
         """The bias-corrected Adam direction over ``image``, advancing the moments."""
         self._grow()
         grad = image.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * image.data
         mask = np.repeat(image.present, self._sizes)
-        m = self.beta1 * self._m[mask] + (1.0 - self.beta1) * grad
-        v = self.beta2 * self._v[mask] + (1.0 - self.beta2) * (grad * grad)
+        m = BETA1 * self._m[mask] + (1.0 - BETA1) * grad
+        v = BETA2 * self._v[mask] + (1.0 - BETA2) * (grad * grad)
         self._m[mask], self._v[mask] = m, v
         self._t[image.present] += 1
         steps = self._t[image.present].tolist()
-        m_hat = m / np.repeat([1.0 - self.beta1**t for t in steps], image.sizes)
-        v_hat = v / np.repeat([1.0 - self.beta2**t for t in steps], image.sizes)
-        return m_hat / (np.sqrt(v_hat) + self.eps)
+        m_hat = m / np.repeat([1.0 - BETA1**t for t in steps], image.sizes)
+        v_hat = v / np.repeat([1.0 - BETA2**t for t in steps], image.sizes)
+        return m_hat / (np.sqrt(v_hat) + EPS)
 
     def step(self) -> None:
         image = self.flat_image()

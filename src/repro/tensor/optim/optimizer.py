@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,31 +36,22 @@ class Optimizer:
     """Base class for gradient-based optimizers.
 
     Parameters can be supplied either as a flat list (like
-    ``optim.Adam(model.parameters())``) or as ``named_parameters()`` pairs -
-    the latter is what the distributed trainer uses so that optimizer state
-    can be matched to the per-name gradient allreduce.
+    ``optim.Adam(model.parameters())``) or as ``named_parameters()`` pairs,
+    whose names are dropped.
     """
 
     def __init__(self, params: Union[Iterable[Parameter], Iterable], lr: float) -> None:
         params = list(params)
         if params and isinstance(params[0], tuple):
-            self._names: List[str] = [name for name, _ in params]
-            self.params: List[Parameter] = [p for _, p in params]
-        else:
-            self.params = list(params)
-            self._names = [f"param_{i}" for i in range(len(self.params))]
+            params = [p for _, p in params]
+        self.params: List[Parameter] = params
         if lr < 0:
             raise ValueError("learning rate must be non-negative")
         self.lr = float(lr)
-        self.state: Dict[int, Dict[str, np.ndarray]] = {}
 
-    def add_param_group(self, params: Sequence[Parameter], names: Sequence[str] = None) -> None:
+    def add_param_group(self, params: Sequence[Parameter]) -> None:
         """Register newly created parameters (dynamic layer growth in online mode)."""
-        params = list(params)
-        if names is None:
-            names = [f"param_{len(self.params) + i}" for i in range(len(params))]
         self.params.extend(params)
-        self._names.extend(names)
 
     def zero_grad(self) -> None:
         for param in self.params:

@@ -76,14 +76,14 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
+def _as_array(data: ArrayLike) -> np.ndarray:
     if isinstance(data, Tensor):
         data = data.data
-    arr = np.asarray(data, dtype=dtype if dtype is not None else None)
-    if arr.dtype.kind in "iub" and dtype is None:
+    arr = np.asarray(data)
+    if arr.dtype.kind in "iub":
         # Keep integer tensors as-is (used for categorical indices); floats default to float64.
         return arr
-    if dtype is None and arr.dtype != np.float64 and arr.dtype.kind == "f":
+    if arr.dtype != np.float64 and arr.dtype.kind == "f":
         arr = arr.astype(np.float64)
     return arr
 
@@ -91,22 +91,15 @@ def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
 class Tensor:
     """A numpy-backed tensor participating in a dynamic autograd graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
     __array_priority__ = 100.0  # ensure ndarray + Tensor dispatches to Tensor.__radd__
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        dtype=None,
-        name: Optional[str] = None,
-    ) -> None:
-        self.data: np.ndarray = _as_array(data, dtype=dtype)
+    def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
+        self.data: np.ndarray = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad) and _grad_enabled()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
-        self.name = name
 
     # ------------------------------------------------------------------ basics
     @property
@@ -121,19 +114,12 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
     def detach(self) -> "Tensor":
         """Return a tensor sharing data but detached from the graph."""
         return Tensor(self.data, requires_grad=False)
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
@@ -416,10 +402,10 @@ class Tensor:
 
     # -------------------------------------------------------------- factories
     @staticmethod
-    def zeros(*shape, requires_grad: bool = False) -> "Tensor":
+    def zeros(*shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
+        return Tensor(np.zeros(shape))
 
 
 _BASIC_INDEX_TYPES = (int, np.integer, slice, type(Ellipsis), type(None))
@@ -449,7 +435,6 @@ def _make(data: np.ndarray, parents: Tuple[Tensor, ...]) -> Tensor:
     out.data = data if type(data) is np.ndarray else np.asarray(data)
     out.grad = None
     out._backward = None
-    out.name = None
     out.requires_grad = False
     out._parents = ()
     if _grad_mode.enabled:

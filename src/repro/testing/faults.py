@@ -209,75 +209,55 @@ class FaultPlan:
 
     # -- randomized chaos plans -------------------------------------------
     @staticmethod
-    def randomized(
-        seed: int,
-        *,
-        crash: bool = True,
-        stragglers: bool = True,
-        transport: bool = False,
-        rejects: bool = True,
-    ) -> "FaultPlan":
+    def randomized(seed: int) -> "FaultPlan":
         """A mixed chaos plan derived deterministically from ``seed``.
 
         Used by the soak test: each seed picks a different combination of
-        worker crashes, straggler delays, admission-reject bursts and (when
-        the workload has sockets) transport drops.  The expansion uses
-        sha256, not ``random``, so the plan is a pure function of the seed.
+        worker crashes, straggler delays and admission-reject bursts.  The
+        expansion uses sha256, not ``random``, so the plan is a pure function
+        of the seed.
         """
 
         def word(tag: str) -> int:
             digest = hashlib.sha256(f"{seed}:{tag}".encode()).digest()
             return int.from_bytes(digest[:8], "big")
 
-        rules: List[FaultRule] = []
-        if crash:
-            # One crash somewhere in the first few dispatches, plus a small
-            # chance of a second one later.
+        # One crash somewhere in the first few dispatches, plus a small
+        # chance of a second one later.
+        rules: List[FaultRule] = [
+            FaultRule(
+                site="procpool.dispatch",
+                kind="crash",
+                at=word("crash-at") % 6,
+                limit=1,
+            )
+        ]
+        if word("crash-second") % 4 == 0:
             rules.append(
                 FaultRule(
                     site="procpool.dispatch",
                     kind="crash",
-                    at=word("crash-at") % 6,
+                    probability=0.05,
                     limit=1,
                 )
             )
-            if word("crash-second") % 4 == 0:
-                rules.append(
-                    FaultRule(
-                        site="procpool.dispatch",
-                        kind="crash",
-                        probability=0.05,
-                        limit=1,
-                    )
-                )
-        if stragglers:
-            rules.append(
-                FaultRule(
-                    site="workers.cohort",
-                    kind="delay",
-                    probability=0.15 + (word("straggle-p") % 20) / 100.0,
-                    delay=0.005 + (word("straggle-d") % 30) / 1000.0,
-                    limit=8,
-                )
+        rules.append(
+            FaultRule(
+                site="workers.cohort",
+                kind="delay",
+                probability=0.15 + (word("straggle-p") % 20) / 100.0,
+                delay=0.005 + (word("straggle-d") % 30) / 1000.0,
+                limit=8,
             )
-        if transport:
-            rules.append(
-                FaultRule(
-                    site="transport.send",
-                    kind="disconnect",
-                    at=word("drop-at") % 10,
-                    limit=1,
-                )
+        )
+        rules.append(
+            FaultRule(
+                site="service.admit",
+                kind="reject",
+                probability=0.05 + (word("reject-p") % 10) / 100.0,
+                limit=4,
             )
-        if rejects:
-            rules.append(
-                FaultRule(
-                    site="service.admit",
-                    kind="reject",
-                    probability=0.05 + (word("reject-p") % 10) / 100.0,
-                    limit=4,
-                )
-            )
+        )
         return FaultPlan(rules, seed=seed)
 
 

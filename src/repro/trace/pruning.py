@@ -67,7 +67,6 @@ class AddressDictionary:
 def prune_trace(
     trace: Trace,
     address_dictionary: Optional[AddressDictionary] = None,
-    keep_observation: bool = True,
 ) -> Dict[str, Any]:
     """Shrink a trace to the minimal record needed for IC training.
 
@@ -97,10 +96,7 @@ def prune_trace(
     observation = trace.observation
     if isinstance(observation, np.ndarray):
         observation = observation.tolist()
-    pruned: Dict[str, Any] = {"samples": samples}
-    if keep_observation:
-        pruned["observation"] = observation
-    return pruned
+    return {"samples": samples, "observation": observation}
 
 
 def stored_sample(record: Dict[str, Any], address_dictionary: Optional[AddressDictionary] = None):

@@ -7,7 +7,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.distributions import Distribution, distribution_from_dict
+from repro.distributions import Distribution
 
 __all__ = ["Sample"]
 
@@ -71,21 +71,3 @@ class Sample:
         if include_distribution and self.distribution is not None:
             payload["distribution"] = self.distribution.to_dict()
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Sample":
-        dist = payload.get("distribution")
-        distribution = distribution_from_dict(dist) if dist is not None else None
-        value = payload["value"]
-        if isinstance(value, list):
-            value = np.asarray(value)
-        return cls(
-            address=payload["address"],
-            distribution=distribution,
-            value=value,
-            observed=bool(payload.get("observed", False)),
-            log_prob=float(payload.get("log_prob", 0.0)),
-            controlled=bool(payload.get("controlled", True)),
-            name=payload.get("name"),
-            instance=int(payload.get("instance", 0)),
-        )

@@ -127,27 +127,6 @@ class Trace:
             "observation": observation,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Trace":
-        trace = cls()
-        for sample_payload in payload.get("samples", []):
-            sample = Sample.from_dict(sample_payload)
-            sample.observed = False
-            trace.add_sample(sample)
-        for observe_payload in payload.get("observes", []):
-            sample = Sample.from_dict(observe_payload)
-            sample.observed = True
-            trace.add_sample(sample)
-        observation = payload.get("observation")
-        if isinstance(observation, list):
-            observation = np.asarray(observation)
-        result = payload.get("result")
-        if isinstance(result, list):
-            result = np.asarray(result)
-        trace.result = result
-        trace.observation = observation
-        return trace
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Trace(length={self.length}, observes={len(self.observes)}, "

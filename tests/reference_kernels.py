@@ -228,7 +228,7 @@ def observation_embedding_uncropped(embedding, observations: Tensor) -> Tensor:
     for module in embedding.network:
         if isinstance(module, Conv3d):
             leading = tuple(before for before, _ in F.conv_padding(module.padding))
-            x = F.conv3d(x, module.weight, module.bias, stride=module.stride, padding=leading)
+            x = F.conv3d(x, module.weight, module.bias, padding=leading)
         else:
             x = module(x)
     return x
@@ -394,6 +394,7 @@ class SGD(Optimizer):
         super().__init__(params, lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
+        self.state: Dict[int, dict] = {}
 
     def direction(self, image: FlatImage) -> np.ndarray:
         """The weight-decayed gradient (momentum is not applied under LARC)."""

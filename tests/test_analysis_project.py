@@ -5,13 +5,15 @@ ImportResolver corner cases (relative imports, ``import a.b as c`` chains,
 re-exports through ``__init__.py``, lexical shadowing), Project resolution
 (canonicalize, method dispatch through the class hierarchy), and the two
 engine-level contracts — every file is parsed exactly once, and a whole-repo
-run fits the CI time budget.
+run fits the CI time budget (a wall-clock gate, marked ``timing``).
 """
 
 import ast
 import textwrap
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.analysis.core import (
     FileContext,
@@ -247,6 +249,7 @@ class TestEngineContracts:
         parsed = [name for name in calls if str(name).endswith(".py")]
         assert len(parsed) == len(files), parsed
 
+    @pytest.mark.timing
     def test_whole_repo_run_fits_the_ci_budget(self):
         paths = [str(REPO_ROOT / name) for name in ("src", "tests", "benchmarks")]
         start = time.monotonic()

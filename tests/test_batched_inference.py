@@ -300,7 +300,7 @@ class TestFallbackAndPriorModes:
         keys_a = per_trace_keys(RandomState(11), 4)
         keys_b = per_trace_keys(RandomState(11), 4)
         assert keys_a == keys_b
-        draws = [RandomState.from_key(key).random() for key in keys_a]
+        draws = [RandomState.from_key(key).generator.random() for key in keys_a]
         assert len(set(draws)) == 4
 
     def test_per_trace_keys_adjacent_bases_do_not_collide(self):
@@ -317,7 +317,7 @@ class TestFallbackAndPriorModes:
             integers=lambda low, high=None, size=None: next(bases)
         )
         keys = per_trace_keys(master, 6) + per_trace_keys(master, 6)
-        draws = [tuple(RandomState.from_key(key).random(size=4)) for key in keys]
+        draws = [tuple(RandomState.from_key(key).generator.random(size=4)) for key in keys]
         assert len(set(draws)) == len(draws)
 
 

@@ -148,7 +148,7 @@ class TestProcessSoak:
     def test_soak_process_backend_with_worker_crashes(self, served_engine):
         model, engine = served_engine
         chaos_seed = CHAOS_SEEDS[0]
-        plan = FaultPlan.randomized(chaos_seed, transport=False)
+        plan = FaultPlan.randomized(chaos_seed)
         resilience = ServiceResilience(
             RetryPolicy(max_attempts=4, base_delay=0.02, jitter=0.0),
             CircuitBreaker(failure_threshold=100),

@@ -60,8 +60,6 @@ class TestNormal:
         assert dist.log_prob(x).shape == (4,)
         assert np.allclose(dist.log_prob(x), stats.norm(0, 2).logpdf(1.0))
 
-    def test_stddev(self):
-        assert Normal(0.0, 3.0).stddev == pytest.approx(3.0)
 
 
 class TestUniform:
@@ -546,6 +544,3 @@ class TestRegistry:
         assert mix_a != Mixture([Categorical([0.5, 0.5]), Categorical([0.2, 0.8])], [0.3, 0.7])
         assert mix_a != Mixture([Categorical([0.5, 0.5])], [1.0])
 
-    def test_prob_is_exp_log_prob(self):
-        dist = Normal(0.0, 1.0)
-        assert dist.prob(0.0) == pytest.approx(np.exp(dist.log_prob(0.0)))

@@ -305,7 +305,7 @@ class TestRowGatheredNdtriSampling:
         # every stream agrees bit for bit with the per-object mixture's.
         assert _states(bulk_rngs) == _states(ref_rngs)
         for bulk_rng, ref_rng in zip(bulk_rngs, ref_rngs):
-            assert bulk_rng.random() == ref_rng.random()
+            assert bulk_rng.generator.random() == ref_rng.generator.random()
 
     def test_all_bounded_and_all_unbounded_batches(self):
         rng = np.random.default_rng(12)

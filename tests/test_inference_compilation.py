@@ -62,9 +62,42 @@ class TestTraining:
         assert history.learning_rates[-1] < history.learning_rates[0]
 
     def test_larc_option(self, ic_setup):
-        model, engine = ic_setup
-        history = engine.train(model, num_traces=200, minibatch_size=20, larc=True)
-        assert len(history.losses) == 10
+        # From the fourth minibatch on, every trace draws one more latent, so
+        # online polymorph creates its layers mid-run and registers them with
+        # LARC, whose base shares its parameter list: later steps move them.
+        import itertools
+
+        from repro.distributions import Normal, Uniform
+        from repro.ppl import observe, sample
+
+        _, engine = ic_setup
+        runs = itertools.count()
+
+        def growing_program():
+            mu = sample(Uniform(-2.0, 2.0), name="mu")
+            if next(runs) >= 60:
+                mu = mu + sample(Normal(0.0, 0.5), name="late")
+            observe(Normal(np.array([mu, mu, mu, mu]), 0.3), name="obs")
+
+        snapshots = []
+        history = engine.train(
+            FunctionModel(growing_program, name="growing"),
+            num_traces=200,
+            minibatch_size=20,
+            larc=True,
+            callback=lambda iteration, loss: snapshots.append(
+                {name: p.data.copy() for name, p in engine.network.named_parameters()}
+            ),
+        )
+        assert len(history.losses) == len(snapshots) == 10
+        late = [name for name in snapshots[-1] if name not in snapshots[0]]
+        assert all(name not in snapshots[2] and name in snapshots[3] for name in late)
+        # The last latent's sample embedding feeds no later step: no gradient.
+        trained = [name for name in late if not name.startswith("sample_embeddings.")]
+        assert any(name.startswith("proposal_layers.") for name in trained)
+        assert any(name.startswith("address_embeddings.") for name in trained)
+        for name in trained:
+            assert not np.array_equal(snapshots[3][name], snapshots[-1][name]), name
 
     def test_requires_model_or_dataset(self, ic_setup):
         _, engine = ic_setup
@@ -208,17 +241,71 @@ class TestRemovedOptions:
             "init.kaiming_uniform(a=)",
             "SingleNodeModel.throughput(two_socket_efficiency=)",
             "Model.posterior(engine='importance_sampling', network=)",
+            # No caller set these: each is a constant, or the one value its
+            # only path took.
+            "Tensor(dtype=)",
+            "Tensor(name=)",
+            "Parameter(name=)",
+            "Tensor.zeros(requires_grad=)",
+            "Conv3d(stride=)",
+            "Conv3d(bias=)",
+            "MaxPool3d(stride=)",
+            "Linear(bias=)",
+            "F.conv3d(stride=)",
+            "F.conv3d without bias",
+            "F.max_pool3d(stride=)",
+            "F.linear without bias",
+            "Adam(betas=)",
+            "Adam(eps=)",
+            "Adam(weight_decay=)",
+            "LARC(trust_coefficient=)",
+            "LARC(clip=)",
+            "LARC(eps=)",
+            "Optimizer.add_param_group(names)",
+            "ObservationEmbedding3DCNN(kernel_size=)",
+            "ObservationEmbeddingFC(hidden_dim=)",
+            "make_proposal_layer(hidden_dim=)",
+            "ProposalNormalMixture(hidden_dim=)",
+            "ProposalCategorical(hidden_dim=)",
+            "ExecutionState(address_builder=)",
+            "AddressBuilder(stop_marker=)",
+            "AddressBuilder.build(explicit=)",
+            "InferenceCompilation.load(config=)",
+            "SingleNodeModel(flops_per_trace=)",
+            "ClusterPerformanceModel(gradient_elements=)",
+            "ClusterPerformanceModel(io_fraction=)",
+            "ClusterPerformanceModel.phase_breakdown(phase_fractions=)",
+            "FaultPlan.randomized(crash=)",
+            "FaultPlan.randomized(stragglers=)",
+            "FaultPlan.randomized(transport=)",
+            "FaultPlan.randomized(rejects=)",
+            "prune_trace(keep_observation=)",
+            "F.logsumexp(keepdims=)",
+            "ModuleDict(modules=)",
+            "ObservationEmbedding3DCNN.paper_architecture(embedding_dim=)",
         ],
     )
     def test_removed_option_is_rejected(self, ic_setup, rng, tmp_path, call):
         from repro.data import DistributedTraceSampler, PackedEpochPlan, TraceDataset
         from repro.distributed import DistributedTrainer, TrainingLoop
-        from repro.distributed.performance_model import SingleNodeModel
-        from repro.tensor import nn
+        from repro.distributed.performance_model import CORI, ClusterPerformanceModel, SingleNodeModel
+        from repro.distributions import Normal
+        from repro.ppl.nn.embeddings import ObservationEmbedding3DCNN
+        from repro.ppl.nn.proposals import ProposalCategorical, ProposalNormalMixture, make_proposal_layer
+        from repro.ppl.state import ExecutionState, PriorController
+        from repro.ppx.addresses import AddressBuilder
+        from repro.tensor import Tensor, nn, optim
+        from repro.tensor import functional as F
+        from repro.testing.faults import FaultPlan
+        from repro.trace import prune_trace
 
         model, engine = ic_setup
         traces = model.prior_traces(4, rng=rng)
         layer = nn.Linear(2, 2, rng=RandomState(0))
+        volume = Tensor(np.zeros((1, 1, 4, 4, 4)))
+        kernel, bias = Tensor(np.zeros((1, 1, 3, 3, 3))), Tensor(np.zeros(1))
+        saved = str(tmp_path / "engine.pkl")
+        engine.save(saved)
         calls = {
             "BatchedCategorical": lambda: BatchedCategorical(self.PROBS, choice_kernel="percall"),
             "BatchedMixtureOfTruncatedNormals": lambda: BatchedMixtureOfTruncatedNormals(
@@ -275,6 +362,64 @@ class TestRemovedOptions:
             # ``engine=InferenceCompilation``.
             "Model.posterior(engine='importance_sampling', network=)": lambda: model.posterior(
                 {"obs": observation_for(0.0, 0)}, num_traces=4, engine="importance_sampling", network=engine.network
+            ),
+            "Tensor(dtype=)": lambda: Tensor([1.0], dtype=np.float32),
+            "Tensor(name=)": lambda: Tensor([1.0], name="x"),
+            "Parameter(name=)": lambda: nn.Parameter(np.zeros(2), name="w"),
+            "Tensor.zeros(requires_grad=)": lambda: Tensor.zeros(2, requires_grad=True),
+            # Every conv is stride 1 with a bias, every pool's stride is its
+            # kernel, and every linear layer has a bias.
+            "Conv3d(stride=)": lambda: nn.Conv3d(1, 1, stride=2, rng=RandomState(0)),
+            "Conv3d(bias=)": lambda: nn.Conv3d(1, 1, bias=False, rng=RandomState(0)),
+            "MaxPool3d(stride=)": lambda: nn.MaxPool3d(2, stride=1),
+            "Linear(bias=)": lambda: nn.Linear(2, 2, bias=False, rng=RandomState(0)),
+            "F.conv3d(stride=)": lambda: F.conv3d(volume, kernel, bias, stride=2),
+            "F.conv3d without bias": lambda: F.conv3d(volume, kernel, padding=1),
+            "F.max_pool3d(stride=)": lambda: F.max_pool3d(volume, 2, stride=1),
+            "F.linear without bias": lambda: F.linear(Tensor(np.zeros((1, 2))), layer.weight),
+            "Adam(betas=)": lambda: optim.Adam(layer.parameters(), lr=0.1, betas=(0.8, 0.99)),
+            "Adam(eps=)": lambda: optim.Adam(layer.parameters(), lr=0.1, eps=1e-6),
+            "Adam(weight_decay=)": lambda: optim.Adam(layer.parameters(), lr=0.1, weight_decay=0.1),
+            "LARC(trust_coefficient=)": lambda: optim.LARC(
+                optim.Adam(layer.parameters(), lr=0.1), trust_coefficient=0.05
+            ),
+            "LARC(clip=)": lambda: optim.LARC(optim.Adam(layer.parameters(), lr=0.1), clip=False),
+            "LARC(eps=)": lambda: optim.LARC(optim.Adam(layer.parameters(), lr=0.1), eps=1e-6),
+            "Optimizer.add_param_group(names)": lambda: optim.Adam(layer.parameters(), lr=0.1).add_param_group(
+                nn.Linear(2, 2, rng=RandomState(1)).parameters(), ["extra.weight", "extra.bias"]
+            ),
+            "ObservationEmbedding3DCNN(kernel_size=)": lambda: ObservationEmbedding3DCNN(
+                (4, 5, 5), kernel_size=3, rng=RandomState(0)
+            ),
+            "ObservationEmbeddingFC(hidden_dim=)": lambda: ObservationEmbeddingFC(4, hidden_dim=8),
+            "make_proposal_layer(hidden_dim=)": lambda: make_proposal_layer(Normal(0.0, 1.0), 8, hidden_dim=8),
+            "ProposalNormalMixture(hidden_dim=)": lambda: ProposalNormalMixture(8, hidden_dim=8),
+            "ProposalCategorical(hidden_dim=)": lambda: ProposalCategorical(8, 2, hidden_dim=8),
+            "ExecutionState(address_builder=)": lambda: ExecutionState(
+                PriorController(), address_builder=AddressBuilder()
+            ),
+            "AddressBuilder(stop_marker=)": lambda: AddressBuilder(stop_marker="__entry__"),
+            "AddressBuilder.build(explicit=)": lambda: AddressBuilder().build(explicit="a"),
+            "InferenceCompilation.load(config=)": lambda: InferenceCompilation.load(saved, config=engine.config),
+            "SingleNodeModel(flops_per_trace=)": lambda: SingleNodeModel(flops_per_trace=1e9),
+            "ClusterPerformanceModel(gradient_elements=)": lambda: ClusterPerformanceModel(
+                CORI, gradient_elements=1e6, rng=RandomState(0)
+            ),
+            "ClusterPerformanceModel(io_fraction=)": lambda: ClusterPerformanceModel(
+                CORI, io_fraction=0.1, rng=RandomState(0)
+            ),
+            "ClusterPerformanceModel.phase_breakdown(phase_fractions=)": lambda: ClusterPerformanceModel(
+                CORI, rng=RandomState(0)
+            ).phase_breakdown([1], phase_fractions={"forward": 1.0}, iterations=1),
+            "FaultPlan.randomized(crash=)": lambda: FaultPlan.randomized(1, crash=False),
+            "FaultPlan.randomized(stragglers=)": lambda: FaultPlan.randomized(1, stragglers=False),
+            "FaultPlan.randomized(transport=)": lambda: FaultPlan.randomized(1, transport=False),
+            "FaultPlan.randomized(rejects=)": lambda: FaultPlan.randomized(1, rejects=False),
+            "prune_trace(keep_observation=)": lambda: prune_trace(traces[0], keep_observation=False),
+            "F.logsumexp(keepdims=)": lambda: F.logsumexp(Tensor(np.zeros((2, 3))), axis=-1, keepdims=True),
+            "ModuleDict(modules=)": lambda: nn.ModuleDict({"layer": layer}),
+            "ObservationEmbedding3DCNN.paper_architecture(embedding_dim=)": lambda: (
+                ObservationEmbedding3DCNN.paper_architecture(embedding_dim=256)
             ),
         }
         with pytest.raises(TypeError):
@@ -428,6 +573,19 @@ class TestRemovedOptions:
             "repro.common.config:Config.default_dtype",
             "repro.distributed.performance_model:ClusterSpec.sockets_per_node",
             "repro.distributed.performance_model:ClusterSpec.two_socket_efficiency",
+            # Reached from nothing in src/, benchmarks/ or examples/.
+            "repro.tensor:Tensor.dtype",
+            "repro.tensor:Tensor.__len__",
+            "repro.common.rng:RandomState.seed",
+            "repro.common.rng:RandomState.normal",
+            "repro.common.rng:RandomState.choice",
+            "repro.common.rng:RandomState.random",
+            "repro.data.packing:PackedStep.batch_size",
+            "repro.distributions:Distribution.prob",
+            "repro.distributions:Distribution.stddev",
+            "repro.trace:Sample.from_dict",
+            "repro.trace:Trace.from_dict",
+            "repro.simulators.detector:DetectorConfig.paper_size",
         ],
     )
     def test_removed_entry_points_are_gone(self, path):
@@ -441,6 +599,31 @@ class TestRemovedOptions:
         for parent in parents:
             owner = getattr(owner, parent)
         assert not hasattr(owner, name)
+
+    def test_write_only_state_and_fixed_settings_are_gone(self):
+        # Nothing read these attributes, and LARC shares its base's parameter
+        # list, so the base class's add_param_group serves it.
+        from repro.distributed.performance_model import CORI, ClusterPerformanceModel
+        from repro.ppx.addresses import AddressBuilder
+        from repro.tensor import Tensor, nn, optim
+        from repro.tensor.optim.optimizer import Optimizer
+
+        layer = nn.Linear(2, 2, rng=RandomState(0))
+        adam = optim.Adam(list(layer.named_parameters()), lr=0.1)
+        larc = optim.LARC(adam)
+        for name in ("state", "_names"):
+            assert not hasattr(adam, name) and not hasattr(larc, name)
+        for name in ("beta1", "beta2", "eps", "weight_decay"):
+            assert not hasattr(adam, name)
+        for name in ("trust_coefficient", "clip", "eps"):
+            assert not hasattr(larc, name)
+        assert optim.LARC.add_param_group is Optimizer.add_param_group
+        assert not hasattr(Tensor([1.0]), "name")
+        assert not hasattr(nn.Conv3d(1, 1, rng=RandomState(0)), "stride")
+        assert not hasattr(nn.MaxPool3d(2), "stride")
+        assert not hasattr(AddressBuilder(), "stop_marker")
+        cluster = ClusterPerformanceModel(CORI, rng=RandomState(0))
+        assert not hasattr(cluster, "gradient_elements") and not hasattr(cluster, "io_fraction")
 
     def test_tensor_comparisons_are_gone(self):
         # Tensor inherits object's comparison slots, so the name check above

@@ -49,7 +49,7 @@ class TestObservationEmbeddings:
         assert all(p.grad is not None for p in embedding.parameters())
 
     def test_paper_architecture_structure(self):
-        embedding = ObservationEmbedding3DCNN.paper_architecture(embedding_dim=256)
+        embedding = ObservationEmbedding3DCNN.paper_architecture()
         assert embedding.observation_shape == (20, 35, 35)
         assert embedding.embedding_dim == 256
         # five conv layers, as in Section 4.3

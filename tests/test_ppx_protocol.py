@@ -356,10 +356,6 @@ class TestAddressBuilder:
 
         assert site_a() != site_b()
 
-    def test_explicit_address_short_circuits(self):
-        builder = AddressBuilder()
-        assert builder.build(explicit="my/address") == "my/address"
-
     def test_cache_hits_accumulate(self):
         builder = AddressBuilder(use_cache=True)
 

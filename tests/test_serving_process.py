@@ -140,7 +140,8 @@ class TestCrossBackendEquivalence:
             assert clone.key == job.key and all(type(word) is int for word in clone.key)
             # The stream built on the far side is the one built here.
             ours, theirs = job.stream(), clone.stream()
-            assert theirs.random() == ours.random() and theirs.normal() == ours.normal()
+            assert theirs.generator.random() == ours.generator.random()
+            assert theirs.generator.normal() == ours.generator.normal()
 
 
 class TestConditioningKeys:

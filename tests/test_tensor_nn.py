@@ -52,12 +52,11 @@ class TestModuleSystem:
 
 
 class TestLayers:
-    def test_linear_shapes_and_no_bias(self):
-        layer = nn.Linear(4, 3, bias=False)
+    def test_linear_shapes(self):
+        layer = nn.Linear(4, 3)
         out = layer(Tensor(np.ones((5, 4))))
         assert out.shape == (5, 3)
-        assert layer.bias is None
-        assert layer.num_parameters() == 12
+        assert layer.num_parameters() == 15
 
     def test_activation_modules(self):
         x = Tensor(np.array([[-1.0, 2.0]]))
@@ -78,10 +77,6 @@ class TestLayers:
         assert pool.output_shape((8, 8, 8)) == (4, 4, 4)
         out = pool(Tensor(np.zeros((1, 1, 8, 8, 8))))
         assert out.shape == (1, 1, 4, 4, 4)
-
-    def test_conv3d_no_bias(self):
-        conv = nn.Conv3d(1, 2, kernel_size=3, bias=False)
-        assert conv.bias is None
 
 
 class TestContainers:

@@ -428,7 +428,7 @@ class TestPacking:
         walks = [step for pack in packs for step in pack.steps if step.address == "walk"]
         assert len(walks) > len(packs)  # several steps per pack at this address
         joined = concat_steps(walks)
-        assert joined.batch_size == sum(step.batch_size for step in walks)
+        assert len(joined.priors) == sum(len(step.priors) for step in walks)
         assert joined.priors == [prior for step in walks for prior in step.priors]
         assert np.array_equal(joined.values_column, np.concatenate([s.values_column for s in walks]))
         assert np.array_equal(joined.encoded_values, np.concatenate([s.encoded_values for s in walks]))
@@ -542,7 +542,7 @@ class TestOneTrainingLoop:
         losses = []
         for traces in minibatches:
             new_parameters = network.polymorph(traces)  # online growth; frozen: none
-            optimizer.add_param_group([p for _, p in new_parameters], [n for n, _ in new_parameters])
+            optimizer.add_param_group([p for _, p in new_parameters])
             network.zero_grad()
             loss = network.loss(traces)
             loss.backward()
