@@ -7,13 +7,13 @@ worst case for threads, the normal case for scientific simulators) served by
 ``PosteriorService`` with ``backend="thread"`` vs ``backend="process"`` at
 ``num_workers = 2``, identical seeds and shard layout.
 
-Required on a multi-core runner (the bench skips when only one core is
-visible — two worker processes pinned to one core measure scheduling noise,
-not the GIL):
+Required:
 
 * both backends produce **identical** seeded posteriors (the load-bearing
   correctness property: randomness is derived in the parent, so the execution
-  venue cannot change what is drawn); and
+  venue cannot change what is drawn); and, on a multi-core runner (the gate
+  skips when only one core is visible — two worker processes pinned to one
+  core measure scheduling noise, not the GIL),
 * the process backend completes the same request load at least
   ``PROCESS_SPEEDUP_MIN`` (default 1.15x) faster in wall-clock time.
 
@@ -21,6 +21,9 @@ The vectorised-choice-kernel micro-bench rides along: the inverse-CDF kernel
 must not be slower than the per-draw ``generator.choice(p=...)`` reference it
 replaced, ``tests/reference_kernels.sample_rows_percall`` (bit-identity is
 asserted in ``tests/test_distributions_batched.py``).
+
+The equivalence half runs each backend once in the default run; the
+wall-clock gates are marked ``timing`` and run only under ``-m timing``.
 """
 
 import os
@@ -91,13 +94,9 @@ def _run_backend(backend: str):
     return elapsed, summaries
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="process-vs-thread speedup needs at least two cores",
-)
-def test_process_backend_beats_threads_on_cpu_bound_model():
-    thread_elapsed, thread_summaries = _run_backend("thread")
-    process_elapsed, process_summaries = _run_backend("process")
+def test_process_backend_equals_threads_on_cpu_bound_model():
+    _, thread_summaries = _run_backend("thread")
+    _, process_summaries = _run_backend("process")
 
     # Identical seeded posteriors whichever backend executed the shards.
     for (thread_mean, thread_evidence), (process_mean, process_evidence) in zip(
@@ -105,6 +104,16 @@ def test_process_backend_beats_threads_on_cpu_bound_model():
     ):
         assert process_mean == thread_mean
         assert process_evidence == thread_evidence
+
+
+@pytest.mark.timing
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2,
+    reason="process-vs-thread speedup needs at least two cores",
+)
+def test_process_backend_beats_threads_on_cpu_bound_model():
+    thread_elapsed, _ = _run_backend("thread")
+    process_elapsed, _ = _run_backend("process")
 
     speedup = thread_elapsed / process_elapsed
     print_table(
@@ -122,6 +131,7 @@ def test_process_backend_beats_threads_on_cpu_bound_model():
     )
 
 
+@pytest.mark.timing
 def test_inverse_cdf_choice_kernel_not_slower_than_percall():
     rng = np.random.default_rng(7)
     batch, components, rounds = 64, 10, 200

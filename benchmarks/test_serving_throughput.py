@@ -20,12 +20,17 @@ a single embedding.  Required:
   requests, cohorts mixing many requests); and
 * total throughput beats the serial baseline by ``SERVING_SPEEDUP_MIN``
   (default 2x; CI smoke overrides down for noisy shared runners).
+
+The equivalence and coalescing half runs one round of each path in the
+default run; the wall-clock gate is marked ``timing`` and runs only under
+``-m timing``.
 """
 
 import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.common.config import Config
 from repro.common.rng import RandomState
@@ -72,47 +77,81 @@ def lockstep_program():
     return px
 
 
-def test_serving_coalesces_concurrent_requests_with_speedup():
+@pytest.fixture(scope="module")
+def served_model():
     model = FunctionModel(lockstep_program, name="serving-lockstep")
     engine = InferenceCompilation(config=SERVING_CONFIG, observe_key="detector", rng=RandomState(0))
     engine.train(model, num_traces=160, minibatch_size=16, learning_rate=3e-3)
-    observation = {"detector": _deposit(0.7, -0.4, 1.2)}
-    seeds = [100 + index for index in range(NUM_REQUESTS)]
+    return model, engine.network, {"detector": _deposit(0.7, -0.4, 1.2)}
 
-    def run_serial():
-        start = time.perf_counter()
-        posteriors = [
-            batched_importance_sampling(
-                model, observation, num_traces=TRACES_PER_REQUEST,
-                batch_size=MAX_BATCH,  # the engine default: one small cohort per request
-                network=engine.network, rng=RandomState(seed),
-            )
-            for seed in seeds
-        ]
-        return time.perf_counter() - start, posteriors
 
-    def run_served(service):
-        start = time.perf_counter()
-        futures = [
-            service.submit(observation, TRACES_PER_REQUEST, seed=seed, use_cache=False)
-            for seed in seeds
-        ]
-        results = [future.result(timeout=300) for future in futures]
-        return time.perf_counter() - start, results
+SEEDS = [100 + index for index in range(NUM_REQUESTS)]
 
-    serial_times, served_times = [], []
-    serial_posteriors = served_results = None
-    with PosteriorService(
-        model, engine.network, observe_key="detector",
+
+def run_serial(model, network, observation):
+    start = time.perf_counter()
+    posteriors = [
+        batched_importance_sampling(
+            model, observation, num_traces=TRACES_PER_REQUEST,
+            batch_size=MAX_BATCH,  # the engine default: one small cohort per request
+            network=network, rng=RandomState(seed),
+        )
+        for seed in SEEDS
+    ]
+    return time.perf_counter() - start, posteriors
+
+
+def run_served(service, observation):
+    start = time.perf_counter()
+    futures = [
+        service.submit(observation, TRACES_PER_REQUEST, seed=seed, use_cache=False)
+        for seed in SEEDS
+    ]
+    results = [future.result(timeout=300) for future in futures]
+    return time.perf_counter() - start, results
+
+
+def serve(model, network):
+    return PosteriorService(
+        model, network, observe_key="detector",
         max_batch=MAX_BATCH, max_latency=0.01, num_workers=1, shard_min=MAX_BATCH,
-    ) as service:
-        run_served(service)  # warm both paths once (numpy/scipy dispatch caches)
-        run_serial()
+    )
+
+
+def test_serving_coalesces_concurrent_requests(served_model):
+    model, network, observation = served_model
+    with serve(model, network) as service:
+        _, served_results = run_served(service, observation)
+        stats = service.stats()
+    _, serial_posteriors = run_serial(model, network, observation)
+
+    # Coalescing really happened: far fewer cohorts than requests, cohorts
+    # mixing many requests, and the shared observation embedded once per
+    # cohort instead of once per request.
+    assert stats["engine"]["num_cohorts"] < NUM_REQUESTS / 4
+    assert stats["mixed_cohort_fraction"] > 0.5
+    assert stats["engine"]["num_observation_embeddings"] < stats["engine"]["num_cohorts"] + 1
+    assert stats["completed"] == NUM_REQUESTS
+
+    # Identical seeded posteriors: serving changes scheduling, not inference.
+    for result, direct in zip(served_results, serial_posteriors):
+        for latent in ("px", "py", "pz"):
+            assert abs(
+                result.posterior.extract(latent).mean - direct.extract(latent).mean
+            ) < 1e-6, latent
+        assert abs(result.posterior.log_evidence - direct.log_evidence) < 1e-6
+
+
+@pytest.mark.timing
+def test_serving_beats_serial_posterior_calls(served_model):
+    model, network, observation = served_model
+    serial_times, served_times = [], []
+    with serve(model, network) as service:
+        run_served(service, observation)  # warm both paths once (numpy/scipy dispatch caches)
+        run_serial(model, network, observation)
         for _ in range(ROUNDS):
-            elapsed, served_results = run_served(service)
-            served_times.append(elapsed)
-            elapsed, serial_posteriors = run_serial()
-            serial_times.append(elapsed)
+            served_times.append(run_served(service, observation)[0])
+            serial_times.append(run_serial(model, network, observation)[0])
         stats = service.stats()
 
     serial_best = min(serial_times)
@@ -136,21 +175,4 @@ def test_serving_coalesces_concurrent_requests_with_speedup():
     print(f"speedup: {speedup:.2f}x (required: >= {MIN_SPEEDUP}x)")
     print(f"mixed-cohort fraction: {stats['mixed_cohort_fraction']:.2f}  "
           f"mean occupancy: {stats['mean_cohort_occupancy']:.2f}")
-
-    # Coalescing really happened: far fewer cohorts than requests, cohorts
-    # mixing many requests, and the shared observation embedded once per
-    # cohort instead of once per request.
-    assert cohorts_per_round < NUM_REQUESTS / 4
-    assert stats["mixed_cohort_fraction"] > 0.5
-    assert stats["engine"]["num_observation_embeddings"] < stats["engine"]["num_cohorts"] + 1
-    assert stats["completed"] == (ROUNDS + 1) * NUM_REQUESTS
-
-    # Identical seeded posteriors: serving changes scheduling, not inference.
-    for result, direct in zip(served_results, serial_posteriors):
-        for latent in ("px", "py", "pz"):
-            assert abs(
-                result.posterior.extract(latent).mean - direct.extract(latent).mean
-            ) < 1e-6, latent
-        assert abs(result.posterior.log_evidence - direct.log_evidence) < 1e-6
-
     assert speedup >= MIN_SPEEDUP

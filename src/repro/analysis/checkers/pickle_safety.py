@@ -5,17 +5,19 @@ processes over multiprocessing pipes; everything sent on one is pickled.  A
 lambda reward hook, a generator of jobs, a function defined inside the
 dispatching method or an open file handle does not pickle.  Sent on a pipe,
 it fails at the first send.  Handed to ``Process(target=..., args=...)``, it
-does not fail at all under ``fork``, which copies the arguments instead of
-pickling them, and breaks only once a child is started with ``spawn``.  This
-checker moves both to lint time.
+does not fail at all under ``fork`` — the one start, which copies the
+arguments instead of pickling them — and would break only under a start that
+pickles them (``spawn``, ``forkserver``).  This checker moves both to lint
+time.
 
 Dispatch points (the pickle boundaries):
 
 * ``pickle.dumps`` / ``pickle.dump`` calls anywhere,
 * ``<queue>.put(...)`` / ``put_nowait(...)`` and ``<connection>.send(...)``
-  / ``<pipe>.send(...)`` in modules that import ``multiprocessing`` (a
+  / ``<pipe>.send(...)`` in modules that import ``multiprocessing`` or the
+  forked-child primitive :class:`repro.common.utils.ForkedChild` (a
   thread-pool ``queue.Queue`` is not a pickle boundary, nor is a socket's
-  ``send``, so modules without multiprocessing are exempt),
+  ``send``, so other modules are exempt),
 * ``multiprocessing.Process(target=..., args=...)`` construction.
 
 Each argument expression flowing into a dispatch point is walked for
@@ -34,6 +36,8 @@ from repro.analysis.findings import Finding
 __all__ = ["PickleSafetyChecker"]
 
 _PICKLE_CALLS = {"pickle.dumps", "pickle.dump"}
+#: the forked-child primitive: a module that imports it sends on its pipes
+_FORKED_CHILD = "repro.common.utils.ForkedChild"
 
 
 def _receiver_text(node: ast.AST) -> str:
@@ -106,7 +110,7 @@ class PickleSafetyChecker(Checker):
     def check(self, context: FileContext) -> List[Finding]:
         resolver = context.resolver
         uses_multiprocessing = any(
-            dotted == "multiprocessing" or dotted.startswith("multiprocessing.")
+            dotted in ("multiprocessing", _FORKED_CHILD) or dotted.startswith("multiprocessing.")
             for dotted in resolver.aliases.values()
         )
         findings: List[Finding] = []

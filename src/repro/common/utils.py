@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import ctypes
 import math
+import multiprocessing
 import os
 import threading
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
 __all__ = [
+    "ChildLost",
+    "ForkedChild",
+    "can_fork",
+    "close_parent_ends",
+    "parent_pipe",
     "partition_traces",
     "release_freed_heap",
     "retain_freed_heap",
     "shard_jobs",
-    "start_piped_child",
     "usable_cores",
     "weighted_quantile",
 ]
@@ -76,10 +81,6 @@ def usable_cores(pin: Optional[int] = None) -> List[int]:
     return cores
 
 
-#: Held from a pipe's creation until the parent has closed its copy of the
-#: child end, so no other piped child is forked holding that end open.
-_PIPE_START_LOCK = threading.Lock()
-
 try:  # glibc only: elsewhere the C heap is left as it is
     _malloc_trim = ctypes.CDLL(None).malloc_trim
     _mallopt = ctypes.CDLL(None).mallopt
@@ -119,15 +120,80 @@ def release_freed_heap() -> None:
         _malloc_trim(0)
 
 
-def start_piped_child(context, target, args: Sequence, parent_ends: Sequence = (), name=None):
-    """Start ``target(connection, parent_ends, *args)`` in a daemon child on one duplex pipe.
+#: ``fork`` is the one start: a child inherits its parent's objects (model,
+#: network, dataset handle, the active fault plan) with nothing pickled.
+#: ``None`` where the platform has no ``fork``.
+_FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
-    Returns ``(process, connection)``, ``connection`` being the parent's end.
-    The child must first close every connection in ``parent_ends`` — this
-    pipe's parent end and the other parent-side ends it inherits under
-    ``fork`` — so that each pipe reads end-of-file as soon as the one process
-    on its other side is gone: the parent sees a dead child, a child sees a
-    parent that let go of it.
+#: Held from a pipe's creation until the parent has closed its copy of the
+#: child end, so no other child is forked holding that end open; it also
+#: guards :data:`_PARENT_ENDS`.
+_PIPE_START_LOCK = threading.Lock()
+
+#: Every pipe end that must stay in this process: the parent end of each live
+#: :class:`ForkedChild` and both ends of each :func:`parent_pipe`.
+_PARENT_ENDS: Set = set()
+
+
+def can_fork() -> bool:
+    """Whether this process may fork children.
+
+    Not where the platform has no ``fork``, and not from a daemonic process —
+    a forked child itself — which ``multiprocessing`` forbids to have
+    children.  Where this is false the N-rank trainer runs its ranks in the
+    calling process and a ``backend="process"`` service serves on threads.
+    """
+    return _FORK is not None and not multiprocessing.current_process().daemon
+
+
+def _forget_parent_ends() -> None:
+    """A forked child holds none of its parent's pipe ends, and no lock its parent's threads held."""
+    global _PIPE_START_LOCK
+    _PIPE_START_LOCK = threading.Lock()
+    for end in _PARENT_ENDS:
+        end.close()
+    _PARENT_ENDS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_parent_ends)
+
+
+def parent_pipe():
+    """A one-way pipe between threads of this process: ``(reader, writer)``.
+
+    No forked child holds either end; close them with :func:`close_parent_ends`.
+    """
+    with _PIPE_START_LOCK:
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        _PARENT_ENDS.update((reader, writer))
+    return reader, writer
+
+
+def close_parent_ends(*ends) -> None:
+    """Close ``ends`` in this process; a child forked from now on does not see them."""
+    with _PIPE_START_LOCK:
+        for end in ends:
+            _PARENT_ENDS.discard(end)
+            end.close()
+
+
+class ChildLost(Exception):
+    """The forked child on the other end of a pipe is gone: end-of-file, or a broken pipe."""
+
+
+class ForkedChild:
+    """A daemon child forked on one duplex pipe: how every forked child of the package starts.
+
+    The child runs ``target(connection, *args)``, ``connection`` being its end
+    of the pipe; the parent talks to it through :meth:`send` and
+    :meth:`recv`, and :func:`multiprocessing.connection.wait` watches it.  A
+    forked child inherits every pipe end of its parent and closes, as it
+    starts, every end that must stay in the parent — its own pipe's, its
+    siblings', any other subsystem's children's — so each pipe reads
+    end-of-file as soon as the one process on its other side is gone: the
+    parent sees a dead child, a child sees a parent that let go of it.  The
+    parent sees that end-of-file, or a broken pipe, as :class:`ChildLost`.
 
     A forked child starts with every page the parent holds resident, freed
     heap included, and keeps it for its life.  How much freed heap glibc
@@ -135,16 +201,48 @@ def start_piped_child(context, target, args: Sequence, parent_ends: Sequence = (
     heap, so without ``malloc_trim`` first a serving worker's resident size
     varied by about 11 MB from one start to the next.
     """
-    if context.get_start_method() == "fork":
+
+    #: seconds a child gets to leave after its pipe closed, before it is killed
+    GRACE_SECONDS = 2.0
+
+    def __init__(self, target, args: Sequence = (), name=None) -> None:
+        if not can_fork():
+            raise RuntimeError("this process cannot fork children")
         release_freed_heap()
-    with _PIPE_START_LOCK:
-        connection, remote = context.Pipe()
-        process = context.Process(
-            target=target, args=(remote, [connection, *parent_ends], *args), name=name, daemon=True
-        )
-        process.start()
-        remote.close()
-    return process, connection
+        with _PIPE_START_LOCK:
+            self._connection, remote = _FORK.Pipe()
+            _PARENT_ENDS.add(self._connection)
+            self.process = _FORK.Process(target=target, args=(remote, *args), name=name, daemon=True)
+            self.process.start()
+            remote.close()
+
+    def fileno(self) -> int:
+        return self._connection.fileno()
+
+    def send(self, message) -> None:
+        try:
+            self._connection.send(message)
+        except OSError:
+            raise ChildLost(f"process {self.process.pid} let go of its pipe") from None
+
+    def recv(self):
+        try:
+            return self._connection.recv()
+        except (EOFError, OSError):
+            raise ChildLost(f"process {self.process.pid} let go of its pipe") from None
+
+    def close(self) -> None:
+        """Let the child go: it reads end-of-file on its end of the pipe."""
+        close_parent_ends(self._connection)
+
+    def join(self, grace: float = GRACE_SECONDS) -> Optional[int]:
+        """Close the pipe, give the child ``grace`` seconds to leave, then kill it; its exit code."""
+        self.close()
+        self.process.join(grace)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+        return self.process.exitcode
 
 
 def weighted_quantile(values: Sequence[float], quantiles, weights=None) -> np.ndarray:

@@ -15,8 +15,11 @@ similar work and the join waits little.
 With more than one rank the ranks run side by side: :meth:`TrainingLoop.run`
 forks rank processes at its start and joins them on its way out, dealing the
 ranks round-robin over ``min(num_ranks, usable cores)`` processes with the
-calling process as the first of them (one usable core, or a platform without
-``fork``: no child, the same code).  Every process runs the same rank step —
+calling process as the first of them (one usable core, or a process that
+cannot fork, :func:`repro.common.utils.can_fork`: no child, the same code).
+Each rank process is a :class:`repro.common.utils.ForkedChild`, so it sees
+the parent's network, dataset handle and batch source as they are at the
+start of the run, with nothing pickled.  Every process runs the same rank step —
 read and pack the minibatch, ``zero_grad -> loss_packed -> backward`` — and
 little crosses the process boundary: the parent keeps the sampler schedule and
 sends each rank its index list over a pipe, a rank answers with its loss and
@@ -39,7 +42,6 @@ separately by :mod:`repro.distributed.performance_model`.
 from __future__ import annotations
 
 import mmap
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -49,7 +51,14 @@ import numpy as np
 
 from repro.common.rng import RandomState
 from repro.common.timing import PhaseTimer
-from repro.common.utils import release_freed_heap, retain_freed_heap, start_piped_child, usable_cores
+from repro.common.utils import (
+    ChildLost,
+    ForkedChild,
+    can_fork,
+    release_freed_heap,
+    retain_freed_heap,
+    usable_cores,
+)
 from repro.data.batching import effective_minibatch_size
 from repro.data.packing import PackedSubMinibatch, read_packs
 from repro.data.sampler import DistributedTraceSampler
@@ -115,20 +124,6 @@ class TrainingReport:
         return 100.0 * (actual - best) / best
 
 
-#: Rank processes are forked, so they see the parent's network, dataset handle
-#: and batch source as they are at the start of the run, with nothing pickled.
-#: A rank process touches only those and its pipe, so a lock some other thread
-#: of the parent held at the fork is never waited for.
-_FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on; 1 where it cannot fork rank processes."""
-    if _FORK is None or multiprocessing.current_process().daemon:
-        return 1
-    return len(usable_cores())
-
-
 def _shared(count: int, dtype) -> np.ndarray:
     """A zeroed array in anonymous shared memory: one copy across forks."""
     return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype=dtype, count=count)
@@ -190,48 +185,40 @@ class _RankFailure(NamedTuple):
 
 
 class _RankWorker:
-    """A forked rank process and the parent's end of its pipe."""
+    """A forked rank process: the ranks it runs and the pipe to it.
 
-    #: seconds a process gets to leave after its pipe closed, before it is killed
-    JOIN_SECONDS = 2.0
+    A lock some other thread of the parent held at the fork is never waited
+    for: a rank process touches only what the run gave it and its pipe.
+    """
 
-    def __init__(self, serve, ranks: Sequence[int], read, exchange: _RankExchange, earlier) -> None:
+    def __init__(self, serve, ranks: Sequence[int], read, exchange: _RankExchange) -> None:
         self.ranks = ranks
-        self.process, self.connection = start_piped_child(
-            _FORK, serve, (read, exchange), [worker.connection for worker in earlier]
-        )
+        self.pipe = ForkedChild(serve, (read, exchange))
 
     def _lost(self) -> RuntimeError:
-        self.process.join(self.JOIN_SECONDS)
+        exitcode = self.pipe.join()
         return RuntimeError(
-            f"rank {', '.join(map(str, self.ranks))}: process {self.process.pid} died mid-step "
-            f"(exit code {self.process.exitcode})"
+            f"rank {', '.join(map(str, self.ranks))}: process {self.pipe.process.pid} died mid-step "
+            f"(exit code {exitcode})"
         )
 
     def send(self, assignments) -> None:
         try:
-            self.connection.send(assignments)
-        except OSError:
+            self.pipe.send(assignments)
+        except ChildLost:
             raise self._lost() from None
 
     def collect(self) -> List[tuple]:
         """The ``(loss, read seconds, compute seconds)`` of each of this process's ranks."""
         try:
-            reply = self.connection.recv()
-        except (EOFError, OSError):
+            reply = self.pipe.recv()
+        except ChildLost:
             raise self._lost() from None
         if isinstance(reply, _RankFailure):
             raise RuntimeError(
-                f"rank {reply.rank} failed in process {self.process.pid}:\n{reply.traceback}"
+                f"rank {reply.rank} failed in process {self.pipe.process.pid}:\n{reply.traceback}"
             )
         return reply
-
-    def join(self) -> None:
-        self.connection.close()
-        self.process.join(self.JOIN_SECONDS)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join()
 
 
 #: lr_schedule name -> polynomial decay power (``None``: constant)
@@ -307,7 +294,7 @@ class TrainingLoop:
         # One rank: the gradients backward() left on the parameters are the
         # step's gradients — no exchange, no process, no pipe.
         exchange = _RankExchange(parameters, self.num_ranks) if self.num_ranks > 1 else None
-        num_processes = min(self.num_ranks, _usable_cores())
+        num_processes = min(self.num_ranks, len(usable_cores()) if can_fork() else 1)
         if num_processes > 1:
             # A run of rank processes is a training job: each of its processes
             # (the rank processes inherit it) keeps a step's freed graph for
@@ -320,7 +307,7 @@ class TrainingLoop:
         try:
             for first_rank in range(1, num_processes):
                 ranks = range(first_rank, self.num_ranks, num_processes)
-                workers.append(_RankWorker(self._serve_ranks, ranks, read, exchange, workers))
+                workers.append(_RankWorker(self._serve_ranks, ranks, read, exchange))
             for iteration in range(num_iterations):
                 started = time.perf_counter()
                 work = [deal(rank) for rank in range(self.num_ranks)]
@@ -363,7 +350,7 @@ class TrainingLoop:
                     callback(iteration, mean_loss)
         finally:
             for worker in workers:
-                worker.join()
+                worker.pipe.join()
             if num_processes > 1:
                 release_freed_heap()
             if stepped:
@@ -391,10 +378,8 @@ class TrainingLoop:
             exchange.store(rank)
         return loss.item(), read_seconds, time.perf_counter() - start
 
-    def _serve_ranks(self, connection, parent_ends, read, exchange: _RankExchange) -> None:
+    def _serve_ranks(self, connection, read, exchange: _RankExchange) -> None:
         """A rank process: block on the pipe, run the dealt ranks, answer."""
-        for end in parent_ends:
-            end.close()
         try:
             while True:
                 assignments = connection.recv()

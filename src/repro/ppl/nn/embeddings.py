@@ -51,6 +51,7 @@ class ObservationEmbedding3DCNN(Module):
         super().__init__()
         self.observation_shape = tuple(observation_shape)
         self.embedding_dim = embedding_dim
+        self.channels = tuple(channels)
         layers = []
         in_channels = 1
         spatial = self.observation_shape

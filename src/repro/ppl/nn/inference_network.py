@@ -436,6 +436,7 @@ class InferenceNetwork(Module):
                 "embedding_dim": getattr(self.observation_embedding, "embedding_dim", None),
                 "observation_shape": getattr(self.observation_embedding, "observation_shape", None),
                 "input_dim": getattr(self.observation_embedding, "input_dim", None),
+                "channels": getattr(self.observation_embedding, "channels", None),
             },
         }
         with open(path, "wb") as handle:
@@ -454,9 +455,12 @@ class InferenceNetwork(Module):
                 input_dim=meta["input_dim"], embedding_dim=meta["embedding_dim"]
             )
         else:
+            # A network saved before ``channels`` was saved has the default CNN.
+            channels = {"channels": meta["channels"]} if "channels" in meta else {}
             observation_embedding = ObservationEmbedding3DCNN(
                 observation_shape=tuple(meta["observation_shape"]),
                 embedding_dim=meta["embedding_dim"],
+                **channels,
             )
         network = cls(observation_embedding=observation_embedding, config=config, observe_key=payload["observe_key"])
         for address, spec in payload["address_specs"].items():

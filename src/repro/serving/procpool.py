@@ -20,20 +20,19 @@ and a retried shard simply runs again from the same keys.
 
 Lifecycle and failure semantics:
 
-* Workers start with ``fork`` where the platform has it (model/network are
-  inherited for free; closures and lambdas work), else with ``spawn``, which
-  pickles the model and network handles into each worker once at start-up —
-  the one-time serialization cost the persistent-worker design exists to
-  amortize.  ``stats()["start_method"]`` says which.
+* Workers are forked (model, network and the active fault plan are
+  inherited for free; closures and lambdas work).  A process that cannot
+  fork (:func:`repro.common.utils.can_fork`) cannot build this pool: there a
+  ``backend="process"`` service serves on threads.
 * Worker ``i`` pins itself to core ``i % len(cores)`` of the affinity mask it
   inherited, before it runs anything: a cohort's driver and slot threads
   hand control back and forth, and floating over every core costs them a
   cross-core wake-up per hand-off.  A respawned or refreshed worker keeps its
   index and so its core; a one-core mask puts every worker on that core; a
   platform without ``os.sched_setaffinity`` does not pin.
-* **One pipe per worker, one shard per worker.**  Each worker is a daemon
-  child on one duplex pipe (:func:`repro.common.utils.start_piped_child`): a
-  shard goes out on it as ``(shard_id, jobs)`` and its answer comes back on
+* **One pipe per worker, one shard per worker.**  Each worker is a
+  :class:`repro.common.utils.ForkedChild`, a daemon child on one duplex pipe:
+  a shard goes out on it as ``(shard_id, jobs)`` and its answer comes back on
   it.  A worker holds at most one shard; shards beyond the idle workers wait
   in one parent-side queue and go to the lowest-index idle worker.  One
   collector thread owns every pipe end: it blocks in
@@ -43,13 +42,14 @@ Lifecycle and failure semantics:
   full result pipe.
 * **A death is end-of-file.**  A worker that dies (OOM kill, segfaulting
   simulator) takes its end of the pipe with it: the collector reads whatever
-  it answered first, then end-of-file — the only death signal, seen the
-  moment it happens, busy or idle, under any traffic.  The worker is
-  respawned under its index, and its shard fails once, at once, with the
-  transient :class:`WorkerCrashed` — the thread pool's contract for a failed
-  shard.  The pool never re-runs a shard: retries belong to the service's
-  resilience layer (:class:`repro.serving.resilience.ServiceResilience`),
-  per request, with backoff and within the request's deadline.  A worker
+  it answered first, then end-of-file (:class:`repro.common.utils.ChildLost`)
+  — the only death signal, seen the moment it happens, busy or idle, under
+  any traffic.  The worker is respawned under its index, and its shard fails
+  once, at once, with the transient :class:`WorkerCrashed` — the thread
+  pool's contract for a failed shard.  The pool never re-runs a shard:
+  retries belong to the service's resilience layer
+  (:class:`repro.serving.resilience.ServiceResilience`), per request, with
+  backoff and within the request's deadline.  A worker
   dismissed by ``refresh`` or ``stop`` did not crash.
 * ``submit`` blocks once ``2 * num_workers`` shards are outstanding — the
   same backpressure contract as the thread pool
@@ -63,7 +63,6 @@ from __future__ import annotations
 import collections
 import itertools
 import logging
-import multiprocessing
 import os
 import pickle
 import threading
@@ -71,7 +70,7 @@ import time
 from multiprocessing.connection import wait
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.common.utils import start_piped_child, usable_cores
+from repro.common.utils import ChildLost, ForkedChild, can_fork, close_parent_ends, parent_pipe, usable_cores
 from repro.ppl.inference.batched import execute_trace_jobs
 from repro.ppl.inference.plans import PlanCache
 from repro.serving.request import PoolStopped, ServingError
@@ -103,24 +102,15 @@ def _picklable_error(error: BaseException) -> BaseException:
         return ServingError(f"{type(error).__name__}: {error}")
 
 
-def _worker_main(
-    connection,
-    parent_ends,
-    worker_index: int,
-    model,
-    network,
-    use_plans: bool = False,
-    fault_plan=None,
-) -> None:
+def _worker_main(connection, worker_index: int, model, network, use_plans: bool) -> None:
     """Loop of one persistent worker process.
 
-    The worker closes the parent's pipe ends it inherited, then pins itself
-    to core ``worker_index % len(cores)`` of the affinity mask it inherited
-    (:func:`repro.common.utils.usable_cores`; the module docstring says why).
+    The worker first pins itself to core ``worker_index % len(cores)`` of the
+    affinity mask it inherited (:func:`repro.common.utils.usable_cores`; the
+    module docstring says why).
 
-    Messages in: ``(shard_id, [TraceJob, ...])``; ``None`` or end-of-file
-    dismisses the worker.  Message out, one per shard: ``(traces, stats,
-    elapsed, error)``.  ``send`` pickles the whole reply before it writes a
+    Messages in: ``(shard_id, [TraceJob, ...])``; end-of-file dismisses the
+    worker.  Message out, one per shard: ``(traces, stats, elapsed, error)``.  ``send`` pickles the whole reply before it writes a
     byte, so traces that do not pickle go back as an error reply instead.
 
     With ``use_plans`` each worker process holds its own
@@ -130,20 +120,12 @@ def _worker_main(
     the network generation it compiled against.  Plan hit/miss/demotion
     counters travel back inside each shard's engine stats.
     """
-    for end in parent_ends:
-        end.close()
     usable_cores(pin=worker_index)
-    # Under `spawn` the parent's module-global fault plan does not exist in
-    # the child; install the pickled copy so child-side fault points fire.
-    if fault_plan is not None:
-        faults.install(fault_plan)
     plan_cache = PlanCache() if use_plans and network is not None else None
     while True:
         try:
             item = connection.recv()
         except (EOFError, OSError):
-            return
-        if item is None:
             return
         shard_id, jobs = item
         started = time.perf_counter()
@@ -164,12 +146,11 @@ def _worker_main(
 
 
 class _Worker:
-    """Parent-side record of one worker process: its pipe end and its shard."""
+    """Parent-side record of one worker process: the pipe to it and its shard."""
 
-    def __init__(self, index: int, process, connection) -> None:
+    def __init__(self, index: int, pipe: ForkedChild) -> None:
         self.index = index
-        self.process = process
-        self.connection = connection
+        self.pipe = pipe
         self.shard: Optional[int] = None
 
 
@@ -214,13 +195,13 @@ class ProcessCohortPool:
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
+        if not can_fork():
+            raise RuntimeError("ProcessCohortPool forks its workers, and this process cannot fork")
         self.model = model
         self.network = network
         self.num_workers = int(num_workers)
         self.on_stats = on_stats
         self.use_plans = bool(use_plans)
-        self.start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        self._ctx = multiprocessing.get_context(self.start_method)
         #: the current generation, by worker index
         self._workers: List[_Worker] = []
         #: previous-generation workers (after refresh()) finishing their shards
@@ -246,7 +227,7 @@ class ProcessCohortPool:
         if self._started:
             raise RuntimeError("process pool already started")
         self._slots.open()
-        self._wake_reader, self._wake_writer = self._ctx.Pipe(duplex=False)
+        self._wake_reader, self._wake_writer = parent_pipe()
         with self._lock:
             self._closing = self._stopping = False
             self._workers = []
@@ -284,28 +265,11 @@ class ProcessCohortPool:
             self._wake()
 
     def _spawn_worker(self, index: int) -> _Worker:
-        """Start worker ``index`` (lock held); it closes every parent end it inherits."""
-        process, connection = start_piped_child(
-            self._ctx,
-            _worker_main,
-            (index, self.model, self.network, self.use_plans, faults.active()),
-            [
-                self._wake_reader,
-                self._wake_writer,
-                *(w.connection for w in self._workers + self._retiring if not w.connection.closed),
-            ],
-            name=f"cohort-proc-{index}",
+        """Start worker ``index`` (lock held)."""
+        pipe = ForkedChild(
+            _worker_main, (index, self.model, self.network, self.use_plans), name=f"cohort-proc-{index}"
         )
-        return _Worker(index, process, connection)
-
-    @staticmethod
-    def _dismiss(worker: _Worker) -> None:
-        """Let ``worker`` go: ``None`` tells it to leave, closing our end confirms it."""
-        try:
-            worker.connection.send(None)
-        except OSError:
-            pass  # already gone
-        worker.connection.close()
+        return _Worker(index, pipe)
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop the pool; ``drain`` waits for in-flight shards to finish first.
@@ -333,11 +297,11 @@ class ProcessCohortPool:
             # collector: say so, and break any send by ending the workers.
             logger.error(
                 "procpool collector failed its 5s join at stop (outstanding shards: %s); "
-                "terminating worker processes",
+                "killing worker processes",
                 sorted(self._shards) or "none",
             )
             for worker in workers:
-                worker.process.terminate()
+                worker.pipe.process.kill()
             self._collector.join(timeout=1.0)
         # Whatever drain did not finish (or drain=False) fails here: the
         # no-abandoned-futures guarantee.
@@ -349,14 +313,8 @@ class ProcessCohortPool:
         for shard in leftovers:
             self._resolve(shard, None, PoolStopped("worker pool stopped"))
         for worker in workers:
-            self._dismiss(worker)
-        for worker in workers:
-            worker.process.join(timeout=2.0 if drain else 0.2)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-        self._wake_reader.close()
-        self._wake_writer.close()
+            worker.pipe.join(ForkedChild.GRACE_SECONDS if drain else 0.2)
+        close_parent_ends(self._wake_reader, self._wake_writer)
         self._started = False
 
     def __enter__(self) -> "ProcessCohortPool":
@@ -406,35 +364,35 @@ class ProcessCohortPool:
                     return
                 for worker in [worker for worker in self._retiring if worker.shard is None]:
                     self._retiring.remove(worker)
-                    self._dismiss(worker)
+                    worker.pipe.close()  # it leaves at its end-of-file
                 sends = []
                 for worker in self._workers:
                     if self._backlog and worker.shard is None:
                         worker.shard = self._backlog.popleft()
                         sends.append(worker)
-                ends = {worker.connection: worker for worker in self._workers + self._retiring}
+                pipes = {worker.pipe: worker for worker in self._workers + self._retiring}
             for worker in sends:
                 self._send(worker)
-            for end in wait([self._wake_reader, *ends]):
-                if end is self._wake_reader:
-                    while end.poll():
-                        end.recv_bytes()
+            for ready in wait([self._wake_reader, *pipes]):
+                if ready is self._wake_reader:
+                    while ready.poll():
+                        ready.recv_bytes()
                     continue
                 try:
-                    reply = end.recv()
-                except (EOFError, OSError):
-                    self._lost(ends[end])
+                    reply = ready.recv()
+                except ChildLost:
+                    self._lost(pipes[ready])
                     continue
                 except Exception as error:  # noqa: BLE001 - a reply that does not unpickle
                     reply = (None, None, 0.0, error)
-                self._answered(ends[end], *reply)
+                self._answered(pipes[ready], *reply)
 
     def _send(self, worker: _Worker) -> None:
         """Ship ``worker`` the shard it was just given."""
         shard_id = worker.shard
         try:
-            worker.connection.send((shard_id, self._shards[shard_id].jobs))
-        except OSError:
+            worker.pipe.send((shard_id, self._shards[shard_id].jobs))
+        except ChildLost:
             return  # it died: its end-of-file fails the shard
         except Exception as error:  # noqa: BLE001 - jobs that do not pickle
             self._answered(worker, None, None, 0.0, error)
@@ -445,7 +403,7 @@ class ProcessCohortPool:
         # installed.
         action = faults.fault_point("procpool.dispatch", shard=shard_id, worker=worker.index)
         if action is not None and action.kind == "crash":
-            worker.process.kill()
+            worker.pipe.process.kill()
 
     def _answered(self, worker: _Worker, traces, stats, elapsed: float, error) -> None:
         """``worker`` answered its shard: it is idle again, the shard resolves."""
@@ -467,8 +425,7 @@ class ProcessCohortPool:
 
     def _lost(self, worker: _Worker) -> None:
         """End-of-file on ``worker``'s pipe: respawn it; fail its shard."""
-        worker.connection.close()
-        worker.process.join(timeout=1.0)
+        exitcode = worker.pipe.join()
         with self._lock:
             self.worker_crashes += 1
             if worker in self._retiring:
@@ -482,7 +439,7 @@ class ProcessCohortPool:
                 shard,
                 None,
                 WorkerCrashed(
-                    f"worker process died (exitcode {worker.process.exitcode}) "
+                    f"worker process died (exitcode {exitcode}) "
                     f"executing shard {worker.shard}"
                 ),
             )
@@ -505,7 +462,6 @@ class ProcessCohortPool:
         return {
             "backend": self.backend,
             "num_workers": self.num_workers,
-            "start_method": self.start_method,
             "shards_executed": self.shards_executed,
             "failed_shards": self.failed_shards,
             "worker_crashes": self.worker_crashes,

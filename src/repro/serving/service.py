@@ -42,7 +42,7 @@ from itertools import count
 from typing import Any, Dict, List, Optional, Union
 
 from repro.common.rng import RandomState, StreamKey, get_rng
-from repro.common.utils import shard_jobs
+from repro.common.utils import can_fork, shard_jobs
 from repro.ppl.empirical import Empirical
 from repro.ppl.model import RemoteModel
 from repro.ppl.inference.batched import (
@@ -111,7 +111,9 @@ class PosteriorService:
         posteriors are bit-identical
         across backends because every trace job's stream key is derived in
         the parent before dispatch.  Remote PPX models force the thread
-        backend (their one transport cannot be shared with a forked worker).
+        backend (their one transport cannot be shared with a forked worker),
+        and so does a process that cannot fork
+        (:func:`repro.common.utils.can_fork`).
     queue_capacity:
         Bound on pending trace jobs; admission control rejects beyond it.
     cache_capacity:
@@ -179,9 +181,12 @@ class PosteriorService:
         # A remote simulator multiplexes one unsynchronized PPX transport, so
         # its executions must never run on two workers at once — the same
         # constraint the engine applies within a cohort — and the transport
-        # cannot be shared with a forked worker process at all.
+        # cannot be shared with a forked worker process at all.  A process
+        # that cannot fork serves on threads too.
         if isinstance(model, RemoteModel):
             num_workers = 1
+            backend = "thread"
+        if not can_fork():
             backend = "thread"
         self.use_plans = bool(use_plans) and network is not None
         # Both pools own the plan cache and report every shard's engine

@@ -19,14 +19,15 @@ The harness is built around three ideas:
   plan (and read from it by ``PosteriorService.stats()``), so a
   chaos test can assert that the fault it asked for actually happened.
 
-Plans are picklable (minus ``match`` callables) so the process-backend
-worker entrypoint can carry a plan into child processes.
+A forked worker process inherits the active plan, at the schedule position
+the parent had reached, and keeps its own counters from there.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -79,8 +80,7 @@ class FaultRule:
     ``at`` fires on the Nth eligible call at the site (0-based), ``every``
     fires on every Kth call, ``probability`` fires pseudo-randomly (derived
     from the plan seed, not wall-clock randomness).  ``limit`` caps total
-    firings of this rule; ``match`` optionally filters on the call context
-    (not picklable — leave ``None`` for plans that cross process boundaries).
+    firings of this rule; ``match`` optionally filters on the call context.
     """
 
     site: str
@@ -136,27 +136,6 @@ class FaultPlan:
         self._site_calls: Dict[str, int] = {}
         self._rule_fired: List[int] = [0] * len(self.rules)
         self._fired: List[Tuple[str, str, int]] = []  # (site, kind, occurrence)
-
-    # -- pickling: drop the lock (re-created on load), keep counters so a
-    # child process starts from the parent's schedule position only if the
-    # parent pickled mid-run (normally counters are zero at worker spawn).
-    def __getstate__(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "rules": self.rules,
-                "seed": self.seed,
-                "site_calls": dict(self._site_calls),
-                "rule_fired": list(self._rule_fired),
-                "fired": list(self._fired),
-            }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.rules = state["rules"]
-        self.seed = state["seed"]
-        self._lock = threading.Lock()
-        self._site_calls = dict(state["site_calls"])
-        self._rule_fired = list(state["rule_fired"])
-        self._fired = list(state["fired"])
 
     def decide(self, site: str, **ctx: Any) -> Optional[FaultAction]:
         """Advance the site's occurrence counter and return a verdict."""
@@ -267,6 +246,17 @@ class FaultPlan:
 # ---------------------------------------------------------------------------
 
 _ACTIVE: Optional[FaultPlan] = None
+
+
+def _fresh_lock_in_child() -> None:
+    """A forked child has none of its parent's threads: none of them can
+    release the active plan's lock there, so the child's copy gets a new one."""
+    if _ACTIVE is not None:
+        _ACTIVE._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
 def install(plan: Optional[FaultPlan]) -> None:

@@ -1071,11 +1071,11 @@ class TestCliSatellites:
 SRC_ROOT = REPO_ROOT / "src"
 
 #: The routine send of a shard to a process-pool worker, a pickle boundary.
-_SHARD_SEND = "worker.connection.send((shard_id, self._shards[shard_id].jobs))"
-#: The top of ``start_piped_child``, where a local or a handle can be added.
-_PIPE_START = "    with _PIPE_START_LOCK:\n        connection, remote = context.Pipe()\n"
-#: ``start_piped_child``'s child payload.
-_CHILD_ARGS = "args=(remote, [connection, *parent_ends], *args)"
+_SHARD_SEND = "worker.pipe.send((shard_id, self._shards[shard_id].jobs))"
+#: The fork in ``ForkedChild.__init__``, where a local or a handle can be added.
+_PIPE_START = "        with _PIPE_START_LOCK:\n            self._connection, remote = _FORK.Pipe()\n"
+#: ``ForkedChild``'s child payload.
+_CHILD_ARGS = "args=(remote, *args)"
 #: ``MicroBatchScheduler._run`` calls the shed hook after releasing ``_cond``.
 _SHED_OUTSIDE_COND = (
     "                cohort, shed = self._build_cohort(now)\n"
@@ -1153,8 +1153,8 @@ REAL_SITE_MUTATIONS = {
          "            self._inflight.pop(request.request_id, None)\n"))),
     "lock-blocking-call:ProcessCohortPool._lost": ("lock-blocking-call", (
         ("repro/serving/procpool.py",
-         "        worker.process.join(timeout=1.0)\n        with self._lock:\n",
-         "        with self._lock:\n            worker.process.join(timeout=1.0)\n"),)),
+         "        exitcode = worker.pipe.join()\n        with self._lock:\n",
+         "        with self._lock:\n            exitcode = worker.pipe.join()\n"),)),
     "shape-impl-signature:BatchedCategorical.log_prob_rows": ("shape-impl-signature", (
         ("repro/distributions/batched.py",
          "    def log_prob_rows(self, values) -> np.ndarray:\n"
@@ -1163,36 +1163,36 @@ REAL_SITE_MUTATIONS = {
          "        idx = np.asarray(value, dtype=np.int64).reshape(-1)"),)),
     "pickle-lambda:shard-send": ("pickle-lambda", (
         ("repro/serving/procpool.py", _SHARD_SEND,
-         "worker.connection.send((shard_id, self._shards[shard_id].jobs, lambda: None))"),)),
+         "worker.pipe.send((shard_id, self._shards[shard_id].jobs, lambda: None))"),)),
     "pickle-lambda:rank-send": ("pickle-lambda", (
-        ("repro/distributed/trainer.py", "self.connection.send(assignments)",
-         "self.connection.send((assignments, lambda: None))"),)),
+        ("repro/distributed/trainer.py", "self.pipe.send(assignments)",
+         "self.pipe.send((assignments, lambda: None))"),)),
     "pickle-lambda:process-target": ("pickle-lambda", (
         ("repro/common/utils.py", "target=target, args=", "target=lambda *call: target(*call), args="),)),
     "pickle-generator:shard-send": ("pickle-generator", (
         ("repro/serving/procpool.py", _SHARD_SEND,
-         "worker.connection.send((shard_id, (job for job in self._shards[shard_id].jobs)))"),)),
+         "worker.pipe.send((shard_id, (job for job in self._shards[shard_id].jobs)))"),)),
     "pickle-generator:process-args": ("pickle-generator", (
         ("repro/common/utils.py", _CHILD_ARGS,
-         "args=(remote, (end for end in (connection, *parent_ends)), *args)"),)),
+         "args=(remote, *(arg for arg in args))"),)),
     "pickle-local-function:shard-send": ("pickle-local-function", (
         ("repro/serving/procpool.py", "        shard_id = worker.shard\n        try:\n",
          "        shard_id = worker.shard\n\n        def on_reply(reply):\n"
          "            return reply\n\n        try:\n"),
         ("repro/serving/procpool.py", _SHARD_SEND,
-         "worker.connection.send((shard_id, self._shards[shard_id].jobs, on_reply))"))),
+         "worker.pipe.send((shard_id, self._shards[shard_id].jobs, on_reply))"))),
     "pickle-local-function:process-target": ("pickle-local-function", (
         ("repro/common/utils.py", _PIPE_START,
-         "    def child(*call):\n        return target(*call)\n\n" + _PIPE_START),
+         "        def child(*call):\n            return target(*call)\n\n" + _PIPE_START),
         ("repro/common/utils.py", "target=target, args=", "target=child, args="))),
     "pickle-open-handle:shard-send": ("pickle-open-handle", (
         ("repro/serving/procpool.py", "        shard_id = worker.shard\n        try:\n",
          "        shard_id = worker.shard\n        log = open(os.devnull, \"w\")\n        try:\n"),
         ("repro/serving/procpool.py", _SHARD_SEND,
-         "worker.connection.send((shard_id, self._shards[shard_id].jobs, log))"))),
+         "worker.pipe.send((shard_id, self._shards[shard_id].jobs, log))"))),
     "pickle-open-handle:process-args": ("pickle-open-handle", (
-        ("repro/common/utils.py", _PIPE_START, "    log = open(os.devnull, \"w\")\n" + _PIPE_START),
-        ("repro/common/utils.py", _CHILD_ARGS, "args=(remote, [connection, *parent_ends, log], *args)"))),
+        ("repro/common/utils.py", _PIPE_START, "        log = open(os.devnull, \"w\")\n" + _PIPE_START),
+        ("repro/common/utils.py", _CHILD_ARGS, "args=(remote, *args, log)"))),
     "det-set-iteration:BatchedProposalSession.proposals": ("det-set-iteration", (
         ("repro/ppl/nn/inference_network.py",
          "        for address, members in groups.items():\n            if address not in layers:",

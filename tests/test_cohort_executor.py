@@ -230,14 +230,14 @@ class TestRefresh:
             if pool_class is CohortWorkerPool:
                 assert pool.plan_cache.stats()["plans"] >= 1
             else:
-                generation = {worker.process.pid for worker in pool._workers}
+                generation = {worker.pipe.process.pid for worker in pool._workers}
             network.notify_updated()
             pool.refresh(model, network)
             if pool_class is CohortWorkerPool:
                 stats = pool.plan_cache.stats()
                 assert stats["plans"] == 0 and stats["invalidations"] >= 1
             else:
-                assert generation.isdisjoint(worker.process.pid for worker in pool._workers)
+                assert generation.isdisjoint(worker.pipe.process.pid for worker in pool._workers)
             assert len(self._one_shard(pool, network, 3)) == 8
 
 

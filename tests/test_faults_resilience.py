@@ -12,7 +12,6 @@ a worker crash never leaves a future unresolved.
 
 import itertools
 import os
-import pickle
 import signal
 import socket
 import threading
@@ -118,15 +117,6 @@ class TestFaultPlan:
         assert a == b
         c = decisions(FaultPlan([rule("x"), rule("y")], seed=10), ["x", "y"] * 10)
         assert a != c  # different seed, different schedule (w.h.p. for p=0.4)
-
-    def test_plans_pickle_with_schedule_position(self):
-        plan = FaultPlan([FaultRule(site="s", kind="crash", at=1)], seed=3)
-        assert plan.decide("s") is None
-        clone = pickle.loads(pickle.dumps(plan))
-        # The clone continues from the parent's occurrence counter: the next
-        # call is occurrence 1 for both.
-        assert clone.decide("s").kind == "crash"
-        assert plan.decide("s").kind == "crash"
 
     def test_randomized_plans_are_pure_functions_of_seed(self):
         a, b = FaultPlan.randomized(42), FaultPlan.randomized(42)
@@ -459,14 +449,14 @@ class TestProcessChaos:
         victim = None
         while time.monotonic() < deadline and victim is None:
             for worker in service.workers._workers:
-                if worker.shard is not None and worker.process.is_alive():
+                if worker.shard is not None and worker.pipe.process.is_alive():
                     victim = worker
             time.sleep(0.01)
         assert victim is not None
         # Kill the busy worker and immediately drain-shutdown: the drain
         # waits for the crashed shard, which fails loudly — the future is
         # resolved, never abandoned.
-        os.kill(victim.process.pid, signal.SIGKILL)
+        os.kill(victim.pipe.process.pid, signal.SIGKILL)
         service.stop(drain=True)
         assert future.done()
         with pytest.raises(WorkerCrashed):

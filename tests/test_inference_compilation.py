@@ -586,6 +586,14 @@ class TestRemovedOptions:
             "repro.trace:Sample.from_dict",
             "repro.trace:Trace.from_dict",
             "repro.simulators.detector:DetectorConfig.paper_size",
+            # One forked-child primitive starts, watches and stops every
+            # child process; fork is its one start.
+            "repro.common.utils:start_piped_child",
+            "repro.distributed.trainer:_FORK",
+            "repro.distributed.trainer:_usable_cores",
+            "repro.distributed.trainer:_RankWorker.JOIN_SECONDS",
+            "repro.distributed.trainer:_RankWorker.join",
+            "repro.serving.procpool:ProcessCohortPool._dismiss",
         ],
     )
     def test_removed_entry_points_are_gone(self, path):
@@ -624,6 +632,21 @@ class TestRemovedOptions:
         assert not hasattr(AddressBuilder(), "stop_marker")
         cluster = ClusterPerformanceModel(CORI, rng=RandomState(0))
         assert not hasattr(cluster, "gradient_elements") and not hasattr(cluster, "io_fraction")
+
+    def test_what_only_a_spawn_start_needed_is_gone(self):
+        # Workers are forked: they inherit the model, the network and the
+        # active fault plan, so nothing of a spawned start is left.
+        import inspect
+
+        from repro.serving import ProcessCohortPool
+        from repro.serving.procpool import _worker_main
+        from repro.testing.faults import FaultPlan
+
+        pool = ProcessCohortPool(FunctionModel(mixed_program, name="mixed"), None, num_workers=1)
+        assert not hasattr(pool, "start_method") and "start_method" not in pool.stats()
+        assert "fault_plan" not in inspect.signature(_worker_main).parameters
+        # object supplies the default pair, which the name check above would see.
+        assert "__getstate__" not in vars(FaultPlan) and "__setstate__" not in vars(FaultPlan)
 
     def test_tensor_comparisons_are_gone(self):
         # Tensor inherits object's comparison slots, so the name check above

@@ -292,6 +292,45 @@ class TestInferenceNetwork:
         assert loaded.num_parameters() == network.num_parameters()
         assert loaded.loss(traces).item() == pytest.approx(loss_before, rel=1e-10)
 
+    @staticmethod
+    def voxel_program():
+        energy = sample(Normal(0.0, 1.0), name="energy")
+        observe(Normal(energy * np.ones((4, 5, 5)), 1.0), name="obs")
+        return energy
+
+    def cnn_network(self, config, channels):
+        cnn = ObservationEmbedding3DCNN(
+            (4, 5, 5), embedding_dim=config.observation_embedding_dim, rng=RandomState(3), **channels
+        )
+        return InferenceNetwork(observation_embedding=cnn, config=config, observe_key="obs")
+
+    def test_save_and_load_keep_the_cnn_channels(self, small_config, rng, tmp_path):
+        network = self.cnn_network(small_config, {"channels": (4,)})
+        traces = FunctionModel(self.voxel_program).prior_traces(5, rng=rng)
+        network.polymorph(traces)
+        path = os.path.join(tmp_path, "network.pkl")
+        network.save(path)
+        loaded = InferenceNetwork.load(path)
+        assert loaded.observation_embedding.channels == (4,)
+        volumes = np.stack([trace.observation["obs"] for trace in traces])
+        assert np.array_equal(loaded.observation_embedding(volumes).data, network.observation_embedding(volumes).data)
+        assert loaded.loss(traces).item() == network.loss(traces).item()
+
+    def test_a_save_without_channels_loads_the_default_cnn(self, small_config, rng, tmp_path):
+        network = self.cnn_network(small_config, {})
+        traces = FunctionModel(self.voxel_program).prior_traces(5, rng=rng)
+        network.polymorph(traces)
+        path = os.path.join(tmp_path, "network.pkl")
+        network.save(path)
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        del payload["observation_embedding_meta"]["channels"]  # as saved before channels were
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+        loaded = InferenceNetwork.load(path)
+        assert loaded.observation_embedding.channels == (8, 16)
+        assert loaded.loss(traces).item() == network.loss(traces).item()
+
     def test_load_drops_config_keys_config_no_longer_declares(self, small_config, mixed_model, rng, tmp_path):
         network = build_network(small_config)
         traces = mixed_model.prior_traces(5, rng=rng)

@@ -21,6 +21,7 @@ import pytest
 from repro import ppl
 from repro.common.config import Config
 from repro.common.rng import RandomState
+from repro.common.utils import can_fork, usable_cores
 from repro.data import InMemoryTraceDataset, generate_dataset
 from repro.distributed import DistributedTrainer
 from repro.distributed import trainer as trainer_module
@@ -29,10 +30,11 @@ from repro.ppl import FunctionModel
 from repro.ppl.inference import InferenceCompilation
 from repro.ppl.nn import ObservationEmbeddingFC
 from repro.ppl.nn.inference_network import InferenceNetwork
+from repro.serving import ProcessCohortPool
 from repro.simulators import TauDecayModel
 
 needs_two_cores = pytest.mark.skipif(
-    trainer_module._usable_cores() < 2, reason="needs fork and two usable cores"
+    not can_fork() or len(usable_cores()) < 2, reason="needs fork and two usable cores"
 )
 
 
@@ -245,6 +247,29 @@ class TestNoRankProcessOutlivesTrain:
         trainer, _ = build_trainer(InMemoryTraceDataset(tau_traces))
         trainer.train(2, callback=callback)
         assert len(spent) == 2 and max(spent) <= 2  # a spinning rank would burn ~30 ticks
+
+
+@needs_two_cores
+class TestRankProcessesLeaveOnTheirOwn:
+    def test_a_cohort_pool_started_mid_run_holds_no_rank_pipe(self, tau_traces):
+        """Cohort workers forked from the training callback inherit the rank's
+        pipe end; if they kept it open, the rank would never read the
+        end-of-file of the join and would be killed."""
+        trainer, _ = build_trainer(InMemoryTraceDataset(tau_traces), validation_fraction=0.0)
+        ranks, pools = [], []
+
+        def callback(iteration, loss):
+            if iteration == 0:
+                ranks.extend(multiprocessing.active_children())
+                pools.append(ProcessCohortPool(FunctionModel(two_draws, name="two-draws"), None, num_workers=1).start())
+
+        try:
+            trainer.train(2, callback=callback)
+        finally:
+            for pool in pools:
+                pool.stop()
+        assert len(ranks) == 1 and len(pools) == 1
+        assert [process.exitcode for process in ranks] == [0]  # left on its own, not killed
 
 
 # ------------------------------------------------------------------- one rank

@@ -46,7 +46,7 @@ TOP_LEVEL_KEYS = {
 
 #: the ``workers`` section: what either pool counts, then the process pool's own
 WORKERS_KEYS = {"backend", "num_workers", "free_executors", "shards_executed", "failed_shards"}
-PROCESS_WORKERS_KEYS = WORKERS_KEYS | {"start_method", "worker_crashes", "inflight_shards"}
+PROCESS_WORKERS_KEYS = WORKERS_KEYS | {"worker_crashes", "inflight_shards"}
 #: the ``resilience`` section
 RESILIENCE_KEYS = {
     "breaker", "retry_max_attempts", "retries_dispatched", "retries_pending", "retries_abandoned",

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.common import utils
 from repro.common.rng import RandomState
 from repro.ppl import FunctionModel
 from repro.ppl.inference.batched import TraceJob, request_key
@@ -33,6 +34,7 @@ from repro.serving import (
     posterior_digest,
 )
 from repro.serving.procpool import _picklable_error
+from repro.testing.faults import FaultPlan, activate
 from tests.test_batched_inference import OBSERVATION, lockstep_program
 from tests.test_cohort_executor import wait_for
 
@@ -185,7 +187,7 @@ class TestWorkerCrash:
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             for worker in pool._workers:
-                if worker.shard is not None and worker.process.is_alive():
+                if worker.shard is not None and worker.pipe.process.is_alive():
                     return worker
             time.sleep(0.01)
         raise AssertionError("no worker picked up the shard")
@@ -200,8 +202,8 @@ class TestWorkerCrash:
     def _assert_respawned(pool, victim):
         replacement = pool._workers[victim.index]
         assert replacement is not victim
-        assert replacement.process.pid != victim.process.pid
-        assert replacement.process.is_alive()
+        assert replacement.pipe.process.pid != victim.pipe.process.pid
+        assert replacement.pipe.process.is_alive()
 
     def test_killed_busy_worker_fails_its_shard_at_once(self):
         model = FunctionModel(slow_program, name="slow")
@@ -210,7 +212,7 @@ class TestWorkerCrash:
         try:
             outcome = self._submit_slow_shard(pool)
             victim = self._busy_worker(pool)
-            os.kill(victim.process.pid, signal.SIGKILL)
+            os.kill(victim.pipe.process.pid, signal.SIGKILL)
             self._wait_for_outcome(outcome)
             assert isinstance(outcome["error"], WorkerCrashed)
             assert outcome["traces"] is None
@@ -229,7 +231,7 @@ class TestWorkerCrash:
         try:
             future = service.submit(SLOW_OBSERVATION, num_traces=2, seed=3)
             victim = self._busy_worker(service.workers)
-            os.kill(victim.process.pid, signal.SIGKILL)
+            os.kill(victim.pipe.process.pid, signal.SIGKILL)
             with pytest.raises(WorkerCrashed):
                 future.result(timeout=30)
             stats = service.stats()
@@ -294,10 +296,20 @@ class TestProcessLifecycle:
             PosteriorService(model, None, backend="mpi")
 
 
-    def test_start_method_follows_the_platform(self):
-        model = FunctionModel(lockstep_program, name="lockstep")
-        expected = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        assert ProcessCohortPool(model, None, num_workers=1).stats()["start_method"] == expected
+    def test_without_fork_the_process_backend_serves_on_threads(self, served_engine, monkeypatch):
+        model, engine = served_engine
+
+        def served_digest():
+            with make_service(model, engine, backend="process") as service:
+                result = service.posterior(OBSERVATION, num_traces=16, seed=7, use_cache=False, timeout=120)
+                return service.backend, posterior_digest(result.posterior)
+
+        backend, digest = served_digest()
+        assert backend == "process"
+        monkeypatch.setattr(utils, "_FORK", None)  # a platform without fork
+        assert served_digest() == ("thread", digest)
+        with pytest.raises(RuntimeError, match="cannot fork"):
+            ProcessCohortPool(model, None, num_workers=1)
 
     @pytest.mark.parametrize("option", ["start_method", "max_requeues"])
     def test_removed_pool_option_is_rejected(self, option):
@@ -391,10 +403,10 @@ class TestWorkerRefresh:
         model, engine = served_engine
         with make_service(model, engine, backend="process") as service:
             service.posterior(OBSERVATION, num_traces=4, timeout=60)
-            generation_before = [worker.process.pid for worker in service.workers._workers]
+            generation_before = [worker.pipe.process.pid for worker in service.workers._workers]
             engine.network.notify_updated()
             # The listener rolled the worker generation: new processes.
-            generation_after = [worker.process.pid for worker in service.workers._workers]
+            generation_after = [worker.pipe.process.pid for worker in service.workers._workers]
             assert set(generation_before).isdisjoint(generation_after)
             # And the rolled pool still serves correctly.
             assert service.posterior(OBSERVATION, num_traces=4, timeout=60).num_traces == 4
@@ -473,7 +485,7 @@ class TestDeathIsEndOfFile:
             while len(answered) < 3 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert len(answered) >= 3, "traffic is not flowing"
-            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            os.kill(pool._workers[0].pipe.process.pid, signal.SIGKILL)
             assert resolved.wait(10.0), "the crashed worker's shard never resolved"
             assert not stop.is_set() and traffic.is_alive()  # resolved under traffic
             stats = pool.stats()
@@ -490,23 +502,58 @@ class TestDeathIsEndOfFile:
     def test_idle_worker_killed_is_replaced_without_a_dispatch(self):
         with ProcessCohortPool(FunctionModel(gen1_program, name="gen"), None, num_workers=2) as pool:
             victim = pool._workers[0]
-            os.kill(victim.process.pid, signal.SIGKILL)
+            os.kill(victim.pipe.process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
             while pool._workers[0] is victim and time.monotonic() < deadline:
                 time.sleep(0.01)
             replacement = pool._workers[0]
-            assert replacement is not victim and replacement.process.is_alive()
+            assert replacement is not victim and replacement.pipe.process.is_alive()
             stats = pool.stats()
             assert (stats["worker_crashes"], stats["failed_shards"], stats["shards_executed"]) == (1, 0, 0)
 
     def test_refresh_then_stop_is_not_a_crash(self):
         pool = ProcessCohortPool(FunctionModel(gen1_program, name="gen"), None, num_workers=2).start()
-        first = [worker.process for worker in pool._workers]
+        first = [worker.pipe.process for worker in pool._workers]
         pool.refresh(model=FunctionModel(gen2_program, name="gen"))
-        second = [worker.process for worker in pool._workers]
+        second = [worker.pipe.process for worker in pool._workers]
         pool.stop()
         assert pool.stats()["worker_crashes"] == 0
         # Dismissed, not killed: every worker of both generations left by itself.
         for process in first + second:
             process.join(timeout=5.0)
             assert process.exitcode == 0
+
+
+class TestForkFromABusyParent:
+    def test_worker_forked_while_a_thread_holds_the_fault_plan_lock_answers(self):
+        # A forked worker inherits the active plan, whose lock another thread
+        # of the parent may hold at the fork; in the child no thread is left
+        # to release it, and every fault point of the worker would wait.
+        plan = FaultPlan([], seed=0)
+        held, release = threading.Event(), threading.Event()
+
+        def hold_the_plan_lock():
+            with plan._lock:
+                held.set()
+                release.wait(10.0)
+
+        holder = threading.Thread(target=hold_the_plan_lock)
+        answered, outcome = threading.Event(), {}
+
+        def on_done(_entries, traces, error):
+            outcome["traces"], outcome["error"] = traces, error
+            answered.set()
+
+        with activate(plan):
+            holder.start()
+            assert held.wait(10.0)
+            pool = ProcessCohortPool(FunctionModel(lockstep_program, name="lockstep"), None, num_workers=1).start()
+            release.set()
+            holder.join()
+            try:
+                pool.submit(TraceJob.for_request(0, OBSERVATION, None, 4, request_key(RandomState(3))), on_done)
+                # A bound, not a timing: a worker stuck on the inherited lock never replies.
+                assert answered.wait(10.0), "the worker never answered its shard"
+            finally:
+                pool.stop(drain=False)
+        assert outcome["error"] is None and len(outcome["traces"]) == 4

@@ -102,7 +102,7 @@ def test_respawned_and_refreshed_workers_keep_their_core():
     expected = [[cores[index % len(cores)]] for index in range(2)]
     with ProcessCohortPool(MODEL, None, num_workers=2) as pool:
         victim = pool._workers[1]
-        os.kill(victim.process.pid, signal.SIGKILL)
+        os.kill(victim.pipe.process.pid, signal.SIGKILL)
         # Its pipe reads end-of-file: the pool reaps it and respawns it under
         # its index.  Wait for that rather than joining the victim here, where
         # the test would race the pool's own ``join`` for the exit status.
@@ -110,9 +110,9 @@ def test_respawned_and_refreshed_workers_keep_their_core():
         while pool._workers[1] is victim and time.monotonic() < deadline:
             time.sleep(0.01)
         assert pool._workers[1] is not victim
-        victim.process.join(timeout=5.0)
-        assert not victim.process.is_alive()
+        victim.pipe.process.join(timeout=5.0)
+        assert not victim.pipe.process.is_alive()
         assert reported_cores(pool) == expected
-        assert pool._workers[1].process.pid != victim.process.pid
+        assert pool._workers[1].pipe.process.pid != victim.pipe.process.pid
         pool.refresh(MODEL)
         assert reported_cores(pool) == expected
