@@ -9,22 +9,24 @@ trace type once, chunks it under a token budget, caches the packed array
 inputs across epochs and scores each step in array ops — so per iteration
 only the NN forwards/backwards remain.
 
-The gate: at minibatch 64 on a multi-trace-type model, the packed pipeline
-must deliver at least ``TRAINING_SPEEDUP_MIN``x (2x on dedicated hardware,
-relaxed on noisy CI runners) the offline training throughput (traces/s) of
-the retained reference — ``vectorized_loss=False`` plus the legacy
+The gate (``timing``): at minibatch 64 on a multi-trace-type model, the
+packed pipeline must deliver at least ``TRAINING_SPEEDUP_MIN``x (2x on
+dedicated hardware, relaxed on noisy CI runners) the offline training
+throughput (traces/s) of the retained reference — ``vectorized_loss=False`` plus the legacy
 per-iteration random schedule, which this file builds on the one
 ``TrainingLoop`` (:func:`train_random_schedule`).  Correctness is owned by
 ``tests/test_training_packed.py``: under the *same* schedule the two loss
 paths agree to rtol 1e-12 (the same terms summed in another order), so
 everything measured here is schedule + caching + vectorisation, not
-different math.
+different math.  Tier-1 runs the equivalence half: one run of each pipeline,
+and each must lower the dataset loss.
 """
 
 import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.common.config import Config
 from repro.common.rng import RandomState
@@ -123,38 +125,57 @@ def train_packed(engine, dataset) -> int:
     return history.traces_seen[-1]
 
 
-def test_packed_training_pipeline_speedup():
+@pytest.fixture(scope="module")
+def training_case():
+    """The dataset, its evaluation packs and its loss under the untrained network.
+
+    Per-iteration training losses are not comparable across schedules
+    (minibatch composition differs), so "did it learn" is judged by a fixed
+    evaluation loss over the whole dataset against the untrained network.
+    """
     model = FunctionModel(training_program, name="training_bench")
     dataset = model.prior_traces(DATASET_SIZE, rng=RandomState(17))
-    num_types = len({t.trace_type for t in dataset})
-    assert num_types >= 4  # the schedule win needs real trace-type diversity
-
-    # Fixed evaluation loss over the whole dataset: per-iteration training
-    # losses are not comparable across schedules (minibatch composition
-    # differs), so "did it learn" is judged against the untrained network.
     eval_packs = pack_minibatch(dataset, observe_key="obs")
     probe = build_engine(True)
     pregenerate_layers(probe.network, dataset, freeze=True)
-    untrained_eval = probe.network.loss_packed(eval_packs).item()
+    return dataset, eval_packs, probe.network.loss_packed(eval_packs).item()
 
-    def run(vectorized_loss, train):
-        engine = build_engine(vectorized_loss)
-        start = time.perf_counter()
-        traces_seen = train(engine, dataset)
-        elapsed = time.perf_counter() - start
-        evaluation = engine.network.loss_packed(eval_packs).item()
-        return elapsed, traces_seen, evaluation
+
+def run(training_case, vectorized_loss, train):
+    """One training run: ``(seconds, traces seen, dataset loss after)``."""
+    dataset, eval_packs, _ = training_case
+    engine = build_engine(vectorized_loss)
+    start = time.perf_counter()
+    traces_seen = train(engine, dataset)
+    elapsed = time.perf_counter() - start
+    return elapsed, traces_seen, engine.network.loss_packed(eval_packs).item()
+
+
+def test_both_pipelines_train(training_case):
+    dataset, _, untrained_eval = training_case
+    assert len({t.trace_type for t in dataset}) >= 4  # real trace-type diversity
+    _, _, packed_eval = run(training_case, True, train_packed)
+    _, _, reference_eval = run(training_case, False, train_random_schedule)
+    assert packed_eval < untrained_eval
+    assert reference_eval < untrained_eval
+
+
+@pytest.mark.timing
+def test_packed_training_pipeline_speedup(training_case):
+    dataset, _, untrained_eval = training_case
+    num_types = len({t.trace_type for t in dataset})
+    assert num_types >= 4  # the schedule win needs real trace-type diversity
 
     # Warm numpy/scipy dispatch caches, then best-of-N.
-    run(True, train_packed)
-    run(False, train_random_schedule)
+    run(training_case, True, train_packed)
+    run(training_case, False, train_random_schedule)
     packed_times, reference_times = [], []
     packed_traces = reference_traces = None
     packed_eval = reference_eval = None
     for _ in range(ROUNDS):
-        elapsed, packed_traces, packed_eval = run(True, train_packed)
+        elapsed, packed_traces, packed_eval = run(training_case, True, train_packed)
         packed_times.append(elapsed)
-        elapsed, reference_traces, reference_eval = run(False, train_random_schedule)
+        elapsed, reference_traces, reference_eval = run(training_case, False, train_random_schedule)
         reference_times.append(elapsed)
 
     packed_best = min(packed_times)

@@ -16,8 +16,9 @@ time pays one observation embedding, one LSTM step and one proposal forward
    draws and scores the group's values in one vectorised pass — on each
    execution's own deterministic random stream, which is safe to touch
    because that execution is suspended until the round is answered;
-3. each execution resumes with its value and proposal log-density in hand and
-   runs until its next draw (or finishes).
+3. each execution resumes, one at a time, with its value, proposal and prior
+   log-densities in hand and runs until its next draw (or finishes), when it
+   wakes the next.
 
 Divergence-fallback semantics: traces that request *different* addresses in
 the same round are stepped as separate per-address sub-batches (a sub-batch
@@ -153,21 +154,30 @@ class _LockstepCoordinator:
     Round protocol: every live worker posts exactly one message per round —
     either a proposal request (then blocks until answered) or "done".  Once
     all live workers have been heard from, the pending requests are answered
-    with one :meth:`BatchedProposalSession.proposals` call and the requesting
-    workers are released for the next round.
+    with one :meth:`BatchedProposalSession.proposals` call.
 
-    The hand-off is a baton passed on bare locks.  Every lock here except
-    ``_lock`` is created *held* and used as a binary gate: the party that
-    waits calls ``acquire()`` (and so leaves the gate shut behind it), the
-    party that wakes it calls ``release()`` from another thread.  A worker
-    blocks on its own slot's gate; the driver blocks on ``_driver_gate``,
-    which the *last* poster of a round opens — so a round costs the driver
-    one wake-up and each slot one, with no ``Event``/``Condition`` (a
-    ``Condition`` allocates and queues a fresh lock per wait) and nothing
-    allocated per round but the ``pending`` list the session consumes.  The
-    inbox is one cell per slot, so ``pending`` falls out in slot order.  At
-    serving cohort sizes (B=64) this coordination, not NN compute, is the
-    engine's largest cost.
+    One slot runs at a time.  The hand-off is a baton passed along a chain of
+    bare locks, each created *held* and used as a binary gate: the party that
+    waits calls ``acquire()``, the party that wakes it calls ``release()``.
+    After a round is answered the driver opens only the gate of the first
+    answered slot; a slot that posts its next message (a request, or "done"
+    when it finishes or raises) opens the gate of the next answered slot, in
+    slot order, and the last one opens ``_driver_gate``.  A cohort's first
+    round is the same chain over every slot, on the slot threads' start gates
+    (``start_gates``), so no thread is woken before its turn.  Each hand-off
+    wakes exactly one thread, which then runs alone: opened all at once, the
+    answered slots woke together and contended for the GIL (1 930–2 000
+    context switches for a pinned 64-slot, 8-round hot cohort; 840–910 as a
+    chain).  Requests arrive in slot order by construction; the inbox is one
+    cell per slot and is read in slot order all the same.
+
+    ``_opened`` counts the gates of the round's chain opened so far (the
+    driver's is the last), under ``_lock``: that is the whole state.  So the
+    dead-thread check knows the baton holder (a holder whose thread died
+    without posting is counted done, and the driver opens the next gate for
+    it), and the poison path knows which gates are still shut and opens each
+    exactly once, after which no slot opens anything — a second ``release()``
+    of a gate would raise.
     """
 
     def __init__(
@@ -176,40 +186,53 @@ class _LockstepCoordinator:
         num_workers: int,
         stall_timeout: float = 60.0,
         poll_interval: float = 5.0,
+        start_gates: Optional[Sequence[threading.Lock]] = None,
     ) -> None:
         self.session = session
         self.num_workers = num_workers
         #: seconds of zero round progress tolerated before the driver raises
         #: :class:`LockstepStallError` (liveness re-checks happen every
         #: ``poll_interval`` regardless; this only bounds how long "no new
-        #: message and every laggard thread still alive" may persist)
+        #: message and the baton holder's thread still alive" may persist)
         self.stall_timeout = float(stall_timeout)
         self.poll_interval = float(poll_interval)
-        #: guards the round counters and the poison flag (an ordinary mutex)
+        #: guards the chain state and the poison flag (an ordinary mutex)
         self._lock = threading.Lock()
         #: this round's message per slot: ``_UNPOSTED``, ``None`` (done) or the
         #: ``(slot, address, prior, previous_value)`` request
         self._inbox: List[Any] = [_UNPOSTED] * num_workers
-        self._posted = 0
-        #: how many messages complete the current round (live outstanding workers)
-        self._expected = num_workers
         self._driver_gate = _shut_gate()
+        #: the gate a slot waits on for its answer (the chain of every later round)
         self._slot_gates = [_shut_gate() for _ in range(num_workers)]
         self._responses: List[Any] = [None] * num_workers
+        #: the round's chain: its slots in slot order, the gate each waits on
+        #: for its turn, and how many of those gates (then the driver's) are open
+        self._chain = list(range(num_workers))
+        self._gates = (
+            list(start_gates) if start_gates is not None else [_shut_gate() for _ in range(num_workers)]
+        )
+        self._opened = 0
         #: set after a driver-side failure: workers stop suspending and run
         #: to completion on the prior fallback instead of deadlocking
         self._poisoned = False
 
+    def _open_next(self) -> None:
+        """Pass the baton: open the chain's next gate, the driver's after the last (under ``_lock``)."""
+        opened = self._opened
+        if opened < len(self._chain):
+            self._gates[self._chain[opened]].release()
+        else:
+            self._driver_gate.release()
+        self._opened = opened + 1
+
     # ------------------------------------------------------------ worker side
     def _post(self, slot: int, message) -> bool:
-        """Fill the slot's inbox cell; returns False when the cohort is poisoned."""
+        """Fill the slot's inbox cell and pass the baton; False when the cohort is poisoned."""
         with self._lock:
             if self._poisoned:
                 return False
             self._inbox[slot] = message
-            self._posted += 1
-            if self._posted == self._expected:
-                self._driver_gate.release()  # last poster of the round: baton to the driver
+            self._open_next()
             return True
 
     def request(self, slot: int, address: str, prior, previous_value):
@@ -223,103 +246,98 @@ class _LockstepCoordinator:
         self._post(slot, None)
 
     # ------------------------------------------------------------ driver side
-    def _await_round(self, outstanding: List[int], threads) -> None:
-        """Block until every outstanding worker has posted its round message.
+    def _await_round(self, threads) -> None:
+        """Block until every slot of the round's chain has posted its message.
 
-        ``threads`` enables a liveness check: a worker that died without ever
-        reaching its ``finally`` (interpreter-level failure) is treated as
-        done instead of deadlocking the round.
+        ``threads`` enables a liveness check: a baton holder that died
+        without ever reaching its ``finally`` (interpreter-level failure) is
+        treated as done, and its baton passed on, instead of deadlocking the
+        round.
 
-        A round that makes *no* progress — no new message posted, every
-        laggard thread still alive — for ``stall_timeout`` cumulative seconds
-        raises :class:`LockstepStallError` naming the stuck slots, instead of
-        silently re-waiting forever (a wedged simulator used to hang the
-        whole cohort here).
+        A round that makes *no* progress — no gate opened, the holder's
+        thread still alive — for ``stall_timeout`` cumulative seconds raises
+        :class:`LockstepStallError` naming the holder (the slots queued
+        behind it are only waiting their turn), instead of silently
+        re-waiting forever (a wedged simulator used to hang the whole cohort
+        here).
         """
         stalled_for = 0.0
-        last_posted = -1
+        last_opened = -1
         while not self._driver_gate.acquire(timeout=self.poll_interval):
             with self._lock:
-                if self._posted == self._expected:
-                    continue  # the last poster beat the timeout: take its baton
-                missing = [slot for slot in outstanding if self._inbox[slot] is _UNPOSTED]
-                if threads is not None:
-                    dead = [slot for slot in missing if not threads[slot].is_alive()]
-                    if dead:
-                        for slot in dead:
-                            outstanding.remove(slot)
-                            missing.remove(slot)
-                        self._expected -= len(dead)
-                        if self._posted == self._expected:
-                            return  # nobody opened the gate: it stays shut for the next round
-                if self._posted > last_posted:
-                    last_posted = self._posted
+                opened, chain = self._opened, self._chain
+                if opened > len(chain):
+                    continue  # the last slot beat the timeout: take its baton
+                holder = chain[opened - 1]
+                if threads is not None and not threads[holder].is_alive():
+                    self._open_next()  # died without posting: done, baton passes on
+                    continue
+                if opened > last_opened:
+                    last_opened = opened
                     stalled_for = 0.0
                 else:
                     stalled_for += self.poll_interval
                 if stalled_for >= self.stall_timeout:
-                    status = {
-                        slot: (
-                            "alive"
-                            if threads is not None and threads[slot].is_alive()
-                            else "no-thread-info" if threads is None else "dead"
-                        )
-                        for slot in missing
-                    }
+                    status = "no-thread-info" if threads is None else "alive"
                     raise LockstepStallError(
-                        f"lockstep round stalled for {stalled_for:.0f}s: "
-                        f"{self._posted}/{self._expected} messages posted, "
-                        f"waiting on slots {status} "
-                        f"(outstanding={outstanding})"
+                        f"lockstep round stalled for {stalled_for:.0f}s: slot {holder} "
+                        f"holds the baton, {opened - 1}/{len(chain)} slots have posted "
+                        f"and {len(chain) - opened} are queued behind it; "
+                        f"waiting on slots {{{holder}: {status!r}}}"
                     )
 
     def serve(self, threads: Optional[Sequence[threading.Thread]] = None) -> None:
         """Run rounds until every worker has finished."""
         inbox = self._inbox
-        #: slots owed a message this round, ascending
-        outstanding = list(range(self.num_workers))
         try:
-            while outstanding:
-                self._await_round(outstanding, threads)
-                # Slot order, not arrival order: the rows of a same-address
-                # group are stacked in this order, and BLAS rounds a row's
-                # result differently depending on where in the matrix it
-                # sits, so thread timing must not pick the row order.  (A
-                # slot still ``_UNPOSTED`` here died without posting: done.)
+            with self._lock:
+                self._open_next()  # the first round's chain starts at the first slot
+            while True:
+                self._await_round(threads)
+                # Slot order: the rows of a same-address group are stacked in
+                # this order, and BLAS rounds a row's result differently
+                # depending on where in the matrix it sits.  (A slot still
+                # ``_UNPOSTED`` here died without posting: done.)
                 pending = [
                     inbox[slot]
-                    for slot in outstanding
+                    for slot in self._chain
                     if inbox[slot] is not None and inbox[slot] is not _UNPOSTED
                 ]
-                outstanding = [request[0] for request in pending]
                 if not pending:
-                    continue
-                # The next round's barrier must be armed *before* any
-                # released worker can post into it.
+                    return
+                for slot, proposal in self.session.proposals(pending).items():
+                    self._responses[slot] = proposal
+                chain = [request[0] for request in pending]
                 with self._lock:
-                    for slot in outstanding:
+                    for slot in chain:
                         inbox[slot] = _UNPOSTED
-                    self._posted = 0
-                    self._expected = len(outstanding)
-                responses = self.session.proposals(pending)
-                for request_slot, proposal in responses.items():
-                    self._responses[request_slot] = proposal
-                    self._slot_gates[request_slot].release()
+                    self._chain = chain
+                    self._gates = self._slot_gates
+                    self._opened = 0
+                    self._open_next()
         except BaseException:
-            # A driver-side failure (e.g. inside the network forward) must not
-            # leave workers blocked forever: poison the cohort (so no worker
-            # suspends again), release every blocked worker with a prior
-            # fallback, and re-raise.  Poisoned workers run to completion on
-            # their own threads; the cohort's traces are discarded anyway.
+            # A driver-side failure (e.g. inside the network forward, or a
+            # stall) must not leave workers blocked forever: poison the
+            # cohort, so no worker suspends or passes a baton again, and open
+            # every gate a worker still waits on — each once — with a prior
+            # fallback: the chain's unopened gates, and the answer gates of
+            # the slots that posted a request this round.  Poisoned workers
+            # run to completion on their own threads (one not yet started
+            # returns at once); the cohort's traces are discarded anyway.
             with self._lock:
                 self._poisoned = True
-            for slot, gate in enumerate(self._slot_gates):
+                chain, opened = self._chain, self._opened
+                shut = [self._gates[slot] for slot in chain[opened:]]
+                shut += [
+                    self._slot_gates[slot]
+                    for slot in chain[:opened]
+                    if inbox[slot] is not None and inbox[slot] is not _UNPOSTED
+                ]
+            # Poisoned, no slot opens a gate any more: these are the driver's.
+            for slot in range(self.num_workers):
                 self._responses[slot] = None
-                # Only this thread opens slot gates, so a gate seen shut stays
-                # shut until the release below; one already open (its worker
-                # was answered and has not run yet) must not be opened twice.
-                if gate.locked():
-                    gate.release()
+            for gate in shut:
+                gate.release()
             raise
 
 
@@ -334,8 +352,8 @@ class _TrackingProposalController(ProposalController):
     searching the execution's trace, which records uncontrolled draws too.
 
     ``request(address, prior, previous_value)`` returns the session's answer:
-    a :class:`repro.ppl.nn.inference_network.DrawnProposal` stub (value
-    already drawn on this execution's stream and scored by the session), or
+    a :class:`repro.ppl.state.DrawnProposal` stub (value already drawn on
+    this execution's stream, it and the prior scored by the session), or
     ``None`` for the prior fallback.  A lockstep slot's request blocks until
     the coordinator answers the round; a one-slot session answers at once.
     """
@@ -356,6 +374,8 @@ class _TrackingProposalController(ProposalController):
 
 def _worker(model, observation, coordinator, slot, rng, traces, errors) -> None:
     try:
+        if coordinator._poisoned:
+            return  # started by the poison path: the cohort has failed already
         controller = _TrackingProposalController(
             lambda address, prior, previous_value: coordinator.request(
                 slot, address, prior, previous_value
@@ -371,9 +391,10 @@ def _worker(model, observation, coordinator, slot, rng, traces, errors) -> None:
 class _SlotThread:
     """A parked daemon thread that runs one cohort slot's task at a time.
 
-    It waits on its own gate (created held, like the coordinator's); a
-    cohort lends it a task by storing the call and opening the gate, and
-    takes it back by acquiring ``done``, which the thread opens after every
+    It waits on its own ``gate`` (created held, like the coordinator's); a
+    cohort lends it a task by storing the call, starts it by opening the
+    gate (the coordinator does, as the first round of its chain), and takes
+    it back by acquiring ``done``, which the thread opens after every
     task.  Between tasks it holds nothing of its last cohort — not the task,
     the coordinator, the traces or the session.  ``retired`` (written under
     ``_slot_lock``) marks a slot that is never lent again: one the driver
@@ -382,7 +403,7 @@ class _SlotThread:
     """
 
     def __init__(self) -> None:
-        self._gate = _shut_gate()
+        self.gate = _shut_gate()
         self.done = _shut_gate()
         self._task: Optional[Callable[[], None]] = None
         self.retired = False
@@ -390,13 +411,13 @@ class _SlotThread:
         self.thread.start()
 
     def lend(self, task: Callable[[], None]) -> None:
+        """Store ``task``; it runs once ``gate`` is opened."""
         self._task = task
-        self._gate.release()
 
     def _run(self) -> None:
         retired = False
         while not retired:
-            self._gate.acquire()
+            self.gate.acquire()
             task, self._task = self._task, None
             escaped = True
             try:
@@ -475,12 +496,16 @@ def _drive_cohort(model, session, jobs: Sequence[TraceJob], rngs, stats) -> List
 
     Slot ``slot`` executes ``jobs[slot]`` on a borrowed slot thread:
     conditioned on that job's observation, drawing from ``rngs[slot]``, the
-    stream ``session`` draws that slot's proposals on.
+    stream ``session`` draws that slot's proposals on.  Each thread is lent
+    its task here and started by the coordinator, in slot order, as the
+    first round of its chain.
     """
     size = len(jobs)
     slot_threads, started = _borrow_slots(size)
     stats["num_slot_threads_started"] += started
-    coordinator = _LockstepCoordinator(session, size)
+    coordinator = _LockstepCoordinator(
+        session, size, start_gates=[slot_thread.gate for slot_thread in slot_threads]
+    )
     traces: List[Optional[Trace]] = [None] * size
     errors: List[Optional[BaseException]] = [None] * size
     for slot, (slot_thread, job, rng) in enumerate(zip(slot_threads, jobs, rngs)):

@@ -25,8 +25,8 @@ Two entry points matter:
   per-address sub-batches, so a group of size 1 degrades gracefully to
   per-trace stepping, and a one-slot session is one execution walked step
   by step.  Every round is drawn and scored by the driver over the slots'
-  own random streams — all its mixture groups in one vectorised pass — and
-  answered with :class:`DrawnProposal` stubs.
+  own random streams — all its mixture groups in one vectorised pass, and
+  each row's prior too — and answered with :class:`DrawnProposal` stubs.
   :meth:`InferenceNetwork.planned_session` is the same session driven by a
   compiled plan.
 
@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy (cycle guard)
     from repro.data.packing import PackedStep, PackedSubMinibatch
 
 from repro.common.config import Config
-from repro.distributions import Distribution, distribution_from_dict
+from repro.distributions import Distribution, distribution_from_dict, log_prob_total
 from repro.distributions.batched import BatchedMixtureOfTruncatedNormals, MixtureScratch
 from repro.distributions.geometry import PriorGeometry, prior_geometry, prior_signature
 from repro.ppl.nn.embeddings import (
@@ -58,6 +58,7 @@ from repro.ppl.nn.embeddings import (
     SampleEmbedding,
 )
 from repro.ppl.nn.proposals import ProposalNormalMixture, make_proposal_layer
+from repro.ppl.state import DrawnProposal
 from repro.tensor import no_grad
 from repro.tensor.nn import LSTM, Module, ModuleDict, Parameter
 from repro.tensor.tensor import Tensor
@@ -470,36 +471,6 @@ class InferenceNetwork(Module):
         return network
 
 
-class DrawnProposal:
-    """One slot's answer to a lockstep round: a value already drawn and scored.
-
-    The session draws a whole round driver-side — one ``sample_rows`` pass
-    per batch over the very rng objects the slots' executions own, one
-    ``log_prob_rows`` pass over the result.  That is race-free because a round
-    is answered only after every outstanding slot has posted its request, so
-    each stream the driver touches belongs to a thread parked at its gate, and
-    ``sample_rows`` consumes a stream exactly as the stand-alone
-    ``row_distribution(i).sample`` would.  Workers consume the stub through
-    the same ``sample(rng)`` / ``log_prob(value)`` duck type as any proposal:
-    ``sample`` returns the stored value without touching the stream (the
-    driver already consumed it), ``log_prob`` the stored density.  The stub
-    itself is never recorded in the trace — ``ExecutionState.do_sample``
-    stores the *prior* — so it carries no pickling or lifetime concerns.
-    """
-
-    __slots__ = ("value", "log_q")
-
-    def __init__(self, value, log_q) -> None:
-        self.value = value
-        self.log_q = log_q
-
-    def sample(self, rng=None, size=None):
-        return self.value
-
-    def log_prob(self, value):
-        return self.log_q
-
-
 class BatchedProposalSession:
     """Advances B guided executions in lockstep through the inference network.
 
@@ -763,22 +734,50 @@ class BatchedProposalSession:
     def _answer_rows(
         self, batch, addresses: Sequence[str], slots: Sequence[int], priors: Sequence[Distribution]
     ) -> Dict[int, DrawnProposal]:
-        """Draw and score ``batch`` driver-side; one stub per slot.
+        """Draw and score ``batch`` driver-side; one complete stub per slot.
 
         Row ``row`` of ``batch`` is the proposal of ``slots[row]``, requested
         at ``addresses[row]`` under ``priors[row]``; rows may belong to
         different addresses.  Every slot's stream is consumed exactly once,
-        by the one ``sample_rows`` call.
+        by the one ``sample_rows`` call, and each stub carries the value, its
+        proposal density and its prior density (:func:`prior_log_probs`), so
+        the slot scores nothing.
         """
         values = batch.sample_rows([self._rngs[slot] for slot in slots])
-        log_qs = batch.log_prob_rows(values)
-        discrete = batch.discrete
+        log_qs = batch.log_prob_rows(values).tolist()
+        log_priors = prior_log_probs(priors, values)
+        row_values = values.tolist() if batch.discrete else values
         prev_address = self._prev_address
         prev_prior = self._prev_prior
         responses: Dict[int, DrawnProposal] = {}
         for row, slot in enumerate(slots):
-            value = int(values[row]) if discrete else values[row]
-            responses[slot] = DrawnProposal(value, log_qs[row])
+            responses[slot] = DrawnProposal(row_values[row], log_qs[row], log_priors[row])
             prev_address[slot] = addresses[row]
             prev_prior[slot] = priors[row]
         return responses
+
+
+def prior_log_probs(priors: Sequence[Distribution], values: np.ndarray) -> List[float]:
+    """``log_prob_total(priors[row], values[row])`` for every row, bit for bit.
+
+    Rows whose priors share one exact signature (``prior_signature``, as
+    :meth:`BatchedProposalSession._group_geometry` groups them) are scored by
+    one ``log_prob`` call over their values: the densities of the families
+    with a signature (Uniform, scalar Normal, TruncatedNormal, Categorical)
+    are elementwise IEEE arithmetic and table lookups, so a row's score does
+    not depend on the rows beside it.  Rows without a signature are scored
+    one by one.
+    """
+    scores: List[float] = [0.0] * len(priors)
+    by_signature: Dict[Tuple, List[int]] = {}
+    for row, prior in enumerate(priors):
+        signature = prior_signature(prior)
+        if signature is None:
+            scores[row] = log_prob_total(prior, values[row])
+        else:
+            by_signature.setdefault(signature, []).append(row)
+    for rows in by_signature.values():
+        group = values if len(rows) == len(values) else values[rows]
+        for row, score in zip(rows, priors[rows[0]].log_prob(group).tolist()):
+            scores[row] = score
+    return scores

@@ -44,6 +44,7 @@ __all__ = [
     "PriorController",
     "ReplayController",
     "ProposalController",
+    "DrawnProposal",
     "sample",
     "observe",
     "current_state",
@@ -119,20 +120,50 @@ class ReplayController(Controller):
         return value, log_q
 
 
+class DrawnProposal:
+    """A proposal answer already drawn and scored: ``(value, log_q, log_prior)``.
+
+    The lockstep engine's session draws and scores a whole round on the
+    driver — the proposal values on the very rng objects the suspended
+    executions own, their proposal densities and their priors' densities —
+    and answers each slot with one of these, so the slot's side of a draw is
+    post, wait, take the three numbers: :class:`ProposalController` reads
+    them off and runs no ``sample`` or ``log_prob`` on the slot's thread.
+    ``log_prior`` is ``log_prob_total(prior, value)`` bit for bit; ``None``
+    leaves the prior to be scored by the execution state.  The stub still
+    answers to the proposal duck type (``sample`` returns the stored value
+    without touching a stream, ``log_prob`` the stored density), and is never
+    recorded in the trace — ``ExecutionState.do_sample`` stores the *prior*.
+    """
+
+    __slots__ = ("value", "log_q", "log_prior")
+
+    def __init__(self, value, log_q: float, log_prior: Optional[float] = None) -> None:
+        self.value = value
+        self.log_q = log_q
+        self.log_prior = log_prior
+
+    def sample(self, rng=None, size=None):
+        return self.value
+
+    def log_prob(self, value):
+        return self.log_q
+
+
 class ProposalController(Controller):
     """Draw from per-address proposals q(x|y).
 
-    ``provider(address, instance, prior)`` returns either a proposal or
-    ``None`` to fall back to the prior.  The execution state sums the
-    ``log_q`` this controller reports and the prior it scores, which give the
-    importance weight ``log p(x,y) - log q(x|y)`` with the trace's likelihood.
+    ``provider(address, instance, prior)`` returns a proposal, a
+    :class:`DrawnProposal`, or ``None`` to fall back to the prior.  The
+    execution state sums the ``log_q`` this controller reports and the prior
+    density, which give the importance weight ``log p(x,y) - log q(x|y)``
+    with the trace's likelihood.
 
-    The proposal is consumed purely through ``sample(rng)`` and
-    ``log_prob(value)``.  In the engine every proposal comes from a
-    :class:`repro.ppl.nn.inference_network.BatchedProposalSession` as a
-    :class:`repro.ppl.nn.inference_network.DrawnProposal` stub: the session
-    has already drawn the value on this execution's stream and scored it,
-    so ``sample`` returns it without touching the stream.
+    In the engine every answer is a :class:`DrawnProposal` from a
+    :class:`repro.ppl.nn.inference_network.BatchedProposalSession`: value,
+    ``log_q`` and ``log_prior`` are taken as they are, and the execution's
+    stream is not touched (the driver already drew on it).  Any other
+    proposal is consumed through ``sample(rng)`` and ``log_prob(value)``.
     """
 
     def __init__(self, provider: Callable[[str, int, Distribution], Any]) -> None:
@@ -144,6 +175,9 @@ class ProposalController(Controller):
             value = distribution.sample(rng)
             log_q = self.last_log_prior = log_prob_total(distribution, value)
             return value, log_q
+        if type(proposal) is DrawnProposal:
+            self.last_log_prior = proposal.log_prior
+            return proposal.value, proposal.log_q
         value = proposal.sample(rng)
         log_q = log_prob_total(proposal, value)
         self.last_log_prior = log_prob_total(distribution, value)

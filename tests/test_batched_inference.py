@@ -200,8 +200,11 @@ class TestRoundOrderIsSlotOrder:
             coordinator._post(slot, (slot, "addr", None, None))
         driver = threading.Thread(target=coordinator.serve, daemon=True)
         driver.start()
-        for slot in (4, 2, 0, 3, 1):
+        # The answered round is one chain: each slot's gate opens only once
+        # the slot before it has posted.
+        for slot in range(5):
             assert coordinator._slot_gates[slot].acquire(timeout=5.0)
+            assert all(gate.locked() for gate in coordinator._slot_gates[slot + 1 :])
             coordinator.finished(slot)
         driver.join(timeout=5.0)
         assert not driver.is_alive()

@@ -10,21 +10,39 @@ thread draw for itself (what the engine did before), a cohort's values,
 addresses, ``log_q``, log-weights and each job's post-run generator state are
 the same — with no plan, with a plan that diverges mid-cohort, at any cohort
 size and under any packing.
+
+Each row's prior is scored on the driver as well (``prior_log_probs``), one
+``log_prob`` call per exact prior signature, and the stub carries the score:
+bit for bit what the slot's own ``log_prob_total`` gave, for every family a
+served model draws from, so served posteriors hash as they did when the slot
+scored its prior.
 """
 
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ppl
 from repro.common.rng import RandomState
-from repro.distributions import Categorical, Normal, Uniform
+from repro.distributions import (
+    Beta,
+    Categorical,
+    Exponential,
+    Gamma,
+    Mixture,
+    Normal,
+    TruncatedNormal,
+    Uniform,
+    log_prob_total,
+)
 from repro.distributions.batched import BatchedMixtureOfTruncatedNormals
 from repro.distributions.geometry import prior_signature
 from repro.ppl import FunctionModel
 from repro.ppl.inference.batched import (
     TraceJob,
+    batched_importance_sampling,
     new_engine_stats,
     per_trace_keys,
     resolve_observation_array,
@@ -33,8 +51,10 @@ from repro.ppl.inference.batched import (
 from repro.ppl.inference.inference_compilation import InferenceCompilation
 from repro.ppl.inference.plans import PlanCache
 from repro.ppl.nn.embeddings import ObservationEmbeddingFC, SampleEmbedding
-from repro.ppl.nn.inference_network import BatchedProposalSession, DrawnProposal
+from repro.ppl.nn import inference_network
+from repro.ppl.nn.inference_network import BatchedProposalSession, DrawnProposal, prior_log_probs
 from repro.ppl.nn.proposals import ProposalLayer, ProposalNormalMixture
+from repro.serving import PosteriorService, posterior_digest
 from tests.conftest import built_streams
 from tests.test_slot_pool import busy_slots, lent_slots  # noqa: F401 - fixture
 
@@ -496,3 +516,157 @@ class TestDynamicShortcutsAreInvisible:
         drift = [signatures for _, _, signatures in by_address["drift"]]
         assert all(len(signatures) == 1 for signatures in drift)
         assert len(set.union(*drift)) == 3
+
+
+# ------------------------------------------------------ priors scored driver-side
+def bits(number):
+    return np.float64(number).tobytes()
+
+
+_SCALE = st.floats(0.05, 5.0)
+_LOC = st.floats(-5.0, 5.0)
+
+
+@st.composite
+def continuous_prior_spec(draw):
+    """A continuous prior a served model may draw from, as a zero-argument factory.
+
+    Uniform, Normal and TruncatedNormal have exact signatures (grouped);
+    Beta, Gamma, Exponential and Mixture have none (scored row by row).
+    """
+    family = draw(
+        st.sampled_from(["Uniform", "Normal", "TruncatedNormal", "Beta", "Gamma", "Exponential", "Mixture"])
+    )
+    if family == "Uniform":
+        low, width = draw(_LOC), draw(_SCALE)
+        return lambda: Uniform(low, low + width)
+    if family == "Normal":
+        loc, scale = draw(_LOC), draw(_SCALE)
+        return lambda: Normal(loc, scale)
+    if family == "TruncatedNormal":
+        loc, scale, low, width = draw(_LOC), draw(_SCALE), draw(_LOC), draw(_SCALE)
+        return lambda: TruncatedNormal(loc, scale, low, low + width)
+    if family == "Beta":
+        alpha, beta = draw(_SCALE), draw(_SCALE)
+        return lambda: Beta(alpha, beta)
+    if family == "Gamma":
+        shape, scale = draw(_SCALE), draw(_SCALE)
+        return lambda: Gamma(shape, scale)
+    if family == "Exponential":
+        rate = draw(_SCALE)
+        return lambda: Exponential(rate)
+    locs, scale, weight = (draw(_LOC), draw(_LOC)), draw(_SCALE), draw(st.floats(0.05, 0.95))
+    return lambda: Mixture([Normal(locs[0], scale), Normal(locs[1], scale)], [weight, 1.0 - weight])
+
+
+#: in and outside every family's support, its edges included
+_VALUE = st.one_of(
+    st.floats(-50.0, 50.0), st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+)
+
+
+@st.composite
+def continuous_rows(draw):
+    """Rows over a few prior specs: each row builds its own prior object, so
+    rows of one spec share a signature without sharing an object."""
+    specs = draw(st.lists(continuous_prior_spec(), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(specs) - 1), min_size=1, max_size=24))
+    values = draw(st.lists(_VALUE, min_size=len(picks), max_size=len(picks)))
+    return [specs[pick]() for pick in picks], np.array(values, dtype=float)
+
+
+@st.composite
+def categorical_rows(draw):
+    tables = draw(
+        st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5).filter(lambda p: sum(p) > 0),
+                 min_size=1, max_size=3)
+    )
+    picks = draw(st.lists(st.integers(0, len(tables) - 1), min_size=1, max_size=24))
+    priors = [Categorical(tables[pick]) for pick in picks]
+    values = [draw(st.integers(-1, prior.num_categories)) for prior in priors]
+    return priors, np.array(values, dtype=np.int64)
+
+
+class TestPriorsScoredOnTheDriver:
+    @settings(max_examples=300, deadline=None)
+    @given(continuous_rows())
+    def test_continuous_rows_score_as_the_slot_did(self, rows):
+        priors, values = rows
+        scores = prior_log_probs(priors, values)
+        # The slot scored ``values[row]`` itself: a numpy float of a continuous batch.
+        assert [bits(score) for score in scores] == [
+            bits(log_prob_total(prior, value)) for prior, value in zip(priors, values)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(categorical_rows())
+    def test_categorical_rows_score_as_the_slot_did(self, rows):
+        priors, values = rows
+        scores = prior_log_probs(priors, values)
+        # ... and ``int(values[row])`` of a discrete one.
+        assert [bits(score) for score in scores] == [
+            bits(log_prob_total(prior, int(value))) for prior, value in zip(priors, values)
+        ]
+
+    def test_one_log_prob_call_per_signature(self, monkeypatch):
+        calls = []
+        log_prob = Uniform.log_prob
+
+        def counted_log_prob(self, value):
+            calls.append(np.shape(value))
+            return log_prob(self, value)
+
+        monkeypatch.setattr(Uniform, "log_prob", counted_log_prob)
+        priors = [Uniform(0.0, 1.0), Uniform(0.0, 2.0), Uniform(0.0, 1.0), Beta(2.0, 2.0), Uniform(0.0, 1.0)]
+        scores = prior_log_probs(priors, np.array([0.5, 1.5, 3.0, 0.5, -1.0]))
+        assert sorted(calls) == [(1,), (3,)]
+        assert scores[2] == scores[4] == -np.inf and scores[1] == -np.log(2.0)
+
+    def test_every_stub_carries_the_prior_score(self, rejection_case):
+        model, network, observation = rejection_case
+        answers = []
+        traces, _, _ = run_packing(
+            model, _SessionSwap(network, answers=answers), observation, 23, [16, 16]
+        )
+        stubs = [answer for answer in answers if answer is not None]
+        assert stubs and all(type(stub.log_prior) is float for stub in stubs)
+        # The trace records the stub's prior score, unscored by the slot.
+        recorded = {bits(s.log_prob) for t in traces for s in t.samples if not s.observed}
+        assert {bits(stub.log_prior) for stub in stubs} <= recorded
+
+
+def served_fingerprints(posterior):
+    """A posterior's digest, and each trace's ``log_q``, ``log_prior`` and ``log_joint`` bits."""
+    return posterior_digest(posterior), [
+        np.array([trace.log_q, trace.log_prior, trace.log_joint]).tobytes()
+        for trace in posterior.values
+    ]
+
+
+class TestServedPosteriorsAsWhenTheSlotScored:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("guided", [True, False], ids=["ic", "prior"])
+    def test_served_posteriors_hash_as_slot_scored_runs(
+        self, rejection_case, backend, guided, monkeypatch
+    ):
+        model, network, observation = rejection_case
+        network = network if guided else None
+        served = {}
+        with PosteriorService(
+            model, network, observe_key="obs", max_batch=32, max_latency=0.01, num_workers=2,
+            backend=backend,
+        ) as service:
+            for seed in (3, 4, 5):
+                future = service.submit(observation, num_traces=16, seed=seed, use_cache=False)
+                served[seed] = served_fingerprints(future.result(timeout=120).posterior)
+        # The stubs carry no prior score, so each slot scores its own prior —
+        # the engine before the driver scored priors.
+        monkeypatch.setattr(
+            inference_network, "prior_log_probs", lambda priors, values: [None] * len(priors)
+        )
+        for seed, fingerprints in served.items():
+            direct = batched_importance_sampling(
+                model, observation, num_traces=16, network=network, observe_key="obs",
+                rng=RandomState(seed),
+            )
+            assert served_fingerprints(direct) == fingerprints

@@ -168,9 +168,10 @@ class TestConcurrentCohorts:
     ):
         model, engine = lockstep_engine
         size, seeds = 6, (4, 5, 6)
-        # Every execution of every cohort meets here before its first draw, so
-        # the cohorts are provably in flight at once on len(seeds) x size threads.
-        meeting = threading.Barrier(len(seeds) * size, timeout=30)
+        # One slot of a cohort runs at a time, so slot k of every cohort meets
+        # here before its first draw, in the barrier's k-th cycle: the cohorts
+        # are provably in flight at once on len(seeds) x size threads.
+        meeting = threading.Barrier(len(seeds), timeout=30)
 
         def meeting_program():
             meeting.wait()
@@ -230,6 +231,7 @@ class TestCleanThreadState:
         for index, slot in enumerate(slots):
             assert slot._task is None
             slot.lend(lambda index=index: depths.__setitem__(index, len(ppl_state._stack())))
+            slot.gate.release()
         engine_module._return_slots(slots)
         assert depths == [0] * len(slots)
         assert busy_slots(slots) == []
